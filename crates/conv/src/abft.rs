@@ -11,11 +11,17 @@
 //!
 //! where `S(t)` is the sum of the input values the tap `t` touches
 //! across all output pixels — a rectangle of a stride-phased subgrid of
-//! the tap's input channel. [`verify_output`] builds one 2-D prefix-sum
-//! table per (channel, row-phase, col-phase) so each `S(t)` is a
-//! four-lookup rectangle query; the whole check costs `O(C·H·W)` table
-//! construction plus `O(taps + out)` per layer — far below the
-//! convolution itself.
+//! the tap's input channel. `S` depends only on the tap's position
+//! `(channel, k, k')`, never on the kernel that holds it, so
+//! [`verify_output`] accumulates it once and shares it between all `M`
+//! kernels — accumulate before multiply, applied to the checker. It
+//! builds one 2-D prefix-sum table per (channel, row-phase, col-phase),
+//! answers one four-lookup rectangle query per position into an
+//! `S[channel][k][k']` table, and then predicts each kernel with one
+//! load and one add per tap and one multiply per distinct value. The
+//! whole check costs `O(C·H·W)` table construction, `C·K·K'` rectangle
+//! queries and `O(taps + out)` loads and adds per layer — one pass over
+//! taps the convolution walks once per output pixel.
 //!
 //! Because the predicted sum is exact integer arithmetic (accumulators
 //! stay well inside `i64`), *any* single-bit flip in an output
@@ -93,35 +99,50 @@ pub fn verify_output(
         });
     }
 
-    let tables = PhaseTables::build(input, prep.geometry().stride);
     let flat = prep.flat();
     let shape = flat.shape();
     let geom = prep.geometry();
     let out_shape = prep.output_shape();
-    let pad = geom.pad as isize;
     let m_per_group = shape.out_channels / geom.groups;
     let out_plane = out_shape.rows * out_shape.cols;
     let out_data = out.as_slice();
+    let sums = PhaseTables::build(input, geom.stride).tap_sums(
+        shape.kernel_rows,
+        shape.kernel_cols,
+        geom.pad,
+        out_shape.rows,
+        out_shape.cols,
+    );
+    let group_len = shape.in_channels * shape.kernel_rows * shape.kernel_cols;
 
     for (m, kernel) in flat.kernels().iter().enumerate() {
-        let channel_base = (m / m_per_group) * shape.in_channels;
+        // The kernel's channel group owns one contiguous run of `sums`.
+        let base = (m / m_per_group) * group_len;
+        let group_sums = &sums[base..base + group_len];
         let mut predicted = 0i64;
-        let bounds = kernel.group_bounds();
-        for (g, &value) in kernel.values().iter().enumerate() {
-            let taps = &kernel.taps()[bounds[g] as usize..bounds[g + 1] as usize];
+        for (value, taps) in kernel.tap_groups() {
             let mut tap_sum = 0i64;
             for tap in taps {
-                tap_sum += tables.tap_sum(
-                    channel_base + tap.n as usize,
-                    tap.k as isize - pad,
-                    tap.kp as isize - pad,
-                    out_shape.rows,
-                    out_shape.cols,
-                );
+                let at = (tap.n as usize * shape.kernel_rows + tap.k as usize) * shape.kernel_cols
+                    + tap.kp as usize;
+                let Some(&s) = group_sums.get(at) else {
+                    return Err(AbmError::CodeCorrupt {
+                        kernel: m,
+                        detail: format!(
+                            "tap ({}, {}, {}) outside the layer's kernel volume",
+                            tap.n, tap.k, tap.kp
+                        ),
+                    });
+                };
+                tap_sum += s;
             }
             predicted += value as i64 * tap_sum;
         }
-        let observed: i64 = out_data[m * out_plane..(m + 1) * out_plane].iter().sum();
+        // Wrapping: a flipped high bit may push the sum past `i64`, and
+        // a sum off by ±2^bit modulo 2^64 is still a different sum.
+        let observed = out_data[m * out_plane..(m + 1) * out_plane]
+            .iter()
+            .fold(0i64, |sum, &v| sum.wrapping_add(v));
         if observed != predicted {
             return Err(AbmError::AbftMismatch {
                 kernel: m,
@@ -138,34 +159,48 @@ pub fn verify_output(
 /// to one plain prefix table per channel.
 struct PhaseTables {
     stride: usize,
+    channels: usize,
     in_rows: usize,
     in_cols: usize,
-    /// Indexed `[channel * s * s + a * s + b]`; each entry is a
+    /// Where phase `(a, b)`'s table starts inside one channel's block,
+    /// indexed `[a * s + b]`; the last entry is the block length.
+    phase_starts: Vec<usize>,
+    /// Every table back to back, channel-major then phase; each is a
     /// `(rows(a)+1) × (cols(b)+1)` prefix table, row-major.
-    tables: Vec<Vec<i64>>,
+    prefix: Vec<i64>,
+}
+
+/// Points of a `dim`-long axis on the stride-`s` subgrid starting at
+/// `phase`.
+fn grid(dim: usize, phase: usize, s: usize) -> usize {
+    if phase >= dim {
+        0
+    } else {
+        (dim - phase).div_ceil(s)
+    }
 }
 
 impl PhaseTables {
     fn build(input: &Tensor3<i16>, stride: usize) -> Self {
         let shape = input.shape();
         let s = stride;
-        let data = input.as_slice();
-        let plane = shape.rows * shape.cols;
-        let grid = |dim: usize, phase: usize| {
-            if phase >= dim {
-                0
-            } else {
-                (dim - phase).div_ceil(s)
+        let mut phase_starts = Vec::with_capacity(s * s + 1);
+        let mut block_len = 0;
+        for a in 0..s {
+            for b in 0..s {
+                phase_starts.push(block_len);
+                block_len += (grid(shape.rows, a, s) + 1) * (grid(shape.cols, b, s) + 1);
             }
-        };
-        let mut tables = Vec::with_capacity(shape.channels * s * s);
-        for c in 0..shape.channels {
-            let chan = &data[c * plane..(c + 1) * plane];
+        }
+        phase_starts.push(block_len);
+        let mut prefix = vec![0i64; shape.channels * block_len];
+        let planes = input.as_slice().chunks_exact(shape.rows * shape.cols);
+        for (block, chan) in prefix.chunks_exact_mut(block_len).zip(planes) {
             for a in 0..s {
                 for b in 0..s {
-                    let gr = grid(shape.rows, a);
-                    let gc = grid(shape.cols, b);
-                    let mut p = vec![0i64; (gr + 1) * (gc + 1)];
+                    let gr = grid(shape.rows, a, s);
+                    let gc = grid(shape.cols, b, s);
+                    let p = &mut block[phase_starts[a * s + b]..phase_starts[a * s + b + 1]];
                     for i in 0..gr {
                         let row = &chan[(a + i * s) * shape.cols..];
                         for j in 0..gc {
@@ -175,16 +210,46 @@ impl PhaseTables {
                                 - p[i * (gc + 1) + j];
                         }
                     }
-                    tables.push(p);
                 }
             }
         }
         Self {
             stride: s,
+            channels: shape.channels,
             in_rows: shape.rows,
             in_cols: shape.cols,
-            tables,
+            phase_starts,
+            prefix,
         }
+    }
+
+    /// The shared tap-sum table `S[c][k][k']`, row-major over every
+    /// input channel and kernel position: one rectangle query each,
+    /// read by every kernel that has a tap there.
+    fn tap_sums(
+        &self,
+        kernel_rows: usize,
+        kernel_cols: usize,
+        pad: usize,
+        out_rows: usize,
+        out_cols: usize,
+    ) -> Vec<i64> {
+        let pad = pad as isize;
+        let mut sums = Vec::with_capacity(self.channels * kernel_rows * kernel_cols);
+        for c in 0..self.channels {
+            for k in 0..kernel_rows {
+                for kp in 0..kernel_cols {
+                    sums.push(self.tap_sum(
+                        c,
+                        k as isize - pad,
+                        kp as isize - pad,
+                        out_rows,
+                        out_cols,
+                    ));
+                }
+            }
+        }
+        sums
     }
 
     /// `S(t)` for the tap displaced `(dr, dc)` from the output origin on
@@ -201,12 +266,9 @@ impl PhaseTables {
         };
         let a = dr.rem_euclid(s as isize) as usize;
         let b = dc.rem_euclid(s as isize) as usize;
-        let gc = if b >= self.in_cols {
-            0
-        } else {
-            (self.in_cols - b).div_ceil(s)
-        };
-        let p = &self.tables[c * s * s + a * s + b];
+        let gc = grid(self.in_cols, b, s);
+        let block_len = self.phase_starts[s * s];
+        let p = &self.prefix[c * block_len + self.phase_starts[a * s + b]..];
         let at = |i: usize, j: usize| p[i * (gc + 1) + j];
         at(i_hi + 1, j_hi + 1) - at(i_lo, j_hi + 1) - at(i_hi + 1, j_lo) + at(i_lo, j_lo)
     }
@@ -240,6 +302,7 @@ mod tests {
     use crate::dense::Geometry;
     use abm_sparse::LayerCode;
     use abm_tensor::{Shape3, Shape4, Tensor3, Tensor4};
+    use proptest::prelude::*;
 
     fn weights(shape: Shape4, salt: usize) -> Tensor4<i8> {
         Tensor4::from_fn(shape, |m, n, k, kp| {
@@ -252,7 +315,12 @@ mod tests {
         })
     }
 
-    fn check(in_shape: Shape3, w_shape: Shape4, geom: Geometry, salt: usize) {
+    fn executed(
+        in_shape: Shape3,
+        w_shape: Shape4,
+        geom: Geometry,
+        salt: usize,
+    ) -> (PreparedConv, Tensor3<i16>, Tensor3<i64>) {
         let w = weights(w_shape, salt);
         let code = LayerCode::encode(&w).unwrap();
         let prep = PreparedConv::try_new(&code, in_shape, geom).unwrap();
@@ -260,6 +328,11 @@ mod tests {
             (((c * 31 + r * 17 + col * 3 + salt) % 255) as i16) - 127
         });
         let out = prep.execute(&input);
+        (prep, input, out)
+    }
+
+    fn check(in_shape: Shape3, w_shape: Shape4, geom: Geometry, salt: usize) {
+        let (prep, input, out) = executed(in_shape, w_shape, geom, salt);
         verify_output(&prep, &input, &out).unwrap();
     }
 
@@ -322,6 +395,48 @@ mod tests {
                     "bit {bit} idx {idx}: {err}"
                 );
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn accepts_execution_and_names_the_flipped_kernel(
+            (stride, pad, groups) in (1usize..5, 0usize..4, 1usize..3),
+            (kernel_rows, kernel_cols) in (1usize..6, 1usize..6),
+            (channels_per_group, m_per_group) in (1usize..3, 1usize..4),
+            // Rows and columns the input has beyond the kernel (flat
+            // offsets need input >= kernel); `None` is the FC shape:
+            // kernel == input, no padding, one output pixel.
+            extra in prop_oneof![
+                1 => Just(None),
+                3 => (0usize..8, 0usize..8).prop_map(Some),
+            ],
+            salt in 0usize..1000,
+            (word, bit) in (any::<usize>(), 0u32..64),
+        ) {
+            let (pad, in_rows, in_cols) = match extra {
+                None => (0, kernel_rows, kernel_cols),
+                Some((r, c)) => (pad, kernel_rows + r, kernel_cols + c),
+            };
+            let (prep, input, clean) = executed(
+                Shape3::new(channels_per_group * groups, in_rows, in_cols),
+                Shape4::new(m_per_group * groups, channels_per_group, kernel_rows, kernel_cols),
+                Geometry::new(stride, pad).with_groups(groups),
+                salt,
+            );
+            prop_assert!(verify_output(&prep, &input, &clean).is_ok());
+
+            let plane = clean.shape().rows * clean.shape().cols;
+            let idx = word % clean.as_slice().len();
+            let mut corrupted = clean;
+            corrupted.as_mut_slice()[idx] ^= 1i64 << bit;
+            let err = verify_output(&prep, &input, &corrupted).unwrap_err();
+            prop_assert!(
+                matches!(err, AbmError::AbftMismatch { kernel, .. } if kernel == idx / plane),
+                "word {} bit {}: {}", idx, bit, err
+            );
         }
     }
 

@@ -184,9 +184,10 @@ pub struct PreparedConv {
     interior_rows: Range<usize>,
     interior_cols: Range<usize>,
     work: AbmWork,
-    /// FNV digest of the flat streams, recorded at preparation: the
-    /// golden signature [`verify_checksum`](Self::verify_checksum)
-    /// compares against to catch post-load bit flips.
+    /// [`abm_fault::flat_checksum`] of the flat streams, recorded at
+    /// preparation: the golden signature
+    /// [`verify_checksum`](Self::verify_checksum) compares against to
+    /// catch post-load bit flips.
     checksum: u64,
     /// The kernel variant dispatch resolved at preparation time: the
     /// ISA that will execute this layer and the stage-1 accumulator

@@ -769,9 +769,9 @@ impl<'m> Inferencer<'m> {
         geom: Geometry,
     ) -> Result<(Tensor3<i64>, AbmWork), AbmError> {
         let attempt = |p: &PreparedConv| -> Result<(Tensor3<i64>, AbmWork), AbmError> {
-            p.verify_checksum()?;
+            timed_detector("abm_verify_checksum_ns", || p.verify_checksum())?;
             let (out, w) = p.execute_counted(input);
-            abft::verify_output(p, input, &out)?;
+            timed_detector("abm_abft_ns", || abft::verify_output(p, input, &out))?;
             Ok((out, w))
         };
         let mut last = match attempt(prep) {
@@ -875,6 +875,19 @@ impl<'m> Inferencer<'m> {
             sink.record_fault(layer as u32, action, class, detail);
         }
     }
+}
+
+/// Runs one hardened-path detector and, when the metrics registry is
+/// on, records its wall time — pass or fail — in the `histogram`, so the
+/// detectors' share of a layer shows where the layer runs.
+fn timed_detector<T>(histogram: &str, detector: impl FnOnce() -> T) -> T {
+    let start = abm_metrics::enabled().then(std::time::Instant::now);
+    let verdict = detector();
+    if let Some(start) = start {
+        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        abm_metrics::global().observe(histogram, ns);
+    }
+    verdict
 }
 
 /// The detector a corruption error names in telemetry and reports.

@@ -221,18 +221,25 @@ impl Injector for PlanInjector {
 }
 
 /// FNV-1a over a little-endian byte view of `words` — the checksum the
-/// runtime integrity guards use for both code streams and feature
-/// streams. Cheap (one multiply per byte), deterministic across
-/// platforms, and any single bit flip changes the digest.
+/// runtime integrity guards use for feature streams and the campaign
+/// for seeding (the code streams have their own word-parallel
+/// [`flat_checksum`](crate::flat_checksum)). One multiply per byte,
+/// deterministic across platforms, and any single bit flip changes the
+/// digest.
 #[must_use]
 pub fn fnv1a_bytes(words: impl IntoIterator<Item = u8>) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV_OFFSET;
     for b in words {
         hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
 }
+
+/// The FNV-1a 64-bit offset basis and prime. The prime is odd, so
+/// `h ↦ h · FNV_PRIME (mod 2⁶⁴)` is a bijection.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// [`fnv1a_bytes`] over an `i16` stream (the FI feature words).
 #[must_use]

@@ -8,13 +8,91 @@
 //! which must stay free of the fault vocabulary.
 
 use crate::error::AbmError;
-use crate::inject::fnv1a_bytes;
-use abm_sparse::FlatCode;
+use crate::inject::{FNV_OFFSET, FNV_PRIME};
+use abm_sparse::{FlatCode, Tap};
 
-/// FNV-1a digest of every stream a [`FlatCode`] carries, plus its shape
-/// and layout. A `PreparedConv` records this at construction and
+/// Independent multiply chains the digest stripes words over. One
+/// chain retires a word per multiply *latency*; four keep the
+/// multiplier busy every cycle.
+const LANES: usize = 4;
+
+/// One FNV-1a step on a whole 64-bit word. For a fixed `w` this is a
+/// bijection of `h` (xor, then an odd multiply), and for a fixed `h` a
+/// bijection of `w`.
+fn mix(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(FNV_PRIME)
+}
+
+/// The lane state of [`flat_checksum`]: [`LANES`] FNV-1a chains over
+/// 64-bit words plus the number of words absorbed so far.
+struct WordDigest {
+    lanes: [u64; LANES],
+    words: u64,
+}
+
+impl WordDigest {
+    fn new() -> Self {
+        Self {
+            lanes: std::array::from_fn(|i| mix(FNV_OFFSET, i as u64)),
+            words: 0,
+        }
+    }
+
+    /// Absorbs one stream, `N` items to the word: first the item count
+    /// into lane 0 (the length frame), then packed word `j` into lane
+    /// `j mod LANES`. `pack` sees `N` items, or the 1..N left at the
+    /// end of the stream, and must zero-fill what is missing; the frame
+    /// tells a short last word from one padded with real zeros.
+    fn absorb<T, const N: usize>(&mut self, items: &[T], pack: impl Fn(&[T]) -> u64) {
+        self.lanes[0] = mix(self.lanes[0], items.len() as u64);
+        let mut blocks = items.chunks_exact(LANES * N);
+        for block in &mut blocks {
+            for (lane, word) in self.lanes.iter_mut().zip(block.chunks_exact(N)) {
+                *lane = mix(*lane, pack(word));
+            }
+        }
+        for (lane, word) in self.lanes.iter_mut().zip(blocks.remainder().chunks(N)) {
+            *lane = mix(*lane, pack(word));
+        }
+        self.words += 1 + items.len().div_ceil(N) as u64;
+    }
+
+    /// Folds the lanes, then the word count, through one last chain.
+    fn finish(self) -> u64 {
+        let folded = self.lanes.into_iter().fold(FNV_OFFSET, mix);
+        mix(folded, self.words)
+    }
+}
+
+/// Little-endian packing of up to two `u32`s into one word.
+fn pack_u32(pair: &[u32]) -> u64 {
+    pair.iter().rev().fold(0, |w, &x| (w << 32) | u64::from(x))
+}
+
+/// One tap as one word: `n`, `k`, `k'` in the low three 16-bit fields.
+fn pack_tap(t: Tap) -> u64 {
+    u64::from(t.n) | u64::from(t.k) << 16 | u64::from(t.kp) << 32
+}
+
+/// Digest of every stream a [`FlatCode`] carries, plus its shape and
+/// layout. A `PreparedConv` records this at construction and
 /// re-verifies before execution: any post-load bit flip in an offset,
 /// value, group bound or tap changes the digest.
+///
+/// The streams are hashed a 64-bit word at a time — `values` eight to
+/// the word, `group_bounds` and `offsets` two, each [`Tap`] one — and
+/// every stream of every kernel is prefixed with its length, so an
+/// element that moves across a stream or kernel boundary changes two
+/// frames even where the concatenated bytes stay the same.
+///
+/// **Why one changed word is always caught.** A word enters the digest
+/// through `h ← (h ^ w) · P` on one lane. Two different words give two
+/// different lane states; every later step on that lane, the fold of
+/// the lanes and the fold of the word count are bijections of the
+/// state they update, so the difference survives to the result. A
+/// single-event upset changes one word, so it is detected with
+/// certainty, exactly as with the byte-serial FNV-1a this replaces
+/// (changes to several words can cancel, with probability about 2⁻⁶⁴).
 #[must_use]
 pub fn flat_checksum(flat: &FlatCode) -> u64 {
     let shape = flat.shape();
@@ -28,24 +106,22 @@ pub fn flat_checksum(flat: &FlatCode) -> u64 {
         layout.in_cols,
         layout.stride,
         layout.pad,
+        flat.kernels().len(),
     ];
-    let bytes = header
-        .into_iter()
-        .flat_map(|d| (d as u64).to_le_bytes())
-        .chain(flat.kernels().iter().flat_map(|k| {
-            k.values()
+    let mut digest = WordDigest::new();
+    digest.absorb::<_, 1>(&header, |d| d[0] as u64);
+    for k in flat.kernels() {
+        digest.absorb::<_, 8>(k.values(), |bytes| {
+            bytes
                 .iter()
-                .map(|&v| v as u8)
-                .chain(k.group_bounds().iter().flat_map(|b| b.to_le_bytes()))
-                .chain(k.offsets().iter().flat_map(|o| o.to_le_bytes()))
-                .chain(
-                    k.taps()
-                        .iter()
-                        .flat_map(|t| [t.n, t.k, t.kp])
-                        .flat_map(|c| c.to_le_bytes()),
-                )
-        }));
-    fnv1a_bytes(bytes)
+                .rev()
+                .fold(0, |w, &v| (w << 8) | u64::from(v as u8))
+        });
+        digest.absorb::<_, 2>(k.group_bounds(), pack_u32);
+        digest.absorb::<_, 2>(k.offsets(), pack_u32);
+        digest.absorb::<_, 1>(k.taps(), |t| pack_tap(t[0]));
+    }
+    digest.finish()
 }
 
 /// Structural validation of a [`FlatCode`] at load time — the software
@@ -156,6 +232,7 @@ mod tests {
     use super::*;
     use abm_sparse::{FlatCode, FlatKernel, FlatLayout, LayerCode};
     use abm_tensor::{Shape4, Tensor4};
+    use proptest::prelude::*;
 
     fn lowered() -> (LayerCode, FlatCode) {
         let shape = Shape4::new(2, 2, 3, 3);
@@ -243,5 +320,211 @@ mod tests {
             )],
         );
         assert_ne!(flat_checksum(&tweaked), base);
+    }
+
+    /// The four streams of a kernel, as [`FlatKernel::from_raw_parts`]
+    /// takes them.
+    type Streams = (Vec<i8>, Vec<u32>, Vec<u32>, Vec<Tap>);
+
+    /// Flips bit `.2` of element `.1` of one field of a kernel.
+    type Flip = fn(&mut Streams, usize, u32);
+
+    fn code_of(header: [usize; 8], kernels: &[Streams]) -> FlatCode {
+        let [m, n, kr, kc, in_rows, in_cols, stride, pad] = header;
+        FlatCode::from_kernels(
+            Shape4::new(m, n, kr, kc),
+            FlatLayout {
+                in_rows,
+                in_cols,
+                stride,
+                pad,
+            },
+            kernels
+                .iter()
+                .cloned()
+                .map(|(v, b, o, t)| FlatKernel::from_raw_parts(v, b, o, t))
+                .collect(),
+        )
+    }
+
+    /// [`flat_checksum`] as its definition reads, one word at a time
+    /// with its own packing — no blocks, no tails.
+    fn reference_digest(header: [usize; 8], kernels: &[Streams]) -> u64 {
+        let mut lanes: [u64; LANES] = std::array::from_fn(|i| mix(FNV_OFFSET, i as u64));
+        let mut count = 0u64;
+        let mut stream = |len: usize, words: Vec<u64>| {
+            lanes[0] = mix(lanes[0], len as u64);
+            for (j, w) in words.into_iter().enumerate() {
+                lanes[j % LANES] = mix(lanes[j % LANES], w);
+                count += 1;
+            }
+            count += 1;
+        };
+        let le_words = |bytes: Vec<u8>| -> Vec<u64> {
+            bytes
+                .chunks(8)
+                .map(|c| {
+                    let mut word = [0u8; 8];
+                    word[..c.len()].copy_from_slice(c);
+                    u64::from_le_bytes(word)
+                })
+                .collect()
+        };
+        let mut head: Vec<u64> = header.iter().map(|&d| d as u64).collect();
+        head.push(kernels.len() as u64);
+        stream(head.len(), head);
+        for (values, bounds, offsets, taps) in kernels {
+            stream(
+                values.len(),
+                le_words(values.iter().map(|&v| v as u8).collect()),
+            );
+            for words in [bounds, offsets] {
+                stream(
+                    words.len(),
+                    le_words(words.iter().flat_map(|w| w.to_le_bytes()).collect()),
+                );
+            }
+            stream(
+                taps.len(),
+                le_words(
+                    taps.iter()
+                        .flat_map(|t| [t.n, t.k, t.kp, 0])
+                        .flat_map(u16::to_le_bytes)
+                        .collect(),
+                ),
+            );
+        }
+        let folded = lanes.into_iter().fold(FNV_OFFSET, mix);
+        mix(folded, count)
+    }
+
+    /// The streams as the unframed digest saw them: one concatenation
+    /// of little-endian bytes, no lengths.
+    fn unframed_bytes(kernels: &[Streams]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for (values, bounds, offsets, taps) in kernels {
+            bytes.extend(values.iter().map(|&v| v as u8));
+            bytes.extend(bounds.iter().chain(offsets).flat_map(|w| w.to_le_bytes()));
+            bytes.extend(
+                taps.iter()
+                    .flat_map(|t| [t.n, t.k, t.kp])
+                    .flat_map(u16::to_le_bytes),
+            );
+        }
+        bytes
+    }
+
+    #[test]
+    fn a_word_moved_across_a_boundary_changes_the_digest() {
+        let tap = |n, k, kp| Tap { n, k, kp };
+        // Each pair differs only in which stream (or kernel) owns the
+        // bytes at one boundary.
+        let pairs: [(&str, Vec<Streams>, Vec<Streams>); 4] = [
+            (
+                "values | group_bounds",
+                vec![(vec![1, 0, 0, 0], vec![0, 7], vec![3], vec![])],
+                vec![(vec![], vec![1, 0, 7], vec![3], vec![])],
+            ),
+            (
+                "group_bounds | offsets",
+                vec![(vec![2], vec![0, 2, 5], vec![9], vec![])],
+                vec![(vec![2], vec![0, 2], vec![5, 9], vec![])],
+            ),
+            (
+                "offsets | taps",
+                vec![(
+                    vec![],
+                    vec![0],
+                    vec![0x0002_0001, 0x0004_0003, 0x0006_0005],
+                    vec![],
+                )],
+                vec![(vec![], vec![0], vec![], vec![tap(1, 2, 3), tap(4, 5, 6)])],
+            ),
+            (
+                "kernel | kernel",
+                vec![
+                    (vec![], vec![], vec![], vec![tap(0x0201, 0x0403, 0x0605)]),
+                    (vec![7], vec![], vec![], vec![]),
+                ],
+                vec![
+                    (vec![], vec![], vec![], vec![]),
+                    (vec![1, 2, 3, 4, 5, 6, 7], vec![], vec![], vec![]),
+                ],
+            ),
+        ];
+        let header = [2, 2, 3, 3, 6, 6, 1, 1];
+        for (boundary, before, after) in pairs {
+            assert_eq!(
+                unframed_bytes(&before),
+                unframed_bytes(&after),
+                "{boundary}: the pair must be indistinguishable without framing"
+            );
+            assert_ne!(
+                flat_checksum(&code_of(header, &before)),
+                flat_checksum(&code_of(header, &after)),
+                "{boundary}"
+            );
+        }
+    }
+
+    /// Stream lengths reach past one full block of `LANES` words and
+    /// cover every residue of the per-word packing; one kernel in six
+    /// is empty.
+    fn kernel_streams() -> impl Strategy<Value = Streams> {
+        let tap =
+            (any::<u16>(), any::<u16>(), any::<u16>()).prop_map(|(n, k, kp)| Tap { n, k, kp });
+        prop_oneof![
+            1 => Just(Streams::default()),
+            5 => (
+                prop::collection::vec(any::<i8>(), 0..50),
+                prop::collection::vec(any::<u32>(), 0..15),
+                prop::collection::vec(any::<u32>(), 0..15),
+                prop::collection::vec(tap, 0..11),
+            ),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn digest_matches_the_reference_fold_and_sees_every_bit(
+            header in prop::collection::vec(any::<usize>(), 8..9),
+            kernels in prop::collection::vec(kernel_streams(), 0..4),
+        ) {
+            let header: [usize; 8] = header.try_into().unwrap();
+            let base = flat_checksum(&code_of(header, &kernels));
+            prop_assert_eq!(base, reference_digest(header, &kernels));
+
+            for field in 0..header.len() {
+                for bit in 0..usize::BITS {
+                    let mut h = header;
+                    h[field] ^= 1 << bit;
+                    prop_assert_ne!(flat_checksum(&code_of(h, &kernels)), base);
+                }
+            }
+            for (m, (values, bounds, offsets, taps)) in kernels.iter().enumerate() {
+                // (elements, bits per element, the flip) for every field.
+                let flips: [(usize, u32, Flip); 6] = [
+                    (values.len(), 8, |k, i, bit| k.0[i] ^= 1 << bit),
+                    (bounds.len(), 32, |k, i, bit| k.1[i] ^= 1 << bit),
+                    (offsets.len(), 32, |k, i, bit| k.2[i] ^= 1 << bit),
+                    (taps.len(), 16, |k, i, bit| k.3[i].n ^= 1 << bit),
+                    (taps.len(), 16, |k, i, bit| k.3[i].k ^= 1 << bit),
+                    (taps.len(), 16, |k, i, bit| k.3[i].kp ^= 1 << bit),
+                ];
+                for (field, (len, bits, flip)) in flips.into_iter().enumerate() {
+                    for i in 0..len {
+                        for bit in 0..bits {
+                            let mut ks = kernels.clone();
+                            flip(&mut ks[m], i, bit);
+                            prop_assert_ne!(
+                                flat_checksum(&code_of(header, &ks)),
+                                base,
+                                "kernel {} field {} element {} bit {}", m, field, i, bit
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

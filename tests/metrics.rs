@@ -16,7 +16,7 @@
 //! and `cargo test` runs tests in one binary concurrently.
 
 use abm_spconv_repro::campaign::{run_campaign, CampaignConfig};
-use abm_spconv_repro::conv::{Inferencer, Parallelism, ResiliencePolicy};
+use abm_spconv_repro::conv::{Inferencer, Parallelism, PreparedWeights, ResiliencePolicy};
 use abm_spconv_repro::metrics;
 use abm_spconv_repro::model::{
     synthesize_model, zoo, LayerProfile, Network, PruneProfile, SparseModel,
@@ -52,6 +52,15 @@ fn tiny_model(density: f64, levels: usize, seed: u64) -> (Network, SparseModel) 
     let profile = PruneProfile::uniform(LayerProfile::new(density, levels));
     let model = synthesize_model(&net, &profile, seed);
     (net, model)
+}
+
+/// How many of the model's layers run on the prepared ABM executor.
+fn abm_layer_count(model: &SparseModel, prepared: &PreparedWeights) -> u64 {
+    let count = (0..model.layers.len())
+        .filter(|&i| prepared.abm_layer(i).is_some())
+        .count() as u64;
+    assert!(count > 0);
+    count
 }
 
 fn synthetic_input(net: &Network, salt: usize) -> Tensor3<i16> {
@@ -233,10 +242,7 @@ fn infer_metrics_reconcile_with_results() {
     let registry = fresh_registry();
     let inferencer = Inferencer::new(&model).parallelism(Parallelism::Serial);
     let prepared = inferencer.prepare().unwrap();
-    let abm_layers = (0..model.layers.len())
-        .filter(|&i| prepared.abm_layer(i).is_some())
-        .count() as u64;
-    assert!(abm_layers > 0);
+    let abm_layers = abm_layer_count(&model, &prepared);
     let inputs: Vec<_> = (0..3).map(|i| synthetic_input(&net, i)).collect();
     let results = inferencer.run_batch_prepared(&prepared, &inputs).unwrap();
     let snap = registry.snapshot();
@@ -266,6 +272,33 @@ fn infer_metrics_reconcile_with_results() {
         counter("abm_interior_pixels_total") + counter("abm_halo_pixels_total"),
         results[0].total_features * 3
     );
+}
+
+/// Under the hardened policy each detector records one sample per ABM
+/// layer per image — and none under the default policy, which never
+/// calls them.
+#[test]
+fn hardened_detectors_record_one_sample_per_abm_layer() {
+    let _guard = registry_lock();
+    let (net, model) = tiny_model(0.6, 16, 7);
+    let input = synthetic_input(&net, 0);
+    for (policy, per_layer) in [
+        (ResiliencePolicy::default(), 0),
+        (ResiliencePolicy::hardened(), 1),
+    ] {
+        let registry = fresh_registry();
+        let inferencer = Inferencer::new(&model)
+            .parallelism(Parallelism::Serial)
+            .resilience(policy);
+        let prepared = inferencer.prepare().unwrap();
+        let abm_layers = abm_layer_count(&model, &prepared);
+        inferencer.run_prepared(&prepared, &input).unwrap();
+        let snap = registry.snapshot();
+        for name in ["abm_verify_checksum_ns", "abm_abft_ns"] {
+            let samples = snap.histograms.get(name).map_or(0, |h| h.count);
+            assert_eq!(samples, abm_layers * per_layer, "{name} under {policy:?}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

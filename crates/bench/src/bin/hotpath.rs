@@ -11,13 +11,11 @@
 //!
 //! `--smoke` restricts the run to AlexNet with one repetition per
 //! engine — enough to exercise every variant end to end without tying
-//! up the CI machine. The headline `geomean_speedup` is the best
-//! variant's; per-variant geomeans are reported alongside so a scalar
-//! regression is visible even when a vector unit hides it. The
-//! `certified` column prepares with the `abm-verify` range certificate
-//! for the 8-bit feature regime, so layers proving a ≤16-bit stage 1
-//! run the packed dual-lane kernel — the paper's DSP48 packing,
-//! measured against the same worst-case `auto` dispatch it narrows.
+//! up the CI machine. The headline `geomean_speedup` is `auto`'s — the
+//! dispatch `Inferencer::prepare` makes, so the number describes what
+//! users run (with `--isa`, the one pinned variant's); per-variant
+//! geomeans are reported alongside so a scalar regression is visible
+//! even when a vector unit hides it.
 
 #![forbid(unsafe_code)]
 
@@ -86,6 +84,10 @@ fn cpu_model() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// The column the headline `geomean_speedup` reports: `auto` when
+/// nothing is pinned, the single pinned variant otherwise.
+const HEADLINE: usize = 0;
+
 /// One benched column.
 struct Variant {
     /// Display label (also the JSON `isa` key).
@@ -93,11 +95,6 @@ struct Variant {
     /// ISA pin handed to the constructor (`None` = the engine's
     /// default geometry-aware auto-selection).
     pin: Option<Isa>,
-    /// Prepare with the `abm-verify` range certificate for the 8-bit
-    /// feature regime, so layers proving a ≤16-bit stage 1 take the
-    /// packed dual-lane kernel (the inputs synthesized here stay in
-    /// `[-128, 127]`, so the runtime range guard always passes).
-    certified: bool,
 }
 
 fn bench_network(
@@ -122,9 +119,8 @@ fn bench_network(
 
         let mut cells = Vec::with_capacity(variants.len());
         for v in variants {
-            let range = v.certified.then(abm_verify::AbsVal::i8_features);
-            let prep = PreparedConv::try_new_certified(&code, input.shape(), geom, v.pin, range)
-                .expect("preparable layer");
+            let prep =
+                PreparedConv::try_new(&code, input.shape(), geom, v.pin).expect("preparable layer");
             let (fast, prep_ns) = best_of(reps, || prep.execute(&input));
             assert_eq!(
                 oracle,
@@ -154,7 +150,7 @@ fn geomean(rows: &[Row], v: usize) -> f64 {
     (rows.iter().map(|r| r.cells[v].speedup.ln()).sum::<f64>() / rows.len() as f64).exp()
 }
 
-fn write_json(rows: &[Row], variants: &[Variant], cpu: &str, best: usize) -> std::io::Result<()> {
+fn write_json(rows: &[Row], variants: &[Variant], cpu: &str) -> std::io::Result<()> {
     use std::io::Write;
     let mut f = std::fs::File::create("BENCH_abm_hotpath.json")?;
     writeln!(f, "{{")?;
@@ -172,7 +168,7 @@ fn write_json(rows: &[Row], variants: &[Variant], cpu: &str, best: usize) -> std
         )?;
     }
     writeln!(f, "  ],")?;
-    writeln!(f, "  \"best_isa\": \"{}\",", variants[best].label)?;
+    writeln!(f, "  \"headline_isa\": \"{}\",", variants[HEADLINE].label)?;
     writeln!(f, "  \"layers\": [")?;
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };
@@ -194,7 +190,7 @@ fn write_json(rows: &[Row], variants: &[Variant], cpu: &str, best: usize) -> std
         writeln!(f, "}}{comma}")?;
     }
     writeln!(f, "  ],")?;
-    writeln!(f, "  \"geomean_speedup\": {:.3}", geomean(rows, best))?;
+    writeln!(f, "  \"geomean_speedup\": {:.3}", geomean(rows, HEADLINE))?;
     writeln!(f, "}}")
 }
 
@@ -216,30 +212,17 @@ fn main() {
             vec![Variant {
                 label: isa.name(),
                 pin: Some(isa),
-                certified: false,
             }]
         }
-        // Every pinned variant the CPU can run, plus the engine's
-        // worst-case auto-selection and the certificate-narrowed
-        // dispatch (what `infer` does by default: certified packed
-        // lanes where the range proof allows them).
-        None => [
-            Variant {
-                label: "auto",
-                pin: None,
-                certified: false,
-            },
-            Variant {
-                label: "certified",
-                pin: None,
-                certified: true,
-            },
-        ]
-        .into_iter()
+        // The engine's own auto-selection first (the headline), then
+        // every pinned variant the CPU can run.
+        None => std::iter::once(Variant {
+            label: "auto",
+            pin: None,
+        })
         .chain(Isa::detect_all().into_iter().map(|i| Variant {
             label: i.name(),
             pin: Some(i),
-            certified: false,
         }))
         .collect(),
     };
@@ -273,20 +256,17 @@ fn main() {
         println!();
     }
     rule(width);
-    let best = (0..variants.len())
-        .max_by(|&a, &b| geomean(&rows, a).total_cmp(&geomean(&rows, b)))
-        .expect("at least one variant");
     print!("geomean speedup:");
     for (v, var) in variants.iter().enumerate() {
         print!("  {}={:.2}x", var.label, geomean(&rows, v));
     }
     println!(
-        "  (best: {}, {} layers, best of {reps} reps)",
-        variants[best].label,
+        "  (headline: {}, {} layers, best of {reps} reps)",
+        variants[HEADLINE].label,
         rows.len()
     );
 
     let cpu = cpu_model();
-    write_json(&rows, &variants, &cpu, best).expect("write BENCH_abm_hotpath.json");
+    write_json(&rows, &variants, &cpu).expect("write BENCH_abm_hotpath.json");
     println!("wrote BENCH_abm_hotpath.json");
 }

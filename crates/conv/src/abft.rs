@@ -323,7 +323,7 @@ mod tests {
     ) -> (PreparedConv, Tensor3<i16>, Tensor3<i64>) {
         let w = weights(w_shape, salt);
         let code = LayerCode::encode(&w).unwrap();
-        let prep = PreparedConv::try_new(&code, in_shape, geom).unwrap();
+        let prep = PreparedConv::try_new(&code, in_shape, geom, None).unwrap();
         let input = Tensor3::from_fn(in_shape, |c, r, col| {
             (((c * 31 + r * 17 + col * 3 + salt) % 255) as i16) - 127
         });
@@ -380,7 +380,7 @@ mod tests {
         let in_shape = Shape3::new(2, 6, 6);
         let w = weights(Shape4::new(2, 2, 3, 3), 4);
         let code = LayerCode::encode(&w).unwrap();
-        let prep = PreparedConv::try_new(&code, in_shape, Geometry::new(1, 1)).unwrap();
+        let prep = PreparedConv::try_new(&code, in_shape, Geometry::new(1, 1), None).unwrap();
         let input = Tensor3::from_fn(in_shape, |c, r, col| ((c + r * 3 + col) % 11) as i16 - 5);
         let clean = prep.execute(&input);
         let plane = clean.shape().rows * clean.shape().cols;

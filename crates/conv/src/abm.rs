@@ -36,7 +36,7 @@ use abm_kernel::{gather_one, AbmKernel, AccWidth, Isa, Selection, MAX_LANES};
 use abm_sparse::{FlatCode, FlatKernel, FlatLayout, LayerCode, Tap};
 use abm_tensor::{Shape3, Shape4, Tensor3};
 use std::ops::Range;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 pub mod reference;
 
@@ -65,35 +65,24 @@ impl AbmWork {
     }
 }
 
-/// Static metric name for the per-variant execute counter — static
-/// strings so the hot path never allocates to name a metric.
-fn execute_counter(sel: Selection) -> &'static str {
+/// Static metric names for one reachable kernel selection: its
+/// preparation-time dispatch counter, then its per-call execute counter.
+/// Static strings so the hot path never allocates to name a metric, and
+/// three rows because `abm_kernel::select` returns nothing else: the
+/// scalar port always accumulates in `i64`, the vector ISAs only in
+/// proven `i32` (a hand-built vector/`i64` selection resolves to the
+/// scalar port, so it is counted there).
+fn selection_counters(sel: Selection) -> (&'static str, &'static str) {
     match (sel.isa, sel.acc) {
-        (Isa::Scalar, AccWidth::I16) => "abm_execute_scalar_i16_total",
-        (Isa::Scalar, AccWidth::I32) => "abm_execute_scalar_i32_total",
-        (Isa::Scalar, AccWidth::I64) => "abm_execute_scalar_i64_total",
-        (Isa::Avx2, AccWidth::I16) => "abm_execute_avx2_i16_total",
-        (Isa::Avx2, AccWidth::I32) => "abm_execute_avx2_i32_total",
-        (Isa::Avx2, AccWidth::I64) => "abm_execute_avx2_i64_total",
-        (Isa::Avx512, AccWidth::I16) => "abm_execute_avx512_i16_total",
-        (Isa::Avx512, AccWidth::I32) => "abm_execute_avx512_i32_total",
-        (Isa::Avx512, AccWidth::I64) => "abm_execute_avx512_i64_total",
-    }
-}
-
-/// Static metric name for the per-variant preparation-time dispatch
-/// counter.
-fn dispatch_counter(sel: Selection) -> &'static str {
-    match (sel.isa, sel.acc) {
-        (Isa::Scalar, AccWidth::I16) => "abm_dispatch_scalar_i16_total",
-        (Isa::Scalar, AccWidth::I32) => "abm_dispatch_scalar_i32_total",
-        (Isa::Scalar, AccWidth::I64) => "abm_dispatch_scalar_i64_total",
-        (Isa::Avx2, AccWidth::I16) => "abm_dispatch_avx2_i16_total",
-        (Isa::Avx2, AccWidth::I32) => "abm_dispatch_avx2_i32_total",
-        (Isa::Avx2, AccWidth::I64) => "abm_dispatch_avx2_i64_total",
-        (Isa::Avx512, AccWidth::I16) => "abm_dispatch_avx512_i16_total",
-        (Isa::Avx512, AccWidth::I32) => "abm_dispatch_avx512_i32_total",
-        (Isa::Avx512, AccWidth::I64) => "abm_dispatch_avx512_i64_total",
+        (Isa::Scalar, _) | (_, AccWidth::I64) => (
+            "abm_dispatch_scalar_i64_total",
+            "abm_execute_scalar_i64_total",
+        ),
+        (Isa::Avx2, AccWidth::I32) => ("abm_dispatch_avx2_i32_total", "abm_execute_avx2_i32_total"),
+        (Isa::Avx512, AccWidth::I32) => (
+            "abm_dispatch_avx512_i32_total",
+            "abm_execute_avx512_i32_total",
+        ),
     }
 }
 
@@ -143,7 +132,7 @@ pub fn conv2d(
     code: &LayerCode,
     geom: Geometry,
 ) -> Result<Tensor3<i64>, AbmError> {
-    PreparedConv::try_new(code, input.shape(), geom)?.try_execute(input)
+    PreparedConv::try_new(code, input.shape(), geom, None)?.try_execute(input)
 }
 
 /// Like [`conv2d`] but also reports the per-stage operation counts.
@@ -161,7 +150,7 @@ pub fn conv2d_counted(
     code: &LayerCode,
     geom: Geometry,
 ) -> Result<(Tensor3<i64>, AbmWork), AbmError> {
-    let prepared = PreparedConv::try_new(code, input.shape(), geom)?;
+    let prepared = PreparedConv::try_new(code, input.shape(), geom, None)?;
     let out = prepared.try_execute(input)?;
     Ok((out, prepared.work))
 }
@@ -191,73 +180,32 @@ pub struct PreparedConv {
     checksum: u64,
     /// The kernel variant dispatch resolved at preparation time: the
     /// ISA that will execute this layer and the stage-1 accumulator
-    /// width the lowering verifier proved safe for it
-    /// (`abm_verify::AccumulatorModel::stage1_required_bits`, or the
-    /// tighter certified bound when a range certificate is attached).
+    /// width the lowering verifier proved safe for it on any `i16`
+    /// input (`abm_verify::AccumulatorModel::stage1_required_bits`).
     sel: Selection,
-    /// The worst-case dispatch (what `sel` would be with no
-    /// certificate) — the guarded runtime fallback for inputs that
-    /// escape a certificate's assumed range.
-    fallback_sel: Selection,
-    /// The range certificate the narrowed dispatch rests on, when the
-    /// caller supplied a calibrated input range at preparation.
-    cert: Option<abm_verify::WidthCertificate>,
 }
 
 impl PreparedConv {
     /// Lowers an encoded layer against a concrete input shape and
-    /// geometry.
+    /// geometry. `isa` is the kernel-ISA request: `Some(isa)` pins the
+    /// variant (debugging, benchmarking, the CLI `--isa` flag), `None`
+    /// defers to `ABM_FORCE_ISA` and then auto-detection. Whatever is
+    /// requested, a layer whose stage-1 worst case does not fit `i32`
+    /// runs the checked scalar `i64` port — the pin chooses an ISA,
+    /// never an unproven accumulator.
     ///
     /// # Errors
     ///
     /// Returns [`AbmError`] on inconsistent channel counts, a group
-    /// count that does not divide the output channels, or a flat offset
-    /// that overflows the 32-bit encoding.
-    pub fn try_new(code: &LayerCode, in_shape: Shape3, geom: Geometry) -> Result<Self, AbmError> {
-        Self::try_new_with_isa(code, in_shape, geom, None)
-    }
-
-    /// [`try_new`](Self::try_new) with an explicit kernel-ISA request:
-    /// `Some(isa)` pins the variant (debugging, benchmarking, the CLI
-    /// `--isa` flag), `None` defers to `ABM_FORCE_ISA` and then
-    /// auto-detection. Whatever is requested, a layer whose stage-1
-    /// worst case does not fit `i32` runs the checked scalar `i64`
-    /// port — the pin chooses an ISA, never an unproven accumulator.
-    ///
-    /// # Errors
-    ///
-    /// All of [`try_new`](Self::try_new)'s errors, plus
+    /// count that does not divide the output channels, a flat offset
+    /// that overflows the 32-bit encoding, or
     /// [`AbmError::IsaUnavailable`] when the pinned ISA cannot execute
     /// on this CPU (or the environment pin does not parse).
-    pub fn try_new_with_isa(
+    pub fn try_new(
         code: &LayerCode,
         in_shape: Shape3,
         geom: Geometry,
         isa: Option<Isa>,
-    ) -> Result<Self, AbmError> {
-        Self::try_new_certified(code, in_shape, geom, isa, None)
-    }
-
-    /// [`try_new_with_isa`](Self::try_new_with_isa) with a calibrated
-    /// input-range abstraction. `Some(range)` runs the `abm-verify`
-    /// range certifier over the lowering and dispatches on the
-    /// **certified** stage-1 width instead of the worst case — strictly
-    /// more layers prove `i32`, and layers certifying ≤16-bit stage-1
-    /// take the packed dual-lane kernel. The certificate's assumption
-    /// is then enforced at run time: [`execute`](Self::execute) scans
-    /// the input against the assumed interval and falls back to the
-    /// worst-case dispatch for any call whose input escapes it, so the
-    /// public API stays bit-identical for arbitrary tensors.
-    ///
-    /// # Errors
-    ///
-    /// All of [`try_new_with_isa`](Self::try_new_with_isa)'s errors.
-    pub fn try_new_certified(
-        code: &LayerCode,
-        in_shape: Shape3,
-        geom: Geometry,
-        isa: Option<Isa>,
-        input_range: Option<abm_verify::AbsVal>,
     ) -> Result<Self, AbmError> {
         let w = code.shape();
         validate_grouping(in_shape, w, geom)?;
@@ -268,7 +216,7 @@ impl PreparedConv {
             pad: geom.pad,
         };
         let flat = FlatCode::lower(code, layout)?;
-        let prepared = Self::assemble(flat, in_shape, geom, isa, input_range)?;
+        let prepared = Self::assemble(flat, in_shape, geom, isa)?;
         // Debug builds statically verify the lowering against its source
         // streams on construction; release builds skip the pass (`cargo
         // xtask verify` runs it explicitly over the model zoo).
@@ -316,7 +264,7 @@ impl PreparedConv {
             });
         }
         abm_fault::validate_flat(&flat)?;
-        Self::assemble(flat, in_shape, geom, None, None)
+        Self::assemble(flat, in_shape, geom, None)
     }
 
     /// Shared tail of the constructors: derive the output geometry,
@@ -328,7 +276,6 @@ impl PreparedConv {
         in_shape: Shape3,
         geom: Geometry,
         isa: Option<Isa>,
-        input_range: Option<abm_verify::AbsVal>,
     ) -> Result<Self, AbmError> {
         let w = flat.shape();
         let layout = flat.layout();
@@ -356,39 +303,13 @@ impl PreparedConv {
         let stage1_bits = abm_verify::AccumulatorModel::host().stage1_required_bits(&flat);
         let interior_cols = layout.interior_cols(w.kernel_cols, out_shape.cols);
         let interior_rows = layout.interior_rows(w.kernel_rows, out_shape.rows);
-        let unit_stride = geom.stride == 1;
-        let sweep_cols = interior_cols.end.saturating_sub(interior_cols.start);
-        let fallback_sel = abm_kernel::select_auto(isa, stage1_bits, unit_stride, sweep_cols)
+        let sel = abm_kernel::select_auto(isa, stage1_bits, geom.stride == 1, interior_cols.len())
             .map_err(|detail| AbmError::IsaUnavailable { detail })?;
-        // When the caller supplied a calibrated input range, run the
-        // range certifier over this exact lowering: the certified
-        // stage-1 width replaces the worst-case bound for dispatch (the
-        // certificate's assumption is re-checked per execute, with
-        // `fallback_sel` covering escapes).
-        let cert = input_range.map(|iv| {
-            let geometry = abm_verify::ConvGeometry {
-                in_channels: in_shape.channels,
-                in_rows: layout.in_rows,
-                in_cols: layout.in_cols,
-                stride: layout.stride,
-                pad: layout.pad,
-                groups: geom.groups,
-                out_rows: out_shape.rows,
-                out_cols: out_shape.cols,
-                interior_rows: (interior_rows.start, interior_rows.end),
-                interior_cols: (interior_cols.start, interior_cols.end),
-            };
-            abm_verify::certify_layer("prepared-conv", &flat, &geometry, iv)
-        });
-        let sel = match &cert {
-            Some(c) => abm_kernel::select_auto(isa, c.stage1_bits, unit_stride, sweep_cols)
-                .map_err(|detail| AbmError::IsaUnavailable { detail })?,
-            None => fallback_sel,
-        };
         // Dispatch accounting: one count per prepared layer, keyed by
         // the resolved variant (preparation-time, never the hot path).
         if abm_metrics::enabled() {
-            abm_metrics::global().add(dispatch_counter(sel), 1);
+            let (dispatch, _) = selection_counters(sel);
+            abm_metrics::global().add(dispatch, 1);
         }
         Ok(Self {
             in_shape,
@@ -400,8 +321,6 @@ impl PreparedConv {
             work,
             checksum,
             sel,
-            fallback_sel,
-            cert,
             flat,
         })
     }
@@ -478,21 +397,6 @@ impl PreparedConv {
         self.sel
     }
 
-    /// The worst-case dispatch this layer falls back to when an input
-    /// escapes the certificate's assumed range. Equal to
-    /// [`selection`](Self::selection) for uncertified layers.
-    #[must_use]
-    pub fn fallback_selection(&self) -> Selection {
-        self.fallback_sel
-    }
-
-    /// The range certificate the narrowed dispatch rests on, when this
-    /// layer was prepared with a calibrated input range.
-    #[must_use]
-    pub fn certificate(&self) -> Option<&abm_verify::WidthCertificate> {
-        self.cert.as_ref()
-    }
-
     /// Re-hashes the flat streams and compares against the golden
     /// checksum recorded at preparation — the cheap pre-execution guard
     /// that catches post-load bit flips (an M20K SEU in hardware
@@ -547,7 +451,8 @@ impl PreparedConv {
         let elapsed = u64::try_from(timer.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let m = abm_metrics::global();
         m.observe("abm_execute_ns", elapsed);
-        m.add(execute_counter(self.sel), 1);
+        let (_, execute) = selection_counters(self.sel);
+        m.add(execute, 1);
         let out_plane = (self.out_shape.rows * self.out_shape.cols) as u64;
         let interior = (self.interior_rows.len() * self.interior_cols.len()) as u64;
         let channels = self.out_shape.channels as u64;
@@ -573,12 +478,8 @@ impl PreparedConv {
         // The dispatch resolved at preparation: one virtual call maps
         // the stored selection to its kernel object, then the hot loops
         // below go through it for every pixel vector. `lanebuf` is the
-        // lane-output scratch sized for the widest variant. A certified
-        // (narrower-than-worst-case) dispatch first enforces its
-        // assumption: one linear min/max scan of the input, and any
-        // escape demotes this call to the worst-case fallback — the
-        // certificate narrows the datapath, never the API contract.
-        let kern: &'static dyn AbmKernel = abm_kernel::resolve(self.guarded_selection(input));
+        // lane-output scratch sized for the widest variant.
+        let kern: &'static dyn AbmKernel = abm_kernel::resolve(self.sel);
         let lanes = kern.lanes();
         let mut lanebuf = [0i64; MAX_LANES];
         // One scratch partial-sum buffer, reused across every pixel of
@@ -750,34 +651,6 @@ impl PreparedConv {
         out
     }
 
-    /// The selection one call will actually run: the certified narrow
-    /// dispatch when the input honors the certificate's assumed
-    /// interval, the worst-case fallback otherwise. Uncertified layers
-    /// (and certified layers whose dispatch did not narrow) skip the
-    /// scan entirely.
-    fn guarded_selection(&self, input: &Tensor3<i16>) -> Selection {
-        let Some(cert) = &self.cert else {
-            return self.sel;
-        };
-        if self.sel == self.fallback_sel {
-            return self.sel;
-        }
-        let lo = cert.input.range.lo;
-        let hi = cert.input.range.hi;
-        if input
-            .as_slice()
-            .iter()
-            .all(|&x| lo <= x as i128 && (x as i128) <= hi)
-        {
-            self.sel
-        } else {
-            if abm_metrics::enabled() {
-                abm_metrics::global().add("abm_range_guard_fallback_total", 1);
-            }
-            self.fallback_sel
-        }
-    }
-
     /// [`execute`](Self::execute) behind a typed shape guard instead of
     /// an assertion — the entry point the resilient inference path
     /// uses.
@@ -799,31 +672,6 @@ impl PreparedConv {
             });
         }
         Ok(self.execute(input))
-    }
-
-    /// [`execute`](Self::execute) plus the analytic work counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input`'s shape differs from the prepared shape.
-    #[must_use]
-    pub fn execute_counted(&self, input: &Tensor3<i16>) -> (Tensor3<i64>, AbmWork) {
-        (self.execute(input), self.work)
-    }
-
-    /// [`execute_counted`](Self::execute_counted) plus the wall-clock
-    /// time the execution took — the telemetry hook that lets callers
-    /// compare measured host throughput against the analytic
-    /// [`AbmWork`] (ops ÷ duration).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input`'s shape differs from the prepared shape.
-    #[must_use]
-    pub fn execute_timed(&self, input: &Tensor3<i16>) -> (Tensor3<i64>, AbmWork, Duration) {
-        let start = Instant::now();
-        let (out, work) = self.execute_counted(input);
-        (out, work, start.elapsed())
     }
 }
 
@@ -959,8 +807,8 @@ mod tests {
         let dense_out = dense::conv2d(input, weights, geom);
         let code = LayerCode::encode(weights).unwrap();
         let (ref_out, ref_work) = reference::conv2d_counted(input, &code, geom).unwrap();
-        let prepared = PreparedConv::try_new(&code, input.shape(), geom).unwrap();
-        let (out, work) = prepared.execute_counted(input);
+        let prepared = PreparedConv::try_new(&code, input.shape(), geom, None).unwrap();
+        let (out, work) = (prepared.execute(input), prepared.work());
         assert_eq!(dense_out, ref_out);
         assert_eq!(ref_out, out);
         assert_eq!(ref_work, work, "analytic work != counted work");
@@ -1041,7 +889,7 @@ mod tests {
         let input = pseudo_input(Shape3::new(24, 1, 1));
         let weights = pseudo_weights(Shape4::new(5, 24, 1, 1), 6);
         let code = LayerCode::encode(&weights).unwrap();
-        let prepared = PreparedConv::try_new(&code, input.shape(), Geometry::unit()).unwrap();
+        let prepared = PreparedConv::try_new(&code, input.shape(), Geometry::unit(), None).unwrap();
         assert_eq!(prepared.interior_rows, 0..1);
         assert_eq!(prepared.interior_cols, 0..1);
         check_equivalence(&input, &weights, Geometry::unit());
@@ -1076,7 +924,7 @@ mod tests {
         let weights = pseudo_weights(Shape4::new(3, 2, 3, 3), 6);
         let code = LayerCode::encode(&weights).unwrap();
         let geom = Geometry::new(1, 1);
-        let prepared = PreparedConv::try_new(&code, shape, geom).unwrap();
+        let prepared = PreparedConv::try_new(&code, shape, geom, None).unwrap();
         for salt in 0..3 {
             let input = Tensor3::from_fn(shape, |c, r, col| {
                 ((c * 97 + r * 13 + col * 5 + salt * 41) % 200) as i16 - 100
@@ -1088,68 +936,29 @@ mod tests {
         }
     }
 
-    /// A certified prepare narrows the dispatch under its assumed
-    /// range, stays bit-identical to the worst-case prepare on
-    /// in-range inputs, and the runtime guard demotes out-of-range
-    /// inputs to the worst-case fallback — still bit-identical.
+    /// Every selection `select` can return has its own dispatch and
+    /// execute counter, named after it — so summing `abm_dispatch_*` /
+    /// `abm_execute_*` (as `tests/metrics.rs` does) counts every layer
+    /// exactly once whatever variant ran.
     #[test]
-    fn certified_dispatch_is_bit_identical_and_guarded() {
-        let shape = Shape3::new(2, 24, 24);
-        let weights = pseudo_weights(Shape4::new(3, 2, 3, 3), 6);
-        let code = LayerCode::encode(&weights).unwrap();
-        let geom = Geometry::new(1, 1);
-        let plain = PreparedConv::try_new(&code, shape, geom).unwrap();
-        let certified = PreparedConv::try_new_certified(
-            &code,
-            shape,
-            geom,
-            None,
-            Some(abm_verify::AbsVal::i8_features()),
-        )
-        .unwrap();
-        let cert = certified.certificate().expect("certificate attached");
-        assert!(cert
-            .validate(certified.flat(), &conv_geometry(&certified))
-            .is_clean());
-        // Small 3×3 groups over 8-bit features certify ≤16-bit stage-1.
-        assert!(cert.packable(), "stage1_bits = {}", cert.stage1_bits);
-        assert_eq!(certified.fallback_selection(), plain.selection());
-
-        // In-range input: certified (possibly packed) path, identical.
-        let input = pseudo_input(shape);
-        assert_eq!(certified.execute(&input), plain.execute(&input));
-        assert_eq!(
-            certified.execute(&input),
-            reference::conv2d(&input, &code, geom).unwrap()
-        );
-        // Out-of-range input: the guard demotes to the worst-case
-        // dispatch for this call — still exact.
-        let hot = Tensor3::from_fn(shape, |c, r, col| {
-            if (c + r + col) % 2 == 0 {
-                32767
-            } else {
-                -32768
+    fn every_reachable_selection_has_its_counters() {
+        let mut seen = std::collections::HashSet::new();
+        for isa in Isa::detect_all() {
+            for bits in [32u32, 33] {
+                let sel = abm_kernel::select(Some(isa), bits).unwrap();
+                let (dispatch, execute) = selection_counters(sel);
+                assert_eq!(
+                    dispatch,
+                    format!("abm_dispatch_{}_{}_total", sel.isa, sel.acc)
+                );
+                assert_eq!(
+                    execute,
+                    format!("abm_execute_{}_{}_total", sel.isa, sel.acc)
+                );
+                seen.insert(sel);
             }
-        });
-        assert_eq!(certified.execute(&hot), plain.execute(&hot));
-    }
-
-    /// Re-derives the verifier geometry for a prepared layer (test
-    /// glue mirroring `verify_against`).
-    fn conv_geometry(p: &PreparedConv) -> abm_verify::ConvGeometry {
-        let layout = p.flat().layout();
-        abm_verify::ConvGeometry {
-            in_channels: p.input_shape().channels,
-            in_rows: layout.in_rows,
-            in_cols: layout.in_cols,
-            stride: layout.stride,
-            pad: layout.pad,
-            groups: p.geometry().groups,
-            out_rows: p.output_shape().rows,
-            out_cols: p.output_shape().cols,
-            interior_rows: (p.interior_rows.start, p.interior_rows.end),
-            interior_cols: (p.interior_cols.start, p.interior_cols.end),
         }
+        assert_eq!(seen.len(), Isa::detect_all().len());
     }
 
     #[test]
@@ -1187,7 +996,7 @@ mod tests {
         let w = Tensor4::<i8>::zeros(Shape4::new(1, 1, 1, 1));
         let code = LayerCode::encode(&w).unwrap();
         let prepared =
-            PreparedConv::try_new(&code, Shape3::new(1, 4, 4), Geometry::unit()).unwrap();
+            PreparedConv::try_new(&code, Shape3::new(1, 4, 4), Geometry::unit(), None).unwrap();
         let err = prepared
             .try_execute(&Tensor3::<i16>::zeros(Shape3::new(1, 5, 5)))
             .unwrap_err();
@@ -1205,7 +1014,7 @@ mod tests {
         let weights = pseudo_weights(Shape4::new(2, 2, 3, 3), 6);
         let code = LayerCode::encode(&weights).unwrap();
         let prepared =
-            PreparedConv::try_new(&code, Shape3::new(2, 6, 6), Geometry::new(1, 1)).unwrap();
+            PreparedConv::try_new(&code, Shape3::new(2, 6, 6), Geometry::new(1, 1), None).unwrap();
         assert!(prepared.verify_checksum().is_ok());
         // Flip one offset bit post-load, keeping the golden checksum.
         let flat = prepared.flat().clone();
@@ -1232,7 +1041,7 @@ mod tests {
         let code = LayerCode::encode(&weights).unwrap();
         let in_shape = Shape3::new(2, 6, 6);
         let geom = Geometry::new(1, 1);
-        let pristine = PreparedConv::try_new(&code, in_shape, geom).unwrap();
+        let pristine = PreparedConv::try_new(&code, in_shape, geom, None).unwrap();
         // The pristine streams load fine through the validated path.
         let reloaded =
             PreparedConv::try_from_flat(pristine.flat().clone(), in_shape, geom).unwrap();

@@ -17,7 +17,7 @@ use crate::abm::{self, AbmWork, PreparedConv};
 use crate::dense::{self, Geometry};
 use crate::freq;
 use crate::host;
-use crate::parallel::{parallel_map_caught, Parallelism};
+use crate::parallel::{parallel_map_salvage, Parallelism};
 use crate::sparse as csr_engine;
 use abm_fault::AbmError;
 use abm_kernel::Isa;
@@ -252,31 +252,8 @@ impl<'m> Inferencer<'m> {
                     let code = LayerCode::encode(&sl.weights)
                         .map_err(|e| AbmError::from(e).at_layer(idx))?;
                     let (in_shape, geom) = accel_geometry(sl);
-                    // Calibrated input range for the certifier: the
-                    // first accelerated layer reads the quantized image
-                    // (the configured input format's raw range), every
-                    // later one reads features the Sum/Round write-back
-                    // saturated into 8 bits. The certificate narrows
-                    // the kernel dispatch; `PreparedConv`'s runtime
-                    // guard re-checks the assumption per call, so even
-                    // a mis-calibrated range stays bit-exact.
-                    let bits = if idx == 0 {
-                        self.input_format.bits()
-                    } else {
-                        8
-                    };
-                    let range = abm_verify::AbsVal::from_range(abm_verify::Interval::new(
-                        -(1i128 << (bits - 1)),
-                        (1i128 << (bits - 1)) - 1,
-                    ));
-                    let prep = PreparedConv::try_new_certified(
-                        &code,
-                        in_shape,
-                        geom,
-                        self.isa,
-                        Some(range),
-                    )
-                    .map_err(|e| e.at_layer(idx))?;
+                    let prep = PreparedConv::try_new(&code, in_shape, geom, self.isa)
+                        .map_err(|e| e.at_layer(idx))?;
                     if let Some(sink) = &self.telemetry {
                         let sel = prep.selection();
                         sink.record_dispatch(
@@ -321,77 +298,41 @@ impl<'m> Inferencer<'m> {
     /// Returns [`AbmError`] if preparation fails, any input's shape
     /// differs from the network's input shape, or any item fails; a
     /// worker panic is caught at the pool boundary and surfaces as
-    /// [`AbmError::WorkerPanic`] naming the item. For per-item error
-    /// reporting instead of first-error-aborts, use
+    /// [`AbmError::WorkerPanic`] naming the item. For per-item outcomes
+    /// instead of the first error, [`prepare`](Self::prepare) and use
     /// [`run_batch_salvage`](Self::run_batch_salvage).
     pub fn run_batch(&self, inputs: &[Tensor3<i16>]) -> Result<Vec<InferenceResult>, AbmError> {
         let prepared = self.prepare()?;
         self.run_batch_prepared(&prepared, inputs)
     }
 
-    /// Runs a batch, salvaging what it can: every item gets its own
-    /// `Result`, so one corrupted image (or even a worker panic while
-    /// processing it) never takes down the rest of the batch. Results
-    /// stay in input order.
-    ///
-    /// # Errors
-    ///
-    /// The outer `Result` fails only when weight preparation fails —
-    /// nothing has run at that point. Per-item failures (shape
-    /// mismatches, detected corruptions under a
-    /// [`ResiliencePolicy`], caught worker panics) land in the inner
-    /// `Result`s.
+    /// Runs a batch against pre-encoded weights, salvaging what it can
+    /// — the one batch executor [`run_batch_prepared`](Self::run_batch_prepared)
+    /// and the serving layer both stand on. Every item gets its own
+    /// typed outcome, in input order: `Ok` (bit-identical to a serial
+    /// [`run_prepared`](Self::run_prepared)), the item's own error (a
+    /// shape mismatch, a detected corruption under a
+    /// [`ResiliencePolicy`]), [`AbmError::WorkerPanic`] when a worker
+    /// panicked on it (poisoning only itself), or — with
+    /// `deadline: Some(_)` — [`AbmError::DeadlineExceeded`] when the
+    /// clock passed before any worker claimed it; items claimed before
+    /// the deadline run to completion. `tests/serve.rs` pins the
+    /// mid-batch-deadline regression.
     pub fn run_batch_salvage(
-        &self,
-        inputs: &[Tensor3<i16>],
-    ) -> Result<Vec<Result<InferenceResult, AbmError>>, AbmError> {
-        let prepared = self.prepare()?;
-        let caught = parallel_map_caught(
-            self.parallelism,
-            inputs,
-            self.telemetry.as_ref(),
-            |worker, _, input| {
-                self.check_input_shape(input)?;
-                self.run_prepared_on(&prepared, input, worker as u32)
-            },
-        );
-        Ok(caught
-            .into_iter()
-            .enumerate()
-            .map(|(item, r)| match r {
-                Ok(inner) => inner,
-                Err(message) => Err(AbmError::WorkerPanic { item, message }),
-            })
-            .collect())
-    }
-
-    /// [`run_batch_salvage`](Self::run_batch_salvage) against
-    /// pre-encoded weights, bounded by a wall-clock deadline — the
-    /// serving layer's batch executor. A deadline hit mid-batch
-    /// returns **per-item typed outcomes** instead of failing the
-    /// whole batch: items claimed before the deadline run to
-    /// completion and come back `Ok` (bit-identical to an unbounded
-    /// run), items the deadline cut come back as
-    /// [`AbmError::DeadlineExceeded`], and a panicked item poisons
-    /// only itself ([`AbmError::WorkerPanic`]). Results stay in input
-    /// order, and `tests/serve.rs` pins the regression.
-    pub fn run_batch_salvage_deadline(
         &self,
         prepared: &PreparedWeights,
         inputs: &[Tensor3<i16>],
-        deadline: std::time::Instant,
+        deadline: Option<std::time::Instant>,
     ) -> Vec<Result<InferenceResult, AbmError>> {
-        crate::parallel::parallel_map_deadline_salvage(
+        parallel_map_salvage(
             self.parallelism,
             inputs,
+            self.telemetry.as_ref(),
             deadline,
-            |_, input| {
-                self.check_input_shape(input)?;
-                self.run_prepared_on(prepared, input, 0)
-            },
+            |worker, _, input| self.run_prepared_on(prepared, input, worker as u32),
         )
         .into_iter()
-        .map(|r| r.and_then(|inner| inner))
+        .map(Result::flatten)
         .collect()
     }
 
@@ -402,34 +343,23 @@ impl<'m> Inferencer<'m> {
     /// # Errors
     ///
     /// Returns [`AbmError::ShapeMismatch`] if any input's shape differs
-    /// from the network's input shape,
-    /// [`AbmError::NotPrepared`] if `prepared` came from a
-    /// differently-configured inferencer, and
-    /// [`AbmError::WorkerPanic`] if a worker panicked mid-item (caught
-    /// at the pool boundary, never crossing the join).
+    /// from the network's input shape (checked up front, before any
+    /// worker spins up), otherwise the first failing item's error in
+    /// input order: [`AbmError::NotPrepared`] if `prepared` came from a
+    /// differently-configured inferencer, [`AbmError::WorkerPanic`] if
+    /// a worker panicked mid-item (caught at the pool boundary, never
+    /// crossing the join).
     pub fn run_batch_prepared(
         &self,
         prepared: &PreparedWeights,
         inputs: &[Tensor3<i16>],
     ) -> Result<Vec<InferenceResult>, AbmError> {
-        // Validate shapes up front so the error points at the bad input
-        // before any worker spins up.
         for input in inputs {
             self.check_input_shape(input)?;
         }
-        parallel_map_caught(
-            self.parallelism,
-            inputs,
-            self.telemetry.as_ref(),
-            |worker, _, input| self.run_prepared_on(prepared, input, worker as u32),
-        )
-        .into_iter()
-        .enumerate()
-        .map(|(item, r)| match r {
-            Ok(inner) => inner,
-            Err(message) => Err(AbmError::WorkerPanic { item, message }),
-        })
-        .collect()
+        self.run_batch_salvage(prepared, inputs, None)
+            .into_iter()
+            .collect()
     }
 
     /// Runs a batch through a **layer-pipelined** executor — the
@@ -725,7 +655,7 @@ impl<'m> Inferencer<'m> {
                     let code = prepared.codes.get(layer_idx).and_then(Option::as_ref);
                     self.execute_abm_checked(prep, code, sl, input, layer_idx, geom)?
                 } else {
-                    prep.execute_counted(input)
+                    (prep.execute(input), prep.work())
                 };
                 work = w;
                 out
@@ -770,9 +700,9 @@ impl<'m> Inferencer<'m> {
     ) -> Result<(Tensor3<i64>, AbmWork), AbmError> {
         let attempt = |p: &PreparedConv| -> Result<(Tensor3<i64>, AbmWork), AbmError> {
             timed_detector("abm_verify_checksum_ns", || p.verify_checksum())?;
-            let (out, w) = p.execute_counted(input);
+            let out = p.execute(input);
             timed_detector("abm_abft_ns", || abft::verify_output(p, input, &out))?;
-            Ok((out, w))
+            Ok((out, p.work()))
         };
         let mut last = match attempt(prep) {
             Ok(r) => return Ok(r),
@@ -787,7 +717,7 @@ impl<'m> Inferencer<'m> {
         );
         if let Some(code) = code {
             for attempts in 1..=self.resilience.max_retries {
-                match PreparedConv::try_new_with_isa(code, prep.input_shape(), geom, self.isa)
+                match PreparedConv::try_new(code, prep.input_shape(), geom, self.isa)
                     .and_then(|fresh| attempt(&fresh))
                 {
                     Ok(r) => {
@@ -1214,7 +1144,8 @@ mod tests {
         // The batch paths reject it the same way, without panicking.
         let inf = Inferencer::new(&model);
         assert!(inf.run_batch(std::slice::from_ref(&bad)).is_err());
-        let salvaged = inf.run_batch_salvage(&[tiny_input(), bad]).unwrap();
+        let prepared = inf.prepare().unwrap();
+        let salvaged = inf.run_batch_salvage(&prepared, &[tiny_input(), bad], None);
         assert!(salvaged[0].is_ok());
         assert!(matches!(salvaged[1], Err(AbmError::ShapeMismatch { .. })));
     }

@@ -72,7 +72,4 @@ pub use calibrate::{calibrate, Calibration};
 pub use dense::{conv2d as dense_conv2d, Geometry};
 pub use infer::{Engine, InferenceResult, Inferencer, PreparedWeights, ResiliencePolicy};
 pub use ops::{LayerOps, NetworkOps};
-pub use parallel::{
-    parallel_map, parallel_map_caught, parallel_map_deadline, parallel_map_deadline_salvage,
-    parallel_map_traced, Parallelism,
-};
+pub use parallel::{parallel_map, parallel_map_salvage, Parallelism};

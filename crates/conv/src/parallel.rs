@@ -10,6 +10,14 @@
 //! regardless of thread count or interleaving. That determinism
 //! invariant is enforced by `tests/concurrency.rs`.
 //!
+//! There is one pool loop, [`parallel_map_salvage`]: optional telemetry
+//! sink, optional deadline, a panic boundary around every item, one
+//! typed outcome per item. Batched inference, the serving layer's
+//! deadline-bounded batches and the simulator's budgeted runs all call
+//! it, so its `pool_*` metrics and `WorkerSteals` events cover every
+//! fan-out. [`parallel_map`] is the same loop for callers whose items
+//! cannot fail.
+//!
 //! [`Parallelism`] is the knob threaded through
 //! [`Inferencer`](crate::Inferencer), the simulator's network runner,
 //! the CLI and the examples.
@@ -17,9 +25,10 @@
 use abm_fault::AbmError;
 use abm_telemetry::{Event, TelemetrySink};
 use crossbeam::deque::{Injector, Steal};
+use std::any::Any;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 
 /// How much host-thread parallelism to use for batch-level work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -74,571 +83,324 @@ impl fmt::Display for Parallelism {
     }
 }
 
-/// Applies `f` to every item, fanning out across a work-stealing pool,
-/// and returns the results **in item order**.
+/// Applies `f` to every item on a work-stealing pool and returns one
+/// typed outcome per item, **in item order** — the single pool loop
+/// every batch-level fan-out in the workspace runs on.
 ///
-/// Each worker repeatedly steals the next unclaimed index from a shared
-/// injector queue, computes `f(index, &items[index])`, and sends the
-/// result home tagged with its index; the pool therefore load-balances
-/// uneven items exactly like the paper's semi-synchronous CU scheduler
-/// balances uneven kernel batches. Falls back to a plain serial map
-/// when the pool would not help (one worker or fewer than two items).
+/// Every index goes into a shared injector queue; each worker
+/// repeatedly steals the next unclaimed index, computes
+/// `f(worker, index, &items[index])` and brings the result home tagged
+/// with its index, so the pool load-balances uneven items exactly like
+/// the paper's semi-synchronous CU scheduler balances uneven kernel
+/// batches. With one worker (or fewer than two items) the calling
+/// thread runs the same loop as worker 0 and no thread is spawned.
 ///
-/// # Panics
+/// * `Ok(r)` — the item was claimed and `f` returned;
+/// * [`AbmError::DeadlineExceeded`] — `deadline` passed before any
+///   worker claimed the item. Cancellation is cooperative, at steal
+///   granularity: workers check the clock before every steal, claimed
+///   items always run to completion and the pool always joins cleanly;
+/// * [`AbmError::WorkerPanic`] — `f` panicked on the item; the panic is
+///   caught on the worker, never crosses the scope join, and poisons
+///   only that item.
 ///
-/// Propagates panics from `f` (the pool's scope joins all workers
-/// first).
-pub fn parallel_map<T, R, F>(parallelism: Parallelism, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map_traced(parallelism, items, None, |_, i, item| f(i, item))
-}
-
-/// [`parallel_map`] with telemetry: the closure additionally receives
-/// the id of the worker executing it, and — when a sink is attached —
-/// each worker records one [`Event::WorkerSteals`] (tasks it stole,
-/// wall-clock time it spent in `f`) before retiring. With `sink: None`
-/// this is exactly [`parallel_map`]: results in item order, independent
-/// of interleaving.
-///
-/// # Panics
-///
-/// Propagates panics from `f` (the pool's scope joins all workers
-/// first).
-pub fn parallel_map_traced<T, R, F>(
+/// When a `sink` is attached each worker records one
+/// [`Event::WorkerSteals`] (tasks it stole, wall-clock time it spent in
+/// `f`) before retiring; the `pool_*` metrics are recorded whenever the
+/// registry is on. Both observe the pool, they never steer it.
+pub fn parallel_map_salvage<T, R, F>(
     parallelism: Parallelism,
     items: &[T],
     sink: Option<&TelemetrySink>,
+    deadline: Option<Instant>,
     f: F,
-) -> Vec<R>
+) -> Vec<Result<R, AbmError>>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, usize, &T) -> R + Sync,
 {
+    let workers = parallelism.worker_count().min(items.len());
     // Pool accounting: fan-out shape and queue depth are recorded up
-    // front, steal/retry totals per worker as each retires. Metrics
-    // observe the pool, they never steer it.
+    // front, steal/retry totals per worker as each retires.
     let metrics_on = abm_metrics::enabled();
     if metrics_on {
         let m = abm_metrics::global();
         m.add("pool_fanouts_total", 1);
         m.add("pool_items_total", items.len() as u64);
         m.gauge_max("pool_queue_depth_high_water", items.len() as u64);
+        if workers <= 1 {
+            m.add("pool_serial_items_total", items.len() as u64);
+        } else {
+            m.add("pool_workers_total", workers as u64);
+        }
     }
-    let workers = parallelism.worker_count().min(items.len());
-    if workers <= 1 {
-        let start = Instant::now();
-        let out: Vec<R> = items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(0, i, item))
-            .collect();
+
+    let injector: Injector<usize> = Injector::new();
+    for i in 0..items.len() {
+        injector.push(i);
+    }
+    let run_worker = |worker: usize| {
+        let mut done: Vec<(usize, Result<R, AbmError>)> = Vec::new();
+        let mut busy_ns = 0u64;
+        let mut retries = 0u64;
+        while deadline.is_none_or(|d| Instant::now() < d) {
+            match injector.steal() {
+                Steal::Success(i) => {
+                    let start = sink.map(|_| Instant::now());
+                    let result = catch_unwind(AssertUnwindSafe(|| f(worker, i, &items[i])))
+                        .map_err(|payload| AbmError::WorkerPanic {
+                            item: i,
+                            message: panic_message(payload.as_ref()),
+                        });
+                    if let Some(start) = start {
+                        busy_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                    }
+                    done.push((i, result));
+                }
+                Steal::Empty => break,
+                Steal::Retry => retries += 1,
+            }
+        }
+        let tasks = done.len() as u64;
         if let Some(sink) = sink {
-            if !items.is_empty() {
+            if tasks > 0 {
                 sink.record(Event::WorkerSteals {
-                    worker: 0,
-                    tasks: items.len() as u64,
-                    busy_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                    worker: worker as u32,
+                    tasks,
+                    busy_ns,
                 });
             }
         }
         if metrics_on {
-            abm_metrics::global().add("pool_serial_items_total", items.len() as u64);
+            let m = abm_metrics::global();
+            m.add("pool_steals_total", tasks);
+            m.add("pool_steal_retries_total", retries);
         }
-        return out;
-    }
-    if metrics_on {
-        abm_metrics::global().add("pool_workers_total", workers as u64);
-    }
-
-    let injector: Injector<usize> = Injector::new();
-    for i in 0..items.len() {
-        injector.push(i);
-    }
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, R)>();
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let tx = tx.clone();
-            let injector = &injector;
-            let f = &f;
-            scope.spawn(move || {
-                let mut tasks = 0u64;
-                let mut busy_ns = 0u64;
-                let mut retries = 0u64;
-                loop {
-                    match injector.steal() {
-                        Steal::Success(i) => {
-                            let start = sink.map(|_| Instant::now());
-                            let result = f(worker, i, &items[i]);
-                            tasks += 1;
-                            if let Some(start) = start {
-                                busy_ns +=
-                                    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                            }
-                            // A send only fails if the receiver is gone,
-                            // which means the main thread already panicked.
-                            if tx.send((i, result)).is_err() {
-                                break;
-                            }
-                        }
-                        Steal::Empty => break,
-                        Steal::Retry => retries += 1,
-                    }
-                }
-                if let Some(sink) = sink {
-                    if tasks > 0 {
-                        sink.record(Event::WorkerSteals {
-                            worker: worker as u32,
-                            tasks,
-                            busy_ns,
-                        });
-                    }
-                }
-                if metrics_on {
-                    let m = abm_metrics::global();
-                    m.add("pool_steals_total", tasks);
-                    m.add("pool_steal_retries_total", retries);
-                }
-            });
-        }
-        drop(tx);
-        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        for (i, result) in rx.iter() {
-            slots[i] = Some(result);
-        }
-        slots
-            .into_iter()
-            // INVARIANT: the injector enqueued each index exactly once
-            // and every worker sends exactly one result per claimed
-            // index (the deque model checker proves no lost tasks).
-            .map(|r| r.expect("every index was queued exactly once"))
-            .collect()
-    })
-}
-
-/// [`parallel_map_traced`] with a panic boundary at each item: a panic
-/// inside `f` is caught on the worker (never crosses the scope join)
-/// and comes back as `Err(message)` for that item alone — the rest of
-/// the batch completes normally. This is the salvage path
-/// [`Inferencer::run_batch_salvage`](crate::Inferencer::run_batch_salvage)
-/// builds on: one corrupted image must not abort the batch.
-pub fn parallel_map_caught<T, R, F>(
-    parallelism: Parallelism,
-    items: &[T],
-    sink: Option<&TelemetrySink>,
-    f: F,
-) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, usize, &T) -> R + Sync,
-{
-    parallel_map_traced(parallelism, items, sink, |worker, i, item| {
-        catch_unwind(AssertUnwindSafe(|| f(worker, i, item))).map_err(|payload| {
-            payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "worker panicked with a non-string payload".to_string())
-        })
-    })
-}
-
-/// [`parallel_map`] with a wall-clock deadline: workers stop claiming
-/// new items once `deadline` passes. Returns `Ok(results)` when every
-/// item completed in time, or `Err(completed)` — the number of items
-/// that finished — when the deadline cut the batch short. Items already
-/// claimed when the deadline passes run to completion (cancellation is
-/// cooperative, at steal granularity), so the pool always joins cleanly.
-///
-/// # Errors
-///
-/// Returns `Err(completed_count)` if the deadline expired before every
-/// item was processed.
-pub fn parallel_map_deadline<T, R, F>(
-    parallelism: Parallelism,
-    items: &[T],
-    deadline: Instant,
-    f: F,
-) -> Result<Vec<R>, usize>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let workers = parallelism.worker_count().min(items.len());
-    if workers <= 1 {
-        let mut out = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
-            if Instant::now() >= deadline {
-                return Err(out.len());
-            }
-            out.push(f(i, item));
-        }
-        return Ok(out);
-    }
-
-    let injector: Injector<usize> = Injector::new();
-    for i in 0..items.len() {
-        injector.push(i);
-    }
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, R)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let injector = &injector;
-            let f = &f;
-            scope.spawn(move || loop {
-                if Instant::now() >= deadline {
-                    break;
-                }
-                match injector.steal() {
-                    Steal::Success(i) => {
-                        if tx.send((i, f(i, &items[i]))).is_err() {
-                            break;
-                        }
-                    }
-                    Steal::Empty => break,
-                    Steal::Retry => {}
-                }
-            });
-        }
-        drop(tx);
-        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        let mut completed = 0usize;
-        for (i, result) in rx.iter() {
-            slots[i] = Some(result);
-            completed += 1;
-        }
-        if completed == items.len() {
-            Ok(slots.into_iter().flatten().collect())
-        } else {
-            Err(completed)
-        }
-    })
-}
-
-/// The typed [`AbmError::DeadlineExceeded`] for an item the deadline
-/// cut before any worker claimed it.
-fn deadline_cut(item: usize, deadline: Instant) -> AbmError {
-    AbmError::DeadlineExceeded {
-        item,
-        late_us: u64::try_from(
-            Instant::now()
-                .saturating_duration_since(deadline)
-                .as_micros(),
-        )
-        .unwrap_or(u64::MAX),
-    }
-}
-
-/// [`parallel_map_deadline`] with **per-item typed outcomes** — the
-/// serving primitive. A deadline hit mid-batch no longer discards the
-/// work that did finish: every item comes back as its own `Result`, in
-/// item order:
-///
-/// * `Ok(r)` — the item was claimed before the deadline and completed;
-/// * [`AbmError::DeadlineExceeded`] — the deadline passed before any
-///   worker claimed the item (cancellation stays cooperative, at steal
-///   granularity, so claimed items always run to completion and the
-///   pool always joins cleanly);
-/// * [`AbmError::WorkerPanic`] — `f` panicked on the item; the panic is
-///   caught at the pool boundary and poisons only that item.
-pub fn parallel_map_deadline_salvage<T, R, F>(
-    parallelism: Parallelism,
-    items: &[T],
-    deadline: Instant,
-    f: F,
-) -> Vec<Result<R, AbmError>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let caught = |i: usize, item: &T| -> Result<R, AbmError> {
-        catch_unwind(AssertUnwindSafe(|| f(i, item))).map_err(|payload| AbmError::WorkerPanic {
-            item: i,
-            message: payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "worker panicked with a non-string payload".to_string()),
+        done
+    };
+    let done: Vec<Vec<(usize, Result<R, AbmError>)>> = if workers <= 1 {
+        vec![run_worker(0)]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|worker| {
+                    let run_worker = &run_worker;
+                    scope.spawn(move || run_worker(worker))
+                })
+                .collect();
+            handles
+                .into_iter()
+                // A worker can only die outside the per-item boundary
+                // (in the sink or the registry); that is this program's
+                // bug, so it propagates as the scope join would.
+                .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
+                .collect()
         })
     };
-    let workers = parallelism.worker_count().min(items.len());
-    if workers <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                if Instant::now() >= deadline {
-                    Err(deadline_cut(i, deadline))
-                } else {
-                    caught(i, item)
-                }
-            })
-            .collect();
-    }
 
-    let injector: Injector<usize> = Injector::new();
-    for i in 0..items.len() {
-        injector.push(i);
+    // The injector queued each index exactly once and every claimed
+    // index came home with exactly one result (the deque model checker
+    // proves no lost tasks), so a slot still empty was never claimed —
+    // which only the deadline can cause.
+    let mut slots: Vec<Option<Result<R, AbmError>>> = (0..items.len()).map(|_| None).collect();
+    for (i, result) in done.into_iter().flatten() {
+        slots[i] = Some(result);
     }
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, Result<R, AbmError>)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let injector = &injector;
-            let caught = &caught;
-            scope.spawn(move || loop {
-                if Instant::now() >= deadline {
-                    break;
-                }
-                match injector.steal() {
-                    Steal::Success(i) => {
-                        if tx.send((i, caught(i, &items[i]))).is_err() {
-                            break;
-                        }
-                    }
-                    Steal::Empty => break,
-                    Steal::Retry => {}
-                }
-            });
-        }
-        drop(tx);
-        let mut slots: Vec<Option<Result<R, AbmError>>> = (0..items.len()).map(|_| None).collect();
-        for (i, result) in rx.iter() {
-            slots[i] = Some(result);
-        }
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| slot.unwrap_or_else(|| Err(deadline_cut(i, deadline))))
-            .collect()
-    })
+    let now = Instant::now();
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(item, slot)| {
+            slot.unwrap_or_else(|| {
+                let late = deadline.map_or(Duration::ZERO, |d| now.saturating_duration_since(d));
+                Err(AbmError::DeadlineExceeded {
+                    item,
+                    late_us: u64::try_from(late.as_micros()).unwrap_or(u64::MAX),
+                })
+            })
+        })
+        .collect()
+}
+
+/// The message a caught panic carried (`panic!` payloads are a `String`
+/// or a `&str`; anything else came from `panic_any`).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .unwrap_or_else(|| "worker panicked with a non-string payload".to_string())
+}
+
+/// [`parallel_map_salvage`] for an `f` that cannot fail and a batch
+/// that must finish: no sink, no deadline, plain results in item order
+/// — bit-identical to the serial map for every `parallelism`.
+///
+/// # Panics
+///
+/// Re-raises a panic from `f`, naming the item it happened on (after
+/// the pool has joined all its workers).
+pub fn parallel_map<T, R, F>(parallelism: Parallelism, items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    parallel_map_salvage(parallelism, items, None, None, |_, i, item| f(i, item))
+        .into_iter()
+        // INVARIANT: documented panic — with no deadline the only
+        // per-item error is a caught panic from `f`, re-raised here.
+        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The one pool, over its whole option space: 0–40 items, 1–4
+        /// workers, no / already-past / far-future deadline, a random
+        /// subset of items panicking, a sink attached.
+        #[test]
+        fn pool_outcomes_are_ordered_typed_and_visited_once(
+            n in 0usize..41,
+            workers in 1usize..5,
+            deadline_kind in 0u8..3,
+            (mask_a, mask_b) in (any::<u64>(), any::<u64>()),
+        ) {
+            // About a quarter of the items panic.
+            let poisoned = |i: usize| (mask_a & mask_b) >> i & 1 == 1;
+            let items: Vec<u64> = (0..n as u64).map(|x| x * 3 + 1).collect();
+            let serial: Vec<u64> = items.iter().enumerate().map(|(i, &x)| x + i as u64).collect();
+            let visits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let deadline = match deadline_kind {
+                0 => None,
+                1 => Some(Instant::now() - Duration::from_millis(1)),
+                _ => Some(Instant::now() + Duration::from_secs(3600)),
+            };
+            let sink = TelemetrySink::new();
+            let out = parallel_map_salvage(
+                Parallelism::Threads(workers),
+                &items,
+                Some(&sink),
+                deadline,
+                |worker, i, &x| {
+                    visits[i].fetch_add(1, Ordering::Relaxed);
+                    assert!(worker < workers, "worker id {worker} out of range");
+                    assert!(!poisoned(i), "poisoned item {i}");
+                    x + i as u64
+                },
+            );
+            prop_assert_eq!(out.len(), n);
+            for (i, outcome) in out.iter().enumerate() {
+                let visited = visits[i].load(Ordering::Relaxed);
+                match outcome {
+                    // An already-past deadline claims nothing.
+                    Err(AbmError::DeadlineExceeded { item, .. }) => {
+                        prop_assert_eq!(deadline_kind, 1);
+                        prop_assert_eq!((*item, visited), (i, 0));
+                    }
+                    // A panic poisons exactly the item it happened on.
+                    Err(AbmError::WorkerPanic { item, message }) => {
+                        prop_assert!(poisoned(i) && deadline_kind != 1);
+                        prop_assert_eq!((*item, visited), (i, 1));
+                        prop_assert!(message.contains(&format!("poisoned item {i}")), "{message}");
+                    }
+                    // Everything else equals the serial map, in order.
+                    Ok(v) => {
+                        prop_assert!(!poisoned(i) && deadline_kind != 1);
+                        prop_assert_eq!((*v, visited), (serial[i], 1));
+                    }
+                    Err(other) => panic!("item {i}: unexpected {other}"),
+                }
+            }
+            // The sink saw every claimed item exactly once, spread over
+            // at most `workers` retiring workers.
+            let events = sink.events();
+            prop_assert!(events.len() <= workers);
+            let stolen: u64 = events
+                .iter()
+                .map(|e| match e {
+                    Event::WorkerSteals { worker, tasks, .. } => {
+                        assert!((*worker as usize) < workers);
+                        *tasks
+                    }
+                    other => panic!("unexpected event {other:?}"),
+                })
+                .sum();
+            let visited: usize = visits.iter().map(|v| v.load(Ordering::Relaxed)).sum();
+            prop_assert_eq!(stolen, visited as u64);
+        }
+    }
+
+    /// A deadline that fires mid-batch keeps what was claimed and types
+    /// the rest. Every item waits out the deadline, so each worker
+    /// claims at most one item before the clock stops it — no sleep
+    /// decides which side of the cut an item lands on.
     #[test]
-    fn results_keep_item_order() {
-        let items: Vec<u64> = (0..257).collect();
-        let serial = parallel_map(Parallelism::Serial, &items, |i, &x| x * 3 + i as u64);
+    fn midbatch_deadline_keeps_claimed_items_and_types_the_rest() {
+        let items: Vec<u64> = (0..16).collect();
+        for workers in [1usize, 3] {
+            let deadline = Instant::now() + Duration::from_millis(50);
+            let out = parallel_map_salvage(
+                Parallelism::Threads(workers),
+                &items,
+                None,
+                Some(deadline),
+                |_, _, &x| {
+                    while Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    x + 100
+                },
+            );
+            let completed = out.iter().filter(|r| r.is_ok()).count();
+            assert!(
+                completed <= workers,
+                "{workers} workers completed {completed}"
+            );
+            for (i, r) in out.iter().enumerate() {
+                match r {
+                    Ok(v) => assert_eq!(*v, i as u64 + 100),
+                    Err(AbmError::DeadlineExceeded { item, .. }) => assert_eq!(*item, i),
+                    Err(other) => panic!("unexpected error for item {i}: {other}"),
+                }
+            }
+        }
+    }
+
+    /// The infallible convenience is the serial map for every
+    /// parallelism setting, uneven item costs included.
+    #[test]
+    fn parallel_map_equals_serial_map() {
+        let items: Vec<u64> = (0..257)
+            .map(|i| if i % 7 == 0 { 20_000 } else { 10 })
+            .collect();
+        let spin = |i: usize, &n: &u64| (0..n).fold(i as u64, |a, b| a.wrapping_add(b));
+        let serial: Vec<u64> = items.iter().enumerate().map(|(i, n)| spin(i, n)).collect();
         for par in [
-            Parallelism::Threads(2),
+            Parallelism::Serial,
             Parallelism::Threads(7),
             Parallelism::Auto,
         ] {
-            let parallel = parallel_map(par, &items, |i, &x| x * 3 + i as u64);
-            assert_eq!(parallel, serial, "{par}");
+            assert_eq!(parallel_map(par, &items, spin), serial, "{par}");
         }
     }
 
     #[test]
-    fn every_item_visited_exactly_once() {
-        let items: Vec<usize> = (0..500).collect();
-        let visits = AtomicUsize::new(0);
-        let out = parallel_map(Parallelism::Threads(8), &items, |_, &x| {
-            visits.fetch_add(1, Ordering::Relaxed);
+    #[should_panic(expected = "poisoned item 5")]
+    fn parallel_map_reraises_a_worker_panic() {
+        let items: Vec<u32> = (0..8).collect();
+        let _ = parallel_map(Parallelism::Threads(3), &items, |_, &x| {
+            assert!(x != 5, "poisoned item {x}");
             x
         });
-        assert_eq!(visits.load(Ordering::Relaxed), 500);
-        assert_eq!(out, items);
-    }
-
-    #[test]
-    fn uneven_items_balance() {
-        // Items with wildly different costs still come back in order.
-        let items: Vec<u64> = (0..40)
-            .map(|i| if i % 7 == 0 { 200_000 } else { 10 })
-            .collect();
-        let spin = |_: usize, &n: &u64| (0..n).fold(0u64, |a, b| a.wrapping_add(b));
-        assert_eq!(
-            parallel_map(Parallelism::Threads(4), &items, spin),
-            parallel_map(Parallelism::Serial, &items, spin),
-        );
-    }
-
-    #[test]
-    fn empty_and_singleton_inputs() {
-        let empty: Vec<u8> = Vec::new();
-        assert!(parallel_map(Parallelism::Auto, &empty, |_, &x| x).is_empty());
-        assert_eq!(
-            parallel_map(Parallelism::Auto, &[9u8], |_, &x| x + 1),
-            vec![10]
-        );
-    }
-
-    #[test]
-    fn traced_map_records_steal_counts() {
-        let items: Vec<u64> = (0..64).collect();
-        let sink = TelemetrySink::new();
-        let serial = parallel_map(Parallelism::Serial, &items, |i, &x| x + i as u64);
-        let traced =
-            parallel_map_traced(Parallelism::Threads(4), &items, Some(&sink), |w, i, &x| {
-                assert!(w < 4);
-                x + i as u64
-            });
-        assert_eq!(traced, serial);
-        let events = sink.events();
-        assert!(!events.is_empty() && events.len() <= 4);
-        let total: u64 = events
-            .iter()
-            .map(|e| match e {
-                Event::WorkerSteals { tasks, .. } => *tasks,
-                other => panic!("unexpected event {other:?}"),
-            })
-            .sum();
-        assert_eq!(total, 64, "every item stolen exactly once");
-    }
-
-    #[test]
-    fn traced_serial_map_reports_one_worker() {
-        let sink = TelemetrySink::new();
-        let out = parallel_map_traced(
-            Parallelism::Serial,
-            &[1u8, 2, 3],
-            Some(&sink),
-            |w, _, &x| {
-                assert_eq!(w, 0);
-                x * 2
-            },
-        );
-        assert_eq!(out, vec![2, 4, 6]);
-        let events = sink.events();
-        assert_eq!(events.len(), 1);
-        assert!(matches!(
-            events[0],
-            Event::WorkerSteals {
-                worker: 0,
-                tasks: 3,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn caught_map_isolates_panics() {
-        let items: Vec<u32> = (0..20).collect();
-        for par in [Parallelism::Serial, Parallelism::Threads(4)] {
-            let out = parallel_map_caught(par, &items, None, |_, _, &x| {
-                assert!(x != 13, "poisoned item {x}");
-                x * 2
-            });
-            assert_eq!(out.len(), 20);
-            for (i, r) in out.iter().enumerate() {
-                if i == 13 {
-                    let msg = r.as_ref().unwrap_err();
-                    assert!(msg.contains("poisoned item 13"), "{par}: {msg}");
-                } else {
-                    assert_eq!(*r, Ok(i as u32 * 2), "{par}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn deadline_map_completes_or_reports_progress() {
-        let items: Vec<u64> = (0..32).collect();
-        for par in [Parallelism::Serial, Parallelism::Threads(4)] {
-            let generous = Instant::now() + std::time::Duration::from_secs(60);
-            assert_eq!(
-                parallel_map_deadline(par, &items, generous, |_, &x| x + 1),
-                Ok((1..=32).collect::<Vec<u64>>()),
-                "{par}"
-            );
-            let expired = Instant::now() - std::time::Duration::from_millis(1);
-            let cut = parallel_map_deadline(par, &items, expired, |_, &x| x + 1).unwrap_err();
-            assert!(cut < items.len(), "{par}: {cut}");
-        }
-    }
-
-    #[test]
-    fn deadline_salvage_returns_per_item_outcomes() {
-        // Regression: a deadline hit mid-batch used to fail the whole
-        // batch (`parallel_map_deadline` discards completed results).
-        // The salvage variant keeps every finished item and types every
-        // cut one.
-        let items: Vec<u64> = (0..24).collect();
-        for par in [Parallelism::Serial, Parallelism::Threads(4)] {
-            // Generous deadline: everything completes, in order.
-            let generous = Instant::now() + std::time::Duration::from_secs(60);
-            let out = parallel_map_deadline_salvage(par, &items, generous, |_, &x| x * 2);
-            assert_eq!(out.len(), 24);
-            for (i, r) in out.iter().enumerate() {
-                assert_eq!(r.as_ref().ok(), Some(&(i as u64 * 2)), "{par}");
-            }
-
-            // Expired deadline: nothing runs, every item is typed.
-            let expired = Instant::now() - std::time::Duration::from_millis(1);
-            let out = parallel_map_deadline_salvage(par, &items, expired, |_, &x| x * 2);
-            assert_eq!(out.len(), 24);
-            for (i, r) in out.iter().enumerate() {
-                match r {
-                    Err(AbmError::DeadlineExceeded { item, .. }) => assert_eq!(*item, i, "{par}"),
-                    other => panic!("{par}: item {i} not typed as deadline cut: {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn deadline_salvage_keeps_completed_items_on_midbatch_cut() {
-        // Slow items force the deadline to fire mid-batch; the fast
-        // items that were claimed first must come back Ok and correct.
-        let items: Vec<u64> = (0..16).collect();
-        let deadline = Instant::now() + std::time::Duration::from_millis(30);
-        let out =
-            parallel_map_deadline_salvage(Parallelism::Threads(2), &items, deadline, |i, &x| {
-                if i >= 4 {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                }
-                x + 100
-            });
-        assert_eq!(out.len(), 16);
-        let completed = out.iter().filter(|r| r.is_ok()).count();
-        let cut = out.iter().filter(|r| r.is_err()).count();
-        assert_eq!(completed + cut, 16);
-        assert!(cut > 0, "deadline should have cut the tail of the batch");
-        for (i, r) in out.iter().enumerate() {
-            match r {
-                Ok(v) => assert_eq!(*v, i as u64 + 100),
-                Err(AbmError::DeadlineExceeded { item, .. }) => assert_eq!(*item, i),
-                Err(other) => panic!("unexpected error for item {i}: {other}"),
-            }
-        }
-    }
-
-    #[test]
-    fn deadline_salvage_isolates_panics() {
-        let items: Vec<u32> = (0..8).collect();
-        let generous = Instant::now() + std::time::Duration::from_secs(60);
-        for par in [Parallelism::Serial, Parallelism::Threads(3)] {
-            let out = parallel_map_deadline_salvage(par, &items, generous, |_, &x| {
-                assert!(x != 5, "poisoned item {x}");
-                x
-            });
-            for (i, r) in out.iter().enumerate() {
-                if i == 5 {
-                    match r {
-                        Err(AbmError::WorkerPanic { item, message }) => {
-                            assert_eq!(*item, 5, "{par}");
-                            assert!(message.contains("poisoned item 5"), "{par}: {message}");
-                        }
-                        other => panic!("{par}: expected WorkerPanic, got {other:?}"),
-                    }
-                } else {
-                    assert_eq!(r.as_ref().ok(), Some(&(i as u32)), "{par}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -20,15 +20,6 @@
 //! * [`Isa::Avx512`] — 16 pixels per call, same narrow-accumulator
 //!   scheme on 512-bit registers.
 //!
-//! A fourth kernel body sits one step narrower: the AVX2 *packed*
-//! variant ([`AccWidth::I16`]) holds 16 × `i16` stage-1 partials in a
-//! single 256-bit register — two sums per 32-bit ALU slot, exactly the
-//! DSP48 dual-multiply packing of the paper's accelerator. It is
-//! reachable only when a layer carries a range certificate
-//! (`abm_verify::WidthCertificate`) proving every stage-1 partial,
-//! intermediate prefixes included, fits 16 signed bits; worst-case
-//! bounds can never produce it.
-//!
 //! Dispatch is resolved **once** per prepared layer
 //! ([`select`]): `is_x86_feature_detected!` picks the widest ISA the
 //! CPU offers, `ABM_FORCE_ISA` (or an explicit request) can pin any
@@ -152,13 +143,6 @@ impl std::fmt::Display for Isa {
 /// Stage-1 accumulator width a kernel packs its lanes at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccWidth {
-    /// Packed 16-bit partial sums — two lanes per 32-bit ALU slot, the
-    /// DSP48 dual-multiply trick. Requires a *range certificate*
-    /// (`abm_verify::WidthCertificate`) proving every stage-1 partial,
-    /// intermediate prefixes included, fits 16 signed bits; never
-    /// chosen from a worst-case bound (a single full-range `i16` tap
-    /// already needs 17 bits). Only [`select_auto`] produces it.
-    I16,
     /// Narrow 32-bit partial sums — requires the verifier's proof that
     /// the layer's worst-case stage-1 magnitude fits 32 signed bits.
     I32,
@@ -172,7 +156,6 @@ impl AccWidth {
     #[must_use]
     pub fn bits(self) -> u32 {
         match self {
-            AccWidth::I16 => 16,
             AccWidth::I32 => 32,
             AccWidth::I64 => 64,
         }
@@ -182,20 +165,16 @@ impl AccWidth {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            AccWidth::I16 => "i16",
             AccWidth::I32 => "i32",
             AccWidth::I64 => "i64",
         }
     }
 
-    /// The narrowest *register-sound* width for a stage-1 partial sum
-    /// needing `required_bits` (magnitude + sign). Deliberately never
-    /// [`AccWidth::I16`]: the packed kernel also needs a 16-wide
-    /// unit-stride sweep to fill its lanes, so that upgrade is a
-    /// [`select_auto`] decision, not a pure width fact.
+    /// The narrowest width a kernel implements for a stage-1 partial
+    /// sum needing `required_bits` (magnitude + sign).
     #[must_use]
     pub fn narrowest(required_bits: u32) -> AccWidth {
-        if required_bits <= 32 {
+        if required_bits <= AccWidth::I32.bits() {
             AccWidth::I32
         } else {
             AccWidth::I64
@@ -299,8 +278,6 @@ pub fn select(requested: Option<Isa>, stage1_bits: u32) -> Result<Selection, Str
             isa: Isa::Scalar,
             acc: AccWidth::I64,
         },
-        // `narrowest` never yields I16 here — the packed width only
-        // enters through `select_auto`'s certificate + geometry gate.
         (isa, _) => Selection { isa, acc },
     })
 }
@@ -328,24 +305,6 @@ pub fn select_auto(
         Some(isa) => Some(isa),
         None => forced_isa()?,
     };
-    // Packed dual-lane upgrade: a range certificate proving ≤16-bit
-    // stage-1 partials lets AVX2 hold 16 × i16 lanes per 256-bit
-    // register (the DSP48 dual-multiply packing). Worst-case bounds can
-    // never take this branch — one full-range i16 tap already needs 17
-    // bits — so only certificate-carrying callers reach it. The sweep
-    // must actually fill 16 unit-stride lanes, and a pin to any other
-    // variant wins (a forced variant must actually run).
-    if stage1_bits <= AccWidth::I16.bits()
-        && unit_stride
-        && sweep_cols >= Isa::Avx512.lanes()
-        && Isa::Avx2.available()
-        && matches!(pinned, None | Some(Isa::Avx2))
-    {
-        return Ok(Selection {
-            isa: Isa::Avx2,
-            acc: AccWidth::I16,
-        });
-    }
     let isa = pinned.unwrap_or_else(|| {
         *Isa::detect_all()
             .iter()
@@ -371,22 +330,11 @@ pub fn resolve(sel: Selection) -> &'static dyn AbmKernel {
         return &scalar::ScalarI64;
     }
     match (sel.isa, sel.acc) {
-        (Isa::Scalar, _) => &scalar::ScalarI64,
-        // The packed kernel is AVX2-bodied whatever ISA the selection
-        // names; re-check the exact feature its `#[target_feature]`
-        // contract needs before handing it out.
+        (Isa::Scalar, _) | (_, AccWidth::I64) => &scalar::ScalarI64,
         #[cfg(target_arch = "x86_64")]
-        (_, AccWidth::I16) => {
-            if Isa::Avx2.available() {
-                &x86::Avx2Packed16
-            } else {
-                &scalar::ScalarI64
-            }
-        }
+        (Isa::Avx2, AccWidth::I32) => &x86::Avx2I32,
         #[cfg(target_arch = "x86_64")]
-        (Isa::Avx2, _) => &x86::Avx2I32,
-        #[cfg(target_arch = "x86_64")]
-        (Isa::Avx512, _) => &x86::Avx512I32,
+        (Isa::Avx512, AccWidth::I32) => &x86::Avx512I32,
         #[cfg(not(target_arch = "x86_64"))]
         _ => &scalar::ScalarI64,
     }
@@ -578,98 +526,51 @@ mod tests {
         }
     }
 
-    /// Like `fixture`, but with data confined to the saturated 8-bit
-    /// feature range `[-128, 127]` — the regime a range certificate
-    /// proves, where 40-tap groups peak at |40 · 128| = 5120 ≪ 2^15,
-    /// so the packed i16 kernel is exercised within its proof.
-    fn fixture_certified(
-        seed: u64,
-        groups: usize,
-        per_group: usize,
-        span: u32,
-        data_len: usize,
-    ) -> (Vec<i8>, Vec<u32>, Vec<u32>, Vec<i16>) {
-        let (values, starts, offsets, mut data) = fixture(seed, groups, per_group, span, data_len);
-        for d in &mut data {
-            *d = (*d as i32).rem_euclid(256) as i16 - 128;
-        }
-        (values, starts, offsets, data)
-    }
-
-    /// The packed dual-lane kernel is bit-identical to the scalar
-    /// oracle on certified-range inputs, on both entry points.
+    /// The whole dispatch space: every available ISA, pinned and
+    /// unpinned, across stage-1 widths either side of the `i32` proof,
+    /// both stride classes and sweeps narrower and wider than any lane
+    /// count. Whatever the inputs, the result is one of the three
+    /// selections a kernel exists for, a layer too hot for `i32` runs
+    /// the checked scalar port, and the selection resolves to the
+    /// kernel that reports it. (The unpinned rows defer to an ambient
+    /// `ABM_FORCE_ISA`, which is itself one of the pinned rows.)
     #[test]
-    fn packed_kernel_matches_scalar_oracle() {
-        if !Isa::Avx2.available() {
-            return;
-        }
-        let (values, starts, offsets, data) = fixture_certified(0xabc, 6, 40, 512, 4096);
-        let sel = Selection {
-            isa: Isa::Avx2,
-            acc: AccWidth::I16,
+    fn dispatch_space_is_three_selections() {
+        let scalar = Selection {
+            isa: Isa::Scalar,
+            acc: AccWidth::I64,
         };
-        let kern = resolve(sel);
-        assert_eq!(kern.lanes(), 16);
-        assert_eq!(kern.selection(), sel);
-        let lanes = kern.lanes();
-        for base in [0usize, 7, 300] {
-            let mut out = [0i64; MAX_LANES];
-            kern.gather_unit(&values, &starts, &offsets, &data, base, &mut out[..lanes]);
-            let want = reference_lanes(&values, &starts, &offsets, &data, base, 1, lanes);
-            assert_eq!(&out[..lanes], &want[..], "packed unit base {base}");
-            for stride in [1usize, 2, 3, 4, 7, 55] {
-                let mut out = [0i64; MAX_LANES];
-                kern.gather_strided(
-                    &values,
-                    &starts,
-                    &offsets,
-                    &data,
-                    base,
-                    stride,
-                    &mut out[..lanes],
-                );
-                let want = reference_lanes(&values, &starts, &offsets, &data, base, stride, lanes);
-                assert_eq!(
-                    &out[..lanes],
-                    &want[..],
-                    "packed stride {stride} base {base}"
-                );
+        let reachable = [
+            scalar,
+            Selection {
+                isa: Isa::Avx2,
+                acc: AccWidth::I32,
+            },
+            Selection {
+                isa: Isa::Avx512,
+                acc: AccWidth::I32,
+            },
+        ];
+        let pins = std::iter::once(None).chain(Isa::detect_all().into_iter().map(Some));
+        for pin in pins {
+            for bits in [12u32, 24, 32, 33, 48] {
+                let mut picked = vec![select(pin, bits).expect("available ISA selects")];
+                for unit_stride in [true, false] {
+                    for sweep in [1usize, 8, 13, 16, 224] {
+                        picked.push(
+                            select_auto(pin, bits, unit_stride, sweep)
+                                .expect("available ISA selects"),
+                        );
+                    }
+                }
+                for sel in picked {
+                    assert!(reachable.contains(&sel), "{pin:?}/{bits}: {sel}");
+                    if bits > 32 {
+                        assert_eq!(sel, scalar, "{pin:?}/{bits}");
+                    }
+                    assert_eq!(resolve(sel).selection(), sel);
+                }
             }
-        }
-    }
-
-    /// The packed upgrade needs all four gates: certified ≤16-bit
-    /// stage-1, unit stride, a 16-wide sweep, and no pin to another
-    /// variant. Explicit pins avoid the env var, so this is race-free
-    /// against the heuristic test.
-    #[test]
-    fn packed_selection_requires_certificate_and_geometry() {
-        if !Isa::Avx2.available() {
-            return;
-        }
-        let packed = Selection {
-            isa: Isa::Avx2,
-            acc: AccWidth::I16,
-        };
-        assert_eq!(select_auto(Some(Isa::Avx2), 16, true, 224).unwrap(), packed);
-        assert_eq!(select_auto(Some(Isa::Avx2), 12, true, 16).unwrap(), packed);
-        // One more required bit → the proven i32 packing.
-        let s = select_auto(Some(Isa::Avx2), 17, true, 224).unwrap();
-        assert_eq!(s.acc, AccWidth::I32);
-        // Strided sweeps and narrow sweeps never pack.
-        assert_ne!(
-            select_auto(Some(Isa::Avx2), 12, false, 224).unwrap(),
-            packed
-        );
-        assert_ne!(select_auto(Some(Isa::Avx2), 12, true, 13).unwrap(), packed);
-        // Pins to other variants win over the upgrade.
-        let scalar = select_auto(Some(Isa::Scalar), 12, true, 224).unwrap();
-        assert_eq!(scalar.isa, Isa::Scalar);
-        assert_eq!(scalar.acc, AccWidth::I64);
-        if Isa::Avx512.available() {
-            let wide = select_auto(Some(Isa::Avx512), 12, true, 224).unwrap();
-            assert_eq!(wide.isa, Isa::Avx512);
-            assert_eq!(wide.acc, AccWidth::I32);
         }
     }
 

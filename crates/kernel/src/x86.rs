@@ -24,26 +24,17 @@
 //! scalar port's `v as i64 * p`. Integer addition is associative and
 //! commutative and the proof rules out wrap-around, so re-packing the
 //! same additions into wider registers is bit-identical.
-//!
-//! [`Avx2Packed16`] goes one step narrower — 16 × `i16` stage-1 lanes
-//! in a single 256-bit register, two partial sums per 32-bit ALU slot,
-//! the software mirror of the DSP48 dual-multiply packing. That is
-//! reachable only through a *range certificate*
-//! (`abm_verify::WidthCertificate`) proving every stage-1 partial —
-//! including every intermediate prefix, which the certificate's
-//! interval closes over zero — fits 16 signed bits, so `VPADDW`'s
-//! wrap-around semantics are never exercised.
 
 #![allow(unsafe_code)]
 
 use crate::{AbmKernel, AccWidth, Isa, Selection};
 use core::arch::x86_64::{
-    __m128i, __m256i, __m512i, _mm256_add_epi16, _mm256_add_epi32, _mm256_add_epi64,
-    _mm256_castsi256_si128, _mm256_cvtepi16_epi32, _mm256_cvtepi32_epi64, _mm256_extracti128_si256,
-    _mm256_loadu_si256, _mm256_mul_epi32, _mm256_set1_epi64x, _mm256_setzero_si256,
-    _mm256_storeu_si256, _mm512_add_epi32, _mm512_add_epi64, _mm512_cvtepi16_epi32,
-    _mm512_cvtepi32_epi64, _mm512_extracti64x4_epi64, _mm512_mul_epi32, _mm512_set1_epi64,
-    _mm512_setzero_si512, _mm512_storeu_si512, _mm_loadu_si128,
+    __m128i, __m256i, __m512i, _mm256_add_epi32, _mm256_add_epi64, _mm256_castsi256_si128,
+    _mm256_cvtepi16_epi32, _mm256_cvtepi32_epi64, _mm256_extracti128_si256, _mm256_loadu_si256,
+    _mm256_mul_epi32, _mm256_set1_epi64x, _mm256_setzero_si256, _mm256_storeu_si256,
+    _mm512_add_epi32, _mm512_add_epi64, _mm512_cvtepi16_epi32, _mm512_cvtepi32_epi64,
+    _mm512_extracti64x4_epi64, _mm512_mul_epi32, _mm512_set1_epi64, _mm512_setzero_si512,
+    _mm512_storeu_si512, _mm_loadu_si128,
 };
 
 /// Pixels per AVX2 call: 8 × i32 stage-1 lanes in one 256-bit register.
@@ -151,61 +142,6 @@ impl AbmKernel for Avx512I32 {
     }
 }
 
-/// 256-bit packed kernel: 16 pixels per call, `i16` stage-1
-/// accumulation — two partial sums per 32-bit ALU slot, mirroring the
-/// DSP48 trick of packing two narrow multiplies through one slice.
-///
-/// Reachability is stricter than the `i32` kernels: [`crate::resolve`]
-/// hands this out only for [`AccWidth::I16`] selections, which
-/// [`crate::select_auto`] produces only when the layer's range
-/// certificate proved every stage-1 partial (prefixes included) fits
-/// 16 signed bits — `VPADDW` wraps on overflow, so the proof is the
-/// entire soundness story.
-#[derive(Debug, Clone, Copy)]
-pub struct Avx2Packed16;
-
-impl AbmKernel for Avx2Packed16 {
-    fn selection(&self) -> Selection {
-        Selection {
-            isa: Isa::Avx2,
-            acc: AccWidth::I16,
-        }
-    }
-
-    fn lanes(&self) -> usize {
-        LANES_512
-    }
-
-    fn gather_unit(
-        &self,
-        values: &[i8],
-        starts: &[u32],
-        offsets: &[u32],
-        data: &[i16],
-        base: usize,
-        out: &mut [i64],
-    ) {
-        // INVARIANT: `Avx2Packed16` is only reachable through
-        // `crate::resolve`, which verified `avx2` is available on this
-        // CPU — the `#[target_feature(enable = "avx2")]` contract of
-        // `unit_avx2_packed` holds.
-        unsafe { unit_avx2_packed(values, starts, offsets, data, base, out) }
-    }
-
-    fn gather_strided(
-        &self,
-        values: &[i8],
-        starts: &[u32],
-        offsets: &[u32],
-        data: &[i16],
-        base: usize,
-        pixel_stride: usize,
-        out: &mut [i64],
-    ) {
-        strided_narrow::<LANES_512>(values, starts, offsets, data, base, pixel_stride, out);
-    }
-}
-
 /// Unit-stride AVX2 hot loop. Stage 1: one unaligned 128-bit load pulls
 /// the 8 contiguous `i16` pixels an offset touches, sign-extended to
 /// `i32` lanes and accumulated. Stage 2: the `i32` partials widen
@@ -285,58 +221,6 @@ fn unit_avx512(
     unsafe {
         _mm512_storeu_si512(out.as_mut_ptr().cast::<__m512i>(), acc_lo);
         _mm512_storeu_si512(out.as_mut_ptr().add(8).cast::<__m512i>(), acc_hi);
-    }
-}
-
-/// Unit-stride AVX2 *packed* hot loop: 16 × `i16` stage-1 lanes in one
-/// 256-bit register. Stage 1 adds raw pixels with `VPADDW` — no
-/// widening at all, twice the lanes of [`unit_avx2`] per register,
-/// sound only under the caller's certified ≤16-bit stage-1 proof.
-/// Stage 2 sign-extends the `i16` partials to `i32` halves and then
-/// takes the same exact `VPMULDQ` widening route as the other kernels,
-/// reducing into four `i64×4` accumulators.
-#[target_feature(enable = "avx2")]
-fn unit_avx2_packed(
-    values: &[i8],
-    starts: &[u32],
-    offsets: &[u32],
-    data: &[i16],
-    base: usize,
-    out: &mut [i64],
-) {
-    let out = &mut out[..LANES_512];
-    let mut acc = [_mm256_setzero_si256(); 4];
-    for (&v, w) in values.iter().zip(starts.windows(2)) {
-        let mut p = _mm256_setzero_si256();
-        for &off in &offsets[w[0] as usize..w[1] as usize] {
-            let o = base + off as usize;
-            let win = &data[o..o + LANES_512];
-            // INVARIANT: `win` is a bounds-checked slice of exactly 16
-            // `i16` (32 bytes), so this unaligned 256-bit load reads
-            // only memory owned by `win`.
-            let x = unsafe { _mm256_loadu_si256(win.as_ptr().cast::<__m256i>()) };
-            p = _mm256_add_epi16(p, x);
-        }
-        let vv = _mm256_set1_epi64x(v as i64);
-        let lo = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(p));
-        let hi = _mm256_cvtepi16_epi32(_mm256_extracti128_si256::<1>(p));
-        for (i, quad) in [
-            _mm256_cvtepi32_epi64(_mm256_castsi256_si128(lo)),
-            _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(lo)),
-            _mm256_cvtepi32_epi64(_mm256_castsi256_si128(hi)),
-            _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(hi)),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            acc[i] = _mm256_add_epi64(acc[i], _mm256_mul_epi32(quad, vv));
-        }
-    }
-    for (i, a) in acc.into_iter().enumerate() {
-        // INVARIANT: `out` was sliced to exactly 16 `i64` (128 bytes)
-        // above, so each of the four unaligned 256-bit stores lands at
-        // offset 4·i ≤ 12 and stays inside it.
-        unsafe { _mm256_storeu_si256(out.as_mut_ptr().add(4 * i).cast::<__m256i>(), a) };
     }
 }
 

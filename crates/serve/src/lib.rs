@@ -16,7 +16,7 @@
 //!   batch executors.
 //! * **Per-request deadlines** — mapped onto the conv layer's
 //!   cooperative cancellation
-//!   ([`Inferencer::run_batch_salvage_deadline`](abm_conv::Inferencer::run_batch_salvage_deadline)):
+//!   ([`Inferencer::run_batch_salvage`](abm_conv::Inferencer::run_batch_salvage)):
 //!   a deadline hit mid-batch cuts only the unstarted items, each with
 //!   a typed [`AbmError::DeadlineExceeded`](abm_fault::AbmError).
 //! * **Graceful degradation** — workers run the hardened

@@ -64,7 +64,7 @@ pub struct ServeConfig {
     pub intra_batch: Parallelism,
     /// Layer-pipelined execution depth; `< 2` selects the
     /// deadline-salvage batch executor
-    /// ([`Inferencer::run_batch_salvage_deadline`]), `>= 2` streams
+    /// ([`Inferencer::run_batch_salvage`]), `>= 2` streams
     /// each batch through [`Inferencer::run_batch_pipelined`].
     pub pipeline_stages: usize,
     /// Deadline budget assumed for requests that do not carry one.
@@ -1033,7 +1033,7 @@ fn execute_batch(
             Err(e) => (0..inputs.len()).map(|_| Err(e.clone())).collect(),
         }
     } else {
-        inferencer.run_batch_salvage_deadline(prepared, inputs, batch_deadline)
+        inferencer.run_batch_salvage(prepared, inputs, Some(batch_deadline))
     };
 
     let mut retries_spent = vec![0u32; inputs.len()];
@@ -1049,10 +1049,10 @@ fn execute_batch(
             if abm_metrics::enabled() {
                 abm_metrics::global().add("serve_retries_total", 1);
             }
-            let retried = inferencer.run_batch_salvage_deadline(
+            let retried = inferencer.run_batch_salvage(
                 prepared,
                 std::slice::from_ref(&inputs[i]),
-                meta[i].deadline,
+                Some(meta[i].deadline),
             );
             if let Some(r) = retried.into_iter().next() {
                 *slot = r.map_err(|e| match e {

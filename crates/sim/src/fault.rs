@@ -38,7 +38,7 @@ use crate::memory::MemorySystem;
 use crate::run::{simulate_workload_collected, simulate_workload_with, LayerSim, NetworkSim};
 use crate::sched::SchedulingPolicy;
 use crate::task::Workload;
-use abm_conv::parallel::{parallel_map_deadline, Parallelism};
+use abm_conv::parallel::{parallel_map_salvage, Parallelism};
 use abm_fault::{AbmError, Injector};
 use abm_model::SparseModel;
 use abm_telemetry::Collector;
@@ -266,18 +266,25 @@ pub fn simulate_network_budgeted(
 ) -> Result<NetworkSim, AbmError> {
     let start = Instant::now();
     let sims: Vec<LayerSim> = if let Some(max_wall) = budget.max_wall {
+        let deadline = Some(start + max_wall);
         let results =
-            parallel_map_deadline(parallelism, &model.layers, start + max_wall, |i, layer| {
+            parallel_map_salvage(parallelism, &model.layers, None, deadline, |_, i, layer| {
                 Workload::from_layer(layer)
                     .map(|w| simulate_workload_with(&w, cfg, mem, policy, Parallelism::Serial))
                     .map_err(|e| AbmError::from(e).at_layer(i))
-            })
-            .map_err(|layers_done| AbmError::WallBudgetExceeded {
-                layers_done,
+            });
+        let cut = |r: &Result<_, AbmError>| matches!(r, Err(AbmError::DeadlineExceeded { .. }));
+        if results.iter().any(cut) {
+            return Err(AbmError::WallBudgetExceeded {
+                layers_done: results.iter().filter(|r| !cut(r)).count(),
                 elapsed_ms: start.elapsed().as_millis() as u64,
                 budget_ms: max_wall.as_millis() as u64,
-            })?;
-        results.into_iter().collect::<Result<Vec<_>, _>>()?
+            });
+        }
+        results
+            .into_iter()
+            .map(Result::flatten)
+            .collect::<Result<Vec<_>, _>>()?
     } else {
         let mut sims = Vec::with_capacity(model.layers.len());
         let mut cycles = 0u64;

@@ -41,18 +41,20 @@ pub struct Workload {
     pub is_fc: bool,
     /// Dense op count (the Table 2 throughput numerator).
     pub dense_ops: u64,
-    /// Host kernel variant the functional engine would dispatch this
-    /// layer to (same `select_auto` the prepared hot path runs, fed by
-    /// the layer's *certified* stage-1 width below). Purely descriptive
-    /// on the timing side — recorded into telemetry so simulated and
-    /// host traces agree on which variant executes the stream.
+    /// Host kernel variant the functional engine dispatches this layer
+    /// to: the same `select_auto` call `PreparedConv` makes, fed by the
+    /// same worst-case `AccumulatorModel::host()` stage-1 width. Purely
+    /// descriptive on the timing side — recorded into telemetry so
+    /// simulated and host traces agree on which variant executes the
+    /// stream.
     pub host_sel: abm_kernel::Selection,
     /// The layer's range certificate (summary form): proven stage-1 /
     /// stage-2 accumulator intervals and bit-widths under the
     /// accelerator's 8-bit feature regime, as computed by
     /// `abm_verify::certify_layer` against this workload's lowering
     /// geometry. Recorded so the simulated datapath widths are the
-    /// proven ones, not the worst-case model's.
+    /// proven ones, not the worst-case model's. A verification
+    /// artefact: it sizes DSP48 ports, it does not steer `host_sel`.
     pub cert: abm_verify::CertSummary,
 }
 
@@ -92,16 +94,7 @@ impl Workload {
         let flat = FlatCode::lower(&code, layout)?;
         // Certify the layer's accumulator ranges by abstract
         // interpretation over the accelerator's 8-bit feature regime
-        // (the hardware streams 8-bit features; the host engine's i16
-        // activations are guarded at dispatch on the functional side).
-        // The certified stage-1 width — not the worst-case model — then
-        // drives the same dispatch decision the functional engine makes
-        // at `PreparedConv` construction: pick the widest ISA the
-        // layer's sweep can fill, including the packed dual-lane i16
-        // path when the proof admits it. A bad `ABM_FORCE_ISA` pin
-        // falls back to scalar here rather than erroring — the
-        // functional path is the authoritative gate for rejecting
-        // unavailable pins.
+        // (the hardware streams 8-bit features).
         let geometry =
             crate::verify::lowered_geometry(&flat, is_fc, input.channels, out.rows, out.cols);
         let cert = abm_verify::certify_layer(
@@ -110,15 +103,21 @@ impl Workload {
             &geometry,
             abm_verify::AbsVal::i8_features(),
         );
-        let host_sel =
-            abm_kernel::select_auto(None, cert.stage1_bits, layout.stride == 1, out.cols)
-                // The scalar port always runs the i64 accumulator and
-                // is compiled on every target, so it is the total
-                // fallback when an env pin names an unavailable ISA.
-                .unwrap_or(abm_kernel::Selection {
-                    isa: abm_kernel::Isa::Scalar,
-                    acc: abm_kernel::AccWidth::I64,
-                });
+        // The host dispatch the functional engine makes at
+        // `PreparedConv` construction: worst-case stage-1 width over
+        // any `i16` input, widest ISA the layer's sweep can fill. A bad
+        // `ABM_FORCE_ISA` pin falls back to scalar here rather than
+        // erroring — the functional path is the authoritative gate for
+        // rejecting unavailable pins.
+        let stage1_bits = abm_verify::AccumulatorModel::host().stage1_required_bits(&flat);
+        let host_sel = abm_kernel::select_auto(None, stage1_bits, layout.stride == 1, out.cols)
+            // The scalar port always runs the i64 accumulator and
+            // is compiled on every target, so it is the total
+            // fallback when an env pin names an unavailable ISA.
+            .unwrap_or(abm_kernel::Selection {
+                isa: abm_kernel::Isa::Scalar,
+                acc: abm_kernel::AccWidth::I64,
+            });
         let workload = Self {
             name: layer.name().to_string(),
             code,
@@ -361,21 +360,16 @@ mod tests {
             // The certificate is proven against the 8-bit feature
             // regime; the worst-case model assumes full-scale i16
             // activations, so the certified stage-1 width must be
-            // strictly tighter, and the recorded dispatch must be the
-            // one the certified width selects.
+            // strictly tighter. The recorded host dispatch is the
+            // worst-case one, as on the functional side.
             let worst = abm_verify::AccumulatorModel::host().stage1_required_bits(&w.flat);
             assert!(
                 w.cert.stage1_bits < worst,
                 "{name}: certified {} !< worst-case {worst}",
                 w.cert.stage1_bits
             );
-            let sel = abm_kernel::select_auto(
-                None,
-                w.cert.stage1_bits,
-                w.flat.layout().stride == 1,
-                w.out_cols,
-            )
-            .unwrap();
+            let sel = abm_kernel::select_auto(None, worst, w.flat.layout().stride == 1, w.out_cols)
+                .unwrap();
             assert_eq!(w.host_sel, sel, "{name}");
         }
     }

@@ -458,7 +458,8 @@ fn load_time_trial(t: FunctionalTrial<'_>) -> Result<TrialRecord, AbmError> {
             );
             // Recovery: re-lower the retained source code; bit-identical
             // streams mean bit-identical execution.
-            let fresh = PreparedConv::try_new(code, pristine.input_shape(), pristine.geometry())?;
+            let fresh =
+                PreparedConv::try_new(code, pristine.input_shape(), pristine.geometry(), None)?;
             let identical = fresh.checksum() == pristine.checksum();
             t.sink.record_fault(
                 layer as u32,

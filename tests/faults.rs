@@ -101,7 +101,8 @@ fn corrupted_batch_item_is_salvaged_per_item() {
     let inferencer = Inferencer::new(&model)
         .engine(Engine::Abm)
         .parallelism(Parallelism::Threads(2));
-    let results = inferencer.run_batch_salvage(&inputs).unwrap();
+    let prepared = inferencer.prepare().unwrap();
+    let results = inferencer.run_batch_salvage(&prepared, &inputs, None);
     assert_eq!(results.len(), 3);
     assert!(results[0].is_ok());
     assert!(

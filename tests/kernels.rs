@@ -8,7 +8,7 @@
 //! Environment-variable mutation is process-global; every test that
 //! writes `ABM_FORCE_ISA` does so under [`ENV_LOCK`] and restores the
 //! variable before releasing it. Tests that pin a variant explicitly
-//! (`try_new_with_isa(.., Some(isa))`) are immune — an explicit pin
+//! (`try_new(.., Some(isa))`) are immune — an explicit pin
 //! outranks the environment.
 
 use abm_spconv_repro::conv::abm::{self, PreparedConv};
@@ -80,7 +80,7 @@ fn forced_isa_env_routes_dispatch() {
     let mut outputs = Vec::new();
     for isa in Isa::detect_all() {
         let prep = with_forced_isa(isa.name(), || {
-            PreparedConv::try_new(&code, in_shape, geom).expect("preparable")
+            PreparedConv::try_new(&code, in_shape, geom, None).expect("preparable")
         });
         let sel = prep.selection();
         if isa == Isa::Scalar {
@@ -96,7 +96,7 @@ fn forced_isa_env_routes_dispatch() {
     }
 
     let err = with_forced_isa("avx9000", || {
-        PreparedConv::try_new(&code, in_shape, geom).unwrap_err()
+        PreparedConv::try_new(&code, in_shape, geom, None).unwrap_err()
     });
     assert!(
         err.to_string().contains("unknown ISA"),
@@ -117,8 +117,8 @@ fn narrow_accumulator_path_is_exact_on_alexnet_conv3() {
     let in_shape = layer.layer.input_shape;
     let input = synth_input(in_shape);
 
-    let scalar = PreparedConv::try_new_with_isa(&code, in_shape, geom, Some(Isa::Scalar))
-        .expect("preparable");
+    let scalar =
+        PreparedConv::try_new(&code, in_shape, geom, Some(Isa::Scalar)).expect("preparable");
     let bits = AccumulatorModel::host().stage1_required_bits(scalar.flat());
     assert!(
         bits <= 32,
@@ -140,8 +140,7 @@ fn narrow_accumulator_path_is_exact_on_alexnet_conv3() {
     assert_eq!(fnv, FNV_PIN, "FNV pin diverged");
 
     for isa in Isa::detect_all() {
-        let prep =
-            PreparedConv::try_new_with_isa(&code, in_shape, geom, Some(isa)).expect("preparable");
+        let prep = PreparedConv::try_new(&code, in_shape, geom, Some(isa)).expect("preparable");
         if isa != Isa::Scalar {
             assert_eq!(prep.selection().acc, AccWidth::I32, "{isa}");
         }
@@ -192,9 +191,9 @@ proptest! {
         let (ref_out, ref_work) = abm::reference::conv2d_counted(&input, &code, geom).unwrap();
         for isa in Isa::detect_all() {
             let prep = with_forced_isa(isa.name(), || {
-                PreparedConv::try_new(&code, in_shape, geom).unwrap()
+                PreparedConv::try_new(&code, in_shape, geom, None).unwrap()
             });
-            let (out, work) = prep.execute_counted(&input);
+            let (out, work) = (prep.execute(&input), prep.work());
             prop_assert_eq!(&ref_out, &out, "{} output", isa);
             prop_assert_eq!(ref_work, work, "{} work", isa);
         }

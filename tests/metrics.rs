@@ -301,6 +301,78 @@ fn hardened_detectors_record_one_sample_per_abm_layer() {
     }
 }
 
+/// The served path's pool is visible: a deadline-bounded salvage batch
+/// (what every served batch runs) moves the `pool_*` counters by
+/// exactly the batch's amounts and reports its steals to the sink. The
+/// deadline variants of the pool used to record neither.
+#[test]
+fn deadline_salvage_batch_is_visible_in_pool_metrics() {
+    let _guard = registry_lock();
+    let (net, model) = tiny_model(0.6, 16, 7);
+    let sink = TelemetrySink::new();
+    let inferencer = Inferencer::new(&model)
+        .parallelism(Parallelism::Threads(2))
+        .telemetry(sink.clone());
+    let prepared = inferencer.prepare().unwrap();
+    let inputs: Vec<_> = (0..5).map(|i| synthetic_input(&net, i)).collect();
+    let registry = fresh_registry();
+    let far_future = std::time::Instant::now() + std::time::Duration::from_secs(3600);
+    let outcomes = inferencer.run_batch_salvage(&prepared, &inputs, Some(far_future));
+    assert!(outcomes.iter().all(Result::is_ok));
+    let snap = registry.snapshot();
+    let counter = |n: &str| snap.counters.get(n).copied().unwrap_or(0);
+    assert_eq!(counter("pool_fanouts_total"), 1);
+    assert_eq!(counter("pool_items_total"), 5);
+    assert_eq!(counter("pool_steals_total"), 5);
+    assert_eq!(counter("pool_workers_total"), 2);
+    let stolen: u64 = sink
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            Event::WorkerSteals { tasks, .. } => Some(*tasks),
+            _ => None,
+        })
+        .sum();
+    assert_eq!(stolen, 5);
+}
+
+/// The recovery ladder re-lowers through the constructor and ISA pin
+/// `prepare` used, so a recovered layer runs the kernel the prepared
+/// one ran: the checksum stops the corrupted layer before it executes,
+/// the re-lowered one executes once, and the per-variant execute
+/// counters end exactly where a clean image leaves them.
+#[test]
+fn recovered_layer_runs_the_prepared_kernel() {
+    let _guard = registry_lock();
+    let (net, model) = tiny_model(0.6, 16, 9);
+    let input = synthetic_input(&net, 0);
+    let inferencer = Inferencer::new(&model)
+        .parallelism(Parallelism::Serial)
+        .resilience(ResiliencePolicy::hardened());
+    let mut prepared = inferencer.prepare().unwrap();
+    let executes = |prepared: &PreparedWeights| {
+        let registry = fresh_registry();
+        let result = inferencer.run_prepared(prepared, &input).unwrap();
+        let snap = registry.snapshot();
+        let relowered = snap.counters.get("recovery_relower_total").copied();
+        let executes: BTreeMap<String, u64> = snap
+            .counters
+            .into_iter()
+            .filter(|(k, _)| k.starts_with("abm_execute_"))
+            .collect();
+        (result, executes, relowered.unwrap_or(0))
+    };
+    let (clean, clean_executes, _) = executes(&prepared);
+    flip_first_offset_bit(&model, &mut prepared);
+    let (recovered, recovered_executes, relowered) = executes(&prepared);
+    assert_eq!(
+        relowered, 1,
+        "the corruption must be detected and re-lowered"
+    );
+    assert_eq!(recovered.logits, clean.logits);
+    assert_eq!(recovered_executes, clean_executes);
+}
+
 // ---------------------------------------------------------------------
 // 2. Observation never perturbs results.
 // ---------------------------------------------------------------------
@@ -340,19 +412,10 @@ proptest! {
 // 3. The flight recorder as a faithful post-mortem.
 // ---------------------------------------------------------------------
 
-/// Deterministically corrupts the first prepared ABM layer (one offset
-/// bit, the `wt-word-flip` fault class), runs one image under a
-/// detect-only policy so the error surfaces, and returns the frozen
-/// dump plus the full stable-rendered sink stream.
-fn seeded_fault_run() -> (metrics::FlightDump, Vec<String>) {
-    let registry = fresh_registry();
-    let (net, model) = tiny_model(0.6, 16, 9);
-    let sink = metrics::flight_tee(TelemetrySink::new());
-    let inferencer = Inferencer::new(&model)
-        .parallelism(Parallelism::Serial)
-        .resilience(ResiliencePolicy::detect_only())
-        .telemetry(sink.clone());
-    let mut prepared = inferencer.prepare().unwrap();
+/// Flips one offset bit in the first prepared ABM layer's streams while
+/// keeping its golden checksum — a post-load SEU (the `wt-word-flip`
+/// fault class).
+fn flip_first_offset_bit(model: &SparseModel, prepared: &mut PreparedWeights) {
     let layer = (0..model.layers.len())
         .find(|&i| prepared.abm_layer(i).is_some())
         .unwrap();
@@ -370,6 +433,22 @@ fn seeded_fault_run() -> (metrics::FlightDump, Vec<String>) {
     );
     let bad = FlatCode::from_kernels(flat.shape(), flat.layout(), kernels);
     *prep = prep.clone().with_flat(bad);
+}
+
+/// Deterministically corrupts the first prepared ABM layer (one offset
+/// bit, the `wt-word-flip` fault class), runs one image under a
+/// detect-only policy so the error surfaces, and returns the frozen
+/// dump plus the full stable-rendered sink stream.
+fn seeded_fault_run() -> (metrics::FlightDump, Vec<String>) {
+    let registry = fresh_registry();
+    let (net, model) = tiny_model(0.6, 16, 9);
+    let sink = metrics::flight_tee(TelemetrySink::new());
+    let inferencer = Inferencer::new(&model)
+        .parallelism(Parallelism::Serial)
+        .resilience(ResiliencePolicy::detect_only())
+        .telemetry(sink.clone());
+    let mut prepared = inferencer.prepare().unwrap();
+    flip_first_offset_bit(&model, &mut prepared);
     let input = synthetic_input(&net, 0);
     inferencer
         .run_prepared(&prepared, &input)

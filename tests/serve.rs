@@ -1,6 +1,6 @@
 //! Integration tests for the `abm-serve` batching inference service:
-//! per-item deadline salvage (the `parallel_map_deadline` regression
-//! pinned from `crates/conv/src/infer.rs`), admission-control shed
+//! per-item deadline salvage (the mid-batch-deadline regression
+//! `Inferencer::run_batch_salvage` documents), admission-control shed
 //! accounting, graceful drain, watchdog failover, the TCP front-end,
 //! and the chaos property: seeded fault plans during serving yield
 //! detected-or-masked outcomes — never silent — while unaffected
@@ -83,10 +83,10 @@ fn salvage_with_generous_deadline_matches_plain_batch() {
     let plain = inferencer
         .run_batch_prepared(&prepared, &inputs)
         .expect("plain batch");
-    let salvaged = inferencer.run_batch_salvage_deadline(
+    let salvaged = inferencer.run_batch_salvage(
         &prepared,
         &inputs,
-        Instant::now() + Duration::from_secs(600),
+        Some(Instant::now() + Duration::from_secs(600)),
     );
 
     assert_eq!(salvaged.len(), inputs.len());
@@ -111,10 +111,10 @@ fn salvage_with_expired_deadline_types_every_item() {
 
     // A deadline already in the past: nothing may run, and every item
     // must come back as its own typed DeadlineExceeded — the exact
-    // regression `parallel_map_deadline` used to collapse into one
+    // regression the pre-salvage deadline pool collapsed into one
     // batch-wide error.
     let expired = Instant::now() - Duration::from_millis(1);
-    let outcomes = inferencer.run_batch_salvage_deadline(&prepared, &inputs, expired);
+    let outcomes = inferencer.run_batch_salvage(&prepared, &inputs, Some(expired));
     assert_eq!(outcomes.len(), inputs.len());
     for (i, o) in outcomes.iter().enumerate() {
         match o {

@@ -344,7 +344,7 @@ proptest! {
         let in_shape = Shape3::new(shape.in_channels, side, side);
         let code = LayerCode::encode(&weights).expect("small kernels encode");
 
-        let prepared = abm::PreparedConv::try_new(&code, in_shape, geom).unwrap();
+        let prepared = abm::PreparedConv::try_new(&code, in_shape, geom, None).unwrap();
         let report = prepared.verify_against(&code);
         prop_assert!(report.is_clean(), "{}", report);
 

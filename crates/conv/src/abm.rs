@@ -14,13 +14,16 @@
 //! Two executors implement this flow:
 //!
 //! * [`PreparedConv`] — the hot path. Each kernel's value groups are
-//!   lowered **once** to flat input offsets
-//!   ([`abm_sparse::FlatCode`], the software analogue of the
-//!   accelerator's address generator), the output plane is split into an
-//!   *interior* region whose receptive fields never touch padding (tight
-//!   pointer-bump accumulation, row-tiled for cache locality, one scratch
-//!   partial-sum buffer reused across every pixel) and a *halo* region
-//!   that keeps per-tap bounds checks. Work counts are **analytic** —
+//!   lowered **once** to flat offsets into the *re-laid-out* input
+//!   ([`abm_sparse::FlatLayout`]: zero-padded, then split into
+//!   `stride × stride` phase planes — the software analogue of the
+//!   accelerator's feature buffer and address generator). Against that
+//!   buffer every output pixel is `base + offset`, so execution is one
+//!   flat unit-stride sweep per row tile and kernel: no padding checks,
+//!   no strided gather, and rows too short to fill a vector on their
+//!   own still run in full lanes. Per call it re-lays the input out
+//!   once and keeps one pitched tile scratch beside the output tensor.
+//!   Work counts are **analytic** —
 //!   `accumulations = nnz × out_pixels`,
 //!   `multiplications = final_accumulations = Σ Q(m) × out_pixels` —
 //!   computed once per layer instead of incremented per iteration.
@@ -32,18 +35,12 @@
 
 use crate::dense::Geometry;
 use abm_fault::AbmError;
-use abm_kernel::{gather_one, AbmKernel, AccWidth, Isa, Selection, MAX_LANES};
-use abm_sparse::{FlatCode, FlatKernel, FlatLayout, LayerCode, Tap};
+use abm_kernel::{gather_one, AbmKernel, AccWidth, Isa, Selection};
+use abm_sparse::{FlatCode, FlatLayout, LayerCode};
 use abm_tensor::{Shape3, Shape4, Tensor3};
-use std::ops::Range;
 use std::time::Instant;
 
 pub mod reference;
-
-/// Interior rows are processed in tiles of this many output rows per
-/// kernel pass, so the input rows a tile touches stay cache-resident
-/// while every kernel of the layer sweeps them.
-const TILE_ROWS: usize = 8;
 
 /// Work performed by one invocation, split by stage — the measured
 /// counterpart of Table 1's `Acc.`/`Mult.` columns.
@@ -156,12 +153,12 @@ pub fn conv2d_counted(
 }
 
 /// An ABM layer prepared for repeated execution against one input
-/// geometry: flat-offset streams, the interior/halo split and the
-/// analytic work accounting, all computed once.
+/// geometry: flat-offset streams, the kernel dispatch and the analytic
+/// work accounting, all computed once.
 ///
 /// Prepared once per layer (offline, like the accelerator's encoder) and
-/// reused across batch items and host workers — execution allocates
-/// nothing beyond the output tensor and one scratch buffer.
+/// reused across batch items and host workers — execution holds no
+/// state between calls.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreparedConv {
     flat: FlatCode,
@@ -170,8 +167,6 @@ pub struct PreparedConv {
     geom: Geometry,
     /// Kernels per channel group (`M / groups`).
     m_per_group: usize,
-    interior_rows: Range<usize>,
-    interior_cols: Range<usize>,
     work: AbmWork,
     /// [`abm_fault::flat_checksum`] of the flat streams, recorded at
     /// preparation: the golden signature
@@ -268,7 +263,7 @@ impl PreparedConv {
     }
 
     /// Shared tail of the constructors: derive the output geometry,
-    /// interior split, analytic work, the golden checksum, and the
+    /// analytic work, the golden checksum, and the
     /// kernel-variant dispatch (resolved here, once, never on the
     /// execution path).
     fn assemble(
@@ -279,11 +274,8 @@ impl PreparedConv {
     ) -> Result<Self, AbmError> {
         let w = flat.shape();
         let layout = flat.layout();
-        let out_shape = Shape3::new(
-            w.out_channels,
-            abm_tensor::shape::conv_out_dim(in_shape.rows, w.kernel_rows, geom.stride, geom.pad),
-            abm_tensor::shape::conv_out_dim(in_shape.cols, w.kernel_cols, geom.stride, geom.pad),
-        );
+        let (out_rows, out_cols) = layout.out_dims(w.kernel_rows, w.kernel_cols);
+        let out_shape = Shape3::new(w.out_channels, out_rows, out_cols);
         let out_pixels = (out_shape.rows * out_shape.cols) as u64;
         // Analytic accounting: every executor variant performs exactly
         // nnz stage-1 accumulations and Q(m) stage-2 multiply+add pairs
@@ -299,11 +291,10 @@ impl PreparedConv {
         // stage-1 magnitude for this exact lowering decides whether the
         // vector kernels may pack `i32` lanes. `select_auto` then
         // resolves the ISA (explicit pin → `ABM_FORCE_ISA` → widest
-        // variant whose lanes this layer's interior sweep can fill).
+        // variant whose lanes this layer's shortest sweep can fill).
         let stage1_bits = abm_verify::AccumulatorModel::host().stage1_required_bits(&flat);
-        let interior_cols = layout.interior_cols(w.kernel_cols, out_shape.cols);
-        let interior_rows = layout.interior_rows(w.kernel_rows, out_shape.rows);
-        let sel = abm_kernel::select_auto(isa, stage1_bits, geom.stride == 1, interior_cols.len())
+        let sweep = layout.shortest_sweep(out_shape.rows, out_shape.cols);
+        let sel = abm_kernel::select_auto(isa, stage1_bits, sweep)
             .map_err(|detail| AbmError::IsaUnavailable { detail })?;
         // Dispatch accounting: one count per prepared layer, keyed by
         // the resolved variant (preparation-time, never the hot path).
@@ -316,8 +307,6 @@ impl PreparedConv {
             out_shape,
             geom,
             m_per_group: w.out_channels / geom.groups,
-            interior_rows,
-            interior_cols,
             work,
             checksum,
             sel,
@@ -327,8 +316,8 @@ impl PreparedConv {
 
     /// Runs the `abm-verify` lowering pass against this prepared layer's
     /// source streams: every flat offset must decode to its source tap,
-    /// the declared interior span must be provably in-bounds, the value
-    /// groups must partition the encoded non-zeros, and worst-case
+    /// the whole output plane's sweep must be provably in-bounds, the
+    /// value groups must partition the encoded non-zeros, and worst-case
     /// accumulation must fit the host accumulator.
     #[must_use]
     pub fn verify_against(&self, code: &LayerCode) -> abm_verify::VerifyReport {
@@ -342,8 +331,6 @@ impl PreparedConv {
             groups: self.geom.groups,
             out_rows: self.out_shape.rows,
             out_cols: self.out_shape.cols,
-            interior_rows: (self.interior_rows.start, self.interior_rows.end),
-            interior_cols: (self.interior_cols.start, self.interior_cols.end),
         };
         abm_verify::verify_lowering(
             "prepared-conv",
@@ -435,8 +422,9 @@ impl PreparedConv {
     ///
     /// When the global metrics registry is enabled this also records
     /// the per-execute wall-clock histogram (`abm_execute_ns`), the
-    /// resolved-variant execute counter and the interior/halo pixel
-    /// split — observation only, never on the result path.
+    /// resolved-variant execute counter, and the output pixels written
+    /// against the lane positions swept for them (their ratio is the
+    /// host's lane fill) — observation only, never on the result path.
     ///
     /// # Panics
     ///
@@ -444,29 +432,24 @@ impl PreparedConv {
     #[must_use]
     pub fn execute(&self, input: &Tensor3<i16>) -> Tensor3<i64> {
         if !abm_metrics::enabled() {
-            return self.execute_inner(input);
+            return self.execute_inner(input).0;
         }
         let timer = Instant::now();
-        let out = self.execute_inner(input);
+        let (out, swept) = self.execute_inner(input);
         let elapsed = u64::try_from(timer.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let m = abm_metrics::global();
         m.observe("abm_execute_ns", elapsed);
         let (_, execute) = selection_counters(self.sel);
         m.add(execute, 1);
-        let out_plane = (self.out_shape.rows * self.out_shape.cols) as u64;
-        let interior = (self.interior_rows.len() * self.interior_cols.len()) as u64;
-        let channels = self.out_shape.channels as u64;
-        m.add("abm_interior_pixels_total", interior * channels);
-        m.add(
-            "abm_halo_pixels_total",
-            out_plane.saturating_sub(interior) * channels,
-        );
+        m.add("abm_output_pixels_total", self.out_shape.len() as u64);
+        m.add("abm_swept_lanes_total", swept);
         out
     }
 
     /// The uninstrumented execution body shared by the metered entry
-    /// point above and the disabled-registry fast path.
-    fn execute_inner(&self, input: &Tensor3<i16>) -> Tensor3<i64> {
+    /// point above and the disabled-registry fast path. Also returns the
+    /// lane positions issued (vector lanes plus one-at-a-time pixels).
+    fn execute_inner(&self, input: &Tensor3<i16>) -> (Tensor3<i64>, u64) {
         assert_eq!(
             input.shape(),
             self.in_shape,
@@ -475,180 +458,65 @@ impl PreparedConv {
             self.in_shape
         );
         let mut out = Tensor3::zeros(self.out_shape);
+        let (out_rows, out_cols) = (self.out_shape.rows, self.out_shape.cols);
+        let out_plane = out_rows * out_cols;
+        if out_plane == 0 {
+            return (out, 0);
+        }
+        let layout = self.flat.layout();
+        let relaid = layout.relayout(input);
         // The dispatch resolved at preparation: one virtual call maps
-        // the stored selection to its kernel object, then the hot loops
-        // below go through it for every pixel vector. `lanebuf` is the
-        // lane-output scratch sized for the widest variant.
+        // the stored selection to its kernel object, then the sweep
+        // below goes through it for every position vector.
         let kern: &'static dyn AbmKernel = abm_kernel::resolve(self.sel);
         let lanes = kern.lanes();
-        let mut lanebuf = [0i64; MAX_LANES];
-        // One scratch partial-sum buffer, reused across every pixel of
-        // every kernel (the software stand-in for the lane's partial-sum
-        // FIFO), plus the filtered-stream scratch the halo paths rebuild
-        // per row/column.
+        // One scratch partial-sum buffer for the one-at-a-time fallback
+        // (the software stand-in for the lane's partial-sum FIFO).
         let mut partials = vec![0i64; self.flat.max_distinct()];
-        let mut halo = HaloScratch::default();
-        let data = input.as_slice();
-        let out_rows = self.out_shape.rows;
-        let out_cols = self.out_shape.cols;
-        let out_plane = out_rows * out_cols;
-        let in_rows = self.in_shape.rows;
-        let in_cols = self.in_shape.cols;
-        let plane = in_rows * in_cols;
-        let stride = self.geom.stride;
-        let pad = self.geom.pad;
+        let pitch = layout.phase_cols();
+        let group_len = layout.relaid_len(self.flat.shape().in_channels);
         let out_data = out.as_mut_slice();
+        let mut swept = 0u64;
 
-        for (m, kernel) in self.flat.kernels().iter().enumerate() {
-            let chan_base = (m / self.m_per_group) * self.flat.shape().in_channels * plane;
-            let out_base = m * out_plane;
-
-            // Halo rows (above/below the interior) at full width. The
-            // kernel-row validity of every tap is fixed along a row, so
-            // the stream is filtered once per row: interior columns then
-            // gather the survivors unchecked, fringe columns check only
-            // the column coordinate.
-            for orow in (0..self.interior_rows.start).chain(self.interior_rows.end..out_rows) {
-                let pr0 = (orow * stride) as isize - pad as isize;
-                halo.filter_rows(kernel, pr0, in_rows, plane, in_cols);
-                let out_row = out_base + orow * out_cols;
-                for ocol in (0..self.interior_cols.start).chain(self.interior_cols.end..out_cols) {
-                    let pc0 = (ocol * stride) as isize - pad as isize;
-                    out_data[out_row + ocol] = halo.col_checked_pixel(
-                        kernel.values(),
-                        data,
-                        chan_base,
-                        plane,
-                        in_cols,
-                        pc0,
-                    );
-                }
-                sweep(self.interior_cols.clone(), lanes, |ocol, vec_step| {
-                    let base = chan_base + ocol * stride - pad;
-                    if vec_step {
-                        if stride == 1 {
-                            kern.gather_unit(
-                                kernel.values(),
-                                &halo.starts,
-                                &halo.offsets,
-                                data,
-                                base,
-                                &mut lanebuf,
-                            );
-                        } else {
-                            kern.gather_strided(
-                                kernel.values(),
-                                &halo.starts,
-                                &halo.offsets,
-                                data,
-                                base,
-                                stride,
-                                &mut lanebuf,
-                            );
-                        }
-                        out_data[out_row + ocol..out_row + ocol + lanes]
-                            .copy_from_slice(&lanebuf[..lanes]);
-                    } else {
-                        out_data[out_row + ocol] = gather_one(
-                            kernel.values(),
-                            &halo.starts,
-                            &halo.offsets,
-                            data,
-                            base,
-                            &mut partials,
-                        );
-                    }
-                });
-            }
-
-            // Column fringes of the interior rows: symmetric — filter by
-            // kernel-column validity once per fringe column, then sweep
-            // the interior rows as an unchecked gather whose pixel step
-            // is one (strided) input row.
-            for ocol in (0..self.interior_cols.start).chain(self.interior_cols.end..out_cols) {
-                let pc0 = (ocol * stride) as isize - pad as isize;
-                halo.filter_cols(kernel, pc0, in_cols, plane);
-                let row_step = stride * in_cols;
-                sweep(self.interior_rows.clone(), lanes, |orow, vec_step| {
-                    let base = chan_base + (orow * stride - pad) * in_cols;
-                    if vec_step {
-                        kern.gather_strided(
-                            kernel.values(),
-                            &halo.starts,
-                            &halo.offsets,
-                            data,
-                            base,
-                            row_step,
-                            &mut lanebuf,
-                        );
-                        for (i, &a) in lanebuf[..lanes].iter().enumerate() {
-                            out_data[out_base + (orow + i) * out_cols + ocol] = a;
-                        }
-                    } else {
-                        out_data[out_base + orow * out_cols + ocol] = gather_one(
-                            kernel.values(),
-                            &halo.starts,
-                            &halo.offsets,
-                            data,
-                            base,
-                            &mut partials,
-                        );
-                    }
-                });
-            }
-        }
-
-        // Interior: tile rows so a tile's input footprint stays cached
+        // Row tiles outermost, so a tile's input footprint stays cached
         // while every kernel of the layer sweeps it (the line-buffer
         // prefetch window).
-        let interior_rows: Vec<usize> = self.interior_rows.clone().collect();
-        for tile in interior_rows.chunks(TILE_ROWS) {
+        for rows in layout.tiles(out_rows) {
+            let span = layout.sweep_span(rows.len(), out_cols);
+            // The sweep lands here at the input's row pitch; the
+            // `pitch - out_cols` wrap positions at each row's end are
+            // computed like any other and dropped by the copy-out.
+            let mut tile = vec![0i64; rows.len() * pitch];
             for (m, kernel) in self.flat.kernels().iter().enumerate() {
-                let chan_base = (m / self.m_per_group) * self.flat.shape().in_channels * plane;
-                let out_base = m * out_plane;
-                for &orow in tile {
-                    let row_base = chan_base + (orow * stride - pad) * in_cols;
-                    let out_row = out_base + orow * out_cols;
-                    sweep(self.interior_cols.clone(), lanes, |ocol, vec_step| {
-                        let base = row_base + ocol * stride - pad;
-                        if vec_step {
-                            if stride == 1 {
-                                kern.gather_unit(
-                                    kernel.values(),
-                                    kernel.group_bounds(),
-                                    kernel.offsets(),
-                                    data,
-                                    base,
-                                    &mut lanebuf,
-                                );
-                            } else {
-                                kern.gather_strided(
-                                    kernel.values(),
-                                    kernel.group_bounds(),
-                                    kernel.offsets(),
-                                    data,
-                                    base,
-                                    stride,
-                                    &mut lanebuf,
-                                );
-                            }
-                            out_data[out_row + ocol..out_row + ocol + lanes]
-                                .copy_from_slice(&lanebuf[..lanes]);
-                        } else {
-                            out_data[out_row + ocol] = gather_one(
-                                kernel.values(),
-                                kernel.group_bounds(),
-                                kernel.offsets(),
-                                data,
-                                base,
-                                &mut partials,
-                            );
-                        }
-                    });
+                let base = (m / self.m_per_group) * group_len + rows.start * pitch;
+                swept += sweep(span, lanes, |i, vec_step| {
+                    if vec_step {
+                        kern.gather_unit(
+                            kernel.values(),
+                            kernel.group_bounds(),
+                            kernel.offsets(),
+                            &relaid,
+                            base + i,
+                            &mut tile[i..i + lanes],
+                        );
+                    } else {
+                        tile[i] = gather_one(
+                            kernel.values(),
+                            kernel.group_bounds(),
+                            kernel.offsets(),
+                            &relaid,
+                            base + i,
+                            &mut partials,
+                        );
+                    }
+                });
+                let dst = &mut out_data[m * out_plane + rows.start * out_cols..];
+                for (dst, src) in dst.chunks_exact_mut(out_cols).zip(tile.chunks(pitch)) {
+                    dst.copy_from_slice(&src[..out_cols]);
                 }
             }
         }
-        out
+        (out, swept)
     }
 
     /// [`execute`](Self::execute) behind a typed shape guard instead of
@@ -675,124 +543,27 @@ impl PreparedConv {
     }
 }
 
-/// Reusable scratch for the halo paths: the kernel's stream filtered to
-/// the taps that stay in bounds along one axis, with the surviving
-/// coordinate folded into a flat offset. Group boundaries mirror the
-/// source kernel's, so `values()` still aligns (a fully-filtered group
-/// just contributes a zero partial sum).
-#[derive(Debug, Default)]
-struct HaloScratch {
-    /// Group `g` owns `offsets[starts[g]..starts[g+1]]` (and `taps`
-    /// likewise after [`filter_rows`](Self::filter_rows)).
-    starts: Vec<u32>,
-    offsets: Vec<u32>,
-    /// Row-filtered taps with the **absolute** input row stored in `k`
-    /// (only the column coordinate still needs checking).
-    taps: Vec<Tap>,
-}
-
-impl HaloScratch {
-    /// Keeps the taps whose input row `pr0 + k` is in bounds; offsets
-    /// become `n·plane + pr·in_cols + k'` (column still relative).
-    fn filter_rows(
-        &mut self,
-        kernel: &FlatKernel,
-        pr0: isize,
-        in_rows: usize,
-        plane: usize,
-        in_cols: usize,
-    ) {
-        self.starts.clear();
-        self.offsets.clear();
-        self.taps.clear();
-        self.starts.push(0);
-        for (_, taps) in kernel.tap_groups() {
-            for &t in taps {
-                let pr = pr0 + t.k as isize;
-                if pr >= 0 && (pr as usize) < in_rows {
-                    let off = t.n as usize * plane + pr as usize * in_cols + t.kp as usize;
-                    self.offsets.push(off as u32);
-                    self.taps.push(Tap {
-                        n: t.n,
-                        k: pr as u16,
-                        kp: t.kp,
-                    });
-                }
-            }
-            self.starts.push(self.offsets.len() as u32);
-        }
-    }
-
-    /// Keeps the taps whose input column `pc0 + k'` is in bounds; offsets
-    /// become `n·plane + k·in_cols + pc` (row still relative).
-    fn filter_cols(&mut self, kernel: &FlatKernel, pc0: isize, in_cols: usize, plane: usize) {
-        self.starts.clear();
-        self.offsets.clear();
-        self.taps.clear();
-        self.starts.push(0);
-        for (_, taps) in kernel.tap_groups() {
-            for &t in taps {
-                let pc = pc0 + t.kp as isize;
-                if pc >= 0 && (pc as usize) < in_cols {
-                    let off = t.n as usize * plane + t.k as usize * in_cols + pc as usize;
-                    self.offsets.push(off as u32);
-                }
-            }
-            self.starts.push(self.offsets.len() as u32);
-        }
-    }
-
-    /// One corner pixel (halo row × halo column): the row coordinate was
-    /// already validated by [`filter_rows`](Self::filter_rows), so only
-    /// the column coordinate is checked per tap.
-    fn col_checked_pixel(
-        &self,
-        values: &[i8],
-        data: &[i16],
-        chan_base: usize,
-        plane: usize,
-        in_cols: usize,
-        pc0: isize,
-    ) -> i64 {
-        let mut acc = 0i64;
-        for (&v, w) in values.iter().zip(self.starts.windows(2)) {
-            let mut p = 0i64;
-            for &Tap { n, k, kp } in &self.taps[w[0] as usize..w[1] as usize] {
-                let pc = pc0 + kp as isize;
-                if pc >= 0 && (pc as usize) < in_cols {
-                    p += data[chan_base + n as usize * plane + k as usize * in_cols + pc as usize]
-                        as i64;
-                }
-            }
-            acc += v as i64 * p;
-        }
-        acc
-    }
-}
-
-/// Sweeps `span` in `lanes`-wide steps (`f(index, true)`). A final
-/// partial vector is re-issued as a full vector overlapping the previous
-/// one when the span allows — every pixel is a pure function of the
-/// input, so recomputing the overlap is bit-identical — and spans
-/// narrower than one vector fall back to scalar steps (`f(index,
-/// false)`). `lanes` is the dispatched kernel's pixel width
-/// ([`AbmKernel::lanes`]).
+/// Sweeps positions `0..span` in `lanes`-wide steps (`f(index, true)`)
+/// and returns the lane positions issued. A final partial vector is
+/// re-issued as a full vector overlapping the previous one — every
+/// position is a pure function of the input, so recomputing the overlap
+/// is bit-identical, and the last read stays on the span's last (valid)
+/// pixel — and spans narrower than one vector (fully-connected rows)
+/// fall back to scalar steps (`f(index, false)`). `lanes` is the
+/// dispatched kernel's pixel width ([`AbmKernel::lanes`]).
 #[inline]
-fn sweep(span: Range<usize>, lanes: usize, mut f: impl FnMut(usize, bool)) {
-    let mut i = span.start;
-    while i + lanes <= span.end {
+fn sweep(span: usize, lanes: usize, mut f: impl FnMut(usize, bool)) -> u64 {
+    if span < lanes {
+        (0..span).for_each(|i| f(i, false));
+        return span as u64;
+    }
+    for i in (0..=span - lanes).step_by(lanes) {
         f(i, true);
-        i += lanes;
     }
-    if i < span.end {
-        if span.end - span.start >= lanes {
-            f(span.end - lanes, true);
-        } else {
-            for j in i..span.end {
-                f(j, false);
-            }
-        }
+    if !span.is_multiple_of(lanes) {
+        f(span - lanes, true);
     }
+    (span.div_ceil(lanes) * lanes) as u64
 }
 
 #[cfg(test)]
@@ -801,18 +572,22 @@ mod tests {
     use crate::dense;
     use abm_tensor::{Shape4, Tensor4};
 
-    /// Checks dense == reference == prepared, including bit-identical
-    /// work counts between the analytic and per-iteration accounting.
+    /// Checks dense == reference == prepared on the auto-selected kernel
+    /// and on every pinned variant, including bit-identical work counts
+    /// between the analytic and per-iteration accounting.
     fn check_equivalence(input: &Tensor3<i16>, weights: &Tensor4<i8>, geom: Geometry) {
         let dense_out = dense::conv2d(input, weights, geom);
         let code = LayerCode::encode(weights).unwrap();
         let (ref_out, ref_work) = reference::conv2d_counted(input, &code, geom).unwrap();
-        let prepared = PreparedConv::try_new(&code, input.shape(), geom, None).unwrap();
-        let (out, work) = (prepared.execute(input), prepared.work());
         assert_eq!(dense_out, ref_out);
-        assert_eq!(ref_out, out);
-        assert_eq!(ref_work, work, "analytic work != counted work");
-        assert_eq!(prepared.output_shape(), out.shape());
+        let pins = std::iter::once(None).chain(Isa::detect_all().into_iter().map(Some));
+        for isa in pins {
+            let prepared = PreparedConv::try_new(&code, input.shape(), geom, isa).unwrap();
+            let (out, work) = (prepared.execute(input), prepared.work());
+            assert_eq!(ref_out, out, "{isa:?} -> {}", prepared.selection());
+            assert_eq!(ref_work, work, "analytic work != counted work");
+            assert_eq!(prepared.output_shape(), out.shape());
+        }
     }
 
     fn pseudo_weights(shape: Shape4, modulus: usize) -> Tensor4<i8> {
@@ -841,7 +616,7 @@ mod tests {
 
     #[test]
     fn prepared_matches_reference_padded() {
-        // pad 2 > kernel reach on one side: wide halo on every edge.
+        // Up to pad 3 >= kernel: whole output rows that read only zeros.
         let input = pseudo_input(Shape3::new(2, 7, 7));
         let weights = pseudo_weights(Shape4::new(3, 2, 3, 3), 8);
         for pad in 0..4 {
@@ -868,11 +643,21 @@ mod tests {
     }
 
     #[test]
-    fn no_interior_at_all() {
-        // Kernel spans the whole padded input: every pixel is halo.
-        let input = pseudo_input(Shape3::new(1, 3, 3));
-        let weights = pseudo_weights(Shape4::new(2, 1, 5, 5), 9);
-        check_equivalence(&input, &weights, Geometry::new(1, 1));
+    fn flat_sweep_edge_geometries() {
+        // (input rows/cols, kernel, stride, pad)
+        for (dim, k, stride, pad) in [
+            (3, 5, 1, 1), // kernel spans the whole padded input: 1 pixel
+            (3, 3, 1, 0), // 1-pixel output, no padding
+            (4, 3, 2, 0), // 1-pixel output, strided
+            (5, 3, 1, 1), // out_cols 5 < 8 lanes <= 33-position tile span
+            (9, 2, 3, 0), // stride > kernel: phases no tap ever reads
+            (9, 2, 3, 1),
+            (9, 3, 4, 2), // 3x3 outputs at pitch 4: span 11 < 16 lanes
+        ] {
+            let input = pseudo_input(Shape3::new(2, dim, dim));
+            let weights = pseudo_weights(Shape4::new(3, 2, k, k), 9);
+            check_equivalence(&input, &weights, Geometry::new(stride, pad));
+        }
     }
 
     #[test]
@@ -885,14 +670,21 @@ mod tests {
     }
 
     #[test]
-    fn fc_layer_is_all_interior() {
+    fn fc_layer_sweeps_one_position() {
         let input = pseudo_input(Shape3::new(24, 1, 1));
         let weights = pseudo_weights(Shape4::new(5, 24, 1, 1), 6);
-        let code = LayerCode::encode(&weights).unwrap();
-        let prepared = PreparedConv::try_new(&code, input.shape(), Geometry::unit(), None).unwrap();
-        assert_eq!(prepared.interior_rows, 0..1);
-        assert_eq!(prepared.interior_cols, 0..1);
         check_equivalence(&input, &weights, Geometry::unit());
+    }
+
+    #[test]
+    fn empty_output_plane_is_empty() {
+        // A 1x5 kernel does not fit a 3-wide input: rows but no columns.
+        let input = pseudo_input(Shape3::new(1, 3, 3));
+        let weights = pseudo_weights(Shape4::new(2, 1, 1, 5), 6);
+        let out = dense::conv2d(&input, &weights, Geometry::new(1, 0));
+        assert_eq!(out.shape(), Shape3::new(2, 3, 0));
+        let code = LayerCode::encode(&weights).unwrap();
+        assert_eq!(conv2d(&input, &code, Geometry::new(1, 0)).unwrap(), out);
     }
 
     #[test]

@@ -54,25 +54,91 @@ pub fn pool(input: &Tensor3<i16>, spec: PoolSpec) -> Tensor3<i16> {
     })
 }
 
+/// Features whose channel-window energy stays below this many distinct
+/// values get a per-call denominator table (8-bit features: at most
+/// `5 · 128² + 1` entries); wider ones call `powf` per element.
+const LRN_TABLE_LIMIT: i64 = 1 << 18;
+
 /// Local response normalization (AlexNet). Executes in floating point on
 /// the dequantized features — exactly what a host CPU does — and
-/// requantizes into the same format.
+/// requantizes into the same format (round to nearest, ties away,
+/// saturating):
+/// `x / (k + α/size · Σ_window x²)^β`.
+///
+/// The window's sum of squares is kept as an **integer** energy of the
+/// raw features, slid across channel planes by one add and one subtract
+/// per pixel, and the denominator is computed once per distinct energy
+/// within the call. That is bit-identical to summing dequantized squares
+/// in `f64` per element: each square is `raw² · 2^(−2·frac)`, the few of
+/// them sum exactly below `2^53`, so `powf` sees the same argument
+/// either way (for every `frac ≥ −112`, below which dequantizing to
+/// `f32` overflows).
 pub fn lrn(input: &Tensor3<i16>, fmt: QFormat, spec: &LrnSpec) -> Tensor3<i16> {
     let s = input.shape();
+    let plane = s.rows * s.cols;
+    if s.channels == 0 || plane == 0 {
+        return input.clone();
+    }
     let half = spec.size / 2;
-    Tensor3::from_fn(s, |c, r, col| {
-        let lo = c.saturating_sub(half);
-        let hi = (c + half).min(s.channels - 1);
-        let mut sumsq = 0f64;
-        for ch in lo..=hi {
-            let v = fmt.dequantize(input[(ch, r, col)] as i32) as f64;
-            sumsq += v * v;
+    let lsb = fmt.lsb();
+    let lsb_sq = lsb * lsb;
+    let scale = 2f64.powi(fmt.frac() as i32);
+    let (min_raw, max_raw) = (fmt.min_raw() as i64, fmt.max_raw() as i64);
+    let (k, beta) = (spec.k as f64, spec.beta as f64);
+    let alpha_per_size = spec.alpha as f64 / spec.size as f64;
+    let denom_of = |energy: i64| (k + alpha_per_size * (energy as f64 * lsb_sq)).powf(beta);
+
+    let planes: Vec<&[i16]> = input.as_slice().chunks_exact(plane).collect();
+    let square = |x: i16| x as i64 * x as i64;
+    let max_square = input.as_slice().iter().map(|&x| square(x)).max();
+    let max_energy = (2 * half as i64 + 1) * max_square.unwrap_or(0);
+    // NaN marks an unfilled slot (a NaN denominator is just recomputed).
+    let mut table = (max_energy < LRN_TABLE_LIMIT).then(|| vec![f64::NAN; max_energy as usize + 1]);
+
+    // The window slides one channel at a time: a plane enters (+1) at
+    // its upper end, one leaves (−1) at its lower end.
+    let slide = |energy: &mut [i64], plane: &[i16], sign: i64| {
+        for (e, &x) in energy.iter_mut().zip(plane) {
+            *e += sign * square(x);
         }
-        let x = fmt.dequantize(input[(c, r, col)] as i32) as f64;
-        let denom =
-            (spec.k as f64 + spec.alpha as f64 / spec.size as f64 * sumsq).powf(spec.beta as f64);
-        fmt.quantize_f32((x / denom) as f32) as i16
-    })
+    };
+    let mut energy = vec![0i64; plane];
+    for entering in &planes[..=half.min(s.channels - 1)] {
+        slide(&mut energy, entering, 1);
+    }
+    let mut out = Vec::with_capacity(input.len());
+    for (c, current) in planes.iter().enumerate() {
+        if c > 0 {
+            if let Some(entering) = planes.get(c + half) {
+                slide(&mut energy, entering, 1);
+            }
+            if c > half {
+                slide(&mut energy, planes[c - half - 1], -1);
+            }
+        }
+        out.extend(current.iter().zip(&energy).map(|(&x, &e)| {
+            let denom = match &mut table {
+                Some(table) => {
+                    let slot = &mut table[e as usize];
+                    if slot.is_nan() {
+                        *slot = denom_of(e);
+                    }
+                    *slot
+                }
+                None => denom_of(e),
+            };
+            let scaled = ((x as f64 * lsb / denom) as f32) as f64 * scale;
+            // Ties away from zero; the saturating cast truncates toward
+            // zero, which is floor above zero and ceil below it.
+            let rounded = if scaled >= 0.0 {
+                scaled + 0.5
+            } else {
+                scaled - 0.5
+            };
+            (rounded as i64).clamp(min_raw, max_raw) as i16
+        }));
+    }
+    Tensor3::from_vec(s, out)
 }
 
 /// Numerically stable softmax over dequantized logits.
@@ -95,6 +161,7 @@ pub fn flatten(input: &Tensor3<i16>) -> Tensor3<i16> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn relu_clamps_negatives() {
@@ -135,6 +202,72 @@ mod tests {
         assert_eq!(p.as_slice(), &[3]);
         let neg = Tensor3::from_vec(Shape3::new(1, 2, 2), vec![-1i16, -2, -3, -5]);
         assert_eq!(pool(&neg, spec).as_slice(), &[-3]);
+    }
+
+    /// The per-element formula `lrn` used to evaluate directly: the
+    /// oracle its integer-energy form must match bit for bit.
+    fn lrn_reference(input: &Tensor3<i16>, fmt: QFormat, spec: &LrnSpec) -> Tensor3<i16> {
+        let s = input.shape();
+        let half = spec.size / 2;
+        Tensor3::from_fn(s, |c, r, col| {
+            let lo = c.saturating_sub(half);
+            let hi = (c + half).min(s.channels - 1);
+            let mut sumsq = 0f64;
+            for ch in lo..=hi {
+                let v = fmt.dequantize(input[(ch, r, col)] as i32) as f64;
+                sumsq += v * v;
+            }
+            let x = fmt.dequantize(input[(c, r, col)] as i32) as f64;
+            let denom = (spec.k as f64 + spec.alpha as f64 / spec.size as f64 * sumsq)
+                .powf(spec.beta as f64);
+            fmt.quantize_f32((x / denom) as f32) as i16
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Bit-equality with the oracle over both feature widths, the
+        /// fractional lengths calibration produces, windows wider than
+        /// the channel count, and full-range raws (`i16::MIN` included;
+        /// `narrow` folds them into 8 bits so the denominator table is
+        /// exercised as well as the per-element path).
+        #[test]
+        fn lrn_is_bit_identical_to_the_per_element_formula(
+            bits in prop_oneof![Just(8u8), Just(16u8)],
+            frac in -8i8..13,
+            size in prop_oneof![
+                Just(1usize),
+                Just(3usize),
+                Just(5usize)
+            ],
+            dims in (1usize..10, 1usize..4, 1usize..4),
+            raws in prop::collection::vec(any::<i16>(), 81..82),
+            narrow in any::<bool>(),
+            strong in any::<bool>(),
+        ) {
+            let (channels, rows, cols) = dims;
+            let shape = Shape3::new(channels, rows, cols);
+            let mut data: Vec<i16> = raws[..shape.len()].to_vec();
+            data[0] = i16::MIN;
+            if narrow {
+                data.iter_mut().for_each(|x| *x >>= 8);
+            }
+            let input = Tensor3::from_vec(shape, data);
+            let fmt = QFormat::new(bits, frac);
+            // AlexNet's constants, or ones under which the window energy
+            // dominates the denominator.
+            let spec = if strong {
+                LrnSpec { size, alpha: 0.5, beta: 0.5, k: 1.0 }
+            } else {
+                LrnSpec { size, ..LrnSpec::alexnet() }
+            };
+            prop_assert_eq!(
+                lrn(&input, fmt, &spec),
+                lrn_reference(&input, fmt, &spec),
+                "bits {} frac {} size {} narrow {} strong {}", bits, frac, size, narrow, strong
+            );
+        }
     }
 
     #[test]

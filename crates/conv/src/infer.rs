@@ -938,7 +938,7 @@ pub struct LayerNumerics {
 /// with [`Inferencer::prepare`].
 ///
 /// For the ABM engine each layer is held in its prepared hot-path form
-/// ([`PreparedConv`]): flat-offset streams, interior/halo split and
+/// ([`PreparedConv`]): flat-offset streams, kernel dispatch and
 /// analytic work accounting, lowered once and shared read-only across
 /// batch items and host workers.
 ///

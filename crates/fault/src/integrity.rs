@@ -131,8 +131,11 @@ pub fn flat_checksum(flat: &FlatCode) -> u64 {
 /// Checks, per kernel: group bounds start at zero, are monotone and
 /// consistent with the value/offset/tap stream lengths; Q-Table values
 /// are strictly ascending (the encoder's order); offsets are strictly
-/// ascending within each group and each one decodes to exactly its tap
-/// under the lowered layout; taps stay inside the kernel volume.
+/// ascending within each group and each one is exactly
+/// [`FlatLayout::offset_of`](abm_sparse::FlatLayout::offset_of) its
+/// tap; taps stay inside the kernel volume; and the last position the
+/// executor sweeps plus the kernel's largest offset stays inside the
+/// re-laid-out input — the in-bounds proof for the whole output plane.
 ///
 /// # Errors
 ///
@@ -141,8 +144,13 @@ pub fn flat_checksum(flat: &FlatCode) -> u64 {
 pub fn validate_flat(flat: &FlatCode) -> Result<(), AbmError> {
     let shape = flat.shape();
     let layout = flat.layout();
-    let plane = layout.in_rows * layout.in_cols;
     let corrupt = |kernel: usize, detail: String| AbmError::CodeCorrupt { kernel, detail };
+    if layout.stride == 0 {
+        return Err(corrupt(0, "layout stride must be positive".into()));
+    }
+    let (out_rows, out_cols) = layout.out_dims(shape.kernel_rows, shape.kernel_cols);
+    let swept = layout.sweep_span(out_rows, out_cols);
+    let relaid_len = layout.relaid_len(shape.in_channels);
     for (m, k) in flat.kernels().iter().enumerate() {
         let bounds = k.group_bounds();
         if bounds.first() != Some(&0) {
@@ -204,11 +212,22 @@ pub fn validate_flat(flat: &FlatCode) -> Result<(), AbmError> {
                     ),
                 ));
             }
-            let want = tap.n as usize * plane + tap.k as usize * layout.in_cols + tap.kp as usize;
+            let want = layout.offset_of(*tap);
             if off as usize != want {
                 return Err(corrupt(
                     m,
                     format!("offset {off} at index {i} does not decode to its tap (want {want})"),
+                ));
+            }
+        }
+        if let Some(&max_off) = k.offsets().iter().max() {
+            if swept > 0 && swept - 1 + max_off as usize >= relaid_len {
+                return Err(corrupt(
+                    m,
+                    format!(
+                        "offset {max_off} reads past the {relaid_len}-element re-laid-out input \
+                         at the last of {swept} swept positions"
+                    ),
                 ));
             }
         }

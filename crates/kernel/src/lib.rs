@@ -13,8 +13,8 @@
 //! Three ISA variants live behind the safe [`AbmKernel`] trait:
 //!
 //! * [`Isa::Scalar`] — a bit-identical port of the original
-//!   `gather_pixel_vec` / `gather_pixel_vec_unit` loops (plain safe
-//!   Rust, 8-pixel lock-step, `i64` accumulators);
+//!   `gather_pixel_vec_unit` loop (plain safe Rust, 8-pixel lock-step,
+//!   `i64` accumulators);
 //! * [`Isa::Avx2`] — 8 pixels per call, `i32` stage-1 accumulation
 //!   with exact widening `i32×i32→i64` stage-2 multiplies;
 //! * [`Isa::Avx512`] — 16 pixels per call, same narrow-accumulator
@@ -284,13 +284,14 @@ pub fn select(requested: Option<Isa>, stage1_bits: u32) -> Result<Selection, Str
 
 /// [`select`] with a geometry hint: when nothing pins the ISA, picks
 /// the widest *useful* variant for the layer instead of the widest the
-/// CPU has. A sweep that is narrower than a variant's lane count never
-/// issues a vector call (every pixel takes the one-at-a-time fallback),
-/// so on narrow late layers (e.g. 13×13 AlexNet CONV3-5) a 16-lane
-/// kernel loses to an 8-lane one. Strided layers run the lane-scalar
-/// strided path where extra width only adds fringe, so they cap at 8
-/// lanes. Explicit pins (argument or [`FORCE_ISA_ENV`]) bypass the
-/// heuristic entirely — a forced variant must actually run.
+/// CPU has. `sweep_len` is the shortest run of adjacent positions the
+/// executor sweeps for this layer (`FlatLayout::shortest_sweep`): a run
+/// shorter than a variant's lane count never issues a vector call —
+/// every position takes the one-at-a-time fallback — so the hint caps
+/// the lane count (in practice only fully-connected rows, whose sweep is
+/// one position, stay below the vector widths). Explicit pins (argument
+/// or [`FORCE_ISA_ENV`]) bypass the heuristic entirely — a forced
+/// variant must actually run.
 ///
 /// # Errors
 ///
@@ -298,8 +299,7 @@ pub fn select(requested: Option<Isa>, stage1_bits: u32) -> Result<Selection, Str
 pub fn select_auto(
     requested: Option<Isa>,
     stage1_bits: u32,
-    unit_stride: bool,
-    sweep_cols: usize,
+    sweep_len: usize,
 ) -> Result<Selection, String> {
     let pinned = match requested {
         Some(isa) => Some(isa),
@@ -309,7 +309,7 @@ pub fn select_auto(
         *Isa::detect_all()
             .iter()
             .rev()
-            .find(|isa| isa.lanes() <= sweep_cols && (unit_stride || isa.lanes() <= 8))
+            .find(|isa| isa.lanes() <= sweep_len)
             .unwrap_or(&Isa::Scalar)
     });
     select(Some(isa), stage1_bits)
@@ -354,10 +354,10 @@ pub fn resolve(sel: Selection) -> &'static dyn AbmKernel {
 ///   `offsets[starts[g] as usize .. starts[g + 1] as usize]`, and
 ///   `values.len() + 1 == starts.len()` (the lowered `FlatKernel`
 ///   shape, re-proven by `abm-verify`).
-/// * Every read lands in `data[base + off .. base + off + (lanes - 1) ·
-///   pixel_stride + 1]`; implementations bounds-check the whole window
-///   once per offset (exactly like the original scalar loop), so a
-///   violated caller contract panics rather than reading wild.
+/// * Every read lands in `data[base + off .. base + off + lanes]`;
+///   implementations bounds-check the whole window once per offset
+///   (exactly like the original scalar loop), so a violated caller
+///   contract panics rather than reading wild.
 /// * `out.len()` is at least [`lanes`](Self::lanes); the first
 ///   `lanes` entries are written.
 /// * Results are **bit-identical** across implementations for inputs
@@ -369,9 +369,10 @@ pub trait AbmKernel: Send + Sync {
     /// Adjacent output pixels computed per call.
     fn lanes(&self) -> usize;
 
-    /// Stage 1 + 2 for `lanes()` pixels whose bases are contiguous
-    /// (`pixel_stride == 1`): one offset's reads form a contiguous
-    /// window, checked with a single slice.
+    /// Stage 1 + 2 for `lanes()` pixels whose bases are contiguous:
+    /// one offset's reads form a contiguous window, checked with a
+    /// single slice. (The re-laid-out input makes every sweep
+    /// unit-stride, whatever the convolution's stride.)
     fn gather_unit(
         &self,
         values: &[i8],
@@ -379,21 +380,6 @@ pub trait AbmKernel: Send + Sync {
         offsets: &[u32],
         data: &[i16],
         base: usize,
-        out: &mut [i64],
-    );
-
-    /// Stage 1 + 2 for `lanes()` pixels whose bases step by
-    /// `pixel_stride` elements (strided convolutions and the
-    /// column-fringe sweeps, where the step is a whole input row).
-    #[allow(clippy::too_many_arguments)]
-    fn gather_strided(
-        &self,
-        values: &[i8],
-        starts: &[u32],
-        offsets: &[u32],
-        data: &[i16],
-        base: usize,
-        pixel_stride: usize,
         out: &mut [i64],
     );
 }
@@ -468,28 +454,17 @@ mod tests {
         offsets: &[u32],
         data: &[i16],
         base: usize,
-        stride: usize,
         lanes: usize,
     ) -> Vec<i64> {
         let mut partials = vec![0i64; values.len()];
         (0..lanes)
-            .map(|i| {
-                gather_one(
-                    values,
-                    starts,
-                    offsets,
-                    data,
-                    base + i * stride,
-                    &mut partials,
-                )
-            })
+            .map(|i| gather_one(values, starts, offsets, data, base + i, &mut partials))
             .collect()
     }
 
     /// Every available kernel variant agrees with the scalar
-    /// single-pixel oracle on both the unit and strided entry points,
-    /// across bases and strides — full-range i16 inputs, so the i32
-    /// variants are exercised at the worst magnitudes the proof
+    /// single-pixel oracle across bases — full-range i16 inputs, so the
+    /// i32 variants are exercised at the worst magnitudes the proof
     /// admits.
     #[test]
     fn variants_match_scalar_oracle() {
@@ -501,38 +476,18 @@ mod tests {
             for base in [0usize, 7, 300] {
                 let mut out = [0i64; MAX_LANES];
                 kern.gather_unit(&values, &starts, &offsets, &data, base, &mut out[..lanes]);
-                let want = reference_lanes(&values, &starts, &offsets, &data, base, 1, lanes);
+                let want = reference_lanes(&values, &starts, &offsets, &data, base, lanes);
                 assert_eq!(&out[..lanes], &want[..], "{sel} unit base {base}");
-                for stride in [1usize, 2, 3, 4, 7, 55] {
-                    let mut out = [0i64; MAX_LANES];
-                    kern.gather_strided(
-                        &values,
-                        &starts,
-                        &offsets,
-                        &data,
-                        base,
-                        stride,
-                        &mut out[..lanes],
-                    );
-                    let want =
-                        reference_lanes(&values, &starts, &offsets, &data, base, stride, lanes);
-                    assert_eq!(
-                        &out[..lanes],
-                        &want[..],
-                        "{sel} stride {stride} base {base}"
-                    );
-                }
             }
         }
     }
 
     /// The whole dispatch space: every available ISA, pinned and
-    /// unpinned, across stage-1 widths either side of the `i32` proof,
-    /// both stride classes and sweeps narrower and wider than any lane
-    /// count. Whatever the inputs, the result is one of the three
-    /// selections a kernel exists for, a layer too hot for `i32` runs
-    /// the checked scalar port, and the selection resolves to the
-    /// kernel that reports it. (The unpinned rows defer to an ambient
+    /// unpinned, across stage-1 widths either side of the `i32` proof
+    /// and sweeps narrower and wider than any lane count. Whatever the
+    /// inputs, the result is one of the three selections a kernel exists
+    /// for, a layer too hot for `i32` runs the checked scalar port, and
+    /// the selection resolves to the kernel that reports it. (The unpinned rows defer to an ambient
     /// `ABM_FORCE_ISA`, which is itself one of the pinned rows.)
     #[test]
     fn dispatch_space_is_three_selections() {
@@ -555,13 +510,8 @@ mod tests {
         for pin in pins {
             for bits in [12u32, 24, 32, 33, 48] {
                 let mut picked = vec![select(pin, bits).expect("available ISA selects")];
-                for unit_stride in [true, false] {
-                    for sweep in [1usize, 8, 13, 16, 224] {
-                        picked.push(
-                            select_auto(pin, bits, unit_stride, sweep)
-                                .expect("available ISA selects"),
-                        );
-                    }
+                for sweep in [1usize, 8, 13, 16, 224] {
+                    picked.push(select_auto(pin, bits, sweep).expect("available ISA selects"));
                 }
                 for sel in picked {
                     assert!(reachable.contains(&sel), "{pin:?}/{bits}: {sel}");
@@ -574,8 +524,7 @@ mod tests {
         }
     }
 
-    /// Empty groups (a value whose offsets were all filtered away by
-    /// the halo path) contribute exactly zero.
+    /// Empty groups contribute exactly zero.
     #[test]
     fn empty_groups_are_zero() {
         let values = [3i8, -2];
@@ -655,21 +604,21 @@ mod tests {
         let saved = std::env::var(FORCE_ISA_ENV).ok();
         std::env::remove_var(FORCE_ISA_ENV);
 
-        // Wide unit-stride sweep: auto takes the widest the CPU has.
-        let wide = select_auto(None, 31, true, 224).expect("selects");
+        // Wide sweep: auto takes the widest the CPU has.
+        let wide = select_auto(None, 31, 224).expect("selects");
         assert_eq!(wide.isa, Isa::detect());
-        // A 13-wide sweep cannot fill 16 lanes: auto must stay <= 8.
-        let narrow = select_auto(None, 31, true, 13).expect("selects");
+        // A 13-position sweep cannot fill 16 lanes: auto must stay <= 8.
+        let narrow = select_auto(None, 31, 13).expect("selects");
         assert!(narrow.isa.lanes() <= 13, "{narrow}");
-        // Strided layers run the lane-scalar path; cap at 8 lanes.
-        let strided = select_auto(None, 31, false, 224).expect("selects");
-        assert!(strided.isa.lanes() <= 8, "{strided}");
+        // A one-position sweep (an FC row) fills no vector at all.
+        let fc = select_auto(None, 31, 1).expect("selects");
+        assert_eq!(fc.isa, Isa::Scalar);
         // Explicit pins bypass the heuristic.
-        let pinned = select_auto(Some(Isa::Scalar), 31, true, 224).expect("selects");
+        let pinned = select_auto(Some(Isa::Scalar), 31, 224).expect("selects");
         assert_eq!(pinned.isa, Isa::Scalar);
         // The environment pin is honored when no explicit pin is given.
         std::env::set_var(FORCE_ISA_ENV, "scalar");
-        let forced = select_auto(None, 31, true, 224).expect("selects");
+        let forced = select_auto(None, 31, 224).expect("selects");
         assert_eq!(forced.isa, Isa::Scalar);
         std::env::remove_var(FORCE_ISA_ENV);
 

@@ -1,6 +1,6 @@
 //! The portable scalar kernel — a bit-identical port of the original
-//! `gather_pixel_vec` / `gather_pixel_vec_unit` hot loops from
-//! `abm_conv::abm` (8-pixel lock-step, `i64` partial sums), kept as
+//! `gather_pixel_vec_unit` hot loop from `abm_conv::abm` (8-pixel
+//! lock-step, `i64` partial sums), kept as
 //! the universal fallback and the `<5 %` performance floor the SIMD
 //! variants are measured against.
 
@@ -25,9 +25,9 @@ impl AbmKernel for ScalarI64 {
         LANES
     }
 
-    /// Pixel stride 1: the eight pixels' reads for one offset are
-    /// **contiguous**, so a single bounds-checked window load replaces
-    /// eight scattered checked reads.
+    /// The eight pixels' reads for one offset are **contiguous**, so a
+    /// single bounds-checked window load replaces eight scattered
+    /// checked reads.
     fn gather_unit(
         &self,
         values: &[i8],
@@ -45,45 +45,11 @@ impl AbmKernel for ScalarI64 {
                 // One range check covers all eight reads: the slice is
                 // exactly LANES long, so the constant-index loads below
                 // need no further checks. The lowering verifier proves
-                // base + off + LANES stays inside the input plane for
-                // every interior pixel.
+                // base + off + LANES stays inside the re-laid-out
+                // input for every swept position.
                 let win = &data[o..o + LANES];
                 for i in 0..LANES {
                     p[i] += win[i] as i64;
-                }
-            }
-            let v = v as i64;
-            for i in 0..LANES {
-                acc[i] += v * p[i];
-            }
-        }
-        out[..LANES].copy_from_slice(&acc);
-    }
-
-    /// General pixel stride: one walk of the offset stream accumulates
-    /// eight partial sums whose bases differ by `pixel_stride`.
-    fn gather_strided(
-        &self,
-        values: &[i8],
-        starts: &[u32],
-        offsets: &[u32],
-        data: &[i16],
-        base: usize,
-        pixel_stride: usize,
-        out: &mut [i64],
-    ) {
-        let mut acc = [0i64; LANES];
-        // One bounds check per offset: the window covering all eight
-        // strided reads is sliced once, and `win[i · stride]` is
-        // provably inside it.
-        let span = (LANES - 1) * pixel_stride + 1;
-        for (&v, w) in values.iter().zip(starts.windows(2)) {
-            let mut p = [0i64; LANES];
-            for &off in &offsets[w[0] as usize..w[1] as usize] {
-                let o = base + off as usize;
-                let win = &data[o..o + span];
-                for i in 0..LANES {
-                    p[i] += win[i * pixel_stride] as i64;
                 }
             }
             let v = v as i64;

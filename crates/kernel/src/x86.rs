@@ -78,19 +78,6 @@ impl AbmKernel for Avx2I32 {
         // `unit_avx2` holds.
         unsafe { unit_avx2(values, starts, offsets, data, base, out) }
     }
-
-    fn gather_strided(
-        &self,
-        values: &[i8],
-        starts: &[u32],
-        offsets: &[u32],
-        data: &[i16],
-        base: usize,
-        pixel_stride: usize,
-        out: &mut [i64],
-    ) {
-        strided_narrow::<LANES_256>(values, starts, offsets, data, base, pixel_stride, out);
-    }
 }
 
 /// 512-bit kernel: 16 pixels per call, `i32` stage-1 accumulation.
@@ -126,19 +113,6 @@ impl AbmKernel for Avx512I32 {
         // available — the target-feature contract of `unit_avx512`
         // holds.
         unsafe { unit_avx512(values, starts, offsets, data, base, out) }
-    }
-
-    fn gather_strided(
-        &self,
-        values: &[i8],
-        starts: &[u32],
-        offsets: &[u32],
-        data: &[i16],
-        base: usize,
-        pixel_stride: usize,
-        out: &mut [i64],
-    ) {
-        strided_narrow::<LANES_512>(values, starts, offsets, data, base, pixel_stride, out);
     }
 }
 
@@ -222,38 +196,4 @@ fn unit_avx512(
         _mm512_storeu_si512(out.as_mut_ptr().cast::<__m512i>(), acc_lo);
         _mm512_storeu_si512(out.as_mut_ptr().add(8).cast::<__m512i>(), acc_hi);
     }
-}
-
-/// Strided gather for the vector kernels, in plain safe Rust with the
-/// same narrow `i32` stage-1 accumulators. Strided pixels read from
-/// scattered addresses, and `i32`-gather intrinsics on `i16` data would
-/// over-read past the last element — not worth an unsafe surface for
-/// the one benched stride-4 layer (AlexNet CONV1) and the column
-/// fringes; the compiler autovectorizes the inner lane loops.
-fn strided_narrow<const LANES: usize>(
-    values: &[i8],
-    starts: &[u32],
-    offsets: &[u32],
-    data: &[i16],
-    base: usize,
-    pixel_stride: usize,
-    out: &mut [i64],
-) {
-    let mut acc = [0i64; LANES];
-    let span = (LANES - 1) * pixel_stride + 1;
-    for (&v, w) in values.iter().zip(starts.windows(2)) {
-        let mut p = [0i32; LANES];
-        for &off in &offsets[w[0] as usize..w[1] as usize] {
-            let o = base + off as usize;
-            let win = &data[o..o + span];
-            for i in 0..LANES {
-                p[i] += win[i * pixel_stride] as i32;
-            }
-        }
-        let v = v as i64;
-        for i in 0..LANES {
-            acc[i] += v * p[i] as i64;
-        }
-    }
-    out[..LANES].copy_from_slice(&acc);
 }

@@ -31,6 +31,7 @@ use abm_fault::{AbmError, SplitMix64};
 use abm_model::SparseModel;
 use abm_sim::AcceleratorConfig;
 use abm_sparse::{FlatCode, FlatKernel};
+use abm_telemetry::sink::EventTee;
 use abm_telemetry::{Event, FaultAction, TelemetrySink};
 use abm_tensor::Tensor3;
 use std::collections::VecDeque;
@@ -76,8 +77,9 @@ pub struct ServeConfig {
     pub max_retries: u32,
     /// Base backoff before the first retry (doubles per attempt).
     pub retry_backoff: Duration,
-    /// Grace past a batch's deadline before the watchdog declares the
-    /// worker stuck and fails the batch over.
+    /// Floor of the stuck threshold — how long a busy worker may go
+    /// without finishing a layer before the watchdog fails its batch
+    /// over (4× the batch's predicted execution when that is longer).
     pub watchdog_grace: Duration,
     /// Times a confiscated batch is re-run on a fresh worker before
     /// its requests are failed with typed errors.
@@ -141,8 +143,8 @@ pub struct ChaosConfig {
     pub corrupt_every: u64,
     /// Stall the first attempt of every Nth batch (0 = never).
     pub stall_every: u64,
-    /// How long a stalled batch sleeps (must exceed the batch deadline
-    /// plus [`ServeConfig::watchdog_grace`] to trip the watchdog).
+    /// How long a stalled batch sleeps (must exceed the stuck threshold
+    /// — see [`ServeConfig::watchdog_grace`] — to trip the watchdog).
     pub stall_for: Duration,
 }
 
@@ -347,10 +349,23 @@ struct WorkQueue {
     stop: bool,
 }
 
-/// A worker's heartbeat slot, watched by the watchdog.
+/// A worker's heartbeat slot, watched by the watchdog: the batch it is
+/// running and the instant past which, absent a [`beat`](Self::beat),
+/// the watchdog declares it stuck.
 struct WorkerState {
     busy: Mutex<Option<(Batch, Instant)>>,
     abandoned: AtomicBool,
+}
+
+impl WorkerState {
+    /// Progress: the worker finished a layer, so it is slow at worst,
+    /// not wedged — re-arm the stuck deadline `stuck_after` from now. A
+    /// no-op once the watchdog has confiscated the batch.
+    fn beat(&self, stuck_after: Duration) {
+        if let Some((_, hard)) = lock(&self.busy).as_mut() {
+            *hard = Instant::now() + stuck_after;
+        }
+    }
 }
 
 struct WorkerEntry {
@@ -894,14 +909,24 @@ fn worker_loop(shared: &Arc<Shared>, state: &Arc<WorkerState>) {
         // this batch (headroom for the recovery ladder and retries),
         // floored by the configured grace. Keying off the prediction —
         // not the client deadline — means a confiscated batch can still
-        // complete on its replacement worker inside the deadline.
-        let predicted = shared
+        // complete on its replacement worker inside the deadline. Every
+        // finished layer re-arms it (the heartbeat below): a worker the
+        // host merely slows keeps its batch — failing it over would only
+        // add a replacement's weight preparation and the abandoned
+        // thread to that host's load — and the per-item deadlines bound
+        // how long slow can last; only a worker that stops making
+        // progress loses its batch.
+        let stuck_after = shared
             .cost
             .service_estimate()
             .saturating_mul(u32::try_from(batch.shared.inputs.len()).unwrap_or(u32::MAX))
-            .saturating_mul(4);
-        let hard = started + predicted.max(cfg.watchdog_grace);
-        *lock(&state.busy) = Some((batch.clone(), hard));
+            .saturating_mul(4)
+            .max(cfg.watchdog_grace);
+        *lock(&state.busy) = Some((batch.clone(), started + stuck_after));
+        let heartbeat: EventTee = {
+            let state = Arc::clone(state);
+            Arc::new(move |_| state.beat(stuck_after))
+        };
 
         // Chaos: a stalled first attempt simulates a hung worker — the
         // watchdog must confiscate the batch and fail it over.
@@ -933,7 +958,7 @@ fn worker_loop(shared: &Arc<Shared>, state: &Arc<WorkerState>) {
         }
 
         let (outcomes, retries_spent, degraded) =
-            execute_batch(&base, &prepared, &batch, cfg, shared);
+            execute_batch(&base, &prepared, &batch, cfg, shared, heartbeat);
 
         if let (Some(layer), Some(pristine)) = (injected, pristine.as_ref()) {
             repair_layer(&mut prepared, pristine, layer);
@@ -1003,21 +1028,24 @@ fn worker_loop(shared: &Arc<Shared>, state: &Arc<WorkerState>) {
 }
 
 /// Runs one batch through the configured executor with bounded
-/// retry-with-backoff for transient per-item failures. Returns the
-/// per-item outcomes, retries spent per item, and whether the recovery
-/// ladder engaged (fault detected/masked) anywhere in the batch.
+/// retry-with-backoff for transient per-item failures; `heartbeat` sees
+/// every telemetry event the run records (one per finished layer).
+/// Returns the per-item outcomes, retries spent per item, and whether
+/// the recovery ladder engaged (fault detected/masked) anywhere in the
+/// batch.
 fn execute_batch(
     base: &Inferencer<'_>,
     prepared: &PreparedWeights,
     batch: &Batch,
     cfg: &ServeConfig,
     shared: &Shared,
+    heartbeat: EventTee,
 ) -> (
     Vec<Result<abm_conv::InferenceResult, AbmError>>,
     Vec<u32>,
     bool,
 ) {
-    let sink = TelemetrySink::new();
+    let sink = TelemetrySink::new().with_tee(heartbeat);
     let inferencer = base.clone().telemetry(sink.clone());
     let inputs = &batch.shared.inputs;
     let meta = &batch.shared.meta;
@@ -1256,4 +1284,37 @@ fn failover(shared: &Arc<Shared>, batch: Batch, replies: Vec<mpsc::Sender<ServeR
     shared
         .in_flight
         .fetch_sub(batch.shared.meta.len(), Ordering::SeqCst);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The heartbeat moves a busy worker's stuck deadline forward, and
+    /// does nothing once the watchdog has taken the batch.
+    #[test]
+    fn heartbeat_rearms_the_stuck_deadline_until_confiscation() {
+        let batch = Batch {
+            shared: Arc::new(BatchShared {
+                id: 7,
+                inputs: Vec::new(),
+                meta: Vec::new(),
+                claim: Mutex::new(None),
+            }),
+            attempt: 0,
+        };
+        let expired = Instant::now();
+        let state = WorkerState {
+            busy: Mutex::new(Some((batch, expired))),
+            abandoned: AtomicBool::new(false),
+        };
+        let stuck_after = Duration::from_secs(3600);
+        state.beat(stuck_after);
+        let hard = lock(&state.busy).as_ref().map(|(_, hard)| *hard);
+        assert!(hard.is_some_and(|hard| hard >= expired + stuck_after));
+        // Confiscation empties the slot; a late beat must not refill it.
+        lock(&state.busy).take();
+        state.beat(stuck_after);
+        assert!(lock(&state.busy).is_none());
+    }
 }

@@ -110,7 +110,8 @@ impl Workload {
         // erroring — the functional path is the authoritative gate for
         // rejecting unavailable pins.
         let stage1_bits = abm_verify::AccumulatorModel::host().stage1_required_bits(&flat);
-        let host_sel = abm_kernel::select_auto(None, stage1_bits, layout.stride == 1, out.cols)
+        let sweep = layout.shortest_sweep(out.rows, out.cols);
+        let host_sel = abm_kernel::select_auto(None, stage1_bits, sweep)
             // The scalar port always runs the i64 accumulator and
             // is compiled on every target, so it is the total
             // fallback when an env pin names an unavailable ISA.
@@ -368,9 +369,34 @@ mod tests {
                 "{name}: certified {} !< worst-case {worst}",
                 w.cert.stage1_bits
             );
-            let sel = abm_kernel::select_auto(None, worst, w.flat.layout().stride == 1, w.out_cols)
-                .unwrap();
+            let sweep = w.flat.layout().shortest_sweep(w.out_rows, w.out_cols);
+            let sel = abm_kernel::select_auto(None, worst, sweep).unwrap();
             assert_eq!(w.host_sel, sel, "{name}");
+        }
+    }
+
+    /// The recorded host dispatch is the one the functional engine
+    /// makes, layer for layer, on `tiny` and all 24 zoo layers — both
+    /// read the same sweep-length rule (`FlatLayout::shortest_sweep`).
+    #[test]
+    fn host_sel_is_the_prepared_layers_selection() {
+        for (net, profile) in [
+            (
+                zoo::tiny(),
+                PruneProfile::uniform(LayerProfile::new(0.5, 8)),
+            ),
+            (zoo::alexnet(), PruneProfile::alexnet_deep_compression()),
+            (zoo::vgg16(), PruneProfile::vgg16_deep_compression()),
+        ] {
+            let model = synthesize_model(&net, &profile, 42);
+            let prepared = abm_conv::Inferencer::new(&model).prepare().unwrap();
+            for (i, layer) in model.layers.iter().enumerate() {
+                let w = Workload::from_layer(layer).unwrap();
+                let host = prepared
+                    .abm_layer(i)
+                    .expect("ABM engine prepares every layer");
+                assert_eq!(w.host_sel, host.selection(), "{}/{}", net.name(), w.name);
+            }
         }
     }
 

@@ -54,8 +54,6 @@ pub fn lowered_geometry(
     } else {
         (layer_out_rows, layer_out_cols)
     };
-    let rows = layout.interior_rows(shape.kernel_rows, out_rows);
-    let cols = layout.interior_cols(shape.kernel_cols, out_cols);
     ConvGeometry {
         in_channels: shape.in_channels * groups,
         in_rows: layout.in_rows,
@@ -65,8 +63,6 @@ pub fn lowered_geometry(
         groups,
         out_rows,
         out_cols,
-        interior_rows: (rows.start, rows.end),
-        interior_cols: (cols.start, cols.end),
     }
 }
 

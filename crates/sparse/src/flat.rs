@@ -3,27 +3,42 @@
 //!
 //! The hardware walks each kernel's value-grouped WT-Buffer and turns
 //! every 16-bit linear weight index into a feature-buffer address on the
-//! fly. A functional engine that re-derives `(n, k, k')` coordinates per
-//! access pays that decode on every input read. [`FlatCode`] performs the
-//! decode **once per layer**, against a concrete input geometry: each
-//! index becomes the flat row-major offset
+//! fly; its feature buffer holds the *padded* window, so no accumulator
+//! ever branches on padding or stride. [`FlatLayout`] is the one
+//! definition of the same arrangement on the host, the **re-laid-out
+//! input**: each channel is zero-padded by `pad` on all four sides and
+//! then split space-to-depth into `stride × stride` phase planes of
+//! `pr × pc` pixels (`pr = ⌈(R+2P)/S⌉`, `pc = ⌈(C+2P)/S⌉`; for `S = 1`
+//! that is just the padded plane). Padded pixel `(n, y, x)` lives at
 //!
 //! ```text
-//! n · R · C  +  k · C  +  k'
+//! ((n·S + y mod S)·S + x mod S) · pr·pc  +  (y div S)·pc  +  x div S
 //! ```
 //!
-//! relative to the input pixel at the top-left of the receptive field, so
+//! Output pixel `(r, c)` reads padded pixel `(r·S + k, c·S + k')` for tap
+//! `(n, k, k')`, which is [`FlatLayout::offset_of`]`(tap) + r·pc + c`:
+//! **every** output pixel — border or not, strided or not — is a base
+//! plus a per-tap constant, and adjacent output columns are adjacent
+//! addresses. [`FlatCode`] performs that decode **once per layer**, so
 //! the inner accumulate loop is a pointer-bump walk over a contiguous
 //! `u32` slice. The `(n, k, k')` coordinates are kept alongside (as
-//! [`Tap`]s) for the padded halo region, where per-tap validity must
-//! still be checked.
+//! [`Tap`]s) for everything that reasons about weights rather than
+//! addresses (ABFT, the range certifier, the lowering verifier).
 
 use crate::encode::{EncodeError, LayerCode};
-use abm_tensor::Shape4;
+use abm_tensor::shape::conv_out_dim;
+use abm_tensor::{Shape4, Tensor3};
 use std::ops::Range;
 
+/// Positions one row tile of the flat sweep aims for: enough that a
+/// 13×13 or 27×27 plane is one tile of full vectors, small enough that
+/// the input rows a tile of a 224-wide layer touches stay cache-resident
+/// while every kernel of the layer sweeps them.
+const TILE_POSITIONS: usize = 2048;
+
 /// The input geometry a [`FlatCode`] is lowered against. Offsets are only
-/// meaningful for inputs of exactly this shape and stride/pad.
+/// meaningful for inputs of exactly this shape and stride/pad, re-laid
+/// out by [`relayout`](Self::relayout).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlatLayout {
     /// Input feature-map rows `R` (pre-padding).
@@ -37,47 +52,127 @@ pub struct FlatLayout {
 }
 
 impl FlatLayout {
-    /// Output indices along the row axis whose receptive field lies
-    /// entirely inside the unpadded input (see [`interior_span`]).
-    pub fn interior_rows(&self, kernel_rows: usize, out_rows: usize) -> Range<usize> {
-        interior_span(self.in_rows, kernel_rows, self.stride, self.pad, out_rows)
+    /// Rows of one phase plane, `pr = ⌈(R+2P)/S⌉`.
+    fn phase_rows(&self) -> usize {
+        (self.in_rows + 2 * self.pad).div_ceil(self.stride)
     }
 
-    /// Output indices along the column axis whose receptive field lies
-    /// entirely inside the unpadded input (see [`interior_span`]).
-    pub fn interior_cols(&self, kernel_cols: usize, out_cols: usize) -> Range<usize> {
-        interior_span(self.in_cols, kernel_cols, self.stride, self.pad, out_cols)
+    /// Columns of one phase plane, `pc = ⌈(C+2P)/S⌉` — the row pitch of
+    /// the flat sweep.
+    #[must_use]
+    pub fn phase_cols(&self) -> usize {
+        (self.in_cols + 2 * self.pad).div_ceil(self.stride)
     }
-}
 
-/// The output indices along one axis whose kernel window never touches
-/// padding: `o` is interior iff `o·S - P >= 0` and
-/// `o·S - P + K - 1 < in_dim`. Everything outside this range is the halo
-/// and needs per-tap bounds checks.
-pub fn interior_span(
-    in_dim: usize,
-    kernel: usize,
-    stride: usize,
-    pad: usize,
-    out_dim: usize,
-) -> Range<usize> {
-    assert!(stride > 0, "stride must be positive");
-    if in_dim + pad < kernel {
-        return 0..0;
+    /// Output rows and columns of a `kernel_rows × kernel_cols`
+    /// convolution over this layout (zero when the kernel exceeds the
+    /// padded input).
+    #[must_use]
+    pub fn out_dims(&self, kernel_rows: usize, kernel_cols: usize) -> (usize, usize) {
+        let dim = |input, kernel| conv_out_dim(input, kernel, self.stride, self.pad);
+        (
+            dim(self.in_rows, kernel_rows),
+            dim(self.in_cols, kernel_cols),
+        )
     }
-    let first = pad.div_ceil(stride);
-    let last = (in_dim + pad - kernel) / stride; // inclusive
-    let start = first.min(out_dim);
-    let end = (last + 1).min(out_dim);
-    if start >= end {
-        0..0
-    } else {
-        start..end
+
+    /// Length of the re-laid-out buffer for `channels` input channels
+    /// (`S²` phase planes each), saturating at `usize::MAX`.
+    #[must_use]
+    pub fn relaid_len(&self, channels: usize) -> usize {
+        (self.phase_rows() * self.phase_cols())
+            .saturating_mul(self.stride * self.stride)
+            .saturating_mul(channels)
+    }
+
+    /// The address of `tap` in the re-laid-out buffer, relative to the
+    /// output pixel's base `group_base + r·pc + c`.
+    #[must_use]
+    pub fn offset_of(&self, tap: Tap) -> usize {
+        let s = self.stride;
+        let (n, k, kp) = (tap.n as usize, tap.k as usize, tap.kp as usize);
+        ((n * s + k % s) * s + kp % s) * self.phase_rows() * self.phase_cols()
+            + (k / s) * self.phase_cols()
+            + kp / s
+    }
+
+    /// Re-lays `input` out: zero-pad each channel, then split it into
+    /// `stride × stride` phase planes (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input`'s plane is not `in_rows × in_cols`.
+    #[must_use]
+    pub fn relayout(&self, input: &Tensor3<i16>) -> Vec<i16> {
+        let shape = input.shape();
+        assert_eq!(
+            (shape.rows, shape.cols),
+            (self.in_rows, self.in_cols),
+            "input plane differs from the layout"
+        );
+        let (s, p, pc) = (self.stride, self.pad, self.phase_cols());
+        let phase = self.phase_rows() * pc;
+        let mut out = vec![0i16; self.relaid_len(shape.channels)];
+        if self.in_cols == 0 {
+            return out;
+        }
+        for (i, row) in input.as_slice().chunks_exact(self.in_cols).enumerate() {
+            let (n, y) = (i / self.in_rows, i % self.in_rows + p);
+            let row_base = (n * s + y % s) * s * phase + (y / s) * pc;
+            if s == 1 {
+                out[row_base + p..row_base + p + row.len()].copy_from_slice(row);
+                continue;
+            }
+            for q in 0..s {
+                // First input column whose padded coordinate has phase q.
+                let x0 = (q + s - p % s) % s;
+                let dst = &mut out[row_base + q * phase + (x0 + p) / s..];
+                for (d, &v) in dst.iter_mut().zip(row.iter().skip(x0).step_by(s)) {
+                    *d = v;
+                }
+            }
+        }
+        out
+    }
+
+    /// The output-row tiles of the flat sweep: equal runs of rows
+    /// holding about [`TILE_POSITIONS`] positions each, the last one
+    /// possibly shorter.
+    pub fn tiles(&self, out_rows: usize) -> impl Iterator<Item = Range<usize>> {
+        let fit = (TILE_POSITIONS / self.phase_cols().max(1)).max(1);
+        let count = out_rows.div_ceil(fit).max(1);
+        let rows = out_rows.div_ceil(count).max(1);
+        (0..out_rows)
+            .step_by(rows)
+            .map(move |r0| r0..(r0 + rows).min(out_rows))
+    }
+
+    /// Positions one sweep over `rows` consecutive output rows covers:
+    /// whole pitches for all but the last row, whose sweep stops at its
+    /// last useful pixel.
+    #[must_use]
+    pub fn sweep_span(&self, rows: usize, out_cols: usize) -> usize {
+        if rows == 0 || out_cols == 0 {
+            return 0;
+        }
+        (rows - 1) * self.phase_cols() + out_cols
+    }
+
+    /// The shortest sweep any tile of an `out_rows × out_cols` plane
+    /// issues — the one sweep-length rule kernel dispatch reads
+    /// (`abm_kernel::select_auto`): a variant whose lane count exceeds
+    /// it would leave that tile on the one-pixel-at-a-time path.
+    #[must_use]
+    pub fn shortest_sweep(&self, out_rows: usize, out_cols: usize) -> usize {
+        self.tiles(out_rows)
+            .map(|tile| self.sweep_span(tile.len(), out_cols))
+            .min()
+            .unwrap_or(0)
     }
 }
 
 /// One decoded weight position: the `(n, k, k')` coordinates of a
-/// non-zero weight, kept for the checked halo path.
+/// non-zero weight — what [`FlatLayout::offset_of`] turns into an address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tap {
     /// Input channel within the kernel's group (`n`).
@@ -91,9 +186,11 @@ pub struct Tap {
 /// One kernel's value groups lowered to flat input offsets.
 ///
 /// Groups appear in the same ascending-value order as the source
-/// [`KernelCode`](crate::KernelCode), and offsets within a group keep the
-/// encoder's ascending scan order — the forward-stream property the
-/// hardware address generator relies on survives the lowering.
+/// [`KernelCode`](crate::KernelCode), and offsets ascend within a group —
+/// the forward-stream property the hardware address generator relies on
+/// survives the lowering. For `stride == 1` that is the encoder's scan
+/// order; for `stride > 1` each group is sorted by offset (stage-1 sums
+/// are order-free, and the scan order stays in the [`LayerCode`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct FlatKernel {
     values: Vec<i8>,
@@ -159,7 +256,7 @@ impl FlatKernel {
             .map(|(&v, w)| (v, &self.offsets[w[0] as usize..w[1] as usize]))
     }
 
-    /// Iterates `(value, taps)` group by group (the halo path's view).
+    /// Iterates `(value, taps)` group by group (the weight-side view).
     pub fn tap_groups(&self) -> impl ExactSizeIterator<Item = (i8, &[Tap])> + '_ {
         self.values
             .iter()
@@ -199,13 +296,19 @@ impl FlatCode {
     ///
     /// # Errors
     ///
-    /// Returns [`EncodeError::OffsetOverflow`] if the input plane is so
-    /// large that an offset would not fit 32 bits
-    /// (`in_channels · R · C` must stay below `2^32`).
+    /// Returns [`EncodeError::OffsetOverflow`] if the re-laid-out input
+    /// of one channel group is so large that an offset would not fit 32
+    /// bits (`relaid_len(in_channels)` must stay within `2^32`).
     pub fn lower(code: &LayerCode, layout: FlatLayout) -> Result<Self, EncodeError> {
         let shape = code.shape();
-        let plane = layout.in_rows * layout.in_cols;
+        // Bases add up to a whole group's re-laid-out length to an
+        // offset, so the length itself must stay addressable.
+        let last = layout.relaid_len(shape.in_channels).saturating_sub(1);
+        if u32::try_from(last).is_err() {
+            return Err(EncodeError::OffsetOverflow { offset: last });
+        }
         let mut kernels = Vec::with_capacity(code.kernels().len());
+        let mut group: Vec<(u32, Tap)> = Vec::new();
         for kernel in code.kernels() {
             let mut flat = FlatKernel {
                 values: Vec::with_capacity(kernel.distinct()),
@@ -216,17 +319,35 @@ impl FlatCode {
             flat.starts.push(0);
             for (value, idxs) in kernel.groups() {
                 flat.values.push(value);
+                let start = flat.offsets.len();
                 for &i in idxs {
                     let (n, k, kp) = code.unravel(i);
-                    let off = n * plane + k * layout.in_cols + kp;
-                    let off32 = u32::try_from(off)
-                        .map_err(|_| EncodeError::OffsetOverflow { offset: off })?;
-                    flat.offsets.push(off32);
-                    flat.taps.push(Tap {
+                    let tap = Tap {
                         n: n as u16,
                         k: k as u16,
                         kp: kp as u16,
-                    });
+                    };
+                    let off = layout.offset_of(tap);
+                    let off32 = u32::try_from(off)
+                        .map_err(|_| EncodeError::OffsetOverflow { offset: off })?;
+                    flat.offsets.push(off32);
+                    flat.taps.push(tap);
+                }
+                // Scan order already ascends for stride 1; the phase
+                // split reorders it otherwise.
+                if layout.stride > 1 {
+                    group.clear();
+                    group.extend(
+                        flat.offsets[start..]
+                            .iter()
+                            .copied()
+                            .zip(flat.taps[start..].iter().copied()),
+                    );
+                    group.sort_unstable_by_key(|&(off, _)| off);
+                    for (j, &(off, tap)) in group.iter().enumerate() {
+                        flat.offsets[start + j] = off;
+                        flat.taps[start + j] = tap;
+                    }
                 }
                 flat.starts.push(flat.offsets.len() as u32);
             }
@@ -294,6 +415,7 @@ impl FlatCode {
 mod tests {
     use super::*;
     use abm_tensor::Tensor4;
+    use proptest::prelude::*;
 
     fn layout(rows: usize, cols: usize, stride: usize, pad: usize) -> FlatLayout {
         FlatLayout {
@@ -337,55 +459,63 @@ mod tests {
         let shape = Shape4::new(1, 2, 2, 3);
         let w = Tensor4::from_fn(shape, |_, _, _, _| 1i8);
         let code = LayerCode::encode(&w).unwrap();
-        let lay = layout(5, 6, 1, 0);
+        // Unit stride: the padded plane, row pitch C + 2P.
+        let lay = layout(5, 6, 1, 1);
         let flat = FlatCode::lower(&code, lay).unwrap();
         let fk = &flat.kernels()[0];
         assert_eq!(fk.offsets().len(), fk.taps().len());
         for (&off, tap) in fk.offsets().iter().zip(fk.taps()) {
-            let expect = tap.n as usize * (5 * 6) + tap.k as usize * 6 + tap.kp as usize;
+            let expect = tap.n as usize * (7 * 8) + tap.k as usize * 8 + tap.kp as usize;
             assert_eq!(off as usize, expect);
         }
-        // Within a group, offsets keep ascending scan order.
+        // Stride 2: four 3x3 phase planes per channel of the 5x6 input.
+        let lay = layout(5, 6, 2, 0);
+        let flat = FlatCode::lower(&code, lay).unwrap();
+        let fk = &flat.kernels()[0];
+        for (&off, tap) in fk.offsets().iter().zip(fk.taps()) {
+            let (n, k, kp) = (tap.n as usize, tap.k as usize, tap.kp as usize);
+            let phase = (n * 2 + k % 2) * 2 + kp % 2;
+            assert_eq!(off as usize, phase * 9 + (k / 2) * 3 + kp / 2);
+        }
+        // Offsets ascend within a group whatever the stride.
         for (_, group) in fk.offset_groups() {
             assert!(group.windows(2).all(|w| w[0] < w[1]));
         }
     }
 
     #[test]
-    fn interior_span_basics() {
-        // No padding: everything is interior.
-        assert_eq!(interior_span(8, 3, 1, 0, 6), 0..6);
-        // "Same" conv, pad 1: one halo pixel each side.
-        assert_eq!(interior_span(8, 3, 1, 1, 8), 1..7);
-        // Stride 2 with pad 1: first interior output is ceil(1/2) = 1.
-        assert_eq!(interior_span(8, 3, 2, 1, 4), 1..4);
-        // Kernel larger than padded input: no interior at all.
-        assert_eq!(interior_span(2, 5, 1, 1, 1), 0..0);
-        // Pad that swallows the whole input: nothing interior.
-        assert_eq!(interior_span(1, 3, 1, 1, 1), 0..0);
+    fn tiles_cover_the_plane_and_name_the_shortest_sweep() {
+        for (rows, cols, stride, pad) in [(13, 13, 1, 1), (224, 224, 1, 1), (227, 227, 4, 0)] {
+            let lay = layout(rows, cols, stride, pad);
+            let k = if stride == 4 { 11 } else { 3 };
+            let (out_rows, out_cols) = lay.out_dims(k, k);
+            let tiles: Vec<_> = lay.tiles(out_rows).collect();
+            assert_eq!(tiles.first().unwrap().start, 0);
+            assert_eq!(tiles.last().unwrap().end, out_rows);
+            assert!(tiles.windows(2).all(|w| w[0].end == w[1].start));
+            let shortest = tiles
+                .iter()
+                .map(|t| (t.len() - 1) * lay.phase_cols() + out_cols)
+                .min()
+                .unwrap();
+            assert_eq!(lay.shortest_sweep(out_rows, out_cols), shortest);
+        }
+        // 13x13 "same" conv: one tile, 12 pitches of 15 plus 13 pixels.
+        assert_eq!(layout(13, 13, 1, 1).shortest_sweep(13, 13), 193);
+        // An FC layer sweeps one position; no output, no sweep.
+        assert_eq!(layout(1, 1, 1, 0).shortest_sweep(1, 1), 1);
+        assert_eq!(layout(2, 2, 1, 0).shortest_sweep(0, 0), 0);
     }
 
     #[test]
-    fn interior_span_matches_bruteforce() {
-        for in_dim in 1..10usize {
-            for kernel in 1..6usize {
-                for stride in 1..4usize {
-                    for pad in 0..4usize {
-                        let out = abm_tensor::shape::conv_out_dim(in_dim, kernel, stride, pad);
-                        let span = interior_span(in_dim, kernel, stride, pad, out);
-                        for o in 0..out {
-                            let lo = o * stride >= pad;
-                            let hi = o * stride + kernel <= in_dim + pad;
-                            assert_eq!(
-                                span.contains(&o),
-                                lo && hi,
-                                "in {in_dim} k {kernel} s {stride} p {pad} o {o}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
+    fn oversized_relaid_buffer_is_offset_overflow() {
+        // One channel of 2^16 x 2^16 already spans 2^32 positions.
+        let w = Tensor4::from_fn(Shape4::new(1, 1, 1, 1), |_, _, _, _| 1i8);
+        let code = LayerCode::encode(&w).unwrap();
+        let err = FlatCode::lower(&code, layout(1 << 16, 1 << 16, 1, 1)).unwrap_err();
+        assert!(
+            matches!(err, EncodeError::OffsetOverflow { offset } if offset > u32::MAX as usize)
+        );
     }
 
     #[test]
@@ -396,5 +526,72 @@ mod tests {
         assert_eq!(flat.total_nnz(), 0);
         assert_eq!(flat.max_distinct(), 0);
         assert!(flat.kernels().iter().all(|k| k.offset_groups().len() == 0));
+    }
+
+    proptest! {
+        /// The whole point of the layout: for every output pixel and
+        /// every tap, `relaid[base + offset_of(tap)]` is the zero-padded
+        /// input pixel the convolution reads, and everything a sweep
+        /// touches — wrap positions included — stays inside the buffer.
+        #[test]
+        fn relaid_reads_equal_the_padded_reference(
+            dims in (1usize..4, 1usize..9, 1usize..9),
+            kernel in (1usize..6, 1usize..6),
+            stride in 1usize..5,
+            pad in 0usize..4,
+            groups in 1usize..3,
+            salt in 0usize..1000,
+        ) {
+            let (per_group, rows, cols) = dims;
+            let (kr, kc) = kernel;
+            let lay = layout(rows, cols, stride, pad);
+            let (out_rows, out_cols) = lay.out_dims(kr, kc);
+            let channels = per_group * groups;
+            let input = Tensor3::from_fn(abm_tensor::Shape3::new(channels, rows, cols), |c, r, x| {
+                ((c * 577 + r * 37 + x * 11 + salt) % 65_536) as u16 as i16
+            });
+            let relaid = lay.relayout(&input);
+            prop_assert_eq!(relaid.len(), lay.relaid_len(channels));
+            let padded = |c: usize, y: usize, x: usize| {
+                if y < pad || x < pad || y - pad >= rows || x - pad >= cols {
+                    0
+                } else {
+                    input[(c, y - pad, x - pad)]
+                }
+            };
+            let mut max_off = 0;
+            for g in 0..groups {
+                let group_base = g * lay.relaid_len(per_group);
+                for n in 0..per_group {
+                    for k in 0..kr {
+                        for kp in 0..kc {
+                            let tap = Tap { n: n as u16, k: k as u16, kp: kp as u16 };
+                            let off = lay.offset_of(tap);
+                            max_off = max_off.max(off);
+                            for r in 0..out_rows {
+                                for c in 0..out_cols {
+                                    let base = group_base + r * lay.phase_cols() + c;
+                                    prop_assert_eq!(
+                                        relaid[base + off],
+                                        padded(g * per_group + n, r * stride + k, c * stride + kp),
+                                        "pixel ({}, {}) tap ({}, {}, {})", r, c, n, k, kp
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            // Every swept read, wrap positions included.
+            let swept = lay.sweep_span(out_rows, out_cols);
+            if swept > 0 {
+                prop_assert!(
+                    (groups - 1) * lay.relaid_len(per_group) + swept - 1 + max_off < relaid.len()
+                );
+            }
+            // Tiles partition the rows; none sweeps further than the plane.
+            let covered: usize = lay.tiles(out_rows).map(|t| t.len()).sum();
+            prop_assert_eq!(covered, out_rows);
+        }
     }
 }

@@ -47,5 +47,5 @@ pub mod size;
 pub use compress::{compress_layer, CompressedLayer, Huffman};
 pub use csr::CsrKernel;
 pub use encode::{EncodeError, KernelCode, LayerCode, QEntry};
-pub use flat::{interior_span, FlatCode, FlatKernel, FlatLayout, Tap};
+pub use flat::{FlatCode, FlatKernel, FlatLayout, Tap};
 pub use size::{EncodingSize, SizeModel};

@@ -9,7 +9,7 @@
 //!
 //! 1. [`lowering`] — a [`FlatCode`](abm_sparse::FlatCode) faithfully
 //!    lowers its source Q-Table streams, every precomputed offset is
-//!    in-bounds over the declared interior span, and no accumulation
+//!    in-bounds over the whole output plane's sweep, and no accumulation
 //!    overflows the accumulator width (the offset-ROM / bit-width
 //!    checks of a hardware build);
 //! 2. [`schedule`] — a window schedule is legal (no CU double-booking,
@@ -57,5 +57,5 @@ pub use range::{
     certify_layer, check_certificates, AbsVal, CertSummary, ExtremalPatch, Interval, KnownBits,
     NetworkCertifier, WidthCertificate,
 };
-pub use report::{Axis, Defect, Metric, VerifyReport};
+pub use report::{Defect, Metric, VerifyReport};
 pub use schedule::{verify_schedule, KernelFacts, ScheduleParams, TaskSpan};

@@ -1,25 +1,26 @@
 //! Pass 1 — the lowering verifier.
 //!
 //! [`FlatCode`] is what the hot path executes *unchecked*: precomputed
-//! `u32` input offsets walked as pointer bumps, an interior span swept
-//! without per-tap bounds tests, and analytic work counts trusted by
-//! construction. The hardware earns the same trust at synthesis time —
-//! the offset ROM, the Q-Table and the interior address ranges are fixed
-//! when the bitstream is built. [`verify_lowering`] is the software
-//! analogue of that synthesis-time proof: given the source
-//! [`LayerCode`], the lowered [`FlatCode`] and the concrete convolution
-//! geometry, it proves
+//! `u32` offsets into the re-laid-out input (zero-padded, split into
+//! stride phases — `abm_sparse::FlatLayout`) walked as pointer bumps,
+//! one flat sweep over the whole output plane without per-tap bounds
+//! tests, and analytic work counts trusted by construction. The
+//! hardware earns the same trust at synthesis time — the offset ROM,
+//! the Q-Table and the feature-buffer address ranges are fixed when the
+//! bitstream is built. [`verify_lowering`] is the software analogue of
+//! that synthesis-time proof: given the source [`LayerCode`], the
+//! lowered [`FlatCode`] and the concrete convolution geometry, it proves
 //!
 //! 1. **faithfulness** — every group's values and counts reconcile with
 //!    the source Q-Table (the value groups partition exactly the
 //!    non-zero weights, so the analytic `AbmWork` model counts the real
-//!    work), and every tap/offset pair decodes to exactly the source
-//!    weight position;
-//! 2. **in-bounds interior** — the declared interior span is contained
-//!    in the legal one (no halo taps inside it), and the extreme
-//!    interior pixel's reads stay inside the input tensor. Offsets are
-//!    affine and monotone in the output coordinates, so checking the
-//!    span endpoints proves every pixel in between;
+//!    work), every tap is a source weight position of its group, and
+//!    every offset is `FlatLayout::offset_of` of its tap;
+//! 2. **in-bounds sweep** — the last position the executor sweeps (the
+//!    output plane's last pixel) plus the kernel's largest offset stays
+//!    inside the re-laid-out buffer. Positions only grow along the
+//!    sweep and offsets are per-tap constants, so that one sum bounds
+//!    every read of every pixel, wrap positions included;
 //! 3. **stream order** — offsets ascend within each group (the
 //!    forward-stream property the address generator relies on);
 //! 4. **no overflow** — the worst-case accumulation magnitude fits the
@@ -29,8 +30,8 @@
 //! (and `cargo xtask verify`) can state, not hope, that the unchecked
 //! walk is safe.
 
-use crate::report::{Axis, Defect, VerifyReport};
-use abm_sparse::{interior_span, FlatCode, FlatKernel, LayerCode};
+use crate::report::{Defect, VerifyReport};
+use abm_sparse::{FlatCode, FlatKernel, FlatLayout, LayerCode, Tap};
 
 /// The concrete convolution geometry a lowering is verified against.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,10 +52,6 @@ pub struct ConvGeometry {
     pub out_rows: usize,
     /// Output cols `C'`.
     pub out_cols: usize,
-    /// The interior row span the executor declares unchecked.
-    pub interior_rows: (usize, usize),
-    /// The interior column span the executor declares unchecked.
-    pub interior_cols: (usize, usize),
 }
 
 /// The accumulator the verified layer will run on.
@@ -117,8 +114,13 @@ pub fn verify_lowering(
 ) -> VerifyReport {
     let mut report = VerifyReport::new(subject);
     let shape = code.shape();
-    let plane = geom.in_rows * geom.in_cols;
-    let input_len = (geom.in_channels * plane) as u64;
+    let layout = FlatLayout {
+        in_rows: geom.in_rows,
+        in_cols: geom.in_cols,
+        stride: geom.stride,
+        pad: geom.pad,
+    };
+    let input_len = layout.relaid_len(geom.in_channels) as u64;
     let channels_per_group = shape.in_channels;
 
     if flat.kernels().len() != code.kernels().len() {
@@ -129,62 +131,10 @@ pub fn verify_lowering(
         return report;
     }
 
-    // Interior span legality: the declared span must sit inside the
-    // legal one. Containment, plus the per-tap decode checks below, is
-    // the whole in-bounds proof for interior pixels: the read index
-    // `chan_base + (o_r·S - P + k)·C + o_c·S - P + k'` is monotone in
-    // every coordinate, so the span endpoints bound all pixels.
-    let legal_rows = interior_span(
-        geom.in_rows,
-        shape.kernel_rows,
-        geom.stride,
-        geom.pad,
-        geom.out_rows,
-    );
-    let legal_cols = interior_span(
-        geom.in_cols,
-        shape.kernel_cols,
-        geom.stride,
-        geom.pad,
-        geom.out_cols,
-    );
-    for (axis, declared, legal) in [
-        (
-            Axis::Rows,
-            geom.interior_rows,
-            (legal_rows.start, legal_rows.end),
-        ),
-        (
-            Axis::Cols,
-            geom.interior_cols,
-            (legal_cols.start, legal_cols.end),
-        ),
-    ] {
-        let empty = declared.0 >= declared.1;
-        if !empty && (declared.0 < legal.0 || declared.1 > legal.1) {
-            report.defect(Defect::InteriorContainsHalo {
-                axis,
-                declared,
-                legal,
-            });
-        } else {
-            report.facts += 1;
-        }
-    }
-
-    let interior_nonempty =
-        geom.interior_rows.0 < geom.interior_rows.1 && geom.interior_cols.0 < geom.interior_cols.1;
-    // The worst-case interior base offset within one channel group
-    // (largest output coordinate in the declared span). Only meaningful
-    // when the span is legal and non-empty.
-    let base_max = if interior_nonempty {
-        let r = geom.interior_rows.1 - 1;
-        let c = geom.interior_cols.1 - 1;
-        (r * geom.stride).saturating_sub(geom.pad) * geom.in_cols
-            + (c * geom.stride).saturating_sub(geom.pad)
-    } else {
-        0
-    };
+    // Positions the executor sweeps within one channel group: up to the
+    // output plane's last pixel at the re-laid-out row pitch. Zero when
+    // the plane is empty.
+    let swept = layout.sweep_span(geom.out_rows, geom.out_cols) as u64;
 
     let m_per_group = shape.out_channels.div_ceil(geom.groups.max(1)).max(1);
 
@@ -255,13 +205,28 @@ pub fn verify_lowering(
             }
             report.facts += 1;
 
+            // The group's source positions in executing order: ascending
+            // offset (which for stride 1 is the encoder's scan order).
+            let mut expected: Vec<(usize, Tap)> = src_idxs
+                .iter()
+                .map(|&i| {
+                    let (n, k, kp) = code.unravel(i);
+                    let tap = Tap {
+                        n: n as u16,
+                        k: k as u16,
+                        kp: kp as u16,
+                    };
+                    (layout.offset_of(tap), tap)
+                })
+                .collect();
+            expected.sort_unstable_by_key(|&(off, _)| off);
+
             let mut prev_off: Option<u32> = None;
             let mut ordered = true;
-            for (j, &src_idx) in src_idxs.iter().enumerate() {
+            for (j, &(expected_off, expected_tap)) in expected.iter().enumerate() {
                 let i = lo + j;
                 let tap = taps[i];
                 let off = offsets[i];
-                let (n, k, kp) = code.unravel(src_idx);
                 // Tap coordinates inside the kernel volume.
                 if (tap.n as usize) >= channels_per_group
                     || (tap.k as usize) >= shape.kernel_rows
@@ -274,21 +239,20 @@ pub fn verify_lowering(
                     continue;
                 }
                 // Tap stands for exactly the source weight position.
-                if (tap.n as usize, tap.k as usize, tap.kp as usize) != (n, k, kp) {
+                if tap != expected_tap {
                     report.defect(Defect::TapMismatch {
                         kernel: m,
                         index: i,
                     });
                     continue;
                 }
-                // Offset is the affine decode of the tap.
-                let expected = (n * plane + k * geom.in_cols + kp) as u32;
-                if off != expected {
+                // Offset is the re-laid-out address of the tap.
+                if off as usize != expected_off {
                     report.defect(Defect::OffsetMismatch {
                         kernel: m,
                         index: i,
                         offset: off,
-                        expected,
+                        expected: expected_off as u32,
                     });
                     continue;
                 }
@@ -308,12 +272,12 @@ pub fn verify_lowering(
         }
         let _ = stream_pos;
 
-        // --- in-bounds for the whole declared interior span: check the
-        // worst (largest) read the kernel can issue.
-        if interior_nonempty {
-            let chan_base = (m / m_per_group) * channels_per_group * plane;
+        // --- in-bounds for the whole output plane: the last swept
+        // position plus the largest offset is the largest read.
+        if swept > 0 {
+            let chan_base = (m / m_per_group) as u64 * layout.relaid_len(channels_per_group) as u64;
             if let Some(&max_off) = offsets.iter().max() {
-                let worst = chan_base as u64 + base_max as u64 + max_off as u64;
+                let worst = chan_base + (swept - 1) + max_off as u64;
                 if worst >= input_len {
                     report.defect(Defect::OffsetOutOfBounds {
                         kernel: m,
@@ -354,10 +318,14 @@ pub fn verify_lowering(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abm_sparse::{FlatLayout, Tap};
     use abm_tensor::{Shape4, Tensor4};
 
     fn sample() -> (LayerCode, FlatCode, ConvGeometry) {
+        sample_with(1, 1)
+    }
+
+    /// A 3x2x3x3 layer lowered against an 8x8 input.
+    fn sample_with(stride: usize, pad: usize) -> (LayerCode, FlatCode, ConvGeometry) {
         let shape = Shape4::new(3, 2, 3, 3);
         let w = Tensor4::from_fn(shape, |m, n, k, kp| {
             let x = (m * 131 + n * 31 + k * 7 + kp * 3) % 7;
@@ -371,23 +339,20 @@ mod tests {
         let layout = FlatLayout {
             in_rows: 8,
             in_cols: 8,
-            stride: 1,
-            pad: 1,
+            stride,
+            pad,
         };
         let flat = FlatCode::lower(&code, layout).unwrap();
-        let rows = layout.interior_rows(3, 8);
-        let cols = layout.interior_cols(3, 8);
+        let (out_rows, out_cols) = layout.out_dims(3, 3);
         let geom = ConvGeometry {
             in_channels: 2,
             in_rows: 8,
             in_cols: 8,
-            stride: 1,
-            pad: 1,
+            stride,
+            pad,
             groups: 1,
-            out_rows: 8,
-            out_cols: 8,
-            interior_rows: (rows.start, rows.end),
-            interior_cols: (cols.start, cols.end),
+            out_rows,
+            out_cols,
         };
         (code, flat, geom)
     }
@@ -441,11 +406,58 @@ mod tests {
     }
 
     #[test]
-    fn inflated_interior_span_is_caught() {
+    fn valid_strided_lowering_is_clean() {
+        // Stride > 1 sorts each group by offset, so the taps are a
+        // permutation of the encoder's scan order — still faithful.
+        for (stride, pad) in [(2, 0), (2, 1), (3, 2), (4, 3)] {
+            let (code, flat, geom) = sample_with(stride, pad);
+            let r = verify_lowering("t", &code, &flat, &geom, &AccumulatorModel::host());
+            assert!(r.is_clean(), "stride {stride} pad {pad}: {r}");
+        }
+    }
+
+    #[test]
+    fn offset_past_relaid_buffer_is_caught() {
+        // The declared output plane claims rows the input cannot feed:
+        // the flat sweep would read past the re-laid-out buffer.
         let (code, flat, mut geom) = sample();
-        geom.interior_rows.0 = 0; // claim the top halo row is interior
+        geom.out_rows += 3;
         let r = verify_lowering("t", &code, &flat, &geom, &AccumulatorModel::host());
-        assert!(r.has_class("interior_contains_halo"), "{r}");
+        assert!(r.has_class("offset_out_of_bounds"), "{r}");
+        // A buffer with a channel missing is as short.
+        let (code, flat, mut geom) = sample();
+        geom.in_channels = 1;
+        let r = verify_lowering("t", &code, &flat, &geom, &AccumulatorModel::host());
+        assert!(r.has_class("offset_out_of_bounds"), "{r}");
+    }
+
+    #[test]
+    fn offset_not_decoding_to_tap_is_caught() {
+        // Row-major offsets into the *unpadded, unsplit* input — what
+        // the lowering emitted before the input was re-laid out — no
+        // longer address the tap they stand for.
+        let (code, flat, geom) = sample_with(2, 1);
+        let kernels = flat
+            .kernels()
+            .iter()
+            .map(|k| {
+                let offsets = k
+                    .taps()
+                    .iter()
+                    .map(|t| (t.n as u32 * 8 + t.k as u32) * 8 + t.kp as u32)
+                    .collect();
+                abm_sparse::FlatKernel::from_raw_parts(
+                    k.values().to_vec(),
+                    k.group_bounds().to_vec(),
+                    offsets,
+                    k.taps().to_vec(),
+                )
+            })
+            .collect();
+        let bad = FlatCode::from_kernels(flat.shape(), flat.layout(), kernels);
+        let r = verify_lowering("t", &code, &bad, &geom, &AccumulatorModel::host());
+        assert!(r.has_class("offset_mismatch"), "{r}");
+        assert!(!r.has_class("tap_mismatch"), "{r}");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!
 //! * **intervals** — `[lo, hi]` bounds on every feature value, every
 //!   stage-1 partial sum (per value group, including every intermediate
-//!   prefix of the running sum and every halo-filtered subset), every
+//!   prefix of the running sum and every padding-zeroed subset), every
 //!   stage-2 output accumulator, and the ABFT checksum accumulators.
 //!   All the arithmetic is linear over an input box, so interval
 //!   propagation is *exact*: each bound is attained by a concrete
@@ -102,7 +102,7 @@ impl Interval {
     }
 
     /// Hull with zero — the soundness closure for running sums: every
-    /// prefix of a stage-1 accumulation (and every halo-filtered
+    /// prefix of a stage-1 accumulation (and every padding-zeroed
     /// subset of a group) lies in `hull(0, count · I)`.
     #[must_use]
     pub fn with_zero(self) -> Self {
@@ -280,7 +280,7 @@ pub struct ExtremalPatch {
 /// Soundness contract: provided every input feature lies in
 /// [`input`](Self::input)`.range` (padding contributes `0`), every
 /// runtime stage-1 partial sum — including intermediate prefixes and
-/// halo-filtered subsets — lies in [`stage1`](Self::stage1), every
+/// padding-zeroed subsets — lies in [`stage1`](Self::stage1), every
 /// stage-2 output accumulator in [`stage2`](Self::stage2), and every
 /// ABFT checksum accumulator in [`abft`](Self::abft). The witnesses
 /// prove the binding bounds are *attained*, so the certified widths
@@ -525,7 +525,7 @@ pub fn certify_layer(
             .enumerate()
         {
             // Stage 1: `count` taps, each in `tap_iv`; prefixes and
-            // halo-filtered subsets close the interval over zero.
+            // padding-zeroed subsets close the interval over zero.
             let s = tap_iv.scale(count as i128).with_zero();
             stage1 = stage1.hull(s);
             for (endpoint, maximize) in [(s.lo, false), (s.hi, true)] {
@@ -845,8 +845,6 @@ mod tests {
         let shape = w.shape();
         let out_rows = abm_tensor::shape::conv_out_dim(in_rows, shape.kernel_rows, stride, pad);
         let out_cols = abm_tensor::shape::conv_out_dim(in_cols, shape.kernel_cols, stride, pad);
-        let rows = layout.interior_rows(shape.kernel_rows, out_rows);
-        let cols = layout.interior_cols(shape.kernel_cols, out_cols);
         let geom = ConvGeometry {
             in_channels: shape.in_channels * groups,
             in_rows,
@@ -856,8 +854,6 @@ mod tests {
             groups,
             out_rows,
             out_cols,
-            interior_rows: (rows.start, rows.end),
-            interior_cols: (cols.start, cols.end),
         };
         (flat, geom)
     }

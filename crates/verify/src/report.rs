@@ -30,24 +30,6 @@ impl fmt::Display for Metric {
     }
 }
 
-/// One axis of the output plane (for span defects).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Axis {
-    /// Output rows.
-    Rows,
-    /// Output columns.
-    Cols,
-}
-
-impl fmt::Display for Axis {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Axis::Rows => write!(f, "rows"),
-            Axis::Cols => write!(f, "cols"),
-        }
-    }
-}
-
 /// One violated invariant, with enough context to locate the defect.
 ///
 /// Every variant corresponds to a property the accelerator guarantees
@@ -128,14 +110,14 @@ pub enum Defect {
         /// The offset the tap decodes to.
         expected: u32,
     },
-    /// An offset would read past the input tensor for some output pixel
-    /// inside the declared interior span.
+    /// An offset would read past the re-laid-out input for some position
+    /// of the output plane's flat sweep.
     OffsetOutOfBounds {
         /// Kernel index.
         kernel: usize,
         /// Worst-case read index.
         read_index: u64,
-        /// Input length (exclusive bound).
+        /// Re-laid-out input length (exclusive bound).
         bound: u64,
     },
     /// Offsets within a group are not strictly ascending — the
@@ -145,18 +127,6 @@ pub enum Defect {
         kernel: usize,
         /// Group index within the kernel.
         group: usize,
-    },
-    // ---- lowering: interior span ----
-    /// The declared interior span includes output pixels whose
-    /// receptive field touches padding — the unchecked hot path would
-    /// read out of bounds there.
-    InteriorContainsHalo {
-        /// Which axis is inflated.
-        axis: Axis,
-        /// Declared span (start, end).
-        declared: (usize, usize),
-        /// The legal interior span (start, end).
-        legal: (usize, usize),
     },
     // ---- lowering: arithmetic ----
     /// A kernel's worst-case accumulation exceeds the accumulator
@@ -348,7 +318,6 @@ impl Defect {
             Defect::OffsetMismatch { .. } => "offset_mismatch",
             Defect::OffsetOutOfBounds { .. } => "offset_out_of_bounds",
             Defect::StreamOrderViolation { .. } => "stream_order_violation",
-            Defect::InteriorContainsHalo { .. } => "interior_contains_halo",
             Defect::AccumulatorOverflow { .. } => "accumulator_overflow",
             Defect::CuDoubleBooked { .. } => "cu_double_booked",
             Defect::CuOutOfRange { .. } => "cu_out_of_range",
@@ -418,20 +387,11 @@ impl fmt::Display for Defect {
                 bound,
             } => write!(
                 f,
-                "kernel {kernel}: interior read index {read_index} >= input length {bound}"
+                "kernel {kernel}: swept read index {read_index} >= re-laid-out input length {bound}"
             ),
             Defect::StreamOrderViolation { kernel, group } => write!(
                 f,
                 "kernel {kernel} group {group}: offsets not strictly ascending"
-            ),
-            Defect::InteriorContainsHalo {
-                axis,
-                declared,
-                legal,
-            } => write!(
-                f,
-                "interior {axis} span {}..{} exceeds legal {}..{}",
-                declared.0, declared.1, legal.0, legal.1
             ),
             Defect::AccumulatorOverflow {
                 kernel,

@@ -82,7 +82,7 @@ proptest! {
         bits in 4u32..9,
         seed in any::<u32>(),
     ) {
-        // The prepared hot path (flat offsets, interior/halo split,
+        // The prepared hot path (flat offsets, re-laid-out input,
         // analytic accounting) must be bit-identical to the interpretive
         // reference — output AND work counts — across strides, pads,
         // groups, sparsity 0.1–0.9 and 4–8-bit quantized values.

@@ -117,7 +117,7 @@ fn pinned_prepared_batch_inference() {
 
 /// Prepared-path AlexNet conv outputs, pinned as exact integers: the
 /// flat-offset hot path is integer arithmetic end to end, so any drift
-/// at all (offset lowering, interior/halo split, tiling) is a bug, not
+/// at all (offset lowering, input relayout, tiling) is a bug, not
 /// noise.
 #[test]
 fn pinned_prepared_alexnet_conv_outputs() {

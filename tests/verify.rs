@@ -3,7 +3,7 @@
 //! Two directions:
 //!
 //! * **negative** — a valid lowering is corrupted in targeted ways
-//!   (offset off by one, a dropped tap, an inflated interior span) and
+//!   (offset off by one, a dropped tap, an inflated output plane) and
 //!   the lowering verifier must name the *exact* defect class, not just
 //!   fail;
 //! * **positive (soundness)** — any lowering the verifier accepts must
@@ -96,17 +96,13 @@ fn dropped_tap_is_caught_as_group_count_mismatch() {
 }
 
 #[test]
-fn inflated_interior_span_is_caught_as_interior_contains_halo() {
-    // The declared interior claims one extra column, whose receptive
-    // field reaches into the padding — the unchecked hot path would
-    // read out of bounds there.
+fn offset_past_relaid_buffer_is_caught() {
+    // The declared output plane claims rows the padded input cannot
+    // feed — the flat sweep, which checks nothing per tap, would read
+    // past the re-laid-out buffer there.
     let w = sample_workload();
-    let r = verify_mutated(
-        &w,
-        |_, _, _, _| {},
-        |g| g.interior_cols = (g.interior_cols.0.saturating_sub(1), g.interior_cols.1),
-    );
-    assert!(r.has_class("interior_contains_halo"), "{r}");
+    let r = verify_mutated(&w, |_, _, _, _| {}, |g| g.out_rows += 3);
+    assert!(r.has_class("offset_out_of_bounds"), "{r}");
 }
 
 /// A planned pipelined schedule over the tiny zoo plus its workloads —

@@ -388,8 +388,8 @@ enum Source {
 /// round to. A citation that drifts from the committed benchmarks —
 /// after a re-run changes the JSONs, or after a doc edit — fails here.
 const DOC_CLAIMS: &[(&str, &str, Source)] = &[
-    ("README.md", "8.56×", Source::Hotpath("auto")),
-    ("README.md", "4.16×", Source::Hotpath("scalar")),
+    ("README.md", "21.06×", Source::Hotpath("auto")),
+    ("README.md", "5.64×", Source::Hotpath("scalar")),
     ("README.md", "1.71×", Source::PipelineBest("vgg16")),
     ("README.md", "1.46×", Source::PipelineBest("alexnet")),
     (
@@ -414,8 +414,8 @@ const DOC_CLAIMS: &[(&str, &str, Source)] = &[
         "0.89×",
         Source::PipelineDesign("alexnet", "streaming@nominal"),
     ),
-    ("EXPERIMENTS.md", "8.56×", Source::Hotpath("auto")),
-    ("EXPERIMENTS.md", "4.16×", Source::Hotpath("scalar")),
+    ("EXPERIMENTS.md", "21.06×", Source::Hotpath("auto")),
+    ("EXPERIMENTS.md", "5.64×", Source::Hotpath("scalar")),
 ];
 
 fn lookup_source(source: &Source, hotpath: &Value, pipeline: &Value) -> Result<f64, String> {

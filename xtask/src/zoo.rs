@@ -37,7 +37,7 @@ pub(crate) fn lookup(name: &str) -> Result<(Network, PruneProfile, AcceleratorCo
 }
 
 /// Statically verifies every accelerated layer of each named network:
-/// the full lowering pass (offset bounds, interior legality, value-group
+/// the full lowering pass (offset decode and bounds, value-group
 /// partition, accumulator width) plus the schedule/legality pass
 /// (dispatch, FIFO and buffer feasibility) under that network's paper
 /// configuration. Errors with a defect dump if anything is dirty.

@@ -13,13 +13,10 @@
 
 use abm_bench::{rule, vgg16_model};
 use abm_dse::ResourceModel;
-use abm_sim::{
-    simulate_network, simulate_network_with, AcceleratorConfig, MemorySystem, SchedulingPolicy,
-};
+use abm_sim::{simulate_network, AcceleratorConfig, SchedulingPolicy, SimContext};
 
 fn main() {
     let model = vgg16_model();
-    let mem = MemorySystem::de5_net();
     let resources = ResourceModel::paper();
 
     println!("Ablation 1: accumulators per multiplier (N), VGG16, S_ec=20");
@@ -68,7 +65,12 @@ fn main() {
         ("semi-synchronous", SchedulingPolicy::SemiSynchronous),
         ("lock-step", SchedulingPolicy::LockStep),
     ] {
-        let sim = simulate_network_with(&model, &AcceleratorConfig::paper(), &mem, policy);
+        let sim = SimContext {
+            policy,
+            ..SimContext::default()
+        }
+        .simulate_network(&model, &AcceleratorConfig::paper())
+        .expect("VGG16 layers encode");
         println!(
             "{:<18} {:>8.1} GOP/s   CU busy {:>5.1}%   lane efficiency {:>5.1}%",
             name,

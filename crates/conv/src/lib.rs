@@ -14,7 +14,7 @@
 //!
 //! The four integer engines are *bit-exact* against each other — the
 //! property that validates the paper's Equation (2) — and the FFT engine
-//! matches within floating-point tolerance. [`calibrate`] provides the
+//! matches within floating-point tolerance. [`mod@calibrate`] provides the
 //! offline activation-range calibration that real deployments use, and
 //! [`precision`] stress-tests the 16-bit accumulator claim.
 //!

@@ -141,7 +141,7 @@ mod tests {
     use crate::perf::estimate_network;
     use abm_model::{synthesize_model, zoo, LayerProfile, PruneProfile};
     use abm_sim::telemetry::network_report;
-    use abm_sim::{simulate_network_collected, AcceleratorConfig, MemorySystem, SchedulingPolicy};
+    use abm_sim::{AcceleratorConfig, Parallelism, SimContext};
     use abm_telemetry::RecordingCollector;
 
     fn measured_and_modeled() -> (TelemetryReport, PerfEstimate, Network, PruneProfile) {
@@ -150,14 +150,14 @@ mod tests {
         let model = synthesize_model(&net, &profile, 11);
         let cfg = AcceleratorConfig::paper();
         let mut rec = RecordingCollector::new();
-        let sim = simulate_network_collected(
-            &model,
-            &cfg,
-            &MemorySystem::de5_net(),
-            SchedulingPolicy::SemiSynchronous,
-            abm_conv::parallel::Parallelism::Serial,
-            &mut rec,
-        );
+        let serial = SimContext {
+            parallelism: Parallelism::Serial,
+            ..SimContext::default()
+        };
+        let sim = serial
+            .collector(&mut rec)
+            .simulate_network(&model, &cfg)
+            .unwrap();
         let report = network_report("TinyNet", &sim, &rec);
         let est = estimate_network(&net, &profile, &cfg);
         (report, est, net, profile)
@@ -192,14 +192,10 @@ mod tests {
         let model = synthesize_model(&net, &profile, 7);
         let cfg = AcceleratorConfig::paper_alexnet();
         let mut rec = RecordingCollector::new();
-        let sim = simulate_network_collected(
-            &model,
-            &cfg,
-            &MemorySystem::de5_net(),
-            SchedulingPolicy::SemiSynchronous,
-            abm_conv::parallel::Parallelism::Auto,
-            &mut rec,
-        );
+        let sim = SimContext::default()
+            .collector(&mut rec)
+            .simulate_network(&model, &cfg)
+            .unwrap();
         let mut report = network_report("AlexNet", &sim, &rec);
         let est = estimate_network(&net, &profile, &cfg);
         assert_eq!(annotate_report(&mut report, &est), report.layers.len());

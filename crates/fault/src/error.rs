@@ -148,7 +148,7 @@ pub enum AbmError {
         /// The watchdog's latency deadline, in seconds.
         deadline: f64,
     },
-    /// `simulate_network_budgeted` ran out of wall-clock budget.
+    /// A budgeted network simulation ran out of wall-clock budget.
     WallBudgetExceeded {
         /// Layers fully simulated before the budget ran out.
         layers_done: usize,
@@ -157,7 +157,7 @@ pub enum AbmError {
         /// The configured budget in milliseconds.
         budget_ms: u64,
     },
-    /// `simulate_network_budgeted` ran out of simulated-cycle budget.
+    /// A budgeted network simulation ran out of simulated-cycle budget.
     CycleBudgetExceeded {
         /// Layers fully simulated before the budget ran out.
         layers_done: usize,

@@ -90,6 +90,37 @@ pub trait Injector {
     }
 }
 
+/// A borrowed injector injects: lend `&mut i` to instrumented code that
+/// takes its injector by value and keep the delivery log.
+impl<I: Injector> Injector for &mut I {
+    const ENABLED: bool = I::ENABLED;
+
+    fn corrupt_feature_word(&mut self, layer: usize, index: usize, word: i16) -> i16 {
+        (**self).corrupt_feature_word(layer, index, word)
+    }
+    fn corrupt_offset_word(&mut self, layer: usize, kernel: usize, index: usize, word: u32) -> u32 {
+        (**self).corrupt_offset_word(layer, kernel, index, word)
+    }
+    fn corrupt_value_word(&mut self, layer: usize, kernel: usize, index: usize, word: i8) -> i8 {
+        (**self).corrupt_value_word(layer, kernel, index, word)
+    }
+    fn corrupt_output_word(&mut self, layer: usize, index: usize, word: i64) -> i64 {
+        (**self).corrupt_output_word(layer, index, word)
+    }
+    fn task_delay(&mut self, layer: usize, task: usize) -> u64 {
+        (**self).task_delay(layer, task)
+    }
+    fn lane_stall(&mut self, layer: usize, kernel: usize) -> u64 {
+        (**self).lane_stall(layer, kernel)
+    }
+    fn drops_deposit(&mut self, layer: usize, kernel: usize) -> bool {
+        (**self).drops_deposit(layer, kernel)
+    }
+    fn bandwidth_derate_milli(&mut self, layer: usize) -> u32 {
+        (**self).bandwidth_derate_milli(layer)
+    }
+}
+
 /// The default injector: delivers nothing, costs nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullInjector;

@@ -25,7 +25,7 @@
 
 use abm_fault::AbmError;
 use abm_model::SparseModel;
-use abm_sim::{simulate_network_par, AcceleratorConfig};
+use abm_sim::{AcceleratorConfig, Parallelism, SimContext};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -50,7 +50,15 @@ impl CostModel {
     /// [`calibrate`]: CostModel::calibrate
     #[must_use]
     pub fn from_simulation(model: &SparseModel, accel: &AcceleratorConfig) -> Self {
-        let sim = simulate_network_par(model, accel, abm_conv::Parallelism::Serial);
+        let sim = SimContext {
+            parallelism: Parallelism::Serial,
+            ..SimContext::default()
+        }
+        .simulate_network(model, accel)
+        // INVARIANT: the server only loads models whose layers already
+        // encoded (`PreparedWeights`), and the default context has no
+        // budget or injector to fail on.
+        .expect("served models encode");
         let cycles = sim.summary().compute_cycles.max(1);
         let ns = (sim.total_seconds() * 1e9).max(1.0);
         Self {

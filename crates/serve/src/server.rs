@@ -23,7 +23,7 @@
 //! recovery ladder (re-lower → reference → dense) inside the workers
 //! and come back **bit-identical** — never silent. A failed request
 //! freezes a flight-recorder dump
-//! ([`abm_metrics::Registry::note_error`]) exactly like batch mode.
+//! ([`abm_metrics::MetricsRegistry::note_error`]) exactly like batch mode.
 
 use crate::cost::CostModel;
 use abm_conv::{Inferencer, Parallelism, PreparedWeights, ResiliencePolicy};

@@ -19,7 +19,7 @@ pub enum ConfigError {
         /// Vector width.
         s_ec: usize,
     },
-    /// The clock frequency is not positive.
+    /// The clock frequency is not a positive, finite number.
     NonPositiveFrequency(f64),
 }
 
@@ -34,7 +34,10 @@ impl fmt::Display for ConfigError {
                 "N (={n}) must divide S_ec (={s_ec}) so accumulator groups are uniform"
             ),
             ConfigError::NonPositiveFrequency(mhz) => {
-                write!(f, "operating frequency must be positive, got {mhz} MHz")
+                write!(
+                    f,
+                    "operating frequency must be positive and finite, got {mhz} MHz"
+                )
             }
         }
     }
@@ -125,6 +128,17 @@ impl AcceleratorConfig {
         }
     }
 
+    /// The paper's configuration for a zoo network by its lowercase name
+    /// (Table 3): `"alexnet"` runs [`paper_alexnet`](Self::paper_alexnet),
+    /// every other network [`paper`](Self::paper).
+    pub fn paper_for(net: &str) -> Self {
+        if net == "alexnet" {
+            Self::paper_alexnet()
+        } else {
+            Self::paper()
+        }
+    }
+
     /// Total pixel-accumulator lanes (`N_cu · N_knl · S_ec`) — the
     /// `N_acc` of the Figure 1 roofline.
     pub fn accumulator_lanes(&self) -> usize {
@@ -159,7 +173,7 @@ impl AcceleratorConfig {
     ///
     /// Returns a [`ConfigError`] when a parameter combination is
     /// unbuildable (zero sizes, `N` not dividing `S_ec`, empty FIFOs,
-    /// non-positive frequency).
+    /// non-positive or non-finite frequency).
     pub fn validate(&self) -> Result<(), ConfigError> {
         for (name, value) in [
             ("n_cu", self.n_cu),
@@ -179,7 +193,8 @@ impl AcceleratorConfig {
                 s_ec: self.s_ec,
             });
         }
-        if self.freq_mhz <= 0.0 {
+        // Written so that NaN fails too (`NaN <= 0.0` is false).
+        if !(self.freq_mhz > 0.0 && self.freq_mhz.is_finite()) {
             return Err(ConfigError::NonPositiveFrequency(self.freq_mhz));
         }
         Ok(())
@@ -239,6 +254,15 @@ mod tests {
         cfg = AcceleratorConfig::paper();
         cfg.freq_mhz = 0.0;
         assert_eq!(cfg.validate(), Err(ConfigError::NonPositiveFrequency(0.0)));
+        // A clock that is not a number is not a clock: `NaN` and `inf`
+        // used to slip past the `<= 0.0` test.
+        for mhz in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            cfg.freq_mhz = mhz;
+            assert!(
+                matches!(cfg.validate(), Err(ConfigError::NonPositiveFrequency(_))),
+                "{mhz} MHz accepted"
+            );
+        }
         // Errors render as readable messages.
         let msg = AcceleratorConfig {
             s_ec: 19,

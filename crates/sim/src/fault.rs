@@ -1,17 +1,19 @@
 //! Fail-stop fault guards for the simulator: watchdogs that turn
-//! injected timing faults into typed [`AbmError`]s, and budgeted
-//! network simulation that cannot run away.
+//! injected timing faults into typed [`AbmError`]s, and the
+//! [`SimBudget`] under which a network simulation cannot run away.
 //!
 //! The hardware being modelled is *fail-stop by construction*: a lane
 //! whose partial-sum FIFO overflows corrupts no data — the deposit has
 //! nowhere to go and the CU-progress watchdog fires; a hung CU never
 //! reports window completion, so the layer deadline fires. The guarded
-//! simulation mirrors that contract analytically. [`simulate_workload_guarded`]
-//! polls an [`Injector`] for every timing-fault site the cycle model
-//! exposes and decides, from the same analytic quantities the
-//! simulation itself uses, whether each injected perturbation is
-//! *absorbed* by real slack (FIFO headroom, watchdog tolerance,
-//! memory/compute overlap) or *detected* as a typed error:
+//! simulation mirrors that contract analytically. With an enabled
+//! [`Injector`] in its [`SimContext`](crate::SimContext),
+//! [`simulate_workload`](crate::SimContext::simulate_workload) polls
+//! every timing-fault site the cycle model exposes and decides, from
+//! the same analytic quantities the simulation itself uses, whether
+//! each injected perturbation is *absorbed* by real slack (FIFO
+//! headroom, watchdog tolerance, memory/compute overlap) or *detected*
+//! as a typed error:
 //!
 //! * a lane stall is absorbed iff it fits the FIFO's remaining
 //!   headroom `(fifo_depth − high_water) × N` — otherwise
@@ -30,18 +32,13 @@
 //! [`NullInjector`](abm_fault::NullInjector) every check compiles away
 //! (`I::ENABLED` is `const false`), preserving the golden pins.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::config::AcceleratorConfig;
 use crate::lane;
-use crate::memory::MemorySystem;
-use crate::run::{simulate_workload_collected, simulate_workload_with, LayerSim, NetworkSim};
-use crate::sched::SchedulingPolicy;
+use crate::run::LayerSim;
 use crate::task::Workload;
-use abm_conv::parallel::{parallel_map_salvage, Parallelism};
 use abm_fault::{AbmError, Injector};
-use abm_model::SparseModel;
-use abm_telemetry::Collector;
 
 /// The CU-progress watchdog's tolerance: how many cycles a task may
 /// run past its nominal cost before the guard declares the CU hung.
@@ -72,8 +69,9 @@ impl Default for Watchdog {
     }
 }
 
-/// Hard resource limits for [`simulate_network_budgeted`]: wall-clock
-/// time spent simulating, and simulated cycles produced. `None` means
+/// Hard resource limits for
+/// [`simulate_network`](crate::SimContext::simulate_network): wall-clock time
+/// spent simulating, and simulated cycles produced. `None` means
 /// unlimited; the default is unlimited on both axes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimBudget {
@@ -84,7 +82,7 @@ pub struct SimBudget {
 }
 
 impl SimBudget {
-    /// No limits — behaves exactly like the unbudgeted drivers.
+    /// No limits.
     #[must_use]
     pub fn unlimited() -> Self {
         Self::default()
@@ -109,57 +107,8 @@ impl SimBudget {
     }
 }
 
-/// [`simulate_workload_collected`](crate::run::simulate_workload_collected)
-/// behind the fail-stop fault guards.
-///
-/// When the injector is enabled, every timing-fault site is polled and
-/// checked against the absorption rules above *before* the simulation
-/// runs (structural sites: FIFO stalls, lost deposits, CU hangs) and
-/// the bandwidth derate is checked against the computed layer timing
-/// after. On success the result is bit-identical to the unguarded
-/// call — absorbed faults are provably masked, never silently folded
-/// into the numbers.
-///
-/// # Errors
-///
-/// The watchdog errors: [`AbmError::FifoOverflow`],
-/// [`AbmError::LostDeposit`], [`AbmError::CuDeadline`],
-/// [`AbmError::BandwidthCollapse`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_workload_guarded<C: Collector, I: Injector>(
-    w: &Workload,
-    cfg: &AcceleratorConfig,
-    mem: &MemorySystem,
-    policy: SchedulingPolicy,
-    parallelism: Parallelism,
-    layer: u32,
-    start_cycle: u64,
-    collector: &mut C,
-    injector: &mut I,
-    watchdog: Watchdog,
-) -> Result<LayerSim, AbmError> {
-    if I::ENABLED {
-        check_lanes(w, cfg, layer as usize, injector)?;
-        check_tasks(w, cfg, layer as usize, injector, watchdog)?;
-    }
-    let sim = simulate_workload_collected(
-        w,
-        cfg,
-        mem,
-        policy,
-        parallelism,
-        layer,
-        start_cycle,
-        collector,
-    );
-    if I::ENABLED {
-        check_bandwidth(layer as usize, injector, &sim)?;
-    }
-    Ok(sim)
-}
-
 /// Per-lane guards: FIFO high-water absorption and deposit loss.
-fn check_lanes<I: Injector>(
+pub(crate) fn check_lanes<I: Injector>(
     w: &Workload,
     cfg: &AcceleratorConfig,
     layer: usize,
@@ -197,7 +146,7 @@ fn check_lanes<I: Injector>(
 
 /// CU-progress guard: every task in the window-ordered stream is
 /// polled for an injected overrun and held to the watchdog's slack.
-fn check_tasks<I: Injector>(
+pub(crate) fn check_tasks<I: Injector>(
     w: &Workload,
     cfg: &AcceleratorConfig,
     layer: usize,
@@ -222,7 +171,7 @@ fn check_tasks<I: Injector>(
 /// Layer-latency guard: a derated transfer must still hide under the
 /// layer's nominal latency (double buffering), else the layer misses
 /// its deadline.
-fn check_bandwidth<I: Injector>(
+pub(crate) fn check_bandwidth<I: Injector>(
     layer: usize,
     injector: &mut I,
     sim: &LayerSim,
@@ -241,92 +190,13 @@ fn check_bandwidth<I: Injector>(
     Ok(())
 }
 
-/// Simulates a whole network under a [`SimBudget`], with the same
-/// result as the unbudgeted drivers when the budget suffices.
-///
-/// With a wall-clock limit, layers fan out across the work-stealing
-/// pool and every worker checks the deadline before stealing its next
-/// layer, so an expired budget cancels the remaining work cleanly
-/// (in-flight layers finish; nothing is torn down mid-computation).
-/// Without one, layers run serially and the cycle budget is checked
-/// after each layer, stopping early instead of simulating the rest.
-///
-/// # Errors
-///
-/// [`AbmError::WallBudgetExceeded`] / [`AbmError::CycleBudgetExceeded`]
-/// when a limit is hit, or [`AbmError::Encode`] (wrapped in
-/// [`AbmError::Layer`]) if a layer's weights cannot be encoded.
-pub fn simulate_network_budgeted(
-    model: &SparseModel,
-    cfg: &AcceleratorConfig,
-    mem: &MemorySystem,
-    policy: SchedulingPolicy,
-    parallelism: Parallelism,
-    budget: SimBudget,
-) -> Result<NetworkSim, AbmError> {
-    let start = Instant::now();
-    let sims: Vec<LayerSim> = if let Some(max_wall) = budget.max_wall {
-        let deadline = Some(start + max_wall);
-        let results =
-            parallel_map_salvage(parallelism, &model.layers, None, deadline, |_, i, layer| {
-                Workload::from_layer(layer)
-                    .map(|w| simulate_workload_with(&w, cfg, mem, policy, Parallelism::Serial))
-                    .map_err(|e| AbmError::from(e).at_layer(i))
-            });
-        let cut = |r: &Result<_, AbmError>| matches!(r, Err(AbmError::DeadlineExceeded { .. }));
-        if results.iter().any(cut) {
-            return Err(AbmError::WallBudgetExceeded {
-                layers_done: results.iter().filter(|r| !cut(r)).count(),
-                elapsed_ms: start.elapsed().as_millis() as u64,
-                budget_ms: max_wall.as_millis() as u64,
-            });
-        }
-        results
-            .into_iter()
-            .map(Result::flatten)
-            .collect::<Result<Vec<_>, _>>()?
-    } else {
-        let mut sims = Vec::with_capacity(model.layers.len());
-        let mut cycles = 0u64;
-        for (i, layer) in model.layers.iter().enumerate() {
-            let w = Workload::from_layer(layer).map_err(|e| AbmError::from(e).at_layer(i))?;
-            let sim = simulate_workload_with(&w, cfg, mem, policy, parallelism);
-            cycles += sim.compute_cycles;
-            sims.push(sim);
-            if let Some(max_cycles) = budget.max_cycles {
-                if cycles > max_cycles {
-                    return Err(AbmError::CycleBudgetExceeded {
-                        layers_done: i + 1,
-                        cycles,
-                        budget: max_cycles,
-                    });
-                }
-            }
-        }
-        sims
-    };
-    if let Some(max_cycles) = budget.max_cycles {
-        let mut cycles = 0u64;
-        for (i, sim) in sims.iter().enumerate() {
-            cycles += sim.compute_cycles;
-            if cycles > max_cycles {
-                return Err(AbmError::CycleBudgetExceeded {
-                    layers_done: i + 1,
-                    cycles,
-                    budget: max_cycles,
-                });
-            }
-        }
-    }
-    Ok(NetworkSim::from_layers(sims, cfg.freq_mhz))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::{simulate_network, NetworkSim, SimContext};
+    use abm_conv::parallel::Parallelism;
     use abm_fault::{Fault, FaultClass, FaultPlan, NullInjector, PlanInjector};
-    use abm_model::{synthesize_model, zoo, LayerProfile, PruneProfile};
-    use abm_telemetry::NullCollector;
+    use abm_model::{synthesize_model, zoo, LayerProfile, PruneProfile, SparseModel};
 
     fn tiny_model() -> SparseModel {
         let net = zoo::tiny();
@@ -334,44 +204,46 @@ mod tests {
         synthesize_model(&net, &profile, 11)
     }
 
-    fn workload() -> (Workload, AcceleratorConfig, MemorySystem) {
+    fn workload() -> (Workload, AcceleratorConfig) {
         let model = tiny_model();
         let w = Workload::from_layer(&model.layers[0]).unwrap();
-        (w, AcceleratorConfig::paper(), MemorySystem::de5_net())
+        (w, AcceleratorConfig::paper())
     }
 
     fn guarded<I: Injector>(
         w: &Workload,
         cfg: &AcceleratorConfig,
-        mem: &MemorySystem,
         injector: &mut I,
         watchdog: Watchdog,
     ) -> Result<LayerSim, AbmError> {
-        simulate_workload_guarded(
-            w,
-            cfg,
-            mem,
-            SchedulingPolicy::SemiSynchronous,
-            Parallelism::Serial,
-            0,
-            0,
-            &mut NullCollector,
-            injector,
+        let serial = SimContext {
+            parallelism: Parallelism::Serial,
             watchdog,
-        )
+            ..SimContext::default()
+        };
+        serial.injector(injector).simulate_workload(w, cfg, 0, 0)
+    }
+
+    fn budgeted(
+        model: &SparseModel,
+        parallelism: Parallelism,
+        budget: SimBudget,
+    ) -> Result<NetworkSim, AbmError> {
+        SimContext {
+            parallelism,
+            budget,
+            ..SimContext::default()
+        }
+        .simulate_network(model, &AcceleratorConfig::paper())
     }
 
     #[test]
     fn null_injector_is_bit_identical() {
-        let (w, cfg, mem) = workload();
-        let plain = simulate_workload_with(
-            &w,
-            &cfg,
-            &mem,
-            SchedulingPolicy::SemiSynchronous,
-            Parallelism::Serial,
-        );
-        let sim = guarded(&w, &cfg, &mem, &mut NullInjector, Watchdog::default()).unwrap();
+        let (w, cfg) = workload();
+        let plain = SimContext::default()
+            .simulate_workload(&w, &cfg, 0, 0)
+            .unwrap();
+        let sim = guarded(&w, &cfg, &mut NullInjector, Watchdog::default()).unwrap();
         assert_eq!(sim.compute_cycles, plain.compute_cycles);
         assert_eq!(sim.busy_cycles, plain.busy_cycles);
         assert_eq!(sim.seconds.to_bits(), plain.seconds.to_bits());
@@ -379,7 +251,7 @@ mod tests {
 
     #[test]
     fn small_stall_is_absorbed_large_overflows() {
-        let (w, cfg, mem) = workload();
+        let (w, cfg) = workload();
         let kernel = 0;
         let high_water = lane::vector_cycles_flat_probed(
             &w.flat.kernels()[kernel],
@@ -403,13 +275,13 @@ mod tests {
             ))
         };
         // Within headroom: absorbed, result identical to the clean run.
-        let clean = guarded(&w, &cfg, &mem, &mut NullInjector, Watchdog::default()).unwrap();
+        let clean = guarded(&w, &cfg, &mut NullInjector, Watchdog::default()).unwrap();
         let mut inj = stall(slack);
-        let sim = guarded(&w, &cfg, &mem, &mut inj, Watchdog::default()).unwrap();
+        let sim = guarded(&w, &cfg, &mut inj, Watchdog::default()).unwrap();
         assert_eq!(inj.delivered().len(), 1, "fault must have been delivered");
         assert_eq!(sim.compute_cycles, clean.compute_cycles);
         // One past headroom: the high-water watchdog fires.
-        let err = guarded(&w, &cfg, &mem, &mut stall(slack + 1), Watchdog::default()).unwrap_err();
+        let err = guarded(&w, &cfg, &mut stall(slack + 1), Watchdog::default()).unwrap_err();
         assert!(
             matches!(err, AbmError::FifoOverflow { kernel: k, stall: s, slack: sl, .. }
                 if k == kernel && s == slack + 1 && sl == slack),
@@ -419,7 +291,7 @@ mod tests {
 
     #[test]
     fn hang_is_held_to_watchdog_slack() {
-        let (w, cfg, mem) = workload();
+        let (w, cfg) = workload();
         let hang = |cycles| {
             PlanInjector::new(FaultPlan::single(
                 0,
@@ -433,8 +305,8 @@ mod tests {
             ))
         };
         let dog = Watchdog::with_slack(100);
-        guarded(&w, &cfg, &mem, &mut hang(100), dog).unwrap();
-        let err = guarded(&w, &cfg, &mem, &mut hang(101), dog).unwrap_err();
+        guarded(&w, &cfg, &mut hang(100), dog).unwrap();
+        let err = guarded(&w, &cfg, &mut hang(101), dog).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -452,7 +324,7 @@ mod tests {
 
     #[test]
     fn lost_deposit_always_fires() {
-        let (w, cfg, mem) = workload();
+        let (w, cfg) = workload();
         let mut inj = PlanInjector::new(FaultPlan::single(
             0,
             FaultClass::FifoDrop,
@@ -462,7 +334,7 @@ mod tests {
                 ..Fault::default()
             },
         ));
-        let err = guarded(&w, &cfg, &mem, &mut inj, Watchdog::default()).unwrap_err();
+        let err = guarded(&w, &cfg, &mut inj, Watchdog::default()).unwrap_err();
         assert!(
             matches!(err, AbmError::LostDeposit { kernel: 2, .. }),
             "{err}"
@@ -471,8 +343,8 @@ mod tests {
 
     #[test]
     fn bandwidth_derate_masked_under_compute_detected_past_it() {
-        let (w, cfg, mem) = workload();
-        let clean = guarded(&w, &cfg, &mem, &mut NullInjector, Watchdog::default()).unwrap();
+        let (w, cfg) = workload();
+        let clean = guarded(&w, &cfg, &mut NullInjector, Watchdog::default()).unwrap();
         assert!(
             !clean.memory_bound,
             "test needs a compute-bound layer to have overlap slack"
@@ -490,109 +362,51 @@ mod tests {
                 },
             ))
         };
-        let sim = guarded(&w, &cfg, &mem, &mut throttle(hidden), Watchdog::default()).unwrap();
+        let sim = guarded(&w, &cfg, &mut throttle(hidden), Watchdog::default()).unwrap();
         assert_eq!(sim.seconds.to_bits(), clean.seconds.to_bits());
-        let err = guarded(
-            &w,
-            &cfg,
-            &mem,
-            &mut throttle(hidden + 10),
-            Watchdog::default(),
-        )
-        .unwrap_err();
+        let err = guarded(&w, &cfg, &mut throttle(hidden + 10), Watchdog::default()).unwrap_err();
         assert!(matches!(err, AbmError::BandwidthCollapse { .. }), "{err}");
     }
 
     #[test]
     fn unlimited_budget_matches_plain_network_sim() {
         let model = tiny_model();
-        let cfg = AcceleratorConfig::paper();
-        let mem = MemorySystem::de5_net();
-        let plain = crate::run::simulate_network_with(
-            &model,
-            &cfg,
-            &mem,
-            SchedulingPolicy::SemiSynchronous,
-        );
-        let budgeted = simulate_network_budgeted(
-            &model,
-            &cfg,
-            &mem,
-            SchedulingPolicy::SemiSynchronous,
-            Parallelism::Serial,
-            SimBudget::unlimited(),
-        )
-        .unwrap();
-        assert_eq!(budgeted.layers().len(), plain.layers().len());
-        for (a, b) in budgeted.layers().iter().zip(plain.layers()) {
-            assert_eq!(a.compute_cycles, b.compute_cycles);
-            assert_eq!(a.seconds.to_bits(), b.seconds.to_bits());
-        }
+        let plain = simulate_network(&model, &AcceleratorConfig::paper());
+        let budgeted = budgeted(&model, Parallelism::Serial, SimBudget::unlimited()).unwrap();
+        assert_eq!(budgeted, plain);
     }
 
     #[test]
     fn generous_wall_budget_succeeds_zero_budget_fails() {
         let model = tiny_model();
-        let cfg = AcceleratorConfig::paper();
-        let mem = MemorySystem::de5_net();
-        let run = |budget| {
-            simulate_network_budgeted(
-                &model,
-                &cfg,
-                &mem,
-                SchedulingPolicy::SemiSynchronous,
-                Parallelism::Threads(2),
-                budget,
-            )
-        };
-        run(SimBudget::wall(Duration::from_secs(600))).unwrap();
-        let err = run(SimBudget::wall(Duration::ZERO)).unwrap_err();
-        assert!(
-            matches!(err, AbmError::WallBudgetExceeded { layers_done, .. }
-                if layers_done < model.layers.len()),
-            "{err}"
-        );
+        // Threads(2) steals layers on the pool, Serial walks them in
+        // order: the deadline cuts both the same way.
+        for parallelism in [Parallelism::Threads(2), Parallelism::Serial] {
+            let run = |budget| budgeted(&model, parallelism, budget);
+            run(SimBudget::wall(Duration::from_secs(600))).unwrap();
+            let err = run(SimBudget::wall(Duration::ZERO)).unwrap_err();
+            assert!(
+                matches!(err, AbmError::WallBudgetExceeded { layers_done: 0, .. }),
+                "{parallelism}: {err}"
+            );
+        }
     }
 
     #[test]
     fn cycle_budget_stops_early_with_progress() {
         let model = tiny_model();
-        let cfg = AcceleratorConfig::paper();
-        let mem = MemorySystem::de5_net();
-        let full = simulate_network_budgeted(
-            &model,
-            &cfg,
-            &mem,
-            SchedulingPolicy::SemiSynchronous,
-            Parallelism::Serial,
-            SimBudget::unlimited(),
-        )
-        .unwrap();
+        let full = budgeted(&model, Parallelism::Serial, SimBudget::unlimited()).unwrap();
         let total: u64 = full.layers().iter().map(|l| l.compute_cycles).sum();
         let first = full.layers()[0].compute_cycles;
-        let err = simulate_network_budgeted(
-            &model,
-            &cfg,
-            &mem,
-            SchedulingPolicy::SemiSynchronous,
-            Parallelism::Serial,
-            SimBudget::cycles(first),
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, AbmError::CycleBudgetExceeded { layers_done: 2, cycles, budget }
-                if cycles > budget && cycles <= total),
-            "{err}"
-        );
-        // A budget covering the whole network changes nothing.
-        simulate_network_budgeted(
-            &model,
-            &cfg,
-            &mem,
-            SchedulingPolicy::SemiSynchronous,
-            Parallelism::Serial,
-            SimBudget::cycles(total),
-        )
-        .unwrap();
+        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+            let err = budgeted(&model, parallelism, SimBudget::cycles(first)).unwrap_err();
+            assert!(
+                matches!(err, AbmError::CycleBudgetExceeded { layers_done: 2, cycles, budget }
+                    if cycles > budget && cycles <= total),
+                "{parallelism}: {err}"
+            );
+            // A budget covering the whole network changes nothing.
+            budgeted(&model, parallelism, SimBudget::cycles(total)).unwrap();
+        }
     }
 }

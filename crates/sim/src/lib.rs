@@ -15,21 +15,24 @@
 //!   next task) plus a lock-step mode for the ablation study;
 //! * [`memory`] — the DDR3 traffic/bandwidth model (12.8 GB/s on the
 //!   DE5-Net);
-//! * [`run`] — layer- and network-level simulation producing cycles, CU
-//!   utilization, and GOP/s (dense-equivalent, the convention of
-//!   Table 2);
-//! * [`parallel`] — the work-stealing host-thread driver that fans the
-//!   simulation out across layers (or across kernels within a layer)
-//!   with bit-identical results to serial execution;
+//! * [`run`] — the [`SimContext`] every simulation runs under (memory
+//!   system, scheduling policy, host parallelism, budget, telemetry and
+//!   fault hooks) and its workload and network cores, producing cycles,
+//!   CU utilization, and GOP/s (dense-equivalent, the convention of
+//!   Table 2); host threads fan the simulation out across layers (or
+//!   across kernels within a layer) with bit-identical results to
+//!   serial execution;
+//! * [`pipeline`] — the layer-pipelined (HPIPE-style) planner and the
+//!   context's pipeline core;
 //! * [`cycle`] — a cycle-stepped structural model of a lane, validated
 //!   cycle-exactly against [`lane`]'s analytic recurrence;
 //! * [`energy`] — a first-order per-op energy model (extension);
 //! * [`fault`] — fail-stop watchdogs over injected timing faults
 //!   (FIFO overflow, hung CU, lost deposit, bandwidth collapse) and
-//!   budgeted network simulation with typed
-//!   [`AbmError`](abm_fault::AbmError) timeouts;
+//!   the [`SimBudget`] that ends a network simulation with a typed
+//!   [`AbmError`](abm_fault::AbmError) timeout;
 //! * [`telemetry`] — the bridge from simulation results to the
-//!   `abm-telemetry` exporters. The simulation core is generic over a
+//!   `abm-telemetry` exporters. The context is generic over a
 //!   [`Collector`](abm_telemetry::Collector); with the default
 //!   `NullCollector` every hook compiles away, so instrumented and
 //!   plain runs are bit-identical (`tests/telemetry.rs` proves it).
@@ -58,7 +61,6 @@ pub mod energy;
 pub mod fault;
 pub mod lane;
 pub mod memory;
-pub mod parallel;
 pub mod pipeline;
 pub mod run;
 pub mod sched;
@@ -66,18 +68,15 @@ pub mod task;
 pub mod telemetry;
 pub mod verify;
 
+pub use abm_conv::parallel::Parallelism;
 pub use config::{AcceleratorConfig, ConfigError};
-pub use fault::{simulate_network_budgeted, simulate_workload_guarded, SimBudget, Watchdog};
+pub use fault::{SimBudget, Watchdog};
 pub use memory::MemorySystem;
-pub use parallel::{simulate_network_par, simulate_network_with_parallelism, Parallelism};
 pub use pipeline::{
-    plan_pipeline, simulate_pipeline, simulate_pipeline_collected, simulate_pipeline_guarded,
-    simulate_sequential_batch, PipelineOptions, PipelineSim, PlanError, SequentialBatchSim,
+    plan_pipeline, simulate_pipeline, simulate_sequential_batch, PipelineOptions, PipelineSim,
+    PlanError, SequentialBatchSim,
 };
-pub use run::{
-    simulate_layer, simulate_layer_with, simulate_network, simulate_network_collected,
-    simulate_network_with, LayerSim, NetworkSim, SimSummary,
-};
+pub use run::{simulate_network, LayerSim, NetworkSim, SimContext, SimSummary};
 pub use sched::{PipelineStage, PipelinedSchedule, SchedulingPolicy};
 pub use telemetry::network_report;
 pub use verify::{

@@ -35,10 +35,11 @@
 use crate::config::AcceleratorConfig;
 use crate::fault::Watchdog;
 use crate::lane;
+use crate::run::SimContext;
 use crate::sched::{PipelineStage, PipelinedSchedule};
 use crate::task::Workload;
 use abm_fault::{AbmError, Injector};
-use abm_telemetry::{Collector, Event, NullCollector};
+use abm_telemetry::{Collector, Event};
 
 /// Extra rows of FIFO depth provisioned beyond the measured high
 /// water, absorbing bounded producer jitter (the fault guards treat
@@ -492,7 +493,13 @@ fn allocate_lanes(work: &[u64], cuts: &[usize], budget: usize) -> Vec<usize> {
     lanes
 }
 
-/// Simulates a pipelined batch with the null collector.
+/// Simulates a pipelined batch under the default [`SimContext`] (null
+/// collector, null injector).
+///
+/// # Panics
+///
+/// Panics if the schedule does not cover the workloads contiguously
+/// (run `verify_pipelined_schedule` first for a typed report).
 #[must_use]
 pub fn simulate_pipeline(
     workloads: &[Workload],
@@ -500,206 +507,247 @@ pub fn simulate_pipeline(
     schedule: &PipelinedSchedule,
     batch: usize,
 ) -> PipelineSim {
-    simulate_pipeline_collected(workloads, cfg, schedule, batch, &mut NullCollector)
+    SimContext::default()
+        .simulate_pipeline(workloads, cfg, schedule, batch)
+        // INVARIANT: the core only fails through an enabled injector.
+        .expect("the null injector trips no guard")
 }
 
-/// [`simulate_pipeline`] with instrumentation: per-stage
-/// [`Event::StageSpan`] runs (contiguous row units of one image/layer
-/// merged into one span) and per-boundary [`Event::StageFifo`]
-/// occupancy. With the null collector this monomorphizes to exactly
-/// the unobserved simulation.
-///
-/// # Panics
-///
-/// Panics if the schedule does not cover the workloads contiguously
-/// (run `verify_pipelined_schedule` first for a typed report).
-pub fn simulate_pipeline_collected<C: Collector>(
-    workloads: &[Workload],
-    cfg: &AcceleratorConfig,
-    schedule: &PipelinedSchedule,
-    batch: usize,
-    collector: &mut C,
-) -> PipelineSim {
-    let batch = batch.max(1);
-    let n_layers = workloads.len();
-    assert!(
-        schedule.stages.first().is_some_and(|s| s.layer_start == 0)
-            && schedule
-                .stages
-                .last()
-                .is_some_and(|s| s.layer_end == n_layers)
-            && schedule
-                .stages
-                .windows(2)
-                .all(|p| p[0].layer_end == p[1].layer_start),
-        "schedule must cover the workloads contiguously"
-    );
+impl<C: Collector, I: Injector> SimContext<C, I> {
+    /// The pipeline core: streams `batch` images through `schedule`'s
+    /// stages. Reads only the context's hooks and watchdog — the
+    /// dataflow engine has no DDR model, CU scheduling policy, host
+    /// fan-out or budget.
+    ///
+    /// An enabled collector receives per-stage [`Event::StageSpan`]
+    /// runs (contiguous row units of one image/layer merged into one
+    /// span) and per-boundary [`Event::StageFifo`] occupancy.
+    ///
+    /// An enabled injector is held to the workload core's absorption
+    /// discipline:
+    ///
+    /// * an injected **FIFO stall** at boundary `b` backs up
+    ///   `ceil(stall / producer_row_cycles)` extra rows; the
+    ///   provisioned margin above the measured high water absorbs it or
+    ///   the run fails with [`AbmError::FifoOverflow`] (`kernel`
+    ///   carries the boundary);
+    /// * an injected **CU hang** on a stage (polled per image, `task`
+    ///   carries the image index) is absorbed up to the watchdog's
+    ///   slack or fails with [`AbmError::CuDeadline`].
+    ///
+    /// On success the result is bit-identical to the unguarded,
+    /// unobserved run — absorbed faults are provably masked, never
+    /// folded into the timing.
+    ///
+    /// # Errors
+    ///
+    /// [`AbmError::FifoOverflow`] / [`AbmError::CuDeadline`] as above,
+    /// only with an enabled injector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule does not cover the workloads contiguously
+    /// (run `verify_pipelined_schedule` first for a typed report).
+    pub fn simulate_pipeline(
+        &mut self,
+        workloads: &[Workload],
+        cfg: &AcceleratorConfig,
+        schedule: &PipelinedSchedule,
+        batch: usize,
+    ) -> Result<PipelineSim, AbmError> {
+        let collector = &mut self.collector;
+        let batch = batch.max(1);
+        let n_layers = workloads.len();
+        assert!(
+            schedule.stages.first().is_some_and(|s| s.layer_start == 0)
+                && schedule
+                    .stages
+                    .last()
+                    .is_some_and(|s| s.layer_end == n_layers)
+                && schedule
+                    .stages
+                    .windows(2)
+                    .all(|p| p[0].layer_end == p[1].layer_start),
+            "schedule must cover the workloads contiguously"
+        );
 
-    // finish[img][layer][row] — retire cycle of every row unit.
-    let mut finish: Vec<Vec<Vec<u64>>> = (0..batch)
-        .map(|_| workloads.iter().map(|w| vec![0u64; rows_of(w)]).collect())
-        .collect();
-    let mut done: Vec<Vec<usize>> = vec![vec![0; n_layers]; batch];
-
-    let mut stages = Vec::with_capacity(schedule.stages.len());
-    for (si, stage) in schedule.stages.iter().enumerate() {
-        let span = stage.layer_start..stage.layer_end;
-        let costs: Vec<LayerCost> = workloads[span.clone()]
-            .iter()
-            .map(|w| layer_cost(w, cfg, stage.lanes(), batch))
+        // finish[img][layer][row] — retire cycle of every row unit.
+        let mut finish: Vec<Vec<Vec<u64>>> = (0..batch)
+            .map(|_| workloads.iter().map(|w| vec![0u64; rows_of(w)]).collect())
             .collect();
-        let mut remaining: usize = costs.iter().map(|c| c.rows).sum::<usize>() * batch;
-        let mut clock = 0u64;
-        let mut busy = 0u64;
-        let mut first_start = u64::MAX;
-        // One open merged span per stage: (img, layer, start, end).
-        let mut open: Option<(usize, usize, u64, u64)> = None;
-        while remaining > 0 {
-            // Dataflow dispatch: the smallest ready (img, layer, row).
-            let mut earliest = u64::MAX;
-            let mut pick: Option<(usize, usize, usize, u64)> = None;
-            'scan: for img in 0..batch {
-                for (li, l) in span.clone().enumerate() {
-                    let r = done[img][l];
-                    if r >= costs[li].rows {
-                        continue;
-                    }
-                    let ready = if l == 0 {
-                        0 // the input image is always resident
-                    } else {
-                        let pr = needed_producer_row(&workloads[l - 1], &workloads[l], r);
-                        if done[img][l - 1] > pr {
-                            finish[img][l - 1][pr]
-                        } else {
-                            // Producer row not yet executed; if it lives
-                            // in this same stage it will become ready
-                            // once its own unit runs.
-                            u64::MAX
+        let mut done: Vec<Vec<usize>> = vec![vec![0; n_layers]; batch];
+
+        let mut stages = Vec::with_capacity(schedule.stages.len());
+        for (si, stage) in schedule.stages.iter().enumerate() {
+            let span = stage.layer_start..stage.layer_end;
+            let costs: Vec<LayerCost> = workloads[span.clone()]
+                .iter()
+                .map(|w| layer_cost(w, cfg, stage.lanes(), batch))
+                .collect();
+            let mut remaining: usize = costs.iter().map(|c| c.rows).sum::<usize>() * batch;
+            let mut clock = 0u64;
+            let mut busy = 0u64;
+            let mut first_start = u64::MAX;
+            // One open merged span per stage: (img, layer, start, end).
+            let mut open: Option<(usize, usize, u64, u64)> = None;
+            while remaining > 0 {
+                // Dataflow dispatch: the smallest ready (img, layer, row).
+                let mut earliest = u64::MAX;
+                let mut pick: Option<(usize, usize, usize, u64)> = None;
+                'scan: for img in 0..batch {
+                    for (li, l) in span.clone().enumerate() {
+                        let r = done[img][l];
+                        if r >= costs[li].rows {
+                            continue;
                         }
-                    };
-                    if ready <= clock {
-                        pick = Some((img, l, r, costs[li].unit_cycles));
-                        break 'scan;
-                    }
-                    earliest = earliest.min(ready);
-                }
-            }
-            match pick {
-                Some((img, l, r, cost)) => {
-                    let end = clock + cost;
-                    finish[img][l][r] = end;
-                    done[img][l] += 1;
-                    busy += cost;
-                    first_start = first_start.min(clock);
-                    if C::ENABLED {
-                        open = match open {
-                            Some((oi, ol, os, oe)) if oi == img && ol == l && oe == clock => {
-                                Some((oi, ol, os, end))
-                            }
-                            prev => {
-                                flush_span(collector, si, prev);
-                                Some((img, l, clock, end))
+                        let ready = if l == 0 {
+                            0 // the input image is always resident
+                        } else {
+                            let pr = needed_producer_row(&workloads[l - 1], &workloads[l], r);
+                            if done[img][l - 1] > pr {
+                                finish[img][l - 1][pr]
+                            } else {
+                                // Producer row not yet executed; if it lives
+                                // in this same stage it will become ready
+                                // once its own unit runs.
+                                u64::MAX
                             }
                         };
+                        if ready <= clock {
+                            pick = Some((img, l, r, costs[li].unit_cycles));
+                            break 'scan;
+                        }
+                        earliest = earliest.min(ready);
                     }
-                    clock = end;
-                    remaining -= 1;
                 }
-                None => {
-                    // INVARIANT: some unit's producer lives in an
-                    // earlier stage (finish time known), so starvation
-                    // always has a finite horizon.
-                    assert!(earliest > clock && earliest < u64::MAX, "pipeline deadlock");
-                    clock = earliest;
+                match pick {
+                    Some((img, l, r, cost)) => {
+                        let end = clock + cost;
+                        finish[img][l][r] = end;
+                        done[img][l] += 1;
+                        busy += cost;
+                        first_start = first_start.min(clock);
+                        if C::ENABLED {
+                            open = match open {
+                                Some((oi, ol, os, oe)) if oi == img && ol == l && oe == clock => {
+                                    Some((oi, ol, os, end))
+                                }
+                                prev => {
+                                    flush_span(collector, si, prev);
+                                    Some((img, l, clock, end))
+                                }
+                            };
+                        }
+                        clock = end;
+                        remaining -= 1;
+                    }
+                    None => {
+                        // INVARIANT: some unit's producer lives in an
+                        // earlier stage (finish time known), so starvation
+                        // always has a finite horizon.
+                        assert!(earliest > clock && earliest < u64::MAX, "pipeline deadlock");
+                        clock = earliest;
+                    }
                 }
             }
-        }
-        if C::ENABLED {
-            flush_span(collector, si, open);
-        }
-        let first = if first_start == u64::MAX {
-            0
-        } else {
-            first_start
-        };
-        stages.push(StageSim {
-            lanes: stage.lanes(),
-            busy_cycles: busy,
-            first_start: first,
-            finish: clock,
-            occupancy: if clock > first {
-                busy as f64 / (clock - first) as f64
-            } else {
-                1.0
-            },
-        });
-    }
-
-    // FIFO occupancy per boundary, aggregated across images: a
-    // producer row enters at its finish and retires when the last
-    // consumer row reaching back to it finishes (retire before add at
-    // equal cycles — the hardware pops before it pushes).
-    let mut boundaries = Vec::with_capacity(schedule.stages.len().saturating_sub(1));
-    for (b, stage) in schedule.stages[1..].iter().enumerate() {
-        let cl = stage.layer_start; // consumer: first layer of the stage
-        let p = &workloads[cl - 1];
-        let c = &workloads[cl];
-        let p_rows = rows_of(p);
-        let c_rows = rows_of(c);
-        let mut events: Vec<(u64, u8)> = Vec::new(); // (cycle, 0=retire 1=add)
-        for img_finish in finish.iter().take(batch) {
-            for r in 0..p_rows {
-                events.push((img_finish[cl - 1][r], 1));
-                // Last consumer row whose receptive field still holds
-                // producer row r: first_producer_row is monotone, so
-                // scan back from the end.
-                let release = (0..c_rows)
-                    .rev()
-                    .find(|&cr| first_producer_row(p, c, cr) <= r)
-                    .unwrap_or(0);
-                events.push((img_finish[cl][release], 0));
+            if C::ENABLED {
+                flush_span(collector, si, open);
             }
-        }
-        events.sort_unstable();
-        let mut occupancy = 0i64;
-        let mut high = 0i64;
-        for (_, kind) in events {
-            if kind == 1 {
-                occupancy += 1;
-                high = high.max(occupancy);
+            let first = if first_start == u64::MAX {
+                0
             } else {
-                occupancy -= 1;
-            }
-        }
-        let boundary = BoundarySim {
-            producer_layer: cl - 1,
-            high_water_rows: high as usize,
-            depth_rows: stage.fifo_rows,
-        };
-        if C::ENABLED {
-            collector.record(Event::StageFifo {
-                boundary: b as u32,
-                high_water: boundary.high_water_rows as u32,
-                depth: boundary.depth_rows as u32,
+                first_start
+            };
+            stages.push(StageSim {
+                lanes: stage.lanes(),
+                busy_cycles: busy,
+                first_start: first,
+                finish: clock,
+                occupancy: if clock > first {
+                    busy as f64 / (clock - first) as f64
+                } else {
+                    1.0
+                },
             });
         }
-        boundaries.push(boundary);
-    }
 
-    let last = n_layers - 1;
-    let image_finish: Vec<u64> = (0..batch)
-        // INVARIANT: rows_of() is >= 1 for every layer kind, so each
-        // per-layer finish vector holds at least one row timestamp.
-        .map(|img| *finish[img][last].last().expect("layers have rows"))
-        .collect();
-    let makespan_cycles = image_finish.iter().copied().max().unwrap_or(0);
-    PipelineSim {
-        batch,
-        stages,
-        boundaries,
-        image_finish,
-        makespan_cycles,
-        freq_mhz: schedule.freq_mhz,
+        // FIFO occupancy per boundary, aggregated across images: a
+        // producer row enters at its finish and retires when the last
+        // consumer row reaching back to it finishes (retire before add at
+        // equal cycles — the hardware pops before it pushes).
+        let mut boundaries = Vec::with_capacity(schedule.stages.len().saturating_sub(1));
+        for (b, stage) in schedule.stages[1..].iter().enumerate() {
+            let cl = stage.layer_start; // consumer: first layer of the stage
+            let p = &workloads[cl - 1];
+            let c = &workloads[cl];
+            let p_rows = rows_of(p);
+            let c_rows = rows_of(c);
+            let mut events: Vec<(u64, u8)> = Vec::new(); // (cycle, 0=retire 1=add)
+            for img_finish in finish.iter().take(batch) {
+                for r in 0..p_rows {
+                    events.push((img_finish[cl - 1][r], 1));
+                    // Last consumer row whose receptive field still holds
+                    // producer row r: first_producer_row is monotone, so
+                    // scan back from the end.
+                    let release = (0..c_rows)
+                        .rev()
+                        .find(|&cr| first_producer_row(p, c, cr) <= r)
+                        .unwrap_or(0);
+                    events.push((img_finish[cl][release], 0));
+                }
+            }
+            events.sort_unstable();
+            let mut occupancy = 0i64;
+            let mut high = 0i64;
+            for (_, kind) in events {
+                if kind == 1 {
+                    occupancy += 1;
+                    high = high.max(occupancy);
+                } else {
+                    occupancy -= 1;
+                }
+            }
+            let boundary = BoundarySim {
+                producer_layer: cl - 1,
+                high_water_rows: high as usize,
+                depth_rows: stage.fifo_rows,
+            };
+            if C::ENABLED {
+                collector.record(Event::StageFifo {
+                    boundary: b as u32,
+                    high_water: boundary.high_water_rows as u32,
+                    depth: boundary.depth_rows as u32,
+                });
+            }
+            boundaries.push(boundary);
+        }
+
+        let last = n_layers - 1;
+        let image_finish: Vec<u64> = (0..batch)
+            // INVARIANT: rows_of() is >= 1 for every layer kind, so each
+            // per-layer finish vector holds at least one row timestamp.
+            .map(|img| *finish[img][last].last().expect("layers have rows"))
+            .collect();
+        let makespan_cycles = image_finish.iter().copied().max().unwrap_or(0);
+        let sim = PipelineSim {
+            batch,
+            stages,
+            boundaries,
+            image_finish,
+            makespan_cycles,
+            freq_mhz: schedule.freq_mhz,
+        };
+        if I::ENABLED {
+            check_pipeline(
+                workloads,
+                cfg,
+                schedule,
+                &sim,
+                &mut self.injector,
+                self.watchdog,
+            )?;
+        }
+        Ok(sim)
     }
 }
 
@@ -719,36 +767,17 @@ fn flush_span<C: Collector>(
     }
 }
 
-/// [`simulate_pipeline_collected`] behind the fail-stop fault guards,
-/// mirroring `simulate_workload_guarded`'s absorption discipline:
-///
-/// * an injected **FIFO stall** at boundary `b` backs up
-///   `ceil(stall / producer_row_cycles)` extra rows; the provisioned
-///   margin above the measured high water absorbs it or the run fails
-///   with [`AbmError::FifoOverflow`] (`kernel` carries the boundary);
-/// * an injected **CU hang** on a stage (polled per image, `task`
-///   carries the image index) is absorbed up to the watchdog's slack
-///   or fails with [`AbmError::CuDeadline`].
-///
-/// On success the result is bit-identical to the unguarded call —
-/// absorbed faults are provably masked, never folded into the timing.
-///
-/// # Errors
-///
-/// [`AbmError::FifoOverflow`] / [`AbmError::CuDeadline`] as above.
-pub fn simulate_pipeline_guarded<C: Collector, I: Injector>(
+/// The pipelined fault guards: polls `injector` at every inter-stage
+/// boundary (FIFO stall) and every stage × image (CU hang) and holds
+/// each delivered fault to the slack `sim` measured.
+fn check_pipeline<I: Injector>(
     workloads: &[Workload],
     cfg: &AcceleratorConfig,
     schedule: &PipelinedSchedule,
-    batch: usize,
-    collector: &mut C,
+    sim: &PipelineSim,
     injector: &mut I,
     watchdog: Watchdog,
-) -> Result<PipelineSim, AbmError> {
-    let sim = simulate_pipeline_collected(workloads, cfg, schedule, batch, collector);
-    if !I::ENABLED {
-        return Ok(sim);
-    }
+) -> Result<(), AbmError> {
     for (b, (stage, boundary)) in schedule.stages[1..].iter().zip(&sim.boundaries).enumerate() {
         let consumer = stage.layer_start;
         let stall = injector.lane_stall(consumer, b);
@@ -762,7 +791,7 @@ pub fn simulate_pipeline_guarded<C: Collector, I: Injector>(
                 &workloads[boundary.producer_layer],
                 cfg,
                 producer_stage.lanes(),
-                batch,
+                sim.batch,
             )
             .unit_cycles;
             let headroom = stage.fifo_rows.saturating_sub(boundary.high_water_rows) as u64;
@@ -778,7 +807,7 @@ pub fn simulate_pipeline_guarded<C: Collector, I: Injector>(
         }
     }
     for stage in &schedule.stages {
-        for img in 0..batch {
+        for img in 0..sim.batch {
             let delay = injector.task_delay(stage.layer_start, img);
             if delay > watchdog.slack_cycles {
                 return Err(AbmError::CuDeadline {
@@ -790,13 +819,13 @@ pub fn simulate_pipeline_guarded<C: Collector, I: Injector>(
             }
         }
     }
-    Ok(sim)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abm_fault::NullInjector;
+    use abm_fault::{FaultPlan, PlanInjector};
     use abm_model::{synthesize_model, zoo, LayerProfile, PruneProfile};
     use abm_telemetry::RecordingCollector;
 
@@ -897,7 +926,10 @@ mod tests {
         let s = plan_pipeline(&w, &cfg, &opts, 2).unwrap();
         let plain = simulate_pipeline(&w, &cfg, &s, 2);
         let mut rec = RecordingCollector::new();
-        let collected = simulate_pipeline_collected(&w, &cfg, &s, 2, &mut rec);
+        let collected = SimContext::default()
+            .collector(&mut rec)
+            .simulate_pipeline(&w, &cfg, &s, 2)
+            .unwrap();
         assert_eq!(plain, collected);
         let mut span_cycles = vec![0u64; s.stages.len()];
         let mut fifos = 0;
@@ -925,16 +957,12 @@ mod tests {
         let opts = PipelineOptions::for_config(&cfg);
         let s = plan_pipeline(&w, &cfg, &opts, 2).unwrap();
         let plain = simulate_pipeline(&w, &cfg, &s, 2);
-        let guarded = simulate_pipeline_guarded(
-            &w,
-            &cfg,
-            &s,
-            2,
-            &mut NullCollector,
-            &mut NullInjector,
-            Watchdog::default(),
-        )
-        .unwrap();
+        // An enabled injector with nothing to deliver walks every guard.
+        let mut idle = PlanInjector::new(FaultPlan::default());
+        let guarded = SimContext::default()
+            .injector(&mut idle)
+            .simulate_pipeline(&w, &cfg, &s, 2)
+            .unwrap();
         assert_eq!(plain, guarded);
     }
 

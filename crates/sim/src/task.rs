@@ -209,16 +209,12 @@ impl Workload {
 
     /// Per-kernel lane cost (cycles) for a window of `rows` output rows,
     /// computed from the encoded stream (index `m` = kernel id).
-    pub fn kernel_window_cycles(&self, cfg: &AcceleratorConfig, rows: usize) -> Vec<u64> {
-        self.kernel_window_cycles_with(cfg, rows, Parallelism::Serial)
-    }
-
-    /// [`kernel_window_cycles`](Self::kernel_window_cycles) with the
-    /// per-kernel timing recurrences fanned out across host threads —
-    /// each simulated CU lane's cost is an independent function of its
-    /// encoded kernel, so this is a pure map and the result is
-    /// bit-identical for every `parallelism` setting.
-    pub fn kernel_window_cycles_with(
+    ///
+    /// Each simulated CU lane's cost is an independent function of its
+    /// encoded kernel, so the recurrences fan out across host threads
+    /// as a pure map: the result is bit-identical for every
+    /// `parallelism` setting.
+    pub fn kernel_window_cycles(
         &self,
         cfg: &AcceleratorConfig,
         rows: usize,
@@ -232,25 +228,19 @@ impl Workload {
 
     /// Task cycle costs for one window: one entry per kernel batch; the
     /// batch cost is the slowest lane (a CU finishes a task when all its
-    /// lanes have), plus the task overhead.
+    /// lanes have), plus the task overhead. Per-kernel timing runs under
+    /// `parallelism` (see [`kernel_window_cycles`](Self::kernel_window_cycles)).
     ///
     /// With [`AcceleratorConfig::sort_kernels_by_load`] the encoder
     /// orders kernels by workload first, so batch mates have similar
     /// costs and the per-batch maximum stays close to the mean.
-    pub fn window_task_cycles(&self, cfg: &AcceleratorConfig, rows: usize) -> Vec<u64> {
-        self.window_task_cycles_with(cfg, rows, Parallelism::Serial)
-    }
-
-    /// [`window_task_cycles`](Self::window_task_cycles) with the
-    /// per-kernel timing computed in parallel (see
-    /// [`kernel_window_cycles_with`](Self::kernel_window_cycles_with)).
-    pub fn window_task_cycles_with(
+    pub fn window_task_cycles(
         &self,
         cfg: &AcceleratorConfig,
         rows: usize,
         parallelism: Parallelism,
     ) -> Vec<u64> {
-        let mut per_kernel = self.kernel_window_cycles_with(cfg, rows, parallelism);
+        let mut per_kernel = self.kernel_window_cycles(cfg, rows, parallelism);
         if cfg.sort_kernels_by_load {
             per_kernel.sort_unstable_by(|a, b| b.cmp(a));
         }
@@ -258,12 +248,6 @@ impl Workload {
             .chunks(cfg.n_knl)
             .map(|batch| batch.iter().copied().max().unwrap_or(0) + cfg.task_overhead)
             .collect()
-    }
-
-    /// Useful lane cycles in one window (for utilization accounting):
-    /// the sum over kernels instead of the per-batch max.
-    pub fn window_useful_cycles(&self, cfg: &AcceleratorConfig, rows: usize) -> u64 {
-        self.kernel_window_cycles(cfg, rows).iter().sum()
     }
 
     /// Bottleneck profile of the layer's kernels under `cfg`: per-vector
@@ -422,11 +406,14 @@ mod tests {
     fn task_costs_cover_all_kernels() {
         let cfg = AcceleratorConfig::paper();
         let w = workload("CONV1");
-        let tasks = w.window_task_cycles(&cfg, w.rows_per_window(&cfg));
+        let tasks = w.window_task_cycles(&cfg, w.rows_per_window(&cfg), Parallelism::Serial);
         assert_eq!(tasks.len(), w.batches(&cfg));
         assert!(tasks.iter().all(|&t| t > 0));
         // Batch cost (max lane * rows) >= per-lane useful share.
-        let useful = w.window_useful_cycles(&cfg, w.rows_per_window(&cfg));
+        let useful: u64 = w
+            .kernel_window_cycles(&cfg, w.rows_per_window(&cfg), Parallelism::Serial)
+            .iter()
+            .sum();
         let paid: u64 = tasks
             .iter()
             .map(|t| (t - cfg.task_overhead) * cfg.n_knl as u64)

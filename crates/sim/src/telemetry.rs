@@ -55,10 +55,7 @@ pub fn network_report(
 mod tests {
     use super::*;
     use crate::config::AcceleratorConfig;
-    use crate::memory::MemorySystem;
-    use crate::run::{simulate_network, simulate_network_collected};
-    use crate::sched::SchedulingPolicy;
-    use abm_conv::parallel::Parallelism;
+    use crate::run::{simulate_network, SimContext};
     use abm_model::{synthesize_model, zoo, LayerProfile, PruneProfile};
     use abm_telemetry::json::validate;
 
@@ -69,14 +66,10 @@ mod tests {
         let model = synthesize_model(&net, &profile, 11);
         let cfg = AcceleratorConfig::paper();
         let mut rec = RecordingCollector::new();
-        let sim = simulate_network_collected(
-            &model,
-            &cfg,
-            &MemorySystem::de5_net(),
-            SchedulingPolicy::SemiSynchronous,
-            Parallelism::Serial,
-            &mut rec,
-        );
+        let sim = SimContext::default()
+            .collector(&mut rec)
+            .simulate_network(&model, &cfg)
+            .unwrap();
         assert_eq!(sim, simulate_network(&model, &cfg));
 
         let report = network_report("TinyNet", &sim, &rec);

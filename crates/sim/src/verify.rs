@@ -5,7 +5,7 @@
 //! `abm-verify` deliberately depends only on `abm-tensor`/`abm-sparse`,
 //! so this module is where the simulator's richer types are boiled down:
 //! the lowering geometry is recovered from the workload's
-//! [`FlatLayout`], schedule spans are observed through
+//! [`FlatLayout`](abm_sparse::FlatLayout), schedule spans are observed through
 //! [`schedule_window_with`]'s dispatch callback, and per-kernel FIFO
 //! demands come from the probed lane recurrence.
 
@@ -14,6 +14,7 @@ use crate::lane;
 use crate::pipeline::simulate_pipeline;
 use crate::sched::{schedule_window_with, PipelinedSchedule, SchedulingPolicy};
 use crate::task::Workload;
+use abm_conv::parallel::Parallelism;
 use abm_verify::{
     verify_lowering, verify_pipeline, verify_schedule, AccumulatorModel, BoundaryFacts,
     ConvGeometry, KernelFacts, PipelineParams, ScheduleParams, StageFacts, TaskSpan, VerifyReport,
@@ -102,7 +103,7 @@ pub fn verify_workload_schedule(
         d_q: cfg.d_q,
     };
     let rows = w.rows_per_window(cfg);
-    let tasks = w.window_task_cycles(cfg, rows);
+    let tasks = w.window_task_cycles(cfg, rows, Parallelism::Serial);
     let mut spans = Vec::with_capacity(tasks.len());
     // The dispatch callback fires in task order for both policies, so
     // the span's task id is its dispatch ordinal.

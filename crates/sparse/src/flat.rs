@@ -136,7 +136,7 @@ impl FlatLayout {
     }
 
     /// The output-row tiles of the flat sweep: equal runs of rows
-    /// holding about [`TILE_POSITIONS`] positions each, the last one
+    /// holding about `TILE_POSITIONS` positions each, the last one
     /// possibly shorter.
     pub fn tiles(&self, out_rows: usize) -> impl Iterator<Item = Range<usize>> {
         let fit = (TILE_POSITIONS / self.phase_cols().max(1)).max(1);

@@ -230,6 +230,17 @@ impl Collector for NullCollector {
     fn record(&mut self, _event: Event) {}
 }
 
+/// A borrowed collector collects: lend `&mut c` to instrumented code
+/// that takes its collector by value and keep the recording.
+impl<C: Collector> Collector for &mut C {
+    const ENABLED: bool = C::ENABLED;
+
+    #[inline(always)]
+    fn record(&mut self, event: Event) {
+        (**self).record(event);
+    }
+}
+
 /// Captures the full event stream for export and aggregation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecordingCollector {

@@ -13,7 +13,7 @@
 
 use abm_conv::{Engine, Inferencer, Parallelism};
 use abm_model::{synthesize_model, zoo, PruneProfile};
-use abm_sim::{simulate_network_par, AcceleratorConfig};
+use abm_sim::{simulate_network, AcceleratorConfig};
 use abm_tensor::Tensor3;
 use std::time::Instant;
 
@@ -83,11 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The simulated accelerator, whose own cycle simulation also rides
     // the pool (fanning out across AlexNet's layers / kernel lanes).
-    let sim = simulate_network_par(
-        &model,
-        &AcceleratorConfig::paper_alexnet(),
-        Parallelism::Auto,
-    );
+    let sim = simulate_network(&model, &AcceleratorConfig::paper_alexnet());
     println!("\nsimulated accelerator (batch {BATCH} amortizing FC weights):");
     println!(
         "  {:.3} ms/image, {:.0} images/s, {:.1} GOP/s",

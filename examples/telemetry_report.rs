@@ -16,12 +16,9 @@
 
 #![forbid(unsafe_code)]
 
-use abm_conv::Parallelism;
 use abm_dse::{annotate_report, check_consistency, estimate_network, Tolerances};
 use abm_model::{synthesize_model, zoo, PruneProfile};
-use abm_sim::{
-    network_report, simulate_network_collected, AcceleratorConfig, MemorySystem, SchedulingPolicy,
-};
+use abm_sim::{network_report, AcceleratorConfig, SimContext};
 use abm_telemetry::{ChromeTrace, RecordingCollector};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,14 +29,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = AcceleratorConfig::paper_alexnet();
 
     let mut recording = RecordingCollector::new();
-    let sim = simulate_network_collected(
-        &model,
-        &cfg,
-        &MemorySystem::de5_net(),
-        SchedulingPolicy::SemiSynchronous,
-        Parallelism::Auto,
-        &mut recording,
-    );
+    let sim = SimContext::default()
+        .collector(&mut recording)
+        .simulate_network(&model, &cfg)?;
 
     let mut report = network_report(net.name(), &sim, &recording);
     let est = estimate_network(&net, &profile, &cfg);

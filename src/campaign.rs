@@ -3,7 +3,7 @@
 //!
 //! Each trial injects exactly one fault from a deterministic,
 //! seed-derived plan and resolves it to a
-//! [`FaultOutcome`](abm_fault::FaultOutcome):
+//! [`FaultOutcome`]:
 //!
 //! * **functional classes** (word flips, stream corruption, accumulator
 //!   upsets) run through the hardened inference path
@@ -12,21 +12,21 @@
 //!   reproduce the pristine logits bit-identically;
 //! * **timing classes** (FIFO stalls and drops, CU hangs, bandwidth
 //!   throttles) run through the simulator's fail-stop guards
-//!   ([`simulate_workload_guarded`](abm_sim::simulate_workload_guarded)),
+//!   ([`SimContext::simulate_workload`] with the trial's injector),
 //!   where a fault is either provably absorbed by slack (the guarded
-//!   [`LayerSim`](abm_sim::LayerSim) is bit-identical to the clean one)
+//!   [`LayerSim`] is bit-identical to the clean one)
 //!   or detected by a watchdog and recovered by fault-free replay;
 //! * **pipelined timing trials** re-inject the two dataflow-sensitive
 //!   classes — a FIFO stall at an inter-stage boundary and a CU hang on
 //!   a pipeline stage — into the layer-pipelined simulation
-//!   ([`simulate_pipeline_guarded`](abm_sim::simulate_pipeline_guarded)),
+//!   ([`SimContext::simulate_pipeline`]),
 //!   where the provisioned FIFO margin / watchdog slack absorbs them or
 //!   the fail-stop guard trips and a fault-free replay of the whole
 //!   pipeline recovers bit-identically.
 //!
 //! Every injection, detection and recovery is also recorded on the
 //! attached [`TelemetrySink`] as
-//! [`Event::Fault`](abm_telemetry::Event::Fault)s, so a campaign
+//! [`Event::Fault`]s, so a campaign
 //! exports onto the same Chrome-trace timeline as the rest of the
 //! instrumentation.
 
@@ -39,15 +39,13 @@ use abm_fault::{
     PlanInjector, RecoveryAction, SplitMix64, TrialRecord,
 };
 use abm_model::{synthesize_model, LayerKind, SparseModel};
-use abm_sim::run::simulate_workload_with;
 use abm_sim::task::Workload;
 use abm_sim::{
-    lane, plan_pipeline, simulate_pipeline, simulate_pipeline_guarded, simulate_workload_guarded,
-    AcceleratorConfig, LayerSim, MemorySystem, PipelineOptions, PipelineSim, PipelinedSchedule,
-    SchedulingPolicy, Watchdog,
+    lane, plan_pipeline, simulate_pipeline, AcceleratorConfig, LayerSim, PipelineOptions,
+    PipelineSim, PipelinedSchedule, SimContext, Watchdog,
 };
 use abm_sparse::{FlatCode, FlatKernel};
-use abm_telemetry::{Event, FaultAction, NullCollector, TelemetrySink};
+use abm_telemetry::{Event, FaultAction, TelemetrySink};
 use abm_tensor::{Shape3, Tensor3};
 
 /// What a campaign sweeps: which zoo networks, under which seed, and
@@ -123,15 +121,6 @@ pub fn run_campaign(
     Ok(report)
 }
 
-/// The accelerator configuration a zoo network is simulated under.
-fn accel_config(net: &str) -> AcceleratorConfig {
-    if net == "alexnet" {
-        AcceleratorConfig::paper_alexnet()
-    } else {
-        AcceleratorConfig::paper()
-    }
-}
-
 /// Deterministic synthetic image for a network input shape (same LCG
 /// family the CLI and property tests use, offset by the campaign seed).
 fn synth_input(shape: Shape3, seed: u64) -> Tensor3<i16> {
@@ -180,8 +169,7 @@ fn run_net(
     let golden = inferencer.run_prepared(&golden_prep, &input)?;
     let conv_layers = conv_indices(&model);
 
-    let sim_cfg = accel_config(net);
-    let mem = MemorySystem::de5_net();
+    let sim_cfg = AcceleratorConfig::paper_for(net);
 
     // The pipelined dataflow the two extra timing trials per round run
     // under: planned once per net (the planner and DES are
@@ -205,7 +193,7 @@ fn run_net(
     for _ in 0..config.trials_per_class {
         for class in FaultClass::ALL {
             let trial = if class.is_timing() {
-                timing_trial(net, &model, &sim_cfg, &mem, class, &mut rng, sink)?
+                timing_trial(net, &model, &sim_cfg, class, &mut rng, sink)?
             } else {
                 functional_trial(FunctionalTrial {
                     net,
@@ -550,7 +538,6 @@ fn timing_trial(
     net: &str,
     model: &SparseModel,
     cfg: &AcceleratorConfig,
-    mem: &MemorySystem,
     class: FaultClass,
     rng: &mut SplitMix64,
     sink: &TelemetrySink,
@@ -558,9 +545,13 @@ fn timing_trial(
     let layer = rng.below(model.layers.len() as u64) as usize;
     let w = Workload::from_layer(&model.layers[layer])
         .map_err(|e| AbmError::from(e).at_layer(layer))?;
-    let policy = SchedulingPolicy::SemiSynchronous;
     let watchdog = Watchdog::default();
-    let clean = simulate_workload_with(&w, cfg, mem, policy, Parallelism::Serial);
+    let serial = || SimContext {
+        parallelism: Parallelism::Serial,
+        watchdog,
+        ..SimContext::default()
+    };
+    let clean = serial().simulate_workload(&w, cfg, layer as u32, 0)?;
 
     let kernel = w
         .flat
@@ -616,18 +607,9 @@ fn timing_trial(
         ),
     );
     let mut injector = PlanInjector::new(FaultPlan::single(0, class, fault));
-    let guarded = simulate_workload_guarded(
-        &w,
-        cfg,
-        mem,
-        policy,
-        Parallelism::Serial,
-        layer as u32,
-        0,
-        &mut NullCollector,
-        &mut injector,
-        watchdog,
-    );
+    let guarded = serial()
+        .injector(&mut injector)
+        .simulate_workload(&w, cfg, layer as u32, 0);
     match guarded {
         Ok(sim) => {
             let identical = same_timing(&sim, &clean);
@@ -657,7 +639,7 @@ fn timing_trial(
                 &e.to_string(),
             );
             // Recovery: replay the layer fault-free.
-            let replay = simulate_workload_with(&w, cfg, mem, policy, Parallelism::Serial);
+            let replay = serial().simulate_workload(&w, cfg, layer as u32, 0)?;
             let identical = same_timing(&replay, &clean);
             sink.record_fault(
                 layer as u32,
@@ -757,15 +739,12 @@ fn pipelined_trial(t: PipelinedTrial<'_>) -> Result<TrialRecord, AbmError> {
         &format!("pipelined unit {} cycles {}", fault.unit, fault.cycles),
     );
     let mut injector = PlanInjector::new(FaultPlan::single(0, t.class, fault));
-    let guarded = simulate_pipeline_guarded(
-        t.workloads,
-        t.cfg,
-        t.schedule,
-        t.batch,
-        &mut NullCollector,
-        &mut injector,
+    let guarded = SimContext {
         watchdog,
-    );
+        ..SimContext::default()
+    }
+    .injector(&mut injector)
+    .simulate_pipeline(t.workloads, t.cfg, t.schedule, t.batch);
     match guarded {
         Ok(sim) => {
             let identical = &sim == t.clean;

@@ -10,11 +10,17 @@
 //! scheduling policy.
 
 use abm_conv::{Engine, Inferencer, Parallelism};
+use abm_fault::{FaultPlan, Injector, PlanInjector};
 use abm_model::{synthesize_model, zoo, LayerProfile, PruneProfile, SparseModel};
+use abm_sim::task::Workload;
 use abm_sim::{
-    simulate_network_with_parallelism, AcceleratorConfig, MemorySystem, SchedulingPolicy,
+    plan_pipeline, simulate_network, simulate_pipeline, AcceleratorConfig, NetworkSim,
+    PipelineOptions, PipelineSim, PipelinedSchedule, SchedulingPolicy, SimBudget, SimContext,
 };
+use abm_telemetry::{Collector, RecordingCollector};
 use abm_tensor::Tensor3;
+use proptest::prelude::*;
+use std::time::Duration;
 
 fn model(seed: u64) -> SparseModel {
     let net = zoo::tiny();
@@ -93,15 +99,22 @@ fn shared_prepared_weights_are_reusable_and_stateless() {
 fn simulated_cycles_identical_serial_vs_parallel() {
     let model = model(2019);
     let cfg = AcceleratorConfig::paper();
-    let mem = MemorySystem::de5_net();
+    let simulate = |policy, parallelism| {
+        SimContext {
+            policy,
+            parallelism,
+            ..SimContext::default()
+        }
+        .simulate_network(&model, &cfg)
+        .unwrap()
+    };
     for policy in [
         SchedulingPolicy::SemiSynchronous,
         SchedulingPolicy::LockStep,
     ] {
-        let serial =
-            simulate_network_with_parallelism(&model, &cfg, &mem, policy, Parallelism::Serial);
+        let serial = simulate(policy, Parallelism::Serial);
         for pool in POOLS {
-            let parallel = simulate_network_with_parallelism(&model, &cfg, &mem, policy, pool);
+            let parallel = simulate(policy, pool);
             assert_eq!(
                 serial, parallel,
                 "{policy:?} with pool {pool} changed simulated cycles"
@@ -133,4 +146,132 @@ fn uneven_batches_stay_ordered() {
         .unwrap();
     assert_eq!(serial, parallel);
     assert_ne!(serial[3], serial[2], "outlier image must differ");
+}
+
+/// Both multi-layer cores under one context.
+fn network_and_pipeline<C: Collector, I: Injector>(
+    mut ctx: SimContext<C, I>,
+    (model, cfg, workloads, schedule): (
+        &SparseModel,
+        &AcceleratorConfig,
+        &[Workload],
+        &PipelinedSchedule,
+    ),
+) -> (NetworkSim, PipelineSim) {
+    (
+        ctx.simulate_network(model, cfg).unwrap(),
+        ctx.simulate_pipeline(workloads, cfg, schedule, 2).unwrap(),
+    )
+}
+
+/// Every context field is an observer or a limit, never a participant:
+/// over policy × host parallelism × collector {null, recording} ×
+/// injector {null, enabled with nothing to deliver} × budget
+/// {unlimited, far-future wall, exact-fit cycles}, the network and
+/// pipeline cores return what the paper-default front doors return
+/// (per policy), and every recording run sees the same event stream.
+/// Includes what no entry point could express before the context: a
+/// wall budget *with* a collector, an injector at network level.
+fn context_fields_never_change_a_result(
+    model: &SparseModel,
+    cfg: &AcceleratorConfig,
+    policies: &[SchedulingPolicy],
+) {
+    let workloads: Vec<Workload> = model
+        .layers
+        .iter()
+        .map(|l| Workload::from_layer(l).unwrap())
+        .collect();
+    let schedule = plan_pipeline(&workloads, cfg, &PipelineOptions::for_config(cfg), 2).unwrap();
+    let front_pipe = simulate_pipeline(&workloads, cfg, &schedule, 2);
+    for &policy in policies {
+        let front_net = match policy {
+            SchedulingPolicy::SemiSynchronous => simulate_network(model, cfg),
+            SchedulingPolicy::LockStep => SimContext {
+                policy,
+                ..SimContext::default()
+            }
+            .simulate_network(model, cfg)
+            .unwrap(),
+        };
+        let mut first_events = None;
+        for parallelism in [
+            Parallelism::Serial,
+            Parallelism::Threads(2),
+            Parallelism::Auto,
+        ] {
+            for budget in [
+                SimBudget::unlimited(),
+                SimBudget::wall(Duration::from_secs(3600)),
+                SimBudget::cycles(front_net.summary().compute_cycles),
+            ] {
+                for (record, inject) in [(false, false), (true, false), (false, true), (true, true)]
+                {
+                    let ctx = SimContext {
+                        policy,
+                        parallelism,
+                        budget,
+                        ..SimContext::default()
+                    };
+                    let mut rec = RecordingCollector::new();
+                    let mut idle = PlanInjector::new(FaultPlan::default());
+                    let subject = (model, cfg, &workloads[..], &schedule);
+                    let (net, pipe) = match (record, inject) {
+                        (false, false) => network_and_pipeline(ctx, subject),
+                        (true, false) => network_and_pipeline(ctx.collector(&mut rec), subject),
+                        (false, true) => network_and_pipeline(ctx.injector(&mut idle), subject),
+                        (true, true) => network_and_pipeline(
+                            ctx.collector(&mut rec).injector(&mut idle),
+                            subject,
+                        ),
+                    };
+                    let combo = format!(
+                        "{policy:?} / {parallelism} / {budget:?} / record {record} / inject {inject}"
+                    );
+                    assert_eq!(net, front_net, "{combo}");
+                    assert_eq!(pipe, front_pipe, "{combo}");
+                    assert!(idle.delivered().is_empty(), "{combo}");
+                    if record {
+                        let events = rec.into_events();
+                        assert!(!events.is_empty(), "{combo}");
+                        let first = first_events.get_or_insert_with(|| events.clone());
+                        assert_eq!(&events, first, "{combo}: event stream drifted");
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn context_is_an_observer_on_tiny(
+        density in 0.2f64..0.9,
+        levels in 4usize..32,
+        seed in 0u64..1_000,
+    ) {
+        let profile = PruneProfile::uniform(LayerProfile::new(density, levels));
+        let model = synthesize_model(&zoo::tiny(), &profile, seed);
+        context_fields_never_change_a_result(
+            &model,
+            &AcceleratorConfig::paper(),
+            &[SchedulingPolicy::SemiSynchronous, SchedulingPolicy::LockStep],
+        );
+    }
+}
+
+#[test]
+fn context_is_an_observer_on_alexnet() {
+    let model = synthesize_model(
+        &zoo::alexnet(),
+        &PruneProfile::alexnet_deep_compression(),
+        2019,
+    );
+    context_fields_never_change_a_result(
+        &model,
+        &AcceleratorConfig::paper_alexnet(),
+        &[SchedulingPolicy::SemiSynchronous],
+    );
 }

@@ -5,15 +5,14 @@
 
 use abm_spconv_repro::campaign::{run_campaign, CampaignConfig};
 use abm_spconv_repro::conv::{Engine, Inferencer, Parallelism};
-use abm_spconv_repro::fault::{AbmError, FaultClass, FaultOutcome, NullInjector};
-use abm_spconv_repro::model::{synthesize_model, zoo, LayerProfile, PruneProfile};
-use abm_spconv_repro::sim::run::simulate_workload_with;
-use abm_spconv_repro::sim::task::Workload;
-use abm_spconv_repro::sim::{
-    simulate_workload_guarded, AcceleratorConfig, MemorySystem, SchedulingPolicy, Watchdog,
+use abm_spconv_repro::fault::{
+    AbmError, FaultClass, FaultOutcome, FaultPlan, NullInjector, PlanInjector,
 };
+use abm_spconv_repro::model::{synthesize_model, zoo, LayerProfile, PruneProfile};
+use abm_spconv_repro::sim::task::Workload;
+use abm_spconv_repro::sim::{AcceleratorConfig, SimContext, Watchdog};
 use abm_spconv_repro::sparse::{EncodeError, FlatCode, FlatLayout, LayerCode};
-use abm_spconv_repro::telemetry::{NullCollector, TelemetrySink};
+use abm_spconv_repro::telemetry::TelemetrySink;
 use abm_spconv_repro::tensor::{Shape3, Shape4, Tensor3, Tensor4};
 use proptest::prelude::*;
 
@@ -59,29 +58,33 @@ proptest! {
         }
     }
 
-    /// NullInjector zero-overhead guarantee at the integration level:
-    /// the guarded simulation entry point with the disabled injector
-    /// returns bit-identical timing to the plain simulator on every
-    /// layer, for any watchdog slack.
+    /// Zero-overhead guarantee of the fault guards at the integration
+    /// level: the workload core under the disabled injector, and under
+    /// an enabled injector that walks every guard but delivers nothing,
+    /// returns the plain simulation on every layer, for any watchdog
+    /// slack.
     #[test]
     fn null_injector_guarded_sim_is_bit_identical(slack in 1u64..1_000_000) {
         let model = tiny_model();
         let cfg = AcceleratorConfig::paper();
-        let mem = MemorySystem::de5_net();
+        let guarded = || SimContext {
+            parallelism: Parallelism::Serial,
+            watchdog: Watchdog::with_slack(slack),
+            ..SimContext::default()
+        };
         for (i, layer) in model.layers.iter().enumerate() {
             let w = Workload::from_layer(layer).unwrap();
-            let plain = simulate_workload_with(
-                &w, &cfg, &mem, SchedulingPolicy::SemiSynchronous, Parallelism::Serial,
-            );
-            let guarded = simulate_workload_guarded(
-                &w, &cfg, &mem, SchedulingPolicy::SemiSynchronous, Parallelism::Serial,
-                i as u32, 0, &mut NullCollector, &mut NullInjector,
-                Watchdog::with_slack(slack),
-            )
-            .unwrap();
-            prop_assert_eq!(guarded.compute_cycles, plain.compute_cycles);
-            prop_assert_eq!(guarded.busy_cycles, plain.busy_cycles);
-            prop_assert_eq!(guarded.seconds.to_bits(), plain.seconds.to_bits());
+            let plain = SimContext::default().simulate_workload(&w, &cfg, 0, 0).unwrap();
+            let null = guarded()
+                .injector(&mut NullInjector)
+                .simulate_workload(&w, &cfg, i as u32, 0)
+                .unwrap();
+            let idle = guarded()
+                .injector(&mut PlanInjector::new(FaultPlan::default()))
+                .simulate_workload(&w, &cfg, i as u32, 0)
+                .unwrap();
+            prop_assert_eq!(&null, &plain);
+            prop_assert_eq!(&idle, &plain);
         }
     }
 }

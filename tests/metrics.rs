@@ -21,9 +21,7 @@ use abm_spconv_repro::metrics;
 use abm_spconv_repro::model::{
     synthesize_model, zoo, LayerProfile, Network, PruneProfile, SparseModel,
 };
-use abm_spconv_repro::sim::{
-    simulate_network_collected, AcceleratorConfig, MemorySystem, SchedulingPolicy,
-};
+use abm_spconv_repro::sim::{AcceleratorConfig, SimContext};
 use abm_spconv_repro::sparse::FlatCode;
 use abm_spconv_repro::telemetry::{json, Event, RecordingCollector, TelemetrySink};
 use abm_spconv_repro::tensor::Tensor3;
@@ -139,14 +137,14 @@ fn reconcile_network(name: &str, network: Network, profile: PruneProfile, cfg: A
     let model = synthesize_model(&network, &profile, 2019);
     let registry = fresh_registry();
     let mut rec = RecordingCollector::new();
-    let _sim = simulate_network_collected(
-        &model,
-        &cfg,
-        &MemorySystem::de5_net(),
-        SchedulingPolicy::SemiSynchronous,
-        Parallelism::Serial,
-        &mut rec,
-    );
+    let serial = SimContext {
+        parallelism: Parallelism::Serial,
+        ..SimContext::default()
+    };
+    serial
+        .collector(&mut rec)
+        .simulate_network(&model, &cfg)
+        .unwrap();
     let snap = registry.snapshot();
     let counter = |n: &str| snap.counters.get(n).copied().unwrap_or(0);
     let gauge = |n: &str| snap.gauges.get(n).copied().unwrap_or(0);

@@ -7,9 +7,7 @@ use abm_spconv_repro::model::{
     prune_magnitude, synthesize_from_float, synthesize_model, zoo, ConvSpec, Layer, LayerKind,
     LayerProfile, Network, PruneProfile,
 };
-use abm_spconv_repro::sim::{
-    simulate_network, simulate_network_with, AcceleratorConfig, MemorySystem, SchedulingPolicy,
-};
+use abm_spconv_repro::sim::{simulate_network, AcceleratorConfig, MemorySystem, SimContext};
 use abm_spconv_repro::sparse::{LayerCode, SizeModel};
 use abm_spconv_repro::tensor::quantize::quantize_tensor;
 use abm_spconv_repro::tensor::{Shape3, Shape4, Tensor3, Tensor4};
@@ -126,12 +124,12 @@ fn starved_memory_flips_bound_and_slows_inference() {
     let model = synthesize_model(&net, &PruneProfile::uniform(LayerProfile::new(0.5, 8)), 5);
     let cfg = AcceleratorConfig::paper();
     let fast = simulate_network(&model, &cfg);
-    let slow = simulate_network_with(
-        &model,
-        &cfg,
-        &MemorySystem::with_bandwidth_gbps(0.005),
-        SchedulingPolicy::SemiSynchronous,
-    );
+    let slow = SimContext {
+        mem: MemorySystem::with_bandwidth_gbps(0.005),
+        ..SimContext::default()
+    }
+    .simulate_network(&model, &cfg)
+    .unwrap();
     assert!(slow.total_seconds() > 5.0 * fast.total_seconds());
     assert!(slow.layers().iter().any(|l| l.memory_bound));
 }

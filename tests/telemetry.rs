@@ -1,9 +1,10 @@
 //! Telemetry must be an observer, never a participant: collecting it
 //! cannot change a single simulated cycle or inference bit.
 //!
-//! The structural guarantee is that `simulate_workload_with` *is*
-//! `simulate_workload_collected` with the `NullCollector` — there is no
-//! second code path to drift. These tests close the loop empirically:
+//! The structural guarantee is that there is one simulation core,
+//! generic over the `SimContext`'s collector, and the uninstrumented run
+//! is its `NullCollector` monomorphization — there is no second code
+//! path to drift. These tests close the loop empirically:
 //! the `RecordingCollector` run must reproduce the uninstrumented run
 //! exactly, across scheduling policies, host parallelism and synthesis
 //! randomness, and the golden pins must hold with collection on.
@@ -11,12 +12,31 @@
 use abm_spconv_repro::conv::{Engine, Inferencer, Parallelism};
 use abm_spconv_repro::model::{synthesize_model, zoo, LayerProfile, PruneProfile, SparseModel};
 use abm_spconv_repro::sim::{
-    network_report, simulate_network_collected, simulate_network_with_parallelism,
-    AcceleratorConfig, MemorySystem, SchedulingPolicy,
+    network_report, AcceleratorConfig, NetworkSim, SchedulingPolicy, SimContext,
 };
 use abm_spconv_repro::telemetry::{ChromeTrace, Event, RecordingCollector, TelemetrySink};
 use abm_spconv_repro::tensor::Tensor3;
 use proptest::prelude::*;
+
+/// One network simulation under `policy` / `parallelism`, recorded.
+fn collected(
+    model: &SparseModel,
+    cfg: &AcceleratorConfig,
+    policy: SchedulingPolicy,
+    parallelism: Parallelism,
+) -> (NetworkSim, RecordingCollector) {
+    let mut rec = RecordingCollector::new();
+    let ctx = SimContext {
+        policy,
+        parallelism,
+        ..SimContext::default()
+    };
+    let sim = ctx
+        .collector(&mut rec)
+        .simulate_network(model, cfg)
+        .unwrap();
+    (sim, rec)
+}
 
 fn tiny_model(density: f64, levels: usize, seed: u64) -> SparseModel {
     let net = zoo::tiny();
@@ -38,7 +58,6 @@ proptest! {
     ) {
         let model = tiny_model(density, levels, seed);
         let cfg = AcceleratorConfig::paper();
-        let mem = MemorySystem::de5_net();
         let policy = if lock_step {
             SchedulingPolicy::LockStep
         } else {
@@ -49,10 +68,14 @@ proptest! {
         } else {
             Parallelism::Threads(threads)
         };
-        let plain = simulate_network_with_parallelism(&model, &cfg, &mem, policy, parallelism);
-        let mut rec = RecordingCollector::new();
-        let collected =
-            simulate_network_collected(&model, &cfg, &mem, policy, parallelism, &mut rec);
+        let plain = SimContext {
+            policy,
+            parallelism,
+            ..SimContext::default()
+        }
+        .simulate_network(&model, &cfg)
+        .unwrap();
+        let (collected, rec) = collected(&model, &cfg, policy, parallelism);
         prop_assert_eq!(&plain, &collected);
         // And the collector actually observed the run: CU task spans
         // exist for every layer and respect the cumulative timeline.
@@ -130,14 +153,11 @@ fn golden_pins_hold_with_collection_on() {
         2019,
     );
     let cfg = AcceleratorConfig::paper_alexnet();
-    let mut rec = RecordingCollector::new();
-    let sim = simulate_network_collected(
+    let (sim, rec) = collected(
         &model,
         &cfg,
-        &MemorySystem::de5_net(),
         SchedulingPolicy::SemiSynchronous,
         Parallelism::Auto,
-        &mut rec,
     );
     let gops = sim.gops();
     let rel = (gops - 707.78).abs() / 707.78;
@@ -168,17 +188,12 @@ fn golden_pins_hold_with_collection_on() {
 fn collected_runs_are_deterministic() {
     let model = tiny_model(0.5, 16, 77);
     let cfg = AcceleratorConfig::paper();
-    let mem = MemorySystem::de5_net();
     for policy in [
         SchedulingPolicy::SemiSynchronous,
         SchedulingPolicy::LockStep,
     ] {
-        let mut rec_a = RecordingCollector::new();
-        let mut rec_b = RecordingCollector::new();
-        let a =
-            simulate_network_collected(&model, &cfg, &mem, policy, Parallelism::Serial, &mut rec_a);
-        let b =
-            simulate_network_collected(&model, &cfg, &mem, policy, Parallelism::Auto, &mut rec_b);
+        let (a, rec_a) = collected(&model, &cfg, policy, Parallelism::Serial);
+        let (b, rec_b) = collected(&model, &cfg, policy, Parallelism::Auto);
         assert_eq!(a, b, "{policy:?}");
         assert_eq!(rec_a.events(), rec_b.events(), "{policy:?} event streams");
     }

@@ -198,12 +198,9 @@ fn weights_strategy() -> impl Strategy<Value = (Tensor4<i8>, usize, usize)> {
 /// just the metric.
 #[test]
 fn model_divergence_names_the_corrupted_layer() {
-    use abm_spconv_repro::conv::parallel::Parallelism;
     use abm_spconv_repro::dse::{annotate_report, check_consistency, estimate_network, Tolerances};
     use abm_spconv_repro::sim::telemetry::network_report;
-    use abm_spconv_repro::sim::{
-        simulate_network_collected, AcceleratorConfig, MemorySystem, SchedulingPolicy,
-    };
+    use abm_spconv_repro::sim::{AcceleratorConfig, SimContext};
     use abm_spconv_repro::telemetry::RecordingCollector;
 
     let net = zoo::tiny();
@@ -211,14 +208,10 @@ fn model_divergence_names_the_corrupted_layer() {
     let model = synthesize_model(&net, &profile, 11);
     let cfg = AcceleratorConfig::paper();
     let mut rec = RecordingCollector::new();
-    let sim = simulate_network_collected(
-        &model,
-        &cfg,
-        &MemorySystem::de5_net(),
-        SchedulingPolicy::SemiSynchronous,
-        Parallelism::Serial,
-        &mut rec,
-    );
+    let sim = SimContext::default()
+        .collector(&mut rec)
+        .simulate_network(&model, &cfg)
+        .unwrap();
     let mut report = network_report("TinyNet", &sim, &rec);
     let est = estimate_network(&net, &profile, &cfg);
     annotate_report(&mut report, &est);

@@ -1,7 +1,7 @@
-//! Times the prepared ABM hot path against the interpretive reference
-//! executor on the AlexNet and VGG16 convolution layers — once per
-//! compiled kernel variant the CPU can run — asserting bit-identical
-//! outputs and writing `BENCH_abm_hotpath.json`.
+//! Times the prepared ABM hot path on the AlexNet and VGG16 convolution
+//! layers — once per compiled kernel variant the CPU can run — asserting
+//! every output bit-identical to the interpretive reference executor and
+//! writing `BENCH_abm_hotpath.json`.
 //!
 //! ```text
 //! cargo run --release -p abm-bench --bin hotpath                 # all variants
@@ -11,11 +11,17 @@
 //!
 //! `--smoke` restricts the run to AlexNet with one repetition per
 //! engine — enough to exercise every variant end to end without tying
-//! up the CI machine. The headline `geomean_speedup` is `auto`'s — the
-//! dispatch `Inferencer::prepare` makes, so the number describes what
-//! users run (with `--isa`, the one pinned variant's); per-variant
-//! geomeans are reported alongside so a scalar regression is visible
-//! even when a vector unit hides it.
+//! up the CI machine. The headline is absolute: `gacc_per_s`, the
+//! layers' analytic stage-1 accumulations (`PreparedConv::work`) over
+//! the sum of their best times — the same unit as the repo benchmark's
+//! `conv.gacc_per_s`, and one that moves only when the hot path does.
+//! The geomean ratio against the reference executor is reported beside
+//! it but gates nothing: the oracle is deliberately naive, and the ratio
+//! moves whenever *it* has a fast or slow day. The top-level numbers are
+//! `auto`'s — the dispatch `Inferencer::prepare` makes, so they describe
+//! what users run (with `--isa`, the one pinned variant's); per-variant
+//! figures are reported alongside so a scalar regression is visible even
+//! when a vector unit hides it.
 
 #![forbid(unsafe_code)]
 
@@ -34,7 +40,11 @@ struct VariantCell {
     /// What actually ran (`avx2/i32`, `scalar/i64`, …) — the selection
     /// the accumulator-width proof permitted, not just the pin.
     selection: String,
-    ns_per_pixel: f64,
+    /// Best wall time of one `execute`, in nanoseconds.
+    ns: f64,
+    /// Stage-1 accumulations one `execute` performs (analytic, so the
+    /// same for every variant of a layer).
+    accumulations: u64,
     speedup: f64,
 }
 
@@ -84,8 +94,8 @@ fn cpu_model() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// The column the headline `geomean_speedup` reports: `auto` when
-/// nothing is pinned, the single pinned variant otherwise.
+/// The column the top-level headline reports: `auto` when nothing is
+/// pinned, the single pinned variant otherwise.
 const HEADLINE: usize = 0;
 
 /// One benched column.
@@ -131,7 +141,8 @@ fn bench_network(
             );
             cells.push(VariantCell {
                 selection: prep.selection().name(),
-                ns_per_pixel: prep_ns / out_pixels as f64,
+                ns: prep_ns,
+                accumulations: prep.work().accumulations,
                 speedup: ref_ns / prep_ns,
             });
         }
@@ -143,6 +154,13 @@ fn bench_network(
             cells,
         });
     }
+}
+
+/// Variant column `v`'s absolute throughput: all rows' accumulations over
+/// the sum of their best times (accumulations per ns = Gacc/s).
+fn gacc_per_s(rows: &[Row], v: usize) -> f64 {
+    let acc: u64 = rows.iter().map(|r| r.cells[v].accumulations).sum();
+    acc as f64 / rows.iter().map(|r| r.cells[v].ns).sum::<f64>()
 }
 
 /// Geometric-mean speedup of variant column `v` across all rows.
@@ -162,8 +180,9 @@ fn write_json(rows: &[Row], variants: &[Variant], cpu: &str) -> std::io::Result<
         let comma = if v + 1 == variants.len() { "" } else { "," };
         writeln!(
             f,
-            "    {{\"isa\": \"{}\", \"geomean_speedup\": {:.3}}}{comma}",
+            "    {{\"isa\": \"{}\", \"gacc_per_s\": {:.3}, \"geomean_speedup\": {:.3}}}{comma}",
             var.label,
+            gacc_per_s(rows, v),
             geomean(rows, v)
         )?;
     }
@@ -175,21 +194,30 @@ fn write_json(rows: &[Row], variants: &[Variant], cpu: &str) -> std::io::Result<
         write!(
             f,
             "    {{\"network\": \"{}\", \"layer\": \"{}\", \"out_pixels\": {}, \
-             \"reference_ns_per_pixel\": {:.2}",
-            r.network, r.layer, r.out_pixels, r.reference_ns_per_pixel,
+             \"accumulations\": {}, \"reference_ns_per_pixel\": {:.2}",
+            r.network,
+            r.layer,
+            r.out_pixels,
+            r.cells[HEADLINE].accumulations,
+            r.reference_ns_per_pixel,
         )?;
         for (v, var) in variants.iter().enumerate() {
             let c = &r.cells[v];
             write!(
                 f,
                 ", \"{}\": {{\"selection\": \"{}\", \"ns_per_pixel\": {:.2}, \
-                 \"speedup\": {:.3}}}",
-                var.label, c.selection, c.ns_per_pixel, c.speedup
+                 \"ns_per_acc\": {:.4}, \"speedup\": {:.3}}}",
+                var.label,
+                c.selection,
+                c.ns / r.out_pixels as f64,
+                c.ns / c.accumulations as f64,
+                c.speedup
             )?;
         }
         writeln!(f, "}}{comma}")?;
     }
     writeln!(f, "  ],")?;
+    writeln!(f, "  \"gacc_per_s\": {:.3},", gacc_per_s(rows, HEADLINE))?;
     writeln!(f, "  \"geomean_speedup\": {:.3}", geomean(rows, HEADLINE))?;
     writeln!(f, "}}")
 }
@@ -256,7 +284,11 @@ fn main() {
         println!();
     }
     rule(width);
-    print!("geomean speedup:");
+    print!("Gacc/s:");
+    for (v, var) in variants.iter().enumerate() {
+        print!("  {}={:.2}", var.label, gacc_per_s(&rows, v));
+    }
+    print!("\ngeomean speedup vs reference (reported, not gated):");
     for (v, var) in variants.iter().enumerate() {
         print!("  {}={:.2}x", var.label, geomean(&rows, v));
     }

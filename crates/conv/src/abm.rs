@@ -21,8 +21,13 @@
 //!   buffer every output pixel is `base + offset`, so execution is one
 //!   flat unit-stride sweep per row tile and kernel: no padding checks,
 //!   no strided gather, and rows too short to fill a vector on their
-//!   own still run in full lanes. Per call it re-lays the input out
-//!   once and keeps one pitched tile scratch beside the output tensor.
+//!   own still run in full lanes. The sweep has three phases: register
+//!   blocks (`lanes × block` positions under one offset decode —
+//!   [`AbmKernel::gather_block`]) while a whole block fits, then single
+//!   vectors, then at most one vector overlapping the previous one; a
+//!   span shorter than a vector (a fully-connected row) goes one
+//!   position at a time. Per call it re-lays the input out once and
+//!   keeps one tile scratch beside the output tensor.
 //!   Work counts are **analytic** —
 //!   `accumulations = nnz × out_pixels`,
 //!   `multiplications = final_accumulations = Σ Q(m) × out_pixels` —
@@ -36,7 +41,7 @@
 use crate::dense::Geometry;
 use abm_fault::AbmError;
 use abm_kernel::{gather_one, AbmKernel, AccWidth, Isa, Selection};
-use abm_sparse::{FlatCode, FlatLayout, LayerCode};
+use abm_sparse::{FlatCode, FlatKernel, FlatLayout, LayerCode};
 use abm_tensor::{Shape3, Shape4, Tensor3};
 use std::time::Instant;
 
@@ -466,14 +471,25 @@ impl PreparedConv {
         let layout = self.flat.layout();
         let relaid = layout.relayout(input);
         // The dispatch resolved at preparation: one virtual call maps
-        // the stored selection to its kernel object, then the sweep
-        // below goes through it for every position vector.
+        // the stored selection to its kernel object, then every sweep
+        // below goes through it.
         let kern: &'static dyn AbmKernel = abm_kernel::resolve(self.sel);
-        let lanes = kern.lanes();
-        // One scratch partial-sum buffer for the one-at-a-time fallback
-        // (the software stand-in for the lane's partial-sum FIFO).
-        let mut partials = vec![0i64; self.flat.max_distinct()];
         let pitch = layout.phase_cols();
+        // One tile scratch for the whole call, as long as the longest
+        // sweep; the one-at-a-time fallback's partial-sum buffer (the
+        // software stand-in for the lane's partial-sum FIFO) only when
+        // some sweep is too short for a vector.
+        let longest = layout
+            .tiles(out_rows)
+            .map(|rows| layout.sweep_span(rows.len(), out_cols))
+            .max()
+            .unwrap_or(0);
+        let mut tile = vec![0i64; longest];
+        let mut partials = if layout.shortest_sweep(out_rows, out_cols) < kern.lanes() {
+            vec![0i64; self.flat.max_distinct()]
+        } else {
+            Vec::new()
+        };
         let group_len = layout.relaid_len(self.flat.shape().in_channels);
         let out_data = out.as_mut_slice();
         let mut swept = 0u64;
@@ -482,34 +498,13 @@ impl PreparedConv {
         // while every kernel of the layer sweeps it (the line-buffer
         // prefetch window).
         for rows in layout.tiles(out_rows) {
-            let span = layout.sweep_span(rows.len(), out_cols);
             // The sweep lands here at the input's row pitch; the
             // `pitch - out_cols` wrap positions at each row's end are
             // computed like any other and dropped by the copy-out.
-            let mut tile = vec![0i64; rows.len() * pitch];
+            let tile = &mut tile[..layout.sweep_span(rows.len(), out_cols)];
             for (m, kernel) in self.flat.kernels().iter().enumerate() {
                 let base = (m / self.m_per_group) * group_len + rows.start * pitch;
-                swept += sweep(span, lanes, |i, vec_step| {
-                    if vec_step {
-                        kern.gather_unit(
-                            kernel.values(),
-                            kernel.group_bounds(),
-                            kernel.offsets(),
-                            &relaid,
-                            base + i,
-                            &mut tile[i..i + lanes],
-                        );
-                    } else {
-                        tile[i] = gather_one(
-                            kernel.values(),
-                            kernel.group_bounds(),
-                            kernel.offsets(),
-                            &relaid,
-                            base + i,
-                            &mut partials,
-                        );
-                    }
-                });
+                swept += sweep(kern, kernel, &relaid, base, tile, &mut partials);
                 let dst = &mut out_data[m * out_plane + rows.start * out_cols..];
                 for (dst, src) in dst.chunks_exact_mut(out_cols).zip(tile.chunks(pitch)) {
                     dst.copy_from_slice(&src[..out_cols]);
@@ -543,25 +538,43 @@ impl PreparedConv {
     }
 }
 
-/// Sweeps positions `0..span` in `lanes`-wide steps (`f(index, true)`)
-/// and returns the lane positions issued. A final partial vector is
-/// re-issued as a full vector overlapping the previous one — every
-/// position is a pure function of the input, so recomputing the overlap
-/// is bit-identical, and the last read stays on the span's last (valid)
-/// pixel — and spans narrower than one vector (fully-connected rows)
-/// fall back to scalar steps (`f(index, false)`). `lanes` is the
-/// dispatched kernel's pixel width ([`AbmKernel::lanes`]).
-#[inline]
-fn sweep(span: usize, lanes: usize, mut f: impl FnMut(usize, bool)) -> u64 {
+/// One kernel's sweep over `tile.len()` adjacent positions from `base`,
+/// in three phases: register blocks of `lanes × block` positions while
+/// a whole block fits, then single vectors, then at most one final
+/// vector overlapping the previous one — every position is a pure
+/// function of the input, so recomputing the overlap is bit-identical,
+/// and no call reads past the span's last (valid) pixel. Spans narrower
+/// than one vector (fully-connected rows) take [`gather_one`] per
+/// position. Returns the lane positions issued.
+fn sweep(
+    kern: &dyn AbmKernel,
+    kernel: &FlatKernel,
+    data: &[i16],
+    base: usize,
+    tile: &mut [i64],
+    partials: &mut [i64],
+) -> u64 {
+    let (vals, bounds, offs) = (kernel.values(), kernel.group_bounds(), kernel.offsets());
+    let (span, lanes) = (tile.len(), kern.lanes());
     if span < lanes {
-        (0..span).for_each(|i| f(i, false));
+        for (i, t) in tile.iter_mut().enumerate() {
+            *t = gather_one(vals, bounds, offs, data, base + i, partials);
+        }
         return span as u64;
     }
-    for i in (0..=span - lanes).step_by(lanes) {
-        f(i, true);
+    let wide = lanes * kern.block();
+    let mut i = 0;
+    while i + wide <= span {
+        kern.gather_block(vals, bounds, offs, data, base + i, &mut tile[i..i + wide]);
+        i += wide;
     }
-    if !span.is_multiple_of(lanes) {
-        f(span - lanes, true);
+    while i + lanes <= span {
+        kern.gather_unit(vals, bounds, offs, data, base + i, &mut tile[i..i + lanes]);
+        i += lanes;
+    }
+    if i < span {
+        let i = span - lanes;
+        kern.gather_unit(vals, bounds, offs, data, base + i, &mut tile[i..]);
     }
     (span.div_ceil(lanes) * lanes) as u64
 }
@@ -657,6 +670,26 @@ mod tests {
             let input = pseudo_input(Shape3::new(2, dim, dim));
             let weights = pseudo_weights(Shape4::new(3, 2, k, k), 9);
             check_equivalence(&input, &weights, Geometry::new(stride, pad));
+        }
+        // One-row planes whose sweep span sits on each phase boundary of
+        // every kernel's block width `w` (vector `l`): singles + overlap
+        // only, a block alone, block + overlap (short and long), block +
+        // single, block + singles + overlap, and two blocks + all three.
+        for isa in Isa::detect_all() {
+            let kern = abm_kernel::resolve(abm_kernel::select(Some(isa), 32).unwrap());
+            let (l, w) = (kern.lanes(), kern.lanes() * kern.block());
+            for span in [w - 1, w, w + 1, w + l - 1, w + l, 2 * w - 1, 2 * w + l + 1] {
+                let input = pseudo_input(Shape3::new(2, 1, span + 2));
+                let weights = pseudo_weights(Shape4::new(3, 2, 1, 3), 9);
+                let layout = FlatLayout {
+                    in_rows: 1,
+                    in_cols: span + 2,
+                    stride: 1,
+                    pad: 0,
+                };
+                assert_eq!(layout.shortest_sweep(1, span), span);
+                check_equivalence(&input, &weights, Geometry::new(1, 0));
+            }
         }
     }
 

@@ -24,7 +24,7 @@ use abm_kernel::Isa;
 use abm_model::{Layer, LayerKind, SparseLayer, SparseModel};
 use abm_sparse::{CsrKernel, LayerCode};
 use abm_telemetry::{FaultAction, TelemetrySink};
-use abm_tensor::fixed::{round_shift, saturate};
+use abm_tensor::fixed::{round_shift, round_ties_away};
 use abm_tensor::quantize::choose_frac;
 use abm_tensor::{QFormat, Rounding, Shape3, Tensor3};
 
@@ -1013,15 +1013,23 @@ fn requantize(
     let max_real = (max_abs as f64 * 2f64.powi(-acc_frac)) as f32;
     let target = target.unwrap_or_else(|| QFormat::new(8, choose_frac(&[max_real], 8)));
     let shift = acc_frac - target.frac() as i32;
+    let (lo, hi) = (target.min_raw() as i64, target.max_raw() as i64);
     let mut saturated = 0u64;
-    let out = acc.map(|&v| {
-        let rounded = round_shift(v, shift, Rounding::NearestTiesAway);
-        let clipped = saturate(rounded, target);
-        if clipped as i64 != rounded {
-            saturated += 1;
-        }
+    // Saturation is counted as a sum of `bool`s, so the loop body has no
+    // data-dependent branch.
+    let mut clip = |rounded: i64| {
+        let clipped = rounded.clamp(lo, hi);
+        saturated += u64::from(clipped != rounded);
         clipped as i16
-    });
+    };
+    // Decided once, outside the loop: every layer of the zoo shifts
+    // right by a few bits and takes the branch-free rounding; a left or
+    // a 63-bit shift keeps the general path.
+    let out = if (1..=62).contains(&shift) {
+        acc.map(|&v| clip(round_ties_away(v, shift as u32)))
+    } else {
+        acc.map(|&v| clip(round_shift(v, shift, Rounding::NearestTiesAway)))
+    };
     (
         out,
         target,

@@ -5,7 +5,7 @@
 //! kernel, a few hundred taps, unit stride. Not a substitute for the
 //! `hotpath` bench — just a sanity check that the vector paths pay.
 
-use abm_kernel::{gather_one, resolve, select, Isa, MAX_LANES};
+use abm_kernel::{gather_one, resolve, select, Isa};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -53,22 +53,36 @@ fn main() {
     for isa in Isa::detect_all() {
         let kern = resolve(select(Some(isa), 32).expect("available"));
         let lanes = kern.lanes();
-        let mut out = [0i64; MAX_LANES];
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            let mut px = 0;
-            while px + lanes <= pixels {
-                kern.gather_unit(&values, &starts, &offsets, &data, px % 1024, &mut out);
-                px += lanes;
+        let wide = lanes * kern.block();
+        // One row per call width: a vector per call, then — where the
+        // kernel register-blocks — `block()` vectors per offset decode.
+        for blocked in [false, true] {
+            if blocked && wide == lanes {
+                continue;
             }
-            black_box(&out);
+            let step = if blocked { wide } else { lanes };
+            let mut out = vec![0i64; step];
+            let t0 = Instant::now();
+            for _ in 0..reps {
+                let mut px = 0;
+                while px + step <= pixels {
+                    let base = px % 1024;
+                    if blocked {
+                        kern.gather_block(&values, &starts, &offsets, &data, base, &mut out);
+                    } else {
+                        kern.gather_unit(&values, &starts, &offsets, &data, base, &mut out);
+                    }
+                    px += step;
+                }
+                black_box(&out);
+            }
+            let ns = t0.elapsed().as_nanos() as f64 / (reps * pixels) as f64;
+            println!(
+                "{:>12}  {:7.2} ns/px  {:.2}x",
+                format!("{} x{step}", isa.name()),
+                ns,
+                oracle_ns / ns
+            );
         }
-        let ns = t0.elapsed().as_nanos() as f64 / (reps * pixels) as f64;
-        println!(
-            "{:>12}  {:7.2} ns/px  {:.2}x",
-            isa.name(),
-            ns,
-            oracle_ns / ns
-        );
     }
 }

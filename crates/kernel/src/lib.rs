@@ -20,6 +20,15 @@
 //! * [`Isa::Avx512`] — 16 pixels per call, same narrow-accumulator
 //!   scheme on 512-bit registers.
 //!
+//! The vector variants are additionally **register-blocked**: besides
+//! the one-vector [`AbmKernel::gather_unit`] they offer
+//! [`AbmKernel::gather_block`], which advances
+//! [`AbmKernel::block`] vectors of pixels under one offset decode (one
+//! offset load and one bounds-checked window feed that many independent
+//! accumulators — the accelerator's `S_ec` pixels under one address).
+//! The block is a constant of the kernel object; dispatch, telemetry
+//! and the simulator count in [`AbmKernel::lanes`] and never see it.
+//!
 //! Dispatch is resolved **once** per prepared layer
 //! ([`select`]): `is_x86_feature_detected!` picks the widest ISA the
 //! CPU offers, `ABM_FORCE_ISA` (or an explicit request) can pin any
@@ -42,8 +51,9 @@ mod scalar;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-/// The widest pixel vector any kernel variant processes per call —
-/// executors size their lane scratch buffers to this.
+/// The widest pixel vector any kernel variant has — the most a
+/// [`AbmKernel::gather_unit`] call writes, so a buffer of this length
+/// serves every variant's one-vector call.
 pub const MAX_LANES: usize = 16;
 
 /// An instruction-set variant of the gather kernels.
@@ -238,7 +248,7 @@ pub fn forced_isa() -> Result<Option<Isa>, String> {
 }
 
 /// Resolves the kernel variant for one prepared layer. Called once at
-/// lowering time (`PreparedConv::new`), never on the execution path.
+/// lowering time (`PreparedConv::try_new`), never on the execution path.
 ///
 /// Priority: explicit `requested` pin, then the [`FORCE_ISA_ENV`]
 /// environment pin, then the widest detected ISA. `stage1_bits` is the
@@ -342,11 +352,14 @@ pub fn resolve(sel: Selection) -> &'static dyn AbmKernel {
 
 /// One ISA variant of the two-stage gather kernels.
 ///
-/// A call accumulates [`lanes`](Self::lanes) adjacent output pixels in
-/// lock-step: stage 1 walks each value group's flat offset stream once,
-/// adding the gathered input pixels into per-lane partial sums; stage 2
-/// multiplies each group's partials by its value and reduces into the
-/// per-lane `i64` output accumulators written to `out`.
+/// A call accumulates adjacent output pixels in lock-step — `lanes()`
+/// of them through [`gather_unit`](Self::gather_unit),
+/// `lanes() × block()` through [`gather_block`](Self::gather_block):
+/// stage 1 walks each value
+/// group's flat offset stream once, adding the gathered input pixels
+/// into per-lane partial sums; stage 2 multiplies each group's partials
+/// by its value and reduces into the per-lane `i64` output accumulators
+/// written to `out`.
 ///
 /// # Contract (shared by every implementation)
 ///
@@ -354,20 +367,42 @@ pub fn resolve(sel: Selection) -> &'static dyn AbmKernel {
 ///   `offsets[starts[g] as usize .. starts[g + 1] as usize]`, and
 ///   `values.len() + 1 == starts.len()` (the lowered `FlatKernel`
 ///   shape, re-proven by `abm-verify`).
-/// * Every read lands in `data[base + off .. base + off + lanes]`;
-///   implementations bounds-check the whole window once per offset
-///   (exactly like the original scalar loop), so a violated caller
-///   contract panics rather than reading wild.
-/// * `out.len()` is at least [`lanes`](Self::lanes); the first
-///   `lanes` entries are written.
-/// * Results are **bit-identical** across implementations for inputs
-///   within the proven accumulator bound.
+/// * A call computing `n` pixels reads only
+///   `data[base + off .. base + off + n]`; implementations bounds-check
+///   that whole window once per offset (exactly like the original
+///   scalar loop), so a violated caller contract panics rather than
+///   reading wild.
+/// * `out.len()` is at least `n`; exactly the first `n` entries are
+///   written, whatever `out.len()` is.
+/// * Results are **bit-identical** across implementations and call
+///   widths for inputs within the proven accumulator bound: every lane
+///   sees the same additions in the same order, whichever call carried
+///   it.
+///
+/// # Why a block needs no proof of its own
+///
+/// The executor issues a block at position `i` of a `span`-long sweep
+/// only while `i + lanes·block <= span`, so the furthest element any
+/// call reads is still `base + span - 1 + max_offset` — the bound
+/// `abm-verify`'s in-bounds pass and `abm_fault::validate_flat` already
+/// prove `< relaid_len` for the whole output plane. The block is a
+/// property of the kernel *object* only: dispatch, telemetry and the
+/// simulator keep counting in [`lanes`](Self::lanes).
 pub trait AbmKernel: Send + Sync {
     /// The selection this kernel executes.
     fn selection(&self) -> Selection;
 
-    /// Adjacent output pixels computed per call.
+    /// Adjacent output pixels per vector: what one
+    /// [`gather_unit`](Self::gather_unit) call computes.
     fn lanes(&self) -> usize;
+
+    /// Vectors per [`gather_block`](Self::gather_block) call — how many
+    /// [`lanes`](Self::lanes)-wide accumulators one decoded offset
+    /// feeds (the host's `S_ec`: one address-generator step, many
+    /// pixels). A constant of the kernel, `1` unless it register-blocks.
+    fn block(&self) -> usize {
+        1
+    }
 
     /// Stage 1 + 2 for `lanes()` pixels whose bases are contiguous:
     /// one offset's reads form a contiguous window, checked with a
@@ -382,6 +417,21 @@ pub trait AbmKernel: Send + Sync {
         base: usize,
         out: &mut [i64],
     );
+
+    /// [`gather_unit`](Self::gather_unit) for `lanes() × block()`
+    /// contiguous pixels: per offset, one offset load and one checked
+    /// window feed `block()` independent accumulators.
+    fn gather_block(
+        &self,
+        values: &[i8],
+        starts: &[u32],
+        offsets: &[u32],
+        data: &[i16],
+        base: usize,
+        out: &mut [i64],
+    ) {
+        self.gather_unit(values, starts, offsets, data, base, out);
+    }
 }
 
 /// One output pixel, scalar — stage-1 pointer-bump walk into the
@@ -462,24 +512,57 @@ mod tests {
             .collect()
     }
 
-    /// Every available kernel variant agrees with the scalar
-    /// single-pixel oracle across bases — full-range i16 inputs, so the
-    /// i32 variants are exercised at the worst magnitudes the proof
-    /// admits.
+    /// Both call widths of a kernel: `(pixels computed, the call)`.
+    type Call = fn(&dyn AbmKernel, &[i8], &[u32], &[u32], &[i16], usize, &mut [i64]);
+    fn widths(kern: &dyn AbmKernel) -> [(usize, Call); 2] {
+        [
+            (kern.lanes(), |k, v, s, o, d, b, out| {
+                k.gather_unit(v, s, o, d, b, out)
+            }),
+            (kern.lanes() * kern.block(), |k, v, s, o, d, b, out| {
+                k.gather_block(v, s, o, d, b, out)
+            }),
+        ]
+    }
+
+    /// Every available kernel variant, at its one-vector and its block
+    /// width, agrees with the scalar single-pixel oracle across bases —
+    /// up to the last legal one, where the furthest read is the buffer's
+    /// last element. Full-range i16 inputs, so the i32 variants are
+    /// exercised at the worst magnitudes the proof admits; `out` is
+    /// longer than the call needs and must stay untouched past it.
     #[test]
     fn variants_match_scalar_oracle() {
         let (values, starts, offsets, data) = fixture(0x5eed, 6, 40, 512, 4096);
+        let max_off = *offsets.iter().max().unwrap() as usize;
         for isa in Isa::detect_all() {
             let sel = select(Some(isa), 32).expect("available ISA selects");
             let kern = resolve(sel);
-            let lanes = kern.lanes();
-            for base in [0usize, 7, 300] {
-                let mut out = [0i64; MAX_LANES];
-                kern.gather_unit(&values, &starts, &offsets, &data, base, &mut out[..lanes]);
-                let want = reference_lanes(&values, &starts, &offsets, &data, base, lanes);
-                assert_eq!(&out[..lanes], &want[..], "{sel} unit base {base}");
+            for (n, call) in widths(kern) {
+                for base in [0usize, 7, data.len() - max_off - n] {
+                    let mut out = vec![i64::MIN; n + 3];
+                    call(kern, &values, &starts, &offsets, &data, base, &mut out);
+                    let want = reference_lanes(&values, &starts, &offsets, &data, base, n);
+                    assert_eq!(&out[..n], &want[..], "{sel} x{n} base {base}");
+                    assert!(out[n..].iter().all(|&x| x == i64::MIN), "{sel} x{n}");
+                }
             }
         }
+    }
+
+    /// One position past the last legal base the widest call must panic
+    /// on its window check — never read past the buffer. (The kernel is
+    /// the ambient selection, so each `ABM_FORCE_ISA` leg checks its own.)
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn block_one_past_the_last_base_panics() {
+        let (values, starts, offsets, data) = fixture(0x5eed, 6, 40, 512, 4096);
+        let max_off = *offsets.iter().max().unwrap() as usize;
+        let kern = resolve(select(None, 32).expect("selects"));
+        let n = kern.lanes() * kern.block();
+        let mut out = vec![0i64; n];
+        let base = data.len() - max_off - n + 1;
+        kern.gather_block(&values, &starts, &offsets, &data, base, &mut out);
     }
 
     /// The whole dispatch space: every available ISA, pinned and
@@ -524,7 +607,7 @@ mod tests {
         }
     }
 
-    /// Empty groups contribute exactly zero.
+    /// Empty groups contribute exactly zero, at either call width.
     #[test]
     fn empty_groups_are_zero() {
         let values = [3i8, -2];
@@ -533,10 +616,11 @@ mod tests {
         let data = vec![7i16; 64];
         for isa in Isa::detect_all() {
             let kern = resolve(select(Some(isa), 32).expect("selects"));
-            let mut out = [1i64; MAX_LANES];
-            let lanes = kern.lanes();
-            kern.gather_unit(&values, &starts, &offsets, &data, 0, &mut out[..lanes]);
-            assert!(out[..lanes].iter().all(|&x| x == 0), "{isa}");
+            for (n, call) in widths(kern) {
+                let mut out = vec![1i64; n];
+                call(kern, &values, &starts, &offsets, &data, 0, &mut out);
+                assert!(out.iter().all(|&x| x == 0), "{isa} x{n}");
+            }
         }
     }
 

@@ -24,6 +24,24 @@
 //! scalar port's `v as i64 * p`. Integer addition is associative and
 //! commutative and the proof rules out wrap-around, so re-packing the
 //! same additions into wider registers is bit-identical.
+//!
+//! ## Register blocking
+//!
+//! Each ISA has **one** hot loop, generic over `B` — the vectors of
+//! pixels it advances per decoded offset. Per offset the loop pays one
+//! `u32` load, one index add and one checked window of `lanes·B`
+//! contiguous `i16`, then issues `B` independent load-extend-adds into
+//! `B` stage-1 registers; stage 2 widens each into its own pair of
+//! `i64` accumulators. That is the accelerator's `S_ec` argument on the
+//! host: the address generator steps once and `lanes·B` adjacent pixels
+//! advance in lock-step, so the cheap accumulate stage is bound by its
+//! two vector ports, not by offset decode and loop control. The `::<1>`
+//! instance is [`AbmKernel::gather_unit`], the `::<BLOCK>` instance
+//! [`AbmKernel::gather_block`]. A lane sees the same additions in the
+//! same order whichever instance carries it, so the accumulator proof
+//! above and bit-identity are untouched; the wider window is covered by
+//! the in-bounds proof the caller already holds (see the [`AbmKernel`]
+//! contract).
 
 #![allow(unsafe_code)]
 
@@ -37,92 +55,109 @@ use core::arch::x86_64::{
     _mm512_storeu_si512, _mm_loadu_si128,
 };
 
-/// Pixels per AVX2 call: 8 × i32 stage-1 lanes in one 256-bit register.
+/// Pixels per AVX2 vector: 8 × i32 stage-1 lanes in one 256-bit register.
 const LANES_256: usize = 8;
-/// Pixels per AVX-512 call: 16 × i32 lanes in one 512-bit register.
+/// Pixels per AVX-512 vector: 16 × i32 lanes in one 512-bit register.
 const LANES_512: usize = 16;
+/// Vectors per [`AbmKernel::gather_block`] call, on both ISAs. Chosen by
+/// measurement (EXPERIMENTS.md, "Block width"): 2 leaves a fifth to a
+/// quarter of the gain behind, 8 buys nothing more on AVX-512 (a
+/// 128-position block loses fill on 13×13 planes). Register budget:
+/// `BLOCK` partials + `2·BLOCK` accumulators + 3 temporaries = 15 of
+/// the 16 ymm / 32 zmm registers.
+const BLOCK: usize = 4;
 
-/// 256-bit kernel: 8 pixels per call, `i32` stage-1 accumulation.
-///
-/// Values of this type are crate-private and only handed out by
-/// [`crate::resolve`], which falls back to the scalar port unless
-/// `is_x86_feature_detected!("avx2")` held — that is the feature
-/// contract every unsafe call below relies on.
-#[derive(Debug, Clone, Copy)]
-pub struct Avx2I32;
+/// Declares a zero-sized vector kernel: the safe [`AbmKernel`] surface
+/// over one `#[target_feature]` hot loop, which both call widths — one
+/// vector, one block — enter through the single call site in `run`.
+macro_rules! vector_kernel {
+    ($(#[$doc:meta])* $name:ident, $isa:expr, $lanes:expr, $hot:ident) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy)]
+        pub struct $name;
 
-impl AbmKernel for Avx2I32 {
-    fn selection(&self) -> Selection {
-        Selection {
-            isa: Isa::Avx2,
-            acc: AccWidth::I32,
+        impl $name {
+            fn run<const B: usize>(
+                values: &[i8],
+                starts: &[u32],
+                offsets: &[u32],
+                data: &[i16],
+                base: usize,
+                out: &mut [i64],
+            ) {
+                // INVARIANT: values of this type are crate-private and
+                // only handed out by `crate::resolve`, after it verified
+                // on this CPU every feature the hot loop's
+                // `#[target_feature]` attribute names — that contract
+                // holds.
+                unsafe { $hot::<B>(values, starts, offsets, data, base, out) }
+            }
         }
-    }
 
-    fn lanes(&self) -> usize {
-        LANES_256
-    }
+        impl AbmKernel for $name {
+            fn selection(&self) -> Selection {
+                Selection {
+                    isa: $isa,
+                    acc: AccWidth::I32,
+                }
+            }
 
-    fn gather_unit(
-        &self,
-        values: &[i8],
-        starts: &[u32],
-        offsets: &[u32],
-        data: &[i16],
-        base: usize,
-        out: &mut [i64],
-    ) {
-        // INVARIANT: `Avx2I32` is only reachable through
-        // `crate::resolve`, which verified `avx2` is available on this
-        // CPU — the `#[target_feature(enable = "avx2")]` contract of
-        // `unit_avx2` holds.
-        unsafe { unit_avx2(values, starts, offsets, data, base, out) }
-    }
+            fn lanes(&self) -> usize {
+                $lanes
+            }
+
+            fn block(&self) -> usize {
+                BLOCK
+            }
+
+            fn gather_unit(
+                &self,
+                values: &[i8],
+                starts: &[u32],
+                offsets: &[u32],
+                data: &[i16],
+                base: usize,
+                out: &mut [i64],
+            ) {
+                Self::run::<1>(values, starts, offsets, data, base, out);
+            }
+
+            fn gather_block(
+                &self,
+                values: &[i8],
+                starts: &[u32],
+                offsets: &[u32],
+                data: &[i16],
+                base: usize,
+                out: &mut [i64],
+            ) {
+                Self::run::<BLOCK>(values, starts, offsets, data, base, out);
+            }
+        }
+    };
 }
 
-/// 512-bit kernel: 16 pixels per call, `i32` stage-1 accumulation.
-///
-/// Same reachability contract as [`Avx2I32`]: only [`crate::resolve`]
-/// hands this out, after verifying `avx512f` + `avx512bw`.
-#[derive(Debug, Clone, Copy)]
-pub struct Avx512I32;
-
-impl AbmKernel for Avx512I32 {
-    fn selection(&self) -> Selection {
-        Selection {
-            isa: Isa::Avx512,
-            acc: AccWidth::I32,
-        }
-    }
-
-    fn lanes(&self) -> usize {
-        LANES_512
-    }
-
-    fn gather_unit(
-        &self,
-        values: &[i8],
-        starts: &[u32],
-        offsets: &[u32],
-        data: &[i16],
-        base: usize,
-        out: &mut [i64],
-    ) {
-        // INVARIANT: `Avx512I32` is only reachable through
-        // `crate::resolve`, which verified `avx512f` + `avx512bw` are
-        // available — the target-feature contract of `unit_avx512`
-        // holds.
-        unsafe { unit_avx512(values, starts, offsets, data, base, out) }
-    }
+vector_kernel! {
+    /// 256-bit kernel: 8 pixels per vector, `i32` stage-1 accumulation.
+    /// [`crate::resolve`] falls back to the scalar port unless
+    /// `is_x86_feature_detected!("avx2")` held.
+    Avx2I32, Isa::Avx2, LANES_256, unit_avx2
 }
 
-/// Unit-stride AVX2 hot loop. Stage 1: one unaligned 128-bit load pulls
-/// the 8 contiguous `i16` pixels an offset touches, sign-extended to
-/// `i32` lanes and accumulated. Stage 2: the `i32` partials widen
-/// exactly through `VPMULDQ` against the group value and reduce into
-/// two `i64×4` accumulators.
+vector_kernel! {
+    /// 512-bit kernel: 16 pixels per vector, `i32` stage-1 accumulation;
+    /// handed out only after `avx512f` + `avx512bw` were detected.
+    Avx512I32, Isa::Avx512, LANES_512, unit_avx512
+}
+
+/// Unit-stride AVX2 hot loop over `B` adjacent vectors of 8 pixels.
+/// Stage 1: per offset, **one** offset load and **one** checked window
+/// of `8·B` contiguous `i16` feed `B` independent accumulators (a
+/// 128-bit load each, sign-extended to `i32` lanes). Stage 2: each
+/// vector's `i32` partials widen exactly through `VPMULDQ` against the
+/// group value and reduce into its own pair of `i64×4` accumulators.
 #[target_feature(enable = "avx2")]
-fn unit_avx2(
+fn unit_avx2<const B: usize>(
     values: &[i8],
     starts: &[u32],
     offsets: &[u32],
@@ -130,39 +165,47 @@ fn unit_avx2(
     base: usize,
     out: &mut [i64],
 ) {
-    let out = &mut out[..LANES_256];
-    let mut acc_lo = _mm256_setzero_si256();
-    let mut acc_hi = _mm256_setzero_si256();
+    let out = &mut out[..LANES_256 * B];
+    let mut acc = [[_mm256_setzero_si256(); 2]; B];
     for (&v, w) in values.iter().zip(starts.windows(2)) {
-        let mut p = _mm256_setzero_si256();
+        let mut p = [_mm256_setzero_si256(); B];
         for &off in &offsets[w[0] as usize..w[1] as usize] {
             let o = base + off as usize;
-            let win = &data[o..o + LANES_256];
-            // INVARIANT: `win` is a bounds-checked slice of exactly 8
-            // `i16` (16 bytes), so this unaligned 128-bit load reads
-            // only memory owned by `win`.
-            let x = unsafe { _mm_loadu_si128(win.as_ptr().cast::<__m128i>()) };
-            p = _mm256_add_epi32(p, _mm256_cvtepi16_epi32(x));
+            let win = &data[o..o + LANES_256 * B];
+            for (p, px) in p.iter_mut().zip(win.chunks_exact(LANES_256)) {
+                // INVARIANT: `px` is a `chunks_exact` piece of the
+                // bounds-checked window — exactly 8 `i16` (16 bytes) —
+                // so this unaligned 128-bit load reads only memory
+                // owned by `px`.
+                let x = unsafe { _mm_loadu_si128(px.as_ptr().cast::<__m128i>()) };
+                *p = _mm256_add_epi32(*p, _mm256_cvtepi16_epi32(x));
+            }
         }
         let vv = _mm256_set1_epi64x(v as i64);
-        let lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(p));
-        let hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(p));
-        acc_lo = _mm256_add_epi64(acc_lo, _mm256_mul_epi32(lo, vv));
-        acc_hi = _mm256_add_epi64(acc_hi, _mm256_mul_epi32(hi, vv));
+        for (acc, &p) in acc.iter_mut().zip(&p) {
+            let lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(p));
+            let hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(p));
+            acc[0] = _mm256_add_epi64(acc[0], _mm256_mul_epi32(lo, vv));
+            acc[1] = _mm256_add_epi64(acc[1], _mm256_mul_epi32(hi, vv));
+        }
     }
-    // INVARIANT: `out` was sliced to exactly 8 `i64` (64 bytes) above,
-    // so the two unaligned 256-bit stores stay inside it.
-    unsafe {
-        _mm256_storeu_si256(out.as_mut_ptr().cast::<__m256i>(), acc_lo);
-        _mm256_storeu_si256(out.as_mut_ptr().add(4).cast::<__m256i>(), acc_hi);
+    for (dst, acc) in out.chunks_exact_mut(LANES_256).zip(acc) {
+        // INVARIANT: `dst` is a `chunks_exact_mut` piece of `out` —
+        // exactly 8 `i64` (64 bytes) — so the two unaligned 256-bit
+        // stores stay inside it.
+        unsafe {
+            _mm256_storeu_si256(dst.as_mut_ptr().cast::<__m256i>(), acc[0]);
+            _mm256_storeu_si256(dst.as_mut_ptr().add(4).cast::<__m256i>(), acc[1]);
+        }
     }
 }
 
 /// Unit-stride AVX-512 hot loop: the 16-lane analog of [`unit_avx2`]
-/// (one 256-bit load of 16 `i16`, sign-extend to `i32×16`, accumulate;
-/// widen halves through `VPMULDQ` into two `i64×8` accumulators).
+/// (per offset one checked window of `16·B` pixels, a 256-bit load per
+/// vector sign-extended to `i32×16`; halves widen through `VPMULDQ`
+/// into each vector's two `i64×8` accumulators).
 #[target_feature(enable = "avx512f", enable = "avx512bw")]
-fn unit_avx512(
+fn unit_avx512<const B: usize>(
     values: &[i8],
     starts: &[u32],
     offsets: &[u32],
@@ -170,30 +213,37 @@ fn unit_avx512(
     base: usize,
     out: &mut [i64],
 ) {
-    let out = &mut out[..LANES_512];
-    let mut acc_lo = _mm512_setzero_si512();
-    let mut acc_hi = _mm512_setzero_si512();
+    let out = &mut out[..LANES_512 * B];
+    let mut acc = [[_mm512_setzero_si512(); 2]; B];
     for (&v, w) in values.iter().zip(starts.windows(2)) {
-        let mut p = _mm512_setzero_si512();
+        let mut p = [_mm512_setzero_si512(); B];
         for &off in &offsets[w[0] as usize..w[1] as usize] {
             let o = base + off as usize;
-            let win = &data[o..o + LANES_512];
-            // INVARIANT: `win` is a bounds-checked slice of exactly 16
-            // `i16` (32 bytes), so this unaligned 256-bit load reads
-            // only memory owned by `win`.
-            let x = unsafe { _mm256_loadu_si256(win.as_ptr().cast::<__m256i>()) };
-            p = _mm512_add_epi32(p, _mm512_cvtepi16_epi32(x));
+            let win = &data[o..o + LANES_512 * B];
+            for (p, px) in p.iter_mut().zip(win.chunks_exact(LANES_512)) {
+                // INVARIANT: `px` is a `chunks_exact` piece of the
+                // bounds-checked window — exactly 16 `i16` (32 bytes)
+                // — so this unaligned 256-bit load reads only memory
+                // owned by `px`.
+                let x = unsafe { _mm256_loadu_si256(px.as_ptr().cast::<__m256i>()) };
+                *p = _mm512_add_epi32(*p, _mm512_cvtepi16_epi32(x));
+            }
         }
         let vv = _mm512_set1_epi64(v as i64);
-        let lo = _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64::<0>(p));
-        let hi = _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64::<1>(p));
-        acc_lo = _mm512_add_epi64(acc_lo, _mm512_mul_epi32(lo, vv));
-        acc_hi = _mm512_add_epi64(acc_hi, _mm512_mul_epi32(hi, vv));
+        for (acc, &p) in acc.iter_mut().zip(&p) {
+            let lo = _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64::<0>(p));
+            let hi = _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64::<1>(p));
+            acc[0] = _mm512_add_epi64(acc[0], _mm512_mul_epi32(lo, vv));
+            acc[1] = _mm512_add_epi64(acc[1], _mm512_mul_epi32(hi, vv));
+        }
     }
-    // INVARIANT: `out` was sliced to exactly 16 `i64` (128 bytes)
-    // above, so the two unaligned 512-bit stores stay inside it.
-    unsafe {
-        _mm512_storeu_si512(out.as_mut_ptr().cast::<__m512i>(), acc_lo);
-        _mm512_storeu_si512(out.as_mut_ptr().add(8).cast::<__m512i>(), acc_hi);
+    for (dst, acc) in out.chunks_exact_mut(LANES_512).zip(acc) {
+        // INVARIANT: `dst` is a `chunks_exact_mut` piece of `out` —
+        // exactly 16 `i64` (128 bytes) — so the two unaligned 512-bit
+        // stores stay inside it.
+        unsafe {
+            _mm512_storeu_si512(dst.as_mut_ptr().cast::<__m512i>(), acc[0]);
+            _mm512_storeu_si512(dst.as_mut_ptr().add(8).cast::<__m512i>(), acc[1]);
+        }
     }
 }

@@ -195,19 +195,7 @@ pub fn round_shift(v: i64, shift: i32, mode: Rounding) -> i64 {
                 floor
             }
         }
-        Rounding::NearestTiesAway => {
-            if v >= 0 {
-                if rem >= half {
-                    floor + 1
-                } else {
-                    floor
-                }
-            } else if rem > half {
-                floor + 1
-            } else {
-                floor
-            }
-        }
+        Rounding::NearestTiesAway => round_ties_away(v, shift as u32),
         Rounding::NearestTiesEven => {
             if rem > half || (rem == half && (floor & 1) == 1) {
                 floor + 1
@@ -216,6 +204,22 @@ pub fn round_shift(v: i64, shift: i32, mode: Rounding) -> i64 {
             }
         }
     }
+}
+
+/// `v / 2^shift` rounded to nearest, ties away from zero, for
+/// `1 <= shift <= 62` — the Sum/Round stage's rounding, branch-free so a
+/// per-element loop (`abm_conv`'s requantize) carries no data-dependent
+/// jump: round the magnitude, then restore the sign by xor/subtract.
+/// The magnitude is a `u64` because `|i64::MIN| + half` overflows `i64`;
+/// `2^63 + 2^61` does not overflow `u64`, and after a shift of at least
+/// one bit the result fits `i64` again.
+#[inline]
+pub fn round_ties_away(v: i64, shift: u32) -> i64 {
+    debug_assert!((1..=62).contains(&shift), "shift {shift} outside 1..=62");
+    let half = 1u64 << (shift - 1);
+    let magnitude = ((v.unsigned_abs() + half) >> shift) as i64;
+    let sign = v >> 63;
+    (magnitude ^ sign) - sign
 }
 
 /// Saturates a wide value into the raw range of `fmt`.
@@ -301,6 +305,62 @@ mod tests {
         assert_eq!(round_shift(123, 64, Rounding::Floor), 0);
         assert_eq!(round_shift(-123, 64, Rounding::Floor), -1);
         assert_eq!(round_shift(-123, 64, Rounding::NearestTiesAway), 0);
+    }
+
+    /// The branchy ties-away rounding [`round_ties_away`] replaced, kept
+    /// as its oracle (floor, remainder, a sign-dependent comparison).
+    fn ties_away_branchy(v: i64, shift: u32) -> i64 {
+        let floor = v >> shift;
+        let rem = v - (floor << shift);
+        let half = 1i64 << (shift - 1);
+        let up = if v >= 0 { rem >= half } else { rem > half };
+        floor + i64::from(up)
+    }
+
+    /// Branch-free rounding == the branchy oracle, value for value and
+    /// in how many values saturate, over every shift it serves: the
+    /// `i64` extremes (`|i64::MIN| + half` only fits `u64`), both sides
+    /// of every tie, the targets' clamp boundaries, and a seeded random
+    /// sweep.
+    #[test]
+    fn branch_free_rounding_matches_branchy_oracle() {
+        let mut state = 0x2019_u64;
+        let random: Vec<i64> = (0..10_000)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                // Full-width and narrow magnitudes alike.
+                (state as i64) >> (i % 56)
+            })
+            .collect();
+        for shift in 1u32..=62 {
+            let half = 1i64 << (shift - 1);
+            let mut edges = vec![i64::MIN, i64::MIN + 1, -(1 << 62), -1, 0, 1, i64::MAX];
+            for h in [half - 1, half, half + 1] {
+                edges.extend([h, -h]);
+            }
+            for k in [1i64, 127, 128, 129] {
+                let scaled = k.checked_shl(shift).filter(|s| s >> shift == k);
+                for centre in scaled.into_iter().flat_map(|s| [s, -s]) {
+                    edges.extend([centre.saturating_sub(half), centre.saturating_add(half)]);
+                }
+            }
+            for target in [QFormat::new(8, 0), QFormat::new(16, 0)] {
+                let (lo, hi) = (target.min_raw() as i64, target.max_raw() as i64);
+                let (mut saturated, mut want_saturated) = (0u64, 0u64);
+                for &v in edges.iter().chain(&random) {
+                    let (got, want) = (round_ties_away(v, shift), ties_away_branchy(v, shift));
+                    assert_eq!(got, want, "v {v} shift {shift}");
+                    assert_eq!(got, round_shift(v, shift as i32, Rounding::NearestTiesAway));
+                    saturated += u64::from(got.clamp(lo, hi) != got);
+                    if saturate(want, target) as i64 != want {
+                        want_saturated += 1;
+                    }
+                }
+                assert_eq!(saturated, want_saturated, "shift {shift} {target}");
+            }
+        }
     }
 
     #[test]

@@ -159,10 +159,12 @@ proptest! {
     /// Every compiled variant, forced through the environment pin,
     /// is bit-identical to the interpretive reference across strides,
     /// pads, groups, sparsity and weight bit-widths — output and work
-    /// counts both.
+    /// counts both. Planes reach 27×27 so that sweeps of several
+    /// register blocks (64 positions on AVX-512) are drawn, not only
+    /// spans under two.
     #[test]
     fn every_variant_matches_reference(
-        (cpg, rows, cols, m_per_group, k) in (1usize..4, 4usize..12, 4usize..12, 1usize..4, 1usize..4),
+        (cpg, rows, cols, m_per_group, k) in (1usize..4, 4usize..28, 4usize..28, 1usize..4, 1usize..4),
         groups in prop_oneof![Just(1usize), Just(2)],
         stride in 1usize..4,
         pad in 0usize..4,

@@ -265,13 +265,37 @@ fn infer_metrics_reconcile_with_results() {
         .map(|(_, v)| v)
         .sum();
     assert_eq!(dispatch_total, abm_layers);
-    // Every written feature is an output pixel of one sweep, and a sweep
-    // issues at least the lanes it keeps (useful / issued = lane fill).
+    // Every written feature is an output pixel of one sweep (useful /
+    // issued = lane fill), and what a sweep issues is a function of the
+    // layout and the vector width alone: per tile and kernel, the span
+    // rounded up to whole vectors — however the kernel groups vectors
+    // into register blocks — or one position per pixel when the span is
+    // shorter than a vector.
     assert_eq!(
         counter("abm_output_pixels_total"),
         results[0].total_features * 3
     );
-    assert!(counter("abm_swept_lanes_total") >= counter("abm_output_pixels_total"));
+    let swept_per_image: u64 = (0..model.layers.len())
+        .filter_map(|i| prepared.abm_layer(i))
+        .map(|layer| {
+            let (layout, out) = (layer.flat().layout(), layer.output_shape());
+            let lanes = layer.selection().lanes();
+            let per_kernel: usize = layout
+                .tiles(out.rows)
+                .map(|rows| layout.sweep_span(rows.len(), out.cols))
+                .map(|span| {
+                    if span < lanes {
+                        span
+                    } else {
+                        span.div_ceil(lanes) * lanes
+                    }
+                })
+                .sum();
+            (per_kernel * out.channels) as u64
+        })
+        .sum();
+    assert_eq!(counter("abm_swept_lanes_total"), swept_per_image * 3);
+    assert!(swept_per_image >= results[0].total_features);
 }
 
 /// Under the hardened policy each detector records one sample per ABM

@@ -4,8 +4,11 @@
 //! reports or `metrics --json` snapshots) and fails when a headline
 //! metric regresses past the threshold (default 10%), or when the
 //! geometric mean across all headline metrics does. Per-layer numbers
-//! are far noisier than the geomeans they roll up into, so they only
-//! warn (at 25%) and never gate.
+//! are far noisier than the headlines they roll up into, so they only
+//! warn (at 25%) and never gate. The hotpath report gates on its
+//! absolute `gacc_per_s`; its geomean ratio against the reference
+//! executor is printed beside it and gates nothing, because it moves
+//! whenever the deliberately naive oracle does.
 //!
 //! Two auxiliary modes keep the gate honest:
 //!
@@ -25,8 +28,9 @@ const DEFAULT_THRESHOLD: f64 = 0.10;
 /// Per-layer metrics never gate; they warn past 25%.
 const LAYER_WARN_THRESHOLD: f64 = 0.25;
 
-/// A doc citation is "N.NN×": correct rounding of the JSON value is
-/// within half a unit in the last printed place (plus float slack).
+/// A doc citation is "N.NN×" or "N.NN Gacc/s": correct rounding of the
+/// JSON value is within half a unit in the last printed place (plus
+/// float slack).
 const CLAIM_TOLERANCE: f64 = 0.0051;
 
 /// One comparable number extracted from a benchmark JSON.
@@ -36,8 +40,18 @@ struct Metric {
     value: f64,
     /// Latency-like metrics regress when they grow.
     lower_better: bool,
-    /// Headline metrics gate the build; per-layer ones only warn.
-    gate: bool,
+    role: Role,
+}
+
+/// What a metric's movement does to the verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// A headline: gates the build.
+    Gate,
+    /// Always printed beside the headlines, never gates.
+    Report,
+    /// Per-layer detail: warns past 25%, never gates.
+    Detail,
 }
 
 /// Entry point for `cargo xtask bench-diff <args>`.
@@ -123,16 +137,23 @@ fn extract_hotpath(v: &Value) -> Result<Vec<Metric>, String> {
             .get("isa")
             .and_then(Value::as_str)
             .ok_or("variant without 'isa'")?;
-        let gm = var
-            .get("geomean_speedup")
-            .and_then(Value::as_f64)
-            .ok_or("variant without 'geomean_speedup'")?;
-        out.push(Metric {
-            name: format!("geomean_speedup/{isa}"),
-            value: gm,
-            lower_better: false,
-            gate: true,
-        });
+        // The absolute throughput gates; the ratio against the oracle
+        // is reported only.
+        for (field, role) in [
+            ("gacc_per_s", Role::Gate),
+            ("geomean_speedup", Role::Report),
+        ] {
+            let value = var
+                .get(field)
+                .and_then(Value::as_f64)
+                .ok_or(format!("variant without '{field}'"))?;
+            out.push(Metric {
+                name: format!("{field}/{isa}"),
+                value,
+                lower_better: false,
+                role,
+            });
+        }
     }
     for layer in v.get("layers").and_then(Value::as_arr).unwrap_or(&[]) {
         let (Some(net), Some(name)) = (
@@ -142,16 +163,16 @@ fn extract_hotpath(v: &Value) -> Result<Vec<Metric>, String> {
             continue;
         };
         for variant in ["auto", "scalar", "avx2", "avx512"] {
-            if let Some(s) = layer
+            if let Some(ns) = layer
                 .get(variant)
-                .and_then(|e| e.get("speedup"))
+                .and_then(|e| e.get("ns_per_acc"))
                 .and_then(Value::as_f64)
             {
                 out.push(Metric {
                     name: format!("layer/{net}/{name}/{variant}"),
-                    value: s,
-                    lower_better: false,
-                    gate: false,
+                    value: ns,
+                    lower_better: true,
+                    role: Role::Detail,
                 });
             }
         }
@@ -175,7 +196,7 @@ fn extract_pipeline(v: &Value) -> Result<Vec<Metric>, String> {
                 name: format!("best_speedup/{name}"),
                 value: best,
                 lower_better: false,
-                gate: true,
+                role: Role::Gate,
             });
         }
         if let Some(seq) = net
@@ -186,7 +207,7 @@ fn extract_pipeline(v: &Value) -> Result<Vec<Metric>, String> {
                 name: format!("sequential_images_per_second/{name}"),
                 value: seq,
                 lower_better: false,
-                gate: true,
+                role: Role::Gate,
             });
         }
         for design in net.get("designs").and_then(Value::as_arr).unwrap_or(&[]) {
@@ -200,7 +221,7 @@ fn extract_pipeline(v: &Value) -> Result<Vec<Metric>, String> {
                 name: format!("design/{name}/{label}"),
                 value: s,
                 lower_better: false,
-                gate: false,
+                role: Role::Detail,
             });
         }
     }
@@ -215,13 +236,13 @@ fn extract_snapshot(v: &Value) -> Result<Vec<Metric>, String> {
         return Err("'histograms' is not an object".into());
     };
     for (name, h) in histograms {
-        for (stat, gate) in [("p50", true), ("p99", false)] {
+        for (stat, role) in [("p50", Role::Gate), ("p99", Role::Detail)] {
             if let Some(val) = h.get(stat).and_then(Value::as_f64) {
                 out.push(Metric {
                     name: format!("{name}/{stat}"),
                     value: val,
                     lower_better: true,
-                    gate,
+                    role,
                 });
             }
         }
@@ -262,7 +283,7 @@ fn extract_serve(v: &Value) -> Result<Vec<Metric>, String> {
                 name: format!("goodput_rps/{name}"),
                 value: g,
                 lower_better: false,
-                gate: true,
+                role: Role::Gate,
             });
         }
         let nominal = name == "nominal_1x";
@@ -272,7 +293,7 @@ fn extract_serve(v: &Value) -> Result<Vec<Metric>, String> {
                     name: format!("{stat}/{name}"),
                     value: us,
                     lower_better: true,
-                    gate: nominal,
+                    role: if nominal { Role::Gate } else { Role::Detail },
                 });
             }
         }
@@ -316,33 +337,33 @@ fn compare(old: &[Metric], new: &[Metric], threshold: f64) -> Result<(), String>
             n.value / o.value
         };
         let regression = 1.0 - ratio;
-        if o.gate {
-            gate_ratios.push(ratio);
-            let verdict = if regression > threshold { "FAIL" } else { "ok" };
-            println!(
-                "  {verdict:>4}  {:<44} {:>12.3} -> {:>12.3}  ({:+.1}%)",
-                o.name,
-                o.value,
-                n.value,
-                -regression * 100.0
-            );
-            if regression > threshold {
-                failures.push(format!(
-                    "{} regressed {:.1}% ({:.3} -> {:.3})",
-                    o.name,
-                    regression * 100.0,
-                    o.value,
-                    n.value
-                ));
+        let moved = format!(
+            "{:<44} {:>12.3} -> {:>12.3}  ({:+.1}%",
+            o.name,
+            o.value,
+            n.value,
+            -regression * 100.0
+        );
+        match o.role {
+            Role::Gate => {
+                gate_ratios.push(ratio);
+                let verdict = if regression > threshold { "FAIL" } else { "ok" };
+                println!("  {verdict:>4}  {moved})");
+                if regression > threshold {
+                    failures.push(format!(
+                        "{} regressed {:.1}% ({:.3} -> {:.3})",
+                        o.name,
+                        regression * 100.0,
+                        o.value,
+                        n.value
+                    ));
+                }
             }
-        } else if regression > LAYER_WARN_THRESHOLD {
-            println!(
-                "  warn  {:<44} {:>12.3} -> {:>12.3}  ({:+.1}%, non-gating)",
-                o.name,
-                o.value,
-                n.value,
-                -regression * 100.0
-            );
+            Role::Report => println!("  info  {moved}, non-gating)"),
+            Role::Detail if regression > LAYER_WARN_THRESHOLD => {
+                println!("  warn  {moved}, non-gating)");
+            }
+            Role::Detail => {}
         }
     }
     if compared == 0 {
@@ -376,20 +397,28 @@ fn compare(old: &[Metric], new: &[Metric], threshold: f64) -> Result<(), String>
 
 /// Where a doc citation's canonical value lives in the committed JSONs.
 enum Source {
-    /// `BENCH_abm_hotpath.json` variants: geomean speedup of this ISA.
-    Hotpath(&'static str),
+    /// `BENCH_abm_hotpath.json` variants: (ISA, field) — the headline
+    /// `gacc_per_s` or the non-gating `geomean_speedup` over the
+    /// reference executor.
+    Hotpath(&'static str, &'static str),
     /// `BENCH_pipeline.json` networks: best pipelined speedup.
     PipelineBest(&'static str),
     /// `BENCH_pipeline.json` design entry: (network, design label).
     PipelineDesign(&'static str, &'static str),
 }
 
+/// The hotpath report's per-variant fields a citation can point at.
+const GACC: &str = "gacc_per_s";
+const RATIO: &str = "geomean_speedup";
+
 /// Every perf citation the prose makes, and the JSON number it must
 /// round to. A citation that drifts from the committed benchmarks —
 /// after a re-run changes the JSONs, or after a doc edit — fails here.
 const DOC_CLAIMS: &[(&str, &str, Source)] = &[
-    ("README.md", "21.06×", Source::Hotpath("auto")),
-    ("README.md", "5.64×", Source::Hotpath("scalar")),
+    ("README.md", "13.90 Gacc/s", Source::Hotpath("auto", GACC)),
+    ("README.md", "2.24 Gacc/s", Source::Hotpath("scalar", GACC)),
+    ("README.md", "35.26×", Source::Hotpath("auto", RATIO)),
+    ("README.md", "6.03×", Source::Hotpath("scalar", RATIO)),
     ("README.md", "1.71×", Source::PipelineBest("vgg16")),
     ("README.md", "1.46×", Source::PipelineBest("alexnet")),
     (
@@ -414,22 +443,42 @@ const DOC_CLAIMS: &[(&str, &str, Source)] = &[
         "0.89×",
         Source::PipelineDesign("alexnet", "streaming@nominal"),
     ),
-    ("EXPERIMENTS.md", "21.06×", Source::Hotpath("auto")),
-    ("EXPERIMENTS.md", "5.64×", Source::Hotpath("scalar")),
+    (
+        "EXPERIMENTS.md",
+        "13.90 Gacc/s",
+        Source::Hotpath("auto", GACC),
+    ),
+    (
+        "EXPERIMENTS.md",
+        "2.24 Gacc/s",
+        Source::Hotpath("scalar", GACC),
+    ),
+    (
+        "EXPERIMENTS.md",
+        "9.25 Gacc/s",
+        Source::Hotpath("avx2", GACC),
+    ),
+    (
+        "EXPERIMENTS.md",
+        "13.26 Gacc/s",
+        Source::Hotpath("avx512", GACC),
+    ),
+    ("EXPERIMENTS.md", "35.26×", Source::Hotpath("auto", RATIO)),
+    ("EXPERIMENTS.md", "6.03×", Source::Hotpath("scalar", RATIO)),
 ];
 
 fn lookup_source(source: &Source, hotpath: &Value, pipeline: &Value) -> Result<f64, String> {
     match source {
-        Source::Hotpath(isa) => hotpath
+        Source::Hotpath(isa, field) => hotpath
             .get("variants")
             .and_then(Value::as_arr)
             .and_then(|vars| {
                 vars.iter()
                     .find(|v| v.get("isa").and_then(Value::as_str) == Some(isa))
             })
-            .and_then(|v| v.get("geomean_speedup"))
+            .and_then(|v| v.get(field))
             .and_then(Value::as_f64)
-            .ok_or(format!("no '{isa}' variant in BENCH_abm_hotpath.json")),
+            .ok_or(format!("no '{isa}' {field} in BENCH_abm_hotpath.json")),
         Source::PipelineBest(net) => pipeline
             .get("networks")
             .and_then(Value::as_arr)
@@ -475,7 +524,7 @@ fn check_docs(root: &Path) -> Result<(), String> {
             continue;
         }
         let claimed = claim
-            .trim_end_matches('×')
+            .trim_end_matches(|c: char| !c.is_ascii_digit())
             .parse::<f64>()
             .map_err(|e| format!("unparseable claim '{claim}': {e}"))?;
         if (claimed - actual).abs() > CLAIM_TOLERANCE {
@@ -496,8 +545,9 @@ fn check_docs(root: &Path) -> Result<(), String> {
     }
 }
 
-/// Renders a minimal hotpath-schema JSON whose every headline geomean
-/// is the committed one scaled by `factor`.
+/// Renders a minimal hotpath-schema JSON whose every per-variant figure
+/// (the gating `gacc_per_s` and the reported geomean) is the committed
+/// one scaled by `factor`.
 fn degraded_hotpath(hotpath: &Value, factor: f64) -> Result<String, String> {
     let variants = hotpath
         .get("variants")
@@ -509,14 +559,17 @@ fn degraded_hotpath(hotpath: &Value, factor: f64) -> Result<String, String> {
             .get("isa")
             .and_then(Value::as_str)
             .ok_or("variant without 'isa'")?;
-        let gm = var
-            .get("geomean_speedup")
-            .and_then(Value::as_f64)
-            .ok_or("variant without 'geomean_speedup'")?;
+        let scaled = |field: &str| {
+            var.get(field)
+                .and_then(Value::as_f64)
+                .map(|x| x * factor)
+                .ok_or(format!("variant without '{field}'"))
+        };
         entries.push(format!(
-            "{{\"isa\": \"{}\", \"geomean_speedup\": {:.3}}}",
+            "{{\"isa\": \"{}\", \"gacc_per_s\": {:.3}, \"geomean_speedup\": {:.3}}}",
             json::escape(isa),
-            gm * factor
+            scaled("gacc_per_s")?,
+            scaled("geomean_speedup")?
         ));
     }
     Ok(format!(
@@ -575,14 +628,16 @@ fn self_test(root: &Path) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn hotpath_fixture(auto: f64, scalar: f64) -> Vec<Metric> {
+    /// `auto` / `scalar` are the gating `gacc_per_s`; `ratio` is every
+    /// variant's reported geomean against the oracle.
+    fn hotpath_fixture(auto: f64, scalar: f64, ratio: f64) -> Vec<Metric> {
         extract(
             &json::parse(&format!(
                 "{{\"variants\": [\
-                   {{\"isa\": \"auto\", \"geomean_speedup\": {auto}}}, \
-                   {{\"isa\": \"scalar\", \"geomean_speedup\": {scalar}}}], \
+                   {{\"isa\": \"auto\", \"gacc_per_s\": {auto}, \"geomean_speedup\": {ratio}}}, \
+                   {{\"isa\": \"scalar\", \"gacc_per_s\": {scalar}, \"geomean_speedup\": {ratio}}}], \
                   \"layers\": [{{\"network\": \"alexnet\", \"layer\": \"CONV1\", \
-                   \"auto\": {{\"speedup\": 3.8}}}}]}}"
+                   \"auto\": {{\"ns_per_acc\": 0.08, \"speedup\": 3.8}}}}]}}"
             ))
             .unwrap(),
         )
@@ -591,28 +646,38 @@ mod tests {
 
     #[test]
     fn hotpath_extraction_finds_headlines_and_layers() {
-        let m = hotpath_fixture(9.0, 4.5);
-        assert_eq!(m.len(), 3);
-        assert!(m[0].gate && m[0].name == "geomean_speedup/auto");
-        assert!(!m[2].gate && m[2].name == "layer/alexnet/CONV1/auto");
+        let m = hotpath_fixture(9.0, 4.5, 20.0);
+        assert_eq!(m.len(), 5);
+        assert!(m[0].role == Role::Gate && m[0].name == "gacc_per_s/auto");
+        assert!(m[1].role == Role::Report && m[1].name == "geomean_speedup/auto");
+        assert!(m[4].role == Role::Detail && m[4].name == "layer/alexnet/CONV1/auto");
+        assert!(m[4].lower_better, "ns per accumulate regresses upwards");
     }
 
     #[test]
     fn identical_metrics_pass_and_degraded_fail() {
-        let old = hotpath_fixture(9.0, 4.5);
+        let old = hotpath_fixture(9.0, 4.5, 20.0);
         assert!(compare(&old, &old, 0.10).is_ok());
         // 20% down on one headline metric trips the per-metric gate.
-        let new = hotpath_fixture(9.0 * 0.8, 4.5);
+        let new = hotpath_fixture(9.0 * 0.8, 4.5, 20.0);
         assert!(compare(&old, &new, 0.10).is_err());
         // 5% down on everything passes the 10% gate.
-        let new = hotpath_fixture(9.0 * 0.95, 4.5 * 0.95);
+        let new = hotpath_fixture(9.0 * 0.95, 4.5 * 0.95, 19.0);
         assert!(compare(&old, &new, 0.10).is_ok());
+    }
+
+    /// The ratio against the oracle is reported, never gated: halving it
+    /// (the oracle had a fast day) with the absolute figures level passes.
+    #[test]
+    fn oracle_ratio_never_gates() {
+        let old = hotpath_fixture(9.0, 4.5, 20.0);
+        assert!(compare(&old, &hotpath_fixture(9.0, 4.5, 10.0), 0.10).is_ok());
     }
 
     #[test]
     fn improvements_never_fail() {
-        let old = hotpath_fixture(9.0, 4.5);
-        let new = hotpath_fixture(12.0, 9.0);
+        let old = hotpath_fixture(9.0, 4.5, 20.0);
+        let new = hotpath_fixture(12.0, 9.0, 30.0);
         assert!(compare(&old, &new, 0.10).is_ok());
     }
 
@@ -654,13 +719,11 @@ mod tests {
     fn serve_extraction_gates_goodput_and_nominal_latency_only() {
         let m = serve_fixture(40.0, 5000.0, 0).unwrap();
         let by_name = |n: &str| m.iter().find(|x| x.name == n).unwrap();
-        assert!(by_name("goodput_rps/nominal_1x").gate);
-        assert!(by_name("goodput_rps/overload_2x").gate);
-        assert!(by_name("p99_us/nominal_1x").gate && by_name("p99_us/nominal_1x").lower_better);
-        assert!(
-            !by_name("p99_us/overload_2x").gate,
-            "overload tails must not gate"
-        );
+        let gates = |n: &str| by_name(n).role == Role::Gate;
+        assert!(gates("goodput_rps/nominal_1x"));
+        assert!(gates("goodput_rps/overload_2x"));
+        assert!(gates("p99_us/nominal_1x") && by_name("p99_us/nominal_1x").lower_better);
+        assert!(!gates("p99_us/overload_2x"), "overload tails must not gate");
     }
 
     #[test]
@@ -686,12 +749,14 @@ mod tests {
     #[test]
     fn degraded_hotpath_renders_valid_json() {
         let v = json::parse(
-            "{\"variants\": [{\"isa\": \"auto\", \"geomean_speedup\": 9.0}], \"layers\": []}",
+            "{\"variants\": [{\"isa\": \"auto\", \"gacc_per_s\": 9.0, \
+              \"geomean_speedup\": 20.0}], \"layers\": []}",
         )
         .unwrap();
         let degraded = degraded_hotpath(&v, 0.8).unwrap();
         json::validate(&degraded).unwrap();
         let m = extract(&json::parse(&degraded).unwrap()).unwrap();
-        assert!((m[0].value - 7.2).abs() < 1e-9);
+        assert!(m[0].role == Role::Gate && (m[0].value - 7.2).abs() < 1e-9);
+        assert!((m[1].value - 16.0).abs() < 1e-9);
     }
 }

@@ -15,13 +15,19 @@
 //! `(channel, k, k')`, never on the kernel that holds it, so
 //! [`verify_output`] accumulates it once and shares it between all `M`
 //! kernels — accumulate before multiply, applied to the checker. It
-//! builds one 2-D prefix-sum table per (channel, row-phase, col-phase),
-//! answers one four-lookup rectangle query per position into an
-//! `S[channel][k][k']` table, and then predicts each kernel with one
-//! load and one add per tap and one multiply per distinct value. The
-//! whole check costs `O(C·H·W)` table construction, `C·K·K'` rectangle
-//! queries and `O(taps + out)` loads and adds per layer — one pass over
-//! taps the convolution walks once per output pixel.
+//! reads the input the way the executor does, through the layer's
+//! re-laid-out buffer ([`abm_sparse::FlatLayout`]): padding is already
+//! zeros and the stride phases are already split, so tap `(n, k, k')`
+//! touches one plain rectangle — rows `k div S …`, columns `k' div S …`,
+//! the output plane's size — of phase plane `(k mod S, k' mod S)` of
+//! channel `n`. One channel at a time it builds a 2-D prefix-sum table
+//! per phase plane (cache-resident), answers one four-lookup rectangle
+//! query per kernel position into an `S[channel][k][k']` table, and then
+//! predicts each kernel with one load and one add per tap and one
+//! multiply per distinct value. The whole check costs `O(C·H·W)` table
+//! construction, `C·K·K'` rectangle queries and `O(taps + out)` loads
+//! and adds per layer — one pass over taps the convolution walks once
+//! per output pixel.
 //!
 //! Because the predicted sum is exact integer arithmetic (accumulators
 //! stay well inside `i64`), *any* single-bit flip in an output
@@ -59,7 +65,9 @@ pub fn verify_input(input: &Tensor3<i16>, expected: u64) -> Result<(), AbmError>
     }
 }
 
-/// Checks every output plane's sum against its ABFT prediction.
+/// Checks every output plane's sum against its ABFT prediction — the
+/// tensor front door over the check the hardened inference path runs on
+/// its own buffers.
 ///
 /// `input` and `out` must be the tensors the prepared layer consumed
 /// and produced; shapes are checked first.
@@ -74,46 +82,80 @@ pub fn verify_output(
     input: &Tensor3<i16>,
     out: &Tensor3<i64>,
 ) -> Result<(), AbmError> {
-    if input.shape() != prep.input_shape() {
-        return Err(AbmError::ShapeMismatch {
-            got: (
-                input.shape().channels,
-                input.shape().rows,
-                input.shape().cols,
-            ),
-            want: (
-                prep.input_shape().channels,
-                prep.input_shape().rows,
-                prep.input_shape().cols,
-            ),
-        });
+    for (got, want) in [
+        (input.shape(), prep.input_shape()),
+        (out.shape(), prep.output_shape()),
+    ] {
+        if got != want {
+            return Err(AbmError::ShapeMismatch {
+                got: (got.channels, got.rows, got.cols),
+                want: (want.channels, want.rows, want.cols),
+            });
+        }
     }
-    if out.shape() != prep.output_shape() {
-        return Err(AbmError::ShapeMismatch {
-            got: (out.shape().channels, out.shape().rows, out.shape().cols),
-            want: (
-                prep.output_shape().channels,
-                prep.output_shape().rows,
-                prep.output_shape().cols,
-            ),
-        });
-    }
+    let relaid = prep.flat().layout().relayout(input);
+    verify_plane(prep, &relaid, out.as_slice(), &mut AbftScratch::default())
+}
 
+/// What [`verify_plane`] keeps between calls: one channel's prefix
+/// tables and the layer's tap sums.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AbftScratch {
+    pub prefix: Vec<i64>,
+    pub sums: Vec<i64>,
+}
+
+/// The check itself, on the executor's own buffers: `relaid` is the
+/// input as stored through the layer's layout, `plane` the dense
+/// channel-major accumulator plane [`PreparedConv::execute_into`] filled.
+pub(crate) fn verify_plane(
+    prep: &PreparedConv,
+    relaid: &[i16],
+    plane: &[i64],
+    scratch: &mut AbftScratch,
+) -> Result<(), AbmError> {
     let flat = prep.flat();
-    let shape = flat.shape();
-    let geom = prep.geometry();
+    let (shape, layout) = (flat.shape(), flat.layout());
     let out_shape = prep.output_shape();
-    let m_per_group = shape.out_channels / geom.groups;
     let out_plane = out_shape.rows * out_shape.cols;
-    let out_data = out.as_slice();
-    let sums = PhaseTables::build(input, geom.stride).tap_sums(
-        shape.kernel_rows,
-        shape.kernel_cols,
-        geom.pad,
-        out_shape.rows,
-        out_shape.cols,
-    );
+    if out_plane == 0 {
+        return Ok(());
+    }
+    let (s, pc) = (layout.stride, layout.phase_cols());
+    let phase = layout.relaid_len(1) / (s * s);
+    let (pr, width) = (phase / pc, pc + 1);
+    let AbftScratch { prefix, sums } = scratch;
+    prefix.clear();
+    prefix.resize(s * s * (pr + 1) * width, 0);
+    sums.clear();
+    // The shared tap-sum table `S[c][k][k']`, row-major over every
+    // input channel and kernel position: one rectangle query each, read
+    // by every kernel that has a tap there.
+    for chan in relaid[..layout.relaid_len(prep.input_shape().channels)].chunks_exact(s * s * phase)
+    {
+        let tables = prefix.chunks_exact_mut((pr + 1) * width);
+        for (table, plane) in tables.zip(chan.chunks_exact(phase)) {
+            for (i, row) in plane.chunks_exact(pc).enumerate() {
+                let (above, below) = table[i * width..].split_at_mut(width);
+                let mut run = 0i64;
+                for (j, &v) in row.iter().enumerate() {
+                    run += v as i64;
+                    below[j + 1] = above[j + 1] + run;
+                }
+            }
+        }
+        for k in 0..shape.kernel_rows {
+            for kp in 0..shape.kernel_cols {
+                let table = &prefix[((k % s) * s + kp % s) * (pr + 1) * width..];
+                let at = |i: usize, j: usize| table[i * width + j];
+                let (i, j) = (k / s, kp / s);
+                let (i_end, j_end) = (i + out_shape.rows, j + out_shape.cols);
+                sums.push(at(i_end, j_end) - at(i, j_end) - at(i_end, j) + at(i, j));
+            }
+        }
+    }
     let group_len = shape.in_channels * shape.kernel_rows * shape.kernel_cols;
+    let m_per_group = shape.out_channels / prep.geometry().groups;
 
     for (m, kernel) in flat.kernels().iter().enumerate() {
         // The kernel's channel group owns one contiguous run of `sums`.
@@ -140,7 +182,7 @@ pub fn verify_output(
         }
         // Wrapping: a flipped high bit may push the sum past `i64`, and
         // a sum off by ±2^bit modulo 2^64 is still a different sum.
-        let observed = out_data[m * out_plane..(m + 1) * out_plane]
+        let observed = plane[m * out_plane..(m + 1) * out_plane]
             .iter()
             .fold(0i64, |sum, &v| sum.wrapping_add(v));
         if observed != predicted {
@@ -152,148 +194,6 @@ pub fn verify_output(
         }
     }
     Ok(())
-}
-
-/// Per-(channel, row-phase, col-phase) 2-D prefix sums over the
-/// stride-phased subgrids of the input. For stride 1 this degenerates
-/// to one plain prefix table per channel.
-struct PhaseTables {
-    stride: usize,
-    channels: usize,
-    in_rows: usize,
-    in_cols: usize,
-    /// Where phase `(a, b)`'s table starts inside one channel's block,
-    /// indexed `[a * s + b]`; the last entry is the block length.
-    phase_starts: Vec<usize>,
-    /// Every table back to back, channel-major then phase; each is a
-    /// `(rows(a)+1) × (cols(b)+1)` prefix table, row-major.
-    prefix: Vec<i64>,
-}
-
-/// Points of a `dim`-long axis on the stride-`s` subgrid starting at
-/// `phase`.
-fn grid(dim: usize, phase: usize, s: usize) -> usize {
-    if phase >= dim {
-        0
-    } else {
-        (dim - phase).div_ceil(s)
-    }
-}
-
-impl PhaseTables {
-    fn build(input: &Tensor3<i16>, stride: usize) -> Self {
-        let shape = input.shape();
-        let s = stride;
-        let mut phase_starts = Vec::with_capacity(s * s + 1);
-        let mut block_len = 0;
-        for a in 0..s {
-            for b in 0..s {
-                phase_starts.push(block_len);
-                block_len += (grid(shape.rows, a, s) + 1) * (grid(shape.cols, b, s) + 1);
-            }
-        }
-        phase_starts.push(block_len);
-        let mut prefix = vec![0i64; shape.channels * block_len];
-        let planes = input.as_slice().chunks_exact(shape.rows * shape.cols);
-        for (block, chan) in prefix.chunks_exact_mut(block_len).zip(planes) {
-            for a in 0..s {
-                for b in 0..s {
-                    let gr = grid(shape.rows, a, s);
-                    let gc = grid(shape.cols, b, s);
-                    let p = &mut block[phase_starts[a * s + b]..phase_starts[a * s + b + 1]];
-                    for i in 0..gr {
-                        let row = &chan[(a + i * s) * shape.cols..];
-                        for j in 0..gc {
-                            p[(i + 1) * (gc + 1) + (j + 1)] = row[b + j * s] as i64
-                                + p[i * (gc + 1) + (j + 1)]
-                                + p[(i + 1) * (gc + 1) + j]
-                                - p[i * (gc + 1) + j];
-                        }
-                    }
-                }
-            }
-        }
-        Self {
-            stride: s,
-            channels: shape.channels,
-            in_rows: shape.rows,
-            in_cols: shape.cols,
-            phase_starts,
-            prefix,
-        }
-    }
-
-    /// The shared tap-sum table `S[c][k][k']`, row-major over every
-    /// input channel and kernel position: one rectangle query each,
-    /// read by every kernel that has a tap there.
-    fn tap_sums(
-        &self,
-        kernel_rows: usize,
-        kernel_cols: usize,
-        pad: usize,
-        out_rows: usize,
-        out_cols: usize,
-    ) -> Vec<i64> {
-        let pad = pad as isize;
-        let mut sums = Vec::with_capacity(self.channels * kernel_rows * kernel_cols);
-        for c in 0..self.channels {
-            for k in 0..kernel_rows {
-                for kp in 0..kernel_cols {
-                    sums.push(self.tap_sum(
-                        c,
-                        k as isize - pad,
-                        kp as isize - pad,
-                        out_rows,
-                        out_cols,
-                    ));
-                }
-            }
-        }
-        sums
-    }
-
-    /// `S(t)` for the tap displaced `(dr, dc)` from the output origin on
-    /// input channel `c`: the sum of `input[c, orow·s + dr, ocol·s + dc]`
-    /// over all in-bounds output pixels (out-of-bounds reads are the
-    /// padding zeros and contribute nothing).
-    fn tap_sum(&self, c: usize, dr: isize, dc: isize, out_rows: usize, out_cols: usize) -> i64 {
-        let s = self.stride;
-        let Some((i_lo, i_hi)) = span(dr, s, self.in_rows, out_rows) else {
-            return 0;
-        };
-        let Some((j_lo, j_hi)) = span(dc, s, self.in_cols, out_cols) else {
-            return 0;
-        };
-        let a = dr.rem_euclid(s as isize) as usize;
-        let b = dc.rem_euclid(s as isize) as usize;
-        let gc = grid(self.in_cols, b, s);
-        let block_len = self.phase_starts[s * s];
-        let p = &self.prefix[c * block_len + self.phase_starts[a * s + b]..];
-        let at = |i: usize, j: usize| p[i * (gc + 1) + j];
-        at(i_hi + 1, j_hi + 1) - at(i_lo, j_hi + 1) - at(i_hi + 1, j_lo) + at(i_lo, j_lo)
-    }
-}
-
-/// The inclusive subgrid-index range `[i_lo, i_hi]` a tap displaced `d`
-/// covers along one axis, or `None` when no output position lands the
-/// tap inside the input.
-fn span(d: isize, s: usize, in_dim: usize, out_dim: usize) -> Option<(usize, usize)> {
-    let si = s as isize;
-    // Smallest output index whose tapped input position is >= 0.
-    let o_min = ((-d).max(0) as usize).div_ceil(s) as isize;
-    // Largest output index whose tapped input position fits the input.
-    let top = in_dim as isize - 1 - d;
-    if top < 0 {
-        return None;
-    }
-    let o_max = (top / si).min(out_dim as isize - 1);
-    if o_max < o_min {
-        return None;
-    }
-    // Subgrid index: with d = q·s + phase, position o maps to o + q.
-    let a = d.rem_euclid(si);
-    let q = (d - a) / si;
-    Some(((o_min + q) as usize, (o_max + q) as usize))
 }
 
 #[cfg(test)]

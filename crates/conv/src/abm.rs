@@ -26,8 +26,11 @@
 //!   [`AbmKernel::gather_block`]) while a whole block fits, then single
 //!   vectors, then at most one vector overlapping the previous one; a
 //!   span shorter than a vector (a fully-connected row) goes one
-//!   position at a time. Per call it re-lays the input out once and
-//!   keeps one tile scratch beside the output tensor.
+//!   position at a time. There is one core, `execute_into`: re-laid
+//!   `&[i16]` in, dense accumulator plane `&mut [i64]` out, the largest
+//!   magnitude taken on the way (inference runs it on its activation
+//!   arena's buffers); [`PreparedConv::execute`] is the tensor front
+//!   door that re-lays its input out and sweeps into a fresh tensor.
 //!   Work counts are **analytic** —
 //!   `accumulations = nnz × out_pixels`,
 //!   `multiplications = final_accumulations = Σ Q(m) × out_pixels` —
@@ -207,15 +210,8 @@ impl PreparedConv {
         geom: Geometry,
         isa: Option<Isa>,
     ) -> Result<Self, AbmError> {
-        let w = code.shape();
-        validate_grouping(in_shape, w, geom)?;
-        let layout = FlatLayout {
-            in_rows: in_shape.rows,
-            in_cols: in_shape.cols,
-            stride: geom.stride,
-            pad: geom.pad,
-        };
-        let flat = FlatCode::lower(code, layout)?;
+        validate_grouping(in_shape, code.shape(), geom)?;
+        let flat = FlatCode::lower(code, Self::layout_for(in_shape, geom))?;
         let prepared = Self::assemble(flat, in_shape, geom, isa)?;
         // Debug builds statically verify the lowering against its source
         // streams on construction; release builds skip the pass (`cargo
@@ -229,6 +225,18 @@ impl PreparedConv {
             );
         }
         Ok(prepared)
+    }
+
+    /// The re-laid-out form a layer of this input shape and geometry
+    /// reads — what its producer stores through.
+    #[must_use]
+    pub fn layout_for(in_shape: Shape3, geom: Geometry) -> FlatLayout {
+        FlatLayout {
+            in_rows: in_shape.rows,
+            in_cols: in_shape.cols,
+            stride: geom.stride,
+            pad: geom.pad,
+        }
     }
 
     /// Loads a pre-lowered flat code (e.g. one deserialized from a
@@ -247,13 +255,7 @@ impl PreparedConv {
         geom: Geometry,
     ) -> Result<Self, AbmError> {
         validate_grouping(in_shape, flat.shape(), geom)?;
-        let expected = FlatLayout {
-            in_rows: in_shape.rows,
-            in_cols: in_shape.cols,
-            stride: geom.stride,
-            pad: geom.pad,
-        };
-        if flat.layout() != expected {
+        if flat.layout() != Self::layout_for(in_shape, geom) {
             return Err(AbmError::ShapeMismatch {
                 got: (
                     in_shape.channels,
@@ -423,7 +425,34 @@ impl PreparedConv {
     }
 
     /// Runs the prepared layer, returning the exact full-precision
-    /// output.
+    /// output — the tensor front door over the crate's one execution
+    /// core (`execute_into`): re-lay the input out, sweep into a fresh
+    /// tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input`'s shape differs from the prepared shape.
+    #[must_use]
+    pub fn execute(&self, input: &Tensor3<i16>) -> Tensor3<i64> {
+        assert_eq!(
+            input.shape(),
+            self.in_shape,
+            "input shape {} != prepared shape {}",
+            input.shape(),
+            self.in_shape
+        );
+        let relaid = self.flat.layout().relayout(input);
+        let mut out = Tensor3::zeros(self.out_shape);
+        self.execute_into(&relaid, out.as_mut_slice(), &mut SweepScratch::default());
+        out
+    }
+
+    /// The one execution core: sweeps `relaid` — the input as stored
+    /// through this layer's [`FlatLayout`] — into `plane`, the dense
+    /// channel-major accumulator plane (`output_shape().len()` long),
+    /// and returns the largest accumulator magnitude, taken while each
+    /// tile is still in cache (what the Sum/Round stage picks the
+    /// output format from).
     ///
     /// When the global metrics registry is enabled this also records
     /// the per-execute wall-clock histogram (`abm_execute_ns`), the
@@ -433,14 +462,19 @@ impl PreparedConv {
     ///
     /// # Panics
     ///
-    /// Panics if `input`'s shape differs from the prepared shape.
-    #[must_use]
-    pub fn execute(&self, input: &Tensor3<i16>) -> Tensor3<i64> {
+    /// Panics if `plane` is not `output_shape().len()` long or `relaid`
+    /// is shorter than the layout's re-laid-out input.
+    pub(crate) fn execute_into(
+        &self,
+        relaid: &[i16],
+        plane: &mut [i64],
+        scratch: &mut SweepScratch,
+    ) -> u64 {
         if !abm_metrics::enabled() {
-            return self.execute_inner(input).0;
+            return self.sweep_into(relaid, plane, scratch).0;
         }
         let timer = Instant::now();
-        let (out, swept) = self.execute_inner(input);
+        let (max_abs, swept) = self.sweep_into(relaid, plane, scratch);
         let elapsed = u64::try_from(timer.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let m = abm_metrics::global();
         m.observe("abm_execute_ns", elapsed);
@@ -448,51 +482,47 @@ impl PreparedConv {
         m.add(execute, 1);
         m.add("abm_output_pixels_total", self.out_shape.len() as u64);
         m.add("abm_swept_lanes_total", swept);
-        out
+        max_abs
     }
 
-    /// The uninstrumented execution body shared by the metered entry
-    /// point above and the disabled-registry fast path. Also returns the
-    /// lane positions issued (vector lanes plus one-at-a-time pixels).
-    fn execute_inner(&self, input: &Tensor3<i16>) -> (Tensor3<i64>, u64) {
-        assert_eq!(
-            input.shape(),
-            self.in_shape,
-            "input shape {} != prepared shape {}",
-            input.shape(),
-            self.in_shape
-        );
-        let mut out = Tensor3::zeros(self.out_shape);
+    /// The uninstrumented body of [`execute_into`](Self::execute_into).
+    /// Also returns the lane positions issued (vector lanes plus
+    /// one-at-a-time pixels).
+    fn sweep_into(
+        &self,
+        relaid: &[i16],
+        plane: &mut [i64],
+        scratch: &mut SweepScratch,
+    ) -> (u64, u64) {
+        assert_eq!(plane.len(), self.out_shape.len(), "plane != output shape");
         let (out_rows, out_cols) = (self.out_shape.rows, self.out_shape.cols);
         let out_plane = out_rows * out_cols;
         if out_plane == 0 {
-            return (out, 0);
+            return (0, 0);
         }
         let layout = self.flat.layout();
-        let relaid = layout.relayout(input);
         // The dispatch resolved at preparation: one virtual call maps
         // the stored selection to its kernel object, then every sweep
         // below goes through it.
         let kern: &'static dyn AbmKernel = abm_kernel::resolve(self.sel);
         let pitch = layout.phase_cols();
-        // One tile scratch for the whole call, as long as the longest
-        // sweep; the one-at-a-time fallback's partial-sum buffer (the
-        // software stand-in for the lane's partial-sum FIFO) only when
-        // some sweep is too short for a vector.
+        // One tile scratch as long as the longest sweep; the
+        // one-at-a-time fallback's partial-sum buffer (the software
+        // stand-in for the lane's partial-sum FIFO) only when some sweep
+        // is too short for a vector. Both keep their capacity between
+        // calls.
         let longest = layout
             .tiles(out_rows)
             .map(|rows| layout.sweep_span(rows.len(), out_cols))
             .max()
             .unwrap_or(0);
-        let mut tile = vec![0i64; longest];
-        let mut partials = if layout.shortest_sweep(out_rows, out_cols) < kern.lanes() {
-            vec![0i64; self.flat.max_distinct()]
-        } else {
-            Vec::new()
-        };
+        scratch.tile.resize(longest, 0);
+        if layout.shortest_sweep(out_rows, out_cols) < kern.lanes() {
+            scratch.partials.resize(self.flat.max_distinct(), 0);
+        }
         let group_len = layout.relaid_len(self.flat.shape().in_channels);
-        let out_data = out.as_mut_slice();
         let mut swept = 0u64;
+        let (mut lo, mut hi) = (0i64, 0i64);
 
         // Row tiles outermost, so a tile's input footprint stays cached
         // while every kernel of the layer sweeps it (the line-buffer
@@ -501,17 +531,24 @@ impl PreparedConv {
             // The sweep lands here at the input's row pitch; the
             // `pitch - out_cols` wrap positions at each row's end are
             // computed like any other and dropped by the copy-out.
-            let tile = &mut tile[..layout.sweep_span(rows.len(), out_cols)];
+            let tile = &mut scratch.tile[..layout.sweep_span(rows.len(), out_cols)];
             for (m, kernel) in self.flat.kernels().iter().enumerate() {
                 let base = (m / self.m_per_group) * group_len + rows.start * pitch;
-                swept += sweep(kern, kernel, &relaid, base, tile, &mut partials);
-                let dst = &mut out_data[m * out_plane + rows.start * out_cols..];
+                swept += sweep(kern, kernel, relaid, base, tile, &mut scratch.partials);
+                let dst = &mut plane[m * out_plane + rows.start * out_cols..];
                 for (dst, src) in dst.chunks_exact_mut(out_cols).zip(tile.chunks(pitch)) {
-                    dst.copy_from_slice(&src[..out_cols]);
+                    let src = &src[..out_cols];
+                    dst.copy_from_slice(src);
+                    // Extremes, not magnitudes: two compares an element
+                    // on a row that is in L1 anyway.
+                    for &v in src {
+                        lo = lo.min(v);
+                        hi = hi.max(v);
+                    }
                 }
             }
         }
-        (out, swept)
+        (lo.unsigned_abs().max(hi.unsigned_abs()), swept)
     }
 
     /// [`execute`](Self::execute) behind a typed shape guard instead of
@@ -536,6 +573,15 @@ impl PreparedConv {
         }
         Ok(self.execute(input))
     }
+}
+
+/// What a sweep needs beside its input and output: the tile a kernel
+/// lands in and the partial sums of the one-position path. Held by the
+/// caller so repeated calls allocate nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SweepScratch {
+    pub tile: Vec<i64>,
+    pub partials: Vec<i64>,
 }
 
 /// One kernel's sweep over `tile.len()` adjacent positions from `base`,

@@ -18,44 +18,68 @@ pub fn relu(input: &Tensor3<i16>) -> Tensor3<i16> {
 ///
 /// Average pooling rounds to nearest (ties away from zero).
 pub fn pool(input: &Tensor3<i16>, spec: PoolSpec) -> Tensor3<i16> {
-    let out_shape = spec.output_shape(input.shape());
-    Tensor3::from_fn(out_shape, |c, orow, ocol| {
-        let r0 = orow * spec.stride;
-        let c0 = ocol * spec.stride;
+    let (shape, out_shape) = (input.shape(), spec.output_shape(input.shape()));
+    let (plane, out_plane) = (shape.rows * shape.cols, out_shape.rows * out_shape.cols);
+    let (mut out, mut columns) = (vec![0i16; out_shape.len()], Vec::new());
+    for c in 0..shape.channels {
+        let src = &input.as_slice()[c * plane..][..plane];
+        let dst = &mut out[c * out_plane..][..out_plane];
+        pool_plane(src, shape.cols, spec, dst, out_shape.cols, &mut columns);
+    }
+    Tensor3::from_vec(out_shape, out)
+}
+
+/// Pools one `cols`-wide channel plane into `dst`, `out_cols` wide —
+/// the core under [`pool`] and the inference epilogue. Without padding
+/// every window lies inside the plane, so there is nothing to clamp (and
+/// a plane smaller than the window pools to nothing). `columns` is
+/// scratch that keeps its capacity between calls.
+pub(crate) fn pool_plane(
+    src: &[i16],
+    cols: usize,
+    spec: PoolSpec,
+    dst: &mut [i16],
+    out_cols: usize,
+    columns: &mut Vec<i16>,
+) {
+    let (w, s) = (spec.window, spec.stride);
+    for (orow, out) in dst.chunks_exact_mut(out_cols.max(1)).enumerate() {
+        let window = &src[orow * s * cols..][..w * cols];
         match spec.kind {
+            // Column maxima of the window's rows first — a plain
+            // element-wise max the compiler vectorises — then one
+            // strided pass over them.
             PoolKind::Max => {
-                let mut best = i16::MIN;
-                for r in r0..(r0 + spec.window).min(input.shape().rows) {
-                    for col in c0..(c0 + spec.window).min(input.shape().cols) {
-                        best = best.max(input[(c, r, col)]);
+                columns.clear();
+                columns.extend_from_slice(&window[..cols]);
+                for row in window.chunks_exact(cols).skip(1) {
+                    for (best, &v) in columns.iter_mut().zip(row) {
+                        *best = (*best).max(v);
                     }
                 }
-                best
+                for (o, win) in out.iter_mut().zip(columns.windows(w).step_by(s)) {
+                    *o = win.iter().fold(i16::MIN, |best, &v| best.max(v));
+                }
             }
             PoolKind::Avg => {
-                let mut sum = 0i64;
-                let mut count = 0i64;
-                for r in r0..(r0 + spec.window).min(input.shape().rows) {
-                    for col in c0..(c0 + spec.window).min(input.shape().cols) {
-                        sum += input[(c, r, col)] as i64;
-                        count += 1;
-                    }
-                }
-                if count == 0 {
-                    0
-                } else {
+                let count = (w * w) as i64;
+                for (ocol, o) in out.iter_mut().enumerate() {
+                    let rows = window.chunks_exact(cols);
+                    let sum: i64 = rows
+                        .flat_map(|row| &row[ocol * s..ocol * s + w])
+                        .map(|&v| v as i64)
+                        .sum();
                     // Round half away from zero (truncating division
                     // after a sign-matched half-step).
-                    let q = 2 * sum + sum.signum() * count;
-                    (q / (2 * count)) as i16
+                    *o = ((2 * sum + sum.signum() * count) / (2 * count)) as i16;
                 }
             }
         }
-    })
+    }
 }
 
-/// Features whose channel-window energy stays below this many distinct
-/// values get a per-call denominator table (8-bit features: at most
+/// Feature widths whose channel-window energy stays below this many
+/// distinct values get a denominator table (8-bit features: at most
 /// `5 · 128² + 1` entries); wider ones call `powf` per element.
 const LRN_TABLE_LIMIT: i64 = 1 << 18;
 
@@ -74,10 +98,36 @@ const LRN_TABLE_LIMIT: i64 = 1 << 18;
 /// either way (for every `frac ≥ −112`, below which dequantizing to
 /// `f32` overflows).
 pub fn lrn(input: &Tensor3<i16>, fmt: QFormat, spec: &LrnSpec) -> Tensor3<i16> {
-    let s = input.shape();
+    let (shape, mut out) = (input.shape(), Vec::with_capacity(input.len()));
+    let mut scratch = LrnScratch::default();
+    let emit = |_, plane: &[i16]| out.extend_from_slice(plane);
+    lrn_planes(input.as_slice(), shape, fmt, spec, &mut scratch, emit);
+    Tensor3::from_vec(shape, out)
+}
+
+/// What [`lrn_planes`] keeps between calls: the sliding window energy,
+/// the denominator table and the plane being normalized.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LrnScratch {
+    pub energy: Vec<i64>,
+    pub table: Vec<f64>,
+    pub out: Vec<i16>,
+}
+
+/// The core under [`lrn`] and the inference path: normalizes the
+/// channel-major feature map `input` of shape `s` and hands each
+/// finished channel plane to `emit`, in channel order.
+pub(crate) fn lrn_planes(
+    input: &[i16],
+    s: Shape3,
+    fmt: QFormat,
+    spec: &LrnSpec,
+    scratch: &mut LrnScratch,
+    mut emit: impl FnMut(usize, &[i16]),
+) {
     let plane = s.rows * s.cols;
     if s.channels == 0 || plane == 0 {
-        return input.clone();
+        return;
     }
     let half = spec.size / 2;
     let lsb = fmt.lsb();
@@ -88,12 +138,19 @@ pub fn lrn(input: &Tensor3<i16>, fmt: QFormat, spec: &LrnSpec) -> Tensor3<i16> {
     let alpha_per_size = spec.alpha as f64 / spec.size as f64;
     let denom_of = |energy: i64| (k + alpha_per_size * (energy as f64 * lsb_sq)).powf(beta);
 
-    let planes: Vec<&[i16]> = input.as_slice().chunks_exact(plane).collect();
+    let input = &input[..s.len()];
+    let planes = |c: usize| &input[c * plane..(c + 1) * plane];
     let square = |x: i16| x as i64 * x as i64;
-    let max_square = input.as_slice().iter().map(|&x| square(x)).max();
-    let max_energy = (2 * half as i64 + 1) * max_square.unwrap_or(0);
-    // NaN marks an unfilled slot (a NaN denominator is just recomputed).
-    let mut table = (max_energy < LRN_TABLE_LIMIT).then(|| vec![f64::NAN; max_energy as usize + 1]);
+    let LrnScratch { energy, table, out } = scratch;
+    // One slot per energy features of this width can reach (none for
+    // the wide ones), whatever this image holds: the table's size does
+    // not depend on the data. NaN marks an unfilled slot (a NaN
+    // denominator is just recomputed).
+    let reach = (2 * half as i64 + 1).saturating_mul(1 << (2 * (fmt.bits().min(16) - 1)));
+    table.clear();
+    if reach < LRN_TABLE_LIMIT {
+        table.resize(reach as usize + 1, f64::NAN);
+    }
 
     // The window slides one channel at a time: a plane enters (+1) at
     // its upper end, one leaves (−1) at its lower end.
@@ -102,24 +159,25 @@ pub fn lrn(input: &Tensor3<i16>, fmt: QFormat, spec: &LrnSpec) -> Tensor3<i16> {
             *e += sign * square(x);
         }
     };
-    let mut energy = vec![0i64; plane];
-    for entering in &planes[..=half.min(s.channels - 1)] {
-        slide(&mut energy, entering, 1);
+    energy.clear();
+    energy.resize(plane, 0);
+    for entering in 0..=half.min(s.channels - 1) {
+        slide(energy, planes(entering), 1);
     }
-    let mut out = Vec::with_capacity(input.len());
-    for (c, current) in planes.iter().enumerate() {
+    for c in 0..s.channels {
         if c > 0 {
-            if let Some(entering) = planes.get(c + half) {
-                slide(&mut energy, entering, 1);
+            if c + half < s.channels {
+                slide(energy, planes(c + half), 1);
             }
             if c > half {
-                slide(&mut energy, planes[c - half - 1], -1);
+                slide(energy, planes(c - half - 1), -1);
             }
         }
-        out.extend(current.iter().zip(&energy).map(|(&x, &e)| {
-            let denom = match &mut table {
-                Some(table) => {
-                    let slot = &mut table[e as usize];
+        out.clear();
+        out.extend(planes(c).iter().zip(energy.iter()).map(|(&x, &e)| {
+            // Past the table: a wide format, or a raw outside its own.
+            let denom = match table.get_mut(e as usize) {
+                Some(slot) => {
                     if slot.is_nan() {
                         *slot = denom_of(e);
                     }
@@ -137,8 +195,8 @@ pub fn lrn(input: &Tensor3<i16>, fmt: QFormat, spec: &LrnSpec) -> Tensor3<i16> {
             };
             (rounded as i64).clamp(min_raw, max_raw) as i16
         }));
+        emit(c, out);
     }
-    Tensor3::from_vec(s, out)
 }
 
 /// Numerically stable softmax over dequantized logits.
@@ -150,12 +208,6 @@ pub fn softmax(logits: &[f32]) -> Vec<f32> {
     let exps: Vec<f32> = logits.iter().map(|&x| (x - max).exp()).collect();
     let sum: f32 = exps.iter().sum();
     exps.into_iter().map(|e| e / sum).collect()
-}
-
-/// Flattens a feature map into FC input order (channel-major, the layout
-/// both Caffe-era CNNs use).
-pub fn flatten(input: &Tensor3<i16>) -> Tensor3<i16> {
-    Tensor3::from_vec(Shape3::new(input.len(), 1, 1), input.as_slice().to_vec())
 }
 
 #[cfg(test)]
@@ -331,15 +383,5 @@ mod tests {
         // Stability with huge logits.
         let q = softmax(&[1000.0, 1001.0]);
         assert!(q.iter().all(|x| x.is_finite()));
-    }
-
-    #[test]
-    fn flatten_is_channel_major() {
-        let t = Tensor3::from_fn(Shape3::new(2, 2, 2), |c, r, col| {
-            (c * 4 + r * 2 + col) as i16
-        });
-        let f = flatten(&t);
-        assert_eq!(f.shape(), Shape3::new(8, 1, 1));
-        assert_eq!(f.as_slice(), &[0, 1, 2, 3, 4, 5, 6, 7]);
     }
 }

@@ -54,6 +54,7 @@
 
 pub mod abft;
 pub mod abm;
+mod arena;
 pub mod calibrate;
 pub mod dense;
 pub mod freq;
@@ -68,6 +69,7 @@ pub mod winograd;
 
 pub use abm::conv2d as abm_conv2d;
 pub use abm::{AbmWork, PreparedConv};
+pub use arena::ArenaStats;
 pub use calibrate::{calibrate, Calibration};
 pub use dense::{conv2d as dense_conv2d, Geometry};
 pub use infer::{Engine, InferenceResult, Inferencer, PreparedWeights, ResiliencePolicy};

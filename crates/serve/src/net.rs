@@ -150,7 +150,10 @@ fn accept_loop(
                 let stop = Arc::clone(stop);
                 let timeout = cfg.read_timeout;
                 std::thread::spawn(move || {
-                    let _guard = guard;
+                    // Locals drop in reverse: the server handle goes before
+                    // the guard counts the connection out, so `shutdown`
+                    // never returns while a dead connection still owns it.
+                    let (_guard, server) = (guard, server);
                     connection_loop(&stream, &server, &stop, timeout);
                 });
             }

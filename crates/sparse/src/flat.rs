@@ -27,7 +27,7 @@
 
 use crate::encode::{EncodeError, LayerCode};
 use abm_tensor::shape::conv_out_dim;
-use abm_tensor::{Shape4, Tensor3};
+use abm_tensor::{Shape3, Shape4, Tensor3};
 use std::ops::Range;
 
 /// Positions one row tile of the flat sweep aims for: enough that a
@@ -85,15 +85,82 @@ impl FlatLayout {
             .saturating_mul(channels)
     }
 
+    /// The layout of a feature map nothing pads or splits: stride 1, no
+    /// padding, so the re-laid-out buffer is the plain channel-major
+    /// tensor. What host layers, fully-connected layers and the
+    /// non-lowered engines read their input through.
+    #[must_use]
+    pub fn identity(shape: Shape3) -> Self {
+        Self {
+            in_rows: shape.rows,
+            in_cols: shape.cols,
+            stride: 1,
+            pad: 0,
+        }
+    }
+
+    /// The address of padded pixel `(n, y, x)` in the re-laid-out buffer
+    /// (see the module docs).
+    fn address(&self, n: usize, y: usize, x: usize) -> usize {
+        let s = self.stride;
+        ((n * s + y % s) * s + x % s) * self.phase_rows() * self.phase_cols()
+            + (y / s) * self.phase_cols()
+            + x / s
+    }
+
     /// The address of `tap` in the re-laid-out buffer, relative to the
     /// output pixel's base `group_base + r·pc + c`.
     #[must_use]
     pub fn offset_of(&self, tap: Tap) -> usize {
-        let s = self.stride;
-        let (n, k, kp) = (tap.n as usize, tap.k as usize, tap.kp as usize);
-        ((n * s + k % s) * s + kp % s) * self.phase_rows() * self.phase_cols()
-            + (k / s) * self.phase_cols()
-            + kp / s
+        self.address(tap.n as usize, tap.k as usize, tap.kp as usize)
+    }
+
+    /// Stores channel `n`'s `in_rows × in_cols` plane at its re-laid-out
+    /// position — the one definition of the arrangement on the write
+    /// side. **Every** element of the channel's block is written, the
+    /// zero padding and the rounding slack of the phase planes
+    /// included, so the destination may hold anything (a buffer a layer
+    /// of another shape used before): no stale halo survives a store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plane` is not `in_rows × in_cols` long or `relaid` is
+    /// shorter than `relaid_len(n + 1)`.
+    pub fn store_plane(&self, relaid: &mut [i16], n: usize, plane: &[i16]) {
+        assert_eq!(
+            plane.len(),
+            self.in_rows * self.in_cols,
+            "plane differs from the layout"
+        );
+        let (s, p, pc) = (self.stride, self.pad, self.phase_cols());
+        let phase = self.phase_rows() * pc;
+        let block = &mut relaid[n * s * s * phase..(n + 1) * s * s * phase];
+        // Padded row `y` lands in row `y / s` of the `s` phase planes of
+        // row phase `y % s`; rows above, below and past the input are
+        // zeros.
+        for y in 0..s * self.phase_rows() {
+            let row_base = (y % s) * s * phase + (y / s) * pc;
+            let row = match y.checked_sub(p) {
+                Some(r) if r < self.in_rows => &plane[r * self.in_cols..(r + 1) * self.in_cols],
+                _ => &[],
+            };
+            for q in 0..s {
+                let dst = &mut block[row_base + q * phase..][..pc];
+                if s == 1 && !row.is_empty() {
+                    dst[..p].fill(0);
+                    dst[p..p + row.len()].copy_from_slice(row);
+                    dst[p + row.len()..].fill(0);
+                    continue;
+                }
+                dst.fill(0);
+                // First input column whose padded coordinate has phase q.
+                let x0 = (q + s - p % s) % s;
+                let data = row.iter().skip(x0).step_by(s);
+                for (d, &v) in dst[(x0 + p) / s..].iter_mut().zip(data) {
+                    *d = v;
+                }
+            }
+        }
     }
 
     /// Re-lays `input` out: zero-pad each channel, then split it into
@@ -104,35 +171,52 @@ impl FlatLayout {
     /// Panics if `input`'s plane is not `in_rows × in_cols`.
     #[must_use]
     pub fn relayout(&self, input: &Tensor3<i16>) -> Vec<i16> {
+        let mut out = vec![0i16; self.relaid_len(input.shape().channels)];
+        self.relayout_into(input, &mut out);
+        out
+    }
+
+    /// [`relayout`](Self::relayout) into a buffer the caller owns (and
+    /// may have used for anything): one
+    /// [`store_plane`](Self::store_plane) per channel, or one copy when
+    /// nothing pads or splits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input`'s plane is not `in_rows × in_cols` or `relaid`
+    /// is shorter than `relaid_len(channels)`.
+    pub fn relayout_into(&self, input: &Tensor3<i16>, relaid: &mut [i16]) {
         let shape = input.shape();
         assert_eq!(
             (shape.rows, shape.cols),
             (self.in_rows, self.in_cols),
             "input plane differs from the layout"
         );
-        let (s, p, pc) = (self.stride, self.pad, self.phase_cols());
-        let phase = self.phase_rows() * pc;
-        let mut out = vec![0i16; self.relaid_len(shape.channels)];
-        if self.in_cols == 0 {
-            return out;
+        if (self.stride, self.pad) == (1, 0) {
+            // The plain tensor as it lies — one copy, not one store per
+            // 1×1 "plane" of a fully-connected layer's input.
+            return relaid[..input.len()].copy_from_slice(input.as_slice());
         }
-        for (i, row) in input.as_slice().chunks_exact(self.in_cols).enumerate() {
-            let (n, y) = (i / self.in_rows, i % self.in_rows + p);
-            let row_base = (n * s + y % s) * s * phase + (y / s) * pc;
-            if s == 1 {
-                out[row_base + p..row_base + p + row.len()].copy_from_slice(row);
-                continue;
-            }
-            for q in 0..s {
-                // First input column whose padded coordinate has phase q.
-                let x0 = (q + s - p % s) % s;
-                let dst = &mut out[row_base + q * phase + (x0 + p) / s..];
-                for (d, &v) in dst.iter_mut().zip(row.iter().skip(x0).step_by(s)) {
-                    *d = v;
-                }
-            }
+        let plane = self.in_rows * self.in_cols;
+        for n in 0..shape.channels {
+            self.store_plane(relaid, n, &input.as_slice()[n * plane..(n + 1) * plane]);
         }
-        out
+    }
+
+    /// The inverse of [`relayout`](Self::relayout): gathers `channels`
+    /// channels back out of a re-laid-out buffer, dropping the padding.
+    /// The way back to a tensor at the network boundary and for the
+    /// engines that take one (never on the lowered hot path).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `relaid` is shorter than `relaid_len(channels)`.
+    #[must_use]
+    pub fn strip(&self, relaid: &[i16], channels: usize) -> Tensor3<i16> {
+        let shape = Shape3::new(channels, self.in_rows, self.in_cols);
+        Tensor3::from_fn(shape, |n, y, x| {
+            relaid[self.address(n, y + self.pad, x + self.pad)]
+        })
     }
 
     /// The output-row tiles of the flat sweep: equal runs of rows
@@ -547,11 +631,17 @@ mod tests {
             let lay = layout(rows, cols, stride, pad);
             let (out_rows, out_cols) = lay.out_dims(kr, kc);
             let channels = per_group * groups;
-            let input = Tensor3::from_fn(abm_tensor::Shape3::new(channels, rows, cols), |c, r, x| {
+            let input = Tensor3::from_fn(Shape3::new(channels, rows, cols), |c, r, x| {
                 ((c * 577 + r * 37 + x * 11 + salt) % 65_536) as u16 as i16
             });
             let relaid = lay.relayout(&input);
             prop_assert_eq!(relaid.len(), lay.relaid_len(channels));
+            // The write side: plane stores over a dirty buffer leave the
+            // same bytes (no stale halo), and stripping undoes them.
+            let mut dirty = vec![0x5a5a_i16; relaid.len()];
+            lay.relayout_into(&input, &mut dirty);
+            prop_assert_eq!(&dirty, &relaid);
+            prop_assert_eq!(&lay.strip(&relaid, channels), &input);
             let padded = |c: usize, y: usize, x: usize| {
                 if y < pad || x < pad || y - pad >= rows || x - pad >= cols {
                     0

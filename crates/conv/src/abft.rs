@@ -154,6 +154,43 @@ pub(crate) fn verify_plane(
             }
         }
     }
+    check_planes(prep, sums, plane, out_plane)
+}
+
+/// [`verify_plane`] for a layer swept across a batch
+/// (`PreparedConv::execute_lanes`): `lanes` is the lane buffer
+/// `[in_feature][lane]` the sweep read, `plane` the `[kernel][lane]`
+/// accumulators it filled, both of row length `pitch`. A kernel's plane
+/// is its row of lanes and the input a tap touches across it is the
+/// tap's feature in every lane, so the tap sums are the lane buffer's
+/// row sums and the whole batch is checked for one image's walk over
+/// the taps. A mismatch names the kernel, not the image: which lane an
+/// accumulator went wrong in is for the caller to find out.
+pub(crate) fn verify_lanes(
+    prep: &PreparedConv,
+    lanes: &[i16],
+    pitch: usize,
+    plane: &[i64],
+    sums: &mut Vec<i64>,
+) -> Result<(), AbmError> {
+    let rows = lanes[..prep.input_shape().len() * pitch].chunks_exact(pitch);
+    let row_sum = |row: &[i16]| row.iter().map(|&v| i64::from(v)).sum::<i64>();
+    sums.clear();
+    sums.extend(rows.map(row_sum));
+    check_planes(prep, sums, plane, pitch)
+}
+
+/// Predicts every kernel's plane sum from the tap sums `S[c][k][k']` —
+/// one load and one add per tap, one multiply per distinct value — and
+/// compares it with the `out_plane` accumulators the kernel filled.
+fn check_planes(
+    prep: &PreparedConv,
+    sums: &[i64],
+    plane: &[i64],
+    out_plane: usize,
+) -> Result<(), AbmError> {
+    let flat = prep.flat();
+    let shape = flat.shape();
     let group_len = shape.in_channels * shape.kernel_rows * shape.kernel_cols;
     let m_per_group = shape.out_channels / prep.geometry().groups;
 

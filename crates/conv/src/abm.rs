@@ -42,6 +42,7 @@
 //! ([`crate::infer::Inferencer`]) prepare once and reuse.
 
 use crate::dense::Geometry;
+use crate::parallel::Parallelism;
 use abm_fault::AbmError;
 use abm_kernel::{gather_one, AbmKernel, AccWidth, Isa, Selection};
 use abm_sparse::{FlatCode, FlatKernel, FlatLayout, LayerCode};
@@ -186,6 +187,10 @@ pub struct PreparedConv {
     /// width the lowering verifier proved safe for it on any `i16`
     /// input (`abm_verify::AccumulatorModel::stage1_required_bits`).
     sel: Selection,
+    /// What a one-position layer sweeps across a batch's lanes with
+    /// (`abm_kernel::select_lane_kernels`): `[narrow, wide]`, from the
+    /// same pin and the same proof.
+    lane_sels: [Selection; 2],
 }
 
 impl PreparedConv {
@@ -301,8 +306,9 @@ impl PreparedConv {
         // variant whose lanes this layer's shortest sweep can fill).
         let stage1_bits = abm_verify::AccumulatorModel::host().stage1_required_bits(&flat);
         let sweep = layout.shortest_sweep(out_shape.rows, out_shape.cols);
-        let sel = abm_kernel::select_auto(isa, stage1_bits, sweep)
-            .map_err(|detail| AbmError::IsaUnavailable { detail })?;
+        let unavailable = |detail| AbmError::IsaUnavailable { detail };
+        let sel = abm_kernel::select_auto(isa, stage1_bits, sweep).map_err(unavailable)?;
+        let lane_sels = abm_kernel::select_lane_kernels(isa, stage1_bits).map_err(unavailable)?;
         // Dispatch accounting: one count per prepared layer, keyed by
         // the resolved variant (preparation-time, never the hot path).
         if abm_metrics::enabled() {
@@ -317,6 +323,7 @@ impl PreparedConv {
             work,
             checksum,
             sel,
+            lane_sels,
             flat,
         })
     }
@@ -389,6 +396,19 @@ impl PreparedConv {
     #[must_use]
     pub fn selection(&self) -> Selection {
         self.sel
+    }
+
+    /// The kernel variant a one-position layer (a fully-connected row)
+    /// sweeps across a batch of `columns` images with: the narrowest
+    /// vector that holds them all, else the widest there is.
+    #[must_use]
+    pub fn lane_selection(&self, columns: usize) -> Selection {
+        let [narrow, wide] = self.lane_sels;
+        if columns <= narrow.lanes() {
+            narrow
+        } else {
+            wide
+        }
     }
 
     /// Re-hashes the flat streams and compares against the golden
@@ -534,7 +554,7 @@ impl PreparedConv {
             let tile = &mut scratch.tile[..layout.sweep_span(rows.len(), out_cols)];
             for (m, kernel) in self.flat.kernels().iter().enumerate() {
                 let base = (m / self.m_per_group) * group_len + rows.start * pitch;
-                swept += sweep(kern, kernel, relaid, base, tile, &mut scratch.partials);
+                swept += sweep(kern, kernel, relaid, base, 1, tile, &mut scratch.partials);
                 let dst = &mut plane[m * out_plane + rows.start * out_cols..];
                 for (dst, src) in dst.chunks_exact_mut(out_cols).zip(tile.chunks(pitch)) {
                     let src = &src[..out_cols];
@@ -549,6 +569,89 @@ impl PreparedConv {
             }
         }
         (lo.unsigned_abs().max(hi.unsigned_abs()), swept)
+    }
+
+    /// [`execute_into`](Self::execute_into) across a batch: sweeps this
+    /// one-position layer (a fully-connected row) over `lanes`, the lane
+    /// buffer `[in_feature][lane]` of row length `pitch` — feature `f`
+    /// of the image in column `c` at `f · pitch + c` — into `plane`,
+    /// `[kernel][lane]` at the same pitch. It is the one sweep at
+    /// `base = 0` and that pitch, from this layer's own offset stream:
+    /// an offset picks a feature's row, the positions of the sweep are
+    /// the images. `sel` is [`lane_selection`](Self::lane_selection)'s
+    /// answer for the batch and `pitch` a whole number of its vectors.
+    /// The kernels are shared out over `parallelism`'s workers in
+    /// contiguous runs of equal non-zero count (each writes its own rows
+    /// of the plane), when a share is worth a thread.
+    ///
+    /// Recorded like any execute when the metrics registry is on, with
+    /// the honest lane fill of a batch: `live` columns carry an image,
+    /// `pitch` lanes were issued a kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layer sweeps more than one position, or `lanes` or
+    /// `plane` are shorter than `pitch` rows of the layer's features.
+    pub(crate) fn execute_lanes(
+        &self,
+        parallelism: Parallelism,
+        sel: Selection,
+        lanes: &[i16],
+        (live, pitch): (usize, usize),
+        plane: &mut [i64],
+    ) {
+        assert_eq!(
+            (self.out_shape.rows * self.out_shape.cols, self.geom.groups),
+            (1, 1),
+            "a lane sweep is one position of one channel group"
+        );
+        let timer = abm_metrics::enabled().then(Instant::now);
+        let kern = abm_kernel::resolve(sel);
+        let lanes = &lanes[..self.in_shape.len() * pitch];
+        let kernels = self.flat.kernels();
+        let plane = &mut plane[..kernels.len() * pitch];
+        // (One position: the layer's accumulations are its non-zeros.)
+        let nnz = self.work.accumulations;
+        let worth = (nnz * pitch as u64 / MIN_LANE_SHARE).max(1);
+        let workers = (parallelism.worker_count() as u64).min(worth) as usize;
+        std::thread::scope(|scope| {
+            let (mut rest, mut first, mut taken) = (plane, 0, 0u64);
+            for worker in 1..=workers {
+                // This worker's run ends where the running non-zero
+                // count reaches its share of the layer's.
+                let goal = nnz * worker as u64 / workers as u64;
+                let mut end = first;
+                while end < kernels.len() && (taken < goal || worker == workers) {
+                    taken += u64::from(kernels[end].total());
+                    end += 1;
+                }
+                let (rows, tail) = std::mem::take(&mut rest).split_at_mut((end - first) * pitch);
+                rest = tail;
+                let mut run = move || {
+                    for (kernel, row) in kernels[first..end].iter().zip(rows.chunks_mut(pitch)) {
+                        sweep(kern, kernel, lanes, 0, pitch, row, &mut []);
+                    }
+                };
+                first = end;
+                // The last share runs here: one thread fewer to spawn.
+                if worker == workers {
+                    run();
+                } else {
+                    scope.spawn(run);
+                }
+            }
+        });
+        if let Some(timer) = timer {
+            let m = abm_metrics::global();
+            m.observe(
+                "abm_execute_ns",
+                u64::try_from(timer.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            );
+            let (_, execute) = selection_counters(sel);
+            m.add(execute, 1);
+            m.add("abm_output_pixels_total", (kernels.len() * live) as u64);
+            m.add("abm_swept_lanes_total", (kernels.len() * pitch) as u64);
+        }
     }
 
     /// [`execute`](Self::execute) behind a typed shape guard instead of
@@ -584,25 +687,35 @@ pub(crate) struct SweepScratch {
     pub partials: Vec<i64>,
 }
 
+/// Stage-1 accumulations below which a share of a lane sweep is not
+/// worth a thread of its own: about a hundred microseconds of the
+/// vector kernels, several times what spawning and joining one costs.
+const MIN_LANE_SHARE: u64 = 1 << 20;
+
 /// One kernel's sweep over `tile.len()` adjacent positions from `base`,
-/// in three phases: register blocks of `lanes × block` positions while
-/// a whole block fits, then single vectors, then at most one final
-/// vector overlapping the previous one — every position is a pure
-/// function of the input, so recomputing the overlap is bit-identical,
-/// and no call reads past the span's last (valid) pixel. Spans narrower
-/// than one vector (fully-connected rows) take [`gather_one`] per
-/// position. Returns the lane positions issued.
+/// position `i` reading `data[base + i + off · pitch]` (the
+/// [`AbmKernel`] contract: `pitch = 1` for a convolution's pixels, the
+/// lane buffer's row length for a batch's images), in three phases:
+/// register blocks of `lanes × block` positions while a whole block
+/// fits, then single vectors, then at most one final vector overlapping
+/// the previous one — every position is a pure function of the input,
+/// so recomputing the overlap is bit-identical, and no call reads past
+/// the span's last (valid) position. Spans narrower than one vector (a
+/// fully-connected row of one image, `pitch = 1`) take [`gather_one`]
+/// per position. Returns the lane positions issued.
 fn sweep(
     kern: &dyn AbmKernel,
     kernel: &FlatKernel,
     data: &[i16],
     base: usize,
+    pitch: usize,
     tile: &mut [i64],
     partials: &mut [i64],
 ) -> u64 {
     let (vals, bounds, offs) = (kernel.values(), kernel.group_bounds(), kernel.offsets());
     let (span, lanes) = (tile.len(), kern.lanes());
     if span < lanes {
+        assert_eq!(pitch, 1, "a pitched sweep fills whole vectors");
         for (i, t) in tile.iter_mut().enumerate() {
             *t = gather_one(vals, bounds, offs, data, base + i, partials);
         }
@@ -611,16 +724,18 @@ fn sweep(
     let wide = lanes * kern.block();
     let mut i = 0;
     while i + wide <= span {
-        kern.gather_block(vals, bounds, offs, data, base + i, &mut tile[i..i + wide]);
+        let out = &mut tile[i..i + wide];
+        kern.gather_block_pitched(vals, bounds, offs, data, base + i, pitch, out);
         i += wide;
     }
     while i + lanes <= span {
-        kern.gather_unit(vals, bounds, offs, data, base + i, &mut tile[i..i + lanes]);
+        let out = &mut tile[i..i + lanes];
+        kern.gather_unit_pitched(vals, bounds, offs, data, base + i, pitch, out);
         i += lanes;
     }
     if i < span {
         let i = span - lanes;
-        kern.gather_unit(vals, bounds, offs, data, base + i, &mut tile[i..]);
+        kern.gather_unit_pitched(vals, bounds, offs, data, base + i, pitch, &mut tile[i..]);
     }
     (span.div_ceil(lanes) * lanes) as u64
 }
@@ -753,6 +868,52 @@ mod tests {
         let input = pseudo_input(Shape3::new(24, 1, 1));
         let weights = pseudo_weights(Shape4::new(5, 24, 1, 1), 6);
         check_equivalence(&input, &weights, Geometry::unit());
+    }
+
+    /// A fully-connected layer swept across a batch's lanes is every
+    /// image's own `execute`, column by column — for every pinned
+    /// kernel, a part-filled vector and more than a register block of
+    /// images, stale values in the dead lanes, and whether one thread
+    /// sweeps the kernels or three share them (the layer is large
+    /// enough that a share is worth a thread).
+    #[test]
+    fn lane_sweep_is_every_image_alone_on_any_thread_count() {
+        let in_shape = Shape3::new(2048, 1, 1);
+        let weights = pseudo_weights(Shape4::new(600, 2048, 1, 1), 6);
+        let code = LayerCode::encode(&weights).unwrap();
+        let images: Vec<Tensor3<i16>> = (0..70)
+            .map(|salt| {
+                Tensor3::from_fn(in_shape, |c, _, _| {
+                    ((c * 577 + salt * 131) % 255) as i16 - 127
+                })
+            })
+            .collect();
+        for isa in Isa::detect_all() {
+            let prep = PreparedConv::try_new(&code, in_shape, Geometry::unit(), Some(isa)).unwrap();
+            let alone: Vec<Tensor3<i64>> = images.iter().map(|i| prep.execute(i)).collect();
+            for live in [5usize, 70] {
+                let sel = prep.lane_selection(live);
+                let pitch = live.next_multiple_of(sel.lanes());
+                assert!(prep.flat().total_nnz() * pitch as u64 >= 3 * MIN_LANE_SHARE);
+                let mut lanes = vec![0x5a5a_i16; in_shape.len() * pitch];
+                for (column, image) in images[..live].iter().enumerate() {
+                    for (row, &v) in lanes.chunks_exact_mut(pitch).zip(image.as_slice()) {
+                        row[column] = v;
+                    }
+                }
+                for threads in [Parallelism::Serial, Parallelism::Threads(3)] {
+                    let mut plane = vec![i64::MIN; 600 * pitch];
+                    prep.execute_lanes(threads, sel, &lanes, (live, pitch), &mut plane);
+                    for (column, alone) in alone[..live].iter().enumerate() {
+                        let swept = plane.chunks_exact(pitch).map(|row| row[column]);
+                        assert!(
+                            swept.eq(alone.as_slice().iter().copied()),
+                            "{sel} live {live} {threads} column {column}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

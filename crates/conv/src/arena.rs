@@ -16,6 +16,10 @@
 //!   fills (the image's own buffer is being read; the two swap after
 //!   every step), and the small scratch of the host layers and
 //!   detectors. An image in flight owns only its feature buffer.
+//! * [`LaneArena`] — one batch's buffers for the fully-connected tail it
+//!   runs on its lanes (`crate::infer`'s batch executor): the images'
+//!   tail inputs, the two lane buffers `[feature][lane]` a layer reads
+//!   and writes, and the `[kernel][lane]` accumulator plane between.
 //! * [`ArenaPool`] — the checkout pool inside `PreparedWeights`. Callers
 //!   hold `&PreparedWeights` and batch workers are scoped threads spawned
 //!   per call, so buffers live here, not in thread-locals; the pool ends
@@ -80,6 +84,19 @@ pub(crate) struct Plan {
     feature_len: usize,
     /// The largest accumulator plane of any accelerated layer.
     plane_len: usize,
+    /// The fully-connected tail, when the network ends in one.
+    pub tail: Option<Tail>,
+}
+
+/// The trailing run of fully-connected layers — with the ReLUs their
+/// epilogues absorb and a closing softmax — that a batch runs once on
+/// its lanes instead of once an image.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Tail {
+    /// The first layer of the run (a fully-connected one).
+    pub first: usize,
+    /// Features entering it: the plain tensor the step before stores.
+    pub features: usize,
 }
 
 impl Plan {
@@ -111,6 +128,7 @@ impl Plan {
             steps: Vec::with_capacity(layers.len()),
             feature_len: reads[0].relaid_len(network.input_shape().channels),
             plane_len: 0,
+            tail: None,
         };
         let mut i = 0;
         while i < layers.len() {
@@ -156,6 +174,22 @@ impl Plan {
                 metric: String::new(),
             }));
             i = end;
+        }
+        // Walk the tail back from the output for as long as the layers
+        // are ones a lane buffer can carry: a value per feature and
+        // image, nothing spatial.
+        for (i, (layer, step)) in layers.iter().zip(&plan.steps).enumerate().rev() {
+            match &layer.kind {
+                LayerKind::FullyConnected(_) if step.pool.is_none() => {
+                    plan.tail = Some(Tail {
+                        first: i,
+                        features: shape_into(i).len(),
+                    });
+                }
+                LayerKind::Softmax if i + 1 == layers.len() => {}
+                _ if step.absorbed => {}
+                _ => break,
+            }
         }
         plan
     }
@@ -258,10 +292,7 @@ impl Arena {
                 })
             } else {
                 requantize_plane(acc, &mut self.channel, |v| {
-                    let r = round_shift(v, shift, Rounding::NearestTiesAway);
-                    let clamped = r.clamp(lo, hi);
-                    let q = clamped as i16;
-                    (if relu { q.max(0) } else { q }, u32::from(clamped != r))
+                    round_feature(v, shift, (lo, hi), relu)
                 })
             };
             let scratch = (&mut self.pooled, &mut self.columns);
@@ -290,6 +321,17 @@ impl Arena {
         let emit = |n, plane: &[i16]| step.store.store_plane(spare, n, plane);
         host::lrn_planes(src, step.shape, fmt, spec, &mut self.lrn, emit);
     }
+}
+
+/// Sum/Round for one accumulator, any shift and any format: `shift` bits
+/// rounded away (ties away from zero), clamped to the format's
+/// `(lo, hi)`, then the ReLU. Returns the feature and whether the format
+/// clipped it.
+fn round_feature(v: i64, shift: i32, (lo, hi): (i64, i64), relu: bool) -> (i16, u32) {
+    let r = round_shift(v, shift, Rounding::NearestTiesAway);
+    let clamped = r.clamp(lo, hi);
+    let q = clamped as i16;
+    (if relu { q.max(0) } else { q }, u32::from(clamped != r))
 }
 
 /// One channel through Sum/Round: `each` turns an accumulator into its
@@ -324,26 +366,153 @@ fn store_pooled(
     step.store.store_plane(dst, n, pooled);
 }
 
+/// How one column of a lane plane is rounded: each image of a batch
+/// picks its own output format from its own largest accumulator.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ColumnRound {
+    /// Bits rounded away.
+    pub shift: i32,
+    /// The format the column's features are clamped to.
+    pub target: QFormat,
+    /// Values the format clipped — counted by
+    /// [`LaneArena::requantize_store`].
+    pub saturated: u64,
+}
+
+/// One batch's buffers for the fully-connected tail it runs on its
+/// lanes (see the module docs). Lane buffers hold feature `f` of the
+/// image in column `c` at `f · pitch + c`; columns past the live ones
+/// hold whatever was there — they are swept like any other and never
+/// read back. Everything keeps its capacity between batches.
+#[derive(Debug, Default)]
+pub(crate) struct LaneArena {
+    /// Every image's input to the tail, image-major: what an image
+    /// leaving its convolutional prefix keeps once its full-size feature
+    /// buffer goes back to the pool.
+    pub rows: Vec<i16>,
+    /// The lane buffer the layer being executed reads …
+    pub input: Vec<i16>,
+    /// … and the one its epilogue fills; swapped after every layer.
+    pub output: Vec<i16>,
+    /// The accumulator plane `[kernel][lane]` between them.
+    pub plane: Vec<i64>,
+    /// The largest accumulator magnitude of every live column.
+    pub max_abs: Vec<u64>,
+    /// How each live column is rounded, set by the caller between
+    /// [`column_maxima`](Self::column_maxima) and
+    /// [`requantize_store`](Self::requantize_store).
+    pub rounds: Vec<ColumnRound>,
+    /// The lane buffer's row sums, for the ABFT check of a lane plane.
+    pub sums: Vec<i64>,
+    /// [`bytes`](Self::bytes) when last returned (0 for a new one).
+    held: usize,
+}
+
+impl LaneArena {
+    /// Bytes of capacity behind every buffer.
+    fn bytes(&self) -> usize {
+        let halves = [&self.rows, &self.input, &self.output];
+        let words = self.plane.capacity() + self.sums.capacity() + self.max_abs.capacity();
+        2 * halves.iter().map(|v| v.capacity()).sum::<usize>()
+            + 8 * words
+            + std::mem::size_of::<ColumnRound>() * self.rounds.capacity()
+    }
+
+    /// Sizes the lane buffers and the plane for a layer of `features`
+    /// inputs and `kernels` outputs at `pitch`. Contents are kept (the
+    /// input buffer holds the layer's input already), and both lane
+    /// buffers take the larger size: they swap roles after every layer.
+    pub fn fit(&mut self, features: usize, kernels: usize, pitch: usize) {
+        let lane = features.max(kernels) * pitch;
+        self.input.resize(self.input.len().max(lane), 0);
+        self.output.resize(self.output.len().max(lane), 0);
+        self.plane.resize(self.plane.len().max(kernels * pitch), 0);
+    }
+
+    /// Scatters image `column`'s tail input out of [`rows`](Self::rows)
+    /// (`row` is its index there) into the input lane buffer.
+    pub fn scatter(&mut self, row: usize, features: usize, column: usize, pitch: usize) {
+        let row = &self.rows[row * features..(row + 1) * features];
+        for (lanes, &v) in self.input.chunks_exact_mut(pitch).zip(row) {
+            lanes[column] = v;
+        }
+    }
+
+    /// Gathers column `column`'s `features` values back out of the
+    /// input lane buffer: the image's plain feature vector.
+    pub fn gather<'a>(
+        &'a self,
+        features: usize,
+        column: usize,
+        pitch: usize,
+    ) -> impl Iterator<Item = i16> + 'a {
+        let rows = self.input[..features * pitch].chunks_exact(pitch);
+        rows.map(move |lanes| lanes[column])
+    }
+
+    /// Takes the largest accumulator magnitude of each of the first
+    /// `live` columns of the `kernels`-row plane into
+    /// [`max_abs`](Self::max_abs): what each image picks its output
+    /// format from.
+    pub fn column_maxima(&mut self, kernels: usize, live: usize, pitch: usize) {
+        self.max_abs.clear();
+        self.max_abs.resize(live, 0);
+        for row in self.plane[..kernels * pitch].chunks_exact(pitch) {
+            for (max, &v) in self.max_abs.iter_mut().zip(row) {
+                *max = (*max).max(v.unsigned_abs());
+            }
+        }
+    }
+
+    /// [`Arena::requantize_store`] for a lane plane: one pass over its
+    /// `kernels` rows, each live column rounded as its entry of
+    /// [`rounds`](Self::rounds) says and stored at the same lane of the
+    /// output buffer — already the next layer's input layout, so nothing
+    /// is transposed between the layers of a tail.
+    pub fn requantize_store(&mut self, kernels: usize, pitch: usize, relu: bool) {
+        let plane = self.plane[..kernels * pitch].chunks_exact(pitch);
+        let output = self.output[..kernels * pitch].chunks_exact_mut(pitch);
+        for (acc, out) in plane.zip(output) {
+            for ((round, &v), q) in self.rounds.iter_mut().zip(acc).zip(out) {
+                let bounds = (round.target.min_raw() as i64, round.target.max_raw() as i64);
+                let (feature, clipped) = round_feature(v, round.shift, bounds, relu);
+                *q = feature;
+                round.saturated += u64::from(clipped);
+            }
+        }
+    }
+}
+
 /// What the pool has handed out and holds — the observable that
 /// replaces a counting allocator: `grown` must stay flat once every
 /// executing thread has run one image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ArenaStats {
-    /// Checkouts that came back with more capacity than they left with,
-    /// plus feature buffers created.
+    /// Checkouts (arenas and lane arenas) that came back with more
+    /// capacity than they left with, plus feature buffers created.
     pub grown: u64,
     /// Arenas idle in the pool.
     pub arenas: usize,
     /// Feature buffers idle in the pool.
     pub feature_buffers: usize,
+    /// Lane arenas idle in the pool (one a batch in flight).
+    pub lane_arenas: usize,
 }
 
 /// The checkout pool of arenas and loose feature buffers (see the module
 /// docs). A clone starts empty: buffers are never shared.
 #[derive(Debug, Default)]
 pub(crate) struct ArenaPool {
-    idle: Mutex<(Vec<Arena>, Vec<Vec<i16>>)>,
+    idle: Mutex<Idle>,
     grown: AtomicU64,
+}
+
+/// What sits idle in an [`ArenaPool`].
+#[derive(Debug, Default)]
+struct Idle {
+    arenas: Vec<Arena>,
+    features: Vec<Vec<i16>>,
+    lanes: Vec<LaneArena>,
 }
 
 impl Clone for ArenaPool {
@@ -355,14 +524,14 @@ impl Clone for ArenaPool {
 impl ArenaPool {
     /// The idle lists. A panic can only poison the lock between a push
     /// and a pop, which leave the lists valid, so the guard is recovered.
-    fn idle(&self) -> std::sync::MutexGuard<'_, (Vec<Arena>, Vec<Vec<i16>>)> {
+    fn idle(&self) -> std::sync::MutexGuard<'_, Idle> {
         self.idle.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Checks an arena out for one executing thread, creating one sized
     /// by `plan` when none is idle.
     pub fn take_arena(&self, plan: &Plan) -> Arena {
-        let idle = self.idle().0.pop();
+        let idle = self.idle().arenas.pop();
         idle.unwrap_or_else(|| Arena {
             spare: vec![0; plan.feature_len],
             plane: vec![0; plan.plane_len],
@@ -377,12 +546,27 @@ impl ArenaPool {
             self.grown.fetch_add(1, Ordering::Relaxed);
         }
         arena.held = bytes;
-        self.idle().0.push(arena);
+        self.idle().arenas.push(arena);
+    }
+
+    /// Checks out the lane arena of one batch's fully-connected tail.
+    pub fn take_lanes(&self) -> LaneArena {
+        self.idle().lanes.pop().unwrap_or_default()
+    }
+
+    /// Returns a lane arena, counting it if it grew while out.
+    pub fn give_lanes(&self, mut lanes: LaneArena) {
+        let bytes = lanes.bytes();
+        if bytes > lanes.held {
+            self.grown.fetch_add(1, Ordering::Relaxed);
+        }
+        lanes.held = bytes;
+        self.idle().lanes.push(lanes);
     }
 
     /// Checks out the feature buffer one image in flight owns.
     pub fn take_features(&self, plan: &Plan) -> Vec<i16> {
-        let idle = self.idle().1.pop();
+        let idle = self.idle().features.pop();
         idle.unwrap_or_else(|| {
             self.grown.fetch_add(1, Ordering::Relaxed);
             vec![0; plan.feature_len]
@@ -391,7 +575,7 @@ impl ArenaPool {
 
     /// Returns a finished image's feature buffer.
     pub fn give_features(&self, features: Vec<i16>) {
-        self.idle().1.push(features);
+        self.idle().features.push(features);
     }
 
     /// What has grown so far and what sits idle now.
@@ -399,8 +583,9 @@ impl ArenaPool {
         let idle = self.idle();
         ArenaStats {
             grown: self.grown.load(Ordering::Relaxed),
-            arenas: idle.0.len(),
-            feature_buffers: idle.1.len(),
+            arenas: idle.arenas.len(),
+            feature_buffers: idle.features.len(),
+            lane_arenas: idle.lanes.len(),
         }
     }
 }
@@ -450,6 +635,21 @@ mod tests {
         assert!(!pool1.absorbed && pool1.pool.is_some());
         assert_eq!((pool1.store.in_rows, pool1.store.pad), (27, 2));
         assert_eq!(plan.input.stride, 4);
+
+        // The fully-connected tails a batch runs on its lanes: tiny's
+        // FC3 RELU3 FC4 SOFTMAX after 32 channels of 8x8, AlexNet's
+        // FC6 … FC8 SOFTMAX after 256 of 6x6; a network ending in a
+        // convolution has none.
+        let tail = |net: &Network| Plan::new(net, true).tail;
+        let (first, features) = (6, 32 * 8 * 8);
+        assert_eq!(tail(&zoo::tiny()), Some(Tail { first, features }));
+        let (first, features) = (zoo::alexnet().len() - 6, 256 * 6 * 6);
+        assert_eq!(tail(&zoo::alexnet()), Some(Tail { first, features }));
+        let mut headless = Network::new("headless", Shape3::new(3, 8, 8));
+        let conv = abm_model::ConvSpec::new(3, 4, 3, 1, 1);
+        headless.push(abm_model::Layer::new("CONV", LayerKind::Conv(conv)));
+        headless.push(abm_model::Layer::new("RELU", LayerKind::Relu));
+        assert_eq!(tail(&headless), None);
 
         // Engines that take tensors read plain ones everywhere.
         let plain = Plan::new(&zoo::tiny(), false);

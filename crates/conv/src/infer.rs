@@ -14,6 +14,8 @@
 //! **bit-identical** feature maps at every layer; this is asserted by the
 //! integration tests.
 
+mod lanes;
+
 use crate::abft;
 use crate::abm::{self, AbmWork, PreparedConv};
 use crate::arena::{Arena, ArenaPool, ArenaStats, Plan, Step};
@@ -80,6 +82,16 @@ pub struct InferenceResult {
 }
 
 impl InferenceResult {
+    /// Books one executed accelerated layer: its calibration statistic,
+    /// the features it wrote back and the work it did.
+    fn record_layer(&mut self, step: &Step, max_real: f32, work: AbmWork) {
+        self.layer_max_activation.push(max_real);
+        self.total_features += step.shape.len() as u64;
+        self.work.accumulations += work.accumulations;
+        self.work.multiplications += work.multiplications;
+        self.work.final_accumulations += work.final_accumulations;
+    }
+
     /// Index of the highest logit (the predicted class).
     pub fn argmax(&self) -> Option<usize> {
         self.logits
@@ -327,22 +339,35 @@ impl<'m> Inferencer<'m> {
     /// clock passed before any worker claimed it; items claimed before
     /// the deadline run to completion. `tests/serve.rs` pins the
     /// mid-batch-deadline regression.
+    ///
+    /// A batch of two or more on the ABM engine runs in two phases when
+    /// the network ends in fully-connected layers: every image's
+    /// convolutional prefix on the pool, then that tail **once**, the
+    /// images as the vector lanes of each layer's sweep (DESIGN.md §6,
+    /// "FC on batch lanes") — one weight fetch serves the whole batch.
+    /// The outcomes are the same; a panic in the shared tail is
+    /// [`AbmError::WorkerPanic`] for every image it carried.
     pub fn run_batch_salvage(
         &self,
         prepared: &PreparedWeights,
         inputs: &[Tensor3<i16>],
         deadline: Option<std::time::Instant>,
     ) -> Vec<Result<InferenceResult, AbmError>> {
-        parallel_map_salvage(
-            self.parallelism,
-            inputs,
-            self.telemetry.as_ref(),
-            deadline,
-            |worker, _, input| self.run_prepared_on(prepared, input, worker as u32),
-        )
-        .into_iter()
-        .map(Result::flatten)
-        .collect()
+        match prepared.plan.tail {
+            Some(tail) if inputs.len() > 1 && self.engine == Engine::Abm => {
+                self.run_batch_on_lanes(prepared, inputs, deadline, tail)
+            }
+            _ => parallel_map_salvage(
+                self.parallelism,
+                inputs,
+                self.telemetry.as_ref(),
+                deadline,
+                |worker, _, input| self.run_prepared_on(prepared, input, worker as u32),
+            )
+            .into_iter()
+            .map(Result::flatten)
+            .collect(),
+        }
     }
 
     /// [`run_batch`](Self::run_batch) against weights prepared earlier
@@ -451,7 +476,7 @@ impl<'m> Inferencer<'m> {
                 });
             }
             for (idx, state) in rx.iter() {
-                slots[idx] = Some(state.map(|st| st.finish(pool)));
+                slots[idx] = Some(state.map(|mut st| st.finish(pool)));
             }
         });
         for arena in arenas.into_iter().rev() {
@@ -510,33 +535,46 @@ impl<'m> Inferencer<'m> {
         input: &Tensor3<i16>,
         track: u32,
     ) -> Result<InferenceResult, AbmError> {
-        let timer = abm_metrics::enabled().then(std::time::Instant::now);
-        let result: Result<InferenceResult, AbmError> = (|| {
-            self.check_input(prepared, input)?;
-            let (plan, pool) = (&prepared.plan, &prepared.arenas);
-            let mut arena = pool.take_arena(plan);
-            let mut state = self.begin_image(plan, input, pool.take_features(plan));
-            let status = (0..plan.steps.len()).try_for_each(|layer| {
-                self.step_layer(prepared, &mut arena, &mut state, layer, track)
-            });
-            pool.give_arena(arena);
-            let result = state.finish(pool);
-            status.map(|()| result)
-        })();
-        if let Some(timer) = timer {
-            let m = abm_metrics::global();
-            m.observe(
-                "infer_image_ns",
-                u64::try_from(timer.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            );
-            m.add("infer_images_total", 1);
-        }
-        if let Err(e) = &result {
-            // Post-mortem hook: count the error and freeze the flight
-            // recorder's tail as the forensic dump for this failure.
-            abm_metrics::global().note_error("infer", &e.to_string());
-        }
+        let timer = std::time::Instant::now();
+        let layers = 0..prepared.plan.steps.len();
+        let result = self.begin_checked(prepared, input).and_then(|mut state| {
+            self.advance(prepared, &mut state, layers, track)?;
+            Ok(state.finish(&prepared.arenas))
+        });
+        note_image(&result, timer.elapsed());
         result
+    }
+
+    /// [`begin_image`](Self::begin_image) behind the input guard, on a
+    /// feature buffer out of the weights' pool.
+    fn begin_checked(
+        &self,
+        prepared: &PreparedWeights,
+        input: &Tensor3<i16>,
+    ) -> Result<ImageState, AbmError> {
+        self.check_input(prepared, input)?;
+        let (plan, pool) = (&prepared.plan, &prepared.arenas);
+        Ok(self.begin_image(plan, input, pool.take_features(plan)))
+    }
+
+    /// Steps an image through `layers` on an arena checked out for the
+    /// run. A failing image's feature buffer goes back to the pool.
+    fn advance(
+        &self,
+        prepared: &PreparedWeights,
+        state: &mut ImageState,
+        mut layers: std::ops::Range<usize>,
+        track: u32,
+    ) -> Result<(), AbmError> {
+        let (plan, pool) = (&prepared.plan, &prepared.arenas);
+        let mut arena = pool.take_arena(plan);
+        let status =
+            layers.try_for_each(|layer| self.step_layer(prepared, &mut arena, state, layer, track));
+        pool.give_arena(arena);
+        if status.is_err() {
+            pool.give_features(std::mem::take(&mut state.features));
+        }
+        status
     }
 
     /// Starts an image's flow through the network: the per-image state
@@ -627,8 +665,7 @@ impl<'m> Inferencer<'m> {
     ) -> Result<(), AbmError> {
         let layer_idx = state.accel_idx;
         let sl = &self.model.layers[layer_idx];
-        let span_start = self.telemetry.as_ref().map(TelemetrySink::now_ns);
-        let metric_start = abm_metrics::enabled().then(std::time::Instant::now);
+        let clock = self.layer_clock();
         let (in_shape, geom) = accel_geometry(sl);
         if in_shape != state.shape {
             // An FC layer: flattening is free, the plain tensor already
@@ -673,39 +710,58 @@ impl<'m> Inferencer<'m> {
             let plane = &mut arena.plane[..step.shape.len()];
             (load_plane(plane, &acc), AbmWork::default())
         };
-        // Sum/Round. Without a calibration the format is chosen so the
-        // layer's largest magnitude just fits; with one, out-of-range
-        // values saturate and are counted.
-        let acc_frac = state.fmt.frac() as i32 + sl.format.frac() as i32;
-        let max_real = (max_abs as f64 * 2f64.powi(-acc_frac)) as f32;
-        let target = match &self.calibration {
-            Some(calibration) => calibration.format(layer_idx),
-            None => QFormat::new(8, choose_frac(&[max_real], 8)),
-        };
-        let shift = acc_frac - target.frac() as i32;
+        let (max_real, target, shift) = self.output_format(layer_idx, state.fmt, max_abs);
         let result = &mut state.result;
         result.saturated_features += arena.requantize_store(step, max_abs, shift, target);
         std::mem::swap(&mut state.features, &mut arena.spare);
         state.fmt = target;
         state.accel_idx += 1;
-        result.layer_max_activation.push(max_real);
-        result.total_features += step.shape.len() as u64;
-        result.work.accumulations += work.accumulations;
-        result.work.multiplications += work.multiplications;
-        result.work.final_accumulations += work.final_accumulations;
-        if let Some(start) = metric_start {
+        result.record_layer(step, max_real, work);
+        // ops = the layer's two-stage arithmetic total, so span
+        // duration vs. ops gives measured host ops/sec (0 for engines
+        // that don't count work).
+        self.note_layer(clock, step, sl.name(), track, work.total());
+        Ok(())
+    }
+
+    /// Starts the clocks an accelerated layer is observed by: the
+    /// telemetry sink's and the metrics registry's, each only when on.
+    fn layer_clock(&self) -> LayerClock {
+        LayerClock {
+            span: self.telemetry.as_ref().map(TelemetrySink::now_ns),
+            metric: abm_metrics::enabled().then(std::time::Instant::now),
+        }
+    }
+
+    /// Records one finished accelerated layer: its `infer_layer_ns` and
+    /// `layer_ns_<name>` samples, and a host span of `ops` operations on
+    /// `track` (what the serving layer's watchdog takes as a heartbeat).
+    fn note_layer(&self, clock: LayerClock, step: &Step, name: &str, track: u32, ops: u64) {
+        if let Some(start) = clock.metric {
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             let m = abm_metrics::global();
             m.observe("infer_layer_ns", ns);
             m.observe(&step.metric, ns);
         }
-        if let (Some(sink), Some(start)) = (&self.telemetry, span_start) {
-            // ops = the layer's two-stage arithmetic total, so span
-            // duration vs. ops gives measured host ops/sec (0 for
-            // engines that don't count work).
-            sink.record_span(track, sl.name(), start, work.total());
+        if let (Some(sink), Some(start)) = (&self.telemetry, clock.span) {
+            sink.record_span(track, name, start, ops);
         }
-        Ok(())
+    }
+
+    /// Sum/Round's decision for accelerated layer `layer_idx`, whose
+    /// input came in `input` and whose largest accumulator magnitude is
+    /// `max_abs`: that magnitude as a real value, the format the output
+    /// is rounded to, and the bits rounded away. Without a calibration
+    /// the format is chosen so the largest magnitude just fits; with
+    /// one, out-of-range values saturate and are counted.
+    fn output_format(&self, layer_idx: usize, input: QFormat, max_abs: u64) -> (f32, QFormat, i32) {
+        let acc_frac = input.frac() as i32 + self.model.layers[layer_idx].format.frac() as i32;
+        let max_real = (max_abs as f64 * 2f64.powi(-acc_frac)) as f32;
+        let target = match &self.calibration {
+            Some(calibration) => calibration.format(layer_idx),
+            None => QFormat::new(8, choose_frac(&[max_real], 8)),
+        };
+        (max_real, target, acc_frac - target.frac() as i32)
     }
 
     /// The detect-and-recover ABM executor: checksum before, ABFT after
@@ -852,6 +908,31 @@ impl<'m> Inferencer<'m> {
     }
 }
 
+/// When an accelerated layer started, on each clock that is on (see
+/// `Inferencer::layer_clock`).
+struct LayerClock {
+    span: Option<u64>,
+    metric: Option<std::time::Instant>,
+}
+
+/// Books one image's outcome — every executor's images end here: the
+/// time it took and its count when the metrics registry is on, and the
+/// post-mortem hook on an error (count it, freeze the flight recorder's
+/// tail as the forensic dump for this failure).
+fn note_image<T>(result: &Result<T, AbmError>, elapsed: std::time::Duration) {
+    if abm_metrics::enabled() {
+        let m = abm_metrics::global();
+        m.observe(
+            "infer_image_ns",
+            u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+        );
+        m.add("infer_images_total", 1);
+    }
+    if let Err(e) = result {
+        abm_metrics::global().note_error("infer", &e.to_string());
+    }
+}
+
 /// Runs one hardened-path detector and, when the metrics registry is
 /// on, records its wall time — pass or fail — in the `histogram`, so the
 /// detectors' share of a layer shows where the layer runs.
@@ -900,13 +981,13 @@ impl ImageState {
     /// logits are the pre-softmax activations if a softmax ran, else
     /// the dequantized features (the plan leaves the last layer's output
     /// a plain tensor).
-    fn finish(mut self, pool: &ArenaPool) -> InferenceResult {
+    fn finish(&mut self, pool: &ArenaPool) -> InferenceResult {
         if self.result.logits.is_empty() {
             let features = self.features[..self.shape.len()].iter();
             self.result.logits = features.map(|&v| self.fmt.dequantize(v as i32)).collect();
         }
-        pool.give_features(self.features);
-        self.result
+        pool.give_features(std::mem::take(&mut self.features));
+        std::mem::take(&mut self.result)
     }
 }
 

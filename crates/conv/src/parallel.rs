@@ -225,7 +225,7 @@ where
 
 /// The message a caught panic carried (`panic!` payloads are a `String`
 /// or a `&str`; anything else came from `panic_any`).
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
     payload
         .downcast_ref::<String>()
         .cloned()

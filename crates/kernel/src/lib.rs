@@ -29,6 +29,16 @@
 //! The block is a constant of the kernel object; dispatch, telemetry
 //! and the simulator count in [`AbmKernel::lanes`] and never see it.
 //!
+//! What a kernel's lanes *are* is the caller's choice, through the
+//! **lane pitch** of the one sweep contract ([`AbmKernel`]): adjacent
+//! pixels of one image for a convolution (`pitch = 1`,
+//! [`AbmKernel::gather_unit`] / [`AbmKernel::gather_block`]), the images
+//! of a batch for a fully-connected layer
+//! ([`AbmKernel::gather_unit_pitched`] /
+//! [`AbmKernel::gather_block_pitched`] over a `[feature][lane]` buffer,
+//! kernels resolved by [`select_lane_kernels`]) — the same offset
+//! stream either way.
+//!
 //! Dispatch is resolved **once** per prepared layer
 //! ([`select`]): `is_x86_feature_detected!` picks the widest ISA the
 //! CPU offers, `ABM_FORCE_ISA` (or an explicit request) can pin any
@@ -325,6 +335,36 @@ pub fn select_auto(
     select(Some(isa), stage1_bits)
 }
 
+/// Resolves the kernels a one-position layer (a fully-connected row)
+/// sweeps *across a batch* with: the batch's images are the lanes, so
+/// what bounds the useful width is how many images there are, known
+/// only when a batch arrives. Both answers are resolved here, once per
+/// prepared layer: `[narrow, wide]`, the narrowest vector the CPU has
+/// (eight images fill one AVX2 register; sixteen lanes with eight live
+/// would read twice the lane buffer for nothing) and the widest. A pin
+/// (argument, then [`FORCE_ISA_ENV`]) makes both the pinned variant,
+/// and a layer whose stage-1 worst case does not fit `i32` gets the
+/// checked `i64` scalar port for both, exactly as [`select`] decides.
+///
+/// # Errors
+///
+/// Same conditions as [`select`].
+pub fn select_lane_kernels(
+    requested: Option<Isa>,
+    stage1_bits: u32,
+) -> Result<[Selection; 2], String> {
+    let pinned = match requested {
+        Some(isa) => Some(isa),
+        None => forced_isa()?,
+    };
+    let detected = Isa::detect_all();
+    let vectors = || detected.iter().copied().filter(|&isa| isa != Isa::Scalar);
+    let narrow = pinned.or_else(|| vectors().min_by_key(|isa| isa.lanes()));
+    let wide = pinned.or_else(|| vectors().max_by_key(|isa| isa.lanes()));
+    let pick = |isa: Option<Isa>| select(Some(isa.unwrap_or(Isa::Scalar)), stage1_bits);
+    Ok([pick(narrow)?, pick(wide)?])
+}
+
 /// Maps a [`Selection`] to its executing kernel. Total: every value
 /// [`select`] can produce resolves, and a hand-built selection for an
 /// ISA this build lacks (or the running CPU cannot execute) degrades to
@@ -352,14 +392,14 @@ pub fn resolve(sel: Selection) -> &'static dyn AbmKernel {
 
 /// One ISA variant of the two-stage gather kernels.
 ///
-/// A call accumulates adjacent output pixels in lock-step — `lanes()`
-/// of them through [`gather_unit`](Self::gather_unit),
-/// `lanes() × block()` through [`gather_block`](Self::gather_block):
-/// stage 1 walks each value
-/// group's flat offset stream once, adding the gathered input pixels
-/// into per-lane partial sums; stage 2 multiplies each group's partials
-/// by its value and reduces into the per-lane `i64` output accumulators
-/// written to `out`.
+/// A call accumulates adjacent sweep positions in lock-step — `lanes()`
+/// of them through [`gather_unit_pitched`](Self::gather_unit_pitched),
+/// `lanes() × block()` through
+/// [`gather_block_pitched`](Self::gather_block_pitched): stage 1 walks
+/// each value group's flat offset stream once, adding the gathered input
+/// pixels into per-lane partial sums; stage 2 multiplies each group's
+/// partials by its value and reduces into the per-lane `i64` output
+/// accumulators written to `out`.
 ///
 /// # Contract (shared by every implementation)
 ///
@@ -367,47 +407,95 @@ pub fn resolve(sel: Selection) -> &'static dyn AbmKernel {
 ///   `offsets[starts[g] as usize .. starts[g + 1] as usize]`, and
 ///   `values.len() + 1 == starts.len()` (the lowered `FlatKernel`
 ///   shape, re-proven by `abm-verify`).
-/// * A call computing `n` pixels reads only
-///   `data[base + off .. base + off + n]`; implementations bounds-check
-///   that whole window once per offset (exactly like the original
-///   scalar loop), so a violated caller contract panics rather than
-///   reading wild.
+/// * **The lane pitch.** Position `i` of a call reads
+///   `data[base + i + off · pitch]` for every offset `off`. A
+///   convolution sweeps adjacent pixels of one image, whose offsets are
+///   addresses already: `pitch = 1`. A fully-connected layer swept
+///   *across a batch* reads a lane buffer `[in_feature][lane]` —
+///   feature `f` of the image in lane `c` lives at `f · pitch + c` — so
+///   the same unscaled offset stream serves every image at
+///   `base = 0, pitch = lanes in the buffer`: one offset decode, one
+///   weight fetch, a whole vector of images (the accelerator's `S_ec`
+///   images on a fully-connected layer).
+/// * A call computing `n` positions reads only
+///   `data[base + off · pitch .. base + off · pitch + n]`;
+///   implementations bounds-check that whole window once per offset
+///   (exactly like the original scalar loop), so a violated caller
+///   contract panics rather than reading wild.
 /// * `out.len()` is at least `n`; exactly the first `n` entries are
 ///   written, whatever `out.len()` is.
-/// * Results are **bit-identical** across implementations and call
-///   widths for inputs within the proven accumulator bound: every lane
-///   sees the same additions in the same order, whichever call carried
-///   it.
+/// * Results are **bit-identical** across implementations, call widths
+///   and pitches for inputs within the proven accumulator bound: every
+///   lane sees the same additions in the same order, whichever call
+///   carried it.
 ///
 /// # Why a block needs no proof of its own
 ///
 /// The executor issues a block at position `i` of a `span`-long sweep
 /// only while `i + lanes·block <= span`, so the furthest element any
-/// call reads is still `base + span - 1 + max_offset` — the bound
-/// `abm-verify`'s in-bounds pass and `abm_fault::validate_flat` already
-/// prove `< relaid_len` for the whole output plane. The block is a
-/// property of the kernel *object* only: dispatch, telemetry and the
-/// simulator keep counting in [`lanes`](Self::lanes).
+/// call reads is still `base + span - 1 + max_offset · pitch`. For a
+/// convolution that is the bound `abm-verify`'s in-bounds pass and
+/// `abm_fault::validate_flat` already prove `< relaid_len` for the whole
+/// output plane; for a lane sweep (`base = 0`, `span = pitch`) it is
+/// `max_offset · pitch + pitch - 1`, inside the `in_features · pitch`
+/// lane buffer exactly when `max_offset < in_features` — the same
+/// obligation at one position. The block is a property of the kernel
+/// *object* only: dispatch, telemetry and the simulator keep counting in
+/// [`lanes`](Self::lanes).
 pub trait AbmKernel: Send + Sync {
     /// The selection this kernel executes.
     fn selection(&self) -> Selection;
 
-    /// Adjacent output pixels per vector: what one
-    /// [`gather_unit`](Self::gather_unit) call computes.
+    /// Adjacent sweep positions per vector: what one
+    /// [`gather_unit_pitched`](Self::gather_unit_pitched) call computes.
     fn lanes(&self) -> usize;
 
-    /// Vectors per [`gather_block`](Self::gather_block) call — how many
-    /// [`lanes`](Self::lanes)-wide accumulators one decoded offset
-    /// feeds (the host's `S_ec`: one address-generator step, many
-    /// pixels). A constant of the kernel, `1` unless it register-blocks.
+    /// Vectors per [`gather_block_pitched`](Self::gather_block_pitched)
+    /// call — how many [`lanes`](Self::lanes)-wide accumulators one
+    /// decoded offset feeds (the host's `S_ec`: one address-generator
+    /// step, many pixels). A constant of the kernel, `1` unless it
+    /// register-blocks.
     fn block(&self) -> usize {
         1
     }
 
-    /// Stage 1 + 2 for `lanes()` pixels whose bases are contiguous:
-    /// one offset's reads form a contiguous window, checked with a
-    /// single slice. (The re-laid-out input makes every sweep
-    /// unit-stride, whatever the convolution's stride.)
+    /// Stage 1 + 2 for `lanes()` adjacent positions from `base`: one
+    /// offset's reads form a contiguous window at `base + off · pitch`,
+    /// checked with a single slice. (The re-laid-out input makes every
+    /// convolution sweep unit-stride, whatever the convolution's
+    /// stride; a lane buffer keeps a feature's images adjacent.)
+    #[allow(clippy::too_many_arguments)]
+    fn gather_unit_pitched(
+        &self,
+        values: &[i8],
+        starts: &[u32],
+        offsets: &[u32],
+        data: &[i16],
+        base: usize,
+        pitch: usize,
+        out: &mut [i64],
+    );
+
+    /// [`gather_unit_pitched`](Self::gather_unit_pitched) for
+    /// `lanes() × block()` adjacent positions: per offset, one offset
+    /// load and one checked window feed `block()` independent
+    /// accumulators.
+    #[allow(clippy::too_many_arguments)]
+    fn gather_block_pitched(
+        &self,
+        values: &[i8],
+        starts: &[u32],
+        offsets: &[u32],
+        data: &[i16],
+        base: usize,
+        pitch: usize,
+        out: &mut [i64],
+    ) {
+        self.gather_unit_pitched(values, starts, offsets, data, base, pitch, out);
+    }
+
+    /// [`gather_unit_pitched`](Self::gather_unit_pitched) at
+    /// `pitch = 1`: adjacent pixels of one image.
     fn gather_unit(
         &self,
         values: &[i8],
@@ -416,11 +504,12 @@ pub trait AbmKernel: Send + Sync {
         data: &[i16],
         base: usize,
         out: &mut [i64],
-    );
+    ) {
+        self.gather_unit_pitched(values, starts, offsets, data, base, 1, out);
+    }
 
-    /// [`gather_unit`](Self::gather_unit) for `lanes() × block()`
-    /// contiguous pixels: per offset, one offset load and one checked
-    /// window feed `block()` independent accumulators.
+    /// [`gather_block_pitched`](Self::gather_block_pitched) at
+    /// `pitch = 1`.
     fn gather_block(
         &self,
         values: &[i8],
@@ -430,7 +519,7 @@ pub trait AbmKernel: Send + Sync {
         base: usize,
         out: &mut [i64],
     ) {
-        self.gather_unit(values, starts, offsets, data, base, out);
+        self.gather_block_pitched(values, starts, offsets, data, base, 1, out);
     }
 }
 
@@ -563,6 +652,51 @@ mod tests {
         let mut out = vec![0i64; n];
         let base = data.len() - max_off - n + 1;
         kern.gather_block(&values, &starts, &offsets, &data, base, &mut out);
+    }
+
+    /// A lane sweep whose offset names a feature the lane buffer has no
+    /// row for panics on its window check, like a convolution's sweep
+    /// one position past the plane: here 16 features at pitch 16, and an
+    /// offset of 16. (The ambient selection, so each `ABM_FORCE_ISA` leg
+    /// checks its own kernel.)
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn pitched_offset_past_the_last_feature_panics() {
+        let kern = resolve(select(None, 32).expect("selects"));
+        let lanes = vec![1i16; 16 * 16];
+        let mut out = vec![0i64; kern.lanes()];
+        kern.gather_unit_pitched(&[1], &[0, 2], &[3, 16], &lanes, 0, 16, &mut out);
+    }
+
+    /// The lane kernels of a fully-connected layer: unpinned, the
+    /// narrowest and the widest vector the CPU has; pinned, the pin for
+    /// both; too hot for `i32`, the checked scalar port for both — and
+    /// nothing outside the three selections [`select`] returns.
+    #[test]
+    fn lane_kernels_are_the_narrowest_and_the_widest_vector() {
+        let saved = forced_isa().expect("parsable pin");
+        for isa in Isa::detect_all() {
+            let pinned = select_lane_kernels(Some(isa), 24).expect("selects");
+            assert_eq!(pinned, [select(Some(isa), 24).unwrap(); 2], "{isa}");
+        }
+        let scalar = select(Some(Isa::Scalar), 24).unwrap();
+        for isa in Isa::detect_all() {
+            assert_eq!(select_lane_kernels(Some(isa), 40).unwrap(), [scalar; 2]);
+        }
+        let [narrow, wide] = select_lane_kernels(None, 24).expect("selects");
+        match saved {
+            Some(isa) => assert_eq!(
+                [narrow.isa, wide.isa],
+                [select(Some(isa), 24).unwrap().isa; 2]
+            ),
+            None => {
+                let vectors: Vec<Isa> = Isa::detect_all().into_iter().skip(1).collect();
+                let first = vectors.first().copied().unwrap_or(Isa::Scalar);
+                assert_eq!(narrow.isa, first);
+                assert_eq!(wide.isa, Isa::detect());
+                assert!(narrow.lanes() <= wide.lanes());
+            }
+        }
     }
 
     /// The whole dispatch space: every available ISA, pinned and

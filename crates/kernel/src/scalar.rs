@@ -25,28 +25,29 @@ impl AbmKernel for ScalarI64 {
         LANES
     }
 
-    /// The eight pixels' reads for one offset are **contiguous**, so a
-    /// single bounds-checked window load replaces eight scattered
+    /// The eight positions' reads for one offset are **contiguous**, so
+    /// a single bounds-checked window load replaces eight scattered
     /// checked reads.
-    fn gather_unit(
+    fn gather_unit_pitched(
         &self,
         values: &[i8],
         starts: &[u32],
         offsets: &[u32],
         data: &[i16],
         base: usize,
+        pitch: usize,
         out: &mut [i64],
     ) {
         let mut acc = [0i64; LANES];
         for (&v, w) in values.iter().zip(starts.windows(2)) {
             let mut p = [0i64; LANES];
             for &off in &offsets[w[0] as usize..w[1] as usize] {
-                let o = base + off as usize;
+                let o = base + off as usize * pitch;
                 // One range check covers all eight reads: the slice is
                 // exactly LANES long, so the constant-index loads below
                 // need no further checks. The lowering verifier proves
-                // base + off + LANES stays inside the re-laid-out
-                // input for every swept position.
+                // base + off·pitch + LANES stays inside the swept buffer
+                // for every swept position.
                 let win = &data[o..o + LANES];
                 for i in 0..LANES {
                     p[i] += win[i] as i64;

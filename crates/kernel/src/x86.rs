@@ -42,6 +42,19 @@
 //! above and bit-identity are untouched; the wider window is covered by
 //! the in-bounds proof the caller already holds (see the [`AbmKernel`]
 //! contract).
+//!
+//! ## The lane pitch
+//!
+//! An offset addresses `base + off · pitch`. Convolutions pass
+//! `pitch = 1`; a fully-connected layer swept across a batch passes the
+//! lane buffer's row length, so its unscaled offset stream picks the
+//! row of one input feature and the window is that feature in `lanes·B`
+//! images. Whether an offset is scaled at all is a second const
+//! parameter of the one hot loop, `PITCHED`: as a plain runtime argument
+//! the multiply cost `vgg16_image` 5 % (EXPERIMENTS.md, "FC on batch
+//! lanes"), so convolutions run the `false` instance, whose address is
+//! `base + off` as it always was, and only lane sweeps pay for the
+//! multiply they need.
 
 #![allow(unsafe_code)]
 
@@ -69,7 +82,7 @@ const BLOCK: usize = 4;
 
 /// Declares a zero-sized vector kernel: the safe [`AbmKernel`] surface
 /// over one `#[target_feature]` hot loop, which both call widths — one
-/// vector, one block — enter through the single call site in `run`.
+/// vector, one block — enter through `run`, unit pitch or not.
 macro_rules! vector_kernel {
     ($(#[$doc:meta])* $name:ident, $isa:expr, $lanes:expr, $hot:ident) => {
         $(#[$doc])*
@@ -83,6 +96,7 @@ macro_rules! vector_kernel {
                 offsets: &[u32],
                 data: &[i16],
                 base: usize,
+                pitch: usize,
                 out: &mut [i64],
             ) {
                 // INVARIANT: values of this type are crate-private and
@@ -90,7 +104,15 @@ macro_rules! vector_kernel {
                 // on this CPU every feature the hot loop's
                 // `#[target_feature]` attribute names — that contract
                 // holds.
-                unsafe { $hot::<B>(values, starts, offsets, data, base, out) }
+                unsafe {
+                    // A convolution's sweeps run the instance whose
+                    // address is `base + off`, as before the pitch.
+                    if pitch == 1 {
+                        $hot::<B, false>(values, starts, offsets, data, base, pitch, out)
+                    } else {
+                        $hot::<B, true>(values, starts, offsets, data, base, pitch, out)
+                    }
+                }
             }
         }
 
@@ -110,28 +132,30 @@ macro_rules! vector_kernel {
                 BLOCK
             }
 
-            fn gather_unit(
+            fn gather_unit_pitched(
                 &self,
                 values: &[i8],
                 starts: &[u32],
                 offsets: &[u32],
                 data: &[i16],
                 base: usize,
+                pitch: usize,
                 out: &mut [i64],
             ) {
-                Self::run::<1>(values, starts, offsets, data, base, out);
+                Self::run::<1>(values, starts, offsets, data, base, pitch, out);
             }
 
-            fn gather_block(
+            fn gather_block_pitched(
                 &self,
                 values: &[i8],
                 starts: &[u32],
                 offsets: &[u32],
                 data: &[i16],
                 base: usize,
+                pitch: usize,
                 out: &mut [i64],
             ) {
-                Self::run::<BLOCK>(values, starts, offsets, data, base, out);
+                Self::run::<BLOCK>(values, starts, offsets, data, base, pitch, out);
             }
         }
     };
@@ -150,19 +174,21 @@ vector_kernel! {
     Avx512I32, Isa::Avx512, LANES_512, unit_avx512
 }
 
-/// Unit-stride AVX2 hot loop over `B` adjacent vectors of 8 pixels.
+/// Unit-stride AVX2 hot loop over `B` adjacent vectors of 8 positions.
 /// Stage 1: per offset, **one** offset load and **one** checked window
-/// of `8·B` contiguous `i16` feed `B` independent accumulators (a
-/// 128-bit load each, sign-extended to `i32` lanes). Stage 2: each
-/// vector's `i32` partials widen exactly through `VPMULDQ` against the
-/// group value and reduce into its own pair of `i64×4` accumulators.
+/// of `8·B` contiguous `i16` at `base + off·pitch` feed `B` independent
+/// accumulators (a 128-bit load each, sign-extended to `i32` lanes).
+/// Stage 2: each vector's `i32` partials widen exactly through `VPMULDQ`
+/// against the group value and reduce into its own pair of `i64×4`
+/// accumulators.
 #[target_feature(enable = "avx2")]
-fn unit_avx2<const B: usize>(
+fn unit_avx2<const B: usize, const PITCHED: bool>(
     values: &[i8],
     starts: &[u32],
     offsets: &[u32],
     data: &[i16],
     base: usize,
+    pitch: usize,
     out: &mut [i64],
 ) {
     let out = &mut out[..LANES_256 * B];
@@ -170,7 +196,7 @@ fn unit_avx2<const B: usize>(
     for (&v, w) in values.iter().zip(starts.windows(2)) {
         let mut p = [_mm256_setzero_si256(); B];
         for &off in &offsets[w[0] as usize..w[1] as usize] {
-            let o = base + off as usize;
+            let o = base + off as usize * if PITCHED { pitch } else { 1 };
             let win = &data[o..o + LANES_256 * B];
             for (p, px) in p.iter_mut().zip(win.chunks_exact(LANES_256)) {
                 // INVARIANT: `px` is a `chunks_exact` piece of the
@@ -205,12 +231,13 @@ fn unit_avx2<const B: usize>(
 /// vector sign-extended to `i32×16`; halves widen through `VPMULDQ`
 /// into each vector's two `i64×8` accumulators).
 #[target_feature(enable = "avx512f", enable = "avx512bw")]
-fn unit_avx512<const B: usize>(
+fn unit_avx512<const B: usize, const PITCHED: bool>(
     values: &[i8],
     starts: &[u32],
     offsets: &[u32],
     data: &[i16],
     base: usize,
+    pitch: usize,
     out: &mut [i64],
 ) {
     let out = &mut out[..LANES_512 * B];
@@ -218,7 +245,7 @@ fn unit_avx512<const B: usize>(
     for (&v, w) in values.iter().zip(starts.windows(2)) {
         let mut p = [_mm512_setzero_si512(); B];
         for &off in &offsets[w[0] as usize..w[1] as usize] {
-            let o = base + off as usize;
+            let o = base + off as usize * if PITCHED { pitch } else { 1 };
             let win = &data[o..o + LANES_512 * B];
             for (p, px) in p.iter_mut().zip(win.chunks_exact(LANES_512)) {
                 // INVARIANT: `px` is a `chunks_exact` piece of the

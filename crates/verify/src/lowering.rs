@@ -20,7 +20,17 @@
 //!    output plane's last pixel) plus the kernel's largest offset stays
 //!    inside the re-laid-out buffer. Positions only grow along the
 //!    sweep and offsets are per-tap constants, so that one sum bounds
-//!    every read of every pixel, wrap positions included;
+//!    every read of every pixel, wrap positions included. A layer whose
+//!    sweep is **one position** (a fully-connected row) is also swept
+//!    *across a batch*: its input is then a lane buffer
+//!    `[feature][lane]` of some row length `P`, the positions of the
+//!    sweep are the `P` lanes, and an offset `off` reads
+//!    `(base + off)·P .. (base + off)·P + P` — inside the buffer's
+//!    `input_len·P` elements for every `P` exactly when
+//!    `base + off < input_len`. That is the obligation above at its one
+//!    position; the pass states it as a fact of its own (and a defect
+//!    of its own, `lane_sweep_out_of_bounds`), because the executor
+//!    rests a second sweep on it;
 //! 3. **stream order** — offsets ascend within each group (the
 //!    forward-stream property the address generator relies on);
 //! 4. **no overflow** — the worst-case accumulation magnitude fits the
@@ -274,18 +284,36 @@ pub fn verify_lowering(
 
         // --- in-bounds for the whole output plane: the last swept
         // position plus the largest offset is the largest read.
-        if swept > 0 {
-            let chan_base = (m / m_per_group) as u64 * layout.relaid_len(channels_per_group) as u64;
-            if let Some(&max_off) = offsets.iter().max() {
-                let worst = chan_base + (swept - 1) + max_off as u64;
-                if worst >= input_len {
-                    report.defect(Defect::OffsetOutOfBounds {
+        let chan_base = (m / m_per_group) as u64 * layout.relaid_len(channels_per_group) as u64;
+        let furthest = offsets.iter().max().map(|&off| chan_base + off as u64);
+        if let (true, Some(furthest)) = (swept > 0, furthest) {
+            let worst = furthest + (swept - 1);
+            if worst >= input_len {
+                report.defect(Defect::OffsetOutOfBounds {
+                    kernel: m,
+                    read_index: worst,
+                    bound: input_len,
+                });
+            } else {
+                report.facts += 1;
+            }
+        }
+
+        // --- in-bounds for the sweep across a batch's lanes, which a
+        // one-position layer also runs: the largest offset must pick a
+        // feature the lane buffer has a row for, whatever its pitch.
+        if swept == 1 {
+            match furthest {
+                Some(feature) if feature >= input_len => {
+                    report.defect(Defect::LaneSweepOutOfBounds {
                         kernel: m,
-                        read_index: worst,
-                        bound: input_len,
+                        feature,
+                        features: input_len,
                     });
-                } else {
-                    report.facts += 1;
+                }
+                _ => {
+                    report.facts += u64::from(furthest.is_some());
+                    report.lane_kernels += 1;
                 }
             }
         }
@@ -429,6 +457,74 @@ mod tests {
         geom.in_channels = 1;
         let r = verify_lowering("t", &code, &flat, &geom, &AccumulatorModel::host());
         assert!(r.has_class("offset_out_of_bounds"), "{r}");
+    }
+
+    /// A fully-connected layer (what sweeps one position): 24 features
+    /// in, 5 out, lowered as a 1×1 convolution over the flattened input.
+    fn fc_sample() -> (LayerCode, FlatCode, ConvGeometry) {
+        let w = Tensor4::from_fn(Shape4::new(5, 24, 1, 1), |m, n, _, _| {
+            ((m * 7 + n * 3) % 5) as i8 - 2
+        });
+        let code = LayerCode::encode(&w).unwrap();
+        let layout = FlatLayout {
+            in_rows: 1,
+            in_cols: 1,
+            stride: 1,
+            pad: 0,
+        };
+        let flat = FlatCode::lower(&code, layout).unwrap();
+        let geom = ConvGeometry {
+            in_channels: 24,
+            in_rows: 1,
+            in_cols: 1,
+            stride: 1,
+            pad: 0,
+            groups: 1,
+            out_rows: 1,
+            out_cols: 1,
+        };
+        (code, flat, geom)
+    }
+
+    #[test]
+    fn lane_sweep_is_proven_for_one_position_layers_only() {
+        let (code, flat, geom) = fc_sample();
+        let r = verify_lowering("fc", &code, &flat, &geom, &AccumulatorModel::host());
+        assert!(r.is_clean(), "{r}");
+        assert_eq!(r.lane_kernels, 5);
+        // A convolution sweeps a plane: no lane sweep to prove.
+        let (code, flat, geom) = sample();
+        let r = verify_lowering("conv", &code, &flat, &geom, &AccumulatorModel::host());
+        assert_eq!(r.lane_kernels, 0);
+    }
+
+    #[test]
+    fn offset_equal_to_in_features_is_caught_for_the_lane_sweep() {
+        let (code, flat, geom) = fc_sample();
+        // Kernel 2 with its last offset re-pointed at `feature`.
+        let repointed = |feature: u32| {
+            let mut kernels: Vec<_> = flat.kernels().to_vec();
+            let mut offsets = kernels[2].offsets().to_vec();
+            *offsets.last_mut().unwrap() = feature;
+            kernels[2] = abm_sparse::FlatKernel::from_raw_parts(
+                kernels[2].values().to_vec(),
+                kernels[2].group_bounds().to_vec(),
+                offsets,
+                kernels[2].taps().to_vec(),
+            );
+            let bad = FlatCode::from_kernels(flat.shape(), flat.layout(), kernels);
+            verify_lowering("fc", &code, &bad, &geom, &AccumulatorModel::host())
+        };
+        // One past the last feature: at pitch `P` the lane sweep would
+        // read `24·P ..`, the first element past the lane buffer.
+        let r = repointed(24);
+        assert!(r.has_class("lane_sweep_out_of_bounds"), "{r}");
+        assert!(r.has_class("offset_out_of_bounds"), "{r}");
+        assert_eq!(r.lane_kernels, 4);
+        // The last feature itself is in bounds at any pitch.
+        let r = repointed(23);
+        assert!(!r.has_class("lane_sweep_out_of_bounds"), "{r}");
+        assert_eq!(r.lane_kernels, 5);
     }
 
     #[test]

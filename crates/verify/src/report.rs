@@ -120,6 +120,16 @@ pub enum Defect {
         /// Re-laid-out input length (exclusive bound).
         bound: u64,
     },
+    /// A one-position layer's offset names a feature its input does not
+    /// have: swept across a batch, the read would leave the lane buffer.
+    LaneSweepOutOfBounds {
+        /// Kernel index.
+        kernel: usize,
+        /// The feature the kernel's largest offset picks.
+        feature: u64,
+        /// Features the layer's input has (exclusive bound).
+        features: u64,
+    },
     /// Offsets within a group are not strictly ascending — the
     /// forward-stream property the address generator needs is broken.
     StreamOrderViolation {
@@ -317,6 +327,7 @@ impl Defect {
             Defect::TapOutOfKernel { .. } => "tap_out_of_kernel",
             Defect::OffsetMismatch { .. } => "offset_mismatch",
             Defect::OffsetOutOfBounds { .. } => "offset_out_of_bounds",
+            Defect::LaneSweepOutOfBounds { .. } => "lane_sweep_out_of_bounds",
             Defect::StreamOrderViolation { .. } => "stream_order_violation",
             Defect::AccumulatorOverflow { .. } => "accumulator_overflow",
             Defect::CuDoubleBooked { .. } => "cu_double_booked",
@@ -388,6 +399,14 @@ impl fmt::Display for Defect {
             } => write!(
                 f,
                 "kernel {kernel}: swept read index {read_index} >= re-laid-out input length {bound}"
+            ),
+            Defect::LaneSweepOutOfBounds {
+                kernel,
+                feature,
+                features,
+            } => write!(
+                f,
+                "kernel {kernel}: lane sweep reads feature {feature} of an input of {features}"
             ),
             Defect::StreamOrderViolation { kernel, group } => write!(
                 f,
@@ -519,6 +538,10 @@ pub struct VerifyReport {
     /// Number of elementary facts proven (offsets checked, taps
     /// decoded, spans compared, states explored...).
     pub facts: u64,
+    /// Kernels of one-position layers (fully-connected rows) whose
+    /// sweep across a batch's lanes the lowering pass proved in-bounds
+    /// at any pitch; zero for every other subject.
+    pub lane_kernels: u64,
     /// Every invariant violation found.
     pub defects: Vec<Defect>,
 }
@@ -529,6 +552,7 @@ impl VerifyReport {
         Self {
             subject: subject.into(),
             facts: 0,
+            lane_kernels: 0,
             defects: Vec::new(),
         }
     }
@@ -542,6 +566,7 @@ impl VerifyReport {
     /// Folds another report into this one (facts add, defects append).
     pub fn merge(&mut self, other: VerifyReport) {
         self.facts += other.facts;
+        self.lane_kernels += other.lane_kernels;
         self.defects.extend(other.defects);
     }
 

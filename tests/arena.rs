@@ -12,21 +12,31 @@
 //!   next layer stores into it) run two *different* images back to back
 //!   through one [`PreparedWeights`]: each result equals the dense
 //!   engine's on a fresh inferencer, and serial, batch, pipelined,
-//!   hardened and calibrated-format runs of the ABM engine agree;
+//!   hardened and calibrated-format runs of the ABM engine agree. A
+//!   batch runs its fully-connected tail once, its images the vector
+//!   lanes of the sweep, on buffers of its own: batches of every shape
+//!   a lane buffer takes (a lone image, a part-filled vector, a full
+//!   one, several, more than a register block) equal their images run
+//!   singly in every field of the result, on one thread and on two,
+//!   under the default, the hardened and a calibrated policy;
 //! * **no steady-state allocation** — the pool's growth counter (what
 //!   stands in for a counting allocator: `unsafe impl GlobalAlloc` is
 //!   forbidden in every compilation root) stays flat from the second
-//!   image on, and the pool never holds more arenas than threads
-//!   executed at once.
+//!   image on (from the second batch on, lane buffers included), and
+//!   the pool never holds more arenas than threads executed at once.
 
 use abm_spconv_repro::conv::{
     ArenaStats, Calibration, Engine, InferenceResult, Inferencer, Parallelism, PreparedWeights,
     ResiliencePolicy,
 };
+use abm_spconv_repro::fault::AbmError;
+use abm_spconv_repro::metrics::stable_line;
 use abm_spconv_repro::model::{
     synthesize_model, ConvSpec, FcSpec, Layer, LayerKind, LayerProfile, LrnSpec, Network, PoolKind,
     PoolSpec, PruneProfile, SparseModel,
 };
+use abm_spconv_repro::sparse::{FlatCode, FlatKernel};
+use abm_spconv_repro::telemetry::{Event, TelemetrySink};
 use abm_spconv_repro::tensor::{Shape3, Tensor3};
 use proptest::prelude::*;
 
@@ -140,6 +150,43 @@ fn formats_of(model: &SparseModel, result: &InferenceResult) -> Calibration {
     )
 }
 
+/// The accelerated-layer index of the network's first fully-connected
+/// layer: where a batch's lanes begin.
+fn first_fc(net: &Network) -> usize {
+    let accelerated = net.layers().iter().filter(|l| l.is_accelerated());
+    let fc = |l: &&Layer| matches!(l.kind, LayerKind::FullyConnected(_));
+    accelerated.take_while(|l| !fc(l)).count()
+}
+
+/// Passes the offsets of `layer`'s first kernel with a tap through
+/// `edit`, keeping the golden checksum: a post-load upset in the weights.
+fn corrupt_layer(prepared: &mut PreparedWeights, layer: usize, edit: impl FnOnce(&mut [u32])) {
+    let prep = prepared.abm_layer_mut(layer).unwrap();
+    let flat = prep.flat().clone();
+    let mut kernels = flat.kernels().to_vec();
+    let Some(victim) = kernels.iter().position(|k| k.total() > 0) else {
+        return;
+    };
+    let k = &kernels[victim];
+    let mut offsets = k.offsets().to_vec();
+    edit(&mut offsets);
+    kernels[victim] = FlatKernel::from_raw_parts(
+        k.values().to_vec(),
+        k.group_bounds().to_vec(),
+        offsets,
+        k.taps().to_vec(),
+    );
+    let bad = FlatCode::from_kernels(flat.shape(), flat.layout(), kernels);
+    *prep = prep.clone().with_flat(bad);
+}
+
+/// The fault events a run recorded, without their wall-clock fields.
+fn faults(sink: &TelemetrySink) -> Vec<String> {
+    let events = sink.drain();
+    let faults = events.iter().filter(|e| matches!(e, Event::Fault { .. }));
+    faults.map(stable_line).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -148,6 +195,9 @@ proptest! {
         seed in any::<u64>(),
         blocks in 1usize..4,
         density_pct in 30u32..90,
+        size in prop_oneof![
+            Just(1usize), Just(2), Just(3), Just(8), Just(9), Just(17), Just(65),
+        ],
     ) {
         let net = random_net(seed, blocks);
         let profile = PruneProfile::uniform(LayerProfile::new(density_pct as f64 / 100.0, 9));
@@ -183,6 +233,61 @@ proptest! {
             let calibrated = abm.clone().calibration(formats_of(&model, result));
             prop_assert_eq!(&calibrated.run_prepared(&prepared, image).unwrap(), result);
         }
+
+        // A batch's images are the lanes of its fully-connected tail:
+        // whatever its size, on one thread or two, under every policy
+        // (one image's formats make the others saturate), each result
+        // is the image's own — every field of it.
+        let images: Vec<_> = (0..size).map(|i| image(net.input_shape(), i)).collect();
+        let calibrated = abm.clone().calibration(formats_of(&model, &serial[0]));
+        for inferencer in [&abm, &hardened, &calibrated] {
+            let singles: Vec<InferenceResult> = images
+                .iter()
+                .map(|image| inferencer.run_prepared(&prepared, image).unwrap())
+                .collect();
+            for threads in [Parallelism::Serial, Parallelism::Threads(2)] {
+                let pooled = inferencer.clone().parallelism(threads);
+                prop_assert_eq!(&pooled.run_batch_prepared(&prepared, &images).unwrap(), &singles);
+            }
+            prop_assert_eq!(
+                &inferencer.run_batch_pipelined(&prepared, &images, 2).unwrap(),
+                &singles
+            );
+        }
+
+        // One image of the wrong shape fails alone, wherever it sits;
+        // the rest still equal their singles.
+        let singles = batch.run_batch_prepared(&prepared, &images).unwrap();
+        let odd = seed as usize % images.len();
+        let shape = net.input_shape();
+        let mut mixed = images.clone();
+        mixed[odd] = image(Shape3::new(shape.channels + 1, shape.rows, shape.cols), 0);
+        let salvaged = batch.run_batch_salvage(&prepared, &mixed, None);
+        for (i, outcome) in salvaged.iter().enumerate() {
+            match outcome {
+                Err(AbmError::ShapeMismatch { .. }) => prop_assert_eq!(i, odd),
+                other => prop_assert_eq!(other.as_ref().ok(), Some(&singles[i]), "item {}", i),
+            }
+        }
+
+        // A fully-connected kernel upset after load: the tail's one
+        // checksum a batch catches it, and every image recovers alone,
+        // recording the fault events it records when run singly.
+        let mut upset = prepared.clone();
+        corrupt_layer(&mut upset, first_fc(&net), |offsets| offsets[0] ^= 1);
+        let sink = TelemetrySink::new();
+        let watched = hardened.clone().telemetry(sink.clone());
+        let singles: Vec<InferenceResult> = images
+            .iter()
+            .map(|image| watched.run_prepared(&upset, image).unwrap())
+            .collect();
+        let recorded = faults(&sink);
+        prop_assert_eq!(&singles, &batch.run_batch_prepared(&prepared, &images).unwrap());
+        for threads in [Parallelism::Serial, Parallelism::Threads(2)] {
+            let pooled = watched.clone().parallelism(threads);
+            prop_assert_eq!(&pooled.run_batch_prepared(&upset, &images).unwrap(), &singles);
+            prop_assert_eq!(&faults(&sink), &recorded);
+        }
     }
 }
 
@@ -214,6 +319,44 @@ fn mini_alexnet() -> Network {
     net
 }
 
+/// The panic boundary of the shared tail. An offset one past the last
+/// input feature (no detector is on to catch it) makes the kernels'
+/// window check panic: a single image's panic is its own, a tail's is
+/// `WorkerPanic` for every image it carried — each under its own item —
+/// and the pool's buffers survive it: the next, clean batch is served.
+#[test]
+fn a_panicking_tail_fails_every_image_it_carried_and_only_those() {
+    let net = mini_alexnet();
+    let profile = PruneProfile::uniform(LayerProfile::new(0.5, 9));
+    let model = synthesize_model(&net, &profile, 18);
+    let images: Vec<_> = (0..5).map(|i| image(net.input_shape(), i)).collect();
+    let batch = Inferencer::new(&model).parallelism(Parallelism::Threads(2));
+    let clean = batch.prepare().unwrap();
+    let golden = batch.run_batch_prepared(&clean, &images).unwrap();
+
+    let layer = first_fc(&net);
+    let features = clean.abm_layer(layer).unwrap().input_shape().len() as u32;
+    let mut wild = clean.clone();
+    corrupt_layer(&mut wild, layer, |offsets| offsets.fill(features));
+
+    let mut mixed = images.clone();
+    mixed[1] = image(Shape3::new(4, 19, 19), 0);
+    let outcomes = batch.run_batch_salvage(&wild, &mixed, None);
+    for (i, outcome) in outcomes.iter().enumerate() {
+        match outcome {
+            Err(AbmError::ShapeMismatch { .. }) => assert_eq!(i, 1),
+            Err(AbmError::WorkerPanic { item, message }) => {
+                assert_eq!((*item, i != 1), (i, true), "{message}");
+                assert!(message.contains("out of range"), "{message}");
+            }
+            other => panic!("item {i}: {other:?}"),
+        }
+    }
+    // The same pool, the layer put right again.
+    *wild.abm_layer_mut(layer).unwrap() = clean.abm_layer(layer).unwrap().clone();
+    assert_eq!(batch.run_batch_prepared(&wild, &images).unwrap(), golden);
+}
+
 #[test]
 fn the_arena_stops_growing_after_the_first_image() {
     let net = mini_alexnet();
@@ -236,7 +379,8 @@ fn the_arena_stops_growing_after_the_first_image() {
         ArenaStats {
             grown: 2,
             arenas: 1,
-            feature_buffers: 1
+            feature_buffers: 1,
+            lane_arenas: 0
         }
     );
     for image in &images {
@@ -278,14 +422,36 @@ fn the_arena_stops_growing_after_the_first_image() {
 
     // Batch on two threads, from nothing: however the work-stealing
     // falls, never more arenas (or image buffers) than threads
-    // executing, each counted once — an arena that has run one whole
-    // image has grown all it will.
+    // executing, each counted once — an arena that has run one image's
+    // prefix has grown all it will — and the one lane arena the tail
+    // runs on, which the first batch grows and no later one does.
     let batch = serial.clone().parallelism(Parallelism::Threads(2));
     let fresh = batch.prepare().unwrap();
     for _ in 0..3 {
         assert_eq!(batch.run_batch_prepared(&fresh, &images).unwrap(), golden);
         let stats = fresh.arena_stats();
         assert!(stats.arenas <= 2 && stats.feature_buffers <= 2, "{stats:?}");
-        assert_eq!(stats.grown as usize, stats.arenas + stats.feature_buffers);
+        assert_eq!(stats.lane_arenas, 1);
+        assert_eq!(
+            stats.grown as usize,
+            stats.arenas + stats.feature_buffers + stats.lane_arenas
+        );
+    }
+    // Hardened, on one thread so it is the same arena every time: its
+    // ABFT tables and the lane arena's row sums grow in the first
+    // hardened batch, and nothing after.
+    let before = fresh.arena_stats();
+    for _ in 0..3 {
+        assert_eq!(
+            hardened.run_batch_prepared(&fresh, &images).unwrap(),
+            golden
+        );
+        assert_eq!(
+            fresh.arena_stats(),
+            ArenaStats {
+                grown: before.grown + 2,
+                ..before
+            }
+        );
     }
 }

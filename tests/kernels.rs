@@ -3,7 +3,9 @@
 //! through the `ABM_FORCE_ISA` environment pin and checked bit-identical
 //! against the interpretive `abm::reference` oracle, and the
 //! verifier-proven narrow-accumulator (`i32`) path is pinned to exact
-//! integers on an AlexNet layer.
+//! integers on an AlexNet layer. The kernels' lane pitch — what lets a
+//! fully-connected layer sweep across a batch from its one offset
+//! stream — is checked column by column against the one-position oracle.
 //!
 //! Environment-variable mutation is process-global; every test that
 //! writes `ABM_FORCE_ISA` does so under [`ENV_LOCK`] and restores the
@@ -13,7 +15,7 @@
 
 use abm_spconv_repro::conv::abm::{self, PreparedConv};
 use abm_spconv_repro::conv::Geometry;
-use abm_spconv_repro::kernel::{AccWidth, Isa, FORCE_ISA_ENV};
+use abm_spconv_repro::kernel::{self, gather_one, AccWidth, Isa, FORCE_ISA_ENV};
 use abm_spconv_repro::model::{
     synthesize_model, ConvSpec, Layer, LayerKind, LayerProfile, Network, PruneProfile, SparseLayer,
 };
@@ -145,6 +147,72 @@ fn narrow_accumulator_path_is_exact_on_alexnet_conv3() {
             assert_eq!(prep.selection().acc, AccWidth::I32, "{isa}");
         }
         assert_eq!(prep.execute(&input), out, "{isa} diverged from scalar");
+    }
+}
+
+/// A lane buffer `[feature][lane]` swept at its pitch is every column's
+/// own fully-connected row: for every detected ISA, at the one-vector
+/// and the block width, pitches that are one vector, one block and more
+/// than a block (72: a base past the first block's columns), each
+/// column of a pitched call equals [`gather_one`] over that column
+/// pulled out as an image's plain feature vector — full-range `i16`
+/// inputs, the magnitudes the `i32` proof admits. `out` past the call's
+/// width stays untouched, and the furthest legal base reads the
+/// buffer's last element.
+#[test]
+fn pitched_kernels_equal_the_oracle_column_by_column() {
+    let features = 300usize;
+    let mut state = 0x1a2e_u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as u32
+    };
+    let values: Vec<i8> = vec![-7, -2, 1, 3, 9];
+    let mut starts = vec![0u32];
+    let mut offsets = Vec::new();
+    for _ in &values {
+        let mut group: Vec<u32> = (0..40).map(|_| next() % features as u32).collect();
+        group.sort_unstable();
+        group.dedup();
+        offsets.extend_from_slice(&group);
+        starts.push(offsets.len() as u32);
+    }
+    // The last feature is read, so the last legal base is `pitch - n`.
+    offsets[0] = features as u32 - 1;
+    let mut partials = vec![0i64; values.len()];
+    for pitch in [8usize, 16, 64, 72] {
+        let lanes: Vec<i16> = (0..features * pitch)
+            .map(|_| (next() % 65536) as i16)
+            .collect();
+        let oracle: Vec<i64> = (0..pitch)
+            .map(|column| {
+                let image: Vec<i16> = lanes.chunks_exact(pitch).map(|row| row[column]).collect();
+                gather_one(&values, &starts, &offsets, &image, 0, &mut partials)
+            })
+            .collect();
+        for isa in Isa::detect_all() {
+            let kern = kernel::resolve(kernel::select(Some(isa), 32).expect("selects"));
+            for blocked in [false, true] {
+                let n = kern.lanes() * if blocked { kern.block() } else { 1 };
+                if n > pitch {
+                    continue;
+                }
+                for base in [0, pitch - n] {
+                    let mut out = vec![i64::MIN; n + 2];
+                    let (v, s, o) = (&values[..], &starts[..], &offsets[..]);
+                    if blocked {
+                        kern.gather_block_pitched(v, s, o, &lanes, base, pitch, &mut out);
+                    } else {
+                        kern.gather_unit_pitched(v, s, o, &lanes, base, pitch, &mut out);
+                    }
+                    let what = format!("{isa} x{n} pitch {pitch} base {base}");
+                    assert_eq!(&out[..n], &oracle[base..base + n], "{what}");
+                    assert!(out[n..].iter().all(|&x| x == i64::MIN), "{what}");
+                }
+            }
+        }
     }
 }
 

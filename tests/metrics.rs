@@ -16,7 +16,9 @@
 //! and `cargo test` runs tests in one binary concurrently.
 
 use abm_spconv_repro::campaign::{run_campaign, CampaignConfig};
-use abm_spconv_repro::conv::{Inferencer, Parallelism, PreparedWeights, ResiliencePolicy};
+use abm_spconv_repro::conv::{
+    Inferencer, Parallelism, PreparedConv, PreparedWeights, ResiliencePolicy,
+};
 use abm_spconv_repro::metrics;
 use abm_spconv_repro::model::{
     synthesize_model, zoo, LayerProfile, Network, PruneProfile, SparseModel,
@@ -59,6 +61,17 @@ fn abm_layer_count(model: &SparseModel, prepared: &PreparedWeights) -> u64 {
         .count() as u64;
     assert!(count > 0);
     count
+}
+
+/// A counter of a snapshot, zero when it never moved.
+fn counter(snap: &metrics::MetricsSnapshot, name: &str) -> u64 {
+    snap.counters.get(name).copied().unwrap_or(0)
+}
+
+/// The sum of a snapshot's counters whose name starts with `prefix`.
+fn sum_of(snap: &metrics::MetricsSnapshot, prefix: &str) -> u64 {
+    let named = snap.counters.iter().filter(|(k, _)| k.starts_with(prefix));
+    named.map(|(_, v)| v).sum()
 }
 
 fn synthetic_input(net: &Network, salt: usize) -> Tensor3<i16> {
@@ -232,7 +245,9 @@ fn sim_metrics_reconcile_exactly_on_vgg16() {
 
 /// The inference-side aggregates reconcile against ground truth the
 /// result itself carries: image/layer histogram counts, per-variant
-/// execute counters, and the written pixels against the swept lanes.
+/// execute counters, and the written pixels against the swept lanes —
+/// for images run one at a time, and for the same images as one batch,
+/// whose fully-connected tail is swept once with the images as lanes.
 #[test]
 fn infer_metrics_reconcile_with_results() {
     let _guard = registry_lock();
@@ -241,61 +256,86 @@ fn infer_metrics_reconcile_with_results() {
     let inferencer = Inferencer::new(&model).parallelism(Parallelism::Serial);
     let prepared = inferencer.prepare().unwrap();
     let abm_layers = abm_layer_count(&model, &prepared);
+    let layers = || (0..model.layers.len()).filter_map(|i| prepared.abm_layer(i));
+    // tiny ends FC3 RELU3 FC4 SOFTMAX: the layers a batch runs on lanes.
+    let on_lanes = |layer: &&PreparedConv| layer.input_shape().rows == 1;
+    let fc_layers = layers().filter(on_lanes).count() as u64;
+    assert_eq!(fc_layers, 2);
     let inputs: Vec<_> = (0..3).map(|i| synthetic_input(&net, i)).collect();
-    let results = inferencer.run_batch_prepared(&prepared, &inputs).unwrap();
+    let singles: Vec<_> = inputs
+        .iter()
+        .map(|input| inferencer.run_prepared(&prepared, input).unwrap())
+        .collect();
     let snap = registry.snapshot();
-    let counter = |n: &str| snap.counters.get(n).copied().unwrap_or(0);
-    assert_eq!(counter("infer_images_total"), 3);
+    assert_eq!(counter(&snap, "infer_images_total"), 3);
     assert_eq!(snap.histograms["infer_image_ns"].count, 3);
     assert_eq!(snap.histograms["infer_layer_ns"].count, abm_layers * 3);
     // One execute per ABM layer per image, attributed to the exact
     // variant the preparation resolved.
-    let execute_total: u64 = snap
-        .counters
-        .iter()
-        .filter(|(k, _)| k.starts_with("abm_execute_") && k.ends_with("_total"))
-        .map(|(_, v)| v)
-        .sum();
-    assert_eq!(execute_total, abm_layers * 3);
+    assert_eq!(sum_of(&snap, "abm_execute_"), abm_layers * 3);
     // One dispatch per ABM layer (preparation happens once).
-    let dispatch_total: u64 = snap
-        .counters
-        .iter()
-        .filter(|(k, _)| k.starts_with("abm_dispatch_"))
-        .map(|(_, v)| v)
-        .sum();
-    assert_eq!(dispatch_total, abm_layers);
+    assert_eq!(sum_of(&snap, "abm_dispatch_"), abm_layers);
     // Every written feature is an output pixel of one sweep (useful /
     // issued = lane fill), and what a sweep issues is a function of the
     // layout and the vector width alone: per tile and kernel, the span
     // rounded up to whole vectors — however the kernel groups vectors
     // into register blocks — or one position per pixel when the span is
     // shorter than a vector.
-    assert_eq!(
-        counter("abm_output_pixels_total"),
-        results[0].total_features * 3
-    );
-    let swept_per_image: u64 = (0..model.layers.len())
-        .filter_map(|i| prepared.abm_layer(i))
+    let features = singles[0].total_features;
+    assert_eq!(counter(&snap, "abm_output_pixels_total"), features * 3);
+    let swept = |layer: &PreparedConv| {
+        let (layout, out) = (layer.flat().layout(), layer.output_shape());
+        let lanes = layer.selection().lanes();
+        let per_kernel: usize = layout
+            .tiles(out.rows)
+            .map(|rows| layout.sweep_span(rows.len(), out.cols))
+            .map(|span| {
+                if span < lanes {
+                    span
+                } else {
+                    span.div_ceil(lanes) * lanes
+                }
+            })
+            .sum();
+        (per_kernel * out.channels) as u64
+    };
+    let swept_per_image: u64 = layers().map(swept).sum();
+    assert_eq!(counter(&snap, "abm_swept_lanes_total"), swept_per_image * 3);
+    assert!(swept_per_image >= features);
+
+    // The same images as a batch of three: each still counted once and
+    // every convolution executed once an image, but each layer of the
+    // tail executed (and timed) once for all three, on the lane kernel
+    // resolved for three images — three live columns of its one
+    // vector, so the tail's fill is 3 / lanes, not the 100 % a
+    // one-at-a-time position reads as. No new dispatch: the lane kernel
+    // came with the layer's preparation.
+    let registry = fresh_registry();
+    let batch = inferencer.run_batch_prepared(&prepared, &inputs).unwrap();
+    assert_eq!(batch, singles);
+    let snap = registry.snapshot();
+    let once = (abm_layers - fc_layers) * 3 + fc_layers;
+    assert_eq!(counter(&snap, "infer_images_total"), 3);
+    assert_eq!(snap.histograms["infer_image_ns"].count, 3);
+    assert_eq!(snap.histograms["infer_layer_ns"].count, once);
+    assert_eq!(sum_of(&snap, "abm_execute_"), once);
+    assert_eq!(sum_of(&snap, "abm_dispatch_"), 0);
+    assert_eq!(counter(&snap, "abm_output_pixels_total"), features * 3);
+    let swept_by_batch: u64 = layers()
         .map(|layer| {
-            let (layout, out) = (layer.flat().layout(), layer.output_shape());
-            let lanes = layer.selection().lanes();
-            let per_kernel: usize = layout
-                .tiles(out.rows)
-                .map(|rows| layout.sweep_span(rows.len(), out.cols))
-                .map(|span| {
-                    if span < lanes {
-                        span
-                    } else {
-                        span.div_ceil(lanes) * lanes
-                    }
-                })
-                .sum();
-            (per_kernel * out.channels) as u64
+            if on_lanes(&layer) {
+                let lanes = layer.lane_selection(3).lanes();
+                (layer.output_shape().channels * 3usize.next_multiple_of(lanes)) as u64
+            } else {
+                swept(layer) * 3
+            }
         })
         .sum();
-    assert_eq!(counter("abm_swept_lanes_total"), swept_per_image * 3);
-    assert!(swept_per_image >= results[0].total_features);
+    assert_eq!(counter(&snap, "abm_swept_lanes_total"), swept_by_batch);
+    for layer in layers().filter(on_lanes) {
+        let execute = format!("abm_execute_{}_total", layer.lane_selection(3).name());
+        assert!(counter(&snap, &execute.replace('/', "_")) >= 1, "{execute}");
+    }
 }
 
 /// Under the hardened policy each detector records one sample per ABM
@@ -406,7 +446,9 @@ proptest! {
 
     /// Registry on (with a flight-teed sink attached) == registry off,
     /// bit for bit, whatever the synthesized weights — logits, traces,
-    /// work counters, calibration statistics.
+    /// work counters, calibration statistics — for a batch, whose
+    /// prefixes run an image at a time and whose fully-connected tail
+    /// runs once on a part-filled vector of lanes.
     #[test]
     fn registry_never_perturbs_inference(
         density in 0.2f64..0.9,
@@ -415,7 +457,7 @@ proptest! {
     ) {
         let _guard = registry_lock();
         let (net, model) = tiny_model(density, levels, seed);
-        let inputs = vec![synthetic_input(&net, 0), synthetic_input(&net, 1)];
+        let inputs: Vec<_> = (0..3).map(|i| synthetic_input(&net, i)).collect();
         let registry = metrics::global();
         registry.set_enabled(false);
         let off = Inferencer::new(&model)

@@ -105,6 +105,33 @@ fn offset_past_relaid_buffer_is_caught() {
     assert!(r.has_class("offset_out_of_bounds"), "{r}");
 }
 
+#[test]
+fn offset_equal_to_in_features_is_caught_for_the_lane_sweep() {
+    // tiny's FC3 sweeps one position, so a batch sweeps it across its
+    // lanes: an offset one past the last input feature would read the
+    // first element past the lane buffer, whatever its pitch. The clean
+    // layer is proven for every kernel.
+    let net = zoo::tiny();
+    let profile = PruneProfile::uniform(LayerProfile::new(0.5, 8));
+    let model = synthesize_model(&net, &profile, 9);
+    let w = Workload::from_layer(&model.layers[2]).expect("tiny FC layer encodes");
+    assert!(w.is_fc);
+    let clean = verify_mutated(&w, |_, _, _, _| {}, |_| {});
+    assert!(clean.is_clean(), "{clean}");
+    assert_eq!(clean.lane_kernels as usize, w.flat.kernels().len());
+    let features = w.flat.shape().in_channels as u32;
+    let r = verify_mutated(
+        &w,
+        |_, _, offsets, _| *offsets.last_mut().unwrap() = features,
+        |_| {},
+    );
+    assert!(r.has_class("lane_sweep_out_of_bounds"), "{r}");
+    assert_eq!(r.lane_kernels as usize, w.flat.kernels().len() - 1);
+    // A convolution sweeps a plane: there is no lane sweep to prove.
+    let conv = verify_mutated(&sample_workload(), |_, _, _, _| {}, |_| {});
+    assert_eq!(conv.lane_kernels, 0);
+}
+
 /// A planned pipelined schedule over the tiny zoo plus its workloads —
 /// the corruption targets below break it in the three structural ways
 /// the pipeline pass must name exactly.

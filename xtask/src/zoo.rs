@@ -60,11 +60,12 @@ pub fn verify(nets: &[&str]) -> Result<(), String> {
                 .map_err(|e| format!("{name}/{}: lowering failed: {e}", layer.name()))?;
             let report = verify_workload(&w, &cfg);
             println!(
-                "  {:<10} {:>10} facts  {:>2} defects  ({:.2?})",
+                "  {:<10} {:>10} facts  {:>2} defects  ({:.2?}){}",
                 w.name,
                 report.facts,
                 report.defects.len(),
-                started.elapsed()
+                started.elapsed(),
+                lane_note(&report)
             );
             if !report.is_clean() {
                 defects.push(report.to_string());
@@ -80,6 +81,16 @@ pub fn verify(nets: &[&str]) -> Result<(), String> {
             defects.len(),
             defects.join("")
         ))
+    }
+}
+
+/// What a layer's report says of the sweep across a batch's lanes: the
+/// kernels proven in-bounds at any pitch, for the layers that have one
+/// (fully-connected rows), nothing for the rest.
+fn lane_note(report: &abm_verify::VerifyReport) -> String {
+    match report.lane_kernels {
+        0 => String::new(),
+        n => format!("  lane sweep in-bounds at any pitch: {n} kernels"),
     }
 }
 

@@ -432,16 +432,14 @@ impl PreparedConv {
         }
     }
 
-    /// Replaces the flat streams while **keeping the golden checksum**
-    /// — the fault-injection escape hatch modelling a post-load SEU:
-    /// the streams change underneath the layer, the signature recorded
-    /// at load does not, and [`verify_checksum`](Self::verify_checksum)
-    /// is expected to notice. Never a correctness tool; campaign and
-    /// test use only.
-    #[must_use]
-    pub fn with_flat(mut self, flat: FlatCode) -> Self {
-        self.flat = flat;
-        self
+    /// The flat streams for editing in place while **keeping the golden
+    /// checksum** — the fault-injection escape hatch modelling a
+    /// post-load SEU: the streams change underneath the layer, the
+    /// signature recorded at load does not, and
+    /// [`verify_checksum`](Self::verify_checksum) is expected to notice.
+    /// Never a correctness tool; campaign and test use only.
+    pub fn flat_mut(&mut self) -> &mut FlatCode {
+        &mut self.flat
     }
 
     /// Runs the prepared layer, returning the exact full-precision
@@ -1049,20 +1047,9 @@ mod tests {
             PreparedConv::try_new(&code, Shape3::new(2, 6, 6), Geometry::new(1, 1), None).unwrap();
         assert!(prepared.verify_checksum().is_ok());
         // Flip one offset bit post-load, keeping the golden checksum.
-        let flat = prepared.flat().clone();
-        let k = &flat.kernels()[0];
-        let mut offsets = k.offsets().to_vec();
+        let mut poisoned = prepared.clone();
+        let (_, _, offsets, _) = poisoned.flat_mut().kernels_mut()[0].streams_mut();
         offsets[0] ^= 1 << 3;
-        let corrupted_kernel = abm_sparse::FlatKernel::from_raw_parts(
-            k.values().to_vec(),
-            k.group_bounds().to_vec(),
-            offsets,
-            k.taps().to_vec(),
-        );
-        let mut kernels: Vec<abm_sparse::FlatKernel> = flat.kernels().to_vec();
-        kernels[0] = corrupted_kernel;
-        let corrupted = FlatCode::from_kernels(flat.shape(), flat.layout(), kernels);
-        let poisoned = prepared.clone().with_flat(corrupted);
         let err = poisoned.verify_checksum().unwrap_err();
         assert!(matches!(err, AbmError::ChecksumMismatch { .. }));
     }
@@ -1079,18 +1066,9 @@ mod tests {
             PreparedConv::try_from_flat(pristine.flat().clone(), in_shape, geom).unwrap();
         assert_eq!(reloaded, pristine);
         // A pre-load offset corruption is rejected at the door.
-        let flat = pristine.flat();
-        let k = &flat.kernels()[1];
-        let mut offsets = k.offsets().to_vec();
+        let mut bad = pristine.flat().clone();
+        let (_, _, offsets, _) = bad.kernels_mut()[1].streams_mut();
         offsets[2] ^= 1 << 7;
-        let mut kernels: Vec<abm_sparse::FlatKernel> = flat.kernels().to_vec();
-        kernels[1] = abm_sparse::FlatKernel::from_raw_parts(
-            k.values().to_vec(),
-            k.group_bounds().to_vec(),
-            offsets,
-            k.taps().to_vec(),
-        );
-        let bad = FlatCode::from_kernels(flat.shape(), flat.layout(), kernels);
         let err = PreparedConv::try_from_flat(bad, in_shape, geom).unwrap_err();
         assert!(
             matches!(err, AbmError::CodeCorrupt { kernel: 1, .. }),

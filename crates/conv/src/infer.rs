@@ -31,6 +31,7 @@ use abm_sparse::{CsrKernel, FlatLayout, LayerCode};
 use abm_telemetry::{FaultAction, TelemetrySink};
 use abm_tensor::quantize::choose_frac;
 use abm_tensor::{QFormat, Shape3, Tensor3};
+use std::sync::Arc;
 
 /// Which convolution engine executes the accelerated layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -257,11 +258,9 @@ impl<'m> Inferencer<'m> {
     /// lowered (e.g. a flat offset overflowing the 32-bit encoding),
     /// tagged with the failing layer.
     pub fn prepare(&self) -> Result<PreparedWeights, AbmError> {
-        let mut abm = Vec::new();
-        let mut csr = Vec::new();
-        let mut codes = Vec::new();
+        let mut layers = Vec::with_capacity(self.model.layers.len());
         for (idx, sl) in self.model.layers.iter().enumerate() {
-            match self.engine {
+            layers.push(match self.engine {
                 Engine::Abm => {
                     let code = LayerCode::encode(&sl.weights)
                         .map_err(|e| AbmError::from(e).at_layer(idx))?;
@@ -277,28 +276,16 @@ impl<'m> Inferencer<'m> {
                             sel.lanes() as u32,
                         );
                     }
-                    abm.push(Some(prep));
-                    csr.push(None);
                     // Retain the source code so a corrupted layer can be
                     // re-lowered without re-encoding the whole model.
-                    codes.push(Some(code));
+                    LayerWeights::Abm(Arc::new(prep), Arc::new(code))
                 }
-                Engine::Sparse => {
-                    abm.push(None);
-                    csr.push(Some(CsrKernel::encode_layer(&sl.weights)));
-                    codes.push(None);
-                }
-                _ => {
-                    abm.push(None);
-                    csr.push(None);
-                    codes.push(None);
-                }
-            }
+                Engine::Sparse => LayerWeights::Csr(CsrKernel::encode_layer(&sl.weights).into()),
+                _ => LayerWeights::Model,
+            });
         }
         Ok(PreparedWeights {
-            abm,
-            csr,
-            codes,
+            layers,
             plan: Plan::new(&self.model.network, self.engine == Engine::Abm),
             arenas: ArenaPool::default(),
         })
@@ -699,8 +686,9 @@ impl<'m> Inferencer<'m> {
             let acc = match self.engine {
                 Engine::Gemm => crate::gemm::conv2d(&input, &sl.weights, geom),
                 Engine::Sparse => {
-                    let kernels = prepared.csr.get(layer_idx).and_then(Option::as_ref);
-                    let kernels = kernels.ok_or(not_prepared("Sparse"))?;
+                    let kernels = prepared
+                        .csr_layer(layer_idx)
+                        .ok_or(not_prepared("Sparse"))?;
                     csr_engine::conv2d(&input, kernels, sl.weights.shape(), geom)
                 }
                 Engine::Freq => freq::conv2d(&input, &sl.weights, geom).map(|&v| v.round() as i64),
@@ -1042,17 +1030,37 @@ fn stage_spans(layers: &[Layer], n_stages: usize) -> Vec<std::ops::Range<usize>>
 /// batch items and host workers.
 ///
 /// Alongside the prepared forms, the source [`LayerCode`]s are retained
-/// so a corrupted layer can be re-lowered in place by the recovery path
-/// (see [`ResiliencePolicy`]), and the plan of where every layer stores
-/// its output sits beside the pool of activation arenas the executing
-/// threads check out (a clone starts with an empty pool).
+/// so a corrupted layer can be re-lowered by the recovery path (see
+/// [`ResiliencePolicy`]), and the plan of where every layer stores its
+/// output sits beside the pool of activation arenas the executing
+/// threads check out.
+///
+/// **One prepared model per process.** Every layer sits behind an
+/// [`Arc`], so `clone()` copies handles, not streams (the clone starts
+/// with an empty arena pool): a server's workers, a campaign's trials
+/// and a test's corrupted copy all read the one lowered model. Nothing
+/// on an execution path writes a layer — the recovery ladder runs its
+/// re-lowered layer locally and drops it. The only writer is
+/// [`abm_layer_mut`](Self::abm_layer_mut), which copies the one layer
+/// it touches first when another handle shares it: a corruption is
+/// never visible through a sibling handle.
 #[derive(Debug, Clone)]
 pub struct PreparedWeights {
-    abm: Vec<Option<PreparedConv>>,
-    csr: Vec<Option<Vec<CsrKernel>>>,
-    codes: Vec<Option<LayerCode>>,
+    /// One slot per accelerated layer, execution order.
+    layers: Vec<LayerWeights>,
     plan: Plan,
     arenas: ArenaPool,
+}
+
+/// What `prepare` holds for one accelerated layer, by engine.
+#[derive(Debug, Clone)]
+enum LayerWeights {
+    /// ABM: the lowered layer and the source code it came from.
+    Abm(Arc<PreparedConv>, Arc<LayerCode>),
+    /// The CSR baseline's kernels.
+    Csr(Arc<[CsrKernel]>),
+    /// Dense, GEMM and frequency-domain read the model's own tensors.
+    Model,
 }
 
 impl PreparedWeights {
@@ -1060,22 +1068,52 @@ impl PreparedWeights {
     /// out-of-range index).
     #[must_use]
     pub fn abm_layer(&self, layer: usize) -> Option<&PreparedConv> {
-        self.abm.get(layer).and_then(Option::as_ref)
+        match self.layers.get(layer)? {
+            LayerWeights::Abm(prep, _) => Some(prep),
+            _ => None,
+        }
     }
 
     /// Mutable access to a layer's prepared ABM form — the escape hatch
     /// fault campaigns use to corrupt a layer's streams in place (see
-    /// [`PreparedConv::with_flat`]). Never needed on correct paths.
+    /// [`PreparedConv::flat_mut`]). Copy-on-write: if another handle
+    /// shares the layer it is copied first, and only this handle sees
+    /// the edit. Never needed on correct paths.
     #[must_use]
     pub fn abm_layer_mut(&mut self, layer: usize) -> Option<&mut PreparedConv> {
-        self.abm.get_mut(layer).and_then(Option::as_mut)
+        match self.layers.get_mut(layer)? {
+            LayerWeights::Abm(prep, _) => Some(Arc::make_mut(prep)),
+            _ => None,
+        }
+    }
+
+    /// Re-points `layer`'s slot at `from`'s — a handle copy, dropping
+    /// whatever private copy an [`abm_layer_mut`](Self::abm_layer_mut)
+    /// write left here. How a chaos-corrupted layer is repaired from
+    /// the clean model it was cloned from.
+    pub fn share_layer(&mut self, layer: usize, from: &Self) {
+        if let (Some(slot), Some(clean)) = (self.layers.get_mut(layer), from.layers.get(layer)) {
+            *slot = clean.clone();
+        }
     }
 
     /// The retained source code for a layer (`None` unless prepared
     /// with the ABM engine).
     #[must_use]
     pub fn layer_code(&self, layer: usize) -> Option<&LayerCode> {
-        self.codes.get(layer).and_then(Option::as_ref)
+        match self.layers.get(layer)? {
+            LayerWeights::Abm(_, code) => Some(code),
+            _ => None,
+        }
+    }
+
+    /// A layer's CSR kernels (`None` unless prepared with the sparse
+    /// engine).
+    fn csr_layer(&self, layer: usize) -> Option<&[CsrKernel]> {
+        match self.layers.get(layer)? {
+            LayerWeights::Csr(kernels) => Some(kernels),
+            _ => None,
+        }
     }
 
     /// What the activation-arena pool has grown by and holds idle.
@@ -1125,17 +1163,8 @@ mod tests {
         edit: impl FnOnce(&mut Vec<i8>, &mut Vec<u32>),
     ) {
         let prep = prepared.abm_layer_mut(0).unwrap();
-        let flat = prep.flat().clone();
-        let k = &flat.kernels()[0];
-        let (mut values, mut offsets) = (k.values().to_vec(), k.offsets().to_vec());
-        edit(&mut values, &mut offsets);
-        let bounds = k.group_bounds().to_vec();
-        let first =
-            abm_sparse::FlatKernel::from_raw_parts(values, bounds, offsets, k.taps().to_vec());
-        let kernels = std::iter::once(first).chain(flat.kernels()[1..].iter().cloned());
-        let corrupted =
-            abm_sparse::FlatCode::from_kernels(flat.shape(), flat.layout(), kernels.collect());
-        *prep = prep.clone().with_flat(corrupted);
+        let (values, _, offsets, _) = prep.flat_mut().kernels_mut()[0].streams_mut();
+        edit(values, offsets);
     }
 
     #[test]

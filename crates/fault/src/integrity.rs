@@ -284,17 +284,10 @@ mod tests {
     #[test]
     fn every_offset_bit_flip_is_caught() {
         let (_, flat) = lowered();
-        let k = &flat.kernels()[0];
         for bit in [0u32, 3, 17, 31] {
-            let mut offsets = k.offsets().to_vec();
+            let mut bad = flat.clone();
+            let (_, _, offsets, _) = bad.kernels_mut()[0].streams_mut();
             offsets[1] ^= 1 << bit;
-            let corrupted = FlatKernel::from_raw_parts(
-                k.values().to_vec(),
-                k.group_bounds().to_vec(),
-                offsets,
-                k.taps().to_vec(),
-            );
-            let bad = FlatCode::from_kernels(flat.shape(), flat.layout(), vec![corrupted]);
             let err = validate_flat(&bad).unwrap_err();
             assert!(
                 matches!(err, AbmError::CodeCorrupt { kernel: 0, .. }),
@@ -306,39 +299,20 @@ mod tests {
 
     #[test]
     fn broken_group_bounds_are_caught() {
-        let (_, flat) = lowered();
-        let k = &flat.kernels()[0];
-        let mut bounds = k.group_bounds().to_vec();
+        let (_, mut bad) = lowered();
+        let (_, bounds, _, _) = bad.kernels_mut()[0].streams_mut();
         let last = bounds.len() - 1;
         bounds.swap(0, last);
-        let corrupted = FlatKernel::from_raw_parts(
-            k.values().to_vec(),
-            bounds,
-            k.offsets().to_vec(),
-            k.taps().to_vec(),
-        );
-        let bad = FlatCode::from_kernels(flat.shape(), flat.layout(), vec![corrupted]);
         assert!(validate_flat(&bad).is_err());
     }
 
     #[test]
     fn checksum_covers_values_and_taps() {
-        let (_, flat) = lowered();
+        let (_, mut flat) = lowered();
         let base = flat_checksum(&flat);
-        let k = &flat.kernels()[0];
-        let mut values = k.values().to_vec();
+        let (values, _, _, _) = flat.kernels_mut()[0].streams_mut();
         values[0] ^= 1;
-        let tweaked = FlatCode::from_kernels(
-            flat.shape(),
-            flat.layout(),
-            vec![FlatKernel::from_raw_parts(
-                values,
-                k.group_bounds().to_vec(),
-                k.offsets().to_vec(),
-                k.taps().to_vec(),
-            )],
-        );
-        assert_ne!(flat_checksum(&tweaked), base);
+        assert_ne!(flat_checksum(&flat), base);
     }
 
     /// The four streams of a kernel, as [`FlatKernel::from_raw_parts`]

@@ -91,6 +91,14 @@ impl SparseModel {
     pub fn total_nnz(&self) -> usize {
         self.layers.iter().map(|l| l.nnz()).sum()
     }
+
+    /// Indices into [`layers`](Self::layers) of the convolutions — the
+    /// accelerated layers the functional fault classes (the campaign's
+    /// and serving-path chaos alike) target.
+    pub fn conv_indices(&self) -> Vec<usize> {
+        let is_conv = |&i: &usize| matches!(self.layers[i].layer.layer.kind, LayerKind::Conv(_));
+        (0..self.layers.len()).filter(is_conv).collect()
+    }
 }
 
 /// Builds a per-layer codebook of `levels` distinct non-zero signed 8-bit
@@ -329,5 +337,7 @@ mod tests {
         assert_eq!(fc6.groups(), 1);
         assert!(model.layer("MISSING").is_none());
         assert!(model.total_nnz() > 0);
+        // CONV1–5 come first; FC6–8 are accelerated but not convolutions.
+        assert_eq!(model.conv_indices(), [0, 1, 2, 3, 4]);
     }
 }

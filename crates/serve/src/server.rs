@@ -8,8 +8,8 @@
 //! submit()/TCP ──► admission ──► bounded queue ──► batcher ──► work queue
 //!                  (CostModel)    (Mutex+Condvar)   (coalesce      │
 //!                      │           shed: typed       ≤ max_batch   ▼
-//!                      ▼           Overloaded)       within     workers (each owns
-//!                  shed/reject                       window)    PreparedWeights,
+//!                      ▼           Overloaded)       within     workers (handles to
+//!                  shed/reject                       window)    the one PreparedWeights,
 //!                                                               hardened policy)
 //!                                                                   │
 //!                        watchdog ◄── heartbeats ──────────────────┤
@@ -30,7 +30,6 @@ use abm_conv::{Inferencer, Parallelism, PreparedWeights, ResiliencePolicy};
 use abm_fault::{AbmError, SplitMix64};
 use abm_model::SparseModel;
 use abm_sim::AcceleratorConfig;
-use abm_sparse::{FlatCode, FlatKernel};
 use abm_telemetry::sink::EventTee;
 use abm_telemetry::{Event, FaultAction, TelemetrySink};
 use abm_tensor::Tensor3;
@@ -58,8 +57,11 @@ pub struct ServeConfig {
     /// How long the batcher holds an open batch waiting for co-riders
     /// (the coalescing latency budget).
     pub batch_window: Duration,
-    /// Executor workers; each owns its prepared weights, so a
-    /// watchdog failover can abandon one without poisoning the rest.
+    /// Executor workers. All of them — and every replacement a
+    /// watchdog failover starts — read the one model `Server::start`
+    /// prepared, through a handle of their own: an abandoned worker
+    /// holds no copy of the weights, and the only write (chaos
+    /// corruption) is copy-on-write, so it cannot poison the rest.
     pub workers: usize,
     /// Host threads each worker spends *inside* a batch.
     pub intra_batch: Parallelism,
@@ -228,23 +230,49 @@ impl Ticket {
     }
 }
 
-/// Monotone counters, snapshotted as [`ServeStats`].
-#[derive(Debug, Default)]
-struct Counters {
-    submitted: AtomicU64,
-    admitted: AtomicU64,
-    shed: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    deadline_cut: AtomicU64,
-    deadline_missed: AtomicU64,
-    retries: AtomicU64,
-    degraded_batches: AtomicU64,
-    chaos_injected: AtomicU64,
-    watchdog_failovers: AtomicU64,
-    watchdog_late: AtomicU64,
-    batches: AtomicU64,
+/// An event the server counts — one [`ServeStats`] field each.
+#[derive(Debug, Clone, Copy)]
+enum Counter {
+    Submitted,
+    Admitted,
+    Shed,
+    Completed,
+    Failed,
+    DeadlineCut,
+    DeadlineMissed,
+    Retries,
+    DegradedBatches,
+    ChaosInjected,
+    WatchdogFailovers,
+    WatchdogLate,
+    Batches,
 }
+
+impl Counter {
+    /// The event's counter in the metrics registry.
+    fn metric(self) -> &'static str {
+        match self {
+            Self::Submitted => "serve_submitted_total",
+            Self::Admitted => "serve_admitted_total",
+            Self::Shed => "serve_shed_total",
+            Self::Completed => "serve_completed_total",
+            Self::Failed => "serve_failed_total",
+            Self::DeadlineCut => "serve_deadline_total",
+            Self::DeadlineMissed => "serve_deadline_missed_total",
+            Self::Retries => "serve_retries_total",
+            Self::DegradedBatches => "serve_degraded_total",
+            Self::ChaosInjected => "serve_chaos_injected_total",
+            Self::WatchdogFailovers => "serve_watchdog_failover_total",
+            Self::WatchdogLate => "serve_watchdog_late_total",
+            Self::Batches => "serve_batches_total",
+        }
+    }
+}
+
+/// Monotone counters, one per [`Counter`] (`Batches` is the last),
+/// snapshotted as [`ServeStats`].
+#[derive(Debug, Default)]
+struct Counters([AtomicU64; Counter::Batches as usize + 1]);
 
 /// A point-in-time snapshot of the server's accounting. The
 /// conservation invariant after a drain:
@@ -290,21 +318,31 @@ impl ServeStats {
 }
 
 impl Counters {
+    /// Counts one `event`: here always, and in the metrics registry
+    /// when that is on — the two can only agree.
+    fn bump(&self, event: Counter) {
+        self.0[event as usize].fetch_add(1, Ordering::Relaxed);
+        if abm_metrics::enabled() {
+            abm_metrics::global().add(event.metric(), 1);
+        }
+    }
+
     fn snapshot(&self) -> ServeStats {
+        let read = |event: Counter| self.0[event as usize].load(Ordering::Relaxed);
         ServeStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            deadline_cut: self.deadline_cut.load(Ordering::Relaxed),
-            deadline_missed: self.deadline_missed.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            degraded_batches: self.degraded_batches.load(Ordering::Relaxed),
-            chaos_injected: self.chaos_injected.load(Ordering::Relaxed),
-            watchdog_failovers: self.watchdog_failovers.load(Ordering::Relaxed),
-            watchdog_late: self.watchdog_late.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
+            submitted: read(Counter::Submitted),
+            admitted: read(Counter::Admitted),
+            shed: read(Counter::Shed),
+            completed: read(Counter::Completed),
+            failed: read(Counter::Failed),
+            deadline_cut: read(Counter::DeadlineCut),
+            deadline_missed: read(Counter::DeadlineMissed),
+            retries: read(Counter::Retries),
+            degraded_batches: read(Counter::DegradedBatches),
+            chaos_injected: read(Counter::ChaosInjected),
+            watchdog_failovers: read(Counter::WatchdogFailovers),
+            watchdog_late: read(Counter::WatchdogLate),
+            batches: read(Counter::Batches),
         }
     }
 }
@@ -376,6 +414,10 @@ struct WorkerEntry {
 struct Shared {
     cfg: ServeConfig,
     model: Arc<SparseModel>,
+    /// The process's one prepared model, as `Server::start` lowered and
+    /// warmed it up. Nothing writes it: every worker runs on a handle
+    /// clone (`worker_loop`), and chaos repairs from it.
+    weights: PreparedWeights,
     cost: CostModel,
     counters: Counters,
     queue: Mutex<VecDeque<Request>>,
@@ -405,10 +447,10 @@ pub struct Server {
 }
 
 impl Server {
-    /// Builds the cost model (one simulator run), prepares and warms
-    /// up the weights (calibrating the cost model against measured
-    /// host time), then spawns the batcher, `cfg.workers` workers and
-    /// the watchdog.
+    /// Builds the cost model (one simulator run), prepares the weights
+    /// — once; the workers share them — and warms them up (calibrating
+    /// the cost model against measured host time), then spawns the
+    /// batcher, `cfg.workers` workers and the watchdog.
     ///
     /// # Errors
     ///
@@ -428,10 +470,8 @@ impl Server {
 
         // Validate the model end to end and calibrate the cost model
         // before the first real request can be admitted.
-        {
-            let inferencer = Inferencer::new(&model)
-                .parallelism(cfg.intra_batch)
-                .resilience(ResiliencePolicy::hardened());
+        let weights = {
+            let inferencer = hardened(&model, &cfg);
             let prepared = inferencer.prepare()?;
             let input = crate::synth_input(model.network.input_shape(), 0xC0FF_EE00);
             let images = cfg.warmup_images.max(1);
@@ -440,11 +480,15 @@ impl Server {
                 inferencer.run_prepared(&prepared, &input)?;
             }
             cost.calibrate(t0.elapsed(), images);
-        }
+            // The layers without the warm-up's arenas, which would idle
+            // in a pool no worker draws from (each clone has its own).
+            prepared.clone()
+        };
 
         let shared = Arc::new(Shared {
             cfg: cfg.clone(),
             model,
+            weights,
             cost,
             counters: Counters::default(),
             queue: Mutex::new(VecDeque::new()),
@@ -498,11 +542,7 @@ impl Server {
     ) -> Result<Ticket, AbmError> {
         let shared = &self.shared;
         let c = &shared.counters;
-        c.submitted.fetch_add(1, Ordering::Relaxed);
-        let metrics_on = abm_metrics::enabled();
-        if metrics_on {
-            abm_metrics::global().add("serve_submitted_total", 1);
-        }
+        c.bump(Counter::Submitted);
         // Admission runs under the queue lock so the backlog it reasons
         // about cannot change underneath it, and so `accepting` is
         // linearized against the batcher's drain-exit check.
@@ -546,11 +586,10 @@ impl Server {
                         deadline: now + deadline_budget,
                         reply: tx,
                     });
-                    c.admitted.fetch_add(1, Ordering::Relaxed);
-                    if metrics_on {
-                        let m = abm_metrics::global();
-                        m.add("serve_admitted_total", 1);
-                        m.gauge_max("serve_queue_depth_high_water", q.len() as u64);
+                    c.bump(Counter::Admitted);
+                    if abm_metrics::enabled() {
+                        abm_metrics::global()
+                            .gauge_max("serve_queue_depth_high_water", q.len() as u64);
                     }
                     shared.queue_cv.notify_one();
                     return Ok(Ticket { id, rx });
@@ -559,10 +598,7 @@ impl Server {
             }
         };
         // Shed path: typed rejection, counted, flight-dumped.
-        c.shed.fetch_add(1, Ordering::Relaxed);
-        if metrics_on {
-            abm_metrics::global().add("serve_shed_total", 1);
-        }
+        c.bump(Counter::Shed);
         abm_metrics::global().note_error("serve", &format!("shed: {e}"));
         Err(e)
     }
@@ -675,7 +711,6 @@ fn respond(
     mut r: ServeResponse,
 ) {
     let c = &shared.counters;
-    let metrics_on = abm_metrics::enabled();
     let now = Instant::now();
     r.total_us =
         u64::try_from(now.saturating_duration_since(meta.enqueued).as_micros()).unwrap_or(u64::MAX);
@@ -683,29 +718,18 @@ fn respond(
         Ok(_) => {
             if now > meta.deadline {
                 r.deadline_missed = true;
-                c.deadline_missed.fetch_add(1, Ordering::Relaxed);
-                if metrics_on {
-                    abm_metrics::global().add("serve_deadline_missed_total", 1);
-                }
+                c.bump(Counter::DeadlineMissed);
             }
-            c.completed.fetch_add(1, Ordering::Relaxed);
-            if metrics_on {
-                let m = abm_metrics::global();
-                m.add("serve_completed_total", 1);
-                m.observe("serve_request_us", r.total_us);
+            c.bump(Counter::Completed);
+            if abm_metrics::enabled() {
+                abm_metrics::global().observe("serve_request_us", r.total_us);
             }
         }
         Err(e) => {
             if matches!(e.root_cause(), AbmError::DeadlineExceeded { .. }) {
-                c.deadline_cut.fetch_add(1, Ordering::Relaxed);
-                if metrics_on {
-                    abm_metrics::global().add("serve_deadline_total", 1);
-                }
+                c.bump(Counter::DeadlineCut);
             } else {
-                c.failed.fetch_add(1, Ordering::Relaxed);
-                if metrics_on {
-                    abm_metrics::global().add("serve_failed_total", 1);
-                }
+                c.bump(Counter::Failed);
             }
             abm_metrics::global().note_error("serve", &format!("request {}: {e}", meta.id));
         }
@@ -816,11 +840,9 @@ fn dispatch(shared: &Arc<Shared>, batch: Vec<Request>) {
         return;
     }
     shared.in_flight.fetch_add(inputs.len(), Ordering::SeqCst);
-    shared.counters.batches.fetch_add(1, Ordering::Relaxed);
+    shared.counters.bump(Counter::Batches);
     if abm_metrics::enabled() {
-        let m = abm_metrics::global();
-        m.add("serve_batches_total", 1);
-        m.observe("serve_batch_size", inputs.len() as u64);
+        abm_metrics::global().observe("serve_batch_size", inputs.len() as u64);
     }
     let id = shared.next_batch.fetch_add(1, Ordering::Relaxed);
     let b = Batch {
@@ -867,25 +889,27 @@ fn transient(e: &AbmError) -> bool {
         )
 }
 
-/// The per-worker executor loop. Each worker owns its model borrow,
-/// its prepared weights (plus a pristine copy for chaos repair) and a
-/// deterministic chaos stream; a confiscated batch therefore never
-/// shares mutable state with its replacement.
+/// The inferencer every served image runs under: the configured
+/// intra-batch parallelism and the hardened policy.
+fn hardened<'m>(model: &'m SparseModel, cfg: &ServeConfig) -> Inferencer<'m> {
+    Inferencer::new(model)
+        .parallelism(cfg.intra_batch)
+        .resilience(ResiliencePolicy::hardened())
+}
+
+/// The per-worker executor loop. A worker — first or replacement —
+/// prepares nothing: it runs on a handle clone of the server's one
+/// prepared model (its own arena pool, the shared read-only layers)
+/// and a deterministic chaos stream. The clone is what chaos corrupts;
+/// that write copies the one layer it touches, so a confiscated batch
+/// never shares mutable state with its replacement, nor a corrupted
+/// layer with a sibling.
 fn worker_loop(shared: &Arc<Shared>, state: &Arc<WorkerState>) {
     let model: &SparseModel = &shared.model;
     let cfg = &shared.cfg;
-    let base = Inferencer::new(model)
-        .parallelism(cfg.intra_batch)
-        .resilience(ResiliencePolicy::hardened());
-    let Ok(mut prepared) = base.prepare() else {
-        // `Server::start` validated preparation; a failure here means
-        // the model changed underneath us — note it and retire.
-        abm_metrics::global().note_error("serve", "worker failed to prepare weights");
-        state.abandoned.store(true, Ordering::SeqCst);
-        return;
-    };
-    let pristine = cfg.chaos.as_ref().map(|_| prepared.clone());
-    let conv_layers = conv_indices(model);
+    let base = hardened(model, cfg);
+    let mut prepared = shared.weights.clone();
+    let conv_layers = model.conv_indices();
 
     loop {
         let batch = {
@@ -912,8 +936,8 @@ fn worker_loop(shared: &Arc<Shared>, state: &Arc<WorkerState>) {
         // complete on its replacement worker inside the deadline. Every
         // finished layer re-arms it (the heartbeat below): a worker the
         // host merely slows keeps its batch — failing it over would only
-        // add a replacement's weight preparation and the abandoned
-        // thread to that host's load — and the per-item deadlines bound
+        // add a replacement thread beside the abandoned one to that
+        // host's load — and the per-item deadlines bound
         // how long slow can last; only a worker that stops making
         // progress loses its batch.
         let stuck_after = shared
@@ -946,13 +970,7 @@ fn worker_loop(shared: &Arc<Shared>, state: &Arc<WorkerState>) {
                 let mut rng = SplitMix64::new(chaos.seed ^ batch.shared.id);
                 injected = corrupt_one_layer(&mut prepared, &conv_layers, &mut rng);
                 if injected.is_some() {
-                    shared
-                        .counters
-                        .chaos_injected
-                        .fetch_add(1, Ordering::Relaxed);
-                    if abm_metrics::enabled() {
-                        abm_metrics::global().add("serve_chaos_injected_total", 1);
-                    }
+                    shared.counters.bump(Counter::ChaosInjected);
                 }
             }
         }
@@ -960,17 +978,13 @@ fn worker_loop(shared: &Arc<Shared>, state: &Arc<WorkerState>) {
         let (outcomes, retries_spent, degraded) =
             execute_batch(&base, &prepared, &batch, cfg, shared, heartbeat);
 
-        if let (Some(layer), Some(pristine)) = (injected, pristine.as_ref()) {
-            repair_layer(&mut prepared, pristine, layer);
+        if let Some(layer) = injected {
+            // Repair: back onto the server's clean layer, dropping the
+            // corrupted private copy.
+            prepared.share_layer(layer, &shared.weights);
         }
         if degraded {
-            shared
-                .counters
-                .degraded_batches
-                .fetch_add(1, Ordering::Relaxed);
-            if abm_metrics::enabled() {
-                abm_metrics::global().add("serve_degraded_total", 1);
-            }
+            shared.counters.bump(Counter::DegradedBatches);
         }
 
         let claim = lock(&batch.shared.claim).take();
@@ -1012,13 +1026,7 @@ fn worker_loop(shared: &Arc<Shared>, state: &Arc<WorkerState>) {
             None => {
                 // The watchdog already confiscated this batch; the
                 // late result must be discarded, never served twice.
-                shared
-                    .counters
-                    .watchdog_late
-                    .fetch_add(1, Ordering::Relaxed);
-                if abm_metrics::enabled() {
-                    abm_metrics::global().add("serve_watchdog_late_total", 1);
-                }
+                shared.counters.bump(Counter::WatchdogLate);
             }
         }
         if state.abandoned.load(Ordering::SeqCst) {
@@ -1073,10 +1081,7 @@ fn execute_batch(
             }
             std::thread::sleep(cfg.retry_backoff * 2u32.pow(attempt.min(8)));
             attempt += 1;
-            shared.counters.retries.fetch_add(1, Ordering::Relaxed);
-            if abm_metrics::enabled() {
-                abm_metrics::global().add("serve_retries_total", 1);
-            }
+            shared.counters.bump(Counter::Retries);
             let retried = inferencer.run_batch_salvage(
                 prepared,
                 std::slice::from_ref(&inputs[i]),
@@ -1110,28 +1115,10 @@ fn execute_batch(
     (outcomes, retries_spent, degraded)
 }
 
-/// Accelerated-layer indices (execution order) that are convolutions —
-/// the layers serving-path chaos corrupts (same targeting as the fault
-/// campaign's functional classes).
-fn conv_indices(model: &SparseModel) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut accel = 0usize;
-    for layer in model.network.layers() {
-        match &layer.kind {
-            abm_model::LayerKind::Conv(_) => {
-                out.push(accel);
-                accel += 1;
-            }
-            abm_model::LayerKind::FullyConnected(_) => accel += 1,
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Flips one bit of one WT-Buffer offset word in a seeded layer — the
-/// campaign's `wt-word-flip` functional class, injected post-load so
-/// the stored stream checksum is the detector. Deterministic in
+/// Flips one bit of one WT-Buffer offset word in a seeded convolution
+/// (`conv_layers`: same targeting as the fault campaign's functional
+/// classes) — the campaign's `wt-word-flip` class, injected post-load
+/// so the stored stream checksum is the detector. Deterministic in
 /// (chaos seed, batch id): a chaos run is replayable from the seed
 /// alone. Returns the corrupted layer index.
 fn corrupt_one_layer(
@@ -1143,9 +1130,7 @@ fn corrupt_one_layer(
         return None;
     }
     let layer = conv_layers[rng.below(conv_layers.len() as u64) as usize];
-    let slot = prepared.abm_layer_mut(layer)?;
-    let flat = slot.flat();
-    let mut kernels: Vec<FlatKernel> = flat.kernels().to_vec();
+    let kernels = prepared.abm_layer(layer)?.flat().kernels();
     if kernels.is_empty() {
         return None;
     }
@@ -1153,28 +1138,13 @@ fn corrupt_one_layer(
     let kernel = (0..kernels.len())
         .map(|i| (start + i) % kernels.len())
         .find(|&i| !kernels[i].offsets().is_empty())?;
-    let k = &kernels[kernel];
-    let mut offsets = k.offsets().to_vec();
-    let index = rng.below(offsets.len() as u64) as usize;
+    let index = rng.below(kernels[kernel].offsets().len() as u64) as usize;
     let bit = u32::try_from(rng.below(32)).unwrap_or(0);
+    // The one write: copies this layer if the handle still shares it.
+    let flat = prepared.abm_layer_mut(layer)?.flat_mut();
+    let (_, _, offsets, _) = flat.kernels_mut()[kernel].streams_mut();
     offsets[index] ^= 1u32 << bit;
-    let corrupted = FlatKernel::from_raw_parts(
-        k.values().to_vec(),
-        k.group_bounds().to_vec(),
-        offsets,
-        k.taps().to_vec(),
-    );
-    kernels[kernel] = corrupted;
-    let bad = FlatCode::from_kernels(flat.shape(), flat.layout(), kernels);
-    *slot = slot.clone().with_flat(bad);
     Some(layer)
-}
-
-/// Restores a chaos-corrupted layer from the worker's pristine copy.
-fn repair_layer(prepared: &mut PreparedWeights, pristine: &PreparedWeights, layer: usize) {
-    if let (Some(slot), Some(clean)) = (prepared.abm_layer_mut(layer), pristine.abm_layer(layer)) {
-        *slot = clean.clone();
-    }
 }
 
 /// The stuck-batch watchdog: scans worker heartbeats; a batch still
@@ -1210,13 +1180,7 @@ fn watchdog_loop(shared: &Arc<Shared>) {
                 entry.state.abandoned.store(true, Ordering::SeqCst);
                 drop(entry.handle.take()); // detach the wedged thread
                 replacements += 1;
-                shared
-                    .counters
-                    .watchdog_failovers
-                    .fetch_add(1, Ordering::Relaxed);
-                if abm_metrics::enabled() {
-                    abm_metrics::global().add("serve_watchdog_failover_total", 1);
-                }
+                shared.counters.bump(Counter::WatchdogFailovers);
                 abm_metrics::global().note_error(
                     "serve",
                     &format!(

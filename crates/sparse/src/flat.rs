@@ -287,11 +287,12 @@ pub struct FlatKernel {
 impl FlatKernel {
     /// Assembles a kernel directly from its four streams, bypassing
     /// [`FlatCode::lower`]. No structural invariants are enforced — this
-    /// exists so the verifier's negative tests (and external tools that
-    /// deserialize offset tables) can build arbitrary, possibly-corrupt
-    /// codes and prove `abm-verify` rejects them. Anything destined for
-    /// an executor should come from `lower` or pass
-    /// `abm-verify`'s lowering pass first.
+    /// exists so tools that deserialize offset tables (and the digest's
+    /// property test) can build arbitrary, possibly-corrupt codes from
+    /// scratch; to corrupt a lowered kernel, edit it through
+    /// [`streams_mut`](Self::streams_mut). Anything destined for an
+    /// executor should come from `lower` or pass `abm-verify`'s
+    /// lowering pass first.
     pub fn from_raw_parts(
         values: Vec<i8>,
         group_bounds: Vec<u32>,
@@ -304,6 +305,21 @@ impl FlatKernel {
             offsets,
             taps,
         }
+    }
+
+    /// The four streams for editing in place, in
+    /// [`from_raw_parts`](Self::from_raw_parts)' order: values, group
+    /// bounds, offsets, taps. Like that constructor it enforces nothing
+    /// — it is how fault injection and the detectors' negative tests
+    /// flip a bit or drop a tap of a lowered kernel without rebuilding
+    /// it.
+    pub fn streams_mut(&mut self) -> (&mut Vec<i8>, &mut Vec<u32>, &mut Vec<u32>, &mut Vec<Tap>) {
+        (
+            &mut self.values,
+            &mut self.starts,
+            &mut self.offsets,
+            &mut self.taps,
+        )
     }
 
     /// The distinct quantized values, ascending (the Q-Table `VAL`s).
@@ -446,8 +462,8 @@ impl FlatCode {
 
     /// Assembles a layer from pre-built kernels without re-lowering.
     /// Like [`FlatKernel::from_raw_parts`], this enforces nothing — it is
-    /// the escape hatch the verifier's negative tests use to construct
-    /// deliberately defective codes.
+    /// the from-scratch escape hatch; a lowered layer is edited through
+    /// [`kernels_mut`](Self::kernels_mut).
     pub fn from_kernels(shape: Shape4, layout: FlatLayout, kernels: Vec<FlatKernel>) -> Self {
         Self {
             shape,
@@ -472,6 +488,13 @@ impl FlatCode {
     #[inline]
     pub fn kernels(&self) -> &[FlatKernel] {
         &self.kernels
+    }
+
+    /// The kernels for editing in place (see
+    /// [`FlatKernel::streams_mut`]); shape and layout stay as lowered.
+    #[inline]
+    pub fn kernels_mut(&mut self) -> &mut [FlatKernel] {
+        &mut self.kernels
     }
 
     /// Total non-zero weights in the layer.

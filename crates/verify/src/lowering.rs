@@ -395,40 +395,24 @@ mod tests {
 
     #[test]
     fn corrupt_offset_is_caught_as_offset_mismatch() {
-        let (code, flat, geom) = sample();
-        let mut kernels: Vec<_> = flat.kernels().to_vec();
-        let k0 = &kernels[0];
-        let mut offsets = k0.offsets().to_vec();
+        let (code, mut bad, geom) = sample();
+        let (_, _, offsets, _) = bad.kernels_mut()[0].streams_mut();
         offsets[0] += 1; // one wrong address
-        kernels[0] = abm_sparse::FlatKernel::from_raw_parts(
-            k0.values().to_vec(),
-            k0.group_bounds().to_vec(),
-            offsets,
-            k0.taps().to_vec(),
-        );
-        let bad = FlatCode::from_kernels(flat.shape(), flat.layout(), kernels);
         let r = verify_lowering("t", &code, &bad, &geom, &AccumulatorModel::host());
         assert!(r.has_class("offset_mismatch"), "{r}");
     }
 
     #[test]
     fn dropped_tap_is_caught_as_group_count_mismatch() {
-        let (code, flat, geom) = sample();
-        let mut kernels: Vec<_> = flat.kernels().to_vec();
-        let k0 = &kernels[0];
+        let (code, mut bad, geom) = sample();
         // Drop the last tap of the first group and re-point the bounds.
-        let mut offsets = k0.offsets().to_vec();
-        let mut taps = k0.taps().to_vec();
-        let mut starts = k0.group_bounds().to_vec();
+        let (_, starts, offsets, taps) = bad.kernels_mut()[0].streams_mut();
         let cut = starts[1] as usize - 1;
         offsets.remove(cut);
         taps.remove(cut);
         for s in starts.iter_mut().skip(1) {
             *s -= 1;
         }
-        kernels[0] =
-            abm_sparse::FlatKernel::from_raw_parts(k0.values().to_vec(), starts, offsets, taps);
-        let bad = FlatCode::from_kernels(flat.shape(), flat.layout(), kernels);
         let r = verify_lowering("t", &code, &bad, &geom, &AccumulatorModel::host());
         assert!(r.has_class("group_count_mismatch"), "{r}");
     }
@@ -503,16 +487,9 @@ mod tests {
         let (code, flat, geom) = fc_sample();
         // Kernel 2 with its last offset re-pointed at `feature`.
         let repointed = |feature: u32| {
-            let mut kernels: Vec<_> = flat.kernels().to_vec();
-            let mut offsets = kernels[2].offsets().to_vec();
+            let mut bad = flat.clone();
+            let (_, _, offsets, _) = bad.kernels_mut()[2].streams_mut();
             *offsets.last_mut().unwrap() = feature;
-            kernels[2] = abm_sparse::FlatKernel::from_raw_parts(
-                kernels[2].values().to_vec(),
-                kernels[2].group_bounds().to_vec(),
-                offsets,
-                kernels[2].taps().to_vec(),
-            );
-            let bad = FlatCode::from_kernels(flat.shape(), flat.layout(), kernels);
             verify_lowering("fc", &code, &bad, &geom, &AccumulatorModel::host())
         };
         // One past the last feature: at pitch `P` the lane sweep would
@@ -532,25 +509,13 @@ mod tests {
         // Row-major offsets into the *unpadded, unsplit* input — what
         // the lowering emitted before the input was re-laid out — no
         // longer address the tap they stand for.
-        let (code, flat, geom) = sample_with(2, 1);
-        let kernels = flat
-            .kernels()
-            .iter()
-            .map(|k| {
-                let offsets = k
-                    .taps()
-                    .iter()
-                    .map(|t| (t.n as u32 * 8 + t.k as u32) * 8 + t.kp as u32)
-                    .collect();
-                abm_sparse::FlatKernel::from_raw_parts(
-                    k.values().to_vec(),
-                    k.group_bounds().to_vec(),
-                    offsets,
-                    k.taps().to_vec(),
-                )
-            })
-            .collect();
-        let bad = FlatCode::from_kernels(flat.shape(), flat.layout(), kernels);
+        let (code, mut bad, geom) = sample_with(2, 1);
+        for k in bad.kernels_mut() {
+            let (_, _, offsets, taps) = k.streams_mut();
+            for (off, t) in offsets.iter_mut().zip(taps.iter()) {
+                *off = (t.n as u32 * 8 + t.k as u32) * 8 + t.kp as u32;
+            }
+        }
         let r = verify_lowering("t", &code, &bad, &geom, &AccumulatorModel::host());
         assert!(r.has_class("offset_mismatch"), "{r}");
         assert!(!r.has_class("tap_mismatch"), "{r}");
@@ -558,18 +523,16 @@ mod tests {
 
     #[test]
     fn swapped_tap_is_caught_as_tap_mismatch() {
-        let (code, flat, geom) = sample();
-        let mut kernels: Vec<_> = flat.kernels().to_vec();
-        let k0 = &kernels[0];
-        let mut taps = k0.taps().to_vec();
-        let mut offsets = k0.offsets().to_vec();
+        let (code, mut bad, geom) = sample();
+        let kernel_cols = bad.shape().kernel_cols;
+        let (_, _, offsets, taps) = bad.kernels_mut()[0].streams_mut();
         // Move a tap one column over (picking one with room, so the
         // result stays inside the kernel volume), keeping the offset
         // consistent with the *moved* tap: faithfulness to the source
         // must still flag it.
         let i = taps
             .iter()
-            .position(|t| (t.kp as usize) + 1 < flat.shape().kernel_cols)
+            .position(|t| (t.kp as usize) + 1 < kernel_cols)
             .unwrap();
         taps[i] = Tap {
             n: taps[i].n,
@@ -577,13 +540,6 @@ mod tests {
             kp: taps[i].kp + 1,
         };
         offsets[i] += 1;
-        kernels[0] = abm_sparse::FlatKernel::from_raw_parts(
-            k0.values().to_vec(),
-            k0.group_bounds().to_vec(),
-            offsets,
-            taps,
-        );
-        let bad = FlatCode::from_kernels(flat.shape(), flat.layout(), kernels);
         let r = verify_lowering("t", &code, &bad, &geom, &AccumulatorModel::host());
         assert!(r.has_class("tap_mismatch"), "{r}");
     }

@@ -38,13 +38,13 @@ use abm_fault::{
     fnv1a_bytes, AbmError, CampaignReport, Fault, FaultClass, FaultOutcome, FaultPlan,
     PlanInjector, RecoveryAction, SplitMix64, TrialRecord,
 };
-use abm_model::{synthesize_model, LayerKind, SparseModel};
+use abm_model::{synthesize_model, SparseModel};
 use abm_sim::task::Workload;
 use abm_sim::{
     lane, plan_pipeline, simulate_pipeline, AcceleratorConfig, LayerSim, PipelineOptions,
     PipelineSim, PipelinedSchedule, SimContext, Watchdog,
 };
-use abm_sparse::{FlatCode, FlatKernel};
+use abm_sparse::FlatKernel;
 use abm_telemetry::{Event, FaultAction, TelemetrySink};
 use abm_tensor::{Shape3, Tensor3};
 
@@ -131,24 +131,6 @@ fn synth_input(shape: Shape3, seed: u64) -> Tensor3<i16> {
     })
 }
 
-/// Accelerated-layer indices (execution order) that are convolutions —
-/// the layers the functional fault classes target.
-fn conv_indices(model: &SparseModel) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut accel = 0usize;
-    for layer in model.network.layers() {
-        match &layer.kind {
-            LayerKind::Conv(_) => {
-                out.push(accel);
-                accel += 1;
-            }
-            LayerKind::FullyConnected(_) => accel += 1,
-            _ => {}
-        }
-    }
-    out
-}
-
 fn run_net(
     net: &str,
     config: &CampaignConfig,
@@ -167,7 +149,7 @@ fn run_net(
         .telemetry(sink.clone());
     let golden_prep = inferencer.prepare()?;
     let golden = inferencer.run_prepared(&golden_prep, &input)?;
-    let conv_layers = conv_indices(&model);
+    let conv_layers = model.conv_indices();
 
     let sim_cfg = AcceleratorConfig::paper_for(net);
 
@@ -309,48 +291,30 @@ fn fi_word_trial(t: FunctionalTrial<'_>) -> Result<TrialRecord, AbmError> {
 /// checksum) and climb the recovery ladder on its own.
 fn post_load_flip_trial(t: FunctionalTrial<'_>) -> Result<TrialRecord, AbmError> {
     let layer = t.conv_layers[t.rng.below(t.conv_layers.len() as u64) as usize];
-    let mut prepared = t.inferencer.prepare()?;
+    // A handle clone of the golden model: the write below copies the one
+    // layer it corrupts, the golden streams stay as lowered.
+    let mut prepared = t.golden_prep.clone();
     let slot = prepared.abm_layer_mut(layer).ok_or(AbmError::NotPrepared {
         layer,
         engine: "ABM",
     })?;
 
-    let flat = slot.flat();
-    let mut kernels: Vec<FlatKernel> = flat.kernels().to_vec();
-    let kernel = pick_nonempty_kernel(&kernels, t.rng);
-    let k = &kernels[kernel];
-    let detail;
-    let corrupted = match t.class {
+    let kernel = pick_nonempty_kernel(slot.flat().kernels(), t.rng);
+    let (values, _, offsets, _) = slot.flat_mut().kernels_mut()[kernel].streams_mut();
+    let detail = match t.class {
         FaultClass::WtWordFlip => {
-            let mut offsets = k.offsets().to_vec();
             let idx = t.rng.below(offsets.len() as u64) as usize;
             let bit = t.rng.below(32) as u32;
             offsets[idx] ^= 1u32 << bit;
-            detail = format!("kernel {kernel} offset {idx} bit {bit}");
-            FlatKernel::from_raw_parts(
-                k.values().to_vec(),
-                k.group_bounds().to_vec(),
-                offsets,
-                k.taps().to_vec(),
-            )
+            format!("kernel {kernel} offset {idx} bit {bit}")
         }
         _ => {
-            let mut values = k.values().to_vec();
             let idx = t.rng.below(values.len() as u64) as usize;
             let bit = t.rng.below(8) as u32;
             values[idx] ^= 1i8 << bit;
-            detail = format!("kernel {kernel} value {idx} bit {bit}");
-            FlatKernel::from_raw_parts(
-                values,
-                k.group_bounds().to_vec(),
-                k.offsets().to_vec(),
-                k.taps().to_vec(),
-            )
+            format!("kernel {kernel} value {idx} bit {bit}")
         }
     };
-    kernels[kernel] = corrupted;
-    let bad = FlatCode::from_kernels(flat.shape(), flat.layout(), kernels);
-    *slot = slot.clone().with_flat(bad);
     record_injected(t.sink, layer as u32, t.class.name(), &detail);
 
     let before = t.sink.events().len();
@@ -402,38 +366,23 @@ fn load_time_trial(t: FunctionalTrial<'_>) -> Result<TrialRecord, AbmError> {
             engine: "ABM",
         })?;
 
-    let flat = pristine.flat();
-    let mut kernels: Vec<FlatKernel> = flat.kernels().to_vec();
-    let kernel = pick_nonempty_kernel(&kernels, t.rng);
-    let k = &kernels[kernel];
-    let detail;
-    kernels[kernel] = match t.class {
+    // The page as mis-transferred: a copy of the layer's streams, which
+    // the validator is handed by value.
+    let mut bad = pristine.flat().clone();
+    let kernel = pick_nonempty_kernel(bad.kernels(), t.rng);
+    let (_, bounds, offsets, _) = bad.kernels_mut()[kernel].streams_mut();
+    let detail = match t.class {
         FaultClass::OffsetCorrupt => {
-            let mut offsets = k.offsets().to_vec();
             let idx = t.rng.below(offsets.len() as u64) as usize;
             offsets[idx] = offsets[idx].wrapping_add(1);
-            detail = format!("kernel {kernel} offset {idx} no longer decodes to its tap");
-            FlatKernel::from_raw_parts(
-                k.values().to_vec(),
-                k.group_bounds().to_vec(),
-                offsets,
-                k.taps().to_vec(),
-            )
+            format!("kernel {kernel} offset {idx} no longer decodes to its tap")
         }
         _ => {
-            let mut bounds = k.group_bounds().to_vec();
             let last = bounds.len() - 1;
             bounds.swap(0, last);
-            detail = format!("kernel {kernel} group bounds scrambled");
-            FlatKernel::from_raw_parts(
-                k.values().to_vec(),
-                bounds,
-                k.offsets().to_vec(),
-                k.taps().to_vec(),
-            )
+            format!("kernel {kernel} group bounds scrambled")
         }
     };
-    let bad = FlatCode::from_kernels(flat.shape(), flat.layout(), kernels);
     record_injected(t.sink, layer as u32, t.class.name(), &detail);
 
     match PreparedConv::try_from_flat(bad, pristine.input_shape(), pristine.geometry()) {

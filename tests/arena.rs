@@ -24,6 +24,12 @@
 //!   forbidden in every compilation root) stays flat from the second
 //!   image on (from the second batch on, lane buffers included), and
 //!   the pool never holds more arenas than threads executed at once.
+//!
+//! And the weights those buffers hang off are one model however many
+//! handles there are: `PreparedWeights::clone` shares every layer, a
+//! write through `abm_layer_mut` copies the one layer it touches, and
+//! no handle ever sees another's corruption — on one thread or while a
+//! sibling is executing.
 
 use abm_spconv_repro::conv::{
     ArenaStats, Calibration, Engine, InferenceResult, Inferencer, Parallelism, PreparedWeights,
@@ -32,10 +38,9 @@ use abm_spconv_repro::conv::{
 use abm_spconv_repro::fault::AbmError;
 use abm_spconv_repro::metrics::stable_line;
 use abm_spconv_repro::model::{
-    synthesize_model, ConvSpec, FcSpec, Layer, LayerKind, LayerProfile, LrnSpec, Network, PoolKind,
-    PoolSpec, PruneProfile, SparseModel,
+    synthesize_model, zoo, ConvSpec, FcSpec, Layer, LayerKind, LayerProfile, LrnSpec, Network,
+    PoolKind, PoolSpec, PruneProfile, SparseModel,
 };
-use abm_spconv_repro::sparse::{FlatCode, FlatKernel};
 use abm_spconv_repro::telemetry::{Event, TelemetrySink};
 use abm_spconv_repro::tensor::{Shape3, Tensor3};
 use proptest::prelude::*;
@@ -161,23 +166,13 @@ fn first_fc(net: &Network) -> usize {
 /// Passes the offsets of `layer`'s first kernel with a tap through
 /// `edit`, keeping the golden checksum: a post-load upset in the weights.
 fn corrupt_layer(prepared: &mut PreparedWeights, layer: usize, edit: impl FnOnce(&mut [u32])) {
-    let prep = prepared.abm_layer_mut(layer).unwrap();
-    let flat = prep.flat().clone();
-    let mut kernels = flat.kernels().to_vec();
+    let kernels = prepared.abm_layer(layer).unwrap().flat().kernels();
     let Some(victim) = kernels.iter().position(|k| k.total() > 0) else {
         return;
     };
-    let k = &kernels[victim];
-    let mut offsets = k.offsets().to_vec();
-    edit(&mut offsets);
-    kernels[victim] = FlatKernel::from_raw_parts(
-        k.values().to_vec(),
-        k.group_bounds().to_vec(),
-        offsets,
-        k.taps().to_vec(),
-    );
-    let bad = FlatCode::from_kernels(flat.shape(), flat.layout(), kernels);
-    *prep = prep.clone().with_flat(bad);
+    let flat = prepared.abm_layer_mut(layer).unwrap().flat_mut();
+    let (_, _, offsets, _) = flat.kernels_mut()[victim].streams_mut();
+    edit(offsets);
 }
 
 /// The fault events a run recorded, without their wall-clock fields.
@@ -353,7 +348,7 @@ fn a_panicking_tail_fails_every_image_it_carried_and_only_those() {
         }
     }
     // The same pool, the layer put right again.
-    *wild.abm_layer_mut(layer).unwrap() = clean.abm_layer(layer).unwrap().clone();
+    wild.share_layer(layer, &clean);
     assert_eq!(batch.run_batch_prepared(&wild, &images).unwrap(), golden);
 }
 
@@ -453,5 +448,107 @@ fn the_arena_stops_growing_after_the_first_image() {
                 ..before
             }
         );
+    }
+}
+
+/// Whether two handles read accelerated layer `layer` from the same
+/// memory.
+fn shares(a: &PreparedWeights, b: &PreparedWeights, layer: usize) -> bool {
+    std::ptr::eq(a.abm_layer(layer).unwrap(), b.abm_layer(layer).unwrap())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A handle's write is its own. Corrupting layer `i` through a
+    /// clone copies that layer and no other; the handle it was cloned
+    /// from still passes every checksum and still computes golden
+    /// logits (under a policy that would surface, not mask, a leak);
+    /// the clone is caught by its own detectors; and re-pointing its
+    /// slot at the clean layer shares everything again.
+    #[test]
+    fn a_clone_shares_every_layer_until_it_writes_one(
+        seed in 0u64..1_000,
+        victim in 0usize..4,
+        bit in 0u32..32,
+    ) {
+        let net = zoo::tiny();
+        let model = synthesize_model(&net, &PruneProfile::uniform(LayerProfile::new(0.6, 12)), seed);
+        let layers = model.layers.len();
+        let strict = Inferencer::new(&model)
+            .parallelism(Parallelism::Serial)
+            .resilience(ResiliencePolicy::detect_only());
+        let input = image(net.input_shape(), 3);
+        let original = strict.prepare().unwrap();
+        let golden = strict.run_prepared(&original, &input).unwrap();
+
+        let mut clone = original.clone();
+        for layer in 0..layers {
+            prop_assert!(shares(&original, &clone, layer));
+        }
+        corrupt_layer(&mut clone, victim, |offsets| offsets[0] ^= 1 << bit);
+        for layer in 0..layers {
+            prop_assert_eq!(shares(&original, &clone, layer), layer != victim);
+            prop_assert!(original.abm_layer(layer).unwrap().verify_checksum().is_ok());
+        }
+        prop_assert!(clone.abm_layer(victim).unwrap().verify_checksum().is_err());
+        prop_assert_eq!(&strict.run_prepared(&original, &input).unwrap(), &golden);
+        let caught = strict.run_prepared(&clone, &input).unwrap_err();
+        prop_assert!(caught.is_corruption(), "{}", caught);
+
+        clone.share_layer(victim, &original);
+        prop_assert!(shares(&original, &clone, victim));
+        prop_assert_eq!(&strict.run_prepared(&clone, &input).unwrap(), &golden);
+    }
+}
+
+/// The same isolation while the sibling is executing: one thread
+/// corrupts a layer of its handle, recovers an image through it and
+/// repairs it, round after round, while another serves images through
+/// a sibling handle under a policy that fails on any corruption it can
+/// see. A barrier starts each round on both threads together.
+#[test]
+fn a_sibling_handle_serves_golden_while_another_is_corrupted_and_repaired() {
+    const ROUNDS: usize = 24;
+    let net = zoo::tiny();
+    let model = synthesize_model(&net, &PruneProfile::uniform(LayerProfile::new(0.6, 12)), 5);
+    let strict = Inferencer::new(&model)
+        .parallelism(Parallelism::Serial)
+        .resilience(ResiliencePolicy::detect_only());
+    let hardened = strict.clone().resilience(ResiliencePolicy::hardened());
+    let images: Vec<_> = (0..4).map(|i| image(net.input_shape(), i)).collect();
+    let clean = strict.prepare().unwrap();
+    let golden: Vec<_> = images
+        .iter()
+        .map(|image| strict.run_prepared(&clean, image).unwrap())
+        .collect();
+
+    let round = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut mine = clean.clone();
+            for r in 0..ROUNDS {
+                round.wait();
+                let layer = r % model.layers.len();
+                corrupt_layer(&mut mine, layer, |offsets| offsets[0] ^= 1 << (r % 32));
+                let recovered = hardened.run_prepared(&mine, &images[r % images.len()]);
+                assert_eq!(recovered.unwrap().logits, golden[r % images.len()].logits);
+                mine.share_layer(layer, &clean);
+            }
+        });
+        let sibling = clean.clone();
+        for r in 0..ROUNDS {
+            round.wait();
+            for (image, want) in images.iter().zip(&golden) {
+                assert_eq!(
+                    &strict.run_prepared(&sibling, image).unwrap(),
+                    want,
+                    "round {r}"
+                );
+            }
+        }
+    });
+    for layer in 0..model.layers.len() {
+        assert!(clean.abm_layer(layer).unwrap().verify_checksum().is_ok());
     }
 }

@@ -12,6 +12,11 @@
 //!    event stream, byte-stably across identical runs; and the sink it
 //!    tees from loses nothing under concurrent writers.
 //!
+//! 4. **The served path counts what it does, once** — a server
+//!    lowers its model once however many workers and failover
+//!    replacements it starts (the dispatch counters say so), and every
+//!    `serve_*_total` equals the `ServeStats` field it twins.
+//!
 //! Every test takes `registry_lock()`: the registry is process-wide
 //! and `cargo test` runs tests in one binary concurrently.
 
@@ -23,13 +28,14 @@ use abm_spconv_repro::metrics;
 use abm_spconv_repro::model::{
     synthesize_model, zoo, LayerProfile, Network, PruneProfile, SparseModel,
 };
+use abm_spconv_repro::serve::{synth_input, ChaosConfig, ServeConfig, ServeStats, Server};
 use abm_spconv_repro::sim::{AcceleratorConfig, SimContext};
-use abm_spconv_repro::sparse::FlatCode;
 use abm_spconv_repro::telemetry::{json, Event, RecordingCollector, TelemetrySink};
 use abm_spconv_repro::tensor::Tensor3;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// Serializes access to the process-wide registry across tests.
 static REGISTRY: Mutex<()> = Mutex::new(());
@@ -486,19 +492,8 @@ fn flip_first_offset_bit(model: &SparseModel, prepared: &mut PreparedWeights) {
         .find(|&i| prepared.abm_layer(i).is_some())
         .unwrap();
     let prep = prepared.abm_layer_mut(layer).unwrap();
-    let flat = prep.flat().clone();
-    let mut kernels = flat.kernels().to_vec();
-    let k = &kernels[0];
-    let mut offsets = k.offsets().to_vec();
+    let (_, _, offsets, _) = prep.flat_mut().kernels_mut()[0].streams_mut();
     offsets[0] ^= 1 << 5;
-    kernels[0] = abm_spconv_repro::sparse::FlatKernel::from_raw_parts(
-        k.values().to_vec(),
-        k.group_bounds().to_vec(),
-        offsets,
-        k.taps().to_vec(),
-    );
-    let bad = FlatCode::from_kernels(flat.shape(), flat.layout(), kernels);
-    *prep = prep.clone().with_flat(bad);
 }
 
 /// Deterministically corrupts the first prepared ABM layer (one offset
@@ -658,4 +653,146 @@ fn snapshot_expositions_are_well_formed() {
     let table = snap.render_table();
     assert!(table.contains("infer_image_ns"));
     assert!(table.contains("p99"));
+}
+
+// ---------------------------------------------------------------------
+// 4. The served path counts what it does, once.
+// ---------------------------------------------------------------------
+
+/// Asserts that every `serve_*_total` the registry holds equals the
+/// [`ServeStats`] field it twins — and that it holds no other.
+fn assert_serve_totals_match(snap: &metrics::MetricsSnapshot, stats: &ServeStats) {
+    let twins = [
+        ("serve_submitted_total", stats.submitted),
+        ("serve_admitted_total", stats.admitted),
+        ("serve_shed_total", stats.shed),
+        ("serve_completed_total", stats.completed),
+        ("serve_failed_total", stats.failed),
+        ("serve_deadline_total", stats.deadline_cut),
+        ("serve_deadline_missed_total", stats.deadline_missed),
+        ("serve_retries_total", stats.retries),
+        ("serve_degraded_total", stats.degraded_batches),
+        ("serve_chaos_injected_total", stats.chaos_injected),
+        ("serve_watchdog_failover_total", stats.watchdog_failovers),
+        ("serve_watchdog_late_total", stats.watchdog_late),
+        ("serve_batches_total", stats.batches),
+    ];
+    for (name, field) in twins {
+        assert_eq!(counter(snap, name), field, "{name} vs {stats:?}");
+    }
+    let served = |name: &&String| name.starts_with("serve_") && name.ends_with("_total");
+    for name in snap.counters.keys().filter(served) {
+        assert!(
+            twins.iter().any(|(twin, _)| twin == name),
+            "{name} has no ServeStats field"
+        );
+    }
+}
+
+/// Starts a server on the tiny model, submits `requests` seeded images
+/// under a generous deadline and waits for every answer, each of which
+/// must be the golden logits of its image.
+fn serve_tiny(cfg: ServeConfig, requests: u64) -> Server {
+    let (_, model) = tiny_model(0.6, 16, 7);
+    let shape = model.network.input_shape();
+    let inferencer = Inferencer::new(&model).parallelism(Parallelism::Serial);
+    let prepared = inferencer.prepare().unwrap();
+    let inputs: Vec<_> = (0..requests).map(|seed| synth_input(shape, seed)).collect();
+    let golden = inferencer.run_batch_prepared(&prepared, &inputs).unwrap();
+    // Counted from here: the server's own preparation, and nothing else.
+    fresh_registry();
+    let server = Server::start(Arc::new(model), &AcceleratorConfig::paper(), cfg).unwrap();
+    let tickets: Vec<_> = inputs
+        .into_iter()
+        .map(|input| server.submit(input, Duration::from_secs(600)).unwrap())
+        .collect();
+    for (ticket, want) in tickets.into_iter().zip(&golden) {
+        let answer = ticket.wait().outcome.expect("every request is answered");
+        assert_eq!(answer.logits, want.logits);
+    }
+    server
+}
+
+/// One prepared model per process: the dispatch counters move once per
+/// accelerated layer at `Server::start` — not once more per worker —
+/// and a watchdog failover starts its replacement without moving them,
+/// the failed-over requests still answered with golden logits.
+#[test]
+fn server_prepares_once() {
+    let _guard = registry_lock();
+    let (_, model) = tiny_model(0.6, 16, 7);
+    let accelerated = model.layers.len() as u64;
+    let quick = ServeConfig {
+        max_batch: 4,
+        warmup_images: 1,
+        ..ServeConfig::default()
+    };
+
+    let server = serve_tiny(
+        ServeConfig {
+            workers: 2,
+            ..quick.clone()
+        },
+        6,
+    );
+    let stats = server.shutdown();
+    let snap = metrics::global().snapshot();
+    assert_eq!(stats.completed, 6);
+    assert_eq!(sum_of(&snap, "abm_dispatch_"), accelerated);
+    assert_serve_totals_match(&snap, &stats);
+
+    // Every batch's first attempt stalls past the stuck threshold: the
+    // watchdog confiscates it and a replacement worker runs it.
+    let server = serve_tiny(
+        ServeConfig {
+            workers: 1,
+            watchdog_grace: Duration::from_millis(100),
+            chaos: Some(ChaosConfig {
+                seed: 1,
+                corrupt_every: 0,
+                stall_every: 1,
+                stall_for: Duration::from_millis(400),
+            }),
+            ..quick
+        },
+        2,
+    );
+    // The abandoned worker wakes, finishes late and is discarded; after
+    // that it touches no counter again.
+    while server.stats().watchdog_late < server.stats().watchdog_failovers {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stats = server.shutdown();
+    let snap = metrics::global().snapshot();
+    assert!(stats.watchdog_failovers >= 1, "{stats:?}");
+    assert_eq!((stats.completed, stats.failed), (2, 0), "{stats:?}");
+    assert_eq!(sum_of(&snap, "abm_dispatch_"), accelerated);
+    assert_serve_totals_match(&snap, &stats);
+}
+
+/// Every event the server counts is counted in both places or neither:
+/// a drained run with sheds, chaos corruptions and degraded batches
+/// leaves each `serve_*_total` equal to its `ServeStats` field.
+#[test]
+fn serve_totals_equal_serve_stats() {
+    let _guard = registry_lock();
+    let cfg = ServeConfig {
+        max_batch: 2,
+        warmup_images: 1,
+        chaos: Some(ChaosConfig::corrupt(9, 2)),
+        ..ServeConfig::default()
+    };
+    let server = serve_tiny(cfg, 8);
+    // A deadline no inference fits: shed at admission.
+    let shape = server.input_shape();
+    assert!(server
+        .submit(synth_input(shape, 0), Duration::from_micros(1))
+        .is_err());
+    let stats = server.shutdown();
+    assert_eq!((stats.completed, stats.shed), (8, 1), "{stats:?}");
+    assert!(
+        stats.chaos_injected >= 1 && stats.degraded_batches >= 1,
+        "{stats:?}"
+    );
+    assert_serve_totals_match(&metrics::global().snapshot(), &stats);
 }

@@ -16,7 +16,7 @@ use abm_spconv_repro::sim::task::Workload;
 use abm_spconv_repro::sim::verify::{
     lowered_geometry, verify_pipelined_schedule, workload_geometry,
 };
-use abm_spconv_repro::sparse::{FlatCode, FlatKernel, FlatLayout, LayerCode, Tap};
+use abm_spconv_repro::sparse::{FlatCode, FlatLayout, LayerCode, Tap};
 use abm_spconv_repro::tensor::{Shape3, Shape4, Tensor3, Tensor4};
 use abm_spconv_repro::verify::{
     certify_layer, verify_lowering, AbsVal, AccumulatorModel, ConvGeometry, Interval, VerifyReport,
@@ -32,7 +32,7 @@ fn sample_workload() -> Workload {
     Workload::from_layer(&model.layers[0]).expect("tiny conv layer encodes")
 }
 
-/// Rebuilds the workload's flat code with kernel 0's raw streams passed
+/// Passes kernel 0's raw streams of a copy of the workload's flat code
 /// through `mutate`, then re-runs the lowering verifier with an
 /// optionally-mutated geometry.
 fn verify_mutated(
@@ -40,15 +40,9 @@ fn verify_mutated(
     mutate_streams: impl FnOnce(&mut Vec<i8>, &mut Vec<u32>, &mut Vec<u32>, &mut Vec<Tap>),
     mutate_geometry: impl FnOnce(&mut ConvGeometry),
 ) -> VerifyReport {
-    let k = &w.flat.kernels()[0];
-    let mut values = k.values().to_vec();
-    let mut bounds = k.group_bounds().to_vec();
-    let mut offsets = k.offsets().to_vec();
-    let mut taps = k.taps().to_vec();
-    mutate_streams(&mut values, &mut bounds, &mut offsets, &mut taps);
-    let mut kernels = w.flat.kernels().to_vec();
-    kernels[0] = FlatKernel::from_raw_parts(values, bounds, offsets, taps);
-    let corrupt = FlatCode::from_kernels(w.flat.shape(), w.flat.layout(), kernels);
+    let mut corrupt = w.flat.clone();
+    let (values, bounds, offsets, taps) = corrupt.kernels_mut()[0].streams_mut();
+    mutate_streams(values, bounds, offsets, taps);
     let mut geometry = workload_geometry(w);
     mutate_geometry(&mut geometry);
     verify_lowering(

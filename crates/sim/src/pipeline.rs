@@ -40,6 +40,7 @@ use crate::sched::{PipelineStage, PipelinedSchedule};
 use crate::task::Workload;
 use abm_fault::{AbmError, Injector};
 use abm_telemetry::{Collector, Event};
+use std::collections::HashMap;
 
 /// Extra rows of FIFO depth provisioned beyond the measured high
 /// water, absorbing bounded producer jitter (the fault guards treat
@@ -114,13 +115,88 @@ impl std::fmt::Display for PlanError {
 impl std::error::Error for PlanError {}
 
 /// Row-level unit counts and costs for one layer under a given lane
-/// count: everything the planner and the DES need, precomputed once.
+/// count: everything the planner and the DES need.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LayerCost {
     /// Work units for one image: output rows for conv, 1 for FC.
     rows: usize,
     /// Cycles one unit occupies its stage (includes the per-row sync
     /// overhead; FC units are amortized over the batch group).
     unit_cycles: u64,
+}
+
+impl LayerCost {
+    /// Cycles the layer occupies its stage for one image.
+    fn image_cycles(self) -> u64 {
+        self.rows as u64 * self.unit_cycles
+    }
+}
+
+/// Every layer's per-kernel row cycles, computed once and sorted longest
+/// first once, with each layer's [`LayerCost`] memoised per lane count.
+/// One table serves a whole planning call — the partition enumeration,
+/// the arbitration runs and their fault guards — so a layer's lane
+/// recurrence runs once however many partitions price it.
+struct CostTable<'a> {
+    workloads: &'a [Workload],
+    cfg: &'a AcceleratorConfig,
+    batch: usize,
+    /// Per layer, each kernel lane's cycles for one work unit, longest
+    /// first (the order the LPT schedule consumes them in).
+    row_cycles: Vec<Vec<u64>>,
+    memo: HashMap<(usize, usize), LayerCost>,
+}
+
+impl<'a> CostTable<'a> {
+    fn new(workloads: &'a [Workload], cfg: &'a AcceleratorConfig, batch: usize) -> Self {
+        let row_cycles = workloads
+            .iter()
+            .map(|w| {
+                let mut cycles = kernel_row_cycles(w, cfg);
+                cycles.sort_unstable_by(|a, b| b.cmp(a));
+                cycles
+            })
+            .collect();
+        Self {
+            workloads,
+            cfg,
+            batch,
+            row_cycles,
+            memo: HashMap::new(),
+        }
+    }
+
+    /// Layer `l`'s lane-work for one image: the partitioning signal.
+    fn work(&self, l: usize) -> u64 {
+        self.row_cycles[l].iter().sum::<u64>() * rows_of(&self.workloads[l]) as u64
+    }
+
+    /// Layer `l`'s unit count and cost on a stage owning `lanes` lanes.
+    fn cost(&mut self, l: usize, lanes: usize) -> LayerCost {
+        *self.memo.entry((l, lanes)).or_insert_with(|| {
+            layer_cost(
+                &self.workloads[l],
+                self.cfg,
+                &self.row_cycles[l],
+                lanes,
+                self.batch,
+            )
+        })
+    }
+
+    /// Each stage's layer costs under `schedule`, in stage and layer
+    /// order — what the streaming core consumes.
+    fn stage_costs(&mut self, schedule: &PipelinedSchedule) -> Vec<Vec<LayerCost>> {
+        schedule
+            .stages
+            .iter()
+            .map(|s| {
+                (s.layer_start..s.layer_end)
+                    .map(|l| self.cost(l, s.lanes()))
+                    .collect()
+            })
+            .collect()
+    }
 }
 
 /// Cycles each kernel lane needs for one output row: the address
@@ -140,14 +216,13 @@ fn kernel_row_cycles(w: &Workload, cfg: &AcceleratorConfig) -> Vec<u64> {
         .collect()
 }
 
-/// Longest-processing-time list schedule of `costs` onto `lanes`
-/// parallel lanes; returns the makespan.
-fn lpt_makespan(costs: &[u64], lanes: usize) -> u64 {
+/// Longest-processing-time list schedule of `sorted` — costs already
+/// ordered longest first — onto `lanes` parallel lanes; returns the
+/// makespan.
+fn lpt_makespan(sorted: &[u64], lanes: usize) -> u64 {
     debug_assert!(lanes > 0);
-    let mut sorted = costs.to_vec();
-    sorted.sort_unstable_by(|a, b| b.cmp(a));
     let mut load = vec![0u64; lanes];
-    for c in sorted {
+    for &c in sorted {
         let idx = (0..lanes).min_by_key(|&i| load[i]).unwrap_or(0);
         load[idx] += c;
     }
@@ -155,12 +230,17 @@ fn lpt_makespan(costs: &[u64], lanes: usize) -> u64 {
 }
 
 /// Per-layer row counts and unit costs for a stage owning `lanes`
-/// kernel lanes, with FC units amortized over groups of
-/// `min(S_ec, batch)` images (the accumulator-column batching the
-/// sequential simulator models).
-fn layer_cost(w: &Workload, cfg: &AcceleratorConfig, lanes: usize, batch: usize) -> LayerCost {
-    let per_kernel = kernel_row_cycles(w, cfg);
-    let makespan = lpt_makespan(&per_kernel, lanes);
+/// kernel lanes, from the layer's row cycles sorted longest first, with
+/// FC units amortized over groups of `min(S_ec, batch)` images (the
+/// accumulator-column batching the sequential simulator models).
+fn layer_cost(
+    w: &Workload,
+    cfg: &AcceleratorConfig,
+    sorted_row_cycles: &[u64],
+    lanes: usize,
+    batch: usize,
+) -> LayerCost {
+    let makespan = lpt_makespan(sorted_row_cycles, lanes);
     if w.is_fc {
         let group = cfg.s_ec.min(batch.max(1)) as u64;
         LayerCost {
@@ -326,12 +406,9 @@ pub fn simulate_sequential_batch(
     batch: usize,
 ) -> SequentialBatchSim {
     let lanes = cfg.n_cu * cfg.n_knl;
-    let cycles_per_image: u64 = workloads
-        .iter()
-        .map(|w| {
-            let c = layer_cost(w, cfg, lanes, batch);
-            c.rows as u64 * c.unit_cycles
-        })
+    let mut table = CostTable::new(workloads, cfg, batch);
+    let cycles_per_image: u64 = (0..workloads.len())
+        .map(|l| table.cost(l, lanes).image_cycles())
         .sum();
     SequentialBatchSim {
         cycles_per_image,
@@ -374,15 +451,10 @@ pub fn plan_pipeline(
         });
     }
 
-    // Per-layer lane-work for one image: the partitioning signal.
-    let work: Vec<u64> = workloads
-        .iter()
-        .map(|w| {
-            let per_kernel = kernel_row_cycles(w, cfg);
-            let vectors_scale = if w.is_fc { 1 } else { w.out_rows } as u64;
-            per_kernel.iter().sum::<u64>() * vectors_scale
-        })
-        .collect();
+    // Every partition and arbitration run prices its layers from one
+    // table: each layer's lane recurrence runs once per call.
+    let mut table = CostTable::new(workloads, cfg, batch);
+    let work: Vec<u64> = (0..n_layers).map(|l| table.work(l)).collect();
 
     let mut candidates: Vec<(u64, u64, Vec<usize>, Vec<usize>)> = Vec::new();
     let mut cuts = vec![0usize; n_stages + 1];
@@ -391,12 +463,8 @@ pub fn plan_pipeline(
         let lanes = allocate_lanes(&work, cuts, opts.lane_budget);
         let stage_cycles: Vec<u64> = (0..n_stages)
             .map(|s| {
-                workloads[cuts[s]..cuts[s + 1]]
-                    .iter()
-                    .map(|w| {
-                        let c = layer_cost(w, cfg, lanes[s], batch);
-                        c.rows as u64 * c.unit_cycles
-                    })
+                (cuts[s]..cuts[s + 1])
+                    .map(|l| table.cost(l, lanes[s]).image_cycles())
                     .sum::<u64>()
             })
             .collect();
@@ -427,7 +495,11 @@ pub fn plan_pipeline(
                 .collect(),
             freq_mhz: opts.freq_mhz,
         };
-        let sim = simulate_pipeline(workloads, cfg, &schedule, batch);
+        let costs = table.stage_costs(&schedule);
+        let sim = SimContext::default()
+            .stream(workloads, &schedule, batch, &costs)
+            // INVARIANT: the core only fails through an enabled injector.
+            .expect("the null injector trips no guard");
         if best
             .as_ref()
             .is_none_or(|(m, _, _)| sim.makespan_cycles < *m)
@@ -498,8 +570,9 @@ fn allocate_lanes(work: &[u64], cuts: &[usize], budget: usize) -> Vec<usize> {
 ///
 /// # Panics
 ///
-/// Panics if the schedule does not cover the workloads contiguously
-/// (run `verify_pipelined_schedule` first for a typed report).
+/// Panics if the schedule does not cover the workloads contiguously or
+/// a stage owns zero kernel lanes (run `verify_pipelined_schedule` first
+/// for a typed report).
 #[must_use]
 pub fn simulate_pipeline(
     workloads: &[Workload],
@@ -547,7 +620,8 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
     /// # Panics
     ///
     /// Panics if the schedule does not cover the workloads contiguously
-    /// (run `verify_pipelined_schedule` first for a typed report).
+    /// or a stage owns zero kernel lanes (run `verify_pipelined_schedule`
+    /// first for a typed report).
     pub fn simulate_pipeline(
         &mut self,
         workloads: &[Workload],
@@ -555,8 +629,6 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
         schedule: &PipelinedSchedule,
         batch: usize,
     ) -> Result<PipelineSim, AbmError> {
-        let collector = &mut self.collector;
-        let batch = batch.max(1);
         let n_layers = workloads.len();
         assert!(
             schedule.stages.first().is_some_and(|s| s.layer_start == 0)
@@ -570,6 +642,29 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
                     .all(|p| p[0].layer_end == p[1].layer_start),
             "schedule must cover the workloads contiguously"
         );
+        for (s, stage) in schedule.stages.iter().enumerate() {
+            assert!(
+                stage.lanes() > 0,
+                "pipeline stage {s} owns zero kernel lanes"
+            );
+        }
+        let costs = CostTable::new(workloads, cfg, batch).stage_costs(schedule);
+        self.stream(workloads, schedule, batch, &costs)
+    }
+
+    /// The streaming core proper, over each stage's layer costs
+    /// (`costs[s][i]` prices layer `stages[s].layer_start + i` on stage
+    /// `s`'s lanes) for a schedule that covers `workloads`.
+    fn stream(
+        &mut self,
+        workloads: &[Workload],
+        schedule: &PipelinedSchedule,
+        batch: usize,
+        costs: &[Vec<LayerCost>],
+    ) -> Result<PipelineSim, AbmError> {
+        let collector = &mut self.collector;
+        let batch = batch.max(1);
+        let n_layers = workloads.len();
 
         // finish[img][layer][row] — retire cycle of every row unit.
         let mut finish: Vec<Vec<Vec<u64>>> = (0..batch)
@@ -578,13 +673,9 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
         let mut done: Vec<Vec<usize>> = vec![vec![0; n_layers]; batch];
 
         let mut stages = Vec::with_capacity(schedule.stages.len());
-        for (si, stage) in schedule.stages.iter().enumerate() {
+        for ((si, stage), layer_costs) in schedule.stages.iter().enumerate().zip(costs) {
             let span = stage.layer_start..stage.layer_end;
-            let costs: Vec<LayerCost> = workloads[span.clone()]
-                .iter()
-                .map(|w| layer_cost(w, cfg, stage.lanes(), batch))
-                .collect();
-            let mut remaining: usize = costs.iter().map(|c| c.rows).sum::<usize>() * batch;
+            let mut remaining: usize = layer_costs.iter().map(|c| c.rows).sum::<usize>() * batch;
             let mut clock = 0u64;
             let mut busy = 0u64;
             let mut first_start = u64::MAX;
@@ -597,7 +688,7 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
                 'scan: for img in 0..batch {
                     for (li, l) in span.clone().enumerate() {
                         let r = done[img][l];
-                        if r >= costs[li].rows {
+                        if r >= layer_costs[li].rows {
                             continue;
                         }
                         let ready = if l == 0 {
@@ -614,7 +705,7 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
                             }
                         };
                         if ready <= clock {
-                            pick = Some((img, l, r, costs[li].unit_cycles));
+                            pick = Some((img, l, r, layer_costs[li].unit_cycles));
                             break 'scan;
                         }
                         earliest = earliest.min(ready);
@@ -738,14 +829,7 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
             freq_mhz: schedule.freq_mhz,
         };
         if I::ENABLED {
-            check_pipeline(
-                workloads,
-                cfg,
-                schedule,
-                &sim,
-                &mut self.injector,
-                self.watchdog,
-            )?;
+            check_pipeline(schedule, costs, &sim, &mut self.injector, self.watchdog)?;
         }
         Ok(sim)
     }
@@ -769,11 +853,11 @@ fn flush_span<C: Collector>(
 
 /// The pipelined fault guards: polls `injector` at every inter-stage
 /// boundary (FIFO stall) and every stage × image (CU hang) and holds
-/// each delivered fault to the slack `sim` measured.
+/// each delivered fault to the slack `sim` measured, pricing a producer
+/// row from the stage costs the run streamed with.
 fn check_pipeline<I: Injector>(
-    workloads: &[Workload],
-    cfg: &AcceleratorConfig,
     schedule: &PipelinedSchedule,
+    costs: &[Vec<LayerCost>],
     sim: &PipelineSim,
     injector: &mut I,
     watchdog: Watchdog,
@@ -784,16 +868,11 @@ fn check_pipeline<I: Injector>(
         if stall > 0 {
             // INVARIANT: boundary.producer_layer was derived from this
             // same schedule's stages, so stage_of always resolves it.
-            let producer_stage = &schedule.stages[schedule
+            let ps = schedule
                 .stage_of(boundary.producer_layer)
-                .expect("producer layer is covered")];
-            let row_cycles = layer_cost(
-                &workloads[boundary.producer_layer],
-                cfg,
-                producer_stage.lanes(),
-                sim.batch,
-            )
-            .unit_cycles;
+                .expect("producer layer is covered");
+            let row_cycles =
+                costs[ps][boundary.producer_layer - schedule.stages[ps].layer_start].unit_cycles;
             let headroom = stage.fifo_rows.saturating_sub(boundary.high_water_rows) as u64;
             let slack = headroom * row_cycles;
             if stall > slack {
@@ -865,15 +944,10 @@ mod tests {
         let sim = simulate_pipeline(&w, &cfg, &s, batch);
         // Every stage's busy cycles equal its layers' unit costs times
         // the batch — nothing is dropped or double-counted.
-        for (stage, ssim) in s.stages.iter().zip(&sim.stages) {
-            let expected: u64 = w[stage.layer_start..stage.layer_end]
-                .iter()
-                .map(|l| {
-                    let c = layer_cost(l, &cfg, stage.lanes(), batch);
-                    c.rows as u64 * c.unit_cycles
-                })
-                .sum::<u64>()
-                * batch as u64;
+        let costs = CostTable::new(&w, &cfg, batch).stage_costs(&s);
+        for (layer_costs, ssim) in costs.iter().zip(&sim.stages) {
+            let expected: u64 =
+                layer_costs.iter().map(|c| c.image_cycles()).sum::<u64>() * batch as u64;
             assert_eq!(ssim.busy_cycles, expected);
         }
         // Image finishes are ordered and bounded by the makespan.
@@ -981,5 +1055,179 @@ mod tests {
             plan_pipeline(&w, &cfg, &opts, 1),
             Err(PlanError::LaneBudgetTooSmall { .. })
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "pipeline stage 1 owns zero kernel lanes")]
+    fn zero_lane_stage_panics_by_name() {
+        let (w, cfg) = tiny_workloads();
+        let mut s = plan_pipeline(&w, &cfg, &PipelineOptions::for_config(&cfg), 2).unwrap();
+        s.stages[1].n_knl = 0;
+        let _ = simulate_pipeline(&w, &cfg, &s, 2);
+    }
+
+    /// The pricing the cost table replaced, kept only as an oracle:
+    /// every query re-runs the layer's lane recurrence, copies and sorts
+    /// its row cycles and list-schedules them.
+    fn uncached_layer_cost(
+        w: &Workload,
+        cfg: &AcceleratorConfig,
+        lanes: usize,
+        batch: usize,
+    ) -> LayerCost {
+        let mut sorted = kernel_row_cycles(w, cfg);
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        let mut load = vec![0u64; lanes];
+        for c in sorted {
+            let idx = (0..lanes).min_by_key(|&i| load[i]).unwrap();
+            load[idx] += c;
+        }
+        let makespan = load.into_iter().max().unwrap();
+        if w.is_fc {
+            let group = cfg.s_ec.min(batch.max(1)) as u64;
+            LayerCost {
+                rows: 1,
+                unit_cycles: makespan.div_ceil(group) + cfg.window_sync_overhead,
+            }
+        } else {
+            LayerCost {
+                rows: w.out_rows,
+                unit_cycles: makespan + cfg.window_sync_overhead,
+            }
+        }
+    }
+
+    fn uncached_stage_costs(
+        w: &[Workload],
+        cfg: &AcceleratorConfig,
+        schedule: &PipelinedSchedule,
+        batch: usize,
+    ) -> Vec<Vec<LayerCost>> {
+        schedule
+            .stages
+            .iter()
+            .map(|s| {
+                w[s.layer_start..s.layer_end]
+                    .iter()
+                    .map(|l| uncached_layer_cost(l, cfg, s.lanes(), batch))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The planner as it was before the cost table: every partition and
+    /// every arbitration run prices every layer afresh.
+    fn uncached_plan(
+        w: &[Workload],
+        cfg: &AcceleratorConfig,
+        opts: &PipelineOptions,
+        batch: usize,
+    ) -> PipelinedSchedule {
+        let (n_layers, n_stages) = (w.len(), opts.n_stages);
+        let work: Vec<u64> = w
+            .iter()
+            .map(|l| kernel_row_cycles(l, cfg).iter().sum::<u64>() * rows_of(l) as u64)
+            .collect();
+        let mut candidates: Vec<(u64, u64, Vec<usize>, Vec<usize>)> = Vec::new();
+        let mut cuts = vec![0usize; n_stages + 1];
+        cuts[n_stages] = n_layers;
+        enumerate_partitions(n_layers, n_stages, &mut cuts, 1, &mut |cuts| {
+            let lanes = allocate_lanes(&work, cuts, opts.lane_budget);
+            let stage_cycles: Vec<u64> = (0..n_stages)
+                .map(|s| {
+                    w[cuts[s]..cuts[s + 1]]
+                        .iter()
+                        .map(|l| uncached_layer_cost(l, cfg, lanes[s], batch).image_cycles())
+                        .sum::<u64>()
+                })
+                .collect();
+            let bottleneck = *stage_cycles.iter().max().unwrap();
+            let spread = bottleneck - stage_cycles.iter().min().unwrap();
+            candidates.push((bottleneck, spread, cuts.to_vec(), lanes));
+        });
+        candidates.sort_by_key(|c| (c.0, c.1));
+        candidates.truncate(8);
+        let mut best: Option<(PipelinedSchedule, PipelineSim)> = None;
+        for (_, _, cuts, lanes) in candidates {
+            let schedule = PipelinedSchedule {
+                stages: (0..n_stages)
+                    .map(|s| PipelineStage {
+                        cu_start: s,
+                        cu_count: 1,
+                        n_knl: lanes[s],
+                        layer_start: cuts[s],
+                        layer_end: cuts[s + 1],
+                        fifo_rows: 0,
+                    })
+                    .collect(),
+                freq_mhz: opts.freq_mhz,
+            };
+            let costs = uncached_stage_costs(w, cfg, &schedule, batch);
+            let sim = SimContext::default()
+                .stream(w, &schedule, batch, &costs)
+                .unwrap();
+            if best
+                .as_ref()
+                .is_none_or(|(_, b)| sim.makespan_cycles < b.makespan_cycles)
+            {
+                best = Some((schedule, sim));
+            }
+        }
+        let (mut schedule, sim) = best.unwrap();
+        for (stage, boundary) in schedule.stages[1..].iter_mut().zip(&sim.boundaries) {
+            stage.fifo_rows = boundary.high_water_rows + FIFO_MARGIN_ROWS;
+        }
+        schedule
+    }
+
+    /// The table-driven planner, simulator and sequential baseline
+    /// return exactly what pricing every query afresh returns, on tiny,
+    /// AlexNet and VGG16 for every stage count the paper's three CUs
+    /// allow and batches 1, 4 and 8.
+    #[test]
+    fn cost_table_changes_no_plan_and_no_cycle() {
+        let cfg = AcceleratorConfig::paper();
+        for (net, profile) in [
+            (
+                zoo::tiny(),
+                PruneProfile::uniform(LayerProfile::new(0.6, 16)),
+            ),
+            (zoo::alexnet(), PruneProfile::alexnet_deep_compression()),
+            (zoo::vgg16(), PruneProfile::vgg16_deep_compression()),
+        ] {
+            let model = synthesize_model(&net, &profile, 2019);
+            let w: Vec<Workload> = model
+                .layers
+                .iter()
+                .map(|l| Workload::from_layer(l).unwrap())
+                .collect();
+            for n_stages in 1..=3 {
+                for batch in [1, 4, 8] {
+                    let opts = PipelineOptions {
+                        n_stages,
+                        ..PipelineOptions::for_config(&cfg)
+                    };
+                    let tag = format!("{} stages={n_stages} batch={batch}", net.name());
+                    let planned = plan_pipeline(&w, &cfg, &opts, batch).unwrap();
+                    assert_eq!(planned, uncached_plan(&w, &cfg, &opts, batch), "{tag}");
+                    let costs = uncached_stage_costs(&w, &cfg, &planned, batch);
+                    let oracle = SimContext::default()
+                        .stream(&w, &planned, batch, &costs)
+                        .unwrap();
+                    assert_eq!(
+                        simulate_pipeline(&w, &cfg, &planned, batch),
+                        oracle,
+                        "{tag}"
+                    );
+                    let seq = simulate_sequential_batch(&w, &cfg, batch);
+                    let lanes = cfg.n_cu * cfg.n_knl;
+                    let per_image: u64 = w
+                        .iter()
+                        .map(|l| uncached_layer_cost(l, &cfg, lanes, batch).image_cycles())
+                        .sum();
+                    assert_eq!(seq.cycles_per_image, per_image, "{tag}");
+                }
+            }
+        }
     }
 }

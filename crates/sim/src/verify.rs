@@ -178,6 +178,7 @@ pub fn verify_pipelined_schedule(
             stage: i,
             cu_start: s.cu_start,
             cu_count: s.cu_count,
+            lanes: s.lanes(),
             layer_start: s.layer_start,
             layer_end: s.layer_end,
         })

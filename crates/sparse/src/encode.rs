@@ -44,33 +44,70 @@ impl KernelCode {
     /// evaluated CNNs fit — VGG16's largest kernel volume is FC6's
     /// 25088).
     pub fn encode(kernel: &[i8]) -> Result<Self, EncodeError> {
+        Self::encode_with(kernel, &mut Vec::new())
+    }
+
+    /// [`encode`](Self::encode) collecting the non-zeros in `nonzero`, a
+    /// buffer the caller may reuse across kernels (its contents are
+    /// replaced).
+    fn encode_with(kernel: &[i8], nonzero: &mut Vec<(u8, u16)>) -> Result<Self, EncodeError> {
         if kernel.len() > u16::MAX as usize + 1 {
             return Err(EncodeError::IndexOverflow {
                 kernel_len: kernel.len(),
             });
         }
-        // Bucket indexes by value. 255 possible non-zero values.
-        let mut buckets: Vec<Vec<u16>> = vec![Vec::new(); 256];
-        for (i, &w) in kernel.iter().enumerate() {
-            if w != 0 {
-                buckets[(w as u8) as usize].push(i as u16);
+        // One scan collects every non-zero as (bin, index), in scan
+        // order, and counts each bin. A weight's bin is its byte with the
+        // sign bit flipped, so bins ascend in signed value order
+        // (-128 → 0, -1 → 127, 1 → 129).
+        nonzero.clear();
+        let mut starts = [0u32; 256];
+        let mut collect = |bin: u8, index: usize| {
+            starts[bin as usize] += 1;
+            nonzero.push((bin, index as u16));
+        };
+        // 64 weights at a time: each 8-byte word's non-zero bytes become
+        // eight bits of one mask, so an all-zero word costs a few ALU
+        // operations and no branch, and the walk takes one trip per
+        // non-zero.
+        let (blocks, tail) = kernel.as_chunks::<64>();
+        for (b, block) in blocks.iter().enumerate() {
+            let mut mask = 0u64;
+            for (i, word) in block.as_chunks::<8>().0.iter().enumerate() {
+                mask |= nonzero_bytes(u64::from_le_bytes(word.map(|w| w as u8))) << (8 * i);
+            }
+            while mask != 0 {
+                let j = mask.trailing_zeros() as usize;
+                collect(block[j] as u8 ^ 0x80, b * 64 + j);
+                mask &= mask - 1;
             }
         }
+        let base = kernel.len() - tail.len();
+        for (j, &w) in tail.iter().enumerate() {
+            if w != 0 {
+                collect(w as u8 ^ 0x80, base + j);
+            }
+        }
+        // Counting sort by bin: prefix sums, then one stable scatter, so
+        // indexes stay in scan order within a group.
         let mut entries = Vec::new();
-        let mut indices = Vec::new();
-        // Ascending signed value order: -128..=-1 then 1..=127.
-        for v in i8::MIN..=i8::MAX {
-            if v == 0 {
-                continue;
-            }
-            let bucket = &buckets[(v as u8) as usize];
-            if !bucket.is_empty() {
+        let mut next = 0u32;
+        for (bin, slot) in starts.iter_mut().enumerate() {
+            let count = *slot;
+            if count > 0 {
                 entries.push(QEntry {
-                    value: v,
-                    count: bucket.len() as u32,
+                    value: (bin as u8 ^ 0x80) as i8,
+                    count,
                 });
-                indices.extend_from_slice(bucket);
             }
+            *slot = next;
+            next += count;
+        }
+        let mut indices = vec![0u16; nonzero.len()];
+        for &(bin, index) in nonzero.iter() {
+            let slot = &mut starts[bin as usize];
+            indices[*slot as usize] = index;
+            *slot += 1;
         }
         Ok(Self { entries, indices })
     }
@@ -168,8 +205,9 @@ impl LayerCode {
     /// exceeds the 16-bit index range.
     pub fn encode(weights: &Tensor4<i8>) -> Result<Self, EncodeError> {
         let shape = weights.shape();
+        let mut nonzero = Vec::new();
         let kernels = (0..shape.out_channels)
-            .map(|m| KernelCode::encode(weights.kernel(m)))
+            .map(|m| KernelCode::encode_with(weights.kernel(m), &mut nonzero))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self { shape, kernels })
     }
@@ -221,6 +259,19 @@ impl LayerCode {
     }
 }
 
+/// One bit per byte of `word`, set where the byte is non-zero (bit `j`
+/// for byte `j` of the little-endian word).
+fn nonzero_bytes(word: u64) -> u64 {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    // Each byte's high bit, set by a carry out of its low seven bits or
+    // by itself.
+    let high = (((word & LOW7) + LOW7) | word) & !LOW7;
+    // Gather the eight high bits into the top byte: bit 8j times the
+    // multiplier's byte 7-j lands at bit 56+j, and no two partial
+    // products overlap, so nothing carries.
+    (high >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
 /// Errors produced by the encoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EncodeError {
@@ -257,6 +308,7 @@ impl Error for EncodeError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn encode_groups_by_value() {
@@ -361,5 +413,98 @@ mod tests {
         let code = KernelCode::encode(&[1i8, 2, 1, 3]).unwrap();
         let it = code.groups();
         assert_eq!(it.len(), 3);
+    }
+
+    /// The encoder the counting sort replaced — one index bucket per
+    /// byte value, emptied in signed value order — kept only as the
+    /// oracle the counting sort must reproduce.
+    fn bucket_encode(kernel: &[i8]) -> KernelCode {
+        let mut buckets: Vec<Vec<u16>> = vec![Vec::new(); 256];
+        for (i, &w) in kernel.iter().enumerate() {
+            if w != 0 {
+                buckets[(w as u8) as usize].push(i as u16);
+            }
+        }
+        let mut code = KernelCode::default();
+        for v in (i8::MIN..=i8::MAX).filter(|&v| v != 0) {
+            let bucket = &buckets[(v as u8) as usize];
+            if !bucket.is_empty() {
+                code.entries.push(QEntry {
+                    value: v,
+                    count: bucket.len() as u32,
+                });
+                code.indices.extend_from_slice(bucket);
+            }
+        }
+        code
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every length up to 300 (whole words, a ragged tail, neither),
+        /// every density from all-zero to dense, and the extreme values
+        /// drawn often enough to land in every word position.
+        #[test]
+        fn counting_sort_equals_the_bucket_encoder(
+            density in 0u32..101,
+            draws in prop::collection::vec((0u32..100, 0u8..8, any::<i8>()), 0..301),
+        ) {
+            let kernel: Vec<i8> = draws
+                .iter()
+                .map(|&(p, pick, v)| match (p < density, pick) {
+                    (false, _) => 0,
+                    (true, 0) => i8::MIN,
+                    (true, 1) => -1,
+                    (true, 2) => i8::MAX,
+                    (true, 3) => 1,
+                    (true, _) => v,
+                })
+                .collect();
+            prop_assert_eq!(KernelCode::encode(&kernel).unwrap(), bucket_encode(&kernel));
+        }
+    }
+
+    #[test]
+    fn counting_sort_equals_the_bucket_encoder_at_the_edges() {
+        let mut kernels = vec![vec![0i8; 0], vec![0i8; 8], vec![0i8; 301], vec![0i8; 65536]];
+        // The last position of the 16-bit range, alone and in a dense
+        // kernel whose values sweep every byte.
+        let mut last = vec![0i8; 65536];
+        last[65535] = i8::MIN;
+        kernels.push(last);
+        kernels.push((0..65536).map(|i| (i * 7 % 256) as u8 as i8).collect());
+        for k in &kernels {
+            assert_eq!(
+                KernelCode::encode(k).unwrap(),
+                bucket_encode(k),
+                "len {}",
+                k.len()
+            );
+        }
+    }
+
+    /// Every layer of AlexNet and VGG16 at seed 2019 encodes exactly as
+    /// the bucket encoder encodes it.
+    #[test]
+    fn zoo_layers_encode_as_the_bucket_encoder() {
+        use abm_model::{synthesize_model, zoo, PruneProfile};
+        for (net, profile) in [
+            (zoo::alexnet(), PruneProfile::alexnet_deep_compression()),
+            (zoo::vgg16(), PruneProfile::vgg16_deep_compression()),
+        ] {
+            let model = synthesize_model(&net, &profile, 2019);
+            for layer in &model.layers {
+                let code = LayerCode::encode(&layer.weights).unwrap();
+                let shape = layer.weights.shape();
+                let oracle = LayerCode {
+                    shape,
+                    kernels: (0..shape.out_channels)
+                        .map(|m| bucket_encode(layer.weights.kernel(m)))
+                        .collect(),
+                };
+                assert!(code == oracle, "{}/{}", net.name(), layer.name());
+            }
+        }
     }
 }

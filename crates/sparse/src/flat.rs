@@ -407,6 +407,22 @@ impl FlatCode {
         if u32::try_from(last).is_err() {
             return Err(EncodeError::OffsetOverflow { offset: last });
         }
+        // Every kernel of the layer shares one geometry, so each linear
+        // weight index decodes to its tap and offset once per layer, in
+        // scan order and without a division; a non-zero is a lookup.
+        let mut table: Vec<(usize, Tap)> = Vec::with_capacity(shape.kernel_len());
+        for n in 0..shape.in_channels {
+            for k in 0..shape.kernel_rows {
+                for kp in 0..shape.kernel_cols {
+                    let tap = Tap {
+                        n: n as u16,
+                        k: k as u16,
+                        kp: kp as u16,
+                    };
+                    table.push((layout.offset_of(tap), tap));
+                }
+            }
+        }
         let mut kernels = Vec::with_capacity(code.kernels().len());
         let mut group: Vec<(u32, Tap)> = Vec::new();
         for kernel in code.kernels() {
@@ -421,13 +437,7 @@ impl FlatCode {
                 flat.values.push(value);
                 let start = flat.offsets.len();
                 for &i in idxs {
-                    let (n, k, kp) = code.unravel(i);
-                    let tap = Tap {
-                        n: n as u16,
-                        k: k as u16,
-                        kp: kp as u16,
-                    };
-                    let off = layout.offset_of(tap);
+                    let (off, tap) = table[i as usize];
                     let off32 = u32::try_from(off)
                         .map_err(|_| EncodeError::OffsetOverflow { offset: off })?;
                     flat.offsets.push(off32);
@@ -635,7 +645,104 @@ mod tests {
         assert!(flat.kernels().iter().all(|k| k.offset_groups().len() == 0));
     }
 
+    /// The lowering the per-layer table replaced — every non-zero's
+    /// index unravelled and its offset computed afresh, each group
+    /// sorted by offset when the stride splits phases — kept only as the
+    /// oracle the table lowering must reproduce byte for byte.
+    fn per_tap_lower(code: &LayerCode, layout: FlatLayout) -> FlatCode {
+        let kernels = code
+            .kernels()
+            .iter()
+            .map(|kernel| {
+                let (mut values, mut starts, mut offsets, mut taps) =
+                    (Vec::new(), vec![0u32], Vec::new(), Vec::new());
+                for (value, idxs) in kernel.groups() {
+                    let mut group: Vec<(u32, Tap)> = idxs
+                        .iter()
+                        .map(|&i| {
+                            let (n, k, kp) = code.unravel(i);
+                            let tap = Tap {
+                                n: n as u16,
+                                k: k as u16,
+                                kp: kp as u16,
+                            };
+                            (layout.offset_of(tap) as u32, tap)
+                        })
+                        .collect();
+                    if layout.stride > 1 {
+                        group.sort_by_key(|&(off, _)| off);
+                    }
+                    values.push(value);
+                    offsets.extend(group.iter().map(|&(off, _)| off));
+                    taps.extend(group.iter().map(|&(_, tap)| tap));
+                    starts.push(offsets.len() as u32);
+                }
+                FlatKernel::from_raw_parts(values, starts, offsets, taps)
+            })
+            .collect();
+        FlatCode::from_kernels(code.shape(), layout, kernels)
+    }
+
+    /// Every layer of AlexNet and VGG16 at seed 2019 — strided, padded,
+    /// grouped and fully connected — lowers exactly as the per-tap
+    /// reference lowers it.
+    #[test]
+    fn zoo_layers_lower_as_the_per_tap_reference() {
+        use abm_model::{synthesize_model, zoo, LayerKind, PruneProfile};
+        for (net, profile) in [
+            (zoo::alexnet(), PruneProfile::alexnet_deep_compression()),
+            (zoo::vgg16(), PruneProfile::vgg16_deep_compression()),
+        ] {
+            let model = synthesize_model(&net, &profile, 2019);
+            for layer in &model.layers {
+                let code = LayerCode::encode(&layer.weights).unwrap();
+                let input = layer.layer.input_shape;
+                let lay = if matches!(layer.layer.layer.kind, LayerKind::FullyConnected(_)) {
+                    layout(1, 1, 1, 0)
+                } else {
+                    layout(input.rows, input.cols, layer.stride(), layer.pad())
+                };
+                let flat = FlatCode::lower(&code, lay).unwrap();
+                assert!(
+                    flat == per_tap_lower(&code, lay),
+                    "{}/{}",
+                    net.name(),
+                    layer.name()
+                );
+            }
+        }
+    }
+
     proptest! {
+        /// The layout proptest's domain — strides 1–4, pads 0–3, kernels
+        /// up to 5×5 over up to 3 channels a group, inputs up to 8×8 —
+        /// at every density, and the same weights as a fully-connected
+        /// layer (one 1×1 kernel over the flattened input).
+        #[test]
+        fn table_lowering_equals_the_per_tap_reference(
+            dims in (1usize..4, 1usize..4, 1usize..9, 1usize..9),
+            kernel in (1usize..6, 1usize..6),
+            stride in 1usize..5,
+            pad in 0usize..4,
+            density in 0u32..101,
+            draws in prop::collection::vec((0u32..100, any::<i8>()), 225..226),
+        ) {
+            let (m, n, rows, cols) = dims;
+            let (kr, kc) = kernel;
+            let weights: Vec<i8> = draws[..m * n * kr * kc]
+                .iter()
+                .map(|&(p, v)| if p < density { v } else { 0 })
+                .collect();
+            let conv = Tensor4::from_vec(Shape4::new(m, n, kr, kc), weights.clone());
+            let code = LayerCode::encode(&conv).unwrap();
+            let lay = layout(rows, cols, stride, pad);
+            prop_assert_eq!(FlatCode::lower(&code, lay).unwrap(), per_tap_lower(&code, lay));
+            let fc = Tensor4::from_vec(Shape4::new(m, n * kr * kc, 1, 1), weights);
+            let code = LayerCode::encode(&fc).unwrap();
+            let lay = layout(1, 1, 1, 0);
+            prop_assert_eq!(FlatCode::lower(&code, lay).unwrap(), per_tap_lower(&code, lay));
+        }
+
         /// The whole point of the layout: for every output pixel and
         /// every tap, `relaid[base + offset_of(tap)]` is the zero-padded
         /// input pixel the convolution reads, and everything a sweep

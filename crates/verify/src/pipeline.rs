@@ -11,6 +11,8 @@
 //!   stage spans are contiguous in layer order;
 //! * **CU ownership** — no CU is claimed by two stages (stages hold
 //!   their CUs permanently, unlike time-multiplexed tasks);
+//! * **lanes** — every stage owns at least one kernel lane (a stage
+//!   without one can never retire a row);
 //! * **FIFO feasibility** — each declared inter-stage depth holds the
 //!   row-occupancy high water the dataflow actually reaches (the same
 //!   measure-then-check idea as the `D_q` feasibility pass).
@@ -39,6 +41,8 @@ pub struct StageFacts {
     pub cu_start: usize,
     /// CUs the stage owns.
     pub cu_count: usize,
+    /// Kernel lanes the stage owns across its CUs.
+    pub lanes: usize,
     /// First layer the stage executes.
     pub layer_start: usize,
     /// One past the last layer the stage executes.
@@ -100,6 +104,14 @@ pub fn verify_pipeline(
         }
     }
 
+    // Lanes: a stage with none never retires a row.
+    for s in stages {
+        report.facts += 1;
+        if s.lanes == 0 {
+            report.defect(Defect::StageWithoutLanes { stage: s.stage });
+        }
+    }
+
     // FIFO feasibility: declared depth holds the observed high water.
     for b in boundaries {
         report.facts += 1;
@@ -125,6 +137,7 @@ mod tests {
                 stage: s,
                 cu_start: s,
                 cu_count: 1,
+                lanes: 14,
                 layer_start: s * 2,
                 layer_end: s * 2 + 2,
             })
@@ -172,6 +185,15 @@ mod tests {
         stages[2].cu_start = 1; // collides with stage 1
         let r = verify_pipeline("pipe", &params(), &stages, &[]);
         assert!(r.has_class("stage_cu_overlap"), "{r}");
+        assert!(!r.has_class("stage_coverage_gap"), "{r}");
+    }
+
+    #[test]
+    fn laneless_stage_is_named() {
+        let mut stages = three_stages();
+        stages[1].lanes = 0;
+        let r = verify_pipeline("pipe", &params(), &stages, &[]);
+        assert!(r.has_class("stage_without_lanes"), "{r}");
         assert!(!r.has_class("stage_coverage_gap"), "{r}");
     }
 

@@ -240,6 +240,12 @@ pub enum Defect {
         /// Second stage claiming it.
         second_stage: usize,
     },
+    /// A pipeline stage owns zero kernel lanes: it could never retire a
+    /// row, and the stream would stall at it for ever.
+    StageWithoutLanes {
+        /// Stage index.
+        stage: usize,
+    },
     /// An inter-stage FIFO is declared shallower than the row
     /// occupancy the dataflow actually reaches — the pipeline would
     /// backpressure (or drop rows) at that boundary.
@@ -340,6 +346,7 @@ impl Defect {
             Defect::UnfairRoundRobin { .. } => "unfair_round_robin",
             Defect::StageCoverageGap { .. } => "stage_coverage_gap",
             Defect::StageCuOverlap { .. } => "stage_cu_overlap",
+            Defect::StageWithoutLanes { .. } => "stage_without_lanes",
             Defect::StageFifoUndersized { .. } => "stage_fifo_undersized",
             Defect::InterleavingViolation { .. } => "interleaving_violation",
             Defect::ModelDivergence { .. } => "model_divergence",
@@ -479,6 +486,9 @@ impl fmt::Display for Defect {
                 f,
                 "CU {cu} owned by stages {first_stage} and {second_stage} at once"
             ),
+            Defect::StageWithoutLanes { stage } => {
+                write!(f, "stage {stage} owns zero kernel lanes")
+            }
             Defect::StageFifoUndersized {
                 boundary,
                 declared_rows,

@@ -127,7 +127,7 @@ fn offset_equal_to_in_features_is_caught_for_the_lane_sweep() {
 }
 
 /// A planned pipelined schedule over the tiny zoo plus its workloads —
-/// the corruption targets below break it in the three structural ways
+/// the corruption targets below break it in the four structural ways
 /// the pipeline pass must name exactly.
 fn sample_pipeline() -> (
     Vec<Workload>,
@@ -189,6 +189,19 @@ fn stage_coverage_gap_is_caught() {
     schedule.stages[last].layer_end -= 1;
     let r = verify_pipelined_schedule(&w, &cfg, &schedule, 4);
     assert!(r.has_class("stage_coverage_gap"), "{r}");
+    assert!(!r.has_class("stage_cu_overlap"), "{r}");
+}
+
+#[test]
+fn stage_without_lanes_is_caught() {
+    // A stage that owns its CU but no kernel lane on it: no row it is
+    // given can ever retire. The structural pass names it before the
+    // dataflow run would try to schedule onto zero lanes.
+    let (w, cfg, mut schedule) = sample_pipeline();
+    schedule.stages[1].n_knl = 0;
+    let r = verify_pipelined_schedule(&w, &cfg, &schedule, 4);
+    assert!(r.has_class("stage_without_lanes"), "{r}");
+    assert!(!r.has_class("stage_coverage_gap"), "{r}");
     assert!(!r.has_class("stage_cu_overlap"), "{r}");
 }
 

@@ -39,9 +39,11 @@
 //! the fault campaign to detect FI-Buffer corruption (a word flipped
 //! between DDR admit and CU consume).
 
-use crate::abm::PreparedConv;
+use crate::abm::{kernel_runs, PreparedConv};
+use crate::parallel::on_shares;
 use abm_fault::{stream_checksum_i16, AbmError};
 use abm_tensor::Tensor3;
+use std::ops::Range;
 
 /// FNV digest of an input feature map — the "admit-side" signature the
 /// campaign compares against the consume-side stream to catch FI-Buffer
@@ -94,7 +96,13 @@ pub fn verify_output(
         }
     }
     let relaid = prep.flat().layout().relayout(input);
-    verify_plane(prep, &relaid, out.as_slice(), &mut AbftScratch::default())
+    verify_plane(
+        prep,
+        &relaid,
+        out.as_slice(),
+        &mut AbftScratch::default(),
+        1,
+    )
 }
 
 /// What [`verify_plane`] keeps between calls: one channel's prefix
@@ -108,11 +116,15 @@ pub(crate) struct AbftScratch {
 /// The check itself, on the executor's own buffers: `relaid` is the
 /// input as stored through the layer's layout, `plane` the dense
 /// channel-major accumulator plane [`PreparedConv::execute_into`] filled.
+/// The tap-sum table is built once, here; the per-kernel predictions
+/// split across `shares` threads along the sweep's kernel runs, and the
+/// error reported is the lowest-numbered failing kernel's, as serially.
 pub(crate) fn verify_plane(
     prep: &PreparedConv,
     relaid: &[i16],
     plane: &[i64],
     scratch: &mut AbftScratch,
+    shares: usize,
 ) -> Result<(), AbmError> {
     let flat = prep.flat();
     let (shape, layout) = (flat.shape(), flat.layout());
@@ -154,7 +166,10 @@ pub(crate) fn verify_plane(
             }
         }
     }
-    check_planes(prep, sums, plane, out_plane)
+    let sums = &*sums;
+    let runs = kernel_runs(flat.kernels(), shares);
+    let check = |run| check_planes(prep, sums, plane, out_plane, run);
+    on_shares(runs, check, Result::and).unwrap_or(Ok(()))
 }
 
 /// [`verify_plane`] for a layer swept across a batch
@@ -177,24 +192,26 @@ pub(crate) fn verify_lanes(
     let row_sum = |row: &[i16]| row.iter().map(|&v| i64::from(v)).sum::<i64>();
     sums.clear();
     sums.extend(rows.map(row_sum));
-    check_planes(prep, sums, plane, pitch)
+    check_planes(prep, sums, plane, pitch, 0..prep.flat().kernels().len())
 }
 
-/// Predicts every kernel's plane sum from the tap sums `S[c][k][k']` —
-/// one load and one add per tap, one multiply per distinct value — and
-/// compares it with the `out_plane` accumulators the kernel filled.
+/// Predicts the plane sum of every kernel in `run` from the tap sums
+/// `S[c][k][k']` — one load and one add per tap, one multiply per
+/// distinct value — and compares it with the `out_plane` accumulators
+/// the kernel filled. Stops at the first kernel that disagrees.
 fn check_planes(
     prep: &PreparedConv,
     sums: &[i64],
     plane: &[i64],
     out_plane: usize,
+    run: Range<usize>,
 ) -> Result<(), AbmError> {
     let flat = prep.flat();
     let shape = flat.shape();
     let group_len = shape.in_channels * shape.kernel_rows * shape.kernel_cols;
     let m_per_group = shape.out_channels / prep.geometry().groups;
 
-    for (m, kernel) in flat.kernels().iter().enumerate() {
+    for (m, kernel) in run.clone().zip(&flat.kernels()[run]) {
         // The kernel's channel group owns one contiguous run of `sums`.
         let base = (m / m_per_group) * group_len;
         let group_sums = &sums[base..base + group_len];
@@ -331,6 +348,45 @@ mod tests {
                     matches!(err, AbmError::AbftMismatch { kernel: k, .. } if k == kernel),
                     "bit {bit} idx {idx}: {err}"
                 );
+            }
+        }
+    }
+
+    /// Split over any number of threads — one tap-sum table, the
+    /// kernels' predictions in runs — the check accepts the clean plane
+    /// and names the kernel the serial check names: the lowest-numbered
+    /// one whose plane is off, however many later kernels, in later
+    /// runs, are off too.
+    #[test]
+    fn a_split_check_names_the_lowest_failing_kernel() {
+        let (prep, input, clean) = executed(
+            Shape3::new(3, 9, 9),
+            Shape4::new(7, 3, 3, 3),
+            Geometry::new(1, 1),
+            5,
+        );
+        let relaid = prep.flat().layout().relayout(&input);
+        let plane = clean.shape().rows * clean.shape().cols;
+        let mut scratch = AbftScratch::default();
+        let mut check = |accumulators: &[i64], shares| {
+            verify_plane(&prep, &relaid, accumulators, &mut scratch, shares)
+        };
+        for shares in 1..=9 {
+            assert_eq!(check(clean.as_slice(), shares), Ok(()));
+        }
+        for victims in [vec![6], vec![2, 5], vec![0, 3, 6], vec![4, 1]] {
+            let mut corrupted = clean.as_slice().to_vec();
+            for &v in &victims {
+                corrupted[v * plane + 1] ^= 1 << 17;
+            }
+            let serial = check(&corrupted, 1).unwrap_err();
+            let first = *victims.iter().min().unwrap();
+            assert!(
+                matches!(serial, AbmError::AbftMismatch { kernel, .. } if kernel == first),
+                "{serial}"
+            );
+            for shares in 2..=9 {
+                assert_eq!(check(&corrupted, shares), Err(serial.clone()), "{shares}");
             }
         }
     }

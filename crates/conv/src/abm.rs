@@ -29,8 +29,12 @@
 //!   position at a time. There is one core, `execute_into`: re-laid
 //!   `&[i16]` in, dense accumulator plane `&mut [i64]` out, the largest
 //!   magnitude taken on the way (inference runs it on its activation
-//!   arena's buffers); [`PreparedConv::execute`] is the tensor front
-//!   door that re-lays its input out and sweeps into a fresh tensor.
+//!   arena's buffers), the kernels split over threads in contiguous
+//!   runs of near-equal non-zero count when a lone image has threads to
+//!   spare — the accelerator's compute units each taking the next
+//!   kernels of one window; [`PreparedConv::execute`] is the tensor
+//!   front door that re-lays its input out and sweeps into a fresh
+//!   tensor on the calling thread.
 //!   Work counts are **analytic** —
 //!   `accumulations = nnz × out_pixels`,
 //!   `multiplications = final_accumulations = Σ Q(m) × out_pixels` —
@@ -42,11 +46,12 @@
 //! ([`crate::infer::Inferencer`]) prepare once and reuse.
 
 use crate::dense::Geometry;
-use crate::parallel::Parallelism;
+use crate::parallel::{on_shares, Parallelism};
 use abm_fault::AbmError;
 use abm_kernel::{gather_one, AbmKernel, AccWidth, Isa, Selection};
 use abm_sparse::{FlatCode, FlatKernel, FlatLayout, LayerCode};
 use abm_tensor::{Shape3, Shape4, Tensor3};
+use std::ops::Range;
 use std::time::Instant;
 
 pub mod reference;
@@ -191,6 +196,10 @@ pub struct PreparedConv {
     /// (`abm_kernel::select_lane_kernels`): `[narrow, wide]`, from the
     /// same pin and the same proof.
     lane_sels: [Selection; 2],
+    /// Kernel operations one image's sweep issues: per offset, one per
+    /// vector of every tile's span, or one per position where a span is
+    /// narrower than a vector. What a share's worth is measured in.
+    sweep_ops: u64,
 }
 
 impl PreparedConv {
@@ -309,6 +318,13 @@ impl PreparedConv {
         let unavailable = |detail| AbmError::IsaUnavailable { detail };
         let sel = abm_kernel::select_auto(isa, stage1_bits, sweep).map_err(unavailable)?;
         let lane_sels = abm_kernel::select_lane_kernels(isa, stage1_bits).map_err(unavailable)?;
+        let per_offset: usize = layout
+            .tiles(out_shape.rows)
+            .map(|rows| match layout.sweep_span(rows.len(), out_shape.cols) {
+                span if span < sel.lanes() => span,
+                span => span.div_ceil(sel.lanes()),
+            })
+            .sum();
         // Dispatch accounting: one count per prepared layer, keyed by
         // the resolved variant (preparation-time, never the hot path).
         if abm_metrics::enabled() {
@@ -324,6 +340,7 @@ impl PreparedConv {
             checksum,
             sel,
             lane_sels,
+            sweep_ops: flat.total_nnz() * per_offset as u64,
             flat,
         })
     }
@@ -421,7 +438,34 @@ impl PreparedConv {
     /// Returns [`AbmError::ChecksumMismatch`] when the streams no
     /// longer hash to the stored digest.
     pub fn verify_checksum(&self) -> Result<(), AbmError> {
-        let computed = abm_fault::flat_checksum(&self.flat);
+        self.compare_checksum(abm_fault::flat_checksum(&self.flat))
+    }
+
+    /// [`verify_checksum`](Self::verify_checksum) across `shares`
+    /// threads, along the kernel runs a sweep of as many shares takes:
+    /// each share digests its run's kernels into their slots of
+    /// `digests` ([`abm_fault::kernel_digest`]), and the digests fold in
+    /// kernel order into the value the serial check computes — the same
+    /// verdict, the same error, at every width.
+    pub(crate) fn verify_checksum_on(
+        &self,
+        shares: usize,
+        digests: &mut Vec<u64>,
+    ) -> Result<(), AbmError> {
+        let kernels = self.flat.kernels();
+        digests.resize(kernels.len(), 0);
+        let runs = with_rows(kernel_runs(kernels, shares), digests, 1);
+        let digest_run = |(run, slots): (Range<usize>, &mut [u64])| {
+            for (slot, kernel) in slots.iter_mut().zip(&kernels[run]) {
+                *slot = abm_fault::kernel_digest(kernel);
+            }
+        };
+        on_shares(runs, digest_run, |(), ()| ());
+        let digests = digests.iter().copied();
+        self.compare_checksum(abm_fault::fold_kernel_digests(&self.flat, digests))
+    }
+
+    fn compare_checksum(&self, computed: u64) -> Result<(), AbmError> {
         if computed == self.checksum {
             Ok(())
         } else {
@@ -430,6 +474,14 @@ impl PreparedConv {
                 computed,
             })
         }
+    }
+
+    /// How many threads one pass over this layer's kernels — its sweep,
+    /// its checksum, its ABFT check — splits across when `width` are
+    /// free: no more than `width`, and none with a share of fewer than
+    /// [`MIN_SHARE`] of the kernel operations its sweep issues.
+    pub(crate) fn shares(&self, width: usize) -> usize {
+        share_count(width, self.sweep_ops)
     }
 
     /// The flat streams for editing in place while **keeping the golden
@@ -461,7 +513,7 @@ impl PreparedConv {
         );
         let relaid = self.flat.layout().relayout(input);
         let mut out = Tensor3::zeros(self.out_shape);
-        self.execute_into(&relaid, out.as_mut_slice(), &mut SweepScratch::default());
+        self.execute_into(&relaid, out.as_mut_slice(), &mut Vec::new(), 1);
         out
     }
 
@@ -471,6 +523,15 @@ impl PreparedConv {
     /// and returns the largest accumulator magnitude, taken while each
     /// tile is still in cache (what the Sum/Round stage picks the
     /// output format from).
+    ///
+    /// The kernels are shared out over `shares` threads (the caller's
+    /// [`shares`](Self::shares)) in contiguous runs of near-equal
+    /// non-zero count, the paper's compute units each taking the next
+    /// kernels of one prefetched window: a run writes its own kernels'
+    /// rows of the plane through `sweeps[share]`, and the largest
+    /// magnitude is the largest of the runs', so the result is the same
+    /// bits at every width. `sweeps` grows to `shares` entries and keeps
+    /// them.
     ///
     /// When the global metrics registry is enabled this also records
     /// the per-execute wall-clock histogram (`abm_execute_ns`), the
@@ -486,13 +547,14 @@ impl PreparedConv {
         &self,
         relaid: &[i16],
         plane: &mut [i64],
-        scratch: &mut SweepScratch,
+        sweeps: &mut Vec<SweepScratch>,
+        shares: usize,
     ) -> u64 {
         if !abm_metrics::enabled() {
-            return self.sweep_into(relaid, plane, scratch).0;
+            return self.sweep_into(relaid, plane, sweeps, shares).0;
         }
         let timer = Instant::now();
-        let (max_abs, swept) = self.sweep_into(relaid, plane, scratch);
+        let (max_abs, swept) = self.sweep_into(relaid, plane, sweeps, shares);
         let elapsed = u64::try_from(timer.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let m = abm_metrics::global();
         m.observe("abm_execute_ns", elapsed);
@@ -510,19 +572,43 @@ impl PreparedConv {
         &self,
         relaid: &[i16],
         plane: &mut [i64],
-        scratch: &mut SweepScratch,
+        sweeps: &mut Vec<SweepScratch>,
+        shares: usize,
     ) -> (u64, u64) {
         assert_eq!(plane.len(), self.out_shape.len(), "plane != output shape");
-        let (out_rows, out_cols) = (self.out_shape.rows, self.out_shape.cols);
-        let out_plane = out_rows * out_cols;
+        let out_plane = self.out_shape.rows * self.out_shape.cols;
         if out_plane == 0 {
             return (0, 0);
         }
-        let layout = self.flat.layout();
+        if sweeps.len() < shares {
+            sweeps.resize_with(shares, SweepScratch::default);
+        }
         // The dispatch resolved at preparation: one virtual call maps
         // the stored selection to its kernel object, then every sweep
         // below goes through it.
         let kern: &'static dyn AbmKernel = abm_kernel::resolve(self.sel);
+        let runs = with_rows(kernel_runs(self.flat.kernels(), shares), plane, out_plane);
+        let work = runs.zip(sweeps.iter_mut());
+        let run = |((run, rows), scratch)| self.sweep_run(kern, relaid, run, rows, scratch);
+        let reduce = |(a, s): (u64, u64), (b, t): (u64, u64)| (a.max(b), s + t);
+        on_shares(work, run, reduce).unwrap_or((0, 0))
+    }
+
+    /// One share of [`sweep_into`](Self::sweep_into): the kernels of
+    /// `run` swept into `plane`, their rows of the layer's plane. Returns
+    /// the run's largest accumulator magnitude and the lane positions it
+    /// issued.
+    fn sweep_run(
+        &self,
+        kern: &dyn AbmKernel,
+        relaid: &[i16],
+        run: Range<usize>,
+        plane: &mut [i64],
+        scratch: &mut SweepScratch,
+    ) -> (u64, u64) {
+        let (out_rows, out_cols) = (self.out_shape.rows, self.out_shape.cols);
+        let out_plane = out_rows * out_cols;
+        let layout = self.flat.layout();
         let pitch = layout.phase_cols();
         // One tile scratch as long as the longest sweep; the
         // one-at-a-time fallback's partial-sum buffer (the software
@@ -539,21 +625,26 @@ impl PreparedConv {
             scratch.partials.resize(self.flat.max_distinct(), 0);
         }
         let group_len = layout.relaid_len(self.flat.shape().in_channels);
+        let kernels = &self.flat.kernels()[run.clone()];
         let mut swept = 0u64;
         let (mut lo, mut hi) = (0i64, 0i64);
 
         // Row tiles outermost, so a tile's input footprint stays cached
-        // while every kernel of the layer sweeps it (the line-buffer
+        // while every kernel of the run sweeps it (the line-buffer
         // prefetch window).
         for rows in layout.tiles(out_rows) {
             // The sweep lands here at the input's row pitch; the
             // `pitch - out_cols` wrap positions at each row's end are
             // computed like any other and dropped by the copy-out.
             let tile = &mut scratch.tile[..layout.sweep_span(rows.len(), out_cols)];
-            for (m, kernel) in self.flat.kernels().iter().enumerate() {
+            let owned = run
+                .clone()
+                .zip(kernels)
+                .zip(plane.chunks_exact_mut(out_plane));
+            for ((m, kernel), out) in owned {
                 let base = (m / self.m_per_group) * group_len + rows.start * pitch;
                 swept += sweep(kern, kernel, relaid, base, 1, tile, &mut scratch.partials);
-                let dst = &mut plane[m * out_plane + rows.start * out_cols..];
+                let dst = &mut out[rows.start * out_cols..];
                 for (dst, src) in dst.chunks_exact_mut(out_cols).zip(tile.chunks(pitch)) {
                     let src = &src[..out_cols];
                     dst.copy_from_slice(src);
@@ -578,9 +669,10 @@ impl PreparedConv {
     /// an offset picks a feature's row, the positions of the sweep are
     /// the images. `sel` is [`lane_selection`](Self::lane_selection)'s
     /// answer for the batch and `pitch` a whole number of its vectors.
-    /// The kernels are shared out over `parallelism`'s workers in
-    /// contiguous runs of equal non-zero count (each writes its own rows
-    /// of the plane), when a share is worth a thread.
+    /// The kernels are shared out over `parallelism`'s workers in the
+    /// runs [`execute_into`](Self::execute_into) splits into (each
+    /// writes its own rows of the plane), when a share is worth a
+    /// thread.
     ///
     /// Recorded like any execute when the metrics registry is on, with
     /// the honest lane fill of a batch: `live` columns carry an image,
@@ -608,37 +700,16 @@ impl PreparedConv {
         let lanes = &lanes[..self.in_shape.len() * pitch];
         let kernels = self.flat.kernels();
         let plane = &mut plane[..kernels.len() * pitch];
-        // (One position: the layer's accumulations are its non-zeros.)
-        let nnz = self.work.accumulations;
-        let worth = (nnz * pitch as u64 / MIN_LANE_SHARE).max(1);
-        let workers = (parallelism.worker_count() as u64).min(worth) as usize;
-        std::thread::scope(|scope| {
-            let (mut rest, mut first, mut taken) = (plane, 0, 0u64);
-            for worker in 1..=workers {
-                // This worker's run ends where the running non-zero
-                // count reaches its share of the layer's.
-                let goal = nnz * worker as u64 / workers as u64;
-                let mut end = first;
-                while end < kernels.len() && (taken < goal || worker == workers) {
-                    taken += u64::from(kernels[end].total());
-                    end += 1;
-                }
-                let (rows, tail) = std::mem::take(&mut rest).split_at_mut((end - first) * pitch);
-                rest = tail;
-                let mut run = move || {
-                    for (kernel, row) in kernels[first..end].iter().zip(rows.chunks_mut(pitch)) {
-                        sweep(kern, kernel, lanes, 0, pitch, row, &mut []);
-                    }
-                };
-                first = end;
-                // The last share runs here: one thread fewer to spawn.
-                if worker == workers {
-                    run();
-                } else {
-                    scope.spawn(run);
-                }
+        // One position: an offset is one operation a vector of images.
+        let ops = self.work.accumulations * (pitch / kern.lanes()) as u64;
+        let shares = share_count(parallelism.worker_count(), ops);
+        let runs = with_rows(kernel_runs(kernels, shares), plane, pitch);
+        let run = |(run, rows): (Range<usize>, &mut [i64])| {
+            for (kernel, row) in kernels[run].iter().zip(rows.chunks_mut(pitch)) {
+                sweep(kern, kernel, lanes, 0, pitch, row, &mut []);
             }
-        });
+        };
+        on_shares(runs, run, |(), ()| ());
         if let Some(timer) = timer {
             let m = abm_metrics::global();
             m.observe(
@@ -676,19 +747,72 @@ impl PreparedConv {
     }
 }
 
-/// What a sweep needs beside its input and output: the tile a kernel
-/// lands in and the partial sums of the one-position path. Held by the
-/// caller so repeated calls allocate nothing.
+/// What one share of a sweep needs beside its input and output: the
+/// tile a kernel lands in and the partial sums of the one-position
+/// path. Held by the caller, one a share, so repeated calls allocate
+/// nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SweepScratch {
     pub tile: Vec<i64>,
     pub partials: Vec<i64>,
 }
 
-/// Stage-1 accumulations below which a share of a lane sweep is not
-/// worth a thread of its own: about a hundred microseconds of the
-/// vector kernels, several times what spawning and joining one costs.
-const MIN_LANE_SHARE: u64 = 1 << 20;
+/// Kernel operations — one offset applied to one vector of positions,
+/// or to one position of a sweep narrower than a vector — below which a
+/// share of a layer's kernels is not worth a thread of its own: about a
+/// hundred microseconds of sweeping, several times what spawning and
+/// joining one costs. Counted in operations, not accumulations, because
+/// a fully-connected row of one image pays a scalar operation per
+/// accumulation where a convolution's vector pays one per sixteen.
+const MIN_SHARE: u64 = 1 << 18;
+
+/// How many threads `ops` kernel operations split across on `width`: at
+/// most `width`, at least one, and no share smaller than [`MIN_SHARE`].
+fn share_count(width: usize, ops: u64) -> usize {
+    let worth = (ops / MIN_SHARE).max(1);
+    (width.max(1) as u64).min(worth) as usize
+}
+
+/// `kernels` cut into `shares` contiguous runs of near-equal non-zero
+/// count (fewer when there are fewer kernels): a run ends where the
+/// running count reaches its share of the total, and the last takes the
+/// rest. Every pass over a layer's kernels that splits — sweep,
+/// checksum, ABFT — splits here, so one share's kernels are the same in
+/// each.
+pub(crate) fn kernel_runs(
+    kernels: &[FlatKernel],
+    shares: usize,
+) -> impl Iterator<Item = Range<usize>> + '_ {
+    let shares = shares.clamp(1, kernels.len().max(1));
+    let nnz: u64 = kernels.iter().map(|k| u64::from(k.total())).sum();
+    let (mut first, mut taken) = (0, 0u64);
+    (1..=shares).map(move |share| {
+        let goal = nnz * share as u64 / shares as u64;
+        let mut end = first;
+        while end < kernels.len() && (taken < goal || share == shares) {
+            taken += u64::from(kernels[end].total());
+            end += 1;
+        }
+        let run = first..end;
+        first = end;
+        run
+    })
+}
+
+/// Pairs each kernel run with its rows of `rows`, `row_len` elements a
+/// kernel: the disjoint slices that run's share writes.
+fn with_rows<'a, T>(
+    runs: impl Iterator<Item = Range<usize>> + 'a,
+    rows: &'a mut [T],
+    row_len: usize,
+) -> impl Iterator<Item = (Range<usize>, &'a mut [T])> + 'a {
+    let mut rest = rows;
+    runs.map(move |run| {
+        let (mine, tail) = std::mem::take(&mut rest).split_at_mut(run.len() * row_len);
+        rest = tail;
+        (run, mine)
+    })
+}
 
 /// One kernel's sweep over `tile.len()` adjacent positions from `base`,
 /// position `i` reading `data[base + i + off · pitch]` (the
@@ -877,7 +1001,8 @@ mod tests {
     #[test]
     fn lane_sweep_is_every_image_alone_on_any_thread_count() {
         let in_shape = Shape3::new(2048, 1, 1);
-        let weights = pseudo_weights(Shape4::new(600, 2048, 1, 1), 6);
+        let kernels = 1600;
+        let weights = pseudo_weights(Shape4::new(kernels, 2048, 1, 1), 6);
         let code = LayerCode::encode(&weights).unwrap();
         let images: Vec<Tensor3<i16>> = (0..70)
             .map(|salt| {
@@ -892,7 +1017,8 @@ mod tests {
             for live in [5usize, 70] {
                 let sel = prep.lane_selection(live);
                 let pitch = live.next_multiple_of(sel.lanes());
-                assert!(prep.flat().total_nnz() * pitch as u64 >= 3 * MIN_LANE_SHARE);
+                let ops = prep.flat().total_nnz() * (pitch / sel.lanes()) as u64;
+                assert!(ops >= 3 * MIN_SHARE);
                 let mut lanes = vec![0x5a5a_i16; in_shape.len() * pitch];
                 for (column, image) in images[..live].iter().enumerate() {
                     for (row, &v) in lanes.chunks_exact_mut(pitch).zip(image.as_slice()) {
@@ -900,7 +1026,7 @@ mod tests {
                     }
                 }
                 for threads in [Parallelism::Serial, Parallelism::Threads(3)] {
-                    let mut plane = vec![i64::MIN; 600 * pitch];
+                    let mut plane = vec![i64::MIN; kernels * pitch];
                     prep.execute_lanes(threads, sel, &lanes, (live, pitch), &mut plane);
                     for (column, alone) in alone[..live].iter().enumerate() {
                         let swept = plane.chunks_exact(pitch).map(|row| row[column]);
@@ -1052,6 +1178,195 @@ mod tests {
         offsets[0] ^= 1 << 3;
         let err = poisoned.verify_checksum().unwrap_err();
         assert!(matches!(err, AbmError::ChecksumMismatch { .. }));
+    }
+
+    /// A layer's kernels cut into runs: contiguous, in order, each
+    /// kernel in exactly one — all-zero kernels at either end included —
+    /// as many runs as shares (or kernels, if fewer), and no run more
+    /// than one kernel over its share of the non-zeros.
+    #[test]
+    fn kernel_runs_tile_the_layer_by_non_zero_count() {
+        let weights = pseudo_weights(Shape4::new(37, 5, 3, 3), 7);
+        let code = LayerCode::encode(&weights).unwrap();
+        let prep =
+            PreparedConv::try_new(&code, Shape3::new(5, 9, 9), Geometry::new(1, 1), None).unwrap();
+        let with_total =
+            |n: usize| FlatKernel::from_raw_parts(vec![1], vec![0, n as u32], vec![0; n], vec![]);
+        let sparse: Vec<FlatKernel> = [0, 0, 4, 0, 7, 1, 0, 3, 0, 0].map(with_total).into();
+        for kernels in [prep.flat().kernels(), &sparse[..]] {
+            let nnz: u64 = kernels.iter().map(|k| u64::from(k.total())).sum();
+            let widest = kernels.iter().map(|k| u64::from(k.total())).max().unwrap();
+            for shares in 0..=40 {
+                let runs: Vec<Range<usize>> = kernel_runs(kernels, shares).collect();
+                assert_eq!(runs.len(), shares.clamp(1, kernels.len()), "{shares}");
+                let ends = (runs[0].start, runs[runs.len() - 1].end);
+                assert_eq!(ends, (0, kernels.len()), "{runs:?}");
+                assert!(runs.windows(2).all(|w| w[0].end == w[1].start), "{runs:?}");
+                for run in &runs {
+                    let share: u64 = kernels[run.clone()]
+                        .iter()
+                        .map(|k| u64::from(k.total()))
+                        .sum();
+                    let fair = nnz.div_ceil(runs.len() as u64) + widest;
+                    assert!(share <= fair, "{runs:?}");
+                }
+            }
+        }
+    }
+
+    /// A share is worth a thread only past [`MIN_SHARE`] kernel
+    /// operations, and a layer counts them as its sweep issues them: a
+    /// fully-connected row one a non-zero, a convolution one a non-zero
+    /// and vector of its span.
+    #[test]
+    fn a_share_is_worth_a_thread() {
+        assert_eq!(share_count(8, 0), 1);
+        assert_eq!(share_count(0, u64::MAX), 1);
+        assert_eq!(share_count(2, 2 * MIN_SHARE - 1), 1);
+        assert_eq!(share_count(2, 2 * MIN_SHARE), 2);
+        assert_eq!(share_count(3, 100 * MIN_SHARE), 3);
+
+        let fc = LayerCode::encode(&pseudo_weights(Shape4::new(5, 24, 1, 1), 6)).unwrap();
+        let fc = PreparedConv::try_new(&fc, Shape3::new(24, 1, 1), Geometry::unit(), None).unwrap();
+        assert_eq!(fc.sweep_ops, fc.flat().total_nnz());
+        // Pad 1 on 6×6: one tile of 5 rows at pitch 8 plus a last row of 6.
+        let conv = LayerCode::encode(&pseudo_weights(Shape4::new(3, 2, 3, 3), 6)).unwrap();
+        let geom = Geometry::new(1, 1);
+        for isa in Isa::detect_all() {
+            let prep = PreparedConv::try_new(&conv, Shape3::new(2, 6, 6), geom, Some(isa)).unwrap();
+            let vectors = 46usize.div_ceil(prep.selection().lanes()) as u64;
+            assert_eq!(prep.sweep_ops, prep.flat().total_nnz() * vectors, "{isa}");
+            assert_eq!((prep.shares(1), prep.shares(64)), (1, 1));
+        }
+    }
+
+    /// Split across any number of threads — more than the layer has
+    /// kernels included — a sweep writes the bits the serial sweep
+    /// writes and takes the same largest magnitude, on plain, strided,
+    /// grouped and fully-connected layers ending in all-zero kernels, and
+    /// every kernel; its scratch grows to one entry a share.
+    #[test]
+    fn a_split_sweep_is_the_serial_sweep() {
+        for (in_shape, w_shape, geom) in [
+            (
+                Shape3::new(3, 13, 11),
+                Shape4::new(7, 3, 3, 3),
+                Geometry::new(1, 1),
+            ),
+            (
+                Shape3::new(4, 15, 15),
+                Shape4::new(6, 4, 5, 5),
+                Geometry::new(2, 2),
+            ),
+            (
+                Shape3::new(4, 9, 9),
+                Shape4::new(6, 2, 3, 3),
+                Geometry::new(1, 1).with_groups(2),
+            ),
+            (
+                Shape3::new(96, 1, 1),
+                Shape4::new(9, 96, 1, 1),
+                Geometry::unit(),
+            ),
+        ] {
+            let input = pseudo_input(in_shape);
+            // The last two kernels are all zero: a run must still own,
+            // and write, their rows.
+            let dense = pseudo_weights(w_shape, 9);
+            let last = w_shape.out_channels - 2;
+            let weights =
+                Tensor4::from_fn(
+                    w_shape,
+                    |m, n, k, kp| {
+                        if m >= last {
+                            0
+                        } else {
+                            dense[(m, n, k, kp)]
+                        }
+                    },
+                );
+            let code = LayerCode::encode(&weights).unwrap();
+            for isa in Isa::detect_all() {
+                let prep = PreparedConv::try_new(&code, in_shape, geom, Some(isa)).unwrap();
+                let relaid = prep.flat().layout().relayout(&input);
+                let serial = prep.execute(&input);
+                let want = serial.as_slice().iter().map(|v| v.unsigned_abs()).max();
+                for shares in 1..=w_shape.out_channels + 2 {
+                    let mut plane = vec![i64::MIN; serial.as_slice().len()];
+                    let mut sweeps = Vec::new();
+                    let got = prep.execute_into(&relaid, &mut plane, &mut sweeps, shares);
+                    assert_eq!(Some(got), want, "{isa} {shares} shares");
+                    assert_eq!(&plane[..], serial.as_slice(), "{isa} {shares} shares");
+                    assert_eq!(sweeps.len(), shares);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Any single-bit flip in any stream of any kernel fails the
+        /// checksum, and the check split over any number of threads
+        /// returns exactly the serial verdict — clean or flipped, the
+        /// same error with the same computed digest — from one reused
+        /// digest buffer.
+        #[test]
+        fn a_split_checksum_is_the_serial_checksum(
+            (m, n, k) in (1usize..9, 1usize..4, 1usize..4),
+            salt in 0usize..1000,
+            (kernel, stream, element) in (0usize..64, 0usize..4, 0usize..1024),
+            bit in 0u32..32,
+        ) {
+            let weights = Tensor4::from_fn(Shape4::new(m, n, k, k), |a, b, c, d| {
+                ((a * 131 + b * 31 + c * 7 + d * 3 + salt) % 9) as i8 - 4
+            });
+            let code = LayerCode::encode(&weights).unwrap();
+            let in_shape = Shape3::new(n, k + 3, k + 2);
+            let mut prep = PreparedConv::try_new(&code, in_shape, Geometry::new(1, 1), None)
+                .unwrap();
+            let mut digests = Vec::new();
+            for shares in 1..=5 {
+                proptest::prop_assert_eq!(prep.verify_checksum_on(shares, &mut digests), Ok(()));
+            }
+            let kernel = kernel % m;
+            let (values, bounds, offsets, taps) =
+                prep.flat_mut().kernels_mut()[kernel].streams_mut();
+            match stream {
+                0 if !values.is_empty() => {
+                    let i = element % values.len();
+                    values[i] ^= (1u8 << (bit % 8)) as i8;
+                }
+                1 => {
+                    let i = element % bounds.len();
+                    bounds[i] ^= 1 << bit;
+                }
+                2 if !offsets.is_empty() => {
+                    let i = element % offsets.len();
+                    offsets[i] ^= 1 << bit;
+                }
+                3 if !taps.is_empty() => {
+                    let i = element % taps.len();
+                    let tap = &mut taps[i];
+                    let field = match element % 3 {
+                        0 => &mut tap.n,
+                        1 => &mut tap.k,
+                        _ => &mut tap.kp,
+                    };
+                    *field ^= 1 << (bit % 16);
+                }
+                // An all-zero kernel: nothing of that stream to flip.
+                _ => return,
+            }
+            let serial = prep.verify_checksum();
+            proptest::prop_assert!(
+                matches!(serial, Err(AbmError::ChecksumMismatch { .. })),
+                "kernel {} stream {}", kernel, stream
+            );
+            for shares in 1..=5 {
+                proptest::prop_assert_eq!(prep.verify_checksum_on(shares, &mut digests), serial.clone());
+            }
+        }
     }
 
     #[test]

@@ -205,8 +205,12 @@ pub(crate) struct Arena {
     pub spare: Vec<i16>,
     /// The accumulator plane of the layer being executed.
     pub plane: Vec<i64>,
-    pub sweep: SweepScratch,
+    /// One sweep scratch a share of a layer split across threads (one
+    /// when it runs on this thread alone).
+    pub sweeps: Vec<SweepScratch>,
     pub abft: AbftScratch,
+    /// The kernels' stream digests of a checksum split across threads.
+    pub digests: Vec<u64>,
     lrn: LrnScratch,
     /// One requantized channel, one pooled channel, the pool's column
     /// maxima.
@@ -220,7 +224,7 @@ pub(crate) struct Arena {
 impl Arena {
     /// Bytes of capacity behind every buffer.
     fn bytes(&self) -> usize {
-        let (sweep, abft, lrn) = (&self.sweep, &self.abft, &self.lrn);
+        let (abft, lrn) = (&self.abft, &self.lrn);
         let halves = [
             &self.spare,
             &self.channel,
@@ -228,17 +232,14 @@ impl Arena {
             &self.columns,
             &lrn.out,
         ];
-        let words = [
-            &self.plane,
-            &sweep.tile,
-            &sweep.partials,
-            &abft.prefix,
-            &abft.sums,
-            &lrn.energy,
-        ];
+        let words = [&self.plane, &abft.prefix, &abft.sums, &lrn.energy];
+        let sweeps = self.sweeps.iter();
+        let sweep_words = sweeps.map(|s| s.tile.capacity() + s.partials.capacity());
         2 * halves.iter().map(|v| v.capacity()).sum::<usize>()
             + 8 * words.iter().map(|v| v.capacity()).sum::<usize>()
-            + 8 * lrn.table.capacity()
+            + 8 * sweep_words.sum::<usize>()
+            + std::mem::size_of::<SweepScratch>() * self.sweeps.capacity()
+            + 8 * (lrn.table.capacity() + self.digests.capacity())
     }
 
     /// The Sum/Round stage with everything that rides along, in one pass

@@ -193,9 +193,13 @@ impl<'m> Inferencer<'m> {
         self
     }
 
-    /// Sets how [`run_batch`](Self::run_batch) fans images out across
-    /// host threads. Results are bit-identical for every setting; this
-    /// only changes wall-clock time.
+    /// Sets how many host threads an inference may use. A batch of two
+    /// or more fans its images out across them (each image's layers on
+    /// one thread); a lone image — [`run_prepared`](Self::run_prepared),
+    /// a batch of one — splits each ABM layer's kernels across them
+    /// instead, where the layer is large enough for a share to be worth
+    /// a thread. Results are bit-identical for every setting; this only
+    /// changes wall-clock time.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
@@ -334,6 +338,10 @@ impl<'m> Inferencer<'m> {
     /// "FC on batch lanes") — one weight fetch serves the whole batch.
     /// The outcomes are the same; a panic in the shared tail is
     /// [`AbmError::WorkerPanic`] for every image it carried.
+    ///
+    /// A batch of one is a lone image: its layers split across the
+    /// [`parallelism`](Self::parallelism) the images of a larger batch
+    /// fan out over — one pool at a time, never one inside another.
     pub fn run_batch_salvage(
         &self,
         prepared: &PreparedWeights,
@@ -344,16 +352,22 @@ impl<'m> Inferencer<'m> {
             Some(tail) if inputs.len() > 1 && self.engine == Engine::Abm => {
                 self.run_batch_on_lanes(prepared, inputs, deadline, tail)
             }
-            _ => parallel_map_salvage(
-                self.parallelism,
-                inputs,
-                self.telemetry.as_ref(),
-                deadline,
-                |worker, _, input| self.run_prepared_on(prepared, input, worker as u32),
-            )
-            .into_iter()
-            .map(Result::flatten)
-            .collect(),
+            _ => {
+                let width = match inputs.len() {
+                    1 => self.parallelism.worker_count(),
+                    _ => 1,
+                };
+                parallel_map_salvage(
+                    self.parallelism,
+                    inputs,
+                    self.telemetry.as_ref(),
+                    deadline,
+                    |worker, _, input| self.run_prepared_on(prepared, input, worker as u32, width),
+                )
+                .into_iter()
+                .map(Result::flatten)
+                .collect()
+            }
         }
     }
 
@@ -452,7 +466,7 @@ impl<'m> Inferencer<'m> {
                     for (idx, state) in rx_in.iter() {
                         let stepped = state.and_then(|mut st| {
                             for layer in span.clone() {
-                                self.step_layer(prepared, arena, &mut st, layer, s as u32)?;
+                                self.step_layer(prepared, arena, &mut st, layer, (s as u32, 1))?;
                             }
                             Ok(st)
                         });
@@ -497,7 +511,9 @@ impl<'m> Inferencer<'m> {
         self.run_prepared(&prepared, input)
     }
 
-    /// Runs one image against pre-encoded weights.
+    /// Runs one image against pre-encoded weights, each ABM layer split
+    /// across the configured [`parallelism`](Self::parallelism) where
+    /// it is large enough.
     ///
     /// # Errors
     ///
@@ -510,22 +526,25 @@ impl<'m> Inferencer<'m> {
         prepared: &PreparedWeights,
         input: &Tensor3<i16>,
     ) -> Result<InferenceResult, AbmError> {
-        self.run_prepared_on(prepared, input, 0)
+        let width = self.parallelism.worker_count();
+        self.run_prepared_on(prepared, input, 0, width)
     }
 
     /// [`run_prepared`](Self::run_prepared) with telemetry spans tagged
     /// for worker `track` — one image runs on one worker at a time, so
-    /// its layer spans never overlap on that track.
+    /// its layer spans never overlap on that track — and its layers
+    /// split across `width` threads.
     fn run_prepared_on(
         &self,
         prepared: &PreparedWeights,
         input: &Tensor3<i16>,
         track: u32,
+        width: usize,
     ) -> Result<InferenceResult, AbmError> {
         let timer = std::time::Instant::now();
         let layers = 0..prepared.plan.steps.len();
         let result = self.begin_checked(prepared, input).and_then(|mut state| {
-            self.advance(prepared, &mut state, layers, track)?;
+            self.advance(prepared, &mut state, layers, (track, width))?;
             Ok(state.finish(&prepared.arenas))
         });
         note_image(&result, timer.elapsed());
@@ -545,18 +564,20 @@ impl<'m> Inferencer<'m> {
     }
 
     /// Steps an image through `layers` on an arena checked out for the
-    /// run. A failing image's feature buffer goes back to the pool.
+    /// run, each `at` a track and width (see
+    /// [`step_layer`](Self::step_layer)). A failing image's feature
+    /// buffer goes back to the pool.
     fn advance(
         &self,
         prepared: &PreparedWeights,
         state: &mut ImageState,
         mut layers: std::ops::Range<usize>,
-        track: u32,
+        at: (u32, usize),
     ) -> Result<(), AbmError> {
         let (plan, pool) = (&prepared.plan, &prepared.arenas);
         let mut arena = pool.take_arena(plan);
         let status =
-            layers.try_for_each(|layer| self.step_layer(prepared, &mut arena, state, layer, track));
+            layers.try_for_each(|layer| self.step_layer(prepared, &mut arena, state, layer, at));
         pool.give_arena(arena);
         if status.is_err() {
             pool.give_features(std::mem::take(&mut state.features));
@@ -584,14 +605,17 @@ impl<'m> Inferencer<'m> {
     /// bit-identical by construction: an image's state never depends on
     /// any other image, only on the shared read-only
     /// [`PreparedWeights`]; `arena` is the executing thread's, and every
-    /// buffer in it is fully rewritten before it is read.
+    /// buffer in it is fully rewritten before it is read. `at` is where
+    /// the step runs: the telemetry track its span is recorded on, and
+    /// how many threads an accelerated layer may split its kernels
+    /// across (1 wherever the caller already runs images in parallel).
     fn step_layer(
         &self,
         prepared: &PreparedWeights,
         arena: &mut Arena,
         state: &mut ImageState,
         index: usize,
-        track: u32,
+        at: (u32, usize),
     ) -> Result<(), AbmError> {
         let layer = &self.model.network.layers()[index];
         let step = &prepared.plan.steps[index];
@@ -600,7 +624,7 @@ impl<'m> Inferencer<'m> {
             _ if step.absorbed => {}
             LayerKind::Conv(_) | LayerKind::FullyConnected(_) => {
                 let layer_idx = state.accel_idx;
-                self.accel_layer(prepared, arena, state, step, track)
+                self.accel_layer(prepared, arena, state, step, at)
                     .map_err(|e| e.at_layer(layer_idx))?;
             }
             LayerKind::Pool(_) => {
@@ -648,7 +672,7 @@ impl<'m> Inferencer<'m> {
         arena: &mut Arena,
         state: &mut ImageState,
         step: &Step,
-        track: u32,
+        (track, width): (u32, usize),
     ) -> Result<(), AbmError> {
         let layer_idx = state.accel_idx;
         let sl = &self.model.layers[layer_idx];
@@ -673,12 +697,13 @@ impl<'m> Inferencer<'m> {
                     want: (want.channels, want.rows, want.cols),
                 });
             }
+            let shares = prep.shares(width);
             if self.resilience.verify {
                 let code = prepared.layer_code(layer_idx);
-                self.execute_abm_checked(prep, code, &state.features, arena, layer_idx)?
+                self.execute_abm_checked(prep, code, &state.features, arena, layer_idx, shares)?
             } else {
                 let plane = &mut arena.plane[..step.shape.len()];
-                let max_abs = prep.execute_into(&state.features, plane, &mut arena.sweep);
+                let max_abs = prep.execute_into(&state.features, plane, &mut arena.sweeps, shares);
                 (max_abs, prep.work())
             }
         } else {
@@ -759,7 +784,9 @@ impl<'m> Inferencer<'m> {
     /// `fallback`) degrade to the `abm::reference` oracle and finally
     /// the dense engine, which take a tensor stripped back out of
     /// `relaid`. Every detection and recovery is recorded as a telemetry
-    /// [`Event::Fault`](abm_telemetry::Event::Fault).
+    /// [`Event::Fault`](abm_telemetry::Event::Fault). The checksum, the
+    /// sweep and the ABFT check each split across `shares` threads along
+    /// the same kernel runs.
     fn execute_abm_checked(
         &self,
         prep: &PreparedConv,
@@ -767,15 +794,24 @@ impl<'m> Inferencer<'m> {
         relaid: &[i16],
         arena: &mut Arena,
         layer_idx: usize,
+        shares: usize,
     ) -> Result<(u64, AbmWork), AbmError> {
         let geom = prep.geometry();
-        let (sweep, abft_scratch) = (&mut arena.sweep, &mut arena.abft);
-        let plane = &mut arena.plane[..prep.output_shape().len()];
+        let Arena {
+            plane,
+            sweeps,
+            abft,
+            digests,
+            ..
+        } = arena;
+        let plane = &mut plane[..prep.output_shape().len()];
         let mut attempt = |p: &PreparedConv, plane: &mut [i64]| -> Result<_, AbmError> {
-            timed_detector("abm_verify_checksum_ns", || p.verify_checksum())?;
-            let max_abs = p.execute_into(relaid, plane, sweep);
+            timed_detector("abm_verify_checksum_ns", || {
+                p.verify_checksum_on(shares, digests)
+            })?;
+            let max_abs = p.execute_into(relaid, plane, sweeps, shares);
             timed_detector("abm_abft_ns", || {
-                abft::verify_plane(p, relaid, plane, abft_scratch)
+                abft::verify_plane(p, relaid, plane, abft, shares)
             })?;
             Ok((max_abs, p.work()))
         };
@@ -1332,6 +1368,45 @@ mod tests {
         }
         // Different inputs give different logits.
         assert_ne!(batch[0].logits, batch[1].logits);
+    }
+
+    /// A lone image on two threads splits each layer whose sweep is
+    /// worth two shares — a 32→64 convolution on a 32×32 map, a
+    /// 16384→96 fully-connected row — and its arena keeps one sweep
+    /// scratch a share; tiny's layers are all too small to split.
+    #[test]
+    fn a_lone_image_splits_its_wide_layers_one_scratch_a_share() {
+        use abm_model::{ConvSpec, FcSpec, Layer, Network, PoolSpec};
+        for layer in &tiny_model().layers {
+            let (in_shape, geom) = accel_geometry(layer);
+            let code = LayerCode::encode(&layer.weights).unwrap();
+            let prep = PreparedConv::try_new(&code, in_shape, geom, None).unwrap();
+            assert_eq!(prep.shares(2), 1, "{}", layer.name());
+        }
+
+        let mut net = Network::new("wide", Shape3::new(32, 32, 32));
+        let conv = ConvSpec::new(32, 64, 3, 1, 1);
+        net.push(Layer::new("CONV", LayerKind::Conv(conv)));
+        net.push(Layer::new("POOL", LayerKind::Pool(PoolSpec::max(2, 2))));
+        let fc = FcSpec::new(64 * 16 * 16, 96);
+        net.push(Layer::new("FC", LayerKind::FullyConnected(fc)));
+        let profile = PruneProfile::uniform(LayerProfile::new(0.5, 9));
+        let model = synthesize_model(&net, &profile, 21);
+        let input = Tensor3::from_fn(net.input_shape(), |c, r, col| {
+            ((c * 31 + r * 7 + col) % 255) as i16 - 127
+        });
+        let serial = Inferencer::new(&model).parallelism(Parallelism::Serial);
+        let prepared = serial.prepare().unwrap();
+        for layer in 0..2 {
+            let prep = prepared.abm_layer(layer).unwrap();
+            assert_eq!((prep.shares(1), prep.shares(2)), (1, 2), "layer {layer}");
+        }
+        let golden = serial.run_prepared(&prepared, &input).unwrap();
+        let wide = serial.clone().parallelism(Parallelism::Threads(2));
+        assert_eq!(wide.run_prepared(&prepared, &input).unwrap(), golden);
+        let arena = prepared.arenas.take_arena(&prepared.plan);
+        assert_eq!(arena.sweeps.len(), 2);
+        assert!(arena.sweeps.iter().all(|s| !s.tile.is_empty()));
     }
 
     #[test]

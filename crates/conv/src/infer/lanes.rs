@@ -70,7 +70,7 @@ impl Inferencer<'_> {
             |worker, item, input| {
                 let timer = Instant::now();
                 let prefix = self.begin_checked(prepared, input).and_then(|mut state| {
-                    self.advance(prepared, &mut state, 0..tail.first, worker as u32)?;
+                    self.advance(prepared, &mut state, 0..tail.first, (worker as u32, 1))?;
                     let mut row = rows[item].lock().unwrap_or_else(PoisonError::into_inner);
                     row.copy_from_slice(&state.features[..tail.features]);
                     pool.give_features(std::mem::take(&mut state.features));
@@ -176,7 +176,7 @@ impl Inferencer<'_> {
                     for (feature, v) in state.features.iter_mut().zip(features) {
                         *feature = v;
                     }
-                    self.advance(prepared, state, from..plan.steps.len(), 0)
+                    self.advance(prepared, state, from..plan.steps.len(), (0, 1))
                         .map(|()| state.finish(pool))
                 }
             };

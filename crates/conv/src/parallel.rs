@@ -16,7 +16,9 @@
 //! deadline-bounded batches and the simulator's budgeted runs all call
 //! it, so its `pool_*` metrics and `WorkerSteals` events cover every
 //! fan-out. [`parallel_map`] is the same loop for callers whose items
-//! cannot fail.
+//! cannot fail. One level down, `on_shares` runs the fixed runs of one
+//! layer's kernels a lone image splits across threads; the two are
+//! never nested.
 //!
 //! [`Parallelism`] is the knob threaded through
 //! [`Inferencer`](crate::Inferencer), the simulator's network runner,
@@ -30,7 +32,8 @@ use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-/// How much host-thread parallelism to use for batch-level work.
+/// How much host-thread parallelism to use: a batch's images fan out
+/// over it, a lone image's layers split across it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Parallelism {
     /// Everything on the calling thread, in order.
@@ -44,13 +47,19 @@ pub enum Parallelism {
 
 impl Parallelism {
     /// The number of workers this setting resolves to on this host.
+    /// `Auto` asks the OS once per process: on Linux the answer reads
+    /// the cgroup quota files, ≈ 12 µs a call, which a served batch of
+    /// one would otherwise pay on every request.
     pub fn worker_count(self) -> usize {
+        static AVAILABLE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
         match self {
             Parallelism::Serial => 1,
             Parallelism::Threads(n) => n.max(1),
-            Parallelism::Auto => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
+            Parallelism::Auto => *AVAILABLE.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+            }),
         }
     }
 
@@ -92,8 +101,12 @@ impl fmt::Display for Parallelism {
 /// `f(worker, index, &items[index])` and brings the result home tagged
 /// with its index, so the pool load-balances uneven items exactly like
 /// the paper's semi-synchronous CU scheduler balances uneven kernel
-/// batches. With one worker (or fewer than two items) the calling
-/// thread runs the same loop as worker 0 and no thread is spawned.
+/// batches. The calling thread is always worker 0, and it claims the
+/// first item before any other worker is spawned, so item 0 runs on
+/// the caller every time: a caller that puts its heaviest item first
+/// starts it at once and keeps its allocations on one thread from call
+/// to call. With one worker (or fewer than two items) no thread is
+/// spawned.
 ///
 /// * `Ok(r)` — the item was claimed and `f` returned;
 /// * [`AbmError::DeadlineExceeded`] — `deadline` passed before any
@@ -140,27 +153,37 @@ where
     for i in 0..items.len() {
         injector.push(i);
     }
-    let run_worker = |worker: usize| {
+    let open = || deadline.is_none_or(|d| Instant::now() < d);
+    // `claimed`: an index this worker took before it started.
+    let run_worker = |worker: usize, mut claimed: Option<usize>| {
         let mut done: Vec<(usize, Result<R, AbmError>)> = Vec::new();
         let mut busy_ns = 0u64;
         let mut retries = 0u64;
-        while deadline.is_none_or(|d| Instant::now() < d) {
-            match injector.steal() {
-                Steal::Success(i) => {
-                    let start = sink.map(|_| Instant::now());
-                    let result = catch_unwind(AssertUnwindSafe(|| f(worker, i, &items[i])))
-                        .map_err(|payload| AbmError::WorkerPanic {
-                            item: i,
-                            message: panic_message(payload.as_ref()),
-                        });
-                    if let Some(start) = start {
-                        busy_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        loop {
+            let i = match claimed.take() {
+                Some(i) => i,
+                None if !open() => break,
+                None => match injector.steal() {
+                    Steal::Success(i) => i,
+                    Steal::Empty => break,
+                    Steal::Retry => {
+                        retries += 1;
+                        continue;
                     }
-                    done.push((i, result));
-                }
-                Steal::Empty => break,
-                Steal::Retry => retries += 1,
+                },
+            };
+            let start = sink.map(|_| Instant::now());
+            let result =
+                catch_unwind(AssertUnwindSafe(|| f(worker, i, &items[i]))).map_err(|payload| {
+                    AbmError::WorkerPanic {
+                        item: i,
+                        message: panic_message(payload.as_ref()),
+                    }
+                });
+            if let Some(start) = start {
+                busy_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             }
+            done.push((i, result));
         }
         let tasks = done.len() as u64;
         if let Some(sink) = sink {
@@ -179,23 +202,31 @@ where
         }
         done
     };
+    // Nothing else steals yet, so this takes item 0 unless the deadline
+    // has already passed.
+    let first = if open() {
+        injector.steal().success()
+    } else {
+        None
+    };
     let done: Vec<Vec<(usize, Result<R, AbmError>)>> = if workers <= 1 {
-        vec![run_worker(0)]
+        vec![run_worker(0, first)]
     } else {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
+            let handles: Vec<_> = (1..workers)
                 .map(|worker| {
                     let run_worker = &run_worker;
-                    scope.spawn(move || run_worker(worker))
+                    scope.spawn(move || run_worker(worker, None))
                 })
                 .collect();
-            handles
+            let mine = run_worker(0, first);
+            let joined = handles
                 .into_iter()
                 // A worker can only die outside the per-item boundary
                 // (in the sink or the registry); that is this program's
                 // bug, so it propagates as the scope join would.
-                .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
-                .collect()
+                .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)));
+            std::iter::once(mine).chain(joined).collect()
         })
     };
 
@@ -221,6 +252,45 @@ where
             })
         })
         .collect()
+}
+
+/// Runs `each` on every share of one pass over a layer's kernels —
+/// every share but the last on a scoped thread of its own, the last on
+/// the calling thread, so a pass of one share spawns nothing — and
+/// folds the answers in share order. Below the work-stealing pool: the
+/// shares are fixed up front, as the accelerator's compute units each
+/// take the next kernels of one window, and a share's panic resumes on
+/// the caller with its own payload.
+pub(crate) fn on_shares<S, R>(
+    shares: impl Iterator<Item = S>,
+    each: impl Fn(S) -> R + Sync,
+    fold: impl FnMut(R, R) -> R,
+) -> Option<R>
+where
+    S: Send,
+    R: Send,
+{
+    let mut shares = shares.peekable();
+    let first = shares.next()?;
+    if shares.peek().is_none() {
+        return Some(each(first));
+    }
+    let each = &each;
+    std::thread::scope(|scope| {
+        let mut spawned = vec![scope.spawn(move || each(first))];
+        let mut last = None;
+        while let Some(share) = shares.next() {
+            if shares.peek().is_some() {
+                spawned.push(scope.spawn(move || each(share)));
+            } else {
+                last = Some(each(share));
+            }
+        }
+        let joined = spawned
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)));
+        joined.chain(last).reduce(fold)
+    })
 }
 
 /// The message a caught panic carried (`panic!` payloads are a `String`
@@ -401,6 +471,22 @@ mod tests {
             assert!(x != 5, "poisoned item {x}");
             x
         });
+    }
+
+    /// Item 0 runs on the calling thread as worker 0 at every width, even
+    /// when the other workers would be free to claim it first.
+    #[test]
+    fn item_zero_runs_on_the_caller() {
+        let caller = std::thread::current().id();
+        let items: Vec<u32> = (0..9).collect();
+        for workers in 1..5 {
+            for _ in 0..20 {
+                let out = parallel_map(Parallelism::Threads(workers), &items, |i, _| {
+                    (i, std::thread::current().id())
+                });
+                assert_eq!(out[0], (0, caller), "{workers} workers");
+            }
+        }
     }
 
     #[test]

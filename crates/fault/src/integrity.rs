@@ -9,7 +9,7 @@
 
 use crate::error::AbmError;
 use crate::inject::{FNV_OFFSET, FNV_PRIME};
-use abm_sparse::{FlatCode, Tap};
+use abm_sparse::{FlatCode, FlatKernel, Tap};
 
 /// Independent multiply chains the digest stripes words over. One
 /// chain retires a word per multiply *latency*; four keep the
@@ -23,8 +23,9 @@ fn mix(h: u64, w: u64) -> u64 {
     (h ^ w).wrapping_mul(FNV_PRIME)
 }
 
-/// The lane state of [`flat_checksum`]: [`LANES`] FNV-1a chains over
-/// 64-bit words plus the number of words absorbed so far.
+/// The lane state of [`kernel_digest`] (and of [`flat_checksum`]'s
+/// header): [`LANES`] FNV-1a chains over 64-bit words plus the number
+/// of words absorbed so far.
 struct WordDigest {
     lanes: [u64; LANES],
     words: u64,
@@ -79,22 +80,57 @@ fn pack_tap(t: Tap) -> u64 {
 /// re-verifies before execution: any post-load bit flip in an offset,
 /// value, group bound or tap changes the digest.
 ///
+/// It is a fold: the header (shape, layout, kernel count) is digested,
+/// then each kernel's [`kernel_digest`] is folded in, in kernel order
+/// ([`fold_kernel_digests`]). Kernels digest independently, so a check
+/// split across threads along runs of kernels computes the same value
+/// as this serial walk.
+///
 /// The streams are hashed a 64-bit word at a time — `values` eight to
 /// the word, `group_bounds` and `offsets` two, each [`Tap`] one — and
 /// every stream of every kernel is prefixed with its length, so an
 /// element that moves across a stream or kernel boundary changes two
 /// frames even where the concatenated bytes stay the same.
 ///
-/// **Why one changed word is always caught.** A word enters the digest
-/// through `h ← (h ^ w) · P` on one lane. Two different words give two
-/// different lane states; every later step on that lane, the fold of
-/// the lanes and the fold of the word count are bijections of the
-/// state they update, so the difference survives to the result. A
-/// single-event upset changes one word, so it is detected with
-/// certainty, exactly as with the byte-serial FNV-1a this replaces
-/// (changes to several words can cancel, with probability about 2⁻⁶⁴).
+/// **Why one changed word is always caught.** A word enters its
+/// kernel's digest through `h ← (h ^ w) · P` on one lane. Two different
+/// words give two different lane states; every later step on that lane,
+/// the fold of the lanes and the fold of the word count are bijections
+/// of the state they update, so the kernel's digest differs. That
+/// digest `d` enters the layer's chain as `h ← (h ^ d) · P`, again a
+/// bijection of `d` for the chain state before it and of that state for
+/// every kernel after it, so the difference survives to the result (a
+/// changed header word takes the same path through the header digest,
+/// the chain's first state). A single-event upset changes one word, so
+/// it is detected with certainty, exactly as with the byte-serial
+/// FNV-1a this replaces (changes to several words can cancel, with
+/// probability about 2⁻⁶⁴).
 #[must_use]
 pub fn flat_checksum(flat: &FlatCode) -> u64 {
+    fold_kernel_digests(flat, flat.kernels().iter().map(kernel_digest))
+}
+
+/// One kernel's share of [`flat_checksum`]: its four streams, each
+/// framed by its length, through one four-chain word digest.
+#[must_use]
+pub fn kernel_digest(kernel: &FlatKernel) -> u64 {
+    let mut digest = WordDigest::new();
+    digest.absorb::<_, 8>(kernel.values(), |bytes| {
+        bytes
+            .iter()
+            .rev()
+            .fold(0, |w, &v| (w << 8) | u64::from(v as u8))
+    });
+    digest.absorb::<_, 2>(kernel.group_bounds(), pack_u32);
+    digest.absorb::<_, 2>(kernel.offsets(), pack_u32);
+    digest.absorb::<_, 1>(kernel.taps(), |t| pack_tap(t[0]));
+    digest.finish()
+}
+
+/// [`flat_checksum`] from its kernels' digests, given in kernel order:
+/// the header's digest, then one FNV-1a step per kernel digest.
+#[must_use]
+pub fn fold_kernel_digests(flat: &FlatCode, digests: impl IntoIterator<Item = u64>) -> u64 {
     let shape = flat.shape();
     let layout = flat.layout();
     let header = [
@@ -110,18 +146,7 @@ pub fn flat_checksum(flat: &FlatCode) -> u64 {
     ];
     let mut digest = WordDigest::new();
     digest.absorb::<_, 1>(&header, |d| d[0] as u64);
-    for k in flat.kernels() {
-        digest.absorb::<_, 8>(k.values(), |bytes| {
-            bytes
-                .iter()
-                .rev()
-                .fold(0, |w, &v| (w << 8) | u64::from(v as u8))
-        });
-        digest.absorb::<_, 2>(k.group_bounds(), pack_u32);
-        digest.absorb::<_, 2>(k.offsets(), pack_u32);
-        digest.absorb::<_, 1>(k.taps(), |t| pack_tap(t[0]));
-    }
-    digest.finish()
+    digests.into_iter().fold(digest.finish(), mix)
 }
 
 /// Structural validation of a [`FlatCode`] at load time — the software
@@ -340,19 +365,27 @@ mod tests {
         )
     }
 
-    /// [`flat_checksum`] as its definition reads, one word at a time
-    /// with its own packing — no blocks, no tails.
-    fn reference_digest(header: [usize; 8], kernels: &[Streams]) -> u64 {
+    /// One word digest as its definition reads: each stream (its length,
+    /// then its little-endian words) one word at a time with its own
+    /// packing — no blocks, no tails.
+    fn reference_words(streams: Vec<(usize, Vec<u64>)>) -> u64 {
         let mut lanes: [u64; LANES] = std::array::from_fn(|i| mix(FNV_OFFSET, i as u64));
         let mut count = 0u64;
-        let mut stream = |len: usize, words: Vec<u64>| {
+        for (len, words) in streams {
             lanes[0] = mix(lanes[0], len as u64);
             for (j, w) in words.into_iter().enumerate() {
                 lanes[j % LANES] = mix(lanes[j % LANES], w);
                 count += 1;
             }
             count += 1;
-        };
+        }
+        let folded = lanes.into_iter().fold(FNV_OFFSET, mix);
+        mix(folded, count)
+    }
+
+    /// [`flat_checksum`] as its definition reads: the header's word
+    /// digest, then every kernel's, chained in kernel order.
+    fn reference_digest(header: [usize; 8], kernels: &[Streams]) -> u64 {
         let le_words = |bytes: Vec<u8>| -> Vec<u64> {
             bytes
                 .chunks(8)
@@ -363,32 +396,31 @@ mod tests {
                 })
                 .collect()
         };
+        let u32_words = |words: &[u32]| {
+            let bytes = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            (words.len(), le_words(bytes))
+        };
         let mut head: Vec<u64> = header.iter().map(|&d| d as u64).collect();
         head.push(kernels.len() as u64);
-        stream(head.len(), head);
-        for (values, bounds, offsets, taps) in kernels {
-            stream(
-                values.len(),
-                le_words(values.iter().map(|&v| v as u8).collect()),
-            );
-            for words in [bounds, offsets] {
-                stream(
-                    words.len(),
-                    le_words(words.iter().flat_map(|w| w.to_le_bytes()).collect()),
-                );
-            }
-            stream(
-                taps.len(),
-                le_words(
-                    taps.iter()
-                        .flat_map(|t| [t.n, t.k, t.kp, 0])
-                        .flat_map(u16::to_le_bytes)
-                        .collect(),
-                ),
-            );
-        }
-        let folded = lanes.into_iter().fold(FNV_OFFSET, mix);
-        mix(folded, count)
+        let head = reference_words(vec![(head.len(), head)]);
+        kernels
+            .iter()
+            .map(|(values, bounds, offsets, taps)| {
+                let tap_bytes = taps.iter().flat_map(|t| [t.n, t.k, t.kp, 0]);
+                reference_words(vec![
+                    (
+                        values.len(),
+                        le_words(values.iter().map(|&v| v as u8).collect()),
+                    ),
+                    u32_words(bounds),
+                    u32_words(offsets),
+                    (
+                        taps.len(),
+                        le_words(tap_bytes.flat_map(u16::to_le_bytes).collect()),
+                    ),
+                ])
+            })
+            .fold(head, mix)
     }
 
     /// The streams as the unframed digest saw them: one concatenation

@@ -36,7 +36,7 @@ pub use error::AbmError;
 pub use inject::{
     fnv1a_bytes, stream_checksum_i16, stream_checksum_u32, Injector, NullInjector, PlanInjector,
 };
-pub use integrity::{flat_checksum, validate_flat};
+pub use integrity::{flat_checksum, fold_kernel_digests, kernel_digest, validate_flat};
 pub use plan::{Fault, FaultClass, FaultPlan, SplitMix64};
 pub use report::{
     CampaignReport, ClassCounts, FaultOutcome, FaultReport, RecoveryAction, TrialRecord,

@@ -9,8 +9,10 @@
 //!                  (CostModel)    (Mutex+Condvar)   (coalesce      │
 //!                      │           shed: typed       ≤ max_batch   ▼
 //!                      ▼           Overloaded)       within     workers (handles to
-//!                  shed/reject                       window)    the one PreparedWeights,
-//!                                                               hardened policy)
+//!                  shed/reject                       window     the one PreparedWeights,
+//!                                                    while all  hardened policy; a batch
+//!                                                    workers    alone on the server runs
+//!                                                    are busy)  at Parallelism::Auto)
 //!                                                                   │
 //!                        watchdog ◄── heartbeats ──────────────────┤
 //!                        (confiscates stuck batches,                ▼
@@ -55,16 +57,19 @@ pub struct ServeConfig {
     /// Most requests one batch may coalesce.
     pub max_batch: usize,
     /// How long the batcher holds an open batch waiting for co-riders
-    /// (the coalescing latency budget).
+    /// (the coalescing latency budget) while every worker is busy. A
+    /// batch closes as soon as the queue is empty and a worker is
+    /// waiting for it: holding it would delay it and help nobody.
     pub batch_window: Duration,
     /// Executor workers. All of them — and every replacement a
     /// watchdog failover starts — read the one model `Server::start`
     /// prepared, through a handle of their own: an abandoned worker
     /// holds no copy of the weights, and the only write (chaos
-    /// corruption) is copy-on-write, so it cannot poison the rest.
+    /// corruption) is copy-on-write, so it cannot poison the rest. A
+    /// batch that is alone — nothing else queued or running — runs at
+    /// [`Parallelism::Auto`] on the cores the idle workers leave free;
+    /// any other runs on its worker's thread alone.
     pub workers: usize,
-    /// Host threads each worker spends *inside* a batch.
-    pub intra_batch: Parallelism,
     /// Layer-pipelined execution depth; `< 2` selects the
     /// deadline-salvage batch executor
     /// ([`Inferencer::run_batch_salvage`]), `>= 2` streams
@@ -99,7 +104,6 @@ impl Default for ServeConfig {
             max_batch: 8,
             batch_window: Duration::from_millis(2),
             workers: 2,
-            intra_batch: Parallelism::Serial,
             pipeline_stages: 0,
             default_deadline: Duration::from_millis(250),
             slo: Duration::from_millis(100),
@@ -245,6 +249,7 @@ enum Counter {
     ChaosInjected,
     WatchdogFailovers,
     WatchdogLate,
+    WideBatches,
     Batches,
 }
 
@@ -264,6 +269,7 @@ impl Counter {
             Self::ChaosInjected => "serve_chaos_injected_total",
             Self::WatchdogFailovers => "serve_watchdog_failover_total",
             Self::WatchdogLate => "serve_watchdog_late_total",
+            Self::WideBatches => "serve_wide_batches_total",
             Self::Batches => "serve_batches_total",
         }
     }
@@ -305,6 +311,9 @@ pub struct ServeStats {
     /// Batches whose worker finished after the watchdog had already
     /// confiscated them (the late result is discarded, never served).
     pub watchdog_late: u64,
+    /// Batches a worker ran at [`Parallelism::Auto`] because nothing
+    /// else was queued or running.
+    pub wide_batches: u64,
     /// Batches dispatched to workers.
     pub batches: u64,
 }
@@ -342,6 +351,7 @@ impl Counters {
             chaos_injected: read(Counter::ChaosInjected),
             watchdog_failovers: read(Counter::WatchdogFailovers),
             watchdog_late: read(Counter::WatchdogLate),
+            wide_batches: read(Counter::WideBatches),
             batches: read(Counter::Batches),
         }
     }
@@ -385,6 +395,20 @@ struct WorkQueue {
     batches: VecDeque<Batch>,
     batcher_done: bool,
     stop: bool,
+    /// Workers blocked waiting for a batch: while more of them wait
+    /// than batches are queued, the batcher holds no batch open.
+    idle: usize,
+    /// Batches workers have taken and not yet finished (an abandoned
+    /// worker's counts until it returns): a batch taken while this is
+    /// zero and the queue empty is alone and runs wide.
+    running: usize,
+}
+
+impl WorkQueue {
+    /// Whether a batch dispatched now would be taken at once.
+    fn worker_waiting(&self) -> bool {
+        self.idle > self.batches.len()
+    }
 }
 
 /// A worker's heartbeat slot, watched by the watchdog: the batch it is
@@ -448,9 +472,10 @@ pub struct Server {
 
 impl Server {
     /// Builds the cost model (one simulator run), prepares the weights
-    /// — once; the workers share them — and warms them up (calibrating
-    /// the cost model against measured host time), then spawns the
-    /// batcher, `cfg.workers` workers and the watchdog.
+    /// — once; the workers share them — and warms them up on one thread
+    /// (calibrating the cost model against measured host time:
+    /// admission prices a worker that runs its batch alone), then
+    /// spawns the batcher, `cfg.workers` workers and the watchdog.
     ///
     /// # Errors
     ///
@@ -471,7 +496,7 @@ impl Server {
         // Validate the model end to end and calibrate the cost model
         // before the first real request can be admitted.
         let weights = {
-            let inferencer = hardened(&model, &cfg);
+            let inferencer = hardened(&model);
             let prepared = inferencer.prepare()?;
             let input = crate::synth_input(model.network.input_shape(), 0xC0FF_EE00);
             let images = cfg.warmup_images.max(1);
@@ -497,6 +522,8 @@ impl Server {
                 batches: VecDeque::new(),
                 batcher_done: false,
                 stop: false,
+                idle: 0,
+                running: 0,
             }),
             work_cv: Condvar::new(),
             accepting: AtomicBool::new(true),
@@ -532,6 +559,9 @@ impl Server {
     ///
     /// # Errors
     ///
+    /// [`AbmError::ShapeMismatch`] when `input` is not the model's
+    /// input shape — refused before it is counted or admitted, so it
+    /// can never fail the batch it would have ridden in; and
     /// [`AbmError::Overloaded`] when the server is draining, the
     /// bounded queue is full, or the cost model predicts the queue's
     /// drain time exceeds `deadline_budget`.
@@ -541,6 +571,15 @@ impl Server {
         deadline_budget: Duration,
     ) -> Result<Ticket, AbmError> {
         let shared = &self.shared;
+        let (got, want) = (input.shape(), self.input_shape());
+        if got != want {
+            let e = AbmError::ShapeMismatch {
+                got: (got.channels, got.rows, got.cols),
+                want: (want.channels, want.rows, want.cols),
+            };
+            abm_metrics::global().note_error("serve", &format!("refused: {e}"));
+            return Err(e);
+        }
         let c = &shared.counters;
         c.bump(Counter::Submitted);
         // Admission runs under the queue lock so the backlog it reasons
@@ -741,7 +780,11 @@ fn respond(
 
 /// The batcher: pops the queue, coalesces up to `max_batch` requests
 /// within `batch_window`, answers already-expired requests with the
-/// typed deadline cut, and dispatches the rest to the work queue.
+/// typed deadline cut, and dispatches the rest to the work queue. It is
+/// work-conserving: once the queue is empty, a batch is held open for
+/// co-riders only while no worker is waiting to run it — under load
+/// the window coalesces as before, and an idle server starts a request
+/// the moment it arrives.
 fn batcher_loop(shared: &Arc<Shared>) {
     loop {
         // Block for the first request of the next batch (or exit once
@@ -778,6 +821,9 @@ fn batcher_loop(shared: &Arc<Shared>) {
             }
             if !shared.accepting.load(Ordering::SeqCst) {
                 break; // draining: don't hold the window open
+            }
+            if lock(&shared.work).worker_waiting() {
+                break; // a worker would idle while the batch waited
             }
             let (guard, _) = shared
                 .queue_cv
@@ -889,11 +935,12 @@ fn transient(e: &AbmError) -> bool {
         )
 }
 
-/// The inferencer every served image runs under: the configured
-/// intra-batch parallelism and the hardened policy.
-fn hardened<'m>(model: &'m SparseModel, cfg: &ServeConfig) -> Inferencer<'m> {
+/// The inferencer every served image runs under: the hardened policy,
+/// on the calling thread alone (a batch that is alone on the server is
+/// widened in `execute_batch`).
+fn hardened(model: &SparseModel) -> Inferencer<'_> {
     Inferencer::new(model)
-        .parallelism(cfg.intra_batch)
+        .parallelism(Parallelism::Serial)
         .resilience(ResiliencePolicy::hardened())
 }
 
@@ -907,26 +954,39 @@ fn hardened<'m>(model: &'m SparseModel, cfg: &ServeConfig) -> Inferencer<'m> {
 fn worker_loop(shared: &Arc<Shared>, state: &Arc<WorkerState>) {
     let model: &SparseModel = &shared.model;
     let cfg = &shared.cfg;
-    let base = hardened(model, cfg);
+    let base = hardened(model);
     let mut prepared = shared.weights.clone();
     let conv_layers = model.conv_indices();
 
     loop {
-        let batch = {
+        let (batch, alone) = {
             let mut w = lock(&shared.work);
             loop {
                 if let Some(b) = w.batches.pop_front() {
-                    break b;
+                    let alone = w.batches.is_empty() && w.running == 0;
+                    w.running += 1;
+                    break (b, alone);
                 }
                 if w.stop || (w.batcher_done && shared.in_flight.load(Ordering::SeqCst) == 0) {
                     return;
                 }
-                let (guard, _) = shared
+                w.idle += 1;
+                let (mut guard, _) = shared
                     .work_cv
                     .wait_timeout(w, Duration::from_millis(10))
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
+                guard.idle -= 1;
                 w = guard;
             }
+        };
+        // Alone on the server, a batch takes the cores the idle workers
+        // leave free; otherwise it stays on this thread, as admission
+        // priced it.
+        let parallelism = if alone {
+            shared.counters.bump(Counter::WideBatches);
+            Parallelism::Auto
+        } else {
+            Parallelism::Serial
         };
         let started = Instant::now();
         // Stuck threshold: 4× the cost model's predicted execution for
@@ -975,8 +1035,12 @@ fn worker_loop(shared: &Arc<Shared>, state: &Arc<WorkerState>) {
             }
         }
 
+        let inferencer = base.clone().parallelism(parallelism);
         let (outcomes, retries_spent, degraded) =
-            execute_batch(&base, &prepared, &batch, cfg, shared, heartbeat);
+            execute_batch(&inferencer, &prepared, &batch, cfg, shared, heartbeat);
+        // Before any reply goes out: a caller that submits again on
+        // receiving it must find this worker's batch finished.
+        lock(&shared.work).running -= 1;
 
         if let Some(layer) = injected {
             // Repair: back onto the server's clean layer, dropping the

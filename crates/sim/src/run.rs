@@ -536,8 +536,9 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
     ///
     /// How layers are walked is chosen from what the context shows.
     /// With both hooks null and at least as many layers as (two or
-    /// more) workers, the work-stealing pool steals whole layers and
-    /// each layer's kernels run serially (no nested pools). Otherwise
+    /// more) workers, the work-stealing pool steals whole layers, most
+    /// weights first, and each layer's kernels run serially (no nested
+    /// pools). Otherwise
     /// layers run in order on the calling thread, on one cumulative
     /// cycle timeline — which keeps an enabled collector's event stream
     /// and an enabled injector's poll order deterministic — and each
@@ -594,12 +595,14 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
         let mut cycles = 0u64;
         if !C::ENABLED && !I::ENABLED && workers > 1 && model.layers.len() >= workers {
             let (mem, policy) = (self.mem, self.policy);
-            let results = parallel_map_salvage(
-                self.parallelism,
-                &model.layers,
-                None,
-                deadline,
-                |_, i, _| {
+            // Most weights first: lowering a layer costs time and memory
+            // in proportion to its weights, and the pool runs its first
+            // item on this thread, so the largest (VGG16's FC6) starts
+            // at once and allocates on the same thread every call.
+            let mut order: Vec<usize> = (0..model.layers.len()).collect();
+            order.sort_by_key(|&i| std::cmp::Reverse(model.layers[i].weights.len()));
+            let mut results: Vec<_> =
+                parallel_map_salvage(self.parallelism, &order, None, deadline, |_, _, &i| {
                     let mut worker = SimContext {
                         mem,
                         policy,
@@ -607,13 +610,17 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
                         ..SimContext::default()
                     };
                     worker.simulate_workload(&prepare(i)?, cfg, i as u32, 0)
-                },
-            );
+                })
+                .into_iter()
+                .zip(order)
+                .collect();
+            results.sort_by_key(|&(_, i)| i);
             let cut = |r: &Result<_, AbmError>| matches!(r, Err(AbmError::DeadlineExceeded { .. }));
-            if results.iter().any(cut) {
-                return Err(out_of_time(results.iter().filter(|r| !cut(r)).count()));
+            if results.iter().any(|(r, _)| cut(r)) {
+                let done = results.iter().filter(|(r, _)| !cut(r)).count();
+                return Err(out_of_time(done));
             }
-            for (i, result) in results.into_iter().enumerate() {
+            for (i, (result, _)) in results.into_iter().enumerate() {
                 let sim: LayerSim = result.flatten()?;
                 cycles += sim.compute_cycles;
                 within_cycles(i + 1, cycles)?;

@@ -22,8 +22,10 @@
 //! * **no steady-state allocation** — the pool's growth counter (what
 //!   stands in for a counting allocator: `unsafe impl GlobalAlloc` is
 //!   forbidden in every compilation root) stays flat from the second
-//!   image on (from the second batch on, lane buffers included), and
-//!   the pool never holds more arenas than threads executed at once.
+//!   image on (from the second batch on, lane buffers included; and for
+//!   a lone image whose layers split across two threads, one sweep
+//!   scratch a share), and the pool never holds more arenas than
+//!   threads executed at once.
 //!
 //! And the weights those buffers hang off are one model however many
 //! handles there are: `PreparedWeights::clone` shares every layer, a
@@ -448,6 +450,62 @@ fn the_arena_stops_growing_after_the_first_image() {
                 ..before
             }
         );
+    }
+}
+
+/// A network whose accelerated layers are each worth two threads to a
+/// lone image: a 32→64 convolution on a 32×32 map, then a 16384→96
+/// fully-connected row.
+fn wide_net() -> Network {
+    let mut net = Network::new("wide", Shape3::new(32, 32, 32));
+    let conv = ConvSpec::new(32, 64, 3, 1, 1);
+    net.push(Layer::new("CONV", LayerKind::Conv(conv)));
+    net.push(Layer::new("RELU", LayerKind::Relu));
+    net.push(Layer::new("POOL", LayerKind::Pool(PoolSpec::max(2, 2))));
+    let fc = FcSpec::new(64 * 16 * 16, 96);
+    net.push(Layer::new("FC", LayerKind::FullyConnected(fc)));
+    net
+}
+
+/// At width two a lone image splits every layer, each share sweeping
+/// through a scratch of its own: the arena grows with the first image,
+/// and with the first hardened one (its ABFT tables and the kernel
+/// digests of the split checksum), and never again — every result the
+/// serial one, a batch of one's too.
+#[test]
+fn the_arena_stops_growing_at_width_two() {
+    let net = wide_net();
+    let model = synthesize_model(&net, &PruneProfile::uniform(LayerProfile::new(0.5, 9)), 21);
+    let images: Vec<_> = (0..4).map(|i| image(net.input_shape(), i)).collect();
+    let serial = Inferencer::new(&model).parallelism(Parallelism::Serial);
+    let golden: Vec<_> = {
+        let prepared = serial.prepare().unwrap();
+        let run = |image| serial.run_prepared(&prepared, image).unwrap();
+        images.iter().map(run).collect()
+    };
+    let wide = serial.clone().parallelism(Parallelism::Threads(2));
+    let prepared = wide.prepare().unwrap();
+    let first = ArenaStats {
+        grown: 2,
+        arenas: 1,
+        feature_buffers: 1,
+        lane_arenas: 0,
+    };
+    for (image, want) in images.iter().zip(&golden) {
+        assert_eq!(&wide.run_prepared(&prepared, image).unwrap(), want);
+        assert_eq!(prepared.arena_stats(), first);
+    }
+    let hardened = wide.clone().resilience(ResiliencePolicy::hardened());
+    let grown = ArenaStats { grown: 3, ..first };
+    for (image, want) in images.iter().zip(&golden) {
+        assert_eq!(&hardened.run_prepared(&prepared, image).unwrap(), want);
+        assert_eq!(prepared.arena_stats(), grown);
+        let alone = std::slice::from_ref(image);
+        assert_eq!(
+            &hardened.run_batch_prepared(&prepared, alone).unwrap()[0],
+            want
+        );
+        assert_eq!(prepared.arena_stats(), grown);
     }
 }
 

@@ -9,15 +9,16 @@
 //! results bit-identical to `Serial`, for every engine and every
 //! scheduling policy.
 
-use abm_conv::{Engine, Inferencer, Parallelism};
-use abm_fault::{FaultPlan, Injector, PlanInjector};
+use abm_conv::{Engine, InferenceResult, Inferencer, Parallelism, ResiliencePolicy};
+use abm_fault::{AbmError, FaultPlan, Injector, PlanInjector};
+use abm_metrics::stable_line;
 use abm_model::{synthesize_model, zoo, LayerProfile, PruneProfile, SparseModel};
 use abm_sim::task::Workload;
 use abm_sim::{
     plan_pipeline, simulate_network, simulate_pipeline, AcceleratorConfig, NetworkSim,
     PipelineOptions, PipelineSim, PipelinedSchedule, SchedulingPolicy, SimBudget, SimContext,
 };
-use abm_telemetry::{Collector, RecordingCollector};
+use abm_telemetry::{Collector, Event, RecordingCollector, TelemetrySink};
 use abm_tensor::Tensor3;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -146,6 +147,112 @@ fn uneven_batches_stay_ordered() {
         .unwrap();
     assert_eq!(serial, parallel);
     assert_ne!(serial[3], serial[2], "outlier image must differ");
+}
+
+fn alexnet() -> SparseModel {
+    synthesize_model(
+        &zoo::alexnet(),
+        &PruneProfile::alexnet_deep_compression(),
+        2019,
+    )
+}
+
+const WIDTHS: [Parallelism; 4] = [
+    Parallelism::Threads(2),
+    Parallelism::Threads(3),
+    Parallelism::Threads(4),
+    Parallelism::Auto,
+];
+
+/// A lone image — `run_prepared`, or a batch of one — splits each large
+/// layer's kernels, checksum and ABFT check across the pool; a batch of
+/// two or three keeps its images parallel and its layers whole. Either
+/// way every width gives the serial bits — logits, traces, work
+/// counters, saturation, every field — plain and hardened, on tiny
+/// (whose layers are too small to split) and on AlexNet (whose layers
+/// all split).
+#[test]
+fn every_width_gives_the_serial_bits_for_lone_images_and_small_batches() {
+    for model in [model(2019), alexnet()] {
+        let inputs = batch(&model, 3);
+        for policy in [ResiliencePolicy::default(), ResiliencePolicy::hardened()] {
+            let serial = Inferencer::new(&model)
+                .parallelism(Parallelism::Serial)
+                .resilience(policy);
+            let prepared = serial.prepare().unwrap();
+            let singles: Vec<InferenceResult> = inputs
+                .iter()
+                .map(|input| serial.run_prepared(&prepared, input).unwrap())
+                .collect();
+            for width in WIDTHS {
+                let wide = serial.clone().parallelism(width);
+                let name = model.network.name();
+                for (input, want) in inputs.iter().zip(&singles) {
+                    let got = wide.run_prepared(&prepared, input).unwrap();
+                    assert_eq!(&got, want, "{name} {policy:?} {width}");
+                }
+                for n in 1..=inputs.len() {
+                    let got = wide.run_batch_prepared(&prepared, &inputs[..n]).unwrap();
+                    assert_eq!(got, singles[..n], "{name} {policy:?} {width} batch {n}");
+                }
+            }
+        }
+    }
+}
+
+/// The fault events a sink recorded, without their wall-clock fields.
+fn faults(sink: &TelemetrySink) -> Vec<String> {
+    let events = sink.drain();
+    let faults = events.iter().filter(|e| matches!(e, Event::Fault { .. }));
+    faults.map(stable_line).collect()
+}
+
+/// A flipped offset word in a chosen kernel of a split layer — a
+/// convolution's, the first fully-connected layer's — fails the split
+/// checksum with the error the serial check gives, at every width: the
+/// same layer, the same stored and computed digests. Under the hardened
+/// policy every width recovers the golden result through the same
+/// recorded fault events.
+#[test]
+fn a_corrupted_kernel_fails_the_same_way_at_every_width() {
+    let model = alexnet();
+    let input = &batch(&model, 1)[0];
+    let strict = Inferencer::new(&model)
+        .parallelism(Parallelism::Serial)
+        .resilience(ResiliencePolicy::detect_only());
+    let clean = strict.prepare().unwrap();
+    let golden = strict.run_prepared(&clean, input).unwrap();
+    for (layer, kernel) in [(1, 200), (5, 3000)] {
+        let mut upset = clean.clone();
+        let flat = upset.abm_layer_mut(layer).unwrap().flat_mut();
+        let (_, _, offsets, _) = flat.kernels_mut()[kernel].streams_mut();
+        offsets[0] ^= 1 << 4;
+        let serial = strict.run_prepared(&upset, input).unwrap_err();
+        assert!(
+            matches!(&serial, AbmError::Layer { layer: l, .. } if *l == layer)
+                && matches!(serial.root_cause(), AbmError::ChecksumMismatch { .. }),
+            "{serial}"
+        );
+        let sink = TelemetrySink::new();
+        let hardened = Inferencer::new(&model)
+            .parallelism(Parallelism::Serial)
+            .resilience(ResiliencePolicy::hardened())
+            .telemetry(sink.clone());
+        assert_eq!(hardened.run_prepared(&upset, input).unwrap(), golden);
+        let recorded = faults(&sink);
+        assert!(!recorded.is_empty());
+        for width in WIDTHS {
+            let wide = strict.clone().parallelism(width);
+            assert_eq!(
+                wide.run_prepared(&upset, input).unwrap_err(),
+                serial,
+                "{width}"
+            );
+            let wide = hardened.clone().parallelism(width);
+            assert_eq!(wide.run_prepared(&upset, input).unwrap(), golden, "{width}");
+            assert_eq!(faults(&sink), recorded, "{width}");
+        }
+    }
 }
 
 /// Both multi-layer cores under one context.

@@ -675,6 +675,7 @@ fn assert_serve_totals_match(snap: &metrics::MetricsSnapshot, stats: &ServeStats
         ("serve_chaos_injected_total", stats.chaos_injected),
         ("serve_watchdog_failover_total", stats.watchdog_failovers),
         ("serve_watchdog_late_total", stats.watchdog_late),
+        ("serve_wide_batches_total", stats.wide_batches),
         ("serve_batches_total", stats.batches),
     ];
     for (name, field) in twins {

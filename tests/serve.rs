@@ -13,6 +13,7 @@ use abm_spconv_repro::serve::{
     synth_input, ChaosConfig, NetConfig, NetServer, ServeConfig, Server, Ticket,
 };
 use abm_spconv_repro::sim::AcceleratorConfig;
+use abm_spconv_repro::tensor::{Shape3, Tensor3};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -200,6 +201,131 @@ fn stats_conserve_requests_under_burst() {
     );
     assert_eq!(stats.failed, 0);
     assert_eq!(stats.completed, stats.admitted);
+}
+
+/// A request of the wrong shape is refused at `submit` with a typed
+/// `ShapeMismatch`, before it is counted or admitted — so it cannot ride
+/// in a batch and fail its co-riders, under either executor (the
+/// layer-pipelined one fails a whole batch on one bad input).
+#[test]
+fn a_wrong_shape_is_refused_at_submit_and_fails_no_co_rider() {
+    for stages in [0, 2] {
+        let cfg = ServeConfig {
+            workers: 1,
+            batch_window: Duration::from_millis(50),
+            pipeline_stages: stages,
+            warmup_images: 1,
+            ..ServeConfig::default()
+        };
+        let (model, server) = start_server(cfg);
+        let golden = golden_logits(&model, 1);
+        let generous = Duration::from_secs(600);
+        let good = server
+            .submit(synth_input(model.network.input_shape(), 0), generous)
+            .expect("admit");
+        let odd = Tensor3::zeros(Shape3::new(1, 2, 2));
+        let err = server.submit(odd, generous).expect_err("wrong shape");
+        assert!(
+            matches!(
+                err,
+                AbmError::ShapeMismatch {
+                    got: (1, 2, 2),
+                    want: (3, 32, 32)
+                }
+            ),
+            "{err}"
+        );
+        let out = good.wait().outcome;
+        let out = out.unwrap_or_else(|e| panic!("stages {stages}: {e}"));
+        assert_eq!(out.logits, golden[&0], "stages {stages}");
+        let stats = server.shutdown();
+        let counts = (
+            stats.submitted,
+            stats.admitted,
+            stats.shed,
+            stats.answered(),
+        );
+        assert_eq!(counts, (1, 1, 0, 1), "stages {stages}: {stats:?}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The idle core: a work-conserving batcher and the width rule
+// ---------------------------------------------------------------------
+
+/// An idle server holds no request for co-riders: with a ten-second
+/// window and both workers waiting, a lone request is dispatched at
+/// once (the window only coalesces while every worker is busy).
+#[test]
+fn an_idle_server_starts_a_lone_request_at_once() {
+    let cfg = ServeConfig {
+        batch_window: Duration::from_secs(10),
+        ..test_config()
+    };
+    let (model, server) = start_server(cfg);
+    let golden = golden_logits(&model, 1);
+    let input = synth_input(model.network.input_shape(), 0);
+    let started = Instant::now();
+    let ticket = server
+        .submit(input, Duration::from_secs(600))
+        .expect("admit");
+    let r = ticket.wait();
+    assert_eq!(r.outcome.expect("answered").logits, golden[&0]);
+    assert!(
+        started.elapsed() < Duration::from_secs(5) && r.queued_us < 5_000_000,
+        "held for co-riders: queued {} us",
+        r.queued_us
+    );
+    let stats = server.shutdown();
+    assert_eq!((stats.batches, stats.answered()), (1, 1), "{stats:?}");
+}
+
+/// The width rule, without a stopwatch deciding it. A batch taken while
+/// nothing else is queued or running runs wide; one taken while another
+/// worker holds a batch — here batch 0, stalled by chaos — runs on its
+/// worker alone; once that one is done, the next runs wide again. Every
+/// answer is the golden one whatever the width.
+#[test]
+fn a_lone_batch_runs_wide_and_a_co_running_one_serial() {
+    let cfg = ServeConfig {
+        workers: 2,
+        watchdog_grace: Duration::from_secs(600),
+        chaos: Some(ChaosConfig {
+            seed: 3,
+            corrupt_every: 0,
+            stall_every: u64::MAX,
+            stall_for: Duration::from_secs(2),
+        }),
+        ..test_config()
+    };
+    let (model, server) = start_server(cfg);
+    let shape = model.network.input_shape();
+    let golden = golden_logits(&model, 3);
+    let submit = |seed| {
+        server
+            .submit(synth_input(shape, seed), Duration::from_secs(600))
+            .expect("admit")
+    };
+    let check = |seed, t: Ticket| {
+        let out = t.wait().outcome.expect("answered");
+        assert_eq!(out.logits, golden[&seed], "request {seed}");
+    };
+    // Batch 0, alone: wide, then stalled on its worker.
+    let stalled = submit(0);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while server.stats().wide_batches == 0 {
+        assert!(Instant::now() < deadline, "batch 0 never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Batch 1, beside it: serial.
+    check(1, submit(1));
+    assert_eq!(server.stats().wide_batches, 1);
+    check(0, stalled);
+    // Batch 2, alone again: wide.
+    check(2, submit(2));
+    let stats = server.shutdown();
+    assert_eq!((stats.batches, stats.wide_batches), (3, 2), "{stats:?}");
+    assert_eq!(stats.watchdog_failovers, 0, "{stats:?}");
 }
 
 // ---------------------------------------------------------------------

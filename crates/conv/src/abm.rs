@@ -313,7 +313,8 @@ impl PreparedConv {
         // vector kernels may pack `i32` lanes. `select_auto` then
         // resolves the ISA (explicit pin → `ABM_FORCE_ISA` → widest
         // variant whose lanes this layer's shortest sweep can fill).
-        let stage1_bits = abm_verify::AccumulatorModel::host().stage1_required_bits(&flat);
+        let counts = flat.kernels().iter().flat_map(FlatKernel::group_counts);
+        let stage1_bits = abm_verify::AccumulatorModel::host().stage1_required_bits(counts);
         let sweep = layout.shortest_sweep(out_shape.rows, out_shape.cols);
         let unavailable = |detail| AbmError::IsaUnavailable { detail };
         let sel = abm_kernel::select_auto(isa, stage1_bits, sweep).map_err(unavailable)?;

@@ -47,30 +47,44 @@ fn build_model(net: &str) -> Option<SparseModel> {
     Some(synthesize_model(&network, &profile, MODEL_SEED))
 }
 
-/// Golden logits per input seed, computed injector-off with the same
-/// hardened policy the server runs — the bit-identity oracle. Also
-/// returns the measured per-image service time, used to scale the SLO
-/// so the gates stay meaningful on hosts (or build profiles) where the
-/// absolute numbers shift.
-fn golden_logits(
-    model: &SparseModel,
-    seeds: u64,
-) -> Result<(HashMap<u64, Vec<f32>>, Duration), String> {
-    let inferencer = Inferencer::new(model)
-        .parallelism(Parallelism::Serial)
-        .resilience(ResiliencePolicy::hardened());
-    let prepared = inferencer.prepare().map_err(|e| e.to_string())?;
-    let shape = model.network.input_shape();
-    let mut golden = HashMap::new();
-    let t0 = std::time::Instant::now();
-    for seed in 0..seeds {
-        let r = inferencer
-            .run_prepared(&prepared, &synth_input(shape, seed))
-            .map_err(|e| e.to_string())?;
-        golden.insert(seed, r.logits);
+/// The bit-identity oracle: golden logits per input seed, computed
+/// injector-off with the same hardened policy the server runs, on the
+/// server's own prepared model — and the SLO, scaled from the measured
+/// per-image service time so the gates stay meaningful on hosts (or
+/// build profiles) where the absolute numbers shift.
+struct Oracle {
+    golden: HashMap<u64, Vec<f32>>,
+    slo: Duration,
+}
+
+impl Oracle {
+    fn measure(server: &Server, model: &SparseModel, seeds: u64) -> Result<Self, String> {
+        let inferencer = Inferencer::new(model)
+            .parallelism(Parallelism::Serial)
+            .resilience(ResiliencePolicy::hardened());
+        let prepared = server.prepared_weights();
+        let shape = model.network.input_shape();
+        let mut golden = HashMap::new();
+        let t0 = std::time::Instant::now();
+        for seed in 0..seeds {
+            let r = inferencer
+                .run_prepared(&prepared, &synth_input(shape, seed))
+                .map_err(|e| e.to_string())?;
+            golden.insert(seed, r.logits);
+        }
+        let per_image = t0.elapsed() / u32::try_from(seeds.max(1)).unwrap_or(1);
+        // 100 ms is the release-build SLO for `tiny`; on slower hosts or
+        // unoptimized builds the objective scales with the measured
+        // service time (~40 images of headroom) so the latency gate keeps
+        // testing the serving stack rather than the build profile.
+        let slo = Duration::from_millis(100).max(per_image * 40);
+        eprintln!(
+            "probe: {} us/image hardened, slo {} ms",
+            per_image.as_micros(),
+            slo.as_millis()
+        );
+        Ok(Self { golden, slo })
     }
-    let per_image = t0.elapsed() / u32::try_from(seeds.max(1)).unwrap_or(1);
-    Ok((golden, per_image))
 }
 
 struct Leg {
@@ -84,28 +98,33 @@ struct Leg {
     chaos: Option<ChaosConfig>,
 }
 
+/// Runs one leg on a server of its own. The first leg measures the
+/// oracle on its server's prepared model, so the process prepares no
+/// model beside the servers'.
 fn run_leg(
     model: &Arc<SparseModel>,
     accel: &AcceleratorConfig,
     leg: &Leg,
     requests: usize,
-    golden: &HashMap<u64, Vec<f32>>,
-    slo: Duration,
+    oracle: &mut Option<Oracle>,
 ) -> Result<LoadReport, String> {
     let cfg = ServeConfig {
-        slo,
         chaos: leg.chaos.clone(),
         ..ServeConfig::default()
     };
     let workers = cfg.workers as f64;
     let server = Server::start(Arc::clone(model), accel, cfg).map_err(|e| format!("start: {e}"))?;
+    let Oracle { golden, slo } = match oracle {
+        Some(oracle) => &*oracle,
+        None => oracle.insert(Oracle::measure(&server, model, 4)?),
+    };
     // The sustainable rate falls out of the calibrated cost model:
     // workers drain one image per service time each.
     let service = server.service_estimate().max(Duration::from_micros(50));
     let sustainable_rps = workers / service.as_secs_f64();
     let deadline = leg
         .deadline_factor
-        .map_or(slo, |f| service.mul_f64(f).max(Duration::from_millis(5)));
+        .map_or(*slo, |f| service.mul_f64(f).max(Duration::from_millis(5)));
     let load = LoadConfig {
         requests,
         rate_rps: sustainable_rps * leg.rate_factor,
@@ -203,17 +222,6 @@ fn run(args: &[String]) -> Result<(), String> {
     );
     let accel = AcceleratorConfig::paper();
     let requests = if quick { 48 } else { 96 };
-    let (golden, probe) = golden_logits(&model, 4)?;
-    // 100 ms is the release-build SLO for `tiny`; on slower hosts or
-    // unoptimized builds the objective scales with the measured
-    // service time (~40 images of headroom) so the latency gate keeps
-    // testing the serving stack rather than the build profile.
-    let slo = Duration::from_millis(100).max(probe * 40);
-    eprintln!(
-        "probe: {} us/image hardened, slo {} ms",
-        probe.as_micros(),
-        slo.as_millis()
-    );
 
     let legs = [
         Leg {
@@ -236,9 +244,11 @@ fn run(args: &[String]) -> Result<(), String> {
         },
     ];
     let mut reports = Vec::new();
+    let mut oracle = None;
     for leg in &legs {
-        reports.push(run_leg(&model, &accel, leg, requests, &golden, slo)?);
+        reports.push(run_leg(&model, &accel, leg, requests, &mut oracle)?);
     }
+    let slo = oracle.ok_or("no leg ran")?.slo;
     gate(&reports, slo)?;
     let doc = loadgen::render_bench(&reports, slo, &net);
     std::fs::write(&out, &doc).map_err(|e| format!("write {out}: {e}"))?;

@@ -670,6 +670,18 @@ impl Server {
         self.shared.cost.cycles_per_image()
     }
 
+    /// A handle clone of the one prepared model every worker runs on —
+    /// for an oracle beside the server, which would otherwise prepare a
+    /// second copy. The layers are shared, not copied, and nothing the
+    /// server does writes them (chaos corrupts a worker's copy-on-write
+    /// clone), so what it returns stays the pristine lowering.
+    /// Preparation reads neither a [`Parallelism`] nor a
+    /// [`ResiliencePolicy`], so an oracle may run it under any.
+    #[must_use]
+    pub fn prepared_weights(&self) -> PreparedWeights {
+        self.shared.weights.clone()
+    }
+
     /// The model's expected input shape.
     #[must_use]
     pub fn input_shape(&self) -> abm_tensor::Shape3 {

@@ -114,7 +114,7 @@ pub(crate) fn check_lanes<I: Injector>(
     layer: usize,
     injector: &mut I,
 ) -> Result<(), AbmError> {
-    for (k, kernel) in w.flat.kernels().iter().enumerate() {
+    for (k, kernel) in w.code.kernels().iter().enumerate() {
         if kernel.total() == 0 {
             continue;
         }
@@ -124,7 +124,7 @@ pub(crate) fn check_lanes<I: Injector>(
             // this kernel's run structure; the remaining headroom,
             // drained at N deposits per sweep, bounds the burst the
             // lane can ride out without overflowing.
-            let high_water = lane::vector_cycles_flat_probed(kernel, cfg.n as u64, cfg.fifo_depth)
+            let high_water = lane::vector_cycles_probed(kernel, cfg.n as u64, cfg.fifo_depth)
                 .fifo_high_water as u64;
             let headroom = (cfg.fifo_depth as u64).saturating_sub(high_water);
             let slack = headroom * cfg.n as u64;
@@ -253,12 +253,9 @@ mod tests {
     fn small_stall_is_absorbed_large_overflows() {
         let (w, cfg) = workload();
         let kernel = 0;
-        let high_water = lane::vector_cycles_flat_probed(
-            &w.flat.kernels()[kernel],
-            cfg.n as u64,
-            cfg.fifo_depth,
-        )
-        .fifo_high_water as u64;
+        let high_water =
+            lane::vector_cycles_probed(&w.code.kernels()[kernel], cfg.n as u64, cfg.fifo_depth)
+                .fifo_high_water as u64;
         let slack = (cfg.fifo_depth as u64 - high_water) * cfg.n as u64;
         assert!(slack > 0, "paper config must leave FIFO headroom");
 

@@ -14,7 +14,7 @@
 //! exactly the behaviour that makes the paper pick `N` from the minimum
 //! Acc/Mult ratio (Section 5.2).
 
-use abm_sparse::{FlatKernel, KernelCode};
+use abm_sparse::KernelCode;
 
 /// Cycle cost of one lane processing one `S_ec`-pixel vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -44,25 +44,7 @@ impl LaneCycles {
 ///
 /// Panics if `n` or `fifo_depth` is zero.
 pub fn vector_cycles(kernel: &KernelCode, n: u64, fifo_depth: usize) -> LaneCycles {
-    vector_cycles_from(
-        kernel.entries().iter().map(|e| e.count as u64),
-        kernel.total() as u64,
-        n,
-        fifo_depth,
-    )
-}
-
-/// [`vector_cycles`] against a flat-lowered kernel ([`FlatKernel`]) — the
-/// same prepared form the functional hot path executes, so the simulator
-/// times exactly the stream it would run. The lowering preserves group
-/// structure, so the result is identical to timing the source
-/// [`KernelCode`].
-///
-/// # Panics
-///
-/// Panics if `n` or `fifo_depth` is zero.
-pub fn vector_cycles_flat(kernel: &FlatKernel, n: u64, fifo_depth: usize) -> LaneCycles {
-    vector_cycles_from(kernel.group_counts(), kernel.total() as u64, n, fifo_depth)
+    vector_cycles_impl::<false>(kernel, n, fifo_depth).cycles
 }
 
 /// A lane timing result together with what a probe observed along the
@@ -85,45 +67,15 @@ pub struct LaneObservation {
 ///
 /// Panics if `n` or `fifo_depth` is zero.
 pub fn vector_cycles_probed(kernel: &KernelCode, n: u64, fifo_depth: usize) -> LaneObservation {
-    vector_cycles_impl::<true>(
-        kernel.entries().iter().map(|e| e.count as u64),
-        kernel.total() as u64,
-        n,
-        fifo_depth,
-    )
+    vector_cycles_impl::<true>(kernel, n, fifo_depth)
 }
 
-/// [`vector_cycles_flat`] with the FIFO-occupancy probe enabled.
-///
-/// # Panics
-///
-/// Panics if `n` or `fifo_depth` is zero.
-pub fn vector_cycles_flat_probed(
-    kernel: &FlatKernel,
-    n: u64,
-    fifo_depth: usize,
-) -> LaneObservation {
-    vector_cycles_impl::<true>(kernel.group_counts(), kernel.total() as u64, n, fifo_depth)
-}
-
-/// The timing recurrence proper, over a kernel's value-group occurrence
-/// counts in stream order (`total` = their sum, the accumulate-stage
-/// busy time).
-fn vector_cycles_from(
-    group_counts: impl Iterator<Item = u64>,
-    total: u64,
-    n: u64,
-    fifo_depth: usize,
-) -> LaneCycles {
-    vector_cycles_impl::<false>(group_counts, total, n, fifo_depth).cycles
-}
-
-/// The recurrence, generic over whether the occupancy probe runs. With
+/// The timing recurrence proper, over the kernel's Q-Table `NUM` column
+/// in stream order, generic over whether the occupancy probe runs. With
 /// `PROBE = false` the probe arm is a compile-time-dead branch, so the
 /// hot path monomorphizes to exactly the historical recurrence.
 fn vector_cycles_impl<const PROBE: bool>(
-    group_counts: impl Iterator<Item = u64>,
-    total: u64,
+    kernel: &KernelCode,
     n: u64,
     fifo_depth: usize,
 ) -> LaneObservation {
@@ -136,7 +88,7 @@ fn vector_cycles_impl<const PROBE: bool>(
     // Completion times of deposits still in the FIFO.
     let mut fifo: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
 
-    for c_p in group_counts {
+    for c_p in kernel.group_counts() {
         // The accumulators need c_p cycles for this group...
         let mut ready = acc_time + c_p;
         // ...but can only deposit when a FIFO slot is free.
@@ -167,7 +119,7 @@ fn vector_cycles_impl<const PROBE: bool>(
     }
     LaneObservation {
         cycles: LaneCycles {
-            acc_busy: total,
+            acc_busy: u64::from(kernel.total()),
             acc_stall,
             makespan: acc_time.max(mult_free),
         },
@@ -183,26 +135,11 @@ pub fn lane_cycles(kernel: &KernelCode, vectors: u64, n: u64, fifo_depth: usize)
         return 0;
     }
     let v = vector_cycles(kernel, n, fifo_depth);
-    lane_cycles_from(v, kernel.distinct() as u64, vectors, n)
-}
-
-/// [`lane_cycles`] against a flat-lowered kernel (see
-/// [`vector_cycles_flat`]).
-pub fn lane_cycles_flat(kernel: &FlatKernel, vectors: u64, n: u64, fifo_depth: usize) -> u64 {
-    if vectors == 0 || kernel.total() == 0 {
-        return 0;
-    }
-    let v = vector_cycles_flat(kernel, n, fifo_depth);
-    lane_cycles_from(v, kernel.distinct() as u64, vectors, n)
-}
-
-/// Collapses one vector's timing into the multi-sweep steady state.
-fn lane_cycles_from(v: LaneCycles, distinct: u64, vectors: u64, n: u64) -> u64 {
     // Steady state: back-to-back sweeps pipeline, so each additional
     // sweep costs the occupancy of the busier stage — the accumulators
     // (busy + stall cycles) or the shared multiplier (`Q·N` cycles per
     // sweep). The final sweep exposes its full makespan.
-    let mult_occupancy = distinct * n;
+    let mult_occupancy = kernel.distinct() as u64 * n;
     let per_sweep = v.acc_total().max(mult_occupancy);
     (vectors - 1) * per_sweep + v.makespan
 }
@@ -331,43 +268,5 @@ mod tests {
         let shallow = vector_cycles_probed(&k, 4, 2);
         assert!(deep.fifo_high_water > shallow.fifo_high_water);
         assert_eq!(shallow.fifo_high_water, 2);
-    }
-
-    #[test]
-    fn flat_lowering_times_identically() {
-        use abm_sparse::{FlatCode, FlatLayout, LayerCode};
-        let w = abm_tensor::Tensor4::from_fn(abm_tensor::Shape4::new(3, 2, 3, 3), |m, n, k, kp| {
-            let x = (m * 31 + n * 7 + k * 3 + kp) % 6;
-            if x < 2 {
-                0
-            } else {
-                (x as i8) - 3
-            }
-        });
-        let layer = LayerCode::encode(&w).unwrap();
-        let flat = FlatCode::lower(
-            &layer,
-            FlatLayout {
-                in_rows: 8,
-                in_cols: 8,
-                stride: 1,
-                pad: 1,
-            },
-        )
-        .unwrap();
-        for (kc, fk) in layer.kernels().iter().zip(flat.kernels()) {
-            for n in 1..5u64 {
-                for depth in [1usize, 2, 8] {
-                    assert_eq!(
-                        vector_cycles(kc, n, depth),
-                        vector_cycles_flat(fk, n, depth)
-                    );
-                    assert_eq!(
-                        lane_cycles(kc, 7, n, depth),
-                        lane_cycles_flat(fk, 7, n, depth)
-                    );
-                }
-            }
-        }
     }
 }

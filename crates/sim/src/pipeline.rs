@@ -17,7 +17,7 @@
 //!   `abm-verify`), plus a fixed jitter margin.
 //!
 //! Timing is derived from the same primitive as the sequential
-//! simulator — [`lane::lane_cycles_flat`] over the layer's encoded
+//! simulator — [`lane::lane_cycles`] over the layer's Q-Table
 //! value-run structure — so the pipelined/sequential comparison is
 //! apples to apples: same cost model, same per-row sync overhead, only
 //! the CU allocation and the streaming differ.
@@ -209,10 +209,10 @@ fn kernel_row_cycles(w: &Workload, cfg: &AcceleratorConfig) -> Vec<u64> {
     } else {
         (w.out_cols as u64).div_ceil(cfg.s_ec as u64)
     };
-    w.flat
+    w.code
         .kernels()
         .iter()
-        .map(|k| lane::lane_cycles_flat(k, vectors, cfg.n as u64, cfg.fifo_depth))
+        .map(|k| lane::lane_cycles(k, vectors, cfg.n as u64, cfg.fifo_depth))
         .collect()
 }
 
@@ -271,7 +271,7 @@ fn needed_producer_row(p: &Workload, c: &Workload, r: usize) -> usize {
     if c.is_fc {
         return p_rows - 1; // flatten: the whole feature map
     }
-    let l = c.flat.layout();
+    let l = c.layout;
     let last_in = (r * l.stride + c.kernel - 1)
         .saturating_sub(l.pad)
         .min(l.in_rows - 1);
@@ -291,7 +291,7 @@ fn first_producer_row(p: &Workload, c: &Workload, r: usize) -> usize {
     if c.is_fc {
         return 0;
     }
-    let l = c.flat.layout();
+    let l = c.layout;
     let first_in = (r * l.stride).saturating_sub(l.pad).min(l.in_rows - 1);
     if p_rows == l.in_rows {
         return first_in;

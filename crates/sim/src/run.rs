@@ -375,11 +375,11 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
                 acc: w.host_sel.acc.name().to_string(),
                 lanes: w.host_sel.lanes() as u32,
             });
-            for (k, kernel) in w.flat.kernels().iter().enumerate() {
+            for (k, kernel) in w.code.kernels().iter().enumerate() {
                 if kernel.total() == 0 {
                     continue;
                 }
-                let obs = lane::vector_cycles_flat_probed(kernel, cfg.n as u64, cfg.fifo_depth);
+                let obs = lane::vector_cycles_probed(kernel, cfg.n as u64, cfg.fifo_depth);
                 let mult_busy = kernel.distinct() as u64 * cfg.n as u64;
                 if metrics_on {
                     let m = abm_metrics::global();
@@ -595,7 +595,7 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
         let mut cycles = 0u64;
         if !C::ENABLED && !I::ENABLED && workers > 1 && model.layers.len() >= workers {
             let (mem, policy) = (self.mem, self.policy);
-            // Most weights first: lowering a layer costs time and memory
+            // Most weights first: encoding a layer costs time and memory
             // in proportion to its weights, and the pool runs its first
             // item on this thread, so the largest (VGG16's FC6) starts
             // at once and allocates on the same thread every call.

@@ -10,18 +10,27 @@ use crate::config::AcceleratorConfig;
 use crate::lane;
 use abm_conv::parallel::{parallel_map, Parallelism};
 use abm_model::SparseLayer;
-use abm_sparse::{EncodeError, FlatCode, FlatLayout, LayerCode};
+use abm_sparse::{EncodeError, FlatLayout, LayerCode};
 
-/// One accelerated layer prepared for simulation.
+/// One accelerated layer prepared for simulation: its Q-Table and
+/// WT-Buffer code plus the geometry the accelerator runs it at. A CU
+/// lane's timing depends only on the Q-Table — `NUM` accumulations per
+/// `VAL`, then a deposit the multiplier drains (Section 4, Figure 2) —
+/// so every timing reader walks `code`; the WT-Buffer indexes only
+/// address features, and their flat lowering is built by the code that
+/// verifies it ([`crate::verify`]), not here.
 #[derive(Debug, Clone)]
 pub struct Workload {
     /// Layer name.
     pub name: String,
-    /// Encoded weights (the memory/footprint model reads this).
+    /// Encoded weights: the Q-Tables the lane timing walks and the
+    /// WT-Buffer streams the memory/footprint model sizes.
     pub code: LayerCode,
-    /// Flat-lowered form of `code` — the same prepared stream the
-    /// functional hot path executes; the lane timing walks this one.
-    pub flat: FlatCode,
+    /// The input geometry the functional engine lowers this layer
+    /// against (FC layers run as 1×1 convolutions over the flattened
+    /// input): what the pipelined row dependencies read, and what
+    /// `FlatCode::lower(&code, layout)` takes to rebuild the lowering.
+    pub layout: FlatLayout,
     /// Output channels `M`.
     pub out_channels: usize,
     /// Output rows `R'`.
@@ -43,23 +52,17 @@ pub struct Workload {
     pub dense_ops: u64,
     /// Host kernel variant the functional engine dispatches this layer
     /// to: the same `select_auto` call `PreparedConv` makes, fed by the
-    /// same worst-case `AccumulatorModel::host()` stage-1 width. Purely
-    /// descriptive on the timing side — recorded into telemetry so
-    /// simulated and host traces agree on which variant executes the
-    /// stream.
+    /// same worst-case `AccumulatorModel::host()` stage-1 width (read
+    /// off the largest Q-Table group, which the lowering preserves) and
+    /// the same sweep-length rule. Purely descriptive on the timing
+    /// side — recorded into telemetry so simulated and host traces agree
+    /// on which variant executes the stream.
     pub host_sel: abm_kernel::Selection,
-    /// The layer's range certificate (summary form): proven stage-1 /
-    /// stage-2 accumulator intervals and bit-widths under the
-    /// accelerator's 8-bit feature regime, as computed by
-    /// `abm_verify::certify_layer` against this workload's lowering
-    /// geometry. Recorded so the simulated datapath widths are the
-    /// proven ones, not the worst-case model's. A verification
-    /// artefact: it sizes DSP48 ports, it does not steer `host_sel`.
-    pub cert: abm_verify::CertSummary,
 }
 
 impl Workload {
-    /// Prepares a sparse layer for simulation.
+    /// Prepares a sparse layer for simulation: one encode plus the
+    /// layer's geometry.
     ///
     /// # Errors
     ///
@@ -68,14 +71,10 @@ impl Workload {
         let code = LayerCode::encode(&layer.weights)?;
         let out = layer.layer.output_shape;
         let input = layer.layer.input_shape;
-        let w = layer.weights.shape();
         let is_fc = matches!(
             layer.layer.layer.kind,
             abm_model::LayerKind::FullyConnected(_)
         );
-        // The simulator times the exact stream the functional engine
-        // runs: the flat lowering against the layer's real input plane
-        // (FC layers run as 1x1 convolutions over the flattened input).
         let layout = if is_fc {
             FlatLayout {
                 in_rows: 1,
@@ -91,25 +90,14 @@ impl Workload {
                 pad: layer.pad(),
             }
         };
-        let flat = FlatCode::lower(&code, layout)?;
-        // Certify the layer's accumulator ranges by abstract
-        // interpretation over the accelerator's 8-bit feature regime
-        // (the hardware streams 8-bit features).
-        let geometry =
-            crate::verify::lowered_geometry(&flat, is_fc, input.channels, out.rows, out.cols);
-        let cert = abm_verify::certify_layer(
-            layer.name(),
-            &flat,
-            &geometry,
-            abm_verify::AbsVal::i8_features(),
-        );
         // The host dispatch the functional engine makes at
         // `PreparedConv` construction: worst-case stage-1 width over
         // any `i16` input, widest ISA the layer's sweep can fill. A bad
         // `ABM_FORCE_ISA` pin falls back to scalar here rather than
         // erroring — the functional path is the authoritative gate for
         // rejecting unavailable pins.
-        let stage1_bits = abm_verify::AccumulatorModel::host().stage1_required_bits(&flat);
+        let counts = code.kernels().iter().flat_map(|k| k.group_counts());
+        let stage1_bits = abm_verify::AccumulatorModel::host().stage1_required_bits(counts);
         let sweep = layout.shortest_sweep(out.rows, out.cols);
         let host_sel = abm_kernel::select_auto(None, stage1_bits, sweep)
             // The scalar port always runs the i64 accumulator and
@@ -119,37 +107,21 @@ impl Workload {
                 isa: abm_kernel::Isa::Scalar,
                 acc: abm_kernel::AccWidth::I64,
             });
-        let workload = Self {
+        Ok(Self {
             name: layer.name().to_string(),
             code,
-            flat,
+            layout,
             out_channels: out.channels,
             out_rows: out.rows,
             out_cols: out.cols,
             in_channels: input.channels,
             in_cols: input.cols,
-            kernel: w.kernel_rows,
+            kernel: layer.weights.shape().kernel_rows,
             stride: layer.stride(),
             is_fc,
             dense_ops: layer.layer.dense_ops(),
             host_sel,
-            cert: cert.summary(),
-        };
-        // Debug builds prove the lowering before the simulator times it
-        // (same gate as PreparedConv's constructor on the functional
-        // side); release builds rely on `cargo xtask verify`.
-        #[cfg(debug_assertions)]
-        {
-            let report = crate::verify::verify_workload_lowering(
-                &workload,
-                AcceleratorConfig::default().acc_bits,
-            );
-            debug_assert!(
-                report.is_clean(),
-                "workload lowering failed static verification:\n{report}"
-            );
-        }
-        Ok(workload)
+        })
     }
 
     /// Vector sweeps needed to cover `rows` output rows: the address
@@ -221,8 +193,8 @@ impl Workload {
         parallelism: Parallelism,
     ) -> Vec<u64> {
         let vectors = self.vectors_per_window(cfg, rows);
-        parallel_map(parallelism, self.flat.kernels(), |_, k| {
-            lane::lane_cycles_flat(k, vectors, cfg.n as u64, cfg.fifo_depth)
+        parallel_map(parallelism, self.code.kernels(), |_, k| {
+            lane::lane_cycles(k, vectors, cfg.n as u64, cfg.fifo_depth)
         })
     }
 
@@ -257,11 +229,11 @@ impl Workload {
     /// expensive.
     pub fn bottleneck_profile(&self, cfg: &AcceleratorConfig) -> BottleneckProfile {
         let mut profile = BottleneckProfile::default();
-        for kernel in self.flat.kernels() {
+        for kernel in self.code.kernels() {
             if kernel.total() == 0 {
                 continue;
             }
-            let v = crate::lane::vector_cycles_flat(kernel, cfg.n as u64, cfg.fifo_depth);
+            let v = lane::vector_cycles(kernel, cfg.n as u64, cfg.fifo_depth);
             profile.stall_cycles_per_vector += v.acc_stall;
             let mult_occupancy = kernel.distinct() as u64 * cfg.n as u64;
             if mult_occupancy > v.acc_total() {
@@ -337,31 +309,10 @@ mod tests {
         assert_eq!(w.batches(&cfg), 5); // ceil(64/14)
     }
 
-    #[test]
-    fn workload_records_certified_widths() {
-        for name in ["CONV1", "CONV2", "FC3"] {
-            let w = workload(name);
-            assert_eq!(w.cert.layer, w.name);
-            // The certificate is proven against the 8-bit feature
-            // regime; the worst-case model assumes full-scale i16
-            // activations, so the certified stage-1 width must be
-            // strictly tighter. The recorded host dispatch is the
-            // worst-case one, as on the functional side.
-            let worst = abm_verify::AccumulatorModel::host().stage1_required_bits(&w.flat);
-            assert!(
-                w.cert.stage1_bits < worst,
-                "{name}: certified {} !< worst-case {worst}",
-                w.cert.stage1_bits
-            );
-            let sweep = w.flat.layout().shortest_sweep(w.out_rows, w.out_cols);
-            let sel = abm_kernel::select_auto(None, worst, sweep).unwrap();
-            assert_eq!(w.host_sel, sel, "{name}");
-        }
-    }
-
     /// The recorded host dispatch is the one the functional engine
     /// makes, layer for layer, on `tiny` and all 24 zoo layers — both
-    /// read the same sweep-length rule (`FlatLayout::shortest_sweep`).
+    /// read the same sweep-length rule (`FlatLayout::shortest_sweep`) —
+    /// and the recorded geometry is the one it lowers against.
     #[test]
     fn host_sel_is_the_prepared_layers_selection() {
         for (net, profile) in [
@@ -380,6 +331,7 @@ mod tests {
                     .abm_layer(i)
                     .expect("ABM engine prepares every layer");
                 assert_eq!(w.host_sel, host.selection(), "{}/{}", net.name(), w.name);
+                assert_eq!(w.layout, host.flat().layout(), "{}/{}", net.name(), w.name);
             }
         }
     }

@@ -7,7 +7,9 @@
 //! the lowering geometry is recovered from the workload's
 //! [`FlatLayout`](abm_sparse::FlatLayout), schedule spans are observed through
 //! [`schedule_window_with`]'s dispatch callback, and per-kernel FIFO
-//! demands come from the probed lane recurrence.
+//! demands come from the probed lane recurrence. A [`Workload`] carries
+//! no lowering — the simulator times the Q-Table — so the lowering pass
+//! here builds the flat code itself, from the workload's code and layout.
 
 use crate::config::AcceleratorConfig;
 use crate::lane;
@@ -15,45 +17,31 @@ use crate::pipeline::simulate_pipeline;
 use crate::sched::{schedule_window_with, PipelinedSchedule, SchedulingPolicy};
 use crate::task::Workload;
 use abm_conv::parallel::Parallelism;
+use abm_sparse::{EncodeError, FlatCode};
 use abm_verify::{
     verify_lowering, verify_pipeline, verify_schedule, AccumulatorModel, BoundaryFacts,
     ConvGeometry, KernelFacts, PipelineParams, ScheduleParams, StageFacts, TaskSpan, VerifyReport,
 };
 
-/// The lowering geometry a workload's flat code was built against,
-/// recovered from the layout and layer dimensions (FC layers run as
-/// 1×1 convolutions over the flattened input, exactly as
-/// [`Workload::from_layer`] lowers them).
+/// The lowering geometry of a workload, recovered from its layout and
+/// layer dimensions (FC layers run as 1×1 convolutions over the
+/// flattened input, exactly as [`Workload::from_layer`] lays them out).
 #[must_use]
 pub fn workload_geometry(w: &Workload) -> ConvGeometry {
-    lowered_geometry(&w.flat, w.is_fc, w.in_channels, w.out_rows, w.out_cols)
-}
-
-/// [`workload_geometry`] from the raw lowering parts, for callers that
-/// need the geometry *before* the [`Workload`] exists (the constructor
-/// certifies the layer's ranges against exactly this geometry).
-#[must_use]
-pub fn lowered_geometry(
-    flat: &abm_sparse::FlatCode,
-    is_fc: bool,
-    in_channels: usize,
-    layer_out_rows: usize,
-    layer_out_cols: usize,
-) -> ConvGeometry {
-    let layout = flat.layout();
-    let shape = flat.shape();
+    let layout = w.layout;
+    let shape = w.code.shape();
     // Grouped convolutions carry in_channels = N·groups input channels;
     // FC flattening makes the weight's N the whole input instead.
-    let groups = if !is_fc && shape.in_channels > 0 && in_channels.is_multiple_of(shape.in_channels)
-    {
-        (in_channels / shape.in_channels).max(1)
-    } else {
-        1
-    };
-    let (out_rows, out_cols) = if is_fc {
+    let groups =
+        if !w.is_fc && shape.in_channels > 0 && w.in_channels.is_multiple_of(shape.in_channels) {
+            (w.in_channels / shape.in_channels).max(1)
+        } else {
+            1
+        };
+    let (out_rows, out_cols) = if w.is_fc {
         (1, 1)
     } else {
-        (layer_out_rows, layer_out_cols)
+        (w.out_rows, w.out_cols)
     };
     ConvGeometry {
         in_channels: shape.in_channels * groups,
@@ -67,13 +55,16 @@ pub fn lowered_geometry(
     }
 }
 
-/// Runs the `abm-verify` lowering pass over a workload's flat code with
-/// the accelerator's accumulator width. Debug builds run this from
-/// [`Workload::from_layer`]; `cargo xtask verify` runs it explicitly
-/// over the model zoo.
-#[must_use]
-pub fn verify_workload_lowering(w: &Workload, acc_bits: u32) -> VerifyReport {
-    let geometry = workload_geometry(w);
+/// Lowers a workload's code against its layout and runs the
+/// `abm-verify` lowering pass over the result with the accelerator's
+/// accumulator width. `cargo xtask verify` runs it over the model zoo.
+///
+/// # Errors
+///
+/// Returns [`EncodeError::OffsetOverflow`] if the layer's input is too
+/// large for the 32-bit flat offsets — there is no lowering to verify.
+pub fn verify_workload_lowering(w: &Workload, acc_bits: u32) -> Result<VerifyReport, EncodeError> {
+    let flat = FlatCode::lower(&w.code, w.layout)?;
     let acc = AccumulatorModel {
         acc_bits,
         // The functional engine feeds the simulator's streams i16
@@ -81,7 +72,13 @@ pub fn verify_workload_lowering(w: &Workload, acc_bits: u32) -> VerifyReport {
         // narrower, so this bound is conservative for both.
         max_abs_input: 1 << 15,
     };
-    verify_lowering(&w.name, &w.code, &w.flat, &geometry, &acc)
+    Ok(verify_lowering(
+        &w.name,
+        &w.code,
+        &flat,
+        &workload_geometry(w),
+        &acc,
+    ))
 }
 
 /// Statically checks one window's schedule and the workload's stream
@@ -116,7 +113,7 @@ pub fn verify_workload_schedule(
         });
     });
     let kernels: Vec<KernelFacts> = w
-        .flat
+        .code
         .kernels()
         .iter()
         .enumerate()
@@ -134,7 +131,7 @@ pub fn verify_workload_schedule(
             fifo_high_water: if k.total() == 0 {
                 0
             } else {
-                lane::vector_cycles_flat_probed(k, cfg.n as u64, cfg.fifo_depth).fifo_high_water
+                lane::vector_cycles_probed(k, cfg.n as u64, cfg.fifo_depth).fifo_high_water
             },
         })
         .collect();
@@ -144,15 +141,18 @@ pub fn verify_workload_schedule(
 /// All static checks for one workload under one configuration: the
 /// lowering pass plus the schedule/legality pass, merged into a single
 /// report per layer.
-#[must_use]
-pub fn verify_workload(w: &Workload, cfg: &AcceleratorConfig) -> VerifyReport {
-    let mut report = verify_workload_lowering(w, cfg.acc_bits);
+///
+/// # Errors
+///
+/// As [`verify_workload_lowering`]: the layer cannot be lowered.
+pub fn verify_workload(w: &Workload, cfg: &AcceleratorConfig) -> Result<VerifyReport, EncodeError> {
+    let mut report = verify_workload_lowering(w, cfg.acc_bits)?;
     report.merge(verify_workload_schedule(
         w,
         cfg,
         SchedulingPolicy::default(),
     ));
-    report
+    Ok(report)
 }
 
 /// Runs the `abm-verify` pipelined-schedule pass: structural checks
@@ -223,7 +223,7 @@ mod tests {
     fn tiny_zoo_workloads_verify_clean() {
         let cfg = AcceleratorConfig::paper();
         for w in workloads() {
-            let r = verify_workload(&w, &cfg);
+            let r = verify_workload(&w, &cfg).unwrap();
             assert!(r.is_clean(), "{r}");
             assert!(r.facts > 0);
         }
@@ -261,8 +261,8 @@ mod tests {
     #[test]
     fn narrow_accumulator_is_reported() {
         let w = &workloads()[0];
-        let r = verify_workload_lowering(w, 8);
+        let r = verify_workload_lowering(w, 8).unwrap();
         assert!(r.has_class("accumulator_overflow"), "{r}");
-        assert!(verify_workload_lowering(w, 48).is_clean());
+        assert!(verify_workload_lowering(w, 48).unwrap().is_clean());
     }
 }

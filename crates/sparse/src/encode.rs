@@ -117,6 +117,12 @@ impl KernelCode {
         &self.entries
     }
 
+    /// Per-group occurrence counts in value order (the Q-Table `NUM`
+    /// column — what the lane timing model consumes).
+    pub fn group_counts(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.entries.iter().map(|e| u64::from(e.count))
+    }
+
     /// The full WT-Buffer index stream (all groups concatenated).
     pub fn indices(&self) -> &[u16] {
         &self.indices

@@ -364,8 +364,9 @@ impl FlatKernel {
             .map(|(&v, w)| (v, &self.taps[w[0] as usize..w[1] as usize]))
     }
 
-    /// Per-group occurrence counts in value order (the Q-Table `NUM`
-    /// column — what the lane timing model consumes).
+    /// Per-group occurrence counts in value order — the source Q-Table's
+    /// `NUM` column ([`KernelCode::group_counts`](crate::KernelCode::group_counts)),
+    /// which the lowering preserves.
     pub fn group_counts(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
         self.starts.windows(2).map(|w| (w[1] - w[0]) as u64)
     }
@@ -543,32 +544,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lowering_preserves_group_structure() {
-        let shape = Shape4::new(3, 2, 3, 3);
-        let w = Tensor4::from_fn(shape, |m, n, k, kp| {
-            let x = (m * 18 + n * 9 + k * 3 + kp) % 5;
-            if x == 0 {
-                0
-            } else {
-                (x as i8) - 2
-            }
-        });
-        let code = LayerCode::encode(&w).unwrap();
-        let flat = FlatCode::lower(&code, layout(7, 7, 1, 1)).unwrap();
-        assert_eq!(flat.shape(), shape);
+    /// The lowering keeps every kernel's Q-Table: the same `(VAL, NUM)`
+    /// entries in the same order — so `distinct()` and `total()` agree
+    /// too. The simulator times the [`LayerCode`]'s Q-Tables on the
+    /// strength of this for the streams the functional engine executes.
+    fn assert_keeps_q_tables(code: &LayerCode, flat: &FlatCode) {
+        assert_eq!(flat.shape(), code.shape());
+        assert_eq!(flat.kernels().len(), code.kernels().len());
+        for (m, (fk, kc)) in flat.kernels().iter().zip(code.kernels()).enumerate() {
+            let entries: Vec<(i8, u64)> = kc
+                .entries()
+                .iter()
+                .map(|e| (e.value, u64::from(e.count)))
+                .collect();
+            let groups: Vec<(i8, u64)> =
+                fk.values().iter().copied().zip(fk.group_counts()).collect();
+            assert_eq!(groups, entries, "kernel {m}");
+            assert!(kc.group_counts().eq(fk.group_counts()), "kernel {m}");
+            assert_eq!(fk.distinct(), kc.distinct(), "kernel {m}");
+            assert_eq!(fk.total(), kc.total(), "kernel {m}");
+        }
         assert_eq!(flat.total_nnz(), code.total_nnz());
         assert_eq!(flat.total_distinct(), code.total_distinct());
-        for (fk, kc) in flat.kernels().iter().zip(code.kernels()) {
-            assert_eq!(fk.total(), kc.total());
-            assert_eq!(fk.distinct(), kc.distinct());
-            let flat_counts: Vec<u64> = fk.group_counts().collect();
-            let code_counts: Vec<u64> = kc.entries().iter().map(|e| e.count as u64).collect();
-            assert_eq!(flat_counts, code_counts);
-            let flat_values: Vec<i8> = fk.values().to_vec();
-            let code_values: Vec<i8> = kc.entries().iter().map(|e| e.value).collect();
-            assert_eq!(flat_values, code_values);
-        }
     }
 
     #[test]
@@ -685,7 +682,7 @@ mod tests {
 
     /// Every layer of AlexNet and VGG16 at seed 2019 — strided, padded,
     /// grouped and fully connected — lowers exactly as the per-tap
-    /// reference lowers it.
+    /// reference lowers it, and keeps its Q-Tables.
     #[test]
     fn zoo_layers_lower_as_the_per_tap_reference() {
         use abm_model::{synthesize_model, zoo, LayerKind, PruneProfile};
@@ -709,11 +706,44 @@ mod tests {
                     net.name(),
                     layer.name()
                 );
+                assert_keeps_q_tables(&code, &flat);
             }
         }
     }
 
     proptest! {
+        /// Random shapes, strides, pads, channel groups, sparsities and
+        /// weight bit widths (2–8: few distinct values make long groups,
+        /// many make short ones), as convolutions and as the same
+        /// weights fully connected: every lowering keeps its Q-Tables.
+        #[test]
+        fn lowering_keeps_every_q_table(
+            dims in (1usize..4, 1usize..3, 1usize..4, 1usize..9, 1usize..9),
+            kernel in (1usize..6, 1usize..6),
+            stride in 1usize..5,
+            pad in 0usize..4,
+            density in 0u32..101,
+            bits in 2u32..9,
+            draws in prop::collection::vec((0u32..100, any::<i8>()), 450..451),
+        ) {
+            let (m_per_group, groups, n, rows, cols) = dims;
+            let (kr, kc) = kernel;
+            // A grouped layer's weights are `M × N/g × K × K'`: the
+            // groups multiply the kernels, each over `n` channels.
+            let m = m_per_group * groups;
+            // A `bits`-wide signed value: the draw's top bits.
+            let weights: Vec<i8> = draws[..m * n * kr * kc]
+                .iter()
+                .map(|&(p, v)| if p < density { v >> (8 - bits) } else { 0 })
+                .collect();
+            let conv = Tensor4::from_vec(Shape4::new(m, n, kr, kc), weights.clone());
+            let code = LayerCode::encode(&conv).unwrap();
+            assert_keeps_q_tables(&code, &FlatCode::lower(&code, layout(rows, cols, stride, pad)).unwrap());
+            let fc = Tensor4::from_vec(Shape4::new(m, n * kr * kc, 1, 1), weights);
+            let code = LayerCode::encode(&fc).unwrap();
+            assert_keeps_q_tables(&code, &FlatCode::lower(&code, layout(1, 1, 1, 0)).unwrap());
+        }
+
         /// The layout proptest's domain — strides 1–4, pads 0–3, kernels
         /// up to 5×5 over up to 3 channels a group, inputs up to 8×8 —
         /// at every density, and the same weights as a fully-connected

@@ -41,7 +41,7 @@
 //! walk is safe.
 
 use crate::report::{Defect, VerifyReport};
-use abm_sparse::{FlatCode, FlatKernel, FlatLayout, LayerCode, Tap};
+use abm_sparse::{FlatCode, FlatLayout, LayerCode, Tap};
 
 /// The concrete convolution geometry a lowering is verified against.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,8 +85,10 @@ impl AccumulatorModel {
 
     /// Worst-case signed bits (magnitude + sign, same convention as the
     /// stage-2 check in [`verify_lowering`]) that any **stage-1 partial
-    /// sum** of `flat` can need under this model: the largest
-    /// value-group population times the largest input magnitude. Every
+    /// sum** of a layer can need under this model, from its value-group
+    /// populations (`group_counts`, every kernel's Q-Table `NUM` column —
+    /// [`LayerCode`] and its [`FlatCode`] lowering give the same ones):
+    /// the largest population times the largest input magnitude. Every
     /// intermediate prefix of a group's accumulation is bounded by the
     /// same `count · max|input|` product, so the bound covers the whole
     /// running sum, not just its final value.
@@ -97,13 +99,8 @@ impl AccumulatorModel {
     /// (`abm_kernel::AccWidth::narrowest`), the CPU analogue of packing
     /// two narrow operands through one DSP48 multiplier.
     #[must_use]
-    pub fn stage1_required_bits(&self, flat: &FlatCode) -> u32 {
-        let worst_count = flat
-            .kernels()
-            .iter()
-            .flat_map(FlatKernel::group_counts)
-            .max()
-            .unwrap_or(0);
+    pub fn stage1_required_bits(&self, group_counts: impl IntoIterator<Item = u64>) -> u32 {
+        let worst_count = group_counts.into_iter().max().unwrap_or(0);
         let worst = worst_count as u128 * self.max_abs_input as u128;
         128 - worst.leading_zeros() + 1
     }
@@ -346,6 +343,7 @@ pub fn verify_lowering(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abm_sparse::FlatKernel;
     use abm_tensor::{Shape4, Tensor4};
 
     fn sample() -> (LayerCode, FlatCode, ConvGeometry) {
@@ -546,15 +544,14 @@ mod tests {
 
     #[test]
     fn stage1_bits_track_worst_group() {
-        let (_, flat, _) = sample();
-        let worst_count = flat
-            .kernels()
-            .iter()
-            .flat_map(FlatKernel::group_counts)
-            .max()
-            .unwrap();
+        let (code, flat, _) = sample();
+        let counts = || flat.kernels().iter().flat_map(FlatKernel::group_counts);
+        let worst_count = counts().max().unwrap();
         let model = AccumulatorModel::host();
-        let bits = model.stage1_required_bits(&flat);
+        let bits = model.stage1_required_bits(counts());
+        // The source Q-Table names the same populations.
+        let source = code.kernels().iter().flat_map(|k| k.group_counts());
+        assert_eq!(model.stage1_required_bits(source), bits);
         // Exact magnitude+sign recomputation for the worst group.
         let worst = worst_count as u128 * (1u128 << 15);
         assert_eq!(bits, 128 - worst.leading_zeros() + 1);
@@ -566,7 +563,7 @@ mod tests {
             acc_bits: 64,
             max_abs_input: 1 << 40,
         };
-        assert!(hot.stage1_required_bits(&flat) > 32);
+        assert!(hot.stage1_required_bits(counts()) > 32);
     }
 
     #[test]

@@ -823,7 +823,7 @@ pub fn check_certificates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abm_sparse::{FlatCode, FlatLayout, LayerCode};
+    use abm_sparse::{FlatCode, FlatKernel, FlatLayout, LayerCode};
     use abm_tensor::{Shape4, Tensor4};
 
     fn lower(
@@ -922,7 +922,8 @@ mod tests {
     fn certificate_is_strictly_tighter_than_worst_case_model() {
         let (flat, geom) = sample();
         let cert = certify_layer("t", &flat, &geom, AbsVal::i8_features());
-        let worst = crate::AccumulatorModel::host().stage1_required_bits(&flat);
+        let counts = flat.kernels().iter().flat_map(FlatKernel::group_counts);
+        let worst = crate::AccumulatorModel::host().stage1_required_bits(counts);
         assert!(
             cert.stage1_bits < worst,
             "certified {} vs worst-case {worst}",

@@ -503,19 +503,16 @@ fn timing_trial(
     let clean = serial().simulate_workload(&w, cfg, layer as u32, 0)?;
 
     let kernel = w
-        .flat
+        .code
         .kernels()
         .iter()
         .position(|k| k.total() > 0)
         .unwrap_or(0);
     let fault = match class {
         FaultClass::FifoStall => {
-            let high_water = lane::vector_cycles_flat_probed(
-                &w.flat.kernels()[kernel],
-                cfg.n as u64,
-                cfg.fifo_depth,
-            )
-            .fifo_high_water as u64;
+            let high_water =
+                lane::vector_cycles_probed(&w.code.kernels()[kernel], cfg.n as u64, cfg.fifo_depth)
+                    .fifo_high_water as u64;
             let slack = (cfg.fifo_depth as u64).saturating_sub(high_water) * cfg.n as u64;
             // 1..4x the absorption slack: some trials mask, some detect.
             Fault {

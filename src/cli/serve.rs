@@ -72,11 +72,12 @@ pub(super) fn run(command: &Command) -> Result<(), Box<dyn Error>> {
         print_serve_stats(&stats);
         return Ok(());
     }
-    // In-process open-loop burst with the bit-identity oracle.
+    // In-process open-loop burst with the bit-identity oracle, on the
+    // server's own prepared model.
     let golden_src = Inferencer::new(&model)
         .parallelism(Parallelism::Serial)
         .resilience(abm_conv::ResiliencePolicy::hardened());
-    let prepared = golden_src.prepare()?;
+    let prepared = server.prepared_weights();
     let mut golden = std::collections::HashMap::new();
     for s in 0..4u64 {
         let input = abm_serve::synth_input(network.input_shape(), s);

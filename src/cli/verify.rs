@@ -27,7 +27,7 @@ pub(super) fn run(command: &Command) -> Result<(), Box<dyn Error>> {
     let mut dirty = 0usize;
     for layer in &model.layers {
         let w = Workload::from_layer(layer)?;
-        let report = verify_workload(&w, &cfg);
+        let report = verify_workload(&w, &cfg)?;
         println!(
             "  {:<10} {:>10} facts  {:>2} defects",
             w.name,

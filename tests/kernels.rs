@@ -19,7 +19,7 @@ use abm_spconv_repro::kernel::{self, gather_one, AccWidth, Isa, FORCE_ISA_ENV};
 use abm_spconv_repro::model::{
     synthesize_model, ConvSpec, Layer, LayerKind, LayerProfile, Network, PruneProfile, SparseLayer,
 };
-use abm_spconv_repro::sparse::LayerCode;
+use abm_spconv_repro::sparse::{FlatKernel, LayerCode};
 use abm_spconv_repro::tensor::{Shape3, Shape4, Tensor3, Tensor4};
 use abm_spconv_repro::verify::AccumulatorModel;
 use proptest::prelude::*;
@@ -121,7 +121,12 @@ fn narrow_accumulator_path_is_exact_on_alexnet_conv3() {
 
     let scalar =
         PreparedConv::try_new(&code, in_shape, geom, Some(Isa::Scalar)).expect("preparable");
-    let bits = AccumulatorModel::host().stage1_required_bits(scalar.flat());
+    let counts = scalar
+        .flat()
+        .kernels()
+        .iter()
+        .flat_map(FlatKernel::group_counts);
+    let bits = AccumulatorModel::host().stage1_required_bits(counts);
     assert!(
         bits <= 32,
         "CONV3's stage-1 worst case must fit i32 (got {bits} bits)"

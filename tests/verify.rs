@@ -13,9 +13,7 @@
 use abm_spconv_repro::conv::{abm, Geometry};
 use abm_spconv_repro::model::{synthesize_model, zoo, LayerProfile, PruneProfile};
 use abm_spconv_repro::sim::task::Workload;
-use abm_spconv_repro::sim::verify::{
-    lowered_geometry, verify_pipelined_schedule, workload_geometry,
-};
+use abm_spconv_repro::sim::verify::{verify_pipelined_schedule, workload_geometry};
 use abm_spconv_repro::sparse::{FlatCode, FlatLayout, LayerCode, Tap};
 use abm_spconv_repro::tensor::{Shape3, Shape4, Tensor3, Tensor4};
 use abm_spconv_repro::verify::{
@@ -32,15 +30,20 @@ fn sample_workload() -> Workload {
     Workload::from_layer(&model.layers[0]).expect("tiny conv layer encodes")
 }
 
-/// Passes kernel 0's raw streams of a copy of the workload's flat code
-/// through `mutate`, then re-runs the lowering verifier with an
-/// optionally-mutated geometry.
+/// The workload's code lowered against its layout — the flat code the
+/// functional engine would execute.
+fn lower(w: &Workload) -> FlatCode {
+    FlatCode::lower(&w.code, w.layout).expect("layer lowers")
+}
+
+/// Lowers the workload, passes kernel 0's raw streams through `mutate`,
+/// then runs the lowering verifier with an optionally-mutated geometry.
 fn verify_mutated(
     w: &Workload,
     mutate_streams: impl FnOnce(&mut Vec<i8>, &mut Vec<u32>, &mut Vec<u32>, &mut Vec<Tap>),
     mutate_geometry: impl FnOnce(&mut ConvGeometry),
 ) -> VerifyReport {
-    let mut corrupt = w.flat.clone();
+    let mut corrupt = lower(w);
     let (values, bounds, offsets, taps) = corrupt.kernels_mut()[0].streams_mut();
     mutate_streams(values, bounds, offsets, taps);
     let mut geometry = workload_geometry(w);
@@ -112,15 +115,15 @@ fn offset_equal_to_in_features_is_caught_for_the_lane_sweep() {
     assert!(w.is_fc);
     let clean = verify_mutated(&w, |_, _, _, _| {}, |_| {});
     assert!(clean.is_clean(), "{clean}");
-    assert_eq!(clean.lane_kernels as usize, w.flat.kernels().len());
-    let features = w.flat.shape().in_channels as u32;
+    assert_eq!(clean.lane_kernels as usize, w.code.kernels().len());
+    let features = w.code.shape().in_channels as u32;
     let r = verify_mutated(
         &w,
         |_, _, offsets, _| *offsets.last_mut().unwrap() = features,
         |_| {},
     );
     assert!(r.has_class("lane_sweep_out_of_bounds"), "{r}");
-    assert_eq!(r.lane_kernels as usize, w.flat.kernels().len() - 1);
+    assert_eq!(r.lane_kernels as usize, w.code.kernels().len() - 1);
     // A convolution sweeps a plane: there is no lane sweep to prove.
     let conv = verify_mutated(&sample_workload(), |_, _, _, _| {}, |_| {});
     assert_eq!(conv.lane_kernels, 0);
@@ -334,17 +337,23 @@ fn zoo_certified_widths_are_pinned_exactly() {
         let model = synthesize_model(&net(), &profile, 2019);
         assert_eq!(model.layers.len(), pins.len(), "{name}");
         for (layer, &(pin_name, s1, s2, abft)) in model.layers.iter().zip(pins) {
-            let w = Workload::from_layer(layer).expect("zoo layer lowers");
+            let w = Workload::from_layer(layer).expect("zoo layer encodes");
             assert_eq!(w.name, pin_name, "{name}");
+            let cert = certify_layer(
+                &w.name,
+                &lower(&w),
+                &workload_geometry(&w),
+                AbsVal::i8_features(),
+            );
             assert_eq!(
-                (w.cert.stage1_bits, w.cert.stage2_bits, w.cert.abft_bits),
+                (cert.stage1_bits, cert.stage2_bits, cert.abft_bits),
                 (s1, s2, abft),
                 "{name}/{pin_name}: certified widths moved"
             );
             // Every zoo layer proves a packable (<= 16-bit) stage 1 —
             // the dual-lane gate the worst-case model never opened for
             // the FC layers.
-            assert!(w.cert.stage1_bits <= 16, "{name}/{pin_name}");
+            assert!(cert.stage1_bits <= 16, "{name}/{pin_name}");
         }
     }
 }
@@ -406,7 +415,16 @@ proptest! {
             stride,
             pad,
         );
-        let geometry = lowered_geometry(&flat, false, shape.in_channels, out_dim, out_dim);
+        let geometry = ConvGeometry {
+            in_channels: shape.in_channels,
+            in_rows: side,
+            in_cols: side,
+            stride,
+            pad,
+            groups: 1,
+            out_rows: out_dim,
+            out_cols: out_dim,
+        };
 
         let certified = Interval::new(-(mag as i128), mag as i128);
         let cert = certify_layer("prop", &flat, &geometry, AbsVal::from_range(certified));

@@ -56,9 +56,9 @@ pub fn verify(nets: &[&str]) -> Result<(), String> {
         );
         for layer in &model.layers {
             let started = Instant::now();
-            let w = Workload::from_layer(layer)
-                .map_err(|e| format!("{name}/{}: lowering failed: {e}", layer.name()))?;
-            let report = verify_workload(&w, &cfg);
+            let lowering_failed = |e| format!("{name}/{}: lowering failed: {e}", layer.name());
+            let w = Workload::from_layer(layer).map_err(lowering_failed)?;
+            let report = verify_workload(&w, &cfg).map_err(lowering_failed)?;
             println!(
                 "  {:<10} {:>10} facts  {:>2} defects  ({:.2?}){}",
                 w.name,

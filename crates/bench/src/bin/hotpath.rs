@@ -25,6 +25,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use abm_bench::{alexnet_model, rule, vgg16_model};
@@ -120,7 +121,7 @@ fn bench_network(
         };
         let geom = Geometry::new(spec.stride, spec.pad).with_groups(spec.groups);
         let input = synth_input(layer);
-        let code = LayerCode::encode(&layer.weights).expect("encodable weights");
+        let code = Arc::new(LayerCode::encode(&layer.weights).expect("encodable weights"));
 
         let (oracle, ref_ns) = best_of(reps, || {
             reference::conv2d(&input, &code, geom).expect("reference conv")
@@ -129,8 +130,8 @@ fn bench_network(
 
         let mut cells = Vec::with_capacity(variants.len());
         for v in variants {
-            let prep =
-                PreparedConv::try_new(&code, input.shape(), geom, v.pin).expect("preparable layer");
+            let prep = PreparedConv::try_new(Arc::clone(&code), input.shape(), geom, v.pin)
+                .expect("preparable layer");
             let (fast, prep_ns) = best_of(reps, || prep.execute(&input));
             assert_eq!(
                 oracle,

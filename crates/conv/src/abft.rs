@@ -23,8 +23,9 @@
 //! channel `n`. One channel at a time it builds a 2-D prefix-sum table
 //! per phase plane (cache-resident), answers one four-lookup rectangle
 //! query per kernel position into an `S[channel][k][k']` table, and then
-//! predicts each kernel with one load and one add per tap and one
-//! multiply per distinct value. The whole check costs `O(C·H·W)` table
+//! predicts each kernel from the layer's `LayerCode` — whose linear
+//! weight indexes are positions in that table — with one load and one
+//! add per tap and one multiply per distinct value. The whole check costs `O(C·H·W)` table
 //! construction, `C·K·K'` rectangle queries and `O(taps + out)` loads
 //! and adds per layer — one pass over taps the convolution walks once
 //! per output pixel.
@@ -192,13 +193,19 @@ pub(crate) fn verify_lanes(
     let row_sum = |row: &[i16]| row.iter().map(|&v| i64::from(v)).sum::<i64>();
     sums.clear();
     sums.extend(rows.map(row_sum));
-    check_planes(prep, sums, plane, pitch, 0..prep.flat().kernels().len())
+    check_planes(prep, sums, plane, pitch, 0..prep.code().kernels().len())
 }
 
 /// Predicts the plane sum of every kernel in `run` from the tap sums
-/// `S[c][k][k']` — one load and one add per tap, one multiply per
+/// `S[c][k][k']` — one load and one add per non-zero, one multiply per
 /// distinct value — and compares it with the `out_plane` accumulators
 /// the kernel filled. Stops at the first kernel that disagrees.
+///
+/// The prediction reads the layer's [`LayerCode`](abm_sparse::LayerCode),
+/// not the streams the sweep executed: a kernel's linear weight index is
+/// already its tap's position in its channel group's run of `sums`, and
+/// an index stream is 2 B a non-zero. A code edited since it was encoded
+/// is reported, never walked past its end.
 fn check_planes(
     prep: &PreparedConv,
     sums: &[i64],
@@ -206,33 +213,48 @@ fn check_planes(
     out_plane: usize,
     run: Range<usize>,
 ) -> Result<(), AbmError> {
-    let flat = prep.flat();
-    let shape = flat.shape();
-    let group_len = shape.in_channels * shape.kernel_rows * shape.kernel_cols;
+    let code = prep.code();
+    let shape = code.shape();
+    let group_len = shape.kernel_len();
     let m_per_group = shape.out_channels / prep.geometry().groups;
+    let corrupt = |kernel, detail| AbmError::CodeCorrupt { kernel, detail };
 
-    for (m, kernel) in run.clone().zip(&flat.kernels()[run]) {
+    for (m, kernel) in run.clone().zip(&code.kernels()[run]) {
         // The kernel's channel group owns one contiguous run of `sums`.
         let base = (m / m_per_group) * group_len;
         let group_sums = &sums[base..base + group_len];
+        let indices = kernel.indices();
         let mut predicted = 0i64;
-        for (value, taps) in kernel.tap_groups() {
+        let mut start = 0;
+        for entry in kernel.entries() {
+            let end = start + entry.count as usize;
+            let Some(group) = indices.get(start..end) else {
+                return Err(corrupt(
+                    m,
+                    format!("Q-Table counts overrun the {} indexes", indices.len()),
+                ));
+            };
             let mut tap_sum = 0i64;
-            for tap in taps {
-                let at = (tap.n as usize * shape.kernel_rows + tap.k as usize) * shape.kernel_cols
-                    + tap.kp as usize;
-                let Some(&s) = group_sums.get(at) else {
-                    return Err(AbmError::CodeCorrupt {
-                        kernel: m,
-                        detail: format!(
-                            "tap ({}, {}, {}) outside the layer's kernel volume",
-                            tap.n, tap.k, tap.kp
-                        ),
-                    });
+            for &at in group {
+                let Some(&s) = group_sums.get(at as usize) else {
+                    return Err(corrupt(
+                        m,
+                        format!("index {at} outside the layer's {group_len}-weight kernel volume"),
+                    ));
                 };
                 tap_sum += s;
             }
-            predicted += value as i64 * tap_sum;
+            predicted += entry.value as i64 * tap_sum;
+            start = end;
+        }
+        if start != indices.len() {
+            return Err(corrupt(
+                m,
+                format!(
+                    "Q-Table counts cover {start} of the {} indexes",
+                    indices.len()
+                ),
+            ));
         }
         // Wrapping: a flipped high bit may push the sum past `i64`, and
         // a sum off by ±2^bit modulo 2^64 is still a different sum.
@@ -277,7 +299,7 @@ mod tests {
     ) -> (PreparedConv, Tensor3<i16>, Tensor3<i64>) {
         let w = weights(w_shape, salt);
         let code = LayerCode::encode(&w).unwrap();
-        let prep = PreparedConv::try_new(&code, in_shape, geom, None).unwrap();
+        let prep = PreparedConv::try_new(code, in_shape, geom, None).unwrap();
         let input = Tensor3::from_fn(in_shape, |c, r, col| {
             (((c * 31 + r * 17 + col * 3 + salt) % 255) as i16) - 127
         });
@@ -334,7 +356,7 @@ mod tests {
         let in_shape = Shape3::new(2, 6, 6);
         let w = weights(Shape4::new(2, 2, 3, 3), 4);
         let code = LayerCode::encode(&w).unwrap();
-        let prep = PreparedConv::try_new(&code, in_shape, Geometry::new(1, 1), None).unwrap();
+        let prep = PreparedConv::try_new(code, in_shape, Geometry::new(1, 1), None).unwrap();
         let input = Tensor3::from_fn(in_shape, |c, r, col| ((c + r * 3 + col) % 11) as i16 - 5);
         let clean = prep.execute(&input);
         let plane = clean.shape().rows * clean.shape().cols;
@@ -349,6 +371,55 @@ mod tests {
                     "bit {bit} idx {idx}: {err}"
                 );
             }
+        }
+    }
+
+    /// ABFT predicts from the layer's code, so a code corrupted after
+    /// load disagrees with the plane the intact streams filled: an index
+    /// past the kernel volume or a count that no longer tiles the index
+    /// stream is `CodeCorrupt`, an index moved onto another position or
+    /// a value changed is `AbftMismatch` — typed, and never a read past
+    /// the table or the stream.
+    #[test]
+    fn a_corrupted_code_is_code_corrupt_or_a_mismatch_never_a_panic() {
+        let (prep, input, clean) = executed(
+            Shape3::new(2, 7, 7),
+            Shape4::new(3, 2, 3, 3),
+            Geometry::new(2, 1),
+            6,
+        );
+        let volume = prep.code().shape().kernel_len() as u16;
+        type Edit = fn(&mut abm_sparse::KernelCode, u16);
+        let edits: [(&str, Edit); 6] = [
+            ("index past the volume", |k, volume| {
+                k.streams_mut().1[0] = volume
+            }),
+            ("largest index", |k, _| {
+                *k.streams_mut().1.last_mut().unwrap() = u16::MAX
+            }),
+            ("count overruns", |k, _| k.streams_mut().0[0].count += 1),
+            ("count underruns", |k, _| k.streams_mut().0[0].count -= 1),
+            ("index moved", |k, volume| {
+                let i = &mut k.streams_mut().1[0];
+                *i = (*i + 1) % volume;
+            }),
+            ("value changed", |k, _| k.streams_mut().0[0].value ^= 0x10),
+        ];
+        for (what, edit) in edits {
+            let mut bad = prep.clone();
+            edit(&mut bad.code_mut().kernels_mut()[1], volume);
+            let err = verify_output(&bad, &input, &clean).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    AbmError::CodeCorrupt { kernel: 1, .. }
+                        | AbmError::AbftMismatch { kernel: 1, .. }
+                ),
+                "{what}: {err}"
+            );
+            // The edit copied the code: the layer it came from still
+            // predicts its plane.
+            assert_eq!(verify_output(&prep, &input, &clean), Ok(()), "{what}");
         }
     }
 

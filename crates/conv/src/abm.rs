@@ -52,6 +52,7 @@ use abm_kernel::{gather_one, AbmKernel, AccWidth, Isa, Selection};
 use abm_sparse::{FlatCode, FlatKernel, FlatLayout, LayerCode};
 use abm_tensor::{Shape3, Shape4, Tensor3};
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 pub mod reference;
@@ -143,7 +144,7 @@ pub fn conv2d(
     code: &LayerCode,
     geom: Geometry,
 ) -> Result<Tensor3<i64>, AbmError> {
-    PreparedConv::try_new(code, input.shape(), geom, None)?.try_execute(input)
+    PreparedConv::try_new(code.clone(), input.shape(), geom, None)?.try_execute(input)
 }
 
 /// Like [`conv2d`] but also reports the per-stage operation counts.
@@ -161,14 +162,15 @@ pub fn conv2d_counted(
     code: &LayerCode,
     geom: Geometry,
 ) -> Result<(Tensor3<i64>, AbmWork), AbmError> {
-    let prepared = PreparedConv::try_new(code, input.shape(), geom, None)?;
+    let prepared = PreparedConv::try_new(code.clone(), input.shape(), geom, None)?;
     let out = prepared.try_execute(input)?;
     Ok((out, prepared.work))
 }
 
 /// An ABM layer prepared for repeated execution against one input
 /// geometry: flat-offset streams, the kernel dispatch and the analytic
-/// work accounting, all computed once.
+/// work accounting, all computed once — beside the encoded layer they
+/// were lowered from.
 ///
 /// Prepared once per layer (offline, like the accelerator's encoder) and
 /// reused across batch items and host workers — execution holds no
@@ -176,6 +178,11 @@ pub fn conv2d_counted(
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreparedConv {
     flat: FlatCode,
+    /// The source code: the weight-side witness ABFT predicts from and
+    /// load-time validation checks the offsets against, and what a
+    /// corrupted layer is re-lowered from. A handle, so a copy of the
+    /// layer shares it.
+    code: Arc<LayerCode>,
     in_shape: Shape3,
     out_shape: Shape3,
     geom: Geometry,
@@ -204,7 +211,9 @@ pub struct PreparedConv {
 
 impl PreparedConv {
     /// Lowers an encoded layer against a concrete input shape and
-    /// geometry. `isa` is the kernel-ISA request: `Some(isa)` pins the
+    /// geometry, keeping the code (a [`LayerCode`] moves in, an
+    /// `Arc<LayerCode>` is shared). `isa` is the kernel-ISA request:
+    /// `Some(isa)` pins the
     /// variant (debugging, benchmarking, the CLI `--isa` flag), `None`
     /// defers to `ABM_FORCE_ISA` and then auto-detection. Whatever is
     /// requested, a layer whose stage-1 worst case does not fit `i32`
@@ -219,20 +228,21 @@ impl PreparedConv {
     /// [`AbmError::IsaUnavailable`] when the pinned ISA cannot execute
     /// on this CPU (or the environment pin does not parse).
     pub fn try_new(
-        code: &LayerCode,
+        code: impl Into<Arc<LayerCode>>,
         in_shape: Shape3,
         geom: Geometry,
         isa: Option<Isa>,
     ) -> Result<Self, AbmError> {
+        let code = code.into();
         validate_grouping(in_shape, code.shape(), geom)?;
-        let flat = FlatCode::lower(code, Self::layout_for(in_shape, geom))?;
-        let prepared = Self::assemble(flat, in_shape, geom, isa)?;
+        let flat = FlatCode::lower(&code, Self::layout_for(in_shape, geom))?;
+        let prepared = Self::assemble(flat, code, in_shape, geom, isa)?;
         // Debug builds statically verify the lowering against its source
         // streams on construction; release builds skip the pass (`cargo
         // xtask verify` runs it explicitly over the model zoo).
         #[cfg(debug_assertions)]
         {
-            let report = prepared.verify_against(code);
+            let report = prepared.verify_lowering();
             debug_assert!(
                 report.is_clean(),
                 "ABM lowering failed static verification:\n{report}"
@@ -254,9 +264,11 @@ impl PreparedConv {
     }
 
     /// Loads a pre-lowered flat code (e.g. one deserialized from a
-    /// WT-Buffer/Q-Table image) after structurally validating it —
-    /// unlike the [`FlatCode::from_kernels`] escape hatch, nothing gets
-    /// past this constructor without its streams being self-consistent.
+    /// WT-Buffer/Q-Table image) after validating it against `code`, its
+    /// witness ([`abm_fault::validate_flat`]) — unlike the
+    /// [`FlatCode::from_kernels`] escape hatch, nothing gets past this
+    /// constructor unless every offset is the address of the code's
+    /// index it stands for.
     ///
     /// # Errors
     ///
@@ -265,9 +277,11 @@ impl PreparedConv {
     /// with `in_shape`/`geom`.
     pub fn try_from_flat(
         flat: FlatCode,
+        code: impl Into<Arc<LayerCode>>,
         in_shape: Shape3,
         geom: Geometry,
     ) -> Result<Self, AbmError> {
+        let code = code.into();
         validate_grouping(in_shape, flat.shape(), geom)?;
         if flat.layout() != Self::layout_for(in_shape, geom) {
             return Err(AbmError::ShapeMismatch {
@@ -279,8 +293,8 @@ impl PreparedConv {
                 want: (in_shape.channels, in_shape.rows, in_shape.cols),
             });
         }
-        abm_fault::validate_flat(&flat)?;
-        Self::assemble(flat, in_shape, geom, None)
+        abm_fault::validate_flat(&flat, &code)?;
+        Self::assemble(flat, code, in_shape, geom, None)
     }
 
     /// Shared tail of the constructors: derive the output geometry,
@@ -289,6 +303,7 @@ impl PreparedConv {
     /// execution path).
     fn assemble(
         flat: FlatCode,
+        code: Arc<LayerCode>,
         in_shape: Shape3,
         geom: Geometry,
         isa: Option<Isa>,
@@ -343,16 +358,17 @@ impl PreparedConv {
             lane_sels,
             sweep_ops: flat.total_nnz() * per_offset as u64,
             flat,
+            code,
         })
     }
 
     /// Runs the `abm-verify` lowering pass against this prepared layer's
-    /// source streams: every flat offset must decode to its source tap,
-    /// the whole output plane's sweep must be provably in-bounds, the
-    /// value groups must partition the encoded non-zeros, and worst-case
-    /// accumulation must fit the host accumulator.
+    /// source code: every flat offset must be the address of its source
+    /// index, the whole output plane's sweep must be provably in-bounds,
+    /// the value groups must partition the encoded non-zeros, and
+    /// worst-case accumulation must fit the host accumulator.
     #[must_use]
-    pub fn verify_against(&self, code: &LayerCode) -> abm_verify::VerifyReport {
+    pub fn verify_lowering(&self) -> abm_verify::VerifyReport {
         let layout = self.flat.layout();
         let geometry = abm_verify::ConvGeometry {
             in_channels: self.in_shape.channels,
@@ -366,7 +382,7 @@ impl PreparedConv {
         };
         abm_verify::verify_lowering(
             "prepared-conv",
-            code,
+            &self.code,
             &self.flat,
             &geometry,
             &abm_verify::AccumulatorModel::host(),
@@ -401,6 +417,13 @@ impl PreparedConv {
     #[must_use]
     pub fn flat(&self) -> &FlatCode {
         &self.flat
+    }
+
+    /// The encoded layer this one was lowered from — shared, so a
+    /// re-lowering from it is a handle copy.
+    #[must_use]
+    pub fn code(&self) -> &Arc<LayerCode> {
+        &self.code
     }
 
     /// The golden stream checksum recorded at preparation time.
@@ -493,6 +516,16 @@ impl PreparedConv {
     /// Never a correctness tool; campaign and test use only.
     pub fn flat_mut(&mut self) -> &mut FlatCode {
         &mut self.flat
+    }
+
+    /// The source code for editing in place — the same escape hatch as
+    /// [`flat_mut`](Self::flat_mut), for an upset in the witness rather
+    /// than in the streams: ABFT, which predicts from the code, is
+    /// expected to notice, and the recovery ladder to rebuild nothing
+    /// from it. Copies the code first when another layer shares it.
+    /// Never a correctness tool; test use only.
+    pub fn code_mut(&mut self) -> &mut LayerCode {
+        Arc::make_mut(&mut self.code)
     }
 
     /// Runs the prepared layer, returning the exact full-precision
@@ -879,7 +912,7 @@ mod tests {
         assert_eq!(dense_out, ref_out);
         let pins = std::iter::once(None).chain(Isa::detect_all().into_iter().map(Some));
         for isa in pins {
-            let prepared = PreparedConv::try_new(&code, input.shape(), geom, isa).unwrap();
+            let prepared = PreparedConv::try_new(code.clone(), input.shape(), geom, isa).unwrap();
             let (out, work) = (prepared.execute(input), prepared.work());
             assert_eq!(ref_out, out, "{isa:?} -> {}", prepared.selection());
             assert_eq!(ref_work, work, "analytic work != counted work");
@@ -1013,7 +1046,8 @@ mod tests {
             })
             .collect();
         for isa in Isa::detect_all() {
-            let prep = PreparedConv::try_new(&code, in_shape, Geometry::unit(), Some(isa)).unwrap();
+            let prep =
+                PreparedConv::try_new(code.clone(), in_shape, Geometry::unit(), Some(isa)).unwrap();
             let alone: Vec<Tensor3<i64>> = images.iter().map(|i| prep.execute(i)).collect();
             for live in [5usize, 70] {
                 let sel = prep.lane_selection(live);
@@ -1081,7 +1115,7 @@ mod tests {
         let weights = pseudo_weights(Shape4::new(3, 2, 3, 3), 6);
         let code = LayerCode::encode(&weights).unwrap();
         let geom = Geometry::new(1, 1);
-        let prepared = PreparedConv::try_new(&code, shape, geom, None).unwrap();
+        let prepared = PreparedConv::try_new(code.clone(), shape, geom, None).unwrap();
         for salt in 0..3 {
             let input = Tensor3::from_fn(shape, |c, r, col| {
                 ((c * 97 + r * 13 + col * 5 + salt * 41) % 200) as i16 - 100
@@ -1153,7 +1187,8 @@ mod tests {
         let w = Tensor4::<i8>::zeros(Shape4::new(1, 1, 1, 1));
         let code = LayerCode::encode(&w).unwrap();
         let prepared =
-            PreparedConv::try_new(&code, Shape3::new(1, 4, 4), Geometry::unit(), None).unwrap();
+            PreparedConv::try_new(code.clone(), Shape3::new(1, 4, 4), Geometry::unit(), None)
+                .unwrap();
         let err = prepared
             .try_execute(&Tensor3::<i16>::zeros(Shape3::new(1, 5, 5)))
             .unwrap_err();
@@ -1170,12 +1205,17 @@ mod tests {
     fn checksum_guard_catches_post_load_flip() {
         let weights = pseudo_weights(Shape4::new(2, 2, 3, 3), 6);
         let code = LayerCode::encode(&weights).unwrap();
-        let prepared =
-            PreparedConv::try_new(&code, Shape3::new(2, 6, 6), Geometry::new(1, 1), None).unwrap();
+        let prepared = PreparedConv::try_new(
+            code.clone(),
+            Shape3::new(2, 6, 6),
+            Geometry::new(1, 1),
+            None,
+        )
+        .unwrap();
         assert!(prepared.verify_checksum().is_ok());
         // Flip one offset bit post-load, keeping the golden checksum.
         let mut poisoned = prepared.clone();
-        let (_, _, offsets, _) = poisoned.flat_mut().kernels_mut()[0].streams_mut();
+        let (_, _, offsets) = poisoned.flat_mut().kernels_mut()[0].streams_mut();
         offsets[0] ^= 1 << 3;
         let err = poisoned.verify_checksum().unwrap_err();
         assert!(matches!(err, AbmError::ChecksumMismatch { .. }));
@@ -1189,10 +1229,15 @@ mod tests {
     fn kernel_runs_tile_the_layer_by_non_zero_count() {
         let weights = pseudo_weights(Shape4::new(37, 5, 3, 3), 7);
         let code = LayerCode::encode(&weights).unwrap();
-        let prep =
-            PreparedConv::try_new(&code, Shape3::new(5, 9, 9), Geometry::new(1, 1), None).unwrap();
+        let prep = PreparedConv::try_new(
+            code.clone(),
+            Shape3::new(5, 9, 9),
+            Geometry::new(1, 1),
+            None,
+        )
+        .unwrap();
         let with_total =
-            |n: usize| FlatKernel::from_raw_parts(vec![1], vec![0, n as u32], vec![0; n], vec![]);
+            |n: usize| FlatKernel::from_raw_parts(vec![1], vec![0, n as u32], vec![0; n]);
         let sparse: Vec<FlatKernel> = [0, 0, 4, 0, 7, 1, 0, 3, 0, 0].map(with_total).into();
         for kernels in [prep.flat().kernels(), &sparse[..]] {
             let nnz: u64 = kernels.iter().map(|k| u64::from(k.total())).sum();
@@ -1228,13 +1273,14 @@ mod tests {
         assert_eq!(share_count(3, 100 * MIN_SHARE), 3);
 
         let fc = LayerCode::encode(&pseudo_weights(Shape4::new(5, 24, 1, 1), 6)).unwrap();
-        let fc = PreparedConv::try_new(&fc, Shape3::new(24, 1, 1), Geometry::unit(), None).unwrap();
+        let fc = PreparedConv::try_new(fc, Shape3::new(24, 1, 1), Geometry::unit(), None).unwrap();
         assert_eq!(fc.sweep_ops, fc.flat().total_nnz());
         // Pad 1 on 6×6: one tile of 5 rows at pitch 8 plus a last row of 6.
         let conv = LayerCode::encode(&pseudo_weights(Shape4::new(3, 2, 3, 3), 6)).unwrap();
         let geom = Geometry::new(1, 1);
         for isa in Isa::detect_all() {
-            let prep = PreparedConv::try_new(&conv, Shape3::new(2, 6, 6), geom, Some(isa)).unwrap();
+            let prep =
+                PreparedConv::try_new(conv.clone(), Shape3::new(2, 6, 6), geom, Some(isa)).unwrap();
             let vectors = 46usize.div_ceil(prep.selection().lanes()) as u64;
             assert_eq!(prep.sweep_ops, prep.flat().total_nnz() * vectors, "{isa}");
             assert_eq!((prep.shares(1), prep.shares(64)), (1, 1));
@@ -1288,7 +1334,7 @@ mod tests {
                 );
             let code = LayerCode::encode(&weights).unwrap();
             for isa in Isa::detect_all() {
-                let prep = PreparedConv::try_new(&code, in_shape, geom, Some(isa)).unwrap();
+                let prep = PreparedConv::try_new(code.clone(), in_shape, geom, Some(isa)).unwrap();
                 let relaid = prep.flat().layout().relayout(&input);
                 let serial = prep.execute(&input);
                 let want = serial.as_slice().iter().map(|v| v.unsigned_abs()).max();
@@ -1316,7 +1362,7 @@ mod tests {
         fn a_split_checksum_is_the_serial_checksum(
             (m, n, k) in (1usize..9, 1usize..4, 1usize..4),
             salt in 0usize..1000,
-            (kernel, stream, element) in (0usize..64, 0usize..4, 0usize..1024),
+            (kernel, stream, element) in (0usize..64, 0usize..3, 0usize..1024),
             bit in 0u32..32,
         ) {
             let weights = Tensor4::from_fn(Shape4::new(m, n, k, k), |a, b, c, d| {
@@ -1324,15 +1370,14 @@ mod tests {
             });
             let code = LayerCode::encode(&weights).unwrap();
             let in_shape = Shape3::new(n, k + 3, k + 2);
-            let mut prep = PreparedConv::try_new(&code, in_shape, Geometry::new(1, 1), None)
+            let mut prep = PreparedConv::try_new(code.clone(), in_shape, Geometry::new(1, 1), None)
                 .unwrap();
             let mut digests = Vec::new();
             for shares in 1..=5 {
                 proptest::prop_assert_eq!(prep.verify_checksum_on(shares, &mut digests), Ok(()));
             }
             let kernel = kernel % m;
-            let (values, bounds, offsets, taps) =
-                prep.flat_mut().kernels_mut()[kernel].streams_mut();
+            let (values, bounds, offsets) = prep.flat_mut().kernels_mut()[kernel].streams_mut();
             match stream {
                 0 if !values.is_empty() => {
                     let i = element % values.len();
@@ -1345,16 +1390,6 @@ mod tests {
                 2 if !offsets.is_empty() => {
                     let i = element % offsets.len();
                     offsets[i] ^= 1 << bit;
-                }
-                3 if !taps.is_empty() => {
-                    let i = element % taps.len();
-                    let tap = &mut taps[i];
-                    let field = match element % 3 {
-                        0 => &mut tap.n,
-                        1 => &mut tap.k,
-                        _ => &mut tap.kp,
-                    };
-                    *field ^= 1 << (bit % 16);
                 }
                 // An all-zero kernel: nothing of that stream to flip.
                 _ => return,
@@ -1376,16 +1411,18 @@ mod tests {
         let code = LayerCode::encode(&weights).unwrap();
         let in_shape = Shape3::new(2, 6, 6);
         let geom = Geometry::new(1, 1);
-        let pristine = PreparedConv::try_new(&code, in_shape, geom, None).unwrap();
+        let pristine = PreparedConv::try_new(code.clone(), in_shape, geom, None).unwrap();
         // The pristine streams load fine through the validated path.
+        let code = pristine.code();
         let reloaded =
-            PreparedConv::try_from_flat(pristine.flat().clone(), in_shape, geom).unwrap();
+            PreparedConv::try_from_flat(pristine.flat().clone(), Arc::clone(code), in_shape, geom)
+                .unwrap();
         assert_eq!(reloaded, pristine);
         // A pre-load offset corruption is rejected at the door.
         let mut bad = pristine.flat().clone();
-        let (_, _, offsets, _) = bad.kernels_mut()[1].streams_mut();
+        let (_, _, offsets) = bad.kernels_mut()[1].streams_mut();
         offsets[2] ^= 1 << 7;
-        let err = PreparedConv::try_from_flat(bad, in_shape, geom).unwrap_err();
+        let err = PreparedConv::try_from_flat(bad, Arc::clone(code), in_shape, geom).unwrap_err();
         assert!(
             matches!(err, AbmError::CodeCorrupt { kernel: 1, .. }),
             "{err}"

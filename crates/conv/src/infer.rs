@@ -27,7 +27,7 @@ use crate::sparse as csr_engine;
 use abm_fault::AbmError;
 use abm_kernel::Isa;
 use abm_model::{Layer, LayerKind, SparseLayer, SparseModel};
-use abm_sparse::{CsrKernel, FlatLayout, LayerCode};
+use abm_sparse::{CsrKernel, FlatCode, FlatLayout, LayerCode};
 use abm_telemetry::{FaultAction, TelemetrySink};
 use abm_tensor::quantize::choose_frac;
 use abm_tensor::{QFormat, Shape3, Tensor3};
@@ -269,7 +269,10 @@ impl<'m> Inferencer<'m> {
                     let code = LayerCode::encode(&sl.weights)
                         .map_err(|e| AbmError::from(e).at_layer(idx))?;
                     let (in_shape, geom) = accel_geometry(sl);
-                    let prep = PreparedConv::try_new(&code, in_shape, geom, self.isa)
+                    // The layer keeps its code: the ABFT witness, and what
+                    // a corrupted layer is re-lowered from without
+                    // re-encoding the whole model.
+                    let prep = PreparedConv::try_new(code, in_shape, geom, self.isa)
                         .map_err(|e| e.at_layer(idx))?;
                     if let Some(sink) = &self.telemetry {
                         let sel = prep.selection();
@@ -280,9 +283,7 @@ impl<'m> Inferencer<'m> {
                             sel.lanes() as u32,
                         );
                     }
-                    // Retain the source code so a corrupted layer can be
-                    // re-lowered without re-encoding the whole model.
-                    LayerWeights::Abm(Arc::new(prep), Arc::new(code))
+                    LayerWeights::Abm(Arc::new(prep))
                 }
                 Engine::Sparse => LayerWeights::Csr(CsrKernel::encode_layer(&sl.weights).into()),
                 _ => LayerWeights::Model,
@@ -699,8 +700,7 @@ impl<'m> Inferencer<'m> {
             }
             let shares = prep.shares(width);
             if self.resilience.verify {
-                let code = prepared.layer_code(layer_idx);
-                self.execute_abm_checked(prep, code, &state.features, arena, layer_idx, shares)?
+                self.execute_abm_checked(prep, &state.features, arena, layer_idx, shares)?
             } else {
                 let plane = &mut arena.plane[..step.shape.len()];
                 let max_abs = prep.execute_into(&state.features, plane, &mut arena.sweeps, shares);
@@ -783,14 +783,15 @@ impl<'m> Inferencer<'m> {
     /// retained [`LayerCode`] up to `max_retries` times, then (with
     /// `fallback`) degrade to the `abm::reference` oracle and finally
     /// the dense engine, which take a tensor stripped back out of
-    /// `relaid`. Every detection and recovery is recorded as a telemetry
-    /// [`Event::Fault`](abm_telemetry::Event::Fault). The checksum, the
+    /// `relaid`. The first two rungs need a sound code — one that still
+    /// lowers to the checksum recorded at load; a corrupted one goes
+    /// straight to the dense engine. Every detection and recovery is
+    /// recorded as a telemetry [`Event::Fault`](abm_telemetry::Event::Fault). The checksum, the
     /// sweep and the ABFT check each split across `shares` threads along
     /// the same kernel runs.
     fn execute_abm_checked(
         &self,
         prep: &PreparedConv,
-        code: Option<&LayerCode>,
         relaid: &[i16],
         arena: &mut Arena,
         layer_idx: usize,
@@ -826,9 +827,17 @@ impl<'m> Inferencer<'m> {
             detector_name(&last),
             &last.to_string(),
         );
-        if let Some(code) = code {
+        // The code is what the ladder rebuilds from. One that no longer
+        // lowers to the streams checksummed at load has itself been
+        // corrupted since (ABFT, which predicts from it, is what noticed):
+        // neither a re-lowering nor the reference oracle is made from it.
+        let code = prep.code();
+        let layout = PreparedConv::layout_for(prep.input_shape(), geom);
+        let code_sound = FlatCode::lower(code, layout)
+            .is_ok_and(|flat| abm_fault::flat_checksum(&flat) == prep.checksum());
+        if code_sound {
             for attempts in 1..=self.resilience.max_retries {
-                match PreparedConv::try_new(code, prep.input_shape(), geom, self.isa)
+                match PreparedConv::try_new(Arc::clone(code), prep.input_shape(), geom, self.isa)
                     .and_then(|fresh| attempt(&fresh, plane))
                 {
                     Ok(r) => {
@@ -849,7 +858,7 @@ impl<'m> Inferencer<'m> {
                 .flat()
                 .layout()
                 .strip(relaid, prep.input_shape().channels);
-            if let Some(code) = code {
+            if code_sound {
                 if let Ok((out, w)) = abm::reference::conv2d_counted(&input, code, geom) {
                     self.record_fault(
                         layer_idx,
@@ -1091,8 +1100,8 @@ pub struct PreparedWeights {
 /// What `prepare` holds for one accelerated layer, by engine.
 #[derive(Debug, Clone)]
 enum LayerWeights {
-    /// ABM: the lowered layer and the source code it came from.
-    Abm(Arc<PreparedConv>, Arc<LayerCode>),
+    /// ABM: the lowered layer, which holds the source code it came from.
+    Abm(Arc<PreparedConv>),
     /// The CSR baseline's kernels.
     Csr(Arc<[CsrKernel]>),
     /// Dense, GEMM and frequency-domain read the model's own tensors.
@@ -1105,7 +1114,7 @@ impl PreparedWeights {
     #[must_use]
     pub fn abm_layer(&self, layer: usize) -> Option<&PreparedConv> {
         match self.layers.get(layer)? {
-            LayerWeights::Abm(prep, _) => Some(prep),
+            LayerWeights::Abm(prep) => Some(prep),
             _ => None,
         }
     }
@@ -1118,7 +1127,7 @@ impl PreparedWeights {
     #[must_use]
     pub fn abm_layer_mut(&mut self, layer: usize) -> Option<&mut PreparedConv> {
         match self.layers.get_mut(layer)? {
-            LayerWeights::Abm(prep, _) => Some(Arc::make_mut(prep)),
+            LayerWeights::Abm(prep) => Some(Arc::make_mut(prep)),
             _ => None,
         }
     }
@@ -1134,13 +1143,11 @@ impl PreparedWeights {
     }
 
     /// The retained source code for a layer (`None` unless prepared
-    /// with the ABM engine).
+    /// with the ABM engine) — its prepared form's
+    /// [`code`](PreparedConv::code).
     #[must_use]
     pub fn layer_code(&self, layer: usize) -> Option<&LayerCode> {
-        match self.layers.get(layer)? {
-            LayerWeights::Abm(_, code) => Some(code),
-            _ => None,
-        }
+        self.abm_layer(layer).map(|prep| &**prep.code())
     }
 
     /// A layer's CSR kernels (`None` unless prepared with the sparse
@@ -1199,7 +1206,7 @@ mod tests {
         edit: impl FnOnce(&mut Vec<i8>, &mut Vec<u32>),
     ) {
         let prep = prepared.abm_layer_mut(0).unwrap();
-        let (values, _, offsets, _) = prep.flat_mut().kernels_mut()[0].streams_mut();
+        let (values, _, offsets) = prep.flat_mut().kernels_mut()[0].streams_mut();
         edit(values, offsets);
     }
 
@@ -1350,6 +1357,43 @@ mod tests {
         assert!(matches!(err, AbmError::Layer { layer: 0, .. }), "{err}");
     }
 
+    /// A code corrupted after load — ABFT's witness — is detected, and
+    /// the ladder rebuilds nothing from it: neither a re-lowering nor
+    /// the reference oracle runs a code that no longer lowers to the
+    /// checksum recorded at load, so the image still gets the golden
+    /// logits, from the dense engine.
+    #[test]
+    fn a_corrupted_code_is_detected_and_never_rebuilt_from() {
+        let model = tiny_model();
+        let input = tiny_input();
+        let hardened = Inferencer::new(&model).resilience(ResiliencePolicy::hardened());
+        let detect = Inferencer::new(&model).resilience(ResiliencePolicy::detect_only());
+        let clean = hardened.prepare().unwrap();
+        let golden = hardened.run_prepared(&clean, &input).unwrap();
+        type Edit = fn(&mut abm_sparse::KernelCode);
+        let edits: [(&str, Edit); 4] = [
+            ("index past the volume", |k| k.streams_mut().1[0] = u16::MAX),
+            ("count overruns", |k| k.streams_mut().0[0].count += 1),
+            ("index moved", |k| k.streams_mut().1[0] ^= 1),
+            ("value changed", |k| k.streams_mut().0[0].value ^= 0x10),
+        ];
+        for (what, edit) in edits {
+            let mut prepared = clean.clone();
+            let layer = prepared.abm_layer_mut(0).unwrap();
+            edit(&mut layer.code_mut().kernels_mut()[0]);
+            let err = detect.run_prepared(&prepared, &input).unwrap_err();
+            assert!(
+                matches!(
+                    err.root_cause(),
+                    AbmError::CodeCorrupt { .. } | AbmError::AbftMismatch { .. }
+                ),
+                "{what}: {err}"
+            );
+            let recovered = hardened.run_prepared(&prepared, &input).unwrap();
+            assert_eq!(recovered.logits, golden.logits, "{what}");
+        }
+    }
+
     #[test]
     fn batch_matches_individual_runs() {
         let model = tiny_model();
@@ -1380,7 +1424,7 @@ mod tests {
         for layer in &tiny_model().layers {
             let (in_shape, geom) = accel_geometry(layer);
             let code = LayerCode::encode(&layer.weights).unwrap();
-            let prep = PreparedConv::try_new(&code, in_shape, geom, None).unwrap();
+            let prep = PreparedConv::try_new(code, in_shape, geom, None).unwrap();
             assert_eq!(prep.shares(2), 1, "{}", layer.name());
         }
 

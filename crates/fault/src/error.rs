@@ -415,8 +415,16 @@ impl Error for AbmError {
 }
 
 impl From<EncodeError> for AbmError {
+    /// A corrupt code is an integrity failure like any other corrupted
+    /// stream ([`AbmError::CodeCorrupt`]); the rest are contract errors.
     fn from(e: EncodeError) -> Self {
-        AbmError::Encode(e)
+        match e {
+            EncodeError::CorruptCode { kernel } => AbmError::CodeCorrupt {
+                kernel,
+                detail: e.to_string(),
+            },
+            _ => AbmError::Encode(e),
+        }
     }
 }
 

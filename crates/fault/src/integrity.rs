@@ -3,13 +3,14 @@
 //! load-time corruption.
 //!
 //! Both operate on [`FlatCode`] — the software image of the WT-Buffer
-//! (offsets), Q-Table (values and group bounds) and the decoded taps —
-//! so they live here, next to [`AbmError`], rather than in `abm-sparse`
-//! which must stay free of the fault vocabulary.
+//! (offsets) and Q-Table (values and group bounds) — and the validator
+//! checks it against its witness, the [`LayerCode`] it was lowered
+//! from, so they live here, next to [`AbmError`], rather than in
+//! `abm-sparse` which must stay free of the fault vocabulary.
 
 use crate::error::AbmError;
 use crate::inject::{FNV_OFFSET, FNV_PRIME};
-use abm_sparse::{FlatCode, FlatKernel, Tap};
+use abm_sparse::{FlatCode, FlatKernel, LayerCode};
 
 /// Independent multiply chains the digest stripes words over. One
 /// chain retires a word per multiply *latency*; four keep the
@@ -70,15 +71,11 @@ fn pack_u32(pair: &[u32]) -> u64 {
     pair.iter().rev().fold(0, |w, &x| (w << 32) | u64::from(x))
 }
 
-/// One tap as one word: `n`, `k`, `k'` in the low three 16-bit fields.
-fn pack_tap(t: Tap) -> u64 {
-    u64::from(t.n) | u64::from(t.k) << 16 | u64::from(t.kp) << 32
-}
-
 /// Digest of every stream a [`FlatCode`] carries, plus its shape and
-/// layout. A `PreparedConv` records this at construction and
-/// re-verifies before execution: any post-load bit flip in an offset,
-/// value, group bound or tap changes the digest.
+/// layout — exactly what the executor reads, about 4 B a non-zero. A
+/// `PreparedConv` records this at construction and re-verifies before
+/// execution: any post-load bit flip in an offset, value or group bound
+/// changes the digest.
 ///
 /// It is a fold: the header (shape, layout, kernel count) is digested,
 /// then each kernel's [`kernel_digest`] is folded in, in kernel order
@@ -87,7 +84,7 @@ fn pack_tap(t: Tap) -> u64 {
 /// as this serial walk.
 ///
 /// The streams are hashed a 64-bit word at a time — `values` eight to
-/// the word, `group_bounds` and `offsets` two, each [`Tap`] one — and
+/// the word, `group_bounds` and `offsets` two — and
 /// every stream of every kernel is prefixed with its length, so an
 /// element that moves across a stream or kernel boundary changes two
 /// frames even where the concatenated bytes stay the same.
@@ -110,7 +107,7 @@ pub fn flat_checksum(flat: &FlatCode) -> u64 {
     fold_kernel_digests(flat, flat.kernels().iter().map(kernel_digest))
 }
 
-/// One kernel's share of [`flat_checksum`]: its four streams, each
+/// One kernel's share of [`flat_checksum`]: its three streams, each
 /// framed by its length, through one four-chain word digest.
 #[must_use]
 pub fn kernel_digest(kernel: &FlatKernel) -> u64 {
@@ -123,7 +120,6 @@ pub fn kernel_digest(kernel: &FlatKernel) -> u64 {
     });
     digest.absorb::<_, 2>(kernel.group_bounds(), pack_u32);
     digest.absorb::<_, 2>(kernel.offsets(), pack_u32);
-    digest.absorb::<_, 1>(kernel.taps(), |t| pack_tap(t[0]));
     digest.finish()
 }
 
@@ -149,34 +145,50 @@ pub fn fold_kernel_digests(flat: &FlatCode, digests: impl IntoIterator<Item = u6
     digests.into_iter().fold(digest.finish(), mix)
 }
 
-/// Structural validation of a [`FlatCode`] at load time — the software
-/// analogue of checking a WT-Buffer/Q-Table page after the DDR
-/// transfer, before any executor trusts it.
+/// Structural validation of a [`FlatCode`] at load time against its
+/// witness, the [`LayerCode`] it claims to lower — the software analogue
+/// of checking a WT-Buffer/Q-Table page after the DDR transfer, before
+/// any executor trusts it.
 ///
 /// Checks, per kernel: group bounds start at zero, are monotone and
-/// consistent with the value/offset/tap stream lengths; Q-Table values
-/// are strictly ascending (the encoder's order); offsets are strictly
-/// ascending within each group and each one is exactly
-/// [`FlatLayout::offset_of`](abm_sparse::FlatLayout::offset_of) its
-/// tap; taps stay inside the kernel volume; and the last position the
+/// consistent with the value and offset stream lengths; Q-Table values
+/// are strictly ascending (the encoder's order); the code's own Q-Table
+/// counts tile its index stream; every group holds the code's value and
+/// exactly the offsets of the code's indexes in that group, ascending —
+/// looked up in the layer's one `index → offset` table
+/// ([`FlatLayout::offset_table`](abm_sparse::FlatLayout::offset_table)),
+/// one lookup a non-zero and no division; and the last position the
 /// executor sweeps plus the kernel's largest offset stays inside the
 /// re-laid-out input — the in-bounds proof for the whole output plane.
 ///
 /// # Errors
 ///
 /// Returns [`AbmError::CodeCorrupt`] naming the first inconsistent
-/// kernel.
-pub fn validate_flat(flat: &FlatCode) -> Result<(), AbmError> {
+/// kernel — of the lowering or of the witness.
+pub fn validate_flat(flat: &FlatCode, code: &LayerCode) -> Result<(), AbmError> {
     let shape = flat.shape();
     let layout = flat.layout();
     let corrupt = |kernel: usize, detail: String| AbmError::CodeCorrupt { kernel, detail };
     if layout.stride == 0 {
         return Err(corrupt(0, "layout stride must be positive".into()));
     }
+    if code.shape() != shape || code.kernels().len() != flat.kernels().len() {
+        return Err(corrupt(
+            0,
+            format!(
+                "{} kernels of {shape} lowered from a code of {} kernels of {}",
+                flat.kernels().len(),
+                code.kernels().len(),
+                code.shape()
+            ),
+        ));
+    }
     let (out_rows, out_cols) = layout.out_dims(shape.kernel_rows, shape.kernel_cols);
     let swept = layout.sweep_span(out_rows, out_cols);
     let relaid_len = layout.relaid_len(shape.in_channels);
-    for (m, k) in flat.kernels().iter().enumerate() {
+    let table = layout.offset_table(shape);
+    let mut expected = Vec::new();
+    for (m, (k, source)) in flat.kernels().iter().zip(code.kernels()).enumerate() {
         let bounds = k.group_bounds();
         if bounds.first() != Some(&0) {
             return Err(corrupt(m, "group bounds must start at 0".into()));
@@ -207,41 +219,74 @@ pub fn validate_flat(flat: &FlatCode) -> Result<(), AbmError> {
                 ),
             ));
         }
-        if k.taps().len() != k.offsets().len() {
-            return Err(corrupt(
-                m,
-                format!("{} taps for {} offsets", k.taps().len(), k.offsets().len()),
-            ));
-        }
         if let Some(w) = k.values().windows(2).find(|w| w[0] >= w[1]) {
             return Err(corrupt(
                 m,
                 format!("Q-Table values not ascending: {} then {}", w[0], w[1]),
             ));
         }
-        for (i, (&off, tap)) in k.offsets().iter().zip(k.taps()).enumerate() {
-            if tap.n as usize >= shape.in_channels
-                || tap.k as usize >= shape.kernel_rows
-                || tap.kp as usize >= shape.kernel_cols
-            {
+        // The witness first: its groups must tile its index stream
+        // before they can be walked.
+        let counted: u64 = source.group_counts().sum();
+        if counted != source.indices().len() as u64 || source.distinct() != k.distinct() {
+            return Err(corrupt(
+                m,
+                format!(
+                    "{} groups lowered from a code of {} groups counting {counted} of its {} indexes",
+                    k.distinct(),
+                    source.distinct(),
+                    source.indices().len()
+                ),
+            ));
+        }
+        for (g, ((value, idxs), (lowered, offsets))) in
+            source.groups().zip(k.offset_groups()).enumerate()
+        {
+            if value != lowered || idxs.len() != offsets.len() {
                 return Err(corrupt(
                     m,
                     format!(
-                        "tap {i} ({}, {}, {}) outside the {}x{}x{} kernel volume",
-                        tap.n,
-                        tap.k,
-                        tap.kp,
-                        shape.in_channels,
-                        shape.kernel_rows,
-                        shape.kernel_cols
+                        "group {g} holds {} offsets of value {lowered}, the code {} indexes of value {value}",
+                        offsets.len(),
+                        idxs.len()
                     ),
                 ));
             }
-            let want = layout.offset_of(*tap);
-            if off as usize != want {
+            expected.clear();
+            for &i in idxs {
+                let Some(&off) = table.get(i as usize) else {
+                    return Err(corrupt(
+                        m,
+                        format!(
+                            "code index {i} lies past the {}-weight kernel volume",
+                            table.len()
+                        ),
+                    ));
+                };
+                expected.push(off);
+            }
+            // The lowering sorts a strided layer's groups by offset.
+            if layout.stride > 1 {
+                expected.sort_unstable();
+            }
+            if let Some(j) = (0..offsets.len()).find(|&j| offsets[j] as usize != expected[j]) {
                 return Err(corrupt(
                     m,
-                    format!("offset {off} at index {i} does not decode to its tap (want {want})"),
+                    format!(
+                        "offset {} at index {} is not the address of its code index (want {})",
+                        offsets[j],
+                        bounds[g] as usize + j,
+                        expected[j]
+                    ),
+                ));
+            }
+            if let Some(w) = offsets.windows(2).find(|w| w[0] >= w[1]) {
+                return Err(corrupt(
+                    m,
+                    format!(
+                        "offsets not ascending within a group: {} then {}",
+                        w[0], w[1]
+                    ),
                 ));
             }
         }
@@ -252,17 +297,6 @@ pub fn validate_flat(flat: &FlatCode) -> Result<(), AbmError> {
                     format!(
                         "offset {max_off} reads past the {relaid_len}-element re-laid-out input \
                          at the last of {swept} swept positions"
-                    ),
-                ));
-            }
-        }
-        for (_, group) in k.offset_groups() {
-            if let Some(w) = group.windows(2).find(|w| w[0] >= w[1]) {
-                return Err(corrupt(
-                    m,
-                    format!(
-                        "offsets not ascending within a group: {} then {}",
-                        w[0], w[1]
                     ),
                 ));
             }
@@ -278,42 +312,47 @@ mod tests {
     use abm_tensor::{Shape4, Tensor4};
     use proptest::prelude::*;
 
-    fn lowered() -> (LayerCode, FlatCode) {
-        let shape = Shape4::new(2, 2, 3, 3);
+    /// Three 2x3x3 kernels (a first, a middle and a last one) over a
+    /// padded 6x6 input, at `stride`.
+    fn lowered_at(stride: usize) -> (LayerCode, FlatCode) {
+        let shape = Shape4::new(3, 2, 3, 3);
         let w = Tensor4::from_fn(shape, |m, n, k, kp| {
-            let x = (m * 7 + n * 5 + k * 3 + kp) % 4;
-            if x == 0 {
-                0
-            } else {
-                x as i8 - 2
-            }
+            // Values -2, -1, 1 and 2; zeros where x is 0 or 3.
+            (((m * 7 + n * 5 + k * 3 + kp) % 6) as i8 - 3) % 3
         });
         let code = LayerCode::encode(&w).unwrap();
         let layout = FlatLayout {
             in_rows: 6,
             in_cols: 6,
-            stride: 1,
+            stride,
             pad: 1,
         };
         let flat = FlatCode::lower(&code, layout).unwrap();
         (code, flat)
     }
 
+    fn lowered() -> (LayerCode, FlatCode) {
+        lowered_at(1)
+    }
+
     #[test]
     fn pristine_code_validates() {
+        for stride in 1..=3 {
+            let (code, flat) = lowered_at(stride);
+            assert_eq!(validate_flat(&flat, &code), Ok(()), "stride {stride}");
+        }
         let (_, flat) = lowered();
-        assert!(validate_flat(&flat).is_ok());
         assert_eq!(flat_checksum(&flat), flat_checksum(&flat));
     }
 
     #[test]
     fn every_offset_bit_flip_is_caught() {
-        let (_, flat) = lowered();
+        let (code, flat) = lowered();
         for bit in [0u32, 3, 17, 31] {
             let mut bad = flat.clone();
-            let (_, _, offsets, _) = bad.kernels_mut()[0].streams_mut();
+            let (_, _, offsets) = bad.kernels_mut()[0].streams_mut();
             offsets[1] ^= 1 << bit;
-            let err = validate_flat(&bad).unwrap_err();
+            let err = validate_flat(&bad, &code).unwrap_err();
             assert!(
                 matches!(err, AbmError::CodeCorrupt { kernel: 0, .. }),
                 "bit {bit}: {err}"
@@ -322,27 +361,120 @@ mod tests {
         }
     }
 
+    /// The load-time fault class: one offset moved to the next address,
+    /// which in a dense kernel is usually another *valid* tap's — the
+    /// witness still knows which tap the group holds.
+    #[test]
+    fn an_offset_moved_onto_another_tap_is_caught() {
+        for stride in 1..=3 {
+            let (code, flat) = lowered_at(stride);
+            for (m, kernel) in flat.kernels().iter().enumerate() {
+                for i in 0..kernel.offsets().len() {
+                    let mut bad = flat.clone();
+                    let (_, _, offsets) = bad.kernels_mut()[m].streams_mut();
+                    offsets[i] = offsets[i].wrapping_add(1);
+                    let err = validate_flat(&bad, &code).unwrap_err();
+                    assert!(
+                        matches!(err, AbmError::CodeCorrupt { kernel, .. } if kernel == m),
+                        "stride {stride} kernel {m} offset {i}: {err}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn broken_group_bounds_are_caught() {
-        let (_, mut bad) = lowered();
-        let (_, bounds, _, _) = bad.kernels_mut()[0].streams_mut();
+        let (code, mut bad) = lowered();
+        let (_, bounds, _) = bad.kernels_mut()[0].streams_mut();
         let last = bounds.len() - 1;
         bounds.swap(0, last);
-        assert!(validate_flat(&bad).is_err());
+        assert!(validate_flat(&bad, &code).is_err());
     }
 
+    /// A corrupted witness is reported, never walked out of bounds: an
+    /// index past the kernel volume, a count that overruns or underruns
+    /// the index stream, an index moved to another position, a value
+    /// changed, a kernel missing — each a typed `CodeCorrupt` naming the
+    /// kernel.
     #[test]
-    fn checksum_covers_values_and_taps() {
-        let (_, mut flat) = lowered();
-        let base = flat_checksum(&flat);
-        let (values, _, _, _) = flat.kernels_mut()[0].streams_mut();
-        values[0] ^= 1;
-        assert_ne!(flat_checksum(&flat), base);
+    fn a_corrupted_witness_is_code_corrupt_not_a_panic() {
+        let (code, flat) = lowered_at(2);
+        let kernel_len = code.shape().kernel_len() as u16;
+        type Edit = fn(&mut LayerCode, u16);
+        let edits: [(&str, Edit); 6] = [
+            ("index past the volume", |c, len| {
+                c.kernels_mut()[1].streams_mut().1[0] = len;
+            }),
+            ("last index past the volume", |c, _| {
+                *c.kernels_mut()[2].streams_mut().1.last_mut().unwrap() = u16::MAX;
+            }),
+            ("count overruns", |c, _| {
+                c.kernels_mut()[1].streams_mut().0[0].count += 1;
+            }),
+            ("count underruns", |c, _| {
+                c.kernels_mut()[1].streams_mut().0[0].count -= 1;
+            }),
+            ("index moved", |c, len| {
+                let idx = &mut c.kernels_mut()[1].streams_mut().1[0];
+                *idx = (*idx + 1) % len;
+            }),
+            ("value changed", |c, _| {
+                c.kernels_mut()[1].streams_mut().0[0].value ^= 4;
+            }),
+        ];
+        for (what, edit) in edits {
+            let mut bad = code.clone();
+            edit(&mut bad, kernel_len);
+            let err = validate_flat(&flat, &bad).unwrap_err();
+            assert!(matches!(err, AbmError::CodeCorrupt { .. }), "{what}: {err}");
+        }
+        let w = Tensor4::from_fn(Shape4::new(2, 2, 3, 3), |_, _, _, _| 1i8);
+        let short = LayerCode::encode(&w).unwrap();
+        assert!(matches!(
+            validate_flat(&flat, &short),
+            Err(AbmError::CodeCorrupt { kernel: 0, .. })
+        ));
     }
 
-    /// The four streams of a kernel, as [`FlatKernel::from_raw_parts`]
+    /// One flipped bit in any word of any of the three streams, in the
+    /// first, a middle and the last kernel, at the first, a middle and
+    /// the last element, changes the digest.
+    #[test]
+    fn checksum_covers_values_bounds_and_offsets() {
+        let (_, flat) = lowered();
+        let base = flat_checksum(&flat);
+        let last = flat.kernels().len() - 1;
+        for m in [0, last / 2, last] {
+            let kernel = &flat.kernels()[m];
+            let lens = [
+                kernel.values().len(),
+                kernel.group_bounds().len(),
+                kernel.offsets().len(),
+            ];
+            for (stream, len) in lens.into_iter().enumerate() {
+                assert!(len > 2, "kernel {m} stream {stream}");
+                for i in [0, len / 2, len - 1] {
+                    let mut bad = flat.clone();
+                    let (values, bounds, offsets) = bad.kernels_mut()[m].streams_mut();
+                    match stream {
+                        0 => values[i] ^= 1,
+                        1 => bounds[i] ^= 1,
+                        _ => offsets[i] ^= 1,
+                    }
+                    assert_ne!(
+                        flat_checksum(&bad),
+                        base,
+                        "kernel {m} stream {stream} element {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The three streams of a kernel, as [`FlatKernel::from_raw_parts`]
     /// takes them.
-    type Streams = (Vec<i8>, Vec<u32>, Vec<u32>, Vec<Tap>);
+    type Streams = (Vec<i8>, Vec<u32>, Vec<u32>);
 
     /// Flips bit `.2` of element `.1` of one field of a kernel.
     type Flip = fn(&mut Streams, usize, u32);
@@ -360,7 +492,7 @@ mod tests {
             kernels
                 .iter()
                 .cloned()
-                .map(|(v, b, o, t)| FlatKernel::from_raw_parts(v, b, o, t))
+                .map(|(v, b, o)| FlatKernel::from_raw_parts(v, b, o))
                 .collect(),
         )
     }
@@ -405,8 +537,7 @@ mod tests {
         let head = reference_words(vec![(head.len(), head)]);
         kernels
             .iter()
-            .map(|(values, bounds, offsets, taps)| {
-                let tap_bytes = taps.iter().flat_map(|t| [t.n, t.k, t.kp, 0]);
+            .map(|(values, bounds, offsets)| {
                 reference_words(vec![
                     (
                         values.len(),
@@ -414,10 +545,6 @@ mod tests {
                     ),
                     u32_words(bounds),
                     u32_words(offsets),
-                    (
-                        taps.len(),
-                        le_words(tap_bytes.flat_map(u16::to_le_bytes).collect()),
-                    ),
                 ])
             })
             .fold(head, mix)
@@ -427,53 +554,37 @@ mod tests {
     /// of little-endian bytes, no lengths.
     fn unframed_bytes(kernels: &[Streams]) -> Vec<u8> {
         let mut bytes = Vec::new();
-        for (values, bounds, offsets, taps) in kernels {
+        for (values, bounds, offsets) in kernels {
             bytes.extend(values.iter().map(|&v| v as u8));
             bytes.extend(bounds.iter().chain(offsets).flat_map(|w| w.to_le_bytes()));
-            bytes.extend(
-                taps.iter()
-                    .flat_map(|t| [t.n, t.k, t.kp])
-                    .flat_map(u16::to_le_bytes),
-            );
         }
         bytes
     }
 
     #[test]
     fn a_word_moved_across_a_boundary_changes_the_digest() {
-        let tap = |n, k, kp| Tap { n, k, kp };
         // Each pair differs only in which stream (or kernel) owns the
         // bytes at one boundary.
-        let pairs: [(&str, Vec<Streams>, Vec<Streams>); 4] = [
+        let pairs: [(&str, Vec<Streams>, Vec<Streams>); 3] = [
             (
                 "values | group_bounds",
-                vec![(vec![1, 0, 0, 0], vec![0, 7], vec![3], vec![])],
-                vec![(vec![], vec![1, 0, 7], vec![3], vec![])],
+                vec![(vec![1, 0, 0, 0], vec![0, 7], vec![3])],
+                vec![(vec![], vec![1, 0, 7], vec![3])],
             ),
             (
                 "group_bounds | offsets",
-                vec![(vec![2], vec![0, 2, 5], vec![9], vec![])],
-                vec![(vec![2], vec![0, 2], vec![5, 9], vec![])],
-            ),
-            (
-                "offsets | taps",
-                vec![(
-                    vec![],
-                    vec![0],
-                    vec![0x0002_0001, 0x0004_0003, 0x0006_0005],
-                    vec![],
-                )],
-                vec![(vec![], vec![0], vec![], vec![tap(1, 2, 3), tap(4, 5, 6)])],
+                vec![(vec![2], vec![0, 2, 5], vec![9])],
+                vec![(vec![2], vec![0, 2], vec![5, 9])],
             ),
             (
                 "kernel | kernel",
                 vec![
-                    (vec![], vec![], vec![], vec![tap(0x0201, 0x0403, 0x0605)]),
-                    (vec![7], vec![], vec![], vec![]),
+                    (vec![], vec![], vec![0x0403_0201]),
+                    (vec![5, 6, 7], vec![], vec![]),
                 ],
                 vec![
-                    (vec![], vec![], vec![], vec![]),
-                    (vec![1, 2, 3, 4, 5, 6, 7], vec![], vec![], vec![]),
+                    (vec![], vec![], vec![]),
+                    (vec![1, 2, 3, 4, 5, 6, 7], vec![], vec![]),
                 ],
             ),
         ];
@@ -496,15 +607,12 @@ mod tests {
     /// cover every residue of the per-word packing; one kernel in six
     /// is empty.
     fn kernel_streams() -> impl Strategy<Value = Streams> {
-        let tap =
-            (any::<u16>(), any::<u16>(), any::<u16>()).prop_map(|(n, k, kp)| Tap { n, k, kp });
         prop_oneof![
             1 => Just(Streams::default()),
             5 => (
                 prop::collection::vec(any::<i8>(), 0..50),
                 prop::collection::vec(any::<u32>(), 0..15),
                 prop::collection::vec(any::<u32>(), 0..15),
-                prop::collection::vec(tap, 0..11),
             ),
         ]
     }
@@ -526,15 +634,12 @@ mod tests {
                     prop_assert_ne!(flat_checksum(&code_of(h, &kernels)), base);
                 }
             }
-            for (m, (values, bounds, offsets, taps)) in kernels.iter().enumerate() {
+            for (m, (values, bounds, offsets)) in kernels.iter().enumerate() {
                 // (elements, bits per element, the flip) for every field.
-                let flips: [(usize, u32, Flip); 6] = [
+                let flips: [(usize, u32, Flip); 3] = [
                     (values.len(), 8, |k, i, bit| k.0[i] ^= 1 << bit),
                     (bounds.len(), 32, |k, i, bit| k.1[i] ^= 1 << bit),
                     (offsets.len(), 32, |k, i, bit| k.2[i] ^= 1 << bit),
-                    (taps.len(), 16, |k, i, bit| k.3[i].n ^= 1 << bit),
-                    (taps.len(), 16, |k, i, bit| k.3[i].k ^= 1 << bit),
-                    (taps.len(), 16, |k, i, bit| k.3[i].kp ^= 1 << bit),
                 ];
                 for (field, (len, bits, flip)) in flips.into_iter().enumerate() {
                     for i in 0..len {

@@ -16,8 +16,8 @@ pub enum FaultClass {
     /// Bit flip in a Q-Table value word after load — an M20K SEU in
     /// the quantized-value RAM.
     QTableWordFlip,
-    /// Offset stream corrupted before load (decode no longer matches
-    /// the taps) — a mis-transferred WT-Buffer page.
+    /// Offset stream corrupted before load (an offset no longer the
+    /// address of its code index) — a mis-transferred WT-Buffer page.
     OffsetCorrupt,
     /// Value-group structure corrupted before load (group bounds not
     /// monotone / lengths inconsistent) — a mis-transferred Q-Table.

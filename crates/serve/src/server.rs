@@ -1218,7 +1218,7 @@ fn corrupt_one_layer(
     let bit = u32::try_from(rng.below(32)).unwrap_or(0);
     // The one write: copies this layer if the handle still shares it.
     let flat = prepared.abm_layer_mut(layer)?.flat_mut();
-    let (_, _, offsets, _) = flat.kernels_mut()[kernel].streams_mut();
+    let (_, _, offsets) = flat.kernels_mut()[kernel].streams_mut();
     offsets[index] ^= 1u32 << bit;
     Some(layer)
 }

@@ -112,6 +112,16 @@ impl KernelCode {
         Ok(Self { entries, indices })
     }
 
+    /// The Q-Table entries and the index stream for editing in place.
+    /// Nothing is enforced — it is how the detectors' negative tests
+    /// corrupt a code that witnesses a lowering (a count that no longer
+    /// tiles the stream, an index past the kernel volume) without
+    /// re-encoding it. A code from [`encode`](Self::encode) never needs
+    /// it.
+    pub fn streams_mut(&mut self) -> (&mut Vec<QEntry>, &mut Vec<u16>) {
+        (&mut self.entries, &mut self.indices)
+    }
+
     /// The Q-Table entries in ascending value order.
     pub fn entries(&self) -> &[QEntry] {
         &self.entries
@@ -228,6 +238,12 @@ impl LayerCode {
         &self.kernels
     }
 
+    /// The kernels for editing in place (see
+    /// [`KernelCode::streams_mut`]); the shape stays as encoded.
+    pub fn kernels_mut(&mut self) -> &mut [KernelCode] {
+        &mut self.kernels
+    }
+
     /// Total non-zero weights in the layer.
     pub fn total_nnz(&self) -> u64 {
         self.kernels.iter().map(|k| k.total() as u64).sum()
@@ -292,6 +308,13 @@ pub enum EncodeError {
         /// The offending flat offset.
         offset: usize,
     },
+    /// A kernel's Q-Table counts do not add up to its index stream, or
+    /// one of its indexes lies past the kernel volume — a code edited
+    /// after encoding, which no lowering can be made from.
+    CorruptCode {
+        /// The offending kernel.
+        kernel: usize,
+    },
 }
 
 impl fmt::Display for EncodeError {
@@ -304,6 +327,10 @@ impl fmt::Display for EncodeError {
             EncodeError::OffsetOverflow { offset } => write!(
                 f,
                 "flat offset {offset} exceeds the 32-bit flat-offset range"
+            ),
+            EncodeError::CorruptCode { kernel } => write!(
+                f,
+                "kernel {kernel}'s Q-Table counts or indexes do not fit its index stream"
             ),
         }
     }

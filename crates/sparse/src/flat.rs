@@ -21,9 +21,18 @@
 //! plus a per-tap constant, and adjacent output columns are adjacent
 //! addresses. [`FlatCode`] performs that decode **once per layer**, so
 //! the inner accumulate loop is a pointer-bump walk over a contiguous
-//! `u32` slice. The `(n, k, k')` coordinates are kept alongside (as
-//! [`Tap`]s) for everything that reasons about weights rather than
-//! addresses (ABFT, the range certifier, the lowering verifier).
+//! `u32` slice.
+//!
+//! **Two encodings of a non-zero, not three.** A prepared layer holds
+//! its [`LayerCode`] (the 16-bit index stream, 2 B a non-zero) and this
+//! lowering (the 32-bit offset stream, 4 B), nothing more. Whatever
+//! reasons about weights rather than addresses — ABFT, the range
+//! certifier, the load-time validator, the lowering verifier — reads
+//! the code's indexes, which a lowered group holds the offsets of; and
+//! because the address map is a bijection between the padded pixels and
+//! the non-slack addresses, [`FlatLayout::tap_of`] decodes any offset
+//! back to its `(n, k, k')` [`Tap`] when a view needs one
+//! ([`FlatKernel::taps`], which stores nothing).
 
 use crate::encode::{EncodeError, LayerCode};
 use abm_tensor::shape::conv_out_dim;
@@ -113,6 +122,55 @@ impl FlatLayout {
     #[must_use]
     pub fn offset_of(&self, tap: Tap) -> usize {
         self.address(tap.n as usize, tap.k as usize, tap.kp as usize)
+    }
+
+    /// The inverse of [`offset_of`](Self::offset_of) over the phase
+    /// planes: the tap whose address `offset` is. Exact for every tap
+    /// inside the padded input — so for every tap of a kernel whose
+    /// output plane is not empty. `None` for an address in the rounding
+    /// slack of the phase planes (a padded row past `R + 2P` or column
+    /// past `C + 2P`), which no such tap reaches, for a coordinate past
+    /// `u16`, and for a layout with no pixels or no stride.
+    #[must_use]
+    pub fn tap_of(&self, offset: usize) -> Option<Tap> {
+        if self.stride == 0 {
+            return None;
+        }
+        let (s, pc) = (self.stride, self.phase_cols());
+        let plane = self.phase_rows() * pc;
+        if plane == 0 {
+            return None;
+        }
+        let (phase, at) = (offset / plane, offset % plane);
+        let y = at / pc * s + phase / s % s;
+        let x = at % pc * s + phase % s;
+        if y >= self.in_rows + 2 * self.pad || x >= self.in_cols + 2 * self.pad {
+            return None;
+        }
+        Some(Tap {
+            n: u16::try_from(phase / (s * s)).ok()?,
+            k: u16::try_from(y).ok()?,
+            kp: u16::try_from(x).ok()?,
+        })
+    }
+
+    /// Every linear weight index's offset for kernels of `shape`, in
+    /// index (scan) order: `table[i]` is `offset_of` the tap `i`
+    /// unravels to, built without a division per entry. Every kernel of
+    /// a layer shares it, so a non-zero costs one lookup — what
+    /// [`FlatCode::lower`] writes and the load-time validator checks
+    /// offsets against.
+    #[must_use]
+    pub fn offset_table(&self, shape: Shape4) -> Vec<usize> {
+        let mut table = Vec::with_capacity(shape.kernel_len());
+        for n in 0..shape.in_channels {
+            for k in 0..shape.kernel_rows {
+                for kp in 0..shape.kernel_cols {
+                    table.push(self.address(n, k, kp));
+                }
+            }
+        }
+        table
     }
 
     /// Stores channel `n`'s `in_rows × in_cols` plane at its re-laid-out
@@ -275,51 +333,55 @@ pub struct Tap {
 /// survives the lowering. For `stride == 1` that is the encoder's scan
 /// order; for `stride > 1` each group is sorted by offset (stage-1 sums
 /// are order-free, and the scan order stays in the [`LayerCode`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+///
+/// Three streams — values, group bounds, offsets — and the layout the
+/// offsets address, which is what lets [`taps`](Self::taps) decode
+/// coordinates without storing any.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FlatKernel {
     values: Vec<i8>,
     /// Group `g` owns `offsets[starts[g] .. starts[g+1]]` (`len+1` entries).
     starts: Vec<u32>,
     offsets: Vec<u32>,
-    taps: Vec<Tap>,
+    layout: FlatLayout,
 }
 
+/// The layout of a kernel no [`FlatCode`] has placed yet: one 1×1
+/// plane per channel, so an offset decodes as a fully-connected row's
+/// feature index.
+const UNPLACED: FlatLayout = FlatLayout {
+    in_rows: 1,
+    in_cols: 1,
+    stride: 1,
+    pad: 0,
+};
+
 impl FlatKernel {
-    /// Assembles a kernel directly from its four streams, bypassing
+    /// Assembles a kernel directly from its three streams, bypassing
     /// [`FlatCode::lower`]. No structural invariants are enforced — this
     /// exists so tools that deserialize offset tables (and the digest's
     /// property test) can build arbitrary, possibly-corrupt codes from
     /// scratch; to corrupt a lowered kernel, edit it through
-    /// [`streams_mut`](Self::streams_mut). Anything destined for an
-    /// executor should come from `lower` or pass `abm-verify`'s
-    /// lowering pass first.
-    pub fn from_raw_parts(
-        values: Vec<i8>,
-        group_bounds: Vec<u32>,
-        offsets: Vec<u32>,
-        taps: Vec<Tap>,
-    ) -> Self {
+    /// [`streams_mut`](Self::streams_mut). The kernel takes its layout
+    /// from the [`FlatCode::from_kernels`] that assembles it. Anything
+    /// destined for an executor should come from `lower` or pass
+    /// `abm-verify`'s lowering pass first.
+    pub fn from_raw_parts(values: Vec<i8>, group_bounds: Vec<u32>, offsets: Vec<u32>) -> Self {
         Self {
             values,
             starts: group_bounds,
             offsets,
-            taps,
+            layout: UNPLACED,
         }
     }
 
-    /// The four streams for editing in place, in
+    /// The three streams for editing in place, in
     /// [`from_raw_parts`](Self::from_raw_parts)' order: values, group
-    /// bounds, offsets, taps. Like that constructor it enforces nothing
-    /// — it is how fault injection and the detectors' negative tests
-    /// flip a bit or drop a tap of a lowered kernel without rebuilding
-    /// it.
-    pub fn streams_mut(&mut self) -> (&mut Vec<i8>, &mut Vec<u32>, &mut Vec<u32>, &mut Vec<Tap>) {
-        (
-            &mut self.values,
-            &mut self.starts,
-            &mut self.offsets,
-            &mut self.taps,
-        )
+    /// bounds, offsets. Like that constructor it enforces nothing — it
+    /// is how fault injection and the detectors' negative tests flip a
+    /// bit or drop an offset of a lowered kernel without rebuilding it.
+    pub fn streams_mut(&mut self) -> (&mut Vec<i8>, &mut Vec<u32>, &mut Vec<u32>) {
+        (&mut self.values, &mut self.starts, &mut self.offsets)
     }
 
     /// The distinct quantized values, ascending (the Q-Table `VAL`s).
@@ -341,11 +403,18 @@ impl FlatKernel {
         &self.offsets
     }
 
-    /// The decoded `(n, k, k')` coordinates, aligned with
-    /// [`offsets`](Self::offsets).
-    #[inline]
-    pub fn taps(&self) -> &[Tap] {
-        &self.taps
+    /// The `(n, k, k')` coordinates of every offset, in offset order,
+    /// decoded on the fly ([`FlatLayout::tap_of`] against the kernel's
+    /// layout) — a view, nothing is stored. `None` where an offset
+    /// addresses no pixel of the padded input, which only a corrupted
+    /// stream has. What reasons about weights reads the source
+    /// [`LayerCode`]'s indexes instead; this is for a caller holding
+    /// the lowering alone.
+    pub fn taps(&self) -> impl ExactSizeIterator<Item = Option<Tap>> + '_ {
+        let layout = self.layout;
+        self.offsets
+            .iter()
+            .map(move |&off| layout.tap_of(off as usize))
     }
 
     /// Iterates `(value, flat offsets)` group by group.
@@ -354,14 +423,6 @@ impl FlatKernel {
             .iter()
             .zip(self.starts.windows(2))
             .map(|(&v, w)| (v, &self.offsets[w[0] as usize..w[1] as usize]))
-    }
-
-    /// Iterates `(value, taps)` group by group (the weight-side view).
-    pub fn tap_groups(&self) -> impl ExactSizeIterator<Item = (i8, &[Tap])> + '_ {
-        self.values
-            .iter()
-            .zip(self.starts.windows(2))
-            .map(|(&v, w)| (v, &self.taps[w[0] as usize..w[1] as usize]))
     }
 
     /// Per-group occurrence counts in value order — the source Q-Table's
@@ -399,7 +460,10 @@ impl FlatCode {
     ///
     /// Returns [`EncodeError::OffsetOverflow`] if the re-laid-out input
     /// of one channel group is so large that an offset would not fit 32
-    /// bits (`relaid_len(in_channels)` must stay within `2^32`).
+    /// bits (`relaid_len(in_channels)` must stay within `2^32`), and
+    /// [`EncodeError::CorruptCode`] for a code whose Q-Table counts do
+    /// not add up to its index stream or whose index leaves the kernel
+    /// volume (only an edited code has either).
     pub fn lower(code: &LayerCode, layout: FlatLayout) -> Result<Self, EncodeError> {
         let shape = code.shape();
         // Bases add up to a whole group's re-laid-out length to an
@@ -409,56 +473,35 @@ impl FlatCode {
             return Err(EncodeError::OffsetOverflow { offset: last });
         }
         // Every kernel of the layer shares one geometry, so each linear
-        // weight index decodes to its tap and offset once per layer, in
-        // scan order and without a division; a non-zero is a lookup.
-        let mut table: Vec<(usize, Tap)> = Vec::with_capacity(shape.kernel_len());
-        for n in 0..shape.in_channels {
-            for k in 0..shape.kernel_rows {
-                for kp in 0..shape.kernel_cols {
-                    let tap = Tap {
-                        n: n as u16,
-                        k: k as u16,
-                        kp: kp as u16,
-                    };
-                    table.push((layout.offset_of(tap), tap));
-                }
-            }
-        }
+        // weight index decodes to its offset once per layer, in scan
+        // order and without a division; a non-zero is a lookup.
+        let table = layout.offset_table(shape);
         let mut kernels = Vec::with_capacity(code.kernels().len());
-        let mut group: Vec<(u32, Tap)> = Vec::new();
-        for kernel in code.kernels() {
+        for (m, kernel) in code.kernels().iter().enumerate() {
+            let corrupt = EncodeError::CorruptCode { kernel: m };
+            if kernel.group_counts().sum::<u64>() != kernel.indices().len() as u64 {
+                return Err(corrupt);
+            }
             let mut flat = FlatKernel {
                 values: Vec::with_capacity(kernel.distinct()),
                 starts: Vec::with_capacity(kernel.distinct() + 1),
                 offsets: Vec::with_capacity(kernel.total() as usize),
-                taps: Vec::with_capacity(kernel.total() as usize),
+                layout,
             };
             flat.starts.push(0);
             for (value, idxs) in kernel.groups() {
                 flat.values.push(value);
                 let start = flat.offsets.len();
                 for &i in idxs {
-                    let (off, tap) = table[i as usize];
+                    let off = *table.get(i as usize).ok_or(corrupt)?;
                     let off32 = u32::try_from(off)
                         .map_err(|_| EncodeError::OffsetOverflow { offset: off })?;
                     flat.offsets.push(off32);
-                    flat.taps.push(tap);
                 }
                 // Scan order already ascends for stride 1; the phase
                 // split reorders it otherwise.
                 if layout.stride > 1 {
-                    group.clear();
-                    group.extend(
-                        flat.offsets[start..]
-                            .iter()
-                            .copied()
-                            .zip(flat.taps[start..].iter().copied()),
-                    );
-                    group.sort_unstable_by_key(|&(off, _)| off);
-                    for (j, &(off, tap)) in group.iter().enumerate() {
-                        flat.offsets[start + j] = off;
-                        flat.taps[start + j] = tap;
-                    }
+                    flat.offsets[start..].sort_unstable();
                 }
                 flat.starts.push(flat.offsets.len() as u32);
             }
@@ -471,11 +514,15 @@ impl FlatCode {
         })
     }
 
-    /// Assembles a layer from pre-built kernels without re-lowering.
-    /// Like [`FlatKernel::from_raw_parts`], this enforces nothing — it is
-    /// the from-scratch escape hatch; a lowered layer is edited through
+    /// Assembles a layer from pre-built kernels without re-lowering,
+    /// placing each of them at `layout`. Like
+    /// [`FlatKernel::from_raw_parts`], this enforces nothing — it is the
+    /// from-scratch escape hatch; a lowered layer is edited through
     /// [`kernels_mut`](Self::kernels_mut).
-    pub fn from_kernels(shape: Shape4, layout: FlatLayout, kernels: Vec<FlatKernel>) -> Self {
+    pub fn from_kernels(shape: Shape4, layout: FlatLayout, mut kernels: Vec<FlatKernel>) -> Self {
+        for kernel in &mut kernels {
+            kernel.layout = layout;
+        }
         Self {
             shape,
             layout,
@@ -573,28 +620,63 @@ mod tests {
         let shape = Shape4::new(1, 2, 2, 3);
         let w = Tensor4::from_fn(shape, |_, _, _, _| 1i8);
         let code = LayerCode::encode(&w).unwrap();
+        // Each group's offsets, in executing order, from the source
+        // indexes and a closed-form address.
+        let expected = |address: &dyn Fn(usize, usize, usize) -> usize| -> Vec<u32> {
+            let (_, idxs) = code.kernels()[0].groups().next().unwrap();
+            let mut offs: Vec<u32> = idxs
+                .iter()
+                .map(|&i| {
+                    let (n, k, kp) = code.unravel(i);
+                    address(n, k, kp) as u32
+                })
+                .collect();
+            offs.sort_unstable();
+            offs
+        };
         // Unit stride: the padded plane, row pitch C + 2P.
-        let lay = layout(5, 6, 1, 1);
-        let flat = FlatCode::lower(&code, lay).unwrap();
+        let flat = FlatCode::lower(&code, layout(5, 6, 1, 1)).unwrap();
         let fk = &flat.kernels()[0];
-        assert_eq!(fk.offsets().len(), fk.taps().len());
-        for (&off, tap) in fk.offsets().iter().zip(fk.taps()) {
-            let expect = tap.n as usize * (7 * 8) + tap.k as usize * 8 + tap.kp as usize;
-            assert_eq!(off as usize, expect);
-        }
+        assert_eq!(fk.offsets(), expected(&|n, k, kp| n * (7 * 8) + k * 8 + kp));
         // Stride 2: four 3x3 phase planes per channel of the 5x6 input.
-        let lay = layout(5, 6, 2, 0);
-        let flat = FlatCode::lower(&code, lay).unwrap();
+        let flat = FlatCode::lower(&code, layout(5, 6, 2, 0)).unwrap();
         let fk = &flat.kernels()[0];
+        let phased = |n: usize, k: usize, kp: usize| {
+            ((n * 2 + k % 2) * 2 + kp % 2) * 9 + (k / 2) * 3 + kp / 2
+        };
+        assert_eq!(fk.offsets(), expected(&phased));
+        // The tap view decodes every offset back to its coordinates.
         for (&off, tap) in fk.offsets().iter().zip(fk.taps()) {
-            let (n, k, kp) = (tap.n as usize, tap.k as usize, tap.kp as usize);
-            let phase = (n * 2 + k % 2) * 2 + kp % 2;
-            assert_eq!(off as usize, phase * 9 + (k / 2) * 3 + kp / 2);
+            let tap = tap.unwrap();
+            assert_eq!(
+                phased(tap.n as usize, tap.k as usize, tap.kp as usize),
+                off as usize
+            );
         }
         // Offsets ascend within a group whatever the stride.
         for (_, group) in fk.offset_groups() {
             assert!(group.windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    #[test]
+    fn a_corrupt_code_is_an_error_not_a_panic() {
+        let w = Tensor4::from_fn(Shape4::new(2, 1, 2, 2), |m, _, k, kp| (m + k + kp) as i8);
+        let lay = layout(3, 3, 1, 0);
+        // An index past the 1x2x2 kernel volume.
+        let mut code = LayerCode::encode(&w).unwrap();
+        code.kernels_mut()[1].streams_mut().1[0] = 4;
+        assert_eq!(
+            FlatCode::lower(&code, lay),
+            Err(EncodeError::CorruptCode { kernel: 1 })
+        );
+        // A Q-Table count that overruns the index stream.
+        let mut code = LayerCode::encode(&w).unwrap();
+        code.kernels_mut()[0].streams_mut().0[0].count += 1;
+        assert_eq!(
+            FlatCode::lower(&code, lay),
+            Err(EncodeError::CorruptCode { kernel: 0 })
+        );
     }
 
     #[test]
@@ -651,10 +733,9 @@ mod tests {
             .kernels()
             .iter()
             .map(|kernel| {
-                let (mut values, mut starts, mut offsets, mut taps) =
-                    (Vec::new(), vec![0u32], Vec::new(), Vec::new());
+                let (mut values, mut starts, mut offsets) = (Vec::new(), vec![0u32], Vec::new());
                 for (value, idxs) in kernel.groups() {
-                    let mut group: Vec<(u32, Tap)> = idxs
+                    let mut group: Vec<u32> = idxs
                         .iter()
                         .map(|&i| {
                             let (n, k, kp) = code.unravel(i);
@@ -663,18 +744,17 @@ mod tests {
                                 k: k as u16,
                                 kp: kp as u16,
                             };
-                            (layout.offset_of(tap) as u32, tap)
+                            layout.offset_of(tap) as u32
                         })
                         .collect();
                     if layout.stride > 1 {
-                        group.sort_by_key(|&(off, _)| off);
+                        group.sort();
                     }
                     values.push(value);
-                    offsets.extend(group.iter().map(|&(off, _)| off));
-                    taps.extend(group.iter().map(|&(_, tap)| tap));
+                    offsets.extend(group);
                     starts.push(offsets.len() as u32);
                 }
-                FlatKernel::from_raw_parts(values, starts, offsets, taps)
+                FlatKernel::from_raw_parts(values, starts, offsets)
             })
             .collect();
         FlatCode::from_kernels(code.shape(), layout, kernels)
@@ -842,6 +922,49 @@ mod tests {
             // Tiles partition the rows; none sweeps further than the plane.
             let covered: usize = lay.tiles(out_rows).map(|t| t.len()).sum();
             prop_assert_eq!(covered, out_rows);
+        }
+
+        /// `tap_of` inverts `offset_of` over the same domain: every tap
+        /// of the kernel volume that lies in the padded input — all of
+        /// them whenever the layer has an output — decodes back to
+        /// itself, and of the re-laid-out buffer's addresses exactly the
+        /// padded pixels decode, each to the tap that addresses it, so
+        /// every address of the phase planes' rounding slack is `None`.
+        #[test]
+        fn tap_of_inverts_offset_of(
+            dims in (1usize..4, 1usize..9, 1usize..9),
+            kernel in (1usize..6, 1usize..6),
+            stride in 1usize..5,
+            pad in 0usize..4,
+        ) {
+            let (channels, rows, cols) = dims;
+            let (kr, kc) = kernel;
+            let lay = layout(rows, cols, stride, pad);
+            let (padded_rows, padded_cols) = (rows + 2 * pad, cols + 2 * pad);
+            let mut decoded = 0;
+            for n in 0..channels {
+                for k in 0..kr.min(padded_rows) {
+                    for kp in 0..kc.min(padded_cols) {
+                        let tap = Tap { n: n as u16, k: k as u16, kp: kp as u16 };
+                        prop_assert_eq!(lay.tap_of(lay.offset_of(tap)), Some(tap));
+                        decoded += 1;
+                    }
+                }
+            }
+            let (out_rows, out_cols) = lay.out_dims(kr, kc);
+            if out_rows > 0 && out_cols > 0 {
+                prop_assert_eq!(decoded, channels * kr * kc);
+            }
+            let mut reached = 0;
+            for address in 0..lay.relaid_len(channels) {
+                if let Some(tap) = lay.tap_of(address) {
+                    prop_assert_eq!(lay.offset_of(tap), address);
+                    prop_assert!((tap.n as usize) < channels);
+                    prop_assert!((tap.k as usize) < padded_rows && (tap.kp as usize) < padded_cols);
+                    reached += 1;
+                }
+            }
+            prop_assert_eq!(reached, channels * padded_rows * padded_cols);
         }
     }
 }

@@ -14,8 +14,10 @@
 //! 1. **faithfulness** — every group's values and counts reconcile with
 //!    the source Q-Table (the value groups partition exactly the
 //!    non-zero weights, so the analytic `AbmWork` model counts the real
-//!    work), every tap is a source weight position of its group, and
-//!    every offset is `FlatLayout::offset_of` of its tap;
+//!    work), every source index lies inside the kernel volume, and each
+//!    group's offsets are exactly `FlatLayout::offset_of` of its source
+//!    indexes, in ascending order (the lowering stores no coordinates:
+//!    the source code is the witness);
 //! 2. **in-bounds sweep** — the last position the executor sweeps (the
 //!    output plane's last pixel) plus the kernel's largest offset stays
 //!    inside the re-laid-out buffer. Positions only grow along the
@@ -41,7 +43,7 @@
 //! walk is safe.
 
 use crate::report::{Defect, VerifyReport};
-use abm_sparse::{FlatCode, FlatLayout, LayerCode, Tap};
+use abm_sparse::{FlatCode, FlatLayout, LayerCode};
 
 /// The concrete convolution geometry a lowering is verified against.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,6 +131,8 @@ pub fn verify_lowering(
     };
     let input_len = layout.relaid_len(geom.in_channels) as u64;
     let channels_per_group = shape.in_channels;
+    // Every source index's address, once per layer.
+    let table = layout.offset_table(shape);
 
     if flat.kernels().len() != code.kernels().len() {
         report.defect(Defect::KernelCountMismatch {
@@ -149,7 +153,6 @@ pub fn verify_lowering(
         // --- structure: bounds table, arity ---
         let starts = fk.group_bounds();
         let offsets = fk.offsets();
-        let taps = fk.taps();
         let bounds_ok = !starts.is_empty()
             && starts[0] == 0
             && starts.windows(2).all(|w| w[0] <= w[1])
@@ -159,15 +162,7 @@ pub fn verify_lowering(
             report.defect(Defect::GroupBoundsCorrupt { kernel: m });
             continue;
         }
-        if offsets.len() != taps.len() {
-            report.defect(Defect::ArityMismatch {
-                kernel: m,
-                offsets: offsets.len(),
-                taps: taps.len(),
-            });
-            continue;
-        }
-        report.facts += 2;
+        report.facts += 1;
 
         // --- faithfulness: the groups partition exactly the source's
         // non-zero weights, value for value and position for position.
@@ -179,7 +174,6 @@ pub fn verify_lowering(
             continue;
         }
         let mut prev_value: Option<i8> = None;
-        let mut stream_pos = 0usize;
         for (g, ((&value, entry), (src_value, src_idxs))) in fk
             .values()
             .iter()
@@ -207,53 +201,33 @@ pub fn verify_lowering(
                     flat: (hi - lo) as u64,
                     source: src_idxs.len() as u64,
                 });
-                stream_pos = hi;
                 continue;
             }
             report.facts += 1;
 
-            // The group's source positions in executing order: ascending
+            // The group's source addresses in executing order: ascending
             // offset (which for stride 1 is the encoder's scan order).
-            let mut expected: Vec<(usize, Tap)> = src_idxs
-                .iter()
-                .map(|&i| {
-                    let (n, k, kp) = code.unravel(i);
-                    let tap = Tap {
-                        n: n as u16,
-                        k: k as u16,
-                        kp: kp as u16,
-                    };
-                    (layout.offset_of(tap), tap)
-                })
-                .collect();
-            expected.sort_unstable_by_key(|&(off, _)| off);
+            let mut expected = Vec::with_capacity(src_idxs.len());
+            for (j, &i) in src_idxs.iter().enumerate() {
+                match table.get(i as usize) {
+                    Some(&off) => expected.push(off),
+                    None => report.defect(Defect::IndexOutOfKernel {
+                        kernel: m,
+                        index: lo + j,
+                    }),
+                }
+            }
+            if expected.len() != src_idxs.len() {
+                continue;
+            }
+            expected.sort_unstable();
 
             let mut prev_off: Option<u32> = None;
             let mut ordered = true;
-            for (j, &(expected_off, expected_tap)) in expected.iter().enumerate() {
+            for (j, &expected_off) in expected.iter().enumerate() {
                 let i = lo + j;
-                let tap = taps[i];
                 let off = offsets[i];
-                // Tap coordinates inside the kernel volume.
-                if (tap.n as usize) >= channels_per_group
-                    || (tap.k as usize) >= shape.kernel_rows
-                    || (tap.kp as usize) >= shape.kernel_cols
-                {
-                    report.defect(Defect::TapOutOfKernel {
-                        kernel: m,
-                        index: i,
-                    });
-                    continue;
-                }
-                // Tap stands for exactly the source weight position.
-                if tap != expected_tap {
-                    report.defect(Defect::TapMismatch {
-                        kernel: m,
-                        index: i,
-                    });
-                    continue;
-                }
-                // Offset is the re-laid-out address of the tap.
+                // Offset is the re-laid-out address of the source index.
                 if off as usize != expected_off {
                     report.defect(Defect::OffsetMismatch {
                         kernel: m,
@@ -268,7 +242,6 @@ pub fn verify_lowering(
                 }
                 prev_off = Some(off);
                 report.facts += 1;
-                stream_pos = i + 1;
             }
             if !ordered {
                 report.defect(Defect::StreamOrderViolation {
@@ -277,7 +250,6 @@ pub fn verify_lowering(
                 });
             }
         }
-        let _ = stream_pos;
 
         // --- in-bounds for the whole output plane: the last swept
         // position plus the largest offset is the largest read.
@@ -394,7 +366,7 @@ mod tests {
     #[test]
     fn corrupt_offset_is_caught_as_offset_mismatch() {
         let (code, mut bad, geom) = sample();
-        let (_, _, offsets, _) = bad.kernels_mut()[0].streams_mut();
+        let (_, _, offsets) = bad.kernels_mut()[0].streams_mut();
         offsets[0] += 1; // one wrong address
         let r = verify_lowering("t", &code, &bad, &geom, &AccumulatorModel::host());
         assert!(r.has_class("offset_mismatch"), "{r}");
@@ -403,11 +375,10 @@ mod tests {
     #[test]
     fn dropped_tap_is_caught_as_group_count_mismatch() {
         let (code, mut bad, geom) = sample();
-        // Drop the last tap of the first group and re-point the bounds.
-        let (_, starts, offsets, taps) = bad.kernels_mut()[0].streams_mut();
+        // Drop the last offset of the first group and re-point the bounds.
+        let (_, starts, offsets) = bad.kernels_mut()[0].streams_mut();
         let cut = starts[1] as usize - 1;
         offsets.remove(cut);
-        taps.remove(cut);
         for s in starts.iter_mut().skip(1) {
             *s -= 1;
         }
@@ -417,8 +388,8 @@ mod tests {
 
     #[test]
     fn valid_strided_lowering_is_clean() {
-        // Stride > 1 sorts each group by offset, so the taps are a
-        // permutation of the encoder's scan order — still faithful.
+        // Stride > 1 sorts each group by offset, a permutation of the
+        // encoder's scan order — still faithful.
         for (stride, pad) in [(2, 0), (2, 1), (3, 2), (4, 3)] {
             let (code, flat, geom) = sample_with(stride, pad);
             let r = verify_lowering("t", &code, &flat, &geom, &AccumulatorModel::host());
@@ -486,7 +457,7 @@ mod tests {
         // Kernel 2 with its last offset re-pointed at `feature`.
         let repointed = |feature: u32| {
             let mut bad = flat.clone();
-            let (_, _, offsets, _) = bad.kernels_mut()[2].streams_mut();
+            let (_, _, offsets) = bad.kernels_mut()[2].streams_mut();
             *offsets.last_mut().unwrap() = feature;
             verify_lowering("fc", &code, &bad, &geom, &AccumulatorModel::host())
         };
@@ -506,40 +477,42 @@ mod tests {
     fn offset_not_decoding_to_tap_is_caught() {
         // Row-major offsets into the *unpadded, unsplit* input — what
         // the lowering emitted before the input was re-laid out — no
-        // longer address the tap they stand for.
+        // longer address the source index they stand for.
         let (code, mut bad, geom) = sample_with(2, 1);
         for k in bad.kernels_mut() {
-            let (_, _, offsets, taps) = k.streams_mut();
-            for (off, t) in offsets.iter_mut().zip(taps.iter()) {
+            let taps: Vec<_> = k.taps().map(Option::unwrap).collect();
+            let (_, _, offsets) = k.streams_mut();
+            for (off, t) in offsets.iter_mut().zip(taps) {
                 *off = (t.n as u32 * 8 + t.k as u32) * 8 + t.kp as u32;
             }
         }
         let r = verify_lowering("t", &code, &bad, &geom, &AccumulatorModel::host());
         assert!(r.has_class("offset_mismatch"), "{r}");
-        assert!(!r.has_class("tap_mismatch"), "{r}");
     }
 
     #[test]
-    fn swapped_tap_is_caught_as_tap_mismatch() {
+    fn offset_moved_onto_a_neighbouring_tap_is_caught() {
+        // The offset of a tap one column over is a valid address of the
+        // layout — only the source code knows it is not this group's.
         let (code, mut bad, geom) = sample();
         let kernel_cols = bad.shape().kernel_cols;
-        let (_, _, offsets, taps) = bad.kernels_mut()[0].streams_mut();
-        // Move a tap one column over (picking one with room, so the
-        // result stays inside the kernel volume), keeping the offset
-        // consistent with the *moved* tap: faithfulness to the source
-        // must still flag it.
-        let i = taps
-            .iter()
-            .position(|t| (t.kp as usize) + 1 < kernel_cols)
+        let kernel = &mut bad.kernels_mut()[0];
+        let i = kernel
+            .taps()
+            .position(|t| (t.unwrap().kp as usize) + 1 < kernel_cols)
             .unwrap();
-        taps[i] = Tap {
-            n: taps[i].n,
-            k: taps[i].k,
-            kp: taps[i].kp + 1,
-        };
-        offsets[i] += 1;
+        kernel.streams_mut().2[i] += 1;
         let r = verify_lowering("t", &code, &bad, &geom, &AccumulatorModel::host());
-        assert!(r.has_class("tap_mismatch"), "{r}");
+        assert!(r.has_class("offset_mismatch"), "{r}");
+    }
+
+    #[test]
+    fn source_index_past_the_kernel_volume_is_caught() {
+        let (mut code, flat, geom) = sample();
+        let kernel_len = code.shape().kernel_len() as u16;
+        code.kernels_mut()[1].streams_mut().1[0] = kernel_len;
+        let r = verify_lowering("t", &code, &flat, &geom, &AccumulatorModel::host());
+        assert!(r.has_class("index_out_of_kernel"), "{r}");
     }
 
     #[test]

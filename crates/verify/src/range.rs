@@ -30,8 +30,11 @@
 //! Each accelerated layer yields a [`WidthCertificate`]: the proven
 //! stage-1/stage-2/ABFT intervals and signed bit-widths plus an
 //! [`ExtremalPatch`] witness — a concrete receptive-field input that
-//! *attains* the binding bound. [`WidthCertificate::validate`] replays
-//! the witness through an independent tap-level interpretation and
+//! *attains* the binding bound. Both read the layer's [`LayerCode`] —
+//! its Q-Tables and value-grouped indexes, which every lowering keeps
+//! — so a certificate covers every lowering of the code.
+//! [`WidthCertificate::validate`] replays
+//! the witness through an independent index-level interpretation and
 //! re-runs the analysis, so a certificate is never taken on faith;
 //! `abm-conv`'s tests additionally replay the same patch through
 //! `abm::reference` to pin the certifier to the real executor.
@@ -45,7 +48,7 @@
 
 use crate::lowering::ConvGeometry;
 use crate::report::{Defect, VerifyReport};
-use abm_sparse::FlatCode;
+use abm_sparse::LayerCode;
 
 /// A closed signed interval. `i128` keeps every bound computation
 /// overflow-free without case analysis (the widest real bound — a VGG
@@ -346,14 +349,14 @@ impl WidthCertificate {
     }
 
     /// Self-validation: re-runs the analysis from scratch and replays
-    /// both witnesses through an independent tap-level interpretation.
+    /// both witnesses through an independent index-level interpretation.
     /// Any disagreement — re-analysis mismatch, a witness that fails
     /// to attain its bound, or a witness value escaping its interval —
     /// is a [`Defect::RangeUnsound`].
     #[must_use]
-    pub fn validate(&self, flat: &FlatCode, geom: &ConvGeometry) -> VerifyReport {
+    pub fn validate(&self, code: &LayerCode, geom: &ConvGeometry) -> VerifyReport {
         let mut report = VerifyReport::new(&self.layer);
-        let fresh = certify_layer(&self.layer, flat, geom, self.input);
+        let fresh = certify_layer(&self.layer, code, geom, self.input);
         if fresh != *self {
             report.defect(Defect::RangeUnsound {
                 layer: self.layer.clone(),
@@ -373,14 +376,14 @@ impl WidthCertificate {
         }
         report.facts += 1;
 
-        // Witness replay: interpret the taps of the witness kernel over
-        // the patch, exactly as the reference executor would on a
+        // Witness replay: interpret the indexes of the witness kernel
+        // over the patch, exactly as the reference executor would on a
         // single-output-pixel unpadded geometry.
-        let shape = flat.shape();
+        let shape = code.shape();
         let kk = shape.kernel_rows * shape.kernel_cols;
         for (w, is_stage1) in [(&self.stage2_witness, false), (&self.stage1_witness, true)] {
-            let Some(fk) = flat.kernels().get(w.kernel) else {
-                if flat.kernels().is_empty() && w.patch.is_empty() && w.expect == 0 {
+            let Some(kc) = code.kernels().get(w.kernel) else {
+                if code.kernels().is_empty() && w.patch.is_empty() && w.expect == 0 {
                     report.facts += 1;
                     continue;
                 }
@@ -403,29 +406,21 @@ impl WidthCertificate {
             }
             let m_per_group = shape.out_channels.div_ceil(geom.groups.max(1)).max(1);
             let chan_base = (w.kernel / m_per_group) * shape.in_channels;
-            let tap_value = |tap: &abm_sparse::Tap| -> i128 {
-                let idx = (chan_base + tap.n as usize) * kk
-                    + tap.k as usize * shape.kernel_cols
-                    + tap.kp as usize;
-                w.patch[idx] as i128
-            };
+            let index_value = |&i: &u16| -> i128 { w.patch[chan_base * kk + i as usize] as i128 };
             let (got, interval, bound_bits, what) = if is_stage1 {
-                let Some((_, (_, taps))) = w
-                    .group
-                    .and_then(|g| fk.tap_groups().enumerate().find(|(i, _)| *i == g))
-                else {
+                let Some((_, idxs)) = w.group.and_then(|g| kc.groups().nth(g)) else {
                     report.defect(Defect::RangeUnsound {
                         layer: self.layer.clone(),
                         detail: format!("stage-1 witness group missing on kernel {}", w.kernel),
                     });
                     continue;
                 };
-                let got: i128 = taps.iter().map(tap_value).sum();
+                let got: i128 = idxs.iter().map(index_value).sum();
                 (got, self.stage1, self.stage1_bits, "stage-1")
             } else {
-                let got: i128 = fk
-                    .tap_groups()
-                    .map(|(v, taps)| (v as i128) * taps.iter().map(tap_value).sum::<i128>())
+                let got: i128 = kc
+                    .groups()
+                    .map(|(v, idxs)| (v as i128) * idxs.iter().map(index_value).sum::<i128>())
                     .sum();
                 (got, self.stage2, self.stage2_bits, "stage-2")
             };
@@ -479,13 +474,13 @@ impl WidthCertificate {
     }
 }
 
-/// Certifies one lowered layer: propagates the input abstraction
-/// through the two ABM stages and the ABFT checksum arithmetic, and
-/// constructs the extremal witnesses.
+/// Certifies one encoded layer at `geom`: propagates the input
+/// abstraction through the two ABM stages and the ABFT checksum
+/// arithmetic, and constructs the extremal witnesses.
 #[must_use]
 pub fn certify_layer(
     name: &str,
-    flat: &FlatCode,
+    code: &LayerCode,
     geom: &ConvGeometry,
     input: AbsVal,
 ) -> WidthCertificate {
@@ -501,7 +496,7 @@ pub fn certify_layer(
         input.range
     };
 
-    let shape = flat.shape();
+    let shape = code.shape();
     let kk = shape.kernel_rows * shape.kernel_cols;
     let m_per_group = shape.out_channels.div_ceil(geom.groups.max(1)).max(1);
     let out_pixels = (geom.out_rows * geom.out_cols) as i128;
@@ -514,16 +509,11 @@ pub fn certify_layer(
     let mut s1_best: Option<(u32, usize, usize, bool)> = None;
     let mut s2_best: Option<(u32, usize, bool)> = None;
 
-    for (m, fk) in flat.kernels().iter().enumerate() {
+    for (m, kc) in code.kernels().iter().enumerate() {
         let mut acc = Interval::point(0);
         let mut acc_bits = KnownBits { pow2: 127 };
-        for (g, ((&v, count), _)) in fk
-            .values()
-            .iter()
-            .zip(fk.group_counts())
-            .zip(fk.group_bounds().windows(2))
-            .enumerate()
-        {
+        for (g, entry) in kc.entries().iter().enumerate() {
+            let (v, count) = (entry.value, entry.count);
             // Stage 1: `count` taps, each in `tap_iv`; prefixes and
             // padding-zeroed subsets close the interval over zero.
             let s = tap_iv.scale(count as i128).with_zero();
@@ -552,7 +542,7 @@ pub fn certify_layer(
     // propagation of a linear map over a box is exact, so assigning
     // each tap its per-term extremal endpoint attains the bound.
     let patch_at = |kernel: usize, group: Option<usize>, maximize: bool| -> ExtremalPatch {
-        let Some(fk) = flat.kernels().get(kernel) else {
+        let Some(kc) = code.kernels().get(kernel) else {
             return ExtremalPatch {
                 kernel,
                 group,
@@ -563,7 +553,7 @@ pub fn certify_layer(
         let mut patch = vec![0i16; geom.in_channels * kk];
         let chan_base = (kernel / m_per_group) * shape.in_channels;
         let mut expect: i128 = 0;
-        for (g, (v, taps)) in fk.tap_groups().enumerate() {
+        for (g, (v, idxs)) in kc.groups().enumerate() {
             if let Some(want) = group {
                 if g != want {
                     continue;
@@ -578,11 +568,8 @@ pub fn certify_layer(
             } else {
                 tap_iv.lo
             };
-            for tap in taps {
-                let idx = (chan_base + tap.n as usize) * kk
-                    + tap.k as usize * shape.kernel_cols
-                    + tap.kp as usize;
-                patch[idx] = e as i16;
+            for &i in idxs {
+                patch[chan_base * kk + i as usize] = e as i16;
                 expect += coeff * e;
             }
         }
@@ -653,11 +640,11 @@ impl NetworkCertifier {
     pub fn conv(
         &mut self,
         name: &str,
-        flat: &FlatCode,
+        code: &LayerCode,
         geom: &ConvGeometry,
         out_bits: u8,
     ) -> WidthCertificate {
-        let cert = certify_layer(name, flat, geom, self.state);
+        let cert = certify_layer(name, code, geom, self.state);
         // Saturating write-back: the value lands in the target format's
         // raw range; the (unknown, layer-calibrated) shift destroys
         // known bits, but rounding preserves the accumulator's sign.
@@ -823,25 +810,18 @@ pub fn check_certificates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abm_sparse::{FlatCode, FlatKernel, FlatLayout, LayerCode};
+    use abm_sparse::LayerCode;
     use abm_tensor::{Shape4, Tensor4};
 
-    fn lower(
+    fn encode(
         w: &Tensor4<i8>,
         in_rows: usize,
         in_cols: usize,
         stride: usize,
         pad: usize,
         groups: usize,
-    ) -> (FlatCode, ConvGeometry) {
+    ) -> (LayerCode, ConvGeometry) {
         let code = LayerCode::encode(w).unwrap();
-        let layout = FlatLayout {
-            in_rows,
-            in_cols,
-            stride,
-            pad,
-        };
-        let flat = FlatCode::lower(&code, layout).unwrap();
         let shape = w.shape();
         let out_rows = abm_tensor::shape::conv_out_dim(in_rows, shape.kernel_rows, stride, pad);
         let out_cols = abm_tensor::shape::conv_out_dim(in_cols, shape.kernel_cols, stride, pad);
@@ -855,10 +835,10 @@ mod tests {
             out_rows,
             out_cols,
         };
-        (flat, geom)
+        (code, geom)
     }
 
-    fn sample() -> (FlatCode, ConvGeometry) {
+    fn sample() -> (LayerCode, ConvGeometry) {
         let w = Tensor4::from_fn(Shape4::new(3, 2, 3, 3), |m, n, k, kp| {
             let x = (m * 131 + n * 31 + k * 7 + kp * 3) % 7;
             if x < 3 {
@@ -867,7 +847,7 @@ mod tests {
                 (x as i8) - 3
             }
         });
-        lower(&w, 8, 8, 1, 1, 1)
+        encode(&w, 8, 8, 1, 1, 1)
     }
 
     #[test]
@@ -908,21 +888,21 @@ mod tests {
 
     #[test]
     fn certificate_is_internally_consistent_and_validates() {
-        let (flat, geom) = sample();
-        let cert = certify_layer("t", &flat, &geom, AbsVal::i8_features());
+        let (code, geom) = sample();
+        let cert = certify_layer("t", &code, &geom, AbsVal::i8_features());
         assert!(cert.stage1.encloses(Interval::point(0)));
         assert!(cert.stage2.encloses(Interval::point(0)));
         assert_eq!(cert.stage1_bits, cert.stage1.required_bits());
-        let r = cert.validate(&flat, &geom);
+        let r = cert.validate(&code, &geom);
         assert!(r.is_clean(), "{r}");
         assert!(r.facts >= 3);
     }
 
     #[test]
     fn certificate_is_strictly_tighter_than_worst_case_model() {
-        let (flat, geom) = sample();
-        let cert = certify_layer("t", &flat, &geom, AbsVal::i8_features());
-        let counts = flat.kernels().iter().flat_map(FlatKernel::group_counts);
+        let (code, geom) = sample();
+        let cert = certify_layer("t", &code, &geom, AbsVal::i8_features());
+        let counts = code.kernels().iter().flat_map(|k| k.group_counts());
         let worst = crate::AccumulatorModel::host().stage1_required_bits(counts);
         assert!(
             cert.stage1_bits < worst,
@@ -930,27 +910,27 @@ mod tests {
             cert.stage1_bits
         );
         // Full-range input degenerates to (at most) the worst case.
-        let full = certify_layer("t", &flat, &geom, AbsVal::i16_full());
+        let full = certify_layer("t", &code, &geom, AbsVal::i16_full());
         assert!(full.stage1_bits <= worst);
         assert!(full.stage1_bits >= cert.stage1_bits);
     }
 
     #[test]
     fn corrupted_certificate_is_range_unsound() {
-        let (flat, geom) = sample();
-        let mut cert = certify_layer("t", &flat, &geom, AbsVal::i8_features());
+        let (code, geom) = sample();
+        let mut cert = certify_layer("t", &code, &geom, AbsVal::i8_features());
         cert.stage1_bits -= 1; // claim a narrower width than proven
         cert.stage1 = Interval::new(cert.stage1.lo / 2, cert.stage1.hi / 2);
-        let r = cert.validate(&flat, &geom);
+        let r = cert.validate(&code, &geom);
         assert!(r.has_class("range_unsound"), "{r}");
     }
 
     #[test]
     fn tampered_witness_is_range_unsound() {
-        let (flat, geom) = sample();
-        let mut cert = certify_layer("t", &flat, &geom, AbsVal::i8_features());
+        let (code, geom) = sample();
+        let mut cert = certify_layer("t", &code, &geom, AbsVal::i8_features());
         cert.stage2_witness.expect += 1;
-        let r = cert.validate(&flat, &geom);
+        let r = cert.validate(&code, &geom);
         assert!(r.has_class("range_unsound"), "{r}");
     }
 
@@ -959,21 +939,21 @@ mod tests {
         let w = Tensor4::from_fn(Shape4::new(2, 1, 2, 2), |m, _, k, kp| {
             [2i8, -4, 6, 2, 4, -2, 2, 6][(m * 4 + k * 2 + kp) % 8]
         });
-        let (flat, geom) = lower(&w, 5, 5, 1, 0, 1);
-        let cert = certify_layer("even", &flat, &geom, AbsVal::i8_features());
+        let (code, geom) = encode(&w, 5, 5, 1, 0, 1);
+        let cert = certify_layer("even", &code, &geom, AbsVal::i8_features());
         assert!(
             cert.out_pow2 >= 1,
             "outputs must be even, got 2^{}",
             cert.out_pow2
         );
-        assert!(cert.validate(&flat, &geom).is_clean());
+        assert!(cert.validate(&code, &geom).is_clean());
     }
 
     #[test]
     fn network_certifier_threads_relu_and_requant() {
-        let (flat, geom) = sample();
+        let (code, geom) = sample();
         let mut net = NetworkCertifier::new(AbsVal::i8_features());
-        let c1 = net.conv("conv1", &flat, &geom, 8);
+        let c1 = net.conv("conv1", &code, &geom, 8);
         // Requantized output is back in the 8-bit box.
         assert!(Interval::i8_features().encloses(net.state().range));
         net.relu();
@@ -982,7 +962,7 @@ mod tests {
         assert_eq!(net.state().range.lo, 0);
         // Post-ReLU input halves the negative side: the next conv's
         // certificate can only tighten or match.
-        let c2 = net.conv("conv2", &flat, &geom, 8);
+        let c2 = net.conv("conv2", &code, &geom, 8);
         assert!(c2.stage1_bits <= c1.stage1_bits);
         // Residual add of the same branch doubles the box, exactly.
         let before = net.state();
@@ -994,18 +974,18 @@ mod tests {
     fn packable_threshold_follows_stage1_bits() {
         // 4 taps · |x| ≤ 128 → |stage1| ≤ 512 → 11 bits: packable.
         let w = Tensor4::from_fn(Shape4::new(1, 1, 2, 2), |_, _, _, _| 3i8);
-        let (flat, geom) = lower(&w, 6, 6, 1, 0, 1);
-        let cert = certify_layer("small", &flat, &geom, AbsVal::i8_features());
+        let (code, geom) = encode(&w, 6, 6, 1, 0, 1);
+        let cert = certify_layer("small", &code, &geom, AbsVal::i8_features());
         assert!(cert.packable(), "stage1_bits = {}", cert.stage1_bits);
         // The same layer under full i16 inputs is not.
-        let wide = certify_layer("small", &flat, &geom, AbsVal::i16_full());
+        let wide = certify_layer("small", &code, &geom, AbsVal::i16_full());
         assert!(!wide.packable());
     }
 
     #[test]
     fn abft_bound_scales_with_output_pixels() {
-        let (flat, geom) = sample();
-        let cert = certify_layer("t", &flat, &geom, AbsVal::i8_features());
+        let (code, geom) = sample();
+        let cert = certify_layer("t", &code, &geom, AbsVal::i8_features());
         let pixels = (geom.out_rows * geom.out_cols) as i128;
         assert_eq!(cert.abft, cert.stage2.scale(pixels));
         assert!(cert.abft_fits_i64());
@@ -1013,8 +993,8 @@ mod tests {
 
     #[test]
     fn check_certificates_flags_stale_and_regression() {
-        let (flat, geom) = sample();
-        let cert = certify_layer("t", &flat, &geom, AbsVal::i8_features());
+        let (code, geom) = sample();
+        let cert = certify_layer("t", &code, &geom, AbsVal::i8_features());
         let good = vec![cert.summary()];
         let r = check_certificates("zoo", &good, std::slice::from_ref(&cert));
         assert!(r.is_clean(), "{r}");
@@ -1045,8 +1025,8 @@ mod tests {
 
     #[test]
     fn summary_json_round_shape() {
-        let (flat, geom) = sample();
-        let cert = certify_layer("CONV1", &flat, &geom, AbsVal::i8_features());
+        let (code, geom) = sample();
+        let cert = certify_layer("CONV1", &code, &geom, AbsVal::i8_features());
         let json = cert.summary().to_json();
         assert!(json.starts_with("{\"layer\":\"CONV1\""));
         assert!(json.contains("\"stage1_bits\":"));

@@ -51,15 +51,6 @@ pub enum Defect {
         /// Kernel index.
         kernel: usize,
     },
-    /// A kernel's offsets and taps streams disagree in length.
-    ArityMismatch {
-        /// Kernel index.
-        kernel: usize,
-        /// Number of flat offsets.
-        offsets: usize,
-        /// Number of decoded taps.
-        taps: usize,
-    },
     /// A value group's occurrence count does not match the source
     /// Q-Table `NUM` entry — the groups no longer partition the
     /// non-zero weights.
@@ -82,24 +73,16 @@ pub enum Defect {
         group: usize,
     },
     // ---- lowering: faithfulness ----
-    /// A decoded tap does not match the source weight position it
-    /// claims to stand for.
-    TapMismatch {
+    /// A source index names a position outside the kernel volume.
+    IndexOutOfKernel {
         /// Kernel index.
         kernel: usize,
         /// Position in the kernel's concatenated stream.
         index: usize,
     },
-    /// A tap's `(n, k, k')` coordinates fall outside the kernel volume.
-    TapOutOfKernel {
-        /// Kernel index.
-        kernel: usize,
-        /// Position in the kernel's concatenated stream.
-        index: usize,
-    },
-    /// A precomputed flat offset disagrees with the affine decode of
-    /// its tap (`n·R·C + k·C + k'`) — the executor would read the wrong
-    /// input pixel.
+    /// A precomputed flat offset is not the re-laid-out address
+    /// (`FlatLayout::offset_of`) of the source index its group holds at
+    /// that position — the executor would read the wrong input pixel.
     OffsetMismatch {
         /// Kernel index.
         kernel: usize,
@@ -107,7 +90,7 @@ pub enum Defect {
         index: usize,
         /// The stored offset.
         offset: u32,
-        /// The offset the tap decodes to.
+        /// The address of the source index.
         expected: u32,
     },
     /// An offset would read past the re-laid-out input for some position
@@ -326,11 +309,9 @@ impl Defect {
         match self {
             Defect::KernelCountMismatch { .. } => "kernel_count_mismatch",
             Defect::GroupBoundsCorrupt { .. } => "group_bounds_corrupt",
-            Defect::ArityMismatch { .. } => "arity_mismatch",
             Defect::GroupCountMismatch { .. } => "group_count_mismatch",
             Defect::GroupValueMismatch { .. } => "group_value_mismatch",
-            Defect::TapMismatch { .. } => "tap_mismatch",
-            Defect::TapOutOfKernel { .. } => "tap_out_of_kernel",
+            Defect::IndexOutOfKernel { .. } => "index_out_of_kernel",
             Defect::OffsetMismatch { .. } => "offset_mismatch",
             Defect::OffsetOutOfBounds { .. } => "offset_out_of_bounds",
             Defect::LaneSweepOutOfBounds { .. } => "lane_sweep_out_of_bounds",
@@ -366,11 +347,6 @@ impl fmt::Display for Defect {
             Defect::GroupBoundsCorrupt { kernel } => {
                 write!(f, "kernel {kernel}: corrupt group boundary table")
             }
-            Defect::ArityMismatch {
-                kernel,
-                offsets,
-                taps,
-            } => write!(f, "kernel {kernel}: {offsets} offsets but {taps} taps"),
             Defect::GroupCountMismatch {
                 kernel,
                 group,
@@ -383,13 +359,10 @@ impl fmt::Display for Defect {
             Defect::GroupValueMismatch { kernel, group } => {
                 write!(f, "kernel {kernel} group {group}: value stream corrupt")
             }
-            Defect::TapMismatch { kernel, index } => write!(
+            Defect::IndexOutOfKernel { kernel, index } => write!(
                 f,
-                "kernel {kernel} tap {index}: does not match the source weight position"
+                "kernel {kernel} source index {index}: outside the kernel volume"
             ),
-            Defect::TapOutOfKernel { kernel, index } => {
-                write!(f, "kernel {kernel} tap {index}: outside the kernel volume")
-            }
             Defect::OffsetMismatch {
                 kernel,
                 index,
@@ -397,7 +370,7 @@ impl fmt::Display for Defect {
                 expected,
             } => write!(
                 f,
-                "kernel {kernel} offset {index}: stored {offset}, tap decodes to {expected}"
+                "kernel {kernel} offset {index}: stored {offset}, source index addresses {expected}"
             ),
             Defect::OffsetOutOfBounds {
                 kernel,
@@ -545,8 +518,8 @@ impl fmt::Display for Defect {
 pub struct VerifyReport {
     /// What was verified (layer or instance name).
     pub subject: String,
-    /// Number of elementary facts proven (offsets checked, taps
-    /// decoded, spans compared, states explored...).
+    /// Number of elementary facts proven (offsets checked, groups
+    /// reconciled, spans compared, states explored...).
     pub facts: u64,
     /// Kernels of one-position layers (fully-connected rows) whose
     /// sweep across a batch's lanes the lowering pass proved in-bounds
@@ -690,7 +663,7 @@ mod tests {
         assert!(json.contains("\"class\":\"offset_mismatch\""));
         assert!(json.contains("traffic"));
         let text = r.to_string();
-        assert!(text.contains("stored 99, tap decodes to 98"));
+        assert!(text.contains("stored 99, source index addresses 98"));
     }
 
     #[test]

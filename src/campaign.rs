@@ -47,6 +47,7 @@ use abm_sim::{
 use abm_sparse::FlatKernel;
 use abm_telemetry::{Event, FaultAction, TelemetrySink};
 use abm_tensor::{Shape3, Tensor3};
+use std::sync::Arc;
 
 /// What a campaign sweeps: which zoo networks, under which seed, and
 /// how many trials of each fault class per network.
@@ -300,7 +301,7 @@ fn post_load_flip_trial(t: FunctionalTrial<'_>) -> Result<TrialRecord, AbmError>
     })?;
 
     let kernel = pick_nonempty_kernel(slot.flat().kernels(), t.rng);
-    let (values, _, offsets, _) = slot.flat_mut().kernels_mut()[kernel].streams_mut();
+    let (values, _, offsets) = slot.flat_mut().kernels_mut()[kernel].streams_mut();
     let detail = match t.class {
         FaultClass::WtWordFlip => {
             let idx = t.rng.below(offsets.len() as u64) as usize;
@@ -345,10 +346,10 @@ fn post_load_flip_trial(t: FunctionalTrial<'_>) -> Result<TrialRecord, AbmError>
 }
 
 /// Pre-load stream corruption: a mis-transferred WT-Buffer page
-/// (offsets no longer decode to their taps) or Q-Table page (group
-/// bounds inconsistent). The structural validator must reject the load
-/// and re-lowering from the retained `LayerCode` must reproduce the
-/// pristine streams bit-identically.
+/// (offsets no longer the addresses of the code's indexes) or Q-Table
+/// page (group bounds inconsistent). The validator, with the retained
+/// `LayerCode` as its witness, must reject the load and re-lowering
+/// from that code must reproduce the pristine streams bit-identically.
 fn load_time_trial(t: FunctionalTrial<'_>) -> Result<TrialRecord, AbmError> {
     let layer = t.conv_layers[t.rng.below(t.conv_layers.len() as u64) as usize];
     let pristine = t
@@ -358,19 +359,13 @@ fn load_time_trial(t: FunctionalTrial<'_>) -> Result<TrialRecord, AbmError> {
             layer,
             engine: "ABM",
         })?;
-    let code = t
-        .golden_prep
-        .layer_code(layer)
-        .ok_or(AbmError::NotPrepared {
-            layer,
-            engine: "ABM",
-        })?;
+    let code = pristine.code();
 
     // The page as mis-transferred: a copy of the layer's streams, which
     // the validator is handed by value.
     let mut bad = pristine.flat().clone();
     let kernel = pick_nonempty_kernel(bad.kernels(), t.rng);
-    let (_, bounds, offsets, _) = bad.kernels_mut()[kernel].streams_mut();
+    let (_, bounds, offsets) = bad.kernels_mut()[kernel].streams_mut();
     let detail = match t.class {
         FaultClass::OffsetCorrupt => {
             let idx = t.rng.below(offsets.len() as u64) as usize;
@@ -385,7 +380,12 @@ fn load_time_trial(t: FunctionalTrial<'_>) -> Result<TrialRecord, AbmError> {
     };
     record_injected(t.sink, layer as u32, t.class.name(), &detail);
 
-    match PreparedConv::try_from_flat(bad, pristine.input_shape(), pristine.geometry()) {
+    match PreparedConv::try_from_flat(
+        bad,
+        Arc::clone(code),
+        pristine.input_shape(),
+        pristine.geometry(),
+    ) {
         Err(e) if e.is_corruption() => {
             t.sink.record_fault(
                 layer as u32,
@@ -395,8 +395,12 @@ fn load_time_trial(t: FunctionalTrial<'_>) -> Result<TrialRecord, AbmError> {
             );
             // Recovery: re-lower the retained source code; bit-identical
             // streams mean bit-identical execution.
-            let fresh =
-                PreparedConv::try_new(code, pristine.input_shape(), pristine.geometry(), None)?;
+            let fresh = PreparedConv::try_new(
+                Arc::clone(code),
+                pristine.input_shape(),
+                pristine.geometry(),
+                None,
+            )?;
             let identical = fresh.checksum() == pristine.checksum();
             t.sink.record_fault(
                 layer as u32,

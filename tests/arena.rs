@@ -31,7 +31,8 @@
 //! handles there are: `PreparedWeights::clone` shares every layer, a
 //! write through `abm_layer_mut` copies the one layer it touches, and
 //! no handle ever sees another's corruption — on one thread or while a
-//! sibling is executing.
+//! sibling is executing. That one model holds two encodings of every
+//! non-zero weight, 6 B, and nothing else per weight.
 
 use abm_spconv_repro::conv::{
     ArenaStats, Calibration, Engine, InferenceResult, Inferencer, Parallelism, PreparedWeights,
@@ -43,6 +44,7 @@ use abm_spconv_repro::model::{
     synthesize_model, zoo, ConvSpec, FcSpec, Layer, LayerKind, LayerProfile, LrnSpec, Network,
     PoolKind, PoolSpec, PruneProfile, SparseModel,
 };
+use abm_spconv_repro::sparse::{FlatKernel, FlatLayout, KernelCode};
 use abm_spconv_repro::telemetry::{Event, TelemetrySink};
 use abm_spconv_repro::tensor::{Shape3, Tensor3};
 use proptest::prelude::*;
@@ -173,7 +175,7 @@ fn corrupt_layer(prepared: &mut PreparedWeights, layer: usize, edit: impl FnOnce
         return;
     };
     let flat = prepared.abm_layer_mut(layer).unwrap().flat_mut();
-    let (_, _, offsets, _) = flat.kernels_mut()[victim].streams_mut();
+    let (_, _, offsets) = flat.kernels_mut()[victim].streams_mut();
     edit(offsets);
 }
 
@@ -609,4 +611,47 @@ fn a_sibling_handle_serves_golden_while_another_is_corrupted_and_repaired() {
     for layer in 0..model.layers.len() {
         assert!(clean.abm_layer(layer).unwrap().verify_checksum().is_ok());
     }
+}
+
+/// What a prepared AlexNet keeps resident per non-zero weight: its
+/// flat offset (4 B, what the sweep reads) and its code index (2 B, the
+/// witness ABFT and load validation read) — 6 B — plus the Q-Tables
+/// (values, group bounds, `(VAL, NUM)` entries). The streams the
+/// accessors expose are all a kernel stores: the lowering is three
+/// vectors and a layout, the code two vectors, so a third copy of every
+/// non-zero cannot come back without failing here.
+#[test]
+fn a_prepared_alexnet_keeps_six_bytes_a_non_zero() {
+    use std::mem::{size_of, size_of_val};
+    assert_eq!(
+        size_of::<FlatKernel>(),
+        3 * size_of::<Vec<u32>>() + size_of::<FlatLayout>()
+    );
+    assert_eq!(size_of::<KernelCode>(), 2 * size_of::<Vec<u16>>());
+
+    let profile = PruneProfile::alexnet_deep_compression();
+    let model = synthesize_model(&zoo::alexnet(), &profile, 2019);
+    let prepared = Inferencer::new(&model).prepare().unwrap();
+    let (mut nnz, mut per_weight, mut q_tables) = (0, 0, 0);
+    for layer in 0..model.layers.len() {
+        let prep = prepared.abm_layer(layer).unwrap();
+        let code = prepared.layer_code(layer).unwrap();
+        for (flat, source) in prep.flat().kernels().iter().zip(code.kernels()) {
+            assert_eq!(flat.offsets().len(), source.indices().len());
+            nnz += flat.offsets().len();
+            per_weight += size_of_val(flat.offsets()) + size_of_val(source.indices());
+            q_tables += size_of_val(flat.values())
+                + size_of_val(flat.group_bounds())
+                + size_of_val(source.entries());
+        }
+    }
+    let mb = |bytes: usize| bytes as f64 / (1 << 20) as f64;
+    println!(
+        "AlexNet: {nnz} non-zeros, {:.1} MB of offsets and indexes, {:.2} MB of Q-Tables",
+        mb(per_weight),
+        mb(q_tables)
+    );
+    assert_eq!(per_weight, 6 * nnz);
+    // The Q-Tables are the small part: under a tenth of the streams.
+    assert!(10 * q_tables < per_weight, "{q_tables} B of Q-Tables");
 }

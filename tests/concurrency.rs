@@ -225,7 +225,7 @@ fn a_corrupted_kernel_fails_the_same_way_at_every_width() {
     for (layer, kernel) in [(1, 200), (5, 3000)] {
         let mut upset = clean.clone();
         let flat = upset.abm_layer_mut(layer).unwrap().flat_mut();
-        let (_, _, offsets, _) = flat.kernels_mut()[kernel].streams_mut();
+        let (_, _, offsets) = flat.kernels_mut()[kernel].streams_mut();
         offsets[0] ^= 1 << 4;
         let serial = strict.run_prepared(&upset, input).unwrap_err();
         assert!(

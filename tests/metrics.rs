@@ -492,7 +492,7 @@ fn flip_first_offset_bit(model: &SparseModel, prepared: &mut PreparedWeights) {
         .find(|&i| prepared.abm_layer(i).is_some())
         .unwrap();
     let prep = prepared.abm_layer_mut(layer).unwrap();
-    let (_, _, offsets, _) = prep.flat_mut().kernels_mut()[0].streams_mut();
+    let (_, _, offsets) = prep.flat_mut().kernels_mut()[0].streams_mut();
     offsets[0] ^= 1 << 5;
 }
 

@@ -3,7 +3,7 @@
 //! Two directions:
 //!
 //! * **negative** — a valid lowering is corrupted in targeted ways
-//!   (offset off by one, a dropped tap, an inflated output plane) and
+//!   (offset off by one, a dropped offset, an inflated output plane) and
 //!   the lowering verifier must name the *exact* defect class, not just
 //!   fail;
 //! * **positive (soundness)** — any lowering the verifier accepts must
@@ -14,7 +14,7 @@ use abm_spconv_repro::conv::{abm, Geometry};
 use abm_spconv_repro::model::{synthesize_model, zoo, LayerProfile, PruneProfile};
 use abm_spconv_repro::sim::task::Workload;
 use abm_spconv_repro::sim::verify::{verify_pipelined_schedule, workload_geometry};
-use abm_spconv_repro::sparse::{FlatCode, FlatLayout, LayerCode, Tap};
+use abm_spconv_repro::sparse::{FlatCode, LayerCode};
 use abm_spconv_repro::tensor::{Shape3, Shape4, Tensor3, Tensor4};
 use abm_spconv_repro::verify::{
     certify_layer, verify_lowering, AbsVal, AccumulatorModel, ConvGeometry, Interval, VerifyReport,
@@ -40,12 +40,12 @@ fn lower(w: &Workload) -> FlatCode {
 /// then runs the lowering verifier with an optionally-mutated geometry.
 fn verify_mutated(
     w: &Workload,
-    mutate_streams: impl FnOnce(&mut Vec<i8>, &mut Vec<u32>, &mut Vec<u32>, &mut Vec<Tap>),
+    mutate_streams: impl FnOnce(&mut Vec<i8>, &mut Vec<u32>, &mut Vec<u32>),
     mutate_geometry: impl FnOnce(&mut ConvGeometry),
 ) -> VerifyReport {
     let mut corrupt = lower(w);
-    let (values, bounds, offsets, taps) = corrupt.kernels_mut()[0].streams_mut();
-    mutate_streams(values, bounds, offsets, taps);
+    let (values, bounds, offsets) = corrupt.kernels_mut()[0].streams_mut();
+    mutate_streams(values, bounds, offsets);
     let mut geometry = workload_geometry(w);
     mutate_geometry(&mut geometry);
     verify_lowering(
@@ -60,7 +60,7 @@ fn verify_mutated(
 #[test]
 fn valid_lowering_is_clean() {
     let w = sample_workload();
-    let r = verify_mutated(&w, |_, _, _, _| {}, |_| {});
+    let r = verify_mutated(&w, |_, _, _| {}, |_| {});
     assert!(r.is_clean(), "{r}");
     assert!(r.facts > 0);
 }
@@ -70,21 +70,20 @@ fn corrupted_offset_is_caught_as_offset_mismatch() {
     // A single-bit address-generator fault: one precomputed offset
     // points one pixel to the right of its tap.
     let w = sample_workload();
-    let r = verify_mutated(&w, |_, _, offsets, _| offsets[0] += 1, |_| {});
+    let r = verify_mutated(&w, |_, _, offsets| offsets[0] += 1, |_| {});
     assert!(r.has_class("offset_mismatch"), "{r}");
-    assert!(!r.has_class("tap_mismatch"), "{r}");
+    assert!(!r.has_class("group_count_mismatch"), "{r}");
 }
 
 #[test]
 fn dropped_tap_is_caught_as_group_count_mismatch() {
-    // A lost WT-Buffer entry: the last tap of the last value group
+    // A lost WT-Buffer entry: the last offset of the last value group
     // vanishes, so the group no longer covers its source indices.
     let w = sample_workload();
     let r = verify_mutated(
         &w,
-        |_, bounds, offsets, taps| {
+        |_, bounds, offsets| {
             offsets.pop();
-            taps.pop();
             *bounds.last_mut().unwrap() -= 1;
         },
         |_| {},
@@ -98,7 +97,7 @@ fn offset_past_relaid_buffer_is_caught() {
     // feed — the flat sweep, which checks nothing per tap, would read
     // past the re-laid-out buffer there.
     let w = sample_workload();
-    let r = verify_mutated(&w, |_, _, _, _| {}, |g| g.out_rows += 3);
+    let r = verify_mutated(&w, |_, _, _| {}, |g| g.out_rows += 3);
     assert!(r.has_class("offset_out_of_bounds"), "{r}");
 }
 
@@ -113,19 +112,19 @@ fn offset_equal_to_in_features_is_caught_for_the_lane_sweep() {
     let model = synthesize_model(&net, &profile, 9);
     let w = Workload::from_layer(&model.layers[2]).expect("tiny FC layer encodes");
     assert!(w.is_fc);
-    let clean = verify_mutated(&w, |_, _, _, _| {}, |_| {});
+    let clean = verify_mutated(&w, |_, _, _| {}, |_| {});
     assert!(clean.is_clean(), "{clean}");
     assert_eq!(clean.lane_kernels as usize, w.code.kernels().len());
     let features = w.code.shape().in_channels as u32;
     let r = verify_mutated(
         &w,
-        |_, _, offsets, _| *offsets.last_mut().unwrap() = features,
+        |_, _, offsets| *offsets.last_mut().unwrap() = features,
         |_| {},
     );
     assert!(r.has_class("lane_sweep_out_of_bounds"), "{r}");
     assert_eq!(r.lane_kernels as usize, w.code.kernels().len() - 1);
     // A convolution sweeps a plane: there is no lane sweep to prove.
-    let conv = verify_mutated(&sample_workload(), |_, _, _, _| {}, |_| {});
+    let conv = verify_mutated(&sample_workload(), |_, _, _| {}, |_| {});
     assert_eq!(conv.lane_kernels, 0);
 }
 
@@ -341,7 +340,7 @@ fn zoo_certified_widths_are_pinned_exactly() {
             assert_eq!(w.name, pin_name, "{name}");
             let cert = certify_layer(
                 &w.name,
-                &lower(&w),
+                &w.code,
                 &workload_geometry(&w),
                 AbsVal::i8_features(),
             );
@@ -376,8 +375,8 @@ proptest! {
         let in_shape = Shape3::new(shape.in_channels, side, side);
         let code = LayerCode::encode(&weights).expect("small kernels encode");
 
-        let prepared = abm::PreparedConv::try_new(&code, in_shape, geom, None).unwrap();
-        let report = prepared.verify_against(&code);
+        let prepared = abm::PreparedConv::try_new(code.clone(), in_shape, geom, None).unwrap();
+        let report = prepared.verify_lowering();
         prop_assert!(report.is_clean(), "{}", report);
 
         let input = Tensor3::from_fn(in_shape, |c, r, col| {
@@ -402,13 +401,6 @@ proptest! {
         let shape = weights.shape();
         let side = 6usize;
         let code = LayerCode::encode(&weights).expect("small kernels encode");
-        let layout = FlatLayout {
-            in_rows: side,
-            in_cols: side,
-            stride,
-            pad,
-        };
-        let flat = FlatCode::lower(&code, layout).expect("small planes lower");
         let out_dim = abm_spconv_repro::tensor::shape::conv_out_dim(
             side,
             shape.kernel_rows,
@@ -427,8 +419,8 @@ proptest! {
         };
 
         let certified = Interval::new(-(mag as i128), mag as i128);
-        let cert = certify_layer("prop", &flat, &geometry, AbsVal::from_range(certified));
-        let validation = cert.validate(&flat, &geometry);
+        let cert = certify_layer("prop", &code, &geometry, AbsVal::from_range(certified));
+        let validation = cert.validate(&code, &geometry);
         prop_assert!(validation.is_clean(), "{}", validation);
 
         // A pseudo-random input confined to the calibrated range.

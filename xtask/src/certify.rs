@@ -1,6 +1,6 @@
 //! `cargo xtask verify --certify`: re-derive the width certificates for
 //! every AlexNet + VGG16 layer, validate each one end to end (fresh
-//! re-analysis, tap-level witness replay, *and* a full replay of both
+//! re-analysis, index-level witness replay, *and* a full replay of both
 //! extremal patches through the instrumented `abm::reference` executor),
 //! and diff the summaries against the committed `CERT_zoo.json`.
 //!
@@ -17,7 +17,7 @@ use abm_sim::task::Workload;
 use abm_sim::verify::workload_geometry;
 use abm_spconv_repro::conv::abm::reference::conv2d_instrumented;
 use abm_spconv_repro::conv::Geometry;
-use abm_spconv_repro::sparse::{FlatCode, LayerCode};
+use abm_spconv_repro::sparse::LayerCode;
 use abm_spconv_repro::telemetry::json::{self, Value};
 use abm_spconv_repro::tensor::{Shape3, Tensor3};
 use abm_verify::{
@@ -54,12 +54,11 @@ pub fn run(root: &Path, update: bool) -> Result<(), String> {
         let mut certs = Vec::new();
         for layer in &model.layers {
             let started = Instant::now();
-            let lowering_failed = |e| format!("{name}/{}: lowering failed: {e}", layer.name());
-            let w = Workload::from_layer(layer).map_err(lowering_failed)?;
-            let flat = FlatCode::lower(&w.code, w.layout).map_err(lowering_failed)?;
+            let w = Workload::from_layer(layer)
+                .map_err(|e| format!("{name}/{}: encoding failed: {e}", layer.name()))?;
             let geometry = workload_geometry(&w);
-            let cert = certify_layer(&w.name, &flat, &geometry, AbsVal::i8_features());
-            let mut report = cert.validate(&flat, &geometry);
+            let cert = certify_layer(&w.name, &w.code, &geometry, AbsVal::i8_features());
+            let mut report = cert.validate(&w.code, &geometry);
             report.merge(replay_witnesses(&cert, &w.code, geometry.groups));
             println!(
                 "  {:<10} stage1 {:>2}b  stage2 {:>2}b  abft {:>2}b  {}  ({:.2?})",

@@ -26,7 +26,7 @@ use crate::parallel::{parallel_map_salvage, Parallelism};
 use crate::sparse as csr_engine;
 use abm_fault::AbmError;
 use abm_kernel::Isa;
-use abm_model::{Layer, LayerKind, SparseLayer, SparseModel};
+use abm_model::{LayerKind, SparseLayer, SparseModel};
 use abm_sparse::{CsrKernel, FlatCode, FlatLayout, LayerCode};
 use abm_telemetry::{FaultAction, TelemetrySink};
 use abm_tensor::quantize::choose_frac;
@@ -398,106 +398,29 @@ impl<'m> Inferencer<'m> {
             .collect()
     }
 
-    /// Runs a batch through a **layer-pipelined** executor — the
-    /// host-side mirror of the simulator's
-    /// [`PipelinedSchedule`](https://docs.rs/abm-sim): the network is
-    /// split into `n_stages` contiguous layer spans (balanced by
-    /// accelerated-layer count, with host-only layers riding along),
-    /// each span owned by one stage thread, and images stream between
-    /// stages over small bounded channels. Image `n` runs its
-    /// stage-`s` layers while image `n + 1` is still in stage `s - 1`.
+    /// [`run_batch_prepared`](Self::run_batch_prepared) under a second
+    /// name, kept for source compatibility. On the host the
+    /// image-parallel batch executor beats layer-pipelined stage threads
+    /// (≈ 87 vs ≈ 35 AlexNet images/s on two vCPUs), so the layer
+    /// pipeline lives only where each stage owns its own silicon: in the
+    /// simulator (`abm_sim::pipeline`).
     ///
-    /// Every stage advances images with the same per-layer step the
-    /// sequential executors use, over the same shared read-only
-    /// [`PreparedWeights`], and an image's state never depends on any
-    /// other image — so the results are **bit-identical** to
-    /// [`run_batch_prepared`](Self::run_batch_prepared), logits and
-    /// per-layer traces alike (`tests/pipelined.rs` proves it with
-    /// proptest). Telemetry spans from stage `s` are tagged with track
-    /// `s`.
-    ///
-    /// `n_stages` is clamped to `1..=` the number of accelerated
-    /// layers, so any requested depth is safe.
+    /// The semantics are `run_batch_prepared`'s: every input is
+    /// shape-checked up front, before any work runs; results are
+    /// returned in input order and are bit-identical to it; an error is
+    /// the first failing item's, in input order. The stage count is
+    /// accepted and ignored, so any value is safe, 0 included.
     ///
     /// # Errors
     ///
-    /// Returns [`AbmError::ShapeMismatch`] if any input's shape differs
-    /// from the network's input shape (checked up front, before any
-    /// stage spins up), and [`AbmError::NotPrepared`] if `prepared`
-    /// came from a differently-configured inferencer. A failing image's
-    /// error passes through the remaining stages untouched and the
-    /// first error in **input order** is returned, matching
-    /// [`run_batch_prepared`](Self::run_batch_prepared).
+    /// As [`run_batch_prepared`](Self::run_batch_prepared).
     pub fn run_batch_pipelined(
         &self,
         prepared: &PreparedWeights,
         inputs: &[Tensor3<i16>],
-        n_stages: usize,
+        _n_stages: usize,
     ) -> Result<Vec<InferenceResult>, AbmError> {
-        for input in inputs {
-            self.check_input(prepared, input)?;
-        }
-        let spans = stage_spans(self.model.network.layers(), n_stages);
-        let mut slots: Vec<Option<Result<InferenceResult, AbmError>>> = Vec::new();
-        slots.resize_with(inputs.len(), || None);
-        let (plan, pool) = (&prepared.plan, &prepared.arenas);
-        // One arena a stage, taken in stage order and returned in
-        // reverse, so a stage meets the arena it grew last batch. An
-        // image in flight owns only its feature buffer.
-        let mut arenas: Vec<Arena> = spans.iter().map(|_| pool.take_arena(plan)).collect();
-        std::thread::scope(|scope| {
-            // Feeder → stage 0 → … → last stage → collector (this
-            // thread). Depth-2 channels give each boundary one image of
-            // slack — enough to keep neighbours busy, small enough that
-            // a slow stage backpressures instead of buffering the batch.
-            let (first_tx, mut rx) =
-                crossbeam::channel::bounded::<(usize, Result<ImageState, AbmError>)>(2);
-            scope.spawn(move || {
-                for (idx, input) in inputs.iter().enumerate() {
-                    let state = self.begin_image(plan, input, pool.take_features(plan));
-                    if first_tx.send((idx, Ok(state))).is_err() {
-                        break;
-                    }
-                }
-            });
-            for (s, (span, arena)) in spans.iter().cloned().zip(&mut arenas).enumerate() {
-                let (tx, next_rx) = crossbeam::channel::bounded(2);
-                let rx_in = std::mem::replace(&mut rx, next_rx);
-                scope.spawn(move || {
-                    for (idx, state) in rx_in.iter() {
-                        let stepped = state.and_then(|mut st| {
-                            for layer in span.clone() {
-                                self.step_layer(prepared, arena, &mut st, layer, (s as u32, 1))?;
-                            }
-                            Ok(st)
-                        });
-                        if tx.send((idx, stepped)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            for (idx, state) in rx.iter() {
-                slots[idx] = Some(state.map(|mut st| st.finish(pool)));
-            }
-        });
-        for arena in arenas.into_iter().rev() {
-            pool.give_arena(arena);
-        }
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(item, slot)| {
-                // Every image leaves the pipeline exactly once; an empty
-                // slot means a stage thread died before forwarding it.
-                slot.unwrap_or_else(|| {
-                    Err(AbmError::WorkerPanic {
-                        item,
-                        message: "image lost in the stage pipeline".into(),
-                    })
-                })
-            })
-            .collect()
+        self.run_batch_prepared(prepared, inputs)
     }
 
     /// Runs inference on a quantized input feature map.
@@ -552,8 +475,10 @@ impl<'m> Inferencer<'m> {
         result
     }
 
-    /// [`begin_image`](Self::begin_image) behind the input guard, on a
-    /// feature buffer out of the weights' pool.
+    /// Starts an image's flow through the network, behind the input
+    /// guard: the per-image state every layer step threads forward, the
+    /// input stored straight into a feature buffer out of the weights'
+    /// pool through the layout its first consumer reads.
     fn begin_checked(
         &self,
         prepared: &PreparedWeights,
@@ -561,7 +486,16 @@ impl<'m> Inferencer<'m> {
     ) -> Result<ImageState, AbmError> {
         self.check_input(prepared, input)?;
         let (plan, pool) = (&prepared.plan, &prepared.arenas);
-        Ok(self.begin_image(plan, input, pool.take_features(plan)))
+        let mut features = pool.take_features(plan);
+        plan.input.relayout_into(input, &mut features);
+        Ok(ImageState {
+            features,
+            shape: input.shape(),
+            layout: plan.input,
+            fmt: self.input_format,
+            accel_idx: 0,
+            result: InferenceResult::default(),
+        })
     }
 
     /// Steps an image through `layers` on an arena checked out for the
@@ -586,25 +520,11 @@ impl<'m> Inferencer<'m> {
         status
     }
 
-    /// Starts an image's flow through the network: the per-image state
-    /// every layer step threads forward, with the input stored straight
-    /// into `features` through the layout its first consumer reads.
-    fn begin_image(&self, plan: &Plan, input: &Tensor3<i16>, mut features: Vec<i16>) -> ImageState {
-        plan.input.relayout_into(input, &mut features);
-        ImageState {
-            features,
-            shape: input.shape(),
-            layout: plan.input,
-            fmt: self.input_format,
-            accel_idx: 0,
-            result: InferenceResult::default(),
-        }
-    }
-
-    /// Advances an image through network layer `index`. The sequential
-    /// and pipelined executors share this step, which is what makes them
-    /// bit-identical by construction: an image's state never depends on
-    /// any other image, only on the shared read-only
+    /// Advances an image through network layer `index`. Every executor
+    /// shares this step — a lone image, a batch's prefixes, the lane
+    /// tail's fallback — which is what makes them bit-identical by
+    /// construction: an image's state never depends on any other image,
+    /// only on the shared read-only
     /// [`PreparedWeights`]; `arena` is the executing thread's, and every
     /// buffer in it is fully rewritten before it is read. `at` is where
     /// the step runs: the telemetry track its span is recorded on, and
@@ -991,11 +911,11 @@ fn detector_name(e: &AbmError) -> &'static str {
 }
 
 /// The state one image threads through the network — created by
-/// `begin_image`, advanced layer by layer by `step_layer`, consumed by
+/// `begin_checked`, advanced layer by layer by `step_layer`, consumed by
 /// [`finish`](Self::finish). It is self-contained per image (no shared
-/// mutable state) and owns exactly one buffer, which is what lets the
-/// pipelined executor hand it between stage threads without changing a
-/// single computed bit.
+/// mutable state) and owns at most one buffer, which is what lets the
+/// batch executor park it between its prefix and its lane tail without
+/// changing a single computed bit.
 #[derive(Debug)]
 struct ImageState {
     /// The current feature map of `shape`, stored through `layout` —
@@ -1031,39 +951,6 @@ fn load_plane(plane: &mut [i64], acc: &Tensor3<i64>) -> u64 {
     plane.copy_from_slice(acc.as_slice());
     let magnitudes = plane.iter().map(|&v| v.unsigned_abs());
     magnitudes.max().unwrap_or(0)
-}
-
-/// Splits the network's layers into at most `n_stages` contiguous
-/// spans, balanced by accelerated-layer count; host-only layers (pool,
-/// ReLU, LRN, softmax) ride with the accelerated layer they follow.
-/// The stage count is clamped to the number of accelerated layers, so
-/// no span is ever left without real work.
-fn stage_spans(layers: &[Layer], n_stages: usize) -> Vec<std::ops::Range<usize>> {
-    let accel: Vec<usize> = layers
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| matches!(l.kind, LayerKind::Conv(_) | LayerKind::FullyConnected(_)))
-        .map(|(i, _)| i)
-        .collect();
-    let stages = n_stages.clamp(1, accel.len().max(1));
-    let base = accel.len() / stages;
-    let extra = accel.len() % stages;
-    let mut spans = Vec::with_capacity(stages);
-    let mut start = 0usize;
-    let mut taken = 0usize;
-    for s in 0..stages {
-        taken += base + usize::from(s < extra);
-        let end = if s + 1 == stages {
-            layers.len()
-        } else {
-            // Cut right before the next group's first accelerated
-            // layer, so trailing host layers stay with their producer.
-            accel[taken]
-        };
-        spans.push(start..end);
-        start = end;
-    }
-    spans
 }
 
 /// Engine-specific pre-encoded weights shared across a batch. Create

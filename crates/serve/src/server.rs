@@ -70,11 +70,6 @@ pub struct ServeConfig {
     /// [`Parallelism::Auto`] on the cores the idle workers leave free;
     /// any other runs on its worker's thread alone.
     pub workers: usize,
-    /// Layer-pipelined execution depth; `< 2` selects the
-    /// deadline-salvage batch executor
-    /// ([`Inferencer::run_batch_salvage`]), `>= 2` streams
-    /// each batch through [`Inferencer::run_batch_pipelined`].
-    pub pipeline_stages: usize,
     /// Deadline budget assumed for requests that do not carry one.
     pub default_deadline: Duration,
     /// The p99 latency objective for admitted requests (reporting and
@@ -104,7 +99,6 @@ impl Default for ServeConfig {
             max_batch: 8,
             batch_window: Duration::from_millis(2),
             workers: 2,
-            pipeline_stages: 0,
             default_deadline: Duration::from_millis(250),
             slo: Duration::from_millis(100),
             max_retries: 2,
@@ -1111,9 +1105,10 @@ fn worker_loop(shared: &Arc<Shared>, state: &Arc<WorkerState>) {
     }
 }
 
-/// Runs one batch through the configured executor with bounded
-/// retry-with-backoff for transient per-item failures; `heartbeat` sees
-/// every telemetry event the run records (one per finished layer).
+/// Runs one batch through the deadline-salvage batch executor
+/// ([`Inferencer::run_batch_salvage`]) with bounded retry-with-backoff
+/// for transient per-item failures; `heartbeat` sees every telemetry
+/// event the run records (one per finished layer).
 /// Returns the per-item outcomes, retries spent per item, and whether
 /// the recovery ladder engaged (fault detected/masked) anywhere in the
 /// batch.
@@ -1139,14 +1134,7 @@ fn execute_batch(
         .max()
         .unwrap_or_else(Instant::now);
 
-    let mut outcomes = if cfg.pipeline_stages >= 2 {
-        match inferencer.run_batch_pipelined(prepared, inputs, cfg.pipeline_stages) {
-            Ok(results) => results.into_iter().map(Ok).collect(),
-            Err(e) => (0..inputs.len()).map(|_| Err(e.clone())).collect(),
-        }
-    } else {
-        inferencer.run_batch_salvage(prepared, inputs, Some(batch_deadline))
-    };
+    let mut outcomes = inferencer.run_batch_salvage(prepared, inputs, Some(batch_deadline));
 
     let mut retries_spent = vec![0u32; inputs.len()];
     for (i, slot) in outcomes.iter_mut().enumerate() {

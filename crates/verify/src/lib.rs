@@ -48,10 +48,7 @@ pub mod report;
 pub mod schedule;
 
 pub use lowering::{verify_lowering, AccumulatorModel, ConvGeometry};
-pub use mc::{
-    explore, standard_suite, ChannelFault, ChannelModel, DequeFault, DequeModel, FifoFault,
-    FifoModel, Model,
-};
+pub use mc::{explore, standard_suite, DequeFault, DequeModel, FifoFault, FifoModel, Model};
 pub use pipeline::{verify_pipeline, BoundaryFacts, PipelineParams, StageFacts};
 pub use range::{
     certify_layer, check_certificates, AbsVal, CertSummary, ExtremalPatch, Interval, KnownBits,

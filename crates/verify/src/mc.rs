@@ -1,15 +1,12 @@
 //! Pass 3 — the exhaustive-interleaving model checker.
 //!
-//! The repository has three hand-written concurrent protocols: the
+//! The repository has two hand-written concurrent protocols: the
 //! work-stealing injector loop behind `abm-conv`'s `parallel_map` (the
-//! host analogue of the paper's semi-synchronous CU scheduler), the
+//! host analogue of the paper's semi-synchronous CU scheduler), and the
 //! accumulator→FIFO→multiplier hand-off inside a lane (`abm-sim`'s
-//! timing recurrence models it; the hardware builds it), and the
-//! bounded inter-stage channels of the layer-pipelined executor (the
-//! vendored `crossbeam::channel::bounded` mutex+condvar protocol that
-//! `abm-conv`'s pipeline threads block on). All are tested
-//! dynamically, but a racy protocol can pass any finite number of
-//! timed runs. This module checks them the way a hardware team checks
+//! timing recurrence models it; the hardware builds it). Both are
+//! tested dynamically, but a racy protocol can pass any finite number
+//! of timed runs. This module checks them the way a hardware team checks
 //! a handshake: enumerate **every** interleaving of a small bounded
 //! instance and prove the invariants in all reachable states.
 //!
@@ -463,277 +460,6 @@ impl Model for FifoModel {
     }
 }
 
-// Stage-actor action labels, indexed by stage id (bounded instances
-// only — up to 3 stages).
-const ACT_SRECV: [&str; 3] = ["s0.recv", "s1.recv", "s2.recv"];
-const ACT_SSEND: [&str; 3] = ["s0.send", "s1.send", "s2.send"];
-const ACT_SWAIT: [&str; 3] = ["s0.wait", "s1.wait", "s2.wait"];
-const ACT_SCLOSE: [&str; 3] = ["s0.close", "s1.close", "s2.close"];
-const ACT_FEED_SEND: &str = "feed.send";
-const ACT_FEED_WAIT: &str = "feed.wait";
-const ACT_FEED_CLOSE: &str = "feed.close";
-
-/// A concurrency bug the channel model can re-introduce on purpose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChannelFault {
-    /// Faithful protocol: every push notifies the receive condvar and
-    /// senders respect the capacity bound.
-    #[default]
-    None,
-    /// A push that skips its `ready.notify_one()` — the classic lost
-    /// wakeup. A consumer that went to sleep on the empty check stays
-    /// asleep forever; the checker must find the deadlocked terminal
-    /// state.
-    DropNotify,
-    /// A push that ignores the capacity check — the channel grows past
-    /// its bound and the backpressure contract (what keeps pipeline
-    /// memory bounded) is broken.
-    SkipBackpressure,
-}
-
-/// One pipeline-stage actor of [`ChannelModel`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum StageActor {
-    /// Ready to receive from its input channel.
-    Idle,
-    /// Holding an image, ready to forward (or collect) it.
-    Hold(u8),
-    /// Blocked on the input channel's `ready` condvar.
-    SleepRecv,
-    /// Blocked on the output channel's `space` condvar, image in hand.
-    SleepSend(u8),
-    /// Input disconnected and drained; sender dropped.
-    Done,
-}
-
-/// One bounded channel: queued image ids plus whether the upstream
-/// sender is still alive.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Chan {
-    items: Vec<u8>,
-    open: bool,
-}
-
-/// Global state of [`ChannelModel`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ChannelState {
-    /// Images the feeder has pushed so far.
-    fed: u8,
-    /// Feeder blocked on channel 0's `space` condvar.
-    feeder_sleeping: bool,
-    /// Feeder dropped its sender (all images pushed).
-    feeder_done: bool,
-    stages: Vec<StageActor>,
-    chans: Vec<Chan>,
-    /// Image ids the final stage has emitted, in completion order.
-    collected: Vec<u8>,
-}
-
-/// Bounded model of the layer-pipelined executor's inter-stage
-/// hand-off: a feeder thread pushes `images` image ids through a chain
-/// of `stages` worker threads connected by capacity-`cap` channels —
-/// exactly the vendored `crossbeam::channel::bounded` protocol
-/// `abm-conv`'s pipeline threads block on (mutex-guarded queue, `ready`
-/// / `space` condvars, sender-drop disconnect). Steps are modelled at
-/// condvar granularity: a blocked actor has **no** successor until
-/// another actor's notify wakes it, so a lost wakeup shows up as a
-/// deadlocked terminal state, not as a timing accident.
-#[derive(Debug, Clone)]
-pub struct ChannelModel {
-    /// Pipeline stages (≤ 3 in the bounded instances).
-    pub stages: usize,
-    /// Channel capacity (the executor uses 2; `bounded` rounds 0 up
-    /// to 1).
-    pub cap: usize,
-    /// Images the feeder pushes.
-    pub images: u8,
-    /// Seeded fault, if any.
-    pub fault: ChannelFault,
-}
-
-impl ChannelModel {
-    /// Wakes the single possible sleeper on channel `c`'s `space`
-    /// condvar: the feeder for channel 0, otherwise stage `c - 1`.
-    fn notify_space(&self, s: &mut ChannelState, c: usize) {
-        if c == 0 {
-            s.feeder_sleeping = false;
-        } else if let StageActor::SleepSend(v) = s.stages[c - 1] {
-            s.stages[c - 1] = StageActor::Hold(v);
-        }
-    }
-
-    /// Wakes the single possible sleeper on channel `c`'s `ready`
-    /// condvar: stage `c`.
-    fn notify_ready(&self, s: &mut ChannelState, c: usize) {
-        if s.stages[c] == StageActor::SleepRecv {
-            s.stages[c] = StageActor::Idle;
-        }
-    }
-}
-
-impl Model for ChannelModel {
-    type State = ChannelState;
-
-    fn name(&self) -> &'static str {
-        match self.fault {
-            ChannelFault::None => "stage-channels",
-            ChannelFault::DropNotify => "stage-channels[drop-notify]",
-            ChannelFault::SkipBackpressure => "stage-channels[no-backpressure]",
-        }
-    }
-
-    fn initial(&self) -> Self::State {
-        ChannelState {
-            fed: 0,
-            feeder_sleeping: false,
-            feeder_done: false,
-            stages: vec![StageActor::Idle; self.stages],
-            chans: vec![
-                Chan {
-                    items: Vec::new(),
-                    open: true,
-                };
-                self.stages
-            ],
-            collected: Vec::new(),
-        }
-    }
-
-    fn successors(&self, state: &Self::State, out: &mut Vec<(&'static str, Self::State)>) {
-        // Feeder actor.
-        if !state.feeder_sleeping && !state.feeder_done {
-            if state.fed < self.images {
-                if state.chans[0].items.len() < self.cap
-                    || self.fault == ChannelFault::SkipBackpressure
-                {
-                    let mut s = state.clone();
-                    s.chans[0].items.push(state.fed);
-                    s.fed += 1;
-                    if self.fault != ChannelFault::DropNotify {
-                        self.notify_ready(&mut s, 0);
-                    }
-                    out.push((ACT_FEED_SEND, s));
-                } else {
-                    // Full: block on the `space` condvar.
-                    let mut s = state.clone();
-                    s.feeder_sleeping = true;
-                    out.push((ACT_FEED_WAIT, s));
-                }
-            } else {
-                // All images pushed: drop the sender. Disconnect always
-                // notifies (it lives in the vendored `Drop` impl, not
-                // the faulted send path).
-                let mut s = state.clone();
-                s.feeder_done = true;
-                s.chans[0].open = false;
-                self.notify_ready(&mut s, 0);
-                out.push((ACT_FEED_CLOSE, s));
-            }
-        }
-        // Stage actors.
-        for i in 0..self.stages {
-            match state.stages[i] {
-                StageActor::Idle => {
-                    if !state.chans[i].items.is_empty() {
-                        let mut s = state.clone();
-                        let v = s.chans[i].items.remove(0);
-                        s.stages[i] = StageActor::Hold(v);
-                        // A successful pop always frees a slot and
-                        // notifies `space` (recv is not the faulted
-                        // path).
-                        self.notify_space(&mut s, i);
-                        out.push((ACT_SRECV[i], s));
-                    } else if !state.chans[i].open {
-                        // Drained and disconnected: finish, dropping
-                        // this stage's sender to propagate disconnect.
-                        let mut s = state.clone();
-                        s.stages[i] = StageActor::Done;
-                        if i + 1 < self.stages {
-                            s.chans[i + 1].open = false;
-                            self.notify_ready(&mut s, i + 1);
-                        }
-                        out.push((ACT_SCLOSE[i], s));
-                    } else {
-                        // Empty but live: block on `ready`.
-                        let mut s = state.clone();
-                        s.stages[i] = StageActor::SleepRecv;
-                        out.push((ACT_SWAIT[i], s));
-                    }
-                }
-                StageActor::Hold(v) => {
-                    if i + 1 == self.stages {
-                        let mut s = state.clone();
-                        s.collected.push(v);
-                        s.stages[i] = StageActor::Idle;
-                        out.push((ACT_SSEND[i], s));
-                    } else if state.chans[i + 1].items.len() < self.cap
-                        || self.fault == ChannelFault::SkipBackpressure
-                    {
-                        let mut s = state.clone();
-                        s.chans[i + 1].items.push(v);
-                        s.stages[i] = StageActor::Idle;
-                        if self.fault != ChannelFault::DropNotify {
-                            self.notify_ready(&mut s, i + 1);
-                        }
-                        out.push((ACT_SSEND[i], s));
-                    } else {
-                        let mut s = state.clone();
-                        s.stages[i] = StageActor::SleepSend(v);
-                        out.push((ACT_SWAIT[i], s));
-                    }
-                }
-                // Sleeping actors have no successor of their own: only
-                // a notify from another actor's step can move them —
-                // that is the whole point of the model.
-                StageActor::SleepRecv | StageActor::SleepSend(_) | StageActor::Done => {}
-            }
-        }
-    }
-
-    fn invariant(&self, state: &Self::State) -> Result<(), String> {
-        for (c, chan) in state.chans.iter().enumerate() {
-            if chan.items.len() > self.cap {
-                return Err(format!(
-                    "channel {c} holds {} items, capacity {} (backpressure broken)",
-                    chan.items.len(),
-                    self.cap
-                ));
-            }
-        }
-        // Single-lane pipeline: images arrive in feed order.
-        for (i, &v) in state.collected.iter().enumerate() {
-            if v as usize != i {
-                return Err(format!(
-                    "collected position {i} holds image {v}: images reordered or lost"
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    fn accept_terminal(&self, state: &Self::State) -> Result<(), String> {
-        if state.collected.len() != self.images as usize {
-            return Err(format!(
-                "deadlock: {} of {} images collected (feeder {}, stages {:?})",
-                state.collected.len(),
-                self.images,
-                if state.feeder_sleeping {
-                    "asleep"
-                } else if state.feeder_done {
-                    "done"
-                } else {
-                    "runnable"
-                },
-                state.stages
-            ));
-        }
-        if !state.stages.iter().all(|s| *s == StageActor::Done) {
-            return Err("pipeline threads did not all join after the last image".into());
-        }
-        Ok(())
-    }
-}
-
 /// The bounded instances CI explores: small enough to finish in
 /// seconds, large enough to exercise contention (3 workers × 4 tasks
 /// covers every lock interleaving; depth-1 and depth-2 FIFOs exercise
@@ -766,20 +492,6 @@ pub fn standard_suite() -> Vec<VerifyReport> {
                 depth,
                 n,
                 fault: FifoFault::None,
-            },
-            2_000_000,
-        );
-        r.subject = subject;
-        reports.push(r);
-    }
-    for (stages, cap, images) in [(2usize, 1usize, 2u8), (2, 1, 3), (2, 2, 3), (3, 1, 3)] {
-        let subject = format!("stage-channels stages={stages} cap={cap} images={images}");
-        let mut r = explore(
-            &ChannelModel {
-                stages,
-                cap,
-                images,
-                fault: ChannelFault::None,
             },
             2_000_000,
         );
@@ -834,61 +546,6 @@ mod tests {
         for r in standard_suite() {
             assert!(r.is_clean(), "{r}");
         }
-    }
-
-    #[test]
-    fn faithful_channels_pass_exhaustively() {
-        let r = explore(
-            &ChannelModel {
-                stages: 3,
-                cap: 2,
-                images: 3,
-                fault: ChannelFault::None,
-            },
-            2_000_000,
-        );
-        assert!(r.is_clean(), "{r}");
-        assert!(
-            r.facts > 100,
-            "expected a real state space, got {}",
-            r.facts
-        );
-    }
-
-    #[test]
-    fn dropped_notify_deadlocks_the_pipeline() {
-        // images > cap so the feeder must block at least once; the
-        // lost wakeup then leaves consumer and producer both asleep.
-        let r = explore(
-            &ChannelModel {
-                stages: 2,
-                cap: 1,
-                images: 2,
-                fault: ChannelFault::DropNotify,
-            },
-            2_000_000,
-        );
-        assert!(r.has_class("interleaving_violation"), "{r}");
-        assert!(r.to_string().contains("deadlock"), "{r}");
-        let Defect::InterleavingViolation { trace, .. } = &r.defects[0] else {
-            panic!("wrong defect: {r}");
-        };
-        assert!(!trace.is_empty());
-    }
-
-    #[test]
-    fn skipped_backpressure_overflows_a_stage_channel() {
-        let r = explore(
-            &ChannelModel {
-                stages: 2,
-                cap: 1,
-                images: 3,
-                fault: ChannelFault::SkipBackpressure,
-            },
-            2_000_000,
-        );
-        assert!(r.has_class("interleaving_violation"), "{r}");
-        assert!(r.to_string().contains("capacity"), "{r}");
     }
 
     #[test]

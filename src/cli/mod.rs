@@ -150,8 +150,6 @@ pub enum Command {
         rate_x: f64,
         /// Enable seeded chaos injection (weight-stream corruption).
         chaos: bool,
-        /// Layer-pipelined executor depth (0/1 = deadline-salvage).
-        stages: usize,
         /// Bind a TCP front end here (e.g. `127.0.0.1:7070`) instead
         /// of the in-process burst.
         listen: Option<String>,

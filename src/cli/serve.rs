@@ -13,7 +13,6 @@ pub(super) const SUB: Subcommand = Subcommand {
         flag!("--requests" "N", Serve.requests = positive),
         flag!("--rate-x" "F", Serve.rate_x = positive_f64),
         flag!("--chaos" "", Serve.chaos = switch),
-        flag!("--stages" "N", Serve.stages = uint),
         flag!("--listen" "ADDR", Serve.listen = text),
         flag!("--for-secs" "T", Serve.for_secs = positive),
         flag!("--json" "PATH", Serve.json = text),
@@ -24,7 +23,6 @@ pub(super) const SUB: Subcommand = Subcommand {
         requests: 32,
         rate_x: 1.5,
         chaos: false,
-        stages: 0,
         listen: None,
         for_secs: 5,
         json: None,
@@ -33,13 +31,12 @@ pub(super) const SUB: Subcommand = Subcommand {
 
 pub(super) fn run(command: &Command) -> Result<(), Box<dyn Error>> {
     fields!(command => Serve {
-        net, seed, requests, rate_x, chaos, stages, listen, for_secs, json
+        net, seed, requests, rate_x, chaos, listen, for_secs, json
     });
     let (network, _, model) = build(net, *seed);
     let model = std::sync::Arc::new(model);
     let accel = AcceleratorConfig::paper_for(net);
     let cfg = abm_serve::ServeConfig {
-        pipeline_stages: *stages,
         chaos: chaos.then(|| abm_serve::ChaosConfig::corrupt(seed ^ 0xC4A0_5EED, 3)),
         ..abm_serve::ServeConfig::default()
     };

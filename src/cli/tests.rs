@@ -14,14 +14,13 @@ fn parse_serve_defaults_and_flags() {
             requests: 32,
             rate_x: 1.5,
             chaos: false,
-            stages: 0,
             listen: None,
             for_secs: 5,
             json: None,
         }
     );
     let cmd = parse(&argv(
-        "serve alexnet --seed 7 --requests 64 --rate-x 2.0 --chaos --stages 3 \
+        "serve alexnet --seed 7 --requests 64 --rate-x 2.0 --chaos \
          --listen 127.0.0.1:0 --for-secs 2 --json out.json",
     ))
     .unwrap();
@@ -33,7 +32,6 @@ fn parse_serve_defaults_and_flags() {
             requests: 64,
             rate_x: 2.0,
             chaos: true,
-            stages: 3,
             listen: Some("127.0.0.1:0".into()),
             for_secs: 2,
             json: Some("out.json".into()),

@@ -11,13 +11,13 @@
 //!   that grow and shrink, so a shared buffer's halo is dirty when the
 //!   next layer stores into it) run two *different* images back to back
 //!   through one [`PreparedWeights`]: each result equals the dense
-//!   engine's on a fresh inferencer, and serial, batch, pipelined,
-//!   hardened and calibrated-format runs of the ABM engine agree. A
-//!   batch runs its fully-connected tail once, its images the vector
-//!   lanes of the sweep, on buffers of its own: batches of every shape
-//!   a lane buffer takes (a lone image, a part-filled vector, a full
-//!   one, several, more than a register block) equal their images run
-//!   singly in every field of the result, on one thread and on two,
+//!   engine's on a fresh inferencer, and serial, batch (under either
+//!   name), hardened and calibrated-format runs of the ABM engine
+//!   agree. A batch runs its fully-connected tail once, its images the
+//!   vector lanes of the sweep, on buffers of its own: batches of every
+//!   shape a lane buffer takes (a lone image, a part-filled vector, a
+//!   full one, several, more than a register block) equal their images
+//!   run singly in every field of the result, on one thread and on two,
 //!   under the default, the hardened and a calibrated policy;
 //! * **no steady-state allocation** — the pool's growth counter (what
 //!   stands in for a counting allocator: `unsafe impl GlobalAlloc` is
@@ -248,10 +248,6 @@ proptest! {
                 let pooled = inferencer.clone().parallelism(threads);
                 prop_assert_eq!(&pooled.run_batch_prepared(&prepared, &images).unwrap(), &singles);
             }
-            prop_assert_eq!(
-                &inferencer.run_batch_pipelined(&prepared, &images, 2).unwrap(),
-                &singles
-            );
         }
 
         // One image of the wrong shape fails alone, wherever it sits;
@@ -398,25 +394,6 @@ fn the_arena_stops_growing_after_the_first_image() {
                 ..first
             }
         );
-    }
-
-    // Pipelined, two stages, from nothing: two arenas (one a stage,
-    // each stage the one it grew) and one feature buffer an image in
-    // flight — never more than the channels and the stages can hold,
-    // 3 · stages + 4. Whatever was created is idle in the pool again
-    // and was counted once: nothing is regrown, batch after batch.
-    let fresh = serial.prepare().unwrap();
-    for _ in 0..4 {
-        assert_eq!(
-            serial.run_batch_pipelined(&fresh, &images, 2).unwrap(),
-            golden
-        );
-        let stats = fresh.arena_stats();
-        assert!(
-            stats.arenas == 2 && stats.feature_buffers <= 10,
-            "{stats:?}"
-        );
-        assert_eq!(stats.grown as usize, stats.arenas + stats.feature_buffers);
     }
 
     // Batch on two threads, from nothing: however the work-stealing

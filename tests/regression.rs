@@ -171,15 +171,18 @@ fn pinned_alexnet_statistics() {
 
 /// Pipelined AlexNet batch-4: the planner's partition and the dataflow
 /// simulation are fully deterministic, so every cycle count is pinned
-/// as an exact integer. (AlexNet pipelines *below* parity at the paper
-/// clock — CONV1 saturates a single stage — which is exactly why the
-/// DSE keeps the time-multiplexed design for it; the pin documents
-/// that honestly rather than hiding it.)
+/// as an exact integer, and the planned schedule must pass the static
+/// pipeline checker (`verify_pipelined_schedule`) clean. (AlexNet
+/// pipelines *below* parity at the paper clock — CONV1 saturates a
+/// single stage — which is exactly why the DSE keeps the
+/// time-multiplexed design for it; the pin documents that honestly
+/// rather than hiding it.)
 #[test]
 fn pinned_pipelined_alexnet_batch4_cycles() {
     use abm_spconv_repro::sim::task::Workload;
     use abm_spconv_repro::sim::{
-        plan_pipeline, simulate_pipeline, simulate_sequential_batch, PipelineOptions,
+        plan_pipeline, simulate_pipeline, simulate_sequential_batch, verify_pipelined_schedule,
+        PipelineOptions,
     };
     let model = alexnet();
     let workloads: Vec<Workload> = model
@@ -191,6 +194,8 @@ fn pinned_pipelined_alexnet_batch4_cycles() {
     let batch = 4;
     let schedule = plan_pipeline(&workloads, &cfg, &PipelineOptions::for_config(&cfg), batch)
         .expect("AlexNet pipeline plans");
+    let report = verify_pipelined_schedule(&workloads, &cfg, &schedule, batch);
+    assert!(report.is_clean(), "{report}");
 
     let cuts: Vec<(usize, usize, usize)> = schedule
         .stages

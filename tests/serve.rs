@@ -204,49 +204,46 @@ fn stats_conserve_requests_under_burst() {
 }
 
 /// A request of the wrong shape is refused at `submit` with a typed
-/// `ShapeMismatch`, before it is counted or admitted — so it cannot ride
-/// in a batch and fail its co-riders, under either executor (the
-/// layer-pipelined one fails a whole batch on one bad input).
+/// `ShapeMismatch`, before it is counted or admitted: outside input is
+/// checked at the door, so it never takes a queue slot, an admission
+/// estimate or a place in a batch, and the request submitted beside it is
+/// served golden.
 #[test]
 fn a_wrong_shape_is_refused_at_submit_and_fails_no_co_rider() {
-    for stages in [0, 2] {
-        let cfg = ServeConfig {
-            workers: 1,
-            batch_window: Duration::from_millis(50),
-            pipeline_stages: stages,
-            warmup_images: 1,
-            ..ServeConfig::default()
-        };
-        let (model, server) = start_server(cfg);
-        let golden = golden_logits(&model, 1);
-        let generous = Duration::from_secs(600);
-        let good = server
-            .submit(synth_input(model.network.input_shape(), 0), generous)
-            .expect("admit");
-        let odd = Tensor3::zeros(Shape3::new(1, 2, 2));
-        let err = server.submit(odd, generous).expect_err("wrong shape");
-        assert!(
-            matches!(
-                err,
-                AbmError::ShapeMismatch {
-                    got: (1, 2, 2),
-                    want: (3, 32, 32)
-                }
-            ),
-            "{err}"
-        );
-        let out = good.wait().outcome;
-        let out = out.unwrap_or_else(|e| panic!("stages {stages}: {e}"));
-        assert_eq!(out.logits, golden[&0], "stages {stages}");
-        let stats = server.shutdown();
-        let counts = (
-            stats.submitted,
-            stats.admitted,
-            stats.shed,
-            stats.answered(),
-        );
-        assert_eq!(counts, (1, 1, 0, 1), "stages {stages}: {stats:?}");
-    }
+    let cfg = ServeConfig {
+        workers: 1,
+        batch_window: Duration::from_millis(50),
+        warmup_images: 1,
+        ..ServeConfig::default()
+    };
+    let (model, server) = start_server(cfg);
+    let golden = golden_logits(&model, 1);
+    let generous = Duration::from_secs(600);
+    let good = server
+        .submit(synth_input(model.network.input_shape(), 0), generous)
+        .expect("admit");
+    let odd = Tensor3::zeros(Shape3::new(1, 2, 2));
+    let err = server.submit(odd, generous).expect_err("wrong shape");
+    assert!(
+        matches!(
+            err,
+            AbmError::ShapeMismatch {
+                got: (1, 2, 2),
+                want: (3, 32, 32)
+            }
+        ),
+        "{err}"
+    );
+    let out = good.wait().outcome.unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(out.logits, golden[&0]);
+    let stats = server.shutdown();
+    let counts = (
+        stats.submitted,
+        stats.admitted,
+        stats.shed,
+        stats.answered(),
+    );
+    assert_eq!(counts, (1, 1, 0, 1), "{stats:?}");
 }
 
 // ---------------------------------------------------------------------

@@ -6,7 +6,6 @@
 //! cargo xtask verify --net N  # ... of one zoo network
 //! cargo xtask mc              # exhaustive concurrency model-checker suite
 //! cargo xtask faults --smoke  # seeded fault-injection campaign gate
-//! cargo xtask pipeline --smoke # pipelined-vs-sequential conformance gate
 //! cargo xtask metrics --smoke # metrics-registry bit-identity + exposition gate
 //! cargo xtask serve --smoke   # serving soak gate (loadtest legs incl. chaos)
 //! cargo xtask bench-diff A B  # noise-aware perf-regression gate
@@ -27,7 +26,6 @@ mod certify;
 mod faults;
 mod lint;
 mod metrics;
-mod pipeline;
 mod serve;
 mod zoo;
 
@@ -44,7 +42,6 @@ commands:
                        and check CERT_zoo.json (--update rewrites the file)
   mc                   run the exhaustive interleaving model-checker suite
   faults [--smoke]     run the fault-injection campaign (smoke = AlexNet only)
-  pipeline [--smoke]   run the pipelined-vs-sequential conformance gate
   metrics [--smoke]    metrics registry gate: on/off bit-identity + expositions
   serve [--smoke]      serving soak gate: loadtest legs incl. chaos, release build
   bench-diff <old> <new> [--threshold PCT]
@@ -85,11 +82,6 @@ fn main() -> ExitCode {
             Some("--smoke") => faults::run(&root, true),
             None => faults::run(&root, false),
             Some(other) => Err(format!("unknown faults flag '{other}'\n{USAGE}")),
-        },
-        Some("pipeline") => match args.get(1).map(String::as_str) {
-            Some("--smoke") => pipeline::run(&root, true),
-            None => pipeline::run(&root, false),
-            Some(other) => Err(format!("unknown pipeline flag '{other}'\n{USAGE}")),
         },
         Some("metrics") => match args.get(1).map(String::as_str) {
             Some("--smoke") | None => metrics::run(&root),

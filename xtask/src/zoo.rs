@@ -113,8 +113,9 @@ pub fn model_check() -> Result<(), String> {
         }
     }
     println!(
-        "mc: {} instances explored in {:.2?}",
+        "mc: {} instances, {} states explored in {:.2?}",
         reports.len(),
+        reports.iter().map(|r| r.facts).sum::<u64>(),
         started.elapsed()
     );
     if violations.is_empty() {

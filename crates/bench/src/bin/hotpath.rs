@@ -34,6 +34,7 @@ use abm_conv::Geometry;
 use abm_kernel::Isa;
 use abm_model::{LayerKind, SparseLayer, SparseModel};
 use abm_sparse::LayerCode;
+use abm_telemetry::json::Node;
 use abm_tensor::Tensor3;
 
 /// One kernel variant's timing for one layer.
@@ -170,57 +171,44 @@ fn geomean(rows: &[Row], v: usize) -> f64 {
 }
 
 fn write_json(rows: &[Row], variants: &[Variant], cpu: &str) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut f = std::fs::File::create("BENCH_abm_hotpath.json")?;
-    writeln!(f, "{{")?;
-    writeln!(f, "  \"bench\": \"abm_hotpath\",")?;
-    writeln!(f, "  \"seed\": {},", abm_bench::SEED)?;
-    writeln!(f, "  \"cpu\": \"{cpu}\",")?;
-    writeln!(f, "  \"variants\": [")?;
-    for (v, var) in variants.iter().enumerate() {
-        let comma = if v + 1 == variants.len() { "" } else { "," };
-        writeln!(
-            f,
-            "    {{\"isa\": \"{}\", \"gacc_per_s\": {:.3}, \"geomean_speedup\": {:.3}}}{comma}",
-            var.label,
-            gacc_per_s(rows, v),
-            geomean(rows, v)
-        )?;
-    }
-    writeln!(f, "  ],")?;
-    writeln!(f, "  \"headline_isa\": \"{}\",", variants[HEADLINE].label)?;
-    writeln!(f, "  \"layers\": [")?;
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        write!(
-            f,
-            "    {{\"network\": \"{}\", \"layer\": \"{}\", \"out_pixels\": {}, \
-             \"accumulations\": {}, \"reference_ns_per_pixel\": {:.2}",
-            r.network,
-            r.layer,
-            r.out_pixels,
-            r.cells[HEADLINE].accumulations,
-            r.reference_ns_per_pixel,
-        )?;
-        for (v, var) in variants.iter().enumerate() {
-            let c = &r.cells[v];
-            write!(
-                f,
-                ", \"{}\": {{\"selection\": \"{}\", \"ns_per_pixel\": {:.2}, \
-                 \"ns_per_acc\": {:.4}, \"speedup\": {:.3}}}",
-                var.label,
-                c.selection,
-                c.ns / r.out_pixels as f64,
-                c.ns / c.accumulations as f64,
-                c.speedup
-            )?;
-        }
-        writeln!(f, "}}{comma}")?;
-    }
-    writeln!(f, "  ],")?;
-    writeln!(f, "  \"gacc_per_s\": {:.3},", gacc_per_s(rows, HEADLINE))?;
-    writeln!(f, "  \"geomean_speedup\": {:.3}", geomean(rows, HEADLINE))?;
-    writeln!(f, "}}")
+    let doc = Node::object(|o| {
+        o.field("bench", "abm_hotpath");
+        o.field("seed", abm_bench::SEED);
+        o.field("cpu", cpu);
+        o.array("variants", |a| {
+            for (v, var) in variants.iter().enumerate() {
+                a.object(|o| {
+                    o.field("isa", var.label);
+                    o.field("gacc_per_s", Node::fixed(gacc_per_s(rows, v), 3));
+                    o.field("geomean_speedup", Node::fixed(geomean(rows, v), 3));
+                });
+            }
+        });
+        o.field("headline_isa", variants[HEADLINE].label);
+        o.array("layers", |a| {
+            for r in rows {
+                a.object(|o| {
+                    o.field("network", r.network);
+                    o.field("layer", &r.layer);
+                    o.field("out_pixels", r.out_pixels);
+                    o.field("accumulations", r.cells[HEADLINE].accumulations);
+                    let reference = Node::fixed(r.reference_ns_per_pixel, 2);
+                    o.field("reference_ns_per_pixel", reference);
+                    for (var, c) in variants.iter().zip(&r.cells) {
+                        o.object(var.label, |o| {
+                            o.field("selection", &c.selection);
+                            o.field("ns_per_pixel", Node::fixed(c.ns / r.out_pixels as f64, 2));
+                            o.field("ns_per_acc", Node::fixed(c.ns / c.accumulations as f64, 4));
+                            o.field("speedup", Node::fixed(c.speedup, 3));
+                        });
+                    }
+                });
+            }
+        });
+        o.field("gacc_per_s", Node::fixed(gacc_per_s(rows, HEADLINE), 3));
+        o.field("geomean_speedup", Node::fixed(geomean(rows, HEADLINE), 3));
+    });
+    std::fs::write("BENCH_abm_hotpath.json", doc.render())
 }
 
 fn main() {

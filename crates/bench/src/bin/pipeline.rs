@@ -31,6 +31,7 @@ use abm_dse::{explore_pipeline, FpgaDevice, ResourceModel};
 use abm_model::SparseModel;
 use abm_sim::task::Workload;
 use abm_sim::AcceleratorConfig;
+use abm_telemetry::json::Node;
 
 /// One network's exploration, flattened for the JSON writer.
 struct NetResult {
@@ -92,53 +93,38 @@ fn explore(
 }
 
 fn write_json(nets: &[NetResult]) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut f = std::fs::File::create("BENCH_pipeline.json")?;
-    writeln!(f, "{{")?;
-    writeln!(f, "  \"bench\": \"pipeline\",")?;
-    writeln!(f, "  \"seed\": {SEED},")?;
-    writeln!(f, "  \"device\": \"Stratix V GXA7\",")?;
-    writeln!(f, "  \"networks\": [")?;
-    for (i, n) in nets.iter().enumerate() {
-        let comma = if i + 1 == nets.len() { "" } else { "," };
-        writeln!(f, "    {{")?;
-        writeln!(f, "      \"network\": \"{}\",", n.network)?;
-        writeln!(f, "      \"batch\": {},", n.batch)?;
-        writeln!(
-            f,
-            "      \"sequential_images_per_second\": {:.2},",
-            n.sequential_images_per_second
-        )?;
-        writeln!(f, "      \"designs\": [")?;
-        for (j, d) in n.designs.iter().enumerate() {
-            let dcomma = if j + 1 == n.designs.len() { "" } else { "," };
-            writeln!(
-                f,
-                "        {{\"label\": \"{}\", \"n_stages\": {}, \"lane_budget\": {}, \
-                 \"freq_mhz\": {:.1}, \"alm_utilization\": {:.3}, \
-                 \"images_per_second\": {:.2}, \"speedup\": {:.3}, \
-                 \"consistent\": {}}}{dcomma}",
-                d.label,
-                d.n_stages,
-                d.lane_budget,
-                d.freq_mhz,
-                d.alm_utilization,
-                d.images_per_second,
-                d.speedup,
-                d.consistent,
-            )?;
-        }
-        writeln!(f, "      ],")?;
-        writeln!(f, "      \"best_speedup\": {:.3},", n.best_speedup)?;
-        writeln!(
-            f,
-            "      \"recommends_pipelining\": {}",
-            n.recommends_pipelining
-        )?;
-        writeln!(f, "    }}{comma}")?;
-    }
-    writeln!(f, "  ]")?;
-    writeln!(f, "}}")
+    let doc = Node::object(|o| {
+        o.field("bench", "pipeline");
+        o.field("seed", SEED);
+        o.field("device", "Stratix V GXA7");
+        o.array("networks", |a| {
+            for n in nets {
+                a.object(|o| {
+                    o.field("network", n.network);
+                    o.field("batch", n.batch);
+                    let sequential = Node::fixed(n.sequential_images_per_second, 2);
+                    o.field("sequential_images_per_second", sequential);
+                    o.array("designs", |a| {
+                        for d in &n.designs {
+                            a.object(|o| {
+                                o.field("label", &d.label);
+                                o.field("n_stages", d.n_stages);
+                                o.field("lane_budget", d.lane_budget);
+                                o.field("freq_mhz", Node::fixed(d.freq_mhz, 1));
+                                o.field("alm_utilization", Node::fixed(d.alm_utilization, 3));
+                                o.field("images_per_second", Node::fixed(d.images_per_second, 2));
+                                o.field("speedup", Node::fixed(d.speedup, 3));
+                                o.field("consistent", d.consistent);
+                            });
+                        }
+                    });
+                    o.field("best_speedup", Node::fixed(n.best_speedup, 3));
+                    o.field("recommends_pipelining", n.recommends_pipelining);
+                });
+            }
+        });
+    });
+    std::fs::write("BENCH_pipeline.json", doc.render())
 }
 
 fn main() {

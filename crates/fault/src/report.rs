@@ -4,6 +4,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use abm_telemetry::json::Node;
+
 use crate::error::AbmError;
 use crate::plan::FaultClass;
 
@@ -193,57 +195,43 @@ impl CampaignReport {
         self.count(FaultOutcome::Silent) == 0 && self.count(FaultOutcome::DetectedUnrecovered) == 0
     }
 
-    /// The report as a JSON document (hand-rolled: the workspace has no
-    /// serde, and the schema is small and flat).
+    /// The report as a JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"trials\": {},\n", self.trials.len()));
-        out.push_str(&format!(
-            "  \"recovered\": {},\n",
-            self.count(FaultOutcome::DetectedRecovered)
-        ));
-        out.push_str(&format!(
-            "  \"masked\": {},\n",
-            self.count(FaultOutcome::Masked)
-        ));
-        out.push_str(&format!(
-            "  \"detected_unrecovered\": {},\n",
-            self.count(FaultOutcome::DetectedUnrecovered)
-        ));
-        out.push_str(&format!(
-            "  \"silent\": {},\n",
-            self.count(FaultOutcome::Silent)
-        ));
-        out.push_str(&format!("  \"clean\": {},\n", self.is_clean()));
-        out.push_str("  \"classes\": {\n");
-        let counts = self.class_counts();
-        for (i, (name, c)) in counts.iter().enumerate() {
-            let comma = if i + 1 == counts.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    \"{name}\": {{\"injected\": {}, \"detected\": {}, \"masked\": {}, \"recovered\": {}, \"silent\": {}}}{comma}\n",
-                c.injected, c.detected, c.masked, c.recovered, c.silent
-            ));
-        }
-        out.push_str("  },\n");
-        out.push_str("  \"records\": [\n");
-        for (i, t) in self.trials.iter().enumerate() {
-            let comma = if i + 1 == self.trials.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"net\": \"{}\", \"layer\": {}, \"class\": \"{}\", \"outcome\": \"{}\", \"detector\": \"{}\", \"action\": \"{}\"}}{comma}\n",
-                escape(&t.net),
-                t.layer,
-                t.class,
-                t.outcome,
-                escape(&t.detector),
-                t.action,
-            ));
-        }
-        out.push_str("  ]\n");
-        out.push_str("}\n");
-        out
+        Node::object(|o| {
+            o.field("seed", self.seed);
+            o.field("trials", self.trials.len());
+            o.field("recovered", self.count(FaultOutcome::DetectedRecovered));
+            o.field("masked", self.count(FaultOutcome::Masked));
+            let unrecovered = self.count(FaultOutcome::DetectedUnrecovered);
+            o.field("detected_unrecovered", unrecovered);
+            o.field("silent", self.count(FaultOutcome::Silent));
+            o.field("clean", self.is_clean());
+            o.object("classes", |classes| {
+                for (name, c) in self.class_counts() {
+                    classes.object(name, |o| {
+                        o.field("injected", c.injected);
+                        o.field("detected", c.detected);
+                        o.field("masked", c.masked);
+                        o.field("recovered", c.recovered);
+                        o.field("silent", c.silent);
+                    });
+                }
+            });
+            o.array("records", |records| {
+                for t in &self.trials {
+                    records.object(|o| {
+                        o.field("net", &t.net);
+                        o.field("layer", t.layer);
+                        o.field("class", t.class.name());
+                        o.field("outcome", t.outcome.name());
+                        o.field("detector", &t.detector);
+                        o.field("action", t.action.to_string());
+                    });
+                }
+            });
+        })
+        .render()
     }
 
     /// A fixed-width text table, one row per class, for terminal
@@ -273,28 +261,10 @@ impl CampaignReport {
     }
 }
 
-/// Minimal JSON string escaping (the report only ever embeds net names
-/// and detector labels, but corrupted-stream details may carry
-/// arbitrary bytes).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abm_telemetry::json::{self, Value};
 
     fn trial(class: FaultClass, outcome: FaultOutcome) -> TrialRecord {
         TrialRecord {
@@ -346,22 +316,11 @@ mod tests {
         let mut r = CampaignReport::new(42);
         r.trials
             .push(trial(FaultClass::CuHang, FaultOutcome::DetectedRecovered));
-        let json = r.to_json();
-        assert!(json.contains("\"seed\": 42"));
-        assert!(json.contains("\"cu-hang\""));
-        assert!(json.contains("\"clean\": true"));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "braces must balance"
-        );
+        let doc = json::parse(&r.to_json()).unwrap();
+        assert_eq!(doc.get("seed"), Some(&Value::Num(42.0)));
+        assert!(doc.get("classes").unwrap().get("cu-hang").is_some());
+        assert_eq!(doc.get("clean"), Some(&Value::Bool(true)));
         let table = r.summary_table();
         assert!(table.contains("CLEAN"));
-    }
-
-    #[test]
-    fn escape_handles_controls() {
-        assert_eq!(escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 }

@@ -1,9 +1,9 @@
-//! Exposition: Prometheus-style text, hand-rolled JSON (validated
-//! with `abm_telemetry::json::validate`, the same contract as
-//! `report.rs`), and a sorted human table with percentiles.
+//! Exposition: Prometheus-style text, JSON (through
+//! `abm_telemetry::json`, like every exported document), and a sorted
+//! human table with percentiles.
 
 use crate::registry::HistogramSnapshot;
-use abm_telemetry::json;
+use abm_telemetry::json::Node;
 use std::collections::BTreeMap;
 
 /// A point-in-time copy of a registry, sorted by metric name.
@@ -72,42 +72,30 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Hand-rolled JSON document:
+    /// JSON document:
     /// `{"counters":{…},"gauges":{…},"histograms":{name:{count,sum,max,p50,p90,p99}}}`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        Node::object(|o| {
+            for (key, levels) in [("counters", &self.counters), ("gauges", &self.gauges)] {
+                o.object(key, |o| {
+                    levels.iter().for_each(|(name, v)| o.field(name, *v))
+                });
             }
-            out.push_str(&format!("\"{}\":{v}", json::escape(name)));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{v}", json::escape(name)));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                json::escape(name),
-                h.count,
-                h.sum,
-                h.max,
-                h.quantile(0.5),
-                h.quantile(0.9),
-                h.quantile(0.99)
-            ));
-        }
-        out.push_str("}}");
-        out
+            o.object("histograms", |hs| {
+                for (name, h) in &self.histograms {
+                    hs.object(name, |o| {
+                        o.field("count", h.count);
+                        o.field("sum", h.sum);
+                        o.field("max", h.max);
+                        o.field("p50", h.quantile(0.5));
+                        o.field("p90", h.quantile(0.9));
+                        o.field("p99", h.quantile(0.99));
+                    });
+                }
+            });
+        })
+        .render()
     }
 
     /// A sorted fixed-width table for terminals: counters and gauges
@@ -190,6 +178,7 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
     use crate::registry::MetricsRegistry;
+    use abm_telemetry::json::{self, Value};
 
     fn sample() -> MetricsSnapshot {
         let r = MetricsRegistry::new(8);
@@ -203,11 +192,11 @@ mod tests {
 
     #[test]
     fn json_validates_and_contains_quantiles() {
-        let s = sample();
-        let doc = s.to_json();
-        json::validate(&doc).expect("snapshot json validates");
-        assert!(doc.contains("\"requests_total\":7"));
-        assert!(doc.contains("\"p50\":"));
+        let doc = json::parse(&sample().to_json()).expect("snapshot json parses");
+        let counter = doc.get("counters").unwrap().get("requests_total");
+        assert_eq!(counter, Some(&Value::Num(7.0)));
+        let latency = doc.get("histograms").unwrap().get("latency_ns").unwrap();
+        assert!(latency.get("p50").and_then(Value::as_f64).is_some());
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! **byte-stable** dump across runs — the property
 //! `tests/metrics.rs` pins.
 
-use abm_telemetry::{json, Event};
+use abm_telemetry::json::Node;
+use abm_telemetry::Event;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -133,25 +134,19 @@ impl FlightDump {
         out
     }
 
-    /// Hand-rolled JSON rendering (validated by
-    /// `abm_telemetry::json::validate` in tests and the smoke gate).
+    /// JSON rendering (validated by `abm_telemetry::json::validate` in
+    /// tests and the smoke gate).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"context\":\"{}\",\"detail\":\"{}\",\"total_recorded\":{},\"events\":[",
-            json::escape(&self.context),
-            json::escape(&self.detail),
-            self.total_recorded
-        ));
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", json::escape(&stable_line(e))));
-        }
-        out.push_str("]}");
-        out
+        Node::object(|o| {
+            o.field("context", &self.context);
+            o.field("detail", &self.detail);
+            o.field("total_recorded", self.total_recorded);
+            o.array("events", |a| {
+                self.events.iter().for_each(|e| a.item(stable_line(e)))
+            });
+        })
+        .render()
     }
 }
 

@@ -28,9 +28,9 @@
 //!    monomorphizes instrumented code back to its bare form.
 //!
 //! Exposition: [`MetricsSnapshot::to_prometheus`] (text format),
-//! [`MetricsSnapshot::to_json`] (hand-rolled, validated like
-//! `report.rs`), [`MetricsSnapshot::render_table`] (sorted terminal
-//! table), all served by the `metrics` CLI subcommand.
+//! [`MetricsSnapshot::to_json`] (through `abm_telemetry::json`),
+//! [`MetricsSnapshot::render_table`] (sorted terminal table), all
+//! served by the `metrics` CLI subcommand.
 
 pub mod expose;
 pub mod flight;

@@ -15,6 +15,7 @@
 
 use crate::server::{Server, Ticket};
 use abm_fault::{AbmError, SplitMix64};
+use abm_telemetry::json::Node;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -91,41 +92,38 @@ impl LoadReport {
         percentile(&self.latencies_us, p)
     }
 
-    /// Renders the leg as one JSON object (hand-rolled — the workspace
-    /// has no JSON dependency), with `slo_us` threaded in so the
-    /// report is self-gating.
+    /// Renders the leg as one JSON object, with `slo_us` threaded in so
+    /// the report is self-gating.
     #[must_use]
     pub fn to_json(&self, slo: Duration) -> String {
+        self.node(slo).render()
+    }
+
+    fn node(&self, slo: Duration) -> Node {
         let slo_us = u64::try_from(slo.as_micros()).unwrap_or(u64::MAX);
         let p50 = self.percentile_us(50.0);
-        let p90 = self.percentile_us(90.0);
         let p99 = self.percentile_us(99.0);
-        format!(
-            "{{\"name\":\"{}\",\"offered\":{},\"admitted\":{},\"shed\":{},\"completed\":{},\
-             \"failed\":{},\"deadline_cut\":{},\"deadline_missed\":{},\"degraded\":{},\
-             \"retries\":{},\"untyped_rejections\":{},\"silent_corruptions\":{},\
-             \"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"slo_us\":{},\"p99_within_slo\":{},\
-             \"goodput_rps\":{:.3},\"wall_seconds\":{:.3}}}",
-            self.name,
-            self.offered,
-            self.admitted,
-            self.shed,
-            self.completed,
-            self.failed,
-            self.deadline_cut,
-            self.deadline_missed,
-            self.degraded,
-            self.retries,
-            self.untyped_rejections,
-            self.silent_corruptions,
-            p50,
-            p90,
-            p99,
-            slo_us,
-            p50 <= slo_us && p99 <= slo_us,
-            self.goodput_rps,
-            self.wall_seconds
-        )
+        Node::object(|o| {
+            o.field("name", &self.name);
+            o.field("offered", self.offered);
+            o.field("admitted", self.admitted);
+            o.field("shed", self.shed);
+            o.field("completed", self.completed);
+            o.field("failed", self.failed);
+            o.field("deadline_cut", self.deadline_cut);
+            o.field("deadline_missed", self.deadline_missed);
+            o.field("degraded", self.degraded);
+            o.field("retries", self.retries);
+            o.field("untyped_rejections", self.untyped_rejections);
+            o.field("silent_corruptions", self.silent_corruptions);
+            o.field("p50_us", p50);
+            o.field("p90_us", self.percentile_us(90.0));
+            o.field("p99_us", p99);
+            o.field("slo_us", slo_us);
+            o.field("p99_within_slo", p50 <= slo_us && p99 <= slo_us);
+            o.field("goodput_rps", Node::fixed(self.goodput_rps, 3));
+            o.field("wall_seconds", Node::fixed(self.wall_seconds, 3));
+        })
     }
 }
 
@@ -242,24 +240,19 @@ impl LoadGen {
 /// `runs` key is the schema signature `xtask bench-diff` sniffs.
 #[must_use]
 pub fn render_bench(legs: &[LoadReport], slo: Duration, net: &str) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"network\": \"{net}\",\n"));
-    out.push_str("  \"runs\": [\n");
-    for (i, leg) in legs.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&leg.to_json(slo));
-        if i + 1 < legs.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
+    Node::object(|o| {
+        o.field("network", net);
+        o.array("runs", |runs| {
+            legs.iter().for_each(|leg| runs.item(leg.node(slo)))
+        });
+    })
+    .render()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abm_telemetry::json::{self, Value};
 
     #[test]
     fn percentile_is_nearest_rank() {
@@ -283,24 +276,38 @@ mod tests {
             goodput_rps: 42.0,
             ..LoadReport::default()
         };
-        let json = report.to_json(Duration::from_millis(100));
-        for key in [
-            "\"name\":\"nominal_1x\"",
-            "\"silent_corruptions\":0",
-            "\"untyped_rejections\":0",
-            "\"p99_us\":300",
-            "\"slo_us\":100000",
-            "\"p99_within_slo\":true",
-            "\"goodput_rps\":42.000",
+        let leg = json::parse(&report.to_json(Duration::from_millis(100))).unwrap();
+        for (key, value) in [
+            ("name", Value::Str("nominal_1x".into())),
+            ("silent_corruptions", Value::Num(0.0)),
+            ("untyped_rejections", Value::Num(0.0)),
+            ("p99_us", Value::Num(300.0)),
+            ("slo_us", Value::Num(100_000.0)),
+            ("p99_within_slo", Value::Bool(true)),
+            ("goodput_rps", Value::Num(42.0)),
         ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+            assert_eq!(leg.get(key), Some(&value), "{key}");
         }
         let doc = render_bench(
             std::slice::from_ref(&report),
             Duration::from_millis(100),
             "tiny",
         );
-        assert!(doc.contains("\"runs\": ["), "schema key missing: {doc}");
-        assert!(doc.contains("\"network\": \"tiny\""));
+        let doc = json::parse(&doc).unwrap();
+        assert_eq!(doc.get("network").and_then(Value::as_str), Some("tiny"));
+        assert_eq!(doc.get("runs").and_then(Value::as_arr), Some(&[leg][..]));
+    }
+
+    /// Quotes and control characters in a leg name are escaped.
+    #[test]
+    fn leg_names_are_escaped() {
+        let name = "a\"b\n".to_string();
+        let report = LoadReport {
+            name,
+            ..LoadReport::default()
+        };
+        let doc = json::parse(&render_bench(&[report], Duration::ZERO, "tiny")).unwrap();
+        let leg = &doc.get("runs").and_then(Value::as_arr).unwrap()[0];
+        assert_eq!(leg.get("name").and_then(Value::as_str), Some("a\"b\n"));
     }
 }

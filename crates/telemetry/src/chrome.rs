@@ -18,7 +18,7 @@
 //! `B` at equal `ts`).
 
 use crate::collector::Event;
-use crate::json::escape;
+use crate::json::Node;
 
 /// One complete span on one track.
 #[derive(Debug, Clone, PartialEq)]
@@ -235,68 +235,51 @@ impl ChromeTrace {
     /// spans close before the next opens).
     #[must_use]
     pub fn to_json(&self) -> String {
-        // (pid, tid, ts, rank, name, args): rank 0 = E, 1 = B so sorting
-        // closes a span before its same-timestamp successor opens.
-        type EventRow<'a> = (u32, u32, u64, u8, &'a str, Option<&'a [(String, String)]>);
-        let mut rows: Vec<EventRow> = Vec::new();
+        // (pid, tid, ts, rank, span): rank 0 = E, 1 = B so sorting closes
+        // a span before its same-timestamp successor opens.
+        let mut rows = Vec::new();
         for s in &self.spans {
-            rows.push((s.pid, s.tid, s.ts, 1, &s.name, Some(&s.args)));
-            rows.push((s.pid, s.tid, s.ts + s.dur, 0, &s.name, None));
+            rows.push((s.pid, s.tid, s.ts, 1, s));
+            rows.push((s.pid, s.tid, s.ts + s.dur, 0, s));
         }
-        rows.sort_by_key(|&(pid, tid, ts, rank, ..)| (pid, tid, ts, rank));
+        rows.sort_by_key(|&(pid, tid, ts, rank, _)| (pid, tid, ts, rank));
 
-        let mut out = String::from("{\"traceEvents\": [\n");
-        let mut first = true;
-        for (pid, tid, label) in &self.track_names {
-            push_row(
-                &mut out,
-                &mut first,
-                &format!(
-                    "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \
-                     \"args\": {{\"name\": \"{}\"}}}}",
-                    escape(label)
-                ),
-            );
-        }
-        for (pid, tid, ts, rank, name, args) in rows {
-            let ph = if rank == 1 { "B" } else { "E" };
-            let mut row = format!(
-                "{{\"name\": \"{}\", \"ph\": \"{ph}\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {ts}",
-                escape(name)
-            );
-            if let Some(args) = args {
-                if !args.is_empty() {
-                    row.push_str(", \"args\": {");
-                    for (i, (k, v)) in args.iter().enumerate() {
-                        if i > 0 {
-                            row.push_str(", ");
-                        }
-                        row.push_str(&format!("\"{}\": \"{}\"", escape(k), escape(v)));
-                    }
-                    row.push('}');
+        Node::object(|o| {
+            o.array("traceEvents", |a| {
+                for (pid, tid, label) in &self.track_names {
+                    a.object(|o| {
+                        o.field("name", "thread_name");
+                        o.field("ph", "M");
+                        o.field("pid", *pid);
+                        o.field("tid", *tid);
+                        o.object("args", |args| args.field("name", label));
+                    });
                 }
-            }
-            row.push('}');
-            push_row(&mut out, &mut first, &row);
-        }
-        out.push_str("\n], \"displayTimeUnit\": \"ms\"}\n");
-        out
+                for (pid, tid, ts, rank, span) in rows {
+                    a.object(|o| {
+                        o.field("name", &span.name);
+                        o.field("ph", if rank == 1 { "B" } else { "E" });
+                        o.field("pid", pid);
+                        o.field("tid", tid);
+                        o.field("ts", ts);
+                        if rank == 1 && !span.args.is_empty() {
+                            o.object("args", |o| {
+                                span.args.iter().for_each(|(k, v)| o.field(k, v))
+                            });
+                        }
+                    });
+                }
+            });
+            o.field("displayTimeUnit", "ms");
+        })
+        .render()
     }
-}
-
-fn push_row(out: &mut String, first: &mut bool, row: &str) {
-    if !*first {
-        out.push_str(",\n");
-    }
-    *first = false;
-    out.push_str("  ");
-    out.push_str(row);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::validate;
+    use crate::json::{parse, validate, Value};
 
     fn sample_trace() -> ChromeTrace {
         let mut t = ChromeTrace::new();
@@ -329,31 +312,32 @@ mod tests {
         t
     }
 
-    /// Extracts (pid, tid, ts, ph) tuples from the writer's output by
-    /// line structure (each event is one line by construction).
+    /// The trace's events, read back through the parser.
+    fn trace_events(json: &str) -> Vec<Value> {
+        let doc = parse(json).unwrap();
+        doc.get("traceEvents")
+            .and_then(Value::as_arr)
+            .unwrap()
+            .to_vec()
+    }
+
+    /// The (pid, tid, ts, ph) of every `B`/`E` event, in document order.
     fn parse_rows(json: &str) -> Vec<(u32, u32, u64, char)> {
-        let grab = |line: &str, key: &str| -> Option<u64> {
-            let at = line.find(&format!("\"{key}\": "))? + key.len() + 4;
-            let rest = &line[at..];
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
-        json.lines()
-            .filter(|l| l.contains("\"ph\": \"B\"") || l.contains("\"ph\": \"E\""))
-            .map(|l| {
-                let ph = if l.contains("\"ph\": \"B\"") {
-                    'B'
-                } else {
-                    'E'
+        let num = |e: &Value, key: &str| e.get(key).and_then(Value::as_f64).unwrap();
+        trace_events(json)
+            .iter()
+            .filter_map(|e| {
+                let ph = match e.get("ph").and_then(Value::as_str) {
+                    Some("B") => 'B',
+                    Some("E") => 'E',
+                    _ => return None,
                 };
-                (
-                    grab(l, "pid").unwrap() as u32,
-                    grab(l, "tid").unwrap() as u32,
-                    grab(l, "ts").unwrap(),
+                Some((
+                    num(e, "pid") as u32,
+                    num(e, "tid") as u32,
+                    num(e, "ts") as u64,
                     ph,
-                )
+                ))
             })
             .collect()
     }
@@ -460,9 +444,11 @@ mod tests {
             .find(|s| s.pid == PID_HOST)
             .expect("host span");
         assert_eq!((host.ts, host.dur), (1, 2));
-        let json = trace.to_json();
-        validate(&json).unwrap();
-        assert!(json.contains("\"CU1\""));
-        assert!(json.contains("\"worker2\""));
+        let track_names: Vec<String> = trace_events(&trace.to_json())
+            .iter()
+            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("M"))
+            .filter_map(|e| e.get("args")?.get("name")?.as_str().map(String::from))
+            .collect();
+        assert_eq!(track_names, ["CU0", "CU1", "worker2"]);
     }
 }

@@ -20,13 +20,14 @@
 //!   writer: one track per simulated CU and per host worker, B/E span
 //!   pairs, cycle-resolution timestamps;
 //! * [`report`] — [`TelemetryReport`], the machine-readable per-layer
-//!   aggregation (cycles, stalls, bytes, utilization) with hand-rolled
-//!   JSON serialization and a human roofline table. The `abm-dse` crate
+//!   aggregation (cycles, stalls, bytes, utilization) with JSON
+//!   serialization and a human roofline table. The `abm-dse` crate
 //!   annotates it with analytic-model predictions so simulated
 //!   utilization can be cross-checked against the paper's performance
 //!   model;
-//! * [`json`] — a minimal JSON syntax validator used by the writer
-//!   tests (and anyone consuming the exported files).
+//! * [`json`] — the workspace's one JSON writer (every exported
+//!   document, under one layout rule) and one parser (every document
+//!   read back).
 //!
 //! The crate sits below the simulator and the convolution engines in the
 //! dependency graph and has no dependencies of its own.

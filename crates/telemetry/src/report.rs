@@ -8,7 +8,7 @@
 //! then quantify how far the simulator and the paper's model disagree,
 //! which CI gates on.
 
-use crate::json::escape;
+use crate::json::Node;
 
 /// Aggregated telemetry for one simulated layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,50 +107,35 @@ impl TelemetryReport {
     /// Serializes the report as a JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"network\": \"{}\",\n", escape(&self.network)));
-        out.push_str(&format!("  \"freq_mhz\": {},\n", fmt_f64(self.freq_mhz)));
-        out.push_str("  \"layers\": [\n");
-        for (i, l) in self.layers.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"name\": \"{}\", ", escape(&l.name)));
-            out.push_str(&format!("\"compute_cycles\": {}, ", l.compute_cycles));
-            out.push_str(&format!("\"busy_cycles\": {}, ", l.busy_cycles));
-            out.push_str(&format!("\"stall_cycles\": {}, ", l.stall_cycles));
-            out.push_str(&format!(
-                "\"cu_utilization\": {}, ",
-                fmt_f64(l.cu_utilization)
-            ));
-            out.push_str(&format!(
-                "\"lane_efficiency\": {}, ",
-                fmt_f64(l.lane_efficiency)
-            ));
-            out.push_str(&format!("\"fifo_high_water\": {}, ", l.fifo_high_water));
-            out.push_str(&format!("\"read_bytes\": {}, ", l.read_bytes));
-            out.push_str(&format!("\"write_bytes\": {}, ", l.write_bytes));
-            out.push_str(&format!(
-                "\"compute_seconds\": {}, ",
-                fmt_f64(l.compute_seconds)
-            ));
-            out.push_str(&format!(
-                "\"memory_seconds\": {}, ",
-                fmt_f64(l.memory_seconds)
-            ));
-            out.push_str(&format!("\"memory_bound\": {}", l.memory_bound));
-            if let Some(m) = l.model_efficiency {
-                out.push_str(&format!(", \"model_efficiency\": {}", fmt_f64(m)));
-            }
-            if let Some(d) = l.divergence {
-                out.push_str(&format!(", \"divergence\": {}", fmt_f64(d)));
-            }
-            out.push('}');
-            if i + 1 < self.layers.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
+        Node::object(|o| {
+            o.field("network", &self.network);
+            o.field("freq_mhz", self.freq_mhz);
+            o.array("layers", |a| {
+                for l in &self.layers {
+                    a.object(|o| {
+                        o.field("name", &l.name);
+                        o.field("compute_cycles", l.compute_cycles);
+                        o.field("busy_cycles", l.busy_cycles);
+                        o.field("stall_cycles", l.stall_cycles);
+                        o.field("cu_utilization", l.cu_utilization);
+                        o.field("lane_efficiency", l.lane_efficiency);
+                        o.field("fifo_high_water", l.fifo_high_water);
+                        o.field("read_bytes", l.read_bytes);
+                        o.field("write_bytes", l.write_bytes);
+                        o.field("compute_seconds", l.compute_seconds);
+                        o.field("memory_seconds", l.memory_seconds);
+                        o.field("memory_bound", l.memory_bound);
+                        if let Some(m) = l.model_efficiency {
+                            o.field("model_efficiency", m);
+                        }
+                        if let Some(d) = l.divergence {
+                            o.field("divergence", d);
+                        }
+                    });
+                }
+            });
+        })
+        .render()
     }
 
     /// Renders the human-readable per-layer table with roofline
@@ -209,23 +194,10 @@ impl TelemetryReport {
     }
 }
 
-/// Formats an `f64` so it parses back as JSON (never `NaN`/`inf`, always
-/// with enough digits to round-trip a report through tooling).
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        let s = format!("{x}");
-        // `{}` on an integral f64 prints no decimal point; keep it a
-        // JSON number either way, but normalize for readability.
-        s
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::validate;
+    use crate::json::{parse, Value};
 
     fn sample() -> TelemetryReport {
         let mut l0 = LayerReport {
@@ -270,10 +242,11 @@ mod tests {
 
     #[test]
     fn json_is_well_formed() {
-        let json = sample().to_json();
-        validate(&json).unwrap();
-        assert!(json.contains("\"model_efficiency\": 0.9"));
-        assert!(json.contains("\"memory_bound\": true"));
+        let doc = parse(&sample().to_json()).unwrap();
+        let layers = doc.get("layers").and_then(Value::as_arr).unwrap();
+        assert_eq!(layers[0].get("model_efficiency"), Some(&Value::Num(0.9)));
+        assert_eq!(layers[1].get("memory_bound"), Some(&Value::Bool(true)));
+        assert_eq!(layers[1].get("model_efficiency"), None);
     }
 
     #[test]

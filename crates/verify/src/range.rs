@@ -49,6 +49,7 @@
 use crate::lowering::ConvGeometry;
 use crate::report::{Defect, VerifyReport};
 use abm_sparse::LayerCode;
+use abm_telemetry::json::{Node, Obj};
 
 /// A closed signed interval. `i128` keeps every bound computation
 /// overflow-free without case analysis (the widest real bound — a VGG
@@ -705,31 +706,32 @@ pub struct CertSummary {
 }
 
 impl CertSummary {
-    /// JSON rendering (one object; the file layer assembles arrays).
+    /// JSON rendering (one object).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"layer\":\"");
-        for c in self.layer.chars() {
-            match c {
-                '"' => s.push_str("\\\""),
-                '\\' => s.push_str("\\\\"),
-                c => s.push(c),
-            }
-        }
-        s.push_str(&format!(
-            "\",\"input\":[{},{}],\"stage1\":[{},{}],\"stage1_bits\":{},\"stage2\":[{},{}],\"stage2_bits\":{},\"abft_bits\":{},\"out_pow2\":{}}}",
-            self.input.lo,
-            self.input.hi,
-            self.stage1.lo,
-            self.stage1.hi,
-            self.stage1_bits,
-            self.stage2.lo,
-            self.stage2.hi,
-            self.stage2_bits,
-            self.abft_bits,
-            self.out_pow2,
-        ));
-        s
+        Node::from(self).render()
+    }
+}
+
+/// The summary as one object, for a certificate file to put in an array.
+impl From<&CertSummary> for Node {
+    fn from(c: &CertSummary) -> Self {
+        let interval = |o: &mut Obj, key, i: Interval| {
+            o.array(key, |a| {
+                a.item(i.lo);
+                a.item(i.hi);
+            });
+        };
+        Node::object(|o| {
+            o.field("layer", &c.layer);
+            interval(o, "input", c.input);
+            interval(o, "stage1", c.stage1);
+            o.field("stage1_bits", c.stage1_bits);
+            interval(o, "stage2", c.stage2);
+            o.field("stage2_bits", c.stage2_bits);
+            o.field("abft_bits", c.abft_bits);
+            o.field("out_pow2", c.out_pow2);
+        })
     }
 }
 
@@ -811,6 +813,7 @@ pub fn check_certificates(
 mod tests {
     use super::*;
     use abm_sparse::LayerCode;
+    use abm_telemetry::json::{self, Value};
     use abm_tensor::{Shape4, Tensor4};
 
     fn encode(
@@ -1027,9 +1030,22 @@ mod tests {
     fn summary_json_round_shape() {
         let (code, geom) = sample();
         let cert = certify_layer("CONV1", &code, &geom, AbsVal::i8_features());
-        let json = cert.summary().to_json();
-        assert!(json.starts_with("{\"layer\":\"CONV1\""));
-        assert!(json.contains("\"stage1_bits\":"));
-        assert!(json.ends_with('}'));
+        let doc = json::parse(&cert.summary().to_json()).unwrap();
+        assert_eq!(doc.get("layer").and_then(Value::as_str), Some("CONV1"));
+        assert_eq!(
+            doc.get("stage1_bits"),
+            Some(&Value::Num(f64::from(cert.stage1_bits)))
+        );
+        let stage2 = [cert.stage2.lo, cert.stage2.hi].map(|b| Value::Num(b as f64));
+        assert_eq!(doc.get("stage2").and_then(Value::as_arr), Some(&stage2[..]));
+    }
+
+    /// Control characters in a layer name are escaped.
+    #[test]
+    fn summary_json_escapes_layer_names() {
+        let (code, geom) = sample();
+        let summary = certify_layer("CONV\n1", &code, &geom, AbsVal::i8_features()).summary();
+        let doc = json::parse(&summary.to_json()).unwrap();
+        assert_eq!(doc.get("layer").and_then(Value::as_str), Some("CONV\n1"));
     }
 }

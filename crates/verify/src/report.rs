@@ -6,6 +6,7 @@
 //! so one enum names every invariant the reproduction claims to hold
 //! statically.
 
+use abm_telemetry::json::Node;
 use std::fmt;
 
 /// Which measured-vs-model quantity diverged (see
@@ -564,42 +565,23 @@ impl VerifyReport {
         self.defects.iter().any(|d| d.class() == class)
     }
 
-    /// Machine-readable JSON rendering (hand-rolled; validated by
-    /// `abm-telemetry`'s JSON checker in the integration tests).
+    /// Machine-readable JSON rendering.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\"subject\":\"");
-        escape_into(&self.subject, &mut s);
-        s.push_str("\",\"facts\":");
-        s.push_str(&self.facts.to_string());
-        s.push_str(",\"clean\":");
-        s.push_str(if self.is_clean() { "true" } else { "false" });
-        s.push_str(",\"defects\":[");
-        for (i, d) in self.defects.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"class\":\"");
-            s.push_str(d.class());
-            s.push_str("\",\"detail\":\"");
-            escape_into(&d.to_string(), &mut s);
-            s.push_str("\"}");
-        }
-        s.push_str("]}");
-        s
-    }
-}
-
-fn escape_into(raw: &str, out: &mut String) {
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+        Node::object(|o| {
+            o.field("subject", &self.subject);
+            o.field("facts", self.facts);
+            o.field("clean", self.is_clean());
+            o.array("defects", |a| {
+                for d in &self.defects {
+                    a.object(|o| {
+                        o.field("class", d.class());
+                        o.field("detail", d.to_string());
+                    });
+                }
+            });
+        })
+        .render()
     }
 }
 
@@ -626,6 +608,7 @@ impl fmt::Display for VerifyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abm_telemetry::json::{self, Value};
 
     #[test]
     fn clean_report_renders_and_serializes() {
@@ -633,10 +616,10 @@ mod tests {
         r.facts = 42;
         assert!(r.is_clean());
         assert!(r.to_string().contains("clean"));
-        let json = r.to_json();
-        assert!(json.contains("\"facts\":42"));
-        assert!(json.contains("\"clean\":true"));
-        assert!(json.contains("\"defects\":[]"));
+        let doc = json::parse(&r.to_json()).unwrap();
+        assert_eq!(doc.get("facts"), Some(&Value::Num(42.0)));
+        assert_eq!(doc.get("clean"), Some(&Value::Bool(true)));
+        assert_eq!(doc.get("defects"), Some(&Value::Arr(Vec::new())));
     }
 
     #[test]
@@ -659,9 +642,10 @@ mod tests {
         assert!(r.has_class("offset_mismatch"));
         assert!(r.has_class("model_divergence"));
         assert!(!r.has_class("fifo_overflow"));
-        let json = r.to_json();
-        assert!(json.contains("\"class\":\"offset_mismatch\""));
-        assert!(json.contains("traffic"));
+        let doc = json::parse(&r.to_json()).unwrap();
+        let defect = |i: usize, key| doc.get("defects")?.as_arr()?[i].get(key)?.as_str();
+        assert_eq!(defect(0, "class"), Some("offset_mismatch"));
+        assert!(defect(1, "detail").unwrap().contains("traffic"));
         let text = r.to_string();
         assert!(text.contains("stored 99, source index addresses 98"));
     }
@@ -687,8 +671,9 @@ mod tests {
             message: "bad\nstate".into(),
             trace: vec!["a", "b"],
         });
-        let json = r.to_json();
-        assert!(json.contains("layer \\\"x\\\""));
-        assert!(json.contains("\\n"));
+        let doc = json::parse(&r.to_json()).unwrap();
+        assert_eq!(doc.get("subject").unwrap().as_str(), Some("layer \"x\""));
+        let detail = doc.get("defects").unwrap().as_arr().unwrap()[0].get("detail");
+        assert!(detail.unwrap().as_str().unwrap().contains("bad\nstate"));
     }
 }

@@ -232,8 +232,9 @@ fn execute_faults_tiny_is_clean_and_writes_reports() {
         trace_out: Some(trace_path.to_string_lossy().into_owned()),
     })
     .unwrap();
-    let report = std::fs::read_to_string(&json_path).unwrap();
-    assert!(report.contains("\"clean\": true"));
+    let report = abm_telemetry::json::parse(&std::fs::read_to_string(&json_path).unwrap());
+    let clean = report.unwrap().get("clean").cloned();
+    assert_eq!(clean, Some(abm_telemetry::json::Value::Bool(true)));
     let trace = std::fs::read_to_string(&trace_path).unwrap();
     abm_telemetry::json::validate(&trace).unwrap();
     assert!(trace.contains("fault"), "fault track missing from trace");

@@ -19,7 +19,7 @@
 //!   must pass, and a synthetically degraded copy (every headline
 //!   metric scaled by 0.8) must fail.
 
-use abm_spconv_repro::telemetry::json::{self, Value};
+use abm_spconv_repro::telemetry::json::{self, Node, Value};
 use std::path::Path;
 
 /// Headline metrics gate at a 10% regression by default.
@@ -545,37 +545,43 @@ fn check_docs(root: &Path) -> Result<(), String> {
     }
 }
 
-/// Renders a minimal hotpath-schema JSON whose every per-variant figure
-/// (the gating `gacc_per_s` and the reported geomean) is the committed
-/// one scaled by `factor`.
+/// The member `key` of an object, for editing.
+fn member<'a>(v: &'a mut Value, key: &str) -> Option<&'a mut Value> {
+    let Value::Obj(fields) = v else { return None };
+    fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// The hotpath report with every per-variant figure (the gating
+/// `gacc_per_s` and the reported geomean) scaled by `factor`, rendered
+/// through the writer.
 fn degraded_hotpath(hotpath: &Value, factor: f64) -> Result<String, String> {
-    let variants = hotpath
-        .get("variants")
-        .and_then(Value::as_arr)
-        .ok_or("'variants' is not an array")?;
-    let mut entries = Vec::new();
+    let mut doc = hotpath.clone();
+    let Some(Value::Arr(variants)) = member(&mut doc, "variants") else {
+        return Err("'variants' is not an array".into());
+    };
     for var in variants {
-        let isa = var
-            .get("isa")
-            .and_then(Value::as_str)
-            .ok_or("variant without 'isa'")?;
-        let scaled = |field: &str| {
-            var.get(field)
-                .and_then(Value::as_f64)
-                .map(|x| x * factor)
-                .ok_or(format!("variant without '{field}'"))
-        };
-        entries.push(format!(
-            "{{\"isa\": \"{}\", \"gacc_per_s\": {:.3}, \"geomean_speedup\": {:.3}}}",
-            json::escape(isa),
-            scaled("gacc_per_s")?,
-            scaled("geomean_speedup")?
-        ));
+        for field in ["gacc_per_s", "geomean_speedup"] {
+            let Some(Value::Num(x)) = member(var, field) else {
+                return Err(format!("variant without '{field}'"));
+            };
+            *x *= factor;
+        }
     }
-    Ok(format!(
-        "{{\"variants\": [{}], \"layers\": []}}",
-        entries.join(", ")
-    ))
+    Ok(Node::from(&doc).render())
+}
+
+/// The serving benchmark with its first leg's `silent_corruptions` set
+/// to one, rendered through the writer.
+fn poisoned_serve(serve: &Value) -> Result<String, String> {
+    let mut doc = serve.clone();
+    let first_leg = match member(&mut doc, "runs") {
+        Some(Value::Arr(legs)) => legs.first_mut(),
+        _ => None,
+    };
+    *first_leg
+        .and_then(|leg| member(leg, "silent_corruptions"))
+        .ok_or("no first run with 'silent_corruptions'")? = Value::Num(1.0);
+    Ok(Node::from(&doc).render())
 }
 
 fn self_test(root: &Path) -> Result<(), String> {
@@ -589,9 +595,11 @@ fn self_test(root: &Path) -> Result<(), String> {
         diff_files(&serve, &serve, DEFAULT_THRESHOLD)?;
         // A benchmark reporting a silent corruption must be rejected
         // outright, before any ratio math.
-        let poisoned =
-            read(&serve)?.replacen("\"silent_corruptions\":0", "\"silent_corruptions\":1", 1);
-        json::validate(&poisoned)?;
+        let committed = read(&serve)?;
+        let poisoned = poisoned_serve(&json::parse(&committed)?)?;
+        if json::parse(&poisoned)? == json::parse(&committed)? {
+            return Err("self-test: poisoning left the serving benchmark unchanged".into());
+        }
         let tmp = std::env::temp_dir().join("abm_benchdiff_selftest_poisoned.json");
         std::fs::write(&tmp, &poisoned)
             .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
@@ -609,7 +617,6 @@ fn self_test(root: &Path) -> Result<(), String> {
     }
     // A 20% across-the-board degradation must trip the 10% gate.
     let degraded = degraded_hotpath(&json::parse(&read(&hot)?)?, 0.8)?;
-    json::validate(&degraded)?;
     let tmp = std::env::temp_dir().join("abm_benchdiff_selftest_degraded.json");
     std::fs::write(&tmp, &degraded).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
     let verdict = diff_files(&hot, &tmp, DEFAULT_THRESHOLD);

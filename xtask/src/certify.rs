@@ -8,8 +8,10 @@
 //! spurious or loosened entry is a `cert_stale` defect and a layer that
 //! now needs more bits than committed is a `cert_width_regression` —
 //! both fail the command, so CI turns a stale certificate file into a
-//! red build. With `--update` the file is rewritten from the fresh
-//! analysis (after the same validation gauntlet).
+//! red build. The committed file must also be the rendered document
+//! byte for byte, so it is always exactly the JSON writer's output.
+//! With `--update` the file is rewritten from the fresh analysis (after
+//! the same validation gauntlet).
 
 use crate::zoo::{lookup, SEED};
 use abm_model::synthesize_model;
@@ -18,7 +20,7 @@ use abm_sim::verify::workload_geometry;
 use abm_spconv_repro::conv::abm::reference::conv2d_instrumented;
 use abm_spconv_repro::conv::Geometry;
 use abm_spconv_repro::sparse::LayerCode;
-use abm_spconv_repro::telemetry::json::{self, Value};
+use abm_spconv_repro::telemetry::json::{self, Node, Value};
 use abm_spconv_repro::tensor::{Shape3, Tensor3};
 use abm_verify::{
     certify_layer, check_certificates, AbsVal, CertSummary, ExtremalPatch, Interval, VerifyReport,
@@ -38,16 +40,15 @@ const NETS: [&str; 2] = ["alexnet", "vgg16"];
 /// certificate fails validation or the committed file is stale.
 pub fn run(root: &Path, update: bool) -> Result<(), String> {
     let mut failures = Vec::new();
-    let mut rendered = String::from("{\n  \"seed\": ");
-    rendered.push_str(&SEED.to_string());
-    rendered.push_str(",\n  \"networks\": {\n");
+    let path = root.join(CERT_FILE);
     let committed = if update {
         None
     } else {
-        Some(read_committed(&root.join(CERT_FILE))?)
+        Some(read_committed(&path)?)
     };
 
-    for (n, name) in NETS.iter().enumerate() {
+    let mut networks = Vec::new();
+    for name in NETS {
         let (net, profile, _cfg) = lookup(name)?;
         let model = synthesize_model(&net, &profile, SEED);
         println!("{} (seed {SEED}):", net.name());
@@ -78,27 +79,24 @@ pub fn run(root: &Path, update: bool) -> Result<(), String> {
             }
             certs.push(cert);
         }
-        if let Some(committed) = &committed {
-            let have = committed.get(*name).map_or(&[][..], Vec::as_slice);
+        if let Some((committed, _)) = &committed {
+            let have = committed.get(name).map_or(&[][..], Vec::as_slice);
             let report = check_certificates(name, have, &certs);
             if !report.is_clean() {
                 failures.push(report.to_string());
             }
         }
-        rendered.push_str(&format!("    \"{name}\": [\n"));
-        for (i, cert) in certs.iter().enumerate() {
-            rendered.push_str("      ");
-            rendered.push_str(&cert.summary().to_json());
-            rendered.push_str(if i + 1 < certs.len() { ",\n" } else { "\n" });
-        }
-        rendered.push_str(if n + 1 < NETS.len() {
-            "    ],\n"
-        } else {
-            "    ]\n"
-        });
+        networks.push((name, certs));
     }
-    rendered.push_str("  }\n}\n");
-    json::validate(&rendered).map_err(|e| format!("rendered certificate file invalid: {e}"))?;
+    let rendered = Node::object(|o| {
+        o.field("seed", SEED);
+        o.object("networks", |o| {
+            for (name, certs) in &networks {
+                o.array(name, |a| certs.iter().for_each(|c| a.item(&c.summary())));
+            }
+        });
+    })
+    .render();
 
     if !failures.is_empty() {
         return Err(format!(
@@ -107,12 +105,18 @@ pub fn run(root: &Path, update: bool) -> Result<(), String> {
             failures.join("")
         ));
     }
-    if update {
-        let path = root.join(CERT_FILE);
-        std::fs::write(&path, rendered).map_err(|e| format!("{}: {e}", path.display()))?;
-        println!("certify: wrote {CERT_FILE}");
-    } else {
-        println!("certify: all certificates validated and {CERT_FILE} is current");
+    match committed {
+        None => {
+            std::fs::write(&path, rendered).map_err(|e| format!("{}: {e}", path.display()))?;
+            println!("certify: wrote {CERT_FILE}");
+        }
+        Some((_, text)) if text != rendered => {
+            return Err(format!(
+                "{CERT_FILE} is not the certificate writer's output byte for byte \
+                 (re-run with --update)"
+            ));
+        }
+        Some(_) => println!("certify: all certificates validated and {CERT_FILE} is current"),
     }
     Ok(())
 }
@@ -214,10 +218,12 @@ fn replay_one(
     Ok(3)
 }
 
-/// Parses the committed `CERT_zoo.json` into per-network summaries.
-fn read_committed(
-    path: &Path,
-) -> Result<std::collections::BTreeMap<String, Vec<CertSummary>>, String> {
+/// Per-network summaries of the committed certificate file.
+type Committed = std::collections::BTreeMap<String, Vec<CertSummary>>;
+
+/// Parses the committed `CERT_zoo.json` into per-network summaries,
+/// returned with the file's text.
+fn read_committed(path: &Path) -> Result<(Committed, String), String> {
     let text = std::fs::read_to_string(path).map_err(|e| {
         format!(
             "{}: {e} (run `cargo xtask verify --certify --update` to create it)",
@@ -243,7 +249,7 @@ fn read_committed(
         }
         out.insert(name.clone(), summaries);
     }
-    Ok(out)
+    Ok((out, text))
 }
 
 fn parse_summary(v: &Value) -> Result<CertSummary, String> {

@@ -11,21 +11,18 @@
 //! and freezes them into a post-mortem [`FlightDump`] the moment an
 //! `AbmError` surfaces.
 //!
-//! Three design rules keep the registry safe to leave on:
+//! Two design rules keep the registry safe to leave on:
 //!
 //! 1. **Never on the result path** — metrics observe durations and
 //!    counts; they can never change a computed value. The
 //!    `registry-on == registry-off` proptest and the `xtask metrics
 //!    --smoke` gate pin this.
-//! 2. **Reconciliation** — every simulator aggregate (`sim_*`) is
-//!    incremented with the same values carried by the corresponding
-//!    telemetry events, so summing a run's events must reproduce the
-//!    registry deltas *exactly* (asserted on AlexNet and VGG16 in
-//!    `tests/metrics.rs`).
-//! 3. **Compile-away option** — generic instrumentation can take an
-//!    `M: MetricSink`; [`NullRegistry`] (`ENABLED == false`) follows
-//!    the `Collector`/`Injector` const-ENABLED idiom and
-//!    monomorphizes instrumented code back to its bare form.
+//! 2. **One source for the simulator's aggregates** — the simulator
+//!    writes none of them. Its `sim_*` aggregates are
+//!    [`MetricsRegistry::fold`] over the event stream it recorded, so
+//!    they cannot drift from the stream; `tests/metrics.rs` pins the
+//!    fold, exactly, to the totals `NetworkSim` carries itself on
+//!    AlexNet and VGG16.
 //!
 //! Exposition: [`MetricsSnapshot::to_prometheus`] (text format),
 //! [`MetricsSnapshot::to_json`] (through `abm_telemetry::json`),
@@ -34,13 +31,15 @@
 
 pub mod expose;
 pub mod flight;
+pub mod fold;
 pub mod registry;
 
 pub use expose::MetricsSnapshot;
 pub use flight::{stable_line, FlightDump, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
+pub use fold::{SIM_COMPUTE_CYCLES, SIM_LAYERS, SIM_PREFIX};
 pub use registry::{
-    bucket_floor, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, MetricSink,
-    MetricsRegistry, NullRegistry, HISTOGRAM_BUCKETS,
+    bucket_floor, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
+    HISTOGRAM_BUCKETS,
 };
 
 use abm_telemetry::TelemetrySink;

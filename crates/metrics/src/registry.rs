@@ -301,37 +301,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// The sink abstraction mirroring the `Collector`/`Injector`
-/// const-ENABLED idiom: code instrumented against a generic
-/// `M: MetricSink` monomorphizes to the uninstrumented form when the
-/// sink is [`NullRegistry`] (`ENABLED == false` lets the optimizer
-/// delete every call site behind `if M::ENABLED`).
-pub trait MetricSink {
-    /// Whether this sink records anything at all.
-    const ENABLED: bool;
-    /// Adds `v` to the named counter.
-    fn counter_add(&self, name: &str, v: u64);
-    /// Stores `v` in the named gauge.
-    fn gauge_set(&self, name: &str, v: u64);
-    /// Raises the named gauge to `v` if larger.
-    fn gauge_max(&self, name: &str, v: u64);
-    /// Records `v` into the named histogram.
-    fn observe(&self, name: &str, v: u64);
-}
-
-/// The compile-away sink: every method is a no-op and `ENABLED` is
-/// false, so instrumented generic code collapses to its bare form.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullRegistry;
-
-impl MetricSink for NullRegistry {
-    const ENABLED: bool = false;
-    fn counter_add(&self, _name: &str, _v: u64) {}
-    fn gauge_set(&self, _name: &str, _v: u64) {}
-    fn gauge_max(&self, _name: &str, _v: u64) {}
-    fn observe(&self, _name: &str, _v: u64) {}
-}
-
 fn read_map<T>(
     map: &RwLock<BTreeMap<String, Arc<T>>>,
 ) -> std::sync::RwLockReadGuard<'_, BTreeMap<String, Arc<T>>> {
@@ -492,22 +461,6 @@ impl MetricsRegistry {
     }
 }
 
-impl MetricSink for MetricsRegistry {
-    const ENABLED: bool = true;
-    fn counter_add(&self, name: &str, v: u64) {
-        self.add(name, v);
-    }
-    fn gauge_set(&self, name: &str, v: u64) {
-        MetricsRegistry::gauge_set(self, name, v);
-    }
-    fn gauge_max(&self, name: &str, v: u64) {
-        MetricsRegistry::gauge_max(self, name, v);
-    }
-    fn observe(&self, name: &str, v: u64) {
-        MetricsRegistry::observe(self, name, v);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,16 +556,6 @@ mod tests {
         assert!(s.counters.values().all(|&v| v == 0));
         assert!(s.gauges.values().all(|&v| v == 0));
         assert!(s.histograms.values().all(|h| h.count == 0));
-    }
-
-    #[test]
-    fn null_registry_is_disabled_and_inert() {
-        const { assert!(!NullRegistry::ENABLED) };
-        let n = NullRegistry;
-        n.counter_add("x", 1);
-        n.observe("x", 1);
-        n.gauge_set("x", 1);
-        n.gauge_max("x", 1);
     }
 
     #[test]

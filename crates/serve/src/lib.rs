@@ -5,11 +5,11 @@
 //! [`abm-conv`](abm_conv) into an online service with explicit
 //! robustness contracts:
 //!
-//! * **Admission control** ([`cost`]) — the cycle-accurate simulator
-//!   predicts per-request cost; requests whose deadline the predicted
-//!   queue drain already exceeds are shed *before* consuming resources,
-//!   with the typed [`AbmError::Overloaded`](abm_fault::AbmError)
-//!   rejection.
+//! * **Admission control** ([`cost`]) — the warm-up's measured
+//!   per-image time prices each request; requests whose deadline the
+//!   predicted queue drain already exceeds are shed *before* consuming
+//!   resources, with the typed
+//!   [`AbmError::Overloaded`](abm_fault::AbmError) rejection.
 //! * **Dynamic batching** ([`server`]) — a bounded queue feeds a
 //!   coalescing batcher (up to `max_batch` requests per
 //!   `batch_window`), which dispatches to workers running the existing

@@ -465,11 +465,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Builds the cost model (one simulator run), prepares the weights
-    /// — once; the workers share them — and warms them up on one thread
-    /// (calibrating the cost model against measured host time:
-    /// admission prices a worker that runs its batch alone), then
-    /// spawns the batcher, `cfg.workers` workers and the watchdog.
+    /// Prepares the weights — once; the workers share them — and warms
+    /// them up on one thread (the cost model's estimate is the warm-up's
+    /// measured time per image: admission prices a worker that runs its
+    /// batch alone), then spawns the batcher, `cfg.workers` workers and
+    /// the watchdog. The accelerator configuration is accepted and
+    /// unused, so any value is safe: nothing on the served path
+    /// simulates.
     ///
     /// # Errors
     ///
@@ -478,17 +480,16 @@ impl Server {
     /// wrapped from config validation.
     pub fn start(
         model: Arc<SparseModel>,
-        accel: &AcceleratorConfig,
+        _accel: &AcceleratorConfig,
         cfg: ServeConfig,
     ) -> Result<Self, AbmError> {
         cfg.validate().map_err(|detail| AbmError::CodeCorrupt {
             kernel: 0,
             detail: format!("invalid serve config: {detail}"),
         })?;
-        let cost = CostModel::from_simulation(&model, accel);
-
         // Validate the model end to end and calibrate the cost model
         // before the first real request can be admitted.
+        let cost = CostModel::fixed(1);
         let weights = {
             let inferencer = hardened(&model);
             let prepared = inferencer.prepare()?;
@@ -655,13 +656,6 @@ impl Server {
     #[must_use]
     pub fn service_estimate(&self) -> Duration {
         self.shared.cost.service_estimate()
-    }
-
-    /// The simulator's per-image compute-cycle estimate backing
-    /// admission control.
-    #[must_use]
-    pub fn cycles_per_image(&self) -> u64 {
-        self.shared.cost.cycles_per_image()
     }
 
     /// A handle clone of the one prepared model every worker runs on —

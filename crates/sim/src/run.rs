@@ -356,13 +356,6 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
         let collector = &mut self.collector;
         let rows_pw = w.rows_per_window(cfg);
         let windows = w.window_count(cfg);
-        // Metrics mirror: every `sim_*` aggregate below is incremented with
-        // the **same value** the adjacent telemetry event carries, and only
-        // inside `C::ENABLED` blocks — so the NullCollector path stays
-        // byte-identical to the uninstrumented simulation, and summing a
-        // collected run's events reproduces the registry deltas exactly
-        // (the reconciliation invariant `tests/metrics.rs` pins).
-        let metrics_on = C::ENABLED && abm_metrics::enabled();
         if C::ENABLED {
             collector.record(Event::LayerBegin {
                 layer,
@@ -380,20 +373,12 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
                     continue;
                 }
                 let obs = lane::vector_cycles_probed(kernel, cfg.n as u64, cfg.fifo_depth);
-                let mult_busy = kernel.distinct() as u64 * cfg.n as u64;
-                if metrics_on {
-                    let m = abm_metrics::global();
-                    m.add("sim_acc_busy_cycles_total", obs.cycles.acc_busy);
-                    m.add("sim_acc_stall_cycles_total", obs.cycles.acc_stall);
-                    m.add("sim_mult_busy_cycles_total", mult_busy);
-                    m.gauge_max("sim_fifo_high_water", u64::from(obs.fifo_high_water));
-                }
                 collector.record(Event::LaneStats {
                     layer,
                     kernel: k as u32,
                     acc_busy: obs.cycles.acc_busy,
                     acc_stall: obs.cycles.acc_stall,
-                    mult_busy,
+                    mult_busy: kernel.distinct() as u64 * cfg.n as u64,
                     fifo_high_water: obs.fifo_high_water,
                 });
             }
@@ -427,12 +412,6 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
                     depth: w.batches(cfg) as u32,
                 });
                 let t = window_traffic(w, cfg, i);
-                if metrics_on {
-                    let m = abm_metrics::global();
-                    m.gauge_max("sim_queue_depth_high_water", w.batches(cfg) as u64);
-                    m.add("sim_ddr_read_bytes_total", t.read_bytes);
-                    m.add("sim_ddr_write_bytes_total", t.write_bytes);
-                }
                 collector.record(Event::DdrWindow {
                     layer,
                     window: i as u32,
@@ -441,22 +420,8 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
                 });
             }
         }
-        // Per-CU busy counters are resolved once per layer (never inside
-        // the scheduling callback) so the mirror adds no name lookups to
-        // the per-task path.
-        let cu_busy: Option<Vec<std::sync::Arc<abm_metrics::Counter>>> = metrics_on.then(|| {
-            (0..cfg.n_cu)
-                .map(|c| abm_metrics::global().counter(&format!("sim_cu{c}_busy_cycles_total")))
-                .collect()
-        });
-        let cu_busy_all =
-            metrics_on.then(|| abm_metrics::global().counter("sim_cu_busy_cycles_total"));
         let sched = schedule_window_with(&all_tasks, cfg.n_cu, self.policy, |cu, s, e| {
             if C::ENABLED {
-                if let (Some(per_cu), Some(all)) = (&cu_busy, &cu_busy_all) {
-                    per_cu[cu].add(e - s);
-                    all.add(e - s);
-                }
                 collector.record(Event::CuTask {
                     layer,
                     cu: cu as u32,
@@ -488,11 +453,6 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
         let bottleneck = w.bottleneck_profile(cfg);
         let stall_cycles = bottleneck.stall_cycles_per_vector * total_vectors;
         if C::ENABLED {
-            if metrics_on {
-                let m = abm_metrics::global();
-                m.add("sim_layers_total", 1);
-                m.add("sim_compute_cycles_total", compute_cycles);
-            }
             collector.record(Event::LayerEnd {
                 layer,
                 cycle: start_cycle + compute_cycles,

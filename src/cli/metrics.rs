@@ -42,8 +42,8 @@ pub(super) fn run(command: &Command) -> Result<(), Box<dyn Error>> {
         .parallelism(*parallelism)
         .telemetry(sink)
         .run_batch(&inputs)?;
-    // A collected simulation populates the sim_* aggregates
-    // (mirrored 1:1 from the telemetry event stream).
+    // A collected simulation, whose recorded event stream the
+    // registry folds into the sim_* aggregates.
     let cfg = AcceleratorConfig::paper_for(net);
     let mut recording = RecordingCollector::new();
     let ctx = SimContext {
@@ -53,6 +53,7 @@ pub(super) fn run(command: &Command) -> Result<(), Box<dyn Error>> {
     let sim = ctx
         .collector(&mut recording)
         .simulate_network(&model, &cfg)?;
+    registry.fold(recording.events());
     println!(
         "{} metrics (seed {seed}, batch {batch}, host threads: {parallelism}):",
         network.name()

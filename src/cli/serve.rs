@@ -44,9 +44,8 @@ pub(super) fn run(command: &Command) -> Result<(), Box<dyn Error>> {
     let server = abm_serve::Server::start(std::sync::Arc::clone(&model), &accel, cfg)?;
     let service = server.service_estimate();
     println!(
-        "{} serving: {} cycles/image simulated, {} us/image calibrated, {} worker(s)",
+        "{} serving: {} us/image calibrated, {} worker(s)",
         network.name(),
-        server.cycles_per_image(),
         service.as_micros(),
         workers
     );

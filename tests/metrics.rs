@@ -1,9 +1,10 @@
 //! The metrics registry's three contracts, end to end:
 //!
-//! 1. **Exact reconciliation** — every `sim_*` aggregate is mirrored
-//!    from the same values the adjacent telemetry events carry, so
-//!    summing a collected run's events must reproduce the registry
-//!    deltas *exactly* (no sampling, no drift), on AlexNet and VGG16.
+//! 1. **Exact reconciliation** — the simulator writes none of its
+//!    aggregates; the registry's fold over a collected run's event
+//!    stream must equal the totals the run's `NetworkSim` carries
+//!    itself *exactly* (compute cycles, layers, per-CU busy cycles,
+//!    DDR bytes), on AlexNet and VGG16.
 //! 2. **Observation never perturbs results** — inference with the
 //!    registry on (and a flight-teed sink attached) is bit-identical
 //!    to inference with it off, across synthesis randomness.
@@ -29,7 +30,7 @@ use abm_spconv_repro::model::{
     synthesize_model, zoo, LayerProfile, Network, PruneProfile, SparseModel,
 };
 use abm_spconv_repro::serve::{synth_input, ChaosConfig, ServeConfig, ServeStats, Server};
-use abm_spconv_repro::sim::{AcceleratorConfig, SimContext};
+use abm_spconv_repro::sim::{AcceleratorConfig, LayerSim, SimContext};
 use abm_spconv_repro::telemetry::{json, Event, RecordingCollector, TelemetrySink};
 use abm_spconv_repro::tensor::Tensor3;
 use proptest::prelude::*;
@@ -87,70 +88,8 @@ fn synthetic_input(net: &Network, salt: usize) -> Tensor3<i16> {
 }
 
 // ---------------------------------------------------------------------
-// 1. Exact reconciliation: summed events == registry deltas.
+// 1. Exact reconciliation: the fold == the simulation's own totals.
 // ---------------------------------------------------------------------
-
-/// Everything the `sim_*` metrics claim, recomputed from the recorded
-/// event stream.
-#[derive(Default)]
-struct EventSums {
-    acc_busy: u64,
-    acc_stall: u64,
-    mult_busy: u64,
-    fifo_high_water: u64,
-    queue_depth_high_water: u64,
-    ddr_read: u64,
-    ddr_write: u64,
-    cu_busy_total: u64,
-    cu_busy: BTreeMap<u32, u64>,
-    layers: u64,
-    compute_cycles: u64,
-}
-
-fn sum_events(events: &[Event]) -> EventSums {
-    let mut s = EventSums::default();
-    let mut begin: BTreeMap<u32, u64> = BTreeMap::new();
-    for e in events {
-        match e {
-            Event::LaneStats {
-                acc_busy,
-                acc_stall,
-                mult_busy,
-                fifo_high_water,
-                ..
-            } => {
-                s.acc_busy += acc_busy;
-                s.acc_stall += acc_stall;
-                s.mult_busy += mult_busy;
-                s.fifo_high_water = s.fifo_high_water.max(u64::from(*fifo_high_water));
-            }
-            Event::QueueDepth { depth, .. } => {
-                s.queue_depth_high_water = s.queue_depth_high_water.max(u64::from(*depth));
-            }
-            Event::DdrWindow {
-                read_bytes,
-                write_bytes,
-                ..
-            } => {
-                s.ddr_read += read_bytes;
-                s.ddr_write += write_bytes;
-            }
-            Event::CuTask { cu, start, end, .. } => {
-                s.cu_busy_total += end - start;
-                *s.cu_busy.entry(*cu).or_default() += end - start;
-            }
-            Event::LayerBegin { layer, cycle, .. } => {
-                begin.insert(*layer, *cycle);
-            }
-            Event::LayerEnd { layer, cycle } => {
-                s.layers += 1;
-                s.compute_cycles += cycle - begin.get(layer).copied().unwrap_or(0);
-            }
-            _ => {}
-        }
-    }
-    s
-}
 
 fn reconcile_network(name: &str, network: Network, profile: PruneProfile, cfg: AcceleratorConfig) {
     let model = synthesize_model(&network, &profile, 2019);
@@ -160,69 +99,48 @@ fn reconcile_network(name: &str, network: Network, profile: PruneProfile, cfg: A
         parallelism: Parallelism::Serial,
         ..SimContext::default()
     };
-    serial
+    let sim = serial
         .collector(&mut rec)
         .simulate_network(&model, &cfg)
         .unwrap();
+    assert_eq!(
+        sum_of(&registry.snapshot(), "sim_"),
+        0,
+        "{name}: the simulator wrote the registry"
+    );
+    registry.fold(rec.events());
     let snap = registry.snapshot();
     let counter = |n: &str| snap.counters.get(n).copied().unwrap_or(0);
-    let gauge = |n: &str| snap.gauges.get(n).copied().unwrap_or(0);
-    let expect = sum_events(rec.events());
+    let sum = |f: fn(&LayerSim) -> u64| sim.layers().iter().map(f).sum::<u64>();
     assert_eq!(
-        counter("sim_acc_busy_cycles_total"),
-        expect.acc_busy,
+        counter("sim_compute_cycles_total"),
+        sim.summary().compute_cycles,
         "{name}"
     );
     assert_eq!(
-        counter("sim_acc_stall_cycles_total"),
-        expect.acc_stall,
+        counter("sim_layers_total"),
+        sim.layers().len() as u64,
         "{name}"
     );
-    assert_eq!(
-        counter("sim_mult_busy_cycles_total"),
-        expect.mult_busy,
-        "{name}"
-    );
-    assert_eq!(
-        gauge("sim_fifo_high_water"),
-        expect.fifo_high_water,
-        "{name}"
-    );
-    assert_eq!(
-        gauge("sim_queue_depth_high_water"),
-        expect.queue_depth_high_water,
-        "{name}"
-    );
+    let busy = sum(|l| l.busy_cycles);
+    assert_eq!(counter("sim_cu_busy_cycles_total"), busy, "{name}");
+    let per_cu: Vec<u64> = (0..cfg.n_cu)
+        .map(|cu| counter(&format!("sim_cu{cu}_busy_cycles_total")))
+        .collect();
+    assert!(per_cu.iter().all(|&b| b > 0), "{name}: idle CU {per_cu:?}");
+    assert_eq!(per_cu.iter().sum::<u64>(), busy, "{name}");
     assert_eq!(
         counter("sim_ddr_read_bytes_total"),
-        expect.ddr_read,
+        sum(|l| l.traffic.feature_in_bytes + l.traffic.weight_bytes),
         "{name}"
     );
     assert_eq!(
         counter("sim_ddr_write_bytes_total"),
-        expect.ddr_write,
-        "{name}"
-    );
-    assert_eq!(
-        counter("sim_cu_busy_cycles_total"),
-        expect.cu_busy_total,
-        "{name}"
-    );
-    for (cu, busy) in &expect.cu_busy {
-        assert_eq!(
-            counter(&format!("sim_cu{cu}_busy_cycles_total")),
-            *busy,
-            "{name} CU {cu}"
-        );
-    }
-    assert_eq!(counter("sim_layers_total"), expect.layers, "{name}");
-    assert_eq!(
-        counter("sim_compute_cycles_total"),
-        expect.compute_cycles,
+        sum(|l| l.traffic.feature_out_bytes),
         "{name}"
     );
     assert!(
-        expect.layers > 0 && expect.acc_busy > 0,
+        counter("sim_acc_busy_cycles_total") > 0,
         "{name}: empty run"
     );
 }

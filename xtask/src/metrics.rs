@@ -1,6 +1,6 @@
 //! `cargo xtask metrics [--smoke]` — the metrics-registry CI gate.
 //!
-//! Proves, in-process and in seconds, the three properties DESIGN.md
+//! Proves, in-process and in seconds, the four properties DESIGN.md
 //! §14 promises of the always-on registry:
 //!
 //! 1. **Observation never perturbs results**: a batch inference with
@@ -12,11 +12,15 @@
 //!    the Prometheus text carries `# TYPE` lines.
 //! 3. **The flight recorder works end-to-end**: teed telemetry events
 //!    land in the ring, and a surfaced error freezes a non-empty dump.
+//! 4. **The simulator's aggregates are a fold**: a collected simulation
+//!    leaves every `sim_*` counter at 0, and folding its recorded
+//!    stream yields the `NetworkSim`'s own compute cycles and layers.
 
 use abm_spconv_repro::conv::{Inferencer, Parallelism};
 use abm_spconv_repro::metrics;
 use abm_spconv_repro::model::{synthesize_model, zoo, LayerProfile, PruneProfile};
-use abm_spconv_repro::telemetry::{json, TelemetrySink};
+use abm_spconv_repro::sim::{AcceleratorConfig, SimContext};
+use abm_spconv_repro::telemetry::{json, RecordingCollector, TelemetrySink};
 use abm_spconv_repro::tensor::Tensor3;
 use std::path::Path;
 
@@ -25,7 +29,7 @@ use std::path::Path;
 ///
 /// # Errors
 ///
-/// Returns a message when any of the three properties fails.
+/// Returns a message when any of the four properties fails.
 pub fn run(_root: &Path) -> Result<(), String> {
     let network = zoo::tiny();
     let profile = PruneProfile::uniform(LayerProfile::new(0.6, 16));
@@ -101,6 +105,44 @@ pub fn run(_root: &Path) -> Result<(), String> {
         "metrics smoke: flight recorder mirrored {} event(s); dump holds {}",
         teed.len(),
         dump.events.len()
+    );
+
+    // Property 4: the simulator writes none of its aggregates; the
+    // registry folds the stream it recorded.
+    let mut recording = RecordingCollector::new();
+    let sim = SimContext {
+        parallelism: Parallelism::Serial,
+        ..SimContext::default()
+    }
+    .collector(&mut recording)
+    .simulate_network(&model, &AcceleratorConfig::paper())
+    .map_err(|e| format!("collected simulation failed: {e}"))?;
+    let written: u64 = registry
+        .snapshot()
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with(metrics::SIM_PREFIX))
+        .map(|(_, v)| v)
+        .sum();
+    if written != 0 {
+        return Err(format!(
+            "a collected simulation wrote {written} into the simulator's counters"
+        ));
+    }
+    registry.fold(recording.events());
+    let folded = registry.snapshot();
+    for (name, want) in [
+        (metrics::SIM_COMPUTE_CYCLES, sim.summary().compute_cycles),
+        (metrics::SIM_LAYERS, sim.layers().len() as u64),
+    ] {
+        let got = folded.counters.get(name).copied().unwrap_or(0);
+        if got != want {
+            return Err(format!("fold reads {name} = {got}, NetworkSim {want}"));
+        }
+    }
+    println!(
+        "metrics smoke: the simulator wrote none of its counters; the fold of {} event(s) equals NetworkSim",
+        recording.events().len()
     );
     Ok(())
 }

@@ -219,3 +219,102 @@ fn pinned_pipelined_alexnet_batch4_cycles() {
     assert_eq!(seq.cycles_per_image, 615_780);
     assert_eq!(seq.total_cycles, 2_463_120);
 }
+
+/// Every synthesized weight, pinned through one FNV-1a digest of each
+/// layer's weights (`i8` as bytes, row-major). The simulation and
+/// output pins above see a drifted draw only where it moves a sum or a
+/// cycle; these see every one, so a faster synthesis loop must give the
+/// same weights, not merely the same statistics.
+#[test]
+fn pinned_synthesized_weight_digests() {
+    use abm_spconv_repro::fault::fnv1a_bytes;
+    use abm_spconv_repro::model::SparseModel;
+
+    fn digests(model: &SparseModel) -> Vec<(&str, u64)> {
+        model
+            .layers
+            .iter()
+            .map(|l| {
+                let bytes = l.weights.as_slice().iter().map(|&w| w as u8);
+                (l.name(), fnv1a_bytes(bytes))
+            })
+            .collect()
+    }
+    let tiny = |seed| {
+        let profile = PruneProfile::uniform(LayerProfile::new(0.6, 16));
+        synthesize_model(&zoo::tiny(), &profile, seed)
+    };
+    let alexnet_at = |seed| {
+        synthesize_model(
+            &zoo::alexnet(),
+            &PruneProfile::alexnet_deep_compression(),
+            seed,
+        )
+    };
+
+    assert_eq!(
+        digests(&tiny(2019)),
+        [
+            ("CONV1", 0xf7f4_15e5_1ec6_ea3e),
+            ("CONV2", 0x2702_9198_ed90_03db),
+            ("FC3", 0xa591_f3d8_a6e1_d542),
+            ("FC4", 0x804e_2c1e_12de_2d47),
+        ]
+    );
+    assert_eq!(
+        digests(&tiny(7)),
+        [
+            ("CONV1", 0x0cc0_de68_0539_9047),
+            ("CONV2", 0x9f5b_66a3_fc11_c655),
+            ("FC3", 0xa02a_1037_9a37_fdbb),
+            ("FC4", 0x172c_570a_03e0_cecd),
+        ]
+    );
+    assert_eq!(
+        digests(&alexnet()),
+        [
+            ("CONV1", 0xf05a_a00b_2816_02ec),
+            ("CONV2", 0x4f57_fcb3_e743_e787),
+            ("CONV3", 0x0d4f_d0b3_c946_5dea),
+            ("CONV4", 0x4119_e7ba_1055_476f),
+            ("CONV5", 0x03d9_9055_bfac_7b21),
+            ("FC6", 0x1930_d38a_439f_b923),
+            ("FC7", 0xfdf2_18da_e556_3758),
+            ("FC8", 0x7cf0_b6ef_9695_a4ee),
+        ]
+    );
+    assert_eq!(
+        digests(&alexnet_at(7)),
+        [
+            ("CONV1", 0xbcae_d08f_1f51_c2f4),
+            ("CONV2", 0xc4fa_7ddc_5411_79a8),
+            ("CONV3", 0xbd8e_7a83_4bca_51b0),
+            ("CONV4", 0x8f15_fde2_44c1_cc65),
+            ("CONV5", 0xdad4_7d9c_8321_f5cf),
+            ("FC6", 0xa1d8_cf4f_d2f9_8a73),
+            ("FC7", 0xa041_e379_3d7a_e46c),
+            ("FC8", 0x2900_95bd_7edc_714f),
+        ]
+    );
+    assert_eq!(
+        digests(&vgg16()),
+        [
+            ("CONV1_1", 0x192e_a5b6_6367_7ee7),
+            ("CONV1_2", 0x163d_869e_6e1a_6ce3),
+            ("CONV2_1", 0x2dbd_541e_c159_3543),
+            ("CONV2_2", 0xfd7c_c82c_2957_8c6b),
+            ("CONV3_1", 0xd664_a904_571d_abd9),
+            ("CONV3_2", 0x150e_b433_3fab_eca1),
+            ("CONV3_3", 0xc92a_6abb_20aa_ea1e),
+            ("CONV4_1", 0x2280_63f5_a015_788c),
+            ("CONV4_2", 0xc7dd_d204_5716_9773),
+            ("CONV4_3", 0xd121_6090_2154_5a0e),
+            ("CONV5_1", 0xd5b3_2870_cfac_1d41),
+            ("CONV5_2", 0xe439_cb44_ec11_6424),
+            ("CONV5_3", 0x3fd4_7160_7aae_1387),
+            ("FC6", 0x307a_7c80_36cb_b326),
+            ("FC7", 0x978d_257b_c828_aa42),
+            ("FC8", 0xe5de_e68a_3857_3766),
+        ]
+    );
+}

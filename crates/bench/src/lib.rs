@@ -1,17 +1,24 @@
 //! Shared helpers for the benchmark harness: model construction and
 //! table formatting used by the per-table/per-figure binaries.
 //!
-//! Each binary regenerates one artifact of the paper's evaluation:
+//! Each binary regenerates one artifact of the paper's evaluation or
+//! one study beyond it:
 //!
-//! | binary    | artifact |
-//! |-----------|----------|
-//! | `table1`  | #OP comparison across convolution schemes (VGG16) |
-//! | `table2`  | comparison with state-of-the-art accelerators |
-//! | `table3`  | design parameters and encoded weight sizes |
-//! | `figure1` | roofline of the design spaces on the GXA7 |
-//! | `figure6` | exploration of the optimal `N_knl` |
-//! | `figure7` | attainable throughput in the `S_ec × N_cu` plane |
-//! | `ablation`| design-choice ablations (N, FIFO depth, scheduler…) |
+//! | binary       | artifact |
+//! |--------------|----------|
+//! | `table1`     | #OP comparison across convolution schemes (VGG16) |
+//! | `table2`     | comparison with state-of-the-art accelerators |
+//! | `table3`     | design parameters and encoded weight sizes |
+//! | `figure1`    | roofline of the design spaces on the GXA7 |
+//! | `figure4`    | the encoding's worked example |
+//! | `figure6`    | exploration of the optimal `N_knl` |
+//! | `figure7`    | attainable throughput in the `S_ec × N_cu` plane |
+//! | `ablation`   | design-choice ablations (N, FIFO depth, scheduler…) |
+//! | `precision`  | the 16-bit accumulator study |
+//! | `sweep`      | sparsity × codebook plane |
+//! | `projection` | the Figure-5 flow on Arria-10 and VGG19 |
+//! | `energy`     | first-order energy per inference |
+//! | `pipeline`   | simulated pipelined batch throughput, `BENCH_pipeline.json` |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,7 +3,8 @@
 //!
 //! Shapes mimic a mid-network VGG layer: ~40 distinct values per
 //! kernel, a few hundred taps, unit stride. Not a substitute for the
-//! `hotpath` bench — just a sanity check that the vector paths pay.
+//! repo benchmark's per-layer timings — just a sanity check that the
+//! vector paths pay.
 
 use abm_kernel::{gather_one, resolve, select, Isa};
 use std::hint::black_box;

@@ -1,7 +1,8 @@
 //! Differential and regression tests for the runtime-dispatched kernel
 //! variants (`abm-kernel`): every variant the CPU can execute is forced
 //! through the `ABM_FORCE_ISA` environment pin and checked bit-identical
-//! against the interpretive `abm::reference` oracle, and the
+//! against the interpretive `abm::reference` oracle — on random layers
+//! and on every conv layer of the seeded AlexNet and VGG16 — and the
 //! verifier-proven narrow-accumulator (`i32`) path is pinned to exact
 //! integers on an AlexNet layer. The kernels' lane pitch — what lets a
 //! fully-connected layer sweep across a batch from its one offset
@@ -17,13 +18,14 @@ use abm_spconv_repro::conv::abm::{self, PreparedConv};
 use abm_spconv_repro::conv::Geometry;
 use abm_spconv_repro::kernel::{self, gather_one, AccWidth, Isa, FORCE_ISA_ENV};
 use abm_spconv_repro::model::{
-    synthesize_model, ConvSpec, Layer, LayerKind, LayerProfile, Network, PruneProfile, SparseLayer,
+    synthesize_model, zoo, ConvSpec, Layer, LayerKind, LayerProfile, Network, PruneProfile,
+    SparseLayer,
 };
 use abm_spconv_repro::sparse::{FlatKernel, LayerCode};
 use abm_spconv_repro::tensor::{Shape3, Shape4, Tensor3, Tensor4};
 use abm_spconv_repro::verify::AccumulatorModel;
 use proptest::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Serializes every `ABM_FORCE_ISA` writer in this test binary.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -44,7 +46,7 @@ fn with_forced_isa<T>(value: &str, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Deterministic i16 activations (the bench harness's LCG family).
+/// Deterministic i16 activations (a 32-bit LCG's high bits).
 fn synth_input(shape: Shape3) -> Tensor3<i16> {
     let mut state = 0x9e37_79b9_u64;
     Tensor3::from_fn(shape, |_, _, _| {
@@ -104,6 +106,53 @@ fn forced_isa_env_routes_dispatch() {
         err.to_string().contains("unknown ISA"),
         "typo'd pin must surface: {err}"
     );
+}
+
+/// Every conv layer of the seed-2019 AlexNet and VGG16 — 18 layers,
+/// strided, grouped and padded, planes from 224×224 down to 13×13 — on
+/// one synthesized input: the auto dispatch (the `ABM_FORCE_ISA` pin
+/// when one is set) and every ISA the CPU runs, pinned, are
+/// bit-identical to the interpretive oracle.
+#[test]
+fn zoo_conv_layers_match_the_oracle_on_every_isa() {
+    let nets = [
+        (zoo::alexnet(), PruneProfile::alexnet_deep_compression()),
+        (zoo::vgg16(), PruneProfile::vgg16_deep_compression()),
+    ];
+    let mut checked = 0;
+    for (net, profile) in nets {
+        let model = synthesize_model(&net, &profile, 2019);
+        for layer in &model.layers {
+            let LayerKind::Conv(spec) = &layer.layer.layer.kind else {
+                continue;
+            };
+            let geom = Geometry::new(spec.stride, spec.pad).with_groups(spec.groups);
+            let in_shape = layer.layer.input_shape;
+            let input = synth_input(in_shape);
+            let code = Arc::new(LayerCode::encode(&layer.weights).expect("encodable"));
+            let oracle = abm::reference::conv2d(&input, &code, geom).expect("reference conv");
+            let auto = {
+                let _guard = ENV_LOCK.lock().expect("env lock");
+                PreparedConv::try_new(Arc::clone(&code), in_shape, geom, None).expect("preparable")
+            };
+            let pinned = Isa::detect_all().into_iter().map(|isa| {
+                let prep = PreparedConv::try_new(Arc::clone(&code), in_shape, geom, Some(isa));
+                (isa.name(), prep.expect("preparable"))
+            });
+            for (label, prep) in std::iter::once(("auto", auto)).chain(pinned) {
+                let out = prep.execute(&input);
+                assert!(
+                    out == oracle,
+                    "{}/{}: {label} ({}) diverged from the oracle",
+                    net.name(),
+                    layer.name(),
+                    prep.selection().name(),
+                );
+            }
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 18, "AlexNet has 5 conv layers and VGG16 13");
 }
 
 /// The narrow-accumulator regression: AlexNet CONV3's worst-case

@@ -40,7 +40,7 @@
 //! the fault campaign to detect FI-Buffer corruption (a word flipped
 //! between DDR admit and CU consume).
 
-use crate::abm::{kernel_runs, PreparedConv};
+use crate::abm::{kernel_runs, Accumulator, PreparedConv};
 use crate::parallel::on_shares;
 use abm_fault::{stream_checksum_i16, AbmError};
 use abm_tensor::Tensor3;
@@ -116,14 +116,15 @@ pub(crate) struct AbftScratch {
 
 /// The check itself, on the executor's own buffers: `relaid` is the
 /// input as stored through the layer's layout, `plane` the dense
-/// channel-major accumulator plane [`PreparedConv::execute_into`] filled.
+/// channel-major accumulator plane [`PreparedConv::execute_into`] filled,
+/// narrow or wide.
 /// The tap-sum table is built once, here; the per-kernel predictions
 /// split across `shares` threads along the sweep's kernel runs, and the
 /// error reported is the lowest-numbered failing kernel's, as serially.
-pub(crate) fn verify_plane(
+pub(crate) fn verify_plane<A: Accumulator>(
     prep: &PreparedConv,
     relaid: &[i16],
-    plane: &[i64],
+    plane: &[A],
     scratch: &mut AbftScratch,
     shares: usize,
 ) -> Result<(), AbmError> {
@@ -206,10 +207,10 @@ pub(crate) fn verify_lanes(
 /// already its tap's position in its channel group's run of `sums`, and
 /// an index stream is 2 B a non-zero. A code edited since it was encoded
 /// is reported, never walked past its end.
-fn check_planes(
+fn check_planes<A: Accumulator>(
     prep: &PreparedConv,
     sums: &[i64],
-    plane: &[i64],
+    plane: &[A],
     out_plane: usize,
     run: Range<usize>,
 ) -> Result<(), AbmError> {
@@ -260,7 +261,7 @@ fn check_planes(
         // a sum off by ±2^bit modulo 2^64 is still a different sum.
         let observed = plane[m * out_plane..(m + 1) * out_plane]
             .iter()
-            .fold(0i64, |sum, &v| sum.wrapping_add(v));
+            .fold(0i64, |sum, &v| sum.wrapping_add(v.into()));
         if observed != predicted {
             return Err(AbmError::AbftMismatch {
                 kernel: m,

@@ -27,7 +27,9 @@
 //!   vectors, then at most one vector overlapping the previous one; a
 //!   span shorter than a vector (a fully-connected row) goes one
 //!   position at a time. There is one core, `execute_into`: re-laid
-//!   `&[i16]` in, dense accumulator plane `&mut [i64]` out, the largest
+//!   `&[i16]` in, dense accumulator plane out — `i32` wherever the
+//!   layer's stage-2 worst case was proven to fit at preparation
+//!   ([`PreparedConv::plane_width`]), `i64` anywhere — the largest
 //!   magnitude taken on the way (inference runs it on its activation
 //!   arena's buffers), the kernels split over threads in contiguous
 //!   runs of near-equal non-zero count when a lone image has threads to
@@ -203,6 +205,11 @@ pub struct PreparedConv {
     /// (`abm_kernel::select_lane_kernels`): `[narrow, wide]`, from the
     /// same pin and the same proof.
     lane_sels: [Selection; 2],
+    /// The narrowest output accumulator the layer's stage-2 worst case
+    /// fits on any `i16` input
+    /// (`abm_verify::AccumulatorModel::stage2_required_bits`): what its
+    /// accumulator plane may be made of.
+    plane: AccWidth,
     /// Kernel operations one image's sweep issues: per offset, one per
     /// vector of every tile's span, or one per position where a span is
     /// narrower than a vector. What a share's worth is measured in.
@@ -328,8 +335,15 @@ impl PreparedConv {
         // vector kernels may pack `i32` lanes. `select_auto` then
         // resolves the ISA (explicit pin → `ABM_FORCE_ISA` → widest
         // variant whose lanes this layer's shortest sweep can fill).
+        let model = abm_verify::AccumulatorModel::host();
         let counts = flat.kernels().iter().flat_map(FlatKernel::group_counts);
-        let stage1_bits = abm_verify::AccumulatorModel::host().stage1_required_bits(counts);
+        let stage1_bits = model.stage1_required_bits(counts);
+        // The same proof for the output: a layer whose every kernel's
+        // `Σ |v|·count · 2¹⁵` fits 32 signed bits sweeps into an `i32`
+        // plane. The tile stays `i64`; the copy-out narrows.
+        let groups = flat.kernels().iter();
+        let groups = groups.map(|k| k.values().iter().copied().zip(k.group_counts()));
+        let plane = AccWidth::narrowest(model.stage2_required_bits(groups));
         let sweep = layout.shortest_sweep(out_shape.rows, out_shape.cols);
         let unavailable = |detail| AbmError::IsaUnavailable { detail };
         let sel = abm_kernel::select_auto(isa, stage1_bits, sweep).map_err(unavailable)?;
@@ -356,6 +370,7 @@ impl PreparedConv {
             checksum,
             sel,
             lane_sels,
+            plane,
             sweep_ops: flat.total_nnz() * per_offset as u64,
             flat,
             code,
@@ -437,6 +452,15 @@ impl PreparedConv {
     #[must_use]
     pub fn selection(&self) -> Selection {
         self.sel
+    }
+
+    /// The accumulator plane this layer's output fits on any `i16`
+    /// input, proven once at preparation: `I32` when every kernel's
+    /// stage-2 worst case fits 32 signed bits — every layer of the
+    /// AlexNet and VGG16 models — else `I64`.
+    #[must_use]
+    pub fn plane_width(&self) -> AccWidth {
+        self.plane
     }
 
     /// The kernel variant a one-position layer (a fully-connected row)
@@ -553,7 +577,8 @@ impl PreparedConv {
 
     /// The one execution core: sweeps `relaid` — the input as stored
     /// through this layer's [`FlatLayout`] — into `plane`, the dense
-    /// channel-major accumulator plane (`output_shape().len()` long),
+    /// channel-major accumulator plane (`output_shape().len()` long, of
+    /// an element at least [`plane_width`](Self::plane_width) wide),
     /// and returns the largest accumulator magnitude, taken while each
     /// tile is still in cache (what the Sum/Round stage picks the
     /// output format from).
@@ -575,12 +600,13 @@ impl PreparedConv {
     ///
     /// # Panics
     ///
-    /// Panics if `plane` is not `output_shape().len()` long or `relaid`
-    /// is shorter than the layout's re-laid-out input.
-    pub(crate) fn execute_into(
+    /// Panics if `plane` is not `output_shape().len()` long, its element
+    /// is narrower than the layer's proven width, or `relaid` is shorter
+    /// than the layout's re-laid-out input.
+    pub(crate) fn execute_into<A: Accumulator>(
         &self,
         relaid: &[i16],
-        plane: &mut [i64],
+        plane: &mut [A],
         sweeps: &mut Vec<SweepScratch>,
         shares: usize,
     ) -> u64 {
@@ -602,14 +628,20 @@ impl PreparedConv {
     /// The uninstrumented body of [`execute_into`](Self::execute_into).
     /// Also returns the lane positions issued (vector lanes plus
     /// one-at-a-time pixels).
-    fn sweep_into(
+    fn sweep_into<A: Accumulator>(
         &self,
         relaid: &[i16],
-        plane: &mut [i64],
+        plane: &mut [A],
         sweeps: &mut Vec<SweepScratch>,
         shares: usize,
     ) -> (u64, u64) {
         assert_eq!(plane.len(), self.out_shape.len(), "plane != output shape");
+        assert!(
+            A::WIDTH.bits() >= self.plane.bits(),
+            "an {} plane for a layer proven to need {}",
+            A::WIDTH,
+            self.plane
+        );
         let out_plane = self.out_shape.rows * self.out_shape.cols;
         if out_plane == 0 {
             return (0, 0);
@@ -632,12 +664,12 @@ impl PreparedConv {
     /// `run` swept into `plane`, their rows of the layer's plane. Returns
     /// the run's largest accumulator magnitude and the lane positions it
     /// issued.
-    fn sweep_run(
+    fn sweep_run<A: Accumulator>(
         &self,
         kern: &dyn AbmKernel,
         relaid: &[i16],
         run: Range<usize>,
-        plane: &mut [i64],
+        plane: &mut [A],
         scratch: &mut SweepScratch,
     ) -> (u64, u64) {
         let (out_rows, out_cols) = (self.out_shape.rows, self.out_shape.cols);
@@ -681,7 +713,9 @@ impl PreparedConv {
                 let dst = &mut out[rows.start * out_cols..];
                 for (dst, src) in dst.chunks_exact_mut(out_cols).zip(tile.chunks(pitch)) {
                     let src = &src[..out_cols];
-                    dst.copy_from_slice(src);
+                    for (d, &v) in dst.iter_mut().zip(src) {
+                        *d = A::narrow(v);
+                    }
                     // Extremes, not magnitudes: two compares an element
                     // on a row that is in L1 anyway.
                     for &v in src {
@@ -778,6 +812,33 @@ impl PreparedConv {
             });
         }
         Ok(self.execute(input))
+    }
+}
+
+/// An accumulator plane's element. Every engine computes in `i64`; a
+/// plane stores each output as [`narrow`](Self::narrow) makes it.
+pub(crate) trait Accumulator: Copy + Default + Send + Sync + Into<i64> {
+    /// The accumulator width this element is.
+    const WIDTH: AccWidth;
+
+    /// `v` as this element: exact for any output of a layer whose
+    /// [`PreparedConv::plane_width`] is no wider than [`WIDTH`](Self::WIDTH).
+    fn narrow(v: i64) -> Self;
+}
+
+impl Accumulator for i32 {
+    const WIDTH: AccWidth = AccWidth::I32;
+
+    fn narrow(v: i64) -> Self {
+        v as i32
+    }
+}
+
+impl Accumulator for i64 {
+    const WIDTH: AccWidth = AccWidth::I64;
+
+    fn narrow(v: i64) -> Self {
+        v
     }
 }
 

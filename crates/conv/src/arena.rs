@@ -11,11 +11,13 @@
 //!   lowered convolution's padded, phase-split form, the plain tensor
 //!   for everything else) and which ReLU / pool layers ride in the
 //!   accelerated layer before them.
-//! * [`Arena`] — one executing thread's buffers: the `i64` accumulator
-//!   plane a layer sweeps into, the spare feature buffer its epilogue
-//!   fills (the image's own buffer is being read; the two swap after
-//!   every step), and the small scratch of the host layers and
-//!   detectors. An image in flight owns only its feature buffer.
+//! * [`Arena`] — one executing thread's buffers: the accumulator plane
+//!   a layer sweeps into (`i32` for a layer whose stage-2 worst case was
+//!   proven to fit it at preparation, `i64` for any other), the spare
+//!   feature buffer its epilogue fills (the image's own buffer is being
+//!   read; the two swap after every step), and the small scratch of the
+//!   host layers and detectors. An image in flight owns only its feature
+//!   buffer.
 //! * [`LaneArena`] — one batch's buffers for the fully-connected tail it
 //!   runs on its lanes (`crate::infer`'s batch executor): the images'
 //!   tail inputs, the two lane buffers `[feature][lane]` a layer reads
@@ -37,9 +39,10 @@
 //! of a channel's block, padding included, on every store.
 
 use crate::abft::AbftScratch;
-use crate::abm::{PreparedConv, SweepScratch};
+use crate::abm::{Accumulator, PreparedConv, SweepScratch};
 use crate::dense::Geometry;
 use crate::host::{self, LrnScratch};
+use abm_kernel::AccWidth;
 use abm_model::{LayerKind, LrnSpec, Network, PoolSpec};
 use abm_sparse::FlatLayout;
 use abm_tensor::fixed::round_shift;
@@ -82,7 +85,8 @@ pub(crate) struct Plan {
     /// The longest re-laid-out feature map, network input included: the
     /// length of every feature buffer.
     feature_len: usize,
-    /// The largest accumulator plane of any accelerated layer.
+    /// The largest accumulator plane of any lowered layer: the length of
+    /// every arena's narrow plane (0 when the plan lowers nothing).
     plane_len: usize,
     /// The fully-connected tail, when the network ends in one.
     pub tail: Option<Tail>,
@@ -148,6 +152,8 @@ impl Plan {
             let mut metric = String::new();
             if accelerated {
                 metric = format!("layer_ns_{}", layers[i].name);
+            }
+            if accelerated && lowered {
                 plan.plane_len = plan.plane_len.max(shapes[i].len());
             }
             let store = reads[end];
@@ -196,15 +202,20 @@ impl Plan {
 }
 
 /// One executing thread's buffers (see the module docs). Everything
-/// keeps its capacity between images; the two large buffers are sized by
-/// the [`Plan`] when the arena is created, the rest on first use.
+/// keeps its capacity between images; the feature buffer and the narrow
+/// plane are sized by the [`Plan`] when the arena is created, the rest
+/// on first use.
 #[derive(Debug, Default)]
 pub(crate) struct Arena {
     /// The feature buffer a step writes; swapped with the image's own
     /// once the step is done.
     pub spare: Vec<i16>,
-    /// The accumulator plane of the layer being executed.
-    pub plane: Vec<i64>,
+    /// The accumulator plane of the layer being executed, when its
+    /// [`PreparedConv::plane_width`] is `I32` …
+    pub plane: Vec<i32>,
+    /// … and when it is not, or its engine lowers nothing: empty until
+    /// such a layer runs on this arena.
+    pub wide: Vec<i64>,
     /// One sweep scratch a share of a layer split across threads (one
     /// when it runs on this thread alone).
     pub sweeps: Vec<SweepScratch>,
@@ -232,10 +243,11 @@ impl Arena {
             &self.columns,
             &lrn.out,
         ];
-        let words = [&self.plane, &abft.prefix, &abft.sums, &lrn.energy];
+        let words = [&self.wide, &abft.prefix, &abft.sums, &lrn.energy];
         let sweeps = self.sweeps.iter();
         let sweep_words = sweeps.map(|s| s.tile.capacity() + s.partials.capacity());
         2 * halves.iter().map(|v| v.capacity()).sum::<usize>()
+            + 4 * self.plane.capacity()
             + 8 * words.iter().map(|v| v.capacity()).sum::<usize>()
             + 8 * sweep_words.sum::<usize>()
             + std::mem::size_of::<SweepScratch>() * self.sweeps.capacity()
@@ -243,13 +255,41 @@ impl Arena {
     }
 
     /// The Sum/Round stage with everything that rides along, in one pass
-    /// over the accumulator plane of the accelerated layer `step`, whose
-    /// largest magnitude is `max_abs`: round `shift` bits away into
-    /// `target` (saturating), apply the step's absorbed ReLU and pool,
-    /// and store through the step's layout into [`spare`](Self::spare).
-    /// Returns how many values the format clipped.
+    /// over the accumulator plane of the accelerated layer `step` — the
+    /// narrow one or the wide one, as `width` says — whose largest
+    /// magnitude is `max_abs`: round `shift` bits away into `target`
+    /// (saturating), apply the step's absorbed ReLU and pool, and store
+    /// through the step's layout into [`spare`](Self::spare). Returns how
+    /// many values the format clipped.
     pub fn requantize_store(
         &mut self,
+        step: &Step,
+        width: AccWidth,
+        max_abs: u64,
+        shift: i32,
+        target: QFormat,
+    ) -> u64 {
+        // The plane leaves the arena for the pass, so the scratch
+        // beside it can be borrowed; it comes back whole.
+        match width {
+            AccWidth::I32 => {
+                let plane = std::mem::take(&mut self.plane);
+                let saturated = self.requantize_plane_store(&plane, step, max_abs, shift, target);
+                self.plane = plane;
+                saturated
+            }
+            AccWidth::I64 => {
+                let plane = std::mem::take(&mut self.wide);
+                let saturated = self.requantize_plane_store(&plane, step, max_abs, shift, target);
+                self.wide = plane;
+                saturated
+            }
+        }
+    }
+
+    fn requantize_plane_store<A: Accumulator>(
+        &mut self,
+        plane: &[A],
         step: &Step,
         max_abs: u64,
         shift: i32,
@@ -272,7 +312,7 @@ impl Arena {
         self.channel.resize(len, 0);
         let mut saturated = 0u64;
         for m in 0..conv.channels {
-            let acc = &self.plane[m * len..(m + 1) * len];
+            let acc = &plane[m * len..(m + 1) * len];
             saturated += if narrow {
                 let half = 1i32 << (shift - 1);
                 // ReLU rides in the lower clamp bound: a second `.max(0)`
@@ -324,6 +364,14 @@ impl Arena {
     }
 }
 
+/// `buf`'s first `len` elements, grown to hold them on first use.
+pub(crate) fn fit<T: Clone + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+    if buf.len() < len {
+        buf.resize(len, T::default());
+    }
+    &mut buf[..len]
+}
+
 /// Sum/Round for one accumulator, any shift and any format: `shift` bits
 /// rounded away (ties away from zero), clamped to the format's
 /// `(lo, hi)`, then the ReLU. Returns the feature and whether the format
@@ -338,10 +386,14 @@ fn round_feature(v: i64, shift: i32, (lo, hi): (i64, i64), relu: bool) -> (i16, 
 /// One channel through Sum/Round: `each` turns an accumulator into its
 /// clamped feature and how many bounds of the format it crossed. No
 /// data-dependent branch: saturation is a sum.
-fn requantize_plane(acc: &[i64], out: &mut [i16], each: impl Fn(i64) -> (i16, u32)) -> u64 {
+fn requantize_plane<A: Accumulator>(
+    acc: &[A],
+    out: &mut [i16],
+    each: impl Fn(i64) -> (i16, u32),
+) -> u64 {
     let mut saturated = 0u32;
     for (q, &v) in out.iter_mut().zip(acc) {
-        let (feature, clipped) = each(v);
+        let (feature, clipped) = each(v.into());
         *q = feature;
         saturated += clipped;
     }
@@ -579,6 +631,15 @@ impl ArenaPool {
         self.idle().features.push(features);
     }
 
+    /// Bytes of accumulator plane the idle arenas hold: the narrow
+    /// (`i32`) planes, then the wide (`i64`) ones.
+    pub fn plane_bytes(&self) -> (usize, usize) {
+        let idle = self.idle();
+        let narrow = idle.arenas.iter().map(|a| 4 * a.plane.capacity()).sum();
+        let wide = idle.arenas.iter().map(|a| 8 * a.wide.capacity()).sum();
+        (narrow, wide)
+    }
+
     /// What has grown so far and what sits idle now.
     pub fn stats(&self) -> ArenaStats {
         let idle = self.idle();
@@ -652,12 +713,14 @@ mod tests {
         headless.push(abm_model::Layer::new("RELU", LayerKind::Relu));
         assert_eq!(tail(&headless), None);
 
-        // Engines that take tensors read plain ones everywhere.
+        // Engines that take tensors read plain ones everywhere, and
+        // sweep into no narrow plane.
         let plain = Plan::new(&zoo::tiny(), false);
         assert!(plain
             .steps
             .iter()
             .all(|s| s.store.pad == 0 && s.store.stride == 1));
+        assert_eq!(plain.plane_len, 0);
     }
 
     /// Pooling as `host::pool` evaluated it before its plane core: one
@@ -741,14 +804,25 @@ mod tests {
 
             let mut arena = Arena {
                 spare: vec![0x5a5a; expected.len() + 3],
-                plane: acc.as_slice().to_vec(),
+                wide: acc.as_slice().to_vec(),
                 ..Arena::default()
             };
             let max_abs = acc.as_slice().iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
-            let saturated = arena.requantize_store(&step, max_abs, shift, target);
+            let saturated = arena.requantize_store(&step, AccWidth::I64, max_abs, shift, target);
             prop_assert_eq!(saturated, clipped);
             prop_assert_eq!(&arena.spare[..expected.len()], &expected[..]);
             prop_assert_eq!(&arena.spare[expected.len()..], &[0x5a5a; 3]);
+
+            // Accumulators that fit 32 bits store the same features from
+            // the narrow plane.
+            let narrow: Result<Vec<i32>, _> = acc.as_slice().iter().map(|&v| v.try_into()).collect();
+            if let Ok(narrow) = narrow {
+                arena.spare.fill(0x5a5a);
+                arena.plane = narrow;
+                let saturated = arena.requantize_store(&step, AccWidth::I32, max_abs, shift, target);
+                prop_assert_eq!(saturated, clipped);
+                prop_assert_eq!(&arena.spare[..expected.len()], &expected[..]);
+            }
 
             // The standalone pool stores the same way, and the tensor
             // wrapper agrees with the oracle.
@@ -779,7 +853,10 @@ mod tests {
             plane: vec![0; 4],
             ..Arena::default()
         };
-        assert_eq!(arena.requantize_store(&step, 0, 7, QFormat::new(8, 0)), 0);
+        assert_eq!(
+            arena.requantize_store(&step, AccWidth::I32, 0, 7, QFormat::new(8, 0)),
+            0
+        );
         assert_eq!(arena.spare, [0; 4]);
     }
 

@@ -16,16 +16,16 @@
 
 mod lanes;
 
-use crate::abft;
-use crate::abm::{self, AbmWork, PreparedConv};
-use crate::arena::{Arena, ArenaPool, ArenaStats, Plan, Step};
+use crate::abft::{self, AbftScratch};
+use crate::abm::{self, AbmWork, Accumulator, PreparedConv, SweepScratch};
+use crate::arena::{fit, Arena, ArenaPool, ArenaStats, Plan, Step};
 use crate::dense::{self, Geometry};
 use crate::freq;
 use crate::host;
 use crate::parallel::{parallel_map_salvage, Parallelism};
 use crate::sparse as csr_engine;
 use abm_fault::AbmError;
-use abm_kernel::Isa;
+use abm_kernel::{AccWidth, Isa};
 use abm_model::{LayerKind, SparseLayer, SparseModel};
 use abm_sparse::{CsrKernel, FlatCode, FlatLayout, LayerCode};
 use abm_telemetry::{FaultAction, TelemetrySink};
@@ -583,7 +583,8 @@ impl<'m> Inferencer<'m> {
 
     /// Executes one accelerated layer: convolve exactly into the arena's
     /// accumulator plane — the lowered engine on the buffers as they
-    /// are, the others on a tensor stripped out of them — then rescale
+    /// are, into the narrow plane when the layer proved it may, the
+    /// others on a tensor stripped out of them — then rescale
     /// to a fresh 8-bit feature format in one rounding step that also
     /// applies the ReLU and pool the plan absorbed and stores through
     /// the consumer's layout.
@@ -608,7 +609,8 @@ impl<'m> Inferencer<'m> {
             layer: layer_idx,
             engine,
         };
-        let (max_abs, work) = if self.engine == Engine::Abm {
+        let len = step.shape.len();
+        let (max_abs, work, plane) = if self.engine == Engine::Abm {
             let prep = prepared.abm_layer(layer_idx).ok_or(not_prepared("ABM"))?;
             let want = prep.input_shape();
             let planned = (want, prep.flat().layout(), prep.output_shape());
@@ -618,14 +620,22 @@ impl<'m> Inferencer<'m> {
                     want: (want.channels, want.rows, want.cols),
                 });
             }
-            let shares = prep.shares(width);
-            if self.resilience.verify {
-                self.execute_abm_checked(prep, &state.features, arena, layer_idx, shares)?
-            } else {
-                let plane = &mut arena.plane[..step.shape.len()];
-                let max_abs = prep.execute_into(&state.features, plane, &mut arena.sweeps, shares);
-                (max_abs, prep.work())
-            }
+            let at = (layer_idx, prep.shares(width));
+            let relaid = &state.features;
+            let Arena {
+                plane,
+                wide,
+                sweeps,
+                abft,
+                digests,
+                ..
+            } = &mut *arena;
+            let scratch = (sweeps, abft, digests);
+            let (max_abs, work) = match prep.plane_width() {
+                AccWidth::I32 => self.execute_abm(prep, relaid, &mut plane[..len], scratch, at)?,
+                AccWidth::I64 => self.execute_abm(prep, relaid, fit(wide, len), scratch, at)?,
+            };
+            (max_abs, work, prep.plane_width())
         } else {
             let input = state.layout.strip(&state.features, in_shape.channels);
             let acc = match self.engine {
@@ -640,12 +650,12 @@ impl<'m> Inferencer<'m> {
                 // (`Abm` ran above.)
                 Engine::Dense | Engine::Abm => dense::conv2d(&input, &sl.weights, geom),
             };
-            let plane = &mut arena.plane[..step.shape.len()];
-            (load_plane(plane, &acc), AbmWork::default())
+            let plane = fit(&mut arena.wide, len);
+            (load_plane(plane, &acc), AbmWork::default(), AccWidth::I64)
         };
         let (max_real, target, shift) = self.output_format(layer_idx, state.fmt, max_abs);
         let result = &mut state.result;
-        result.saturated_features += arena.requantize_store(step, max_abs, shift, target);
+        result.saturated_features += arena.requantize_store(step, plane, max_abs, shift, target);
         std::mem::swap(&mut state.features, &mut arena.spare);
         state.fmt = target;
         state.accel_idx += 1;
@@ -697,36 +707,41 @@ impl<'m> Inferencer<'m> {
         (max_real, target, acc_frac - target.frac() as i32)
     }
 
-    /// The detect-and-recover ABM executor: checksum before, ABFT after
-    /// — against the very buffers the layer read and filled — and on a
-    /// detected corruption climb the recovery ladder: re-lower from the
-    /// retained [`LayerCode`] up to `max_retries` times, then (with
-    /// `fallback`) degrade to the `abm::reference` oracle and finally
-    /// the dense engine, which take a tensor stripped back out of
-    /// `relaid`. The first two rungs need a sound code — one that still
-    /// lowers to the checksum recorded at load; a corrupted one goes
-    /// straight to the dense engine. Every detection and recovery is
-    /// recorded as a telemetry [`Event::Fault`](abm_telemetry::Event::Fault). The checksum, the
+    /// Sweeps an ABM layer into `plane` — the arena's narrow or wide
+    /// one, beside the rest of its sweep and detector `scratch` — `at`
+    /// its accelerated-layer index and the shares it splits into.
+    /// Without [`ResiliencePolicy::verify`] that is the unchecked
+    /// executor. With it, it is the detect-and-recover executor:
+    /// checksum before, ABFT after — against the very buffers the layer
+    /// read and filled — and on a detected corruption climb the recovery
+    /// ladder: re-lower from the retained [`LayerCode`] up to
+    /// `max_retries` times, then (with `fallback`) degrade to the
+    /// `abm::reference` oracle and finally the dense engine, which take
+    /// a tensor stripped back out of `relaid` and whose outputs land in
+    /// the same plane (the layer's stage-2 proof bounds every output of
+    /// the weights both convolve with). The first two rungs need a sound
+    /// code — one that still lowers to the checksum recorded at load; a
+    /// corrupted one goes straight to the dense engine. Every detection
+    /// and recovery is recorded as a telemetry
+    /// [`Event::Fault`](abm_telemetry::Event::Fault). The checksum, the
     /// sweep and the ABFT check each split across `shares` threads along
     /// the same kernel runs.
-    fn execute_abm_checked(
+    fn execute_abm<A: Accumulator>(
         &self,
         prep: &PreparedConv,
         relaid: &[i16],
-        arena: &mut Arena,
-        layer_idx: usize,
-        shares: usize,
+        plane: &mut [A],
+        (sweeps, abft, digests): (&mut Vec<SweepScratch>, &mut AbftScratch, &mut Vec<u64>),
+        (layer_idx, shares): (usize, usize),
     ) -> Result<(u64, AbmWork), AbmError> {
+        if !self.resilience.verify {
+            return Ok((
+                prep.execute_into(relaid, plane, sweeps, shares),
+                prep.work(),
+            ));
+        }
         let geom = prep.geometry();
-        let Arena {
-            plane,
-            sweeps,
-            abft,
-            digests,
-            ..
-        } = arena;
-        let plane = &mut plane[..prep.output_shape().len()];
-        let mut attempt = |p: &PreparedConv, plane: &mut [i64]| -> Result<_, AbmError> {
+        let mut attempt = |p: &PreparedConv, plane: &mut [A]| -> Result<_, AbmError> {
             timed_detector("abm_verify_checksum_ns", || {
                 p.verify_checksum_on(shares, digests)
             })?;
@@ -947,9 +962,12 @@ impl ImageState {
 /// Copies a tensor engine's exact output into the accumulator plane and
 /// returns its largest magnitude (what the lowered engine takes on the
 /// way out of its sweep).
-fn load_plane(plane: &mut [i64], acc: &Tensor3<i64>) -> u64 {
-    plane.copy_from_slice(acc.as_slice());
-    let magnitudes = plane.iter().map(|&v| v.unsigned_abs());
+fn load_plane<A: Accumulator>(plane: &mut [A], acc: &Tensor3<i64>) -> u64 {
+    assert_eq!(plane.len(), acc.len(), "plane != output shape");
+    for (dst, &v) in plane.iter_mut().zip(acc.as_slice()) {
+        *dst = A::narrow(v);
+    }
+    let magnitudes = acc.as_slice().iter().map(|&v| v.unsigned_abs());
     magnitudes.max().unwrap_or(0)
 }
 
@@ -1050,6 +1068,15 @@ impl PreparedWeights {
     #[must_use]
     pub fn arena_stats(&self) -> ArenaStats {
         self.arenas.stats()
+    }
+
+    /// Bytes of accumulator plane the idle arenas hold: the `i32` planes
+    /// of layers whose stage-2 worst case was proven to fit them
+    /// ([`PreparedConv::plane_width`]), then the `i64` planes of any
+    /// other, which an arena allocates only when such a layer runs.
+    #[must_use]
+    pub fn arena_plane_bytes(&self) -> (usize, usize) {
+        self.arenas.plane_bytes()
     }
 }
 
@@ -1338,6 +1365,85 @@ mod tests {
         let arena = prepared.arenas.take_arena(&prepared.plan);
         assert_eq!(arena.sweeps.len(), 2);
         assert!(arena.sweeps.iter().all(|s| !s.tile.is_empty()));
+    }
+
+    /// A 60→40 3×3 convolution on a 20×20 map (padded, so interior
+    /// pixels read all 540 taps) whose every kernel carries
+    /// `Σ |v|·count = sum`: 516 taps of 127 and one of the remainder, at
+    /// positions that rotate kernel by kernel, all of one sign that
+    /// alternates kernel by kernel — so one constant input drives half
+    /// the kernels to `+2¹⁵·sum` and half to `−2¹⁵·sum`.
+    fn boundary_model(sum: i32) -> SparseModel {
+        let mut net = abm_model::Network::new("boundary", Shape3::new(60, 20, 20));
+        let conv = abm_model::ConvSpec::new(60, 40, 3, 1, 1);
+        net.push(abm_model::Layer::new("CONV", LayerKind::Conv(conv)));
+        let mut model =
+            synthesize_model(&net, &PruneProfile::uniform(LayerProfile::new(0.5, 9)), 1);
+        let shape = model.layers[0].weights.shape();
+        let volume = shape.kernel_len();
+        model.layers[0].weights = abm_tensor::Tensor4::from_fn(shape, |m, n, k, kp| {
+            let tap = ((n * 3 + k) * 3 + kp + volume - 13 * m % volume) % volume;
+            let sign = if m % 2 == 0 { 1 } else { -1 };
+            match tap {
+                0..516 => 127 * sign,
+                516 => ((sum - 516 * 127) * sign as i32) as i8,
+                _ => 0,
+            }
+        });
+        model
+    }
+
+    /// The proof's edge, end to end. `Σ |v|·count = 65 535` is a stage-2
+    /// worst case of `2³¹ − 2¹⁵` — the largest multiple of `2¹⁵` that
+    /// fits 32 signed bits — and the layer sweeps into an `i32` plane;
+    /// `65 536` is `2³¹`, which does not fit, and a constant `−2¹⁵`
+    /// input drives half its kernels there, so its plane must stay
+    /// `i64`. Either way the plane a run leaves in its arena is
+    /// `abm::reference`'s output and `PreparedConv::execute`'s, serial
+    /// and split across two threads, unchecked and hardened.
+    #[test]
+    fn a_layer_sweeps_into_the_plane_its_stage2_bound_proves() {
+        for (sum, width) in [(65_535, AccWidth::I32), (65_536, AccWidth::I64)] {
+            let model = boundary_model(sum);
+            let sl = &model.layers[0];
+            let code = LayerCode::encode(&sl.weights).unwrap();
+            let (in_shape, geom) = accel_geometry(sl);
+            let prep = PreparedConv::try_new(code.clone(), in_shape, geom, None).unwrap();
+            assert_eq!((prep.plane_width(), prep.shares(2)), (width, 2), "{sum}");
+            let spread = |c: usize, r: usize, col: usize| (c * 7919 + r * 271 + col * 31) as u16;
+            let inputs = [
+                Tensor3::from_fn(in_shape, |_, _, _| i16::MIN),
+                Tensor3::from_fn(in_shape, |_, _, _| i16::MAX),
+                Tensor3::from_fn(in_shape, |c, r, col| {
+                    spread(c, r, col).wrapping_mul(40503) as i16
+                }),
+            ];
+            for (i, input) in inputs.iter().enumerate() {
+                let reference = abm::reference::conv2d(input, &code, geom).unwrap();
+                assert_eq!(prep.execute(input), reference, "{sum} input {i}");
+                if i == 0 {
+                    let peak = reference.as_slice().iter().max().copied();
+                    assert_eq!(peak, Some((1i64 << 15) * i64::from(sum)), "{sum}");
+                }
+                for policy in [ResiliencePolicy::default(), ResiliencePolicy::hardened()] {
+                    for threads in [Parallelism::Serial, Parallelism::Threads(2)] {
+                        let inf = Inferencer::new(&model)
+                            .parallelism(threads)
+                            .resilience(policy);
+                        let prepared = inf.prepare().unwrap();
+                        inf.run_prepared(&prepared, input).unwrap();
+                        let arena = prepared.arenas.take_arena(&prepared.plan);
+                        let len = reference.len();
+                        let plane: Vec<i64> = match width {
+                            AccWidth::I32 => arena.plane[..len].iter().map(|&v| v.into()).collect(),
+                            AccWidth::I64 => arena.wide[..len].to_vec(),
+                        };
+                        let at = format!("{sum} input {i} {threads} {policy:?}");
+                        assert_eq!(plane, reference.as_slice(), "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

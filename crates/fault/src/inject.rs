@@ -13,7 +13,7 @@
 //! With [`NullInjector`] the branch is a compile-time constant `false`,
 //! so the instrumented function monomorphizes to exactly the
 //! uninjected code — zero cost when disabled, which is what keeps the
-//! golden pins and `BENCH_abm_hotpath.json` byte-identical.
+//! golden pins and `BENCH_pipeline.json` byte-identical.
 
 use crate::plan::{Fault, FaultClass, FaultPlan};
 

@@ -19,8 +19,8 @@
 //!    on one line, with everything inside it.
 //! 3. Any other container breaks only if it holds a container.
 //!
-//! So every certificate row, trial record, serve leg, hotpath row and
-//! trace event is one line. A document ends in a newline.
+//! So every certificate row, trial record, serve leg and trace event is
+//! one line. A document ends in a newline.
 //!
 //! **Reading.** [`parse`] is one strict recursive descent that checks the
 //! grammar and builds a [`Value`]; [`validate`] is `parse` without the

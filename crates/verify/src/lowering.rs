@@ -103,9 +103,40 @@ impl AccumulatorModel {
     #[must_use]
     pub fn stage1_required_bits(&self, group_counts: impl IntoIterator<Item = u64>) -> u32 {
         let worst_count = group_counts.into_iter().max().unwrap_or(0);
-        let worst = worst_count as u128 * self.max_abs_input as u128;
-        128 - worst.leading_zeros() + 1
+        signed_bits(u128::from(worst_count) * u128::from(self.max_abs_input))
     }
+
+    /// Worst-case signed bits any **stage-2 output accumulator** of a
+    /// layer can need under this model: `max|input| · max over kernels
+    /// of Σ_g |v_g|·count_g`, from every kernel's value groups
+    /// (`kernels` yields, per kernel, its `(VAL, NUM)` pairs). A running
+    /// sum of the products is bounded by the same total, so the bound
+    /// covers every intermediate of the reduction, not just its result.
+    ///
+    /// [`verify_lowering`] checks it against the accumulator width, one
+    /// kernel at a time; the host discharges it once per layer at
+    /// preparation, where a result ≤ 32 lets the layer's output land in
+    /// an `i32` accumulator plane instead of an `i64` one.
+    #[must_use]
+    pub fn stage2_required_bits<K>(&self, kernels: impl IntoIterator<Item = K>) -> u32
+    where
+        K: IntoIterator<Item = (i8, u64)>,
+    {
+        let weight = |groups: K| -> u128 {
+            let products = groups.into_iter();
+            products
+                .map(|(v, count)| u128::from(v.unsigned_abs()) * u128::from(count))
+                .sum()
+        };
+        let worst = kernels.into_iter().map(weight).max().unwrap_or(0);
+        signed_bits(worst.saturating_mul(u128::from(self.max_abs_input)))
+    }
+}
+
+/// Signed bits (magnitude + sign) a value of magnitude up to `worst`
+/// needs.
+fn signed_bits(worst: u128) -> u32 {
+    128 - worst.leading_zeros() + 1
 }
 
 /// Verifies a flat lowering against its source code and geometry.
@@ -290,16 +321,10 @@ pub fn verify_lowering(
         // --- arithmetic: worst-case |accumulator| must fit acc_bits.
         // Stage 1's largest partial sum is `max count · max|input|`;
         // stage 2's output accumulator bounds everything at
-        // `Σ |v_g|·count_g·max|input|`. u128 keeps the check itself
-        // overflow-free.
-        let worst: u128 = fk
-            .values()
-            .iter()
-            .zip(fk.group_counts())
-            .map(|(&v, c)| (v.unsigned_abs() as u128) * (c as u128) * (acc.max_abs_input as u128))
-            .sum();
-        let required_bits = 128 - worst.leading_zeros() + 1; // magnitude + sign
-        if worst > 0 && required_bits > acc.acc_bits {
+        // `Σ |v_g|·count_g·max|input|`.
+        let groups = fk.values().iter().copied().zip(fk.group_counts());
+        let required_bits = acc.stage2_required_bits([groups]);
+        if required_bits > acc.acc_bits {
             report.defect(Defect::AccumulatorOverflow {
                 kernel: m,
                 required_bits,
@@ -537,6 +562,52 @@ mod tests {
             max_abs_input: 1 << 40,
         };
         assert!(hot.stage1_required_bits(counts()) > 32);
+    }
+
+    /// The stage-2 bound is the heaviest kernel's `Σ |v|·count` times
+    /// the input magnitude, in the convention `verify_lowering` checks
+    /// each kernel against: a worst case of exactly `2³¹ − 1` needs 32
+    /// signed bits (an `i32` holds it), `2³¹` needs 33.
+    #[test]
+    fn stage2_bits_are_the_heaviest_kernel_at_the_i32_edge() {
+        let unit = AccumulatorModel {
+            acc_bits: 32,
+            max_abs_input: 1,
+        };
+        let edge = i32::MAX as u64;
+        // 127·c + r = 2³¹ − 1, split over a negative and a positive group.
+        let (c, r) = (edge / 127, edge % 127);
+        let below = vec![(-127, c), (r as i8, 1)];
+        let above = vec![(-127, c), (r as i8 + 1, 1)];
+        assert_eq!(unit.stage2_required_bits([below.clone()]), 32);
+        assert_eq!(unit.stage2_required_bits([above.clone()]), 33);
+        // The heaviest kernel decides, whatever the order; a layer of no
+        // kernels needs only the sign bit.
+        let light = vec![(3, 5)];
+        let layer = [light.clone(), above, below];
+        assert_eq!(unit.stage2_required_bits(layer), 33);
+        assert_eq!(unit.stage2_required_bits([light]), 5);
+        assert_eq!(unit.stage2_required_bits(Vec::<Vec<(i8, u64)>>::new()), 1);
+
+        // On the host model the sample layer's bound is its heaviest
+        // kernel's, which `verify_lowering` accepts at exactly that width
+        // and rejects one bit narrower.
+        let (code, flat, geom) = sample();
+        let groups = |k: &FlatKernel| k.values().iter().copied().zip(k.group_counts()).collect();
+        let kernels: Vec<Vec<(i8, u64)>> = flat.kernels().iter().map(groups).collect();
+        let host = AccumulatorModel::host();
+        let bits = host.stage2_required_bits(kernels.clone());
+        let heaviest = kernels.iter().map(|k| {
+            k.iter()
+                .map(|&(v, c)| u128::from(v.unsigned_abs()) * u128::from(c))
+                .sum::<u128>()
+        });
+        let worst = heaviest.max().unwrap() << 15;
+        assert_eq!(bits, 128 - worst.leading_zeros() + 1);
+        let at = |acc_bits| AccumulatorModel { acc_bits, ..host };
+        assert!(verify_lowering("t", &code, &flat, &geom, &at(bits)).is_clean());
+        let r = verify_lowering("t", &code, &flat, &geom, &at(bits - 1));
+        assert!(r.has_class("accumulator_overflow"), "{r}");
     }
 
     #[test]

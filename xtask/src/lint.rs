@@ -18,12 +18,13 @@
 //!    `abm-kernel` root carries `#![deny(unsafe_code)]` instead, so
 //!    its one intrinsics module can opt back in (see check 3).
 //! 2. **Panic-free core**: the non-test portions of the `tensor`,
-//!    `sparse`, `conv`, `sim`, `fault` and `kernel` crates may not call
-//!    `.unwrap()`, `.expect(...)` or `panic!` — errors in the numeric
-//!    core must be `Result`s or proven-unreachable states. Files listed
-//!    in `xtask/lint-allow.txt` are exempt, but every surviving site in
-//!    them must carry an `// INVARIANT:` comment (same line or the two
-//!    lines above) naming the invariant that makes it unreachable.
+//!    `sparse`, `conv`, `sim`, `fault`, `kernel`, `metrics` and `serve`
+//!    crates may not call `.unwrap()`, `.expect(...)` or `panic!` —
+//!    errors in the numeric core must be `Result`s or proven-unreachable
+//!    states. Files listed in `xtask/lint-allow.txt` are exempt, but
+//!    every surviving site in them must carry an `// INVARIANT:` comment
+//!    (same line or the two lines above) naming the invariant that makes
+//!    it unreachable.
 //!    Allowlist entries that no longer match any site are themselves
 //!    errors, so the list can only shrink.
 //! 3. **Unsafe island**: the token `unsafe` may appear in exactly one
@@ -42,10 +43,12 @@ use std::path::{Path, PathBuf};
 /// Crates whose non-test code must be panic-free: everything on the
 /// path from a model file to an inference result or a cycle count,
 /// plus the fault/error layer itself (an error path that panics
-/// defeats the whole subsystem) and the metrics registry (observation
-/// that can abort the observed process is worse than no observation).
-const PANIC_FREE_CRATES: [&str; 7] = [
-    "tensor", "sparse", "conv", "sim", "fault", "kernel", "metrics",
+/// defeats the whole subsystem), the metrics registry (observation
+/// that can abort the observed process is worse than no observation)
+/// and the server (a request, well-formed or not, gets a typed reply,
+/// never a dead worker).
+const PANIC_FREE_CRATES: [&str; 8] = [
+    "tensor", "sparse", "conv", "sim", "fault", "kernel", "metrics", "serve",
 ];
 
 /// Relative path of the panic-site allowlist.

@@ -9,8 +9,9 @@
 //! compares *three* measured quantities per layer — compute cycles,
 //! lane efficiency and DDR traffic — each against its own tolerance,
 //! reporting every failure as an [`abm_verify::Defect::ModelDivergence`]
-//! that names the diverging metric. CI runs the gate via
-//! `examples/telemetry_report.rs --smoke`.
+//! that names the diverging metric. The test
+//! `simulated_alexnet_agrees_with_the_performance_model` in
+//! `tests/paper_claims.rs` runs the gate on AlexNet.
 
 use crate::bandwidth::estimate_layer_traffic;
 use crate::perf::PerfEstimate;

@@ -6,7 +6,8 @@
 //! cargo run --release --example fault_campaign -- --smoke # alexnet, 1 trial/class (CI gate)
 //! ```
 //!
-//! Writes `FAULTS_campaign.json` (the report the CI gate consumes) and
+//! Writes `FAULTS_campaign.json` (the report; the full run's is
+//! committed, and CI re-runs it and fails on any differing byte) and
 //! `FAULTS_campaign_trace.json` (fault telemetry on the Chrome-trace
 //! fault track — open in `chrome://tracing` or Perfetto). Exits
 //! non-zero if any injected fault was silent or detected but not

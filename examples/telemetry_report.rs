@@ -4,15 +4,15 @@
 //! `chrome://tracing` or Perfetto).
 //!
 //! ```text
-//! cargo run --release --example telemetry_report            # full report + trace files
-//! cargo run --release --example telemetry_report -- --smoke # CI divergence gate
+//! cargo run --release --example telemetry_report
 //! ```
 //!
-//! In `--smoke` mode the example exits non-zero if any layer's measured
-//! cycles, lane efficiency or DDR traffic diverges from the Section 5.1
-//! performance model by more than [`abm_dse::Tolerances::default`] —
-//! the guard that keeps the cycle simulator and the closed-form model
-//! telling the same story. Each failure names the metric that broke.
+//! The example exits non-zero if any layer's measured cycles, lane
+//! efficiency or DDR traffic diverges from the Section 5.1 performance
+//! model by more than [`abm_dse::Tolerances::default`]; each failure
+//! names the metric that broke. The same condition is a test,
+//! `simulated_alexnet_agrees_with_the_performance_model` in
+//! `tests/paper_claims.rs`.
 
 #![forbid(unsafe_code)]
 
@@ -22,7 +22,6 @@ use abm_sim::{network_report, AcceleratorConfig, SimContext};
 use abm_telemetry::{ChromeTrace, RecordingCollector};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let smoke = std::env::args().any(|a| a == "--smoke");
     let net = zoo::alexnet();
     let profile = PruneProfile::alexnet_deep_compression();
     let model = synthesize_model(&net, &profile, 7);
@@ -62,26 +61,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into());
     }
 
-    // The exporters run in smoke mode too (their output is validated),
-    // but only the full run leaves files behind.
     let trace = ChromeTrace::from_events(recording.events());
     let trace_json = trace.to_json();
     let report_json = report.to_json();
     abm_telemetry::json::validate(&trace_json).map_err(|e| format!("trace JSON: {e}"))?;
     abm_telemetry::json::validate(&report_json).map_err(|e| format!("report JSON: {e}"))?;
-    if smoke {
-        println!("smoke OK ({} trace spans)", trace.spans().len());
-    } else {
-        let dir = std::env::temp_dir();
-        let trace_path = dir.join("alexnet_trace.json");
-        let report_path = dir.join("alexnet_telemetry.json");
-        std::fs::write(&trace_path, trace_json)?;
-        std::fs::write(&report_path, report_json)?;
-        println!(
-            "wrote {} and {}",
-            trace_path.display(),
-            report_path.display()
-        );
-    }
+    let dir = std::env::temp_dir();
+    let trace_path = dir.join("alexnet_trace.json");
+    let report_path = dir.join("alexnet_telemetry.json");
+    std::fs::write(&trace_path, trace_json)?;
+    std::fs::write(&report_path, report_json)?;
+    println!(
+        "wrote {} and {} ({} trace spans)",
+        trace_path.display(),
+        report_path.display(),
+        trace.spans().len()
+    );
     Ok(())
 }

@@ -41,13 +41,15 @@ commands:
   verify --certify     re-derive width certificates, replay their witnesses,
                        and check CERT_zoo.json (--update rewrites the file)
   mc                   run the exhaustive interleaving model-checker suite
-  faults [--smoke]     run the fault-injection campaign (smoke = AlexNet only)
+  faults [--smoke]     run the fault-injection campaign (smoke = AlexNet only;
+                       the full run rewrites the committed FAULTS_campaign.json)
   metrics [--smoke]    metrics registry gate: on/off bit-identity + expositions
   serve [--smoke]      serving soak gate: loadtest legs incl. chaos, release build
   bench-diff <old> <new> [--threshold PCT]
                        fail when a headline benchmark metric regresses
   bench-diff --check-docs
-                       assert doc perf citations match the committed JSONs
+                       assert every number the docs cite from the committed
+                       records (BENCH_pipeline.json, REPRO_paper.json)
   bench-diff --self-test
                        prove the gate rejects a degraded benchmark";
 

@@ -2,7 +2,7 @@
 //!
 //! A fully-connected layer sweeps one position, so alone an image fills
 //! no vector lane; a batch of them fills a lane each. Phase one runs
-//! every image's convolutional prefix on the work-stealing pool, as a
+//! every image's convolutional prefix on the claim-counter pool, as a
 //! batch always ran; an image leaving it hands its full-size feature
 //! buffer back and keeps only its input to the tail. Phase two runs the
 //! tail **once**: the survivors' inputs are scattered into a lane buffer

@@ -1,11 +1,11 @@
-//! Work-stealing parallel execution for the inference host.
+//! Parallel execution for the inference host.
 //!
 //! The paper's accelerator scales by letting idle compute units grab
 //! the next task the moment they finish ("semi-synchronous"
 //! scheduling, Section 4). The host-side analogue implemented here is
-//! a work-stealing worker pool: tasks go into a shared
-//! [`crossbeam::deque::Injector`], worker threads steal one at a time,
-//! and results are reassembled **by task index**, so the output is a
+//! a worker pool over a shared claim counter: an idle worker takes the
+//! next task index with one atomic `fetch_add`, and results are
+//! reassembled **by task index**, so the output is a
 //! pure function of the inputs — bit-identical to serial execution
 //! regardless of thread count or interleaving. That determinism
 //! invariant is enforced by `tests/concurrency.rs`.
@@ -26,10 +26,10 @@
 
 use abm_fault::AbmError;
 use abm_telemetry::{Event, TelemetrySink};
-use crossbeam::deque::{Injector, Steal};
 use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// How much host-thread parallelism to use: a batch's images fan out
@@ -92,12 +92,13 @@ impl fmt::Display for Parallelism {
     }
 }
 
-/// Applies `f` to every item on a work-stealing pool and returns one
-/// typed outcome per item, **in item order** — the single pool loop
-/// every batch-level fan-out in the workspace runs on.
+/// Applies `f` to every item on a worker pool and returns one typed
+/// outcome per item, **in item order** — the single pool loop every
+/// batch-level fan-out in the workspace runs on.
 ///
-/// Every index goes into a shared injector queue; each worker
-/// repeatedly steals the next unclaimed index, computes
+/// Workers share one claim counter; each repeatedly takes the next
+/// unclaimed index from it (`fetch_add`, so indexes are claimed in
+/// order and each exactly once), computes
 /// `f(worker, index, &items[index])` and brings the result home tagged
 /// with its index, so the pool load-balances uneven items exactly like
 /// the paper's semi-synchronous CU scheduler balances uneven kernel
@@ -110,15 +111,15 @@ impl fmt::Display for Parallelism {
 ///
 /// * `Ok(r)` — the item was claimed and `f` returned;
 /// * [`AbmError::DeadlineExceeded`] — `deadline` passed before any
-///   worker claimed the item. Cancellation is cooperative, at steal
-///   granularity: workers check the clock before every steal, claimed
+///   worker claimed the item. Cancellation is cooperative, at claim
+///   granularity: workers check the clock before every claim, claimed
 ///   items always run to completion and the pool always joins cleanly;
 /// * [`AbmError::WorkerPanic`] — `f` panicked on the item; the panic is
 ///   caught on the worker, never crosses the scope join, and poisons
 ///   only that item.
 ///
 /// When a `sink` is attached each worker records one
-/// [`Event::WorkerSteals`] (tasks it stole, wall-clock time it spent in
+/// [`Event::WorkerSteals`] (tasks it claimed, wall-clock time it spent in
 /// `f`) before retiring; the `pool_*` metrics are recorded whenever the
 /// registry is on. Both observe the pool, they never steer it.
 pub fn parallel_map_salvage<T, R, F>(
@@ -135,7 +136,7 @@ where
 {
     let workers = parallelism.worker_count().min(items.len());
     // Pool accounting: fan-out shape and queue depth are recorded up
-    // front, steal/retry totals per worker as each retires.
+    // front, claim totals per worker as each retires.
     let metrics_on = abm_metrics::enabled();
     if metrics_on {
         let m = abm_metrics::global();
@@ -149,29 +150,23 @@ where
         }
     }
 
-    let injector: Injector<usize> = Injector::new();
-    for i in 0..items.len() {
-        injector.push(i);
-    }
-    let open = || deadline.is_none_or(|d| Instant::now() < d);
+    // The next unclaimed index; every index below it is claimed.
+    // `Relaxed` suffices: the counter publishes no data (the items are
+    // shared before any worker starts, results come home through the
+    // join), and a read-modify-write hands out each value once under
+    // any ordering.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return None;
+        }
+        Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < items.len())
+    };
     // `claimed`: an index this worker took before it started.
     let run_worker = |worker: usize, mut claimed: Option<usize>| {
         let mut done: Vec<(usize, Result<R, AbmError>)> = Vec::new();
         let mut busy_ns = 0u64;
-        let mut retries = 0u64;
-        loop {
-            let i = match claimed.take() {
-                Some(i) => i,
-                None if !open() => break,
-                None => match injector.steal() {
-                    Steal::Success(i) => i,
-                    Steal::Empty => break,
-                    Steal::Retry => {
-                        retries += 1;
-                        continue;
-                    }
-                },
-            };
+        while let Some(i) = claimed.take().or_else(claim) {
             let start = sink.map(|_| Instant::now());
             let result =
                 catch_unwind(AssertUnwindSafe(|| f(worker, i, &items[i]))).map_err(|payload| {
@@ -198,17 +193,12 @@ where
         if metrics_on {
             let m = abm_metrics::global();
             m.add("pool_steals_total", tasks);
-            m.add("pool_steal_retries_total", retries);
         }
         done
     };
-    // Nothing else steals yet, so this takes item 0 unless the deadline
+    // Nothing else claims yet, so this takes item 0 unless the deadline
     // has already passed.
-    let first = if open() {
-        injector.steal().success()
-    } else {
-        None
-    };
+    let first = claim();
     let done: Vec<Vec<(usize, Result<R, AbmError>)>> = if workers <= 1 {
         vec![run_worker(0, first)]
     } else {
@@ -230,10 +220,10 @@ where
         })
     };
 
-    // The injector queued each index exactly once and every claimed
-    // index came home with exactly one result (the deque model checker
-    // proves no lost tasks), so a slot still empty was never claimed —
-    // which only the deadline can cause.
+    // The counter hands out each index at most once and every claimed
+    // index came home with exactly one result (the claim-counter model
+    // checker proves no lost tasks), so a slot still empty was never
+    // claimed — which only the deadline can cause.
     let mut slots: Vec<Option<Result<R, AbmError>>> = (0..items.len()).map(|_| None).collect();
     for (i, result) in done.into_iter().flatten() {
         slots[i] = Some(result);
@@ -257,7 +247,7 @@ where
 /// Runs `each` on every share of one pass over a layer's kernels —
 /// every share but the last on a scoped thread of its own, the last on
 /// the calling thread, so a pass of one share spawns nothing — and
-/// folds the answers in share order. Below the work-stealing pool: the
+/// folds the answers in share order. Below the claim-counter pool: the
 /// shares are fixed up front, as the accelerator's compute units each
 /// take the next kernels of one window, and a share's panic resumes on
 /// the caller with its own payload.

@@ -15,8 +15,8 @@
 //!
 //! 1. **Never on the result path** — metrics observe durations and
 //!    counts; they can never change a computed value. The
-//!    `registry-on == registry-off` proptest and the `xtask metrics
-//!    --smoke` gate pin this.
+//!    `registry-on == registry-off` proptest in `tests/metrics.rs`
+//!    pins this.
 //! 2. **One source for the simulator's aggregates** — the simulator
 //!    writes none of them. Its `sim_*` aggregates are
 //!    [`MetricsRegistry::fold`] over the event stream it recorded, so

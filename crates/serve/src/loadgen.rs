@@ -236,8 +236,8 @@ impl LoadGen {
     }
 }
 
-/// Renders legs into the `BENCH_serve.json` document. The top-level
-/// `runs` key is the schema signature `xtask bench-diff` sniffs.
+/// Renders legs into the `BENCH_serve.json` document: the network and
+/// one `runs` entry per leg.
 #[must_use]
 pub fn render_bench(legs: &[LoadReport], slo: Duration, net: &str) -> String {
     Node::object(|o| {

@@ -70,7 +70,8 @@ pub struct ServeConfig {
     /// [`Parallelism::Auto`] on the cores the idle workers leave free;
     /// any other runs on its worker's thread alone.
     pub workers: usize,
-    /// Deadline budget assumed for requests that do not carry one.
+    /// Deadline budget for a caller to give requests that carry none
+    /// ([`Server::submit`] always takes one explicitly).
     pub default_deadline: Duration,
     /// The p99 latency objective for admitted requests (reporting and
     /// load-test gating; admission enforces per-request deadlines).
@@ -635,15 +636,6 @@ impl Server {
         c.bump(Counter::Shed);
         abm_metrics::global().note_error("serve", &format!("shed: {e}"));
         Err(e)
-    }
-
-    /// [`submit`](Self::submit) with the configured default deadline.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`submit`](Self::submit).
-    pub fn submit_default(&self, input: Tensor3<i16>) -> Result<Ticket, AbmError> {
-        self.submit(input, self.shared.cfg.default_deadline)
     }
 
     /// The configured service-level objective (p99 target).

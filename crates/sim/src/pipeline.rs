@@ -351,14 +351,6 @@ impl PipelineSim {
         self.makespan_cycles as f64 / (self.freq_mhz * 1e6)
     }
 
-    /// Steady-state cycles per image: the bottleneck stage's busy
-    /// cycles divided by the batch.
-    #[must_use]
-    pub fn steady_cycles_per_image(&self) -> u64 {
-        let bottleneck = self.stages.iter().map(|s| s.busy_cycles).max().unwrap_or(0);
-        bottleneck / self.batch.max(1) as u64
-    }
-
     /// Batch throughput in images per second.
     #[must_use]
     pub fn images_per_second(&self) -> f64 {

@@ -496,7 +496,7 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
     ///
     /// How layers are walked is chosen from what the context shows.
     /// With both hooks null and at least as many layers as (two or
-    /// more) workers, the work-stealing pool steals whole layers, most
+    /// more) workers, the pool's workers claim whole layers, most
     /// weights first, and each layer's kernels run serially (no nested
     /// pools). Otherwise
     /// layers run in order on the calling thread, on one cumulative

@@ -102,7 +102,7 @@ pub enum Event {
         /// accelerated layers; 0 where not applicable).
         ops: u64,
     },
-    /// One worker's contribution to a work-stealing `parallel_map`.
+    /// One worker's contribution to a `parallel_map`: the tasks it claimed.
     WorkerSteals {
         /// Worker index within the pool.
         worker: u32,

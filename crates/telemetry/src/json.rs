@@ -24,7 +24,7 @@
 //!
 //! **Reading.** [`parse`] is one strict recursive descent that checks the
 //! grammar and builds a [`Value`]; [`validate`] is `parse` without the
-//! tree. `cargo xtask bench-diff`, `xtask certify` and the repo benchmark
+//! tree. `cargo xtask check-docs`, `xtask certify` and the repo benchmark
 //! read documents back through it.
 
 /// Escapes a string for embedding in a JSON string literal.

@@ -1,7 +1,7 @@
 //! Thread-safe event sink for the host-side inference path.
 //!
 //! The simulator owns a single `&mut` collector (its event order is
-//! deterministic), but host spans come from work-stealing worker
+//! deterministic), but host spans come from the pool's worker
 //! threads. [`TelemetrySink`] is the shared-ownership variant: cheap to
 //! clone, recorded into from any thread, drained once at the end. Span
 //! *timestamps* are wall-clock and therefore run-dependent; the

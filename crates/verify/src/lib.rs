@@ -17,10 +17,10 @@
 //!    streams fit the configured FIFO and buffer depths (synthesis-time
 //!    feasibility);
 //! 3. [`mc`] — an exhaustive-interleaving model checker for the two
-//!    hand-written concurrent protocols (the work-stealing injector
-//!    loop and the lane's accumulator→FIFO→multiplier hand-off),
-//!    proving steal linearizability and no lost or duplicated work over
-//!    bounded instances;
+//!    hand-written concurrent protocols (the pool's shared claim counter
+//!    and the lane's accumulator→FIFO→multiplier hand-off), proving
+//!    claim linearizability and no lost or duplicated work over bounded
+//!    instances;
 //! 4. [`range`] — a whole-network abstract interpretation (interval +
 //!    known-bits domains) that turns calibrated input ranges into
 //!    per-layer [`WidthCertificate`]s: proven stage-1/stage-2/ABFT
@@ -48,7 +48,9 @@ pub mod report;
 pub mod schedule;
 
 pub use lowering::{verify_lowering, AccumulatorModel, ConvGeometry};
-pub use mc::{explore, standard_suite, DequeFault, DequeModel, FifoFault, FifoModel, Model};
+pub use mc::{
+    explore, seeded_faults, standard_suite, ClaimFault, ClaimModel, FifoFault, FifoModel, Model,
+};
 pub use pipeline::{verify_pipeline, BoundaryFacts, PipelineParams, StageFacts};
 pub use range::{
     certify_layer, check_certificates, AbsVal, CertSummary, ExtremalPatch, Interval, KnownBits,

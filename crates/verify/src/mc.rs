@@ -1,8 +1,8 @@
 //! Pass 3 — the exhaustive-interleaving model checker.
 //!
 //! The repository has two hand-written concurrent protocols: the
-//! work-stealing injector loop behind `abm-conv`'s `parallel_map` (the
-//! host analogue of the paper's semi-synchronous CU scheduler), and the
+//! shared claim counter behind `abm-conv`'s `parallel_map` (the host
+//! analogue of the paper's semi-synchronous CU scheduler), and the
 //! accumulator→FIFO→multiplier hand-off inside a lane (`abm-sim`'s
 //! timing recurrence models it; the hardware builds it). Both are
 //! tested dynamically, but a racy protocol can pass any finite number
@@ -12,17 +12,18 @@
 //!
 //! The harness is hand-rolled (no `loom`): a [`Model`] exposes an
 //! initial state, a successor relation at the protocol's atomic-step
-//! granularity (one mutex acquisition, one FIFO push), a state
+//! granularity (one atomic counter update, one FIFO push), a state
 //! invariant and a terminal-state acceptance check. [`explore`] walks
 //! the reachable state graph depth-first with memoisation and returns a
 //! [`VerifyReport`]: `facts` counts distinct states proven, and any
 //! violation carries the exact action trace that reaches it.
 //!
-//! Both models take a fault knob ([`DequeFault`], [`FifoFault`]) that
-//! re-introduces a concurrency bug (dropping the lock around the pop,
-//! ignoring FIFO backpressure). The checker must catch each seeded
-//! fault — that is what demonstrates the passes have teeth, the same
-//! way the lowering verifier is validated against corrupted codes.
+//! Both models take a fault knob ([`ClaimFault`], [`FifoFault`]) that
+//! re-introduces a concurrency bug (splitting the claim's atomic
+//! `fetch_add` into a load and a store, ignoring FIFO backpressure).
+//! The checker must catch each seeded fault ([`seeded_faults`]) — that
+//! is what demonstrates the passes have teeth, the same way the
+//! lowering verifier is validated against corrupted codes.
 
 use crate::report::{Defect, VerifyReport};
 use std::collections::HashSet;
@@ -117,153 +118,130 @@ pub fn explore<M: Model>(model: &M, max_states: u64) -> VerifyReport {
 
 // Per-actor action labels must be `&'static str` for the trace type;
 // index by actor id (bounded instances only — up to 4 actors).
-const ACT_LOCK: [&str; 4] = ["w0.lock", "w1.lock", "w2.lock", "w3.lock"];
-const ACT_POP: [&str; 4] = ["w0.pop", "w1.pop", "w2.pop", "w3.pop"];
+const ACT_CLAIM: [&str; 4] = ["w0.claim", "w1.claim", "w2.claim", "w3.claim"];
+const ACT_LOAD: [&str; 4] = ["w0.load", "w1.load", "w2.load", "w3.load"];
 const ACT_EMPTY: [&str; 4] = ["w0.empty", "w1.empty", "w2.empty", "w3.empty"];
 const ACT_EXEC: [&str; 4] = ["w0.exec", "w1.exec", "w2.exec", "w3.exec"];
 
-/// A concurrency bug the deque model can re-introduce on purpose.
+/// A concurrency bug the claim-counter model can re-introduce on purpose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DequeFault {
-    /// Faithful protocol: pop the queue head only while holding the
-    /// injector mutex.
+pub enum ClaimFault {
+    /// Faithful protocol: a claim is one atomic `fetch_add`.
     #[default]
     None,
-    /// Skip the mutex: read the head and remove it in two separately
-    /// interleavable steps — the classic racy steal.
-    RacyPop,
+    /// Claim with a separate load and store (`i = next.load();
+    /// next.store(i + 1)`), so two workers can read the same index.
+    SplitClaim,
 }
 
-/// Bounded model of `parallel_map`'s work-stealing loop: `tasks` queued
-/// up front in a mutex-protected injector, `workers` threads each
-/// looping steal → execute → steal until the queue is empty.
+/// Bounded model of `parallel_map`'s claim loop: `tasks` indexes behind
+/// one shared counter, `workers` threads each looping claim → execute →
+/// claim until a claim reads past the last index.
 #[derive(Debug, Clone)]
-pub struct DequeModel {
+pub struct ClaimModel {
     /// Worker threads (≤ 4).
     pub workers: usize,
-    /// Tasks pushed before the workers start (≤ 8).
+    /// Task indexes `0..tasks` (≤ 8).
     pub tasks: usize,
     /// Seeded fault, if any.
-    pub fault: DequeFault,
+    pub fault: ClaimFault,
 }
 
-/// One worker's program counter in [`DequeModel`].
+/// One worker's program counter in [`ClaimModel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum WorkerPc {
-    /// Between loop iterations, about to contend for the lock.
+    /// Between loop iterations, about to claim.
     Idle,
-    /// Holding the injector mutex (faithful protocol).
-    Locked,
-    /// Racy variant: read the head (this task id), removal still pending.
-    RacyRead(u8),
+    /// Split claim: loaded this counter value, store still pending.
+    Loaded(u8),
     /// Task claimed, executing it.
     Executing(u8),
-    /// Observed an empty queue and retired.
+    /// Claimed past the last index and retired.
     Done,
 }
 
-/// Global state of [`DequeModel`].
+/// Global state of [`ClaimModel`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct DequeState {
-    queue: Vec<u8>,
-    lock_held: bool,
+pub struct ClaimState {
+    /// The shared counter: the next index to hand out.
+    next: u8,
     pcs: Vec<WorkerPc>,
-    /// Stolen task ids in removal order (linearization of steals).
-    steal_log: Vec<u8>,
+    /// Claimed task ids in claim order (linearization of claims).
+    claim_log: Vec<u8>,
     /// Per-task execution count.
     executed: Vec<u8>,
 }
 
-impl Model for DequeModel {
-    type State = DequeState;
+impl ClaimModel {
+    /// Worker `w` ends a claim that read `index`: it runs that task or,
+    /// past the last one, retires.
+    fn take(&self, s: &mut ClaimState, w: usize, index: u8) -> &'static str {
+        if usize::from(index) < self.tasks {
+            s.claim_log.push(index);
+            s.pcs[w] = WorkerPc::Executing(index);
+            ACT_CLAIM[w]
+        } else {
+            s.pcs[w] = WorkerPc::Done;
+            ACT_EMPTY[w]
+        }
+    }
+}
+
+impl Model for ClaimModel {
+    type State = ClaimState;
 
     fn name(&self) -> &'static str {
         match self.fault {
-            DequeFault::None => "deque",
-            DequeFault::RacyPop => "deque[racy-pop]",
+            ClaimFault::None => "claim-counter",
+            ClaimFault::SplitClaim => "claim-counter[split-claim]",
         }
     }
 
     fn initial(&self) -> Self::State {
-        DequeState {
-            queue: (0..self.tasks as u8).collect(),
-            lock_held: false,
+        ClaimState {
+            next: 0,
             pcs: vec![WorkerPc::Idle; self.workers],
-            steal_log: Vec::new(),
+            claim_log: Vec::new(),
             executed: vec![0; self.tasks],
         }
     }
 
     fn successors(&self, state: &Self::State, out: &mut Vec<(&'static str, Self::State)>) {
         for (w, &pc) in state.pcs.iter().enumerate() {
-            match (pc, self.fault) {
-                (WorkerPc::Idle, DequeFault::None) => {
-                    // Acquire the injector mutex (blocks while held).
-                    if !state.lock_held {
-                        let mut s = state.clone();
-                        s.lock_held = true;
-                        s.pcs[w] = WorkerPc::Locked;
-                        out.push((ACT_LOCK[w], s));
-                    }
+            let mut s = state.clone();
+            let action = match (pc, self.fault) {
+                // One atomic read-modify-write of the counter.
+                (WorkerPc::Idle, ClaimFault::None) => {
+                    s.next += 1;
+                    self.take(&mut s, w, state.next)
                 }
-                (WorkerPc::Locked, _) => {
-                    // Pop the head and release, or observe empty and retire.
-                    let mut s = state.clone();
-                    s.lock_held = false;
-                    if s.queue.is_empty() {
-                        s.pcs[w] = WorkerPc::Done;
-                        out.push((ACT_EMPTY[w], s));
-                    } else {
-                        let task = s.queue.remove(0);
-                        s.steal_log.push(task);
-                        s.pcs[w] = WorkerPc::Executing(task);
-                        out.push((ACT_POP[w], s));
-                    }
+                // The load alone; another worker may claim before the store.
+                (WorkerPc::Idle, ClaimFault::SplitClaim) => {
+                    s.pcs[w] = WorkerPc::Loaded(state.next);
+                    ACT_LOAD[w]
                 }
-                (WorkerPc::Idle, DequeFault::RacyPop) => {
-                    // Unlocked read of the head...
-                    match state.queue.first() {
-                        Some(&task) => {
-                            let mut s = state.clone();
-                            s.pcs[w] = WorkerPc::RacyRead(task);
-                            out.push((ACT_LOCK[w], s));
-                        }
-                        None => {
-                            let mut s = state.clone();
-                            s.pcs[w] = WorkerPc::Done;
-                            out.push((ACT_EMPTY[w], s));
-                        }
-                    }
-                }
-                (WorkerPc::RacyRead(task), _) => {
-                    // ...then a separately-interleaved removal: another
-                    // worker may have raced us to it.
-                    let mut s = state.clone();
-                    if s.queue.first() == Some(&task) {
-                        s.queue.remove(0);
-                        s.steal_log.push(task);
-                    }
-                    s.pcs[w] = WorkerPc::Executing(task);
-                    out.push((ACT_POP[w], s));
+                (WorkerPc::Loaded(index), _) => {
+                    s.next = index + 1;
+                    self.take(&mut s, w, index)
                 }
                 (WorkerPc::Executing(task), _) => {
-                    let mut s = state.clone();
-                    s.executed[task as usize] += 1;
+                    s.executed[usize::from(task)] += 1;
                     s.pcs[w] = WorkerPc::Idle;
-                    out.push((ACT_EXEC[w], s));
+                    ACT_EXEC[w]
                 }
-                (WorkerPc::Done, _) => {}
-            }
+                (WorkerPc::Done, _) => continue,
+            };
+            out.push((action, s));
         }
     }
 
     fn invariant(&self, state: &Self::State) -> Result<(), String> {
-        // Steal linearizability: the injector is FIFO and tasks were
-        // queued in id order, so the removal log must read 0, 1, 2, ...
-        for (i, &t) in state.steal_log.iter().enumerate() {
+        // Claim linearizability: the counter hands out indexes in
+        // order, so the claim log must read 0, 1, 2, ...
+        for (i, &t) in state.claim_log.iter().enumerate() {
             if t as usize != i {
                 return Err(format!(
-                    "steal log position {i} holds task {t}: steals not linearizable in queue order"
+                    "claim log position {i} holds task {t}: claims not linearizable in index order"
                 ));
             }
         }
@@ -279,12 +257,6 @@ impl Model for DequeModel {
     fn accept_terminal(&self, state: &Self::State) -> Result<(), String> {
         if !state.pcs.iter().all(|&pc| pc == WorkerPc::Done) {
             return Err("deadlock: not all workers retired".into());
-        }
-        if !state.queue.is_empty() {
-            return Err(format!(
-                "{} task(s) left unclaimed in the queue",
-                state.queue.len()
-            ));
         }
         for (task, &n) in state.executed.iter().enumerate() {
             if n != 1 {
@@ -462,21 +434,21 @@ impl Model for FifoModel {
 
 /// The bounded instances CI explores: small enough to finish in
 /// seconds, large enough to exercise contention (3 workers × 4 tasks
-/// covers every lock interleaving; depth-1 and depth-2 FIFOs exercise
+/// covers every claim interleaving; depth-1 and depth-2 FIFOs exercise
 /// backpressure stalls).
 #[must_use]
 pub fn standard_suite() -> Vec<VerifyReport> {
     let mut reports = Vec::new();
     for (workers, tasks) in [(2, 2), (2, 4), (3, 3), (3, 4)] {
         let mut r = explore(
-            &DequeModel {
+            &ClaimModel {
                 workers,
                 tasks,
-                fault: DequeFault::None,
+                fault: ClaimFault::None,
             },
             2_000_000,
         );
-        r.subject = format!("deque workers={workers} tasks={tasks}");
+        r.subject = format!("claim-counter workers={workers} tasks={tasks}");
         reports.push(r);
     }
     for (cycles, depth, n) in [
@@ -501,17 +473,44 @@ pub fn standard_suite() -> Vec<VerifyReport> {
     reports
 }
 
+/// One bounded instance of each model with its fault seeded: every
+/// report must carry an interleaving violation and the trace that
+/// reaches it, or the checker has lost its teeth.
+#[must_use]
+pub fn seeded_faults() -> Vec<VerifyReport> {
+    let mut claim = explore(
+        &ClaimModel {
+            workers: 2,
+            tasks: 2,
+            fault: ClaimFault::SplitClaim,
+        },
+        2_000_000,
+    );
+    claim.subject = "claim-counter[split-claim] workers=2 tasks=2".into();
+    let mut fifo = explore(
+        &FifoModel {
+            group_cycles: vec![1, 1, 1],
+            depth: 1,
+            n: 3,
+            fault: FifoFault::IgnoreBackpressure,
+        },
+        2_000_000,
+    );
+    fifo.subject = "lane-fifo[no-backpressure] groups=3 depth=1 N=3".into();
+    vec![claim, fifo]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn faithful_deque_passes_exhaustively() {
+    fn faithful_claim_counter_passes_exhaustively() {
         let r = explore(
-            &DequeModel {
+            &ClaimModel {
                 workers: 3,
                 tasks: 4,
-                fault: DequeFault::None,
+                fault: ClaimFault::None,
             },
             2_000_000,
         );
@@ -524,21 +523,20 @@ mod tests {
     }
 
     #[test]
-    fn racy_pop_is_caught_with_a_trace() {
-        let r = explore(
-            &DequeModel {
-                workers: 2,
-                tasks: 2,
-                fault: DequeFault::RacyPop,
-            },
-            2_000_000,
-        );
-        assert!(r.has_class("interleaving_violation"), "{r}");
-        // The counterexample names the interleaved actions.
-        let Defect::InterleavingViolation { trace, .. } = &r.defects[0] else {
-            panic!("wrong defect: {r}");
+    fn every_seeded_fault_is_caught_with_a_trace() {
+        let [claim, fifo] = <[VerifyReport; 2]>::try_from(seeded_faults()).unwrap();
+        assert!(claim.has_class("interleaving_violation"), "{claim}");
+        // The counterexample names the interleaved actions: both
+        // workers load before either stores.
+        let Defect::InterleavingViolation { trace, .. } = &claim.defects[0] else {
+            panic!("wrong defect: {claim}");
         };
-        assert!(!trace.is_empty());
+        assert!(
+            trace.contains(&"w0.load") && trace.contains(&"w1.load"),
+            "{claim}"
+        );
+        assert!(fifo.has_class("interleaving_violation"), "{fifo}");
+        assert!(fifo.to_string().contains("occupancy"), "{fifo}");
     }
 
     #[test]
@@ -549,27 +547,12 @@ mod tests {
     }
 
     #[test]
-    fn ignored_backpressure_overflows_the_fifo() {
-        let r = explore(
-            &FifoModel {
-                group_cycles: vec![1, 1, 1],
-                depth: 1,
-                n: 3,
-                fault: FifoFault::IgnoreBackpressure,
-            },
-            2_000_000,
-        );
-        assert!(r.has_class("interleaving_violation"), "{r}");
-        assert!(r.to_string().contains("occupancy"), "{r}");
-    }
-
-    #[test]
     fn state_bound_guards_runaway() {
         let r = explore(
-            &DequeModel {
+            &ClaimModel {
                 workers: 3,
                 tasks: 4,
-                fault: DequeFault::None,
+                fault: ClaimFault::None,
             },
             10,
         );

@@ -667,7 +667,7 @@ mod tests {
     fn json_escapes_quotes() {
         let mut r = VerifyReport::new("layer \"x\"");
         r.defect(Defect::InterleavingViolation {
-            model: "deque".into(),
+            model: "claim-counter".into(),
             message: "bad\nstate".into(),
             trace: vec!["a", "b"],
         });

@@ -1,4 +1,4 @@
-//! Batched functional inference through the work-stealing host pool:
+//! Batched functional inference through the claim-counter host pool:
 //! prepares AlexNet once, runs a 64-image batch with
 //! `run_batch_prepared` serially and with `Parallelism::Auto`, checks
 //! the results are bit-identical to each other and to the first images

@@ -398,8 +398,8 @@ fn the_arena_stops_growing_after_the_first_image() {
         );
     }
 
-    // Batch on two threads, from nothing: however the work-stealing
-    // falls, never more arenas (or image buffers) than threads
+    // Batch on two threads, from nothing: however the claims
+    // fall, never more arenas (or image buffers) than threads
     // executing, each counted once — an arena that has run one image's
     // prefix has grown all it will — and the one lane arena the tail
     // runs on, which the first batch grows and no later one does.

@@ -551,7 +551,8 @@ fn telemetry_sink_concurrent_writers_lose_nothing() {
     assert_eq!(registry.flight().recorded(), THREADS as u64 * PER_THREAD);
 }
 
-/// The exposition formats stay well-formed on a real run, and the
+/// The exposition formats stay well-formed on a real run, the JSON
+/// snapshot names the headline image, layer and pool metrics, and the
 /// Prometheus text quotes the quantiles the table prints.
 #[test]
 fn snapshot_expositions_are_well_formed() {
@@ -565,6 +566,17 @@ fn snapshot_expositions_are_well_formed() {
     let snap = registry.snapshot();
     let text = snap.to_json();
     json::validate(&text).unwrap();
+    for name in [
+        "infer_image_ns",
+        "abm_execute_ns",
+        "infer_images_total",
+        "pool_items_total",
+    ] {
+        assert!(
+            text.contains(&format!("\"{name}\"")),
+            "snapshot lacks {name}"
+        );
+    }
     let prom = snap.to_prometheus();
     assert!(prom.contains("# TYPE infer_images_total counter"));
     assert!(prom.contains("quantile=\"0.99\""));

@@ -66,7 +66,7 @@ fn pinned_alexnet_simulation() {
 }
 
 /// The shared-`PreparedWeights` batch path (prepare once, infer the
-/// whole batch across the work-stealing pool): pinned against the
+/// whole batch across the claim-counter pool): pinned against the
 /// serial single-image golden values. The parallel path is bit-exact,
 /// so the 0.2% pin tolerance only absorbs float-summation differences
 /// across compilers, never scheduling effects.

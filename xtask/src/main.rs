@@ -6,26 +6,24 @@
 //! cargo xtask verify --net N  # ... of one zoo network
 //! cargo xtask mc              # exhaustive concurrency model-checker suite
 //! cargo xtask faults --smoke  # seeded fault-injection campaign gate
-//! cargo xtask metrics --smoke # metrics-registry bit-identity + exposition gate
 //! cargo xtask serve --smoke   # serving soak gate (loadtest legs incl. chaos)
-//! cargo xtask bench-diff A B  # noise-aware perf-regression gate
+//! cargo xtask check-docs      # doc citations round from the committed records
 //! ```
 //!
-//! All three commands exit non-zero on the first clean/dirty verdict
-//! mismatch, so CI can call them directly. The lint pass is a source
-//! scanner (no rustc involvement): it enforces `#![forbid(unsafe_code)]`
-//! in every compilation root and denies `unwrap()`/`expect()`/`panic!`
-//! in the non-test core paths of `tensor`/`sparse`/`conv`/`sim`, with
-//! an allowlist (`xtask/lint-allow.txt`) whose every surviving site
-//! must justify itself with an `// INVARIANT:` comment.
+//! Every command exits non-zero when its check fails, so CI can call
+//! them directly. The lint pass is a source scanner (no rustc
+//! involvement): it enforces `#![forbid(unsafe_code)]` in every
+//! compilation root and denies `unwrap()`/`expect()`/`panic!` in the
+//! non-test core paths of `tensor`/`sparse`/`conv`/`sim`, with an
+//! allowlist (`xtask/lint-allow.txt`) whose every surviving site must
+//! justify itself with an `// INVARIANT:` comment.
 
 #![forbid(unsafe_code)]
 
-mod benchdiff;
 mod certify;
+mod checkdocs;
 mod faults;
 mod lint;
-mod metrics;
 mod serve;
 mod zoo;
 
@@ -40,18 +38,13 @@ commands:
   verify --net <name>  statically verify one network (tiny|alexnet|vgg16|vgg19)
   verify --certify     re-derive width certificates, replay their witnesses,
                        and check CERT_zoo.json (--update rewrites the file)
-  mc                   run the exhaustive interleaving model-checker suite
+  mc                   run the exhaustive interleaving model-checker suite and
+                       prove it catches each model's seeded fault
   faults [--smoke]     run the fault-injection campaign (smoke = AlexNet only;
                        the full run rewrites the committed FAULTS_campaign.json)
-  metrics [--smoke]    metrics registry gate: on/off bit-identity + expositions
   serve [--smoke]      serving soak gate: loadtest legs incl. chaos, release build
-  bench-diff <old> <new> [--threshold PCT]
-                       fail when a headline benchmark metric regresses
-  bench-diff --check-docs
-                       assert every number the docs cite from the committed
-                       records (BENCH_pipeline.json, REPRO_paper.json)
-  bench-diff --self-test
-                       prove the gate rejects a degraded benchmark";
+  check-docs           assert every number the docs cite from the committed
+                       records (BENCH_pipeline.json, REPRO_paper.json)";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -85,16 +78,12 @@ fn main() -> ExitCode {
             None => faults::run(&root, false),
             Some(other) => Err(format!("unknown faults flag '{other}'\n{USAGE}")),
         },
-        Some("metrics") => match args.get(1).map(String::as_str) {
-            Some("--smoke") | None => metrics::run(&root),
-            Some(other) => Err(format!("unknown metrics flag '{other}'\n{USAGE}")),
-        },
         Some("serve") => match args.get(1).map(String::as_str) {
             Some("--smoke") => serve::run(&root, true),
             None => serve::run(&root, false),
             Some(other) => Err(format!("unknown serve flag '{other}'\n{USAGE}")),
         },
-        Some("bench-diff") => benchdiff::run(&root, &args[1..]),
+        Some("check-docs") => checkdocs::run(&root),
         Some(other) => Err(format!("unknown command '{other}'\n{USAGE}")),
         None => Err(USAGE.into()),
     };

@@ -94,9 +94,10 @@ fn lane_note(report: &abm_verify::VerifyReport) -> String {
     }
 }
 
-/// Runs the exhaustive-interleaving suite over the work-stealing deque
-/// and lane-FIFO models at the standard bounds. Errors with the first
-/// counterexample trace if any instance is violated.
+/// Runs the exhaustive-interleaving suite over the shared claim-counter
+/// and lane-FIFO models at the standard bounds, then each model with
+/// its fault seeded. Errors with the first counterexample trace if any
+/// faithful instance is violated, or if a seeded fault goes uncaught.
 pub fn model_check() -> Result<(), String> {
     let started = Instant::now();
     let reports = abm_verify::standard_suite();
@@ -110,6 +111,12 @@ pub fn model_check() -> Result<(), String> {
         );
         if !report.is_clean() {
             violations.push(report.to_string());
+        }
+    }
+    for report in abm_verify::seeded_faults() {
+        match report.defects.first() {
+            Some(defect) => println!("  {:<44} caught: {defect}", report.subject),
+            None => violations.push(format!("{}: seeded fault not caught\n", report.subject)),
         }
     }
     println!(

@@ -91,95 +91,6 @@ pub fn conv2d_counted(
     Ok((out, work))
 }
 
-/// The extreme stage-1 partial sums and stage-2 accumulators one
-/// reference run actually produced — the observational counterpart of a
-/// range certificate's proven intervals. An all-zero-work layer reports
-/// the empty observation `[0, 0]` (no partial ever exists, but the
-/// certified intervals always contain zero).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObservedRanges {
-    /// Smallest stage-1 partial sum observed (over every value group,
-    /// every output pixel, **including intermediate prefixes** of the
-    /// running per-group sum — the quantity a packed i16 lane holds).
-    pub stage1_min: i64,
-    /// Largest such stage-1 partial sum.
-    pub stage1_max: i64,
-    /// Smallest stage-2 output accumulator observed. Final values per
-    /// pixel: the reduction's intermediate state always lives in an
-    /// `i64` register, so the certificate sizes only the output (and
-    /// the ABFT checksums built from it).
-    pub stage2_min: i64,
-    /// Largest such stage-2 accumulator.
-    pub stage2_max: i64,
-}
-
-/// Like [`conv2d_counted`] but also records the extreme stage-1 /
-/// stage-2 values the run produced — the instrumentation the
-/// certificate-soundness tests use to check "every observed runtime
-/// value lies inside the certified interval".
-///
-/// # Errors
-///
-/// Returns [`AbmError`] on inconsistent channel counts or a group count
-/// that does not divide the output channels.
-pub fn conv2d_instrumented(
-    input: &Tensor3<i16>,
-    code: &LayerCode,
-    geom: Geometry,
-) -> Result<(Tensor3<i64>, AbmWork, ObservedRanges), AbmError> {
-    let w = code.shape();
-    validate_grouping(input.shape(), w, geom)?;
-    let out_shape = Shape3::new(
-        w.out_channels,
-        abm_tensor::shape::conv_out_dim(input.shape().rows, w.kernel_rows, geom.stride, geom.pad),
-        abm_tensor::shape::conv_out_dim(input.shape().cols, w.kernel_cols, geom.stride, geom.pad),
-    );
-    let m_per_group = w.out_channels / geom.groups;
-    let mut out = Tensor3::zeros(out_shape);
-    let mut work = AbmWork::default();
-    let mut obs = ObservedRanges {
-        stage1_min: 0,
-        stage1_max: 0,
-        stage2_min: 0,
-        stage2_max: 0,
-    };
-
-    type DecodedGroup = (i8, Vec<(usize, usize, usize)>);
-    for (m, kernel) in code.kernels().iter().enumerate() {
-        let group = m / m_per_group;
-        let in_base = group * w.in_channels;
-        let decoded: Vec<DecodedGroup> = kernel
-            .groups()
-            .map(|(value, idxs)| (value, idxs.iter().map(|&i| code.unravel(i)).collect()))
-            .collect();
-        for orow in 0..out_shape.rows {
-            for ocol in 0..out_shape.cols {
-                let mut acc = 0i64;
-                for (value, positions) in &decoded {
-                    let mut partial = 0i64;
-                    for &(n, k, kp) in positions {
-                        let pr = (orow * geom.stride + k) as isize - geom.pad as isize;
-                        let pc = (ocol * geom.stride + kp) as isize - geom.pad as isize;
-                        partial += padded_read(input, in_base + n, pr, pc);
-                        // Every intermediate prefix is an accumulator
-                        // state a narrow register must hold.
-                        obs.stage1_min = obs.stage1_min.min(partial);
-                        obs.stage1_max = obs.stage1_max.max(partial);
-                        work.accumulations += 1;
-                    }
-                    acc += (*value as i64) * partial;
-                    work.multiplications += 1;
-                    work.final_accumulations += 1;
-                }
-                obs.stage2_min = obs.stage2_min.min(acc);
-                obs.stage2_max = obs.stage2_max.max(acc);
-                out[(m, orow, ocol)] = acc;
-            }
-        }
-    }
-    Ok((out, work, obs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

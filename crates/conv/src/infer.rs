@@ -233,7 +233,7 @@ impl<'m> Inferencer<'m> {
     /// wall-clock [`HostSpan`](abm_telemetry::Event::HostSpan) carrying
     /// its ABM operation count (so span duration vs. `ops` gives
     /// measured host efficiency), and batch runs record per-worker
-    /// steal counts. Inference *results* are unaffected — the sink only
+    /// claim counts. Inference *results* are unaffected — the sink only
     /// observes (asserted by `tests/telemetry.rs`).
     pub fn telemetry(mut self, sink: TelemetrySink) -> Self {
         self.telemetry = Some(sink);

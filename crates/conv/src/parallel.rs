@@ -14,7 +14,7 @@
 //! sink, optional deadline, a panic boundary around every item, one
 //! typed outcome per item. Batched inference, the serving layer's
 //! deadline-bounded batches and the simulator's budgeted runs all call
-//! it, so its `pool_*` metrics and `WorkerSteals` events cover every
+//! it, so its `pool_*` metrics and `WorkerClaims` events cover every
 //! fan-out. [`parallel_map`] is the same loop for callers whose items
 //! cannot fail. One level down, `on_shares` runs the fixed runs of one
 //! layer's kernels a lone image splits across threads; the two are
@@ -119,7 +119,7 @@ impl fmt::Display for Parallelism {
 ///   only that item.
 ///
 /// When a `sink` is attached each worker records one
-/// [`Event::WorkerSteals`] (tasks it claimed, wall-clock time it spent in
+/// [`Event::WorkerClaims`] (tasks it claimed, wall-clock time it spent in
 /// `f`) before retiring; the `pool_*` metrics are recorded whenever the
 /// registry is on. Both observe the pool, they never steer it.
 pub fn parallel_map_salvage<T, R, F>(
@@ -183,7 +183,7 @@ where
         let tasks = done.len() as u64;
         if let Some(sink) = sink {
             if tasks > 0 {
-                sink.record(Event::WorkerSteals {
+                sink.record(Event::WorkerClaims {
                     worker: worker as u32,
                     tasks,
                     busy_ns,
@@ -192,7 +192,7 @@ where
         }
         if metrics_on {
             let m = abm_metrics::global();
-            m.add("pool_steals_total", tasks);
+            m.add("pool_claims_total", tasks);
         }
         done
     };
@@ -387,7 +387,7 @@ mod tests {
             let stolen: u64 = events
                 .iter()
                 .map(|e| match e {
-                    Event::WorkerSteals { worker, tasks, .. } => {
+                    Event::WorkerClaims { worker, tasks, .. } => {
                         assert!((*worker as usize) < workers);
                         *tasks
                     }

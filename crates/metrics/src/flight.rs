@@ -12,7 +12,7 @@
 //!
 //! Dumps render through [`stable_line`], which deliberately omits the
 //! wall-clock fields (`HostSpan` start/duration, `Fault` timestamps,
-//! `WorkerSteals` busy time) so a seeded campaign trial produces a
+//! `WorkerClaims` busy time) so a seeded campaign trial produces a
 //! **byte-stable** dump across runs — the property
 //! `tests/metrics.rs` pins.
 
@@ -69,8 +69,8 @@ pub fn stable_line(event: &Event) -> String {
         Event::HostSpan {
             track, name, ops, ..
         } => format!("host-span track={track} name={name} ops={ops}"),
-        Event::WorkerSteals { worker, tasks, .. } => {
-            format!("worker-steals worker={worker} tasks={tasks}")
+        Event::WorkerClaims { worker, tasks, .. } => {
+            format!("worker-claims worker={worker} tasks={tasks}")
         }
         Event::StageSpan {
             stage,

@@ -166,7 +166,7 @@ mod tests {
                 write_bytes: 3,
             },
             task(1, 0, 160, 200),
-            Event::WorkerSteals {
+            Event::WorkerClaims {
                 worker: 0,
                 tasks: 9,
                 busy_ns: 9,

@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn generous_wall_budget_succeeds_zero_budget_fails() {
         let model = tiny_model();
-        // Threads(2) steals layers on the pool, Serial walks them in
+        // Threads(2) claims layers on the pool, Serial walks them in
         // order: the deadline cuts both the same way.
         for parallelism in [Parallelism::Threads(2), Parallelism::Serial] {
             let run = |budget| budgeted(&model, parallelism, budget);

@@ -506,7 +506,7 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
     /// returned [`NetworkSim`] is the same.
     ///
     /// A wall budget is checked cooperatively before each layer starts
-    /// (by every worker before it steals, on the pool): layers in
+    /// (by every worker before it claims, on the pool): layers in
     /// flight finish, nothing is torn down mid-computation. A cycle
     /// budget stops the in-order walk at the first layer that crosses
     /// it; the pool checks it once all layers are home, with the same

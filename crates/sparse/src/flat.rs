@@ -26,13 +26,13 @@
 //! **Two encodings of a non-zero, not three.** A prepared layer holds
 //! its [`LayerCode`] (the 16-bit index stream, 2 B a non-zero) and this
 //! lowering (the 32-bit offset stream, 4 B), nothing more. Whatever
-//! reasons about weights rather than addresses — ABFT, the range
-//! certifier, the load-time validator, the lowering verifier — reads
-//! the code's indexes, which a lowered group holds the offsets of; and
-//! because the address map is a bijection between the padded pixels and
-//! the non-slack addresses, [`FlatLayout::tap_of`] decodes any offset
-//! back to its `(n, k, k')` [`Tap`] when a view needs one
-//! ([`FlatKernel::taps`], which stores nothing).
+//! reasons about weights rather than addresses — ABFT, the load-time
+//! validator, the lowering verifier — reads the code's indexes, which a
+//! lowered group holds the offsets of; and because the address map is a
+//! bijection between the padded pixels and the non-slack addresses,
+//! [`FlatLayout::tap_of`] decodes any offset back to its `(n, k, k')`
+//! [`Tap`] when a view needs one ([`FlatKernel::taps`], which stores
+//! nothing).
 
 use crate::encode::{EncodeError, LayerCode};
 use abm_tensor::shape::conv_out_dim;

@@ -103,10 +103,10 @@ pub enum Event {
         ops: u64,
     },
     /// One worker's contribution to a `parallel_map`: the tasks it claimed.
-    WorkerSteals {
+    WorkerClaims {
         /// Worker index within the pool.
         worker: u32,
-        /// Tasks the worker stole and completed.
+        /// Tasks the worker claimed and completed.
         tasks: u64,
         /// Wall-clock nanoseconds the worker spent executing tasks.
         busy_ns: u64,

@@ -1,7 +1,7 @@
 //! The workspace's one JSON writer and one JSON parser (no serde).
 //!
 //! **Writing.** Every exported document — the committed `BENCH_*.json`,
-//! `CERT_zoo.json` and `FAULTS_campaign*.json`, traces, reports,
+//! `REPRO_paper.json` and `FAULTS_campaign*.json`, traces, reports,
 //! snapshots and dumps — is a [`Node`] tree. Containers are filled by
 //! closures ([`Node::object`], [`Obj::array`], …), so a container closes
 //! when its closure returns and a key can only go into an object.
@@ -19,13 +19,13 @@
 //!    on one line, with everything inside it.
 //! 3. Any other container breaks only if it holds a container.
 //!
-//! So every certificate row, trial record, serve leg and trace event is
-//! one line. A document ends in a newline.
+//! So every trial record, serve leg and trace event is one line. A
+//! document ends in a newline.
 //!
 //! **Reading.** [`parse`] is one strict recursive descent that checks the
 //! grammar and builds a [`Value`]; [`validate`] is `parse` without the
-//! tree. `cargo xtask check-docs`, `xtask certify` and the repo benchmark
-//! read documents back through it.
+//! tree. `cargo xtask check-docs` and the repo benchmark read documents
+//! back through it.
 
 /// Escapes a string for embedding in a JSON string literal.
 #[must_use]

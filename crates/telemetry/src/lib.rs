@@ -13,7 +13,7 @@
 //!   pre-telemetry builds. [`RecordingCollector`] captures the full
 //!   [`Event`] stream;
 //! * [`sink`] — [`TelemetrySink`], the thread-safe variant the host-side
-//!   inference path records wall-clock spans and worker steal counts
+//!   inference path records wall-clock spans and worker claim counts
 //!   into (the simulator is single-collector by construction; host
 //!   workers are not);
 //! * [`chrome`] — a `chrome://tracing` / Perfetto `trace_event` JSON

@@ -21,11 +21,9 @@
 //!    and the lane's accumulator→FIFO→multiplier hand-off), proving
 //!    claim linearizability and no lost or duplicated work over bounded
 //!    instances;
-//! 4. [`range`] — a whole-network abstract interpretation (interval +
-//!    known-bits domains) that turns calibrated input ranges into
-//!    per-layer [`WidthCertificate`]s: proven stage-1/stage-2/ABFT
-//!    bit-widths with concrete extremal witnesses, the software
-//!    analogue of DSP48 width budgeting.
+//! 4. [`pipeline`] — a layer-pipelined schedule covers every layer once,
+//!    gives each stage CUs of its own and at least one lane, and sizes
+//!    every inter-stage FIFO for the dataflow's high water.
 //!
 //! All passes emit a shared machine-readable [`VerifyReport`] whose
 //! [`Defect`] vocabulary names every invariant the reproduction claims.
@@ -33,9 +31,10 @@
 //! builds of `abm-conv`/`abm-sim` also call pass 1 from their
 //! constructors (`debug_assert!`-backed, zero release cost).
 //!
-//! This crate deliberately depends only on `abm-tensor` and
-//! `abm-sparse`: the executor and simulator crates depend on *it*, and
-//! feed the schedule pass pure data through their own glue modules.
+//! This crate deliberately depends only on `abm-tensor`, `abm-sparse`
+//! and `abm-telemetry` (the report's JSON writer): the executor and
+//! simulator crates depend on *it*, and feed the schedule pass pure
+//! data through their own glue modules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +42,6 @@
 pub mod lowering;
 pub mod mc;
 pub mod pipeline;
-pub mod range;
 pub mod report;
 pub mod schedule;
 
@@ -52,9 +50,5 @@ pub use mc::{
     explore, seeded_faults, standard_suite, ClaimFault, ClaimModel, FifoFault, FifoModel, Model,
 };
 pub use pipeline::{verify_pipeline, BoundaryFacts, PipelineParams, StageFacts};
-pub use range::{
-    certify_layer, check_certificates, AbsVal, CertSummary, ExtremalPatch, Interval, KnownBits,
-    NetworkCertifier, WidthCertificate,
-};
 pub use report::{Defect, Metric, VerifyReport};
 pub use schedule::{verify_schedule, KernelFacts, ScheduleParams, TaskSpan};

@@ -267,40 +267,6 @@ pub enum Defect {
         /// The tolerance that was exceeded.
         tolerance: f64,
     },
-    // ---- range certification ----
-    /// A width certificate failed its own soundness replay: the
-    /// recomputed interval analysis disagrees with the certificate, or
-    /// the extremal witness does not attain (or escapes) the certified
-    /// interval.
-    RangeUnsound {
-        /// Layer name.
-        layer: String,
-        /// What failed.
-        detail: String,
-    },
-    /// A committed certificate no longer matches the current lowering —
-    /// a layer is missing, spurious, or certified *wider* than the
-    /// analysis now proves. The certificate file must be regenerated.
-    CertStale {
-        /// Layer name (or the certificate file itself).
-        layer: String,
-        /// What diverged.
-        detail: String,
-    },
-    /// The current lowering needs *more* bits than the committed
-    /// certificate guarantees — a genuine width regression that would
-    /// invalidate every datapath sized from the certificate.
-    CertWidthRegression {
-        /// Layer name.
-        layer: String,
-        /// Which certified field regressed (`stage1` / `stage2` /
-        /// `abft`).
-        field: &'static str,
-        /// Bits the committed certificate promises.
-        committed: u32,
-        /// Bits the analysis now requires.
-        computed: u32,
-    },
 }
 
 impl Defect {
@@ -332,9 +298,6 @@ impl Defect {
             Defect::StageFifoUndersized { .. } => "stage_fifo_undersized",
             Defect::InterleavingViolation { .. } => "interleaving_violation",
             Defect::ModelDivergence { .. } => "model_divergence",
-            Defect::RangeUnsound { .. } => "range_unsound",
-            Defect::CertStale { .. } => "cert_stale",
-            Defect::CertWidthRegression { .. } => "cert_width_regression",
         }
     }
 }
@@ -493,21 +456,6 @@ impl fmt::Display for Defect {
             } => write!(
                 f,
                 "{layer}: {metric} measured {measured:.4} vs model {model:.4} (tolerance {tolerance:.4})"
-            ),
-            Defect::RangeUnsound { layer, detail } => {
-                write!(f, "{layer}: range analysis unsound: {detail}")
-            }
-            Defect::CertStale { layer, detail } => {
-                write!(f, "{layer}: certificate stale: {detail}")
-            }
-            Defect::CertWidthRegression {
-                layer,
-                field,
-                committed,
-                computed,
-            } => write!(
-                f,
-                "{layer}: {field} width regressed: certificate promises {committed} bits, analysis now needs {computed}"
             ),
         }
     }

@@ -124,7 +124,7 @@ fn simulated_cycles_identical_serial_vs_parallel() {
     }
 }
 
-/// A batch with wildly uneven per-image cost (stealing order varies run
+/// A batch with wildly uneven per-image cost (claim order varies run
 /// to run) still reassembles in input order with stable results.
 #[test]
 fn uneven_batches_stay_ordered() {

@@ -291,7 +291,7 @@ fn hardened_detectors_record_one_sample_per_abm_layer() {
 
 /// The served path's pool is visible: a deadline-bounded salvage batch
 /// (what every served batch runs) moves the `pool_*` counters by
-/// exactly the batch's amounts and reports its steals to the sink. The
+/// exactly the batch's amounts and reports its claims to the sink. The
 /// deadline variants of the pool used to record neither.
 #[test]
 fn deadline_salvage_batch_is_visible_in_pool_metrics() {
@@ -311,17 +311,17 @@ fn deadline_salvage_batch_is_visible_in_pool_metrics() {
     let counter = |n: &str| snap.counters.get(n).copied().unwrap_or(0);
     assert_eq!(counter("pool_fanouts_total"), 1);
     assert_eq!(counter("pool_items_total"), 5);
-    assert_eq!(counter("pool_steals_total"), 5);
+    assert_eq!(counter("pool_claims_total"), 5);
     assert_eq!(counter("pool_workers_total"), 2);
-    let stolen: u64 = sink
+    let claimed: u64 = sink
         .events()
         .iter()
         .filter_map(|e| match e {
-            Event::WorkerSteals { tasks, .. } => Some(*tasks),
+            Event::WorkerClaims { tasks, .. } => Some(*tasks),
             _ => None,
         })
         .sum();
-    assert_eq!(stolen, 5);
+    assert_eq!(claimed, 5);
 }
 
 /// The recovery ladder re-lowers through the constructor and ISA pin

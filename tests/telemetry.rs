@@ -139,14 +139,14 @@ proptest! {
             spans,
             (accel_layers - tail_layers) * batch + tail_layers * tail_runs
         );
-        let steal_total: u64 = events
+        let claimed_total: u64 = events
             .iter()
             .filter_map(|e| match e {
-                Event::WorkerSteals { tasks, .. } => Some(*tasks),
+                Event::WorkerClaims { tasks, .. } => Some(*tasks),
                 _ => None,
             })
             .sum();
-        prop_assert_eq!(steal_total as usize, batch);
+        prop_assert_eq!(claimed_total as usize, batch);
     }
 }
 

@@ -16,9 +16,7 @@ use abm_spconv_repro::sim::task::Workload;
 use abm_spconv_repro::sim::verify::{verify_pipelined_schedule, workload_geometry};
 use abm_spconv_repro::sparse::{FlatCode, LayerCode};
 use abm_spconv_repro::tensor::{Shape3, Shape4, Tensor3, Tensor4};
-use abm_spconv_repro::verify::{
-    certify_layer, verify_lowering, AbsVal, AccumulatorModel, ConvGeometry, Interval, VerifyReport,
-};
+use abm_spconv_repro::verify::{verify_lowering, AccumulatorModel, ConvGeometry, VerifyReport};
 use proptest::prelude::*;
 
 /// A real conv workload from the tiny zoo network — the corruption
@@ -281,82 +279,6 @@ fn model_divergence_names_the_corrupted_layer() {
     }
 }
 
-/// Exact-integer pins for the zoo's certified widths at the CI seed:
-/// the stage-1 / stage-2 / ABFT bit-widths the abstract interpreter
-/// proves under the accelerator's 8-bit feature regime. Any analysis
-/// change that moves a width — tighter or looser — must be reviewed
-/// here and regenerate `CERT_zoo.json`
-/// (`cargo xtask verify --certify --update`).
-#[test]
-fn zoo_certified_widths_are_pinned_exactly() {
-    type NetworkFn = fn() -> abm_spconv_repro::model::Network;
-    /// `(layer, stage1_bits, stage2_bits, abft_bits)` pins.
-    type WidthPins = &'static [(&'static str, u32, u32, u32)];
-    let networks: [(&str, NetworkFn, PruneProfile, WidthPins); 2] = [
-        (
-            "alexnet",
-            zoo::alexnet,
-            PruneProfile::alexnet_deep_compression(),
-            &[
-                ("CONV1", 12, 22, 33),
-                ("CONV2", 13, 22, 32),
-                ("CONV3", 14, 23, 30),
-                ("CONV4", 14, 23, 30),
-                ("CONV5", 14, 22, 30),
-                ("FC6", 16, 20, 20),
-                ("FC7", 15, 18, 18),
-                ("FC8", 16, 21, 21),
-            ],
-        ),
-        (
-            "vgg16",
-            zoo::vgg16,
-            PruneProfile::vgg16_deep_compression(),
-            &[
-                ("CONV1_1", 12, 14, 29),
-                ("CONV1_2", 12, 20, 36),
-                ("CONV2_1", 12, 22, 35),
-                ("CONV2_2", 13, 22, 36),
-                ("CONV3_1", 14, 23, 34),
-                ("CONV3_2", 14, 22, 34),
-                ("CONV3_3", 14, 23, 35),
-                ("CONV4_1", 14, 23, 32),
-                ("CONV4_2", 15, 22, 32),
-                ("CONV4_3", 15, 22, 32),
-                ("CONV5_1", 15, 22, 30),
-                ("CONV5_2", 15, 22, 30),
-                ("CONV5_3", 16, 22, 30),
-                ("FC6", 16, 20, 20),
-                ("FC7", 14, 17, 17),
-                ("FC8", 15, 21, 21),
-            ],
-        ),
-    ];
-    for (name, net, profile, pins) in networks {
-        let model = synthesize_model(&net(), &profile, 2019);
-        assert_eq!(model.layers.len(), pins.len(), "{name}");
-        for (layer, &(pin_name, s1, s2, abft)) in model.layers.iter().zip(pins) {
-            let w = Workload::from_layer(layer).expect("zoo layer encodes");
-            assert_eq!(w.name, pin_name, "{name}");
-            let cert = certify_layer(
-                &w.name,
-                &w.code,
-                &workload_geometry(&w),
-                AbsVal::i8_features(),
-            );
-            assert_eq!(
-                (cert.stage1_bits, cert.stage2_bits, cert.abft_bits),
-                (s1, s2, abft),
-                "{name}/{pin_name}: certified widths moved"
-            );
-            // Every zoo layer proves a packable (<= 16-bit) stage 1 —
-            // the dual-lane gate the worst-case model never opened for
-            // the FC layers.
-            assert!(cert.stage1_bits <= 16, "{name}/{pin_name}");
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -385,65 +307,5 @@ proptest! {
         let fast = prepared.execute(&input);
         let oracle = abm::reference::conv2d(&input, &code, geom).unwrap();
         prop_assert_eq!(fast.as_slice(), oracle.as_slice());
-    }
-
-    /// Soundness of the range certifier: over random geometries,
-    /// sparsities and input bit-widths, every stage-1 partial prefix
-    /// and stage-2 accumulator an instrumented reference run observes
-    /// lies inside the certified interval — and the certificate's own
-    /// validation (re-analysis + witness replay) stays clean.
-    #[test]
-    fn certified_intervals_contain_all_observed_values(
-        (weights, stride, pad) in weights_strategy(),
-        mag in 1i64..2001,
-        salt in 0usize..1000,
-    ) {
-        let shape = weights.shape();
-        let side = 6usize;
-        let code = LayerCode::encode(&weights).expect("small kernels encode");
-        let out_dim = abm_spconv_repro::tensor::shape::conv_out_dim(
-            side,
-            shape.kernel_rows,
-            stride,
-            pad,
-        );
-        let geometry = ConvGeometry {
-            in_channels: shape.in_channels,
-            in_rows: side,
-            in_cols: side,
-            stride,
-            pad,
-            groups: 1,
-            out_rows: out_dim,
-            out_cols: out_dim,
-        };
-
-        let certified = Interval::new(-(mag as i128), mag as i128);
-        let cert = certify_layer("prop", &code, &geometry, AbsVal::from_range(certified));
-        let validation = cert.validate(&code, &geometry);
-        prop_assert!(validation.is_clean(), "{}", validation);
-
-        // A pseudo-random input confined to the calibrated range.
-        let span = (2 * mag + 1) as usize;
-        let input = Tensor3::from_fn(Shape3::new(shape.in_channels, side, side), |c, r, col| {
-            ((((c + salt) * 131 + r * 37 + col * 11) % span) as i64 - mag) as i16
-        });
-        let (_, _, obs) =
-            abm::reference::conv2d_instrumented(&input, &code, Geometry::new(stride, pad))
-                .expect("reference executes");
-        let obs1 = Interval::new(obs.stage1_min as i128, obs.stage1_max as i128);
-        let obs2 = Interval::new(obs.stage2_min as i128, obs.stage2_max as i128);
-        prop_assert!(
-            cert.stage1.encloses(obs1),
-            "stage-1 escape: observed {obs1} vs certified {}", cert.stage1
-        );
-        prop_assert!(
-            cert.stage2.encloses(obs2),
-            "stage-2 escape: observed {obs2} vs certified {}", cert.stage2
-        );
-        // Width monotonicity: no observed value needs more bits than
-        // the certificate budgets for the datapath.
-        prop_assert!(obs1.required_bits() <= cert.stage1_bits);
-        prop_assert!(obs2.required_bits() <= cert.stage2_bits);
     }
 }

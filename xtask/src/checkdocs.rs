@@ -1,10 +1,13 @@
 //! `cargo xtask check-docs` — every number the prose cites from a
-//! committed record still rounds from it.
+//! committed record still rounds from it, and every `cargo xtask`
+//! invocation the docs cite still exists.
 //!
 //! README, DESIGN and EXPERIMENTS cite figures from the committed
 //! records (`BENCH_pipeline.json`, `REPRO_paper.json`). The records are
 //! the source of truth, regenerated byte for byte in CI; this check
-//! makes the prose follow them.
+//! makes the prose follow them. The commands and flags an invocation
+//! may name are read from `main.rs`'s usage text, so a command that
+//! goes from the usage goes from the docs too.
 
 use abm_spconv_repro::telemetry::json::{self, Value};
 use std::path::Path;
@@ -218,6 +221,8 @@ pub fn run(root: &Path) -> Result<(), String> {
         .collect::<Result<Vec<_>, String>>()?;
     let checked = check_claims(|doc| read(&root.join(doc)), &records)?;
     println!("check-docs: {checked} cited number(s) match the committed records");
+    let invoked = check_invocations(|doc| read(&root.join(doc)))?;
+    println!("check-docs: {invoked} cited `cargo xtask` invocation(s) match the usage");
     Ok(())
 }
 
@@ -260,6 +265,120 @@ fn check_claims(
     } else {
         Err(format!(
             "check-docs FAILED (stale citations):\n  {}",
+            failures.join("\n  ")
+        ))
+    }
+}
+
+/// The documents whose `cargo xtask` invocations must match the usage.
+const INVOKING_DOCS: &[&str] = &[
+    "README.md",
+    "DESIGN.md",
+    ".claude/skills/verify/SKILL.md",
+    ".github/workflows/ci.yml",
+];
+
+/// Each command `usage` lists under `commands:`, with every `--flag`
+/// its lines name. A command line is indented two spaces and its
+/// synopsis ends at the first double space; deeper lines continue a
+/// description.
+fn usage_commands(usage: &str) -> Vec<(&str, Vec<&str>)> {
+    let mut commands: Vec<(&str, Vec<&str>)> = Vec::new();
+    let lines = usage.lines().skip_while(|l| *l != "commands:");
+    for entry in lines.filter_map(|l| l.strip_prefix("  ")) {
+        let synopsis = entry.split("  ").next().unwrap_or_default();
+        let mut words = synopsis.split_whitespace();
+        let Some(name) = words.next() else { continue };
+        let flags = words
+            .map(|w| w.trim_matches(['[', ']']))
+            .filter(|w| w.starts_with("--"));
+        match commands.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, known)) => known.extend(flags),
+            None => commands.push((name, flags.collect())),
+        }
+    }
+    commands
+}
+
+/// The text after each `cargo xtask` in `text`, with the line it is
+/// on. In Markdown an invocation is a code span, which may wrap, or a
+/// line of a fenced block; elsewhere it is a line. A `#` starts a
+/// comment.
+fn invocations(text: &str, markdown: bool) -> Vec<(usize, String)> {
+    const CALL: &str = "cargo xtask";
+    let mut found = Vec::new();
+    let mut in_fence = false;
+    // The paragraph being read: its text and the line each byte is on.
+    let (mut para, mut para_lines) = (String::new(), Vec::new());
+    // A blank last line closes the last paragraph.
+    for (i, line) in text.lines().chain([""]).enumerate() {
+        let fence = markdown && line.trim_start().starts_with("```");
+        if markdown && !in_fence && !fence && !line.trim().is_empty() {
+            para.push_str(line);
+            para.push(' ');
+            para_lines.resize(para.len(), i + 1);
+            continue;
+        }
+        for (at, _) in para.match_indices(CALL) {
+            // Inside a code span when an odd number of backticks precede it.
+            if para[..at].matches('`').count() % 2 == 1 {
+                let span = para[at + CALL.len()..]
+                    .split('`')
+                    .next()
+                    .unwrap_or_default();
+                found.push((para_lines[at], span.trim_end().to_string()));
+            }
+        }
+        para.clear();
+        para_lines.clear();
+        in_fence ^= fence;
+        let code = line.split('#').next().unwrap_or_default();
+        if let Some((_, call)) = code.split_once(CALL).filter(|_| in_fence || !markdown) {
+            found.push((i + 1, call.trim_end().to_string()));
+        }
+    }
+    found
+}
+
+/// Checks every `cargo xtask` invocation in the [`INVOKING_DOCS`] text
+/// `doc_text` returns against the usage text: its first word must be a
+/// command there, and each `--flag` up to a shell operator must be one
+/// of that command's. Returns how many invocations matched.
+fn check_invocations(doc_text: impl Fn(&str) -> Result<String, String>) -> Result<usize, String> {
+    let commands = usage_commands(crate::USAGE);
+    let mut failures = Vec::new();
+    let mut checked = 0usize;
+    for doc in INVOKING_DOCS {
+        for (line, call) in invocations(&doc_text(doc)?, doc.ends_with(".md")) {
+            let mut words = call
+                .split_whitespace()
+                .take_while(|w| !["|", "||", "&&", ";"].contains(w));
+            let name = words.next().unwrap_or_default();
+            let Some((_, flags)) = commands.iter().find(|(n, _)| *n == name) else {
+                failures.push(format!(
+                    "{doc}:{line}: `cargo xtask{call}` names no command in the usage"
+                ));
+                continue;
+            };
+            let unknown: Vec<&str> = words
+                .filter_map(|w| w.split('=').next().filter(|f| f.starts_with("--")))
+                .filter(|f| !flags.contains(f))
+                .collect();
+            if unknown.is_empty() {
+                checked += 1;
+            } else {
+                failures.push(format!(
+                    "{doc}:{line}: `cargo xtask{call}`: {name} takes no {}",
+                    unknown.join(", ")
+                ));
+            }
+        }
+    }
+    if failures.is_empty() {
+        Ok(checked)
+    } else {
+        Err(format!(
+            "check-docs FAILED (stale invocations):\n  {}",
             failures.join("\n  ")
         ))
     }
@@ -355,6 +474,56 @@ mod tests {
                  which is 913.5"
             ),
             "{err}"
+        );
+    }
+
+    /// `check_invocations` with README.md's text replaced by `readme`
+    /// and every other document empty.
+    fn check_readme_invocations(readme: &str) -> Result<usize, String> {
+        check_invocations(|doc| {
+            Ok(if doc == "README.md" {
+                readme.to_string()
+            } else {
+                String::new()
+            })
+        })
+    }
+
+    /// The committed docs cite only commands and flags the usage lists,
+    /// in code spans (wrapped too), fenced blocks and workflow steps; a
+    /// removed command or flag fails and is named with its line.
+    #[test]
+    fn a_removed_command_or_flag_fails() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap();
+        assert!(check_invocations(|doc| read(&root.join(doc))).unwrap() > 10);
+        let fine = "Prose that names cargo xtask metrics cites nothing. Run `cargo xtask\n\
+                    serve --smoke` or `cargo xtask lint | verify | mc`.\n\n\
+                    ```\n$ cargo xtask verify --net vgg19  # one --network\n```\n";
+        assert_eq!(check_readme_invocations(fine), Ok(3));
+        let err =
+            check_readme_invocations("Then\n`cargo xtask verify --certify` diffs.\n").unwrap_err();
+        assert!(
+            err.contains("README.md:2: `cargo xtask verify --certify`: verify takes no --certify"),
+            "{err}"
+        );
+        let err = check_readme_invocations("```\ncargo xtask metrics --smoke\n```\n").unwrap_err();
+        assert!(
+            err.contains("README.md:2: `cargo xtask metrics --smoke` names no command"),
+            "{err}"
+        );
+        let ci = check_invocations(|doc| {
+            Ok(if doc.ends_with(".yml") {
+                "      # not `cargo xtask metrics`\n        run: cargo xtask lint --update  # note\n"
+                    .to_string()
+            } else {
+                String::new()
+            })
+        })
+        .unwrap_err();
+        assert!(
+            ci.contains("ci.yml:2: `cargo xtask lint --update`: lint takes no --update")
+                && !ci.contains("metrics"),
+            "{ci}"
         );
     }
 }

@@ -7,7 +7,7 @@
 //! cargo xtask mc              # exhaustive concurrency model-checker suite
 //! cargo xtask faults --smoke  # seeded fault-injection campaign gate
 //! cargo xtask serve --smoke   # serving soak gate (loadtest legs incl. chaos)
-//! cargo xtask check-docs      # doc citations round from the committed records
+//! cargo xtask check-docs      # doc citations: record numbers, xtask invocations
 //! ```
 //!
 //! Every command exits non-zero when its check fails, so CI can call
@@ -20,7 +20,6 @@
 
 #![forbid(unsafe_code)]
 
-mod certify;
 mod checkdocs;
 mod faults;
 mod lint;
@@ -36,15 +35,14 @@ commands:
   lint --self-test     prove the token-aware scanner on seeded fixtures
   verify --zoo         statically verify every AlexNet + VGG16 layer
   verify --net <name>  statically verify one network (tiny|alexnet|vgg16|vgg19)
-  verify --certify     re-derive width certificates, replay their witnesses,
-                       and check CERT_zoo.json (--update rewrites the file)
   mc                   run the exhaustive interleaving model-checker suite and
                        prove it catches each model's seeded fault
   faults [--smoke]     run the fault-injection campaign (smoke = AlexNet only;
                        the full run rewrites the committed FAULTS_campaign.json)
   serve [--smoke]      serving soak gate: loadtest legs incl. chaos, release build
   check-docs           assert every number the docs cite from the committed
-                       records (BENCH_pipeline.json, REPRO_paper.json)";
+                       records (BENCH_pipeline.json, REPRO_paper.json), and
+                       every cargo xtask invocation they cite against this list";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -61,9 +59,6 @@ fn main() -> ExitCode {
             None => lint::run(&root),
             Some(other) => Err(format!("unknown lint flag '{other}'\n{USAGE}")),
         },
-        Some("verify") if args[1..].iter().any(|a| a == "--certify") => {
-            certify::run(&root, args[1..].iter().any(|a| a == "--update"))
-        }
         Some("verify") => match args.get(1).map(String::as_str) {
             Some("--zoo") | None => zoo::verify(&["alexnet", "vgg16"]),
             Some("--net") => match args.get(2) {

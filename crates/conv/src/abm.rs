@@ -128,6 +128,41 @@ pub(crate) fn validate_grouping(
     Ok(())
 }
 
+/// The lowering pass over `flat` and its witness `code`, for an input
+/// of `in_channels` channels in `groups` groups laid out as `flat`'s
+/// layout says, against the host accumulator. A zero stride has no
+/// output plane; the pass rejects it before reading one.
+fn lowering_report(
+    code: &LayerCode,
+    flat: &FlatCode,
+    in_channels: usize,
+    groups: usize,
+) -> abm_verify::VerifyReport {
+    let layout = flat.layout();
+    let w = flat.shape();
+    let (out_rows, out_cols) = match layout.stride {
+        0 => (0, 0),
+        _ => layout.out_dims(w.kernel_rows, w.kernel_cols),
+    };
+    let geometry = abm_verify::ConvGeometry {
+        in_channels,
+        in_rows: layout.in_rows,
+        in_cols: layout.in_cols,
+        stride: layout.stride,
+        pad: layout.pad,
+        groups,
+        out_rows,
+        out_cols,
+    };
+    abm_verify::verify_lowering(
+        "prepared-conv",
+        code,
+        flat,
+        &geometry,
+        &abm_verify::AccumulatorModel::host(),
+    )
+}
+
 /// Runs ABM-SpConv over an encoded layer, returning the exact
 /// full-precision output.
 ///
@@ -272,16 +307,18 @@ impl PreparedConv {
 
     /// Loads a pre-lowered flat code (e.g. one deserialized from a
     /// WT-Buffer/Q-Table image) after validating it against `code`, its
-    /// witness ([`abm_fault::validate_flat`]) — unlike the
+    /// witness, with the lowering verifier
+    /// ([`abm_verify::verify_lowering`]) — unlike the
     /// [`FlatCode::from_kernels`] escape hatch, nothing gets past this
     /// constructor unless every offset is the address of the code's
-    /// index it stands for.
+    /// index it stands for and the whole sweep stays in bounds.
     ///
     /// # Errors
     ///
-    /// Returns [`AbmError::CodeCorrupt`] when validation rejects the
-    /// streams, or a contract error when the shape/grouping disagrees
-    /// with `in_shape`/`geom`.
+    /// Returns [`AbmError::CodeCorrupt`] naming the kernel of the first
+    /// defect the verifier finds, in the lowering or in its witness, or
+    /// a contract error when the shape/grouping disagrees with
+    /// `in_shape`/`geom`.
     pub fn try_from_flat(
         flat: FlatCode,
         code: impl Into<Arc<LayerCode>>,
@@ -300,7 +337,13 @@ impl PreparedConv {
                 want: (in_shape.channels, in_shape.rows, in_shape.cols),
             });
         }
-        abm_fault::validate_flat(&flat, &code)?;
+        let report = lowering_report(&code, &flat, in_shape.channels, geom.groups);
+        if let Some(defect) = report.defects.first() {
+            return Err(AbmError::CodeCorrupt {
+                kernel: defect.kernel().unwrap_or(0),
+                detail: defect.to_string(),
+            });
+        }
         Self::assemble(flat, code, in_shape, geom, None)
     }
 
@@ -384,23 +427,11 @@ impl PreparedConv {
     /// worst-case accumulation must fit the host accumulator.
     #[must_use]
     pub fn verify_lowering(&self) -> abm_verify::VerifyReport {
-        let layout = self.flat.layout();
-        let geometry = abm_verify::ConvGeometry {
-            in_channels: self.in_shape.channels,
-            in_rows: layout.in_rows,
-            in_cols: layout.in_cols,
-            stride: layout.stride,
-            pad: layout.pad,
-            groups: self.geom.groups,
-            out_rows: self.out_shape.rows,
-            out_cols: self.out_shape.cols,
-        };
-        abm_verify::verify_lowering(
-            "prepared-conv",
+        lowering_report(
             &self.code,
             &self.flat,
-            &geometry,
-            &abm_verify::AccumulatorModel::host(),
+            self.in_shape.channels,
+            self.geom.groups,
         )
     }
 
@@ -1466,27 +1497,122 @@ mod tests {
         }
     }
 
+    /// Three 2x3x3 kernels (a first, a middle and a last one) prepared
+    /// over a padded 2x6x6 input at `stride`.
+    fn prepared_at(stride: usize) -> PreparedConv {
+        let weights = pseudo_weights(Shape4::new(3, 2, 3, 3), 6);
+        let code = LayerCode::encode(&weights).unwrap();
+        PreparedConv::try_new(code, Shape3::new(2, 6, 6), Geometry::new(stride, 1), None).unwrap()
+    }
+
+    /// Loads `flat` against `code` in `pristine`'s place and returns the
+    /// kernel the rejection names — the validator must reject, never
+    /// panic.
+    fn rejected_kernel(pristine: &PreparedConv, flat: FlatCode, code: LayerCode) -> usize {
+        let (in_shape, geom) = (pristine.input_shape(), pristine.geometry());
+        match PreparedConv::try_from_flat(flat, code, in_shape, geom) {
+            Err(AbmError::CodeCorrupt { kernel, .. }) => kernel,
+            other => panic!("expected CodeCorrupt, got {other:?}"),
+        }
+    }
+
+    /// Pre-load corruption of either side is a `CodeCorrupt` naming the
+    /// kernel: of the streams (offset bit flips, an offset moved onto a
+    /// neighbouring tap at every stride, scrambled group bounds), of the
+    /// witness (an index past the volume, a count that overruns or
+    /// underruns the index stream, an index moved, a value changed, a
+    /// kernel missing), and of the layout (a zero stride).
     #[test]
     fn try_from_flat_rejects_corrupt_streams() {
-        let weights = pseudo_weights(Shape4::new(2, 2, 3, 3), 6);
-        let code = LayerCode::encode(&weights).unwrap();
-        let in_shape = Shape3::new(2, 6, 6);
-        let geom = Geometry::new(1, 1);
-        let pristine = PreparedConv::try_new(code.clone(), in_shape, geom, None).unwrap();
-        // The pristine streams load fine through the validated path.
-        let code = pristine.code();
-        let reloaded =
-            PreparedConv::try_from_flat(pristine.flat().clone(), Arc::clone(code), in_shape, geom)
-                .unwrap();
-        assert_eq!(reloaded, pristine);
-        // A pre-load offset corruption is rejected at the door.
-        let mut bad = pristine.flat().clone();
-        let (_, _, offsets) = bad.kernels_mut()[1].streams_mut();
-        offsets[2] ^= 1 << 7;
-        let err = PreparedConv::try_from_flat(bad, Arc::clone(code), in_shape, geom).unwrap_err();
+        for stride in 1..=3 {
+            let pristine = prepared_at(stride);
+            // The pristine streams load fine through the validated path.
+            let (flat, code) = (pristine.flat(), pristine.code());
+            let reloaded = PreparedConv::try_from_flat(
+                flat.clone(),
+                Arc::clone(code),
+                pristine.input_shape(),
+                pristine.geometry(),
+            );
+            assert_eq!(reloaded.as_ref(), Ok(&pristine), "stride {stride}");
+            // One offset moved to the next address, which in a dense
+            // kernel is usually another valid tap's: the witness still
+            // knows which tap the group holds.
+            for (m, kernel) in flat.kernels().iter().enumerate() {
+                for i in 0..kernel.offsets().len() {
+                    let mut bad = flat.clone();
+                    let (_, _, offsets) = bad.kernels_mut()[m].streams_mut();
+                    offsets[i] = offsets[i].wrapping_add(1);
+                    let named = rejected_kernel(&pristine, bad, (**code).clone());
+                    assert_eq!(named, m, "stride {stride} kernel {m} offset {i}");
+                }
+            }
+        }
+
+        let pristine = prepared_at(2);
+        let (flat, code) = (pristine.flat(), (**pristine.code()).clone());
+        for bit in [0u32, 3, 7, 17, 31] {
+            let mut bad = flat.clone();
+            bad.kernels_mut()[1].streams_mut().2[2] ^= 1 << bit;
+            assert_eq!(
+                rejected_kernel(&pristine, bad, code.clone()),
+                1,
+                "bit {bit}"
+            );
+        }
+        let mut bad = flat.clone();
+        let (_, bounds, _) = bad.kernels_mut()[0].streams_mut();
+        let last = bounds.len() - 1;
+        bounds.swap(0, last);
+        assert_eq!(rejected_kernel(&pristine, bad, code.clone()), 0);
+
+        let kernel_len = code.shape().kernel_len() as u16;
+        type Edit = fn(&mut LayerCode, u16);
+        let edits: [(&str, usize, Edit); 6] = [
+            ("index past the volume", 1, |c, len| {
+                c.kernels_mut()[1].streams_mut().1[0] = len;
+            }),
+            ("last index past the volume", 2, |c, _| {
+                *c.kernels_mut()[2].streams_mut().1.last_mut().unwrap() = u16::MAX;
+            }),
+            ("count overruns", 1, |c, _| {
+                c.kernels_mut()[1].streams_mut().0[0].count += 1;
+            }),
+            ("count underruns", 1, |c, _| {
+                c.kernels_mut()[1].streams_mut().0[0].count -= 1;
+            }),
+            ("index moved", 1, |c, len| {
+                let idx = &mut c.kernels_mut()[1].streams_mut().1[0];
+                *idx = (*idx + 1) % len;
+            }),
+            ("value changed", 1, |c, _| {
+                c.kernels_mut()[1].streams_mut().0[0].value ^= 4;
+            }),
+        ];
+        for (what, kernel, edit) in edits {
+            let mut bad = code.clone();
+            edit(&mut bad, kernel_len);
+            let named = rejected_kernel(&pristine, flat.clone(), bad);
+            assert_eq!(named, kernel, "{what}");
+        }
+        let short = LayerCode::encode(&pseudo_weights(Shape4::new(2, 2, 3, 3), 6)).unwrap();
+        assert_eq!(rejected_kernel(&pristine, flat.clone(), short), 0);
+
+        // A layout of stride zero has no output plane to check a sweep
+        // against: rejected before anything divides by it.
+        let layout = FlatLayout {
+            stride: 0,
+            ..flat.layout()
+        };
+        let zero = FlatCode::from_kernels(flat.shape(), layout, flat.kernels().to_vec());
+        let geom = Geometry {
+            stride: 0,
+            ..pristine.geometry()
+        };
+        let err = PreparedConv::try_from_flat(zero, code, pristine.input_shape(), geom);
         assert!(
-            matches!(err, AbmError::CodeCorrupt { kernel: 1, .. }),
-            "{err}"
+            matches!(err, Err(AbmError::CodeCorrupt { kernel: 0, .. })),
+            "{err:?}"
         );
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! ```ignore
 //! if I::ENABLED {
-//!     word = injector.corrupt_code_word(layer, kernel, i, word);
+//!     cycles += injector.task_delay(layer, task);
 //! }
 //! ```
 //!
@@ -14,6 +14,10 @@
 //! so the instrumented function monomorphizes to exactly the
 //! uninjected code — zero cost when disabled, which is what keeps the
 //! golden pins and `BENCH_pipeline.json` byte-identical.
+//!
+//! The hooks are the simulator's four timing sites. Data faults need
+//! none: the campaign edits a clone's streams in place
+//! (`streams_mut`) and lets the guards find the damage.
 
 use crate::plan::{Fault, FaultClass, FaultPlan};
 
@@ -27,35 +31,6 @@ pub trait Injector {
     /// Whether this injector delivers anything. Instrumented code must
     /// skip injection-only work when this is `false`.
     const ENABLED: bool;
-
-    /// Maybe corrupt one FI (input feature) word crossing the DDR
-    /// window boundary.
-    #[inline(always)]
-    fn corrupt_feature_word(&mut self, layer: usize, index: usize, word: i16) -> i16 {
-        let _ = (layer, index);
-        word
-    }
-
-    /// Maybe corrupt one WT-Buffer offset word of `kernel`'s stream.
-    #[inline(always)]
-    fn corrupt_offset_word(&mut self, layer: usize, kernel: usize, index: usize, word: u32) -> u32 {
-        let _ = (layer, kernel, index);
-        word
-    }
-
-    /// Maybe corrupt one Q-Table value word of `kernel`'s stream.
-    #[inline(always)]
-    fn corrupt_value_word(&mut self, layer: usize, kernel: usize, index: usize, word: i8) -> i8 {
-        let _ = (layer, kernel, index);
-        word
-    }
-
-    /// Maybe corrupt one output accumulator word before write-back.
-    #[inline(always)]
-    fn corrupt_output_word(&mut self, layer: usize, index: usize, word: i64) -> i64 {
-        let _ = (layer, index);
-        word
-    }
 
     /// Extra cycles task `task` of `layer` runs beyond its nominal
     /// cost (a hung or stalled CU). `0` = healthy.
@@ -95,18 +70,6 @@ pub trait Injector {
 impl<I: Injector> Injector for &mut I {
     const ENABLED: bool = I::ENABLED;
 
-    fn corrupt_feature_word(&mut self, layer: usize, index: usize, word: i16) -> i16 {
-        (**self).corrupt_feature_word(layer, index, word)
-    }
-    fn corrupt_offset_word(&mut self, layer: usize, kernel: usize, index: usize, word: u32) -> u32 {
-        (**self).corrupt_offset_word(layer, kernel, index, word)
-    }
-    fn corrupt_value_word(&mut self, layer: usize, kernel: usize, index: usize, word: i8) -> i8 {
-        (**self).corrupt_value_word(layer, kernel, index, word)
-    }
-    fn corrupt_output_word(&mut self, layer: usize, index: usize, word: i64) -> i64 {
-        (**self).corrupt_output_word(layer, index, word)
-    }
     fn task_delay(&mut self, layer: usize, task: usize) -> u64 {
         (**self).task_delay(layer, task)
     }
@@ -155,25 +118,6 @@ impl PlanInjector {
         &self.delivered
     }
 
-    fn find(
-        &mut self,
-        class: FaultClass,
-        layer: usize,
-        unit: usize,
-        index: usize,
-    ) -> Option<Fault> {
-        let hit = self
-            .plan
-            .faults
-            .iter()
-            .find(|(c, f)| *c == class && f.layer == layer && f.unit == unit && f.index == index)
-            .map(|&(_, f)| f);
-        if let Some(f) = hit {
-            self.delivered.push((class, f));
-        }
-        hit
-    }
-
     fn find_unit(&mut self, class: FaultClass, layer: usize, unit: usize) -> Option<Fault> {
         let hit = self
             .plan
@@ -190,34 +134,6 @@ impl PlanInjector {
 
 impl Injector for PlanInjector {
     const ENABLED: bool = true;
-
-    fn corrupt_feature_word(&mut self, layer: usize, index: usize, word: i16) -> i16 {
-        match self.find(FaultClass::FiWordFlip, layer, 0, index) {
-            Some(f) => word ^ (1i16 << (f.bit % 16)),
-            None => word,
-        }
-    }
-
-    fn corrupt_offset_word(&mut self, layer: usize, kernel: usize, index: usize, word: u32) -> u32 {
-        match self.find(FaultClass::WtWordFlip, layer, kernel, index) {
-            Some(f) => word ^ (1u32 << (f.bit % 32)),
-            None => word,
-        }
-    }
-
-    fn corrupt_value_word(&mut self, layer: usize, kernel: usize, index: usize, word: i8) -> i8 {
-        match self.find(FaultClass::QTableWordFlip, layer, kernel, index) {
-            Some(f) => word ^ (1i8 << (f.bit % 8)),
-            None => word,
-        }
-    }
-
-    fn corrupt_output_word(&mut self, layer: usize, index: usize, word: i64) -> i64 {
-        match self.find(FaultClass::AccumulatorFlip, layer, 0, index) {
-            Some(f) => word ^ (1i64 << (f.bit % 63)),
-            None => word,
-        }
-    }
 
     fn task_delay(&mut self, layer: usize, task: usize) -> u64 {
         self.find_unit(FaultClass::CuHang, layer, task)
@@ -278,12 +194,6 @@ pub fn stream_checksum_i16(words: &[i16]) -> u64 {
     fnv1a_bytes(words.iter().flat_map(|w| w.to_le_bytes()))
 }
 
-/// [`fnv1a_bytes`] over a `u32` stream (the WT-Buffer offset words).
-#[must_use]
-pub fn stream_checksum_u32(words: &[u32]) -> u64 {
-    fnv1a_bytes(words.iter().flat_map(|w| w.to_le_bytes()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,10 +202,6 @@ mod tests {
     fn null_injector_is_disabled_and_identity() {
         const { assert!(!NullInjector::ENABLED) };
         let mut i = NullInjector;
-        assert_eq!(i.corrupt_feature_word(0, 0, -5), -5);
-        assert_eq!(i.corrupt_offset_word(0, 0, 0, 17), 17);
-        assert_eq!(i.corrupt_value_word(0, 0, 0, -2), -2);
-        assert_eq!(i.corrupt_output_word(0, 0, 1 << 40), 1 << 40);
         assert_eq!(i.task_delay(0, 0), 0);
         assert_eq!(i.lane_stall(0, 0), 0);
         assert!(!i.drops_deposit(0, 0));
@@ -307,25 +213,26 @@ mod tests {
         let fault = Fault {
             layer: 1,
             unit: 2,
-            index: 3,
-            bit: 4,
+            cycles: 40,
             ..Fault::default()
         };
-        let mut i = PlanInjector::new(FaultPlan::single(0, FaultClass::WtWordFlip, fault));
-        // Wrong coordinates: untouched, nothing logged.
-        assert_eq!(i.corrupt_offset_word(1, 2, 0, 100), 100);
-        assert_eq!(i.corrupt_offset_word(0, 2, 3, 100), 100);
+        let mut i = PlanInjector::new(FaultPlan::single(FaultClass::FifoStall, fault));
+        // Wrong coordinates: no stall, nothing logged.
+        assert_eq!(i.lane_stall(1, 3), 0);
+        assert_eq!(i.lane_stall(0, 2), 0);
         assert!(i.delivered().is_empty());
-        // Exact coordinates: bit 4 flips, delivery logged.
-        assert_eq!(i.corrupt_offset_word(1, 2, 3, 100), 100 ^ 16);
+        // Exact coordinates: the stall lands, delivery logged.
+        assert_eq!(i.lane_stall(1, 2), 40);
+        assert_eq!(i.delivered(), [(FaultClass::FifoStall, fault)]);
+        // Another class's hook never matches a FIFO-stall fault.
+        assert_eq!(i.task_delay(1, 2), 0);
+        assert!(!i.drops_deposit(1, 2));
         assert_eq!(i.delivered().len(), 1);
-        // A feature-word hook never matches a WT fault.
-        assert_eq!(i.corrupt_feature_word(1, 3, 9), 9);
     }
 
     #[test]
     fn plan_injector_timing_hooks() {
-        let mut plan = FaultPlan::new(0);
+        let mut plan = FaultPlan::default();
         plan.push(
             FaultClass::CuHang,
             Fault {
@@ -368,6 +275,5 @@ mod tests {
             }
         }
         assert_eq!(stream_checksum_i16(&base), digest, "digest is pure");
-        assert_ne!(stream_checksum_u32(&[1, 2]), stream_checksum_u32(&[2, 1]));
     }
 }

@@ -1,16 +1,14 @@
-//! Integrity primitives over the lowered code streams: a stream
-//! checksum for post-load SEU detection and a structural validator for
-//! load-time corruption.
+//! The stream checksum for post-load SEU detection over the lowered
+//! code streams.
 //!
-//! Both operate on [`FlatCode`] — the software image of the WT-Buffer
-//! (offsets) and Q-Table (values and group bounds) — and the validator
-//! checks it against its witness, the [`LayerCode`] it was lowered
-//! from, so they live here, next to [`AbmError`], rather than in
-//! `abm-sparse` which must stay free of the fault vocabulary.
+//! It operates on [`FlatCode`] — the software image of the WT-Buffer
+//! (offsets) and Q-Table (values and group bounds) — and lives here,
+//! beside the fault vocabulary, rather than in `abm-sparse`. Load-time
+//! validation of a lowering against its witness is `abm-verify`'s
+//! lowering pass, which `PreparedConv::try_from_flat` runs.
 
-use crate::error::AbmError;
 use crate::inject::{FNV_OFFSET, FNV_PRIME};
-use abm_sparse::{FlatCode, FlatKernel, LayerCode};
+use abm_sparse::{FlatCode, FlatKernel};
 
 /// Independent multiply chains the digest stripes words over. One
 /// chain retires a word per multiply *latency*; four keep the
@@ -145,166 +143,6 @@ pub fn fold_kernel_digests(flat: &FlatCode, digests: impl IntoIterator<Item = u6
     digests.into_iter().fold(digest.finish(), mix)
 }
 
-/// Structural validation of a [`FlatCode`] at load time against its
-/// witness, the [`LayerCode`] it claims to lower — the software analogue
-/// of checking a WT-Buffer/Q-Table page after the DDR transfer, before
-/// any executor trusts it.
-///
-/// Checks, per kernel: group bounds start at zero, are monotone and
-/// consistent with the value and offset stream lengths; Q-Table values
-/// are strictly ascending (the encoder's order); the code's own Q-Table
-/// counts tile its index stream; every group holds the code's value and
-/// exactly the offsets of the code's indexes in that group, ascending —
-/// looked up in the layer's one `index → offset` table
-/// ([`FlatLayout::offset_table`](abm_sparse::FlatLayout::offset_table)),
-/// one lookup a non-zero and no division; and the last position the
-/// executor sweeps plus the kernel's largest offset stays inside the
-/// re-laid-out input — the in-bounds proof for the whole output plane.
-///
-/// # Errors
-///
-/// Returns [`AbmError::CodeCorrupt`] naming the first inconsistent
-/// kernel — of the lowering or of the witness.
-pub fn validate_flat(flat: &FlatCode, code: &LayerCode) -> Result<(), AbmError> {
-    let shape = flat.shape();
-    let layout = flat.layout();
-    let corrupt = |kernel: usize, detail: String| AbmError::CodeCorrupt { kernel, detail };
-    if layout.stride == 0 {
-        return Err(corrupt(0, "layout stride must be positive".into()));
-    }
-    if code.shape() != shape || code.kernels().len() != flat.kernels().len() {
-        return Err(corrupt(
-            0,
-            format!(
-                "{} kernels of {shape} lowered from a code of {} kernels of {}",
-                flat.kernels().len(),
-                code.kernels().len(),
-                code.shape()
-            ),
-        ));
-    }
-    let (out_rows, out_cols) = layout.out_dims(shape.kernel_rows, shape.kernel_cols);
-    let swept = layout.sweep_span(out_rows, out_cols);
-    let relaid_len = layout.relaid_len(shape.in_channels);
-    let table = layout.offset_table(shape);
-    let mut expected = Vec::new();
-    for (m, (k, source)) in flat.kernels().iter().zip(code.kernels()).enumerate() {
-        let bounds = k.group_bounds();
-        if bounds.first() != Some(&0) {
-            return Err(corrupt(m, "group bounds must start at 0".into()));
-        }
-        if bounds.len() != k.values().len() + 1 {
-            return Err(corrupt(
-                m,
-                format!(
-                    "{} group bounds for {} values (want values + 1)",
-                    bounds.len(),
-                    k.values().len()
-                ),
-            ));
-        }
-        if let Some(w) = bounds.windows(2).find(|w| w[0] > w[1]) {
-            return Err(corrupt(
-                m,
-                format!("group bounds not monotone: {} > {}", w[0], w[1]),
-            ));
-        }
-        if bounds.last().copied().unwrap_or(0) as usize != k.offsets().len() {
-            return Err(corrupt(
-                m,
-                format!(
-                    "group bounds end at {} but the kernel has {} offsets",
-                    bounds.last().copied().unwrap_or(0),
-                    k.offsets().len()
-                ),
-            ));
-        }
-        if let Some(w) = k.values().windows(2).find(|w| w[0] >= w[1]) {
-            return Err(corrupt(
-                m,
-                format!("Q-Table values not ascending: {} then {}", w[0], w[1]),
-            ));
-        }
-        // The witness first: its groups must tile its index stream
-        // before they can be walked.
-        let counted: u64 = source.group_counts().sum();
-        if counted != source.indices().len() as u64 || source.distinct() != k.distinct() {
-            return Err(corrupt(
-                m,
-                format!(
-                    "{} groups lowered from a code of {} groups counting {counted} of its {} indexes",
-                    k.distinct(),
-                    source.distinct(),
-                    source.indices().len()
-                ),
-            ));
-        }
-        for (g, ((value, idxs), (lowered, offsets))) in
-            source.groups().zip(k.offset_groups()).enumerate()
-        {
-            if value != lowered || idxs.len() != offsets.len() {
-                return Err(corrupt(
-                    m,
-                    format!(
-                        "group {g} holds {} offsets of value {lowered}, the code {} indexes of value {value}",
-                        offsets.len(),
-                        idxs.len()
-                    ),
-                ));
-            }
-            expected.clear();
-            for &i in idxs {
-                let Some(&off) = table.get(i as usize) else {
-                    return Err(corrupt(
-                        m,
-                        format!(
-                            "code index {i} lies past the {}-weight kernel volume",
-                            table.len()
-                        ),
-                    ));
-                };
-                expected.push(off);
-            }
-            // The lowering sorts a strided layer's groups by offset.
-            if layout.stride > 1 {
-                expected.sort_unstable();
-            }
-            if let Some(j) = (0..offsets.len()).find(|&j| offsets[j] as usize != expected[j]) {
-                return Err(corrupt(
-                    m,
-                    format!(
-                        "offset {} at index {} is not the address of its code index (want {})",
-                        offsets[j],
-                        bounds[g] as usize + j,
-                        expected[j]
-                    ),
-                ));
-            }
-            if let Some(w) = offsets.windows(2).find(|w| w[0] >= w[1]) {
-                return Err(corrupt(
-                    m,
-                    format!(
-                        "offsets not ascending within a group: {} then {}",
-                        w[0], w[1]
-                    ),
-                ));
-            }
-        }
-        if let Some(&max_off) = k.offsets().iter().max() {
-            if swept > 0 && swept - 1 + max_off as usize >= relaid_len {
-                return Err(corrupt(
-                    m,
-                    format!(
-                        "offset {max_off} reads past the {relaid_len}-element re-laid-out input \
-                         at the last of {swept} swept positions"
-                    ),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,9 +150,9 @@ mod tests {
     use abm_tensor::{Shape4, Tensor4};
     use proptest::prelude::*;
 
-    /// Three 2x3x3 kernels (a first, a middle and a last one) over a
-    /// padded 6x6 input, at `stride`.
-    fn lowered_at(stride: usize) -> (LayerCode, FlatCode) {
+    /// Three 2x3x3 kernels (a first, a middle and a last one) lowered
+    /// over a padded 6x6 input.
+    fn lowered() -> FlatCode {
         let shape = Shape4::new(3, 2, 3, 3);
         let w = Tensor4::from_fn(shape, |m, n, k, kp| {
             // Values -2, -1, 1 and 2; zeros where x is 0 or 3.
@@ -324,117 +162,10 @@ mod tests {
         let layout = FlatLayout {
             in_rows: 6,
             in_cols: 6,
-            stride,
+            stride: 1,
             pad: 1,
         };
-        let flat = FlatCode::lower(&code, layout).unwrap();
-        (code, flat)
-    }
-
-    fn lowered() -> (LayerCode, FlatCode) {
-        lowered_at(1)
-    }
-
-    #[test]
-    fn pristine_code_validates() {
-        for stride in 1..=3 {
-            let (code, flat) = lowered_at(stride);
-            assert_eq!(validate_flat(&flat, &code), Ok(()), "stride {stride}");
-        }
-        let (_, flat) = lowered();
-        assert_eq!(flat_checksum(&flat), flat_checksum(&flat));
-    }
-
-    #[test]
-    fn every_offset_bit_flip_is_caught() {
-        let (code, flat) = lowered();
-        for bit in [0u32, 3, 17, 31] {
-            let mut bad = flat.clone();
-            let (_, _, offsets) = bad.kernels_mut()[0].streams_mut();
-            offsets[1] ^= 1 << bit;
-            let err = validate_flat(&bad, &code).unwrap_err();
-            assert!(
-                matches!(err, AbmError::CodeCorrupt { kernel: 0, .. }),
-                "bit {bit}: {err}"
-            );
-            assert_ne!(flat_checksum(&bad), flat_checksum(&flat));
-        }
-    }
-
-    /// The load-time fault class: one offset moved to the next address,
-    /// which in a dense kernel is usually another *valid* tap's — the
-    /// witness still knows which tap the group holds.
-    #[test]
-    fn an_offset_moved_onto_another_tap_is_caught() {
-        for stride in 1..=3 {
-            let (code, flat) = lowered_at(stride);
-            for (m, kernel) in flat.kernels().iter().enumerate() {
-                for i in 0..kernel.offsets().len() {
-                    let mut bad = flat.clone();
-                    let (_, _, offsets) = bad.kernels_mut()[m].streams_mut();
-                    offsets[i] = offsets[i].wrapping_add(1);
-                    let err = validate_flat(&bad, &code).unwrap_err();
-                    assert!(
-                        matches!(err, AbmError::CodeCorrupt { kernel, .. } if kernel == m),
-                        "stride {stride} kernel {m} offset {i}: {err}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn broken_group_bounds_are_caught() {
-        let (code, mut bad) = lowered();
-        let (_, bounds, _) = bad.kernels_mut()[0].streams_mut();
-        let last = bounds.len() - 1;
-        bounds.swap(0, last);
-        assert!(validate_flat(&bad, &code).is_err());
-    }
-
-    /// A corrupted witness is reported, never walked out of bounds: an
-    /// index past the kernel volume, a count that overruns or underruns
-    /// the index stream, an index moved to another position, a value
-    /// changed, a kernel missing — each a typed `CodeCorrupt` naming the
-    /// kernel.
-    #[test]
-    fn a_corrupted_witness_is_code_corrupt_not_a_panic() {
-        let (code, flat) = lowered_at(2);
-        let kernel_len = code.shape().kernel_len() as u16;
-        type Edit = fn(&mut LayerCode, u16);
-        let edits: [(&str, Edit); 6] = [
-            ("index past the volume", |c, len| {
-                c.kernels_mut()[1].streams_mut().1[0] = len;
-            }),
-            ("last index past the volume", |c, _| {
-                *c.kernels_mut()[2].streams_mut().1.last_mut().unwrap() = u16::MAX;
-            }),
-            ("count overruns", |c, _| {
-                c.kernels_mut()[1].streams_mut().0[0].count += 1;
-            }),
-            ("count underruns", |c, _| {
-                c.kernels_mut()[1].streams_mut().0[0].count -= 1;
-            }),
-            ("index moved", |c, len| {
-                let idx = &mut c.kernels_mut()[1].streams_mut().1[0];
-                *idx = (*idx + 1) % len;
-            }),
-            ("value changed", |c, _| {
-                c.kernels_mut()[1].streams_mut().0[0].value ^= 4;
-            }),
-        ];
-        for (what, edit) in edits {
-            let mut bad = code.clone();
-            edit(&mut bad, kernel_len);
-            let err = validate_flat(&flat, &bad).unwrap_err();
-            assert!(matches!(err, AbmError::CodeCorrupt { .. }), "{what}: {err}");
-        }
-        let w = Tensor4::from_fn(Shape4::new(2, 2, 3, 3), |_, _, _, _| 1i8);
-        let short = LayerCode::encode(&w).unwrap();
-        assert!(matches!(
-            validate_flat(&flat, &short),
-            Err(AbmError::CodeCorrupt { kernel: 0, .. })
-        ));
+        FlatCode::lower(&code, layout).unwrap()
     }
 
     /// One flipped bit in any word of any of the three streams, in the
@@ -442,7 +173,7 @@ mod tests {
     /// the last element, changes the digest.
     #[test]
     fn checksum_covers_values_bounds_and_offsets() {
-        let (_, flat) = lowered();
+        let flat = lowered();
         let base = flat_checksum(&flat);
         let last = flat.kernels().len() - 1;
         for m in [0, last / 2, last] {

@@ -4,25 +4,36 @@
 //! The paper's accelerator is a deep pipeline of FIFO-decoupled units
 //! fed from DDR3 — exactly the kind of system where real deployments
 //! see single-event upsets in block RAM, FIFO overflow under bandwidth
-//! jitter and hung compute units. This crate provides the three pieces
+//! jitter and hung compute units. This crate provides the four pieces
 //! the rest of the stack threads through:
 //!
 //! * [`AbmError`] — the typed error hierarchy every runtime guard
 //!   surfaces instead of panicking: grouping/shape contract violations,
 //!   encode failures, corrupted code streams, checksum and ABFT
 //!   mismatches, watchdog deadlines and budget timeouts.
-//! * [`Injector`] / [`FaultPlan`] — deterministic, seeded fault
-//!   injection. [`NullInjector`] has `const ENABLED = false` and
-//!   compiles away entirely, mirroring `abm-telemetry`'s
-//!   `NullCollector`: the hot paths monomorphize to exactly the
-//!   uninjected code, so golden pins hold bit-identically.
+//! * [`Injector`] / [`FaultPlan`] — deterministic, seeded injection of
+//!   timing faults at the simulator's four hooks (task delay, lane
+//!   stall, dropped deposit, bandwidth derate). [`NullInjector`] has
+//!   `const ENABLED = false` and compiles away entirely, mirroring
+//!   `abm-telemetry`'s `NullCollector`: the hot paths monomorphize to
+//!   exactly the uninjected code, so golden pins hold bit-identically.
+//!   Data faults have no hook: the campaign edits a clone's streams.
+//! * [`flat_checksum`] and [`stream_checksum_i16`] — the digests the
+//!   post-load code guard and the feature-stream guard compare.
 //! * [`CampaignReport`] / [`FaultOutcome`] — the bookkeeping a fault
 //!   campaign emits: per-class injected/detected/masked/recovered
 //!   counts and a JSON report.
 //!
+//! Load-time validation of a lowered code against its `LayerCode` is
+//! not here: it is `abm-verify`'s lowering pass, which
+//! `PreparedConv::try_from_flat` runs and reports as
+//! [`AbmError::CodeCorrupt`].
+//!
 //! The crate is deliberately low in the dependency graph (only
 //! `abm-sparse`, for [`EncodeError`](abm_sparse::EncodeError)
-//! conversion) so `abm-conv` and `abm-sim` can both speak [`AbmError`].
+//! conversion and the streams the checksum reads, and `abm-telemetry`,
+//! for the report's JSON writer) so `abm-conv` and `abm-sim` can both
+//! speak [`AbmError`].
 
 #![forbid(unsafe_code)]
 
@@ -33,10 +44,8 @@ mod plan;
 mod report;
 
 pub use error::AbmError;
-pub use inject::{
-    fnv1a_bytes, stream_checksum_i16, stream_checksum_u32, Injector, NullInjector, PlanInjector,
-};
-pub use integrity::{flat_checksum, fold_kernel_digests, kernel_digest, validate_flat};
+pub use inject::{fnv1a_bytes, stream_checksum_i16, Injector, NullInjector, PlanInjector};
+pub use integrity::{flat_checksum, fold_kernel_digests, kernel_digest};
 pub use plan::{Fault, FaultClass, FaultPlan, SplitMix64};
 pub use report::{
     CampaignReport, ClassCounts, FaultOutcome, FaultReport, RecoveryAction, TrialRecord,

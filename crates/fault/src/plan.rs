@@ -96,10 +96,6 @@ pub struct Fault {
     pub layer: usize,
     /// Kernel / lane / task the fault targets (class-dependent).
     pub unit: usize,
-    /// Word or entry index within the targeted stream.
-    pub index: usize,
-    /// Bit to flip for the word-flip classes.
-    pub bit: u32,
     /// Injected stall / hang cycles for the timing classes.
     pub cycles: u64,
     /// Bandwidth derate in thousandths (1000 = nominal, 2000 = half
@@ -107,33 +103,21 @@ pub struct Fault {
     pub derate_milli: u32,
 }
 
-/// A deterministic set of faults to inject in one run, produced from a
-/// seed. The plan is plain data: the *campaign* decides coordinates by
-/// drawing from [`SplitMix64`], the [`PlanInjector`](crate::PlanInjector)
-/// just delivers them.
+/// A deterministic set of faults to inject in one run. The plan is
+/// plain data: the *campaign* decides coordinates by drawing from
+/// [`SplitMix64`], the [`PlanInjector`](crate::PlanInjector) just
+/// delivers them. [`FaultPlan::default`] is the empty plan.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
-    /// The seed the plan was drawn with (recorded for reproduction).
-    pub seed: u64,
     /// The faults to deliver, each tagged with its class.
     pub faults: Vec<(FaultClass, Fault)>,
 }
 
 impl FaultPlan {
-    /// An empty plan with a recorded seed.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            faults: Vec::new(),
-        }
-    }
-
     /// A plan carrying exactly one fault.
     #[must_use]
-    pub fn single(seed: u64, class: FaultClass, fault: Fault) -> Self {
+    pub fn single(class: FaultClass, fault: Fault) -> Self {
         Self {
-            seed,
             faults: vec![(class, fault)],
         }
     }
@@ -237,9 +221,9 @@ mod tests {
 
     #[test]
     fn plan_accumulates() {
-        let mut plan = FaultPlan::new(1);
+        let mut plan = FaultPlan::default();
         plan.push(FaultClass::CuHang, Fault::default());
-        let single = FaultPlan::single(1, FaultClass::CuHang, Fault::default());
+        let single = FaultPlan::single(FaultClass::CuHang, Fault::default());
         assert_eq!(plan, single);
     }
 }

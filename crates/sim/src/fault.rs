@@ -261,7 +261,6 @@ mod tests {
 
         let stall = |cycles| {
             PlanInjector::new(FaultPlan::single(
-                0,
                 FaultClass::FifoStall,
                 Fault {
                     layer: 0,
@@ -291,7 +290,6 @@ mod tests {
         let (w, cfg) = workload();
         let hang = |cycles| {
             PlanInjector::new(FaultPlan::single(
-                0,
                 FaultClass::CuHang,
                 Fault {
                     layer: 0,
@@ -323,7 +321,6 @@ mod tests {
     fn lost_deposit_always_fires() {
         let (w, cfg) = workload();
         let mut inj = PlanInjector::new(FaultPlan::single(
-            0,
             FaultClass::FifoDrop,
             Fault {
                 layer: 0,
@@ -350,7 +347,6 @@ mod tests {
         let hidden = (clean.seconds / clean.memory_seconds * 1000.0).floor() as u32;
         let throttle = |derate_milli| {
             PlanInjector::new(FaultPlan::single(
-                0,
                 FaultClass::BandwidthThrottle,
                 Fault {
                     layer: 0,

@@ -6,8 +6,8 @@
 //! closures ([`Node::object`], [`Obj::array`], …), so a container closes
 //! when its closure returns and a key can only go into an object.
 //! Strings go through [`escape`]; integers are written from their own
-//! type, so `u64::MAX` and `i128` bounds are exact; an `f64` is written
-//! in shortest round-trip form, or at a stated number of decimals by
+//! type, so `u64::MAX` is exact; an `f64` is written in shortest
+//! round-trip form, or at a stated number of decimals by
 //! [`Node::fixed`]; a non-finite float is `null`.
 //!
 //! [`Node::render`] applies one layout rule. A container is written on
@@ -195,7 +195,7 @@ macro_rules! from_display {
     )+};
 }
 
-from_display!(u32, u64, usize, i32, i64, i128, bool);
+from_display!(u32, u64, usize, i32, i64, bool);
 
 impl From<f64> for Node {
     /// Shortest round-trip form; `null` when not finite.
@@ -600,20 +600,17 @@ mod tests {
             let mut rng = TestRng::deterministic(&seed.to_string());
             let doc = random_value(&mut rng, 4);
             let x = f64::from_bits(rng.next_u64());
-            let ints: [i128; 6] = [0, 1 << 53, -(1 << 53), i128::MIN, i128::MAX, seed.into()];
             let text = Node::object(|o| {
                 o.field("doc", &doc);
                 o.array("u64", |a| [seed, u64::MAX].iter().for_each(|&n| a.item(n)));
-                o.array("i128", |a| ints.iter().for_each(|&n| a.item(n)));
                 o.field("fixed", Node::fixed(x, decimals));
                 let non_finite = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
                 o.array("non_finite", |a| non_finite.iter().for_each(|&x| a.item(x)));
             })
             .render();
             prop_assert!(validate(&text).is_ok(), "invalid: {text}");
-            for n in ints.iter().map(i128::to_string).chain([u64::MAX.to_string()]) {
-                prop_assert!(text.contains(&n), "{n} not written exactly in {text}");
-            }
+            let max = u64::MAX.to_string();
+            prop_assert!(text.contains(&max), "{max} not written exactly in {text}");
             let back = parse(&text).unwrap();
             prop_assert_eq!(back.get("doc"), Some(&doc));
             let fixed = if x.is_finite() {

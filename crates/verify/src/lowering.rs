@@ -11,6 +11,11 @@
 //! that synthesis-time proof: given the source [`LayerCode`], the
 //! lowered [`FlatCode`] and the concrete convolution geometry, it proves
 //!
+//! 0. **walkability** — the layout's stride is positive, the source has
+//!    its lowering's shape and kernel count, and each source kernel's
+//!    Q-Table counts tile its index stream, so the checks below can
+//!    walk both without dividing by zero or slicing past a stream (a
+//!    corrupted source is a `malformed` defect, never a panic);
 //! 1. **faithfulness** — every group's values and counts reconcile with
 //!    the source Q-Table (the value groups partition exactly the
 //!    non-zero weights, so the analytic `AbmWork` model counts the real
@@ -40,7 +45,9 @@
 //!
 //! On success the executor's `debug_assert`-backed construction hook
 //! (and `cargo xtask verify`) can state, not hope, that the unchecked
-//! walk is safe.
+//! walk is safe. It is also the one load-time validator:
+//! `PreparedConv::try_from_flat` admits a pre-lowered code only when
+//! this pass finds no defect, and reports the first as `CodeCorrupt`.
 
 use crate::report::{Defect, VerifyReport};
 use abm_sparse::{FlatCode, FlatLayout, LayerCode};
@@ -154,6 +161,29 @@ pub fn verify_lowering(
 ) -> VerifyReport {
     let mut report = VerifyReport::new(subject);
     let shape = code.shape();
+    // --- walkability of the layer: every layout computation below
+    // divides by the stride, and the source must describe the kernels
+    // its lowering holds.
+    let malformed = |detail: String| Defect::Malformed { kernel: 0, detail };
+    if geom.stride == 0 {
+        report.defect(malformed("layout stride must be positive".into()));
+        return report;
+    }
+    if flat.shape() != shape {
+        let detail = format!(
+            "flat code of {} lowered from a source of {shape}",
+            flat.shape()
+        );
+        report.defect(malformed(detail));
+        return report;
+    }
+    if flat.kernels().len() != code.kernels().len() {
+        report.defect(Defect::KernelCountMismatch {
+            flat: flat.kernels().len(),
+            source: code.kernels().len(),
+        });
+        return report;
+    }
     let layout = FlatLayout {
         in_rows: geom.in_rows,
         in_cols: geom.in_cols,
@@ -165,14 +195,6 @@ pub fn verify_lowering(
     // Every source index's address, once per layer.
     let table = layout.offset_table(shape);
 
-    if flat.kernels().len() != code.kernels().len() {
-        report.defect(Defect::KernelCountMismatch {
-            flat: flat.kernels().len(),
-            source: code.kernels().len(),
-        });
-        return report;
-    }
-
     // Positions the executor sweeps within one channel group: up to the
     // output plane's last pixel at the re-laid-out row pitch. Zero when
     // the plane is empty.
@@ -180,7 +202,22 @@ pub fn verify_lowering(
 
     let m_per_group = shape.out_channels.div_ceil(geom.groups.max(1)).max(1);
 
+    let mut expected = Vec::new();
     for (m, (fk, sk)) in flat.kernels().iter().zip(code.kernels()).enumerate() {
+        // --- walkability of the source: its Q-Table counts must tile
+        // its index stream before its groups can be walked.
+        let counted: u64 = sk.group_counts().sum();
+        if counted != sk.indices().len() as u64 {
+            report.defect(Defect::Malformed {
+                kernel: m,
+                detail: format!(
+                    "source Q-Table counts {counted} of its {} indexes",
+                    sk.indices().len()
+                ),
+            });
+            continue;
+        }
+
         // --- structure: bounds table, arity ---
         let starts = fk.group_bounds();
         let offsets = fk.offsets();
@@ -238,7 +275,7 @@ pub fn verify_lowering(
 
             // The group's source addresses in executing order: ascending
             // offset (which for stride 1 is the encoder's scan order).
-            let mut expected = Vec::with_capacity(src_idxs.len());
+            expected.clear();
             for (j, &i) in src_idxs.iter().enumerate() {
                 match table.get(i as usize) {
                     Some(&off) => expected.push(off),
@@ -538,6 +575,32 @@ mod tests {
         code.kernels_mut()[1].streams_mut().1[0] = kernel_len;
         let r = verify_lowering("t", &code, &flat, &geom, &AccumulatorModel::host());
         assert!(r.has_class("index_out_of_kernel"), "{r}");
+    }
+
+    /// What the walk cannot start on is a `malformed` defect naming its
+    /// kernel, never a division by zero or a slice past the stream.
+    #[test]
+    fn an_unwalkable_lowering_is_malformed_not_a_panic() {
+        let host = AccumulatorModel::host();
+        let malformed_at = |r: &VerifyReport, kernel| {
+            let first = r.defects.first().map(|d| (d.class(), d.kernel()));
+            assert_eq!(first, Some(("malformed", Some(kernel))), "{r}");
+        };
+        let (code, flat, mut geom) = sample();
+        geom.stride = 0;
+        malformed_at(&verify_lowering("t", &code, &flat, &geom, &host), 0);
+        // A source of another shape, with as many kernels.
+        let (_, flat, geom) = sample();
+        let other = Tensor4::from_fn(Shape4::new(3, 1, 3, 6), |_, _, _, _| 1i8);
+        let other = LayerCode::encode(&other).unwrap();
+        malformed_at(&verify_lowering("t", &other, &flat, &geom, &host), 0);
+        // Q-Table counts that overrun or underrun the index stream.
+        for delta in [1, -1] {
+            let (mut code, flat, geom) = sample();
+            let count = &mut code.kernels_mut()[1].streams_mut().0[0].count;
+            *count = count.wrapping_add_signed(delta);
+            malformed_at(&verify_lowering("t", &code, &flat, &geom, &host), 1);
+        }
     }
 
     #[test]

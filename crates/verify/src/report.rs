@@ -39,6 +39,16 @@ impl fmt::Display for Metric {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Defect {
     // ---- lowering: structure ----
+    /// The lowering cannot be walked at all: its layout's stride is
+    /// zero, its source has another shape, or a source kernel's Q-Table
+    /// counts do not tile its index stream. Reported instead of the
+    /// walk, which would divide by zero or slice past the stream.
+    Malformed {
+        /// Kernel index (`0` for the whole layer).
+        kernel: usize,
+        /// What does not hold.
+        detail: String,
+    },
     /// The flat code has a different kernel count than its source.
     KernelCountMismatch {
         /// Kernels in the flat lowering.
@@ -274,6 +284,7 @@ impl Defect {
     /// export).
     pub fn class(&self) -> &'static str {
         match self {
+            Defect::Malformed { .. } => "malformed",
             Defect::KernelCountMismatch { .. } => "kernel_count_mismatch",
             Defect::GroupBoundsCorrupt { .. } => "group_bounds_corrupt",
             Defect::GroupCountMismatch { .. } => "group_count_mismatch",
@@ -300,11 +311,31 @@ impl Defect {
             Defect::ModelDivergence { .. } => "model_divergence",
         }
     }
+
+    /// The kernel a lowering defect names (`None` for a defect of the
+    /// whole layer or of another pass).
+    #[must_use]
+    pub fn kernel(&self) -> Option<usize> {
+        match self {
+            Defect::Malformed { kernel, .. }
+            | Defect::GroupBoundsCorrupt { kernel }
+            | Defect::GroupCountMismatch { kernel, .. }
+            | Defect::GroupValueMismatch { kernel, .. }
+            | Defect::IndexOutOfKernel { kernel, .. }
+            | Defect::OffsetMismatch { kernel, .. }
+            | Defect::OffsetOutOfBounds { kernel, .. }
+            | Defect::LaneSweepOutOfBounds { kernel, .. }
+            | Defect::StreamOrderViolation { kernel, .. }
+            | Defect::AccumulatorOverflow { kernel, .. } => Some(*kernel),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for Defect {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            Defect::Malformed { kernel, detail } => write!(f, "kernel {kernel}: {detail}"),
             Defect::KernelCountMismatch { flat, source } => {
                 write!(f, "flat code has {flat} kernels, source has {source}")
             }

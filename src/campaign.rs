@@ -556,7 +556,7 @@ fn timing_trial(
             fault.unit, fault.cycles, fault.derate_milli
         ),
     );
-    let mut injector = PlanInjector::new(FaultPlan::single(0, class, fault));
+    let mut injector = PlanInjector::new(FaultPlan::single(class, fault));
     let guarded = serial()
         .injector(&mut injector)
         .simulate_workload(&w, cfg, layer as u32, 0);
@@ -688,7 +688,7 @@ fn pipelined_trial(t: PipelinedTrial<'_>) -> Result<TrialRecord, AbmError> {
         t.class.name(),
         &format!("pipelined unit {} cycles {}", fault.unit, fault.cycles),
     );
-    let mut injector = PlanInjector::new(FaultPlan::single(0, t.class, fault));
+    let mut injector = PlanInjector::new(FaultPlan::single(t.class, fault));
     let guarded = SimContext {
         watchdog,
         ..SimContext::default()

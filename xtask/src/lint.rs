@@ -17,11 +17,10 @@
 //!    `unsafe`, including the glue binaries. Sole exception: the
 //!    `abm-kernel` root carries `#![deny(unsafe_code)]` instead, so
 //!    its one intrinsics module can opt back in (see check 3).
-//! 2. **Panic-free core**: the non-test portions of the `tensor`,
-//!    `sparse`, `conv`, `sim`, `fault`, `kernel`, `metrics` and `serve`
-//!    crates may not call `.unwrap()`, `.expect(...)` or `panic!` —
-//!    errors in the numeric core must be `Result`s or proven-unreachable
-//!    states. Files listed in `xtask/lint-allow.txt` are exempt, but
+//! 2. **Panic-free core**: the non-test portions of the crates
+//!    `PANIC_FREE_CRATES` names may not call `.unwrap()`,
+//!    `.expect(...)` or `panic!` — errors in the numeric core must be
+//!    `Result`s or proven-unreachable states. Files listed in `xtask/lint-allow.txt` are exempt, but
 //!    every surviving site in them must carry an `// INVARIANT:` comment
 //!    (same line or the two lines above) naming the invariant that makes
 //!    it unreachable.
@@ -43,12 +42,14 @@ use std::path::{Path, PathBuf};
 /// Crates whose non-test code must be panic-free: everything on the
 /// path from a model file to an inference result or a cycle count,
 /// plus the fault/error layer itself (an error path that panics
-/// defeats the whole subsystem), the metrics registry (observation
-/// that can abort the observed process is worse than no observation)
-/// and the server (a request, well-formed or not, gets a typed reply,
-/// never a dead worker).
-const PANIC_FREE_CRATES: [&str; 8] = [
-    "tensor", "sparse", "conv", "sim", "fault", "kernel", "metrics", "serve",
+/// defeats the whole subsystem), the lowering verifier (the one
+/// load-time validator: a corrupt code it is handed is a defect, not a
+/// crash), the metrics registry (observation that can abort the
+/// observed process is worse than no observation) and the server (a
+/// request, well-formed or not, gets a typed reply, never a dead
+/// worker).
+const PANIC_FREE_CRATES: [&str; 9] = [
+    "tensor", "sparse", "conv", "sim", "fault", "verify", "kernel", "metrics", "serve",
 ];
 
 /// Relative path of the panic-site allowlist.

@@ -14,7 +14,7 @@
 //! them directly. The lint pass is a source scanner (no rustc
 //! involvement): it enforces `#![forbid(unsafe_code)]` in every
 //! compilation root and denies `unwrap()`/`expect()`/`panic!` in the
-//! non-test core paths of `tensor`/`sparse`/`conv`/`sim`, with an
+//! non-test code of the crates `lint::PANIC_FREE_CRATES` names, with an
 //! allowlist (`xtask/lint-allow.txt`) whose every surviving site must
 //! justify itself with an `// INVARIANT:` comment.
 

@@ -218,7 +218,10 @@ fn check_planes<A: Accumulator>(
     let shape = code.shape();
     let group_len = shape.kernel_len();
     let m_per_group = shape.out_channels / prep.geometry().groups;
-    let corrupt = |kernel, detail| AbmError::CodeCorrupt { kernel, detail };
+    let corrupt = |kernel, detail| AbmError::CodeCorrupt {
+        kernel,
+        detail: format!("kernel {kernel}: {detail}"),
+    };
 
     for (m, kernel) in run.clone().zip(&code.kernels()[run]) {
         // The kernel's channel group owns one contiguous run of `sums`.

@@ -1507,11 +1507,16 @@ mod tests {
 
     /// Loads `flat` against `code` in `pristine`'s place and returns the
     /// kernel the rejection names — the validator must reject, never
-    /// panic.
+    /// panic, and its message names that kernel exactly once.
     fn rejected_kernel(pristine: &PreparedConv, flat: FlatCode, code: LayerCode) -> usize {
         let (in_shape, geom) = (pristine.input_shape(), pristine.geometry());
         match PreparedConv::try_from_flat(flat, code, in_shape, geom) {
-            Err(AbmError::CodeCorrupt { kernel, .. }) => kernel,
+            Err(e @ AbmError::CodeCorrupt { kernel, .. }) => {
+                let message = e.to_string();
+                let named = message.matches(&format!("kernel {kernel}")).count();
+                assert_eq!(named, 1, "{message}");
+                kernel
+            }
             other => panic!("expected CodeCorrupt, got {other:?}"),
         }
     }

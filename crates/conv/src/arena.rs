@@ -105,8 +105,8 @@ pub(crate) struct Tail {
 
 impl Plan {
     /// Plans `network`. With `lowered` (the ABM engine) convolutions read
-    /// their padded, phase-split layout; every other consumer, and every
-    /// other engine, reads the plain tensor.
+    /// their padded, phase-split layout; every other consumer, and the
+    /// dense engine, reads the plain tensor.
     pub fn new(network: &Network, lowered: bool) -> Self {
         let (layers, shapes) = (network.layers(), network.shapes());
         let shape_into = |i: usize| match i {
@@ -713,8 +713,8 @@ mod tests {
         headless.push(abm_model::Layer::new("RELU", LayerKind::Relu));
         assert_eq!(tail(&headless), None);
 
-        // Engines that take tensors read plain ones everywhere, and
-        // sweep into no narrow plane.
+        // The dense engine reads plain tensors everywhere, and sweeps
+        // into no narrow plane.
         let plain = Plan::new(&zoo::tiny(), false);
         assert!(plain
             .steps

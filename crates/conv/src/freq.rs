@@ -134,10 +134,6 @@ pub fn fft2(data: &mut [Complex], l: usize, inverse: bool) {
     }
 }
 
-fn next_pow2(x: usize) -> usize {
-    x.next_power_of_two()
-}
-
 /// Frequency-domain convolution by overlap-and-add with FFT size
 /// `l × l`, matching the integer engines' semantics (cross-correlation
 /// with stride and zero padding) up to floating-point error.
@@ -260,14 +256,6 @@ pub fn conv2d_oaa(
     Tensor3::from_fn(out_shape, |m, r, c| {
         full[(m, r * geom.stride, c * geom.stride)]
     })
-}
-
-/// Convenience wrapper choosing the smallest power-of-two FFT that fits
-/// `kernel + 3` (a good OaA operating point for 3×3 and 5×5 kernels).
-pub fn conv2d(input: &Tensor3<i16>, weights: &Tensor4<i8>, geom: Geometry) -> Tensor3<f64> {
-    let k = weights.shape().kernel_rows.max(weights.shape().kernel_cols);
-    let l = next_pow2(k + 3).max(8);
-    conv2d_oaa(input, weights, geom, l)
 }
 
 /// Real-multiplication cost model of OaA FDConv for one layer — used to

@@ -14,7 +14,7 @@
 //!
 //! What the tail cannot carry on lanes it finishes an image at a time,
 //! through the per-image step every executor shares: a lone survivor,
-//! and — under [`ResiliencePolicy::verify`](super::ResiliencePolicy) —
+//! and — under a checking [`ResiliencePolicy`](super::ResiliencePolicy) —
 //! every image of a chunk whose layer failed its checksum (verified once
 //! a batch) or its ABFT check (over the lane plane). That keeps one
 //! recovery ladder: the tail only detects, silently, and the images
@@ -250,9 +250,9 @@ impl Inferencer<'_> {
     /// # Errors
     ///
     /// Returns what the per-image step would say of weights that were
-    /// not prepared or planned for this layer, and — under
-    /// [`ResiliencePolicy::verify`](super::ResiliencePolicy) — the
-    /// detector's error. Nothing of the images' states has changed then:
+    /// not prepared or planned for this layer, and — under a checking
+    /// [`ResiliencePolicy`](super::ResiliencePolicy) — the detector's
+    /// error. Nothing of the images' states has changed then:
     /// the lane buffer still holds the layer's input.
     fn lane_layer(
         &self,
@@ -278,13 +278,13 @@ impl Inferencer<'_> {
         }
         let live = chunk.len();
         lanes.fit(width, kernels, pitch);
-        if self.resilience.verify {
+        if self.resilience.verifies() {
             super::timed_detector("abm_verify_checksum_ns", || prep.verify_checksum())?;
         }
         let sel = prep.lane_selection(live);
         let fill = (live, pitch);
         prep.execute_lanes(self.parallelism, sel, &lanes.input, fill, &mut lanes.plane);
-        if self.resilience.verify {
+        if self.resilience.verifies() {
             let LaneArena {
                 input, plane, sums, ..
             } = lanes;

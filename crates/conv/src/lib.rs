@@ -12,15 +12,17 @@
 //! * [`abm`] — the paper's **ABM-SpConv**: accumulate feature pixels per
 //!   distinct weight value first, multiply once per value after.
 //!
-//! The four integer engines are *bit-exact* against each other — the
-//! property that validates the paper's Equation (2) — and the FFT engine
-//! matches within floating-point tolerance. [`mod@calibrate`] provides the
-//! offline activation-range calibration that real deployments use, and
-//! [`precision`] stress-tests the 16-bit accumulator claim.
+//! The four integer engines are *bit-exact* against each other on every
+//! layer — the property that validates the paper's Equation (2) — and
+//! the FFT engine matches within floating-point tolerance.
+//! [`mod@calibrate`] provides the offline activation-range calibration
+//! that real deployments use, and [`precision`] stress-tests the 16-bit
+//! accumulator claim.
 //!
 //! [`ops`] counts the arithmetic work each scheme performs (Table 1), and
-//! [`infer`] runs whole networks through any engine, with the paper's
-//! host layers (pooling, ReLU, LRN, softmax) implemented in [`host`].
+//! [`infer`] runs whole networks through the ABM engine or the dense
+//! reference, with the paper's host layers (pooling, ReLU, LRN, softmax)
+//! implemented in [`host`]; the other three stay layer-level comparators.
 //!
 //! # Examples
 //!

@@ -20,10 +20,9 @@ use std::fmt;
 ///   WT/Q-Table/FI streams and accumulator upsets;
 /// * **watchdogs** (`CuDeadline`, `FifoOverflow`, `LostDeposit`,
 ///   `BandwidthCollapse`) — the simulator's timing-domain detectors;
-/// * **budgets & recovery** (`WallBudgetExceeded`,
-///   `CycleBudgetExceeded`, `WorkerPanic`, `RecoveryExhausted`,
-///   `Layer`) — bounded execution and the recovery policy's terminal
-///   state.
+/// * **budgets & context** (`WallBudgetExceeded`,
+///   `CycleBudgetExceeded`, `WorkerPanic`, `Layer`) — bounded execution,
+///   and the layer an error surfaced in.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AbmError {
     /// The weight encoder rejected a layer (e.g. 16-bit index overflow).
@@ -65,7 +64,8 @@ pub enum AbmError {
     CodeCorrupt {
         /// Kernel whose streams are inconsistent.
         kernel: usize,
-        /// Human-readable description of the first inconsistency.
+        /// Human-readable description of the first inconsistency,
+        /// naming the kernel first.
         detail: String,
     },
     /// The checksum stored when a `PreparedConv` was built no longer
@@ -166,16 +166,6 @@ pub enum AbmError {
         /// The configured cycle budget.
         budget: u64,
     },
-    /// Every recovery stage (re-lowering retries, oracle fallback)
-    /// failed for a layer.
-    RecoveryExhausted {
-        /// Layer index.
-        layer: usize,
-        /// Recovery attempts made before giving up.
-        attempts: u32,
-        /// The error the final attempt died with.
-        last: Box<AbmError>,
-    },
     /// A pinned kernel ISA (via `--isa` or `ABM_FORCE_ISA`) cannot run
     /// here: the CPU lacks the feature set, or the spelling did not
     /// parse.
@@ -230,13 +220,11 @@ impl AbmError {
         }
     }
 
-    /// The innermost error, unwrapping [`AbmError::Layer`] and
-    /// [`AbmError::RecoveryExhausted`] context.
+    /// The innermost error, unwrapping [`AbmError::Layer`] context.
     #[must_use]
     pub fn root_cause(&self) -> &AbmError {
         match self {
             AbmError::Layer { source, .. } => source.root_cause(),
-            AbmError::RecoveryExhausted { last, .. } => last.root_cause(),
             other => other,
         }
     }
@@ -307,9 +295,9 @@ impl fmt::Display for AbmError {
                 f,
                 "layer {layer} has no prepared weights for the {engine} engine"
             ),
-            AbmError::CodeCorrupt { kernel, detail } => {
-                write!(f, "kernel {kernel} code streams corrupt: {detail}")
-            }
+            // The detail names the kernel itself (a verifier defect, an
+            // `EncodeError::CorruptCode`, an ABFT walk of the witness).
+            AbmError::CodeCorrupt { detail, .. } => write!(f, "code streams corrupt: {detail}"),
             AbmError::ChecksumMismatch { stored, computed } => write!(
                 f,
                 "code checksum mismatch: stored {stored:#018x}, streams now hash {computed:#018x}"
@@ -375,14 +363,6 @@ impl fmt::Display for AbmError {
                 f,
                 "simulation cycle budget exceeded after {layers_done} layers ({cycles} of {budget} cycles)"
             ),
-            AbmError::RecoveryExhausted {
-                layer,
-                attempts,
-                last,
-            } => write!(
-                f,
-                "layer {layer} unrecoverable after {attempts} attempts: {last}"
-            ),
             AbmError::IsaUnavailable { detail } => {
                 write!(f, "kernel ISA unavailable: {detail}")
             }
@@ -408,7 +388,6 @@ impl Error for AbmError {
         match self {
             AbmError::Encode(e) => Some(e),
             AbmError::Layer { source, .. } => Some(source.as_ref()),
-            AbmError::RecoveryExhausted { last, .. } => Some(last.as_ref()),
             _ => None,
         }
     }
@@ -497,20 +476,5 @@ mod tests {
             kernel: 0
         }
         .is_rejection());
-    }
-
-    #[test]
-    fn recovery_exhausted_unwraps_to_root() {
-        let e = AbmError::RecoveryExhausted {
-            layer: 1,
-            attempts: 2,
-            last: Box::new(AbmError::AbftMismatch {
-                kernel: 0,
-                predicted: 10,
-                observed: 11,
-            }),
-        };
-        assert!(e.is_corruption());
-        assert!(e.to_string().contains("unrecoverable after 2 attempts"));
     }
 }

@@ -58,8 +58,6 @@ pub enum RecoveryAction {
         /// Lowering attempts consumed (1 = first retry succeeded).
         attempts: u32,
     },
-    /// Execution fell back to the `abm::reference` oracle.
-    ReferenceFallback,
     /// Execution fell back to the dense engine.
     DenseFallback,
     /// The layer (or simulation) was simply replayed fault-free.
@@ -74,7 +72,6 @@ impl RecoveryAction {
             RecoveryAction::None => "none",
             RecoveryAction::Refetched => "refetched",
             RecoveryAction::Relowered { .. } => "relowered",
-            RecoveryAction::ReferenceFallback => "reference-fallback",
             RecoveryAction::DenseFallback => "dense-fallback",
             RecoveryAction::Replayed => "replayed",
         }

@@ -21,7 +21,7 @@
 //!   a typed [`AbmError::DeadlineExceeded`](abm_fault::AbmError).
 //! * **Graceful degradation** — workers run the hardened
 //!   [`ResiliencePolicy`](abm_conv::ResiliencePolicy) ladder
-//!   (re-lower → reference → dense), so detected corruption is masked
+//!   (re-lower → dense), so detected corruption is masked
 //!   bit-identically, never served silently; transient failures get
 //!   bounded retry-with-backoff; a stuck batch is confiscated by the
 //!   watchdog and failed over to a fresh worker.

@@ -22,7 +22,7 @@
 //! Every degradation decision is typed and accounted: shed requests
 //! get [`AbmError::Overloaded`], deadline cuts get
 //! [`AbmError::DeadlineExceeded`], detected corruptions climb the
-//! recovery ladder (re-lower → reference → dense) inside the workers
+//! recovery ladder (re-lower → dense) inside the workers
 //! and come back **bit-identical** — never silent. A failed request
 //! freezes a flight-recorder dump
 //! ([`abm_metrics::MetricsRegistry::note_error`]) exactly like batch mode.
@@ -915,16 +915,10 @@ fn spawn_worker(shared: &Arc<Shared>) {
 }
 
 /// Classifies an error as worth a bounded retry: transient faults
-/// (corruptions the ladder may out-run, worker panics, exhausted
-/// recovery, watchdog trips) yes; contract violations and typed
-/// rejections no.
+/// (corruptions, worker panics, watchdog trips) yes; contract
+/// violations and typed rejections no.
 fn transient(e: &AbmError) -> bool {
-    e.is_corruption()
-        || e.is_watchdog()
-        || matches!(
-            e.root_cause(),
-            AbmError::WorkerPanic { .. } | AbmError::RecoveryExhausted { .. }
-        )
+    e.is_corruption() || e.is_watchdog() || matches!(e.root_cause(), AbmError::WorkerPanic { .. })
 }
 
 /// The inferencer every served image runs under: the hardened policy,

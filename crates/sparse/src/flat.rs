@@ -263,8 +263,9 @@ impl FlatLayout {
 
     /// The inverse of [`relayout`](Self::relayout): gathers `channels`
     /// channels back out of a re-laid-out buffer, dropping the padding.
-    /// The way back to a tensor at the network boundary and for the
-    /// engines that take one (never on the lowered hot path).
+    /// The way back to a tensor at the network boundary, for the dense
+    /// engine and the dense recovery rung (never on the lowered hot
+    /// path).
     ///
     /// # Panics
     ///

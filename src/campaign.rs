@@ -809,7 +809,6 @@ fn scan_fault_events(events: &[Event]) -> (Option<&str>, RecoveryAction) {
                 FaultAction::Recovered => {
                     action = match class.as_str() {
                         "re-lower" => RecoveryAction::Relowered { attempts: 1 },
-                        "reference-fallback" => RecoveryAction::ReferenceFallback,
                         "dense-fallback" => RecoveryAction::DenseFallback,
                         "refetch" => RecoveryAction::Refetched,
                         _ => RecoveryAction::Replayed,

@@ -78,14 +78,11 @@ pub(super) fn positive_f64(v: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("bad number '{v}' (expected a positive finite number)"))
 }
 
-/// `dense|gemm|sparse|abm|freq`.
+/// `dense|abm`.
 pub(super) fn engine(v: &str) -> Result<Engine, String> {
     match v {
         "dense" => Ok(Engine::Dense),
-        "gemm" => Ok(Engine::Gemm),
-        "sparse" => Ok(Engine::Sparse),
         "abm" => Ok(Engine::Abm),
-        "freq" => Ok(Engine::Freq),
         other => Err(format!("unknown engine '{other}'")),
     }
 }

@@ -10,7 +10,7 @@ use std::error::Error;
 pub(super) const SUB: Subcommand = Subcommand {
     name: "infer",
     flags: &[
-        flag!("--engine" "dense|gemm|sparse|abm|freq", Infer.engine = engine),
+        flag!("--engine" "dense|abm", Infer.engine = engine),
         flag!("--seed" "S", Infer.seed = uint),
         flag!("--batch" "N", Infer.batch = positive),
         flag!("--parallel" PARALLEL, Infer.parallelism = Parallelism::parse),

@@ -148,6 +148,15 @@ fn parse_infer_engine_and_seed() {
             isa: None,
         }
     );
+    // Only the two network-level engines parse; the other comparators
+    // are layer-level functions.
+    for retired in ["gemm", "sparse", "freq"] {
+        let e = parse(&argv(&format!("infer tiny --engine {retired}")))
+            .unwrap_err()
+            .to_string();
+        assert_eq!(e, format!("--engine: unknown engine '{retired}'"));
+    }
+    assert!(USAGE.contains("[--engine dense|abm]"), "{}", *USAGE);
 }
 
 #[test]

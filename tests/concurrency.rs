@@ -45,15 +45,15 @@ const POOLS: [Parallelism; 3] = [
     Parallelism::Auto,
 ];
 
-/// Parallel `run_batch` must be bit-identical to serial for every
-/// integer engine, across synthesis seeds (different weight streams)
+/// Parallel `run_batch` must be bit-identical to serial for both
+/// engines, across synthesis seeds (different weight streams)
 /// and pool sizes (different interleavings).
 #[test]
 fn parallel_batch_is_bit_identical_for_every_engine() {
     for seed in [7, 2019, 777_216] {
         let model = model(seed);
         let inputs = batch(&model, 6);
-        for engine in [Engine::Dense, Engine::Sparse, Engine::Abm] {
+        for engine in [Engine::Dense, Engine::Abm] {
             let serial = Inferencer::new(&model)
                 .engine(engine)
                 .parallelism(Parallelism::Serial)

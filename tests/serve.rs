@@ -550,10 +550,7 @@ fn chaos_trial(seed: u64, requests: u64, golden: &HashMap<u64, Vec<f32>>) {
                 let typed = e.is_corruption()
                     || e.is_rejection()
                     || e.is_watchdog()
-                    || matches!(
-                        e.root_cause(),
-                        AbmError::WorkerPanic { .. } | AbmError::RecoveryExhausted { .. }
-                    );
+                    || matches!(e.root_cause(), AbmError::WorkerPanic { .. });
                 assert!(typed, "chaos seed {seed:#x}: untyped failure {e:?}");
             }
         }

@@ -143,13 +143,6 @@ impl ResiliencePolicy {
     }
 }
 
-/// Re-lowerings the hardened ladder tries before the dense rung. One is
-/// enough: a sound code lowers to the very streams the load-time
-/// checksum covers, so a second lowering is the first one again (every
-/// re-lowering of the full fault campaign is clean after one), and the
-/// dense rung stands behind it.
-const RELOWERINGS: u32 = 1;
-
 /// Runs a [`SparseModel`] on quantized inputs with a selectable engine.
 #[derive(Debug, Clone)]
 pub struct Inferencer<'m> {
@@ -693,10 +686,10 @@ impl<'m> Inferencer<'m> {
     /// [`ResiliencePolicy`] it is checksum before, ABFT after — against
     /// the very buffers the layer read and filled. Detect-only returns a
     /// detected corruption as the detector's error. Hardened climbs the
-    /// recovery ladder: re-lower from the retained [`LayerCode`]
-    /// ([`RELOWERINGS`] times) when that code is sound — it still lowers
-    /// to the checksum recorded at load — and otherwise, or when the
-    /// re-lowering fails too, run the dense engine on the model's raw
+    /// recovery ladder: re-lower once from the retained [`LayerCode`]
+    /// when that code is sound — it still lowers to the checksum
+    /// recorded at load — and otherwise, or when the re-lowering fails
+    /// too, run the dense engine on the model's raw
     /// weights, on a tensor stripped back out of `relaid`, into the same
     /// plane (the layer's stage-2 proof bounds every output of the
     /// weights both convolve with). Every detection and recovery is
@@ -751,19 +744,19 @@ impl<'m> Inferencer<'m> {
         let layout = PreparedConv::layout_for(prep.input_shape(), geom);
         let code_sound = FlatCode::lower(code, layout)
             .is_ok_and(|flat| abm_fault::flat_checksum(&flat) == prep.checksum());
+        // One re-lowering is enough: a sound code lowers to the very
+        // streams the load-time checksum covers, so a second would be
+        // the first again, and the dense rung stands behind it.
         if code_sound {
-            for attempts in 1..=RELOWERINGS {
-                let fresh =
-                    PreparedConv::try_new(Arc::clone(code), prep.input_shape(), geom, self.isa);
-                if let Ok(r) = fresh.and_then(|fresh| attempt(&fresh, plane)) {
-                    self.record_fault(
-                        layer_idx,
-                        FaultAction::Recovered,
-                        "re-lower",
-                        &format!("clean after {attempts} re-lowering(s)"),
-                    );
-                    return Ok(r);
-                }
+            let fresh = PreparedConv::try_new(Arc::clone(code), prep.input_shape(), geom, self.isa);
+            if let Ok(r) = fresh.and_then(|fresh| attempt(&fresh, plane)) {
+                self.record_fault(
+                    layer_idx,
+                    FaultAction::Recovered,
+                    "re-lower",
+                    "clean after one re-lowering",
+                );
+                return Ok(r);
             }
         }
         // The dense engine needs nothing but the raw weights, which the

@@ -1,7 +1,7 @@
 //! The typed error hierarchy surfaced by runtime guards across the
-//! stack: conv contract violations, corrupted streams, watchdog
-//! deadlines and budget timeouts — everything that used to be a panic
-//! or did not exist at all.
+//! stack: contract violations, corrupted streams, watchdog deadlines
+//! and serving rejections — everything that used to be a panic or did
+//! not exist at all.
 
 use abm_sparse::EncodeError;
 use std::error::Error;
@@ -13,16 +13,18 @@ use std::fmt;
 /// Variants are grouped by the guard that raises them:
 ///
 /// * **contract guards** (`Encode`, `BadGrouping`, `ChannelMismatch`,
-///   `ShapeMismatch`, `NotPrepared`) — the former panic sites of
-///   `crates/conv`, now typed;
+///   `ShapeMismatch`, `NotPrepared`, `IsaUnavailable`, `InvalidConfig`)
+///   — the former panic sites of `crates/conv`, a kernel ISA pin the
+///   CPU cannot honour, and a serving configuration that cannot run;
 /// * **integrity guards** (`CodeCorrupt`, `ChecksumMismatch`,
 ///   `InputCorrupt`, `AbftMismatch`) — online detection of corrupted
 ///   WT/Q-Table/FI streams and accumulator upsets;
 /// * **watchdogs** (`CuDeadline`, `FifoOverflow`, `LostDeposit`,
 ///   `BandwidthCollapse`) — the simulator's timing-domain detectors;
-/// * **budgets & context** (`WallBudgetExceeded`,
-///   `CycleBudgetExceeded`, `WorkerPanic`, `Layer`) — bounded execution,
-///   and the layer an error surfaced in.
+/// * **rejections** (`Overloaded`, `DeadlineExceeded`) — the serving
+///   layer's load shedding and deadline cuts;
+/// * **context** (`WorkerPanic`, `Layer`) — a panicked pool item, and
+///   the layer an error surfaced in.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AbmError {
     /// The weight encoder rejected a layer (e.g. 16-bit index overflow).
@@ -148,29 +150,17 @@ pub enum AbmError {
         /// The watchdog's latency deadline, in seconds.
         deadline: f64,
     },
-    /// A budgeted network simulation ran out of wall-clock budget.
-    WallBudgetExceeded {
-        /// Layers fully simulated before the budget ran out.
-        layers_done: usize,
-        /// Milliseconds elapsed when the budget check fired.
-        elapsed_ms: u64,
-        /// The configured budget in milliseconds.
-        budget_ms: u64,
-    },
-    /// A budgeted network simulation ran out of simulated-cycle budget.
-    CycleBudgetExceeded {
-        /// Layers fully simulated before the budget ran out.
-        layers_done: usize,
-        /// Cumulative simulated cycles at the check.
-        cycles: u64,
-        /// The configured cycle budget.
-        budget: u64,
-    },
     /// A pinned kernel ISA (via `--isa` or `ABM_FORCE_ISA`) cannot run
     /// here: the CPU lacks the feature set, or the spelling did not
     /// parse.
     IsaUnavailable {
         /// What was requested and why it was rejected.
+        detail: String,
+    },
+    /// A serving configuration cannot run: a knob that must be
+    /// positive is zero. Nothing was prepared or started.
+    InvalidConfig {
+        /// Which field is wrong, and why.
         detail: String,
     },
     /// Admission control refused a request: the bounded queue is full,
@@ -230,7 +220,7 @@ impl AbmError {
     }
 
     /// Whether this error came from an integrity guard (corruption
-    /// detection) rather than a contract violation or budget.
+    /// detection) rather than a contract violation or a rejection.
     #[must_use]
     pub fn is_corruption(&self) -> bool {
         matches!(
@@ -347,25 +337,10 @@ impl fmt::Display for AbmError {
                 f,
                 "layer-latency watchdog: layer {layer} took {seconds:.6}s against a {deadline:.6}s deadline"
             ),
-            AbmError::WallBudgetExceeded {
-                layers_done,
-                elapsed_ms,
-                budget_ms,
-            } => write!(
-                f,
-                "simulation wall budget exceeded after {layers_done} layers ({elapsed_ms} ms of {budget_ms} ms)"
-            ),
-            AbmError::CycleBudgetExceeded {
-                layers_done,
-                cycles,
-                budget,
-            } => write!(
-                f,
-                "simulation cycle budget exceeded after {layers_done} layers ({cycles} of {budget} cycles)"
-            ),
             AbmError::IsaUnavailable { detail } => {
                 write!(f, "kernel ISA unavailable: {detail}")
             }
+            AbmError::InvalidConfig { detail } => write!(f, "invalid configuration: {detail}"),
             AbmError::Overloaded {
                 queue_depth,
                 predicted_us,

@@ -8,9 +8,10 @@
 //! the rest of the stack threads through:
 //!
 //! * [`AbmError`] — the typed error hierarchy every runtime guard
-//!   surfaces instead of panicking: grouping/shape contract violations,
-//!   encode failures, corrupted code streams, checksum and ABFT
-//!   mismatches, watchdog deadlines and budget timeouts.
+//!   surfaces instead of panicking: grouping/shape and configuration
+//!   contract violations, encode failures, corrupted code streams,
+//!   checksum and ABFT mismatches, watchdog deadlines and serving
+//!   rejections.
 //! * [`Injector`] / [`FaultPlan`] — deterministic, seeded injection of
 //!   timing faults at the simulator's four hooks (task delay, lane
 //!   stall, dropped deposit, bandwidth derate). [`NullInjector`] has

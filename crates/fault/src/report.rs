@@ -53,11 +53,9 @@ pub enum RecoveryAction {
     None,
     /// The corrupted input stream was re-fetched from its source.
     Refetched,
-    /// The layer's code was re-lowered from the retained `LayerCode`.
-    Relowered {
-        /// Lowering attempts consumed (1 = first retry succeeded).
-        attempts: u32,
-    },
+    /// The layer's code was re-lowered, once, from the retained
+    /// `LayerCode`.
+    Relowered,
     /// Execution fell back to the dense engine.
     DenseFallback,
     /// The layer (or simulation) was simply replayed fault-free.
@@ -71,7 +69,7 @@ impl RecoveryAction {
         match self {
             RecoveryAction::None => "none",
             RecoveryAction::Refetched => "refetched",
-            RecoveryAction::Relowered { .. } => "relowered",
+            RecoveryAction::Relowered => "relowered",
             RecoveryAction::DenseFallback => "dense-fallback",
             RecoveryAction::Replayed => "replayed",
         }
@@ -80,10 +78,7 @@ impl RecoveryAction {
 
 impl fmt::Display for RecoveryAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecoveryAction::Relowered { attempts } => write!(f, "relowered(x{attempts})"),
-            other => f.write_str(other.name()),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -270,7 +265,7 @@ mod tests {
             class,
             outcome,
             detector: "checksum".into(),
-            action: RecoveryAction::Relowered { attempts: 1 },
+            action: RecoveryAction::Relowered,
         }
     }
 

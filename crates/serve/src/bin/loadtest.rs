@@ -132,7 +132,7 @@ fn run_leg(
         distinct_seeds: golden.len() as u64,
         jitter_seed: 0x10AD ^ leg.rate_factor.to_bits(),
     };
-    let mut report = LoadGen::run(&server, leg.name, &load, Some(golden));
+    let report = LoadGen::run(&server, leg.name, &load, Some(golden));
     let stats = server.shutdown();
     // Post-drain conservation: every admitted request was answered.
     if stats.admitted != stats.answered() {
@@ -143,7 +143,6 @@ fn run_leg(
             stats.answered()
         ));
     }
-    report.retries = stats.retries;
     eprintln!(
         "leg {:12} offered {:4} admitted {:4} shed {:4} completed {:4} cut {:3} degraded-batches {:2} \
          chaos {:2} failovers {:2} p99 {} us",

@@ -22,11 +22,10 @@
 //! * **Graceful degradation** — workers run the hardened
 //!   [`ResiliencePolicy`](abm_conv::ResiliencePolicy) ladder
 //!   (re-lower → dense), so detected corruption is masked
-//!   bit-identically, never served silently; transient failures get
-//!   bounded retry-with-backoff; a stuck batch is confiscated by the
-//!   watchdog and failed over to a fresh worker.
-//! * **Observability** — every admission decision, shed, retry,
-//!   degradation and failover is counted in
+//!   bit-identically, never served silently; a stuck batch is
+//!   confiscated by the watchdog and failed over to a fresh worker.
+//! * **Observability** — every admission decision, shed, degradation
+//!   and failover is counted in
 //!   [`abm-metrics`](abm_metrics), and every failed request freezes a
 //!   flight-recorder dump.
 //! * **Chaos testing** ([`server::ChaosConfig`], [`loadgen`]) — seeded

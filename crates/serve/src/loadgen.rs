@@ -68,8 +68,6 @@ pub struct LoadReport {
     pub deadline_missed: u64,
     /// Completions served by a batch that masked a detected fault.
     pub degraded: u64,
-    /// Retries spent across all requests.
-    pub retries: u64,
     /// Rejections whose error was *not* typed as a rejection — must
     /// stay zero (every shed/cut is `Overloaded`/`DeadlineExceeded`).
     pub untyped_rejections: u64,
@@ -113,7 +111,6 @@ impl LoadReport {
             o.field("deadline_cut", self.deadline_cut);
             o.field("deadline_missed", self.deadline_missed);
             o.field("degraded", self.degraded);
-            o.field("retries", self.retries);
             o.field("untyped_rejections", self.untyped_rejections);
             o.field("silent_corruptions", self.silent_corruptions);
             o.field("p50_us", p50);
@@ -196,7 +193,6 @@ impl LoadGen {
         // server-side total_us.
         for (seed, ticket) in pending {
             let r = ticket.wait();
-            report.retries += u64::from(r.retries);
             match r.outcome {
                 Ok(out) => {
                     report.completed += 1;

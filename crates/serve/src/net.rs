@@ -7,12 +7,12 @@
 //!
 //! One request per line, one response line per request:
 //!
-//! | request                    | response                                                              |
-//! |----------------------------|-----------------------------------------------------------------------|
-//! | `ping`                     | `pong`                                                                |
-//! | `stats`                    | `stats submitted=… admitted=… shed=… completed=… failed=… …`          |
-//! | `infer <seed> <deadline_ms>` | `ok id=… class=… lat_us=… queued_us=… retries=… degraded=… missed=…` |
-//! |                            | or `err overloaded <detail>` / `err deadline <detail>` / `err internal <detail>` |
+//! | request                      | response |
+//! |------------------------------|----------|
+//! | `ping`                       | `pong` |
+//! | `stats`                      | `stats submitted=… admitted=… shed=… completed=… failed=… deadline_cut=… deadline_missed=… degraded_batches=… chaos_injected=… watchdog_failovers=… batches=…` |
+//! | `infer <seed> <deadline_ms>` | `ok id=… class=… lat_us=… queued_us=… degraded=… missed=…` |
+//! |                              | or `err overloaded <detail>` / `err deadline <detail>` / `err internal <detail>` |
 //!
 //! The request carries a *seed*, not pixels: inputs are the
 //! deterministic [`synth_input`](crate::synth_input) stream, so a seed
@@ -221,7 +221,7 @@ fn handle_line(line: &str, server: &Arc<Server>) -> String {
             let s = server.stats();
             format!(
                 "stats submitted={} admitted={} shed={} completed={} failed={} deadline_cut={} \
-                 deadline_missed={} retries={} degraded_batches={} chaos_injected={} \
+                 deadline_missed={} degraded_batches={} chaos_injected={} \
                  watchdog_failovers={} batches={}",
                 s.submitted,
                 s.admitted,
@@ -230,7 +230,6 @@ fn handle_line(line: &str, server: &Arc<Server>) -> String {
                 s.failed,
                 s.deadline_cut,
                 s.deadline_missed,
-                s.retries,
                 s.degraded_batches,
                 s.chaos_injected,
                 s.watchdog_failovers,
@@ -257,12 +256,11 @@ fn handle_line(line: &str, server: &Arc<Server>) -> String {
 fn render_response(r: &ServeResponse) -> String {
     match &r.outcome {
         Ok(out) => format!(
-            "ok id={} class={} lat_us={} queued_us={} retries={} degraded={} missed={}",
+            "ok id={} class={} lat_us={} queued_us={} degraded={} missed={}",
             r.id,
             out.argmax,
             r.total_us,
             r.queued_us,
-            r.retries,
             u8::from(r.degraded),
             u8::from(r.deadline_missed)
         ),

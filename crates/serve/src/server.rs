@@ -1,6 +1,6 @@
 //! The batching inference server: bounded queue → dynamic batcher →
-//! worker pool, with admission control, per-request deadlines, bounded
-//! retry, chaos injection, a stuck-batch watchdog and graceful drain.
+//! worker pool, with admission control, per-request deadlines, chaos
+//! injection, a stuck-batch watchdog and graceful drain.
 //!
 //! ## Architecture
 //!
@@ -76,10 +76,6 @@ pub struct ServeConfig {
     /// The p99 latency objective for admitted requests (reporting and
     /// load-test gating; admission enforces per-request deadlines).
     pub slo: Duration,
-    /// Bounded retry attempts for transient per-item failures.
-    pub max_retries: u32,
-    /// Base backoff before the first retry (doubles per attempt).
-    pub retry_backoff: Duration,
     /// Floor of the stuck threshold — how long a busy worker may go
     /// without finishing a layer before the watchdog fails its batch
     /// over (4× the batch's predicted execution when that is longer).
@@ -102,8 +98,6 @@ impl Default for ServeConfig {
             workers: 2,
             default_deadline: Duration::from_millis(250),
             slo: Duration::from_millis(100),
-            max_retries: 2,
-            retry_backoff: Duration::from_micros(500),
             watchdog_grace: Duration::from_millis(200),
             max_failovers: 1,
             warmup_images: 3,
@@ -117,16 +111,20 @@ impl ServeConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`AbmError::BadGrouping`]-style contract errors as a
-    /// plain description when a knob is zero that must not be.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.queue_capacity == 0 || self.max_batch == 0 || self.workers == 0 {
-            return Err(format!(
-                "queue_capacity ({}), max_batch ({}) and workers ({}) must all be positive",
-                self.queue_capacity, self.max_batch, self.workers
-            ));
+    /// [`AbmError::InvalidConfig`] naming the first of `queue_capacity`,
+    /// `max_batch` and `workers` that is zero.
+    pub fn validate(&self) -> Result<(), AbmError> {
+        let knobs = [
+            ("queue_capacity", self.queue_capacity),
+            ("max_batch", self.max_batch),
+            ("workers", self.workers),
+        ];
+        match knobs.iter().find(|&&(_, value)| value == 0) {
+            Some((name, _)) => Err(AbmError::InvalidConfig {
+                detail: format!("ServeConfig::{name} must be positive"),
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -184,8 +182,6 @@ pub struct ServeResponse {
     pub queued_us: u64,
     /// End-to-end microseconds from admission to response.
     pub total_us: u64,
-    /// Transient-failure retries spent on this request.
-    pub retries: u32,
     /// Whether the batch this request rode in engaged the recovery
     /// ladder (a fault was detected and masked).
     pub degraded: bool,
@@ -216,7 +212,6 @@ impl Ticket {
             }),
             queued_us: 0,
             total_us: 0,
-            retries: 0,
             degraded: false,
             deadline_missed: false,
         })
@@ -239,7 +234,6 @@ enum Counter {
     Failed,
     DeadlineCut,
     DeadlineMissed,
-    Retries,
     DegradedBatches,
     ChaosInjected,
     WatchdogFailovers,
@@ -259,7 +253,6 @@ impl Counter {
             Self::Failed => "serve_failed_total",
             Self::DeadlineCut => "serve_deadline_total",
             Self::DeadlineMissed => "serve_deadline_missed_total",
-            Self::Retries => "serve_retries_total",
             Self::DegradedBatches => "serve_degraded_total",
             Self::ChaosInjected => "serve_chaos_injected_total",
             Self::WatchdogFailovers => "serve_watchdog_failover_total",
@@ -295,8 +288,6 @@ pub struct ServeStats {
     pub deadline_cut: u64,
     /// Requests that completed successfully but past their deadline.
     pub deadline_missed: u64,
-    /// Transient-failure retries spent across all requests.
-    pub retries: u64,
     /// Batches in which the recovery ladder masked a detected fault.
     pub degraded_batches: u64,
     /// Chaos corruptions injected into prepared weights.
@@ -341,7 +332,6 @@ impl Counters {
             failed: read(Counter::Failed),
             deadline_cut: read(Counter::DeadlineCut),
             deadline_missed: read(Counter::DeadlineMissed),
-            retries: read(Counter::Retries),
             degraded_batches: read(Counter::DegradedBatches),
             chaos_injected: read(Counter::ChaosInjected),
             watchdog_failovers: read(Counter::WatchdogFailovers),
@@ -476,18 +466,15 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns the preparation or warm-up error if the model cannot be
-    /// lowered or run, or a [`AbmError::CodeCorrupt`]-style description
-    /// wrapped from config validation.
+    /// [`AbmError::InvalidConfig`] from [`ServeConfig::validate`], or
+    /// the preparation or warm-up error if the model cannot be lowered
+    /// or run.
     pub fn start(
         model: Arc<SparseModel>,
         _accel: &AcceleratorConfig,
         cfg: ServeConfig,
     ) -> Result<Self, AbmError> {
-        cfg.validate().map_err(|detail| AbmError::CodeCorrupt {
-            kernel: 0,
-            detail: format!("invalid serve config: {detail}"),
-        })?;
+        cfg.validate()?;
         // Validate the model end to end and calibrate the cost model
         // before the first real request can be admitted.
         let cost = CostModel::fixed(1);
@@ -863,7 +850,6 @@ fn dispatch(shared: &Arc<Shared>, batch: Vec<Request>) {
                     queued_us: u64::try_from(now.saturating_duration_since(r.enqueued).as_micros())
                         .unwrap_or(u64::MAX),
                     total_us: 0,
-                    retries: 0,
                     degraded: false,
                     deadline_missed: false,
                 },
@@ -912,13 +898,6 @@ fn spawn_worker(shared: &Arc<Shared>) {
         state,
         handle: Some(handle),
     });
-}
-
-/// Classifies an error as worth a bounded retry: transient faults
-/// (corruptions, worker panics, watchdog trips) yes; contract
-/// violations and typed rejections no.
-fn transient(e: &AbmError) -> bool {
-    e.is_corruption() || e.is_watchdog() || matches!(e.root_cause(), AbmError::WorkerPanic { .. })
 }
 
 /// The inferencer every served image runs under: the hardened policy,
@@ -976,7 +955,7 @@ fn worker_loop(shared: &Arc<Shared>, state: &Arc<WorkerState>) {
         };
         let started = Instant::now();
         // Stuck threshold: 4× the cost model's predicted execution for
-        // this batch (headroom for the recovery ladder and retries),
+        // this batch (headroom for the recovery ladder),
         // floored by the configured grace. Keying off the prediction —
         // not the client deadline — means a confiscated batch can still
         // complete on its replacement worker inside the deadline. Every
@@ -1022,8 +1001,7 @@ fn worker_loop(shared: &Arc<Shared>, state: &Arc<WorkerState>) {
         }
 
         let inferencer = base.clone().parallelism(parallelism);
-        let (outcomes, retries_spent, degraded) =
-            execute_batch(&inferencer, &prepared, &batch, cfg, shared, heartbeat);
+        let (outcomes, degraded) = execute_batch(&inferencer, &prepared, &batch, heartbeat);
         // Before any reply goes out: a caller that submits again on
         // receiving it must find this worker's batch finished.
         lock(&shared.work).running -= 1;
@@ -1045,11 +1023,10 @@ fn worker_loop(shared: &Arc<Shared>, state: &Arc<WorkerState>) {
                     u64::try_from(started.saturating_duration_since(m.enqueued).as_micros())
                         .unwrap_or(u64::MAX)
                 };
-                for (((outcome, m), reply), retries) in outcomes
+                for ((outcome, m), reply) in outcomes
                     .into_iter()
                     .zip(batch.shared.meta.iter())
                     .zip(replies.iter())
-                    .zip(retries_spent)
                 {
                     respond(
                         shared,
@@ -1063,7 +1040,6 @@ fn worker_loop(shared: &Arc<Shared>, state: &Arc<WorkerState>) {
                             }),
                             queued_us: queued_us(m),
                             total_us: 0, // filled by respond()
-                            retries,
                             degraded,
                             deadline_missed: false,
                         },
@@ -1086,67 +1062,27 @@ fn worker_loop(shared: &Arc<Shared>, state: &Arc<WorkerState>) {
 }
 
 /// Runs one batch through the deadline-salvage batch executor
-/// ([`Inferencer::run_batch_salvage`]) with bounded retry-with-backoff
-/// for transient per-item failures; `heartbeat` sees every telemetry
-/// event the run records (one per finished layer).
-/// Returns the per-item outcomes, retries spent per item, and whether
-/// the recovery ladder engaged (fault detected/masked) anywhere in the
-/// batch.
+/// ([`Inferencer::run_batch_salvage`]); `heartbeat` sees every
+/// telemetry event the run records (one per finished layer). Returns
+/// the per-item outcomes and whether the recovery ladder engaged (fault
+/// detected/masked) anywhere in the batch.
 fn execute_batch(
     base: &Inferencer<'_>,
     prepared: &PreparedWeights,
     batch: &Batch,
-    cfg: &ServeConfig,
-    shared: &Shared,
     heartbeat: EventTee,
-) -> (
-    Vec<Result<abm_conv::InferenceResult, AbmError>>,
-    Vec<u32>,
-    bool,
-) {
+) -> (Vec<Result<abm_conv::InferenceResult, AbmError>>, bool) {
     let sink = TelemetrySink::new().with_tee(heartbeat);
     let inferencer = base.clone().telemetry(sink.clone());
-    let inputs = &batch.shared.inputs;
-    let meta = &batch.shared.meta;
-    let batch_deadline = meta
+    let batch_deadline = batch
+        .shared
+        .meta
         .iter()
         .map(|m| m.deadline)
         .max()
         .unwrap_or_else(Instant::now);
-
-    let mut outcomes = inferencer.run_batch_salvage(prepared, inputs, Some(batch_deadline));
-
-    let mut retries_spent = vec![0u32; inputs.len()];
-    for (i, slot) in outcomes.iter_mut().enumerate() {
-        let mut attempt = 0u32;
-        while let Err(e) = slot {
-            if attempt >= cfg.max_retries || !transient(e) || Instant::now() >= meta[i].deadline {
-                break;
-            }
-            std::thread::sleep(cfg.retry_backoff * 2u32.pow(attempt.min(8)));
-            attempt += 1;
-            shared.counters.bump(Counter::Retries);
-            let retried = inferencer.run_batch_salvage(
-                prepared,
-                std::slice::from_ref(&inputs[i]),
-                Some(meta[i].deadline),
-            );
-            if let Some(r) = retried.into_iter().next() {
-                *slot = r.map_err(|e| match e {
-                    // Re-key the single-item batch back to its slot.
-                    AbmError::DeadlineExceeded { late_us, .. } => {
-                        AbmError::DeadlineExceeded { item: i, late_us }
-                    }
-                    AbmError::WorkerPanic { message, .. } => {
-                        AbmError::WorkerPanic { item: i, message }
-                    }
-                    other => other,
-                });
-            }
-        }
-        retries_spent[i] = attempt;
-    }
-
+    let outcomes =
+        inferencer.run_batch_salvage(prepared, &batch.shared.inputs, Some(batch_deadline));
     let degraded = sink.events().iter().any(|e| {
         matches!(
             e,
@@ -1156,7 +1092,7 @@ fn execute_batch(
             }
         )
     });
-    (outcomes, retries_spent, degraded)
+    (outcomes, degraded)
 }
 
 /// Flips one bit of one WT-Buffer offset word in a seeded convolution
@@ -1283,7 +1219,6 @@ fn failover(shared: &Arc<Shared>, batch: Batch, replies: Vec<mpsc::Sender<ServeR
                 }),
                 queued_us: 0,
                 total_us: 0,
-                retries: 0,
                 degraded: false,
                 deadline_missed: false,
             },

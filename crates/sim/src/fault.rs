@@ -1,6 +1,5 @@
 //! Fail-stop fault guards for the simulator: watchdogs that turn
-//! injected timing faults into typed [`AbmError`]s, and the
-//! [`SimBudget`] under which a network simulation cannot run away.
+//! injected timing faults into typed [`AbmError`]s.
 //!
 //! The hardware being modelled is *fail-stop by construction*: a lane
 //! whose partial-sum FIFO overflows corrupts no data — the deposit has
@@ -18,8 +17,8 @@
 //! * a lane stall is absorbed iff it fits the FIFO's remaining
 //!   headroom `(fifo_depth − high_water) × N` — otherwise
 //!   [`AbmError::FifoOverflow`];
-//! * a CU task delay is absorbed iff it stays within the
-//!   [`Watchdog`]'s slack — otherwise [`AbmError::CuDeadline`];
+//! * a CU task delay is absorbed iff it stays within
+//!   [`WATCHDOG_SLACK_CYCLES`] — otherwise [`AbmError::CuDeadline`];
 //! * a lost partial-sum deposit is never absorbable: the sweep cannot
 //!   complete, so [`AbmError::LostDeposit`] fires unconditionally;
 //! * a bandwidth derate is absorbed iff the slower transfer still
@@ -32,8 +31,6 @@
 //! [`NullInjector`](abm_fault::NullInjector) every check compiles away
 //! (`I::ENABLED` is `const false`), preserving the golden pins.
 
-use std::time::Duration;
-
 use crate::config::AcceleratorConfig;
 use crate::lane;
 use crate::run::LayerSim;
@@ -41,71 +38,11 @@ use crate::task::Workload;
 use abm_fault::{AbmError, Injector};
 
 /// The CU-progress watchdog's tolerance: how many cycles a task may
-/// run past its nominal cost before the guard declares the CU hung.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Watchdog {
-    /// Cycles of per-task overrun tolerated before firing.
-    pub slack_cycles: u64,
-}
-
-impl Watchdog {
-    /// Default tolerance: a few window-sync periods' worth of jitter —
-    /// generous against scheduling noise, tiny against a hung kernel
-    /// (layers run millions of cycles).
-    pub const DEFAULT_SLACK_CYCLES: u64 = 4096;
-
-    /// A watchdog with an explicit slack.
-    #[must_use]
-    pub fn with_slack(slack_cycles: u64) -> Self {
-        Self { slack_cycles }
-    }
-}
-
-impl Default for Watchdog {
-    fn default() -> Self {
-        Self {
-            slack_cycles: Self::DEFAULT_SLACK_CYCLES,
-        }
-    }
-}
-
-/// Hard resource limits for
-/// [`simulate_network`](crate::SimContext::simulate_network): wall-clock time
-/// spent simulating, and simulated cycles produced. `None` means
-/// unlimited; the default is unlimited on both axes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimBudget {
-    /// Host wall-clock budget for the whole network simulation.
-    pub max_wall: Option<Duration>,
-    /// Cumulative simulated-cycle budget across all layers.
-    pub max_cycles: Option<u64>,
-}
-
-impl SimBudget {
-    /// No limits.
-    #[must_use]
-    pub fn unlimited() -> Self {
-        Self::default()
-    }
-
-    /// Limits host wall-clock time.
-    #[must_use]
-    pub fn wall(limit: Duration) -> Self {
-        Self {
-            max_wall: Some(limit),
-            ..Self::default()
-        }
-    }
-
-    /// Limits cumulative simulated cycles.
-    #[must_use]
-    pub fn cycles(limit: u64) -> Self {
-        Self {
-            max_cycles: Some(limit),
-            ..Self::default()
-        }
-    }
-}
+/// run past its nominal cost before the guard declares the CU hung. A
+/// few window-sync periods' worth of jitter — generous against
+/// scheduling noise, tiny against a hung kernel (layers run millions of
+/// cycles).
+pub const WATCHDOG_SLACK_CYCLES: u64 = 4096;
 
 /// Per-lane guards: FIFO high-water absorption and deposit loss.
 pub(crate) fn check_lanes<I: Injector>(
@@ -145,23 +82,22 @@ pub(crate) fn check_lanes<I: Injector>(
 }
 
 /// CU-progress guard: every task in the window-ordered stream is
-/// polled for an injected overrun and held to the watchdog's slack.
+/// polled for an injected overrun and held to [`WATCHDOG_SLACK_CYCLES`].
 pub(crate) fn check_tasks<I: Injector>(
     w: &Workload,
     cfg: &AcceleratorConfig,
     layer: usize,
     injector: &mut I,
-    watchdog: Watchdog,
 ) -> Result<(), AbmError> {
     let tasks = w.window_count(cfg) * w.batches(cfg);
     for task in 0..tasks {
         let delay = injector.task_delay(layer, task);
-        if delay > watchdog.slack_cycles {
+        if delay > WATCHDOG_SLACK_CYCLES {
             return Err(AbmError::CuDeadline {
                 layer,
                 task,
                 delay,
-                slack: watchdog.slack_cycles,
+                slack: WATCHDOG_SLACK_CYCLES,
             });
         }
     }
@@ -193,7 +129,7 @@ pub(crate) fn check_bandwidth<I: Injector>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{simulate_network, NetworkSim, SimContext};
+    use crate::run::SimContext;
     use abm_conv::parallel::Parallelism;
     use abm_fault::{Fault, FaultClass, FaultPlan, NullInjector, PlanInjector};
     use abm_model::{synthesize_model, zoo, LayerProfile, PruneProfile, SparseModel};
@@ -214,27 +150,12 @@ mod tests {
         w: &Workload,
         cfg: &AcceleratorConfig,
         injector: &mut I,
-        watchdog: Watchdog,
     ) -> Result<LayerSim, AbmError> {
         let serial = SimContext {
             parallelism: Parallelism::Serial,
-            watchdog,
             ..SimContext::default()
         };
         serial.injector(injector).simulate_workload(w, cfg, 0, 0)
-    }
-
-    fn budgeted(
-        model: &SparseModel,
-        parallelism: Parallelism,
-        budget: SimBudget,
-    ) -> Result<NetworkSim, AbmError> {
-        SimContext {
-            parallelism,
-            budget,
-            ..SimContext::default()
-        }
-        .simulate_network(model, &AcceleratorConfig::paper())
     }
 
     #[test]
@@ -243,7 +164,7 @@ mod tests {
         let plain = SimContext::default()
             .simulate_workload(&w, &cfg, 0, 0)
             .unwrap();
-        let sim = guarded(&w, &cfg, &mut NullInjector, Watchdog::default()).unwrap();
+        let sim = guarded(&w, &cfg, &mut NullInjector).unwrap();
         assert_eq!(sim.compute_cycles, plain.compute_cycles);
         assert_eq!(sim.busy_cycles, plain.busy_cycles);
         assert_eq!(sim.seconds.to_bits(), plain.seconds.to_bits());
@@ -271,13 +192,13 @@ mod tests {
             ))
         };
         // Within headroom: absorbed, result identical to the clean run.
-        let clean = guarded(&w, &cfg, &mut NullInjector, Watchdog::default()).unwrap();
+        let clean = guarded(&w, &cfg, &mut NullInjector).unwrap();
         let mut inj = stall(slack);
-        let sim = guarded(&w, &cfg, &mut inj, Watchdog::default()).unwrap();
+        let sim = guarded(&w, &cfg, &mut inj).unwrap();
         assert_eq!(inj.delivered().len(), 1, "fault must have been delivered");
         assert_eq!(sim.compute_cycles, clean.compute_cycles);
         // One past headroom: the high-water watchdog fires.
-        let err = guarded(&w, &cfg, &mut stall(slack + 1), Watchdog::default()).unwrap_err();
+        let err = guarded(&w, &cfg, &mut stall(slack + 1)).unwrap_err();
         assert!(
             matches!(err, AbmError::FifoOverflow { kernel: k, stall: s, slack: sl, .. }
                 if k == kernel && s == slack + 1 && sl == slack),
@@ -299,18 +220,14 @@ mod tests {
                 },
             ))
         };
-        let dog = Watchdog::with_slack(100);
-        guarded(&w, &cfg, &mut hang(100), dog).unwrap();
-        let err = guarded(&w, &cfg, &mut hang(101), dog).unwrap_err();
+        let slack = WATCHDOG_SLACK_CYCLES;
+        guarded(&w, &cfg, &mut hang(slack)).unwrap();
+        let err = guarded(&w, &cfg, &mut hang(slack + 1)).unwrap_err();
         assert!(
             matches!(
                 err,
-                AbmError::CuDeadline {
-                    task: 1,
-                    delay: 101,
-                    slack: 100,
-                    ..
-                }
+                AbmError::CuDeadline { task: 1, delay, slack: s, .. }
+                    if delay == slack + 1 && s == slack
             ),
             "{err}"
         );
@@ -328,7 +245,7 @@ mod tests {
                 ..Fault::default()
             },
         ));
-        let err = guarded(&w, &cfg, &mut inj, Watchdog::default()).unwrap_err();
+        let err = guarded(&w, &cfg, &mut inj).unwrap_err();
         assert!(
             matches!(err, AbmError::LostDeposit { kernel: 2, .. }),
             "{err}"
@@ -338,7 +255,7 @@ mod tests {
     #[test]
     fn bandwidth_derate_masked_under_compute_detected_past_it() {
         let (w, cfg) = workload();
-        let clean = guarded(&w, &cfg, &mut NullInjector, Watchdog::default()).unwrap();
+        let clean = guarded(&w, &cfg, &mut NullInjector).unwrap();
         assert!(
             !clean.memory_bound,
             "test needs a compute-bound layer to have overlap slack"
@@ -355,51 +272,9 @@ mod tests {
                 },
             ))
         };
-        let sim = guarded(&w, &cfg, &mut throttle(hidden), Watchdog::default()).unwrap();
+        let sim = guarded(&w, &cfg, &mut throttle(hidden)).unwrap();
         assert_eq!(sim.seconds.to_bits(), clean.seconds.to_bits());
-        let err = guarded(&w, &cfg, &mut throttle(hidden + 10), Watchdog::default()).unwrap_err();
+        let err = guarded(&w, &cfg, &mut throttle(hidden + 10)).unwrap_err();
         assert!(matches!(err, AbmError::BandwidthCollapse { .. }), "{err}");
-    }
-
-    #[test]
-    fn unlimited_budget_matches_plain_network_sim() {
-        let model = tiny_model();
-        let plain = simulate_network(&model, &AcceleratorConfig::paper());
-        let budgeted = budgeted(&model, Parallelism::Serial, SimBudget::unlimited()).unwrap();
-        assert_eq!(budgeted, plain);
-    }
-
-    #[test]
-    fn generous_wall_budget_succeeds_zero_budget_fails() {
-        let model = tiny_model();
-        // Threads(2) claims layers on the pool, Serial walks them in
-        // order: the deadline cuts both the same way.
-        for parallelism in [Parallelism::Threads(2), Parallelism::Serial] {
-            let run = |budget| budgeted(&model, parallelism, budget);
-            run(SimBudget::wall(Duration::from_secs(600))).unwrap();
-            let err = run(SimBudget::wall(Duration::ZERO)).unwrap_err();
-            assert!(
-                matches!(err, AbmError::WallBudgetExceeded { layers_done: 0, .. }),
-                "{parallelism}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn cycle_budget_stops_early_with_progress() {
-        let model = tiny_model();
-        let full = budgeted(&model, Parallelism::Serial, SimBudget::unlimited()).unwrap();
-        let total: u64 = full.layers().iter().map(|l| l.compute_cycles).sum();
-        let first = full.layers()[0].compute_cycles;
-        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
-            let err = budgeted(&model, parallelism, SimBudget::cycles(first)).unwrap_err();
-            assert!(
-                matches!(err, AbmError::CycleBudgetExceeded { layers_done: 2, cycles, budget }
-                    if cycles > budget && cycles <= total),
-                "{parallelism}: {err}"
-            );
-            // A budget covering the whole network changes nothing.
-            budgeted(&model, parallelism, SimBudget::cycles(total)).unwrap();
-        }
     }
 }

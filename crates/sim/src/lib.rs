@@ -16,8 +16,8 @@
 //! * [`memory`] — the DDR3 traffic/bandwidth model (12.8 GB/s on the
 //!   DE5-Net);
 //! * [`run`] — the [`SimContext`] every simulation runs under (memory
-//!   system, scheduling policy, host parallelism, budget, telemetry and
-//!   fault hooks) and its workload and network cores, producing cycles,
+//!   system, scheduling policy, host parallelism, telemetry and fault
+//!   hooks) and its workload and network cores, producing cycles,
 //!   CU utilization, and GOP/s (dense-equivalent, the convention of
 //!   Table 2); host threads fan the simulation out across layers (or
 //!   across kernels within a layer) with bit-identical results to
@@ -27,10 +27,10 @@
 //! * [`cycle`] — a cycle-stepped structural model of a lane, validated
 //!   cycle-exactly against [`lane`]'s analytic recurrence;
 //! * [`energy`] — a first-order per-op energy model (extension);
-//! * [`fault`] — fail-stop watchdogs over injected timing faults
-//!   (FIFO overflow, hung CU, lost deposit, bandwidth collapse) and
-//!   the [`SimBudget`] that ends a network simulation with a typed
-//!   [`AbmError`](abm_fault::AbmError) timeout;
+//! * [`fault`] — fail-stop watchdogs that turn injected timing faults
+//!   (FIFO overflow, hung CU, lost deposit, bandwidth collapse) into
+//!   typed [`AbmError`](abm_fault::AbmError)s, a hung CU held to
+//!   [`WATCHDOG_SLACK_CYCLES`];
 //! * [`telemetry`] — the bridge from simulation results to the
 //!   `abm-telemetry` exporters. The context is generic over a
 //!   [`Collector`](abm_telemetry::Collector); with the default
@@ -70,7 +70,7 @@ pub mod verify;
 
 pub use abm_conv::parallel::Parallelism;
 pub use config::{AcceleratorConfig, ConfigError};
-pub use fault::{SimBudget, Watchdog};
+pub use fault::WATCHDOG_SLACK_CYCLES;
 pub use memory::MemorySystem;
 pub use pipeline::{
     plan_pipeline, simulate_pipeline, simulate_sequential_batch, PipelineOptions, PipelineSim,

@@ -33,7 +33,7 @@
 //! each against its predecessor's completed row-finish timeline.
 
 use crate::config::AcceleratorConfig;
-use crate::fault::Watchdog;
+use crate::fault::WATCHDOG_SLACK_CYCLES;
 use crate::lane;
 use crate::run::SimContext;
 use crate::sched::{PipelineStage, PipelinedSchedule};
@@ -580,9 +580,8 @@ pub fn simulate_pipeline(
 
 impl<C: Collector, I: Injector> SimContext<C, I> {
     /// The pipeline core: streams `batch` images through `schedule`'s
-    /// stages. Reads only the context's hooks and watchdog — the
-    /// dataflow engine has no DDR model, CU scheduling policy, host
-    /// fan-out or budget.
+    /// stages. Reads only the context's hooks — the dataflow engine has
+    /// no DDR model, CU scheduling policy or host fan-out.
     ///
     /// An enabled collector receives per-stage [`Event::StageSpan`]
     /// runs (contiguous row units of one image/layer merged into one
@@ -597,8 +596,8 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
     ///   the run fails with [`AbmError::FifoOverflow`] (`kernel`
     ///   carries the boundary);
     /// * an injected **CU hang** on a stage (polled per image, `task`
-    ///   carries the image index) is absorbed up to the watchdog's
-    ///   slack or fails with [`AbmError::CuDeadline`].
+    ///   carries the image index) is absorbed up to
+    ///   [`WATCHDOG_SLACK_CYCLES`] or fails with [`AbmError::CuDeadline`].
     ///
     /// On success the result is bit-identical to the unguarded,
     /// unobserved run — absorbed faults are provably masked, never
@@ -821,7 +820,7 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
             freq_mhz: schedule.freq_mhz,
         };
         if I::ENABLED {
-            check_pipeline(schedule, costs, &sim, &mut self.injector, self.watchdog)?;
+            check_pipeline(schedule, costs, &sim, &mut self.injector)?;
         }
         Ok(sim)
     }
@@ -852,7 +851,6 @@ fn check_pipeline<I: Injector>(
     costs: &[Vec<LayerCost>],
     sim: &PipelineSim,
     injector: &mut I,
-    watchdog: Watchdog,
 ) -> Result<(), AbmError> {
     for (b, (stage, boundary)) in schedule.stages[1..].iter().zip(&sim.boundaries).enumerate() {
         let consumer = stage.layer_start;
@@ -880,12 +878,12 @@ fn check_pipeline<I: Injector>(
     for stage in &schedule.stages {
         for img in 0..sim.batch {
             let delay = injector.task_delay(stage.layer_start, img);
-            if delay > watchdog.slack_cycles {
+            if delay > WATCHDOG_SLACK_CYCLES {
                 return Err(AbmError::CuDeadline {
                     layer: stage.layer_start,
                     task: img,
                     delay,
-                    slack: watchdog.slack_cycles,
+                    slack: WATCHDOG_SLACK_CYCLES,
                 });
             }
         }

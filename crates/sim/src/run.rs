@@ -13,7 +13,7 @@
 //! which stays sequential and deterministic regardless of pool size.
 
 use crate::config::AcceleratorConfig;
-use crate::fault::{self, SimBudget, Watchdog};
+use crate::fault;
 use crate::lane;
 use crate::memory::{layer_traffic, window_traffic, LayerTraffic, MemorySystem};
 use crate::sched::{schedule_window_with, SchedulingPolicy};
@@ -22,7 +22,6 @@ use abm_conv::parallel::{parallel_map_salvage, Parallelism};
 use abm_fault::{AbmError, Injector, NullInjector};
 use abm_model::SparseModel;
 use abm_telemetry::{Collector, Event, NullCollector};
-use std::time::Instant;
 
 /// Simulation outcome for one accelerated layer (per image).
 #[derive(Debug, Clone, PartialEq)]
@@ -217,14 +216,14 @@ impl NetworkSim {
 
 /// Everything a simulation runs under besides its subject and the
 /// accelerator configuration: the memory system, the CU scheduling
-/// policy, the host parallelism of the simulation itself, resource
-/// limits, and the two statically-dispatched hooks (telemetry
-/// [`Collector`], fault [`Injector`] with its [`Watchdog`]).
+/// policy, the host parallelism of the simulation itself, and the two
+/// statically-dispatched hooks (telemetry [`Collector`], fault
+/// [`Injector`], held to the guards of [`crate::fault`]).
 ///
 /// [`SimContext::default`] is the paper's setup — DE5-Net memory,
-/// semi-synchronous scheduler, [`Parallelism::Auto`], no limits, null
-/// hooks. Plain fields are replaced with struct-update syntax, the two
-/// hooks (which change the context's type) with
+/// semi-synchronous scheduler, [`Parallelism::Auto`], null hooks.
+/// Plain fields are replaced with struct-update syntax, the two hooks
+/// (which change the context's type) with
 /// [`collector`](Self::collector) / [`injector`](Self::injector). The
 /// context owns its hooks: lend it a `&mut` collector to keep the
 /// recording, or read a moved-in hook back from its field.
@@ -265,12 +264,6 @@ pub struct SimContext<C: Collector = NullCollector, I: Injector = NullInjector> 
     /// cores; the pipeline core is sequential); never changes a
     /// simulated number.
     pub parallelism: Parallelism,
-    /// Wall-clock / simulated-cycle limits. Read by the network core
-    /// only, which checks them between layers.
-    pub budget: SimBudget,
-    /// Per-task overrun the fault guards tolerate. Read by the workload,
-    /// network and pipeline cores, and only with an enabled injector.
-    pub watchdog: Watchdog,
     /// Telemetry sink; every core reports to it.
     pub collector: C,
     /// Fault source polled by every core's fail-stop guards (see
@@ -284,8 +277,6 @@ impl Default for SimContext {
             mem: MemorySystem::de5_net(),
             policy: SchedulingPolicy::SemiSynchronous,
             parallelism: Parallelism::Auto,
-            budget: SimBudget::unlimited(),
-            watchdog: Watchdog::default(),
             collector: NullCollector,
             injector: NullInjector,
         }
@@ -300,8 +291,6 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
             mem: self.mem,
             policy: self.policy,
             parallelism: self.parallelism,
-            budget: self.budget,
-            watchdog: self.watchdog,
             collector,
             injector: self.injector,
         }
@@ -314,8 +303,6 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
             mem: self.mem,
             policy: self.policy,
             parallelism: self.parallelism,
-            budget: self.budget,
-            watchdog: self.watchdog,
             collector: self.collector,
             injector,
         }
@@ -327,8 +314,7 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
     /// fault sites; `start_cycle` offsets events onto a
     /// network-cumulative timeline so per-CU trace tracks lay layers out
     /// end to end. Per-kernel timing fans out under
-    /// [`parallelism`](Self::parallelism); the budget is a
-    /// network-level limit and is not consulted here.
+    /// [`parallelism`](Self::parallelism).
     ///
     /// With an enabled injector every timing-fault site is polled and
     /// held to the absorption rules of [`crate::fault`] — structural
@@ -351,7 +337,7 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
     ) -> Result<LayerSim, AbmError> {
         if I::ENABLED {
             fault::check_lanes(w, cfg, layer as usize, &mut self.injector)?;
-            fault::check_tasks(w, cfg, layer as usize, &mut self.injector, self.watchdog)?;
+            fault::check_tasks(w, cfg, layer as usize, &mut self.injector)?;
         }
         let collector = &mut self.collector;
         let rows_pw = w.rows_per_window(cfg);
@@ -505,19 +491,12 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
     /// layer's per-kernel timing uses the whole pool. Either way the
     /// returned [`NetworkSim`] is the same.
     ///
-    /// A wall budget is checked cooperatively before each layer starts
-    /// (by every worker before it claims, on the pool): layers in
-    /// flight finish, nothing is torn down mid-computation. A cycle
-    /// budget stops the in-order walk at the first layer that crosses
-    /// it; the pool checks it once all layers are home, with the same
-    /// error.
-    ///
     /// # Errors
     ///
-    /// [`AbmError::WallBudgetExceeded`] / [`AbmError::CycleBudgetExceeded`]
-    /// when a limit is hit, [`AbmError::Encode`] (wrapped in
-    /// [`AbmError::Layer`]) if a layer's weights cannot be encoded, and
-    /// the workload core's watchdog errors with an enabled injector.
+    /// [`AbmError::Encode`] (wrapped in [`AbmError::Layer`]) if a
+    /// layer's weights cannot be encoded, [`AbmError::WorkerPanic`] if a
+    /// pool worker panics, and the workload core's watchdog errors with
+    /// an enabled injector.
     ///
     /// # Panics
     ///
@@ -530,29 +509,12 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
         // INVARIANT: documented panic — this API's contract rejects
         // invalid configurations up front.
         cfg.validate().expect("invalid accelerator configuration");
-        let budget = self.budget;
-        let start = Instant::now();
-        let deadline = budget.max_wall.map(|limit| start + limit);
-        let out_of_time = |layers_done| AbmError::WallBudgetExceeded {
-            layers_done,
-            elapsed_ms: start.elapsed().as_millis() as u64,
-            budget_ms: budget.max_wall.map_or(0, |limit| limit.as_millis() as u64),
-        };
-        let within_cycles = |layers_done, cycles| match budget.max_cycles {
-            Some(budget) if cycles > budget => Err(AbmError::CycleBudgetExceeded {
-                layers_done,
-                cycles,
-                budget,
-            }),
-            _ => Ok(()),
-        };
         let prepare = |i: usize| {
             Workload::from_layer(&model.layers[i]).map_err(|e| AbmError::from(e).at_layer(i))
         };
 
         let workers = self.parallelism.worker_count();
         let mut layers = Vec::with_capacity(model.layers.len());
-        let mut cycles = 0u64;
         if !C::ENABLED && !I::ENABLED && workers > 1 && model.layers.len() >= workers {
             let (mem, policy) = (self.mem, self.policy);
             // Most weights first: encoding a layer costs time and memory
@@ -562,7 +524,7 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
             let mut order: Vec<usize> = (0..model.layers.len()).collect();
             order.sort_by_key(|&i| std::cmp::Reverse(model.layers[i].weights.len()));
             let mut results: Vec<_> =
-                parallel_map_salvage(self.parallelism, &order, None, deadline, |_, _, &i| {
+                parallel_map_salvage(self.parallelism, &order, None, None, |_, _, &i| {
                     let mut worker = SimContext {
                         mem,
                         policy,
@@ -575,25 +537,14 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
                 .zip(order)
                 .collect();
             results.sort_by_key(|&(_, i)| i);
-            let cut = |r: &Result<_, AbmError>| matches!(r, Err(AbmError::DeadlineExceeded { .. }));
-            if results.iter().any(|(r, _)| cut(r)) {
-                let done = results.iter().filter(|(r, _)| !cut(r)).count();
-                return Err(out_of_time(done));
-            }
-            for (i, (result, _)) in results.into_iter().enumerate() {
-                let sim: LayerSim = result.flatten()?;
-                cycles += sim.compute_cycles;
-                within_cycles(i + 1, cycles)?;
-                layers.push(sim);
+            for (result, _) in results {
+                layers.push(result.flatten()?);
             }
         } else {
+            let mut cycles = 0u64;
             for i in 0..model.layers.len() {
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    return Err(out_of_time(i));
-                }
                 let sim = self.simulate_workload(&prepare(i)?, cfg, i as u32, cycles)?;
                 cycles += sim.compute_cycles;
-                within_cycles(i + 1, cycles)?;
                 layers.push(sim);
             }
         }
@@ -617,7 +568,7 @@ pub fn simulate_network(model: &SparseModel, cfg: &AcceleratorConfig) -> Network
         .simulate_network(model, cfg)
         // INVARIANT: documented panic — every synthesized zoo layer
         // encodes (u16 indices, nonzero kernels), and the default
-        // context has no budget to run out of and no injector to trip.
+        // context has no injector to trip.
         .expect("model layers must be encodable")
 }
 

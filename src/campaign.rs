@@ -42,7 +42,7 @@ use abm_model::{synthesize_model, SparseModel};
 use abm_sim::task::Workload;
 use abm_sim::{
     lane, plan_pipeline, simulate_pipeline, AcceleratorConfig, LayerSim, PipelineOptions,
-    PipelineSim, PipelinedSchedule, SimContext, Watchdog,
+    PipelineSim, PipelinedSchedule, SimContext, WATCHDOG_SLACK_CYCLES,
 };
 use abm_sparse::FlatKernel;
 use abm_telemetry::{Event, FaultAction, TelemetrySink};
@@ -414,7 +414,7 @@ fn load_time_trial(t: FunctionalTrial<'_>) -> Result<TrialRecord, AbmError> {
                 t.class,
                 outcome(true, identical),
                 "load-validate",
-                RecoveryAction::Relowered { attempts: 1 },
+                RecoveryAction::Relowered,
             ))
         }
         Err(e) => Err(e),
@@ -498,10 +498,8 @@ fn timing_trial(
     let layer = rng.below(model.layers.len() as u64) as usize;
     let w = Workload::from_layer(&model.layers[layer])
         .map_err(|e| AbmError::from(e).at_layer(layer))?;
-    let watchdog = Watchdog::default();
     let serial = || SimContext {
         parallelism: Parallelism::Serial,
-        watchdog,
         ..SimContext::default()
     };
     let clean = serial().simulate_workload(&w, cfg, layer as u32, 0)?;
@@ -537,7 +535,7 @@ fn timing_trial(
                 layer,
                 unit: rng.below(tasks) as usize,
                 // Around the watchdog slack: jitter masks, hangs detect.
-                cycles: rng.in_range(1, watchdog.slack_cycles * 8),
+                cycles: rng.in_range(1, WATCHDOG_SLACK_CYCLES * 8),
                 ..Fault::default()
             }
         }
@@ -642,7 +640,6 @@ fn stream_rows(w: &Workload) -> u64 {
 /// fail-stop guard trips and a fault-free replay of the whole pipeline
 /// recovers it.
 fn pipelined_trial(t: PipelinedTrial<'_>) -> Result<TrialRecord, AbmError> {
-    let watchdog = Watchdog::default();
     let fault = match t.class {
         FaultClass::FifoStall => {
             // Target a random inter-stage boundary. The absorption
@@ -676,7 +673,7 @@ fn pipelined_trial(t: PipelinedTrial<'_>) -> Result<TrialRecord, AbmError> {
             Fault {
                 layer: t.schedule.stages[stage].layer_start,
                 unit: t.rng.below(t.batch as u64) as usize,
-                cycles: t.rng.in_range(1, watchdog.slack_cycles * 8),
+                cycles: t.rng.in_range(1, WATCHDOG_SLACK_CYCLES * 8),
                 ..Fault::default()
             }
         }
@@ -689,12 +686,9 @@ fn pipelined_trial(t: PipelinedTrial<'_>) -> Result<TrialRecord, AbmError> {
         &format!("pipelined unit {} cycles {}", fault.unit, fault.cycles),
     );
     let mut injector = PlanInjector::new(FaultPlan::single(t.class, fault));
-    let guarded = SimContext {
-        watchdog,
-        ..SimContext::default()
-    }
-    .injector(&mut injector)
-    .simulate_pipeline(t.workloads, t.cfg, t.schedule, t.batch);
+    let guarded = SimContext::default()
+        .injector(&mut injector)
+        .simulate_pipeline(t.workloads, t.cfg, t.schedule, t.batch);
     match guarded {
         Ok(sim) => {
             let identical = &sim == t.clean;
@@ -808,7 +802,7 @@ fn scan_fault_events(events: &[Event]) -> (Option<&str>, RecoveryAction) {
                 FaultAction::Detected if detector.is_none() => detector = Some(class.as_str()),
                 FaultAction::Recovered => {
                     action = match class.as_str() {
-                        "re-lower" => RecoveryAction::Relowered { attempts: 1 },
+                        "re-lower" => RecoveryAction::Relowered,
                         "dense-fallback" => RecoveryAction::DenseFallback,
                         "refetch" => RecoveryAction::Refetched,
                         _ => RecoveryAction::Replayed,

@@ -141,11 +141,7 @@ fn print_serve_stats(stats: &abm_serve::ServeStats) {
         stats.failed
     );
     println!(
-        "  batches {} | retries {} | degraded (fault masked) {} | chaos injected {} | watchdog failovers {}",
-        stats.batches,
-        stats.retries,
-        stats.degraded_batches,
-        stats.chaos_injected,
-        stats.watchdog_failovers
+        "  batches {} | degraded (fault masked) {} | chaos injected {} | watchdog failovers {}",
+        stats.batches, stats.degraded_batches, stats.chaos_injected, stats.watchdog_failovers
     );
 }

@@ -16,12 +16,11 @@ use abm_model::{synthesize_model, zoo, LayerProfile, PruneProfile, SparseModel};
 use abm_sim::task::Workload;
 use abm_sim::{
     plan_pipeline, simulate_network, simulate_pipeline, AcceleratorConfig, NetworkSim,
-    PipelineOptions, PipelineSim, PipelinedSchedule, SchedulingPolicy, SimBudget, SimContext,
+    PipelineOptions, PipelineSim, PipelinedSchedule, SchedulingPolicy, SimContext,
 };
 use abm_telemetry::{Collector, Event, RecordingCollector, TelemetrySink};
 use abm_tensor::Tensor3;
 use proptest::prelude::*;
-use std::time::Duration;
 
 fn model(seed: u64) -> SparseModel {
     let net = zoo::tiny();
@@ -271,14 +270,13 @@ fn network_and_pipeline<C: Collector, I: Injector>(
     )
 }
 
-/// Every context field is an observer or a limit, never a participant:
-/// over policy × host parallelism × collector {null, recording} ×
-/// injector {null, enabled with nothing to deliver} × budget
-/// {unlimited, far-future wall, exact-fit cycles}, the network and
-/// pipeline cores return what the paper-default front doors return
-/// (per policy), and every recording run sees the same event stream.
+/// Every context field is an observer, never a participant: over
+/// policy × host parallelism × collector {null, recording} × injector
+/// {null, enabled with nothing to deliver}, the network and pipeline
+/// cores return what the paper-default front doors return (per
+/// policy), and every recording run sees the same event stream.
 /// Includes what no entry point could express before the context: a
-/// wall budget *with* a collector, an injector at network level.
+/// collector and an injector together, an injector at network level.
 fn context_fields_never_change_a_result(
     model: &SparseModel,
     cfg: &AcceleratorConfig,
@@ -307,43 +305,33 @@ fn context_fields_never_change_a_result(
             Parallelism::Threads(2),
             Parallelism::Auto,
         ] {
-            for budget in [
-                SimBudget::unlimited(),
-                SimBudget::wall(Duration::from_secs(3600)),
-                SimBudget::cycles(front_net.summary().compute_cycles),
-            ] {
-                for (record, inject) in [(false, false), (true, false), (false, true), (true, true)]
-                {
-                    let ctx = SimContext {
-                        policy,
-                        parallelism,
-                        budget,
-                        ..SimContext::default()
-                    };
-                    let mut rec = RecordingCollector::new();
-                    let mut idle = PlanInjector::new(FaultPlan::default());
-                    let subject = (model, cfg, &workloads[..], &schedule);
-                    let (net, pipe) = match (record, inject) {
-                        (false, false) => network_and_pipeline(ctx, subject),
-                        (true, false) => network_and_pipeline(ctx.collector(&mut rec), subject),
-                        (false, true) => network_and_pipeline(ctx.injector(&mut idle), subject),
-                        (true, true) => network_and_pipeline(
-                            ctx.collector(&mut rec).injector(&mut idle),
-                            subject,
-                        ),
-                    };
-                    let combo = format!(
-                        "{policy:?} / {parallelism} / {budget:?} / record {record} / inject {inject}"
-                    );
-                    assert_eq!(net, front_net, "{combo}");
-                    assert_eq!(pipe, front_pipe, "{combo}");
-                    assert!(idle.delivered().is_empty(), "{combo}");
-                    if record {
-                        let events = rec.into_events();
-                        assert!(!events.is_empty(), "{combo}");
-                        let first = first_events.get_or_insert_with(|| events.clone());
-                        assert_eq!(&events, first, "{combo}: event stream drifted");
+            for (record, inject) in [(false, false), (true, false), (false, true), (true, true)] {
+                let ctx = SimContext {
+                    policy,
+                    parallelism,
+                    ..SimContext::default()
+                };
+                let mut rec = RecordingCollector::new();
+                let mut idle = PlanInjector::new(FaultPlan::default());
+                let subject = (model, cfg, &workloads[..], &schedule);
+                let (net, pipe) = match (record, inject) {
+                    (false, false) => network_and_pipeline(ctx, subject),
+                    (true, false) => network_and_pipeline(ctx.collector(&mut rec), subject),
+                    (false, true) => network_and_pipeline(ctx.injector(&mut idle), subject),
+                    (true, true) => {
+                        network_and_pipeline(ctx.collector(&mut rec).injector(&mut idle), subject)
                     }
+                };
+                let combo =
+                    format!("{policy:?} / {parallelism} / record {record} / inject {inject}");
+                assert_eq!(net, front_net, "{combo}");
+                assert_eq!(pipe, front_pipe, "{combo}");
+                assert!(idle.delivered().is_empty(), "{combo}");
+                if record {
+                    let events = rec.into_events();
+                    assert!(!events.is_empty(), "{combo}");
+                    let first = first_events.get_or_insert_with(|| events.clone());
+                    assert_eq!(&events, first, "{combo}: event stream drifted");
                 }
             }
         }

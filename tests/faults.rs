@@ -10,7 +10,7 @@ use abm_spconv_repro::fault::{
 };
 use abm_spconv_repro::model::{synthesize_model, zoo, LayerProfile, PruneProfile};
 use abm_spconv_repro::sim::task::Workload;
-use abm_spconv_repro::sim::{AcceleratorConfig, SimContext, Watchdog};
+use abm_spconv_repro::sim::{AcceleratorConfig, SimContext};
 use abm_spconv_repro::sparse::{EncodeError, FlatCode, FlatLayout, LayerCode};
 use abm_spconv_repro::telemetry::TelemetrySink;
 use abm_spconv_repro::tensor::{Shape3, Shape4, Tensor3, Tensor4};
@@ -57,35 +57,35 @@ proptest! {
             prop_assert_eq!(counts[class.name()].injected, expected);
         }
     }
+}
 
-    /// Zero-overhead guarantee of the fault guards at the integration
-    /// level: the workload core under the disabled injector, and under
-    /// an enabled injector that walks every guard but delivers nothing,
-    /// returns the plain simulation on every layer, for any watchdog
-    /// slack.
-    #[test]
-    fn null_injector_guarded_sim_is_bit_identical(slack in 1u64..1_000_000) {
-        let model = tiny_model();
-        let cfg = AcceleratorConfig::paper();
-        let guarded = || SimContext {
-            parallelism: Parallelism::Serial,
-            watchdog: Watchdog::with_slack(slack),
-            ..SimContext::default()
-        };
-        for (i, layer) in model.layers.iter().enumerate() {
-            let w = Workload::from_layer(layer).unwrap();
-            let plain = SimContext::default().simulate_workload(&w, &cfg, 0, 0).unwrap();
-            let null = guarded()
-                .injector(&mut NullInjector)
-                .simulate_workload(&w, &cfg, i as u32, 0)
-                .unwrap();
-            let idle = guarded()
-                .injector(&mut PlanInjector::new(FaultPlan::default()))
-                .simulate_workload(&w, &cfg, i as u32, 0)
-                .unwrap();
-            prop_assert_eq!(&null, &plain);
-            prop_assert_eq!(&idle, &plain);
-        }
+/// Zero-overhead guarantee of the fault guards at the integration
+/// level: the workload core under the disabled injector, and under an
+/// enabled injector that walks every guard but delivers nothing,
+/// returns the plain simulation on every layer.
+#[test]
+fn null_injector_guarded_sim_is_bit_identical() {
+    let model = tiny_model();
+    let cfg = AcceleratorConfig::paper();
+    let guarded = || SimContext {
+        parallelism: Parallelism::Serial,
+        ..SimContext::default()
+    };
+    for (i, layer) in model.layers.iter().enumerate() {
+        let w = Workload::from_layer(layer).unwrap();
+        let plain = SimContext::default()
+            .simulate_workload(&w, &cfg, 0, 0)
+            .unwrap();
+        let null = guarded()
+            .injector(&mut NullInjector)
+            .simulate_workload(&w, &cfg, i as u32, 0)
+            .unwrap();
+        let idle = guarded()
+            .injector(&mut PlanInjector::new(FaultPlan::default()))
+            .simulate_workload(&w, &cfg, i as u32, 0)
+            .unwrap();
+        assert_eq!(null, plain, "layer {i}");
+        assert_eq!(idle, plain, "layer {i}");
     }
 }
 

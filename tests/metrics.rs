@@ -600,7 +600,6 @@ fn assert_serve_totals_match(snap: &metrics::MetricsSnapshot, stats: &ServeStats
         ("serve_failed_total", stats.failed),
         ("serve_deadline_total", stats.deadline_cut),
         ("serve_deadline_missed_total", stats.deadline_missed),
-        ("serve_retries_total", stats.retries),
         ("serve_degraded_total", stats.degraded_batches),
         ("serve_chaos_injected_total", stats.chaos_injected),
         ("serve_watchdog_failover_total", stats.watchdog_failovers),

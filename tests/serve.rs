@@ -355,7 +355,7 @@ fn drain_answers_every_ticket_and_then_refuses() {
 }
 
 // ---------------------------------------------------------------------
-// Watchdog failover
+// Stuck-batch watchdog failover
 // ---------------------------------------------------------------------
 
 #[test]
@@ -413,7 +413,7 @@ fn watchdog_fails_stuck_batch_over_to_fresh_worker() {
 #[test]
 fn exhausted_failovers_fail_typed_not_silent() {
     // Zero failover budget: the watchdog confiscates the stalled batch
-    // and, with no retries left, must answer it with a typed watchdog
+    // and, with no failover left, must answer it with a typed watchdog
     // error instead of hanging drain forever.
     let cfg = ServeConfig {
         workers: 1,
@@ -453,9 +453,47 @@ fn exhausted_failovers_fail_typed_not_silent() {
     assert!(stats.watchdog_failovers >= 1);
 }
 
+/// A configuration that cannot run is a contract error naming its
+/// field, not a detected corruption.
+#[test]
+fn a_zero_knob_is_an_invalid_config_naming_its_field() {
+    let cfg = ServeConfig {
+        workers: 0,
+        ..test_config()
+    };
+    let model = Arc::new(tiny_model());
+    let Err(e) = Server::start(model, &AcceleratorConfig::paper(), cfg) else {
+        panic!("a server with zero workers must not start");
+    };
+    assert!(matches!(e, AbmError::InvalidConfig { .. }), "{e:?}");
+    assert!(!e.is_corruption(), "{e}");
+    assert!(e.to_string().contains("workers"), "{e}");
+}
+
 // ---------------------------------------------------------------------
 // TCP front-end
 // ---------------------------------------------------------------------
+
+/// The keys of a `verb key=value …` reply line, in order.
+fn reply_keys(line: &str) -> Vec<&str> {
+    line.split_whitespace()
+        .skip(1)
+        .map(|kv| kv.split_once('=').map_or(kv, |(key, _)| key))
+        .collect()
+}
+
+/// The keys the protocol table in `abm-serve`'s `net.rs` documents for
+/// the reply to `request`: its response cell's first code span.
+fn documented_keys(request: &str) -> Vec<&'static str> {
+    const NET_RS: &str = include_str!("../crates/serve/src/net.rs");
+    let row = NET_RS
+        .lines()
+        .find(|l| l.starts_with(&format!("//! | `{request}")))
+        .unwrap_or_else(|| panic!("the protocol table has no `{request}` row"));
+    let response = row.split('|').nth(2).expect("a response cell");
+    let reply = response.split('`').nth(1).expect("a code span");
+    reply_keys(reply)
+}
 
 #[test]
 fn tcp_roundtrip_ping_infer_stats() {
@@ -482,14 +520,16 @@ fn tcp_roundtrip_ping_infer_stats() {
     assert_eq!(ask("ping", &mut line), "pong");
     let infer = ask("infer 1 600000", &mut line);
     assert!(
-        infer.starts_with("ok id=") && infer.contains("class="),
+        infer.starts_with("ok "),
         "infer reply must be an ok line: {infer}"
     );
+    assert_eq!(reply_keys(&infer), documented_keys("infer"), "{infer}");
     let stats = ask("stats", &mut line);
     assert!(
-        stats.starts_with("stats ") && stats.contains("admitted="),
+        stats.starts_with("stats "),
         "stats reply malformed: {stats}"
     );
+    assert_eq!(reply_keys(&stats), documented_keys("stats"), "{stats}");
     let bogus = ask("frobnicate", &mut line);
     assert!(bogus.starts_with("err "), "unknown verb must err: {bogus}");
 

@@ -829,9 +829,8 @@ struct LayerClock {
 }
 
 /// Books one image's outcome — every executor's images end here: the
-/// time it took and its count when the metrics registry is on, and the
-/// post-mortem hook on an error (count it, freeze the flight recorder's
-/// tail as the forensic dump for this failure).
+/// time it took and its count when the metrics registry is on, and an
+/// error in `abm_errors_infer_total`.
 fn note_image<T>(result: &Result<T, AbmError>, elapsed: std::time::Duration) {
     if abm_metrics::enabled() {
         let m = abm_metrics::global();
@@ -841,8 +840,8 @@ fn note_image<T>(result: &Result<T, AbmError>, elapsed: std::time::Duration) {
         );
         m.add("infer_images_total", 1);
     }
-    if let Err(e) = result {
-        abm_metrics::global().note_error("infer", &e.to_string());
+    if result.is_err() {
+        abm_metrics::global().note_error("infer");
     }
 }
 

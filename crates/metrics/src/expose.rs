@@ -181,7 +181,7 @@ mod tests {
     use abm_telemetry::json::{self, Value};
 
     fn sample() -> MetricsSnapshot {
-        let r = MetricsRegistry::new(8);
+        let r = MetricsRegistry::new();
         r.add("requests_total", 7);
         r.gauge_set("queue_depth", 3);
         for v in [5u64, 10, 100, 100, 5000] {
@@ -230,7 +230,7 @@ mod tests {
 
     #[test]
     fn delta_subtracts_counters_and_buckets() {
-        let r = MetricsRegistry::new(8);
+        let r = MetricsRegistry::new();
         r.add("c", 5);
         r.observe("h", 10);
         let before = r.snapshot();

@@ -180,7 +180,7 @@ mod tests {
 
     #[test]
     fn fold_sums_counters_and_takes_gauge_maxima() {
-        let r = MetricsRegistry::new(8);
+        let r = MetricsRegistry::new();
         r.fold(&stream());
         let s = r.snapshot();
         let counters: Vec<(&str, u64)> = s.counters.iter().map(|(k, v)| (&**k, *v)).collect();
@@ -215,7 +215,7 @@ mod tests {
 
     #[test]
     fn an_end_without_its_begin_is_skipped() {
-        let r = MetricsRegistry::new(8);
+        let r = MetricsRegistry::new();
         r.fold(&stream()[1..]);
         let s = r.snapshot();
         assert_eq!(s.counters[SIM_LAYERS], 1);
@@ -224,7 +224,7 @@ mod tests {
 
     #[test]
     fn a_disabled_registry_stays_at_zero() {
-        let r = MetricsRegistry::new(8);
+        let r = MetricsRegistry::new();
         r.set_enabled(false);
         r.fold(&stream());
         let s = r.snapshot();

@@ -7,9 +7,8 @@
 //! log-bucketed [`Histogram`]s (exact p50/p90/p99/max at ≤25% bucket
 //! resolution, mergeable across worker threads) live in a process-wide
 //! [`MetricsRegistry`] reachable from any layer via [`global`]. A
-//! fixed-capacity [`FlightRecorder`] keeps the last N telemetry events
-//! and freezes them into a post-mortem [`FlightDump`] the moment an
-//! `AbmError` surfaces.
+//! surfaced `AbmError` is counted there too
+//! ([`MetricsRegistry::note_error`]).
 //!
 //! Two design rules keep the registry safe to leave on:
 //!
@@ -30,28 +29,24 @@
 //! served by the `metrics` CLI subcommand.
 
 pub mod expose;
-pub mod flight;
 pub mod fold;
 pub mod registry;
 
 pub use expose::MetricsSnapshot;
-pub use flight::{stable_line, FlightDump, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use fold::{SIM_COMPUTE_CYCLES, SIM_LAYERS, SIM_PREFIX};
 pub use registry::{
     bucket_floor, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
     HISTOGRAM_BUCKETS,
 };
 
-use abm_telemetry::TelemetrySink;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
 
-/// The process-wide registry (created on first use, enabled, flight
-/// capacity [`DEFAULT_FLIGHT_CAPACITY`]).
+/// The process-wide registry (created on first use, enabled).
 #[must_use]
 pub fn global() -> &'static MetricsRegistry {
-    GLOBAL.get_or_init(|| MetricsRegistry::new(DEFAULT_FLIGHT_CAPACITY))
+    GLOBAL.get_or_init(MetricsRegistry::new)
 }
 
 /// Whether the global registry is currently recording. Hot paths
@@ -62,18 +57,9 @@ pub fn enabled() -> bool {
     global().is_enabled()
 }
 
-/// Wraps a [`TelemetrySink`] so every event it records is mirrored
-/// into the global flight recorder — the one wiring step that turns
-/// any instrumented run into a post-mortem-capable one.
-#[must_use]
-pub fn flight_tee(sink: TelemetrySink) -> TelemetrySink {
-    sink.with_tee(Arc::new(|event| global().flight().record(event.clone())))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abm_telemetry::Event;
 
     #[test]
     fn global_is_a_singleton_and_enabled_by_default() {
@@ -81,14 +67,5 @@ mod tests {
         // Note: other tests may toggle the switch; only assert the
         // accessor agrees with the registry.
         assert_eq!(enabled(), global().is_enabled());
-    }
-
-    #[test]
-    fn flight_tee_mirrors_sink_events() {
-        let sink = flight_tee(TelemetrySink::new());
-        let before = global().flight().recorded();
-        sink.record(Event::LayerEnd { layer: 7, cycle: 1 });
-        assert_eq!(global().flight().recorded(), before + 1);
-        assert_eq!(sink.events().len(), 1);
     }
 }

@@ -15,7 +15,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::expose::MetricsSnapshot;
-use crate::flight::FlightRecorder;
 
 /// Shards per counter. Eight 64-byte-padded cells keep concurrent
 /// incrementers from bouncing one cache line between cores while
@@ -315,29 +314,32 @@ fn get_or_create<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str)
     Arc::clone(w.entry(name.to_string()).or_default())
 }
 
-/// A named collection of counters, gauges and histograms plus the
-/// flight recorder. One lives for the process lifetime behind
-/// [`crate::global`]; tests build private ones.
+/// A named collection of counters, gauges and histograms. One lives
+/// for the process lifetime behind [`crate::global`]; tests build
+/// private ones.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     enabled: AtomicBool,
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
-    flight: FlightRecorder,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl MetricsRegistry {
-    /// An enabled registry whose flight recorder retains the last
-    /// `flight_capacity` events.
+    /// An empty, enabled registry.
     #[must_use]
-    pub fn new(flight_capacity: usize) -> Self {
+    pub fn new() -> Self {
         Self {
             enabled: AtomicBool::new(true),
             counters: RwLock::new(BTreeMap::new()),
             gauges: RwLock::new(BTreeMap::new()),
             histograms: RwLock::new(BTreeMap::new()),
-            flight: FlightRecorder::new(flight_capacity),
         }
     }
 
@@ -400,20 +402,12 @@ impl MetricsRegistry {
         }
     }
 
-    /// The flight recorder (live even while metrics are disabled —
-    /// forensics should survive an operator turning aggregates off).
-    #[must_use]
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
-    }
-
-    /// Counts an `abm_fault`-style error and freezes the flight
-    /// recorder's current tail as the post-mortem dump.
+    /// Counts an `abm_fault`-style error in `abm_errors_total` and in
+    /// `abm_errors_{context}_total` (no-op while disabled).
     ///
     /// `context` must be a static metric-name-safe label (e.g.
-    /// `"infer"`, `"campaign"`); `detail` is free text stored in the
-    /// dump header.
-    pub fn note_error(&self, context: &str, detail: &str) {
+    /// `"infer"`, `"campaign"`).
+    pub fn note_error(&self, context: &str) {
         if self.is_enabled() {
             self.counter("abm_errors_total").add(1);
             let mut name = String::with_capacity(context.len() + 17);
@@ -422,7 +416,6 @@ impl MetricsRegistry {
             name.push_str("_total");
             self.counter(&name).add(1);
         }
-        self.flight.note_error(context, detail);
     }
 
     /// A point-in-time copy of every metric, sorted by name.
@@ -444,9 +437,8 @@ impl MetricsRegistry {
         }
     }
 
-    /// Zeroes every metric and clears the flight recorder. Metric
-    /// handles held by callers stay valid (they are reset in place,
-    /// not replaced). Test/CLI use.
+    /// Zeroes every metric. Metric handles held by callers stay valid
+    /// (they are reset in place, not replaced). Test/CLI use.
     pub fn reset(&self) {
         for c in read_map(&self.counters).values() {
             c.reset();
@@ -457,7 +449,6 @@ impl MetricsRegistry {
         for h in read_map(&self.histograms).values() {
             h.reset();
         }
-        self.flight.clear();
     }
 }
 
@@ -547,7 +538,7 @@ mod tests {
 
     #[test]
     fn registry_disabled_records_nothing() {
-        let r = MetricsRegistry::new(8);
+        let r = MetricsRegistry::new();
         r.set_enabled(false);
         r.add("c", 5);
         r.observe("h", 9);
@@ -560,7 +551,7 @@ mod tests {
 
     #[test]
     fn reset_keeps_handles_valid() {
-        let r = MetricsRegistry::new(8);
+        let r = MetricsRegistry::new();
         let c = r.counter("alive");
         c.add(4);
         r.reset();

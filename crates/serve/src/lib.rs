@@ -26,8 +26,8 @@
 //!   confiscated by the watchdog and failed over to a fresh worker.
 //! * **Observability** — every admission decision, shed, degradation
 //!   and failover is counted in
-//!   [`abm-metrics`](abm_metrics), and every failed request freezes a
-//!   flight-recorder dump.
+//!   [`abm-metrics`](abm_metrics), and every refused, shed, cut or
+//!   failed request in `abm_errors_serve_total`.
 //! * **Chaos testing** ([`server::ChaosConfig`], [`loadgen`]) — seeded
 //!   fault injection (weight-stream word flips, worker stalls) under
 //!   synthetic open-loop load, with the load report proving the

@@ -10,7 +10,7 @@
 //! | request                      | response |
 //! |------------------------------|----------|
 //! | `ping`                       | `pong` |
-//! | `stats`                      | `stats submitted=… admitted=… shed=… completed=… failed=… deadline_cut=… deadline_missed=… degraded_batches=… chaos_injected=… watchdog_failovers=… batches=…` |
+//! | `stats`                      | `stats submitted=… admitted=… shed=… completed=… failed=… deadline_cut=… deadline_missed=… degraded_batches=… chaos_injected=… watchdog_failovers=… watchdog_late=… wide_batches=… batches=…` |
 //! | `infer <seed> <deadline_ms>` | `ok id=… class=… lat_us=… queued_us=… degraded=… missed=…` |
 //! |                              | or `err overloaded <detail>` / `err deadline <detail>` / `err internal <detail>` |
 //!
@@ -222,7 +222,7 @@ fn handle_line(line: &str, server: &Arc<Server>) -> String {
             format!(
                 "stats submitted={} admitted={} shed={} completed={} failed={} deadline_cut={} \
                  deadline_missed={} degraded_batches={} chaos_injected={} \
-                 watchdog_failovers={} batches={}",
+                 watchdog_failovers={} watchdog_late={} wide_batches={} batches={}",
                 s.submitted,
                 s.admitted,
                 s.shed,
@@ -233,6 +233,8 @@ fn handle_line(line: &str, server: &Arc<Server>) -> String {
                 s.degraded_batches,
                 s.chaos_injected,
                 s.watchdog_failovers,
+                s.watchdog_late,
+                s.wide_batches,
                 s.batches
             )
         }

@@ -23,9 +23,10 @@
 //! get [`AbmError::Overloaded`], deadline cuts get
 //! [`AbmError::DeadlineExceeded`], detected corruptions climb the
 //! recovery ladder (re-lower → dense) inside the workers
-//! and come back **bit-identical** — never silent. A failed request
-//! freezes a flight-recorder dump
-//! ([`abm_metrics::MetricsRegistry::note_error`]) exactly like batch mode.
+//! and come back **bit-identical** — never silent. A refused, shed, cut
+//! or failed request is counted in `abm_errors_serve_total`
+//! ([`abm_metrics::MetricsRegistry::note_error`]), as a failed image is
+//! in batch mode.
 
 use crate::cost::CostModel;
 use abm_conv::{Inferencer, Parallelism, PreparedWeights, ResiliencePolicy};
@@ -560,7 +561,7 @@ impl Server {
                 got: (got.channels, got.rows, got.cols),
                 want: (want.channels, want.rows, want.cols),
             };
-            abm_metrics::global().note_error("serve", &format!("refused: {e}"));
+            abm_metrics::global().note_error("serve");
             return Err(e);
         }
         let c = &shared.counters;
@@ -619,9 +620,9 @@ impl Server {
                 Err(e) => e,
             }
         };
-        // Shed path: typed rejection, counted, flight-dumped.
+        // Shed path: typed rejection, counted.
         c.bump(Counter::Shed);
-        abm_metrics::global().note_error("serve", &format!("shed: {e}"));
+        abm_metrics::global().note_error("serve");
         Err(e)
     }
 
@@ -720,8 +721,8 @@ impl Drop for Server {
     }
 }
 
-/// Sends a response, updating the per-request accounting and freezing
-/// a flight dump for every failure.
+/// Sends a response, updating the per-request accounting and counting
+/// every failure as a served error.
 fn respond(
     shared: &Shared,
     meta: &ReqMeta,
@@ -749,7 +750,7 @@ fn respond(
             } else {
                 c.bump(Counter::Failed);
             }
-            abm_metrics::global().note_error("serve", &format!("request {}: {e}", meta.id));
+            abm_metrics::global().note_error("serve");
         }
     }
     // A dropped ticket receiver is the client's choice; the send result
@@ -1064,8 +1065,9 @@ fn worker_loop(shared: &Arc<Shared>, state: &Arc<WorkerState>) {
 /// Runs one batch through the deadline-salvage batch executor
 /// ([`Inferencer::run_batch_salvage`]); `heartbeat` sees every
 /// telemetry event the run records (one per finished layer). Returns
-/// the per-item outcomes and whether the recovery ladder engaged (fault
-/// detected/masked) anywhere in the batch.
+/// the per-item outcomes and whether the recovery ladder engaged (a
+/// fault detected) anywhere in the batch. A recovery always follows its
+/// detection, so `Detected` alone decides.
 fn execute_batch(
     base: &Inferencer<'_>,
     prepared: &PreparedWeights,
@@ -1087,7 +1089,7 @@ fn execute_batch(
         matches!(
             e,
             Event::Fault {
-                action: FaultAction::Detected | FaultAction::Recovered | FaultAction::Masked,
+                action: FaultAction::Detected,
                 ..
             }
         )
@@ -1161,13 +1163,7 @@ fn watchdog_loop(shared: &Arc<Shared>) {
                 drop(entry.handle.take()); // detach the wedged thread
                 replacements += 1;
                 shared.counters.bump(Counter::WatchdogFailovers);
-                abm_metrics::global().note_error(
-                    "serve",
-                    &format!(
-                        "watchdog confiscated stuck batch {} (attempt {})",
-                        batch.shared.id, batch.attempt
-                    ),
-                );
+                abm_metrics::global().note_error("serve");
                 stuck.push((batch, replies));
                 false // the wedged worker's registry slot is retired
             });

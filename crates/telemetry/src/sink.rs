@@ -12,8 +12,9 @@ use crate::collector::{Event, FaultAction};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// The observer type a sink can tee every event into (e.g. a flight
-/// recorder): called after the event is stored, outside the lock.
+/// The observer type a sink can tee every event into (e.g. a served
+/// worker's heartbeat, which each finished layer re-arms): called
+/// after the event is stored, outside the lock.
 pub type EventTee = Arc<dyn Fn(&Event) + Send + Sync>;
 
 /// A cloneable, thread-safe telemetry sink with a per-run epoch.

@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod fixed;
-pub mod io;
 pub mod quantize;
 pub mod shape;
 pub mod tensor;

@@ -106,15 +106,10 @@ pub fn run_campaign(
     config: &CampaignConfig,
     sink: &TelemetrySink,
 ) -> Result<CampaignReport, AbmError> {
-    // Tee every campaign event into the global flight recorder: the
-    // clone shares the caller's event buffer (they still see the full
-    // stream), while the recorder keeps the forensic tail that gets
-    // frozen the moment a trial surfaces an `AbmError`.
-    let sink = abm_metrics::flight_tee(sink.clone());
     let mut report = CampaignReport::new(config.seed);
     for net in &config.nets {
-        if let Err(e) = run_net(net, config, &sink, &mut report) {
-            abm_metrics::global().note_error("campaign", &e.to_string());
+        if let Err(e) = run_net(net, config, sink, &mut report) {
+            abm_metrics::global().note_error("campaign");
             return Err(e);
         }
     }

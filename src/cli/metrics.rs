@@ -32,15 +32,11 @@ pub(super) fn run(command: &Command) -> Result<(), Box<dyn Error>> {
     let registry = abm_metrics::global();
     registry.set_enabled(true);
     registry.reset();
-    // Batch inference through a flight-teed sink: every
-    // telemetry event is mirrored into the flight recorder
-    // while the hot paths feed the registry's histograms and
-    // counters.
-    let sink = abm_metrics::flight_tee(abm_telemetry::TelemetrySink::new());
+    // Batch inference: the hot paths feed the registry's histograms
+    // and counters.
     let inputs = synthetic_inputs(&network, *batch);
     let results = Inferencer::new(&model)
         .parallelism(*parallelism)
-        .telemetry(sink)
         .run_batch(&inputs)?;
     // A collected simulation, whose recorded event stream the
     // registry folds into the sim_* aggregates.
@@ -59,10 +55,9 @@ pub(super) fn run(command: &Command) -> Result<(), Box<dyn Error>> {
         network.name()
     );
     println!(
-        "  workload: {} image(s) inferred | {:.1} simulated images/s | flight recorder holds {} event(s)",
+        "  workload: {} image(s) inferred | {:.1} simulated images/s",
         results.len(),
-        sim.images_per_second(),
-        registry.flight().tail().len()
+        sim.images_per_second()
     );
     let snapshot = registry.snapshot();
     print!("{}", snapshot.render_table());

@@ -12,7 +12,7 @@
 //! * [`dse`] — design space exploration
 //! * [`verify`] — static invariant checking + the concurrency model checker
 //! * [`telemetry`] — zero-cost-when-disabled instrumentation + exporters
-//! * [`metrics`] — always-on metrics registry + flight recorder + exposition
+//! * [`metrics`] — always-on metrics registry + exposition
 //! * [`fault`] — typed errors, deterministic fault injection, campaign reports
 //! * [`serve`] — fault-tolerant batching inference service (admission
 //!   control, deadlines, chaos-tested graceful degradation)

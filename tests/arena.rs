@@ -41,7 +41,6 @@ use abm_spconv_repro::conv::{
     ResiliencePolicy,
 };
 use abm_spconv_repro::fault::AbmError;
-use abm_spconv_repro::metrics::stable_line;
 use abm_spconv_repro::model::{
     synthesize_model, zoo, ConvSpec, FcSpec, Layer, LayerKind, LayerProfile, LrnSpec, Network,
     PoolKind, PoolSpec, PruneProfile, SparseModel,
@@ -181,11 +180,17 @@ fn corrupt_layer(prepared: &mut PreparedWeights, layer: usize, edit: impl FnOnce
     edit(offsets);
 }
 
-/// The fault events a run recorded, without their wall-clock fields.
-fn faults(sink: &TelemetrySink) -> Vec<String> {
-    let events = sink.drain();
-    let faults = events.iter().filter(|e| matches!(e, Event::Fault { .. }));
-    faults.map(stable_line).collect()
+/// The fault events a run recorded, with their wall-clock stamps zeroed.
+fn faults(sink: &TelemetrySink) -> Vec<Event> {
+    let mut events = sink.drain();
+    events.retain_mut(|event| match event {
+        Event::Fault { at, .. } => {
+            *at = 0;
+            true
+        }
+        _ => false,
+    });
+    events
 }
 
 proptest! {

@@ -11,7 +11,6 @@
 
 use abm_conv::{Engine, InferenceResult, Inferencer, Parallelism, ResiliencePolicy};
 use abm_fault::{AbmError, FaultPlan, Injector, PlanInjector};
-use abm_metrics::stable_line;
 use abm_model::{synthesize_model, zoo, LayerProfile, PruneProfile, SparseModel};
 use abm_sim::task::Workload;
 use abm_sim::{
@@ -199,11 +198,17 @@ fn every_width_gives_the_serial_bits_for_lone_images_and_small_batches() {
     }
 }
 
-/// The fault events a sink recorded, without their wall-clock fields.
-fn faults(sink: &TelemetrySink) -> Vec<String> {
-    let events = sink.drain();
-    let faults = events.iter().filter(|e| matches!(e, Event::Fault { .. }));
-    faults.map(stable_line).collect()
+/// The fault events a sink recorded, with their wall-clock stamps zeroed.
+fn faults(sink: &TelemetrySink) -> Vec<Event> {
+    let mut events = sink.drain();
+    events.retain_mut(|event| match event {
+        Event::Fault { at, .. } => {
+            *at = 0;
+            true
+        }
+        _ => false,
+    });
+    events
 }
 
 /// A flipped offset word in a chosen kernel of a split layer — a

@@ -6,13 +6,13 @@
 //!    itself *exactly* (compute cycles, layers, per-CU busy cycles,
 //!    DDR bytes), on AlexNet and VGG16.
 //! 2. **Observation never perturbs results** — inference with the
-//!    registry on (and a flight-teed sink attached) is bit-identical
-//!    to inference with it off, across synthesis randomness.
-//! 3. **The flight recorder is a faithful post-mortem** — a seeded
-//!    injected fault freezes a dump whose tail matches the recorded
-//!    event stream, byte-stably across identical runs; and the sink it
-//!    tees from loses nothing under concurrent writers.
-//!
+//!    registry on (and a telemetry sink attached) is bit-identical to
+//!    inference with it off, across synthesis randomness.
+//! 3. **Errors and faults are counted, and a tee sees every event** —
+//!    a surfaced error moves the error counters once, a seeded `tiny`
+//!    campaign moves the fault and trial counters, and a sink's tee
+//!    (the served heartbeat's mechanism) loses nothing under
+//!    concurrent writers.
 //! 4. **The served path counts what it does, once** — a server
 //!    lowers its model once however many workers and failover
 //!    replacements it starts (the dispatch counters say so), and every
@@ -35,6 +35,7 @@ use abm_spconv_repro::telemetry::{json, Event, RecordingCollector, TelemetrySink
 use abm_spconv_repro::tensor::Tensor3;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -45,12 +46,11 @@ fn registry_lock() -> MutexGuard<'static, ()> {
     REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Enabled registry with zeroed metrics and an empty flight ring.
+/// Enabled registry with zeroed metrics.
 fn fresh_registry() -> &'static metrics::MetricsRegistry {
     let r = metrics::global();
     r.set_enabled(true);
     r.reset();
-    r.flight().clear();
     r
 }
 
@@ -368,7 +368,7 @@ fn recovered_layer_runs_the_prepared_kernel() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Registry on (with a flight-teed sink attached) == registry off,
+    /// Registry on (with a telemetry sink attached) == registry off,
     /// bit for bit, whatever the synthesized weights — logits, traces,
     /// work counters, calibration statistics — for a batch, whose
     /// prefixes run an image at a time and whose fully-connected tail
@@ -391,7 +391,7 @@ proptest! {
         fresh_registry();
         let on = Inferencer::new(&model)
             .parallelism(Parallelism::Serial)
-            .telemetry(metrics::flight_tee(TelemetrySink::new()))
+            .telemetry(TelemetrySink::new())
             .run_batch(&inputs)
             .unwrap();
         prop_assert_eq!(off, on);
@@ -399,7 +399,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// 3. The flight recorder as a faithful post-mortem.
+// 3. Errors and faults are counted; a tee sees every event.
 // ---------------------------------------------------------------------
 
 /// Flips one offset bit in the first prepared ABM layer's streams while
@@ -414,116 +414,62 @@ fn flip_first_offset_bit(model: &SparseModel, prepared: &mut PreparedWeights) {
     offsets[0] ^= 1 << 5;
 }
 
-/// Deterministically corrupts the first prepared ABM layer (one offset
-/// bit, the `wt-word-flip` fault class), runs one image under a
-/// detect-only policy so the error surfaces, and returns the frozen
-/// dump plus the full stable-rendered sink stream.
-fn seeded_fault_run() -> (metrics::FlightDump, Vec<String>) {
+/// A corruption the detect-only policy surfaces is counted once, in
+/// the total and under the context it surfaced in.
+#[test]
+fn a_surfaced_error_is_counted_once() {
+    let _guard = registry_lock();
     let registry = fresh_registry();
     let (net, model) = tiny_model(0.6, 16, 9);
-    let sink = metrics::flight_tee(TelemetrySink::new());
     let inferencer = Inferencer::new(&model)
         .parallelism(Parallelism::Serial)
-        .resilience(ResiliencePolicy::detect_only())
-        .telemetry(sink.clone());
+        .resilience(ResiliencePolicy::detect_only());
     let mut prepared = inferencer.prepare().unwrap();
     flip_first_offset_bit(&model, &mut prepared);
-    let input = synthetic_input(&net, 0);
     inferencer
-        .run_prepared(&prepared, &input)
+        .run_prepared(&prepared, &synthetic_input(&net, 0))
         .expect_err("detect-only policy must surface the corruption");
-    let dump = registry
-        .flight()
-        .last_dump()
-        .expect("the surfaced error must freeze a flight dump");
-    let stream: Vec<String> = sink.events().iter().map(metrics::stable_line).collect();
-    (dump, stream)
+    let snap = registry.snapshot();
+    assert_eq!(counter(&snap, "abm_errors_total"), 1);
+    assert_eq!(counter(&snap, "abm_errors_infer_total"), 1);
 }
 
-/// The dump's tail is exactly the recorded event stream (the run fits
-/// inside the ring), and a surfaced error is counted.
+/// A seeded `tiny` campaign moves the fault-injection counter and
+/// counts each of its trials.
 #[test]
-fn seeded_fault_dump_tail_matches_event_stream() {
+fn a_tiny_campaign_moves_the_fault_counters() {
     let _guard = registry_lock();
-    let (dump, stream) = seeded_fault_run();
-    assert_eq!(dump.context, "infer");
-    assert_eq!(dump.total_recorded, stream.len() as u64);
-    let dumped: Vec<String> = dump.events.iter().map(metrics::stable_line).collect();
-    assert_eq!(dumped, stream);
-    // A Detected fault event made it into the dump.
-    assert!(
-        dump.events.iter().any(|e| matches!(e, Event::Fault { .. })),
-        "dump carries no fault event:\n{}",
-        dump.to_text()
-    );
-    let snap = metrics::global().snapshot();
-    assert_eq!(snap.counters.get("abm_errors_total"), Some(&1));
-    assert_eq!(snap.counters.get("abm_errors_infer_total"), Some(&1));
-    json::validate(&dump.to_json()).unwrap();
-}
-
-/// Two identical seeded fault runs freeze byte-identical dumps: the
-/// stable rendering omits wall-clock fields, everything else is
-/// deterministic.
-#[test]
-fn seeded_fault_dumps_are_byte_stable() {
-    let _guard = registry_lock();
-    let (first, _) = seeded_fault_run();
-    let (second, _) = seeded_fault_run();
-    assert_eq!(first.to_text(), second.to_text());
-    assert_eq!(first.to_json(), second.to_json());
-}
-
-/// The full seeded fault *campaign* is also dump-stable: a trial's
-/// telemetry tees into the flight ring (wired inside `run_campaign`),
-/// and freezing a dump after two identical campaigns renders the same
-/// bytes.
-#[test]
-fn seeded_campaign_flight_dump_is_byte_stable() {
-    let _guard = registry_lock();
-    let campaign_dump = || {
-        let registry = fresh_registry();
-        let config = CampaignConfig {
-            nets: vec!["tiny".into()],
-            seed: 5,
-            trials_per_class: 1,
-        };
-        let sink = TelemetrySink::new();
-        let report = run_campaign(&config, &sink).unwrap();
-        assert!(report.is_clean());
-        registry.note_error("campaign-postmortem", "post-campaign snapshot");
-        registry.flight().last_dump().unwrap()
+    let registry = fresh_registry();
+    let config = CampaignConfig {
+        nets: vec!["tiny".into()],
+        seed: 5,
+        trials_per_class: 1,
     };
-    let first = campaign_dump();
-    let second = campaign_dump();
-    assert!(first.total_recorded > 0);
-    assert_eq!(first.to_text(), second.to_text());
-    // And the recovery-ladder counters saw the campaign.
-    let snap = metrics::global().snapshot();
-    let injected = snap
-        .counters
-        .get("fault_injected_total")
-        .copied()
-        .unwrap_or(0);
-    let trials = snap
-        .counters
-        .get("campaign_trials_total")
-        .copied()
-        .unwrap_or(0);
-    assert!(injected > 0, "campaign injected no counted faults");
-    assert!(trials > 0, "campaign recorded no trials");
+    let report = run_campaign(&config, &TelemetrySink::new()).unwrap();
+    assert!(report.is_clean());
+    let snap = registry.snapshot();
+    assert!(
+        counter(&snap, "fault_injected_total") > 0,
+        "campaign injected no counted faults"
+    );
+    let trials = report.trials.len() as u64;
+    assert!(trials > 0, "campaign ran no trials");
+    assert_eq!(counter(&snap, "campaign_trials_total"), trials);
 }
 
-/// Satellite: the sink (with the flight tee attached — the config with
-/// the most lock traffic) loses nothing under concurrent writers, and
-/// per-thread event order is preserved.
+/// The sink (with a counting tee attached, as the served heartbeat
+/// attaches one) loses nothing under concurrent writers, per-thread
+/// event order is preserved, and the tee sees every record.
 #[test]
 fn telemetry_sink_concurrent_writers_lose_nothing() {
     let _guard = registry_lock();
-    let registry = fresh_registry();
     const THREADS: u32 = 8;
     const PER_THREAD: u64 = 200;
-    let sink = metrics::flight_tee(TelemetrySink::new());
+    let teed = Arc::new(AtomicU64::new(0));
+    let seen = Arc::clone(&teed);
+    let sink = TelemetrySink::new().with_tee(Arc::new(move |_: &Event| {
+        seen.fetch_add(1, Ordering::Relaxed);
+    }));
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let sink = sink.clone();
@@ -547,8 +493,7 @@ fn telemetry_sink_concurrent_writers_lose_nothing() {
         }
     }
     assert!(next.iter().all(|&n| n == PER_THREAD));
-    // The tee mirrored every record into the ring.
-    assert_eq!(registry.flight().recorded(), THREADS as u64 * PER_THREAD);
+    assert_eq!(teed.load(Ordering::Relaxed), THREADS as u64 * PER_THREAD);
 }
 
 /// The exposition formats stay well-formed on a real run, the JSON

@@ -10,7 +10,7 @@ use abm_spconv_repro::conv::{Inferencer, Parallelism, ResiliencePolicy};
 use abm_spconv_repro::fault::AbmError;
 use abm_spconv_repro::model::{synthesize_model, zoo, LayerProfile, PruneProfile, SparseModel};
 use abm_spconv_repro::serve::{
-    synth_input, ChaosConfig, NetConfig, NetServer, ServeConfig, Server, Ticket,
+    synth_input, ChaosConfig, NetConfig, NetServer, ServeConfig, ServeStats, Server, Ticket,
 };
 use abm_spconv_repro::sim::AcceleratorConfig;
 use abm_spconv_repro::tensor::{Shape3, Tensor3};
@@ -187,10 +187,13 @@ fn stats_conserve_requests_under_burst() {
     }
     for t in tickets {
         let r = t.wait();
+        // No chaos, so no fault for the recovery ladder to meet.
+        assert!(!r.degraded, "request {} degraded without a fault", r.id);
         let out = r.outcome.expect("generous-deadline request must complete");
         assert!(!out.logits.is_empty());
     }
     let stats = server.shutdown();
+    assert_eq!(stats.degraded_batches, 0, "{stats:?}");
     assert_eq!(stats.submitted, 12);
     assert_eq!(stats.admitted + stats.shed, stats.submitted);
     assert_eq!(stats.shed, shed);
@@ -495,6 +498,19 @@ fn documented_keys(request: &str) -> Vec<&'static str> {
     reply_keys(reply)
 }
 
+/// The field names of [`ServeStats`], in declaration order, read from
+/// its derived `Debug`.
+fn serve_stats_fields() -> Vec<String> {
+    let debug = format!("{:?}", ServeStats::default());
+    let (_, body) = debug.split_once('{').expect("a struct body");
+    let name = |field: &str| {
+        field
+            .split_once(':')
+            .map(|(name, _)| name.trim().to_string())
+    };
+    body.split(',').filter_map(name).collect()
+}
+
 #[test]
 fn tcp_roundtrip_ping_infer_stats() {
     let (_model, server) = start_server(test_config());
@@ -530,6 +546,7 @@ fn tcp_roundtrip_ping_infer_stats() {
         "stats reply malformed: {stats}"
     );
     assert_eq!(reply_keys(&stats), documented_keys("stats"), "{stats}");
+    assert_eq!(reply_keys(&stats), serve_stats_fields(), "{stats}");
     let bogus = ask("frobnicate", &mut line);
     assert!(bogus.starts_with("err "), "unknown verb must err: {bogus}");
 

@@ -41,8 +41,8 @@
 //! between DDR admit and CU consume).
 
 use crate::abm::{kernel_runs, Accumulator, PreparedConv};
-use crate::parallel::on_shares;
 use abm_fault::{stream_checksum_i16, AbmError};
+use abm_pool::on_shares;
 use abm_tensor::Tensor3;
 use std::ops::Range;
 

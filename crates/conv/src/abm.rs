@@ -48,9 +48,9 @@
 //! ([`crate::infer::Inferencer`]) prepare once and reuse.
 
 use crate::dense::Geometry;
-use crate::parallel::{on_shares, Parallelism};
 use abm_fault::AbmError;
 use abm_kernel::{gather_one, AbmKernel, AccWidth, Isa, Selection};
+use abm_pool::{on_shares, Parallelism};
 use abm_sparse::{FlatCode, FlatKernel, FlatLayout, LayerCode};
 use abm_tensor::{Shape3, Shape4, Tensor3};
 use std::ops::Range;

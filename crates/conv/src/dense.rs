@@ -1,7 +1,8 @@
 //! The spatial-domain dense reference convolution (SDConv) — the paper's
 //! Equation (1), computed exactly in integer arithmetic.
 //!
-//! Every other engine is validated bit-for-bit against this one.
+//! Every other engine is validated against this one: bit for bit, or,
+//! for the FFT comparator, within floating-point tolerance.
 
 use abm_tensor::{Shape3, Tensor3, Tensor4};
 
@@ -150,67 +151,6 @@ pub fn conv2d(input: &Tensor3<i16>, weights: &Tensor4<i8>, geom: Geometry) -> Te
     out
 }
 
-/// Dense convolution on `f64` data — the reference for the FFT engine.
-///
-/// # Panics
-///
-/// Panics on inconsistent channel counts or a group count that does not
-/// divide the output channels.
-#[must_use]
-pub fn conv2d_f64(input: &Tensor3<f64>, weights: &Tensor4<f64>, geom: Geometry) -> Tensor3<f64> {
-    let w = weights.shape();
-    assert!(geom.groups > 0, "groups must be positive");
-    assert_eq!(
-        w.out_channels % geom.groups,
-        0,
-        "groups {} must divide out_channels {}",
-        geom.groups,
-        w.out_channels
-    );
-    assert_eq!(
-        input.shape().channels,
-        w.in_channels * geom.groups,
-        "input channels {} != weight in_channels {} x groups {}",
-        input.shape().channels,
-        w.in_channels,
-        geom.groups
-    );
-    let out_shape = Shape3::new(
-        w.out_channels,
-        abm_tensor::shape::conv_out_dim(input.shape().rows, w.kernel_rows, geom.stride, geom.pad),
-        abm_tensor::shape::conv_out_dim(input.shape().cols, w.kernel_cols, geom.stride, geom.pad),
-    );
-    let m_per_group = w.out_channels / geom.groups;
-    let mut out = Tensor3::zeros(out_shape);
-    for m in 0..w.out_channels {
-        let group = m / m_per_group;
-        let in_base = group * w.in_channels;
-        for orow in 0..out_shape.rows {
-            for ocol in 0..out_shape.cols {
-                let mut acc = 0f64;
-                for n in 0..w.in_channels {
-                    for k in 0..w.kernel_rows {
-                        for kp in 0..w.kernel_cols {
-                            let pr = (orow * geom.stride + k) as isize - geom.pad as isize;
-                            let pc = (ocol * geom.stride + kp) as isize - geom.pad as isize;
-                            if pr < 0 || pc < 0 {
-                                continue;
-                            }
-                            let (r, c) = (pr as usize, pc as usize);
-                            if r >= input.shape().rows || c >= input.shape().cols {
-                                continue;
-                            }
-                            acc += input[(in_base + n, r, c)] * weights[(m, n, k, kp)];
-                        }
-                    }
-                }
-                out[(m, orow, ocol)] = acc;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,23 +245,5 @@ mod tests {
         let input = Tensor3::<i16>::zeros(Shape3::new(3, 2, 2));
         let w = Tensor4::<i8>::zeros(Shape4::new(1, 2, 1, 1));
         let _ = conv2d(&input, &w, Geometry::new(1, 0));
-    }
-
-    #[test]
-    fn f64_reference_agrees_with_integer() {
-        let input = Tensor3::from_fn(Shape3::new(2, 4, 4), |c, r, col| {
-            ((c * 16 + r * 4 + col) % 7) as i16 - 3
-        });
-        let w = Tensor4::from_fn(Shape4::new(2, 2, 3, 3), |m, n, k, kp| {
-            (((m * 18 + n * 9 + k * 3 + kp) % 5) as i8) - 2
-        });
-        let geom = Geometry::new(1, 1);
-        let exact = conv2d(&input, &w, geom);
-        let fin = input.map(|&x| x as f64);
-        let fw = w.map(|&x| x as f64);
-        let fout = conv2d_f64(&fin, &fw, geom);
-        for (a, b) in exact.as_slice().iter().zip(fout.as_slice()) {
-            assert!((*a as f64 - b).abs() < 1e-9);
-        }
     }
 }

@@ -13,8 +13,8 @@
 //! Because the per-layer output format is chosen deterministically from
 //! the exact accumulator values, both engines produce **bit-identical**
 //! feature maps at every layer; this is asserted by the integration
-//! tests. The other comparators (`gemm`, `sparse`, `freq`) stay
-//! layer-level functions, checked against `dense` one layer at a time.
+//! tests. The comparators (`freq`, `winograd`) stay layer-level
+//! functions that count what they execute for Table 1.
 
 mod lanes;
 
@@ -23,10 +23,10 @@ use crate::abm::{AbmWork, Accumulator, PreparedConv, SweepScratch};
 use crate::arena::{fit, Arena, ArenaPool, ArenaStats, Plan, Step};
 use crate::dense::{self, Geometry};
 use crate::host;
-use crate::parallel::{parallel_map_salvage, Parallelism};
 use abm_fault::AbmError;
 use abm_kernel::{AccWidth, Isa};
 use abm_model::{LayerKind, SparseLayer, SparseModel};
+use abm_pool::{parallel_map_salvage, Parallelism};
 use abm_sparse::{FlatCode, FlatLayout, LayerCode};
 use abm_telemetry::{FaultAction, TelemetrySink};
 use abm_tensor::quantize::choose_frac;

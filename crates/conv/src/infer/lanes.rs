@@ -26,9 +26,9 @@ use crate::abft;
 use crate::abm::PreparedConv;
 use crate::arena::{ColumnRound, LaneArena, Tail};
 use crate::host;
-use crate::parallel::{panic_message, parallel_map_salvage};
 use abm_fault::AbmError;
 use abm_model::LayerKind;
+use abm_pool::{panic_message, parallel_map_salvage};
 use abm_tensor::Tensor3;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};

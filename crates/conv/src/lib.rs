@@ -1,20 +1,22 @@
 //! Convolution engines and operation accounting — the computational core
 //! of the ABM-SpConv reproduction.
 //!
-//! Five engines implement the same convolution semantics:
+//! Two engines run whole networks:
 //!
 //! * [`dense`] — the classical spatial-domain reference (**SDConv**),
-//! * [`gemm`] — im2col + integer GEMM (the MAC-array designs' lowering),
-//! * [`sparse`] — CSR-driven sparse convolution (**SpConv**, the baseline
-//!   of \[1, 2, 8\] in the paper),
-//! * [`freq`] — frequency-domain convolution via overlap-and-add FFT
-//!   (**FDConv**, the scheme of \[3, 10\]),
 //! * [`abm`] — the paper's **ABM-SpConv**: accumulate feature pixels per
 //!   distinct weight value first, multiply once per value after.
 //!
-//! The four integer engines are *bit-exact* against each other on every
-//! layer — the property that validates the paper's Equation (2) — and
-//! the FFT engine matches within floating-point tolerance.
+//! They are *bit-exact* against each other on every layer — the property
+//! that validates the paper's Equation (2). Two layer-level comparators
+//! count the real multiplications their schemes execute, and [`ops`]
+//! states those counts in closed form for Table 1:
+//!
+//! * [`freq`] — frequency-domain convolution via overlap-and-add FFT
+//!   (**FDConv**, the scheme of \[3, 10\]), within floating-point
+//!   tolerance of [`dense`],
+//! * [`winograd`] — `F(2×2, 3×3)` minimal filtering, bit-exact.
+//!
 //! [`mod@calibrate`] provides the offline activation-range calibration
 //! that real deployments use, and [`precision`] stress-tests the 16-bit
 //! accumulator claim.
@@ -22,7 +24,7 @@
 //! [`ops`] counts the arithmetic work each scheme performs (Table 1), and
 //! [`infer`] runs whole networks through the ABM engine or the dense
 //! reference, with the paper's host layers (pooling, ReLU, LRN, softmax)
-//! implemented in [`host`]; the other three stay layer-level comparators.
+//! implemented in [`host`].
 //!
 //! # Examples
 //!
@@ -60,20 +62,17 @@ mod arena;
 pub mod calibrate;
 pub mod dense;
 pub mod freq;
-pub mod gemm;
 pub mod host;
 pub mod infer;
 pub mod ops;
-pub mod parallel;
 pub mod precision;
-pub mod sparse;
 pub mod winograd;
 
 pub use abm::conv2d as abm_conv2d;
 pub use abm::{AbmWork, PreparedConv};
+pub use abm_pool::{parallel_map, parallel_map_salvage, Parallelism};
 pub use arena::ArenaStats;
 pub use calibrate::{calibrate, Calibration};
 pub use dense::{conv2d as dense_conv2d, Geometry};
 pub use infer::{Engine, InferenceResult, Inferencer, PreparedWeights, ResiliencePolicy};
 pub use ops::{LayerOps, NetworkOps};
-pub use parallel::{parallel_map, parallel_map_salvage, Parallelism};

@@ -107,14 +107,16 @@ pub fn transform_output(m: &[i64; 16]) -> [i64; 4] {
 }
 
 /// Winograd `F(2×2, 3×3)` convolution, bit-exact against
-/// [`crate::dense::conv2d`].
+/// [`crate::dense::conv2d`], and the number of element-wise `u·v`
+/// products it executed: 16 per 2×2 output tile per `(m, n)` pair, the
+/// transforms being adds and shifts only.
 ///
 /// # Panics
 ///
 /// Panics unless the kernel is 3×3 with stride 1 (the shape Winograd
 /// minimal filtering addresses; all of VGG16's conv layers qualify) or
 /// on channel mismatch.
-pub fn conv2d(input: &Tensor3<i16>, weights: &Tensor4<i8>, geom: Geometry) -> Tensor3<i64> {
+pub fn conv2d(input: &Tensor3<i16>, weights: &Tensor4<i8>, geom: Geometry) -> (Tensor3<i64>, u64) {
     let w = weights.shape();
     assert_eq!(
         (w.kernel_rows, w.kernel_cols, geom.stride),
@@ -124,6 +126,7 @@ pub fn conv2d(input: &Tensor3<i16>, weights: &Tensor4<i8>, geom: Geometry) -> Te
     let out_shape = output_shape(input.shape(), weights, geom);
     let m_per_group = w.out_channels / geom.groups;
     let mut out = Tensor3::zeros(out_shape);
+    let mut products = 0u64;
 
     // Pre-transform every kernel once.
     let mut u_all: Vec<[i64; 16]> = Vec::with_capacity(w.out_channels * w.in_channels);
@@ -159,6 +162,7 @@ pub fn conv2d(input: &Tensor3<i16>, weights: &Tensor4<i8>, geom: Geometry) -> Te
                     for i in 0..16 {
                         acc[i] += u[i] * v[i];
                     }
+                    products += 16;
                 }
                 let y = transform_output(&acc);
                 for dr in 0..2 {
@@ -172,17 +176,7 @@ pub fn conv2d(input: &Tensor3<i16>, weights: &Tensor4<i8>, geom: Geometry) -> Te
             }
         }
     }
-    out
-}
-
-/// Multiply-count model for `F(2×2, 3×3)`: 16 multiplications per 2×2
-/// output tile per `(m, n)` pair, vs 36 for direct convolution (2.25×
-/// reduction; transforms use only adds and shifts).
-pub fn multiply_reduction(out_rows: usize, out_cols: usize) -> f64 {
-    let tiles = out_rows.div_ceil(2) * out_cols.div_ceil(2);
-    let winograd = 16 * tiles;
-    let dense = 9 * out_rows * out_cols;
-    dense as f64 / winograd as f64
+    (out, products)
 }
 
 #[cfg(test)]
@@ -193,8 +187,12 @@ mod tests {
 
     fn check(input: &Tensor3<i16>, weights: &Tensor4<i8>, geom: Geometry) {
         let reference = dense::conv2d(input, weights, geom);
-        let winograd = conv2d(input, weights, geom);
+        let (winograd, products) = conv2d(input, weights, geom);
         assert_eq!(reference, winograd);
+        let out = reference.shape();
+        let tiles = out.rows.div_ceil(2) * out.cols.div_ceil(2);
+        let pairs = weights.shape().out_channels * weights.shape().in_channels;
+        assert_eq!(products, 16 * (tiles * pairs) as u64);
     }
 
     #[test]
@@ -264,13 +262,5 @@ mod tests {
         let input = Tensor3::<i16>::zeros(Shape3::new(1, 8, 8));
         let w = Tensor4::<i8>::zeros(Shape4::new(1, 1, 5, 5));
         let _ = conv2d(&input, &w, Geometry::new(1, 2));
-    }
-
-    #[test]
-    fn reduction_is_2_25_for_even_tiles() {
-        assert!((multiply_reduction(28, 28) - 2.25).abs() < 1e-12);
-        // Odd sizes pay for the padded tile.
-        assert!(multiply_reduction(5, 5) < 2.25);
-        assert!(multiply_reduction(5, 5) > 1.5);
     }
 }

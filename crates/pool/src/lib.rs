@@ -1,4 +1,6 @@
-//! Parallel execution for the inference host.
+//! Parallel execution on the host: the one worker pool that host
+//! inference (`abm-conv`) and the cycle simulator (`abm-sim`) share,
+//! a leaf crate so that the simulator links no host engine.
 //!
 //! The paper's accelerator scales by letting idle compute units grab
 //! the next task the moment they finish ("semi-synchronous"
@@ -20,9 +22,12 @@
 //! layer's kernels a lone image splits across threads; the two are
 //! never nested.
 //!
-//! [`Parallelism`] is the knob threaded through
-//! [`Inferencer`](crate::Inferencer), the simulator's network runner,
-//! the CLI and the examples.
+//! [`Parallelism`] is the knob threaded through `abm-conv`'s
+//! `Inferencer`, the simulator's network runner, the CLI and the
+//! examples.
+
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
 
 use abm_fault::AbmError;
 use abm_telemetry::{Event, TelemetrySink};
@@ -251,7 +256,7 @@ where
 /// shares are fixed up front, as the accelerator's compute units each
 /// take the next kernels of one window, and a share's panic resumes on
 /// the caller with its own payload.
-pub(crate) fn on_shares<S, R>(
+pub fn on_shares<S, R>(
     shares: impl Iterator<Item = S>,
     each: impl Fn(S) -> R + Sync,
     fold: impl FnMut(R, R) -> R,
@@ -285,7 +290,7 @@ where
 
 /// The message a caught panic carried (`panic!` payloads are a `String`
 /// or a `&str`; anything else came from `panic_any`).
-pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     payload
         .downcast_ref::<String>()
         .cloned()

@@ -10,7 +10,7 @@
 //! | request                      | response |
 //! |------------------------------|----------|
 //! | `ping`                       | `pong` |
-//! | `stats`                      | `stats submitted=… admitted=… shed=… completed=… failed=… deadline_cut=… deadline_missed=… degraded_batches=… chaos_injected=… watchdog_failovers=… watchdog_late=… wide_batches=… batches=…` |
+//! | `stats`                      | `stats submitted=… admitted=… shed=… refused=… completed=… failed=… deadline_cut=… deadline_missed=… degraded_batches=… chaos_injected=… watchdog_failovers=… watchdog_late=… wide_batches=… batches=…` |
 //! | `infer <seed> <deadline_ms>` | `ok id=… class=… lat_us=… queued_us=… degraded=… missed=…` |
 //! |                              | or `err overloaded <detail>` / `err deadline <detail>` / `err internal <detail>` |
 //!
@@ -220,12 +220,13 @@ fn handle_line(line: &str, server: &Arc<Server>) -> String {
         Some("stats") => {
             let s = server.stats();
             format!(
-                "stats submitted={} admitted={} shed={} completed={} failed={} deadline_cut={} \
-                 deadline_missed={} degraded_batches={} chaos_injected={} \
+                "stats submitted={} admitted={} shed={} refused={} completed={} failed={} \
+                 deadline_cut={} deadline_missed={} degraded_batches={} chaos_injected={} \
                  watchdog_failovers={} watchdog_late={} wide_batches={} batches={}",
                 s.submitted,
                 s.admitted,
                 s.shed,
+                s.refused,
                 s.completed,
                 s.failed,
                 s.deadline_cut,

@@ -231,6 +231,7 @@ enum Counter {
     Submitted,
     Admitted,
     Shed,
+    Refused,
     Completed,
     Failed,
     DeadlineCut,
@@ -250,6 +251,7 @@ impl Counter {
             Self::Submitted => "serve_submitted_total",
             Self::Admitted => "serve_admitted_total",
             Self::Shed => "serve_shed_total",
+            Self::Refused => "serve_refused_total",
             Self::Completed => "serve_completed_total",
             Self::Failed => "serve_failed_total",
             Self::DeadlineCut => "serve_deadline_total",
@@ -272,7 +274,9 @@ struct Counters([AtomicU64; Counter::Batches as usize + 1]);
 /// A point-in-time snapshot of the server's accounting. The
 /// conservation invariant after a drain:
 /// `admitted == completed + failed + deadline_cut` and
-/// `submitted == admitted + shed`.
+/// `submitted == admitted + shed`. Every request answered with an
+/// error, or refused, is counted once in `abm_errors_serve_total`:
+/// `shed + refused + failed + deadline_cut`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeStats {
     /// Requests offered (admitted + shed).
@@ -281,6 +285,9 @@ pub struct ServeStats {
     pub admitted: u64,
     /// Requests refused with a typed [`AbmError::Overloaded`].
     pub shed: u64,
+    /// Requests refused at submit with [`AbmError::ShapeMismatch`]: not
+    /// submitted, so in no other field.
+    pub refused: u64,
     /// Requests answered with a successful inference.
     pub completed: u64,
     /// Requests answered with a typed error other than a deadline cut.
@@ -329,6 +336,7 @@ impl Counters {
             submitted: read(Counter::Submitted),
             admitted: read(Counter::Admitted),
             shed: read(Counter::Shed),
+            refused: read(Counter::Refused),
             completed: read(Counter::Completed),
             failed: read(Counter::Failed),
             deadline_cut: read(Counter::DeadlineCut),
@@ -544,8 +552,9 @@ impl Server {
     /// # Errors
     ///
     /// [`AbmError::ShapeMismatch`] when `input` is not the model's
-    /// input shape — refused before it is counted or admitted, so it
-    /// can never fail the batch it would have ridden in; and
+    /// input shape — refused before it is submitted or admitted (counted
+    /// in [`ServeStats::refused`]), so it can never fail the batch it
+    /// would have ridden in; and
     /// [`AbmError::Overloaded`] when the server is draining, the
     /// bounded queue is full, or the cost model predicts the queue's
     /// drain time exceeds `deadline_budget`.
@@ -561,6 +570,7 @@ impl Server {
                 got: (got.channels, got.rows, got.cols),
                 want: (want.channels, want.rows, want.cols),
             };
+            shared.counters.bump(Counter::Refused);
             abm_metrics::global().note_error("serve");
             return Err(e);
         }
@@ -1163,7 +1173,6 @@ fn watchdog_loop(shared: &Arc<Shared>) {
                 drop(entry.handle.take()); // detach the wedged thread
                 replacements += 1;
                 shared.counters.bump(Counter::WatchdogFailovers);
-                abm_metrics::global().note_error("serve");
                 stuck.push((batch, replies));
                 false // the wedged worker's registry slot is retired
             });

@@ -130,9 +130,9 @@ pub(crate) fn check_bandwidth<I: Injector>(
 mod tests {
     use super::*;
     use crate::run::SimContext;
-    use abm_conv::parallel::Parallelism;
     use abm_fault::{Fault, FaultClass, FaultPlan, NullInjector, PlanInjector};
     use abm_model::{synthesize_model, zoo, LayerProfile, PruneProfile, SparseModel};
+    use abm_pool::Parallelism;
 
     fn tiny_model() -> SparseModel {
         let net = zoo::tiny();

@@ -68,7 +68,7 @@ pub mod task;
 pub mod telemetry;
 pub mod verify;
 
-pub use abm_conv::parallel::Parallelism;
+pub use abm_pool::Parallelism;
 pub use config::{AcceleratorConfig, ConfigError};
 pub use fault::WATCHDOG_SLACK_CYCLES;
 pub use memory::MemorySystem;

@@ -18,9 +18,9 @@ use crate::lane;
 use crate::memory::{layer_traffic, window_traffic, LayerTraffic, MemorySystem};
 use crate::sched::{schedule_window_with, SchedulingPolicy};
 use crate::task::Workload;
-use abm_conv::parallel::{parallel_map_salvage, Parallelism};
 use abm_fault::{AbmError, Injector, NullInjector};
 use abm_model::SparseModel;
+use abm_pool::{parallel_map_salvage, Parallelism};
 use abm_telemetry::{Collector, Event, NullCollector};
 
 /// Simulation outcome for one accelerated layer (per image).
@@ -347,12 +347,6 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
                 layer,
                 name: w.name.clone(),
                 cycle: start_cycle,
-            });
-            collector.record(Event::KernelDispatch {
-                layer,
-                isa: w.host_sel.isa.name().to_string(),
-                acc: w.host_sel.acc.name().to_string(),
-                lanes: w.host_sel.lanes() as u32,
             });
             for (k, kernel) in w.code.kernels().iter().enumerate() {
                 if kernel.total() == 0 {

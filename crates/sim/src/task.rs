@@ -8,8 +8,8 @@
 
 use crate::config::AcceleratorConfig;
 use crate::lane;
-use abm_conv::parallel::{parallel_map, Parallelism};
 use abm_model::SparseLayer;
+use abm_pool::{parallel_map, Parallelism};
 use abm_sparse::{EncodeError, FlatLayout, LayerCode};
 
 /// One accelerated layer prepared for simulation: its Q-Table and
@@ -50,14 +50,6 @@ pub struct Workload {
     pub is_fc: bool,
     /// Dense op count (the Table 2 throughput numerator).
     pub dense_ops: u64,
-    /// Host kernel variant the functional engine dispatches this layer
-    /// to: the same `select_auto` call `PreparedConv` makes, fed by the
-    /// same worst-case `AccumulatorModel::host()` stage-1 width (read
-    /// off the largest Q-Table group, which the lowering preserves) and
-    /// the same sweep-length rule. Purely descriptive on the timing
-    /// side — recorded into telemetry so simulated and host traces agree
-    /// on which variant executes the stream.
-    pub host_sel: abm_kernel::Selection,
 }
 
 impl Workload {
@@ -90,23 +82,6 @@ impl Workload {
                 pad: layer.pad(),
             }
         };
-        // The host dispatch the functional engine makes at
-        // `PreparedConv` construction: worst-case stage-1 width over
-        // any `i16` input, widest ISA the layer's sweep can fill. A bad
-        // `ABM_FORCE_ISA` pin falls back to scalar here rather than
-        // erroring — the functional path is the authoritative gate for
-        // rejecting unavailable pins.
-        let counts = code.kernels().iter().flat_map(|k| k.group_counts());
-        let stage1_bits = abm_verify::AccumulatorModel::host().stage1_required_bits(counts);
-        let sweep = layout.shortest_sweep(out.rows, out.cols);
-        let host_sel = abm_kernel::select_auto(None, stage1_bits, sweep)
-            // The scalar port always runs the i64 accumulator and
-            // is compiled on every target, so it is the total
-            // fallback when an env pin names an unavailable ISA.
-            .unwrap_or(abm_kernel::Selection {
-                isa: abm_kernel::Isa::Scalar,
-                acc: abm_kernel::AccWidth::I64,
-            });
         Ok(Self {
             name: layer.name().to_string(),
             code,
@@ -120,7 +95,6 @@ impl Workload {
             stride: layer.stride(),
             is_fc,
             dense_ops: layer.layer.dense_ops(),
-            host_sel,
         })
     }
 
@@ -307,33 +281,6 @@ mod tests {
         assert_eq!(w.vectors_per_window(&cfg, 1), 1);
         assert_eq!(w.window_count(&cfg), 1);
         assert_eq!(w.batches(&cfg), 5); // ceil(64/14)
-    }
-
-    /// The recorded host dispatch is the one the functional engine
-    /// makes, layer for layer, on `tiny` and all 24 zoo layers — both
-    /// read the same sweep-length rule (`FlatLayout::shortest_sweep`) —
-    /// and the recorded geometry is the one it lowers against.
-    #[test]
-    fn host_sel_is_the_prepared_layers_selection() {
-        for (net, profile) in [
-            (
-                zoo::tiny(),
-                PruneProfile::uniform(LayerProfile::new(0.5, 8)),
-            ),
-            (zoo::alexnet(), PruneProfile::alexnet_deep_compression()),
-            (zoo::vgg16(), PruneProfile::vgg16_deep_compression()),
-        ] {
-            let model = synthesize_model(&net, &profile, 42);
-            let prepared = abm_conv::Inferencer::new(&model).prepare().unwrap();
-            for (i, layer) in model.layers.iter().enumerate() {
-                let w = Workload::from_layer(layer).unwrap();
-                let host = prepared
-                    .abm_layer(i)
-                    .expect("ABM engine prepares every layer");
-                assert_eq!(w.host_sel, host.selection(), "{}/{}", net.name(), w.name);
-                assert_eq!(w.layout, host.flat().layout(), "{}/{}", net.name(), w.name);
-            }
-        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::lane;
 use crate::pipeline::simulate_pipeline;
 use crate::sched::{schedule_window_with, PipelinedSchedule, SchedulingPolicy};
 use crate::task::Workload;
-use abm_conv::parallel::Parallelism;
+use abm_pool::Parallelism;
 use abm_sparse::{EncodeError, FlatCode};
 use abm_verify::{
     verify_lowering, verify_pipeline, verify_schedule, AccumulatorModel, BoundaryFacts,

@@ -16,9 +16,8 @@
 //! [`flat::FlatCode`] lowers it once per layer to precomputed flat input
 //! offsets — the shared "address generator" form both consumers execute
 //! and time against;
-//! [`size`] computes the external-memory footprint reproduced in Table 3;
-//! [`csr`] provides the classical CSR encoding used by the SpConv
-//! baseline.
+//! [`size`] computes the external-memory footprint reproduced in Table 3,
+//! against the classical CSR encoding's `3·nnz` bytes.
 //!
 //! # Examples
 //!
@@ -39,13 +38,11 @@
 #![warn(missing_docs)]
 
 pub mod compress;
-pub mod csr;
 pub mod encode;
 pub mod flat;
 pub mod size;
 
 pub use compress::{compress_layer, CompressedLayer, Huffman};
-pub use csr::CsrKernel;
 pub use encode::{EncodeError, KernelCode, LayerCode, QEntry};
 pub use flat::{FlatCode, FlatKernel, FlatLayout, Tap};
 pub use size::{EncodingSize, SizeModel};

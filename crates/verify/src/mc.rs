@@ -1,7 +1,7 @@
 //! Pass 3 — the exhaustive-interleaving model checker.
 //!
 //! The repository has two hand-written concurrent protocols: the
-//! shared claim counter behind `abm-conv`'s `parallel_map` (the host
+//! shared claim counter behind `abm-pool`'s `parallel_map` (the host
 //! analogue of the paper's semi-synchronous CU scheduler), and the
 //! accumulator→FIFO→multiplier hand-off inside a lane (`abm-sim`'s
 //! timing recurrence models it; the hardware builds it). Both are

@@ -54,9 +54,6 @@ pub enum Command {
         report: bool,
         /// Write a Chrome `trace_event` JSON file of the CU timeline.
         trace_out: Option<String>,
-        /// Pin the host kernel ISA recorded per workload (`None` =
-        /// auto-detect).
-        isa: Option<Isa>,
     },
     /// The full design-space exploration flow.
     Explore {
@@ -323,16 +320,6 @@ fn fold_dispatch(variants: impl Iterator<Item = (String, u32)>) -> Vec<(String, 
         }
     }
     groups
-}
-
-/// Groups `KernelDispatch` telemetry events by resolved variant.
-fn dispatch_groups(events: &[abm_telemetry::Event]) -> Vec<(String, u32, u32)> {
-    fold_dispatch(events.iter().filter_map(|e| match e {
-        abm_telemetry::Event::KernelDispatch {
-            isa, acc, lanes, ..
-        } => Some((format!("{isa}/{acc}"), *lanes)),
-        _ => None,
-    }))
 }
 
 /// Renders dispatch groups as `isa/acc xN (L lanes)`, comma-joined.

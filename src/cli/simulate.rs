@@ -1,9 +1,8 @@
 //! `abm-spconv simulate`: cycle simulation on a configuration.
 
-use super::flags::{flag, positive_f64, switch, text, uint, ISA, PARALLEL};
-use super::{build, dispatch_groups, fields, render_dispatch, Command, Subcommand};
+use super::flags::{flag, positive_f64, switch, text, uint, PARALLEL};
+use super::{build, fields, Command, Subcommand};
 use abm_conv::Parallelism;
-use abm_kernel::Isa;
 use abm_sim::{network_report, AcceleratorConfig, SimContext};
 use abm_telemetry::{ChromeTrace, RecordingCollector};
 use std::error::Error;
@@ -17,7 +16,6 @@ pub(super) const SUB: Subcommand = Subcommand {
         flag!("--s-ec" "N", Simulate.config.s_ec = uint),
         flag!("--freq" "MHZ", Simulate.config.freq_mhz = positive_f64),
         flag!("--parallel" PARALLEL, Simulate.parallelism = Parallelism::parse),
-        flag!("--isa" ISA, Simulate.isa = Isa::parse),
         flag!("--telemetry" "", Simulate.telemetry = switch),
         flag!("--report" "", Simulate.report = switch),
         flag!("--trace-out" "PATH", Simulate.trace_out = text),
@@ -29,23 +27,11 @@ pub(super) const SUB: Subcommand = Subcommand {
         telemetry: false,
         report: false,
         trace_out: None,
-        isa: None,
     },
 };
 
 pub(super) fn run(command: &Command) -> Result<(), Box<dyn Error>> {
-    fields!(command => Simulate { net, config, parallelism, telemetry, report, trace_out, isa });
-    // The simulator's workload preparation reads the same
-    // `ABM_FORCE_ISA` pin the functional engine honors, so the
-    // flag routes through the environment override after an
-    // availability check (a pin the CPU cannot run must fail
-    // loudly, not silently fall back).
-    if let Some(isa) = isa {
-        if !isa.available() {
-            return Err(format!("ISA '{isa}' is not available on this CPU").into());
-        }
-        std::env::set_var(abm_kernel::FORCE_ISA_ENV, isa.name());
-    }
+    fields!(command => Simulate { net, config, parallelism, telemetry, report, trace_out });
     let (network, profile, model) = build(net, 2019);
     let collect = *telemetry || *report || trace_out.is_some();
     let mut recording = RecordingCollector::new();
@@ -92,10 +78,6 @@ pub(super) fn run(command: &Command) -> Result<(), Box<dyn Error>> {
         let est = abm_dse::estimate_network(&network, &profile, config);
         abm_dse::annotate_report(&mut rep, &est);
         print!("{}", rep.render_table());
-        let groups = dispatch_groups(recording.events());
-        if !groups.is_empty() {
-            println!("  host kernel dispatch: {}", render_dispatch(&groups));
-        }
     }
     if let Some(path) = trace_out {
         let trace = ChromeTrace::from_events(recording.events());

@@ -63,7 +63,6 @@ fn parse_simulate_with_overrides() {
             telemetry,
             report,
             trace_out,
-            isa,
         } => {
             assert_eq!(net, "tiny");
             assert_eq!(config.n_cu, 2);
@@ -73,7 +72,6 @@ fn parse_simulate_with_overrides() {
             assert_eq!(parallelism, Parallelism::Threads(4));
             assert!(!telemetry && !report);
             assert_eq!(trace_out, None);
-            assert_eq!(isa, None);
         }
         other => panic!("wrong command {other:?}"),
     }
@@ -166,14 +164,6 @@ fn parse_isa_pins() {
         cmd,
         Command::Infer {
             isa: Some(Isa::Scalar),
-            ..
-        }
-    ));
-    let cmd = parse(&argv("simulate tiny --isa avx2")).unwrap();
-    assert!(matches!(
-        cmd,
-        Command::Simulate {
-            isa: Some(Isa::Avx2),
             ..
         }
     ));
@@ -306,27 +296,12 @@ fn execute_metrics_tiny_writes_valid_snapshots() {
 
 #[test]
 fn dispatch_groups_fold_repeated_variants() {
-    let events = vec![
-        abm_telemetry::Event::KernelDispatch {
-            layer: 0,
-            isa: "avx2".into(),
-            acc: "i32".into(),
-            lanes: 8,
-        },
-        abm_telemetry::Event::KernelDispatch {
-            layer: 1,
-            isa: "avx2".into(),
-            acc: "i32".into(),
-            lanes: 8,
-        },
-        abm_telemetry::Event::KernelDispatch {
-            layer: 2,
-            isa: "avx2".into(),
-            acc: "i64".into(),
-            lanes: 8,
-        },
-    ];
-    let groups = dispatch_groups(&events);
+    let variants = [("avx2/i32", 8), ("avx2/i32", 8), ("avx2/i64", 8)];
+    let groups = fold_dispatch(
+        variants
+            .into_iter()
+            .map(|(name, lanes)| (name.into(), lanes)),
+    );
     assert_eq!(
         groups,
         vec![("avx2/i32".into(), 8, 2), ("avx2/i64".into(), 8, 1)]
@@ -524,7 +499,6 @@ fn execute_fast_paths() {
         telemetry: false,
         report: false,
         trace_out: None,
-        isa: None,
     })
     .unwrap();
     execute(&Command::Infer {
@@ -553,7 +527,6 @@ fn execute_simulate_with_telemetry_outputs() {
         telemetry: true,
         report: true,
         trace_out: Some(trace_path.to_string_lossy().into_owned()),
-        isa: None,
     })
     .unwrap();
     let trace = std::fs::read_to_string(&trace_path).unwrap();

@@ -1,5 +1,5 @@
 //! Determinism under parallel execution — the invariant of the
-//! claim-counter host pool (`abm_conv::parallel`).
+//! claim-counter host pool (`abm-pool`).
 //!
 //! The paper's accelerator is deterministic by construction: the
 //! semi-synchronous scheduler changes *when* a CU runs a task, never

@@ -1,13 +1,13 @@
 //! Cross-crate equivalence: the paper's Equation (2) holds exactly —
 //! ABM-SpConv and dense SDConv agree bit-for-bit on whole networks,
-//! through both model-preparation paths. (GEMM and CSR SpConv are held
-//! to dense one layer at a time, in `tests/properties.rs`.)
+//! through both model-preparation paths — and Table 1's comparator
+//! columns are the counts their executors run up.
 
-use abm_spconv_repro::conv::{Engine, Inferencer};
+use abm_spconv_repro::conv::{dense, freq, ops, winograd, Engine, Geometry, Inferencer};
 use abm_spconv_repro::model::{
-    synthesize_from_float, synthesize_model, zoo, LayerProfile, PruneProfile,
+    synthesize_from_float, synthesize_model, zoo, ConvSpec, LayerKind, LayerProfile, PruneProfile,
 };
-use abm_spconv_repro::tensor::{Shape3, Tensor3};
+use abm_spconv_repro::tensor::{Shape3, Tensor3, Tensor4};
 
 fn image(shape: Shape3, salt: usize) -> Tensor3<i16> {
     Tensor3::from_fn(shape, |c, r, col| {
@@ -115,4 +115,89 @@ fn work_counters_match_static_analysis() {
     assert_eq!(abm.work.accumulations, t.abm_acc);
     assert_eq!(abm.work.multiplications, t.abm_mult);
     assert_eq!(abm.work.final_accumulations, t.abm_final);
+    // SpConv does one multiply and one add per surviving MAC, ABM's
+    // stage 1 one add: Table 1's SpConv column is twice what ABM ran.
+    assert_eq!(t.spconv, 2 * abm.work.accumulations);
+}
+
+/// Every conv layer of `net` with its input shape and spec.
+fn conv_layers(net: &abm_spconv_repro::model::Network) -> Vec<(String, Shape3, ConvSpec)> {
+    net.conv_fc_layers()
+        .filter_map(|l| match l.layer.kind {
+            LayerKind::Conv(c) => Some((l.layer.name.clone(), l.input_shape, c)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Table 1's FDConv and Winograd columns are `ops::oaa_cost` and
+/// `ops::winograd_mults`; each must equal the count its executor runs
+/// up, on every VGG16 conv-layer geometry and every AlexNet one: the
+/// stride-4 CONV1 (OaA computes the stride-1 extent and subsamples it),
+/// the grouped layers (`ops` counts one group, the executor all of
+/// them) and the odd 13×13 extents (a partial Winograd tile). Full
+/// channel counts are too slow here, so `M` and `N` are scaled down.
+/// Both counts are linear in `M` and in `N` (per tile, `N` forward and
+/// `M` inverse transforms, and `M·N` Hadamard or Winograd products), so
+/// two `(M, N)` pairs per group check every coefficient the layer's
+/// spatial geometry sets.
+#[test]
+fn comparator_columns_count_what_their_executors_run() {
+    let vgg = conv_layers(&zoo::vgg16());
+    let alexnet = conv_layers(&zoo::alexnet());
+    assert_eq!((vgg.len(), alexnet.len()), (13, 5));
+    assert_eq!(alexnet[0].2.stride, 4);
+    for (m, n) in [(1usize, 2usize), (3, 1)] {
+        for (name, input, c) in vgg.iter().chain(&alexnet) {
+            let g = c.groups;
+            let spec = ConvSpec {
+                in_channels: n * g,
+                out_channels: m * g,
+                ..*c
+            };
+            let input = image(Shape3::new(n * g, input.rows, input.cols), m);
+            let mut state = (m * 7 + n) as u32;
+            let weights = Tensor4::from_fn(spec.weight_shape(), |_, _, _, _| {
+                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                (state >> 24) as i8 / 8
+            });
+            let geom = Geometry::new(c.stride, c.pad).with_groups(g);
+            let reference = dense::conv2d(&input, &weights, geom);
+
+            let l = ops::fft_size_for_kernel(c.kernel);
+            let (fd, cost) = freq::conv2d_oaa(&input, &weights, geom, l);
+            let per_group = ops::oaa_cost(&spec, input.shape());
+            let g = g as u64;
+            assert_eq!(
+                (
+                    cost.input_fft_mults,
+                    cost.hadamard_mults,
+                    cost.inverse_fft_mults
+                ),
+                (
+                    per_group.input_fft_mults * g,
+                    per_group.hadamard_mults * g,
+                    per_group.inverse_fft_mults * g
+                ),
+                "{name} ({m}, {n})"
+            );
+            for (a, b) in reference.as_slice().iter().zip(fd.as_slice()) {
+                assert!(
+                    (*a as f64 - b).abs() < 1e-6,
+                    "{name}: dense {a} vs fdconv {b}"
+                );
+            }
+
+            if c.kernel == 3 && c.stride == 1 {
+                let (wino, products) = winograd::conv2d(&input, &weights, geom);
+                let out = reference.shape();
+                assert_eq!(
+                    products,
+                    ops::winograd_mults(&spec, out),
+                    "{name} ({m}, {n})"
+                );
+                assert_eq!(wino, reference, "{name}");
+            }
+        }
+    }
 }

@@ -25,6 +25,7 @@ use abm_spconv_repro::campaign::{run_campaign, CampaignConfig};
 use abm_spconv_repro::conv::{
     Inferencer, Parallelism, PreparedConv, PreparedWeights, ResiliencePolicy,
 };
+use abm_spconv_repro::fault::AbmError;
 use abm_spconv_repro::metrics;
 use abm_spconv_repro::model::{
     synthesize_model, zoo, LayerProfile, Network, PruneProfile, SparseModel,
@@ -32,7 +33,7 @@ use abm_spconv_repro::model::{
 use abm_spconv_repro::serve::{synth_input, ChaosConfig, ServeConfig, ServeStats, Server};
 use abm_spconv_repro::sim::{AcceleratorConfig, LayerSim, SimContext};
 use abm_spconv_repro::telemetry::{json, Event, RecordingCollector, TelemetrySink};
-use abm_spconv_repro::tensor::Tensor3;
+use abm_spconv_repro::tensor::{Shape3, Tensor3};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -541,6 +542,7 @@ fn assert_serve_totals_match(snap: &metrics::MetricsSnapshot, stats: &ServeStats
         ("serve_submitted_total", stats.submitted),
         ("serve_admitted_total", stats.admitted),
         ("serve_shed_total", stats.shed),
+        ("serve_refused_total", stats.refused),
         ("serve_completed_total", stats.completed),
         ("serve_failed_total", stats.failed),
         ("serve_deadline_total", stats.deadline_cut),
@@ -562,6 +564,9 @@ fn assert_serve_totals_match(snap: &metrics::MetricsSnapshot, stats: &ServeStats
             "{name} has no ServeStats field"
         );
     }
+    // Each refused or error-answered request is one serve error.
+    let errors = stats.shed + stats.refused + stats.failed + stats.deadline_cut;
+    assert_eq!(counter(snap, "abm_errors_serve_total"), errors, "{stats:?}");
 }
 
 /// Starts a server on the tiny model, submits `requests` seeded images
@@ -642,6 +647,48 @@ fn server_prepares_once() {
     assert!(stats.watchdog_failovers >= 1, "{stats:?}");
     assert_eq!((stats.completed, stats.failed), (2, 0), "{stats:?}");
     assert_eq!(sum_of(&snap, "abm_dispatch_"), accelerated);
+    assert_serve_totals_match(&snap, &stats);
+}
+
+/// A request is a serve error once, at its reply or its refusal: a
+/// watchdog failover whose requests all come back golden counts none,
+/// and a wrong-shape submit counts one, in `ServeStats::refused`.
+#[test]
+fn serve_errors_reconcile_with_serve_stats() {
+    let _guard = registry_lock();
+    let server = serve_tiny(
+        ServeConfig {
+            workers: 1,
+            max_batch: 4,
+            warmup_images: 1,
+            watchdog_grace: Duration::from_millis(100),
+            chaos: Some(ChaosConfig {
+                seed: 1,
+                corrupt_every: 0,
+                stall_every: 1,
+                stall_for: Duration::from_millis(400),
+            }),
+            ..ServeConfig::default()
+        },
+        2,
+    );
+    let wrong = Tensor3::zeros(Shape3::new(1, 1, 1));
+    assert!(matches!(
+        server.submit(wrong, Duration::from_secs(600)),
+        Err(AbmError::ShapeMismatch { .. })
+    ));
+    while server.stats().watchdog_late < server.stats().watchdog_failovers {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stats = server.shutdown();
+    let snap = metrics::global().snapshot();
+    assert!(stats.watchdog_failovers >= 1, "{stats:?}");
+    assert_eq!(
+        (stats.completed, stats.failed, stats.refused),
+        (2, 0, 1),
+        "{stats:?}"
+    );
+    assert_eq!(counter(&snap, "abm_errors_serve_total"), 1);
     assert_serve_totals_match(&snap, &stats);
 }
 

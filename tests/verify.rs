@@ -10,7 +10,7 @@
 //!   execute bit-identically to the reference ABM interpreter, checked
 //!   over randomly generated layers with proptest.
 
-use abm_spconv_repro::conv::{abm, Geometry};
+use abm_spconv_repro::conv::{abm, Geometry, Inferencer};
 use abm_spconv_repro::model::{synthesize_model, zoo, LayerProfile, PruneProfile};
 use abm_spconv_repro::sim::task::Workload;
 use abm_spconv_repro::sim::verify::{verify_pipelined_schedule, workload_geometry};
@@ -32,6 +32,30 @@ fn sample_workload() -> Workload {
 /// functional engine would execute.
 fn lower(w: &Workload) -> FlatCode {
     FlatCode::lower(&w.code, w.layout).expect("layer lowers")
+}
+
+/// A `Workload` carries the geometry the functional engine lowers its
+/// layer against, so `lower` rebuilds the flat code the engine runs: on
+/// `tiny` and every AlexNet layer (strided, padded, grouped and FC).
+#[test]
+fn workload_layout_is_the_prepared_layers_layout() {
+    for (net, profile) in [
+        (
+            zoo::tiny(),
+            PruneProfile::uniform(LayerProfile::new(0.5, 8)),
+        ),
+        (zoo::alexnet(), PruneProfile::alexnet_deep_compression()),
+    ] {
+        let model = synthesize_model(&net, &profile, 42);
+        let prepared = Inferencer::new(&model).prepare().unwrap();
+        for (i, layer) in model.layers.iter().enumerate() {
+            let w = Workload::from_layer(layer).unwrap();
+            let host = prepared
+                .abm_layer(i)
+                .expect("ABM engine prepares every layer");
+            assert_eq!(w.layout, host.flat().layout(), "{}/{}", net.name(), w.name);
+        }
+    }
 }
 
 /// Lowers the workload, passes kernel 0's raw streams through `mutate`,

@@ -48,8 +48,8 @@ use std::path::{Path, PathBuf};
 /// observed process is worse than no observation) and the server (a
 /// request, well-formed or not, gets a typed reply, never a dead
 /// worker).
-const PANIC_FREE_CRATES: [&str; 9] = [
-    "tensor", "sparse", "conv", "sim", "fault", "verify", "kernel", "metrics", "serve",
+const PANIC_FREE_CRATES: [&str; 10] = [
+    "tensor", "sparse", "conv", "pool", "sim", "fault", "verify", "kernel", "metrics", "serve",
 ];
 
 /// Relative path of the panic-site allowlist.

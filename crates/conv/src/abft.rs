@@ -36,37 +36,16 @@
 //! the software analogue of the checksum-augmented output rows ABFT
 //! schemes add to hardware MAC arrays.
 //!
-//! The module also carries the input-stream checksum helpers used by
-//! the fault campaign to detect FI-Buffer corruption (a word flipped
-//! between DDR admit and CU consume).
+//! What ABFT cannot see is a wrong input: it predicts from the input as
+//! the layer read it, so an upset in a feature map between two layers
+//! yields a right output of a wrong input. The host leaves those upsets
+//! unprotected (DESIGN.md §11).
 
 use crate::abm::{kernel_runs, Accumulator, PreparedConv};
-use abm_fault::{stream_checksum_i16, AbmError};
+use abm_fault::AbmError;
 use abm_pool::on_shares;
 use abm_tensor::Tensor3;
 use std::ops::Range;
-
-/// FNV digest of an input feature map — the "admit-side" signature the
-/// campaign compares against the consume-side stream to catch FI-Buffer
-/// word flips.
-#[must_use]
-pub fn input_checksum(input: &Tensor3<i16>) -> u64 {
-    stream_checksum_i16(input.as_slice())
-}
-
-/// Compares an input feature map against its admit-side checksum.
-///
-/// # Errors
-///
-/// Returns [`AbmError::InputCorrupt`] when the digests differ.
-pub fn verify_input(input: &Tensor3<i16>, expected: u64) -> Result<(), AbmError> {
-    let computed = input_checksum(input);
-    if computed == expected {
-        Ok(())
-    } else {
-        Err(AbmError::InputCorrupt { expected, computed })
-    }
-}
 
 /// Checks every output plane's sum against its ABFT prediction — the
 /// tensor front door over the check the hardened inference path runs on
@@ -506,16 +485,5 @@ mod tests {
                 "word {} bit {}: {}", idx, bit, err
             );
         }
-    }
-
-    #[test]
-    fn input_checksum_round_trips() {
-        let input = Tensor3::from_fn(Shape3::new(1, 4, 4), |_, r, c| (r * 4 + c) as i16);
-        let sum = input_checksum(&input);
-        verify_input(&input, sum).unwrap();
-        let mut tampered = input.clone();
-        tampered.as_mut_slice()[5] ^= 1;
-        let err = verify_input(&tampered, sum).unwrap_err();
-        assert!(matches!(err, AbmError::InputCorrupt { expected, .. } if expected == sum));
     }
 }

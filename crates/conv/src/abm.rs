@@ -48,7 +48,7 @@
 //! ([`crate::infer::Inferencer`]) prepare once and reuse.
 
 use crate::dense::Geometry;
-use abm_fault::AbmError;
+use abm_fault::{AbmError, FaultClass, SplitMix64};
 use abm_kernel::{gather_one, AbmKernel, AccWidth, Isa, Selection};
 use abm_pool::{on_shares, Parallelism};
 use abm_sparse::{FlatCode, FlatKernel, FlatLayout, LayerCode};
@@ -126,41 +126,6 @@ pub(crate) fn validate_grouping(
         });
     }
     Ok(())
-}
-
-/// The lowering pass over `flat` and its witness `code`, for an input
-/// of `in_channels` channels in `groups` groups laid out as `flat`'s
-/// layout says, against the host accumulator. A zero stride has no
-/// output plane; the pass rejects it before reading one.
-fn lowering_report(
-    code: &LayerCode,
-    flat: &FlatCode,
-    in_channels: usize,
-    groups: usize,
-) -> abm_verify::VerifyReport {
-    let layout = flat.layout();
-    let w = flat.shape();
-    let (out_rows, out_cols) = match layout.stride {
-        0 => (0, 0),
-        _ => layout.out_dims(w.kernel_rows, w.kernel_cols),
-    };
-    let geometry = abm_verify::ConvGeometry {
-        in_channels,
-        in_rows: layout.in_rows,
-        in_cols: layout.in_cols,
-        stride: layout.stride,
-        pad: layout.pad,
-        groups,
-        out_rows,
-        out_cols,
-    };
-    abm_verify::verify_lowering(
-        "prepared-conv",
-        code,
-        flat,
-        &geometry,
-        &abm_verify::AccumulatorModel::host(),
-    )
 }
 
 /// Runs ABM-SpConv over an encoded layer, returning the exact
@@ -260,7 +225,9 @@ impl PreparedConv {
     /// defers to `ABM_FORCE_ISA` and then auto-detection. Whatever is
     /// requested, a layer whose stage-1 worst case does not fit `i32`
     /// runs the checked scalar `i64` port — the pin chooses an ISA,
-    /// never an unproven accumulator.
+    /// never an unproven accumulator. The output geometry, the analytic
+    /// work, the golden checksum and the kernel dispatch are resolved
+    /// here, once, never on the execution path.
     ///
     /// # Errors
     ///
@@ -278,86 +245,6 @@ impl PreparedConv {
         let code = code.into();
         validate_grouping(in_shape, code.shape(), geom)?;
         let flat = FlatCode::lower(&code, Self::layout_for(in_shape, geom))?;
-        let prepared = Self::assemble(flat, code, in_shape, geom, isa)?;
-        // Debug builds statically verify the lowering against its source
-        // streams on construction; release builds skip the pass (`cargo
-        // xtask verify` runs it explicitly over the model zoo).
-        #[cfg(debug_assertions)]
-        {
-            let report = prepared.verify_lowering();
-            debug_assert!(
-                report.is_clean(),
-                "ABM lowering failed static verification:\n{report}"
-            );
-        }
-        Ok(prepared)
-    }
-
-    /// The re-laid-out form a layer of this input shape and geometry
-    /// reads — what its producer stores through.
-    #[must_use]
-    pub fn layout_for(in_shape: Shape3, geom: Geometry) -> FlatLayout {
-        FlatLayout {
-            in_rows: in_shape.rows,
-            in_cols: in_shape.cols,
-            stride: geom.stride,
-            pad: geom.pad,
-        }
-    }
-
-    /// Loads a pre-lowered flat code (e.g. one deserialized from a
-    /// WT-Buffer/Q-Table image) after validating it against `code`, its
-    /// witness, with the lowering verifier
-    /// ([`abm_verify::verify_lowering`]) — unlike the
-    /// [`FlatCode::from_kernels`] escape hatch, nothing gets past this
-    /// constructor unless every offset is the address of the code's
-    /// index it stands for and the whole sweep stays in bounds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AbmError::CodeCorrupt`] naming the kernel of the first
-    /// defect the verifier finds, in the lowering or in its witness, or
-    /// a contract error when the shape/grouping disagrees with
-    /// `in_shape`/`geom`.
-    pub fn try_from_flat(
-        flat: FlatCode,
-        code: impl Into<Arc<LayerCode>>,
-        in_shape: Shape3,
-        geom: Geometry,
-    ) -> Result<Self, AbmError> {
-        let code = code.into();
-        validate_grouping(in_shape, flat.shape(), geom)?;
-        if flat.layout() != Self::layout_for(in_shape, geom) {
-            return Err(AbmError::ShapeMismatch {
-                got: (
-                    in_shape.channels,
-                    flat.layout().in_rows,
-                    flat.layout().in_cols,
-                ),
-                want: (in_shape.channels, in_shape.rows, in_shape.cols),
-            });
-        }
-        let report = lowering_report(&code, &flat, in_shape.channels, geom.groups);
-        if let Some(defect) = report.defects.first() {
-            return Err(AbmError::CodeCorrupt {
-                kernel: defect.kernel().unwrap_or(0),
-                detail: defect.to_string(),
-            });
-        }
-        Self::assemble(flat, code, in_shape, geom, None)
-    }
-
-    /// Shared tail of the constructors: derive the output geometry,
-    /// analytic work, the golden checksum, and the
-    /// kernel-variant dispatch (resolved here, once, never on the
-    /// execution path).
-    fn assemble(
-        flat: FlatCode,
-        code: Arc<LayerCode>,
-        in_shape: Shape3,
-        geom: Geometry,
-        isa: Option<Isa>,
-    ) -> Result<Self, AbmError> {
         let w = flat.shape();
         let layout = flat.layout();
         let (out_rows, out_cols) = layout.out_dims(w.kernel_rows, w.kernel_cols);
@@ -404,7 +291,7 @@ impl PreparedConv {
             let (dispatch, _) = selection_counters(sel);
             abm_metrics::global().add(dispatch, 1);
         }
-        Ok(Self {
+        let prepared = Self {
             in_shape,
             out_shape,
             geom,
@@ -417,7 +304,31 @@ impl PreparedConv {
             sweep_ops: flat.total_nnz() * per_offset as u64,
             flat,
             code,
-        })
+        };
+        // Debug builds statically verify the lowering against its source
+        // streams on construction; release builds skip the pass (`cargo
+        // xtask verify` runs it explicitly over the model zoo).
+        #[cfg(debug_assertions)]
+        {
+            let report = prepared.verify_lowering();
+            debug_assert!(
+                report.is_clean(),
+                "ABM lowering failed static verification:\n{report}"
+            );
+        }
+        Ok(prepared)
+    }
+
+    /// The re-laid-out form a layer of this input shape and geometry
+    /// reads — what its producer stores through.
+    #[must_use]
+    pub fn layout_for(in_shape: Shape3, geom: Geometry) -> FlatLayout {
+        FlatLayout {
+            in_rows: in_shape.rows,
+            in_cols: in_shape.cols,
+            stride: geom.stride,
+            pad: geom.pad,
+        }
     }
 
     /// Runs the `abm-verify` lowering pass against this prepared layer's
@@ -427,11 +338,23 @@ impl PreparedConv {
     /// worst-case accumulation must fit the host accumulator.
     #[must_use]
     pub fn verify_lowering(&self) -> abm_verify::VerifyReport {
-        lowering_report(
+        let layout = self.flat.layout();
+        let geometry = abm_verify::ConvGeometry {
+            in_channels: self.in_shape.channels,
+            in_rows: layout.in_rows,
+            in_cols: layout.in_cols,
+            stride: layout.stride,
+            pad: layout.pad,
+            groups: self.geom.groups,
+            out_rows: self.out_shape.rows,
+            out_cols: self.out_shape.cols,
+        };
+        abm_verify::verify_lowering(
+            "prepared-conv",
             &self.code,
             &self.flat,
-            self.in_shape.channels,
-            self.geom.groups,
+            &geometry,
+            &abm_verify::AccumulatorModel::host(),
         )
     }
 
@@ -578,9 +501,58 @@ impl PreparedConv {
     /// than in the streams: ABFT, which predicts from the code, is
     /// expected to notice, and the recovery ladder to rebuild nothing
     /// from it. Copies the code first when another layer shares it.
-    /// Never a correctness tool; test use only.
+    /// Never a correctness tool; campaign and test use only.
     pub fn code_mut(&mut self) -> &mut LayerCode {
         Arc::make_mut(&mut self.code)
+    }
+
+    /// Flips one seeded bit of the post-load state `class` names, in a
+    /// kernel with non-zeros: an offset (`wt-word-flip`) or value
+    /// (`qtable-word-flip`) word of the flat streams, through
+    /// [`flat_mut`](Self::flat_mut), or a weight index
+    /// (`code-index-flip`) or Q-Table `NUM` (`code-count-flip`) of the
+    /// retained code, through [`code_mut`](Self::code_mut). Returns
+    /// where the bit landed, or `None` — the layer unchanged — for a
+    /// class of no post-load state or a layer without a non-zero. The one
+    /// source of these upsets for the fault campaign and serving chaos;
+    /// never a correctness tool.
+    pub fn upset(&mut self, class: FaultClass, rng: &mut SplitMix64) -> Option<String> {
+        fn flip<W>(
+            words: &mut [W],
+            bits: u64,
+            rng: &mut SplitMix64,
+            flip: fn(&mut W, u32),
+        ) -> String {
+            let i = rng.below(words.len() as u64) as usize;
+            let bit = rng.below(bits) as u32;
+            flip(&mut words[i], bit);
+            format!("{i} bit {bit}")
+        }
+        let nonempty: Vec<usize> = (self.flat.kernels().iter().enumerate())
+            .filter_map(|(m, k)| (k.total() > 0).then_some(m))
+            .collect();
+        let m = *nonempty.get(rng.below(nonempty.len() as u64) as usize)?;
+        let at = match class {
+            FaultClass::WtWordFlip => {
+                let offsets = self.flat.kernels_mut()[m].streams_mut().2;
+                format!("offset {}", flip(offsets, 32, rng, |w, b| *w ^= 1 << b))
+            }
+            FaultClass::QTableWordFlip => {
+                let values = self.flat.kernels_mut()[m].streams_mut().0;
+                format!("value {}", flip(values, 8, rng, |w, b| *w ^= 1 << b))
+            }
+            FaultClass::CodeIndexFlip => {
+                let indices = self.code_mut().kernels_mut()[m].streams_mut().1;
+                format!("code index {}", flip(indices, 16, rng, |w, b| *w ^= 1 << b))
+            }
+            FaultClass::CodeCountFlip => {
+                let entries = self.code_mut().kernels_mut()[m].streams_mut().0;
+                let at = flip(entries, 32, rng, |e, b| e.count ^= 1 << b);
+                format!("code count {at}")
+            }
+            _ => return None,
+        };
+        Some(format!("kernel {m} {at}"))
     }
 
     /// Runs the prepared layer, returning the exact full-precision
@@ -1495,129 +1467,5 @@ mod tests {
                 proptest::prop_assert_eq!(prep.verify_checksum_on(shares, &mut digests), serial.clone());
             }
         }
-    }
-
-    /// Three 2x3x3 kernels (a first, a middle and a last one) prepared
-    /// over a padded 2x6x6 input at `stride`.
-    fn prepared_at(stride: usize) -> PreparedConv {
-        let weights = pseudo_weights(Shape4::new(3, 2, 3, 3), 6);
-        let code = LayerCode::encode(&weights).unwrap();
-        PreparedConv::try_new(code, Shape3::new(2, 6, 6), Geometry::new(stride, 1), None).unwrap()
-    }
-
-    /// Loads `flat` against `code` in `pristine`'s place and returns the
-    /// kernel the rejection names — the validator must reject, never
-    /// panic, and its message names that kernel exactly once.
-    fn rejected_kernel(pristine: &PreparedConv, flat: FlatCode, code: LayerCode) -> usize {
-        let (in_shape, geom) = (pristine.input_shape(), pristine.geometry());
-        match PreparedConv::try_from_flat(flat, code, in_shape, geom) {
-            Err(e @ AbmError::CodeCorrupt { kernel, .. }) => {
-                let message = e.to_string();
-                let named = message.matches(&format!("kernel {kernel}")).count();
-                assert_eq!(named, 1, "{message}");
-                kernel
-            }
-            other => panic!("expected CodeCorrupt, got {other:?}"),
-        }
-    }
-
-    /// Pre-load corruption of either side is a `CodeCorrupt` naming the
-    /// kernel: of the streams (offset bit flips, an offset moved onto a
-    /// neighbouring tap at every stride, scrambled group bounds), of the
-    /// witness (an index past the volume, a count that overruns or
-    /// underruns the index stream, an index moved, a value changed, a
-    /// kernel missing), and of the layout (a zero stride).
-    #[test]
-    fn try_from_flat_rejects_corrupt_streams() {
-        for stride in 1..=3 {
-            let pristine = prepared_at(stride);
-            // The pristine streams load fine through the validated path.
-            let (flat, code) = (pristine.flat(), pristine.code());
-            let reloaded = PreparedConv::try_from_flat(
-                flat.clone(),
-                Arc::clone(code),
-                pristine.input_shape(),
-                pristine.geometry(),
-            );
-            assert_eq!(reloaded.as_ref(), Ok(&pristine), "stride {stride}");
-            // One offset moved to the next address, which in a dense
-            // kernel is usually another valid tap's: the witness still
-            // knows which tap the group holds.
-            for (m, kernel) in flat.kernels().iter().enumerate() {
-                for i in 0..kernel.offsets().len() {
-                    let mut bad = flat.clone();
-                    let (_, _, offsets) = bad.kernels_mut()[m].streams_mut();
-                    offsets[i] = offsets[i].wrapping_add(1);
-                    let named = rejected_kernel(&pristine, bad, (**code).clone());
-                    assert_eq!(named, m, "stride {stride} kernel {m} offset {i}");
-                }
-            }
-        }
-
-        let pristine = prepared_at(2);
-        let (flat, code) = (pristine.flat(), (**pristine.code()).clone());
-        for bit in [0u32, 3, 7, 17, 31] {
-            let mut bad = flat.clone();
-            bad.kernels_mut()[1].streams_mut().2[2] ^= 1 << bit;
-            assert_eq!(
-                rejected_kernel(&pristine, bad, code.clone()),
-                1,
-                "bit {bit}"
-            );
-        }
-        let mut bad = flat.clone();
-        let (_, bounds, _) = bad.kernels_mut()[0].streams_mut();
-        let last = bounds.len() - 1;
-        bounds.swap(0, last);
-        assert_eq!(rejected_kernel(&pristine, bad, code.clone()), 0);
-
-        let kernel_len = code.shape().kernel_len() as u16;
-        type Edit = fn(&mut LayerCode, u16);
-        let edits: [(&str, usize, Edit); 6] = [
-            ("index past the volume", 1, |c, len| {
-                c.kernels_mut()[1].streams_mut().1[0] = len;
-            }),
-            ("last index past the volume", 2, |c, _| {
-                *c.kernels_mut()[2].streams_mut().1.last_mut().unwrap() = u16::MAX;
-            }),
-            ("count overruns", 1, |c, _| {
-                c.kernels_mut()[1].streams_mut().0[0].count += 1;
-            }),
-            ("count underruns", 1, |c, _| {
-                c.kernels_mut()[1].streams_mut().0[0].count -= 1;
-            }),
-            ("index moved", 1, |c, len| {
-                let idx = &mut c.kernels_mut()[1].streams_mut().1[0];
-                *idx = (*idx + 1) % len;
-            }),
-            ("value changed", 1, |c, _| {
-                c.kernels_mut()[1].streams_mut().0[0].value ^= 4;
-            }),
-        ];
-        for (what, kernel, edit) in edits {
-            let mut bad = code.clone();
-            edit(&mut bad, kernel_len);
-            let named = rejected_kernel(&pristine, flat.clone(), bad);
-            assert_eq!(named, kernel, "{what}");
-        }
-        let short = LayerCode::encode(&pseudo_weights(Shape4::new(2, 2, 3, 3), 6)).unwrap();
-        assert_eq!(rejected_kernel(&pristine, flat.clone(), short), 0);
-
-        // A layout of stride zero has no output plane to check a sweep
-        // against: rejected before anything divides by it.
-        let layout = FlatLayout {
-            stride: 0,
-            ..flat.layout()
-        };
-        let zero = FlatCode::from_kernels(flat.shape(), layout, flat.kernels().to_vec());
-        let geom = Geometry {
-            stride: 0,
-            ..pristine.geometry()
-        };
-        let err = PreparedConv::try_from_flat(zero, code, pristine.input_shape(), geom);
-        assert!(
-            matches!(err, Err(AbmError::CodeCorrupt { kernel: 0, .. })),
-            "{err:?}"
-        );
     }
 }

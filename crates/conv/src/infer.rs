@@ -23,7 +23,7 @@ use crate::abm::{AbmWork, Accumulator, PreparedConv, SweepScratch};
 use crate::arena::{fit, Arena, ArenaPool, ArenaStats, Plan, Step};
 use crate::dense::{self, Geometry};
 use crate::host;
-use abm_fault::AbmError;
+use abm_fault::{AbmError, Injector, NullInjector};
 use abm_kernel::{AccWidth, Isa};
 use abm_model::{LayerKind, SparseLayer, SparseModel};
 use abm_pool::{parallel_map_salvage, Parallelism};
@@ -31,7 +31,7 @@ use abm_sparse::{FlatCode, FlatLayout, LayerCode};
 use abm_telemetry::{FaultAction, TelemetrySink};
 use abm_tensor::quantize::choose_frac;
 use abm_tensor::{QFormat, Shape3, Tensor3};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which convolution engine executes the accelerated layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -104,7 +104,8 @@ impl InferenceResult {
 /// executor; golden pins and benchmarks are unaffected. Both checking
 /// policies re-hash every ABM layer's code streams before executing
 /// ([`PreparedConv::verify_checksum`]) and check its output against the
-/// ABFT prediction ([`abft::verify_output`]) after. Hardened, a
+/// ABFT prediction (`abft::verify_plane`, the check
+/// [`abft::verify_output`] runs on tensors) after. Hardened, a
 /// detected corruption is recovered by re-lowering once from the
 /// retained [`LayerCode`] when that code is sound, and otherwise, or if
 /// the re-lowered layer fails too, by the dense engine on the model's
@@ -144,8 +145,12 @@ impl ResiliencePolicy {
 }
 
 /// Runs a [`SparseModel`] on quantized inputs with a selectable engine.
-#[derive(Debug, Clone)]
-pub struct Inferencer<'m> {
+///
+/// `I` is the [`Injector`] a checked ABM layer polls for an accumulator
+/// upset ([`injector`](Self::injector)); the default, [`NullInjector`],
+/// compiles that site away.
+#[derive(Debug)]
+pub struct Inferencer<'m, I: Injector = NullInjector> {
     model: &'m SparseModel,
     engine: Engine,
     input_format: QFormat,
@@ -154,6 +159,27 @@ pub struct Inferencer<'m> {
     telemetry: Option<TelemetrySink>,
     resilience: ResiliencePolicy,
     isa: Option<Isa>,
+    /// Behind a lock: the hook takes `&mut`, and the images of a batch
+    /// run on several threads.
+    injector: Mutex<I>,
+}
+
+/// A clone carries a copy of the injector, delivery log included.
+impl<I: Injector + Clone> Clone for Inferencer<'_, I> {
+    fn clone(&self) -> Self {
+        let injector = self.injector.lock().unwrap_or_else(PoisonError::into_inner);
+        Self {
+            model: self.model,
+            engine: self.engine,
+            input_format: self.input_format,
+            calibration: self.calibration.clone(),
+            parallelism: self.parallelism,
+            telemetry: self.telemetry.clone(),
+            resilience: self.resilience,
+            isa: self.isa,
+            injector: Mutex::new(injector.clone()),
+        }
+    }
 }
 
 impl<'m> Inferencer<'m> {
@@ -169,6 +195,29 @@ impl<'m> Inferencer<'m> {
             telemetry: None,
             resilience: ResiliencePolicy::default(),
             isa: None,
+            injector: Mutex::new(NullInjector),
+        }
+    }
+}
+
+impl<'m, I: Injector + Send> Inferencer<'m, I> {
+    /// Polls `injector` for an accumulator upset in every checked ABM
+    /// layer an image sweeps on its own, between the sweep and the ABFT
+    /// check ([`Injector::accumulator_flip`]) — how a fault campaign
+    /// lands a transient upset in the plane the layer really sweeps.
+    /// Only a checking [`ResiliencePolicy`] polls it, and a batch's FC
+    /// tail on vector lanes does not.
+    pub fn injector<J: Injector>(self, injector: J) -> Inferencer<'m, J> {
+        Inferencer {
+            model: self.model,
+            engine: self.engine,
+            input_format: self.input_format,
+            calibration: self.calibration,
+            parallelism: self.parallelism,
+            telemetry: self.telemetry,
+            resilience: self.resilience,
+            isa: self.isa,
+            injector: Mutex::new(injector),
         }
     }
 
@@ -717,6 +766,14 @@ impl<'m> Inferencer<'m> {
                 p.verify_checksum_on(shares, digests)
             })?;
             let max_abs = p.execute_into(relaid, plane, sweeps, shares);
+            if I::ENABLED {
+                let mut injector = self.injector.lock().unwrap_or_else(PoisonError::into_inner);
+                if let Some((word, bit)) =
+                    injector.accumulator_flip(layer_idx, plane.len(), A::WIDTH.bits())
+                {
+                    plane[word] = A::narrow(plane[word].into() ^ (1i64 << bit));
+                }
+            }
             timed_detector("abm_abft_ns", || {
                 abft::verify_plane(p, relaid, plane, abft, shares)
             })?;
@@ -862,9 +919,8 @@ fn timed_detector<T>(histogram: &str, detector: impl FnOnce() -> T) -> T {
 fn detector_name(e: &AbmError) -> &'static str {
     match e.root_cause() {
         AbmError::ChecksumMismatch { .. } => "checksum",
-        AbmError::CodeCorrupt { .. } => "load-validate",
-        AbmError::AbftMismatch { .. } => "abft",
-        AbmError::InputCorrupt { .. } => "input-checksum",
+        // A witness ABFT cannot walk, or a mismatch against its prediction.
+        AbmError::CodeCorrupt { .. } | AbmError::AbftMismatch { .. } => "abft",
         _ => "guard",
     }
 }

@@ -26,7 +26,7 @@ use crate::abft;
 use crate::abm::PreparedConv;
 use crate::arena::{ColumnRound, LaneArena, Tail};
 use crate::host;
-use abm_fault::AbmError;
+use abm_fault::{AbmError, Injector};
 use abm_model::LayerKind;
 use abm_pool::{panic_message, parallel_map_salvage};
 use abm_tensor::Tensor3;
@@ -45,7 +45,7 @@ struct Carried {
     busy: Duration,
 }
 
-impl Inferencer<'_> {
+impl<I: Injector + Send> Inferencer<'_, I> {
     /// The two-phase batch executor (see the module docs) for a network
     /// ending in `tail`.
     pub(super) fn run_batch_on_lanes(

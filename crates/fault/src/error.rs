@@ -17,8 +17,8 @@ use std::fmt;
 ///   — the former panic sites of `crates/conv`, a kernel ISA pin the
 ///   CPU cannot honour, and a serving configuration that cannot run;
 /// * **integrity guards** (`CodeCorrupt`, `ChecksumMismatch`,
-///   `InputCorrupt`, `AbftMismatch`) — online detection of corrupted
-///   WT/Q-Table/FI streams and accumulator upsets;
+///   `AbftMismatch`) — online detection of corrupted WT/Q-Table
+///   streams, a corrupted code witness and accumulator upsets;
 /// * **watchdogs** (`CuDeadline`, `FifoOverflow`, `LostDeposit`,
 ///   `BandwidthCollapse`) — the simulator's timing-domain detectors;
 /// * **rejections** (`Overloaded`, `DeadlineExceeded`) — the serving
@@ -60,9 +60,10 @@ pub enum AbmError {
         /// The engine that found nothing prepared for it.
         engine: &'static str,
     },
-    /// A lowered code stream failed structural validation at load: a
-    /// flat offset disagrees with its tap, group bounds are not
-    /// monotone, or stream lengths are inconsistent.
+    /// A code no longer walks: an index past the kernel volume, or
+    /// Q-Table counts that do not tile the index stream. ABFT reports
+    /// it when it predicts from a corrupted witness, and lowering such a
+    /// code returns it.
     CodeCorrupt {
         /// Kernel whose streams are inconsistent.
         kernel: usize,
@@ -77,14 +78,6 @@ pub enum AbmError {
         /// Checksum recorded at preparation time.
         stored: u64,
         /// Checksum of the streams as they are now.
-        computed: u64,
-    },
-    /// An input feature stream's checksum changed between enqueue and
-    /// consumption — a DDR-window corruption of FI words.
-    InputCorrupt {
-        /// Checksum recorded when the input was admitted.
-        expected: u64,
-        /// Checksum of the stream at consumption.
         computed: u64,
     },
     /// An ABFT activation column-checksum disagrees with the
@@ -227,7 +220,6 @@ impl AbmError {
             self.root_cause(),
             AbmError::CodeCorrupt { .. }
                 | AbmError::ChecksumMismatch { .. }
-                | AbmError::InputCorrupt { .. }
                 | AbmError::AbftMismatch { .. }
         )
     }
@@ -291,10 +283,6 @@ impl fmt::Display for AbmError {
             AbmError::ChecksumMismatch { stored, computed } => write!(
                 f,
                 "code checksum mismatch: stored {stored:#018x}, streams now hash {computed:#018x}"
-            ),
-            AbmError::InputCorrupt { expected, computed } => write!(
-                f,
-                "input stream checksum mismatch: admitted {expected:#018x}, consumed {computed:#018x}"
             ),
             AbmError::AbftMismatch {
                 kernel,

@@ -15,9 +15,12 @@
 //! uninjected code — zero cost when disabled, which is what keeps the
 //! golden pins and `BENCH_pipeline.json` byte-identical.
 //!
-//! The hooks are the simulator's four timing sites. Data faults need
-//! none: the campaign edits a clone's streams in place
-//! (`streams_mut`) and lets the guards find the damage.
+//! The hooks are the simulator's four timing sites and one site in the
+//! host's checked ABM layer, between the sweep and the ABFT check
+//! ([`Injector::accumulator_flip`]): an upset that exists only while a
+//! layer runs has to be delivered there. An upset in state the runtime
+//! keeps after load needs no hook: `PreparedConv::upset` edits a
+//! clone's streams or code in place and the guards find the damage.
 
 use crate::plan::{Fault, FaultClass, FaultPlan};
 
@@ -63,6 +66,15 @@ pub trait Injector {
         let _ = layer;
         1000
     }
+
+    /// The accumulator word and bit to flip in accelerated layer
+    /// `layer`'s plane of `words` words, each `bits` wide, after the
+    /// sweep filled it and before ABFT reads it. `None` = healthy.
+    #[inline(always)]
+    fn accumulator_flip(&mut self, layer: usize, words: usize, bits: u32) -> Option<(usize, u32)> {
+        let _ = (layer, words, bits);
+        None
+    }
 }
 
 /// A borrowed injector injects: lend `&mut i` to instrumented code that
@@ -81,6 +93,9 @@ impl<I: Injector> Injector for &mut I {
     }
     fn bandwidth_derate_milli(&mut self, layer: usize) -> u32 {
         (**self).bandwidth_derate_milli(layer)
+    }
+    fn accumulator_flip(&mut self, layer: usize, words: usize, bits: u32) -> Option<(usize, u32)> {
+        (**self).accumulator_flip(layer, words, bits)
     }
 }
 
@@ -165,18 +180,33 @@ impl Injector for PlanInjector {
             _ => 1000,
         }
     }
+
+    /// Delivers once: the upset is transient, so a re-run of the layer
+    /// (a recovery's) sweeps clean.
+    fn accumulator_flip(&mut self, layer: usize, words: usize, bits: u32) -> Option<(usize, u32)> {
+        let class = FaultClass::AccumulatorFlip;
+        let hit = self
+            .plan
+            .faults
+            .iter()
+            .find(|&&(c, f)| c == class && f.layer == layer && f.unit < words && f.bit < bits);
+        let &(_, f) = hit?;
+        if self.delivered.contains(&(class, f)) {
+            return None;
+        }
+        self.delivered.push((class, f));
+        Some((f.unit, f.bit))
+    }
 }
 
-/// FNV-1a over a little-endian byte view of `words` — the checksum the
-/// runtime integrity guards use for feature streams and the campaign
-/// for seeding (the code streams have their own word-parallel
-/// [`flat_checksum`](crate::flat_checksum)). One multiply per byte,
-/// deterministic across platforms, and any single bit flip changes the
-/// digest.
+/// FNV-1a over `bytes` — what the campaign derives its trial seeds
+/// with (the code streams have their own word-parallel
+/// [`flat_checksum`](crate::flat_checksum), on the same constants).
+/// One multiply per byte, deterministic across platforms.
 #[must_use]
-pub fn fnv1a_bytes(words: impl IntoIterator<Item = u8>) -> u64 {
+pub fn fnv1a_bytes(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut hash = FNV_OFFSET;
-    for b in words {
+    for b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(FNV_PRIME);
     }
@@ -187,12 +217,6 @@ pub fn fnv1a_bytes(words: impl IntoIterator<Item = u8>) -> u64 {
 /// `h ↦ h · FNV_PRIME (mod 2⁶⁴)` is a bijection.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// [`fnv1a_bytes`] over an `i16` stream (the FI feature words).
-#[must_use]
-pub fn stream_checksum_i16(words: &[i16]) -> u64 {
-    fnv1a_bytes(words.iter().flat_map(|w| w.to_le_bytes()))
-}
 
 #[cfg(test)]
 mod tests {
@@ -206,6 +230,7 @@ mod tests {
         assert_eq!(i.lane_stall(0, 0), 0);
         assert!(!i.drops_deposit(0, 0));
         assert_eq!(i.bandwidth_derate_milli(0), 1000);
+        assert_eq!(i.accumulator_flip(0, 1, 64), None);
     }
 
     #[test]
@@ -260,20 +285,22 @@ mod tests {
     }
 
     #[test]
-    fn checksums_see_every_bit() {
-        let base = vec![0i16, 1, -1, 127, -128, 1000];
-        let digest = stream_checksum_i16(&base);
-        for word in 0..base.len() {
-            for bit in 0..16 {
-                let mut flipped = base.clone();
-                flipped[word] ^= 1 << bit;
-                assert_ne!(
-                    stream_checksum_i16(&flipped),
-                    digest,
-                    "flip of word {word} bit {bit} must change the digest"
-                );
-            }
-        }
-        assert_eq!(stream_checksum_i16(&base), digest, "digest is pure");
+    fn an_accumulator_flip_lands_once_and_only_in_range() {
+        let fault = Fault {
+            layer: 2,
+            unit: 9,
+            bit: 31,
+            ..Fault::default()
+        };
+        let mut i = PlanInjector::new(FaultPlan::single(FaultClass::AccumulatorFlip, fault));
+        // Another layer, a plane too short, a word too narrow: nothing.
+        assert_eq!(i.accumulator_flip(1, 100, 32), None);
+        assert_eq!(i.accumulator_flip(2, 9, 32), None);
+        assert_eq!(i.accumulator_flip(2, 100, 31), None);
+        assert!(i.delivered().is_empty());
+        assert_eq!(i.accumulator_flip(2, 100, 32), Some((9, 31)));
+        // Transient: the layer's next sweep runs clean.
+        assert_eq!(i.accumulator_flip(2, 100, 32), None);
+        assert_eq!(i.delivered(), [(FaultClass::AccumulatorFlip, fault)]);
     }
 }

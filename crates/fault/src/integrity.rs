@@ -3,9 +3,8 @@
 //!
 //! It operates on [`FlatCode`] — the software image of the WT-Buffer
 //! (offsets) and Q-Table (values and group bounds) — and lives here,
-//! beside the fault vocabulary, rather than in `abm-sparse`. Load-time
-//! validation of a lowering against its witness is `abm-verify`'s
-//! lowering pass, which `PreparedConv::try_from_flat` runs.
+//! beside the fault vocabulary, rather than in `abm-sparse`. Validation
+//! of a lowering against its witness is `abm-verify`'s lowering pass.
 
 use crate::inject::{FNV_OFFSET, FNV_PRIME};
 use abm_sparse::{FlatCode, FlatKernel};

@@ -14,21 +14,21 @@
 //!   rejections.
 //! * [`Injector`] / [`FaultPlan`] — deterministic, seeded injection of
 //!   timing faults at the simulator's four hooks (task delay, lane
-//!   stall, dropped deposit, bandwidth derate). [`NullInjector`] has
-//!   `const ENABLED = false` and compiles away entirely, mirroring
-//!   `abm-telemetry`'s `NullCollector`: the hot paths monomorphize to
-//!   exactly the uninjected code, so golden pins hold bit-identically.
-//!   Data faults have no hook: the campaign edits a clone's streams.
-//! * [`flat_checksum`] and [`stream_checksum_i16`] — the digests the
-//!   post-load code guard and the feature-stream guard compare.
+//!   stall, dropped deposit, bandwidth derate), and of accumulator
+//!   upsets at the one hook in the host's checked ABM layer.
+//!   [`NullInjector`] has `const ENABLED = false` and compiles away
+//!   entirely, mirroring `abm-telemetry`'s `NullCollector`: the hot
+//!   paths monomorphize to exactly the uninjected code, so golden pins
+//!   hold bit-identically. Upsets in state the runtime keeps after load
+//!   have no hook: `PreparedConv::upset` edits a clone's streams or code.
+//! * [`flat_checksum`] — the digest the post-load code guard compares.
 //! * [`CampaignReport`] / [`FaultOutcome`] — the bookkeeping a fault
 //!   campaign emits: per-class injected/detected/masked/recovered
 //!   counts and a JSON report.
 //!
-//! Load-time validation of a lowered code against its `LayerCode` is
-//! not here: it is `abm-verify`'s lowering pass, which
-//! `PreparedConv::try_from_flat` runs and reports as
-//! [`AbmError::CodeCorrupt`].
+//! Validation of a lowered code against its `LayerCode` is not here:
+//! it is `abm-verify`'s lowering pass (`xtask verify`, and a debug
+//! assertion when a layer is prepared).
 //!
 //! The crate is deliberately low in the dependency graph (only
 //! `abm-sparse`, for [`EncodeError`](abm_sparse::EncodeError)
@@ -45,7 +45,7 @@ mod plan;
 mod report;
 
 pub use error::AbmError;
-pub use inject::{fnv1a_bytes, stream_checksum_i16, Injector, NullInjector, PlanInjector};
+pub use inject::{fnv1a_bytes, Injector, NullInjector, PlanInjector};
 pub use integrity::{flat_checksum, fold_kernel_digests, kernel_digest};
 pub use plan::{Fault, FaultClass, FaultPlan, SplitMix64};
 pub use report::{

@@ -7,23 +7,23 @@ use std::fmt;
 /// full mapping and the detector that owns each class).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultClass {
-    /// Bit flip in an FI (input feature) word at the DDR window
-    /// boundary — a DDR ECC miss on the feature stream.
-    FiWordFlip,
     /// Bit flip in a WT-Buffer offset word after load — an M20K SEU in
     /// the weight-index RAM.
     WtWordFlip,
     /// Bit flip in a Q-Table value word after load — an M20K SEU in
     /// the quantized-value RAM.
     QTableWordFlip,
-    /// Offset stream corrupted before load (an offset no longer the
-    /// address of its code index) — a mis-transferred WT-Buffer page.
-    OffsetCorrupt,
-    /// Value-group structure corrupted before load (group bounds not
-    /// monotone / lengths inconsistent) — a mis-transferred Q-Table.
-    ValueGroupCorrupt,
-    /// Bit flip in an output accumulator word before write-back — an
-    /// upset in the Sum/Round data path.
+    /// Bit flip in one weight index of a layer's retained `LayerCode`
+    /// after load — an upset in the witness copy of the WT-Buffer
+    /// indexes, which the ABFT prediction reads and a re-lowering would
+    /// rebuild from.
+    CodeIndexFlip,
+    /// Bit flip in one Q-Table `NUM` (group count) of a layer's
+    /// retained `LayerCode` after load — the same witness, its other
+    /// stream.
+    CodeCountFlip,
+    /// Bit flip in one accumulator word of the plane a layer sweeps,
+    /// before write-back — a transient upset in the Sum/Round data path.
     AccumulatorFlip,
     /// Transient back-pressure burst on one lane's partial-sum FIFO.
     FifoStall,
@@ -37,12 +37,11 @@ pub enum FaultClass {
 
 impl FaultClass {
     /// Every class, in campaign sweep order.
-    pub const ALL: [FaultClass; 10] = [
-        FaultClass::FiWordFlip,
+    pub const ALL: [FaultClass; 9] = [
         FaultClass::WtWordFlip,
         FaultClass::QTableWordFlip,
-        FaultClass::OffsetCorrupt,
-        FaultClass::ValueGroupCorrupt,
+        FaultClass::CodeIndexFlip,
+        FaultClass::CodeCountFlip,
         FaultClass::AccumulatorFlip,
         FaultClass::FifoStall,
         FaultClass::FifoDrop,
@@ -67,11 +66,10 @@ impl FaultClass {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            FaultClass::FiWordFlip => "fi-word-flip",
             FaultClass::WtWordFlip => "wt-word-flip",
             FaultClass::QTableWordFlip => "qtable-word-flip",
-            FaultClass::OffsetCorrupt => "offset-corrupt",
-            FaultClass::ValueGroupCorrupt => "value-group-corrupt",
+            FaultClass::CodeIndexFlip => "code-index-flip",
+            FaultClass::CodeCountFlip => "code-count-flip",
             FaultClass::AccumulatorFlip => "accumulator-flip",
             FaultClass::FifoStall => "fifo-stall",
             FaultClass::FifoDrop => "fifo-drop",
@@ -94,8 +92,11 @@ impl fmt::Display for FaultClass {
 pub struct Fault {
     /// Layer the fault lands on (execution order).
     pub layer: usize,
-    /// Kernel / lane / task the fault targets (class-dependent).
+    /// Kernel / lane / task / accumulator word the fault targets
+    /// (class-dependent).
     pub unit: usize,
+    /// The bit an [`FaultClass::AccumulatorFlip`] flips in its word.
+    pub bit: u32,
     /// Injected stall / hang cycles for the timing classes.
     pub cycles: u64,
     /// Bandwidth derate in thousandths (1000 = nominal, 2000 = half
@@ -210,13 +211,13 @@ mod tests {
 
     #[test]
     fn class_inventory() {
-        assert_eq!(FaultClass::ALL.len(), 10);
+        assert_eq!(FaultClass::ALL.len(), 9);
         let timing = FaultClass::ALL.iter().filter(|c| c.is_timing()).count();
         assert_eq!(timing, 4);
         let mut names: Vec<&str> = FaultClass::ALL.iter().map(|c| c.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 10, "class names must be unique");
+        assert_eq!(names.len(), 9, "class names must be unique");
     }
 
     #[test]

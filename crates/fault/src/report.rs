@@ -51,8 +51,6 @@ impl fmt::Display for FaultOutcome {
 pub enum RecoveryAction {
     /// No recovery was needed or attempted.
     None,
-    /// The corrupted input stream was re-fetched from its source.
-    Refetched,
     /// The layer's code was re-lowered, once, from the retained
     /// `LayerCode`.
     Relowered,
@@ -68,7 +66,6 @@ impl RecoveryAction {
     pub fn name(self) -> &'static str {
         match self {
             RecoveryAction::None => "none",
-            RecoveryAction::Refetched => "refetched",
             RecoveryAction::Relowered => "relowered",
             RecoveryAction::DenseFallback => "dense-fallback",
             RecoveryAction::Replayed => "replayed",
@@ -280,7 +277,7 @@ mod tests {
             .push(trial(FaultClass::FifoStall, FaultOutcome::Masked));
         assert!(r.is_clean());
         r.trials
-            .push(trial(FaultClass::FiWordFlip, FaultOutcome::Silent));
+            .push(trial(FaultClass::CodeIndexFlip, FaultOutcome::Silent));
         assert!(!r.is_clean());
     }
 

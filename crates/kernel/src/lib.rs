@@ -434,8 +434,7 @@ pub fn resolve(sel: Selection) -> &'static dyn AbmKernel {
 /// The executor issues a block at position `i` of a `span`-long sweep
 /// only while `i + lanes·block <= span`, so the furthest element any
 /// call reads is still `base + span - 1 + max_offset · pitch`. For a
-/// convolution that is the bound `abm-verify`'s in-bounds pass (also
-/// what `PreparedConv::try_from_flat` validates a load with) already
+/// convolution that is the bound `abm-verify`'s in-bounds pass already
 /// proves `< relaid_len` for the whole output plane; for a lane sweep (`base = 0`, `span = pitch`) it is
 /// `max_offset · pitch + pitch - 1`, inside the `in_features · pitch`
 /// lane buffer exactly when `max_offset < in_features` — the same

@@ -30,7 +30,7 @@
 
 use crate::cost::CostModel;
 use abm_conv::{Inferencer, Parallelism, PreparedWeights, ResiliencePolicy};
-use abm_fault::{AbmError, SplitMix64};
+use abm_fault::{AbmError, FaultClass, SplitMix64};
 use abm_model::SparseModel;
 use abm_sim::AcceleratorConfig;
 use abm_telemetry::sink::EventTee;
@@ -130,8 +130,9 @@ impl ServeConfig {
 }
 
 /// Deterministic, seed-reproducible fault injection for chaos runs —
-/// the serving-path analogue of the fault campaign's functional
-/// classes. Word flips land in prepared WT-Buffer offset streams
+/// the serving-path analogue of the fault campaign's host classes,
+/// drawn from the same source (`PreparedConv::upset`). Word flips land
+/// in prepared WT-Buffer offset streams
 /// (`FaultClass::WtWordFlip`), where the hardened recovery ladder must
 /// detect and mask them; stalls simulate a hung worker the watchdog
 /// must fail over.
@@ -998,14 +999,25 @@ fn worker_loop(shared: &Arc<Shared>, state: &Arc<WorkerState>) {
                 std::thread::sleep(chaos.stall_for);
             }
         }
-        // Chaos: corrupt one prepared layer so the hardened ladder has
-        // something real to detect and mask, then repair afterwards.
+        // Chaos: flip one bit of a seeded convolution's offsets — the
+        // campaign's `wt-word-flip`, from the same source — so the
+        // hardened ladder has something real to detect and mask, then
+        // repair afterwards. Deterministic in (chaos seed, batch id): a
+        // chaos run is replayable from the seed alone.
         let mut injected = None;
         if let Some(chaos) = &cfg.chaos {
             if chaos.corrupt_every > 0 && batch.shared.id % chaos.corrupt_every == 0 {
-                let mut rng = SplitMix64::new(chaos.seed ^ batch.shared.id);
-                injected = corrupt_one_layer(&mut prepared, &conv_layers, &mut rng);
-                if injected.is_some() {
+                let rng = &mut SplitMix64::new(chaos.seed ^ batch.shared.id);
+                injected = conv_layers
+                    .get(rng.below(conv_layers.len() as u64) as usize)
+                    .copied();
+                // The one write: copies this layer if the handle still
+                // shares it.
+                let slot = injected.and_then(|layer| prepared.abm_layer_mut(layer));
+                if slot
+                    .and_then(|l| l.upset(FaultClass::WtWordFlip, rng))
+                    .is_some()
+                {
                     shared.counters.bump(Counter::ChaosInjected);
                 }
             }
@@ -1105,38 +1117,6 @@ fn execute_batch(
         )
     });
     (outcomes, degraded)
-}
-
-/// Flips one bit of one WT-Buffer offset word in a seeded convolution
-/// (`conv_layers`: same targeting as the fault campaign's functional
-/// classes) — the campaign's `wt-word-flip` class, injected post-load
-/// so the stored stream checksum is the detector. Deterministic in
-/// (chaos seed, batch id): a chaos run is replayable from the seed
-/// alone. Returns the corrupted layer index.
-fn corrupt_one_layer(
-    prepared: &mut PreparedWeights,
-    conv_layers: &[usize],
-    rng: &mut SplitMix64,
-) -> Option<usize> {
-    if conv_layers.is_empty() {
-        return None;
-    }
-    let layer = conv_layers[rng.below(conv_layers.len() as u64) as usize];
-    let kernels = prepared.abm_layer(layer)?.flat().kernels();
-    if kernels.is_empty() {
-        return None;
-    }
-    let start = rng.below(kernels.len() as u64) as usize;
-    let kernel = (0..kernels.len())
-        .map(|i| (start + i) % kernels.len())
-        .find(|&i| !kernels[i].offsets().is_empty())?;
-    let index = rng.below(kernels[kernel].offsets().len() as u64) as usize;
-    let bit = u32::try_from(rng.below(32)).unwrap_or(0);
-    // The one write: copies this layer if the handle still shares it.
-    let flat = prepared.abm_layer_mut(layer)?.flat_mut();
-    let (_, _, offsets) = flat.kernels_mut()[kernel].streams_mut();
-    offsets[index] ^= 1u32 << bit;
-    Some(layer)
 }
 
 /// The stuck-batch watchdog: scans worker heartbeats; a batch still

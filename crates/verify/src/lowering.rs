@@ -45,9 +45,9 @@
 //!
 //! On success the executor's `debug_assert`-backed construction hook
 //! (and `cargo xtask verify`) can state, not hope, that the unchecked
-//! walk is safe. It is also the one load-time validator:
-//! `PreparedConv::try_from_flat` admits a pre-lowered code only when
-//! this pass finds no defect, and reports the first as `CodeCorrupt`.
+//! walk is safe. It is the one validator of a lowering against its
+//! witness: nothing else decides that every flat offset is the address
+//! of its code index.
 
 use crate::report::{Defect, VerifyReport};
 use abm_sparse::{FlatCode, FlatLayout, LayerCode};
@@ -601,6 +601,81 @@ mod tests {
             *count = count.wrapping_add_signed(delta);
             malformed_at(&verify_lowering("t", &code, &flat, &geom, &host), 1);
         }
+    }
+
+    /// Corruption of either side of a lowering is a defect, and the
+    /// first one names the corrupted kernel: of the streams (every
+    /// offset moved to the next address at every stride, an offset's
+    /// bits flipped, group bounds scrambled) and of the witness (an
+    /// index past the volume, a count that overruns or underruns the
+    /// index stream, an index moved, a value changed, a kernel missing).
+    #[test]
+    fn every_corruption_names_its_kernel_first() {
+        let host = AccumulatorModel::host();
+        let first = |code: &LayerCode, flat: &FlatCode, geom: &ConvGeometry| {
+            let r = verify_lowering("t", code, flat, geom, &host);
+            r.defects.first().map(|d| (d.class(), d.kernel()))
+        };
+        for stride in 1..=3 {
+            let (code, flat, geom) = sample_with(stride, 1);
+            for (m, kernel) in flat.kernels().iter().enumerate() {
+                for i in 0..kernel.offsets().len() {
+                    let mut bad = flat.clone();
+                    bad.kernels_mut()[m].streams_mut().2[i] += 1;
+                    let named = first(&code, &bad, &geom).and_then(|(_, k)| k);
+                    assert_eq!(named, Some(m), "stride {stride} kernel {m} offset {i}");
+                }
+            }
+        }
+
+        let (code, flat, geom) = sample_with(2, 1);
+        for bit in [0u32, 3, 7, 17, 31] {
+            let mut bad = flat.clone();
+            bad.kernels_mut()[1].streams_mut().2[2] ^= 1 << bit;
+            let named = first(&code, &bad, &geom).and_then(|(_, k)| k);
+            assert_eq!(named, Some(1), "bit {bit}");
+        }
+        let mut bad = flat.clone();
+        let (_, bounds, _) = bad.kernels_mut()[0].streams_mut();
+        let last = bounds.len() - 1;
+        bounds.swap(0, last);
+        let found = first(&code, &bad, &geom);
+        assert_eq!(found, Some(("group_bounds_corrupt", Some(0))));
+
+        let volume = code.shape().kernel_len() as u16;
+        type Edit = fn(&mut LayerCode, u16);
+        let edits: [(&str, usize, Edit); 6] = [
+            ("index past the volume", 1, |c, volume| {
+                c.kernels_mut()[1].streams_mut().1[0] = volume;
+            }),
+            ("last index past the volume", 2, |c, _| {
+                *c.kernels_mut()[2].streams_mut().1.last_mut().unwrap() = u16::MAX;
+            }),
+            ("count overruns", 1, |c, _| {
+                c.kernels_mut()[1].streams_mut().0[0].count += 1;
+            }),
+            ("count underruns", 1, |c, _| {
+                c.kernels_mut()[1].streams_mut().0[0].count -= 1;
+            }),
+            ("index moved", 1, |c, volume| {
+                let idx = &mut c.kernels_mut()[1].streams_mut().1[0];
+                *idx = (*idx + 1) % volume;
+            }),
+            ("value changed", 1, |c, _| {
+                c.kernels_mut()[1].streams_mut().0[0].value ^= 4;
+            }),
+        ];
+        for (what, kernel, edit) in edits {
+            let mut bad = code.clone();
+            edit(&mut bad, volume);
+            let named = first(&bad, &flat, &geom).and_then(|(_, k)| k);
+            assert_eq!(named, Some(kernel), "{what}");
+        }
+        let short = Tensor4::from_fn(Shape4::new(2, 2, 3, 3), |_, _, _, _| 1i8);
+        let short = LayerCode::encode(&short).unwrap();
+        // A source of fewer kernels is of another shape: unwalkable.
+        let found = first(&short, &flat, &geom);
+        assert_eq!(found, Some(("malformed", Some(0))));
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Integration tests for the fault-injection and recovery stack: the
-//! never-silent property over every fault class, the NullInjector
-//! zero-overhead bit-identity guarantee, per-item batch salvage, and
-//! the offset-overflow typed-error regression.
+//! never-silent property over every fault class, host trials scored
+//! from the runtime's own fault events, the NullInjector zero-overhead
+//! bit-identity guarantee, per-item batch salvage, and the
+//! offset-overflow typed-error regression.
 
 use abm_spconv_repro::campaign::{run_campaign, CampaignConfig};
-use abm_spconv_repro::conv::{Engine, Inferencer, Parallelism};
+use abm_spconv_repro::conv::{Engine, Inferencer, Parallelism, ResiliencePolicy};
 use abm_spconv_repro::fault::{
-    AbmError, FaultClass, FaultOutcome, FaultPlan, NullInjector, PlanInjector,
+    AbmError, FaultClass, FaultOutcome, FaultPlan, NullInjector, PlanInjector, RecoveryAction,
 };
 use abm_spconv_repro::model::{synthesize_model, zoo, LayerProfile, PruneProfile};
 use abm_spconv_repro::sim::task::Workload;
 use abm_spconv_repro::sim::{AcceleratorConfig, SimContext};
 use abm_spconv_repro::sparse::{EncodeError, FlatCode, FlatLayout, LayerCode};
-use abm_spconv_repro::telemetry::TelemetrySink;
+use abm_spconv_repro::telemetry::{Event, FaultAction, TelemetrySink};
 use abm_spconv_repro::tensor::{Shape3, Shape4, Tensor3, Tensor4};
 use proptest::prelude::*;
 
@@ -56,7 +57,116 @@ proptest! {
             };
             prop_assert_eq!(counts[class.name()].injected, expected);
         }
+        // The host classes end where the runtime's ladder puts them,
+        // wherever the seed lands the flip: a stream flip and a
+        // transient accumulator upset are re-lowered (the code is
+        // sound, and the upset does not come back); a flipped witness
+        // is never rebuilt from, so it is dense or, when ABFT's
+        // prediction does not move, masked — and a count flip always
+        // moves it, since the counts stop tiling the index stream.
+        for t in &report.trials {
+            let (outcome, detector, action) = (t.outcome, t.detector.as_str(), t.action);
+            let expected = match t.class {
+                FaultClass::WtWordFlip | FaultClass::QTableWordFlip => {
+                    (FaultOutcome::DetectedRecovered, "checksum", RecoveryAction::Relowered)
+                }
+                FaultClass::AccumulatorFlip => {
+                    (FaultOutcome::DetectedRecovered, "abft", RecoveryAction::Relowered)
+                }
+                FaultClass::CodeIndexFlip if outcome == FaultOutcome::Masked => {
+                    (FaultOutcome::Masked, "-", RecoveryAction::None)
+                }
+                FaultClass::CodeIndexFlip | FaultClass::CodeCountFlip => {
+                    (FaultOutcome::DetectedRecovered, "abft", RecoveryAction::DenseFallback)
+                }
+                _ => continue,
+            };
+            prop_assert_eq!((outcome, detector, action), expected, "{}", t.class);
+        }
     }
+}
+
+/// The principle of the campaign: it scores the runtime, not itself.
+/// For every host trial the recorded detector and action are the first
+/// `Detected` class and the last `Recovered` rung the inference path
+/// emitted between that trial's `Injected` event and the next trial's;
+/// the campaign records nothing else for a host trial.
+#[test]
+fn host_trials_are_scored_from_the_runtimes_fault_events() {
+    let sink = TelemetrySink::new();
+    let mut config = CampaignConfig::net("tiny");
+    config.trials_per_class = 3;
+    let report = run_campaign(&config, &sink).unwrap();
+    let events = sink.events();
+    let faults: Vec<(FaultAction, &str)> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Fault { action, class, .. } => Some((*action, class.as_str())),
+            _ => None,
+        })
+        .collect();
+    let injected: Vec<usize> = (0..faults.len())
+        .filter(|&i| faults[i].0 == FaultAction::Injected)
+        .chain([faults.len()])
+        .collect();
+    assert_eq!(injected.len(), report.trials.len() + 1);
+    let mut actions = Vec::new();
+    for (t, window) in report.trials.iter().zip(injected.windows(2)) {
+        let events = &faults[window[0]..window[1]];
+        assert_eq!(events[0].1, t.class.name());
+        if t.class.is_timing() {
+            continue;
+        }
+        let detector = events.iter().find(|(a, _)| *a == FaultAction::Detected);
+        let rung = events
+            .iter()
+            .rev()
+            .find(|(a, _)| *a == FaultAction::Recovered);
+        let action = match rung.map(|&(_, rung)| rung) {
+            None => RecoveryAction::None,
+            Some("re-lower") => RecoveryAction::Relowered,
+            Some("dense-fallback") => RecoveryAction::DenseFallback,
+            Some(other) => panic!("{}: no runtime rung is called {other}", t.class),
+        };
+        assert_eq!(t.detector, detector.map_or("-", |&(_, d)| d), "{}", t.class);
+        assert_eq!(t.action, action, "{}", t.class);
+        let runtime_only = events[1..]
+            .iter()
+            .all(|(a, _)| matches!(a, FaultAction::Detected | FaultAction::Recovered));
+        assert!(runtime_only, "{}: {events:?}", t.class);
+        actions.push(action);
+    }
+    for action in [RecoveryAction::Relowered, RecoveryAction::DenseFallback] {
+        assert!(actions.contains(&action), "no host trial ended {action}");
+    }
+}
+
+/// The injector's one inference hook compiles away: a hardened run
+/// under `NullInjector` is the default inferencer, and one under an
+/// enabled injector with an empty plan polls the hook and delivers
+/// nothing — the same logits, and no fault event.
+#[test]
+fn null_injector_inference_is_bit_identical() {
+    let model = tiny_model();
+    let sink = TelemetrySink::new();
+    let hardened = Inferencer::new(&model)
+        .resilience(ResiliencePolicy::hardened())
+        .telemetry(sink.clone());
+    let prepared = hardened.prepare().unwrap();
+    let input = synth_image(model.network.input_shape(), 0);
+    let plain = hardened.run_prepared(&prepared, &input).unwrap();
+    let null = hardened.clone().injector(NullInjector);
+    let idle = hardened
+        .clone()
+        .injector(PlanInjector::new(FaultPlan::default()));
+    assert_eq!(null.run_prepared(&prepared, &input).unwrap(), plain);
+    assert_eq!(idle.run_prepared(&prepared, &input).unwrap(), plain);
+    let faults = sink
+        .events()
+        .iter()
+        .filter(|e| matches!(e, Event::Fault { .. }))
+        .count();
+    assert_eq!(faults, 0);
 }
 
 /// Zero-overhead guarantee of the fault guards at the integration
@@ -157,7 +267,6 @@ fn flat_offset_overflow_is_a_typed_error() {
 /// recovered lifecycle for a campaign.
 #[test]
 fn campaign_telemetry_records_fault_lifecycle() {
-    use abm_spconv_repro::telemetry::{Event, FaultAction};
     let sink = TelemetrySink::new();
     let report = run_campaign(&CampaignConfig::net("tiny"), &sink).unwrap();
     assert!(report.is_clean(), "\n{}", report.summary_table());
@@ -168,7 +277,7 @@ fn campaign_telemetry_records_fault_lifecycle() {
             .filter(|e| matches!(e, Event::Fault { action: a, .. } if *a == action))
             .count()
     };
-    // Ten classes plus the two pipelined dataflow trials.
+    // Nine classes plus the two pipelined dataflow trials.
     assert_eq!(count(FaultAction::Injected), FaultClass::ALL.len() + 2);
     // Every detected trial also recorded a recovery.
     assert_eq!(count(FaultAction::Detected), count(FaultAction::Recovered));

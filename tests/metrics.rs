@@ -435,10 +435,13 @@ fn a_surfaced_error_is_counted_once() {
     assert_eq!(counter(&snap, "abm_errors_infer_total"), 1);
 }
 
-/// A seeded `tiny` campaign moves the fault-injection counter and
-/// counts each of its trials.
+/// A seeded `tiny` campaign counts each of its trials, each of its
+/// injections, and — since every host trial runs the runtime's own
+/// ladder — one detection and one recovering rung per detected host
+/// trial, split between re-lowering and dense as the report says.
 #[test]
 fn a_tiny_campaign_moves_the_fault_counters() {
+    use abm_spconv_repro::fault::{FaultOutcome, RecoveryAction, TrialRecord};
     let _guard = registry_lock();
     let registry = fresh_registry();
     let config = CampaignConfig {
@@ -449,13 +452,20 @@ fn a_tiny_campaign_moves_the_fault_counters() {
     let report = run_campaign(&config, &TelemetrySink::new()).unwrap();
     assert!(report.is_clean());
     let snap = registry.snapshot();
-    assert!(
-        counter(&snap, "fault_injected_total") > 0,
-        "campaign injected no counted faults"
-    );
     let trials = report.trials.len() as u64;
-    assert!(trials > 0, "campaign ran no trials");
+    assert_eq!(trials, 11, "nine classes and two pipelined trials");
     assert_eq!(counter(&snap, "campaign_trials_total"), trials);
+    assert_eq!(counter(&snap, "fault_injected_total"), trials);
+    let host = report.trials.iter().filter(|t| !t.class.is_timing());
+    let count = |keep: &dyn Fn(&&TrialRecord) -> bool| host.clone().filter(keep).count() as u64;
+    let detected = count(&|t| t.outcome == FaultOutcome::DetectedRecovered);
+    let relowered = count(&|t| t.action == RecoveryAction::Relowered);
+    let dense = count(&|t| t.action == RecoveryAction::DenseFallback);
+    assert!(relowered > 0 && dense > 0, "\n{}", report.summary_table());
+    assert_eq!(counter(&snap, "fault_detected_total"), detected);
+    assert_eq!(counter(&snap, "recovery_relower_total"), relowered);
+    assert_eq!(counter(&snap, "recovery_dense_total"), dense);
+    assert_eq!(relowered + dense, detected);
 }
 
 /// The sink (with a counting tee attached, as the served heartbeat

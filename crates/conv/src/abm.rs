@@ -180,16 +180,19 @@ pub fn conv2d_counted(
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreparedConv {
     flat: FlatCode,
-    /// The source code: the weight-side witness ABFT predicts from and
-    /// load-time validation checks the offsets against, and what a
-    /// corrupted layer is re-lowered from. A handle, so a copy of the
-    /// layer shares it.
+    /// The source code: what the column checksum is built from,
+    /// load-time validation checks the offsets against, and a corrupted
+    /// layer is re-lowered from. No request reads it. A handle, so a
+    /// copy of the layer shares it.
     code: Arc<LayerCode>,
     in_shape: Shape3,
     out_shape: Shape3,
     geom: Geometry,
     /// Kernels per channel group (`M / groups`).
     m_per_group: usize,
+    /// Huang & Abraham's column checksum of the code, what ABFT predicts
+    /// the plane total from (see [`column_sums`]).
+    column: Vec<i32>,
     work: AbmWork,
     /// [`abm_fault::flat_checksum`] of the flat streams, recorded at
     /// preparation: the golden signature
@@ -296,6 +299,7 @@ impl PreparedConv {
             out_shape,
             geom,
             m_per_group: w.out_channels / geom.groups,
+            column: column_sums(&code, geom.groups),
             work,
             checksum,
             sel,
@@ -395,6 +399,21 @@ impl PreparedConv {
         &self.code
     }
 
+    /// The column checksum ABFT predicts the plane total from: for each
+    /// input channel `c` and kernel position `(k, k')`, the sum over the
+    /// kernels of `c`'s group of their weight there — `C·K·K'` entries,
+    /// row-major like the tap-sum table `S[c][k][k']`.
+    pub(crate) fn column(&self) -> &[i32] {
+        &self.column
+    }
+
+    /// The column checksum for editing in place: the table is state a
+    /// request reads, so a test upsets it like any other.
+    #[cfg(test)]
+    pub(crate) fn column_mut(&mut self) -> &mut [i32] {
+        &mut self.column
+    }
+
     /// The golden stream checksum recorded at preparation time.
     #[must_use]
     pub fn checksum(&self) -> u64 {
@@ -479,7 +498,7 @@ impl PreparedConv {
     }
 
     /// How many threads one pass over this layer's kernels — its sweep,
-    /// its checksum, its ABFT check — splits across when `width` are
+    /// its checksum — splits across when `width` are
     /// free: no more than `width`, and none with a share of fewer than
     /// [`MIN_SHARE`] of the kernel operations its sweep issues.
     pub(crate) fn shares(&self, width: usize) -> usize {
@@ -498,10 +517,11 @@ impl PreparedConv {
 
     /// The source code for editing in place — the same escape hatch as
     /// [`flat_mut`](Self::flat_mut), for an upset in the witness rather
-    /// than in the streams: ABFT, which predicts from the code, is
-    /// expected to notice, and the recovery ladder to rebuild nothing
-    /// from it. Copies the code first when another layer shares it.
-    /// Never a correctness tool; campaign and test use only.
+    /// than in the streams. No request reads the code, so an edit alone
+    /// changes no output; once a detector sends the layer to recovery,
+    /// the ladder is expected to rebuild nothing from it. Copies the
+    /// code first when another layer shares it. Never a correctness
+    /// tool; campaign and test use only.
     pub fn code_mut(&mut self) -> &mut LayerCode {
         Arc::make_mut(&mut self.code)
     }
@@ -511,11 +531,14 @@ impl PreparedConv {
     /// (`qtable-word-flip`) word of the flat streams, through
     /// [`flat_mut`](Self::flat_mut), or a weight index
     /// (`code-index-flip`) or Q-Table `NUM` (`code-count-flip`) of the
-    /// retained code, through [`code_mut`](Self::code_mut). Returns
-    /// where the bit landed, or `None` — the layer unchanged — for a
-    /// class of no post-load state or a layer without a non-zero. The one
-    /// source of these upsets for the fault campaign and serving chaos;
-    /// never a correctness tool.
+    /// retained code, through [`code_mut`](Self::code_mut). No request
+    /// reads the code, so a witness flip alone changes no output; it is
+    /// drawn with an offset flip in the same kernel, which sends the
+    /// layer to recovery — where the ladder must refuse to rebuild from
+    /// the code. Returns where the bits landed, or `None` — the layer
+    /// unchanged — for a class of no post-load state or a layer without
+    /// a non-zero. The one source of these upsets for the fault campaign
+    /// and serving chaos; never a correctness tool.
     pub fn upset(&mut self, class: FaultClass, rng: &mut SplitMix64) -> Option<String> {
         fn flip<W>(
             words: &mut [W],
@@ -532,23 +555,25 @@ impl PreparedConv {
             .filter_map(|(m, k)| (k.total() > 0).then_some(m))
             .collect();
         let m = *nonempty.get(rng.below(nonempty.len() as u64) as usize)?;
+        let offset = |prep: &mut Self, rng: &mut SplitMix64| {
+            let offsets = prep.flat.kernels_mut()[m].streams_mut().2;
+            format!("offset {}", flip(offsets, 32, rng, |w, b| *w ^= 1 << b))
+        };
         let at = match class {
-            FaultClass::WtWordFlip => {
-                let offsets = self.flat.kernels_mut()[m].streams_mut().2;
-                format!("offset {}", flip(offsets, 32, rng, |w, b| *w ^= 1 << b))
-            }
+            FaultClass::WtWordFlip => offset(self, rng),
             FaultClass::QTableWordFlip => {
                 let values = self.flat.kernels_mut()[m].streams_mut().0;
                 format!("value {}", flip(values, 8, rng, |w, b| *w ^= 1 << b))
             }
             FaultClass::CodeIndexFlip => {
                 let indices = self.code_mut().kernels_mut()[m].streams_mut().1;
-                format!("code index {}", flip(indices, 16, rng, |w, b| *w ^= 1 << b))
+                let at = flip(indices, 16, rng, |w, b| *w ^= 1 << b);
+                format!("code index {at}, {}", offset(self, rng))
             }
             FaultClass::CodeCountFlip => {
                 let entries = self.code_mut().kernels_mut()[m].streams_mut().0;
                 let at = flip(entries, 32, rng, |e, b| e.count ^= 1 << b);
-                format!("code count {at}")
+                format!("code count {at}, {}", offset(self, rng))
             }
             _ => return None,
         };
@@ -818,6 +843,26 @@ impl PreparedConv {
     }
 }
 
+/// Huang & Abraham's column checksum (1984) of an encoded layer split
+/// into `groups` channel groups: entry `g·L + i`, for `L` the kernel
+/// volume, is the sum over group `g`'s kernels of their weight at
+/// linear index `i`. Built from a code that lowered, so every index is
+/// inside the volume. `|entry| ≤ M·128`, well inside `i32`.
+fn column_sums(code: &LayerCode, groups: usize) -> Vec<i32> {
+    let volume = code.shape().kernel_len();
+    let m_per_group = code.shape().out_channels / groups;
+    let mut column = vec![0i32; groups * volume];
+    for (m, kernel) in code.kernels().iter().enumerate() {
+        let group = &mut column[(m / m_per_group) * volume..][..volume];
+        for (value, indices) in kernel.groups() {
+            for &i in indices {
+                group[usize::from(i)] += i32::from(value);
+            }
+        }
+    }
+    column
+}
+
 /// An accumulator plane's element. Every engine computes in `i64`; a
 /// plane stores each output as [`narrow`](Self::narrow) makes it.
 pub(crate) trait Accumulator: Copy + Default + Send + Sync + Into<i64> {
@@ -875,12 +920,9 @@ fn share_count(width: usize, ops: u64) -> usize {
 /// count (fewer when there are fewer kernels): a run ends where the
 /// running count reaches its share of the total, and the last takes the
 /// rest. Every pass over a layer's kernels that splits — sweep,
-/// checksum, ABFT — splits here, so one share's kernels are the same in
+/// checksum — splits here, so one share's kernels are the same in
 /// each.
-pub(crate) fn kernel_runs(
-    kernels: &[FlatKernel],
-    shares: usize,
-) -> impl Iterator<Item = Range<usize>> + '_ {
+fn kernel_runs(kernels: &[FlatKernel], shares: usize) -> impl Iterator<Item = Range<usize>> + '_ {
     let shares = shares.clamp(1, kernels.len().max(1));
     let nnz: u64 = kernels.iter().map(|k| u64::from(k.total())).sum();
     let (mut first, mut taken) = (0, 0u64);

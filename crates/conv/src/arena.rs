@@ -38,15 +38,16 @@
 //! once would go stale; [`FlatLayout::store_plane`] writes every element
 //! of a channel's block, padding included, on every store.
 
-use crate::abft::AbftScratch;
 use crate::abm::{Accumulator, PreparedConv, SweepScratch};
 use crate::dense::Geometry;
 use crate::host::{self, LrnScratch};
 use abm_kernel::AccWidth;
 use abm_model::{LayerKind, LrnSpec, Network, PoolSpec};
+use abm_pool::on_shares;
 use abm_sparse::FlatLayout;
 use abm_tensor::fixed::round_shift;
 use abm_tensor::{QFormat, Rounding, Shape3};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -219,10 +220,12 @@ pub(crate) struct Arena {
     /// One sweep scratch a share of a layer split across threads (one
     /// when it runs on this thread alone).
     pub sweeps: Vec<SweepScratch>,
-    pub abft: AbftScratch,
+    /// One input channel's prefix tables, for the ABFT check.
+    pub abft: Vec<i64>,
     /// The kernels' stream digests of a checksum split across threads.
     pub digests: Vec<u64>,
-    lrn: LrnScratch,
+    /// One LRN scratch a run of channels (one on this thread alone).
+    lrns: Vec<LrnScratch>,
     /// One requantized channel, one pooled channel, the pool's column
     /// maxima.
     channel: Vec<i16>,
@@ -235,23 +238,21 @@ pub(crate) struct Arena {
 impl Arena {
     /// Bytes of capacity behind every buffer.
     fn bytes(&self) -> usize {
-        let (abft, lrn) = (&self.abft, &self.lrn);
-        let halves = [
-            &self.spare,
-            &self.channel,
-            &self.pooled,
-            &self.columns,
-            &lrn.out,
-        ];
-        let words = [&self.wide, &abft.prefix, &abft.sums, &lrn.energy];
+        let halves = [&self.spare, &self.channel, &self.pooled, &self.columns];
+        let words = [&self.wide, &self.abft];
         let sweeps = self.sweeps.iter();
         let sweep_words = sweeps.map(|s| s.tile.capacity() + s.partials.capacity());
+        let lrns = self.lrns.iter();
+        let lrn_bytes =
+            lrns.map(|l| 2 * l.out.capacity() + 8 * (l.energy.capacity() + l.table.capacity()));
         2 * halves.iter().map(|v| v.capacity()).sum::<usize>()
             + 4 * self.plane.capacity()
             + 8 * words.iter().map(|v| v.capacity()).sum::<usize>()
             + 8 * sweep_words.sum::<usize>()
             + std::mem::size_of::<SweepScratch>() * self.sweeps.capacity()
-            + 8 * (lrn.table.capacity() + self.digests.capacity())
+            + lrn_bytes.sum::<usize>()
+            + std::mem::size_of::<LrnScratch>() * self.lrns.capacity()
+            + 8 * self.digests.capacity()
     }
 
     /// The Sum/Round stage with everything that rides along, in one pass
@@ -356,11 +357,37 @@ impl Arena {
 
     /// An LRN layer: `src` (the plain tensor of the step's shape, in
     /// `fmt`) normalized into [`spare`](Self::spare) through the step's
-    /// layout.
-    pub fn lrn_store(&mut self, src: &[i16], fmt: QFormat, spec: &LrnSpec, step: &Step) {
-        let spare = &mut self.spare;
-        let emit = |n, plane: &[i16]| step.store.store_plane(spare, n, plane);
-        host::lrn_planes(src, step.shape, fmt, spec, &mut self.lrn, emit);
+    /// layout, in `width` contiguous runs of channels on as many
+    /// threads, each writing its own channels' blocks. A channel's
+    /// output depends on the input alone, so every width stores the
+    /// same bits.
+    pub fn lrn_store(
+        &mut self,
+        src: &[i16],
+        fmt: QFormat,
+        spec: &LrnSpec,
+        step: &Step,
+        width: usize,
+    ) {
+        let (shape, store) = (step.shape, step.store);
+        let runs = width.clamp(1, shape.channels.max(1));
+        if self.lrns.len() < runs {
+            self.lrns.resize_with(runs, LrnScratch::default);
+        }
+        let mut rest = &mut self.spare[..store.relaid_len(shape.channels)];
+        let shares = (0..runs).zip(&mut self.lrns).map(|(i, scratch)| {
+            let run = shape.channels * i / runs..shape.channels * (i + 1) / runs;
+            let (blocks, tail) =
+                std::mem::take(&mut rest).split_at_mut(store.relaid_len(run.len()));
+            rest = tail;
+            (run, blocks, scratch)
+        });
+        let each = |(run, blocks, scratch): (Range<usize>, &mut [i16], &mut LrnScratch)| {
+            let first = run.start;
+            let emit = |n, plane: &[i16]| store.store_plane(blocks, n - first, plane);
+            host::lrn_planes(src, shape, fmt, spec, run, scratch, emit);
+        };
+        on_shares(shares, each, |(), ()| ());
     }
 }
 
@@ -455,8 +482,6 @@ pub(crate) struct LaneArena {
     /// [`column_maxima`](Self::column_maxima) and
     /// [`requantize_store`](Self::requantize_store).
     pub rounds: Vec<ColumnRound>,
-    /// The lane buffer's row sums, for the ABFT check of a lane plane.
-    pub sums: Vec<i64>,
     /// [`bytes`](Self::bytes) when last returned (0 for a new one).
     held: usize,
 }
@@ -465,7 +490,7 @@ impl LaneArena {
     /// Bytes of capacity behind every buffer.
     fn bytes(&self) -> usize {
         let halves = [&self.rows, &self.input, &self.output];
-        let words = self.plane.capacity() + self.sums.capacity() + self.max_abs.capacity();
+        let words = self.plane.capacity() + self.max_abs.capacity();
         2 * halves.iter().map(|v| v.capacity()).sum::<usize>()
             + 8 * words
             + std::mem::size_of::<ColumnRound>() * self.rounds.capacity()
@@ -835,6 +860,35 @@ mod tests {
                 let expected = step.store.relayout(&pooled);
                 prop_assert_eq!(&arena.spare[..expected.len()], &expected[..]);
             }
+        }
+    }
+
+    /// AlexNet's two LRN layers, split into 1 to 4 runs of channels:
+    /// every width stores the bits `host::lrn` computes, into the same
+    /// blocks of the spare buffer and nothing past them.
+    #[test]
+    fn lrn_runs_store_the_same_bits_at_every_width() {
+        let net = zoo::alexnet();
+        let plan = Plan::new(&net, true);
+        let fmt = QFormat::new(8, 3);
+        let lrns = net.layers().iter().zip(&plan.steps);
+        let lrns = lrns.filter_map(|(layer, step)| match &layer.kind {
+            LayerKind::Lrn(spec) => Some((spec, step)),
+            _ => None,
+        });
+        for (spec, step) in lrns {
+            let input = Tensor3::from_fn(step.shape, |c, r, col| {
+                ((c * 97 + r * 31 + col * 7) % 255) as i16 - 127
+            });
+            let expected = step.store.relayout(&host::lrn(&input, fmt, spec));
+            let mut arena = Arena::default();
+            for width in 1..=4 {
+                arena.spare = vec![0x5a5a; expected.len() + 3];
+                arena.lrn_store(input.as_slice(), fmt, spec, step, width);
+                assert_eq!(&arena.spare[..expected.len()], &expected[..], "{width}");
+                assert_eq!(&arena.spare[expected.len()..], &[0x5a5a; 3], "{width}");
+            }
+            assert_eq!(arena.lrns.len(), 4);
         }
     }
 

@@ -7,6 +7,7 @@
 
 use abm_model::{LrnSpec, PoolKind, PoolSpec};
 use abm_tensor::{QFormat, Shape3, Tensor3};
+use std::ops::Range;
 
 /// Rectified linear unit on a quantized feature map.
 pub fn relu(input: &Tensor3<i16>) -> Tensor3<i16> {
@@ -101,7 +102,16 @@ pub fn lrn(input: &Tensor3<i16>, fmt: QFormat, spec: &LrnSpec) -> Tensor3<i16> {
     let (shape, mut out) = (input.shape(), Vec::with_capacity(input.len()));
     let mut scratch = LrnScratch::default();
     let emit = |_, plane: &[i16]| out.extend_from_slice(plane);
-    lrn_planes(input.as_slice(), shape, fmt, spec, &mut scratch, emit);
+    let channels = 0..shape.channels;
+    lrn_planes(
+        input.as_slice(),
+        shape,
+        fmt,
+        spec,
+        channels,
+        &mut scratch,
+        emit,
+    );
     Tensor3::from_vec(shape, out)
 }
 
@@ -115,18 +125,22 @@ pub(crate) struct LrnScratch {
 }
 
 /// The core under [`lrn`] and the inference path: normalizes the
-/// channel-major feature map `input` of shape `s` and hands each
-/// finished channel plane to `emit`, in channel order.
+/// `channels` of the channel-major feature map `input` of shape `s` and
+/// hands each finished channel plane to `emit`, in channel order. The
+/// energy window starts whole at the run's first channel, so a run
+/// computes the bits the whole map's pass computes for it, and runs on
+/// their own scratch may go in parallel.
 pub(crate) fn lrn_planes(
     input: &[i16],
     s: Shape3,
     fmt: QFormat,
     spec: &LrnSpec,
+    channels: Range<usize>,
     scratch: &mut LrnScratch,
     mut emit: impl FnMut(usize, &[i16]),
 ) {
     let plane = s.rows * s.cols;
-    if s.channels == 0 || plane == 0 {
+    if channels.is_empty() || plane == 0 {
         return;
     }
     let half = spec.size / 2;
@@ -159,13 +173,14 @@ pub(crate) fn lrn_planes(
             *e += sign * square(x);
         }
     };
+    let first = channels.start;
     energy.clear();
     energy.resize(plane, 0);
-    for entering in 0..=half.min(s.channels - 1) {
+    for entering in first.saturating_sub(half)..=(first + half).min(s.channels - 1) {
         slide(energy, planes(entering), 1);
     }
-    for c in 0..s.channels {
-        if c > 0 {
+    for c in channels {
+        if c > first {
             if c + half < s.channels {
                 slide(energy, planes(c + half), 1);
             }

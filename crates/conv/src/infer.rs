@@ -18,7 +18,7 @@
 
 mod lanes;
 
-use crate::abft::{self, AbftScratch};
+use crate::abft;
 use crate::abm::{AbmWork, Accumulator, PreparedConv, SweepScratch};
 use crate::arena::{fit, Arena, ArenaPool, ArenaStats, Plan, Step};
 use crate::dense::{self, Geometry};
@@ -103,13 +103,15 @@ impl InferenceResult {
 /// Unchecked (the default), the hot path is exactly the unchecked
 /// executor; golden pins and benchmarks are unaffected. Both checking
 /// policies re-hash every ABM layer's code streams before executing
-/// ([`PreparedConv::verify_checksum`]) and check its output against the
-/// ABFT prediction (`abft::verify_plane`, the check
-/// [`abft::verify_output`] runs on tensors) after. Hardened, a
-/// detected corruption is recovered by re-lowering once from the
-/// retained [`LayerCode`] when that code is sound, and otherwise, or if
-/// the re-lowered layer fails too, by the dense engine on the model's
-/// raw weights — which cannot fail, so the ladder never exhausts.
+/// ([`PreparedConv::verify_checksum`]) and check the total of its output
+/// plane against the ABFT prediction after: one dot product of the
+/// input's tap sums with the column checksum built at preparation
+/// (`abft::verify_plane`, the check [`abft::verify_output`] runs on
+/// tensors). Neither reads the retained [`LayerCode`]. Hardened, a
+/// detected corruption is recovered by re-lowering once from that code
+/// when it is sound, and otherwise, or if the re-lowered layer fails
+/// too, by the dense engine on the model's raw weights — which cannot
+/// fail, so the ladder never exhausts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ResiliencePolicy {
     /// No detector runs.
@@ -593,7 +595,7 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
                     .for_each(|v| *v = (*v).max(0));
             }
             LayerKind::Lrn(spec) => {
-                arena.lrn_store(&state.features, state.fmt, spec, step);
+                arena.lrn_store(&state.features, state.fmt, spec, step, at.1);
                 std::mem::swap(&mut state.features, &mut arena.spare);
             }
             LayerKind::Softmax => {
@@ -743,15 +745,16 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
     /// plane (the layer's stage-2 proof bounds every output of the
     /// weights both convolve with). Every detection and recovery is
     /// recorded as a telemetry
-    /// [`Event::Fault`](abm_telemetry::Event::Fault). The checksum, the
-    /// sweep and the ABFT check each split across `shares` threads along
-    /// the same kernel runs.
+    /// [`Event::Fault`](abm_telemetry::Event::Fault). The checksum and
+    /// the sweep each split across `shares` threads along the same
+    /// kernel runs; the ABFT check, one pass over the input and one over
+    /// the plane, runs on the calling thread.
     fn execute_abm<A: Accumulator>(
         &self,
         prep: &PreparedConv,
         relaid: &[i16],
         plane: &mut [A],
-        (sweeps, abft, digests): (&mut Vec<SweepScratch>, &mut AbftScratch, &mut Vec<u64>),
+        (sweeps, abft, digests): (&mut Vec<SweepScratch>, &mut Vec<i64>, &mut Vec<u64>),
         (layer_idx, shares): (usize, usize),
     ) -> Result<(u64, AbmWork), AbmError> {
         if !self.resilience.verifies() {
@@ -774,9 +777,7 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
                     plane[word] = A::narrow(plane[word].into() ^ (1i64 << bit));
                 }
             }
-            timed_detector("abm_abft_ns", || {
-                abft::verify_plane(p, relaid, plane, abft, shares)
-            })?;
+            timed_detector("abm_abft_ns", || abft::verify_plane(p, relaid, plane, abft))?;
             Ok((max_abs, p.work()))
         };
         let detected = match attempt(prep, plane) {
@@ -793,10 +794,10 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
         if self.resilience != ResiliencePolicy::Hardened {
             return Err(detected);
         }
-        // The code is what a re-lowering rebuilds from. One that no
-        // longer lowers to the streams checksummed at load has itself
-        // been corrupted since (ABFT, which predicts from it, is what
-        // noticed): nothing is rebuilt from it.
+        // The code is what a re-lowering rebuilds from, and no request
+        // reads it, so this is where its corruption shows: one that no
+        // longer lowers to the streams checksummed at load has been
+        // corrupted since, and nothing is rebuilt from it.
         let code = prep.code();
         let layout = PreparedConv::layout_for(prep.input_shape(), geom);
         let code_sound = FlatCode::lower(code, layout)
@@ -919,8 +920,7 @@ fn timed_detector<T>(histogram: &str, detector: impl FnOnce() -> T) -> T {
 fn detector_name(e: &AbmError) -> &'static str {
     match e.root_cause() {
         AbmError::ChecksumMismatch { .. } => "checksum",
-        // A witness ABFT cannot walk, or a mismatch against its prediction.
-        AbmError::CodeCorrupt { .. } | AbmError::AbftMismatch { .. } => "abft",
+        AbmError::AbftMismatch { .. } => "abft",
         _ => "guard",
     }
 }
@@ -1226,7 +1226,28 @@ mod tests {
         assert!(matches!(err, AbmError::Layer { layer: 0, .. }), "{err}");
     }
 
-    /// A code corrupted after load — ABFT's witness — is detected, and
+    /// The `Fault` events recorded since the last call, as
+    /// `(action, class)`.
+    fn fault_events(sink: &TelemetrySink) -> Vec<(FaultAction, String)> {
+        use abm_telemetry::Event;
+        let events = sink.drain().into_iter();
+        let faults = events.filter_map(|e| match e {
+            Event::Fault { action, class, .. } => Some((action, class)),
+            _ => None,
+        });
+        faults.collect()
+    }
+
+    /// The rungs that recovered since the last call.
+    fn rungs(sink: &TelemetrySink) -> Vec<String> {
+        let recovered = fault_events(sink).into_iter();
+        let recovered = recovered.filter(|(action, _)| *action == FaultAction::Recovered);
+        recovered.map(|(_, class)| class).collect()
+    }
+
+    /// A code corrupted after load is read by no request: alone, it
+    /// changes no output and raises no event. Once a detector sends the
+    /// layer to recovery — here a flipped offset in the same kernel —
     /// the ladder rebuilds nothing from it: no re-lowering runs a code
     /// that no longer lowers to the checksum recorded at load, so the
     /// image gets the golden logits from the dense rung, and only from
@@ -1234,7 +1255,6 @@ mod tests {
     /// `re-lower` event.
     #[test]
     fn a_corrupted_code_is_detected_and_never_rebuilt_from() {
-        use abm_telemetry::Event;
         let model = tiny_model();
         let input = tiny_input();
         let sink = TelemetrySink::new();
@@ -1260,33 +1280,55 @@ mod tests {
             let mut prepared = clean.clone();
             let layer = prepared.abm_layer_mut(0).unwrap();
             edit(&mut layer.code_mut().kernels_mut()[0]);
+            let alone = hardened.run_prepared(&prepared, &input).unwrap();
+            assert_eq!(alone.logits, golden.logits, "{what}");
+            assert_eq!(fault_events(&sink), [], "{what}");
+
+            corrupt_first_kernel(&mut prepared, |_, offsets| offsets[0] ^= 1 << 2);
             let err = detect.run_prepared(&prepared, &input).unwrap_err();
             assert!(
-                matches!(
-                    err.root_cause(),
-                    AbmError::CodeCorrupt { .. } | AbmError::AbftMismatch { .. }
-                ),
+                matches!(err.root_cause(), AbmError::ChecksumMismatch { .. }),
                 "{what}: {err}"
             );
             let before = dense_total();
             let recovered = hardened.run_prepared(&prepared, &input).unwrap();
             assert_eq!(recovered.logits, golden.logits, "{what}");
-            let rungs: Vec<_> = sink
-                .drain()
-                .into_iter()
-                .filter_map(|e| match e {
-                    Event::Fault {
-                        action: FaultAction::Recovered,
-                        class,
-                        ..
-                    } => Some(class),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(rungs, ["dense-fallback"], "{what}");
+            assert_eq!(rungs(&sink), ["dense-fallback"], "{what}");
             // Only this test reaches the dense rung in this binary, so
             // the shared registry's count moves by this run alone.
             assert_eq!(dense_total(), before + 1, "{what}");
+        }
+    }
+
+    /// The column checksum is state a request reads: a flipped bit of
+    /// it is an `AbftMismatch`, and the hardened ladder's one
+    /// re-lowering — a fresh layer, which rebuilds the table from the
+    /// sound code — recovers the golden logits.
+    #[test]
+    fn a_flipped_column_checksum_is_detected_and_relowered() {
+        let model = tiny_model();
+        let input = tiny_input();
+        let sink = TelemetrySink::new();
+        let hardened = Inferencer::new(&model)
+            .resilience(ResiliencePolicy::hardened())
+            .telemetry(sink.clone());
+        let detect = Inferencer::new(&model).resilience(ResiliencePolicy::detect_only());
+        let clean = hardened.prepare().unwrap();
+        let golden = hardened.run_prepared(&clean, &input).unwrap();
+        let entries = clean.abm_layer(0).unwrap().column().len();
+        for entry in [0, entries / 2, entries - 1] {
+            for bit in 0..32 {
+                let mut prepared = clean.clone();
+                prepared.abm_layer_mut(0).unwrap().column_mut()[entry] ^= 1 << bit;
+                let err = detect.run_prepared(&prepared, &input).unwrap_err();
+                assert!(
+                    matches!(err.root_cause(), AbmError::AbftMismatch { .. }),
+                    "entry {entry} bit {bit}: {err}"
+                );
+                let recovered = hardened.run_prepared(&prepared, &input).unwrap();
+                assert_eq!(recovered.logits, golden.logits, "entry {entry} bit {bit}");
+                assert_eq!(rungs(&sink), ["re-lower"], "entry {entry} bit {bit}");
+            }
         }
     }
 

@@ -285,11 +285,8 @@ impl<I: Injector + Send> Inferencer<'_, I> {
         let fill = (live, pitch);
         prep.execute_lanes(self.parallelism, sel, &lanes.input, fill, &mut lanes.plane);
         if self.resilience.verifies() {
-            let LaneArena {
-                input, plane, sums, ..
-            } = lanes;
             super::timed_detector("abm_abft_ns", || {
-                abft::verify_lanes(prep, input, pitch, plane, sums)
+                abft::verify_lanes(prep, &lanes.input, pitch, &lanes.plane)
             })?;
         }
         lanes.column_maxima(kernels, live, pitch);

@@ -17,8 +17,8 @@ use std::fmt;
 ///   — the former panic sites of `crates/conv`, a kernel ISA pin the
 ///   CPU cannot honour, and a serving configuration that cannot run;
 /// * **integrity guards** (`CodeCorrupt`, `ChecksumMismatch`,
-///   `AbftMismatch`) — online detection of corrupted WT/Q-Table
-///   streams, a corrupted code witness and accumulator upsets;
+///   `AbftMismatch`) — a code that no longer lowers, and online
+///   detection of corrupted WT/Q-Table streams and accumulator upsets;
 /// * **watchdogs** (`CuDeadline`, `FifoOverflow`, `LostDeposit`,
 ///   `BandwidthCollapse`) — the simulator's timing-domain detectors;
 /// * **rejections** (`Overloaded`, `DeadlineExceeded`) — the serving
@@ -61,8 +61,7 @@ pub enum AbmError {
         engine: &'static str,
     },
     /// A code no longer walks: an index past the kernel volume, or
-    /// Q-Table counts that do not tile the index stream. ABFT reports
-    /// it when it predicts from a corrupted witness, and lowering such a
+    /// Q-Table counts that do not tile the index stream. Lowering such a
     /// code returns it.
     CodeCorrupt {
         /// Kernel whose streams are inconsistent.
@@ -80,15 +79,16 @@ pub enum AbmError {
         /// Checksum of the streams as they are now.
         computed: u64,
     },
-    /// An ABFT activation column-checksum disagrees with the
-    /// prediction derived from the input: the output of `kernel` was
-    /// corrupted somewhere along the accumulate/multiply/write path.
+    /// A layer's ABFT checksum — the total of its output plane over
+    /// every kernel — disagrees with the prediction from the input and
+    /// the column checksum built at preparation: an output was
+    /// corrupted somewhere along the accumulate/multiply/write path (or
+    /// the column checksum itself was). Which kernel is not named: the
+    /// recovery ladder re-lowers whole layers.
     AbftMismatch {
-        /// Kernel (output channel) whose column sum is off.
-        kernel: usize,
-        /// Column sum predicted from the input and the code.
+        /// Plane total predicted from the input and the weights.
         predicted: i64,
-        /// Column sum actually observed in the output.
+        /// Plane total actually observed in the output.
         observed: i64,
     },
     /// A host worker panicked while processing one batch item.
@@ -278,19 +278,18 @@ impl fmt::Display for AbmError {
                 "layer {layer} has no prepared weights for the {engine} engine"
             ),
             // The detail names the kernel itself (a verifier defect, an
-            // `EncodeError::CorruptCode`, an ABFT walk of the witness).
+            // `EncodeError::CorruptCode`).
             AbmError::CodeCorrupt { detail, .. } => write!(f, "code streams corrupt: {detail}"),
             AbmError::ChecksumMismatch { stored, computed } => write!(
                 f,
                 "code checksum mismatch: stored {stored:#018x}, streams now hash {computed:#018x}"
             ),
             AbmError::AbftMismatch {
-                kernel,
                 predicted,
                 observed,
             } => write!(
                 f,
-                "ABFT column checksum mismatch on kernel {kernel}: predicted {predicted}, observed {observed}"
+                "ABFT checksum mismatch: predicted plane total {predicted}, observed {observed}"
             ),
             AbmError::WorkerPanic { item, message } => {
                 write!(f, "worker panicked on batch item {item}: {message}")

@@ -15,8 +15,9 @@ pub enum FaultClass {
     QTableWordFlip,
     /// Bit flip in one weight index of a layer's retained `LayerCode`
     /// after load — an upset in the witness copy of the WT-Buffer
-    /// indexes, which the ABFT prediction reads and a re-lowering would
-    /// rebuild from.
+    /// indexes, which a re-lowering would rebuild from — drawn with a
+    /// flip of an offset word of the same kernel, which sends the layer
+    /// to recovery.
     CodeIndexFlip,
     /// Bit flip in one Q-Table `NUM` (group count) of a layer's
     /// retained `LayerCode` after load — the same witness, its other

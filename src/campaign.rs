@@ -680,11 +680,12 @@ mod tests {
         let report = run_campaign(&CampaignConfig::net("tiny"), &TelemetrySink::new()).unwrap();
         for t in &report.trials {
             let expected = match t.class {
-                FaultClass::WtWordFlip | FaultClass::QTableWordFlip => "checksum",
-                // A witness flip ABFT's prediction does not see changes
-                // nothing the sweep reads: masked, no detector.
-                FaultClass::CodeIndexFlip if t.outcome == FaultOutcome::Masked => "-",
-                FaultClass::CodeIndexFlip | FaultClass::CodeCountFlip => "abft",
+                // A witness flip rides with an offset flip of its
+                // kernel: the stream checksum sees that one.
+                FaultClass::WtWordFlip
+                | FaultClass::QTableWordFlip
+                | FaultClass::CodeIndexFlip
+                | FaultClass::CodeCountFlip => "checksum",
                 FaultClass::AccumulatorFlip => "abft",
                 _ => continue, // timing detectors depend on drawn magnitudes
             };

@@ -421,8 +421,9 @@ fn the_arena_stops_growing_after_the_first_image() {
         );
     }
     // Hardened, on one thread so it is the same arena every time: its
-    // ABFT tables and the lane arena's row sums grow in the first
-    // hardened batch, and nothing after.
+    // ABFT tables grow in the first hardened batch, and nothing after.
+    // The lane check keeps no buffer: it folds the lane rows straight
+    // into its dot product.
     let before = fresh.arena_stats();
     for _ in 0..3 {
         assert_eq!(
@@ -432,7 +433,7 @@ fn the_arena_stops_growing_after_the_first_image() {
         assert_eq!(
             fresh.arena_stats(),
             ArenaStats {
-                grown: before.grown + 2,
+                grown: before.grown + 1,
                 ..before
             }
         );
@@ -599,7 +600,7 @@ fn a_sibling_handle_serves_golden_while_another_is_corrupted_and_repaired() {
 
 /// What a prepared AlexNet keeps resident per non-zero weight: its
 /// flat offset (4 B, what the sweep reads) and its code index (2 B, the
-/// witness ABFT and load validation read) — 6 B — plus the Q-Tables
+/// witness load validation and re-lowering read) — 6 B — plus the Q-Tables
 /// (values, group bounds, `(VAL, NUM)` entries). The streams the
 /// accessors expose are all a kernel stores: the lowering is three
 /// vectors and a layout, the code two vectors, so a third copy of every

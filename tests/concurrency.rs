@@ -163,7 +163,7 @@ const WIDTHS: [Parallelism; 4] = [
 ];
 
 /// A lone image — `run_prepared`, or a batch of one — splits each large
-/// layer's kernels, checksum and ABFT check across the pool; a batch of
+/// layer's kernels and checksum across the pool; a batch of
 /// two or three keeps its images parallel and its layers whole. Either
 /// way every width gives the serial bits — logits, traces, work
 /// counters, saturation, every field — plain and hardened, on tiny

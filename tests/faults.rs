@@ -60,10 +60,9 @@ proptest! {
         // The host classes end where the runtime's ladder puts them,
         // wherever the seed lands the flip: a stream flip and a
         // transient accumulator upset are re-lowered (the code is
-        // sound, and the upset does not come back); a flipped witness
-        // is never rebuilt from, so it is dense or, when ABFT's
-        // prediction does not move, masked — and a count flip always
-        // moves it, since the counts stop tiling the index stream.
+        // sound, and the upset does not come back); a flipped witness,
+        // sent to recovery by the offset flip drawn with it, is never
+        // rebuilt from, so it is dense.
         for t in &report.trials {
             let (outcome, detector, action) = (t.outcome, t.detector.as_str(), t.action);
             let expected = match t.class {
@@ -73,11 +72,8 @@ proptest! {
                 FaultClass::AccumulatorFlip => {
                     (FaultOutcome::DetectedRecovered, "abft", RecoveryAction::Relowered)
                 }
-                FaultClass::CodeIndexFlip if outcome == FaultOutcome::Masked => {
-                    (FaultOutcome::Masked, "-", RecoveryAction::None)
-                }
                 FaultClass::CodeIndexFlip | FaultClass::CodeCountFlip => {
-                    (FaultOutcome::DetectedRecovered, "abft", RecoveryAction::DenseFallback)
+                    (FaultOutcome::DetectedRecovered, "checksum", RecoveryAction::DenseFallback)
                 }
                 _ => continue,
             };

@@ -207,7 +207,7 @@ mod tests {
 
     fn prepared(in_shape: Shape3, w_shape: Shape4, geom: Geometry, salt: usize) -> PreparedConv {
         let code = LayerCode::encode(&weights(w_shape, salt)).unwrap();
-        PreparedConv::try_new(code, in_shape, geom, None).unwrap()
+        PreparedConv::try_new(&code, in_shape, geom, None).unwrap()
     }
 
     fn executed(

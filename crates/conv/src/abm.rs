@@ -54,7 +54,6 @@ use abm_pool::{on_shares, Parallelism};
 use abm_sparse::{FlatCode, FlatKernel, FlatLayout, LayerCode};
 use abm_tensor::{Shape3, Shape4, Tensor3};
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::Instant;
 
 pub mod reference;
@@ -146,7 +145,7 @@ pub fn conv2d(
     code: &LayerCode,
     geom: Geometry,
 ) -> Result<Tensor3<i64>, AbmError> {
-    PreparedConv::try_new(code.clone(), input.shape(), geom, None)?.try_execute(input)
+    PreparedConv::try_new(code, input.shape(), geom, None)?.try_execute(input)
 }
 
 /// Like [`conv2d`] but also reports the per-stage operation counts.
@@ -164,15 +163,16 @@ pub fn conv2d_counted(
     code: &LayerCode,
     geom: Geometry,
 ) -> Result<(Tensor3<i64>, AbmWork), AbmError> {
-    let prepared = PreparedConv::try_new(code.clone(), input.shape(), geom, None)?;
+    let prepared = PreparedConv::try_new(code, input.shape(), geom, None)?;
     let out = prepared.try_execute(input)?;
     Ok((out, prepared.work))
 }
 
 /// An ABM layer prepared for repeated execution against one input
 /// geometry: flat-offset streams, the kernel dispatch and the analytic
-/// work accounting, all computed once — beside the encoded layer they
-/// were lowered from.
+/// work accounting, all computed once. The encoded layer they were
+/// lowered from is read while preparing and not kept: the flat streams
+/// are the one resident encoding of every non-zero.
 ///
 /// Prepared once per layer (offline, like the accelerator's encoder) and
 /// reused across batch items and host workers — execution holds no
@@ -180,18 +180,14 @@ pub fn conv2d_counted(
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreparedConv {
     flat: FlatCode,
-    /// The source code: what the column checksum is built from,
-    /// load-time validation checks the offsets against, and a corrupted
-    /// layer is re-lowered from. No request reads it. A handle, so a
-    /// copy of the layer shares it.
-    code: Arc<LayerCode>,
     in_shape: Shape3,
     out_shape: Shape3,
     geom: Geometry,
     /// Kernels per channel group (`M / groups`).
     m_per_group: usize,
-    /// Huang & Abraham's column checksum of the code, what ABFT predicts
-    /// the plane total from (see [`column_sums`]).
+    /// Huang & Abraham's column checksum of the source code, built at
+    /// preparation: what ABFT predicts the plane total from (see
+    /// [`column_sums`]).
     column: Vec<i32>,
     work: AbmWork,
     /// [`abm_fault::flat_checksum`] of the flat streams, recorded at
@@ -221,8 +217,9 @@ pub struct PreparedConv {
 
 impl PreparedConv {
     /// Lowers an encoded layer against a concrete input shape and
-    /// geometry, keeping the code (a [`LayerCode`] moves in, an
-    /// `Arc<LayerCode>` is shared). `isa` is the kernel-ISA request:
+    /// geometry. The code is borrowed: the lowering, the column
+    /// checksum and (in debug builds) the lowering verifier read it
+    /// here, and nothing of it is kept. `isa` is the kernel-ISA request:
     /// `Some(isa)` pins the
     /// variant (debugging, benchmarking, the CLI `--isa` flag), `None`
     /// defers to `ABM_FORCE_ISA` and then auto-detection. Whatever is
@@ -240,14 +237,13 @@ impl PreparedConv {
     /// [`AbmError::IsaUnavailable`] when the pinned ISA cannot execute
     /// on this CPU (or the environment pin does not parse).
     pub fn try_new(
-        code: impl Into<Arc<LayerCode>>,
+        code: &LayerCode,
         in_shape: Shape3,
         geom: Geometry,
         isa: Option<Isa>,
     ) -> Result<Self, AbmError> {
-        let code = code.into();
         validate_grouping(in_shape, code.shape(), geom)?;
-        let flat = FlatCode::lower(&code, Self::layout_for(in_shape, geom))?;
+        let flat = FlatCode::lower(code, Self::layout_for(in_shape, geom))?;
         let w = flat.shape();
         let layout = flat.layout();
         let (out_rows, out_cols) = layout.out_dims(w.kernel_rows, w.kernel_cols);
@@ -299,7 +295,7 @@ impl PreparedConv {
             out_shape,
             geom,
             m_per_group: w.out_channels / geom.groups,
-            column: column_sums(&code, geom.groups),
+            column: column_sums(code, geom.groups),
             work,
             checksum,
             sel,
@@ -307,14 +303,13 @@ impl PreparedConv {
             plane,
             sweep_ops: flat.total_nnz() * per_offset as u64,
             flat,
-            code,
         };
         // Debug builds statically verify the lowering against its source
         // streams on construction; release builds skip the pass (`cargo
         // xtask verify` runs it explicitly over the model zoo).
         #[cfg(debug_assertions)]
         {
-            let report = prepared.verify_lowering();
+            let report = prepared.verify_lowering(code);
             debug_assert!(
                 report.is_clean(),
                 "ABM lowering failed static verification:\n{report}"
@@ -335,13 +330,14 @@ impl PreparedConv {
         }
     }
 
-    /// Runs the `abm-verify` lowering pass against this prepared layer's
-    /// source code: every flat offset must be the address of its source
-    /// index, the whole output plane's sweep must be provably in-bounds,
-    /// the value groups must partition the encoded non-zeros, and
-    /// worst-case accumulation must fit the host accumulator.
+    /// Runs the `abm-verify` lowering pass against `code`, the encoded
+    /// layer this one was prepared from: every flat offset must be the
+    /// address of its source index, the whole output plane's sweep must
+    /// be provably in-bounds, the value groups must partition the
+    /// encoded non-zeros, and worst-case accumulation must fit the host
+    /// accumulator.
     #[must_use]
-    pub fn verify_lowering(&self) -> abm_verify::VerifyReport {
+    pub fn verify_lowering(&self, code: &LayerCode) -> abm_verify::VerifyReport {
         let layout = self.flat.layout();
         let geometry = abm_verify::ConvGeometry {
             in_channels: self.in_shape.channels,
@@ -355,7 +351,7 @@ impl PreparedConv {
         };
         abm_verify::verify_lowering(
             "prepared-conv",
-            &self.code,
+            code,
             &self.flat,
             &geometry,
             &abm_verify::AccumulatorModel::host(),
@@ -390,13 +386,6 @@ impl PreparedConv {
     #[must_use]
     pub fn flat(&self) -> &FlatCode {
         &self.flat
-    }
-
-    /// The encoded layer this one was lowered from — shared, so a
-    /// re-lowering from it is a handle copy.
-    #[must_use]
-    pub fn code(&self) -> &Arc<LayerCode> {
-        &self.code
     }
 
     /// The column checksum ABFT predicts the plane total from: for each
@@ -515,30 +504,13 @@ impl PreparedConv {
         &mut self.flat
     }
 
-    /// The source code for editing in place — the same escape hatch as
-    /// [`flat_mut`](Self::flat_mut), for an upset in the witness rather
-    /// than in the streams. No request reads the code, so an edit alone
-    /// changes no output; once a detector sends the layer to recovery,
-    /// the ladder is expected to rebuild nothing from it. Copies the
-    /// code first when another layer shares it. Never a correctness
-    /// tool; campaign and test use only.
-    pub fn code_mut(&mut self) -> &mut LayerCode {
-        Arc::make_mut(&mut self.code)
-    }
-
     /// Flips one seeded bit of the post-load state `class` names, in a
     /// kernel with non-zeros: an offset (`wt-word-flip`) or value
     /// (`qtable-word-flip`) word of the flat streams, through
-    /// [`flat_mut`](Self::flat_mut), or a weight index
-    /// (`code-index-flip`) or Q-Table `NUM` (`code-count-flip`) of the
-    /// retained code, through [`code_mut`](Self::code_mut). No request
-    /// reads the code, so a witness flip alone changes no output; it is
-    /// drawn with an offset flip in the same kernel, which sends the
-    /// layer to recovery — where the ladder must refuse to rebuild from
-    /// the code. Returns where the bits landed, or `None` — the layer
-    /// unchanged — for a class of no post-load state or a layer without
-    /// a non-zero. The one source of these upsets for the fault campaign
-    /// and serving chaos; never a correctness tool.
+    /// [`flat_mut`](Self::flat_mut). Returns where the bit landed, or
+    /// `None` — the layer unchanged — for a class of no post-load state
+    /// or a layer without a non-zero. The one source of these upsets for
+    /// the fault campaign and serving chaos; never a correctness tool.
     pub fn upset(&mut self, class: FaultClass, rng: &mut SplitMix64) -> Option<String> {
         fn flip<W>(
             words: &mut [W],
@@ -555,25 +527,13 @@ impl PreparedConv {
             .filter_map(|(m, k)| (k.total() > 0).then_some(m))
             .collect();
         let m = *nonempty.get(rng.below(nonempty.len() as u64) as usize)?;
-        let offset = |prep: &mut Self, rng: &mut SplitMix64| {
-            let offsets = prep.flat.kernels_mut()[m].streams_mut().2;
-            format!("offset {}", flip(offsets, 32, rng, |w, b| *w ^= 1 << b))
-        };
+        let (values, _, offsets) = self.flat.kernels_mut()[m].streams_mut();
         let at = match class {
-            FaultClass::WtWordFlip => offset(self, rng),
+            FaultClass::WtWordFlip => {
+                format!("offset {}", flip(offsets, 32, rng, |w, b| *w ^= 1 << b))
+            }
             FaultClass::QTableWordFlip => {
-                let values = self.flat.kernels_mut()[m].streams_mut().0;
                 format!("value {}", flip(values, 8, rng, |w, b| *w ^= 1 << b))
-            }
-            FaultClass::CodeIndexFlip => {
-                let indices = self.code_mut().kernels_mut()[m].streams_mut().1;
-                let at = flip(indices, 16, rng, |w, b| *w ^= 1 << b);
-                format!("code index {at}, {}", offset(self, rng))
-            }
-            FaultClass::CodeCountFlip => {
-                let entries = self.code_mut().kernels_mut()[m].streams_mut().0;
-                let at = flip(entries, 32, rng, |e, b| e.count ^= 1 << b);
-                format!("code count {at}, {}", offset(self, rng))
             }
             _ => return None,
         };
@@ -1018,7 +978,7 @@ mod tests {
         assert_eq!(dense_out, ref_out);
         let pins = std::iter::once(None).chain(Isa::detect_all().into_iter().map(Some));
         for isa in pins {
-            let prepared = PreparedConv::try_new(code.clone(), input.shape(), geom, isa).unwrap();
+            let prepared = PreparedConv::try_new(&code, input.shape(), geom, isa).unwrap();
             let (out, work) = (prepared.execute(input), prepared.work());
             assert_eq!(ref_out, out, "{isa:?} -> {}", prepared.selection());
             assert_eq!(ref_work, work, "analytic work != counted work");
@@ -1152,8 +1112,7 @@ mod tests {
             })
             .collect();
         for isa in Isa::detect_all() {
-            let prep =
-                PreparedConv::try_new(code.clone(), in_shape, Geometry::unit(), Some(isa)).unwrap();
+            let prep = PreparedConv::try_new(&code, in_shape, Geometry::unit(), Some(isa)).unwrap();
             let alone: Vec<Tensor3<i64>> = images.iter().map(|i| prep.execute(i)).collect();
             for live in [5usize, 70] {
                 let sel = prep.lane_selection(live);
@@ -1221,7 +1180,7 @@ mod tests {
         let weights = pseudo_weights(Shape4::new(3, 2, 3, 3), 6);
         let code = LayerCode::encode(&weights).unwrap();
         let geom = Geometry::new(1, 1);
-        let prepared = PreparedConv::try_new(code.clone(), shape, geom, None).unwrap();
+        let prepared = PreparedConv::try_new(&code, shape, geom, None).unwrap();
         for salt in 0..3 {
             let input = Tensor3::from_fn(shape, |c, r, col| {
                 ((c * 97 + r * 13 + col * 5 + salt * 41) % 200) as i16 - 100
@@ -1293,8 +1252,7 @@ mod tests {
         let w = Tensor4::<i8>::zeros(Shape4::new(1, 1, 1, 1));
         let code = LayerCode::encode(&w).unwrap();
         let prepared =
-            PreparedConv::try_new(code.clone(), Shape3::new(1, 4, 4), Geometry::unit(), None)
-                .unwrap();
+            PreparedConv::try_new(&code, Shape3::new(1, 4, 4), Geometry::unit(), None).unwrap();
         let err = prepared
             .try_execute(&Tensor3::<i16>::zeros(Shape3::new(1, 5, 5)))
             .unwrap_err();
@@ -1311,13 +1269,8 @@ mod tests {
     fn checksum_guard_catches_post_load_flip() {
         let weights = pseudo_weights(Shape4::new(2, 2, 3, 3), 6);
         let code = LayerCode::encode(&weights).unwrap();
-        let prepared = PreparedConv::try_new(
-            code.clone(),
-            Shape3::new(2, 6, 6),
-            Geometry::new(1, 1),
-            None,
-        )
-        .unwrap();
+        let prepared =
+            PreparedConv::try_new(&code, Shape3::new(2, 6, 6), Geometry::new(1, 1), None).unwrap();
         assert!(prepared.verify_checksum().is_ok());
         // Flip one offset bit post-load, keeping the golden checksum.
         let mut poisoned = prepared.clone();
@@ -1335,13 +1288,8 @@ mod tests {
     fn kernel_runs_tile_the_layer_by_non_zero_count() {
         let weights = pseudo_weights(Shape4::new(37, 5, 3, 3), 7);
         let code = LayerCode::encode(&weights).unwrap();
-        let prep = PreparedConv::try_new(
-            code.clone(),
-            Shape3::new(5, 9, 9),
-            Geometry::new(1, 1),
-            None,
-        )
-        .unwrap();
+        let prep =
+            PreparedConv::try_new(&code, Shape3::new(5, 9, 9), Geometry::new(1, 1), None).unwrap();
         let with_total =
             |n: usize| FlatKernel::from_raw_parts(vec![1], vec![0, n as u32], vec![0; n]);
         let sparse: Vec<FlatKernel> = [0, 0, 4, 0, 7, 1, 0, 3, 0, 0].map(with_total).into();
@@ -1379,14 +1327,13 @@ mod tests {
         assert_eq!(share_count(3, 100 * MIN_SHARE), 3);
 
         let fc = LayerCode::encode(&pseudo_weights(Shape4::new(5, 24, 1, 1), 6)).unwrap();
-        let fc = PreparedConv::try_new(fc, Shape3::new(24, 1, 1), Geometry::unit(), None).unwrap();
+        let fc = PreparedConv::try_new(&fc, Shape3::new(24, 1, 1), Geometry::unit(), None).unwrap();
         assert_eq!(fc.sweep_ops, fc.flat().total_nnz());
         // Pad 1 on 6×6: one tile of 5 rows at pitch 8 plus a last row of 6.
         let conv = LayerCode::encode(&pseudo_weights(Shape4::new(3, 2, 3, 3), 6)).unwrap();
         let geom = Geometry::new(1, 1);
         for isa in Isa::detect_all() {
-            let prep =
-                PreparedConv::try_new(conv.clone(), Shape3::new(2, 6, 6), geom, Some(isa)).unwrap();
+            let prep = PreparedConv::try_new(&conv, Shape3::new(2, 6, 6), geom, Some(isa)).unwrap();
             let vectors = 46usize.div_ceil(prep.selection().lanes()) as u64;
             assert_eq!(prep.sweep_ops, prep.flat().total_nnz() * vectors, "{isa}");
             assert_eq!((prep.shares(1), prep.shares(64)), (1, 1));
@@ -1440,7 +1387,7 @@ mod tests {
                 );
             let code = LayerCode::encode(&weights).unwrap();
             for isa in Isa::detect_all() {
-                let prep = PreparedConv::try_new(code.clone(), in_shape, geom, Some(isa)).unwrap();
+                let prep = PreparedConv::try_new(&code, in_shape, geom, Some(isa)).unwrap();
                 let relaid = prep.flat().layout().relayout(&input);
                 let serial = prep.execute(&input);
                 let want = serial.as_slice().iter().map(|v| v.unsigned_abs()).max();
@@ -1476,7 +1423,7 @@ mod tests {
             });
             let code = LayerCode::encode(&weights).unwrap();
             let in_shape = Shape3::new(n, k + 3, k + 2);
-            let mut prep = PreparedConv::try_new(code.clone(), in_shape, Geometry::new(1, 1), None)
+            let mut prep = PreparedConv::try_new(&code, in_shape, Geometry::new(1, 1), None)
                 .unwrap();
             let mut digests = Vec::new();
             for shares in 1..=5 {

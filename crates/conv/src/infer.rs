@@ -27,7 +27,7 @@ use abm_fault::{AbmError, Injector, NullInjector};
 use abm_kernel::{AccWidth, Isa};
 use abm_model::{LayerKind, SparseLayer, SparseModel};
 use abm_pool::{parallel_map_salvage, Parallelism};
-use abm_sparse::{FlatCode, FlatLayout, LayerCode};
+use abm_sparse::{FlatLayout, LayerCode};
 use abm_telemetry::{FaultAction, TelemetrySink};
 use abm_tensor::quantize::choose_frac;
 use abm_tensor::{QFormat, Shape3, Tensor3};
@@ -107,11 +107,11 @@ impl InferenceResult {
 /// plane against the ABFT prediction after: one dot product of the
 /// input's tap sums with the column checksum built at preparation
 /// (`abft::verify_plane`, the check [`abft::verify_output`] runs on
-/// tensors). Neither reads the retained [`LayerCode`]. Hardened, a
-/// detected corruption is recovered by re-lowering once from that code
-/// when it is sound, and otherwise, or if the re-lowered layer fails
-/// too, by the dense engine on the model's raw weights — which cannot
-/// fail, so the ladder never exhausts.
+/// tensors). Hardened, a detected corruption is recovered by rebuilding
+/// the layer once from the model's raw weights — encoded and lowered
+/// again, and run only if it lowers to the checksum recorded at load —
+/// and otherwise, or if the rebuilt layer fails too, by the dense engine
+/// on those weights, which cannot fail, so the ladder never exhausts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ResiliencePolicy {
     /// No detector runs.
@@ -206,8 +206,8 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
     /// Polls `injector` for an accumulator upset in every checked ABM
     /// layer an image sweeps on its own, between the sweep and the ABFT
     /// check ([`Injector::accumulator_flip`]) — how a fault campaign
-    /// lands a transient upset in the plane the layer really sweeps.
-    /// Only a checking [`ResiliencePolicy`] polls it, and a batch's FC
+    /// lands a transient or a stuck upset in the plane the layer really
+    /// sweeps; a recovery's sweep polls it again. Only a checking [`ResiliencePolicy`] polls it, and a batch's FC
     /// tail on vector lanes does not.
     pub fn injector<J: Injector>(self, injector: J) -> Inferencer<'m, J> {
         Inferencer {
@@ -305,10 +305,9 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
                     let code = LayerCode::encode(&sl.weights)
                         .map_err(|e| AbmError::from(e).at_layer(idx))?;
                     let (in_shape, geom) = accel_geometry(sl);
-                    // The layer keeps its code: the ABFT witness, and what
-                    // a corrupted layer is re-lowered from without
-                    // re-encoding the whole model.
-                    let prep = PreparedConv::try_new(code, in_shape, geom, self.isa)
+                    // The code is read here and dropped: a corrupted
+                    // layer is rebuilt from the model's raw weights.
+                    let prep = PreparedConv::try_new(&code, in_shape, geom, self.isa)
                         .map_err(|e| e.at_layer(idx))?;
                     if let Some(sink) = &self.telemetry {
                         let sel = prep.selection();
@@ -737,10 +736,10 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
     /// [`ResiliencePolicy`] it is checksum before, ABFT after — against
     /// the very buffers the layer read and filled. Detect-only returns a
     /// detected corruption as the detector's error. Hardened climbs the
-    /// recovery ladder: re-lower once from the retained [`LayerCode`]
-    /// when that code is sound — it still lowers to the checksum
-    /// recorded at load — and otherwise, or when the re-lowering fails
-    /// too, run the dense engine on the model's raw
+    /// recovery ladder: re-lower once — encode the model's raw weights
+    /// and prepare them again — when the rebuilt layer's checksum is the
+    /// one recorded at load, and otherwise, or when the rebuilt layer
+    /// fails too, run the dense engine on the same raw
     /// weights, on a tensor stripped back out of `relaid`, into the same
     /// plane (the layer's stage-2 proof bounds every output of the
     /// weights both convolve with). Every detection and recovery is
@@ -794,28 +793,24 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
         if self.resilience != ResiliencePolicy::Hardened {
             return Err(detected);
         }
-        // The code is what a re-lowering rebuilds from, and no request
-        // reads it, so this is where its corruption shows: one that no
-        // longer lowers to the streams checksummed at load has been
-        // corrupted since, and nothing is rebuilt from it.
-        let code = prep.code();
-        let layout = PreparedConv::layout_for(prep.input_shape(), geom);
-        let code_sound = FlatCode::lower(code, layout)
-            .is_ok_and(|flat| abm_fault::flat_checksum(&flat) == prep.checksum());
-        // One re-lowering is enough: a sound code lowers to the very
-        // streams the load-time checksum covers, so a second would be
-        // the first again, and the dense rung stands behind it.
-        if code_sound {
-            let fresh = PreparedConv::try_new(Arc::clone(code), prep.input_shape(), geom, self.isa);
-            if let Ok(r) = fresh.and_then(|fresh| attempt(&fresh, plane)) {
-                self.record_fault(
-                    layer_idx,
-                    FaultAction::Recovered,
-                    "re-lower",
-                    "clean after one re-lowering",
-                );
-                return Ok(r);
-            }
+        // Rebuild the layer from the model's raw weights, and run it
+        // only if it lowers to the very streams checksummed at load:
+        // weights that changed since then are not the layer that was
+        // prepared. One rebuild is enough — a second would be the first
+        // again — and the dense rung stands behind it.
+        let weights = &self.model.layers[layer_idx].weights;
+        let fresh = LayerCode::encode(weights)
+            .ok()
+            .and_then(|code| PreparedConv::try_new(&code, prep.input_shape(), geom, self.isa).ok());
+        let fresh = fresh.filter(|fresh| fresh.checksum() == prep.checksum());
+        if let Some(r) = fresh.and_then(|fresh| attempt(&fresh, plane).ok()) {
+            self.record_fault(
+                layer_idx,
+                FaultAction::Recovered,
+                "re-lower",
+                "clean after one rebuild from the raw weights",
+            );
+            return Ok(r);
         }
         // The dense engine needs nothing but the raw weights, which the
         // model always has. Work counters stay zero — the layer no
@@ -979,18 +974,19 @@ fn load_plane<A: Accumulator>(plane: &mut [A], acc: &Tensor3<i64>) -> u64 {
 /// analytic work accounting, lowered once and shared read-only across
 /// batch items and host workers.
 ///
-/// Alongside the prepared forms, the source [`LayerCode`]s are retained
-/// so a corrupted layer can be re-lowered by the recovery path (see
-/// [`ResiliencePolicy`]), and the plan of where every layer stores its
-/// output sits beside the pool of activation arenas the executing
-/// threads check out.
+/// The source [`LayerCode`]s are not kept: the flat streams are the one
+/// resident encoding of every non-zero, and the recovery path rebuilds a
+/// corrupted layer from the model's raw weights (see
+/// [`ResiliencePolicy`]). Beside the prepared forms sit the plan of
+/// where every layer stores its output and the pool of activation
+/// arenas the executing threads check out.
 ///
 /// **One prepared model per process.** Every layer sits behind an
 /// [`Arc`], so `clone()` copies handles, not streams (the clone starts
 /// with an empty arena pool): a server's workers, a campaign's trials
 /// and a test's corrupted copy all read the one lowered model. Nothing
 /// on an execution path writes a layer — the recovery ladder runs its
-/// re-lowered layer locally and drops it. The only writer is
+/// rebuilt layer locally and drops it. The only writer is
 /// [`abm_layer_mut`](Self::abm_layer_mut), which copies the one layer
 /// it touches first when another handle shares it: a corruption is
 /// never visible through a sibling handle.
@@ -1005,7 +1001,7 @@ pub struct PreparedWeights {
 /// What `prepare` holds for one accelerated layer, by engine.
 #[derive(Debug, Clone)]
 enum LayerWeights {
-    /// ABM: the lowered layer, which holds the source code it came from.
+    /// ABM: the lowered layer.
     Abm(Arc<PreparedConv>),
     /// Dense reads the model's own tensors.
     Model,
@@ -1043,14 +1039,6 @@ impl PreparedWeights {
         if let (Some(slot), Some(clean)) = (self.layers.get_mut(layer), from.layers.get(layer)) {
             *slot = clean.clone();
         }
-    }
-
-    /// The retained source code for a layer (`None` unless prepared
-    /// with the ABM engine) — its prepared form's
-    /// [`code`](PreparedConv::code).
-    #[must_use]
-    pub fn layer_code(&self, layer: usize) -> Option<&LayerCode> {
-        self.abm_layer(layer).map(|prep| &**prep.code())
     }
 
     /// What the activation-arena pool has grown by and holds idle.
@@ -1245,58 +1233,53 @@ mod tests {
         recovered.map(|(_, class)| class).collect()
     }
 
-    /// A code corrupted after load is read by no request: alone, it
-    /// changes no output and raises no event. Once a detector sends the
-    /// layer to recovery — here a flipped offset in the same kernel —
-    /// the ladder rebuilds nothing from it: no re-lowering runs a code
-    /// that no longer lowers to the checksum recorded at load, so the
-    /// image gets the golden logits from the dense rung, and only from
-    /// it — one `dense-fallback` recovery, counted once, and no
-    /// `re-lower` event.
+    /// A stuck accumulator bit lands on every sweep of its layer: ABFT
+    /// detects it, the layer rebuilt from the raw weights — sound, it
+    /// lowers to the checksum recorded at load — fails the same way, and
+    /// only the dense rung, which sweeps no plane the upset reaches,
+    /// recovers the golden logits: one `dense-fallback` recovery,
+    /// counted once, and no `re-lower` event.
     #[test]
-    fn a_corrupted_code_is_detected_and_never_rebuilt_from() {
+    fn a_stuck_accumulator_is_recovered_by_the_dense_rung_alone() {
+        use abm_fault::{Fault, FaultClass, FaultPlan, PlanInjector};
         let model = tiny_model();
         let input = tiny_input();
         let sink = TelemetrySink::new();
         let hardened = Inferencer::new(&model)
             .resilience(ResiliencePolicy::hardened())
             .telemetry(sink.clone());
-        let detect = Inferencer::new(&model).resilience(ResiliencePolicy::detect_only());
         let dense_total = || {
             abm_metrics::global()
                 .counter("recovery_dense_total")
                 .value()
         };
-        let clean = hardened.prepare().unwrap();
-        let golden = hardened.run_prepared(&clean, &input).unwrap();
-        type Edit = fn(&mut abm_sparse::KernelCode);
-        let edits: [(&str, Edit); 4] = [
-            ("index past the volume", |k| k.streams_mut().1[0] = u16::MAX),
-            ("count overruns", |k| k.streams_mut().0[0].count += 1),
-            ("index moved", |k| k.streams_mut().1[0] ^= 1),
-            ("value changed", |k| k.streams_mut().0[0].value ^= 0x10),
-        ];
-        for (what, edit) in edits {
-            let mut prepared = clean.clone();
-            let layer = prepared.abm_layer_mut(0).unwrap();
-            edit(&mut layer.code_mut().kernels_mut()[0]);
-            let alone = hardened.run_prepared(&prepared, &input).unwrap();
-            assert_eq!(alone.logits, golden.logits, "{what}");
-            assert_eq!(fault_events(&sink), [], "{what}");
-
-            corrupt_first_kernel(&mut prepared, |_, offsets| offsets[0] ^= 1 << 2);
+        let prepared = hardened.prepare().unwrap();
+        let golden = hardened.run_prepared(&prepared, &input).unwrap();
+        let words = prepared.abm_layer(0).unwrap().output_shape().len();
+        for (unit, bit) in [(0, 0), (words / 2, 17), (words - 1, 31)] {
+            let fault = Fault {
+                layer: 0,
+                unit,
+                bit,
+                ..Fault::default()
+            };
+            let plan = FaultPlan::single(FaultClass::AccumulatorStuck, fault);
+            let stuck = hardened.clone().injector(PlanInjector::new(plan));
+            let detect = stuck.clone().resilience(ResiliencePolicy::detect_only());
             let err = detect.run_prepared(&prepared, &input).unwrap_err();
             assert!(
-                matches!(err.root_cause(), AbmError::ChecksumMismatch { .. }),
-                "{what}: {err}"
+                matches!(err.root_cause(), AbmError::AbftMismatch { .. }),
+                "word {unit} bit {bit}: {err}"
             );
+            let detected = (FaultAction::Detected, "abft".to_string());
+            assert_eq!(fault_events(&sink), [detected], "word {unit} bit {bit}");
             let before = dense_total();
-            let recovered = hardened.run_prepared(&prepared, &input).unwrap();
-            assert_eq!(recovered.logits, golden.logits, "{what}");
-            assert_eq!(rungs(&sink), ["dense-fallback"], "{what}");
+            let recovered = stuck.run_prepared(&prepared, &input).unwrap();
+            assert_eq!(recovered.logits, golden.logits, "word {unit} bit {bit}");
+            assert_eq!(rungs(&sink), ["dense-fallback"], "word {unit} bit {bit}");
             // Only this test reaches the dense rung in this binary, so
             // the shared registry's count moves by this run alone.
-            assert_eq!(dense_total(), before + 1, "{what}");
+            assert_eq!(dense_total(), before + 1, "word {unit} bit {bit}");
         }
     }
 
@@ -1362,7 +1345,7 @@ mod tests {
         for layer in &tiny_model().layers {
             let (in_shape, geom) = accel_geometry(layer);
             let code = LayerCode::encode(&layer.weights).unwrap();
-            let prep = PreparedConv::try_new(code, in_shape, geom, None).unwrap();
+            let prep = PreparedConv::try_new(&code, in_shape, geom, None).unwrap();
             assert_eq!(prep.shares(2), 1, "{}", layer.name());
         }
 
@@ -1432,7 +1415,7 @@ mod tests {
             let sl = &model.layers[0];
             let code = LayerCode::encode(&sl.weights).unwrap();
             let (in_shape, geom) = accel_geometry(sl);
-            let prep = PreparedConv::try_new(code.clone(), in_shape, geom, None).unwrap();
+            let prep = PreparedConv::try_new(&code, in_shape, geom, None).unwrap();
             assert_eq!((prep.plane_width(), prep.shares(2)), (width, 2), "{sum}");
             let spread = |c: usize, r: usize, col: usize| (c * 7919 + r * 271 + col * 31) as u16;
             let inputs = [

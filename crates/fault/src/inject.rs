@@ -20,7 +20,7 @@
 //! ([`Injector::accumulator_flip`]): an upset that exists only while a
 //! layer runs has to be delivered there. An upset in state the runtime
 //! keeps after load needs no hook: `PreparedConv::upset` edits a
-//! clone's streams or code in place and the guards find the damage.
+//! clone's streams in place and the guards find the damage.
 
 use crate::plan::{Fault, FaultClass, FaultPlan};
 
@@ -69,7 +69,8 @@ pub trait Injector {
 
     /// The accumulator word and bit to flip in accelerated layer
     /// `layer`'s plane of `words` words, each `bits` wide, after the
-    /// sweep filled it and before ABFT reads it. `None` = healthy.
+    /// sweep filled it and before ABFT reads it — polled once a sweep,
+    /// a recovery's included. `None` = healthy.
     #[inline(always)]
     fn accumulator_flip(&mut self, layer: usize, words: usize, bits: u32) -> Option<(usize, u32)> {
         let _ = (layer, words, bits);
@@ -181,21 +182,25 @@ impl Injector for PlanInjector {
         }
     }
 
-    /// Delivers once: the upset is transient, so a re-run of the layer
-    /// (a recovery's) sweeps clean.
+    /// An [`FaultClass::AccumulatorFlip`] lands once: the upset is
+    /// transient, so a re-run of the layer (a recovery's) sweeps clean.
+    /// An [`FaultClass::AccumulatorStuck`] lands on every poll of its
+    /// layer, and is logged once.
     fn accumulator_flip(&mut self, layer: usize, words: usize, bits: u32) -> Option<(usize, u32)> {
-        let class = FaultClass::AccumulatorFlip;
-        let hit = self
-            .plan
-            .faults
-            .iter()
-            .find(|&&(c, f)| c == class && f.layer == layer && f.unit < words && f.bit < bits);
-        let &(_, f) = hit?;
-        if self.delivered.contains(&(class, f)) {
-            return None;
+        let hit = self.plan.faults.iter().find(|&&(c, f)| {
+            matches!(
+                c,
+                FaultClass::AccumulatorFlip | FaultClass::AccumulatorStuck
+            ) && f.layer == layer
+                && f.unit < words
+                && f.bit < bits
+        });
+        let &(class, f) = hit?;
+        let logged = self.delivered.contains(&(class, f));
+        if !logged {
+            self.delivered.push((class, f));
         }
-        self.delivered.push((class, f));
-        Some((f.unit, f.bit))
+        (!logged || class == FaultClass::AccumulatorStuck).then_some((f.unit, f.bit))
     }
 }
 
@@ -302,5 +307,22 @@ mod tests {
         // Transient: the layer's next sweep runs clean.
         assert_eq!(i.accumulator_flip(2, 100, 32), None);
         assert_eq!(i.delivered(), [(FaultClass::AccumulatorFlip, fault)]);
+    }
+
+    #[test]
+    fn a_stuck_accumulator_lands_every_sweep_and_is_logged_once() {
+        let fault = Fault {
+            layer: 2,
+            unit: 9,
+            bit: 31,
+            ..Fault::default()
+        };
+        let mut i = PlanInjector::new(FaultPlan::single(FaultClass::AccumulatorStuck, fault));
+        assert_eq!(i.accumulator_flip(1, 100, 32), None);
+        assert_eq!(i.accumulator_flip(2, 100, 31), None);
+        for _ in 0..3 {
+            assert_eq!(i.accumulator_flip(2, 100, 32), Some((9, 31)));
+        }
+        assert_eq!(i.delivered(), [(FaultClass::AccumulatorStuck, fault)]);
     }
 }

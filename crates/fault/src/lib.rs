@@ -20,7 +20,7 @@
 //!   entirely, mirroring `abm-telemetry`'s `NullCollector`: the hot
 //!   paths monomorphize to exactly the uninjected code, so golden pins
 //!   hold bit-identically. Upsets in state the runtime keeps after load
-//!   have no hook: `PreparedConv::upset` edits a clone's streams or code.
+//!   have no hook: `PreparedConv::upset` edits a clone's streams.
 //! * [`flat_checksum`] — the digest the post-load code guard compares.
 //! * [`CampaignReport`] / [`FaultOutcome`] — the bookkeeping a fault
 //!   campaign emits: per-class injected/detected/masked/recovered

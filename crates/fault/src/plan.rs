@@ -13,19 +13,14 @@ pub enum FaultClass {
     /// Bit flip in a Q-Table value word after load — an M20K SEU in
     /// the quantized-value RAM.
     QTableWordFlip,
-    /// Bit flip in one weight index of a layer's retained `LayerCode`
-    /// after load — an upset in the witness copy of the WT-Buffer
-    /// indexes, which a re-lowering would rebuild from — drawn with a
-    /// flip of an offset word of the same kernel, which sends the layer
-    /// to recovery.
-    CodeIndexFlip,
-    /// Bit flip in one Q-Table `NUM` (group count) of a layer's
-    /// retained `LayerCode` after load — the same witness, its other
-    /// stream.
-    CodeCountFlip,
     /// Bit flip in one accumulator word of the plane a layer sweeps,
     /// before write-back — a transient upset in the Sum/Round data path.
     AccumulatorFlip,
+    /// The same accumulator bit flipped on every sweep of its layer — a
+    /// persistent upset (a configuration-memory SEU, or a stuck-at bit
+    /// in the Sum/Round write-back) that stays until the device is
+    /// reconfigured, so a rebuilt layer fails the same way.
+    AccumulatorStuck,
     /// Transient back-pressure burst on one lane's partial-sum FIFO.
     FifoStall,
     /// A partial-sum FIFO deposit silently dropped.
@@ -38,12 +33,11 @@ pub enum FaultClass {
 
 impl FaultClass {
     /// Every class, in campaign sweep order.
-    pub const ALL: [FaultClass; 9] = [
+    pub const ALL: [FaultClass; 8] = [
         FaultClass::WtWordFlip,
         FaultClass::QTableWordFlip,
-        FaultClass::CodeIndexFlip,
-        FaultClass::CodeCountFlip,
         FaultClass::AccumulatorFlip,
+        FaultClass::AccumulatorStuck,
         FaultClass::FifoStall,
         FaultClass::FifoDrop,
         FaultClass::CuHang,
@@ -69,9 +63,8 @@ impl FaultClass {
         match self {
             FaultClass::WtWordFlip => "wt-word-flip",
             FaultClass::QTableWordFlip => "qtable-word-flip",
-            FaultClass::CodeIndexFlip => "code-index-flip",
-            FaultClass::CodeCountFlip => "code-count-flip",
             FaultClass::AccumulatorFlip => "accumulator-flip",
+            FaultClass::AccumulatorStuck => "accumulator-stuck",
             FaultClass::FifoStall => "fifo-stall",
             FaultClass::FifoDrop => "fifo-drop",
             FaultClass::CuHang => "cu-hang",
@@ -96,7 +89,8 @@ pub struct Fault {
     /// Kernel / lane / task / accumulator word the fault targets
     /// (class-dependent).
     pub unit: usize,
-    /// The bit an [`FaultClass::AccumulatorFlip`] flips in its word.
+    /// The bit an [`FaultClass::AccumulatorFlip`] or
+    /// [`FaultClass::AccumulatorStuck`] flips in its word.
     pub bit: u32,
     /// Injected stall / hang cycles for the timing classes.
     pub cycles: u64,
@@ -212,13 +206,13 @@ mod tests {
 
     #[test]
     fn class_inventory() {
-        assert_eq!(FaultClass::ALL.len(), 9);
+        assert_eq!(FaultClass::ALL.len(), 8);
         let timing = FaultClass::ALL.iter().filter(|c| c.is_timing()).count();
         assert_eq!(timing, 4);
         let mut names: Vec<&str> = FaultClass::ALL.iter().map(|c| c.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 9, "class names must be unique");
+        assert_eq!(names.len(), 8, "class names must be unique");
     }
 
     #[test]

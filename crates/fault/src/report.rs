@@ -51,8 +51,8 @@ impl fmt::Display for FaultOutcome {
 pub enum RecoveryAction {
     /// No recovery was needed or attempted.
     None,
-    /// The layer's code was re-lowered, once, from the retained
-    /// `LayerCode`.
+    /// The layer was rebuilt, once, from the model's raw weights —
+    /// encoded and lowered again — and ran clean.
     Relowered,
     /// Execution fell back to the dense engine.
     DenseFallback,
@@ -277,7 +277,7 @@ mod tests {
             .push(trial(FaultClass::FifoStall, FaultOutcome::Masked));
         assert!(r.is_clean());
         r.trials
-            .push(trial(FaultClass::CodeIndexFlip, FaultOutcome::Silent));
+            .push(trial(FaultClass::AccumulatorStuck, FaultOutcome::Silent));
         assert!(!r.is_clean());
     }
 

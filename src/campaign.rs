@@ -5,8 +5,8 @@
 //! seed-derived plan and resolves it to a
 //! [`FaultOutcome`]:
 //!
-//! * **host classes** (flips in a prepared layer's streams or retained
-//!   code, an upset in the accumulator plane a layer sweeps) corrupt
+//! * **host classes** (flips in a prepared layer's streams, a transient
+//!   or a stuck upset in the accumulator plane a layer sweeps) corrupt
 //!   state the runtime keeps — a handle clone of the prepared model, or
 //!   the plane through the inferencer's [`PlanInjector`] — and run one
 //!   image through the hardened inference path
@@ -237,7 +237,8 @@ struct HostTrial<'a> {
 /// ([`PreparedConv::upset`](abm_conv::abm::PreparedConv::upset): the
 /// write copies the one layer it touches, the golden model stays as
 /// lowered); an accumulator upset is planned for the inferencer's
-/// injector, which lands it once in the plane the layer sweeps. Either
+/// injector, which lands it in the plane the layer sweeps — once, or on
+/// every sweep when it is stuck. Either
 /// way the hardened `run_prepared` must detect it and climb the
 /// recovery ladder on its own, and the trial takes the detector and
 /// the action from the events the runtime recorded after the
@@ -250,7 +251,8 @@ fn host_trial(t: HostTrial<'_>) -> Result<TrialRecord, AbmError> {
     };
     let mut prepared = t.golden_prep.clone();
     let mut plan = FaultPlan::default();
-    let detail = if t.class == FaultClass::AccumulatorFlip {
+    let accumulator = [FaultClass::AccumulatorFlip, FaultClass::AccumulatorStuck];
+    let detail = if accumulator.contains(&t.class) {
         let prep = t.golden_prep.abm_layer(layer).ok_or(not_prepared)?;
         let fault = Fault {
             layer,
@@ -680,13 +682,8 @@ mod tests {
         let report = run_campaign(&CampaignConfig::net("tiny"), &TelemetrySink::new()).unwrap();
         for t in &report.trials {
             let expected = match t.class {
-                // A witness flip rides with an offset flip of its
-                // kernel: the stream checksum sees that one.
-                FaultClass::WtWordFlip
-                | FaultClass::QTableWordFlip
-                | FaultClass::CodeIndexFlip
-                | FaultClass::CodeCountFlip => "checksum",
-                FaultClass::AccumulatorFlip => "abft",
+                FaultClass::WtWordFlip | FaultClass::QTableWordFlip => "checksum",
+                FaultClass::AccumulatorFlip | FaultClass::AccumulatorStuck => "abft",
                 _ => continue, // timing detectors depend on drawn magnitudes
             };
             assert_eq!(t.detector, expected, "{}", t.class);

@@ -45,7 +45,7 @@ use abm_spconv_repro::model::{
     synthesize_model, zoo, ConvSpec, FcSpec, Layer, LayerKind, LayerProfile, LrnSpec, Network,
     PoolKind, PoolSpec, PruneProfile, SparseModel,
 };
-use abm_spconv_repro::sparse::{FlatKernel, FlatLayout, KernelCode};
+use abm_spconv_repro::sparse::{FlatKernel, FlatLayout};
 use abm_spconv_repro::telemetry::{Event, TelemetrySink};
 use abm_spconv_repro::tensor::{Shape3, Tensor3};
 use proptest::prelude::*;
@@ -599,44 +599,40 @@ fn a_sibling_handle_serves_golden_while_another_is_corrupted_and_repaired() {
 }
 
 /// What a prepared AlexNet keeps resident per non-zero weight: its
-/// flat offset (4 B, what the sweep reads) and its code index (2 B, the
-/// witness load validation and re-lowering read) — 6 B — plus the Q-Tables
-/// (values, group bounds, `(VAL, NUM)` entries). The streams the
-/// accessors expose are all a kernel stores: the lowering is three
-/// vectors and a layout, the code two vectors, so a third copy of every
-/// non-zero cannot come back without failing here.
+/// flat offset, 4 B, what the sweep reads — and nothing else, since the
+/// encoded code a layer is lowered from is dropped once it is prepared
+/// (a corrupted layer is rebuilt from the model's raw weights) — plus
+/// the Q-Tables (values and group bounds). A flat kernel is three
+/// vectors and a layout, and the streams the accessors expose are all
+/// it stores, so a second copy of every non-zero cannot come back
+/// without failing here.
 #[test]
-fn a_prepared_alexnet_keeps_six_bytes_a_non_zero() {
+fn a_prepared_alexnet_keeps_four_bytes_a_non_zero() {
     use std::mem::{size_of, size_of_val};
     assert_eq!(
         size_of::<FlatKernel>(),
         3 * size_of::<Vec<u32>>() + size_of::<FlatLayout>()
     );
-    assert_eq!(size_of::<KernelCode>(), 2 * size_of::<Vec<u16>>());
 
     let profile = PruneProfile::alexnet_deep_compression();
     let model = synthesize_model(&zoo::alexnet(), &profile, 2019);
     let prepared = Inferencer::new(&model).prepare().unwrap();
     let (mut nnz, mut per_weight, mut q_tables) = (0, 0, 0);
-    for layer in 0..model.layers.len() {
+    for (layer, sl) in model.layers.iter().enumerate() {
         let prep = prepared.abm_layer(layer).unwrap();
-        let code = prepared.layer_code(layer).unwrap();
-        for (flat, source) in prep.flat().kernels().iter().zip(code.kernels()) {
-            assert_eq!(flat.offsets().len(), source.indices().len());
-            nnz += flat.offsets().len();
-            per_weight += size_of_val(flat.offsets()) + size_of_val(source.indices());
-            q_tables += size_of_val(flat.values())
-                + size_of_val(flat.group_bounds())
-                + size_of_val(source.entries());
+        nnz += sl.weights.as_slice().iter().filter(|&&w| w != 0).count();
+        for flat in prep.flat().kernels() {
+            per_weight += size_of_val(flat.offsets());
+            q_tables += size_of_val(flat.values()) + size_of_val(flat.group_bounds());
         }
     }
     let mb = |bytes: usize| bytes as f64 / (1 << 20) as f64;
     println!(
-        "AlexNet: {nnz} non-zeros, {:.1} MB of offsets and indexes, {:.2} MB of Q-Tables",
+        "AlexNet: {nnz} non-zeros, {:.1} MB of offsets, {:.2} MB of Q-Tables",
         mb(per_weight),
         mb(q_tables)
     );
-    assert_eq!(per_weight, 6 * nnz);
+    assert_eq!(per_weight, 4 * nnz);
     // The Q-Tables are the small part: under a tenth of the streams.
     assert!(10 * q_tables < per_weight, "{q_tables} B of Q-Tables");
 }

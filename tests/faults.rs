@@ -59,10 +59,10 @@ proptest! {
         }
         // The host classes end where the runtime's ladder puts them,
         // wherever the seed lands the flip: a stream flip and a
-        // transient accumulator upset are re-lowered (the code is
-        // sound, and the upset does not come back); a flipped witness,
-        // sent to recovery by the offset flip drawn with it, is never
-        // rebuilt from, so it is dense.
+        // transient accumulator upset are re-lowered (the raw weights
+        // rebuild the layer checksummed at load, and the upset does not
+        // come back); a stuck accumulator fails the rebuilt layer's
+        // sweep too, so only the dense rung recovers it.
         for t in &report.trials {
             let (outcome, detector, action) = (t.outcome, t.detector.as_str(), t.action);
             let expected = match t.class {
@@ -72,8 +72,8 @@ proptest! {
                 FaultClass::AccumulatorFlip => {
                     (FaultOutcome::DetectedRecovered, "abft", RecoveryAction::Relowered)
                 }
-                FaultClass::CodeIndexFlip | FaultClass::CodeCountFlip => {
-                    (FaultOutcome::DetectedRecovered, "checksum", RecoveryAction::DenseFallback)
+                FaultClass::AccumulatorStuck => {
+                    (FaultOutcome::DetectedRecovered, "abft", RecoveryAction::DenseFallback)
                 }
                 _ => continue,
             };
@@ -135,6 +135,51 @@ fn host_trials_are_scored_from_the_runtimes_fault_events() {
     for action in [RecoveryAction::Relowered, RecoveryAction::DenseFallback] {
         assert!(actions.contains(&action), "no host trial ended {action}");
     }
+}
+
+/// The rebuild rung trusts the raw weights only as far as the load-time
+/// checksum: a model whose weights changed after it was prepared
+/// rebuilds a layer that is not the one prepared, so a detected layer
+/// is never run from it. Flipping an offset sends layer 0 to recovery
+/// under an inferencer over a clone with one non-zero weight changed;
+/// the rebuilt layer's checksum differs from the one recorded at load,
+/// and the dense rung recovers — on the clone's weights, so the logits
+/// are the clone's own.
+#[test]
+fn a_layer_rebuilt_from_changed_weights_is_never_run() {
+    let model = tiny_model();
+    let input = synth_image(model.network.input_shape(), 0);
+    let mut changed = model.clone();
+    let weights = changed.layers[0].weights.as_mut_slice();
+    let w = weights.iter_mut().find(|w| **w != 0).unwrap();
+    *w = if *w == 1 { 2 } else { 1 };
+    let want = Inferencer::new(&changed).run(&input).unwrap();
+    assert_ne!(
+        want.logits,
+        Inferencer::new(&model).run(&input).unwrap().logits
+    );
+
+    let mut prepared = Inferencer::new(&model).prepare().unwrap();
+    let kernels = prepared.abm_layer_mut(0).unwrap().flat_mut().kernels_mut();
+    let kernel = kernels.iter_mut().find(|k| k.total() > 0).unwrap();
+    kernel.streams_mut().2[0] ^= 1 << 2;
+    let sink = TelemetrySink::new();
+    let hardened = Inferencer::new(&changed)
+        .resilience(ResiliencePolicy::hardened())
+        .telemetry(sink.clone());
+    let got = hardened.run_prepared(&prepared, &input).unwrap();
+    assert_eq!(got.logits, want.logits);
+    let faults: Vec<(FaultAction, String)> = sink
+        .events()
+        .into_iter()
+        .filter_map(|e| match e {
+            Event::Fault { action, class, .. } => Some((action, class)),
+            _ => None,
+        })
+        .collect();
+    let detected = (FaultAction::Detected, "checksum".to_string());
+    let dense = (FaultAction::Recovered, "dense-fallback".to_string());
+    assert_eq!(faults, [detected, dense]);
 }
 
 /// The injector's one inference hook compiles away: a hardened run
@@ -273,7 +318,7 @@ fn campaign_telemetry_records_fault_lifecycle() {
             .filter(|e| matches!(e, Event::Fault { action: a, .. } if *a == action))
             .count()
     };
-    // Nine classes plus the two pipelined dataflow trials.
+    // Eight classes plus the two pipelined dataflow trials.
     assert_eq!(count(FaultAction::Injected), FaultClass::ALL.len() + 2);
     // Every detected trial also recorded a recovery.
     assert_eq!(count(FaultAction::Detected), count(FaultAction::Recovered));

@@ -84,7 +84,7 @@ fn forced_isa_env_routes_dispatch() {
     let mut outputs = Vec::new();
     for isa in Isa::detect_all() {
         let prep = with_forced_isa(isa.name(), || {
-            PreparedConv::try_new(code.clone(), in_shape, geom, None).expect("preparable")
+            PreparedConv::try_new(&code, in_shape, geom, None).expect("preparable")
         });
         let sel = prep.selection();
         if isa == Isa::Scalar {
@@ -100,7 +100,7 @@ fn forced_isa_env_routes_dispatch() {
     }
 
     let err = with_forced_isa("avx9000", || {
-        PreparedConv::try_new(code.clone(), in_shape, geom, None).unwrap_err()
+        PreparedConv::try_new(&code, in_shape, geom, None).unwrap_err()
     });
     assert!(
         err.to_string().contains("unknown ISA"),
@@ -133,10 +133,10 @@ fn zoo_conv_layers_match_the_oracle_on_every_isa() {
             let oracle = abm::reference::conv2d(&input, &code, geom).expect("reference conv");
             let auto = {
                 let _guard = ENV_LOCK.lock().expect("env lock");
-                PreparedConv::try_new(Arc::clone(&code), in_shape, geom, None).expect("preparable")
+                PreparedConv::try_new(&code, in_shape, geom, None).expect("preparable")
             };
             let pinned = Isa::detect_all().into_iter().map(|isa| {
-                let prep = PreparedConv::try_new(Arc::clone(&code), in_shape, geom, Some(isa));
+                let prep = PreparedConv::try_new(&code, in_shape, geom, Some(isa));
                 (isa.name(), prep.expect("preparable"))
             });
             for (label, prep) in std::iter::once(("auto", auto)).chain(pinned) {
@@ -169,7 +169,7 @@ fn narrow_accumulator_path_is_exact_on_alexnet_conv3() {
     let input = synth_input(in_shape);
 
     let scalar =
-        PreparedConv::try_new(code.clone(), in_shape, geom, Some(Isa::Scalar)).expect("preparable");
+        PreparedConv::try_new(&code, in_shape, geom, Some(Isa::Scalar)).expect("preparable");
     let counts = scalar
         .flat()
         .kernels()
@@ -196,8 +196,7 @@ fn narrow_accumulator_path_is_exact_on_alexnet_conv3() {
     assert_eq!(fnv, FNV_PIN, "FNV pin diverged");
 
     for isa in Isa::detect_all() {
-        let prep =
-            PreparedConv::try_new(code.clone(), in_shape, geom, Some(isa)).expect("preparable");
+        let prep = PreparedConv::try_new(&code, in_shape, geom, Some(isa)).expect("preparable");
         if isa != Isa::Scalar {
             assert_eq!(prep.selection().acc, AccWidth::I32, "{isa}");
         }
@@ -316,7 +315,7 @@ proptest! {
         let (ref_out, ref_work) = abm::reference::conv2d_counted(&input, &code, geom).unwrap();
         for isa in Isa::detect_all() {
             let prep = with_forced_isa(isa.name(), || {
-                PreparedConv::try_new(code.clone(), in_shape, geom, None).unwrap()
+                PreparedConv::try_new(&code, in_shape, geom, None).unwrap()
             });
             let (out, work) = (prep.execute(&input), prep.work());
             prop_assert_eq!(&ref_out, &out, "{} output", isa);

@@ -453,7 +453,7 @@ fn a_tiny_campaign_moves_the_fault_counters() {
     assert!(report.is_clean());
     let snap = registry.snapshot();
     let trials = report.trials.len() as u64;
-    assert_eq!(trials, 11, "nine classes and two pipelined trials");
+    assert_eq!(trials, 10, "eight classes and two pipelined trials");
     assert_eq!(counter(&snap, "campaign_trials_total"), trials);
     assert_eq!(counter(&snap, "fault_injected_total"), trials);
     let host = report.trials.iter().filter(|t| !t.class.is_timing());

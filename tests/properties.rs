@@ -101,7 +101,7 @@ proptest! {
         let geom = Geometry::new(stride, pad).with_groups(groups);
         let code = LayerCode::encode(&weights).unwrap();
         let (ref_out, ref_work) = abm::reference::conv2d_counted(&input, &code, geom).unwrap();
-        let prepared = abm::PreparedConv::try_new(code.clone(), in_shape, geom, None).unwrap();
+        let prepared = abm::PreparedConv::try_new(&code, in_shape, geom, None).unwrap();
         let (out, work) = (prepared.execute(&input), prepared.work());
         prop_assert_eq!(ref_out, out);
         prop_assert_eq!(ref_work, work);

@@ -138,7 +138,7 @@ fn pinned_prepared_alexnet_conv_outputs() {
         });
         let code = LayerCode::encode(&layer.weights).unwrap();
         let geom = Geometry::new(spec.stride, spec.pad).with_groups(spec.groups);
-        let out = PreparedConv::try_new(code.clone(), input.shape(), geom, None)
+        let out = PreparedConv::try_new(&code, input.shape(), geom, None)
             .unwrap()
             .execute(&input);
         let sum: i64 = out.as_slice().iter().sum();

@@ -321,8 +321,8 @@ proptest! {
         let in_shape = Shape3::new(shape.in_channels, side, side);
         let code = LayerCode::encode(&weights).expect("small kernels encode");
 
-        let prepared = abm::PreparedConv::try_new(code.clone(), in_shape, geom, None).unwrap();
-        let report = prepared.verify_lowering();
+        let prepared = abm::PreparedConv::try_new(&code, in_shape, geom, None).unwrap();
+        let report = prepared.verify_lowering(&code);
         prop_assert!(report.is_clean(), "{}", report);
 
         let input = Tensor3::from_fn(in_shape, |c, r, col| {

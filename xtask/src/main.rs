@@ -8,6 +8,7 @@
 //! cargo xtask faults --smoke  # seeded fault-injection campaign gate
 //! cargo xtask serve --smoke   # serving soak gate (loadtest legs incl. chaos)
 //! cargo xtask check-docs      # doc citations: record numbers, xtask invocations
+//! cargo xtask pairs HEAD      # benchmark: a revision vs the working tree, paired
 //! ```
 //!
 //! Every command exits non-zero when its check fails, so CI can call
@@ -23,6 +24,7 @@
 mod checkdocs;
 mod faults;
 mod lint;
+mod pairs;
 mod serve;
 mod zoo;
 
@@ -42,7 +44,13 @@ commands:
   serve [--smoke]      serving soak gate: loadtest legs incl. chaos, release build
   check-docs           assert every number the docs cite from the committed
                        records (BENCH_pipeline.json, REPRO_paper.json), and
-                       every cargo xtask invocation they cite against this list";
+                       every cargo xtask invocation they cite against this list
+  pairs <rev> [--workload W]... [--pairs N] [--seconds T] [--seed S]
+                       build the benchmark at <rev> and at the working tree
+                       and run them in alternating pairs (default: every
+                       workload, 10 pairs of 10 s); print each side's
+                       quartiles per end-to-end metric, the change in median
+                       and the pairs the working tree read lower in";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -79,6 +87,7 @@ fn main() -> ExitCode {
             Some(other) => Err(format!("unknown serve flag '{other}'\n{USAGE}")),
         },
         Some("check-docs") => checkdocs::run(&root),
+        Some("pairs") => pairs::main(&root, &args[1..]),
         Some(other) => Err(format!("unknown command '{other}'\n{USAGE}")),
         None => Err(USAGE.into()),
     };

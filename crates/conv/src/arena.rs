@@ -222,8 +222,6 @@ pub(crate) struct Arena {
     pub sweeps: Vec<SweepScratch>,
     /// One input channel's prefix tables, for the ABFT check.
     pub abft: Vec<i64>,
-    /// The kernels' stream digests of a checksum split across threads.
-    pub digests: Vec<u64>,
     /// One LRN scratch a run of channels (one on this thread alone).
     lrns: Vec<LrnScratch>,
     /// One requantized channel, one pooled channel, the pool's column
@@ -252,7 +250,6 @@ impl Arena {
             + std::mem::size_of::<SweepScratch>() * self.sweeps.capacity()
             + lrn_bytes.sum::<usize>()
             + std::mem::size_of::<LrnScratch>() * self.lrns.capacity()
-            + 8 * self.digests.capacity()
     }
 
     /// The Sum/Round stage with everything that rides along, in one pass

@@ -26,11 +26,13 @@ use crate::host;
 use abm_fault::{AbmError, Injector, NullInjector};
 use abm_kernel::{AccWidth, Isa};
 use abm_model::{LayerKind, SparseLayer, SparseModel};
-use abm_pool::{parallel_map_salvage, Parallelism};
+use abm_pool::{panic_message, parallel_map_salvage, Parallelism};
 use abm_sparse::{FlatLayout, LayerCode};
 use abm_telemetry::{FaultAction, TelemetrySink};
 use abm_tensor::quantize::choose_frac;
 use abm_tensor::{QFormat, Shape3, Tensor3};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which convolution engine executes the accelerated layers.
@@ -100,28 +102,34 @@ impl InferenceResult {
 /// How the inference path detects and recovers from corrupted state —
 /// the host-side expression of the fault model in `abm-fault`.
 ///
-/// Unchecked (the default), the hot path is exactly the unchecked
-/// executor; golden pins and benchmarks are unaffected. Both checking
-/// policies re-hash every ABM layer's code streams before executing
-/// ([`PreparedConv::verify_checksum`]) and check the total of its output
-/// plane against the ABFT prediction after: one dot product of the
-/// input's tap sums with the column checksum built at preparation
-/// (`abft::verify_plane`, the check [`abft::verify_output`] runs on
-/// tensors). Hardened, a detected corruption is recovered by rebuilding
-/// the layer once from the model's raw weights — encoded and lowered
-/// again, and run only if it lowers to the checksum recorded at load —
-/// and otherwise, or if the rebuilt layer fails too, by the dense engine
-/// on those weights, which cannot fail, so the ladder never exhausts.
+/// Under either policy an ABM layer's sweep runs behind a guard: an
+/// offset or group bound upset past the input stops the sweep in a
+/// checked window, and the guard returns that as
+/// [`AbmError::CodeCorrupt`], never a panic. Unchecked (the default),
+/// nothing else runs and the guard's error is the layer's; golden pins
+/// and benchmarks are unaffected.
+///
+/// Hardened, every ABM layer has one detector on every request: the
+/// total of its output plane is checked against the ABFT prediction,
+/// one dot product of the input's tap sums with the column checksum
+/// built at preparation (`abft::verify_plane`, the check
+/// [`abft::verify_output`] runs on tensors). Beside it each call scrubs
+/// one accelerated layer, round robin over its [`PreparedWeights`]: it
+/// re-hashes that layer's streams before the layer's sweep
+/// ([`PreparedConv::verify_checksum`]), so a stream upset ABFT cannot
+/// see is found within as many calls as there are accelerated layers. A
+/// detected corruption is recovered by rebuilding the layer once from
+/// the model's raw weights — encoded and lowered again, and run only if
+/// it lowers to the checksum recorded at load — and otherwise, or if the
+/// rebuilt layer fails too, by the dense engine on those weights, which
+/// cannot fail, so the ladder never exhausts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ResiliencePolicy {
-    /// No detector runs.
+    /// No detector but the sweep's guard.
     #[default]
     Unchecked,
-    /// Detection on, recovery off: a detected corruption surfaces as
-    /// the detector's own error, tagged with its layer.
-    DetectOnly,
-    /// Detection and the recovery ladder — what fault campaigns and the
-    /// server run under.
+    /// ABFT, the scrub, the guard and the recovery ladder — what fault
+    /// campaigns and the server run under.
     Hardened,
 }
 
@@ -130,19 +138,6 @@ impl ResiliencePolicy {
     #[must_use]
     pub fn hardened() -> Self {
         Self::Hardened
-    }
-
-    /// [`ResiliencePolicy::DetectOnly`].
-    #[must_use]
-    pub fn detect_only() -> Self {
-        Self::DetectOnly
-    }
-
-    /// Whether the checksum and ABFT detectors run around every ABM
-    /// layer.
-    #[must_use]
-    pub(crate) fn verifies(self) -> bool {
-        self != Self::Unchecked
     }
 }
 
@@ -207,8 +202,9 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
     /// layer an image sweeps on its own, between the sweep and the ABFT
     /// check ([`Injector::accumulator_flip`]) — how a fault campaign
     /// lands a transient or a stuck upset in the plane the layer really
-    /// sweeps; a recovery's sweep polls it again. Only a checking [`ResiliencePolicy`] polls it, and a batch's FC
-    /// tail on vector lanes does not.
+    /// sweeps; a recovery's sweep polls it again. Only the hardened
+    /// [`ResiliencePolicy`] polls it, and a batch's FC tail on vector
+    /// lanes does not.
     pub fn injector<J: Injector>(self, injector: J) -> Inferencer<'m, J> {
         Inferencer {
             model: self.model,
@@ -327,6 +323,7 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
             layers,
             plan: Plan::new(&self.model.network, self.engine == Engine::Abm),
             arenas: ArenaPool::default(),
+            scrub: ScrubCursor::default(),
         })
     }
 
@@ -358,8 +355,8 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
     /// and the serving layer both stand on. Every item gets its own
     /// typed outcome, in input order: `Ok` (bit-identical to a serial
     /// [`run_prepared`](Self::run_prepared)), the item's own error (a
-    /// shape mismatch, a detected corruption under
-    /// [`ResiliencePolicy::DetectOnly`]), [`AbmError::WorkerPanic`] when
+    /// shape mismatch, a sweep stopped by corrupted streams under
+    /// [`ResiliencePolicy::Unchecked`]), [`AbmError::WorkerPanic`] when
     /// a worker panicked on it (poisoning only itself), or — with
     /// `deadline: Some(_)` — [`AbmError::DeadlineExceeded`] when the
     /// clock passed before any worker claimed it; items claimed before
@@ -377,15 +374,18 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
     /// A batch of one is a lone image: its layers split across the
     /// [`parallelism`](Self::parallelism) the images of a larger batch
     /// fan out over — one pool at a time, never one inside another.
+    ///
+    /// Hardened, the call scrubs one layer, the same for every image.
     pub fn run_batch_salvage(
         &self,
         prepared: &PreparedWeights,
         inputs: &[Tensor3<i16>],
         deadline: Option<std::time::Instant>,
     ) -> Vec<Result<InferenceResult, AbmError>> {
+        let scrub = self.scrub(prepared);
         match prepared.plan.tail {
             Some(tail) if inputs.len() > 1 && self.engine == Engine::Abm => {
-                self.run_batch_on_lanes(prepared, inputs, deadline, tail)
+                self.run_batch_on_lanes(prepared, inputs, deadline, scrub, tail)
             }
             _ => {
                 let width = match inputs.len() {
@@ -397,7 +397,9 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
                     inputs,
                     self.telemetry.as_ref(),
                     deadline,
-                    |worker, _, input| self.run_prepared_on(prepared, input, worker as u32, width),
+                    |worker, _, input| {
+                        self.run_prepared_on(prepared, input, (worker as u32, width), scrub)
+                    },
                 )
                 .into_iter()
                 .map(Result::flatten)
@@ -462,8 +464,8 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
     /// # Errors
     ///
     /// Returns [`AbmError`] if preparation fails, the input shape is
-    /// wrong, or a detector finds a corruption under
-    /// [`ResiliencePolicy::DetectOnly`].
+    /// wrong, or corrupted streams stop a sweep under
+    /// [`ResiliencePolicy::Unchecked`].
     pub fn run(&self, input: &Tensor3<i16>) -> Result<InferenceResult, AbmError> {
         let prepared = self.prepare()?;
         self.run_prepared(&prepared, input)
@@ -477,34 +479,45 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
     ///
     /// Returns [`AbmError::ShapeMismatch`] on a wrong input shape,
     /// [`AbmError::NotPrepared`] if `prepared` came from a
-    /// differently-configured inferencer, and a detector's error under
-    /// [`ResiliencePolicy::DetectOnly`].
+    /// differently-configured inferencer, and [`AbmError::CodeCorrupt`]
+    /// when corrupted streams stop a sweep under
+    /// [`ResiliencePolicy::Unchecked`].
     pub fn run_prepared(
         &self,
         prepared: &PreparedWeights,
         input: &Tensor3<i16>,
     ) -> Result<InferenceResult, AbmError> {
         let width = self.parallelism.worker_count();
-        self.run_prepared_on(prepared, input, 0, width)
+        self.run_prepared_on(prepared, input, (0, width), self.scrub(prepared))
+    }
+
+    /// The accelerated layer a call scrubs: the next of `prepared`'s
+    /// under the hardened policy on the ABM engine, none otherwise.
+    fn scrub(&self, prepared: &PreparedWeights) -> Option<usize> {
+        let scrubs = self.resilience == ResiliencePolicy::Hardened && self.engine == Engine::Abm;
+        let next = || prepared.scrub.0.fetch_add(1, Ordering::Relaxed);
+        scrubs.then(|| next() % prepared.layers.len().max(1))
     }
 
     /// [`run_prepared`](Self::run_prepared) with telemetry spans tagged
     /// for worker `track` — one image runs on one worker at a time, so
-    /// its layer spans never overlap on that track — and its layers
-    /// split across `width` threads.
+    /// its layer spans never overlap on that track — its layers split
+    /// across `width` threads, and `scrub` the layer it re-hashes.
     fn run_prepared_on(
         &self,
         prepared: &PreparedWeights,
         input: &Tensor3<i16>,
-        track: u32,
-        width: usize,
+        (track, width): (u32, usize),
+        scrub: Option<usize>,
     ) -> Result<InferenceResult, AbmError> {
         let timer = std::time::Instant::now();
         let layers = 0..prepared.plan.steps.len();
-        let result = self.begin_checked(prepared, input).and_then(|mut state| {
-            self.advance(prepared, &mut state, layers, (track, width))?;
-            Ok(state.finish(&prepared.arenas))
-        });
+        let result = self
+            .begin_checked(prepared, input, scrub)
+            .and_then(|mut state| {
+                self.advance(prepared, &mut state, layers, (track, width))?;
+                Ok(state.finish(&prepared.arenas))
+            });
         note_image(&result, timer.elapsed());
         result
     }
@@ -512,11 +525,13 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
     /// Starts an image's flow through the network, behind the input
     /// guard: the per-image state every layer step threads forward, the
     /// input stored straight into a feature buffer out of the weights'
-    /// pool through the layout its first consumer reads.
+    /// pool through the layout its first consumer reads, and the layer
+    /// its call scrubs.
     fn begin_checked(
         &self,
         prepared: &PreparedWeights,
         input: &Tensor3<i16>,
+        scrub: Option<usize>,
     ) -> Result<ImageState, AbmError> {
         self.check_input(prepared, input)?;
         let (plan, pool) = (&prepared.plan, &prepared.arenas);
@@ -528,6 +543,7 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
             layout: plan.input,
             fmt: self.input_format,
             accel_idx: 0,
+            scrub,
             result: InferenceResult::default(),
         })
     }
@@ -653,17 +669,17 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
                     want: (want.channels, want.rows, want.cols),
                 });
             }
-            let at = (layer_idx, prep.shares(width));
+            let scrub = state.scrub == Some(layer_idx);
+            let at = (layer_idx, prep.shares(width), scrub);
             let relaid = &state.features;
             let Arena {
                 plane,
                 wide,
                 sweeps,
                 abft,
-                digests,
                 ..
             } = &mut *arena;
-            let scratch = (sweeps, abft, digests);
+            let scratch = (sweeps, abft);
             let (max_abs, work) = match prep.plane_width() {
                 AccWidth::I32 => self.execute_abm(prep, relaid, &mut plane[..len], scratch, at)?,
                 AccWidth::I64 => self.execute_abm(prep, relaid, fit(wide, len), scratch, at)?,
@@ -730,44 +746,36 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
     }
 
     /// Sweeps an ABM layer into `plane` — the arena's narrow or wide
-    /// one, beside the rest of its sweep and detector `scratch` — `at`
-    /// its accelerated-layer index and the shares it splits into.
-    /// Unchecked, that is the unchecked executor. Under a checking
-    /// [`ResiliencePolicy`] it is checksum before, ABFT after — against
-    /// the very buffers the layer read and filled. Detect-only returns a
-    /// detected corruption as the detector's error. Hardened climbs the
+    /// one, beside the rest of its sweep and ABFT `scratch` — `at` its
+    /// accelerated-layer index, the shares its sweep splits into, and
+    /// whether this call scrubs it, behind the sweep's guard
+    /// ([`guarded`]). Unchecked, that is all. Hardened, a scrubbed layer
+    /// is re-hashed first, ABFT checks every sweep against the very
+    /// buffers the layer read and filled, and a detection climbs the
     /// recovery ladder: re-lower once — encode the model's raw weights
     /// and prepare them again — when the rebuilt layer's checksum is the
     /// one recorded at load, and otherwise, or when the rebuilt layer
-    /// fails too, run the dense engine on the same raw
-    /// weights, on a tensor stripped back out of `relaid`, into the same
-    /// plane (the layer's stage-2 proof bounds every output of the
-    /// weights both convolve with). Every detection and recovery is
-    /// recorded as a telemetry
-    /// [`Event::Fault`](abm_telemetry::Event::Fault). The checksum and
-    /// the sweep each split across `shares` threads along the same
-    /// kernel runs; the ABFT check, one pass over the input and one over
-    /// the plane, runs on the calling thread.
+    /// fails too, run the dense engine on the same raw weights, on a
+    /// tensor stripped back out of `relaid`, into the same plane (the
+    /// layer's stage-2 proof bounds every output of the weights both
+    /// convolve with). Every detection and recovery is recorded as a
+    /// telemetry [`Event::Fault`](abm_telemetry::Event::Fault). Only the
+    /// sweep splits across `shares` threads.
     fn execute_abm<A: Accumulator>(
         &self,
         prep: &PreparedConv,
         relaid: &[i16],
         plane: &mut [A],
-        (sweeps, abft, digests): (&mut Vec<SweepScratch>, &mut Vec<i64>, &mut Vec<u64>),
-        (layer_idx, shares): (usize, usize),
+        (sweeps, abft): (&mut Vec<SweepScratch>, &mut Vec<i64>),
+        (layer_idx, shares, scrub): (usize, usize, bool),
     ) -> Result<(u64, AbmWork), AbmError> {
-        if !self.resilience.verifies() {
-            return Ok((
-                prep.execute_into(relaid, plane, sweeps, shares),
-                prep.work(),
-            ));
+        if self.resilience == ResiliencePolicy::Unchecked {
+            let max_abs = guarded(|| prep.execute_into(relaid, plane, sweeps, shares))?;
+            return Ok((max_abs, prep.work()));
         }
         let geom = prep.geometry();
         let mut attempt = |p: &PreparedConv, plane: &mut [A]| -> Result<_, AbmError> {
-            timed_detector("abm_verify_checksum_ns", || {
-                p.verify_checksum_on(shares, digests)
-            })?;
-            let max_abs = p.execute_into(relaid, plane, sweeps, shares);
+            let max_abs = guarded(|| p.execute_into(relaid, plane, sweeps, shares))?;
             if I::ENABLED {
                 let mut injector = self.injector.lock().unwrap_or_else(PoisonError::into_inner);
                 if let Some((word, bit)) =
@@ -779,7 +787,11 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
             timed_detector("abm_abft_ns", || abft::verify_plane(p, relaid, plane, abft))?;
             Ok((max_abs, p.work()))
         };
-        let detected = match attempt(prep, plane) {
+        let scrubbed = match scrub {
+            true => timed_detector("abm_verify_checksum_ns", || prep.verify_checksum()),
+            false => Ok(()),
+        };
+        let detected = match scrubbed.and_then(|()| attempt(prep, plane)) {
             Ok(r) => return Ok(r),
             Err(e) if e.is_corruption() => e,
             Err(e) => return Err(e),
@@ -790,9 +802,6 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
             detector_name(&detected),
             &detected.to_string(),
         );
-        if self.resilience != ResiliencePolicy::Hardened {
-            return Err(detected);
-        }
         // Rebuild the layer from the model's raw weights, and run it
         // only if it lowers to the very streams checksummed at load:
         // weights that changed since then are not the layer that was
@@ -911,13 +920,27 @@ fn timed_detector<T>(histogram: &str, detector: impl FnOnce() -> T) -> T {
     verdict
 }
 
-/// The detector a corruption error names in telemetry and reports.
+/// The detector a corruption error names in telemetry and reports: the
+/// scrub's stream checksum, ABFT, or the sweep's guard.
 fn detector_name(e: &AbmError) -> &'static str {
     match e.root_cause() {
-        AbmError::ChecksumMismatch { .. } => "checksum",
+        AbmError::ChecksumMismatch { .. } => "scrub",
         AbmError::AbftMismatch { .. } => "abft",
         _ => "guard",
     }
+}
+
+/// Runs an ABM sweep behind its guard. The kernels read their input
+/// through checked windows, so an offset or group bound upset past the
+/// buffer stops the sweep with a panic — on whichever of its threads
+/// met it, resumed on this one. The guard turns that into
+/// [`AbmError::CodeCorrupt`], a detection like any other; the buffers
+/// the sweep was writing are rewritten before anything reads them.
+fn guarded<T>(sweep: impl FnOnce() -> T) -> Result<T, AbmError> {
+    catch_unwind(AssertUnwindSafe(sweep)).map_err(|payload| AbmError::CodeCorrupt {
+        kernel: 0,
+        detail: format!("the sweep stopped: {}", panic_message(payload.as_ref())),
+    })
 }
 
 /// The state one image threads through the network — created by
@@ -935,6 +958,9 @@ struct ImageState {
     layout: FlatLayout,
     fmt: QFormat,
     accel_idx: usize,
+    /// The accelerated layer this image re-hashes before its sweep — its
+    /// call's scrub — if any.
+    scrub: Option<usize>,
     /// The result so far; a softmax layer leaves its input in `logits`.
     result: InferenceResult,
 }
@@ -983,7 +1009,7 @@ fn load_plane<A: Accumulator>(plane: &mut [A], acc: &Tensor3<i64>) -> u64 {
 ///
 /// **One prepared model per process.** Every layer sits behind an
 /// [`Arc`], so `clone()` copies handles, not streams (the clone starts
-/// with an empty arena pool): a server's workers, a campaign's trials
+/// with an empty arena pool, and scrubs from its first layer): a server's workers, a campaign's trials
 /// and a test's corrupted copy all read the one lowered model. Nothing
 /// on an execution path writes a layer — the recovery ladder runs its
 /// rebuilt layer locally and drops it. The only writer is
@@ -996,6 +1022,20 @@ pub struct PreparedWeights {
     layers: Vec<LayerWeights>,
     plan: Plan,
     arenas: ArenaPool,
+    scrub: ScrubCursor,
+}
+
+/// How many hardened calls a [`PreparedWeights`] has scrubbed: call `n`
+/// re-hashes accelerated layer `n mod L`, so each of the `L` layers is
+/// re-verified within `L` consecutive calls. A clone counts its own
+/// calls from zero.
+#[derive(Debug, Default)]
+struct ScrubCursor(AtomicUsize);
+
+impl Clone for ScrubCursor {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 /// What `prepare` holds for one accelerated layer, by engine.
@@ -1196,41 +1236,50 @@ mod tests {
         assert_eq!(recovered.probabilities, golden.probabilities);
     }
 
-    #[test]
-    fn detect_only_policy_surfaces_corruption() {
-        let model = tiny_model();
-        let input = tiny_input();
-        let inf = Inferencer::new(&model).resilience(ResiliencePolicy::detect_only());
-        let mut prepared = inf.prepare().unwrap();
-        corrupt_first_kernel(&mut prepared, |values, _| {
-            values[0] = values[0].wrapping_add(1);
-        });
-        let err = inf.run_prepared(&prepared, &input).unwrap_err();
-        assert!(err.is_corruption(), "{err}");
-        assert!(
-            matches!(err.root_cause(), AbmError::ChecksumMismatch { .. }),
-            "{err}"
-        );
-        assert!(matches!(err, AbmError::Layer { layer: 0, .. }), "{err}");
-    }
-
     /// The `Fault` events recorded since the last call, as
-    /// `(action, class)`.
-    fn fault_events(sink: &TelemetrySink) -> Vec<(FaultAction, String)> {
+    /// `(layer, action, class)`.
+    fn fault_events(sink: &TelemetrySink) -> Vec<(u32, FaultAction, String)> {
         use abm_telemetry::Event;
         let events = sink.drain().into_iter();
         let faults = events.filter_map(|e| match e {
-            Event::Fault { action, class, .. } => Some((action, class)),
+            Event::Fault {
+                layer,
+                action,
+                class,
+                ..
+            } => Some((layer, action, class)),
             _ => None,
         });
         faults.collect()
     }
 
-    /// The rungs that recovered since the last call.
-    fn rungs(sink: &TelemetrySink) -> Vec<String> {
-        let recovered = fault_events(sink).into_iter();
-        let recovered = recovered.filter(|(action, _)| *action == FaultAction::Recovered);
-        recovered.map(|(_, class)| class).collect()
+    /// A detection by `detector` in layer `layer`, recovered by `rung`.
+    fn detected(layer: u32, detector: &str, rung: &str) -> Vec<(u32, FaultAction, String)> {
+        vec![
+            (layer, FaultAction::Detected, detector.to_string()),
+            (layer, FaultAction::Recovered, rung.to_string()),
+        ]
+    }
+
+    /// A fresh handle's first hardened call scrubs its first layer: a
+    /// flipped value there is the scrub's `ChecksumMismatch` before the
+    /// layer sweeps, recorded against layer 0 and re-lowered golden.
+    #[test]
+    fn the_first_call_scrubs_the_first_layer() {
+        let model = tiny_model();
+        let input = tiny_input();
+        let sink = TelemetrySink::new();
+        let inf = Inferencer::new(&model)
+            .resilience(ResiliencePolicy::hardened())
+            .telemetry(sink.clone());
+        let golden = inf.run(&input).unwrap();
+        let mut prepared = inf.prepare().unwrap();
+        corrupt_first_kernel(&mut prepared, |values, _| {
+            values[0] = values[0].wrapping_add(1);
+        });
+        let recovered = inf.run_prepared(&prepared, &input).unwrap();
+        assert_eq!(recovered.logits, golden.logits);
+        assert_eq!(fault_events(&sink), detected(0, "scrub", "re-lower"));
     }
 
     /// A stuck accumulator bit lands on every sweep of its layer: ABFT
@@ -1265,18 +1314,14 @@ mod tests {
             };
             let plan = FaultPlan::single(FaultClass::AccumulatorStuck, fault);
             let stuck = hardened.clone().injector(PlanInjector::new(plan));
-            let detect = stuck.clone().resilience(ResiliencePolicy::detect_only());
-            let err = detect.run_prepared(&prepared, &input).unwrap_err();
-            assert!(
-                matches!(err.root_cause(), AbmError::AbftMismatch { .. }),
-                "word {unit} bit {bit}: {err}"
-            );
-            let detected = (FaultAction::Detected, "abft".to_string());
-            assert_eq!(fault_events(&sink), [detected], "word {unit} bit {bit}");
             let before = dense_total();
             let recovered = stuck.run_prepared(&prepared, &input).unwrap();
             assert_eq!(recovered.logits, golden.logits, "word {unit} bit {bit}");
-            assert_eq!(rungs(&sink), ["dense-fallback"], "word {unit} bit {bit}");
+            assert_eq!(
+                fault_events(&sink),
+                detected(0, "abft", "dense-fallback"),
+                "word {unit} bit {bit}"
+            );
             // Only this test reaches the dense rung in this binary, so
             // the shared registry's count moves by this run alone.
             assert_eq!(dense_total(), before + 1, "word {unit} bit {bit}");
@@ -1284,7 +1329,7 @@ mod tests {
     }
 
     /// The column checksum is state a request reads: a flipped bit of
-    /// it is an `AbftMismatch`, and the hardened ladder's one
+    /// it is an `abft` detection, and the hardened ladder's one
     /// re-lowering — a fresh layer, which rebuilds the table from the
     /// sound code — recovers the golden logits.
     #[test]
@@ -1295,7 +1340,6 @@ mod tests {
         let hardened = Inferencer::new(&model)
             .resilience(ResiliencePolicy::hardened())
             .telemetry(sink.clone());
-        let detect = Inferencer::new(&model).resilience(ResiliencePolicy::detect_only());
         let clean = hardened.prepare().unwrap();
         let golden = hardened.run_prepared(&clean, &input).unwrap();
         let entries = clean.abm_layer(0).unwrap().column().len();
@@ -1303,14 +1347,13 @@ mod tests {
             for bit in 0..32 {
                 let mut prepared = clean.clone();
                 prepared.abm_layer_mut(0).unwrap().column_mut()[entry] ^= 1 << bit;
-                let err = detect.run_prepared(&prepared, &input).unwrap_err();
-                assert!(
-                    matches!(err.root_cause(), AbmError::AbftMismatch { .. }),
-                    "entry {entry} bit {bit}: {err}"
-                );
                 let recovered = hardened.run_prepared(&prepared, &input).unwrap();
                 assert_eq!(recovered.logits, golden.logits, "entry {entry} bit {bit}");
-                assert_eq!(rungs(&sink), ["re-lower"], "entry {entry} bit {bit}");
+                assert_eq!(
+                    fault_events(&sink),
+                    detected(0, "abft", "re-lower"),
+                    "entry {entry} bit {bit}"
+                );
             }
         }
     }

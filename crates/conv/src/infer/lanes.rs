@@ -14,14 +14,18 @@
 //!
 //! What the tail cannot carry on lanes it finishes an image at a time,
 //! through the per-image step every executor shares: a lone survivor,
-//! and — under a checking [`ResiliencePolicy`](super::ResiliencePolicy) —
-//! every image of a chunk whose layer failed its checksum (verified once
-//! a batch) or its ABFT check (over the lane plane). That keeps one
+//! every image of a chunk whose sweep its guard stopped, and — under the
+//! hardened [`ResiliencePolicy`](super::ResiliencePolicy) — every image
+//! of a chunk whose layer failed the call's scrub (re-hashed once a
+//! chunk) or its ABFT check (over the lane plane). That keeps one
 //! recovery ladder: the tail only detects, silently, and the images
 //! that re-run the layer alone detect, recover and record their `Fault`
 //! events exactly as a single image does.
 
-use super::{note_image, ImageState, InferenceResult, Inferencer, LayerTrace, PreparedWeights};
+use super::{
+    guarded, note_image, timed_detector, ImageState, InferenceResult, Inferencer, LayerTrace,
+    PreparedWeights, ResiliencePolicy,
+};
 use crate::abft;
 use crate::abm::PreparedConv;
 use crate::arena::{ColumnRound, LaneArena, Tail};
@@ -47,12 +51,14 @@ struct Carried {
 
 impl<I: Injector + Send> Inferencer<'_, I> {
     /// The two-phase batch executor (see the module docs) for a network
-    /// ending in `tail`.
+    /// ending in `tail`, its items claimed before `deadline` and every
+    /// image scrubbing the call's `scrub`.
     pub(super) fn run_batch_on_lanes(
         &self,
         prepared: &PreparedWeights,
         inputs: &[Tensor3<i16>],
         deadline: Option<Instant>,
+        scrub: Option<usize>,
         tail: Tail,
     ) -> Vec<Result<InferenceResult, AbmError>> {
         let pool = &prepared.arenas;
@@ -69,13 +75,15 @@ impl<I: Injector + Send> Inferencer<'_, I> {
             deadline,
             |worker, item, input| {
                 let timer = Instant::now();
-                let prefix = self.begin_checked(prepared, input).and_then(|mut state| {
-                    self.advance(prepared, &mut state, 0..tail.first, (worker as u32, 1))?;
-                    let mut row = rows[item].lock().unwrap_or_else(PoisonError::into_inner);
-                    row.copy_from_slice(&state.features[..tail.features]);
-                    pool.give_features(std::mem::take(&mut state.features));
-                    Ok(state)
-                });
+                let prefix = self
+                    .begin_checked(prepared, input, scrub)
+                    .and_then(|mut state| {
+                        self.advance(prepared, &mut state, 0..tail.first, (worker as u32, 1))?;
+                        let mut row = rows[item].lock().unwrap_or_else(PoisonError::into_inner);
+                        row.copy_from_slice(&state.features[..tail.features]);
+                        pool.give_features(std::mem::take(&mut state.features));
+                        Ok(state)
+                    });
                 if prefix.is_err() {
                     note_image(&prefix, timer.elapsed());
                 }
@@ -243,17 +251,18 @@ impl<I: Injector + Send> Inferencer<'_, I> {
 
     /// One fully-connected layer of the tail (network layer `index`) for
     /// every column of the lane buffer — `width` features at `pitch` —
-    /// at once: checksum, sweep, ABFT and extremes on the shared plane,
-    /// then each column's own format and the epilogue into the next
-    /// layer's lane buffer.
+    /// at once: the scrub if the chunk's call scrubs this layer, the
+    /// guarded sweep, ABFT and extremes on the shared plane, then each
+    /// column's own format and the epilogue into the next layer's lane
+    /// buffer.
     ///
     /// # Errors
     ///
     /// Returns what the per-image step would say of weights that were
-    /// not prepared or planned for this layer, and — under a checking
-    /// [`ResiliencePolicy`](super::ResiliencePolicy) — the detector's
-    /// error. Nothing of the images' states has changed then:
-    /// the lane buffer still holds the layer's input.
+    /// not prepared or planned for this layer, the guard's error, and —
+    /// under the hardened [`ResiliencePolicy`] — the scrub's or ABFT's.
+    /// Nothing of the images' states has changed then: the lane buffer
+    /// still holds the layer's input.
     fn lane_layer(
         &self,
         prepared: &PreparedWeights,
@@ -278,14 +287,16 @@ impl<I: Injector + Send> Inferencer<'_, I> {
         }
         let live = chunk.len();
         lanes.fit(width, kernels, pitch);
-        if self.resilience.verifies() {
-            super::timed_detector("abm_verify_checksum_ns", || prep.verify_checksum())?;
+        if chunk[0].state.scrub == Some(layer_idx) {
+            timed_detector("abm_verify_checksum_ns", || prep.verify_checksum())?;
         }
         let sel = prep.lane_selection(live);
         let fill = (live, pitch);
-        prep.execute_lanes(self.parallelism, sel, &lanes.input, fill, &mut lanes.plane);
-        if self.resilience.verifies() {
-            super::timed_detector("abm_abft_ns", || {
+        guarded(|| {
+            prep.execute_lanes(self.parallelism, sel, &lanes.input, fill, &mut lanes.plane)
+        })?;
+        if self.resilience == ResiliencePolicy::Hardened {
+            timed_detector("abm_abft_ns", || {
                 abft::verify_lanes(prep, &lanes.input, pitch, &lanes.plane)
             })?;
         }

@@ -62,12 +62,15 @@ pub enum AbmError {
     },
     /// A code no longer walks: an index past the kernel volume, or
     /// Q-Table counts that do not tile the index stream. Lowering such a
-    /// code returns it.
+    /// code returns it, and so does a prepared layer whose sweep an
+    /// offset or group bound upset past its input stopped (the sweep's
+    /// guard).
     CodeCorrupt {
-        /// Kernel whose streams are inconsistent.
+        /// Kernel whose streams are inconsistent (0 from the guard,
+        /// which cannot tell which kernel's window failed).
         kernel: usize,
         /// Human-readable description of the first inconsistency,
-        /// naming the kernel first.
+        /// naming the kernel first, or the guard's stopped sweep.
         detail: String,
     },
     /// The checksum stored when a `PreparedConv` was built no longer

@@ -21,9 +21,9 @@ fn mix(h: u64, w: u64) -> u64 {
     (h ^ w).wrapping_mul(FNV_PRIME)
 }
 
-/// The lane state of [`kernel_digest`] (and of [`flat_checksum`]'s
-/// header): [`LANES`] FNV-1a chains over 64-bit words plus the number
-/// of words absorbed so far.
+/// The lane state of one word digest — [`flat_checksum`]'s header's or
+/// one kernel's: [`LANES`] FNV-1a chains over 64-bit words plus the
+/// number of words absorbed so far.
 struct WordDigest {
     lanes: [u64; LANES],
     words: u64,
@@ -75,10 +75,7 @@ fn pack_u32(pair: &[u32]) -> u64 {
 /// changes the digest.
 ///
 /// It is a fold: the header (shape, layout, kernel count) is digested,
-/// then each kernel's [`kernel_digest`] is folded in, in kernel order
-/// ([`fold_kernel_digests`]). Kernels digest independently, so a check
-/// split across threads along runs of kernels computes the same value
-/// as this serial walk.
+/// then each kernel's own word digest is folded in, in kernel order.
 ///
 /// The streams are hashed a 64-bit word at a time — `values` eight to
 /// the word, `group_bounds` and `offsets` two — and
@@ -101,29 +98,6 @@ fn pack_u32(pair: &[u32]) -> u64 {
 /// probability about 2⁻⁶⁴).
 #[must_use]
 pub fn flat_checksum(flat: &FlatCode) -> u64 {
-    fold_kernel_digests(flat, flat.kernels().iter().map(kernel_digest))
-}
-
-/// One kernel's share of [`flat_checksum`]: its three streams, each
-/// framed by its length, through one four-chain word digest.
-#[must_use]
-pub fn kernel_digest(kernel: &FlatKernel) -> u64 {
-    let mut digest = WordDigest::new();
-    digest.absorb::<_, 8>(kernel.values(), |bytes| {
-        bytes
-            .iter()
-            .rev()
-            .fold(0, |w, &v| (w << 8) | u64::from(v as u8))
-    });
-    digest.absorb::<_, 2>(kernel.group_bounds(), pack_u32);
-    digest.absorb::<_, 2>(kernel.offsets(), pack_u32);
-    digest.finish()
-}
-
-/// [`flat_checksum`] from its kernels' digests, given in kernel order:
-/// the header's digest, then one FNV-1a step per kernel digest.
-#[must_use]
-pub fn fold_kernel_digests(flat: &FlatCode, digests: impl IntoIterator<Item = u64>) -> u64 {
     let shape = flat.shape();
     let layout = flat.layout();
     let header = [
@@ -139,7 +113,25 @@ pub fn fold_kernel_digests(flat: &FlatCode, digests: impl IntoIterator<Item = u6
     ];
     let mut digest = WordDigest::new();
     digest.absorb::<_, 1>(&header, |d| d[0] as u64);
-    digests.into_iter().fold(digest.finish(), mix)
+    flat.kernels()
+        .iter()
+        .map(kernel_digest)
+        .fold(digest.finish(), mix)
+}
+
+/// One kernel's share of [`flat_checksum`]: its three streams, each
+/// framed by its length, through one four-chain word digest.
+fn kernel_digest(kernel: &FlatKernel) -> u64 {
+    let mut digest = WordDigest::new();
+    digest.absorb::<_, 8>(kernel.values(), |bytes| {
+        bytes
+            .iter()
+            .rev()
+            .fold(0, |w, &v| (w << 8) | u64::from(v as u8))
+    });
+    digest.absorb::<_, 2>(kernel.group_bounds(), pack_u32);
+    digest.absorb::<_, 2>(kernel.offsets(), pack_u32);
+    digest.finish()
 }
 
 #[cfg(test)]

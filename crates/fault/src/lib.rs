@@ -21,7 +21,8 @@
 //!   paths monomorphize to exactly the uninjected code, so golden pins
 //!   hold bit-identically. Upsets in state the runtime keeps after load
 //!   have no hook: `PreparedConv::upset` edits a clone's streams.
-//! * [`flat_checksum`] — the digest the post-load code guard compares.
+//! * [`flat_checksum`] — the stream digest recorded at load and compared
+//!   in recovery and by the hardened path's one-layer scrub.
 //! * [`CampaignReport`] / [`FaultOutcome`] — the bookkeeping a fault
 //!   campaign emits: per-class injected/detected/masked/recovered
 //!   counts and a JSON report.
@@ -46,7 +47,7 @@ mod report;
 
 pub use error::AbmError;
 pub use inject::{fnv1a_bytes, Injector, NullInjector, PlanInjector};
-pub use integrity::{flat_checksum, fold_kernel_digests, kernel_digest};
+pub use integrity::flat_checksum;
 pub use plan::{Fault, FaultClass, FaultPlan, SplitMix64};
 pub use report::{
     CampaignReport, ClassCounts, FaultOutcome, FaultReport, RecoveryAction, TrialRecord,

@@ -91,9 +91,9 @@ struct Leg {
     name: &'static str,
     rate_factor: f64,
     /// `None` → the SLO is the deadline budget (nominal leg);
-    /// `Some(f)` → `f × service estimate`, clamped to `[5 ms, 50 ms]`
-    /// so the overload legs exercise admission at a scale the cost
-    /// model can actually predict against.
+    /// `Some(f)` → `f × service estimate`, floored at 5 ms, so the
+    /// overload legs exercise admission at a scale the cost model can
+    /// actually predict against.
     deadline_factor: Option<f64>,
     chaos: Option<ChaosConfig>,
 }

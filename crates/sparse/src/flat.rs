@@ -23,12 +23,11 @@
 //! the inner accumulate loop is a pointer-bump walk over a contiguous
 //! `u32` slice.
 //!
-//! **Two encodings of a non-zero, not three.** A prepared layer holds
-//! its [`LayerCode`] (the 16-bit index stream, 2 B a non-zero) and this
-//! lowering (the 32-bit offset stream, 4 B), nothing more. Whatever
-//! reasons about weights rather than addresses — ABFT, the load-time
-//! validator, the lowering verifier — reads the code's indexes, which a
-//! lowered group holds the offsets of; and because the address map is a
+//! **One encoding of a non-zero.** A prepared layer holds this lowering
+//! (the 32-bit offset stream, 4 B a non-zero) and nothing more. The
+//! [`LayerCode`] it is lowered from (the 16-bit index stream) is read
+//! while preparing — by the lowering verifier, and to build ABFT's
+//! column checksum — and dropped. Because the address map is a
 //! bijection between the padded pixels and the non-slack addresses,
 //! [`FlatLayout::tap_of`] decodes any offset back to its `(n, k, k')`
 //! [`Tap`] when a view needs one ([`FlatKernel::taps`], which stores

@@ -682,7 +682,13 @@ mod tests {
         let report = run_campaign(&CampaignConfig::net("tiny"), &TelemetrySink::new()).unwrap();
         for t in &report.trials {
             let expected = match t.class {
-                FaultClass::WtWordFlip | FaultClass::QTableWordFlip => "checksum",
+                // A trial's fresh handle scrubs its first layer; ABFT or
+                // the sweep's guard sees a stream flip anywhere else.
+                FaultClass::WtWordFlip | FaultClass::QTableWordFlip => match t.layer {
+                    0 => "scrub",
+                    _ if t.detector == "guard" => "guard",
+                    _ => "abft",
+                },
                 FaultClass::AccumulatorFlip | FaultClass::AccumulatorStuck => "abft",
                 _ => continue, // timing detectors depend on drawn magnitudes
             };

@@ -46,7 +46,7 @@ use abm_spconv_repro::model::{
     PoolKind, PoolSpec, PruneProfile, SparseModel,
 };
 use abm_spconv_repro::sparse::{FlatKernel, FlatLayout};
-use abm_spconv_repro::telemetry::{Event, TelemetrySink};
+use abm_spconv_repro::telemetry::{Event, FaultAction, TelemetrySink};
 use abm_spconv_repro::tensor::{Shape3, Tensor3};
 use proptest::prelude::*;
 
@@ -273,21 +273,23 @@ proptest! {
         }
 
         // A fully-connected kernel upset after load: the tail's one
-        // checksum a batch catches it, and every image recovers alone,
-        // recording the fault events it records when run singly.
+        // ABFT check a batch catches it, and every image recovers alone,
+        // recording the fault events it records when run singly. Each
+        // run is a fresh handle's first call, so each scrubs the same
+        // layer.
         let mut upset = prepared.clone();
         corrupt_layer(&mut upset, first_fc(&net), |offsets| offsets[0] ^= 1);
         let sink = TelemetrySink::new();
         let watched = hardened.clone().telemetry(sink.clone());
         let singles: Vec<InferenceResult> = images
             .iter()
-            .map(|image| watched.run_prepared(&upset, image).unwrap())
+            .map(|image| watched.run_prepared(&upset.clone(), image).unwrap())
             .collect();
         let recorded = faults(&sink);
         prop_assert_eq!(&singles, &batch.run_batch_prepared(&prepared, &images).unwrap());
         for threads in [Parallelism::Serial, Parallelism::Threads(2)] {
             let pooled = watched.clone().parallelism(threads);
-            prop_assert_eq!(&pooled.run_batch_prepared(&upset, &images).unwrap(), &singles);
+            prop_assert_eq!(&pooled.run_batch_prepared(&upset.clone(), &images).unwrap(), &singles);
             prop_assert_eq!(&faults(&sink), &recorded);
         }
     }
@@ -321,13 +323,18 @@ fn mini_alexnet() -> Network {
     net
 }
 
-/// The panic boundary of the shared tail. An offset one past the last
-/// input feature (no detector is on to catch it) makes the kernels'
-/// window check panic: a single image's panic is its own, a tail's is
-/// `WorkerPanic` for every image it carried — each under its own item —
-/// and the pool's buffers survive it: the next, clean batch is served.
+/// The sweep guard of the shared tail. An offset one past the last
+/// input feature makes the lane sweep's window check panic; the guard
+/// turns the panic into a detection, and the chunk goes on alone, as on
+/// any detection. No image sees a `WorkerPanic`: unchecked, each image
+/// the tail carried completes or fails with its own typed
+/// `CodeCorrupt`, tagged with the layer (alone, an image's feature
+/// buffer is longer than its map, so the wild offset may read slack),
+/// and hardened, each recovers the golden logits; the wrong-shape image
+/// fails alone either way, and the pool's buffers survive it: the next,
+/// clean batch is served.
 #[test]
-fn a_panicking_tail_fails_every_image_it_carried_and_only_those() {
+fn a_panicking_tail_is_a_detection_and_its_images_go_on_alone() {
     let net = mini_alexnet();
     let profile = PruneProfile::uniform(LayerProfile::new(0.5, 9));
     let model = synthesize_model(&net, &profile, 18);
@@ -343,13 +350,23 @@ fn a_panicking_tail_fails_every_image_it_carried_and_only_those() {
 
     let mut mixed = images.clone();
     mixed[1] = image(Shape3::new(4, 19, 19), 0);
-    let outcomes = batch.run_batch_salvage(&wild, &mixed, None);
-    for (i, outcome) in outcomes.iter().enumerate() {
-        match outcome {
-            Err(AbmError::ShapeMismatch { .. }) => assert_eq!(i, 1),
-            Err(AbmError::WorkerPanic { item, message }) => {
-                assert_eq!((*item, i != 1), (i, true), "{message}");
-                assert!(message.contains("out of range"), "{message}");
+    let hardened = batch.clone().resilience(ResiliencePolicy::hardened());
+    let unchecked = batch.run_batch_salvage(&wild, &mixed, None);
+    let recovered = hardened.run_batch_salvage(&wild, &mixed, None);
+    for (i, outcomes) in unchecked.iter().zip(&recovered).enumerate() {
+        match outcomes {
+            (Err(AbmError::ShapeMismatch { .. }), Err(AbmError::ShapeMismatch { .. })) => {
+                assert_eq!(i, 1);
+            }
+            (unchecked, Ok(recovered)) if i != 1 => {
+                assert_eq!(recovered.logits, golden[i].logits, "item {i}");
+                if let Err(e) = unchecked {
+                    assert!(
+                        matches!(e, AbmError::Layer { layer: at, .. } if *at == layer)
+                            && matches!(e.root_cause(), AbmError::CodeCorrupt { .. }),
+                        "item {i}: {e}"
+                    );
+                }
             }
             other => panic!("item {i}: {other:?}"),
         }
@@ -456,9 +473,8 @@ fn wide_net() -> Network {
 
 /// At width two a lone image splits every layer, each share sweeping
 /// through a scratch of its own: the arena grows with the first image,
-/// and with the first hardened one (its ABFT tables and the kernel
-/// digests of the split checksum), and never again — every result the
-/// serial one, a batch of one's too.
+/// and with the first hardened one (its ABFT tables), and never again
+/// — every result the serial one, a batch of one's too.
 #[test]
 fn the_arena_stops_growing_at_width_two() {
     let net = wide_net();
@@ -508,9 +524,11 @@ proptest! {
     /// A handle's write is its own. Corrupting layer `i` through a
     /// clone copies that layer and no other; the handle it was cloned
     /// from still passes every checksum and still computes golden
-    /// logits (under a policy that would surface, not mask, a leak);
-    /// the clone is caught by its own detectors; and re-pointing its
-    /// slot at the clean layer shares everything again.
+    /// logits with no fault recorded (the hardened policy records every
+    /// corruption it sees, so a leak would show); the clone is caught
+    /// by its own detectors, in that layer, within one call per layer
+    /// (the scrub's round); and re-pointing its slot at the clean
+    /// layer shares everything again.
     #[test]
     fn a_clone_shares_every_layer_until_it_writes_one(
         seed in 0u64..1_000,
@@ -520,9 +538,11 @@ proptest! {
         let net = zoo::tiny();
         let model = synthesize_model(&net, &PruneProfile::uniform(LayerProfile::new(0.6, 12)), seed);
         let layers = model.layers.len();
+        let sink = TelemetrySink::new();
         let strict = Inferencer::new(&model)
             .parallelism(Parallelism::Serial)
-            .resilience(ResiliencePolicy::detect_only());
+            .resilience(ResiliencePolicy::hardened())
+            .telemetry(sink.clone());
         let input = image(net.input_shape(), 3);
         let original = strict.prepare().unwrap();
         let golden = strict.run_prepared(&original, &input).unwrap();
@@ -538,29 +558,46 @@ proptest! {
         }
         prop_assert!(clone.abm_layer(victim).unwrap().verify_checksum().is_err());
         prop_assert_eq!(&strict.run_prepared(&original, &input).unwrap(), &golden);
-        let caught = strict.run_prepared(&clone, &input).unwrap_err();
-        prop_assert!(caught.is_corruption(), "{}", caught);
+        prop_assert_eq!(faults(&sink), Vec::<Event>::new());
+        for _ in 0..layers {
+            strict.run_prepared(&clone, &input).unwrap();
+        }
+        let caught = faults(&sink);
+        let detected = caught.iter().filter(|e| matches!(
+            e,
+            Event::Fault { action: FaultAction::Detected, .. }
+        ));
+        prop_assert!(detected.count() > 0, "{:?}", caught);
+        for event in &caught {
+            prop_assert!(
+                matches!(event, Event::Fault { layer, .. } if *layer as usize == victim),
+                "{:?}", event
+            );
+        }
 
         clone.share_layer(victim, &original);
         prop_assert!(shares(&original, &clone, victim));
         prop_assert_eq!(&strict.run_prepared(&clone, &input).unwrap(), &golden);
+        prop_assert_eq!(faults(&sink), Vec::<Event>::new());
     }
 }
 
 /// The same isolation while the sibling is executing: one thread
 /// corrupts a layer of its handle, recovers an image through it and
 /// repairs it, round after round, while another serves images through
-/// a sibling handle under a policy that fails on any corruption it can
-/// see. A barrier starts each round on both threads together.
+/// a sibling handle under a policy that records any corruption it can
+/// see, and records none. A barrier starts each round on both threads
+/// together.
 #[test]
 fn a_sibling_handle_serves_golden_while_another_is_corrupted_and_repaired() {
     const ROUNDS: usize = 24;
     let net = zoo::tiny();
     let model = synthesize_model(&net, &PruneProfile::uniform(LayerProfile::new(0.6, 12)), 5);
-    let strict = Inferencer::new(&model)
+    let hardened = Inferencer::new(&model)
         .parallelism(Parallelism::Serial)
-        .resilience(ResiliencePolicy::detect_only());
-    let hardened = strict.clone().resilience(ResiliencePolicy::hardened());
+        .resilience(ResiliencePolicy::hardened());
+    let sink = TelemetrySink::new();
+    let strict = hardened.clone().telemetry(sink.clone());
     let images: Vec<_> = (0..4).map(|i| image(net.input_shape(), i)).collect();
     let clean = strict.prepare().unwrap();
     let golden: Vec<_> = images
@@ -593,6 +630,7 @@ fn a_sibling_handle_serves_golden_while_another_is_corrupted_and_repaired() {
             }
         }
     });
+    assert_eq!(faults(&sink), []);
     for layer in 0..model.layers.len() {
         assert!(clean.abm_layer(layer).unwrap().verify_checksum().is_ok());
     }

@@ -1,13 +1,15 @@
 //! Integration tests for the fault-injection and recovery stack: the
 //! never-silent property over every fault class, host trials scored
 //! from the runtime's own fault events, the NullInjector zero-overhead
-//! bit-identity guarantee, per-item batch salvage, and the
-//! offset-overflow typed-error regression.
+//! bit-identity guarantee, per-item batch salvage, the offset-overflow
+//! typed-error regression, and stream flips that never panic and are
+//! caught within a round of scrubs.
 
 use abm_spconv_repro::campaign::{run_campaign, CampaignConfig};
-use abm_spconv_repro::conv::{Engine, Inferencer, Parallelism, ResiliencePolicy};
+use abm_spconv_repro::conv::{Engine, InferenceResult, Inferencer, Parallelism, ResiliencePolicy};
 use abm_spconv_repro::fault::{
     AbmError, FaultClass, FaultOutcome, FaultPlan, NullInjector, PlanInjector, RecoveryAction,
+    SplitMix64,
 };
 use abm_spconv_repro::model::{synthesize_model, zoo, LayerProfile, PruneProfile};
 use abm_spconv_repro::sim::task::Workload;
@@ -62,12 +64,20 @@ proptest! {
         // transient accumulator upset are re-lowered (the raw weights
         // rebuild the layer checksummed at load, and the upset does not
         // come back); a stuck accumulator fails the rebuilt layer's
-        // sweep too, so only the dense rung recovers it.
+        // sweep too, so only the dense rung recovers it. A stream flip
+        // is the scrub's in the first layer — which a trial's fresh
+        // handle scrubs on its one call — and ABFT's or the sweep
+        // guard's anywhere else.
         for t in &report.trials {
             let (outcome, detector, action) = (t.outcome, t.detector.as_str(), t.action);
             let expected = match t.class {
                 FaultClass::WtWordFlip | FaultClass::QTableWordFlip => {
-                    (FaultOutcome::DetectedRecovered, "checksum", RecoveryAction::Relowered)
+                    let seen = match t.layer {
+                        0 => "scrub",
+                        _ if detector == "guard" => "guard",
+                        _ => "abft",
+                    };
+                    (FaultOutcome::DetectedRecovered, seen, RecoveryAction::Relowered)
                 }
                 FaultClass::AccumulatorFlip => {
                     (FaultOutcome::DetectedRecovered, "abft", RecoveryAction::Relowered)
@@ -141,6 +151,7 @@ fn host_trials_are_scored_from_the_runtimes_fault_events() {
 /// checksum: a model whose weights changed after it was prepared
 /// rebuilds a layer that is not the one prepared, so a detected layer
 /// is never run from it. Flipping an offset sends layer 0 to recovery
+/// (the scrub of a fresh handle's first call)
 /// under an inferencer over a clone with one non-zero weight changed;
 /// the rebuilt layer's checksum differs from the one recorded at load,
 /// and the dense rung recovers — on the clone's weights, so the logits
@@ -177,7 +188,7 @@ fn a_layer_rebuilt_from_changed_weights_is_never_run() {
             _ => None,
         })
         .collect();
-    let detected = (FaultAction::Detected, "checksum".to_string());
+    let detected = (FaultAction::Detected, "scrub".to_string());
     let dense = (FaultAction::Recovered, "dense-fallback".to_string());
     assert_eq!(faults, [detected, dense]);
 }
@@ -326,4 +337,109 @@ fn campaign_telemetry_records_fault_lifecycle() {
         count(FaultAction::Detected),
         report.count(FaultOutcome::DetectedRecovered)
     );
+}
+
+/// What one executor call returned, and the fault events it recorded,
+/// as `(layer, action)`.
+type Call = (
+    Vec<Result<InferenceResult, AbmError>>,
+    Vec<(usize, FaultAction)>,
+);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// One random bit of one stream — values, group bounds or offsets —
+    /// of a random kernel with taps, in each `tiny` layer in turn, run
+    /// as a lone image and as a batch of three at width two. No panic
+    /// escapes either executor. Unchecked, every image completes or is
+    /// the sweep guard's typed `CodeCorrupt`. Hardened, every image
+    /// completes; a call that records a fault returns the golden
+    /// logits for every image; and within as many calls on the handle
+    /// as the model has accelerated layers the upset is detected in its
+    /// own layer — the scrub re-hashes each layer once in that round.
+    #[test]
+    fn a_stream_flip_never_panics_and_is_caught_within_a_round_of_scrubs(seed in any::<u64>()) {
+        let model = tiny_model();
+        let shape = model.network.input_shape();
+        let images: Vec<_> = (0..3).map(|salt| synth_image(shape, salt)).collect();
+        let unchecked = Inferencer::new(&model).parallelism(Parallelism::Threads(2));
+        let clean = unchecked.prepare().unwrap();
+        let golden: Vec<Vec<f32>> = unchecked
+            .run_batch_prepared(&clean, &images)
+            .unwrap()
+            .into_iter()
+            .map(|r| r.logits)
+            .collect();
+        let sink = TelemetrySink::new();
+        let hardened = unchecked
+            .clone()
+            .resilience(ResiliencePolicy::hardened())
+            .telemetry(sink.clone());
+        let layers = model.layers.len();
+        let mut rng = SplitMix64::new(seed);
+        for layer in 0..layers {
+            let mut upset = clean.clone();
+            let kernels = upset.abm_layer_mut(layer).unwrap().flat_mut().kernels_mut();
+            let taps: Vec<usize> = (0..kernels.len()).filter(|&k| kernels[k].total() > 0).collect();
+            let kernel = taps[rng.below(taps.len() as u64) as usize];
+            let (values, bounds, offsets) = kernels[kernel].streams_mut();
+            let stream = rng.below(3);
+            let at = match stream {
+                0 => flip(values, 8, &mut rng, |w, bit| *w ^= 1 << bit),
+                1 => flip(bounds, 32, &mut rng, |w, bit| *w ^= 1 << bit),
+                _ => flip(offsets, 32, &mut rng, |w, bit| *w ^= 1 << bit),
+            };
+            let what = format!("layer {layer} kernel {kernel} stream {stream} {at}");
+            for batch in [&images[..1], &images[..]] {
+                let call = |inferencer: &Inferencer, handle| -> Call {
+                    let results = match batch.len() {
+                        1 => vec![inferencer.run_prepared(handle, &batch[0])],
+                        _ => inferencer.run_batch_salvage(handle, batch, None),
+                    };
+                    let faults = sink.drain().into_iter().filter_map(|e| match e {
+                        Event::Fault { layer, action, .. } => Some((layer as usize, action)),
+                        _ => None,
+                    });
+                    (results, faults.collect())
+                };
+                let at = format!("{what}, {} image(s)", batch.len());
+                let (results, _) = call(&unchecked, &upset);
+                for result in results {
+                    if let Err(e) = result {
+                        prop_assert!(
+                            matches!(e.root_cause(), AbmError::CodeCorrupt { .. }),
+                            "{}: {}", at, e
+                        );
+                    }
+                }
+                // A fresh handle, so its round of scrubs starts here.
+                let handle = upset.clone();
+                let mut detected = false;
+                for _ in 0..layers {
+                    let (results, faults) = call(&hardened, &handle);
+                    for (result, want) in results.iter().zip(&golden) {
+                        prop_assert!(result.is_ok(), "{}: {:?}", at, result);
+                        if let (Ok(got), false) = (result, faults.is_empty()) {
+                            prop_assert_eq!(&got.logits, want, "{}: {:?}", at, faults);
+                        }
+                    }
+                    for &(seen, _) in &faults {
+                        prop_assert_eq!(seen, layer, "{}", at);
+                    }
+                    detected |= faults.iter().any(|&(_, a)| a == FaultAction::Detected);
+                }
+                prop_assert!(detected, "{}: not detected in {} calls", at, layers);
+            }
+        }
+    }
+}
+
+/// Flips one drawn bit of one drawn word of `words`, which hold `bits`
+/// bits each, and says where.
+fn flip<W>(words: &mut [W], bits: u64, rng: &mut SplitMix64, at: fn(&mut W, u32)) -> String {
+    let i = rng.below(words.len() as u64) as usize;
+    let bit = rng.below(bits) as u32;
+    at(&mut words[i], bit);
+    format!("word {i} bit {bit}")
 }

@@ -263,17 +263,18 @@ fn infer_metrics_reconcile_with_results() {
     }
 }
 
-/// Under the hardened policy each detector records one sample per ABM
-/// layer per image — and none under the default policy, which never
-/// calls them.
+/// Under the hardened policy ABFT records one sample per ABM layer per
+/// image and the scrub's stream checksum one per run — one layer
+/// re-hashed a call — and neither records any under the default policy,
+/// which never calls them.
 #[test]
 fn hardened_detectors_record_one_sample_per_abm_layer() {
     let _guard = registry_lock();
     let (net, model) = tiny_model(0.6, 16, 7);
     let input = synthetic_input(&net, 0);
-    for (policy, per_layer) in [
-        (ResiliencePolicy::default(), 0),
-        (ResiliencePolicy::hardened(), 1),
+    for (policy, per_layer, per_run) in [
+        (ResiliencePolicy::default(), 0, 0),
+        (ResiliencePolicy::hardened(), 1, 1),
     ] {
         let registry = fresh_registry();
         let inferencer = Inferencer::new(&model)
@@ -283,10 +284,9 @@ fn hardened_detectors_record_one_sample_per_abm_layer() {
         let abm_layers = abm_layer_count(&model, &prepared);
         inferencer.run_prepared(&prepared, &input).unwrap();
         let snap = registry.snapshot();
-        for name in ["abm_verify_checksum_ns", "abm_abft_ns"] {
-            let samples = snap.histograms.get(name).map_or(0, |h| h.count);
-            assert_eq!(samples, abm_layers * per_layer, "{name} under {policy:?}");
-        }
+        let samples = |name: &str| snap.histograms.get(name).map_or(0, |h| h.count);
+        assert_eq!(samples("abm_abft_ns"), abm_layers * per_layer, "{policy:?}");
+        assert_eq!(samples("abm_verify_checksum_ns"), per_run, "{policy:?}");
     }
 }
 
@@ -327,9 +327,10 @@ fn deadline_salvage_batch_is_visible_in_pool_metrics() {
 
 /// The recovery ladder re-lowers through the constructor and ISA pin
 /// `prepare` used, so a recovered layer runs the kernel the prepared
-/// one ran: the checksum stops the corrupted layer before it executes,
-/// the re-lowered one executes once, and the per-variant execute
-/// counters end exactly where a clean image leaves them.
+/// one ran: the scrub — which a fresh handle's first call runs on its
+/// first layer — stops the corrupted layer before it executes, the
+/// re-lowered one executes once, and the per-variant execute counters
+/// end exactly where a clean image leaves them.
 #[test]
 fn recovered_layer_runs_the_prepared_kernel() {
     let _guard = registry_lock();
@@ -338,7 +339,7 @@ fn recovered_layer_runs_the_prepared_kernel() {
     let inferencer = Inferencer::new(&model)
         .parallelism(Parallelism::Serial)
         .resilience(ResiliencePolicy::hardened());
-    let mut prepared = inferencer.prepare().unwrap();
+    let prepared = inferencer.prepare().unwrap();
     let executes = |prepared: &PreparedWeights| {
         let registry = fresh_registry();
         let result = inferencer.run_prepared(prepared, &input).unwrap();
@@ -352,8 +353,9 @@ fn recovered_layer_runs_the_prepared_kernel() {
         (result, executes, relowered.unwrap_or(0))
     };
     let (clean, clean_executes, _) = executes(&prepared);
-    flip_first_offset_bit(&model, &mut prepared);
-    let (recovered, recovered_executes, relowered) = executes(&prepared);
+    let mut upset = prepared.clone();
+    flip_first_offset_bit(&model, &mut upset, 5);
+    let (recovered, recovered_executes, relowered) = executes(&upset);
     assert_eq!(
         relowered, 1,
         "the corruption must be detected and re-lowered"
@@ -403,33 +405,32 @@ proptest! {
 // 3. Errors and faults are counted; a tee sees every event.
 // ---------------------------------------------------------------------
 
-/// Flips one offset bit in the first prepared ABM layer's streams while
-/// keeping its golden checksum — a post-load SEU (the `wt-word-flip`
-/// fault class).
-fn flip_first_offset_bit(model: &SparseModel, prepared: &mut PreparedWeights) {
+/// Flips offset bit `bit` in the first prepared ABM layer's streams
+/// while keeping its golden checksum — a post-load SEU (the
+/// `wt-word-flip` fault class).
+fn flip_first_offset_bit(model: &SparseModel, prepared: &mut PreparedWeights, bit: u32) {
     let layer = (0..model.layers.len())
         .find(|&i| prepared.abm_layer(i).is_some())
         .unwrap();
     let prep = prepared.abm_layer_mut(layer).unwrap();
     let (_, _, offsets) = prep.flat_mut().kernels_mut()[0].streams_mut();
-    offsets[0] ^= 1 << 5;
+    offsets[0] ^= 1 << bit;
 }
 
-/// A corruption the detect-only policy surfaces is counted once, in
-/// the total and under the context it surfaced in.
+/// A corruption the default policy surfaces — an offset flipped past
+/// the input, which stops the sweep and is the guard's typed error —
+/// is counted once, in the total and under the context it surfaced in.
 #[test]
 fn a_surfaced_error_is_counted_once() {
     let _guard = registry_lock();
     let registry = fresh_registry();
     let (net, model) = tiny_model(0.6, 16, 9);
-    let inferencer = Inferencer::new(&model)
-        .parallelism(Parallelism::Serial)
-        .resilience(ResiliencePolicy::detect_only());
+    let inferencer = Inferencer::new(&model).parallelism(Parallelism::Serial);
     let mut prepared = inferencer.prepare().unwrap();
-    flip_first_offset_bit(&model, &mut prepared);
+    flip_first_offset_bit(&model, &mut prepared, 31);
     inferencer
         .run_prepared(&prepared, &synthetic_input(&net, 0))
-        .expect_err("detect-only policy must surface the corruption");
+        .expect_err("the sweep's guard must surface the corruption");
     let snap = registry.snapshot();
     assert_eq!(counter(&snap, "abm_errors_total"), 1);
     assert_eq!(counter(&snap, "abm_errors_infer_total"), 1);

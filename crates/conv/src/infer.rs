@@ -671,7 +671,9 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
             }
             let scrub = state.scrub == Some(layer_idx);
             let at = (layer_idx, prep.shares(width), scrub);
-            let relaid = &state.features;
+            // The map alone, not the pool buffer's slack behind it: an
+            // offset past the map stops the sweep at its guard.
+            let relaid = &state.features[..prep.flat().layout().relaid_len(want.channels)];
             let Arena {
                 plane,
                 wide,

@@ -10,10 +10,10 @@
 //!   predicted queue drain already exceeds are shed *before* consuming
 //!   resources, with the typed
 //!   [`AbmError::Overloaded`](abm_fault::AbmError) rejection.
-//! * **Dynamic batching** ([`server`]) — a bounded queue feeds a
-//!   coalescing batcher (up to `max_batch` requests per
-//!   `batch_window`), which dispatches to workers running the existing
-//!   batch executors.
+//! * **Dynamic batching** ([`server`]) — a free worker takes up to
+//!   `max_batch` requests straight from the bounded queue, everything
+//!   that queued while it was busy, and runs them through the existing
+//!   batch executors; an idle server starts a request at once.
 //! * **Per-request deadlines** — mapped onto the conv layer's
 //!   cooperative cancellation
 //!   ([`Inferencer::run_batch_salvage`](abm_conv::Inferencer::run_batch_salvage)):

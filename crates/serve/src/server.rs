@@ -1,22 +1,21 @@
-//! The batching inference server: bounded queue → dynamic batcher →
-//! worker pool, with admission control, per-request deadlines, chaos
-//! injection, a stuck-batch watchdog and graceful drain.
+//! The batching inference server: one bounded queue that idle workers
+//! take their batches from, with admission control, per-request
+//! deadlines, chaos injection, a stuck-batch watchdog and graceful
+//! drain.
 //!
 //! ## Architecture
 //!
 //! ```text
-//! submit()/TCP ──► admission ──► bounded queue ──► batcher ──► work queue
-//!                  (CostModel)    (Mutex+Condvar)   (coalesce      │
-//!                      │           shed: typed       ≤ max_batch   ▼
-//!                      ▼           Overloaded)       within     workers (handles to
-//!                  shed/reject                       window     the one PreparedWeights,
-//!                                                    while all  hardened policy; a batch
-//!                                                    workers    alone on the server runs
-//!                                                    are busy)  at Parallelism::Auto)
-//!                                                                   │
-//!                        watchdog ◄── heartbeats ──────────────────┤
-//!                        (confiscates stuck batches,                ▼
-//!                         fails over to fresh workers)          responses
+//! submit()/TCP ──► admission ──► bounded queue ◄── take ── idle worker (handle to the
+//!                  (CostModel)   (one Mutex +       ≤ max_batch,   one PreparedWeights,
+//!                      │          one Condvar;      failover       hardened policy; a batch
+//!                      ▼          shed: typed       batches first) alone on the server runs
+//!                  shed/reject    Overloaded)            ▲         at Parallelism::Auto)
+//!                                                        │              │
+//!                          watchdog ── confiscated ──────┘              │
+//!                          (fails stuck batches over) ◄── heartbeats ───┤
+//!                                                                       ▼
+//!                                                                   responses
 //! ```
 //!
 //! Every degradation decision is typed and accounted: shed requests
@@ -55,13 +54,9 @@ pub struct ServeConfig {
     /// Bounded request-queue capacity; a full queue sheds with
     /// [`AbmError::Overloaded`] before admission is even consulted.
     pub queue_capacity: usize,
-    /// Most requests one batch may coalesce.
+    /// Most requests one batch may coalesce: a free worker takes up to
+    /// this many of the requests queued when it frees up.
     pub max_batch: usize,
-    /// How long the batcher holds an open batch waiting for co-riders
-    /// (the coalescing latency budget) while every worker is busy. A
-    /// batch closes as soon as the queue is empty and a worker is
-    /// waiting for it: holding it would delay it and help nobody.
-    pub batch_window: Duration,
     /// Executor workers. All of them — and every replacement a
     /// watchdog failover starts — read the one model `Server::start`
     /// prepared, through a handle of their own: an abandoned worker
@@ -95,7 +90,6 @@ impl Default for ServeConfig {
         Self {
             queue_capacity: 64,
             max_batch: 8,
-            batch_window: Duration::from_millis(2),
             workers: 2,
             default_deadline: Duration::from_millis(250),
             slo: Duration::from_millis(100),
@@ -309,7 +303,8 @@ pub struct ServeStats {
     /// Batches a worker ran at [`Parallelism::Auto`] because nothing
     /// else was queued or running.
     pub wide_batches: u64,
-    /// Batches dispatched to workers.
+    /// Batches workers took from the queue (a failed-over batch is
+    /// counted once, when it was first taken).
     pub batches: u64,
 }
 
@@ -369,7 +364,17 @@ struct ReqMeta {
     deadline: Instant,
 }
 
-/// The shareable body of a dispatched batch. `claim` holds the reply
+impl Request {
+    fn meta(&self) -> ReqMeta {
+        ReqMeta {
+            id: self.id,
+            enqueued: self.enqueued,
+            deadline: self.deadline,
+        }
+    }
+}
+
+/// The shareable body of a taken batch. `claim` holds the reply
 /// channels; whoever takes it (the executing worker, or the watchdog
 /// confiscating a stuck batch) owns the obligation to respond.
 struct BatchShared {
@@ -385,25 +390,25 @@ struct Batch {
     attempt: u32,
 }
 
-/// Work queue state guarded by `Shared::work`.
-struct WorkQueue {
-    batches: VecDeque<Batch>,
-    batcher_done: bool,
-    stop: bool,
-    /// Workers blocked waiting for a batch: while more of them wait
-    /// than batches are queued, the batcher holds no batch open.
-    idle: usize,
+/// Everything guarded by `Shared::queue`: what admission reasons about
+/// and what a free worker takes.
+struct Queue {
+    /// Admitted requests, oldest first.
+    requests: VecDeque<Request>,
+    /// Batches the watchdog confiscated, to be re-run before any new
+    /// request (their requests are still in flight).
+    failover: VecDeque<Batch>,
     /// Batches workers have taken and not yet finished (an abandoned
     /// worker's counts until it returns): a batch taken while this is
-    /// zero and the queue empty is alone and runs wide.
+    /// zero and nothing is queued is alone and runs wide.
     running: usize,
-}
-
-impl WorkQueue {
-    /// Whether a batch dispatched now would be taken at once.
-    fn worker_waiting(&self) -> bool {
-        self.idle > self.batches.len()
-    }
+    /// The id the next batch a worker takes gets.
+    next_batch: u64,
+    /// Cleared by drain: `submit` sheds from then on.
+    accepting: bool,
+    /// Set by drain once nothing is queued or in flight: idle workers
+    /// exit.
+    stop: bool,
 }
 
 /// A worker's heartbeat slot, watched by the watchdog: the batch it is
@@ -439,14 +444,16 @@ struct Shared {
     weights: PreparedWeights,
     cost: CostModel,
     counters: Counters,
-    queue: Mutex<VecDeque<Request>>,
+    queue: Mutex<Queue>,
+    /// Wakes an idle worker: a request was admitted, a batch failed
+    /// over, or the server stops.
     queue_cv: Condvar,
-    work: Mutex<WorkQueue>,
-    work_cv: Condvar,
-    accepting: AtomicBool,
+    /// Admitted requests a worker has taken and not yet answered.
+    /// Raised under the queue lock in the same critical section that
+    /// takes them, so whoever holds that lock sees every admitted,
+    /// unanswered request either queued or counted here.
     in_flight: AtomicUsize,
     next_id: AtomicU64,
-    next_batch: AtomicU64,
     registry: Mutex<Vec<WorkerEntry>>,
     watchdog_stop: AtomicBool,
 }
@@ -460,7 +467,6 @@ struct Shared {
 /// implicitly.
 pub struct Server {
     shared: Arc<Shared>,
-    batcher: Option<std::thread::JoinHandle<()>>,
     watchdog: Option<std::thread::JoinHandle<()>>,
     drained: bool,
 }
@@ -469,8 +475,8 @@ impl Server {
     /// Prepares the weights — once; the workers share them — and warms
     /// them up on one thread (the cost model's estimate is the warm-up's
     /// measured time per image: admission prices a worker that runs its
-    /// batch alone), then spawns the batcher, `cfg.workers` workers and
-    /// the watchdog. The accelerator configuration is accepted and
+    /// batch alone), then spawns `cfg.workers` workers and the
+    /// watchdog. The accelerator configuration is accepted and
     /// unused, so any value is safe: nothing on the served path
     /// simulates.
     ///
@@ -509,20 +515,17 @@ impl Server {
             weights,
             cost,
             counters: Counters::default(),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            work: Mutex::new(WorkQueue {
-                batches: VecDeque::new(),
-                batcher_done: false,
-                stop: false,
-                idle: 0,
+            queue: Mutex::new(Queue {
+                requests: VecDeque::new(),
+                failover: VecDeque::new(),
                 running: 0,
+                next_batch: 0,
+                accepting: true,
+                stop: false,
             }),
-            work_cv: Condvar::new(),
-            accepting: AtomicBool::new(true),
+            queue_cv: Condvar::new(),
             in_flight: AtomicUsize::new(0),
             next_id: AtomicU64::new(1),
-            next_batch: AtomicU64::new(0),
             registry: Mutex::new(Vec::new()),
             watchdog_stop: AtomicBool::new(false),
         });
@@ -530,17 +533,12 @@ impl Server {
         for _ in 0..cfg.workers {
             spawn_worker(&shared);
         }
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || batcher_loop(&shared))
-        };
         let watchdog = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || watchdog_loop(&shared))
         };
         Ok(Self {
             shared,
-            batcher: Some(batcher),
             watchdog: Some(watchdog),
             drained: false,
         })
@@ -577,15 +575,16 @@ impl Server {
         }
         let c = &shared.counters;
         c.bump(Counter::Submitted);
-        // Admission runs under the queue lock so the backlog it reasons
-        // about cannot change underneath it, and so `accepting` is
-        // linearized against the batcher's drain-exit check.
+        // Admission runs under the queue lock, so the backlog it reasons
+        // about — queued plus in flight, which a take moves between
+        // under the same lock — cannot change underneath it, and so
+        // drain's `accepting` is linearized against it.
         let e = {
             let mut q = lock(&shared.queue);
-            let depth = q.len();
+            let depth = q.requests.len();
             let in_flight = shared.in_flight.load(Ordering::Relaxed);
             let deadline_us = u64::try_from(deadline_budget.as_micros()).unwrap_or(u64::MAX);
-            let verdict = if !shared.accepting.load(Ordering::SeqCst) {
+            let verdict = if !q.accepting {
                 Err(AbmError::Overloaded {
                     queue_depth: depth + in_flight,
                     predicted_us: u64::MAX,
@@ -613,7 +612,7 @@ impl Server {
                     let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
                     let (tx, rx) = mpsc::channel();
                     let now = Instant::now();
-                    q.push_back(Request {
+                    q.requests.push_back(Request {
                         id,
                         input,
                         enqueued: now,
@@ -623,7 +622,7 @@ impl Server {
                     c.bump(Counter::Admitted);
                     if abm_metrics::enabled() {
                         abm_metrics::global()
-                            .gauge_max("serve_queue_depth_high_water", q.len() as u64);
+                            .gauge_max("serve_queue_depth_high_water", q.requests.len() as u64);
                     }
                     shared.queue_cv.notify_one();
                     return Ok(Ticket { id, rx });
@@ -673,9 +672,9 @@ impl Server {
         self.shared.counters.snapshot()
     }
 
-    /// Graceful drain: stop accepting, let the batcher flush the
-    /// queue, wait until every in-flight request is answered (the
-    /// watchdog rescues stuck batches), then join all live threads.
+    /// Graceful drain: stop accepting, let the workers empty the queue,
+    /// wait until every in-flight request is answered (the watchdog
+    /// rescues stuck batches), then join all live threads.
     /// Returns the final accounting — after this,
     /// `admitted == answered()` always holds.
     #[must_use]
@@ -690,25 +689,18 @@ impl Server {
         }
         self.drained = true;
         let shared = &self.shared;
-        shared.accepting.store(false, Ordering::SeqCst);
-        shared.queue_cv.notify_all();
-        if let Some(h) = self.batcher.take() {
-            let _ = h.join();
-        }
-        {
-            let mut w = lock(&shared.work);
-            w.batcher_done = true;
-            shared.work_cv.notify_all();
-        }
+        lock(&shared.queue).accepting = false;
         // The watchdog stays alive here: a stuck batch during drain is
         // confiscated and answered exactly like in steady state.
-        while shared.in_flight.load(Ordering::SeqCst) > 0 {
+        loop {
+            let mut q = lock(&shared.queue);
+            if q.requests.is_empty() && shared.in_flight.load(Ordering::SeqCst) == 0 {
+                q.stop = true;
+                shared.queue_cv.notify_all();
+                break;
+            }
+            drop(q);
             std::thread::sleep(Duration::from_millis(1));
-        }
-        {
-            let mut w = lock(&shared.work);
-            w.stop = true;
-            shared.work_cv.notify_all();
         }
         let entries: Vec<WorkerEntry> = lock(&shared.registry).drain(..).collect();
         for mut entry in entries {
@@ -769,119 +761,61 @@ fn respond(
     let _ = reply.send(r);
 }
 
-/// The batcher: pops the queue, coalesces up to `max_batch` requests
-/// within `batch_window`, answers already-expired requests with the
-/// typed deadline cut, and dispatches the rest to the work queue. It is
-/// work-conserving: once the queue is empty, a batch is held open for
-/// co-riders only while no worker is waiting to run it — under load
-/// the window coalesces as before, and an idle server starts a request
-/// the moment it arrives.
-fn batcher_loop(shared: &Arc<Shared>) {
-    loop {
-        // Block for the first request of the next batch (or exit once
-        // draining and empty — linearized by the queue lock against
-        // `submit`, which re-checks `accepting` under the same lock).
-        let first = {
-            let mut q = lock(&shared.queue);
-            loop {
-                if let Some(r) = q.pop_front() {
-                    break r;
-                }
-                if !shared.accepting.load(Ordering::SeqCst) {
-                    return;
-                }
-                let (guard, _) = shared
-                    .queue_cv
-                    .wait_timeout(q, Duration::from_millis(20))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                q = guard;
-            }
-        };
-        let mut batch = vec![first];
-        let window_end = Instant::now() + shared.cfg.batch_window;
-        while batch.len() < shared.cfg.max_batch {
-            let now = Instant::now();
-            if now >= window_end {
-                break;
-            }
-            let mut q = lock(&shared.queue);
-            if let Some(r) = q.pop_front() {
-                drop(q);
-                batch.push(r);
-                continue;
-            }
-            if !shared.accepting.load(Ordering::SeqCst) {
-                break; // draining: don't hold the window open
-            }
-            if lock(&shared.work).worker_waiting() {
-                break; // a worker would idle while the batch waited
-            }
-            let (guard, _) = shared
-                .queue_cv
-                .wait_timeout(
-                    q,
-                    window_end
-                        .saturating_duration_since(now)
-                        .min(Duration::from_millis(1)),
-                )
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            drop(guard);
+/// A free worker's take, under the one queue lock: the front failover
+/// batch if there is one, otherwise up to `max_batch` requests, oldest
+/// first. Whatever it takes joins `in_flight` before the lock drops, so
+/// an admitted request is always queued or in flight. Returns the batch
+/// to run (none when every request taken had expired), the expired
+/// requests for [`cut`], and whether the batch is alone — nothing left
+/// queued and no other batch running. Blocks while there is nothing to
+/// take; `None` once drain stops the workers.
+fn take(shared: &Shared) -> Option<(Option<Batch>, Vec<Request>, bool)> {
+    let mut q = lock(&shared.queue);
+    while q.failover.is_empty() && q.requests.is_empty() {
+        if q.stop {
+            return None;
         }
-        dispatch(shared, batch);
+        q = shared
+            .queue_cv
+            .wait(q)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
     }
+    let (batch, expired) = match q.failover.pop_front() {
+        Some(b) => (Some(b), Vec::new()),
+        None => {
+            let n = q.requests.len().min(shared.cfg.max_batch);
+            let now = Instant::now();
+            let (expired, live): (Vec<_>, Vec<_>) =
+                q.requests.drain(..n).partition(|r| now >= r.deadline);
+            shared.in_flight.fetch_add(n, Ordering::SeqCst);
+            let batch = (!live.is_empty()).then(|| {
+                let id = q.next_batch;
+                q.next_batch += 1;
+                new_batch(shared, id, live)
+            });
+            (batch, expired)
+        }
+    };
+    let alone = q.failover.is_empty() && q.requests.is_empty() && q.running == 0;
+    q.running += usize::from(batch.is_some());
+    Some((batch, expired, alone))
 }
 
-/// Splits expired requests out of a raw batch (answering them with the
-/// typed deadline cut) and hands the rest to the workers.
-fn dispatch(shared: &Arc<Shared>, batch: Vec<Request>) {
-    let now = Instant::now();
-    let mut inputs = Vec::with_capacity(batch.len());
-    let mut meta = Vec::with_capacity(batch.len());
-    let mut replies = Vec::with_capacity(batch.len());
-    for r in batch {
-        let m = ReqMeta {
-            id: r.id,
-            enqueued: r.enqueued,
-            deadline: r.deadline,
-        };
-        if now >= r.deadline {
-            // Expired while queued: never dispatched, typed cut.
-            respond(
-                shared,
-                &m,
-                &r.reply,
-                ServeResponse {
-                    id: r.id,
-                    outcome: Err(AbmError::DeadlineExceeded {
-                        item: 0,
-                        late_us: u64::try_from(
-                            now.saturating_duration_since(r.deadline).as_micros(),
-                        )
-                        .unwrap_or(u64::MAX),
-                    }),
-                    queued_us: u64::try_from(now.saturating_duration_since(r.enqueued).as_micros())
-                        .unwrap_or(u64::MAX),
-                    total_us: 0,
-                    degraded: false,
-                    deadline_missed: false,
-                },
-            );
-            continue;
-        }
-        inputs.push(r.input);
-        meta.push(m);
-        replies.push(r.reply);
-    }
-    if inputs.is_empty() {
-        return;
-    }
-    shared.in_flight.fetch_add(inputs.len(), Ordering::SeqCst);
+/// A freshly taken batch of `live` requests, counted.
+fn new_batch(shared: &Shared, id: u64, live: Vec<Request>) -> Batch {
     shared.counters.bump(Counter::Batches);
     if abm_metrics::enabled() {
-        abm_metrics::global().observe("serve_batch_size", inputs.len() as u64);
+        abm_metrics::global().observe("serve_batch_size", live.len() as u64);
     }
-    let id = shared.next_batch.fetch_add(1, Ordering::Relaxed);
-    let b = Batch {
+    let mut inputs = Vec::with_capacity(live.len());
+    let mut meta = Vec::with_capacity(live.len());
+    let mut replies = Vec::with_capacity(live.len());
+    for r in live {
+        meta.push(r.meta());
+        inputs.push(r.input);
+        replies.push(r.reply);
+    }
+    Batch {
         shared: Arc::new(BatchShared {
             id,
             inputs,
@@ -889,10 +823,33 @@ fn dispatch(shared: &Arc<Shared>, batch: Vec<Request>) {
             claim: Mutex::new(Some(replies)),
         }),
         attempt: 0,
-    };
-    let mut w = lock(&shared.work);
-    w.batches.push_back(b);
-    shared.work_cv.notify_one();
+    }
+}
+
+/// Answers requests that expired while queued with the typed deadline
+/// cut — they never ran — and takes them out of `in_flight`.
+fn cut(shared: &Shared, expired: Vec<Request>) {
+    let now = Instant::now();
+    let micros = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+    for r in &expired {
+        respond(
+            shared,
+            &r.meta(),
+            &r.reply,
+            ServeResponse {
+                id: r.id,
+                outcome: Err(AbmError::DeadlineExceeded {
+                    item: 0,
+                    late_us: micros(now.saturating_duration_since(r.deadline)),
+                }),
+                queued_us: micros(now.saturating_duration_since(r.enqueued)),
+                total_us: 0,
+                degraded: false,
+                deadline_missed: false,
+            },
+        );
+    }
+    shared.in_flight.fetch_sub(expired.len(), Ordering::SeqCst);
 }
 
 /// Spawns a worker thread and registers its heartbeat slot.
@@ -935,26 +892,10 @@ fn worker_loop(shared: &Arc<Shared>, state: &Arc<WorkerState>) {
     let mut prepared = shared.weights.clone();
     let conv_layers = model.conv_indices();
 
-    loop {
-        let (batch, alone) = {
-            let mut w = lock(&shared.work);
-            loop {
-                if let Some(b) = w.batches.pop_front() {
-                    let alone = w.batches.is_empty() && w.running == 0;
-                    w.running += 1;
-                    break (b, alone);
-                }
-                if w.stop || (w.batcher_done && shared.in_flight.load(Ordering::SeqCst) == 0) {
-                    return;
-                }
-                w.idle += 1;
-                let (mut guard, _) = shared
-                    .work_cv
-                    .wait_timeout(w, Duration::from_millis(10))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                guard.idle -= 1;
-                w = guard;
-            }
+    while let Some((batch, expired, alone)) = take(shared) {
+        cut(shared, expired);
+        let Some(batch) = batch else {
+            continue;
         };
         // Alone on the server, a batch takes the cores the idle workers
         // leave free; otherwise it stays on this thread, as admission
@@ -1027,7 +968,7 @@ fn worker_loop(shared: &Arc<Shared>, state: &Arc<WorkerState>) {
         let (outcomes, degraded) = execute_batch(&inferencer, &prepared, &batch, heartbeat);
         // Before any reply goes out: a caller that submits again on
         // receiving it must find this worker's batch finished.
-        lock(&shared.work).running -= 1;
+        lock(&shared.queue).running -= 1;
 
         if let Some(layer) = injected {
             // Repair: back onto the server's clean layer, dropping the
@@ -1167,8 +1108,9 @@ fn watchdog_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Re-dispatches a confiscated batch (at the front of the work queue,
-/// with the original reply channels restored into a fresh claim), or —
+/// Queues a confiscated batch for the next free worker (ahead of every
+/// request, with the original reply channels restored into a fresh
+/// claim), or —
 /// `max_failovers` exhausted — answers its requests with typed errors.
 fn failover(shared: &Arc<Shared>, batch: Batch, replies: Vec<mpsc::Sender<ServeResponse>>) {
     let next_attempt = batch.attempt + 1;
@@ -1182,9 +1124,8 @@ fn failover(shared: &Arc<Shared>, batch: Batch, replies: Vec<mpsc::Sender<ServeR
             }),
             attempt: next_attempt,
         };
-        let mut w = lock(&shared.work);
-        w.batches.push_front(b);
-        shared.work_cv.notify_one();
+        lock(&shared.queue).failover.push_back(b);
+        shared.queue_cv.notify_one();
         return;
     }
     for (m, reply) in batch.shared.meta.iter().zip(replies) {

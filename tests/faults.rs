@@ -193,6 +193,56 @@ fn a_layer_rebuilt_from_changed_weights_is_never_run() {
     assert_eq!(faults, [detected, dense]);
 }
 
+/// A lone image's sweep reads its own feature map, not the pool buffer
+/// behind it: an FC offset set one past the layer's inputs stops the
+/// sweep at the guard — a typed `CodeCorrupt` unchecked, a recovered
+/// detection hardened — instead of reading the buffer's slack into a
+/// wrong answer.
+#[test]
+fn an_fc_offset_one_past_its_inputs_is_the_guards() {
+    let model = tiny_model();
+    let input = synth_image(model.network.input_shape(), 0);
+    let unchecked = Inferencer::new(&model);
+    let clean = unchecked.prepare().unwrap();
+    let golden = unchecked.run_prepared(&clean, &input).unwrap();
+    let fc = model
+        .network
+        .conv_fc_layers()
+        .position(|l| l.layer.name == "FC3")
+        .unwrap();
+    let in_features = clean.abm_layer(fc).unwrap().input_shape().len();
+    let mut upset = clean.clone();
+    let kernels = upset.abm_layer_mut(fc).unwrap().flat_mut().kernels_mut();
+    let kernel = kernels.iter_mut().find(|k| k.total() > 0).unwrap();
+    kernel.streams_mut().2[0] = u32::try_from(in_features).unwrap();
+
+    let err = unchecked.run_prepared(&upset, &input).unwrap_err();
+    assert!(
+        matches!(err.root_cause(), AbmError::CodeCorrupt { detail, .. } if detail.starts_with("the sweep stopped")),
+        "{err}"
+    );
+    let sink = TelemetrySink::new();
+    let hardened = unchecked
+        .resilience(ResiliencePolicy::hardened())
+        .telemetry(sink.clone());
+    let got = hardened.run_prepared(&upset, &input).unwrap();
+    assert_eq!(got.logits, golden.logits);
+    let detected: Vec<(u32, String)> = sink
+        .events()
+        .into_iter()
+        .filter_map(|e| match e {
+            Event::Fault {
+                layer,
+                action: FaultAction::Detected,
+                class,
+                ..
+            } => Some((layer, class)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(detected, [(fc as u32, "guard".to_string())]);
+}
+
 /// The injector's one inference hook compiles away: a hardened run
 /// under `NullInjector` is the default inferencer, and one under an
 /// enabled injector with an empty plan polls the hook and delivers

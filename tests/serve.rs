@@ -49,13 +49,11 @@ fn golden_logits(model: &SparseModel, n: u64) -> HashMap<u64, Vec<f32>> {
         .collect()
 }
 
-/// A serve config sized for test speed: tiny batches, short windows,
-/// generous queue.
+/// A serve config sized for test speed: tiny batches, generous queue.
 fn test_config() -> ServeConfig {
     ServeConfig {
         queue_capacity: 32,
         max_batch: 4,
-        batch_window: Duration::from_millis(5),
         workers: 2,
         warmup_images: 1,
         ..ServeConfig::default()
@@ -215,7 +213,6 @@ fn stats_conserve_requests_under_burst() {
 fn a_wrong_shape_is_refused_at_submit_and_fails_no_co_rider() {
     let cfg = ServeConfig {
         workers: 1,
-        batch_window: Duration::from_millis(50),
         warmup_images: 1,
         ..ServeConfig::default()
     };
@@ -250,19 +247,14 @@ fn a_wrong_shape_is_refused_at_submit_and_fails_no_co_rider() {
 }
 
 // ---------------------------------------------------------------------
-// The idle core: a work-conserving batcher and the width rule
+// The idle core: workers take from the queue, and the width rule
 // ---------------------------------------------------------------------
 
-/// An idle server holds no request for co-riders: with a ten-second
-/// window and both workers waiting, a lone request is dispatched at
-/// once (the window only coalesces while every worker is busy).
+/// An idle server holds no request for co-riders: with both workers
+/// waiting, a lone request is taken the moment it is admitted.
 #[test]
 fn an_idle_server_starts_a_lone_request_at_once() {
-    let cfg = ServeConfig {
-        batch_window: Duration::from_secs(10),
-        ..test_config()
-    };
-    let (model, server) = start_server(cfg);
+    let (model, server) = start_server(test_config());
     let golden = golden_logits(&model, 1);
     let input = synth_input(model.network.input_shape(), 0);
     let started = Instant::now();
@@ -328,6 +320,48 @@ fn a_lone_batch_runs_wide_and_a_co_running_one_serial() {
     assert_eq!(stats.watchdog_failovers, 0, "{stats:?}");
 }
 
+/// Requests coalesce at take time. The one worker takes batch 0 and
+/// stalls on it (chaos); the four requests admitted meanwhile wait in
+/// the queue, and the worker takes all of them as one batch when it
+/// frees up: two batches, no failover, every answer golden.
+#[test]
+fn a_freed_worker_takes_everything_queued_up_to_max_batch() {
+    let cfg = ServeConfig {
+        workers: 1,
+        watchdog_grace: Duration::from_secs(600),
+        chaos: Some(ChaosConfig {
+            seed: 5,
+            corrupt_every: 0,
+            stall_every: u64::MAX,
+            stall_for: Duration::from_secs(1),
+        }),
+        ..test_config()
+    };
+    let (model, server) = start_server(cfg);
+    let shape = model.network.input_shape();
+    let golden = golden_logits(&model, 5);
+    let submit = |seed| {
+        let t = server
+            .submit(synth_input(shape, seed), Duration::from_secs(600))
+            .expect("admit");
+        (seed, t)
+    };
+    let first = submit(0);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while server.stats().batches == 0 {
+        assert!(Instant::now() < deadline, "batch 0 never taken");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let rest: Vec<_> = (1..5).map(submit).collect();
+    for (seed, t) in std::iter::once(first).chain(rest) {
+        let out = t.wait().outcome.expect("answered");
+        assert_eq!(out.logits, golden[&seed], "request {seed}");
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.batches, stats.completed), (2, 5), "{stats:?}");
+    assert_eq!(stats.watchdog_failovers, 0, "{stats:?}");
+}
+
 // ---------------------------------------------------------------------
 // Graceful drain
 // ---------------------------------------------------------------------
@@ -370,7 +404,6 @@ fn watchdog_fails_stuck_batch_over_to_fresh_worker() {
     let cfg = ServeConfig {
         workers: 1,
         max_batch: 4,
-        batch_window: Duration::from_millis(5),
         watchdog_grace: Duration::from_millis(100),
         max_failovers: 1,
         warmup_images: 1,
@@ -421,7 +454,6 @@ fn exhausted_failovers_fail_typed_not_silent() {
     let cfg = ServeConfig {
         workers: 1,
         max_batch: 2,
-        batch_window: Duration::from_millis(5),
         watchdog_grace: Duration::from_millis(100),
         max_failovers: 0,
         warmup_images: 1,

@@ -12,9 +12,10 @@
 //! A run that reads `"correct": false` or `"failed"` above 0 ends the
 //! command with an error and no table: a comparison with a broken side
 //! shows nothing. Otherwise it prints, per workload and end-to-end
-//! metric, each side's quartiles, the change in median and how many
-//! pairs the working tree read lower in. An A/A control is
-//! `cargo xtask pairs HEAD` on a clean tree.
+//! metric, each side's quartiles, the change in median, how many
+//! pairs the working tree read lower in and that count's exact
+//! two-sided sign-test p (ties left out; a report, not a threshold).
+//! An A/A control is `cargo xtask pairs HEAD` on a clean tree.
 
 use abm_spconv_repro::telemetry::json::{self, Value};
 use std::path::{Path, PathBuf};
@@ -126,7 +127,22 @@ struct Row {
     delta_pct: f64,
     /// Pairs in which the working tree read lower.
     lower_in: usize,
+    /// Pairs in which the working tree read higher.
+    higher_in: usize,
     pairs: usize,
+}
+
+/// The exact two-sided sign test of `k` successes in `n` untied pairs:
+/// `min(1, 2·Σ_{i ≤ min(k, n−k)} C(n, i) / 2ⁿ)`.
+fn sign_test_p(k: usize, n: usize) -> f64 {
+    let tail = k.min(n - k);
+    let mut choose = 1.0; // C(n, i), built up from C(n, 0)
+    let mut sum = 0.0;
+    for i in 0..=tail {
+        sum += choose;
+        choose = choose * (n - i) as f64 / (i + 1) as f64;
+    }
+    (2.0 * sum / 2f64.powi(n as i32)).min(1.0)
 }
 
 /// Refuses pair `i`'s runs if either was incorrect or failed an
@@ -178,6 +194,7 @@ fn summarize(pairs: &[(RunResult, RunResult)]) -> Result<Vec<Row>, String> {
             work: w,
             delta_pct: (w[1] - b[1]) / b[1] * 100.0,
             lower_in: base.iter().zip(&work).filter(|(b, w)| w < b).count(),
+            higher_in: base.iter().zip(&work).filter(|(b, w)| w > b).count(),
             pairs: pairs.len(),
         })
     });
@@ -191,14 +208,16 @@ fn render(workload: &str, rev: &str, rows: &[Row]) -> String {
     );
     for r in rows {
         let side = |[q1, m, q3]: [f64; 3]| format!("{m:.4} [{q1:.4}, {q3:.4}]");
+        let untied = r.lower_in + r.higher_in;
         out.push_str(&format!(
-            "  {:<18} {:>30} -> {:<30} {:+7.1} %  lower in {}/{}\n",
+            "  {:<18} {:>30} -> {:<30} {:+7.1} %  lower in {}/{}  sign p {:.4}\n",
             r.metric,
             side(r.base),
             side(r.work),
             r.delta_pct,
             r.lower_in,
-            r.pairs
+            r.pairs,
+            sign_test_p(r.lower_in, untied)
         ));
     }
     out
@@ -381,14 +400,37 @@ mod tests {
         // Working tree: 0.9, 1.8, 3.5, 3.6, 4.5.
         assert_eq!(setup.work, [1.8, 3.5, 3.6]);
         assert!((setup.delta_pct - 100.0 / 6.0).abs() < 1e-9);
-        assert_eq!((setup.lower_in, setup.pairs), (4, 5));
+        assert_eq!((setup.lower_in, setup.higher_in, setup.pairs), (4, 1, 5));
         let latency = &rows[1];
-        assert_eq!((latency.delta_pct, latency.lower_in), (0.0, 0));
+        assert_eq!(
+            (latency.delta_pct, latency.lower_in, latency.higher_in),
+            (0.0, 0, 0)
+        );
         // Even counts interpolate between the middle order statistics.
         assert_eq!(quantile(&[4.0, 1.0, 3.0, 2.0], 0.5), 2.5);
         assert_eq!(quantile(&[4.0, 1.0, 3.0, 2.0], 0.25), 1.75);
         let table = render("alexnet_image", "HEAD", &rows);
-        assert!(table.contains("+16.7 %  lower in 4/5"), "{table}");
+        // 4 of 5 untied: 2·(1 + 5)/32; latency ties everywhere: 1.
+        assert!(
+            table.contains("+16.7 %  lower in 4/5  sign p 0.3750"),
+            "{table}"
+        );
+        assert!(table.contains("lower in 0/5  sign p 1.0000"), "{table}");
+    }
+
+    #[test]
+    fn the_sign_test_is_exact_and_two_sided() {
+        let close = |got: f64, want: f64| (got - want).abs() < 5e-5;
+        assert!(
+            close(sign_test_p(10, 10), 0.00195),
+            "{}",
+            sign_test_p(10, 10)
+        );
+        assert!(close(sign_test_p(9, 10), 0.02148), "{}", sign_test_p(9, 10));
+        assert_eq!(sign_test_p(5, 10), 1.0);
+        // Symmetric in which side read lower.
+        assert_eq!(sign_test_p(1, 10), sign_test_p(9, 10));
+        assert_eq!(sign_test_p(0, 0), 1.0);
     }
 
     #[test]

@@ -87,26 +87,6 @@ pub fn calibrate(
     Ok(Calibration { formats })
 }
 
-/// Convenience: calibrate and return a deployment-ready inferencer.
-///
-/// # Errors
-///
-/// Returns [`AbmError`] if the model cannot be prepared or an input
-/// shape mismatches the network.
-pub fn calibrated_inferencer<'m>(
-    model: &'m SparseModel,
-    inputs: &[Tensor3<i16>],
-    input_format: QFormat,
-    engine: Engine,
-) -> Result<(Inferencer<'m>, Calibration), AbmError> {
-    let cal = calibrate(model, inputs, input_format)?;
-    let inf = Inferencer::new(model)
-        .engine(engine)
-        .input_format(input_format)
-        .calibration(cal.clone());
-    Ok((inf, cal))
-}
-
 /// Validates a calibration on held-out inputs: fraction of feature
 /// values that saturate.
 ///
@@ -208,13 +188,14 @@ mod tests {
         // The fixed formats must not depend on the inference image: two
         // different images go through identical per-layer formats.
         let (model, inputs) = setup();
-        let (inf, _) =
-            calibrated_inferencer(&model, &inputs, QFormat::new(8, 0), Engine::Abm).unwrap();
+        let cal = calibrate(&model, &inputs, QFormat::new(8, 0)).unwrap();
+        let inf = Inferencer::new(&model).calibration(cal);
         let a = inf.run(&inputs[0]).unwrap();
         let b = inf.run(&inputs[1]).unwrap();
-        let fa: Vec<_> = a.trace.iter().map(|t| t.format).collect();
-        let fb: Vec<_> = b.trace.iter().map(|t| t.format).collect();
-        assert_eq!(fa, fb, "calibrated formats must be image-invariant");
+        assert_eq!(
+            a.formats, b.formats,
+            "calibrated formats must be image-invariant"
+        );
         assert_ne!(a.logits, b.logits);
     }
 

@@ -46,17 +46,6 @@ pub enum Engine {
     Abm,
 }
 
-/// Per-layer execution trace entry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerTrace {
-    /// Layer name.
-    pub name: String,
-    /// Output feature-map shape.
-    pub shape: Shape3,
-    /// Fixed-point format of the output features.
-    pub format: QFormat,
-}
-
 /// The outcome of one inference.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct InferenceResult {
@@ -66,8 +55,12 @@ pub struct InferenceResult {
     pub probabilities: Vec<f32>,
     /// ABM work counters (all zero unless the ABM engine ran).
     pub work: AbmWork,
-    /// Per-layer trace.
-    pub trace: Vec<LayerTrace>,
+    /// Fixed-point format of each network layer's output features, one
+    /// entry per layer in network order — what the image chose; each
+    /// layer's name and shape are
+    /// [`Network::layers`](abm_model::Network::layers) and
+    /// [`Network::shapes`](abm_model::Network::shapes).
+    pub formats: Vec<QFormat>,
     /// Largest real-valued accumulator magnitude per accelerated layer
     /// (execution order) — the statistic offline calibration consumes.
     pub layer_max_activation: Vec<f32>,
@@ -623,11 +616,7 @@ impl<'m, I: Injector + Send> Inferencer<'m, I> {
         if !step.absorbed {
             (state.shape, state.layout) = (step.stored, step.store);
         }
-        state.result.trace.push(LayerTrace {
-            name: layer.name.clone(),
-            shape: step.shape,
-            format: state.fmt,
-        });
+        state.result.formats.push(state.fmt);
         Ok(())
     }
 
@@ -1175,15 +1164,10 @@ mod tests {
     }
 
     #[test]
-    fn trace_covers_every_layer() {
+    fn formats_cover_every_layer() {
         let model = tiny_model();
         let r = Inferencer::new(&model).run(&tiny_input()).unwrap();
-        assert_eq!(r.trace.len(), model.network.len());
-        assert_eq!(r.trace.last().unwrap().shape, Shape3::new(10, 1, 1));
-        // Shapes follow the network's shape inference.
-        for (t, s) in r.trace.iter().zip(model.network.shapes()) {
-            assert_eq!(t.shape, s, "layer {}", t.name);
-        }
+        assert_eq!(r.formats.len(), model.network.len());
     }
 
     #[test]

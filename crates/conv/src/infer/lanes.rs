@@ -23,8 +23,8 @@
 //! events exactly as a single image does.
 
 use super::{
-    guarded, note_image, timed_detector, ImageState, InferenceResult, Inferencer, LayerTrace,
-    PreparedWeights, ResiliencePolicy,
+    guarded, note_image, timed_detector, ImageState, InferenceResult, Inferencer, PreparedWeights,
+    ResiliencePolicy,
 };
 use crate::abft;
 use crate::abm::PreparedConv;
@@ -239,11 +239,7 @@ impl<I: Injector + Send> Inferencer<'_, I> {
                 if !step.absorbed {
                     (state.shape, state.layout) = (step.stored, step.store);
                 }
-                state.result.trace.push(LayerTrace {
-                    name: layer.name.clone(),
-                    shape: step.shape,
-                    format: state.fmt,
-                });
+                state.result.formats.push(state.fmt);
             }
         }
         (None, width)

@@ -40,7 +40,7 @@ pub mod pipeline;
 pub mod resource;
 pub mod roofline;
 
-pub use consistency::{annotate_report, check_consistency, Tolerances};
+pub use consistency::{check_consistency, SimReport, Tolerances};
 pub use device::FpgaDevice;
 pub use explore::{explore_nknl, explore_sec_ncu, DesignPoint};
 pub use flow::{run_flow, FlowResult};

@@ -60,11 +60,6 @@ impl Counter {
         self.shards[shard_index()].0.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Adds one.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
     /// The summed value across all shards.
     #[must_use]
     pub fn value(&self) -> u64 {
@@ -463,7 +458,7 @@ mod tests {
             for _ in 0..8 {
                 s.spawn(|| {
                     for _ in 0..1000 {
-                        c.incr();
+                        c.add(1);
                     }
                 });
             }

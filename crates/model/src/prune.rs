@@ -8,7 +8,6 @@
 //! pruning ratios from Table 1 / Deep Compression, distinct-value counts
 //! back-derived from Table 1's `Mult.` column (see DESIGN.md §2).
 
-use crate::layer::LayerKind;
 use crate::network::Network;
 use abm_tensor::Tensor4;
 
@@ -224,47 +223,6 @@ pub fn density<T: PartialEq + Default>(weights: &Tensor4<T>) -> f64 {
     nnz as f64 / weights.len() as f64
 }
 
-/// Applies a [`PruneProfile`] to float weights for every accelerated layer
-/// of `net`, returning `(layer name, pruned weights)` pairs.
-///
-/// The weight tensors must be supplied in [`Network::conv_fc_layers`]
-/// order.
-///
-/// # Panics
-///
-/// Panics if `weights` has a different length or mismatched shapes.
-pub fn prune_network(
-    net: &Network,
-    weights: &[Tensor4<f32>],
-    profile: &PruneProfile,
-) -> Vec<(String, Tensor4<f32>)> {
-    let layers: Vec<_> = net.conv_fc_layers().collect();
-    assert_eq!(
-        layers.len(),
-        weights.len(),
-        "one weight tensor per conv/FC layer"
-    );
-    layers
-        .iter()
-        .zip(weights)
-        .map(|(l, w)| {
-            let expect = match &l.layer.kind {
-                LayerKind::Conv(c) => c.weight_shape(),
-                LayerKind::FullyConnected(fc) => fc.weight_shape(),
-                _ => unreachable!("conv_fc_layers yields only accelerated layers"),
-            };
-            assert_eq!(
-                w.shape(),
-                expect,
-                "layer {}: weight shape mismatch",
-                l.layer.name
-            );
-            let p = profile.for_layer(&l.layer.name);
-            (l.layer.name.clone(), prune_magnitude(w, p.prune_ratio))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,33 +289,6 @@ mod tests {
         let net = zoo::alexnet();
         let r = PruneProfile::alexnet_deep_compression().mac_reduction(&net);
         assert!((r - 2.3).abs() < 0.2, "AlexNet MAC reduction {r}");
-    }
-
-    #[test]
-    fn prune_network_applies_per_layer_ratios() {
-        let net = zoo::tiny();
-        let weights: Vec<_> = net
-            .conv_fc_layers()
-            .map(|l| {
-                let shape = match &l.layer.kind {
-                    LayerKind::Conv(c) => c.weight_shape(),
-                    LayerKind::FullyConnected(fc) => fc.weight_shape(),
-                    _ => unreachable!(),
-                };
-                let mut i = 0u32;
-                Tensor4::from_fn(shape, |_, _, _, _| {
-                    i = i.wrapping_mul(1664525).wrapping_add(1013904223);
-                    (i as f32 / u32::MAX as f32) - 0.5
-                })
-            })
-            .collect();
-        let profile = PruneProfile::uniform(LayerProfile::new(0.8, 16));
-        let pruned = prune_network(&net, &weights, &profile);
-        assert_eq!(pruned.len(), 4);
-        for (name, w) in &pruned {
-            let d = density(w);
-            assert!((d - 0.2).abs() < 0.01, "{name}: density {d}");
-        }
     }
 
     #[test]

@@ -156,17 +156,6 @@ impl AcceleratorConfig {
         1e-6 / self.freq_mhz
     }
 
-    /// Peak accumulation throughput in accumulations per second
-    /// (`N_cu·N_knl·S_ec · Freq`).
-    ///
-    /// The Figure 1 roof quotes *dense-equivalent* GOP/s, i.e. this rate
-    /// multiplied by the scheme's op-reduction factor; that conversion
-    /// lives in `abm-dse`'s roofline model where the network statistics
-    /// are known.
-    pub fn peak_acc_per_second(&self) -> f64 {
-        self.accumulator_lanes() as f64 * self.freq_mhz * 1e6
-    }
-
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -224,7 +213,6 @@ mod tests {
         // per second, which the VGG16 op-reduction factor (~6.1x) turns
         // into the ~1050 GOP/s dense-equivalent roof of Figure 1.
         assert_eq!(cfg.accumulator_lanes(), 840);
-        assert!((cfg.peak_acc_per_second() / 1e9 - 171.36).abs() < 0.1);
     }
 
     #[test]

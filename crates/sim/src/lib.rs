@@ -31,11 +31,12 @@
 //!   (FIFO overflow, hung CU, lost deposit, bandwidth collapse) into
 //!   typed [`AbmError`](abm_fault::AbmError)s, a hung CU held to
 //!   [`WATCHDOG_SLACK_CYCLES`];
-//! * [`telemetry`] — the bridge from simulation results to the
-//!   `abm-telemetry` exporters. The context is generic over a
-//!   [`Collector`](abm_telemetry::Collector); with the default
-//!   `NullCollector` every hook compiles away, so instrumented and
-//!   plain runs are bit-identical (`tests/telemetry.rs` proves it).
+//!
+//! [`NetworkSim`] is a run's one per-layer record; the event stream a
+//! [`Collector`](abm_telemetry::Collector) receives is its timeline.
+//! The context is generic over the collector; with the default
+//! `NullCollector` every hook compiles away, so instrumented and plain
+//! runs are bit-identical (`tests/telemetry.rs` proves it).
 //!
 //! # Examples
 //!
@@ -65,7 +66,6 @@ pub mod pipeline;
 pub mod run;
 pub mod sched;
 pub mod task;
-pub mod telemetry;
 pub mod verify;
 
 pub use abm_pool::Parallelism;
@@ -78,7 +78,6 @@ pub use pipeline::{
 };
 pub use run::{simulate_network, LayerSim, NetworkSim, SimContext, SimSummary};
 pub use sched::{PipelineStage, PipelinedSchedule, SchedulingPolicy};
-pub use telemetry::network_report;
 pub use verify::{
     verify_pipelined_schedule, verify_workload, verify_workload_lowering, verify_workload_schedule,
 };

@@ -585,7 +585,7 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
     ///
     /// An enabled collector receives per-stage [`Event::StageSpan`]
     /// runs (contiguous row units of one image/layer merged into one
-    /// span) and per-boundary [`Event::StageFifo`] occupancy.
+    /// span); boundary occupancy is [`PipelineSim::boundaries`].
     ///
     /// An enabled injector is held to the workload core's absorption
     /// discipline:
@@ -758,7 +758,7 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
         // consumer row reaching back to it finishes (retire before add at
         // equal cycles — the hardware pops before it pushes).
         let mut boundaries = Vec::with_capacity(schedule.stages.len().saturating_sub(1));
-        for (b, stage) in schedule.stages[1..].iter().enumerate() {
+        for stage in &schedule.stages[1..] {
             let cl = stage.layer_start; // consumer: first layer of the stage
             let p = &workloads[cl - 1];
             let c = &workloads[cl];
@@ -789,19 +789,11 @@ impl<C: Collector, I: Injector> SimContext<C, I> {
                     occupancy -= 1;
                 }
             }
-            let boundary = BoundarySim {
+            boundaries.push(BoundarySim {
                 producer_layer: cl - 1,
                 high_water_rows: high as usize,
                 depth_rows: stage.fifo_rows,
-            };
-            if C::ENABLED {
-                collector.record(Event::StageFifo {
-                    boundary: b as u32,
-                    high_water: boundary.high_water_rows as u32,
-                    depth: boundary.depth_rows as u32,
-                });
-            }
-            boundaries.push(boundary);
+            });
         }
 
         let last = n_layers - 1;
@@ -916,7 +908,8 @@ mod tests {
         let opts = PipelineOptions::for_config(&cfg);
         let s = plan_pipeline(&w, &cfg, &opts, 4).unwrap();
         assert_eq!(s.stages.len(), opts.n_stages.min(w.len()));
-        assert_eq!(s.total_lanes(), opts.lane_budget);
+        let lanes: usize = s.stages.iter().map(PipelineStage::lanes).sum();
+        assert_eq!(lanes, opts.lane_budget);
         assert_eq!(s.stages[0].layer_start, 0);
         assert_eq!(s.stages.last().unwrap().layer_end, w.len());
         for pair in s.stages.windows(2) {
@@ -996,17 +989,14 @@ mod tests {
             .unwrap();
         assert_eq!(plain, collected);
         let mut span_cycles = vec![0u64; s.stages.len()];
-        let mut fifos = 0;
         for e in rec.events() {
-            match e {
-                Event::StageSpan {
-                    stage, start, end, ..
-                } => span_cycles[*stage as usize] += end - start,
-                Event::StageFifo { .. } => fifos += 1,
-                _ => {}
+            if let Event::StageSpan {
+                stage, start, end, ..
+            } = e
+            {
+                span_cycles[*stage as usize] += end - start;
             }
         }
-        assert_eq!(fifos, s.stages.len() - 1);
         for (stage, cycles) in plain.stages.iter().zip(span_cycles) {
             assert_eq!(
                 stage.busy_cycles, cycles,

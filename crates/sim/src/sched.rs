@@ -76,12 +76,6 @@ pub struct PipelinedSchedule {
 }
 
 impl PipelinedSchedule {
-    /// Total kernel lanes across all stages.
-    #[must_use]
-    pub fn total_lanes(&self) -> usize {
-        self.stages.iter().map(PipelineStage::lanes).sum()
-    }
-
     /// The stage executing workload index `layer`, if any.
     #[must_use]
     pub fn stage_of(&self, layer: usize) -> Option<usize> {

@@ -91,11 +91,6 @@ impl EncodingSize {
     pub fn total(&self) -> u64 {
         self.wt_buffer_bytes + self.q_table_bytes
     }
-
-    /// Total size in mebibytes.
-    pub fn total_mb(&self) -> f64 {
-        self.total() as f64 / (1024.0 * 1024.0)
-    }
 }
 
 #[cfg(test)]
@@ -138,14 +133,5 @@ mod tests {
         let m = SizeModel::paper();
         let s = m.layer_bytes(&code);
         assert!(s.total() < model_like_nnz * 3);
-    }
-
-    #[test]
-    fn mb_conversion() {
-        let s = EncodingSize {
-            wt_buffer_bytes: 1024 * 1024,
-            q_table_bytes: 0,
-        };
-        assert_eq!(s.total_mb(), 1.0);
     }
 }

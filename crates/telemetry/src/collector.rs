@@ -126,17 +126,6 @@ pub enum Event {
         /// Timeline cycle the last merged row unit retired.
         end: u64,
     },
-    /// Inter-stage FIFO occupancy summary for one pipeline boundary:
-    /// the deepest simultaneous row occupancy observed against the
-    /// provisioned depth.
-    StageFifo {
-        /// Boundary index (between stage `b` and `b+1`).
-        boundary: u32,
-        /// Deepest observed occupancy, in rows.
-        high_water: u32,
-        /// Provisioned depth, in rows.
-        depth: u32,
-    },
     /// The host kernel variant a prepared ABM layer dispatched to:
     /// which ISA will execute its gather loops and the stage-1
     /// accumulator width the lowering verifier proved safe. Recorded
@@ -266,20 +255,6 @@ impl RecordingCollector {
         self.events
     }
 
-    /// Total busy cycles recorded for one CU across all layers.
-    #[must_use]
-    pub fn cu_busy_cycles(&self, cu: u32) -> u64 {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                Event::CuTask {
-                    cu: c, start, end, ..
-                } if *c == cu => Some(end - start),
-                _ => None,
-            })
-            .sum()
-    }
-
     /// Deepest FIFO occupancy recorded across all lanes of a layer.
     #[must_use]
     pub fn fifo_high_water(&self, layer: u32) -> u32 {
@@ -295,23 +270,6 @@ impl RecordingCollector {
             })
             .max()
             .unwrap_or(0)
-    }
-
-    /// Sum of DDR read + write bytes recorded for a layer.
-    #[must_use]
-    pub fn ddr_bytes(&self, layer: u32) -> u64 {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                Event::DdrWindow {
-                    layer: l,
-                    read_bytes,
-                    write_bytes,
-                    ..
-                } if *l == layer => Some(read_bytes + write_bytes),
-                _ => None,
-            })
-            .sum()
     }
 }
 
@@ -371,10 +329,7 @@ mod tests {
             write_bytes: 40,
         });
         assert_eq!(c.events().len(), 5);
-        assert_eq!(c.cu_busy_cycles(0), 25);
-        assert_eq!(c.cu_busy_cycles(1), 4);
         assert_eq!(c.fifo_high_water(0), 3);
         assert_eq!(c.fifo_high_water(1), 0);
-        assert_eq!(c.ddr_bytes(0), 140);
     }
 }

@@ -1,5 +1,5 @@
 //! Instrumentation layer for the ABM-SpConv reproduction — cycle-level
-//! telemetry, Chrome-trace export and per-layer reports.
+//! telemetry, Chrome-trace export and the workspace's JSON.
 //!
 //! The paper's claims are architectural: throughput emerges from CU
 //! utilization, accumulator/multiplier balance, FIFO back-pressure and
@@ -19,12 +19,6 @@
 //! * [`chrome`] — a `chrome://tracing` / Perfetto `trace_event` JSON
 //!   writer: one track per simulated CU and per host worker, B/E span
 //!   pairs, cycle-resolution timestamps;
-//! * [`report`] — [`TelemetryReport`], the machine-readable per-layer
-//!   aggregation (cycles, stalls, bytes, utilization) with JSON
-//!   serialization and a human roofline table. The `abm-dse` crate
-//!   annotates it with analytic-model predictions so simulated
-//!   utilization can be cross-checked against the paper's performance
-//!   model;
 //! * [`json`] — the workspace's one JSON writer (every exported
 //!   document, under one layout rule) and one parser (every document
 //!   read back).
@@ -38,10 +32,8 @@
 pub mod chrome;
 pub mod collector;
 pub mod json;
-pub mod report;
 pub mod sink;
 
 pub use chrome::ChromeTrace;
 pub use collector::{Collector, Event, FaultAction, NullCollector, RecordingCollector};
-pub use report::{LayerReport, TelemetryReport};
 pub use sink::TelemetrySink;

@@ -61,11 +61,6 @@ impl QFormat {
         Self { bits, frac }
     }
 
-    /// The paper's weight format: 8-bit with a per-layer fractional length.
-    pub fn w8(frac: i8) -> Self {
-        Self::new(8, frac)
-    }
-
     /// Total number of bits.
     pub fn bits(&self) -> u8 {
         self.bits
@@ -97,16 +92,6 @@ impl QFormat {
     /// The real-valued resolution of one least-significant bit.
     pub fn lsb(&self) -> f64 {
         2f64.powi(-(self.frac as i32))
-    }
-
-    /// Largest representable real value.
-    pub fn max_value(&self) -> f64 {
-        self.max_raw() as f64 * self.lsb()
-    }
-
-    /// Smallest representable real value.
-    pub fn min_value(&self) -> f64 {
-        self.min_raw() as f64 * self.lsb()
     }
 
     /// Quantizes an `f32` to the raw integer representation with
@@ -147,19 +132,6 @@ impl QFormat {
     /// Converts a raw integer back to a real value.
     pub fn dequantize(&self, raw: i32) -> f32 {
         (raw as f64 * self.lsb()) as f32
-    }
-
-    /// Rescales a wide accumulator value (in a format with
-    /// `self.frac + other.frac` fractional bits, as produced by multiplying
-    /// two fixed-point numbers) into `target`, applying `mode` and
-    /// saturating.
-    ///
-    /// This is the Sum/Round step of the accelerator data path.
-    pub fn rescale_to(&self, acc: i64, other: QFormat, target: QFormat, mode: Rounding) -> i32 {
-        let src_frac = self.frac as i32 + other.frac as i32;
-        let shift = src_frac - target.frac as i32;
-        let rounded = round_shift(acc, shift, mode);
-        saturate(rounded, target)
     }
 }
 
@@ -239,7 +211,6 @@ mod tests {
         let q16 = QFormat::new(16, 8);
         assert_eq!(q16.max_raw(), 32767);
         assert_eq!(q16.min_raw(), -32768);
-        assert!((q16.max_value() - 127.99609375).abs() < 1e-9);
     }
 
     #[test]
@@ -361,19 +332,6 @@ mod tests {
                 assert_eq!(saturated, want_saturated, "shift {shift} {target}");
             }
         }
-    }
-
-    #[test]
-    fn rescale_matches_float_reference() {
-        // features Q8 frac 4, weights Q8 frac 6, target Q8 frac 4.
-        let ffmt = QFormat::new(16, 4);
-        let wfmt = QFormat::new(8, 6);
-        let target = QFormat::new(8, 4);
-        let acc: i64 = 37 * 45; // raw product
-        let out = ffmt.rescale_to(acc, wfmt, target, Rounding::NearestTiesAway);
-        let real = (37.0 / 16.0) * (45.0 / 64.0);
-        let expect = target.quantize_f32(real as f32);
-        assert_eq!(out, expect);
     }
 
     #[test]

@@ -94,11 +94,6 @@ impl<T> Tensor3<T> {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its storage.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Returns the element at `(channel, row, col)`, or `None` when out of
     /// range.
     #[inline]
@@ -222,11 +217,6 @@ impl<T> Tensor4<T> {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its storage.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Borrows the `m`-th kernel as a contiguous `N·K·K'` slice.
     ///
     /// # Panics
@@ -236,17 +226,6 @@ impl<T> Tensor4<T> {
     pub fn kernel(&self, m: usize) -> &[T] {
         let kl = self.shape.kernel_len();
         &self.data[m * kl..(m + 1) * kl]
-    }
-
-    /// Mutably borrows the `m`-th kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m >= out_channels`.
-    #[inline]
-    pub fn kernel_mut(&mut self, m: usize) -> &mut [T] {
-        let kl = self.shape.kernel_len();
-        &mut self.data[m * kl..(m + 1) * kl]
     }
 
     /// Maps every element through `f`, producing a new tensor of the same
@@ -287,8 +266,7 @@ mod tests {
         assert_eq!(t.get(2, 0, 0), None);
         assert_eq!(t.get(0, 3, 0), None);
         assert_eq!(t.get(0, 0, 4), None);
-        let v = t.clone().into_vec();
-        let t2 = Tensor3::from_vec(s, v);
+        let t2 = Tensor3::from_vec(s, t.as_slice().to_vec());
         assert_eq!(t, t2);
     }
 
@@ -314,15 +292,6 @@ mod tests {
         assert_eq!(k1[0], 1000);
         assert_eq!(k1[7], 1111);
         assert_eq!(t[(2, 1, 1, 1)], 2111);
-    }
-
-    #[test]
-    fn tensor4_kernel_mut() {
-        let mut t = Tensor4::<i16>::zeros(Shape4::new(2, 1, 2, 2));
-        t.kernel_mut(1).fill(5);
-        assert_eq!(t[(1, 0, 0, 0)], 5);
-        assert_eq!(t[(0, 0, 0, 0)], 0);
-        assert_eq!(t.as_slice().iter().map(|&x| x as i32).sum::<i32>(), 20);
     }
 
     #[test]

@@ -67,9 +67,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    println!("\nper-layer trace (name, output shape, feature format):");
-    for t in &abm.trace {
-        println!("  {:<10} {:>12} {}", t.name, t.shape.to_string(), t.format);
+    println!("\nper-layer formats (name, output shape, feature format):");
+    let layers = net.layers().iter().zip(net.shapes());
+    for ((layer, shape), format) in layers.zip(&abm.formats) {
+        println!("  {:<10} {:>12} {format}", layer.name, shape.to_string());
     }
     Ok(())
 }

@@ -16,9 +16,9 @@
 
 #![forbid(unsafe_code)]
 
-use abm_dse::{annotate_report, check_consistency, estimate_network, Tolerances};
+use abm_dse::{check_consistency, estimate_network, SimReport, Tolerances};
 use abm_model::{synthesize_model, zoo, PruneProfile};
-use abm_sim::{network_report, AcceleratorConfig, SimContext};
+use abm_sim::{AcceleratorConfig, SimContext};
 use abm_telemetry::{ChromeTrace, RecordingCollector};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,10 +32,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collector(&mut recording)
         .simulate_network(&model, &cfg)?;
 
-    let mut report = network_report(net.name(), &sim, &recording);
     let est = estimate_network(&net, &profile, &cfg);
-    let annotated = annotate_report(&mut report, &est);
-    assert_eq!(annotated, report.layers.len(), "every layer modeled");
+    let report = SimReport {
+        network: net.name(),
+        freq_mhz: sim.freq_mhz(),
+        layers: sim.layers(),
+        est: &est,
+        recording: &recording,
+    };
+    let modeled = |l: &abm_sim::LayerSim| est.layers().iter().any(|e| e.name == l.name);
+    assert!(sim.layers().iter().all(modeled), "every layer modeled");
 
     print!("{}", report.render_table());
     println!(
@@ -46,11 +52,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let tol = Tolerances::default();
-    let verdict = check_consistency(&report, &est, &net, &profile, &cfg, &tol);
+    let verdict = check_consistency(sim.layers(), &est, &net, &profile, &cfg, &tol);
     if verdict.is_clean() {
         println!(
             "consistency: all {} layers × 3 metrics within tolerance of the analytic model",
-            report.layers.len()
+            sim.layers().len()
         );
     } else {
         eprint!("{verdict}");

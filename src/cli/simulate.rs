@@ -3,7 +3,7 @@
 use super::flags::{flag, positive_f64, switch, text, uint, PARALLEL};
 use super::{build, fields, Command, Subcommand};
 use abm_conv::Parallelism;
-use abm_sim::{network_report, AcceleratorConfig, SimContext};
+use abm_sim::{AcceleratorConfig, SimContext};
 use abm_telemetry::{ChromeTrace, RecordingCollector};
 use std::error::Error;
 
@@ -74,9 +74,14 @@ pub(super) fn run(command: &Command) -> Result<(), Box<dyn Error>> {
         );
     }
     if *report {
-        let mut rep = network_report(network.name(), &sim, &recording);
         let est = abm_dse::estimate_network(&network, &profile, config);
-        abm_dse::annotate_report(&mut rep, &est);
+        let rep = abm_dse::SimReport {
+            network: network.name(),
+            freq_mhz: sim.freq_mhz(),
+            layers: sim.layers(),
+            est: &est,
+            recording: &recording,
+        };
         print!("{}", rep.render_table());
     }
     if let Some(path) = trace_out {

@@ -140,7 +140,7 @@ fn numerics(r: &InferenceResult) -> impl PartialEq + std::fmt::Debug + '_ {
     (
         &r.logits,
         &r.probabilities,
-        &r.trace,
+        &r.formats,
         &r.layer_max_activation,
         r.saturated_features,
         r.total_features,
@@ -151,11 +151,11 @@ fn numerics(r: &InferenceResult) -> impl PartialEq + std::fmt::Debug + '_ {
 /// calibration that must reproduce it exactly.
 fn formats_of(model: &SparseModel, result: &InferenceResult) -> Calibration {
     let layers = model.network.layers();
-    let accelerated = result.trace.iter().zip(layers);
+    let accelerated = result.formats.iter().zip(layers);
     Calibration::from_formats(
         accelerated
             .filter(|(_, layer)| layer.is_accelerated())
-            .map(|(entry, _)| entry.format)
+            .map(|(&format, _)| format)
             .collect(),
     )
 }

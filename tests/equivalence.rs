@@ -49,7 +49,7 @@ fn tiny_net_all_engines_agree_float_pipeline_path() {
         .run(&input)
         .unwrap();
     assert_eq!(dense.logits, abm.logits);
-    assert_eq!(dense.trace, abm.trace);
+    assert_eq!(dense.formats, abm.formats);
 }
 
 #[test]

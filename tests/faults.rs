@@ -2,8 +2,9 @@
 //! never-silent property over every fault class, host trials scored
 //! from the runtime's own fault events, the NullInjector zero-overhead
 //! bit-identity guarantee, per-item batch salvage, the offset-overflow
-//! typed-error regression, and stream flips that never panic and are
-//! caught within a round of scrubs.
+//! typed-error regression, stream flips that never panic and are
+//! caught within a round of scrubs, and the one flip only the scrub
+//! sees.
 
 use abm_spconv_repro::campaign::{run_campaign, CampaignConfig};
 use abm_spconv_repro::conv::{Engine, InferenceResult, Inferencer, Parallelism, ResiliencePolicy};
@@ -11,7 +12,9 @@ use abm_spconv_repro::fault::{
     AbmError, FaultClass, FaultOutcome, FaultPlan, NullInjector, PlanInjector, RecoveryAction,
     SplitMix64,
 };
-use abm_spconv_repro::model::{synthesize_model, zoo, LayerProfile, PruneProfile};
+use abm_spconv_repro::model::{
+    synthesize_model, zoo, LayerProfile, Network, PruneProfile, SparseModel,
+};
 use abm_spconv_repro::sim::task::Workload;
 use abm_spconv_repro::sim::{AcceleratorConfig, SimContext};
 use abm_spconv_repro::sparse::{EncodeError, FlatCode, FlatLayout, LayerCode};
@@ -241,6 +244,96 @@ fn an_fc_offset_one_past_its_inputs_is_the_guards() {
         })
         .collect();
     assert_eq!(detected, [(fc as u32, "guard".to_string())]);
+}
+
+/// A flip ABFT cannot see is the scrub's to catch. On `tiny`, FC4 is
+/// accelerated layer 3 of 4 and reads RELU3's 64 outputs (one feature
+/// per offset: a 1×1 input lays feature `n` at offset `n`). Moving one
+/// FC4 offset from feature `i` to feature `j` moves ABFT's prediction
+/// and the output alike, by `w·(x_j − x_i)`: zero for an image whose
+/// two features are equal, so for that image the flip is blind and
+/// masked. A fresh hardened handle serves it golden, with no fault,
+/// until its round-robin scrub reaches layer 3 on call 3, which detects
+/// the flip and re-lowers the layer. Unchecked, an image for which the
+/// two features differ comes out wrong: the flip is not harmless.
+#[test]
+fn an_abft_blind_flip_is_the_scrubs_to_catch() {
+    let model = tiny_model();
+    let net = &model.network;
+    let fc4 = net
+        .conv_fc_layers()
+        .position(|l| l.layer.name == "FC4")
+        .unwrap();
+    assert_eq!((fc4, model.layers.len()), (3, 4));
+
+    // FC4's input features for an image: the network cut after RELU3.
+    let relu3 = net.layers().iter().position(|l| l.name == "RELU3").unwrap();
+    let mut cut = Network::new("TinyNet to RELU3", net.input_shape());
+    for layer in &net.layers()[..=relu3] {
+        cut.push(layer.clone());
+    }
+    let cut = SparseModel {
+        network: cut,
+        layers: model.layers[..fc4].to_vec(),
+    };
+    let features = |image: &Tensor3<i16>| Inferencer::new(&cut).run(image).unwrap().logits;
+
+    let unchecked = Inferencer::new(&model);
+    let clean = unchecked.prepare().unwrap();
+    let shape = net.input_shape();
+    let (blind, seen) = (synth_image(shape, 0), synth_image(shape, 1));
+    let (x, y) = (features(&blind), features(&seen));
+    assert_eq!(x.len(), 64);
+    let golden = unchecked.run_prepared(&clean, &blind).unwrap();
+
+    // The first tap of an FC4 kernel whose feature `i` equals another
+    // feature `j` for the blind image (two ReLU zeros will do) but not
+    // for the seen one.
+    let mut upset = clean.clone();
+    let kernels = upset.abm_layer_mut(fc4).unwrap().flat_mut().kernels_mut();
+    kernels
+        .iter_mut()
+        .flat_map(|k| k.streams_mut().2.iter_mut())
+        .find_map(|offset| {
+            let i = *offset as usize;
+            let j = (0..x.len()).find(|&j| x[j] == x[i] && y[j] != y[i])?;
+            *offset = j as u32;
+            Some(())
+        })
+        .expect("an FC4 tap whose feature has a twin for one image only");
+
+    let sink = TelemetrySink::new();
+    let hardened = Inferencer::new(&model)
+        .resilience(ResiliencePolicy::hardened())
+        .telemetry(sink.clone());
+    let faults = || -> Vec<(u32, FaultAction, String)> {
+        let events = sink.events().into_iter();
+        events
+            .filter_map(|e| match e {
+                Event::Fault {
+                    layer,
+                    action,
+                    class,
+                    ..
+                } => Some((layer, action, class)),
+                _ => None,
+            })
+            .collect()
+    };
+    for call in 0..3 {
+        let got = hardened.run_prepared(&upset, &blind).unwrap();
+        assert_eq!(got.logits, golden.logits, "call {call}");
+        assert_eq!(faults(), [], "call {call} scrubs a clean layer");
+    }
+    let got = hardened.run_prepared(&upset, &blind).unwrap();
+    assert_eq!(got.logits, golden.logits);
+    let detected = (fc4 as u32, FaultAction::Detected, "scrub".to_string());
+    let recovered = (fc4 as u32, FaultAction::Recovered, "re-lower".to_string());
+    assert_eq!(faults(), [detected, recovered]);
+
+    let want = unchecked.run_prepared(&clean, &seen).unwrap();
+    let got = unchecked.run_prepared(&upset, &seen).unwrap();
+    assert_ne!(got.logits, want.logits);
 }
 
 /// The injector's one inference hook compiles away: a hardened run

@@ -7,13 +7,11 @@ use abm_spconv_repro::conv::ops::NetworkOps;
 use abm_spconv_repro::dse::explore::{best_feasible, explore_nknl, explore_sec_ncu, optimal_nknl};
 use abm_spconv_repro::dse::flow::{run_flow, select_n};
 use abm_spconv_repro::dse::{
-    annotate_report, check_consistency, compute_roofline, estimate_network, FpgaDevice,
-    ResourceModel, Tolerances,
+    check_consistency, compute_roofline, estimate_network, FpgaDevice, ResourceModel, Tolerances,
 };
 use abm_spconv_repro::model::{synthesize_model, zoo, PruneProfile};
-use abm_spconv_repro::sim::{network_report, simulate_network, AcceleratorConfig, SimContext};
+use abm_spconv_repro::sim::{simulate_network, AcceleratorConfig, SimContext};
 use abm_spconv_repro::sparse::SizeModel;
-use abm_spconv_repro::telemetry::RecordingCollector;
 
 fn vgg16() -> abm_spconv_repro::model::SparseModel {
     synthesize_model(&zoo::vgg16(), &PruneProfile::vgg16_deep_compression(), 2019)
@@ -287,21 +285,21 @@ fn simulated_alexnet_agrees_with_the_performance_model() {
     let profile = PruneProfile::alexnet_deep_compression();
     let model = synthesize_model(&net, &profile, 7);
     let cfg = AcceleratorConfig::paper_alexnet();
-    let mut recording = RecordingCollector::new();
     let sim = SimContext::default()
-        .collector(&mut recording)
         .simulate_network(&model, &cfg)
         .unwrap();
-    let mut report = network_report(net.name(), &sim, &recording);
     let est = estimate_network(&net, &profile, &cfg);
-    let layers = report.layers.len();
-    assert_eq!(
-        annotate_report(&mut report, &est),
-        layers,
-        "every layer modeled"
+    let verdict = check_consistency(
+        sim.layers(),
+        &est,
+        &net,
+        &profile,
+        &cfg,
+        &Tolerances::default(),
     );
-    let verdict = check_consistency(&report, &est, &net, &profile, &cfg, &Tolerances::default());
     assert!(verdict.is_clean(), "{verdict}");
+    // Every layer modeled: each contributes all three metric checks.
+    assert_eq!(verdict.facts, 3 * sim.layers().len() as u64);
 }
 
 #[test]

@@ -10,10 +10,9 @@
 //! randomness, and the golden pins must hold with collection on.
 
 use abm_spconv_repro::conv::{Engine, Inferencer, Parallelism};
+use abm_spconv_repro::dse::{estimate_network, SimReport};
 use abm_spconv_repro::model::{synthesize_model, zoo, LayerProfile, PruneProfile, SparseModel};
-use abm_spconv_repro::sim::{
-    network_report, AcceleratorConfig, NetworkSim, SchedulingPolicy, SimContext,
-};
+use abm_spconv_repro::sim::{AcceleratorConfig, NetworkSim, SchedulingPolicy, SimContext};
 use abm_spconv_repro::telemetry::{ChromeTrace, Event, RecordingCollector, TelemetrySink};
 use abm_spconv_repro::tensor::Tensor3;
 use proptest::prelude::*;
@@ -181,9 +180,18 @@ fn golden_pins_hold_with_collection_on() {
     );
 
     // The exporters round-trip what was recorded.
-    let report = network_report("AlexNet", &sim, &rec);
-    assert_eq!(report.layers.len(), sim.layers().len());
-    abm_spconv_repro::telemetry::json::validate(&report.to_json()).unwrap();
+    let profile = PruneProfile::alexnet_deep_compression();
+    let est = estimate_network(&zoo::alexnet(), &profile, &cfg);
+    let report = SimReport {
+        network: "AlexNet",
+        freq_mhz: sim.freq_mhz(),
+        layers: sim.layers(),
+        est: &est,
+        recording: &rec,
+    };
+    let doc = abm_spconv_repro::telemetry::json::parse(&report.to_json()).unwrap();
+    let layers = doc.get("layers").and_then(|l| l.as_arr()).unwrap();
+    assert_eq!(layers.len(), sim.layers().len());
     let trace = ChromeTrace::from_events(rec.events());
     assert!(!trace.spans().is_empty());
     abm_spconv_repro::telemetry::json::validate(&trace.to_json()).unwrap();

@@ -256,23 +256,17 @@ fn weights_strategy() -> impl Strategy<Value = (Tensor4<i8>, usize, usize)> {
 /// just the metric.
 #[test]
 fn model_divergence_names_the_corrupted_layer() {
-    use abm_spconv_repro::dse::{annotate_report, check_consistency, estimate_network, Tolerances};
-    use abm_spconv_repro::sim::telemetry::network_report;
+    use abm_spconv_repro::dse::{check_consistency, estimate_network, Tolerances};
     use abm_spconv_repro::sim::{AcceleratorConfig, SimContext};
-    use abm_spconv_repro::telemetry::RecordingCollector;
 
     let net = zoo::tiny();
     let profile = PruneProfile::uniform(LayerProfile::new(0.6, 12));
     let model = synthesize_model(&net, &profile, 11);
     let cfg = AcceleratorConfig::paper();
-    let mut rec = RecordingCollector::new();
     let sim = SimContext::default()
-        .collector(&mut rec)
         .simulate_network(&model, &cfg)
         .unwrap();
-    let mut report = network_report("TinyNet", &sim, &rec);
     let est = estimate_network(&net, &profile, &cfg);
-    annotate_report(&mut report, &est);
 
     // Tolerances wide enough to absorb every natural model-vs-sim gap
     // (lane efficiencies live in [0, 1], so 1.0 can never fire; TinyNet's
@@ -283,12 +277,13 @@ fn model_divergence_names_the_corrupted_layer() {
         cycles: 10.0,
         traffic: 1e9,
     };
-    let clean = check_consistency(&report, &est, &net, &profile, &cfg, &tol);
+    let clean = check_consistency(sim.layers(), &est, &net, &profile, &cfg, &tol);
     assert!(clean.is_clean(), "{clean}");
 
-    let victim = report.layers[1].name.clone();
-    report.layers[1].compute_cycles *= 10_000;
-    let verdict = check_consistency(&report, &est, &net, &profile, &cfg, &tol);
+    let mut layers = sim.layers().to_vec();
+    let victim = layers[1].name.clone();
+    layers[1].compute_cycles *= 10_000;
+    let verdict = check_consistency(&layers, &est, &net, &profile, &cfg, &tol);
     assert!(verdict.has_class("model_divergence"), "{verdict}");
     assert_eq!(verdict.defects.len(), 1, "{verdict}");
     let text = verdict.to_string();
@@ -296,7 +291,7 @@ fn model_divergence_names_the_corrupted_layer() {
         text.contains(victim.as_str()),
         "defect must name the corrupted layer {victim}: {text}"
     );
-    for l in &report.layers {
+    for l in &layers {
         if l.name != victim {
             assert!(!text.contains(l.name.as_str()), "{text}");
         }

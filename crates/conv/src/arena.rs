@@ -73,6 +73,9 @@ pub(crate) struct Step {
     pub store: FlatLayout,
     /// Accelerated layers: the `layer_ns_<name>` histogram, named once.
     pub metric: String,
+    /// LRN layers: how many LRN layers come before this one — the slot
+    /// of its denominator tables in every arena.
+    pub lrn: usize,
 }
 
 /// Where every layer of a network stores its output, and how large the
@@ -135,7 +138,7 @@ impl Plan {
             plane_len: 0,
             tail: None,
         };
-        let mut i = 0;
+        let (mut i, mut lrns) = (0, 0);
         while i < layers.len() {
             let accelerated = layers[i].is_accelerated();
             let kind_at = |j: usize| layers.get(j).map(|l| &l.kind);
@@ -170,7 +173,9 @@ impl Plan {
                 stored,
                 store,
                 metric,
+                lrn: lrns,
             });
+            lrns += usize::from(matches!(layers[i].kind, LayerKind::Lrn(_)));
             plan.steps.extend((i + 1..end).map(|j| Step {
                 shape: shapes[j],
                 absorbed: true,
@@ -179,6 +184,7 @@ impl Plan {
                 stored,
                 store,
                 metric: String::new(),
+                lrn: lrns,
             }));
             i = end;
         }
@@ -222,8 +228,10 @@ pub(crate) struct Arena {
     pub sweeps: Vec<SweepScratch>,
     /// One input channel's prefix tables, for the ABFT check.
     pub abft: Vec<i64>,
-    /// One LRN scratch a run of channels (one on this thread alone).
-    lrns: Vec<LrnScratch>,
+    /// One LRN scratch a step's run of channels (one run on this thread
+    /// alone), indexed `[step.lrn][run]`: each keeps its denominator
+    /// table across images.
+    lrns: Vec<Vec<LrnScratch>>,
     /// One requantized channel, one pooled channel, the pool's column
     /// maxima.
     channel: Vec<i16>,
@@ -241,15 +249,17 @@ impl Arena {
         let sweeps = self.sweeps.iter();
         let sweep_words = sweeps.map(|s| s.tile.capacity() + s.partials.capacity());
         let lrns = self.lrns.iter();
-        let lrn_bytes =
-            lrns.map(|l| 2 * l.out.capacity() + 8 * (l.energy.capacity() + l.table.capacity()));
+        let lrn_bytes = lrns.map(|runs| {
+            let scratch = runs.iter().map(LrnScratch::bytes).sum::<usize>();
+            scratch + std::mem::size_of::<LrnScratch>() * runs.capacity()
+        });
         2 * halves.iter().map(|v| v.capacity()).sum::<usize>()
             + 4 * self.plane.capacity()
             + 8 * words.iter().map(|v| v.capacity()).sum::<usize>()
             + 8 * sweep_words.sum::<usize>()
             + std::mem::size_of::<SweepScratch>() * self.sweeps.capacity()
             + lrn_bytes.sum::<usize>()
-            + std::mem::size_of::<LrnScratch>() * self.lrns.capacity()
+            + std::mem::size_of::<Vec<LrnScratch>>() * self.lrns.capacity()
     }
 
     /// The Sum/Round stage with everything that rides along, in one pass
@@ -368,11 +378,15 @@ impl Arena {
     ) {
         let (shape, store) = (step.shape, step.store);
         let runs = width.clamp(1, shape.channels.max(1));
-        if self.lrns.len() < runs {
-            self.lrns.resize_with(runs, LrnScratch::default);
+        if self.lrns.len() <= step.lrn {
+            self.lrns.resize_with(step.lrn + 1, Vec::new);
+        }
+        let scratches = &mut self.lrns[step.lrn];
+        if scratches.len() < runs {
+            scratches.resize_with(runs, LrnScratch::default);
         }
         let mut rest = &mut self.spare[..store.relaid_len(shape.channels)];
-        let shares = (0..runs).zip(&mut self.lrns).map(|(i, scratch)| {
+        let shares = (0..runs).zip(scratches).map(|(i, scratch)| {
             let run = shape.channels * i / runs..shape.channels * (i + 1) / runs;
             let (blocks, tail) =
                 std::mem::take(&mut rest).split_at_mut(store.relaid_len(run.len()));
@@ -820,6 +834,7 @@ mod tests {
                 stored,
                 store: FlatLayout { in_rows: stored.rows, in_cols: stored.cols, stride, pad },
                 metric: String::new(),
+                lrn: 0,
             };
             let target = QFormat::new(bits, frac);
             let (expected, clipped) = chain(&acc, shift, target, &step);
@@ -862,18 +877,28 @@ mod tests {
 
     /// AlexNet's two LRN layers, split into 1 to 4 runs of channels:
     /// every width stores the bits `host::lrn` computes, into the same
-    /// blocks of the spare buffer and nothing past them.
+    /// blocks of the spare buffer and nothing past them. Then one arena
+    /// keeps its tables across calls that change the format, raise the
+    /// largest energy, take the wide path and change the width, and
+    /// every call still stores the oracle's bits; a second pass over the
+    /// same calls grows nothing.
     #[test]
     fn lrn_runs_store_the_same_bits_at_every_width() {
         let net = zoo::alexnet();
         let plan = Plan::new(&net, true);
         let fmt = QFormat::new(8, 3);
         let lrns = net.layers().iter().zip(&plan.steps);
-        let lrns = lrns.filter_map(|(layer, step)| match &layer.kind {
-            LayerKind::Lrn(spec) => Some((spec, step)),
-            _ => None,
-        });
-        for (spec, step) in lrns {
+        let lrns: Vec<_> = lrns
+            .filter_map(|(layer, step)| match &layer.kind {
+                LayerKind::Lrn(spec) => Some((spec, step)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            lrns.iter().map(|(_, step)| step.lrn).collect::<Vec<_>>(),
+            [0, 1]
+        );
+        for &(spec, step) in &lrns {
             let input = Tensor3::from_fn(step.shape, |c, r, col| {
                 ((c * 97 + r * 31 + col * 7) % 255) as i16 - 127
             });
@@ -885,8 +910,44 @@ mod tests {
                 assert_eq!(&arena.spare[..expected.len()], &expected[..], "{width}");
                 assert_eq!(&arena.spare[expected.len()..], &[0x5a5a; 3], "{width}");
             }
-            assert_eq!(arena.lrns.len(), 4);
+            assert_eq!(arena.lrns[step.lrn].len(), 4);
         }
+
+        // (format, signed full-range raws, width): small energies, then
+        // the largest in the same format (the table extends inside what
+        // the first call reserved), a new format (it refills), a wide
+        // one (no table), and back.
+        let calls = [
+            (QFormat::new(8, -4), false, 2),
+            (QFormat::new(8, -4), true, 2),
+            (QFormat::new(8, -5), false, 3),
+            (QFormat::new(16, 6), true, 4),
+            (QFormat::new(8, -4), false, 2),
+            (QFormat::new(8, 3), true, 1),
+        ];
+        let mut arena = Arena::default();
+        let mut grown = Vec::new();
+        for pass in 0..2 {
+            for (i, &(fmt, signed, width)) in calls.iter().enumerate() {
+                for &(spec, step) in &lrns {
+                    let seed = (10 * i + step.lrn) as u64;
+                    let input = host::tests::seeded_map(step.shape, seed, signed);
+                    let oracle = host::tests::lrn_reference(&input, fmt, spec);
+                    let expected = step.store.relayout(&oracle);
+                    arena.spare = vec![0x5a5a; expected.len() + 3];
+                    arena.lrn_store(input.as_slice(), fmt, spec, step, width);
+                    let at = format!("pass {pass} call {i} step {}", step.lrn);
+                    assert_eq!(&arena.spare[..expected.len()], &expected[..], "{at}");
+                    assert_eq!(&arena.spare[expected.len()..], &[0x5a5a; 3], "{at}");
+                }
+                let bytes = arena.bytes() - 2 * arena.spare.capacity();
+                match pass {
+                    0 => grown.push(bytes),
+                    _ => assert_eq!(bytes, *grown.last().unwrap_or(&0), "call {i}"),
+                }
+            }
+        }
+        assert_eq!(grown[0], grown[1]);
     }
 
     #[test]

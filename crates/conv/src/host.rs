@@ -7,7 +7,7 @@
 
 use abm_model::{LrnSpec, PoolKind, PoolSpec};
 use abm_tensor::{QFormat, Shape3, Tensor3};
-use std::ops::Range;
+use std::ops::{AddAssign, Mul, Range, SubAssign};
 
 /// Rectified linear unit on a quantized feature map.
 pub fn relu(input: &Tensor3<i16>) -> Tensor3<i16> {
@@ -80,9 +80,20 @@ pub(crate) fn pool_plane(
 }
 
 /// Feature widths whose channel-window energy stays below this many
-/// distinct values get a denominator table (8-bit features: at most
-/// `5 · 128² + 1` entries); wider ones call `powf` per element.
+/// distinct values get a reciprocal-denominator table (8-bit features:
+/// at most `5 · 128² + 1` entries, 0.66 MB of `f64`); wider ones call
+/// `powf` per element.
 const LRN_TABLE_LIMIT: i64 = 1 << 18;
+
+/// `1.5 · 2^52`: added to an `f64` below `2^51` in magnitude, it rounds
+/// the value to an integer (ties to even) and leaves that integer in
+/// the low bits of the sum's mantissa.
+const ROUND: f64 = 6_755_399_441_055_744.0;
+
+/// `2^−23`: how far, relative to its magnitude, a quotient on the table
+/// path must stay from a half-integer for its rounding to be decided
+/// without the exact division (see [`lrn_planes`]).
+const TIE_MARGIN: f64 = 1.0 / 8_388_608.0;
 
 /// Local response normalization (AlexNet). Executes in floating point on
 /// the dequantized features — exactly what a host CPU does — and
@@ -92,12 +103,12 @@ const LRN_TABLE_LIMIT: i64 = 1 << 18;
 ///
 /// The window's sum of squares is kept as an **integer** energy of the
 /// raw features, slid across channel planes by one add and one subtract
-/// per pixel, and the denominator is computed once per distinct energy
-/// within the call. That is bit-identical to summing dequantized squares
-/// in `f64` per element: each square is `raw² · 2^(−2·frac)`, the few of
-/// them sum exactly below `2^53`, so `powf` sees the same argument
-/// either way (for every `frac ≥ −112`, below which dequantizing to
-/// `f32` overflows).
+/// per pixel, and the denominator is computed once per energy and kept.
+/// That is bit-identical to summing dequantized squares in `f64` per
+/// element: each square is `raw² · 2^(−2·frac)`, the few of them sum
+/// exactly below `2^53`, so `powf` sees the same argument either way
+/// (for every `frac` in `−112..=127`; below it dequantizing to `f32`
+/// overflows).
 pub fn lrn(input: &Tensor3<i16>, fmt: QFormat, spec: &LrnSpec) -> Tensor3<i16> {
     let (shape, mut out) = (input.shape(), Vec::with_capacity(input.len()));
     let mut scratch = LrnScratch::default();
@@ -115,13 +126,33 @@ pub fn lrn(input: &Tensor3<i16>, fmt: QFormat, spec: &LrnSpec) -> Tensor3<i16> {
     Tensor3::from_vec(shape, out)
 }
 
-/// What [`lrn_planes`] keeps between calls: the sliding window energy,
-/// the denominator table and the plane being normalized.
+/// What [`lrn_planes`] keeps across calls: the sliding window energy,
+/// the plane being normalized, and the table of reciprocal denominators
+/// `1/d(e)` with the format and spec it was filled for. The table is
+/// reserved at the format's reach on first use, so it never grows
+/// afterwards, and filled only as a prefix, as far as the largest
+/// energy a plane has held. It is emptied only when the format or the
+/// spec changes: a scratch kept per LRN layer computes each
+/// denominator once per format across calls, not once per call.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LrnScratch {
-    pub energy: Vec<i64>,
-    pub table: Vec<f64>,
-    pub out: Vec<i16>,
+    /// The window energy on the table path (`i32`: it stays below
+    /// [`LRN_TABLE_LIMIT`]) …
+    energy: Vec<i32>,
+    /// … and on the wide one.
+    wide: Vec<i64>,
+    out: Vec<i16>,
+    table: Vec<f64>,
+    filled_for: Option<(QFormat, LrnSpec)>,
+}
+
+impl LrnScratch {
+    /// Bytes of capacity behind every buffer.
+    pub fn bytes(&self) -> usize {
+        4 * self.energy.capacity()
+            + 8 * (self.wide.capacity() + self.table.capacity())
+            + 2 * self.out.capacity()
+    }
 }
 
 /// The core under [`lrn`] and the inference path: normalizes the
@@ -130,6 +161,20 @@ pub(crate) struct LrnScratch {
 /// energy window starts whole at the run's first channel, so a run
 /// computes the bits the whole map's pass computes for it, and runs on
 /// their own scratch may go in parallel.
+///
+/// The exact form divides the dequantized `x` by `d`, rounds to `f32`
+/// (the reference's arithmetic), scales back by `2^frac` and rounds to
+/// the format. A format whose window energy stays below
+/// [`LRN_TABLE_LIMIT`] (8 bits at AlexNet's size 5), with `frac ≤ 124`
+/// and a window holding only raws inside it, takes the table path:
+/// `i32` energies and a branch-free pass over `(x, table[e])` that the
+/// compiler vectorizes — `x · (1/d)` rounded to the nearest integer,
+/// which is the exact form's result wherever the quotient is not within
+/// a few `f32` ulps of a half-integer; a plane with one that is goes
+/// again in the exact form for those elements (see the proof below).
+/// Anything else (a wide format, a raw outside its own, an extreme
+/// `frac`) takes `i64` energies and the exact form with `powf` per
+/// element.
 pub(crate) fn lrn_planes(
     input: &[i16],
     s: Shape3,
@@ -147,70 +192,182 @@ pub(crate) fn lrn_planes(
     let lsb = fmt.lsb();
     let lsb_sq = lsb * lsb;
     let scale = 2f64.powi(fmt.frac() as i32);
-    let (min_raw, max_raw) = (fmt.min_raw() as i64, fmt.max_raw() as i64);
     let (k, beta) = (spec.k as f64, spec.beta as f64);
     let alpha_per_size = spec.alpha as f64 / spec.size as f64;
     let denom_of = |energy: i64| (k + alpha_per_size * (energy as f64 * lsb_sq)).powf(beta);
+    let (min_raw, max_raw) = (fmt.min_raw(), fmt.max_raw());
+    let exact = |x: i16, energy: i64| {
+        let scaled = ((x as f64 * lsb / denom_of(energy)) as f32) as f64 * scale;
+        // Ties away from zero; the saturating cast truncates toward
+        // zero, which is floor above zero and ceil below it.
+        let rounded = scaled + 0.5f64.copysign(scaled);
+        (rounded as i32).clamp(min_raw, max_raw) as i16
+    };
 
     let input = &input[..s.len()];
     let planes = |c: usize| &input[c * plane..(c + 1) * plane];
-    let square = |x: i16| x as i64 * x as i64;
-    let LrnScratch { energy, table, out } = scratch;
-    // One slot per energy features of this width can reach (none for
-    // the wide ones), whatever this image holds: the table's size does
-    // not depend on the data. NaN marks an unfilled slot (a NaN
-    // denominator is just recomputed).
+    let window = channels.start.saturating_sub(half)..(channels.end + half).min(s.channels);
+    let held = input[window.start * plane..window.end * plane].iter();
+    let (lo, hi) = held.fold((0i16, 0i16), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+    // Every energy features of this width can reach (none for the wide
+    // ones), whatever this image holds.
     let reach = (2 * half as i64 + 1).saturating_mul(1 << (2 * (fmt.bits().min(16) - 1)));
-    table.clear();
-    if reach < LRN_TABLE_LIMIT {
-        table.resize(reach as usize + 1, f64::NAN);
+    let tabled = reach < LRN_TABLE_LIMIT
+        && fmt.frac() <= 124
+        && min_raw <= lo as i32
+        && hi as i32 <= max_raw;
+    let LrnScratch {
+        energy,
+        wide,
+        out,
+        table,
+        filled_for,
+    } = scratch;
+    out.resize(plane, 0);
+    if !tabled {
+        slide_energy(input, s, half, channels, wide, |c, energy| {
+            let (x, out) = (planes(c), &mut out[..]);
+            for ((o, &x), &e) in out.iter_mut().zip(x).zip(energy) {
+                *o = exact(x, e);
+            }
+            emit(c, out);
+        });
+        return;
     }
 
-    // The window slides one channel at a time: a plane enters (+1) at
-    // its upper end, one leaves (−1) at its lower end.
-    let slide = |energy: &mut [i64], plane: &[i16], sign: i64| {
-        for (e, &x) in energy.iter_mut().zip(plane) {
-            *e += sign * square(x);
+    if *filled_for != Some((fmt, *spec)) {
+        table.clear();
+        *filled_for = Some((fmt, *spec));
+    }
+    table.reserve_exact((reach as usize + 1).saturating_sub(table.len()));
+    // Why the table path's result is the exact form's, bit for bit.
+    //
+    // (1) Below `frac` 125 the division may run on the raw scale: the
+    // pair `·lsb` … `·2^frac` around the `f32` rounding only moves
+    // exponents, which is exact while `v = x·lsb/d` is an `f32` normal,
+    // `|v| ≥ 2^−126`. Where it is not, `|x/d| < 2^(frac−126) ≤ 1/4` and
+    // both forms round to 0 (an `f32` rounding does not cross the power
+    // of two above it). At `frac` 125 an `x/d` just below 1/2 rounds up
+    // to 1/2 on the raw scale and not as a subnormal `v`, hence the
+    // bound. An overflowing `v` needs `|x/d| ≥ 2^(128+frac) ≥ 2^16`,
+    // which saturates either way.
+    //
+    // (2) On the raw scale the result is a step function `g` of `y =
+    // fl(x/d)`: round to `f32`, then to an integer, ties away. Its
+    // step between `n` and `n + 1` sits within half an `f32` ulp,
+    // `2^−24·(n + ½)`, below `n + ½`. The table path computes `y' =
+    // fl(x · fl(1/d))`; both `y` and `y'` are within `2^−51·|x/d|` of
+    // `x/d` (with `|x| ≥ 1` and `1/d` a normal nothing underflows; a
+    // subnormal `1/d` leaves both below `2^−1000`, an infinite one or
+    // a NaN `d` fails the test below). If `a = |y'|` lies more than
+    // `(a + 2)·2^−23` from every half-integer, more than `2^−24·(a +
+    // 3.5)` separates it from every step, no step lies between `y` and
+    // `y'`, and `g(y)` is the integer nearest `y'` — the sum with
+    // `ROUND` (`a < 2^22` there). An `a ≥ 2^16` saturates in both
+    // forms (`y` is within `2^−50·a` of it, and no table-path format
+    // reaches `2^8`). The sign is symmetric and the clamp is the same.
+    // A quotient that passes neither test (about `(a + 2)·2^−22` of
+    // them) is recomputed in the exact form.
+    let bounds = (min_raw as f64, max_raw as f64);
+    slide_energy(input, s, half, channels, energy, |c, energy| {
+        let top = energy.iter().fold(0, |top, &e| top.max(e)) as usize;
+        if top >= table.len() {
+            table.extend((table.len()..=top).map(|e| 1.0 / denom_of(e as i64)));
         }
+        normalize_plane(&mut out[..], planes(c), energy, table, bounds, exact);
+        emit(c, out);
+    });
+}
+
+/// The table path's pass over one plane: each `x` times its energy's
+/// reciprocal denominator, rounded to the nearest integer inside
+/// `bounds`, into `out`; then, only where some quotient came too close
+/// to a half-integer for that to be the exact form's result, those
+/// elements again through `exact`.
+fn normalize_plane(
+    out: &mut [i16],
+    x: &[i16],
+    energy: &[i32],
+    table: &[f64],
+    bounds: (f64, f64),
+    exact: impl Fn(i16, i64) -> i16,
+) {
+    let pixels = out.iter_mut().zip(x).zip(energy);
+    // Clamped to the filled prefix: no bounds check in the loop.
+    let Some(last) = table.len().checked_sub(1) else {
+        return pixels.for_each(|((o, &x), &e)| *o = exact(x, e as i64));
     };
+    let table = &table[..=last];
+    let mut clear = true;
+    for ((o, &x), &e) in pixels {
+        let (q, ok) = nearest(x, table[(e as usize).min(last)], bounds);
+        *o = q;
+        clear &= ok;
+    }
+    if !clear {
+        for ((o, &x), &e) in out.iter_mut().zip(x).zip(energy) {
+            if !nearest(x, table[(e as usize).min(last)], bounds).1 {
+                *o = exact(x, e as i64);
+            }
+        }
+    }
+}
+
+/// `x · recip` rounded to the nearest integer (ties to even) and
+/// clamped to `bounds`, and whether that is decided: it lies more than
+/// `(|x · recip| + 2) · TIE_MARGIN` from every half-integer, or at
+/// least `2^16` from zero, past every table-path format, where it
+/// saturates (never for a NaN). The clamp is written as selects so that
+/// it compiles to `maxpd`/`minpd`.
+#[inline(always)]
+fn nearest(x: i16, recip: f64, (lo, hi): (f64, f64)) -> (i16, bool) {
+    let y = x as f64 * recip;
+    let n = (y + ROUND) - ROUND;
+    let clear = 0.5 - (y - n).abs() > (y.abs() + 2.0) * TIE_MARGIN || y.abs() >= 65_536.0;
+    let y = if y < lo { lo } else { y };
+    let y = if y > hi { hi } else { y };
+    ((y + ROUND).to_bits() as i16, clear)
+}
+
+/// Slides the window energy of `channels` of the map `input` of shape
+/// `s` one channel at a time — a plane enters at its upper end, one
+/// leaves at its lower end — and hands each channel with its energy
+/// plane to `each`.
+fn slide_energy<E>(
+    input: &[i16],
+    s: Shape3,
+    half: usize,
+    channels: Range<usize>,
+    energy: &mut Vec<E>,
+    mut each: impl FnMut(usize, &[E]),
+) where
+    E: Copy + Default + From<i16> + Mul<Output = E> + AddAssign + SubAssign,
+{
+    let plane = s.rows * s.cols;
+    let planes = |c: usize| &input[c * plane..(c + 1) * plane];
+    let square = |x: i16| E::from(x) * E::from(x);
     let first = channels.start;
     energy.clear();
-    energy.resize(plane, 0);
-    for entering in first.saturating_sub(half)..=(first + half).min(s.channels - 1) {
-        slide(energy, planes(entering), 1);
+    energy.resize(plane, E::default());
+    for c in first.saturating_sub(half)..=(first + half).min(s.channels - 1) {
+        for (e, &x) in energy.iter_mut().zip(planes(c)) {
+            *e += square(x);
+        }
     }
     for c in channels {
         if c > first {
             if c + half < s.channels {
-                slide(energy, planes(c + half), 1);
+                for (e, &x) in energy.iter_mut().zip(planes(c + half)) {
+                    *e += square(x);
+                }
             }
             if c > half {
-                slide(energy, planes(c - half - 1), -1);
+                for (e, &x) in energy.iter_mut().zip(planes(c - half - 1)) {
+                    *e -= square(x);
+                }
             }
         }
-        out.clear();
-        out.extend(planes(c).iter().zip(energy.iter()).map(|(&x, &e)| {
-            // Past the table: a wide format, or a raw outside its own.
-            let denom = match table.get_mut(e as usize) {
-                Some(slot) => {
-                    if slot.is_nan() {
-                        *slot = denom_of(e);
-                    }
-                    *slot
-                }
-                None => denom_of(e),
-            };
-            let scaled = ((x as f64 * lsb / denom) as f32) as f64 * scale;
-            // Ties away from zero; the saturating cast truncates toward
-            // zero, which is floor above zero and ceil below it.
-            let rounded = if scaled >= 0.0 {
-                scaled + 0.5
-            } else {
-                scaled - 0.5
-            };
-            (rounded as i64).clamp(min_raw, max_raw) as i16
-        }));
-        emit(c, out);
+        each(c, energy);
     }
 }
 
@@ -226,7 +383,7 @@ pub fn softmax(logits: &[f32]) -> Vec<f32> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -273,7 +430,11 @@ mod tests {
 
     /// The per-element formula `lrn` used to evaluate directly: the
     /// oracle its integer-energy form must match bit for bit.
-    fn lrn_reference(input: &Tensor3<i16>, fmt: QFormat, spec: &LrnSpec) -> Tensor3<i16> {
+    pub(crate) fn lrn_reference(
+        input: &Tensor3<i16>,
+        fmt: QFormat,
+        spec: &LrnSpec,
+    ) -> Tensor3<i16> {
         let s = input.shape();
         let half = spec.size / 2;
         Tensor3::from_fn(s, |c, r, col| {
@@ -291,18 +452,66 @@ mod tests {
         })
     }
 
+    /// A seeded map of `shape`: post-ReLU 8-bit features (half of them
+    /// zero, the rest skewed small, as in AlexNet's LRN inputs) or, with
+    /// `signed`, raws uniform over the whole 8-bit range.
+    pub(crate) fn seeded_map(shape: Shape3, seed: u64, signed: bool) -> Tensor3<i16> {
+        let mut state = seed;
+        Tensor3::from_fn(shape, |_, _, _| {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            let z = z ^ (z >> 31);
+            let (a, b) = ((z >> 8) % 128, (z >> 16) % 128);
+            match (signed, z & 1) {
+                (true, _) => (z >> 56) as i16 - 128,
+                (false, 0) => 0,
+                (false, _) => (a * b / 127) as i16,
+            }
+        })
+    }
+
+    /// AlexNet's two LRN inputs at the formats real images reach, and a
+    /// full-range signed map: planes of 3025 and 729 leave every vector
+    /// remainder, and the signed map fills the whole 8-bit table.
+    #[test]
+    fn lrn_matches_the_oracle_on_alexnet_shaped_maps() {
+        let spec = LrnSpec::alexnet();
+        let cases = [
+            (Shape3::new(96, 55, 55), QFormat::new(8, -4), false),
+            (Shape3::new(256, 27, 27), QFormat::new(8, -5), false),
+            (Shape3::new(96, 55, 55), QFormat::new(8, 3), true),
+        ];
+        for (seed, (shape, fmt, signed)) in cases.into_iter().enumerate() {
+            let input = seeded_map(shape, seed as u64, signed);
+            assert_eq!(
+                lrn(&input, fmt, &spec),
+                lrn_reference(&input, fmt, &spec),
+                "{shape:?} {fmt:?}"
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Bit-equality with the oracle over both feature widths, the
-        /// fractional lengths calibration produces, windows wider than
-        /// the channel count, and full-range raws (`i16::MIN` included;
-        /// `narrow` folds them into 8 bits so the denominator table is
-        /// exercised as well as the per-element path).
+        /// Bit-equality with the oracle over both feature widths, every
+        /// fractional length the docs claim (weighted toward the ones
+        /// calibration produces, with the edges where the table path
+        /// hands over to the exact form pinned), windows wider than the
+        /// channel count, and full-range raws (`i16::MIN` included;
+        /// `narrow` folds them into 8 bits so the table path is
+        /// exercised as well as the per-element one).
         #[test]
         fn lrn_is_bit_identical_to_the_per_element_formula(
             bits in prop_oneof![Just(8u8), Just(16u8)],
-            frac in -8i8..13,
+            frac in prop_oneof![
+                2 => -8i8..13,
+                2 => (-112i16..128).prop_map(|f| f as i8),
+                1 => prop_oneof![Just(-112i8), Just(124), Just(125), Just(126), Just(127)],
+            ],
             size in prop_oneof![
                 Just(1usize),
                 Just(3usize),
@@ -334,6 +543,39 @@ mod tests {
                 lrn_reference(&input, fmt, &spec),
                 "bits {} frac {} size {} narrow {} strong {}", bits, frac, size, narrow, strong
             );
+        }
+    }
+
+    /// Where `x·lsb/d` is an `f32` subnormal, rounding it there (the
+    /// oracle) and rounding `x/d` on the raw scale part: each spec puts
+    /// one quotient just below 1/2, inside the half-ulp the subnormal
+    /// grid rounds up and `f32` normals do not. A pass that dropped the
+    /// `·lsb` … `·2^frac` pair at these fractional lengths would read 0.
+    #[test]
+    fn lrn_rounds_like_the_oracle_where_f32_goes_subnormal() {
+        let cases = [
+            (125, 3, 36.0 + 2f32.powi(-18), 0.5),
+            (127, 1, 2.0 + 2f32.powi(-22), 1.0),
+        ];
+        for (frac, x, k, beta) in cases {
+            let (fmt, spec) = (
+                QFormat::new(8, frac),
+                LrnSpec {
+                    size: 1,
+                    alpha: 0.0,
+                    beta,
+                    k,
+                },
+            );
+            let input = Tensor3::from_vec(Shape3::new(1, 1, 1), vec![x]);
+            let raw_scale = (x as f64 / (k as f64).powf(beta as f64)) as f32;
+            assert_eq!(raw_scale.round(), 0.0, "frac {frac}");
+            assert_eq!(
+                lrn_reference(&input, fmt, &spec).as_slice(),
+                [1],
+                "frac {frac}"
+            );
+            assert_eq!(lrn(&input, fmt, &spec).as_slice(), [1], "frac {frac}");
         }
     }
 

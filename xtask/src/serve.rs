@@ -11,7 +11,8 @@
 //!
 //! `--smoke` halves the request count and writes the report under
 //! `target/` so CI never dirties the committed `BENCH_serve.json`;
-//! the full run refreshes the committed report in place.
+//! the full run refreshes the committed report in place. Either runs
+//! without the caller's backtrace variables (see `loadtest`).
 
 use std::path::Path;
 use std::process::Command;
@@ -23,6 +24,24 @@ use std::process::Command;
 /// Returns a message when cargo cannot be spawned or the loadtest
 /// reports a violated gate (non-zero exit).
 pub fn run(root: &Path, smoke: bool) -> Result<(), String> {
+    let (mut cmd, out) = loadtest(root, smoke);
+    let status = cmd
+        .status()
+        .map_err(|e| format!("failed to spawn cargo: {e}"))?;
+    if status.success() {
+        println!("serve gate passed; report at {out}");
+        Ok(())
+    } else {
+        Err("serving soak failed: a robustness gate was violated (see loadtest output)".into())
+    }
+}
+
+/// The `loadtest` invocation and the report it writes. The backtrace
+/// variables are removed from its environment: with them set, every
+/// guarded sweep panic in the chaos leg symbolizes a backtrace before
+/// it is caught, which costs tens of milliseconds a panic and moves the
+/// report's tail latencies and deadline cuts with the caller's shell.
+fn loadtest(root: &Path, smoke: bool) -> (Command, &'static str) {
     let out = if smoke {
         "target/BENCH_serve_smoke.json"
     } else {
@@ -44,13 +63,31 @@ pub fn run(root: &Path, smoke: bool) -> Result<(), String> {
     if smoke {
         cmd.arg("--quick");
     }
-    let status = cmd
-        .status()
-        .map_err(|e| format!("failed to spawn cargo: {e}"))?;
-    if status.success() {
-        println!("serve gate passed; report at {out}");
-        Ok(())
-    } else {
-        Err("serving soak failed: a robustness gate was violated (see loadtest output)".into())
+    cmd.env_remove("RUST_BACKTRACE")
+        .env_remove("RUST_LIB_BACKTRACE");
+    (cmd, out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::ffi::OsStr;
+
+    #[test]
+    fn the_loadtest_runs_without_the_backtrace_variables() {
+        for smoke in [false, true] {
+            let (cmd, out) = loadtest(Path::new("."), smoke);
+            let envs: Vec<_> = cmd.get_envs().collect();
+            assert_eq!(
+                envs,
+                [
+                    (OsStr::new("RUST_BACKTRACE"), None),
+                    (OsStr::new("RUST_LIB_BACKTRACE"), None)
+                ]
+            );
+            let args: Vec<_> = cmd.get_args().collect();
+            assert_eq!(args.contains(&OsStr::new("--quick")), smoke);
+            assert!(args.contains(&OsStr::new(out)));
+        }
     }
 }
